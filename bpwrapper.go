@@ -23,7 +23,11 @@
 //     fills.
 //   - Prefetching: immediately before requesting the lock, the data the
 //     critical section will touch is read lock-free, so the processor cache
-//     is warm while the lock is held.
+//     is warm while the lock is held. A shorter holding time helps only
+//     whoever is waiting for the lock, so with WrapperConfig.Prefetching a
+//     session walks only after a request for the policy lock has found it
+//     held (WrapperStats.PrefetchWalks counts the walks); uncontended, the
+//     setting costs one comparison per commit.
 //
 // Beyond the paper, WrapperConfig.FlatCombining replaces the
 // TryLock-or-block commit protocol with flat combining: at the batch

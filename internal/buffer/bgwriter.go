@@ -162,15 +162,16 @@ func (w *BackgroundWriter) backoffCap() time.Duration {
 func (w *BackgroundWriter) safeRound() (written, failed int64) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.mu.Lock()
-			w.stats.PanicRecoveries++
-			w.mu.Unlock()
 			for _, sh := range w.pool.liveShards() {
 				sh.events.Record(obs.EvPanic, 1, 0)
 			}
 			msg := fmt.Sprintf("bgwriter: recovered round panic: %v\n%s\n%s",
 				r, debug.Stack(), w.pool.FlightDump())
 			w.lastPanic.Store(&msg)
+			// Counted last: whoever sees the count can read the panic.
+			w.mu.Lock()
+			w.stats.PanicRecoveries++
+			w.mu.Unlock()
 			failed++
 		}
 	}()

@@ -127,6 +127,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		c("bpw_dropped_entries_total", "hit entries dropped by commit-time validation", l, float64(ws.Dropped))
 		c("bpw_forced_locks_total", "commits that needed a blocking lock (queue full)", l, float64(ws.ForcedLocks))
 		c("bpw_try_commits_total", "commits obtained via TryLock at the threshold", l, float64(ws.TryCommits))
+		c("bpw_prefetch_walks_total", "pre-lock metadata walks (run only after the policy lock showed contention)", l, float64(ws.PrefetchWalks))
 		c("bpw_combined_batches_total", "other sessions' batches applied by a combiner", l, float64(ws.CombinedBatches))
 		c("bpw_combined_entries_total", "entries in combined batches", l, float64(ws.CombinedEntries))
 		c("bpw_handoff_saved_total", "publishes handed to a combiner instead of blocking", l, float64(ws.HandoffSaved))

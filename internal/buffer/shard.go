@@ -737,13 +737,17 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 	var evicted bool
 	sh.wrapper.Locked(func(pol replacer.Policy) {
 		if prev.Valid() && !pol.Contains(prev) {
-			victim, evicted = pol.Admit(prev)
-			if !evicted {
-				// The policy had spare capacity (two-phase misses leave a
+			if pol.Len() < pol.Cap() {
+				// The policy has spare capacity (two-phase misses leave a
 				// slot open while a page is in flight), so the
-				// re-admission displaced nothing; take a fresh victim
-				// explicitly.
+				// re-admission will displace nothing; take a fresh victim
+				// explicitly, and take it first: a policy that ranks a
+				// page it has just met below every other (LFU, LRU-2)
+				// would hand prev straight back.
 				victim, evicted = pol.Evict()
+				pol.Admit(prev)
+			} else {
+				victim, evicted = pol.Admit(prev)
 			}
 		} else {
 			// prev was re-admitted by a concurrent loader (or there is no
@@ -1044,15 +1048,19 @@ func (sh *shard) invalidate(id page.PageID) error {
 		}
 	}
 
+	// Out of the policy before out of the table: a miss on id starts only
+	// once the table entry is gone, and its MissAdmit must not find the
+	// page still resident.
+	sh.wrapper.Locked(func(pol replacer.Policy) {
+		pol.Remove(id)
+	})
+
 	sh.lockBucket(b)
 	b.removeLocked(id)
 	b.mu.Unlock()
 
 	sh.purgeQuarantine(id)
 
-	sh.wrapper.Locked(func(pol replacer.Policy) {
-		pol.Remove(id)
-	})
 	f.toFree()
 	sh.freeMu.Lock()
 	sh.freeList = append(sh.freeList, f)

@@ -171,9 +171,7 @@ func (w *Wrapper) combineLocked(s *Session) {
 			}
 		}
 		sched.Yield(sched.CoreFCCombine)
-		for _, e := range *bp {
-			w.applyHit(e)
-		}
+		w.applyBatch(*bp)
 		drained++
 		entries += uint64(len(*bp))
 		if sl != own {
@@ -203,9 +201,7 @@ func (s *Session) applyPublished() {
 	// Claiming one's own batch is not a cross-thread handoff: just clear
 	// the parked trace context so it cannot attach to a later batch.
 	s.slot.pubTrace.Store(0)
-	for _, e := range *bp {
-		s.w.applyHit(e)
-	}
+	s.w.applyBatch(*bp)
 	s.slot.recycle(bp)
 }
 
@@ -219,9 +215,7 @@ func (s *Session) fcCommit() {
 		// Previous batch drained: publish this one. Only the owner stores
 		// into pub, so the emptiness check cannot race with another
 		// publisher; a combiner only ever transitions pub to nil.
-		if pf := w.box.Load().prefetcher; pf != nil {
-			s.pf = prefetchInto(pf, s.pf, s.queue, page.InvalidPageID)
-		}
+		s.prefetch(s.queue, page.InvalidPageID)
 		box := s.fcBox
 		*box = s.queue
 		first := len(s.queue) == s.Threshold()
@@ -265,9 +259,7 @@ func (s *Session) fcCommit() {
 	}
 	// Both buffers full: the bounded-memory fall-back. Apply the published
 	// batch (older) before the queue, then combine everyone else.
-	if pf := w.box.Load().prefetcher; pf != nil {
-		s.pf = prefetchInto(pf, s.pf, s.queue, page.InvalidPageID)
-	}
+	s.prefetch(s.queue, page.InvalidPageID)
 	t0 := s.trace.Now()
 	w.lock.Lock()
 	// The bounded-memory fall-back is the protocol's slow path: the wait
@@ -277,9 +269,7 @@ func (s *Session) fcCommit() {
 	w.cc.forcedLocks.Add(1)
 	w.events.Record(obs.EvForcedLock, uint64(len(s.queue)), 0)
 	s.applyPublished()
-	for _, e := range s.queue {
-		w.applyHit(e)
-	}
+	w.applyBatch(s.queue)
 	w.combineLocked(s)
 	w.lock.Unlock()
 	w.cc.commits.Add(1)
@@ -300,20 +290,14 @@ func (s *Session) fcFlush() {
 	if claimed == nil && len(s.queue) == 0 {
 		return
 	}
-	if pf := w.box.Load().prefetcher; pf != nil {
-		s.pf = prefetchInto(pf, s.pf, s.queue, page.InvalidPageID)
-	}
+	s.prefetch(s.queue, page.InvalidPageID)
 	w.lock.Lock()
 	w.cc.forcedLocks.Add(1)
 	if claimed != nil {
-		for _, e := range *claimed {
-			w.applyHit(e)
-		}
+		w.applyBatch(*claimed)
 		s.slot.recycle(claimed)
 	}
-	for _, e := range s.queue {
-		w.applyHit(e)
-	}
+	w.applyBatch(s.queue)
 	w.combineLocked(s)
 	w.lock.Unlock()
 	w.cc.commits.Add(1)

@@ -14,7 +14,9 @@
 //   - Lock warm-up cost, via *prefetching* (Section III-B): immediately
 //     before requesting the lock, the data the critical section will touch
 //     is read (lock-free) so that it is already in the processor cache
-//     while the lock is held.
+//     while the lock is held. The walk runs only while the lock shows
+//     contention (see Session.prefetch): a shorter holding time helps the
+//     sessions queued behind the lock, and nobody else.
 //
 // Both techniques are independent of the wrapped algorithm, which is used
 // unmodified — the framework property the paper's title claims.
@@ -60,7 +62,11 @@ type Config struct {
 	Batching bool
 
 	// Prefetching enables the pre-lock metadata walk for policies that
-	// implement replacer.Prefetcher.
+	// implement replacer.Prefetcher. A session walks only when a request
+	// for the policy lock — its own or another session's — has found the
+	// lock held since the session's previous look (Stats.PrefetchWalks
+	// counts the walks); with no contention the setting costs one counter
+	// comparison per commit.
 	Prefetching bool
 
 	// QueueSize is the FIFO queue capacity S. Zero means
@@ -182,6 +188,10 @@ type Stats struct {
 	ForcedLocks int64 // commits that needed a blocking Lock (queue full)
 	TryCommits  int64 // commits obtained via TryLock at the threshold
 
+	// PrefetchWalks counts pre-lock metadata walks (Config.Prefetching):
+	// zero while the policy lock is uncontended.
+	PrefetchWalks int64
+
 	// Flat-combining activity (Config.FlatCombining only).
 	CombinedBatches int64 // other sessions' published batches applied by a combiner
 	CombinedEntries int64 // entries in those batches
@@ -208,6 +218,7 @@ func (s Stats) Plus(o Stats) Stats {
 	s.Lock = s.Lock.Plus(o.Lock)
 	s.ForcedLocks += o.ForcedLocks
 	s.TryCommits += o.TryCommits
+	s.PrefetchWalks += o.PrefetchWalks
 	s.CombinedBatches += o.CombinedBatches
 	s.CombinedEntries += o.CombinedEntries
 	s.HandoffSaved += o.HandoffSaved
@@ -236,13 +247,15 @@ type aggCounters struct {
 // commitCounters are written by whichever session is committing — at most
 // one batch-commit writer at a time (they are bumped while or immediately
 // after holding the policy lock), so they share a line group distinct from
-// the lock word and the fold aggregates.
+// the lock word and the fold aggregates. prefetchWalks is bumped on the way
+// to the lock instead, but only by sessions that saw the lock contended.
 type commitCounters struct {
-	commits     atomic.Int64
-	committed   atomic.Int64
-	dropped     atomic.Int64
-	forcedLocks atomic.Int64
-	tryCommits  atomic.Int64
+	commits       atomic.Int64
+	committed     atomic.Int64
+	dropped       atomic.Int64
+	forcedLocks   atomic.Int64
+	tryCommits    atomic.Int64
+	prefetchWalks atomic.Int64
 }
 
 // combineCounters count flat-combining activity (written by combiners and
@@ -418,6 +431,7 @@ func (w *Wrapper) Stats() Stats {
 		Lock:            w.lock.Stats(),
 		ForcedLocks:     w.cc.forcedLocks.Load(),
 		TryCommits:      w.cc.tryCommits.Load(),
+		PrefetchWalks:   w.cc.prefetchWalks.Load(),
 		CombinedBatches: w.fcc.combinedBatches.Load(),
 		CombinedEntries: w.fcc.combinedEntries.Load(),
 		HandoffSaved:    w.fcc.handoffSaved.Load(),
@@ -436,6 +450,7 @@ func (w *Wrapper) ResetStats() {
 	w.cc.dropped.Store(0)
 	w.cc.forcedLocks.Store(0)
 	w.cc.tryCommits.Store(0)
+	w.cc.prefetchWalks.Store(0)
 	w.fcc.combinedBatches.Store(0)
 	w.fcc.combinedEntries.Store(0)
 	w.fcc.handoffSaved.Store(0)
@@ -578,6 +593,10 @@ type Session struct {
 
 	pf []page.PageID // prefetch id scratch, reused across commits
 
+	// lockWaited is the policy lock's Waited count when this session last
+	// looked: the prefetch gate (see prefetch).
+	lockWaited int64
+
 	slot   *pubSlot // flat-combining publication slot (cfg.FlatCombining)
 	fcBox  *[]Entry // box that will carry s.queue on its next publish
 	pubLen int      // length of the batch last published in slot (owner-only)
@@ -693,10 +712,7 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 	}
 	if !w.cfg.Batching {
 		// No batching (pg2Q / pgPre): one lock acquisition per access.
-		if b.prefetcher != nil {
-			one := [1]page.PageID{id}
-			b.prefetcher.Prefetch(one[:])
-		}
+		s.prefetch(nil, id)
 		tracing := s.trace.Sampled()
 		var t0, t1 int64
 		if tracing {
@@ -706,7 +722,7 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		if tracing {
 			t1 = s.trace.Now()
 		}
-		w.applyHit(Entry{ID: id, Tag: tag})
+		w.applyBatch([]Entry{{ID: id, Tag: tag}})
 		w.lock.Unlock()
 		if tracing {
 			now := s.trace.Now()
@@ -718,7 +734,7 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		return
 	}
 	if w.shared != nil {
-		w.shared.record(w, s, Entry{ID: id, Tag: tag})
+		w.shared.record(s, Entry{ID: id, Tag: tag})
 		// The shared queue is the rejected, always-contending design; its
 		// sessions have no private commit boundary, so fold every access.
 		s.fold()
@@ -744,50 +760,7 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 // and then the policy admits the page, returning the eviction victim.
 // This is replacement_for_page_miss in Figure 4.
 func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
-	w := s.w
-	s.note(false)
-	s.fold()
-	var pending []Entry
-	var stolen sqTraceCtx
-	switch {
-	case w.shared != nil:
-		pending, stolen = w.shared.steal()
-	case s.queue != nil:
-		pending = s.queue
-	}
-	if pf := w.box.Load().prefetcher; pf != nil {
-		s.pf = prefetchInto(pf, s.pf, pending, id)
-	}
-	sched.Yield(sched.CoreMissLock)
-	// The miss path always blocks on the lock and implies device I/O, so
-	// the wait is stamped with Slow: an SLO-crossing miss is traceable even
-	// when head sampling skipped it.
-	t0 := s.trace.Now()
-	w.lock.Lock()
-	t1 := s.trace.Now()
-	s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(len(pending)), 0)
-	s.applyPublished()
-	for _, e := range pending {
-		w.applyHit(e)
-	}
-	victim, evicted = w.box.Load().policy.Admit(id)
-	if w.fc != nil {
-		w.combineLocked(s)
-	}
-	w.lock.Unlock()
-	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, s.trace.Now()-t1, uint64(len(pending)), uint64(id))
-	w.emitSharedHandoff(stolen, s)
-	if len(pending) > 0 {
-		w.cc.commits.Add(1)
-		w.batchSizes.Observe(len(pending))
-	}
-	if w.shared != nil {
-		w.shared.release(pending)
-	}
-	if s.queue != nil {
-		s.queue = s.queue[:0]
-	}
-	return victim, evicted
+	return s.miss(id, true)
 }
 
 // MissBegin is the first half of the two-phase miss protocol the buffer
@@ -802,48 +775,49 @@ func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, 
 // Single-phase Miss remains available for standalone (simulation, trace
 // replay) use, where pages have no frames at all.
 func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
+	return s.miss(id, false)
+}
+
+// miss is Miss (admit) and MissBegin (make room only).
+func (s *Session) miss(id page.PageID, admit bool) (victim page.PageID, evicted bool) {
 	w := s.w
 	s.note(false)
 	s.fold()
-	var pending []Entry
-	var stolen sqTraceCtx
-	switch {
-	case w.shared != nil:
-		pending, stolen = w.shared.steal()
-	case s.queue != nil:
-		pending = s.queue
-	}
-	if pf := w.box.Load().prefetcher; pf != nil {
-		s.pf = prefetchInto(pf, s.pf, pending, id)
-	}
+	s.prefetch(s.queue, id)
 	sched.Yield(sched.CoreMissLock)
+	// The miss path always blocks on the lock and implies device I/O, so
+	// the wait is stamped with Slow: an SLO-crossing miss is traceable even
+	// when head sampling skipped it.
 	t0 := s.trace.Now()
 	w.lock.Lock()
 	t1 := s.trace.Now()
-	s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(len(pending)), 0)
+	s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(len(s.queue)), 0)
 	s.applyPublished()
-	for _, e := range pending {
-		w.applyHit(e)
+	pending := len(s.queue)
+	var stolen sqTraceCtx
+	if w.shared != nil {
+		pending, stolen = w.shared.drain(w)
+	} else {
+		w.applyBatch(s.queue)
 	}
-	if pol := w.box.Load().policy; pol.Len() >= pol.Cap() {
+	pol := w.box.Load().policy
+	switch {
+	case admit:
+		victim, evicted = pol.Admit(id)
+	case pol.Len() >= pol.Cap():
 		victim, evicted = pol.Evict()
 	}
 	if w.fc != nil {
 		w.combineLocked(s)
 	}
 	w.lock.Unlock()
-	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, s.trace.Now()-t1, uint64(len(pending)), uint64(id))
+	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, s.trace.Now()-t1, uint64(pending), uint64(id))
 	w.emitSharedHandoff(stolen, s)
-	if len(pending) > 0 {
+	if pending > 0 {
 		w.cc.commits.Add(1)
-		w.batchSizes.Observe(len(pending))
+		w.batchSizes.Observe(pending)
 	}
-	if w.shared != nil {
-		w.shared.release(pending)
-	}
-	if s.queue != nil {
-		s.queue = s.queue[:0]
-	}
+	s.queue = s.queue[:0]
 	return victim, evicted
 }
 
@@ -867,22 +841,12 @@ func (s *Session) Flush() {
 	w := s.w
 	s.fold()
 	if w.shared != nil {
-		pending, stolen := w.shared.steal()
-		if len(pending) == 0 {
+		if w.shared.pending() == 0 {
 			return
 		}
-		if pf := w.box.Load().prefetcher; pf != nil {
-			s.pf = prefetchInto(pf, s.pf, pending, page.InvalidPageID)
-		}
+		s.prefetch(nil, page.InvalidPageID)
 		w.lock.Lock()
-		for _, e := range pending {
-			w.applyHit(e)
-		}
-		w.lock.Unlock()
-		w.emitSharedHandoff(stolen, s)
-		w.cc.commits.Add(1)
-		w.batchSizes.Observe(len(pending))
-		w.shared.release(pending)
+		w.shared.drainAndUnlock(s)
 		return
 	}
 	if w.fc != nil {
@@ -919,11 +883,7 @@ func (s *Session) Pending() int {
 func (s *Session) commit(force bool) {
 	w := s.w
 	defer s.fold()
-	if pf := w.box.Load().prefetcher; pf != nil {
-		// Prefetch: warm the cache with the metadata the critical section
-		// will touch, immediately before requesting the lock.
-		s.pf = prefetchInto(pf, s.pf, s.queue, page.InvalidPageID)
-	}
+	walked := s.prefetch(s.queue, page.InvalidPageID)
 	sched.Yield(sched.CoreCommitTry)
 	if force {
 		t0 := s.trace.Now()
@@ -947,6 +907,11 @@ func (s *Session) commit(force bool) {
 			w.events.Record(obs.EvTryFail, uint64(len(s.queue)), 0)
 			return
 		}
+		if !walked {
+			// The lock is held this instant, which the failed TryLock has
+			// counted: the gate is open.
+			s.prefetch(s.queue, page.InvalidPageID)
+		}
 		t0 := s.trace.Now()
 		w.lock.Lock()
 		s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, s.trace.Now()-t0, uint64(len(s.queue)), 0)
@@ -962,9 +927,7 @@ func (s *Session) commit(force bool) {
 	if tracing {
 		tApply = s.trace.Now()
 	}
-	for _, e := range s.queue {
-		w.applyHit(e)
-	}
+	w.applyBatch(s.queue)
 	w.lock.Unlock()
 	if tracing {
 		s.trace.Span(reqtrace.PhasePolicyOp, -1, tApply, s.trace.Now()-tApply, uint64(len(s.queue)), 0)
@@ -974,25 +937,52 @@ func (s *Session) commit(force bool) {
 	s.queue = s.queue[:0]
 }
 
-// applyHit validates one queued entry and delivers it to the policy.
-// Callers must hold the lock (which also pins the policy box: SwapPolicy
-// republishes it only while holding the same lock, so the load here is
-// stable for the whole batch).
-func (w *Wrapper) applyHit(e Entry) {
-	if w.cfg.Validate != nil && !w.cfg.Validate(e) {
-		w.cc.dropped.Add(1)
+// applyBatch validates queued entries and delivers them to the policy in
+// order. Callers must hold the lock, which also pins the policy box
+// (SwapPolicy republishes it only while holding the same lock) and makes
+// the caller the counters' only writer, so both are touched once a batch.
+func (w *Wrapper) applyBatch(batch []Entry) {
+	if len(batch) == 0 {
 		return
 	}
-	w.box.Load().policy.Hit(e.ID)
-	w.cc.committed.Add(1)
+	pol, validate := w.box.Load().policy, w.cfg.Validate
+	dropped := 0
+	for _, e := range batch {
+		if validate != nil && !validate(e) {
+			dropped++
+			continue
+		}
+		pol.Hit(e.ID)
+	}
+	w.cc.committed.Add(int64(len(batch) - dropped))
+	if dropped > 0 {
+		w.cc.dropped.Add(int64(dropped))
+	}
 }
 
-// prefetchInto warms the cache for the queued ids plus the (optional)
-// missing page, reusing buf as the id scratch space. It returns the
-// (possibly grown) scratch for the caller to retain — after the first few
-// commits the id walk is allocation-free.
-func prefetchInto(pf replacer.Prefetcher, buf []page.PageID, entries []Entry, extra page.PageID) []page.PageID {
-	ids := buf[:0]
+// prefetch is the pre-lock walk of Section III-B: a lock-free read of the
+// policy metadata the coming critical section will touch — the pages of
+// entries (of the shared queue under SharedQueue) and extra, the page about
+// to be admitted — so that the lock is held for less time. A shorter hold
+// only pays while someone is queued behind the lock, and the walk is not
+// free, so it runs only if a request for the lock has found it held (a
+// blocked Lock or a failed TryLock, this session's or another's) since this
+// session last looked. It reports whether it walked.
+func (s *Session) prefetch(entries []Entry, extra page.PageID) bool {
+	w := s.w
+	pf := w.box.Load().prefetcher
+	if pf == nil {
+		return false
+	}
+	waited := w.lock.Waited()
+	if waited == s.lockWaited {
+		return false
+	}
+	s.lockWaited = waited
+	ids := s.pf[:0]
+	if w.shared != nil {
+		ids = w.shared.appendIDs(ids)
+	}
 	for _, e := range entries {
 		ids = append(ids, e.ID)
 	}
@@ -1000,7 +990,9 @@ func prefetchInto(pf replacer.Prefetcher, buf []page.PageID, entries []Entry, ex
 		ids = append(ids, extra)
 	}
 	pf.Prefetch(ids)
-	return ids
+	s.pf = ids // keep the (possibly grown) scratch: later walks do not allocate
+	w.cc.prefetchWalks.Add(1)
+	return true
 }
 
 // sqTraceCtx is the publisher trace context carried with a shared-queue
@@ -1032,120 +1024,89 @@ func (w *Wrapper) emitSharedHandoff(tc sqTraceCtx, applier *Session) {
 
 // sharedQueue is the rejected alternative design of Section III-A: one
 // FIFO queue shared by all sessions, with its own mutex. Implemented only
-// for the ablation experiment. Batches are recycled through the spare
-// buffer so steady-state commits do not allocate.
+// for the ablation experiment.
+//
+// Entries leave the queue only while the policy lock is held (drain), so
+// batches are applied in the order they were recorded. A session that has
+// to wait for the lock therefore leaves its batch queued, where every other
+// session can still append one entry before it too reaches the full queue
+// and waits: the queue holds at most QueueSize + sessions entries.
 type sharedQueue struct {
 	mu      sync.Mutex
 	entries []Entry
-	spare   []Entry    // recycled batch buffer (nil while a batch is in flight)
 	tc      sqTraceCtx // trace context of the accumulating batch
+
+	// spare is the buffer the last drain emptied; the next drain swaps it
+	// back in, so steady-state commits do not allocate. Guarded by the
+	// policy lock, not mu.
+	spare []Entry
 }
 
 // record appends an entry; when the wrapper's threshold is reached the
 // caller attempts a commit following the same TryLock protocol.
-func (q *sharedQueue) record(w *Wrapper, s *Session, e Entry) {
+func (q *sharedQueue) record(s *Session, e Entry) {
+	w := s.w
 	q.mu.Lock()
 	q.entries = append(q.entries, e)
 	if tid := s.trace.ID(); tid != 0 {
 		q.tc = sqTraceCtx{id: tid, at: s.trace.Now(), sess: s.id}
 	}
 	n := len(q.entries)
+	q.mu.Unlock()
 	if n < w.cfg.BatchThreshold {
-		q.mu.Unlock()
 		return
 	}
-	full := n >= w.cfg.QueueSize
-	// Take the batch out while still holding the queue mutex so no other
-	// session commits the same entries; recording continues in the spare
-	// buffer.
-	batch, tc := q.takeLocked()
-	q.mu.Unlock()
-
-	if pf := w.box.Load().prefetcher; pf != nil {
-		s.pf = prefetchInto(pf, s.pf, batch, page.InvalidPageID)
-	}
-	if full {
+	s.prefetch(nil, page.InvalidPageID)
+	if n >= w.cfg.QueueSize {
 		w.lock.Lock()
 		w.cc.forcedLocks.Add(1)
-		w.events.Record(obs.EvForcedLock, uint64(len(batch)), 0)
+		w.events.Record(obs.EvForcedLock, uint64(n), 0)
 	} else if w.lock.TryLock() {
 		w.cc.tryCommits.Add(1)
-		w.events.Record(obs.EvCommit, uint64(len(batch)), 0)
+		w.events.Record(obs.EvCommit, uint64(n), 0)
 	} else {
-		// Lock busy: put the batch back (in front — it is older than
-		// anything recorded meanwhile) and keep accumulating. The stolen
-		// trace context rides back too so the eventual drain still emits
-		// its handoff span.
-		w.events.Record(obs.EvTryFail, uint64(len(batch)), 0)
-		q.requeue(batch, tc)
+		// Lock busy: keep accumulating.
+		w.events.Record(obs.EvTryFail, uint64(n), 0)
 		return
 	}
-	for _, e := range batch {
-		w.applyHit(e)
-	}
+	q.drainAndUnlock(s)
+}
+
+// drainAndUnlock drains the queue as one commit round and releases the
+// policy lock, which the caller holds.
+func (q *sharedQueue) drainAndUnlock(s *Session) {
+	w := s.w
+	n, tc := q.drain(w)
 	w.lock.Unlock()
+	if n == 0 {
+		return // drained by another session while this one waited for the lock
+	}
 	w.emitSharedHandoff(tc, s)
 	w.cc.commits.Add(1)
-	w.batchSizes.Observe(len(batch))
-	q.release(batch)
+	w.batchSizes.Observe(n)
 }
 
-// takeLocked removes and returns the queued entries with their trace
-// context, leaving the spare buffer recording. Callers must hold q.mu and
-// must hand the returned batch to release or requeue when done.
-func (q *sharedQueue) takeLocked() ([]Entry, sqTraceCtx) {
+// drain applies everything queued and returns how much that was, with the
+// batch's trace context. Callers must hold the policy lock.
+func (q *sharedQueue) drain(w *Wrapper) (int, sqTraceCtx) {
+	q.mu.Lock()
 	batch, tc := q.entries, q.tc
-	q.tc = sqTraceCtx{}
-	if q.spare != nil {
-		q.entries = q.spare[:0]
-		q.spare = nil
-	} else {
-		// The other buffer is in flight with another session; a fresh one
-		// enters the rotation.
-		q.entries = make([]Entry, 0, cap(batch))
-	}
-	return batch, tc
+	q.entries, q.tc = q.spare[:0], sqTraceCtx{}
+	q.mu.Unlock()
+	w.applyBatch(batch)
+	q.spare = batch
+	return len(batch), tc
 }
 
-// steal removes and returns all queued entries; the caller must pass the
-// batch to release after applying it.
-func (q *sharedQueue) steal() ([]Entry, sqTraceCtx) {
+// appendIDs appends the queued page ids to ids: the prefetch walk's view of
+// a batch it cannot take out of the queue yet.
+func (q *sharedQueue) appendIDs(ids []page.PageID) []page.PageID {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.entries) == 0 {
-		return nil, sqTraceCtx{}
+	for _, e := range q.entries {
+		ids = append(ids, e.ID)
 	}
-	return q.takeLocked()
-}
-
-// release returns a drained batch buffer to the rotation.
-func (q *sharedQueue) release(batch []Entry) {
-	if batch == nil {
-		return
-	}
-	q.mu.Lock()
-	if q.spare == nil {
-		q.spare = batch[:0]
-	}
-	q.mu.Unlock()
-}
-
-// requeue puts an uncommitted batch back at the front of the queue without
-// permanently growing the rotation: the rebuilt queue lives in the batch's
-// buffer and the previous recording buffer becomes the spare. The batch's
-// trace context is restored unless a newer traced access arrived meanwhile.
-func (q *sharedQueue) requeue(batch []Entry, tc sqTraceCtx) {
-	q.mu.Lock()
-	recorded := q.entries
-	batch = append(batch, recorded...)
-	q.entries = batch
-	if q.tc.id == 0 {
-		q.tc = tc
-	}
-	if q.spare == nil {
-		q.spare = recorded[:0]
-	}
-	q.mu.Unlock()
+	return ids
 }
 
 // pending returns the current queue length.

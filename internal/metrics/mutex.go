@@ -231,6 +231,14 @@ func (m *ContentionMutex) Stats() LockStats {
 	}
 }
 
+// Waited returns how many lock requests so far found the mutex held:
+// Contentions + TryFailures. It only grows (until Reset), so a caller that
+// remembers the last value it saw learns from one comparison whether anyone
+// has had to wait, or declined to, since it last looked.
+func (m *ContentionMutex) Waited() int64 {
+	return m.contentions.Load() + m.tryFailures.Load()
+}
+
 // Reset zeroes all counters and any attached profile histograms. It must
 // not be called while the mutex is held or being acquired.
 func (m *ContentionMutex) Reset() {

@@ -10,7 +10,7 @@ package replacer
 // whose clock approximation (CAR) loses history fidelity; both are included
 // here so the hit-ratio experiments can quantify that trade-off.
 type ARC struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity int
 	p        int // adaptation target: preferred size of T1
 
@@ -30,6 +30,8 @@ var (
 func NewARC(capacity int) *ARC {
 	checkCap("arc", capacity)
 	return &ARC{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity: capacity,
 		table:    make(map[PageID]*node, 2*capacity),
 		t1:       newList(),

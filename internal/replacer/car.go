@@ -12,7 +12,7 @@ package replacer
 // are plain fields); only the simpler Clock/GClock policies advertise
 // lock-free hits.
 type CAR struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity int
 	p        int // adaptation target: preferred size of T1
 
@@ -32,6 +32,8 @@ var (
 func NewCAR(capacity int) *CAR {
 	checkCap("car", capacity)
 	return &CAR{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity: capacity,
 		table:    make(map[PageID]*node, 2*capacity),
 		t1:       newList(),

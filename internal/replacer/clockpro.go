@@ -20,7 +20,7 @@ package replacer
 // up history fidelity for lock avoidance; this implementation exists so the
 // hit-ratio experiments can compare it against real LIRS.
 type ClockPro struct {
-	prefetchIndex
+	prefetchIndex[cpEntry, *cpEntry]
 	capacity   int
 	coldTarget int // adaptive allocation for resident cold pages, in [1, capacity]
 
@@ -77,6 +77,8 @@ var (
 func NewClockPro(capacity int) *ClockPro {
 	checkCap("clockpro", capacity)
 	return &ClockPro{
+		prefetchIndex: newPrefetchIndex[cpEntry](capacity),
+
 		capacity:   capacity,
 		coldTarget: max(1, capacity/2),
 		table:      make(map[PageID]*cpEntry, 2*capacity),

@@ -4,7 +4,7 @@ package replacer
 // weakest baseline in the suite but useful in hit-ratio comparisons and as
 // the degenerate case many approximation arguments start from.
 type FIFO struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity int
 	table    map[PageID]*node
 	lst      *list // front = newest, back = oldest
@@ -17,6 +17,8 @@ var _ Prefetcher = (*FIFO)(nil)
 func NewFIFO(capacity int) *FIFO {
 	checkCap("fifo", capacity)
 	return &FIFO{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity: capacity,
 		table:    make(map[PageID]*node, capacity),
 		lst:      newList(),

@@ -6,7 +6,7 @@ package replacer
 // operation): buckets ordered by ascending frequency, each holding its
 // pages in arrival order.
 type LFU struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity int
 	table    map[PageID]*node
 	buckets  map[int]*list // frequency → pages at that frequency (front = newest)
@@ -21,6 +21,8 @@ var _ Prefetcher = (*LFU)(nil)
 func NewLFU(capacity int) *LFU {
 	checkCap("lfu", capacity)
 	return &LFU{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity: capacity,
 		table:    make(map[PageID]*node, capacity),
 		buckets:  make(map[int]*list),

@@ -50,7 +50,7 @@ func (e *lirsEntry) touch() uint64 {
 // pages — LIR, resident HIR, and a bounded number of non-resident HIR
 // ghosts — and drives promotion/demotion between the sets.
 type LIRS struct {
-	prefetchIndex
+	prefetchIndex[lirsEntry, *lirsEntry]
 	capacity  int
 	llirs     int // target LIR set size
 	lhirs     int // target resident-HIR set size (= capacity - llirs)
@@ -91,6 +91,8 @@ func NewLIRSTuned(capacity, lhirs, ghostCap int) *LIRS {
 		panic("replacer: lirs: ghostCap must be >= 0")
 	}
 	return &LIRS{
+		prefetchIndex: newPrefetchIndex[lirsEntry](capacity),
+
 		capacity: capacity,
 		llirs:    capacity - lhirs,
 		lhirs:    lhirs,

@@ -6,7 +6,7 @@ package replacer
 // (CLOCK) stock PostgreSQL adopted for scalability, and the canonical
 // example used throughout the BP-Wrapper paper.
 type LRU struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity int
 	table    map[PageID]*node
 	lst      *list // front = MRU, back = LRU
@@ -19,6 +19,8 @@ var _ Prefetcher = (*LRU)(nil)
 func NewLRU(capacity int) *LRU {
 	checkCap("lru", capacity)
 	return &LRU{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity: capacity,
 		table:    make(map[PageID]*node, capacity),
 		lst:      newList(),

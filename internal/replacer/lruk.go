@@ -19,7 +19,7 @@ import "container/heap"
 // stale heap entries (for pages re-referenced or evicted since the entry
 // was pushed) are skipped on pop, keeping Hit at O(log n) amortized.
 type LRUK struct {
-	prefetchIndex
+	prefetchIndex[lrukEntry, *lrukEntry]
 	capacity int
 	k        int
 	clock    int64
@@ -100,6 +100,8 @@ func NewLRUK(capacity, k int) *LRUK {
 		panic("replacer: lruk: k must be >= 1")
 	}
 	return &LRUK{
+		prefetchIndex: newPrefetchIndex[lrukEntry](capacity),
+
 		capacity: capacity,
 		k:        k,
 		table:    make(map[PageID]*lrukEntry, capacity),

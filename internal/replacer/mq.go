@@ -8,7 +8,7 @@ package replacer
 // that stop being accessed; evicted pages leave a frequency-remembering
 // ghost entry in Qout.
 type MQ struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity int
 	numQ     int   // number of frequency queues (m)
 	lifeTime int64 // accesses a page may sit in a queue before demotion
@@ -50,6 +50,8 @@ func NewMQTuned(capacity, numQ int, lifeTime int64, qoutCap int) *MQ {
 		qs[i] = newList()
 	}
 	return &MQ{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity: capacity,
 		numQ:     numQ,
 		lifeTime: lifeTime,

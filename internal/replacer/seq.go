@@ -21,7 +21,7 @@ package replacer
 // fires, the scans pollute the buffer, and the hit ratio collapses. See
 // the "distributed" experiment in internal/bench.
 type SEQ struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity  int
 	threshold int
 	table     map[PageID]*node
@@ -52,6 +52,8 @@ func NewSEQTuned(capacity, threshold int) *SEQ {
 		panic("replacer: seq: threshold must be >= 2")
 	}
 	return &SEQ{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity:  capacity,
 		threshold: threshold,
 		table:     make(map[PageID]*node, capacity),

@@ -12,7 +12,7 @@ package replacer
 // the "full" 2Q's correlated-reference filter); hits on Am pages move them
 // to the MRU end — the operation the paper's batching defers.
 type TwoQ struct {
-	prefetchIndex
+	prefetchIndex[node, *node]
 	capacity int
 	kin      int // max length of A1in
 	kout     int // max length of A1out (ghosts)
@@ -45,6 +45,8 @@ func NewTwoQTuned(capacity, kin, kout int) *TwoQ {
 		panic("replacer: 2q: kout must be >= 1")
 	}
 	return &TwoQ{
+		prefetchIndex: newPrefetchIndex[node](capacity),
+
 		capacity: capacity,
 		kin:      kin,
 		kout:     kout,

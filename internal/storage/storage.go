@@ -106,26 +106,35 @@ func (d *MemDevice) ReadPage(id page.PageID, p *page.Page) error {
 	s := d.shard(id)
 	s.mu.RLock()
 	data, ok := s.pages[id]
+	if ok {
+		// Copied under the lock: WritePage overwrites the stored page in
+		// place.
+		p.Data = *data
+	}
 	s.mu.RUnlock()
 	if ok {
 		p.ID = id
-		p.Data = *data
 		return nil
 	}
 	p.Stamp(id)
 	return nil
 }
 
-// WritePage implements Device.
+// WritePage implements Device. A page written before is overwritten in
+// place, so only a page's first write allocates.
 func (d *MemDevice) WritePage(p *page.Page) error {
 	if !p.ID.Valid() {
 		return ErrInvalidPage
 	}
 	d.writes.Add(1)
-	data := p.Data
 	s := d.shard(p.ID)
 	s.mu.Lock()
-	s.pages[p.ID] = &data
+	if data, ok := s.pages[p.ID]; ok {
+		*data = p.Data
+	} else {
+		data := p.Data
+		s.pages[p.ID] = &data
+	}
 	s.mu.Unlock()
 	return nil
 }

@@ -101,6 +101,57 @@ func TestMemDeviceConcurrent(t *testing.T) {
 	}
 }
 
+// TestMemDeviceRewriteInPlace: a page's later writes reuse its first
+// write's storage, and a reader racing them never sees half of one write and
+// half of another.
+func TestMemDeviceRewriteInPlace(t *testing.T) {
+	d := NewMemDevice()
+	w := page.Page{ID: pid(9)}
+	if err := d.WritePage(&w); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.WritePage(&w) }); n != 0 {
+		t.Errorf("rewrite of an existing page allocates %v times", n)
+	}
+
+	const writes = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= writes; i++ {
+			for j := range w.Data {
+				w.Data[j] = byte(i)
+			}
+			if err := d.WritePage(&w); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var r page.Page
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one more read, of the last write
+		default:
+		}
+		if err := d.ReadPage(pid(9), &r); err != nil {
+			t.Fatal(err)
+		}
+		for j := range r.Data {
+			if r.Data[j] != r.Data[0] {
+				t.Fatalf("torn page: byte 0 is %d, byte %d is %d", r.Data[0], j, r.Data[j])
+			}
+		}
+	}
+	if r.Data[0] != byte(writes%256) {
+		t.Fatalf("last read saw write %d, want %d", r.Data[0], byte(writes%256))
+	}
+	if d.Len() != 1 {
+		t.Fatalf("Len()=%d", d.Len())
+	}
+}
+
 func TestSimDiskLatency(t *testing.T) {
 	d := NewSimDisk(NewMemDevice(), SimDiskConfig{ReadLatency: 2 * time.Millisecond, Parallelism: 1})
 	var p page.Page

@@ -9,7 +9,8 @@
 //     to the policy exactly once;
 //  3. the policy's view lags each session by at most its queue length
 //     (twice that under flat combining, where a published batch and a full
-//     recording queue can coexist).
+//     recording queue can coexist; queue length plus one entry per session
+//     for the shared queue, which empties only under the policy lock).
 //
 // The harness runs the same seeded multi-session trace through every
 // commit path — direct locking (no batching), the paper's batched
@@ -216,8 +217,9 @@ func configFor(p Path, queueSize int) core.Config {
 	return cfg
 }
 
-// lagBound returns invariant (3)'s bound on Session.Pending for a path.
-func lagBound(p Path, cfg core.Config) int {
+// lagBound returns invariant (3)'s bound on Session.Pending for a path run
+// by the given number of sessions.
+func lagBound(p Path, cfg core.Config, sessions int) int {
 	q := cfg.QueueSize
 	if q <= 0 {
 		q = core.DefaultQueueSize
@@ -228,6 +230,11 @@ func lagBound(p Path, cfg core.Config) int {
 	case PathFC:
 		// A published batch (≤ queue size) plus a full recording queue.
 		return 2 * q
+	case PathShared:
+		// A batch stays in the shared queue until its committer holds the
+		// policy lock; while it waits, every session can append one entry
+		// before it reaches the full queue and waits too.
+		return q + sessions
 	default:
 		return q
 	}
@@ -265,7 +272,7 @@ func RunDeterministic(t *Trace, p Path, queueSize int) (*Result, error) {
 		return true
 	}
 	w := core.New(pol, cfg)
-	bound := lagBound(p, w.Config())
+	bound := lagBound(p, w.Config(), len(t.Sessions))
 
 	sessions := make([]*core.Session, len(t.Sessions))
 	next := make([]int, len(t.Sessions))
@@ -332,7 +339,7 @@ func RunConcurrent(t *Trace, p Path, queueSize int, yieldFrac float64) (*Result,
 		return true
 	}
 	w := core.New(pol, cfg)
-	bound := lagBound(p, w.Config())
+	bound := lagBound(p, w.Config(), len(t.Sessions))
 
 	restore := sched.SetHook(NewYielder(t.Seed, yieldFrac).Hook())
 	defer restore()
