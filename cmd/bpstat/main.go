@@ -63,6 +63,17 @@ func (t tree) shardVal(name, shard string) float64 {
 	return 0
 }
 
+// shardLabelled returns the value of one shard's series that also carries
+// label key=val (0 when absent) — e.g. bpw_miss_waits_total{on="evict"}.
+func (t tree) shardLabelled(name, shard, key, val string) float64 {
+	for _, s := range t[name] {
+		if s.Labels["shard"] == shard && s.Labels[key] == val {
+			return s.Value
+		}
+	}
+	return 0
+}
+
 // shardDist returns the named distribution's series for one shard.
 func (t tree) shardDist(name, shard string) series {
 	for _, s := range t[name] {
@@ -177,8 +188,8 @@ func render(t, prev tree, dt time.Duration) {
 			polW = n
 		}
 	}
-	fmt.Printf("%-5s  %-*s  %10s  %6s  %6s  %7s  %7s  %9s  %9s  %9s  %8s  %8s  %7s  %6s  %6s  %7s  %-9s  %6s\n",
-		"shard", polW, "policy", rateHdr, "hit%", "fast%", "retries", "fallbk", "lock acq", "blocked", "tryfail", "waitp99", "batchavg", "combavg", "dirty", "quar", "fldrop", "health", "shed")
+	fmt.Printf("%-5s  %-*s  %10s  %6s  %6s  %7s  %7s  %9s  %9s  %9s  %8s  %8s  %7s  %6s  %6s  %11s  %7s  %-9s  %6s\n",
+		"shard", polW, "policy", rateHdr, "hit%", "fast%", "retries", "fallbk", "lock acq", "blocked", "tryfail", "waitp99", "batchavg", "combavg", "dirty", "quar", "mwait ld/ev", "fldrop", "health", "shed")
 	for _, sh := range shards {
 		accesses := t.shardVal("bpw_accesses_total", sh)
 		rate := accesses
@@ -204,7 +215,12 @@ func render(t, prev tree, dt time.Duration) {
 		// The contended-wait tail: p99 of bpw_lock_wait_seconds, the
 		// hit-path histogram the tracing layer decomposes per request.
 		wait := t.shardDist("bpw_lock_wait_seconds", sh)
-		fmt.Printf("%-5s  %-*s  %10.0f  %5.1f%%  %5.1f%%  %7.0f  %7.0f  %9.0f  %9.0f  %9.0f  %8s  %8.2f  %7.2f  %6.0f  %6.0f  %7.0f  %-9s  %6.0f\n",
+		// Waits on a page somebody else had in flight, by what was in
+		// flight: another miss's read, or an eviction's write-back.
+		waits := fmt.Sprintf("%.0f/%.0f",
+			t.shardLabelled("bpw_miss_waits_total", sh, "on", "load"),
+			t.shardLabelled("bpw_miss_waits_total", sh, "on", "evict"))
+		fmt.Printf("%-5s  %-*s  %10.0f  %5.1f%%  %5.1f%%  %7.0f  %7.0f  %9.0f  %9.0f  %9.0f  %8s  %8.2f  %7.2f  %6.0f  %6.0f  %11s  %7.0f  %-9s  %6.0f\n",
 			sh, polW, t.shardPolicy(sh), rate, hitPct, fastPct,
 			t.shardVal("bpw_hitpath_retries_total", sh),
 			t.shardVal("bpw_hitpath_fallbacks_total", sh),
@@ -214,6 +230,7 @@ func render(t, prev tree, dt time.Duration) {
 			durCol(wait.P99Sec), batch.Mean, comb.Mean,
 			t.shardVal("bpw_dirty_pages", sh),
 			t.shardVal("bpw_quarantined_pages", sh),
+			waits,
 			t.shardVal("bpw_flight_dropped_total", sh),
 			healthName(t.shardVal("bpw_health_state", sh)),
 			t.shardVal("bpw_shed_total", sh))

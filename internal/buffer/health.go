@@ -185,27 +185,27 @@ func (sh *shard) lastHealth() HealthState {
 
 // admitMiss is the admission check a miss passes after winning the
 // single-flight race and before any frame is claimed or device I/O
-// issued. It returns a release func the loader must call when the miss
-// resolves (either way), or the shed error. The in-flight counter is
-// maintained in every state so a transition into Degraded sees the true
-// load immediately.
-func (sh *shard) admitMiss(id page.PageID) (release func(), err error) {
+// issued. It returns the shed error, or whether the miss was counted in
+// missInflight — the loader then decrements it when the miss resolves
+// (either way). The in-flight counter is maintained in every state so a
+// transition into Degraded sees the true load immediately.
+func (sh *shard) admitMiss(id page.PageID) (counted bool, err error) {
 	if sh.disabled && !sh.forced.Load() {
-		return func() {}, nil
+		return false, nil
 	}
 	st := sh.evalHealth()
 	switch st {
 	case ReadOnly:
 		sh.shed.Add(1)
 		sh.events.Record(obs.EvShed, uint64(id), uint64(st))
-		return nil, fmt.Errorf("buffer: page %v (shard read-only): %w", id, ErrOverloaded)
+		return false, fmt.Errorf("buffer: page %v (shard read-only): %w", id, ErrOverloaded)
 	case Degraded:
 		if sh.maxInflight > 0 && sh.missInflight.Load() >= int64(sh.maxInflight) {
 			sh.shed.Add(1)
 			sh.events.Record(obs.EvShed, uint64(id), uint64(st))
-			return nil, fmt.Errorf("buffer: page %v (%d misses in flight): %w", id, sh.maxInflight, ErrOverloaded)
+			return false, fmt.Errorf("buffer: page %v (%d misses in flight): %w", id, sh.maxInflight, ErrOverloaded)
 		}
 	}
 	sh.missInflight.Add(1)
-	return func() { sh.missInflight.Add(-1) }, nil
+	return true, nil
 }

@@ -157,11 +157,15 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		sh.freeMu.Unlock()
 		g("bpw_free_frames", "slots on the free list", l, float64(free))
 		g("bpw_dirty_pages", "dirty resident pages", l, float64(sh.dirtyCount()))
-		g("bpw_quarantined_pages", "pages parked awaiting confirmed write-back", l, float64(sh.quarantineLen()))
+		g("bpw_quarantined_pages", "pages parked because their write-back failed, or by a flush whose write is in flight (an eviction whose write succeeds never parks)", l, float64(sh.quarantineLen()))
 		resident := 0
 		sh.wrapper.Locked(func(pol replacer.Policy) { resident = pol.Len() })
 		g("bpw_resident_pages", "pages tracked by the replacement policy", l, float64(resident))
 		c("bpw_writeback_failures_total", "failed write-back attempts", l, float64(sh.writeBackFailures.Load()))
+		c("bpw_evict_writebacks_total", "dirty victims written to the device straight from their frame", l, float64(sh.evictWritebacks.Load()))
+		const waitsHelp = "waits (by misses, reshard steals and invalidations) on a page another goroutine had in flight: on=load a device read, on=evict an eviction's write-back"
+		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "load"}), float64(sh.loadWaits.Load()))
+		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "evict"}), float64(sh.evictWaits.Load()))
 
 		// Health and graceful degradation. The gauge re-evaluates at
 		// scrape time so a dashboard sees transitions even on an idle

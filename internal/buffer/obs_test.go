@@ -30,7 +30,7 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 }
 
 func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
-	dev := storage.NewMemDevice()
+	dev := &flakyWriteDevice{Device: storage.NewMemDevice()}
 	p := New(Config{
 		Frames:       2,
 		Policy:       replacer.NewLRU(2),
@@ -38,20 +38,28 @@ func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
 		RecorderSize: 64,
 	})
 	s := p.NewSession()
-	// Dirty a page, then force it out: eviction must park the copy in the
-	// quarantine and flush it, leaving all three buffer events in the ring.
+	// Dirty a page, then force it out while the device refuses writes: the
+	// eviction's write from the frame fails and parks the bytes in the
+	// quarantine; healing the device and flushing drains them — leaving
+	// all three buffer events in the ring. (An eviction whose write
+	// succeeds parks nothing.)
 	ref, err := p.GetWrite(s, pid(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref.MarkDirty()
 	ref.Release()
+	dev.fail.Store(true)
 	for i := uint64(2); i <= 4; i++ {
 		r, err := p.Get(s, pid(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Release()
+	}
+	dev.fail.Store(false)
+	if _, err := p.FlushDirty(); err != nil {
+		t.Fatal(err)
 	}
 	kinds := map[obs.EventKind]int{}
 	for _, ev := range p.cur.Load().shards[0].events.Events() {

@@ -101,9 +101,10 @@ type Config struct {
 	// stay dirty or quarantined.
 	CloseTimeout time.Duration
 
-	// QuarantineCap bounds the dirty-quarantine list that parks pages
-	// across their write-back window (eviction in reclaim, flushes in
-	// flushFrame). Zero means 64. The cap is divided across shards
+	// QuarantineCap bounds the dirty-quarantine list that parks pages a
+	// frame no longer vouches for: victims whose eviction write-back failed
+	// (reclaim), and flushed resident pages across their write window
+	// (flushFrame). Zero means 64. The cap is divided across shards
 	// (rounded up, minimum one per shard). When a shard's quarantine is
 	// full, dirty evictions fail and flush rounds leave frames dirty
 	// instead of parking more pages, so memory stays bounded and no data
@@ -230,6 +231,13 @@ type Session struct {
 	// level spans and its commit-path spans land in the same trace. The
 	// zero value is inert until Init binds the pool tracer.
 	trace reqtrace.Active
+
+	// load and evict are the session's in-flight page ops, registered on a
+	// bucket for the length of a miss and of a dirty victim's write-back: a
+	// session misses on one page at a time and evicts one victim at a time,
+	// so the two are reused from miss to miss and registering one
+	// allocates nothing (see nextOp).
+	load, evict *loadOp
 
 	// stage holds per-shard hit counts not yet folded into the shard's
 	// shared counters: the zero-lock hit path must not write a shared
@@ -815,10 +823,19 @@ type ShardStats struct {
 	Free              int   // slots on the shard's free list
 	Dirty             int   // dirty resident pages
 	Resident          int   // pages tracked by the shard's policy
-	Quarantined       int   // quarantined pages awaiting write-back
+	Quarantined       int   // pages parked by a failed write-back, or by a flush whose write is in flight
 	Hits              int64 // buffer hits since the last reset
 	Misses            int64 // buffer misses since the last reset
 	WriteBackFailures int64 // failed write-back attempts
+	EvictWritebacks   int64 // dirty victims written to the device straight from their frame
+
+	// MissWaitsLoad and MissWaitsEvict count waits on a page somebody
+	// else had in flight — by a miss, a reshard steal or an Invalidate —
+	// split by what was in flight: another miss's device read, or an
+	// eviction still writing the page's dirty bytes out (in which case
+	// the waiter then finds them on the device, or parked).
+	MissWaitsLoad  int64
+	MissWaitsEvict int64
 
 	// Policy is the replacement algorithm currently installed in this
 	// shard's wrapper — live information once SwapPolicy can change it at
@@ -859,6 +876,9 @@ func (ss *ShardStats) add(o ShardStats) {
 	ss.Hits += o.Hits
 	ss.Misses += o.Misses
 	ss.WriteBackFailures += o.WriteBackFailures
+	ss.EvictWritebacks += o.EvictWritebacks
+	ss.MissWaitsLoad += o.MissWaitsLoad
+	ss.MissWaitsEvict += o.MissWaitsEvict
 	ss.HitpathFast += o.HitpathFast
 	ss.HitpathRetries += o.HitpathRetries
 	ss.HitpathFallbacks += o.HitpathFallbacks
@@ -902,14 +922,21 @@ type Stats struct {
 	Reshards      int64
 	PagesMigrated int64
 
-	// Quarantined is the number of evicted dirty pages whose write-back
-	// is unconfirmed (including a draining topology's); WriteBackFailures
-	// counts failed write-back attempts (eviction, flush, and
-	// quarantine-drain retries). QuarantineCap is the configured pool-wide
-	// bound.
+	// Quarantined is the number of dirty pages parked because a write-back
+	// failed, or because a flush of a resident frame has its write in
+	// flight (including a draining topology's) — an eviction whose write
+	// succeeds never parks; WriteBackFailures counts failed write-back
+	// attempts (eviction, flush, and quarantine-drain retries) and
+	// EvictWritebacks the dirty victims written straight from their frame.
+	// QuarantineCap is the configured pool-wide bound.
 	Quarantined       int
 	QuarantineCap     int
 	WriteBackFailures int64
+	EvictWritebacks   int64
+
+	// MissWaitsLoad and MissWaitsEvict: see ShardStats.
+	MissWaitsLoad  int64
+	MissWaitsEvict int64
 
 	// Hit-path anatomy, summed over shards (per-shard breakdown in
 	// PerShard; field meanings on ShardStats).
@@ -951,6 +978,9 @@ func shardStatsOf(sh *shard) (ShardStats, metrics.AccessSnapshot) {
 		Hits:               a.Hits,
 		Misses:             a.Misses,
 		WriteBackFailures:  sh.writeBackFailures.Load(),
+		EvictWritebacks:    sh.evictWritebacks.Load(),
+		MissWaitsLoad:      sh.loadWaits.Load(),
+		MissWaitsEvict:     sh.evictWaits.Load(),
 		Health:             sh.evalHealth(),
 		Shed:               sh.shed.Load(),
 		QuarantineRefusals: sh.quarRefusals.Load(),
@@ -1009,6 +1039,9 @@ func (p *Pool) Stats() Stats {
 		s.Resident += ss.Resident
 		s.Quarantined += ss.Quarantined
 		s.WriteBackFailures += ss.WriteBackFailures
+		s.EvictWritebacks += ss.EvictWritebacks
+		s.MissWaitsLoad += ss.MissWaitsLoad
+		s.MissWaitsEvict += ss.MissWaitsEvict
 		s.Shed += ss.Shed
 		s.HitpathFast += ss.HitpathFast
 		s.HitpathRetries += ss.HitpathRetries
@@ -1035,6 +1068,9 @@ func (p *Pool) Stats() Stats {
 		s.Dirty += ss.Dirty
 		s.Quarantined += ss.Quarantined
 		s.WriteBackFailures += ss.WriteBackFailures
+		s.EvictWritebacks += ss.EvictWritebacks
+		s.MissWaitsLoad += ss.MissWaitsLoad
+		s.MissWaitsEvict += ss.MissWaitsEvict
 		s.Shed += ss.Shed
 		s.HitpathFast += ss.HitpathFast
 		s.HitpathRetries += ss.HitpathRetries

@@ -15,12 +15,12 @@
 //  4. Migrate: a driver session faults every old resident through the new
 //     topology. The new set's miss path, before touching the device, steals
 //     the page from the old owner shard (stealPage): it waits out in-flight
-//     old loads and pins, claims the frame, and carries the bytes AND the
-//     dirty bit across, so an unflushed write is never lost and never read
-//     stale from the device. Quarantined-only pages (parked copies whose
-//     write-back has not been confirmed) are handed over map-to-map under
-//     the old write-back stripe, which also serializes against any
-//     in-flight write of the same page.
+//     old loads, eviction writes and pins, claims the frame, and carries the
+//     bytes AND the dirty bit across, so an unflushed write is never lost
+//     and never read stale from the device. Quarantined-only pages (parked
+//     copies whose write-back has not been confirmed) are handed over
+//     map-to-map under the old write-back stripe, which also serializes
+//     against any in-flight write of the same page.
 //  5. Finalize: once the old set holds no residents, no quarantined copies,
 //     and every frame is back on its free list, the prev pointer is
 //     cleared. The old shard structs are retired — kept reachable so
@@ -173,6 +173,9 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 	p.factory = factory
 	p.policyMu.Unlock()
 	set := p.cur.Load()
+	// recycle wants a session to own the in-flight op of a dirty residue
+	// victim; an unbound one serves (its trace context is inert).
+	var scratch Session
 	for _, sh := range set.shards {
 		var residue []page.PageID
 		from, to, residue = sh.wrapper.SwapPolicy(factory)
@@ -181,7 +184,7 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 		// while their frames stayed resident. Reclaim them through the
 		// shard's normal victim path so no frame is stranded unevictable.
 		for _, v := range residue {
-			sh.recycle(nil, v)
+			sh.recycle(&scratch, v)
 		}
 	}
 	return from, to, nil
@@ -217,23 +220,24 @@ func (p *Pool) Epoch() (epoch uint64, resharding bool) {
 // Old-shard migration primitives (called only on sealed shards).
 
 // stealPage extracts page id from a sealed shard for installation in the
-// new topology: it waits out an in-flight load, claims the frame (waiting
-// out pins and writers), copies the bytes into dst, and reports whether
-// the page was dirty — an unconfirmed quarantined copy counts as dirty, so
-// the new shard re-writes rather than trusting a possibly-stale device.
+// new topology: it waits out an in-flight load or eviction write-back,
+// claims the frame (waiting out pins and writers), copies the bytes into
+// dst, and reports whether the page was dirty — an unconfirmed quarantined
+// copy counts as dirty, so the new shard re-writes rather than trusting a
+// possibly-stale device.
 // The final write-back-stripe lock/unlock waits out any in-flight old
 // write of this page, so a later write from the new topology can never be
 // overtaken (and silently reverted) by an old one.
 func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 	b := sh.bucketFor(id)
-	spins := 0
+	spins, recycled := 0, 0
 	for {
 		b.mu.Lock()
-		if op, ok := b.loads[id]; ok {
-			// A pre-seal load is still in flight: wait for it to install
-			// (or fail), then re-probe.
-			b.mu.Unlock()
-			<-op.done
+		if op := b.opLocked(id); op != nil {
+			// A pre-seal load is still in flight, or an eviction is still
+			// writing the page out: wait for it to install, fail, land or
+			// park, then re-probe.
+			_ = sh.awaitOp(b, op)
 			continue
 		}
 		f := b.lookupLocked(id)
@@ -243,8 +247,12 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		}
 		s := f.state.Load()
 		if s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != id {
-			continue // recycled under us; re-probe the table
+			// Recycled under us; re-probe the table once the claimant has
+			// had the processor to unmap it.
+			recycled = yieldIfStillRecycled(recycled)
+			continue
 		}
+		recycled = 0
 		if s&(framePinMask|frameWLock) != 0 {
 			// Pinned or writer-held: wait it out. Only this page's
 			// migration stalls; the reshard keeps draining other pages.
@@ -328,16 +336,20 @@ func (sh *shard) quarantineIDs() []page.PageID {
 // completes first (resolving the entry — nothing to move) or, arriving
 // later, revalidates against the now-empty map and skips. Pages that still
 // have a resident frame are skipped — the frame is the newer copy and
-// stealPage migrates it (withdrawing the parked copy) instead.
+// stealPage migrates it (withdrawing the parked copy) instead — and so are
+// pages with an op in flight: an eviction queued behind this stripe holds
+// newer bytes in its frame and will drop the parked copy itself, and a
+// pre-seal load is about to adopt it. On a sealed shard a page with neither
+// frame nor op can gain neither, so what is moved is the only copy.
 func (sh *shard) handOverQuarantine(id page.PageID, dst *shard) {
 	l := sh.wbLock(id)
 	l.Lock()
 	defer l.Unlock()
 	b := sh.bucketFor(id)
 	b.mu.Lock()
-	resident := b.lookupLocked(id) != nil
+	live := b.lookupLocked(id) != nil || b.opLocked(id) != nil
 	b.mu.Unlock()
-	if resident {
+	if live {
 		return
 	}
 	sh.quarMu.Lock()
@@ -353,8 +365,9 @@ func (sh *shard) handOverQuarantine(id page.PageID, dst *shard) {
 }
 
 // drained reports whether this sealed shard is fully migrated: nothing
-// resident, nothing quarantined, no load in flight, and every frame back
-// on the free list (a frame mid-claim or still pinned keeps it false).
+// resident, nothing quarantined, no load or eviction write in flight, and
+// every frame back on the free list (a frame mid-claim or still pinned
+// keeps it false).
 func (sh *shard) drained() bool {
 	sh.freeMu.Lock()
 	free := len(sh.freeList)
@@ -370,9 +383,9 @@ func (sh *shard) drained() bool {
 		b.mu.Lock()
 		n := 0
 		b.forEachLocked(func(page.PageID, *Frame) { n++ })
-		inflight := len(b.loads)
+		inflight := b.ops != nil
 		b.mu.Unlock()
-		if n != 0 || inflight != 0 {
+		if n != 0 || inflight {
 			return false
 		}
 	}

@@ -75,15 +75,14 @@ type shard struct {
 	freeMu   sync.Mutex
 	freeList []*Frame
 
-	// quarantine parks copies of dirty pages from the moment their dirty
-	// bit is cleared until their write-back is confirmed durable: eviction
-	// parks before the frame leaves the page table, and flush paths park
-	// before clearing the dirty bit of a still-resident frame. Entries
-	// linger when the write fails, so an acknowledged write is never
-	// dropped; loads adopt a quarantined copy instead of reading a stale
-	// version from the device (which also closes the window where a
-	// concurrent miss could re-read a page whose write-back is still in
-	// flight).
+	// quarantine parks copies of dirty pages whose frame no longer vouches
+	// for them: flush paths park before clearing the dirty bit of a
+	// still-resident frame, until the write-back is confirmed durable, and
+	// eviction — which writes out of the claimed frame, behind an
+	// in-flight op (reclaim) — parks only when that write fails. Entries
+	// linger while the device refuses them, so an acknowledged write is
+	// never dropped; loads adopt a quarantined copy instead of reading a
+	// stale version from the device.
 	quarMu     sync.Mutex
 	quarantine map[page.PageID]*page.Page
 	quarCap    int
@@ -110,6 +109,9 @@ type shard struct {
 	tracer *reqtrace.Tracer
 
 	writeBackFailures atomic.Int64
+	evictWritebacks   atomic.Int64 // dirty victims written straight from their frame
+	loadWaits         atomic.Int64 // waits on another goroutine's in-flight load (awaitOp)
+	evictWaits        atomic.Int64 // waits on an in-flight eviction write-back
 
 	// healthState drives graceful degradation: breaker/quarantine-driven
 	// health evaluation and miss admission control (see health.go).
@@ -186,8 +188,8 @@ type bucket struct {
 
 	mu       sync.Mutex
 	overflow map[page.PageID]*Frame // lazily allocated; guarded by mu
-	loads    map[page.PageID]*loadOp
-	_        [24]byte // pad to 192 bytes: 3 cache lines, no straddling neighbor
+	ops      *loadOp                // in-flight ops on this bucket's pages, chained; guarded by mu
+	_        [24]byte               // pad to 192 bytes: 3 cache lines, no straddling neighbor
 }
 
 // lookupOptimistic probes the bucket without any lock. stable is false
@@ -281,11 +283,96 @@ func (b *bucket) forEachLocked(fn func(page.PageID, *Frame)) {
 	}
 }
 
-// loadOp coordinates concurrent requests for a page that is being read
-// from the device: followers wait on done and then retry their lookup.
+// loadOp marks a page as in flight between the table and the device: a
+// miss reading it in, or an eviction writing its dirty bytes out of the
+// claimed frame. While the op is chained on the page's bucket the page has
+// no table entry, and anybody who needs the page — another miss, a reshard
+// steal, an Invalidate — waits for the op to finish and then looks again
+// (awaitOp). At most one op exists per page: a load registers only when the
+// page is unmapped and op-free, and an eviction claims only an unpinned
+// mapped frame, which a loader keeps pinned until after its op is gone.
+//
+// Registering costs no allocation: the op belongs to the owning Session
+// (nextOp), the bucket chains it intrusively, and the channel exists only
+// once a first waiter made it, under the bucket mutex.
 type loadOp struct {
-	done chan struct{}
-	err  error
+	id    page.PageID
+	evict bool          // an eviction write-back, not a load
+	next  *loadOp       // bucket chain; guarded by the bucket mutex
+	done  chan struct{} // made by the first waiter; guarded by the bucket mutex
+	err   error         // written before done closes; read only after it
+}
+
+// nextOp readies the session-owned op in *slot for page id. A session has
+// at most one load and one eviction in flight, so each slot's op is reused
+// for the session's whole life — unless somebody waited on its last use: a
+// waiter may still be reading err off it, so that op is left to the waiter
+// and the collector.
+func nextOp(slot **loadOp, id page.PageID, evict bool) *loadOp {
+	op := *slot
+	if op == nil || op.done != nil {
+		op = new(loadOp)
+		*slot = op
+	}
+	op.id, op.evict, op.err = id, evict, nil
+	return op
+}
+
+// opLocked returns the in-flight op for id, if any. Caller holds mu.
+func (b *bucket) opLocked(id page.PageID) *loadOp {
+	for op := b.ops; op != nil; op = op.next {
+		if op.id == id {
+			return op
+		}
+	}
+	return nil
+}
+
+// addOpLocked chains op on the bucket. Caller holds mu.
+func (b *bucket) addOpLocked(op *loadOp) {
+	op.next = b.ops
+	b.ops = op
+}
+
+// removeOpLocked unchains op. Caller holds mu.
+func (b *bucket) removeOpLocked(op *loadOp) {
+	for pp := &b.ops; *pp != nil; pp = &(*pp).next {
+		if *pp == op {
+			*pp = op.next
+			op.next = nil
+			return
+		}
+	}
+}
+
+// awaitOp waits for another goroutine's in-flight op on one of b's pages
+// and returns its outcome; the caller then looks the page up again. Called
+// with b.mu held, which it releases.
+func (sh *shard) awaitOp(b *bucket, op *loadOp) error {
+	if op.done == nil {
+		op.done = make(chan struct{})
+	}
+	done, evict := op.done, op.evict
+	b.mu.Unlock()
+	if evict {
+		sh.evictWaits.Add(1)
+	} else {
+		sh.loadWaits.Add(1)
+	}
+	<-done
+	return op.err
+}
+
+// finishOp unregisters op and releases whoever waited on it.
+func (sh *shard) finishOp(b *bucket, op *loadOp, err error) {
+	op.err = err
+	sh.lockBucket(b)
+	b.removeOpLocked(op)
+	done := op.done
+	b.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
 // init sizes and wires one shard for frames page slots.
@@ -409,7 +496,7 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 	// miss path (load), never here.
 	tracing := ps.trace.Sampled()
 	var t0 int64
-	spins := 0
+	spins, recycled := 0, 0
 	for {
 		if tracing {
 			t0 = ps.trace.Now()
@@ -430,6 +517,7 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 			if !retry {
 				return ref, nil
 			}
+			recycled = 0
 			continue
 		}
 		if writable {
@@ -448,6 +536,8 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 				if st == pinBusy {
 					backoff(spins)
 					spins++
+				} else {
+					recycled = yieldIfStillRecycled(recycled)
 				}
 				continue
 			}
@@ -478,8 +568,23 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 			spins++
 		case pinRecycled:
 			// Frame recycled between lookup and pin; retry the lookup.
+			recycled = yieldIfStillRecycled(recycled)
 		}
 	}
+}
+
+// yieldIfStillRecycled paces a lookup loop that keeps finding its page
+// mapped to a frame somebody has claimed but not yet unmapped. One such
+// sighting is the ordinary lookup→pin race and retries at once; from the
+// second in a row the claimant is evidently not running — preempted inside
+// its claim-to-unmap window, or sharing our processor at GOMAXPROCS=1 — so
+// the loop gives it the processor instead of spinning out a time slice.
+// seen is how many consecutive sightings came before this one.
+func yieldIfStillRecycled(seen int) int {
+	if seen > 0 {
+		backoff(seen - 1)
+	}
+	return seen + 1
 }
 
 // load handles a miss: it single-flights concurrent requests for the same
@@ -498,35 +603,23 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	if sh.sealed.Load() {
 		// The topology swapped between the caller's routing decision and
 		// this load: refuse under the bucket mutex — after the seal, no
-		// NEW loadOp can ever register here, which is what lets a reshard's
-		// stealPage treat a load-free, frame-free bucket as definitively
+		// NEW load can ever register here, which is what lets a reshard's
+		// stealPage treat an op-free, frame-free bucket as definitively
 		// not holding the page. The caller retries against the new set.
 		b.mu.Unlock()
 		return nil, false, errResharded
 	}
-	if op, ok := b.loads[id]; ok {
-		// Another backend is loading this page: wait and retry.
-		b.mu.Unlock()
-		<-op.done
-		if op.err != nil {
-			return nil, false, op.err
+	if other := b.opLocked(id); other != nil {
+		// The page is in flight — another backend is loading it, or an
+		// eviction is still writing its dirty bytes out: wait, then retry.
+		if err := sh.awaitOp(b, other); err != nil {
+			return nil, false, err
 		}
 		return nil, true, nil
 	}
-	if b.loads == nil {
-		b.loads = make(map[page.PageID]*loadOp)
-	}
-	op := &loadOp{done: make(chan struct{})}
-	b.loads[id] = op
+	op := nextOp(&ps.load, id, false)
+	b.addOpLocked(op)
 	b.mu.Unlock()
-
-	finish := func(e error) {
-		op.err = e
-		sh.lockBucket(b)
-		delete(b.loads, id)
-		b.mu.Unlock()
-		close(op.done)
-	}
 
 	// Fold this session's staged hits before counting the miss, so the
 	// shard counters never show a miss "ahead of" hits that actually
@@ -535,18 +628,20 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	sh.counters.Miss()
 	// Admission control: a degraded shard bounds in-flight misses and a
 	// read-only shard sheds them all, before any frame is claimed or
-	// device I/O issued. Followers waiting on the loadOp receive the same
+	// device I/O issued. Followers waiting on the op receive the same
 	// ErrOverloaded, which is correct — they were asking for the same
 	// uncached page.
-	releaseMiss, err := sh.admitMiss(id)
+	counted, err := sh.admitMiss(id)
 	if err != nil {
-		finish(err)
+		sh.finishOp(b, op, err)
 		return nil, false, err
 	}
-	defer releaseMiss()
-	f, err := sh.acquireFrame(&ps.trace, sub, id)
+	if counted {
+		defer sh.missInflight.Add(-1)
+	}
+	f, err := sh.acquireFrame(ps, sub, id)
 	if err != nil {
-		finish(err)
+		sh.finishOp(b, op, err)
 		return nil, false, err
 	}
 	// The frame is exclusively ours — claimed: recycling bit up, gen
@@ -593,7 +688,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 			ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, errArg, uint64(id))
 			if rerr != nil {
 				sh.abandonFrame(f)
-				finish(rerr)
+				sh.finishOp(b, op, rerr)
 				return nil, false, rerr
 			}
 		}
@@ -620,18 +715,18 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	// consumed the slot MissBegin freed, Admit evicts again and the spare
 	// victim's frame is recycled onto the free list.
 	if victim, evicted := sub.MissAdmit(id); evicted {
-		sh.recycle(&ps.trace, victim)
+		sh.recycle(ps, victim)
 	}
-	finish(nil)
+	sh.finishOp(b, op, nil)
 	return newPageRef(f, id, tag, writable), false, nil
 }
 
 // recycle reclaims a surplus victim's frame onto the free list, churning
 // through further candidates if the first is pinned.
-func (sh *shard) recycle(a *reqtrace.Active, victim page.PageID) {
+func (sh *shard) recycle(ps *Session, victim page.PageID) {
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
 		if victim.Valid() {
-			if f, ok := sh.reclaim(a, victim); ok {
+			if f, ok := sh.reclaim(ps, victim); ok {
 				f.toFree()
 				sh.freeMu.Lock()
 				sh.freeList = append(sh.freeList, f)
@@ -653,7 +748,7 @@ func (sh *shard) recycle(a *reqtrace.Active, victim page.PageID) {
 // access is recorded as a miss through the session (taking the policy lock
 // and committing any batched hits, per Figure 4 of the paper); the page
 // itself is admitted later by MissAdmit, once loaded.
-func (sh *shard) acquireFrame(a *reqtrace.Active, sub *core.Session, id page.PageID) (*Frame, error) {
+func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*Frame, error) {
 	victim, evicted := sub.MissBegin(id, page.BufferTag{})
 	if !evicted {
 		sh.freeMu.Lock()
@@ -663,7 +758,7 @@ func (sh *shard) acquireFrame(a *reqtrace.Active, sub *core.Session, id page.Pag
 			// The policy admitted without eviction but no free frame
 			// exists — possible only after Remove/invalidate churn; fall
 			// back to evicting explicitly.
-			return sh.reclaimLoop(a, id, page.InvalidPageID)
+			return sh.reclaimLoop(ps, id, page.InvalidPageID)
 		}
 		f := sh.freeList[n-1]
 		sh.freeList = sh.freeList[:n-1]
@@ -671,7 +766,7 @@ func (sh *shard) acquireFrame(a *reqtrace.Active, sub *core.Session, id page.Pag
 		f.claimFree()
 		return f, nil
 	}
-	return sh.reclaimLoop(a, id, victim)
+	return sh.reclaimLoop(ps, id, victim)
 }
 
 // reclaimLoop turns an eviction victim into a reusable frame, retrying
@@ -680,7 +775,7 @@ func (sh *shard) acquireFrame(a *reqtrace.Active, sub *core.Session, id page.Pag
 // or, when the dirty quarantine is saturated (so dirty victims are being
 // refused rather than pinned), ErrQuarantineFull distinguishes overload
 // from a genuinely over-pinned pool.
-func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame, error) {
+func (sh *shard) reclaimLoop(ps *Session, id, victim page.PageID) (*Frame, error) {
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
 		if sh.sealed.Load() {
 			// A topology swap landed mid-load: stealPage is draining this
@@ -690,7 +785,7 @@ func (sh *shard) reclaimLoop(a *reqtrace.Active, id, victim page.PageID) (*Frame
 			return nil, errResharded
 		}
 		if victim.Valid() {
-			if f, ok := sh.reclaim(a, victim); ok {
+			if f, ok := sh.reclaim(ps, victim); ok {
 				return f, nil
 			}
 		}
@@ -774,16 +869,22 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 // pin CAS — the lookup→pin race is settled by the state word alone, no
 // frame mutex (DESIGN.md §12).
 //
-// Dirty victims are evicted losslessly: the page copy is parked in the
-// quarantine *before* the table entry disappears, then written back. While
-// the copy is quarantined a concurrent miss for the same page adopts it
-// (see load) instead of re-reading a possibly stale version from the
-// device. If the write-back fails the copy simply stays quarantined —
-// drained later by the background writer, FlushDirty, or Close — so an
-// acknowledged write is never dropped. When the quarantine is already at
-// capacity the eviction is refused up front and the caller churns to
-// another (ideally clean) victim.
-func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, bool) {
+// Dirty victims are evicted losslessly and without a copy: in the bucket
+// critical section that unmaps the page an in-flight op is registered for
+// it, and the bytes are then written to the device out of the claimed frame
+// itself, under the page's write-back stripe. A miss, a reshard steal or an
+// Invalidate that arrives meanwhile waits on the op (awaitOp) and then
+// finds the page on the device — or, when the write failed, in the
+// quarantine, where the bytes are copied only then, to be drained later by
+// the background writer, FlushDirty or Close. So an acknowledged write is
+// at every instant mapped, covered by an op, durable or parked. An older
+// parked copy of the page (a flush whose write failed while the frame was
+// being claimed) is dropped under the stripe before the write, so it can
+// neither be adopted nor drained over the newer bytes. When the quarantine
+// is already at capacity the eviction is refused up front — a failed write
+// would have nowhere to park — and the caller churns to another (ideally
+// clean) victim.
+func (sh *shard) reclaim(ps *Session, victim page.PageID) (*Frame, bool) {
 	b := sh.bucketFor(victim)
 	f := sh.lookupAny(b, victim)
 	if f == nil {
@@ -811,52 +912,61 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, bool) 
 		}
 		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
 	}
-	needWriteback := s&frameDirty != 0
-	var wb *page.Page
-	if needWriteback {
-		// The claim made the frame exclusively ours: the copy reads
-		// stable bytes.
-		c := f.data
-		wb = &c
-	}
-
+	dirty := s&frameDirty != 0
 	var dirtyArg uint64
-	if needWriteback {
+	if dirty {
 		dirtyArg = 1
 	}
 	sh.events.Record(obs.EvEvict, uint64(victim), dirtyArg)
 
 	sched.Yield(sched.BufReclaimClaim)
-	if needWriteback {
-		// Parking a dirty victim means a device write follows inline: a
-		// slow phase, so it lazily arms the trace (the request is paying
-		// another page's write-back — exactly the latency a decomposition
-		// must surface).
-		t0 := a.Now()
-		sh.quarantinePut(victim, wb, a)
-		a.Slow(reqtrace.PhaseQuarantine, -1, t0, a.Now()-t0, 1, uint64(victim))
-	}
-
 	sh.lockBucket(b)
 	b.removeLocked(victim)
+	if !dirty {
+		b.mu.Unlock()
+		return f, true
+	}
+	op := nextOp(&ps.evict, victim, true)
+	b.addOpLocked(op)
 	b.mu.Unlock()
 
-	if needWriteback {
-		sched.Yield(sched.BufQuarantinePark)
-		t0 := a.Now()
-		_, werr := sh.writeQuarantined(victim, wb, a.ID())
-		var errArg uint64
-		if werr != nil {
-			errArg = 1
-		}
-		a.Slow(reqtrace.PhaseDeviceWrite, -1, t0, a.Now()-t0, errArg, uint64(victim))
-		if werr != nil {
-			// The copy stays quarantined; the page is safe and the failure
-			// observable via Stats. The frame itself is still reusable.
-			sh.writeBackFailures.Add(1)
-		}
-	}
+	sched.Yield(sched.BufEvictWrite)
+	sh.writeVictim(&ps.trace, victim, f)
+	sh.finishOp(b, op, nil)
 	return f, true
+}
+
+// writeVictim makes the dirty bytes of a claimed, unmapped frame durable,
+// or parks them. The claim made the frame exclusively ours and the op
+// registered by reclaim keeps everybody else off the page, so the device
+// reads stable bytes straight out of the frame for as long as WritePage
+// runs — which is all the storage.Device contract lets it do. The write is
+// a slow phase: it lazily arms the trace, because the request is paying
+// for another page's write-back — exactly the latency a decomposition must
+// surface.
+func (sh *shard) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
+	l := sh.wbLock(id)
+	l.Lock()
+	defer l.Unlock()
+	sh.quarantineTake(id)
+	t0 := a.Now()
+	err := sh.device.WritePage(&f.data)
+	var errArg uint64
+	if err != nil {
+		errArg = 1
+	}
+	a.Slow(reqtrace.PhaseDeviceWrite, -1, t0, a.Now()-t0, errArg, uint64(id))
+	if err == nil {
+		sh.evictWritebacks.Add(1)
+		return
+	}
+	// Park the bytes: the page is safe and the failure observable via
+	// Stats. The frame itself is still reusable.
+	sh.writeBackFailures.Add(1)
+	t0 = a.Now()
+	c := f.data
+	sh.quarantinePut(id, &c, a)
+	a.Slow(reqtrace.PhaseQuarantine, -1, t0, a.Now()-t0, 1, uint64(id))
 }
 
 // writeQuarantined makes the quarantined copy of id durable and resolves
@@ -865,7 +975,7 @@ func (sh *shard) reclaim(a *reqtrace.Active, victim page.PageID) (*Frame, bool) 
 // page are serialized — an old copy's slow write finishes before a newer
 // copy's write starts, and can therefore never land after (and silently
 // revert) it. Under the stripe lock the entry is re-validated first: a
-// copy that was adopted by a miss, superseded by a newer eviction, or
+// copy that was adopted by a miss, dropped by a newer eviction, or
 // purged by Invalidate is skipped rather than written, returning
 // (false, nil). On write failure the entry stays quarantined.
 //
@@ -1025,20 +1135,34 @@ func (sh *shard) purgeQuarantine(id page.PageID) {
 // invalidate drops page id from the shard (e.g. its table was truncated),
 // discarding dirty contents — including any quarantined copy from an
 // earlier failed write-back, which must not be drained back to the device
-// later. It fails with ErrNoUnpinnedBuffers if the page is pinned.
+// later. A page in flight is waited out first: a load so that the page it
+// installs is dropped too, and an eviction write-back so that the write has
+// landed (or parked its bytes, which the purge then discards) before
+// invalidate returns — nothing of the page reaches the device afterwards.
+// It fails with ErrNoUnpinnedBuffers if the page is pinned.
 func (sh *shard) invalidate(id page.PageID) error {
 	b := sh.bucketFor(id)
-	f := sh.lookupAny(b, id)
-	if f == nil {
-		sh.purgeQuarantine(id)
-		return nil
-	}
-	for {
-		s := f.state.Load()
-		if s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != id {
-			// Recycled under us: the page is already gone from the table.
+	var f *Frame
+	for recycled := 0; ; {
+		sh.lockBucket(b)
+		if op := b.opLocked(id); op != nil {
+			// The op's own outcome is the loader's business; we only need
+			// it over before looking again.
+			_ = sh.awaitOp(b, op)
+			continue
+		}
+		f = b.lookupLocked(id)
+		b.mu.Unlock()
+		if f == nil {
 			sh.purgeQuarantine(id)
 			return nil
+		}
+		s := f.state.Load()
+		if s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != id {
+			// Claimed under us and about to be unmapped: look again, to
+			// find the page gone or its eviction write in flight.
+			recycled = yieldIfStillRecycled(recycled)
+			continue
 		}
 		if s&(framePinMask|frameWLock) != 0 {
 			return ErrNoUnpinnedBuffers
@@ -1068,9 +1192,9 @@ func (sh *shard) invalidate(id page.PageID) error {
 	return nil
 }
 
-// flushFrame writes one dirty, unpinned frame back to the device in the
-// same order reclaim uses: park a copy in the quarantine first, then clear
-// the dirty bit, then write, and resolve the entry only once the write is
+// flushFrame writes one dirty, unpinned frame back to the device while it
+// stays resident: park a copy in the quarantine first, then clear the
+// dirty bit, then write, and resolve the entry only once the write is
 // durable. Parking before the bit clears closes the window where the
 // frame looks clean while its write is still in flight — an eviction in
 // that window would otherwise drop the page with no write-back and no
@@ -1221,10 +1345,10 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 		b.forEachLocked(func(id page.PageID, f *Frame) {
 			mapped[id] = f
 		})
-		nLoads := len(b.loads)
+		inflight := b.ops != nil
 		b.mu.Unlock()
-		if nLoads != 0 {
-			return fmt.Errorf("buffer: %d loads in flight during invariant check (caller not quiescent)", nLoads)
+		if inflight {
+			return errors.New("buffer: load or eviction write in flight during invariant check (caller not quiescent)")
 		}
 	}
 	byFrame := make(map[*Frame]page.PageID, len(mapped))

@@ -14,12 +14,14 @@ import (
 // gateDevice holds one armed page's next write at the device boundary so
 // tests can open a write-in-flight window deterministically: the entered
 // channel closes when the held write has been issued, and the write
-// completes only after release is closed. All other I/O passes through.
+// completes only after release is closed — reaching the device, or, armed
+// with armFail, failing short of it. All other I/O passes through.
 type gateDevice struct {
 	storage.Device
 	mu      sync.Mutex
 	target  page.PageID
 	armed   bool
+	fail    error
 	entered chan struct{}
 	release chan struct{}
 }
@@ -27,9 +29,15 @@ type gateDevice struct {
 func newGateDevice(d storage.Device) *gateDevice { return &gateDevice{Device: d} }
 
 func (d *gateDevice) arm(id page.PageID) (entered, release chan struct{}) {
+	return d.armFail(id, nil)
+}
+
+// armFail is arm with the held write's outcome chosen: a non-nil err is
+// returned for it once released, and the bytes never reach the device.
+func (d *gateDevice) armFail(id page.PageID, err error) (entered, release chan struct{}) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.target, d.armed = id, true
+	d.target, d.armed, d.fail = id, true, err
 	d.entered = make(chan struct{})
 	d.release = make(chan struct{})
 	return d.entered, d.release
@@ -39,14 +47,18 @@ func (d *gateDevice) WritePage(p *page.Page) error {
 	d.mu.Lock()
 	hold := d.armed && p.ID == d.target
 	var entered, release chan struct{}
+	var fail error
 	if hold {
 		d.armed = false
-		entered, release = d.entered, d.release
+		entered, release, fail = d.entered, d.release, d.fail
 	}
 	d.mu.Unlock()
 	if hold {
 		close(entered)
 		<-release
+		if fail != nil {
+			return fail
+		}
 	}
 	return d.Device.WritePage(p)
 }

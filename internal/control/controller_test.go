@@ -261,24 +261,39 @@ func TestControllerWriterSteering(t *testing.T) {
 	defer c.Stop()
 
 	s := p.NewSession()
-	// Park 5 dirty pages (> cap/2 = 4) in the quarantine: write them, then
-	// evict with the device failing.
-	for i := uint64(1); i <= 5; i++ {
-		ref, err := p.GetWrite(s, pid(i))
-		if err != nil {
-			t.Fatal(err)
+	// pushOut dirties five pages starting at first, then evicts them all
+	// by reading eight others.
+	pushOut := func(first, others uint64) {
+		t.Helper()
+		for i := first; i < first+5; i++ {
+			ref, err := p.GetWrite(s, pid(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.MarkDirty()
+			ref.Release()
 		}
-		ref.MarkDirty()
-		ref.Release()
+		for i := others; i < others+8; i++ {
+			ref, err := p.Get(s, pid(i))
+			if err != nil {
+				t.Fatalf("evicting read %d: %v", i, err)
+			}
+			ref.Release()
+		}
 	}
+	// The rule reads backlog, and backlog is failures only: on a healthy
+	// device the same five dirty evictions are written straight from their
+	// frames, park nothing, and must leave the writer alone.
+	pushOut(1, 10)
+	if st := p.Stats(); st.EvictWritebacks != 5 || st.Quarantined != 0 {
+		t.Fatalf("healthy evictions: %d written direct, %d parked, want 5 and 0", st.EvictWritebacks, st.Quarantined)
+	}
+	if acts := c.Step(); countKind(acts, ActWriterFast) != 0 {
+		t.Fatalf("writer sped up with nothing parked: %v", acts)
+	}
+	// Now park 5 dirty pages (> cap/2 = 4): evict with the device failing.
 	dev.FailNextWrites(1 << 20)
-	for i := uint64(10); i <= 17; i++ {
-		ref, err := p.Get(s, pid(i))
-		if err != nil {
-			t.Fatalf("evicting read %d: %v", i, err)
-		}
-		ref.Release()
-	}
+	pushOut(21, 30)
 	if q := p.QuarantineLen(); q <= 4 {
 		t.Fatalf("setup: quarantine %d, need > 4", q)
 	}

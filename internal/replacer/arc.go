@@ -19,6 +19,7 @@ type ARC struct {
 	t2    *list // resident, seen twice+; front = MRU
 	b1    *list // ghosts of t1; front = MRU
 	b2    *list // ghosts of t2; front = MRU
+	spare spareNodes
 }
 
 var (
@@ -120,6 +121,7 @@ func (p *ARC) Admit(id PageID) (victim PageID, evicted bool) {
 				// drop B1's oldest ghost and make space by REPLACE.
 				old := p.b1.popBack()
 				delete(p.table, old.id)
+				p.spare.put(old)
 				victim, evicted = p.replace(false)
 			} else {
 				// B1 empty and T1 full: evict T1's LRU page outright.
@@ -127,6 +129,7 @@ func (p *ARC) Admit(id PageID) (victim PageID, evicted bool) {
 				delete(p.table, v.id)
 				p.forget(v.id)
 				victim, evicted = v.id, true
+				p.spare.put(v)
 			}
 		} else if l1 < p.capacity {
 			total := l1 + p.t2.len() + p.b2.len()
@@ -134,13 +137,14 @@ func (p *ARC) Admit(id PageID) (victim PageID, evicted bool) {
 				if total == 2*p.capacity {
 					old := p.b2.popBack()
 					delete(p.table, old.id)
+					p.spare.put(old)
 				}
 				if p.Len() == p.capacity {
 					victim, evicted = p.replace(false)
 				}
 			}
 		}
-		nd = &node{id: id}
+		nd = p.spare.get(id)
 		p.table[id] = nd
 		p.t1.pushFront(nd)
 		p.note(id, nd)
@@ -207,4 +211,5 @@ func (p *ARC) Remove(id PageID) {
 		p.forget(id)
 	}
 	delete(p.table, id)
+	p.spare.put(nd)
 }

@@ -21,6 +21,7 @@ type CAR struct {
 	t2    *list // clock ring; front = hand position
 	b1    *list // ghosts of t1; front = MRU, back = LRU
 	b2    *list // ghosts of t2; front = MRU, back = LRU
+	spare spareNodes
 }
 
 var (
@@ -99,15 +100,17 @@ func (p *CAR) Admit(id PageID) (victim PageID, evicted bool) {
 		for p.t1.len()+p.b1.len() >= p.capacity && p.b1.len() > 0 {
 			old := p.b1.popBack()
 			delete(p.table, old.id)
+			p.spare.put(old)
 		}
 		for p.t1.len()+p.t2.len()+p.b1.len()+p.b2.len() >= 2*p.capacity && p.b2.len() > 0 {
 			old := p.b2.popBack()
 			delete(p.table, old.id)
+			p.spare.put(old)
 		}
 	}
 	switch {
 	case !present:
-		nd = &node{id: id}
+		nd = p.spare.get(id)
 		p.table[id] = nd
 		p.t1.pushBack(nd) // tail of the T1 ring
 	case !nd.hot: // ghost hit in B1
@@ -200,4 +203,5 @@ func (p *CAR) Remove(id PageID) {
 		p.forget(id)
 	}
 	delete(p.table, id)
+	p.spare.put(nd)
 }

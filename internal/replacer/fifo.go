@@ -8,6 +8,7 @@ type FIFO struct {
 	capacity int
 	table    map[PageID]*node
 	lst      *list // front = newest, back = oldest
+	spare    spareNodes
 }
 
 var _ Policy = (*FIFO)(nil)
@@ -50,7 +51,7 @@ func (p *FIFO) Admit(id PageID) (victim PageID, evicted bool) {
 	if p.Len() == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	nd := &node{id: id}
+	nd := p.spare.get(id)
 	p.table[id] = nd
 	p.lst.pushFront(nd)
 	p.note(id, nd)
@@ -63,9 +64,11 @@ func (p *FIFO) Evict() (PageID, bool) {
 	if nd == nil {
 		return 0, false
 	}
-	delete(p.table, nd.id)
-	p.forget(nd.id)
-	return nd.id, true
+	id := nd.id
+	delete(p.table, id)
+	p.forget(id)
+	p.spare.put(nd)
+	return id, true
 }
 
 // Remove deletes a page from the resident set.
@@ -74,5 +77,6 @@ func (p *FIFO) Remove(id PageID) {
 		p.lst.remove(nd)
 		delete(p.table, id)
 		p.forget(id)
+		p.spare.put(nd)
 	}
 }

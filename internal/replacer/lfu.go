@@ -12,6 +12,8 @@ type LFU struct {
 	buckets  map[int]*list // frequency → pages at that frequency (front = newest)
 	minFreq  int
 	length   int
+	spare    spareNodes
+	idle     *list // the last bucket list that emptied, for the next bucket that opens
 }
 
 var _ Policy = (*LFU)(nil)
@@ -47,10 +49,22 @@ func (p *LFU) Contains(id PageID) bool {
 func (p *LFU) bucket(freq int) *list {
 	b, ok := p.buckets[freq]
 	if !ok {
-		b = newList()
+		if b = p.idle; b != nil {
+			p.idle = nil
+		} else {
+			b = newList()
+		}
 		p.buckets[freq] = b
 	}
 	return b
+}
+
+// closeBucket drops the emptied bucket of freq, keeping its list: a hit
+// that empties one bucket usually opens the next, so the list moves along
+// with the page instead of being reallocated.
+func (p *LFU) closeBucket(freq int, b *list) {
+	delete(p.buckets, freq)
+	p.idle = b
 }
 
 // Hit increments the page's frequency, moving it to the next bucket.
@@ -62,7 +76,7 @@ func (p *LFU) Hit(id PageID) {
 	old := p.buckets[nd.count]
 	old.remove(nd)
 	if old.len() == 0 {
-		delete(p.buckets, nd.count)
+		p.closeBucket(nd.count, old)
 		if p.minFreq == nd.count {
 			p.minFreq = nd.count + 1
 		}
@@ -78,7 +92,8 @@ func (p *LFU) Admit(id PageID) (victim PageID, evicted bool) {
 	if p.length == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	nd := &node{id: id, count: 1}
+	nd := p.spare.get(id)
+	nd.count = 1
 	p.table[id] = nd
 	p.bucket(1).pushFront(nd)
 	p.minFreq = 1
@@ -102,12 +117,14 @@ func (p *LFU) Evict() (PageID, bool) {
 	}
 	nd := b.popBack()
 	if b.len() == 0 {
-		delete(p.buckets, p.minFreq)
+		p.closeBucket(p.minFreq, b)
 	}
-	delete(p.table, nd.id)
-	p.forget(nd.id)
+	id := nd.id
+	delete(p.table, id)
+	p.forget(id)
+	p.spare.put(nd)
 	p.length--
-	return nd.id, true
+	return id, true
 }
 
 // Remove deletes a page from the resident set.
@@ -119,10 +136,11 @@ func (p *LFU) Remove(id PageID) {
 	b := p.buckets[nd.count]
 	b.remove(nd)
 	if b.len() == 0 {
-		delete(p.buckets, nd.count)
+		p.closeBucket(nd.count, b)
 	}
 	delete(p.table, id)
 	p.forget(id)
+	p.spare.put(nd)
 	p.length--
 	if p.length == 0 {
 		p.minFreq = 0

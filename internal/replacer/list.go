@@ -123,3 +123,32 @@ func (l *list) each(fn func(*node)) {
 		fn(nd)
 	}
 }
+
+// spareNodes is a policy's chain of nodes it has dropped — a victim that
+// leaves no ghost, a ghost trimmed off its queue, a removed page — kept for
+// the next Admit, so that a policy at capacity, which drops one node for
+// every one it admits, admits without allocating. The chain never holds
+// more nodes than the policy once had live, so it needs no bound.
+type spareNodes struct {
+	head *node // linked through next
+}
+
+// put takes a node that is off every list and out of the table. Its
+// metadata is cleared here, so a caller reads what it needs first.
+func (s *spareNodes) put(nd *node) {
+	*nd = node{next: s.head}
+	s.head = nd
+}
+
+// get returns a node for id with zero metadata, linked nowhere: a dropped
+// one when there is one.
+func (s *spareNodes) get(id PageID) *node {
+	nd := s.head
+	if nd == nil {
+		return &node{id: id}
+	}
+	s.head = nd.next
+	nd.next = nil
+	nd.id = id
+	return nd
+}

@@ -10,6 +10,7 @@ type LRU struct {
 	capacity int
 	table    map[PageID]*node
 	lst      *list // front = MRU, back = LRU
+	spare    spareNodes
 }
 
 var _ Policy = (*LRU)(nil)
@@ -56,7 +57,7 @@ func (p *LRU) Admit(id PageID) (victim PageID, evicted bool) {
 	if p.Len() == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	nd := &node{id: id}
+	nd := p.spare.get(id)
 	p.table[id] = nd
 	p.lst.pushFront(nd)
 	p.note(id, nd)
@@ -69,9 +70,11 @@ func (p *LRU) Evict() (PageID, bool) {
 	if nd == nil {
 		return 0, false
 	}
-	delete(p.table, nd.id)
-	p.forget(nd.id)
-	return nd.id, true
+	id := nd.id
+	delete(p.table, id)
+	p.forget(id)
+	p.spare.put(nd)
+	return id, true
 }
 
 // Remove deletes a page from the resident set.
@@ -80,5 +83,6 @@ func (p *LRU) Remove(id PageID) {
 		p.lst.remove(nd)
 		delete(p.table, id)
 		p.forget(id)
+		p.spare.put(nd)
 	}
 }

@@ -1,7 +1,5 @@
 package replacer
 
-import "container/heap"
-
 // LRUK implements the LRU-K replacement algorithm (O'Neil, O'Neil &
 // Weikum, SIGMOD 1993) for K=2 by default. 2Q — the BP-Wrapper paper's
 // headline policy — was introduced as "a low overhead, high performance"
@@ -65,23 +63,68 @@ type lrukItem struct {
 	recent  int64
 }
 
+// lrukHeap is a binary min-heap of snapshots, oldest K-th reference first.
+// It is container/heap's algorithm written against the element type: going
+// through heap.Interface boxed one lrukItem per Push — one allocation per
+// Hit — and the sift order is kept identical so victims do not change.
 type lrukHeap []lrukItem
 
-func (h lrukHeap) Len() int { return len(h) }
-func (h lrukHeap) Less(i, j int) bool {
+func (h lrukHeap) less(i, j int) bool {
 	if h[i].kth != h[j].kth {
 		return h[i].kth < h[j].kth
 	}
 	return h[i].recent < h[j].recent
 }
-func (h lrukHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *lrukHeap) Push(x any)   { *h = append(*h, x.(lrukItem)) }
-func (h *lrukHeap) Pop() any {
+
+func (h *lrukHeap) push(it lrukItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the minimum; the heap must not be empty.
+func (h *lrukHeap) pop() lrukItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h lrukHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h lrukHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h lrukHeap) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 var (
@@ -135,7 +178,7 @@ func (p *LRUK) record(e *lrukEntry) {
 	}
 	e.version++
 	kth, recent := e.kDistanceKey(p.k)
-	heap.Push(&p.heap, lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
+	p.heap.push(lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
 	if len(p.heap) > 8*p.capacity {
 		p.compact()
 	}
@@ -149,7 +192,7 @@ func (p *LRUK) compact() {
 		kth, recent := e.kDistanceKey(p.k)
 		p.heap = append(p.heap, lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
 	}
-	heap.Init(&p.heap)
+	p.heap.init()
 }
 
 // Hit implements Policy.
@@ -175,8 +218,8 @@ func (p *LRUK) Admit(id PageID) (victim PageID, evicted bool) {
 // Evict implements Policy: pop heap items until one matches a live,
 // current entry; that page has the maximal backward K-distance.
 func (p *LRUK) Evict() (PageID, bool) {
-	for p.heap.Len() > 0 {
-		it := heap.Pop(&p.heap).(lrukItem)
+	for len(p.heap) > 0 {
+		it := p.heap.pop()
 		e := it.entry
 		if cur, ok := p.table[e.id]; !ok || cur != e || e.version != it.version {
 			continue // stale snapshot

@@ -19,6 +19,7 @@ type MQ struct {
 	qout   *list   // ghosts; front = oldest
 	now    int64   // logical clock, one tick per access
 	length int
+	spare  spareNodes
 }
 
 var (
@@ -133,12 +134,14 @@ func (p *MQ) Admit(id PageID) (victim PageID, evicted bool) {
 		p.qout.remove(nd)
 		delete(p.table, id)
 		freq = nd.count + 1
+		p.spare.put(nd)
 	}
 	if p.length == p.capacity {
 		victim = p.evict()
 		evicted = true
 	}
-	nd = &node{id: id, count: freq}
+	nd = p.spare.get(id)
+	nd.count = freq
 	nd.level = p.queueFor(freq)
 	nd.tick = p.now + p.lifeTime
 	p.table[id] = nd
@@ -173,11 +176,14 @@ func (p *MQ) evict() PageID {
 			if p.qout.len() > p.qoutCap {
 				old := p.qout.popFront()
 				delete(p.table, old.id)
+				p.spare.put(old)
 			}
-		} else {
-			delete(p.table, nd.id)
+			return nd.id
 		}
-		return nd.id
+		id := nd.id
+		delete(p.table, id)
+		p.spare.put(nd)
+		return id
 	}
 	panic("replacer: mq: evict on empty policy")
 }
@@ -196,4 +202,5 @@ func (p *MQ) Remove(id PageID) {
 		p.forget(id)
 	}
 	delete(p.table, id)
+	p.spare.put(nd)
 }

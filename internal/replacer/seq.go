@@ -30,6 +30,7 @@ type SEQ struct {
 
 	lastMiss map[uint32]uint64 // per-table: last missed block number
 	runLen   map[uint32]int    // per-table: current consecutive-miss run
+	spare    spareNodes
 }
 
 var (
@@ -116,7 +117,8 @@ func (p *SEQ) Admit(id PageID) (victim PageID, evicted bool) {
 	if p.Len() == p.capacity {
 		victim, evicted = p.Evict()
 	}
-	nd := &node{id: id, ghost: inScan}
+	nd := p.spare.get(id)
+	nd.ghost = inScan
 	p.table[id] = nd
 	if inScan {
 		p.scan.pushFront(nd)
@@ -137,9 +139,11 @@ func (p *SEQ) Evict() (PageID, bool) {
 	if nd == nil {
 		return 0, false
 	}
-	delete(p.table, nd.id)
-	p.forget(nd.id)
-	return nd.id, true
+	id := nd.id
+	delete(p.table, id)
+	p.forget(id)
+	p.spare.put(nd)
+	return id, true
 }
 
 // Remove deletes a page from the resident set.
@@ -155,4 +159,5 @@ func (p *SEQ) Remove(id PageID) {
 	}
 	delete(p.table, id)
 	p.forget(id)
+	p.spare.put(nd)
 }

@@ -21,6 +21,7 @@ type TwoQ struct {
 	a1in  *list            // front = newest
 	a1out *list            // ghosts; front = newest
 	am    *list            // front = MRU
+	spare spareNodes
 }
 
 var (
@@ -112,7 +113,7 @@ func (p *TwoQ) Admit(id PageID) (victim PageID, evicted bool) {
 		p.table[id] = nd
 		p.am.pushFront(nd)
 	} else {
-		nd = &node{id: id}
+		nd = p.spare.get(id)
 		p.table[id] = nd
 		p.a1in.pushFront(nd)
 	}
@@ -133,13 +134,16 @@ func (p *TwoQ) reclaim() PageID {
 		if p.a1out.len() > p.kout {
 			old := p.a1out.popBack()
 			delete(p.table, old.id)
+			p.spare.put(old)
 		}
 		return nd.id
 	}
 	nd := p.am.popBack()
-	delete(p.table, nd.id)
-	p.forget(nd.id)
-	return nd.id
+	id := nd.id
+	delete(p.table, id)
+	p.forget(id)
+	p.spare.put(nd)
+	return id
 }
 
 // Evict removes and returns one resident page following the 2Q reclaim
@@ -168,6 +172,7 @@ func (p *TwoQ) Remove(id PageID) {
 		p.forget(id)
 	}
 	delete(p.table, id)
+	p.spare.put(nd)
 }
 
 // QueueLengths reports the current (A1in, A1out, Am) list lengths; used by

@@ -44,11 +44,12 @@ const (
 	// frame in the hash table.
 	BufLoadInstall
 	// BufReclaimClaim: reclaim has claimed a victim frame (pins 0→1) and
-	// is about to park/delete it.
+	// is about to unmap it.
 	BufReclaimClaim
-	// BufQuarantinePark: a dirty page copy has been parked in the
-	// quarantine and its write-back is about to start.
-	BufQuarantinePark
+	// BufEvictWrite: reclaim has unmapped a dirty victim and registered
+	// its in-flight op, and is about to take the page's write-back stripe
+	// and write the frame out.
+	BufEvictWrite
 	// BufFlushClear: flushFrame has parked its copy and is about to clear
 	// the dirty bit.
 	BufFlushClear

@@ -88,7 +88,11 @@ func TestChaosClientVanishMidPipeline(t *testing.T) {
 	// The handler exits once it hits the cut; the pool keeps the eight
 	// complete PUTs (they were applied when decoded, whether or not the
 	// client ever read its acks).
-	waitFor(t, 2*time.Second, func() bool { return srv.c.active.Load() == 0 })
+	// (Seeing the eight PUTs first matters: before the server has accepted
+	// the connection its active count is zero too.)
+	waitFor(t, 2*time.Second, func() bool {
+		return srv.c.reqs[OpPut].Load() == 8 && srv.c.active.Load() == 0
+	})
 	if got := srv.Pool().DirtyCount(); got < 1 {
 		t.Fatalf("pool dirty count %d after applied PUTs, want ≥ 1", got)
 	}

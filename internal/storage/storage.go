@@ -27,7 +27,14 @@ type Device interface {
 	// ReadPage fills p with the content of the page identified by id.
 	ReadPage(id page.PageID, p *page.Page) error
 
-	// WritePage persists p's content under p.ID.
+	// WritePage persists p's content under p.ID. It may read p for as
+	// long as the call runs and must not touch it once it has returned,
+	// whatever the outcome: p may be a live buffer frame — the pool
+	// writes a dirty victim straight out of the frame it has claimed —
+	// and that frame is refilled with another page the moment the call
+	// is over. An implementation that hands the write to another
+	// goroutine and may return before it finishes (DeadlineDevice) copies
+	// the page first.
 	WritePage(p *page.Page) error
 
 	// Stats returns cumulative operation counters.
