@@ -564,6 +564,11 @@ func ReplayTraceBatched(p Policy, t *Trace, queueSize, threshold int) TraceResul
 // pool session, so the BP-Wrapper batching protocol sees remote clients
 // exactly as it sees in-process workers. CacheClient is its synchronous
 // client; Do pipelines a batch of CacheOps in one round trip.
+//
+// A page a client returns — from Get, or as CacheOpResult.Data from Do,
+// along with the result slice itself — lies in the client's receive
+// buffer where the kernel put it: it is valid until the next call on
+// this client; copy to retain.
 type (
 	CacheServer       = server.Server
 	CacheServerConfig = server.Config

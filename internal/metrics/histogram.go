@@ -16,8 +16,10 @@ import (
 // mean, but percentiles are cheap to provide and useful for examples.
 type Histogram struct {
 	mu      sync.Mutex
-	min     float64 // lower bound of bucket 0, nanoseconds
-	growth  float64 // geometric growth factor between buckets
+	min     float64   // lower bound of bucket 0, nanoseconds
+	growth  float64   // geometric growth factor between buckets
+	logG    float64   // math.Log(growth)
+	bounds  []float64 // bounds[i] = min·growth^i: bucket i is (bounds[i], bounds[i+1]]
 	buckets []int64
 	count   int64
 	sum     float64 // nanoseconds
@@ -46,12 +48,20 @@ func NewHistogram(min, max time.Duration, buckets int) *Histogram {
 		panic(fmt.Sprintf("metrics: invalid histogram bounds [%v, %v] x %d", min, max, buckets))
 	}
 	lo, hi := float64(min.Nanoseconds()), float64(max.Nanoseconds())
-	return &Histogram{
+	h := &Histogram{
 		min:     lo,
 		growth:  math.Pow(hi/lo, 1/float64(buckets)),
+		bounds:  make([]float64, buckets+1),
 		buckets: make([]int64, buckets),
 		minSeen: math.Inf(1),
 	}
+	// Computed once, with the expressions binning always used, so that
+	// Record compares against a table instead of calling math.Pow.
+	h.logG = math.Log(h.growth)
+	for i := range h.bounds {
+		h.bounds[i] = h.min * math.Pow(h.growth, float64(i))
+	}
+	return h
 }
 
 // NewLatencyHistogram returns a histogram with bounds suitable for
@@ -64,21 +74,18 @@ func NewLatencyHistogram() *Histogram {
 func (h *Histogram) bucketIndex(ns float64) int {
 	idx := 0
 	if ns > h.min {
-		idx = int(math.Log(ns/h.min) / math.Log(h.growth))
+		idx = int(math.Log(ns/h.min) / h.logG)
+		if idx >= len(h.buckets) {
+			return len(h.buckets) - 1
+		}
 		// Floating-point log can land an exact bucket boundary on either
 		// side of the integer; re-check against the computed bucket's
 		// bounds and shift by one if needed so binning is exact.
-		if idx < len(h.buckets)-1 && ns > h.min*math.Pow(h.growth, float64(idx+1)) {
+		if idx < len(h.buckets)-1 && ns > h.bounds[idx+1] {
 			idx++
 		}
-		if idx > 0 && ns <= h.min*math.Pow(h.growth, float64(idx)) {
+		if idx > 0 && ns <= h.bounds[idx] {
 			idx--
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(h.buckets) {
-			idx = len(h.buckets) - 1
 		}
 	}
 	return idx
@@ -179,7 +186,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, c := range h.buckets {
 		cum += c
 		if cum >= rank {
-			upper := h.min * math.Pow(h.growth, float64(i+1))
+			upper := h.bounds[i+1]
 			// Clamp the bucket bound into the observed range: values are
 			// clamped into the edge buckets at Record time, so the
 			// geometric bound can overshoot maxSeen or (for observations
@@ -297,7 +304,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Sum:    time.Duration(h.sum),
 	}
 	for i := 0; i <= last; i++ {
-		s.Bounds[i] = time.Duration(h.min * math.Pow(h.growth, float64(i+1)))
+		s.Bounds[i] = time.Duration(h.bounds[i+1])
 		s.Counts[i] = h.buckets[i]
 	}
 	if len(h.exemplars) > 0 {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -216,4 +217,69 @@ func TestHistogramSnapshotQuantile(t *testing.T) {
 		}
 	}()
 	s.Quantile(1.5)
+}
+
+// bucketIndexPow is bucketIndex as it was before the bounds table: every
+// call re-derives its bucket's bounds with math.Pow. Kept as the
+// reference the table-driven version must agree with exactly, since the
+// committed results/BENCH_*.json pin bucket-derived quantiles.
+func bucketIndexPow(h *Histogram, ns float64) int {
+	idx := 0
+	if ns > h.min {
+		idx = int(math.Log(ns/h.min) / math.Log(h.growth))
+		if idx < len(h.buckets)-1 && ns > h.min*math.Pow(h.growth, float64(idx+1)) {
+			idx++
+		}
+		if idx > 0 && ns <= h.min*math.Pow(h.growth, float64(idx)) {
+			idx--
+		}
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= len(h.buckets) {
+			idx = len(h.buckets) - 1
+		}
+	}
+	return idx
+}
+
+// TestBucketIndexMatchesPowReference checks the table-driven binning
+// against the math.Pow reference where a difference could hide — every
+// bucket boundary and the values one ulp either side of it, the range's
+// edges and beyond — and on 10⁵ seeded values spread over and past the
+// histogram's range.
+func TestBucketIndexMatchesPowReference(t *testing.T) {
+	hists := map[string]*Histogram{
+		"latency": NewLatencyHistogram(),
+		"two":     NewHistogram(time.Microsecond, time.Second, 2),
+		"odd":     NewHistogram(3*time.Nanosecond, 7*time.Hour, 977),
+	}
+	for name, h := range hists {
+		check := func(ns float64) {
+			t.Helper()
+			if got, want := h.bucketIndex(ns), bucketIndexPow(h, ns); got != want {
+				t.Fatalf("%s: bucketIndex(%v) = %d, reference %d", name, ns, got, want)
+			}
+		}
+		for i := 0; i <= len(h.buckets)+2; i++ {
+			b := h.min * math.Pow(h.growth, float64(i))
+			for _, ns := range []float64{b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)), math.Floor(b), math.Ceil(b)} {
+				check(ns)
+			}
+		}
+		for _, ns := range []float64{0, 1, h.min / 2, math.MaxInt64, math.MaxFloat64} {
+			check(ns)
+		}
+		rng := rand.New(rand.NewSource(15))
+		top := math.Log(h.min*math.Pow(h.growth, float64(len(h.buckets)))) + 2
+		for i := 0; i < 100000; i++ {
+			// Log-uniform from below the floor to past the ceiling, as
+			// whole nanoseconds half the time (what Record passes).
+			ns := math.Exp(math.Log(h.min) - 1 + rng.Float64()*(top-math.Log(h.min)+1))
+			if i%2 == 0 {
+				ns = math.Floor(ns)
+			}
+			check(ns)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -16,11 +15,18 @@ import (
 // connection onto a single buffer.Session.
 type Client struct {
 	nc    net.Conn
-	bw    *bufio.Writer
-	fr    frameReader
+	fr    *frameReader
 	next  uint64 // next request ID
-	wbuf  []byte // reused request-encoding buffer
 	trace uint64 // trace ID attached to outgoing requests; 0 = untraced
+
+	// One burst on its way out: wbuf holds the request headers, bufs the
+	// burst in wire order — runs of wbuf with the callers' PUT pages
+	// between them — and wv is bufs as WriteTo consumes it (a field so
+	// that the call has nothing to move to the heap).
+	wbuf     []byte
+	bufs, wv net.Buffers
+
+	res []OpResult // Do's results, reused from call to call
 }
 
 // SetTraceID attaches a trace ID to every subsequent request (via the
@@ -29,16 +35,54 @@ type Client struct {
 // trace and the server-side spans share one identity end to end.
 func (c *Client) SetTraceID(id uint64) { c.trace = id }
 
-// appendReq encodes one request frame, injecting the trace-context
-// extension when a trace ID is set.
-func (c *Client) appendReq(dst []byte, code byte, reqID uint64, payload ...[]byte) []byte {
-	if c.trace == 0 {
-		return appendFrame(dst, code, reqID, payload...)
+// reqHeaderMax is the most bytes a request puts in wbuf: length word,
+// frame header, trace ID, PageID.
+const reqHeaderMax = 4 + frameHeaderLen + 8 + 8
+
+// send encodes ops as requests base, base+1, … and hands them to the
+// kernel in one write. Nothing is copied on the way: headers are encoded
+// where they are sent from, and a PUT's page goes out of the caller's own
+// slice.
+func (c *Client) send(ops []Op, base uint64) error {
+	// Sized before encoding: bufs holds slices of wbuf, which must not move.
+	if n := len(ops) * reqHeaderMax; cap(c.wbuf) < n {
+		c.wbuf = make([]byte, 0, n)
 	}
-	var tb [8]byte
-	be.PutUint64(tb[:], c.trace)
-	parts := append(make([][]byte, 0, len(payload)+1), tb[:])
-	return appendFrame(dst, code|TraceFlag, reqID, append(parts, payload...)...)
+	buf, bufs, run := c.wbuf[:0], c.bufs[:0], 0
+	for i, op := range ops {
+		code, n := op.Code, 0
+		if c.trace != 0 {
+			code |= TraceFlag
+			n += 8
+		}
+		hasPage := op.Code != OpFlush && op.Code != OpStats
+		if hasPage {
+			n += 8
+		}
+		if op.Code == OpPut {
+			if len(op.Data) != page.Size {
+				return fmt.Errorf("client: op %d: PUT data must be %d bytes, got %d", i, page.Size, len(op.Data))
+			}
+			n += page.Size
+		}
+		buf = appendFrameHeader(buf, code, base+uint64(i), n)
+		if c.trace != 0 {
+			buf = be.AppendUint64(buf, c.trace)
+		}
+		if hasPage {
+			buf = be.AppendUint64(buf, uint64(op.Page))
+		}
+		if op.Code == OpPut {
+			bufs = append(bufs, buf[run:], op.Data)
+			run = len(buf)
+		}
+	}
+	if run < len(buf) {
+		bufs = append(bufs, buf[run:])
+	}
+	c.bufs, c.wv = bufs, bufs
+	_, err := c.wv.WriteTo(c.nc) // writev; drops each entry once it is sent
+	return err
 }
 
 // Dial connects to a bpserver at addr.
@@ -52,28 +96,21 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c := &Client{
-		nc: nc,
-		bw: bufio.NewWriterSize(nc, 64<<10),
-	}
-	c.fr.r = bufio.NewReaderSize(nc, 32<<10)
-	return c, nil
+	return &Client{nc: nc, fr: newFrameReader(nc, true)}, nil
 }
 
 // Close hangs up. In-flight pipelined requests are abandoned.
 func (c *Client) Close() error { return c.nc.Close() }
 
 // roundTrip sends one request and reads its response, verifying the
-// echoed ID. The returned payload aliases the reader's buffer: valid
+// echoed ID. The returned payload aliases the receive buffer: valid
 // until the next call.
-func (c *Client) roundTrip(code byte, payload ...[]byte) (status byte, resp []byte, err error) {
+func (c *Client) roundTrip(op Op) (status byte, resp []byte, err error) {
+	c.fr.reset() // the previous call's results die here
 	id := c.next
 	c.next++
-	c.wbuf = c.appendReq(c.wbuf[:0], code, id, payload...)
-	if _, err = c.bw.Write(c.wbuf); err != nil {
-		return 0, nil, err
-	}
-	if err = c.bw.Flush(); err != nil {
+	ops := [1]Op{op}
+	if err = c.send(ops[:], id); err != nil {
 		return 0, nil, err
 	}
 	status, gotID, resp, err := c.fr.next()
@@ -86,12 +123,10 @@ func (c *Client) roundTrip(code byte, payload ...[]byte) (status byte, resp []by
 	return status, resp, nil
 }
 
-// Get fetches page id. The returned bytes alias the client's read buffer
-// and are valid only until the next call; copy to retain.
+// Get fetches page id. The returned bytes alias the client's receive
+// buffer and are valid only until the next call; copy to retain.
 func (c *Client) Get(id page.PageID) ([]byte, error) {
-	var pid [8]byte
-	be.PutUint64(pid[:], uint64(id))
-	status, resp, err := c.roundTrip(OpGet, pid[:])
+	status, resp, err := c.roundTrip(Op{Code: OpGet, Page: id})
 	if err != nil {
 		return nil, err
 	}
@@ -108,12 +143,7 @@ func (c *Client) Get(id page.PageID) ([]byte, error) {
 // it dirty. A nil return means the server applied and acknowledged the
 // write: it is resident-dirty there and a graceful drain will flush it.
 func (c *Client) Put(id page.PageID, data []byte) error {
-	if len(data) != page.Size {
-		return fmt.Errorf("client: PUT data must be %d bytes, got %d", page.Size, len(data))
-	}
-	var pid [8]byte
-	be.PutUint64(pid[:], uint64(id))
-	status, resp, err := c.roundTrip(OpPut, pid[:], data)
+	status, resp, err := c.roundTrip(Op{Code: OpPut, Page: id, Data: data})
 	if err != nil {
 		return err
 	}
@@ -122,9 +152,7 @@ func (c *Client) Put(id page.PageID, data []byte) error {
 
 // Invalidate drops page id server-side, discarding dirty contents.
 func (c *Client) Invalidate(id page.PageID) error {
-	var pid [8]byte
-	be.PutUint64(pid[:], uint64(id))
-	status, resp, err := c.roundTrip(OpInvalidate, pid[:])
+	status, resp, err := c.roundTrip(Op{Code: OpInvalidate, Page: id})
 	if err != nil {
 		return err
 	}
@@ -134,7 +162,7 @@ func (c *Client) Invalidate(id page.PageID) error {
 // Flush asks the server to write every dirty page back, returning the
 // number made durable.
 func (c *Client) Flush() (int, error) {
-	status, resp, err := c.roundTrip(OpFlush)
+	status, resp, err := c.roundTrip(Op{Code: OpFlush})
 	if err != nil {
 		return 0, err
 	}
@@ -150,7 +178,7 @@ func (c *Client) Flush() (int, error) {
 // Stats fetches the server's operational snapshot.
 func (c *Client) Stats() (RemoteStats, error) {
 	var rs RemoteStats
-	status, resp, err := c.roundTrip(OpStats)
+	status, resp, err := c.roundTrip(Op{Code: OpStats})
 	if err != nil {
 		return rs, err
 	}
@@ -170,8 +198,9 @@ type Op struct {
 	Data []byte // PUT page bytes; ignored for other ops
 }
 
-// OpResult is one pipelined operation's outcome. Data is an owned copy
-// of a successful GET's page (batch results outlive the read buffer).
+// OpResult is one pipelined operation's outcome. Data is a successful
+// GET's page where the kernel put it: it aliases the client's receive
+// buffer and is valid until the next call on this client; copy to retain.
 type OpResult struct {
 	Status byte
 	Err    error
@@ -184,36 +213,28 @@ type OpResult struct {
 // comes back under one response flush. Results are positional. A
 // transport error fails the whole batch; per-op failures (shed misses,
 // invalid pages) land in their slot's Err.
+//
+// The returned slice and every Data in it belong to the client and are
+// valid until the next call on it — the rule Get documents for its page.
+// The receive buffer grows to hold a whole burst's responses (at most
+// twice their size) and is never shrunk: a client keeps the memory of its
+// largest Do until it is closed, so bound the burst, not just the rate.
 func (c *Client) Do(ops []Op) ([]OpResult, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
+	c.fr.reset() // the previous call's results die here
 	base := c.next
 	c.next += uint64(len(ops))
-	buf := c.wbuf[:0]
-	var pid [8]byte
-	for i, op := range ops {
-		be.PutUint64(pid[:], uint64(op.Page))
-		switch op.Code {
-		case OpPut:
-			if len(op.Data) != page.Size {
-				return nil, fmt.Errorf("client: Do[%d]: PUT data must be %d bytes", i, page.Size)
-			}
-			buf = c.appendReq(buf, OpPut, base+uint64(i), pid[:], op.Data)
-		case OpFlush, OpStats:
-			buf = c.appendReq(buf, op.Code, base+uint64(i))
-		default:
-			buf = c.appendReq(buf, op.Code, base+uint64(i), pid[:])
-		}
-	}
-	c.wbuf = buf
-	if _, err := c.bw.Write(buf); err != nil {
+	if err := c.send(ops, base); err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
+	if cap(c.res) < len(ops) {
+		c.res = make([]OpResult, len(ops))
 	}
-	out := make([]OpResult, len(ops))
+	out := c.res[:len(ops)]
+	// The reader holds every response since reset in place, so the pages
+	// below can be handed out as they lie.
 	for i := range ops {
 		status, gotID, resp, err := c.fr.next()
 		if err != nil {
@@ -222,13 +243,11 @@ func (c *Client) Do(ops []Op) ([]OpResult, error) {
 		if gotID != base+uint64(i) {
 			return nil, fmt.Errorf("client: Do[%d]: response ID %d, want %d (stream desynced)", i, gotID, base+uint64(i))
 		}
-		out[i].Status = status
+		out[i] = OpResult{Status: status}
 		if status != StatusOK {
 			out[i].Err = errForStatus(status, resp)
-			continue
-		}
-		if ops[i].Code == OpGet {
-			out[i].Data = append([]byte(nil), resp...)
+		} else if ops[i].Code == OpGet {
+			out[i].Data = resp
 		}
 	}
 	return out, nil

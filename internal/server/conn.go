@@ -13,30 +13,32 @@ import (
 	"bpwrapper/internal/storage"
 )
 
-// conn is one served connection: a socket, its buffered reader/writer,
-// and the buffer.Session that makes this client a first-class BP-Wrapper
-// backend — its accesses batch through the session's per-shard queues
-// exactly like an in-process worker's.
+// conn is one served connection: a socket, its receive buffer and
+// buffered writer, and the buffer.Session that makes this client a
+// first-class BP-Wrapper backend — its accesses batch through the
+// session's per-shard queues exactly like an in-process worker's.
 type conn struct {
 	srv    *Server
 	nc     net.Conn
-	br     *bufio.Reader
+	fr     *frameReader
+	cw     countingWriter
 	bw     *bufio.Writer
-	fr     frameReader
 	sess   *buffer.Session
 	tracer *reqtrace.Tracer // the pool's request tracer; nil when disabled
+
+	hdr [4 + frameHeaderLen]byte // response header scratch
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
 		srv:    s,
 		nc:     nc,
-		br:     bufio.NewReaderSize(&countingReader{nc: nc, n: &s.c.bytesIn}, s.cfg.ReadBufSize),
-		bw:     bufio.NewWriterSize(&countingWriter{nc: nc, n: &s.c.bytesOut}, s.cfg.WriteBufSize),
+		fr:     newFrameReader(&countingReader{nc: nc, n: &s.c.bytesIn}, false),
+		cw:     countingWriter{nc: nc, n: &s.c.bytesOut, timeout: s.cfg.WriteTimeout},
 		sess:   s.pool.NewSession(),
 		tracer: s.pool.Tracer(),
 	}
-	c.fr.r = c.br
+	c.bw = bufio.NewWriterSize(&c.cw, s.cfg.WriteBufSize)
 	return c
 }
 
@@ -53,14 +55,26 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// countingWriter is also where the write deadline is armed: a socket
+// write is the only thing on the response path that can block, so each
+// one — the batch flush and the implicit ones when bufio fills alike —
+// gets a fresh timeout, and responses that only land in the buffer cost
+// no timer.
 type countingWriter struct {
-	nc net.Conn
-	n  *atomic.Int64
+	nc      net.Conn
+	n       *atomic.Int64
+	timeout time.Duration
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
+	w.nc.SetWriteDeadline(time.Now().Add(w.timeout)) //nolint:errcheck
+	// Counted before the write and corrected after a short one, so that a
+	// peer that has seen a response never reads a counter that lacks it.
+	w.n.Add(int64(len(p)))
 	n, err := w.nc.Write(p)
-	w.n.Add(int64(n))
+	if n < len(p) {
+		w.n.Add(int64(n - len(p)))
+	}
 	return n, err
 }
 
@@ -136,7 +150,7 @@ func (c *conn) serve() {
 		if !ok {
 			return // unknown opcode after BadRequest response: resync is impossible
 		}
-		if c.br.Buffered() == 0 {
+		if c.fr.buffered() == 0 {
 			if !c.flush() {
 				return
 			}
@@ -146,7 +160,8 @@ func (c *conn) serve() {
 
 // handle dispatches one request and writes its response into the write
 // buffer. It returns false when the connection cannot continue (the
-// opcode was unknown, so frame alignment is unprovable). tid, when
+// opcode was unknown, so frame alignment is unprovable, or the peer has
+// stopped reading). tid, when
 // non-zero, is the client's propagated trace ID, adopted for the pool
 // access so one trace spans client, server, pool, and device.
 func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool {
@@ -169,6 +184,12 @@ func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool 
 			return true
 		}
 		id := page.PageID(be.Uint64(payload))
+		// Make room for the response before the page is pinned, not while:
+		// a reader's pin is what a writer of that page spins on, so it
+		// must not be held across a socket write to a possibly slow peer.
+		if c.bw.Available() < len(c.hdr)+page.Size && !c.flush() {
+			return false
+		}
 		if tid != 0 {
 			c.sess.SetNextTrace(tid)
 		}
@@ -232,21 +253,13 @@ func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool 
 	return true
 }
 
-// respond appends one response frame to the write buffer. A write
-// deadline covers the append because bufio flushes implicitly when the
-// buffer fills — the slow-reader backpressure bound must hold there too,
-// not only on the explicit batch flush.
+// respond appends one response frame to the write buffer.
 func (c *conn) respond(status byte, reqID uint64, payload []byte) {
 	if status < statusMax {
 		c.srv.c.resps[status].Add(1)
 	}
-	c.armWriteDeadline()
-	var hdr [4 + frameHeaderLen]byte
-	be.PutUint32(hdr[:4], uint32(frameHeaderLen+len(payload)))
-	hdr[4] = status
-	be.PutUint64(hdr[5:], reqID)
-	c.bw.Write(hdr[:])  //nolint:errcheck // bufio errors are sticky; flush reports them
-	c.bw.Write(payload) //nolint:errcheck
+	c.bw.Write(appendFrameHeader(c.hdr[:0], status, reqID, len(payload))) //nolint:errcheck // bufio errors are sticky; flush reports them
+	c.bw.Write(payload)                                                   //nolint:errcheck
 }
 
 func (c *conn) respondErr(reqID uint64, err error) {
@@ -258,11 +271,10 @@ func (c *conn) respondBad(reqID uint64, msg string) {
 	c.respond(StatusBadRequest, reqID, []byte(msg))
 }
 
-// flush pushes buffered responses to the socket under the write
-// deadline. It reports false — and retires the connection — when the
-// client is not draining its receive window fast enough.
+// flush pushes buffered responses to the socket. It reports false — and
+// retires the connection — when the client is not draining its receive
+// window fast enough for a write to finish within WriteTimeout.
 func (c *conn) flush() bool {
-	c.armWriteDeadline()
 	if err := c.bw.Flush(); err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			c.srv.c.writeTimeouts.Add(1)
@@ -276,14 +288,8 @@ func (c *conn) flush() bool {
 // deadline so a vanished client cannot hold the handler in its exit
 // path.
 func (c *conn) flushBestEffort() {
-	c.nc.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-	c.bw.Flush()                                                  //nolint:errcheck
-}
-
-func (c *conn) armWriteDeadline() {
-	if t := c.srv.cfg.WriteTimeout; t > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(t)) //nolint:errcheck
-	}
+	c.cw.timeout = 100 * time.Millisecond
+	c.bw.Flush() //nolint:errcheck
 }
 
 // isFrameError reports whether a read-loop error indicates a framing

@@ -44,7 +44,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -111,61 +110,122 @@ var ErrDraining = errors.New("server: draining")
 
 var be = binary.BigEndian
 
+// appendFrameHeader appends a frame's length word, code and request ID
+// for a payload of payloadLen bytes that the caller supplies after it.
+// Every encoder in the package — appendFrame, the client's requests, the
+// server's responses — lays the header down through this one function.
+func appendFrameHeader(dst []byte, code byte, reqID uint64, payloadLen int) []byte {
+	dst = be.AppendUint32(dst, uint32(frameHeaderLen+payloadLen))
+	dst = append(dst, code)
+	return be.AppendUint64(dst, reqID)
+}
+
 // appendFrame appends one encoded frame to dst and returns the extended
-// slice. The payload may be supplied in parts (a PUT passes the PageID
-// prefix and the page bytes separately, avoiding an assembly copy).
+// slice. The payload may be supplied in parts.
 func appendFrame(dst []byte, code byte, reqID uint64, payload ...[]byte) []byte {
 	n := 0
 	for _, p := range payload {
 		n += len(p)
 	}
-	dst = be.AppendUint32(dst, uint32(frameHeaderLen+n))
-	dst = append(dst, code)
-	dst = be.AppendUint64(dst, reqID)
+	dst = appendFrameHeader(dst, code, reqID, n)
 	for _, p := range payload {
 		dst = append(dst, p...)
 	}
 	return dst
 }
 
-// frameReader decodes frames from a buffered stream, reusing one payload
-// buffer across calls so a pipelined burst decodes without per-frame
-// allocation. It is not safe for concurrent use.
+// recvBufSize is the receive buffer every frameReader starts with, and
+// the one a server connection keeps for life. It must hold the largest
+// legal frame (length word + header + MaxPayload); beyond that it is the
+// batching window: every request one kernel read delivered is decoded and
+// served before responses are flushed.
+const recvBufSize = 32 << 10
+
+// Fails to compile if a maximal frame stops fitting the receive buffer.
+const _ = uint(recvBufSize - (4 + frameHeaderLen + MaxPayload))
+
+// frameReader decodes frames in place from one flat receive buffer that
+// is filled straight from the stream: a payload is a slice of that
+// buffer, never a copy. It is not safe for concurrent use.
 type frameReader struct {
-	r   *bufio.Reader
-	buf []byte // reused payload storage; cap never exceeds MaxPayload
+	r      io.Reader
+	buf    []byte
+	rd, wr int // buf[rd:wr] is read but not yet decoded
+
+	// keep, fixed at construction, says who reclaims the buffer. A plain
+	// reader (a server connection) does it itself, between frames, so a
+	// payload is valid only until the next one is decoded and the buffer
+	// never grows. A keep reader (a client) never moves bytes within buf:
+	// every payload stays valid until its owner calls reset, and when the
+	// tail is too short it continues in a fresh, larger array, leaving the
+	// old one to the payloads that alias it.
+	keep bool
 }
 
-// next reads one frame. The returned payload aliases the reader's
-// internal buffer and is valid only until the next call. Malformed
-// length words fail without allocating: the length is validated before
-// any payload storage is grown.
+func newFrameReader(r io.Reader, keep bool) *frameReader {
+	return &frameReader{r: r, buf: make([]byte, recvBufSize), keep: keep}
+}
+
+// buffered reports how many received bytes are waiting to be decoded.
+func (fr *frameReader) buffered() int { return fr.wr - fr.rd }
+
+// reset reclaims the buffer — undecoded bytes, if any, move to the front —
+// which invalidates every payload returned so far. A keep reader's owner
+// calls it where one burst's results die and the next begins.
+func (fr *frameReader) reset() {
+	fr.wr = copy(fr.buf, fr.buf[fr.rd:fr.wr])
+	fr.rd = 0
+}
+
+// next decodes one frame; the returned payload aliases the receive buffer
+// (see keep for how long). Malformed length words fail without allocating:
+// the length is validated before room is made for the frame.
 func (fr *frameReader) next() (code byte, reqID uint64, payload []byte, err error) {
-	var hdr [4 + frameHeaderLen]byte
-	if _, err = io.ReadFull(fr.r, hdr[:4]); err != nil {
+	if err = fr.need(4); err != nil {
 		return 0, 0, nil, err
 	}
-	length := be.Uint32(hdr[:4])
+	length := be.Uint32(fr.buf[fr.rd:])
 	if length < frameHeaderLen {
 		return 0, 0, nil, fmt.Errorf("%w: length %d", ErrMalformedFrame, length)
 	}
 	if length > frameHeaderLen+MaxPayload {
 		return 0, 0, nil, fmt.Errorf("%w: length %d", ErrFrameTooLarge, length)
 	}
-	if _, err = io.ReadFull(fr.r, hdr[4:]); err != nil {
-		return 0, 0, nil, eofIsUnexpected(err)
+	if err = fr.need(4 + int(length)); err != nil {
+		return 0, 0, nil, err
 	}
-	code = hdr[4]
-	reqID = be.Uint64(hdr[5:])
-	n := int(length) - frameHeaderLen
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
+	f := fr.buf[fr.rd+4 : fr.rd+4+int(length)]
+	fr.rd += 4 + len(f)
+	return f[0], be.Uint64(f[1:]), f[frameHeaderLen:], nil
+}
+
+// need blocks until at least n undecoded bytes are buffered (n is at most
+// one maximal frame). A stream that ends first yields io.EOF if nothing
+// was buffered — a frame boundary — and io.ErrUnexpectedEOF otherwise.
+func (fr *frameReader) need(n int) error {
+	if fr.wr-fr.rd >= n {
+		return nil
 	}
-	payload = fr.buf[:n]
-	if _, err = io.ReadFull(fr.r, payload); err != nil {
-		return 0, 0, nil, eofIsUnexpected(err)
+	if fr.keep {
+		if fr.rd+n > len(fr.buf) {
+			pending := fr.buf[fr.rd:fr.wr]
+			fr.buf = make([]byte, 2*len(fr.buf))
+			fr.rd, fr.wr = 0, copy(fr.buf, pending)
+		}
+	} else if fr.rd == fr.wr || fr.rd+n > len(fr.buf) {
+		fr.reset() // an empty buffer costs nothing to reclaim and reads the most
 	}
-	return code, reqID, payload, nil
+	for fr.wr-fr.rd < n {
+		m, err := fr.r.Read(fr.buf[fr.wr:])
+		fr.wr += m
+		if err != nil && fr.wr-fr.rd < n {
+			if fr.wr > fr.rd {
+				err = eofIsUnexpected(err)
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // eofIsUnexpected upgrades a mid-frame EOF: a clean EOF is only legal on

@@ -1,12 +1,13 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"testing"
+	"testing/iotest"
 
 	"bpwrapper/internal/buffer"
 	"bpwrapper/internal/page"
@@ -78,18 +79,23 @@ func TestFrameGoldenEncoding(t *testing.T) {
 				t.Fatalf("encoded frame\n got %#v\nwant %#v", got, tc.want)
 			}
 			// And the decoder inverts it.
-			fr := frameReader{r: bufio.NewReader(bytes.NewReader(got))}
-			code, id, payload, err := fr.next()
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
 			var flat []byte
 			for _, p := range tc.payload {
 				flat = append(flat, p...)
 			}
-			if code != tc.code || id != tc.reqID || !bytes.Equal(payload, flat) {
-				t.Fatalf("decode: code=%d id=%d payload=%#v, want %d/%d/%#v",
-					code, id, payload, tc.code, tc.reqID, flat)
+			for name, r := range map[string]io.Reader{
+				"whole":   bytes.NewReader(got),
+				"onebyte": iotest.OneByteReader(bytes.NewReader(got)),
+				"half":    iotest.HalfReader(bytes.NewReader(got)),
+			} {
+				code, id, payload, err := newFrameReader(r, false).next()
+				if err != nil {
+					t.Fatalf("decode (%s): %v", name, err)
+				}
+				if code != tc.code || id != tc.reqID || !bytes.Equal(payload, flat) {
+					t.Fatalf("decode (%s): code=%d id=%d payload=%#v, want %d/%d/%#v",
+						name, code, id, payload, tc.code, tc.reqID, flat)
+				}
 			}
 		})
 	}
@@ -101,7 +107,7 @@ func TestFrameGoldenEncoding(t *testing.T) {
 // only legal on a frame boundary.
 func TestFrameDecodeMalformed(t *testing.T) {
 	frame := func(raw ...byte) *frameReader {
-		return &frameReader{r: bufio.NewReader(bytes.NewReader(raw))}
+		return newFrameReader(bytes.NewReader(raw), false)
 	}
 	t.Run("length-below-header", func(t *testing.T) {
 		_, _, _, err := frame(0x00, 0x00, 0x00, 0x08).next()
@@ -158,36 +164,189 @@ func TestFrameDecodeMalformed(t *testing.T) {
 	})
 }
 
-// TestFrameDecoderReusesBuffer verifies the zero-alloc contract: decoding
-// a pipelined burst grows the payload buffer once and never beyond
-// MaxPayload, and each payload aliases that buffer.
+// sameBuffer reports whether fr still decodes out of the array buf0 names,
+// at the size it had.
+func sameBuffer(fr *frameReader, buf0 []byte) bool {
+	return &fr.buf[0] == &buf0[0] && cap(fr.buf) == cap(buf0)
+}
+
+// TestFrameDecoderReusesBuffer verifies the fixed-memory contract of a
+// plain reader (every server connection): whatever the peer
+// sends — a burst many times the buffer's size, or a hostile length word —
+// the receive buffer is the array it started with, and every payload is a
+// slice of it, not a copy.
 func TestFrameDecoderReusesBuffer(t *testing.T) {
 	var raw []byte
 	big := make([]byte, page.Size)
 	for i := 0; i < 64; i++ {
 		raw = appendFrame(raw, OpPut, uint64(i), make([]byte, 8), big)
 	}
-	fr := frameReader{r: bufio.NewReader(bytes.NewReader(raw))}
-	var capAfterFirst int
+	fr := newFrameReader(bytes.NewReader(raw), false)
+	buf0 := fr.buf
 	for i := 0; i < 64; i++ {
 		_, id, payload, err := fr.next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if id != uint64(i) {
-			t.Fatalf("frame %d: id %d", i, id)
+		if id != uint64(i) || len(payload) != 8+page.Size {
+			t.Fatalf("frame %d: id %d, payload %d bytes", i, id, len(payload))
 		}
-		if len(payload) != 8+page.Size {
-			t.Fatalf("frame %d: payload %d bytes", i, len(payload))
+		if !sameBuffer(fr, buf0) {
+			t.Fatalf("frame %d: receive buffer replaced (cap %d → %d)", i, cap(buf0), cap(fr.buf))
 		}
-		if i == 0 {
-			capAfterFirst = cap(fr.buf)
-		} else if cap(fr.buf) != capAfterFirst {
-			t.Fatalf("frame %d: buffer reallocated (cap %d → %d)", i, capAfterFirst, cap(fr.buf))
+		if off := fr.rd - len(payload); &payload[0] != &buf0[off] {
+			t.Fatalf("frame %d: payload is not a slice of the receive buffer", i)
 		}
 	}
-	if cap(fr.buf) > MaxPayload {
-		t.Fatalf("decoder buffer cap %d exceeds MaxPayload %d", cap(fr.buf), MaxPayload)
+	for _, length := range []uint32{0, frameHeaderLen - 1, frameHeaderLen + MaxPayload + 1, 1 << 31, 0xffffffff} {
+		var raw [64]byte
+		be.PutUint32(raw[:], length)
+		fr := newFrameReader(bytes.NewReader(raw[:]), false)
+		buf0 := fr.buf
+		if _, _, _, err := fr.next(); !isFrameError(err) {
+			t.Fatalf("length %#x: err = %v, want a frame error", length, err)
+		}
+		if !sameBuffer(fr, buf0) {
+			t.Fatalf("length %#x: receive buffer replaced (cap %d → %d)", length, cap(buf0), cap(fr.buf))
+		}
+	}
+}
+
+// TestFrameKeepModeBounded verifies a keep reader's promises: payloads
+// handed out earlier in a burst survive the buffer growing under them; the
+// buffer never exceeds twice what the burst (plus one maximal frame of
+// slack) needed; and reset reclaims it, so once it has grown to hold a
+// whole burst the same burst costs no further allocation.
+func TestFrameKeepModeBounded(t *testing.T) {
+	for _, frames := range []int{1, 3, 4, 16, 64, 100} {
+		var raw []byte
+		for i := 0; i < frames; i++ {
+			raw = appendFrame(raw, StatusOK, uint64(i), bytes.Repeat([]byte{byte(i + 1)}, page.Size))
+		}
+		bound := 2 * (len(raw) + 4 + frameHeaderLen + MaxPayload)
+		if bound < recvBufSize {
+			bound = recvBufSize
+		}
+		fr := newFrameReader(nil, true)
+		for pass := 0; pass < 4; pass++ {
+			fr.r = iotest.HalfReader(bytes.NewReader(raw))
+			fr.reset()
+			buf0 := fr.buf
+			got := make([][]byte, frames)
+			for i := range got {
+				var err error
+				if _, _, got[i], err = fr.next(); err != nil {
+					t.Fatalf("%d frames, pass %d: frame %d: %v", frames, pass, i, err)
+				}
+			}
+			for i, p := range got {
+				if !bytes.Equal(p, bytes.Repeat([]byte{byte(i + 1)}, page.Size)) {
+					t.Fatalf("%d frames, pass %d: payload %d was overwritten later in the burst", frames, pass, i)
+				}
+			}
+			if cap(fr.buf) > bound {
+				t.Fatalf("%d frames (%d bytes), pass %d: buffer grew to %d, bound %d", frames, len(raw), pass, cap(fr.buf), bound)
+			}
+			if pass == 3 && !sameBuffer(fr, buf0) {
+				t.Fatalf("%d frames: buffer still being replaced on the fourth identical burst", frames)
+			}
+		}
+	}
+}
+
+type decoded struct {
+	code    byte
+	id      uint64
+	payload []byte
+}
+
+// decodeAll drains a reader, copying each payload, and returns the frames
+// and the error that ended the stream.
+func decodeAll(fr *frameReader) ([]decoded, error) {
+	var out []decoded
+	for {
+		code, id, payload, err := fr.next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, decoded{code, id, append([]byte(nil), payload...)})
+	}
+}
+
+// randomChunkReader returns between 1 and max bytes per Read.
+type randomChunkReader struct {
+	r   io.Reader
+	rng *rand.Rand
+	max int
+}
+
+func (c *randomChunkReader) Read(p []byte) (int, error) {
+	if n := 1 + c.rng.Intn(c.max); n < len(p) {
+		p = p[:n]
+	}
+	return c.r.Read(p)
+}
+
+// TestFrameDecodeChunkingEquivalence verifies in-place decoding is blind
+// to how the stream is cut up: the golden vectors and seeded sequences of
+// frames of every size — long enough to straddle the buffer's end many
+// times — decode to the same (code, id, payload) sequence one byte at a
+// time, half a read at a time and in random chunks as in whole reads, in
+// both modes; a cut inside a frame is io.ErrUnexpectedEOF and a cut on a
+// boundary io.EOF.
+func TestFrameDecodeChunkingEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	sizes := []int{0, 1, 8, 8 + page.Size, page.Size, MaxPayload - 1, MaxPayload}
+	sequences := 1000
+	if testing.Short() {
+		sequences = 100
+	}
+	for seq := 0; seq < sequences; seq++ {
+		var want []decoded
+		var raw []byte
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			size := sizes[rng.Intn(len(sizes))]
+			if rng.Intn(3) == 0 {
+				size = rng.Intn(MaxPayload + 1)
+			}
+			d := decoded{byte(rng.Intn(256)), rng.Uint64(), make([]byte, size)}
+			rng.Read(d.payload)
+			want = append(want, d)
+			raw = appendFrame(raw, d.code, d.id, d.payload)
+		}
+		cut := len(raw)
+		wantErr := io.EOF
+		if seq%4 == 3 { // cut the stream inside its last frame
+			last := 4 + frameHeaderLen + len(want[len(want)-1].payload)
+			cut -= 1 + rng.Intn(last-1)
+			want = want[:len(want)-1]
+			wantErr = io.ErrUnexpectedEOF
+		}
+		readers := map[string]io.Reader{
+			"whole":    bytes.NewReader(raw[:cut]),
+			"half":     iotest.HalfReader(bytes.NewReader(raw[:cut])),
+			"chunks":   &randomChunkReader{bytes.NewReader(raw[:cut]), rng, 3 * page.Size},
+			"data+err": iotest.DataErrReader(bytes.NewReader(raw[:cut])),
+		}
+		if seq%10 == 0 { // a byte at a time is slow: a tenth of the sequences
+			readers["onebyte"] = iotest.OneByteReader(bytes.NewReader(raw[:cut]))
+		}
+		for name, r := range readers {
+			fr := newFrameReader(r, seq%2 == 1)
+			got, err := decodeAll(fr)
+			if err != wantErr {
+				t.Fatalf("seq %d %s: stream ended with %v, want %v", seq, name, err, wantErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seq %d %s: %d frames, want %d", seq, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].code != want[i].code || got[i].id != want[i].id || !bytes.Equal(got[i].payload, want[i].payload) {
+					t.Fatalf("seq %d %s: frame %d differs (code %d/%d id %d/%d len %d/%d)", seq, name, i,
+						got[i].code, want[i].code, got[i].id, want[i].id, len(got[i].payload), len(want[i].payload))
+				}
+			}
+		}
 	}
 }
 
@@ -236,8 +395,9 @@ func TestStatusErrorRoundTrip(t *testing.T) {
 
 // FuzzFrameDecode feeds arbitrary byte streams — including mutated valid
 // frames with duplicate request IDs — through the decoder. The decoder
-// must never panic and never allocate beyond MaxPayload, whatever the
-// length words claim.
+// must never panic and a plain reader never replace or grow its receive
+// buffer, whatever the length words claim; a keep reader decodes the same
+// frames and stays within twice the stream plus a maximal frame.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x09, 0x04, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -249,24 +409,27 @@ func FuzzFrameDecode(f *testing.F) {
 	dup = append(dup, appendFrame(nil, OpPut, 43, make([]byte, 100))[:20]...)
 	f.Add(dup)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		fr := frameReader{r: bufio.NewReader(bytes.NewReader(raw))}
-		seen := make(map[uint64]int)
-		for {
-			code, id, payload, err := fr.next()
-			if err != nil {
-				break // any error ends the stream; it must just not panic
+		fr := newFrameReader(iotest.HalfReader(bytes.NewReader(raw)), false)
+		buf0 := fr.buf
+		// Any error ends the stream; it must just not panic. Duplicate
+		// IDs are legal at the framing layer (positional matching); the
+		// decoder must simply deliver them all.
+		frames, err := decodeAll(fr)
+		for _, f := range frames {
+			if len(f.payload) > MaxPayload {
+				t.Fatalf("payload %d bytes exceeds MaxPayload", len(f.payload))
 			}
-			if len(payload) > MaxPayload {
-				t.Fatalf("payload %d bytes exceeds MaxPayload", len(payload))
-			}
-			_ = code
-			seen[id]++
 		}
-		if cap(fr.buf) > MaxPayload {
-			t.Fatalf("decoder retained %d-byte buffer, bound is %d", cap(fr.buf), MaxPayload)
+		if !sameBuffer(fr, buf0) {
+			t.Fatalf("decoder replaced its receive buffer (cap %d → %d)", cap(buf0), cap(fr.buf))
 		}
-		// Duplicate IDs are legal at the framing layer (positional
-		// matching); the decoder must simply deliver them all.
-		_ = seen
+		kr := newFrameReader(bytes.NewReader(raw), true)
+		kept, kerr := decodeAll(kr)
+		if len(kept) != len(frames) || (kerr == nil) != (err == nil) {
+			t.Fatalf("keep reader decoded %d frames (%v), plain reader %d (%v)", len(kept), kerr, len(frames), err)
+		}
+		if bound := 2 * (len(raw) + 4 + frameHeaderLen + MaxPayload); cap(kr.buf) > bound && cap(kr.buf) > recvBufSize {
+			t.Fatalf("keep reader's buffer %d bytes for a %d-byte stream", cap(kr.buf), len(raw))
+		}
 	})
 }

@@ -34,11 +34,9 @@ type Config struct {
 	// from parking a handler goroutine forever. Zero means 10s.
 	WriteTimeout time.Duration
 
-	// ReadBufSize and WriteBufSize size the per-connection buffers.
-	// The read buffer is the batching window: every request the kernel
-	// delivered in one syscall is decoded and served before responses
-	// are flushed. Zero means 32 KB read, 64 KB write.
-	ReadBufSize  int
+	// WriteBufSize sizes the per-connection response buffer: a batch's
+	// responses collect there and go out under one flush. Zero means
+	// 64 KB. (The receive buffer is not a knob: it has one size.)
 	WriteBufSize int
 
 	// DrainGrace is how long Drain keeps serving after lowering the
@@ -105,9 +103,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 10 * time.Second
-	}
-	if cfg.ReadBufSize <= 0 {
-		cfg.ReadBufSize = 32 << 10
 	}
 	if cfg.WriteBufSize <= 0 {
 		cfg.WriteBufSize = 64 << 10
@@ -241,9 +236,9 @@ func (s *Server) Drain(budget time.Duration) error {
 
 // pokeConns knocks every registered connection off its blocking read by
 // expiring its read deadline. Requests already sitting in a connection's
-// read buffer are still decoded and answered (bufio serves buffered bytes
-// regardless of the deadline); only the blocking wait for *new* bytes is
-// interrupted.
+// receive buffer are still decoded and answered (the frame reader touches
+// the socket only when it needs more bytes); only the blocking wait for
+// *new* bytes is interrupted.
 func (s *Server) pokeConns() {
 	past := time.Unix(1, 0)
 	s.mu.Lock()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -246,7 +245,7 @@ func TestServerBadRequests(t *testing.T) {
 
 // frameReaderOn wraps a raw test connection for response decoding.
 func frameReaderOn(nc net.Conn) *frameReader {
-	return &frameReader{r: bufio.NewReader(nc)}
+	return newFrameReader(nc, false)
 }
 
 // isConnReset reports a peer-reset transport error (the poke/close race
@@ -405,5 +404,279 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// scriptConn is a net.Conn whose inbound bytes are scripted and whose
+// outbound writes and write-deadline arms are recorded.
+type scriptConn struct {
+	net.Conn // nil: any method not overridden below must not be reached
+	in       *bytes.Reader
+	out      bytes.Buffer
+	wrote    []*byte // first byte of each Write's argument
+	arms     int
+	onWrite  func() // called at the start of each Write, when set
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+func (c *scriptConn) Close() error               { return nil }
+func (c *scriptConn) Write(p []byte) (int, error) {
+	if c.onWrite != nil {
+		c.onWrite()
+	}
+	c.wrote = append(c.wrote, &p[0])
+	return c.out.Write(p)
+}
+func (c *scriptConn) SetWriteDeadline(time.Time) error {
+	c.arms++
+	return nil
+}
+
+// TestClientRequestEncoding pins the client's in-place request encoder to
+// appendFrame — and so to the golden vectors — for every opcode, with and
+// without the trace-context extension, and checks that a PUT's page
+// reaches the socket as the caller's own slice, not a copy.
+func TestClientRequestEncoding(t *testing.T) {
+	var pg page.Page
+	pg.Stamp(testPage(7))
+	ops := []Op{
+		{Code: OpGet, Page: testPage(1)},
+		{Code: OpPut, Page: testPage(2), Data: pg.Data[:]},
+		{Code: OpInvalidate, Page: testPage(3)},
+		{Code: OpFlush},
+		{Code: OpPut, Page: testPage(4), Data: pg.Data[:]},
+		{Code: OpStats},
+	}
+	for _, trace := range []uint64{0, 0x1122334455667788} {
+		nc := &scriptConn{in: bytes.NewReader(nil)}
+		c := &Client{nc: nc, fr: newFrameReader(nc, true), next: 100}
+		c.SetTraceID(trace)
+		var want []byte
+		for i, op := range ops {
+			var parts [][]byte
+			code := op.Code
+			if trace != 0 {
+				code |= TraceFlag
+				parts = append(parts, be.AppendUint64(nil, trace))
+			}
+			if op.Code != OpFlush && op.Code != OpStats {
+				parts = append(parts, be.AppendUint64(nil, uint64(op.Page)))
+			}
+			if op.Code == OpPut {
+				parts = append(parts, op.Data)
+			}
+			want = appendFrame(want, code, 100+uint64(i), parts...)
+		}
+		if err := c.send(ops, 100); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if !bytes.Equal(nc.out.Bytes(), want) {
+			t.Fatalf("trace %#x: burst on the wire differs from appendFrame's encoding", trace)
+		}
+		// Five runs: headers up to the first page, the page, headers up
+		// to the second, the page, the STATS header.
+		if len(nc.wrote) != 5 || nc.wrote[1] != &pg.Data[0] || nc.wrote[3] != &pg.Data[0] {
+			t.Fatalf("trace %#x: burst went out as %d buffers, or its pages as copies", trace, len(nc.wrote))
+		}
+	}
+	nc := &scriptConn{in: bytes.NewReader(nil)}
+	c := &Client{nc: nc, fr: newFrameReader(nc, true)}
+	if err := c.Put(testPage(1), make([]byte, 10)); err == nil || len(nc.wrote) != 0 {
+		t.Fatalf("short PUT: err = %v after %d writes, want an error before any", err, len(nc.wrote))
+	}
+}
+
+// TestServerArmsDeadlinePerSocketWrite verifies the write deadline is
+// armed where a write can block — once per socket write — and not once
+// per response: a 16-GET burst produces 16 responses and three socket
+// writes (two when the 64 KB buffer has no room for another page, one
+// flush). None of them happens with a page pinned.
+func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
+	srv, _, done := newTestServer(t, 32, 1, Config{})
+	defer done()
+
+	var raw []byte
+	for i := uint64(0); i < 16; i++ {
+		raw = appendFrame(raw, OpGet, i, be.AppendUint64(nil, uint64(testPage(i))))
+	}
+	nc := &scriptConn{in: bytes.NewReader(raw)}
+	nc.onWrite = func() {
+		if n := srv.Pool().PinnedFrames(); n != 0 {
+			t.Errorf("socket write %d with %d page(s) pinned", len(nc.wrote), n)
+		}
+	}
+	c := newConn(srv, nc)
+	srv.wg.Add(1)
+	srv.c.active.Add(1)
+	c.serve() // returns on the script's EOF
+
+	if got := srv.c.resps[StatusOK].Load(); got != 16 {
+		t.Fatalf("%d OK responses, want 16", got)
+	}
+	if nc.out.Len() != 16*(4+frameHeaderLen+page.Size) {
+		t.Fatalf("%d response bytes written", nc.out.Len())
+	}
+	writes := len(nc.wrote)
+	if writes == 0 || writes > 4 {
+		t.Fatalf("%d socket writes for a 16-GET burst, want 1–4", writes)
+	}
+	// The exit path's best-effort flush has nothing left to write, so it
+	// arms nothing either.
+	if nc.arms != writes {
+		t.Fatalf("write deadline armed %d times for %d socket writes", nc.arms, writes)
+	}
+}
+
+// TestClientDoResultsAliasReceiveBuffer pins Do's result-lifetime
+// contract from both sides. Within a call every page stays intact, even
+// when the burst outgrows the receive buffer and it is replaced mid-burst;
+// across calls the results are the client's to overwrite.
+func TestClientDoResultsAliasReceiveBuffer(t *testing.T) {
+	srv, _, done := newTestServer(t, 256, 2, Config{})
+	defer done()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+
+	burst := func(base uint64) []Op {
+		ops := make([]Op, 64)
+		for i := range ops {
+			ops[i] = Op{Code: OpGet, Page: testPage(base + uint64(i))}
+		}
+		return ops
+	}
+	check := func(res []OpResult, base uint64) {
+		t.Helper()
+		for i, r := range res {
+			var want page.Page
+			want.Stamp(testPage(base + uint64(i)))
+			if r.Err != nil || !bytes.Equal(r.Data, want.Data[:]) {
+				t.Fatalf("op %d (err %v): page not intact after the last response arrived", i, r.Err)
+			}
+		}
+	}
+	// 64 pages are sixteen times the initial buffer: the first call grows
+	// it several times while earlier results are already handed out.
+	buf0 := c.fr.buf
+	res, err := c.Do(burst(0))
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	check(res, 0)
+	if &c.fr.buf[0] == &buf0[0] {
+		t.Fatal("a 64-page burst fitted the initial receive buffer; the test no longer covers growth")
+	}
+
+	// Repeat until the buffer holds a whole burst and stops being replaced.
+	for i := 0; ; i++ {
+		before := &c.fr.buf[0]
+		if res, err = c.Do(burst(0)); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		check(res, 0)
+		if &c.fr.buf[0] == before {
+			break
+		}
+		if i == 4 {
+			t.Fatal("receive buffer still being replaced after five identical bursts")
+		}
+	}
+	// The contract's other half, made visible: a result kept across the
+	// next call now shows that call's bytes — here, its first page.
+	sentinel := res[0].Data
+	res2, err := c.Do(burst(100))
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	check(res2, 100)
+	if &sentinel[0] != &res2[0].Data[0] || !bytes.Equal(sentinel, res2[0].Data) {
+		t.Fatal("a retained result did not alias the next call's receive buffer; if results became owned copies, update OpResult's contract")
+	}
+	// Get is a one-frame burst under the same rule.
+	var want page.Page
+	want.Stamp(testPage(1))
+	if got, err := c.Get(testPage(1)); err != nil || !bytes.Equal(got, want.Data[:]) || &got[0] != &sentinel[0] {
+		t.Fatalf("Get after Do (err %v): wrong page, or not where the last call's first result lay", err)
+	}
+}
+
+// TestClientDoTransportErrorFailsBatch cuts the stream inside the second
+// response of a burst: Do fails as a whole, first result included.
+func TestClientDoTransportErrorFailsBatch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		io.ReadFull(nc, make([]byte, 2*(4+frameHeaderLen+8))) //nolint:errcheck
+		resp := appendFrame(nil, StatusOK, 0, make([]byte, page.Size))
+		resp = append(resp, appendFrame(nil, StatusOK, 1, make([]byte, page.Size))[:100]...)
+		nc.Write(resp) //nolint:errcheck
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Do([]Op{{Code: OpGet, Page: testPage(1)}, {Code: OpGet, Page: testPage(2)}})
+	if !errors.Is(err, io.ErrUnexpectedEOF) || res != nil {
+		t.Fatalf("Do = %v, %v; want nil, ErrUnexpectedEOF", res, err)
+	}
+}
+
+// TestWirePathZeroAlloc verifies the steady-state wire path allocates
+// nothing — client and server together, since both run in this process
+// and AllocsPerRun counts every goroutine's mallocs.
+func TestWirePathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	srv, _, done := newTestServer(t, 64, 1, Config{})
+	defer done()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+
+	var pg page.Page
+	gets, puts := make([]Op, 16), make([]Op, 16)
+	for i := range gets {
+		gets[i] = Op{Code: OpGet, Page: testPage(uint64(i))}
+		puts[i] = Op{Code: OpPut, Page: testPage(uint64(i)), Data: pg.Data[:]}
+	}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Get", func() error { _, err := c.Get(testPage(1)); return err }},
+		{"Put", func() error { return c.Put(testPage(1), pg.Data[:]) }},
+		{"Do-16-GET", func() error { _, err := c.Do(gets); return err }},
+		{"Do-16-PUT", func() error { _, err := c.Do(puts); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 8; i++ { // fault the pages in, grow the buffers
+				if err := tc.call(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := tc.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocations per call, want 0", allocs)
+			}
+		})
 	}
 }

@@ -1,13 +1,16 @@
 #!/bin/sh
-# Gates CI on the allocation counts of the three paths that must not
-# allocate: a resident Get, a miss, and a device write. Wall-clock figures
+# Gates CI on the allocation counts of the paths that must not allocate: a
+# resident Get, a miss, a device write, and a page served over the wire
+# (one GET round trip; one op of a 16-op Do burst). Wall-clock figures
 # from the benchmark vary run to run and only warn; these counts repeat
 # exactly (ROADMAP item 2), so a regression here is a real one — an op, a
 # channel or a closure back on the miss path, a copy of the victim, a policy
-# node per admit.
+# node per admit, a copy of a page into a buffer of its own on either side of
+# the socket.
 #
 # Runs the mem_churn workload's per-layer pass for three seconds and reads
-# the report it writes with --out (into run.sh's gitignored build directory).
+# the report it writes with --out (into run.sh's gitignored build directory);
+# the server legs run in every --trace 1 pass, whatever the workload.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,4 +39,6 @@ check() { # NAME LIMIT
 check buffer.allocs_per_get_hit 0
 check buffer.allocs_per_get_miss 1
 check storage.allocs_per_write 0
+check server.allocs_per_get 0
+check server.allocs_per_do16_op 0.5
 exit $fail
