@@ -29,12 +29,18 @@
 //     held (WrapperStats.PrefetchWalks counts the walks); uncontended, the
 //     setting costs one comparison per commit.
 //
-// Beyond the paper, WrapperConfig.FlatCombining replaces the
-// TryLock-or-block commit protocol with flat combining: at the batch
-// threshold a session publishes its batch in a per-session padded slot and
-// tries the lock once — the winner applies every session's published batch;
-// losers swap to a spare buffer and keep recording without ever blocking.
-// See examples/flatcombine and the bpbench combine experiment.
+// There is one way to commit a batch — one lock-holding period in the
+// wrapper — and the configurations are schedulers over it that differ only
+// in what a session does at the threshold when the lock is busy: block
+// (no batching), keep recording until the queue is full (the paper), or,
+// beyond the paper, WrapperConfig.FlatCombining: publish the batch in a
+// per-session padded slot and try the lock once — the winner applies every
+// session's published batch; losers swap to a spare buffer and keep
+// recording without ever blocking. See examples/flatcombine and the bpbench
+// combine experiment. The designs the paper rejects or that this
+// repository only studies (one shared queue, Section III-A; a per-session
+// self-tuning threshold) are models in the simulator (bpsim -shared-queue,
+// -adaptive), not options of the wrapper.
 //
 // # Quick start
 //

@@ -32,7 +32,6 @@ func main() {
 		duration    = flag.Duration("duration", 5*time.Second, "run length")
 		batching    = flag.Bool("batching", true, "BP-Wrapper batching")
 		prefetching = flag.Bool("prefetching", true, "BP-Wrapper prefetching")
-		adaptive    = flag.Bool("adaptive", false, "adaptive batch threshold")
 		diskLat     = flag.Duration("disk", 0, "simulated disk read latency (0 = instant memory device)")
 		bgwriter    = flag.Bool("bgwriter", true, "run the background writer")
 		statsEvery  = flag.Duration("stats", time.Second, "live stats interval")
@@ -70,9 +69,8 @@ func main() {
 		Frames: nFrames,
 		Policy: policy,
 		Wrapper: bpwrapper.WrapperConfig{
-			Batching:          *batching,
-			Prefetching:       *prefetching,
-			AdaptiveThreshold: *adaptive,
+			Batching:    *batching,
+			Prefetching: *prefetching,
 		},
 		Device:       device,
 		RecorderSize: *recorder,

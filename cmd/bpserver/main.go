@@ -42,7 +42,6 @@ func main() {
 		shards      = flag.Int("shards", 1, "pool shards")
 		batching    = flag.Bool("batching", true, "BP-Wrapper batching")
 		prefetching = flag.Bool("prefetching", true, "BP-Wrapper prefetching")
-		adaptive    = flag.Bool("adaptive", false, "adaptive batch threshold")
 		diskLat     = flag.Duration("disk", 0, "simulated disk read latency (0 = instant memory device)")
 		bgwriter    = flag.Bool("bgwriter", true, "run the background writer")
 		maxConns    = flag.Int("max-conns", 1024, "concurrent connection limit")
@@ -78,9 +77,8 @@ func main() {
 		Shards:        *shards,
 		PolicyFactory: factory,
 		Wrapper: bpwrapper.WrapperConfig{
-			Batching:          *batching,
-			Prefetching:       *prefetching,
-			AdaptiveThreshold: *adaptive,
+			Batching:    *batching,
+			Prefetching: *prefetching,
 		},
 		Device:       device,
 		RecorderSize: *recorder,

@@ -202,10 +202,10 @@ func PrintPartitionHitRatio(w io.Writer, rows []PartitionHitRow) {
 // Experiment E11 — extension: the adaptive batch threshold.
 //
 // Table III shows the fixed threshold has a sweet spot between premature
-// commits and TryLock starvation; the adaptive variant (core.Config.
-// AdaptiveThreshold) finds it at run time. This experiment compares a bad
-// fixed threshold, the paper's recommended fixed threshold, and the
-// adaptive one.
+// commits and TryLock starvation; the adaptive variant (sim.Config.
+// AdaptiveThreshold, a simulator model only) finds it at run time. This
+// experiment compares a bad fixed threshold, the paper's recommended fixed
+// threshold, and the adaptive one.
 
 // AdaptiveRow is one measurement of the adaptive-threshold comparison.
 type AdaptiveRow struct {

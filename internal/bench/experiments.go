@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -464,9 +465,15 @@ type SharedQueueRow struct {
 }
 
 // AblationSharedQueue quantifies Section III-A's design argument for
-// per-thread queues over one shared queue.
+// per-thread queues over one shared queue. It runs on the simulator only:
+// the shared queue exists nowhere but in internal/sim's model, and the
+// argument is about 16 processors, which the wall clock of a small host
+// cannot make.
 func AblationSharedQueue(procs int, o Options) ([]SharedQueueRow, error) {
 	o = o.withDefaults()
+	if o.Mode == ModeReal {
+		return nil, errors.New("ablation-queue is simulator only (the shared queue is internal/sim's model); drop -mode real")
+	}
 	var rows []SharedQueueRow
 	for _, wl := range o.Workloads {
 		for _, shared := range []bool{false, true} {
@@ -491,36 +498,6 @@ func AblationSharedQueue(procs int, o Options) ([]SharedQueueRow, error) {
 }
 
 func sharedQueuePoint(wl workload.Workload, procs int, shared bool, o Options) (Point, error) {
-	if o.Mode == ModeReal {
-		sys := SystemBat
-		wcfg := sys.WrapperConfig(0, 0)
-		wcfg.SharedQueue = shared
-		pool, err := buildPool(sys, wl.DataPages(), wcfg)
-		if err != nil {
-			return Point{}, err
-		}
-		if err := pool.Prewarm(wl.Pages()); err != nil {
-			return Point{}, err
-		}
-		cfg := txn.Config{
-			Pool:          pool,
-			Workload:      wl,
-			Workers:       o.WorkersPerProc * procs,
-			Procs:         procs,
-			Seed:          o.Seed,
-			TouchBytes:    true,
-			Duration:      o.Duration,
-			TxnsPerWorker: o.TxnsPerWorker,
-		}
-		if o.TxnsPerWorker > 0 {
-			cfg.Duration = 0
-		}
-		res, err := txn.Run(cfg)
-		if err != nil {
-			return Point{}, err
-		}
-		return Point{ThroughputTPS: res.ThroughputTPS, ContentionPerM: res.ContentionPerM}, nil
-	}
 	params := o.simParamsFor(wl)
 	res, err := sim.Run(sim.Config{
 		Procs:       procs,

@@ -315,12 +315,10 @@ func TestRealModeAblations(t *testing.T) {
 	o := tinyOptions()
 	o.Mode = ModeReal
 	o.TxnsPerWorker = 60
-	rows, err := AblationSharedQueue(2, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("shared-queue rows=%d", len(rows))
+	// The shared queue is the simulator's model; asking for it on real
+	// goroutines must fail, not silently run the model.
+	if rows, err := AblationSharedQueue(2, o); err == nil || !strings.Contains(err.Error(), "simulator only") {
+		t.Fatalf("real-mode shared-queue ablation: rows=%v err=%v, want a simulator-only error", rows, err)
 	}
 	prows, err := AblationPolicies(2, []string{"lirs"}, o)
 	if err != nil {

@@ -354,7 +354,7 @@ func (c *Controller) steer(acts []Action, st buffer.Stats) []Action {
 	// before TryLock landed — drop the threshold a quarter to start
 	// earlier. Clean windows raise it back toward the configured value.
 	wcfg := c.pool.Wrapper().Config()
-	if wcfg.Batching && !wcfg.AdaptiveThreshold {
+	if wcfg.Batching {
 		base := wcfg.BatchThreshold
 		cur := int(c.threshold.Load())
 		if cur == 0 {

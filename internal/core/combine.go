@@ -1,4 +1,5 @@
-// Flat-combining commit path (Config.FlatCombining).
+// Flat combining (Config.FlatCombining): the third scheduler over the
+// commit round (see Session.atThreshold and Session.round in wrapper.go).
 //
 // The paper's batching protocol leaves a session at the batch threshold
 // with only two options when the lock is busy: keep accumulating (and
@@ -6,19 +7,18 @@
 // (Hendler, Incze, Shavit & Tzafrir, SPAA 2010; see PAPERS.md) removes the
 // dilemma: every session owns a cache-line-padded *publication slot*; at
 // the threshold it publishes its batch in the slot and tries the lock
-// exactly once. The winner becomes the *combiner* — it applies its own
-// batch plus every other session's published batch before unlocking — and
-// the losers swap to a spare recording buffer and continue, never
+// exactly once. The winner becomes the *combiner* — its round applies its
+// own batch plus every other session's published batch before unlocking —
+// and the losers swap to a spare recording buffer and continue, never
 // blocking, because the current lock holder is already committed to
-// draining their slots. Misses and Flush, which must take the lock
-// anyway, combine published work too while they hold it.
+// draining their slots. Every round drains the slots while it holds the
+// lock, so misses and Flush, which must take the lock anyway, combine too.
 //
-// Per-session access ordering (the property Section III-A's private queues
-// exist to preserve) survives because a session has at most one batch in
-// flight: it publishes only into an empty slot, so batch N is always
-// applied — by whichever combiner swaps it out, under the lock — before
-// batch N+1 can be published, and a session's own miss/flush claims its
-// published batch and applies it ahead of its younger private queue.
+// Per-session access order survives because a session has at most one
+// batch in flight: it publishes only into an empty slot, so batch N is
+// always applied — by whichever round swaps it out, under the lock — before
+// batch N+1 can be published, and the session's own round claims its
+// published batch ahead of its younger private queue (see round).
 //
 // Memory stays bounded without blocking in the common case: a session
 // blocks only when its slot is still occupied AND its recording queue has
@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 
 	"bpwrapper/internal/obs"
-	"bpwrapper/internal/page"
 	"bpwrapper/internal/reqtrace"
 	"bpwrapper/internal/sched"
 )
@@ -116,17 +115,12 @@ func (c *combiner) register(owner uint64) *pubSlot {
 	return sl
 }
 
-// combineLocked drains every session's published batch and applies it to
-// the policy. Callers must hold the policy lock. s is the calling
-// (applying) session: its own batch (if published) is excluded from the
-// combined-work counters, and its ID is stamped as the applier in
-// cross-thread handoff spans.
-func (w *Wrapper) combineLocked(s *Session) {
-	slots := w.fc.slots.Load()
-	if slots == nil {
-		return
-	}
-	own := s.slot
+// drain applies the batches published in slots — the applying session's
+// own, ahead of its younger queue, or every session's — and reports how
+// many batches that was and how many entries they held. Callers must hold
+// the policy lock. s is the applying session: its ID is stamped as the
+// applier in cross-thread handoff spans.
+func (w *Wrapper) drain(s *Session, slots []*pubSlot) (batches, entries int) {
 	// Contain panics from the policy or validator: the caller still holds
 	// the lock and will release it normally, so one poisoned entry stops
 	// this drain (already-swapped batches are lost to the policy's
@@ -146,14 +140,18 @@ func (w *Wrapper) combineLocked(s *Session) {
 	if trace.IsEnabled() {
 		defer trace.StartRegion(context.Background(), "bpwrapper.combine").End()
 	}
-	var drained, entries uint64
 	var runID uint64 // lazily allocated: one per combining lock-holding period
-	for _, sl := range *slots {
+	for _, sl := range slots {
 		bp := sl.pub.Swap(nil)
 		if bp == nil {
 			continue
 		}
-		if w.tracer != nil {
+		if sl == s.slot {
+			// Claiming one's own batch is not a cross-thread handoff: just
+			// clear the parked trace context so it cannot attach to a later
+			// batch.
+			sl.pubTrace.Store(0)
+		} else if w.tracer != nil {
 			// Cross-thread attribution: the publisher parked its trace
 			// context in the slot; emit the enqueue→apply handoff span on
 			// its trace, naming this combiner run and both sessions.
@@ -172,134 +170,32 @@ func (w *Wrapper) combineLocked(s *Session) {
 		}
 		sched.Yield(sched.CoreFCCombine)
 		w.applyBatch(*bp)
-		drained++
-		entries += uint64(len(*bp))
-		if sl != own {
-			w.fcc.combinedBatches.Add(1)
-			w.fcc.combinedEntries.Add(int64(len(*bp)))
-		}
+		batches++
+		entries += len(*bp)
 		sl.recycle(bp)
 	}
-	if drained > 0 {
-		w.combineRuns.Observe(int(drained))
-		w.events.Record(obs.EvCombine, drained, entries)
-	}
+	return batches, entries
 }
 
-// applyPublished claims the session's own published batch, if a combiner
-// has not reached it yet, and applies it. Callers must hold the policy
-// lock. It precedes applying the (younger) private queue, preserving the
-// session's access order.
-func (s *Session) applyPublished() {
-	if s.slot == nil {
-		return
-	}
-	bp := s.slot.pub.Swap(nil)
-	if bp == nil {
-		return
-	}
-	// Claiming one's own batch is not a cross-thread handoff: just clear
-	// the parked trace context so it cannot attach to a later batch.
-	s.slot.pubTrace.Store(0)
-	s.w.applyBatch(*bp)
-	s.slot.recycle(bp)
-}
-
-// fcCommit runs the flat-combining commit protocol at the batch
-// threshold. It blocks only in the bounded-memory fall-back: slot still
-// occupied and recording queue full.
-func (s *Session) fcCommit() {
+// publish moves the recording queue into the session's (empty) slot and
+// continues on the spare buffer.
+func (s *Session) publish() {
 	w := s.w
-	defer s.fold()
-	if s.slot.pub.Load() == nil {
-		// Previous batch drained: publish this one. Only the owner stores
-		// into pub, so the emptiness check cannot race with another
-		// publisher; a combiner only ever transitions pub to nil.
-		s.prefetch(s.queue, page.InvalidPageID)
-		box := s.fcBox
-		*box = s.queue
-		first := len(s.queue) == s.Threshold()
-		s.pubLen = len(s.queue)
-		s.queue, s.fcBox = s.slot.takeSpare(w.cfg.QueueSize)
-		if w.tracer != nil {
-			// Park the publisher's trace context before the pub Store (whose
-			// release ordering publishes it with the batch) so a combiner can
-			// attribute the handoff. Untraced publishes clear it.
-			if tid := s.trace.ID(); tid != 0 {
-				s.slot.pubTime.Store(s.trace.Now())
-				s.slot.pubTrace.Store(tid)
-			} else {
-				s.slot.pubTrace.Store(0)
-			}
+	box := s.fcBox
+	*box = s.queue
+	s.pubLen = len(s.queue)
+	s.queue, s.fcBox = s.slot.takeSpare(w.cfg.QueueSize)
+	if w.tracer != nil {
+		// Park the publisher's trace context before the pub Store (whose
+		// release ordering publishes it with the batch) so a combiner can
+		// attribute the handoff. Untraced publishes clear it.
+		if tid := s.trace.ID(); tid != 0 {
+			s.slot.pubTime.Store(s.trace.Now())
+			s.slot.pubTrace.Store(tid)
+		} else {
+			s.slot.pubTrace.Store(0)
 		}
-		s.slot.pub.Store(box)
-		w.batchSizes.Observe(s.pubLen)
-		w.events.Record(obs.EvPublish, uint64(s.pubLen), 0)
-		sched.Yield(sched.CoreFCPublish)
-		if w.lock.TryLock() {
-			w.cc.tryCommits.Add(1)
-			if first {
-				s.adaptUp()
-			}
-			w.combineLocked(s)
-			w.lock.Unlock()
-			w.cc.commits.Add(1)
-			return
-		}
-		// Lock busy: the batch is published and the current lock holder
-		// will drain it. Nothing to wait for — this is the handoff the
-		// TryLock-or-block protocol could not make.
-		w.fcc.handoffSaved.Add(1)
-		w.events.Record(obs.EvTryFail, uint64(s.pubLen), 0)
-		return
 	}
-	if len(s.queue) < w.cfg.QueueSize {
-		// The combiner has not reached the slot yet; keep recording.
-		return
-	}
-	// Both buffers full: the bounded-memory fall-back. Apply the published
-	// batch (older) before the queue, then combine everyone else.
-	s.prefetch(s.queue, page.InvalidPageID)
-	t0 := s.trace.Now()
-	w.lock.Lock()
-	// The bounded-memory fall-back is the protocol's slow path: the wait
-	// arms tail-keep (Slow) so a request stalled here is traceable even
-	// when head sampling skipped it.
-	s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, s.trace.Now()-t0, uint64(len(s.queue)), 0)
-	w.cc.forcedLocks.Add(1)
-	w.events.Record(obs.EvForcedLock, uint64(len(s.queue)), 0)
-	s.applyPublished()
-	w.applyBatch(s.queue)
-	w.combineLocked(s)
-	w.lock.Unlock()
-	w.cc.commits.Add(1)
-	w.batchSizes.Observe(len(s.queue))
-	s.queue = s.queue[:0]
-	s.adaptDown()
-}
-
-// fcFlush is Flush under flat combining: claim the published batch, apply
-// it and the queue under a blocking lock, and combine other sessions'
-// published work while holding it.
-func (s *Session) fcFlush() {
-	w := s.w
-	claimed := s.slot.pub.Swap(nil)
-	if claimed != nil {
-		s.slot.pubTrace.Store(0) // self-claim: no cross-thread handoff
-	}
-	if claimed == nil && len(s.queue) == 0 {
-		return
-	}
-	s.prefetch(s.queue, page.InvalidPageID)
-	w.lock.Lock()
-	w.cc.forcedLocks.Add(1)
-	if claimed != nil {
-		w.applyBatch(*claimed)
-		s.slot.recycle(claimed)
-	}
-	w.applyBatch(s.queue)
-	w.combineLocked(s)
-	w.lock.Unlock()
-	w.cc.commits.Add(1)
-	s.queue = s.queue[:0]
+	s.slot.pub.Store(box)
+	w.events.Record(obs.EvPublish, uint64(s.pubLen), 0)
 }

@@ -230,13 +230,10 @@ func TestFlatCombiningSequenceEqualsUnbatched(t *testing.T) {
 }
 
 // TestFlatCombiningConfigNormalization: the flag is meaningless without
-// batching and loses to SharedQueue.
+// batching.
 func TestFlatCombiningConfigNormalization(t *testing.T) {
 	if cfg := (Config{FlatCombining: true}).withDefaults(); cfg.FlatCombining {
 		t.Fatal("FlatCombining survived without Batching")
-	}
-	if cfg := (Config{Batching: true, SharedQueue: true, FlatCombining: true}).withDefaults(); cfg.FlatCombining {
-		t.Fatal("FlatCombining survived with SharedQueue")
 	}
 	w := New(replacer.NewLRU(8), Config{FlatCombining: true})
 	if w.fc != nil || w.NewSession().slot != nil {

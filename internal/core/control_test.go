@@ -33,29 +33,6 @@ func TestSetBatchThresholdOverride(t *testing.T) {
 	}
 }
 
-// TestAdaptiveThresholdShadowsOverride: a session whose adaptive state
-// machine has taken over keeps its own threshold even when the control loop
-// installs a wrapper-wide override — per-session adaptation has fresher,
-// local information.
-func TestAdaptiveThresholdShadowsOverride(t *testing.T) {
-	w := New(replacer.NewLRU(8), Config{
-		Batching: true, AdaptiveThreshold: true, QueueSize: 32, BatchThreshold: 16,
-	})
-	s := w.NewSession()
-	w.SetBatchThreshold(5)
-	if got := s.Threshold(); got != 5 {
-		t.Fatalf("threshold=%d before any adaptation, want override 5", got)
-	}
-	s.adaptDown() // session takes over: 5 - 32/8 = 1, floored at the step (4)
-	if got := s.Threshold(); got != 4 {
-		t.Fatalf("threshold=%d after adaptDown, want 4", got)
-	}
-	w.SetBatchThreshold(9)
-	if got := s.Threshold(); got != 4 {
-		t.Fatalf("threshold=%d: wrapper override displaced the session's adaptive value", got)
-	}
-}
-
 // TestSwapPolicyPreservesResidentsAndOrder: swapping LRU→LRU must carry the
 // whole resident set over and keep the eviction order, because pages are
 // drained least-valuable-first and re-admitted in that order.

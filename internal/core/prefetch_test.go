@@ -77,8 +77,7 @@ func TestPrefetchGate(t *testing.T) {
 		return []page.PageID{pid(1), pid(2)}
 	}
 	batched := Config{Batching: true, Prefetching: true, QueueSize: 8, BatchThreshold: 2}
-	shared, fc := batched, batched
-	shared.SharedQueue = true
+	fc := batched
 	fc.FlatCombining = true
 	sites := []struct {
 		name string
@@ -106,12 +105,6 @@ func TestPrefetchGate(t *testing.T) {
 		{"unbatched hit", Config{Prefetching: true}, func(s *Session) []page.PageID {
 			s.Hit(pid(1), tag(pid(1)))
 			return []page.PageID{pid(1)}
-		}},
-		{"shared record", shared, twoHits},
-		{"shared flush", shared, func(s *Session) []page.PageID {
-			s.Hit(pid(2), tag(pid(2)))
-			s.Flush()
-			return []page.PageID{pid(2)}
 		}},
 		{"fc publish", fc, twoHits},
 	}

@@ -96,46 +96,6 @@ func TestCombinerHandoffSpan(t *testing.T) {
 	}
 }
 
-// TestSharedQueueHandoffSpan covers the ablation path: a traced access
-// recorded into the shared queue is attributed when another session steals
-// and applies the batch.
-func TestSharedQueueHandoffSpan(t *testing.T) {
-	tr := reqtrace.New(reqtrace.Config{
-		Enable: true, SampleEvery: 1, SLO: time.Hour, Clock: testClock(),
-	})
-	w := New(replacer.NewLRU(64), Config{
-		Batching: true, SharedQueue: true,
-		QueueSize: 8, BatchThreshold: 4,
-		Tracer: tr,
-	})
-	sA := w.NewSession()
-	sB := w.NewSession()
-
-	var a reqtrace.Active
-	a.Init(tr)
-	sA.SetTrace(&a)
-	a.Begin()
-	sA.Hit(pid(1), page.BufferTag{}) // below threshold: stays queued
-	a.End(1, nil)
-
-	sB.Miss(pid(100), page.BufferTag{}) // steals and applies the batch
-
-	found := false
-	for _, sp := range tr.Spans() {
-		if sp.Phase != reqtrace.PhaseEnqueue {
-			continue
-		}
-		found = true
-		pub, app := reqtrace.UnpackHandoff(sp.Arg2)
-		if pub != sA.ID() || app != sB.ID() || sp.Flags&reqtrace.FlagCross == 0 {
-			t.Fatalf("shared-queue handoff span: %+v (pub %d app %d)", sp, pub, app)
-		}
-	}
-	if !found {
-		t.Fatal("no handoff span for stolen shared-queue batch")
-	}
-}
-
 // TestMissPathArmsTrace verifies lazy tail arming on the miss path: with
 // head sampling effectively off, a miss still produces lock-wait and
 // policy-op spans when it crosses the SLO.

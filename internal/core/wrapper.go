@@ -21,11 +21,14 @@
 // Both techniques are independent of the wrapped algorithm, which is used
 // unmodified — the framework property the paper's title claims.
 //
-// Beyond the paper, the package implements a *flat-combining* commit path
-// (Config.FlatCombining, see combine.go): sessions publish their batches
-// in per-session slots and whichever session wins the lock applies
-// everyone's published work, so a session at the batch threshold never has
-// to choose between blocking and re-accumulating.
+// There is one way to commit: Session.round, the single lock-holding
+// period in which hits (and a miss's admission) reach the policy. The
+// configurations are three schedulers over it (Session.atThreshold) that
+// differ only in what a session does at the threshold when the lock is
+// busy: block (no batching), keep recording until the queue is full (the
+// paper's protocol), or — beyond the paper — publish the batch in a
+// per-session slot for the lock holder to apply and walk away (*flat
+// combining*, Config.FlatCombining, see combine.go).
 //
 // A Wrapper is shared by all threads; each simulated backend owns a private
 // Session (the per-thread FIFO queue of the paper, Figure 3/4). Sessions
@@ -34,7 +37,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -79,13 +81,6 @@ type Config struct {
 	// clamped to [1, QueueSize]. Ignored unless Batching is set.
 	BatchThreshold int
 
-	// SharedQueue switches the batching queue from one-per-session to a
-	// single queue shared by all sessions (guarded by its own mutex). The
-	// paper rejects this design for its synchronization cost and loss of
-	// per-thread access ordering (Section III-A); it is implemented here for
-	// the ablation experiment that verifies that argument.
-	SharedQueue bool
-
 	// FlatCombining replaces the TryLock-or-keep-accumulating commit
 	// protocol with flat combining (see combine.go): at the batch
 	// threshold a session publishes its batch in a per-session,
@@ -94,21 +89,8 @@ type Config struct {
 	// failure it swaps to a spare buffer and keeps recording, never
 	// blocking, because the current lock holder drains its slot. The
 	// blocking fall-back fires only when both the published batch and the
-	// recording queue are full. Ignored unless Batching is set;
-	// incompatible with SharedQueue (SharedQueue wins).
+	// recording queue are full. Ignored unless Batching is set.
 	FlatCombining bool
-
-	// AdaptiveThreshold lets each session tune its own batch threshold at
-	// run time — an extension of the paper's Table III analysis, which
-	// shows the best threshold sits strictly between "tiny batches"
-	// (premature commits) and "threshold = queue size" (no TryLock
-	// attempts left). A session lowers its threshold after a forced
-	// blocking commit (it should have started trying earlier) and raises
-	// it after a run of first-attempt TryLock successes (it can afford
-	// bigger batches). The threshold moves within
-	// [QueueSize/8, 3·QueueSize/4], starting from BatchThreshold.
-	// Ignored unless Batching is set; incompatible with SharedQueue.
-	AdaptiveThreshold bool
 
 	// Validate, when non-nil, is consulted at commit time for each queued
 	// entry; entries for which it returns false are dropped. The buffer
@@ -154,11 +136,6 @@ func (c Config) withDefaults() Config {
 	if !c.Batching {
 		c.FlatCombining = false
 	}
-	if c.SharedQueue {
-		// The shared queue has no per-session state to adapt or publish.
-		c.AdaptiveThreshold = false
-		c.FlatCombining = false
-	}
 	return c
 }
 
@@ -178,15 +155,19 @@ type Entry struct {
 // may lag by at most one queue's worth per session. Call Session.Flush
 // for exact point-in-time numbers.
 type Stats struct {
-	Accesses    int64 // hits + misses recorded through the wrapper
-	Hits        int64
-	Misses      int64
-	Commits     int64 // commit rounds (lock-holding periods for hits)
+	Accesses int64 // hits + misses recorded through the wrapper
+	Hits     int64
+	Misses   int64
+	// Commits counts lock-holding periods that applied at least one hit
+	// entry — the session's own or, under flat combining, anyone's — on
+	// every path: threshold commit, forced commit, Flush, miss, unbatched
+	// hit. (Committed + Dropped) / Commits is the mean batch per period.
+	Commits     int64
 	Committed   int64 // hit entries applied to the policy
 	Dropped     int64 // hit entries dropped by commit-time validation
 	Lock        metrics.LockStats
-	ForcedLocks int64 // commits that needed a blocking Lock (queue full)
-	TryCommits  int64 // commits obtained via TryLock at the threshold
+	ForcedLocks int64 // blocking Locks taken for a batch that could not wait (queue full, Flush)
+	TryCommits  int64 // lock-holding periods obtained via TryLock at the threshold
 
 	// PrefetchWalks counts pre-lock metadata walks (Config.Prefetching):
 	// zero while the policy lock is uncontended.
@@ -280,14 +261,12 @@ type Wrapper struct {
 
 	// dynThreshold is a wrapper-wide batch-threshold override installed at
 	// run time (SetBatchThreshold, driven by the control loop); 0 means
-	// "use cfg.BatchThreshold". A session's own adaptive threshold takes
-	// precedence over it.
+	// "use cfg.BatchThreshold".
 	dynThreshold atomic.Int32
 
 	cfg Config
 
-	shared *sharedQueue // non-nil iff cfg.SharedQueue
-	fc     *combiner    // non-nil iff cfg.FlatCombining
+	fc *combiner // non-nil iff cfg.FlatCombining
 
 	events *obs.Recorder    // nil-safe flight recorder (cfg.Events)
 	tracer *reqtrace.Tracer // nil-safe request tracer (cfg.Tracer)
@@ -369,12 +348,6 @@ func New(policy replacer.Policy, cfg Config) *Wrapper {
 		}
 	}
 	w.lock.SetProfile(profile)
-	if cfg.SharedQueue && cfg.Batching {
-		w.shared = &sharedQueue{
-			entries: make([]Entry, 0, cfg.QueueSize),
-			spare:   make([]Entry, 0, cfg.QueueSize),
-		}
-	}
 	if cfg.FlatCombining {
 		w.fc = &combiner{}
 	}
@@ -473,7 +446,7 @@ func (w *Wrapper) Locked(fn func(replacer.Policy)) {
 // takes effect on each session's next threshold check (no session
 // coordination needed: sessions re-read it per access). Values are clamped
 // to [1, QueueSize]; t <= 0 removes the override, restoring the configured
-// threshold. Sessions running AdaptiveThreshold keep their own value.
+// threshold.
 func (w *Wrapper) SetBatchThreshold(t int) {
 	if t <= 0 {
 		w.dynThreshold.Store(0)
@@ -554,9 +527,11 @@ func (w *Wrapper) CheckInvariants() error {
 // goroutines.
 func (w *Wrapper) NewSession() *Session {
 	s := &Session{w: w, id: w.sessionIDs.Add(1)}
-	if w.cfg.Batching && !w.cfg.SharedQueue {
-		s.queue = make([]Entry, 0, w.cfg.QueueSize)
+	size := 1 // without batching, the one hit a round commits
+	if w.cfg.Batching {
+		size = w.cfg.QueueSize
 	}
+	s.queue = make([]Entry, 0, size)
 	if w.fc != nil {
 		s.slot = w.fc.register(s.id)
 		s.fcBox = new([]Entry)
@@ -575,7 +550,7 @@ const foldInterval = 1024
 type Session struct {
 	w     *Wrapper
 	id    uint64  // wrapper-unique identity, named by handoff spans
-	queue []Entry // nil when batching is off or the shared queue is in use
+	queue []Entry // recorded hits no round has committed or published yet
 
 	// trace is the request-trace context shared with the owning pool
 	// session (SetTrace); nil disables span stamping. All Active methods
@@ -600,10 +575,6 @@ type Session struct {
 	slot   *pubSlot // flat-combining publication slot (cfg.FlatCombining)
 	fcBox  *[]Entry // box that will carry s.queue on its next publish
 	pubLen int      // length of the batch last published in slot (owner-only)
-
-	// Adaptive-threshold state (cfg.AdaptiveThreshold only).
-	threshold int // current per-session batch threshold
-	trialRuns int // consecutive first-attempt TryLock successes
 }
 
 // SetTrace attaches a request-trace context to the session. The buffer
@@ -641,60 +612,14 @@ func (s *Session) fold() {
 	s.accesses, s.hits, s.misses, s.sinceFold = 0, 0, 0, 0
 }
 
-// Threshold reports the session's current batch threshold: the session's
-// own adaptive value if AdaptiveThreshold has moved it, else the wrapper's
-// dynamic override (SetBatchThreshold), else the configured value.
-func (s *Session) Threshold() int {
-	if s.threshold > 0 {
-		return s.threshold
-	}
-	if t := int(s.w.dynThreshold.Load()); t > 0 {
-		return t
-	}
-	return s.w.cfg.BatchThreshold
-}
-
-// adaptDown reacts to a forced blocking commit: start trying earlier.
-func (s *Session) adaptDown() {
-	if !s.w.cfg.AdaptiveThreshold {
-		return
-	}
-	step := s.w.cfg.QueueSize / 8
-	if step < 1 {
-		step = 1 // tiny queues: QueueSize/8 rounds to 0, which would freeze adaptation
-	}
-	s.trialRuns = 0
-	s.threshold = s.Threshold() - step
-	if s.threshold < step {
-		s.threshold = step
-	}
-}
-
-// adaptUp reacts to a sustained run of first-attempt TryLock successes:
-// larger batches amortize better and the lock clearly has headroom.
-func (s *Session) adaptUp() {
-	if !s.w.cfg.AdaptiveThreshold {
-		return
-	}
-	s.trialRuns++
-	if s.trialRuns < 8 {
-		return
-	}
-	s.trialRuns = 0
-	max := 3 * s.w.cfg.QueueSize / 4
-	if max < 1 {
-		max = 1
-	}
-	s.threshold = s.Threshold() + 1
-	if s.threshold > max {
-		s.threshold = max
-	}
-}
+// Threshold reports the session's current batch threshold: the wrapper's
+// dynamic override (SetBatchThreshold) if set, else the configured value.
+func (s *Session) Threshold() int { return s.w.BatchThreshold() }
 
 // Hit records a buffer hit on id, following the paper's
-// replacement_for_page_hit pseudo-code (Figure 4). With batching enabled
-// the access is queued and possibly committed in a batch; otherwise the
-// lock is taken immediately.
+// replacement_for_page_hit pseudo-code (Figure 4): the access is queued,
+// and at the batch threshold — every access, without batching — the
+// scheduler decides how the queue reaches the policy.
 func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 	w := s.w
 	s.note(true)
@@ -710,48 +635,44 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		}
 		return
 	}
-	if !w.cfg.Batching {
-		// No batching (pg2Q / pgPre): one lock acquisition per access.
-		s.prefetch(nil, id)
-		tracing := s.trace.Sampled()
-		var t0, t1 int64
-		if tracing {
-			t0 = s.trace.Now()
-		}
-		w.lock.Lock()
-		if tracing {
-			t1 = s.trace.Now()
-		}
-		w.applyBatch([]Entry{{ID: id, Tag: tag}})
-		w.lock.Unlock()
-		if tracing {
-			now := s.trace.Now()
-			s.trace.Span(reqtrace.PhaseLockWait, -1, t0, t1-t0, 0, 0)
-			s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, now-t1, 1, 0)
-		}
-		w.cc.commits.Add(1)
-		s.fold()
-		return
-	}
-	if w.shared != nil {
-		w.shared.record(s, Entry{ID: id, Tag: tag})
-		// The shared queue is the rejected, always-contending design; its
-		// sessions have no private commit boundary, so fold every access.
-		s.fold()
-		return
-	}
 	s.queue = append(s.queue, Entry{ID: id, Tag: tag})
-	if len(s.queue) < s.Threshold() {
+	if w.cfg.Batching && len(s.queue) < s.Threshold() {
 		return
 	}
-	// Threshold reached: try to commit opportunistically. Flat combining
-	// publishes and never blocks; the paper's protocol blocks only when
-	// the queue is completely full.
-	if w.fc != nil {
-		s.fcCommit()
-		return
+	s.atThreshold()
+	s.fold()
+}
+
+// atThreshold is the scheduler. There is one way to commit (round); the
+// three configurations differ only in what a session does with a batch at
+// the threshold when the policy lock is busy.
+func (s *Session) atThreshold() {
+	w := s.w
+	switch {
+	case !w.cfg.Batching:
+		// Direct (pg2Q / pgPre): block, on every access.
+		s.round(perAccess, page.InvalidPageID)
+	case w.fc == nil:
+		// The paper's protocol: keep recording and try again on the next
+		// hit; block only when the queue is completely full.
+		if _, _, held := s.round(tryOnce, page.InvalidPageID); !held && len(s.queue) >= w.cfg.QueueSize {
+			s.round(cannotWait, page.InvalidPageID)
+		}
+	case s.slot.pub.Load() == nil:
+		// Flat combining, previous batch drained: publish this one (round
+		// does, before its one try) and walk away — whoever holds the lock
+		// will drain the slot. This is the handoff the TryLock-or-block
+		// protocol could not make. Only the owner stores into pub, so the
+		// emptiness check cannot race with another publisher; a combiner
+		// only ever transitions pub to nil.
+		if _, _, held := s.round(tryOnce, page.InvalidPageID); !held {
+			w.fcc.handoffSaved.Add(1)
+		}
+	case len(s.queue) >= w.cfg.QueueSize:
+		// Flat combining, both buffers full: the bounded-memory fall-back.
+		s.round(cannotWait, page.InvalidPageID)
 	}
-	s.commit(false)
+	// Otherwise the combiner has not reached the slot yet; keep recording.
 }
 
 // Miss records a buffer miss on id: the lock is always taken (the paper
@@ -760,7 +681,7 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 // and then the policy admits the page, returning the eviction victim.
 // This is replacement_for_page_miss in Figure 4.
 func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
-	return s.miss(id, true)
+	return s.miss(missAdmit, id)
 }
 
 // MissBegin is the first half of the two-phase miss protocol the buffer
@@ -775,49 +696,14 @@ func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, 
 // Single-phase Miss remains available for standalone (simulation, trace
 // replay) use, where pages have no frames at all.
 func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
-	return s.miss(id, false)
+	return s.miss(missMakeRoom, id)
 }
 
 // miss is Miss (admit) and MissBegin (make room only).
-func (s *Session) miss(id page.PageID, admit bool) (victim page.PageID, evicted bool) {
-	w := s.w
+func (s *Session) miss(why reason, id page.PageID) (victim page.PageID, evicted bool) {
 	s.note(false)
 	s.fold()
-	s.prefetch(s.queue, id)
-	sched.Yield(sched.CoreMissLock)
-	// The miss path always blocks on the lock and implies device I/O, so
-	// the wait is stamped with Slow: an SLO-crossing miss is traceable even
-	// when head sampling skipped it.
-	t0 := s.trace.Now()
-	w.lock.Lock()
-	t1 := s.trace.Now()
-	s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(len(s.queue)), 0)
-	s.applyPublished()
-	pending := len(s.queue)
-	var stolen sqTraceCtx
-	if w.shared != nil {
-		pending, stolen = w.shared.drain(w)
-	} else {
-		w.applyBatch(s.queue)
-	}
-	pol := w.box.Load().policy
-	switch {
-	case admit:
-		victim, evicted = pol.Admit(id)
-	case pol.Len() >= pol.Cap():
-		victim, evicted = pol.Evict()
-	}
-	if w.fc != nil {
-		w.combineLocked(s)
-	}
-	w.lock.Unlock()
-	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, s.trace.Now()-t1, uint64(pending), uint64(id))
-	w.emitSharedHandoff(stolen, s)
-	if pending > 0 {
-		w.cc.commits.Add(1)
-		w.batchSizes.Observe(pending)
-	}
-	s.queue = s.queue[:0]
+	victim, evicted, _ = s.round(why, id)
 	return victim, evicted
 }
 
@@ -838,34 +724,16 @@ func (s *Session) MissAdmit(id page.PageID) (victim page.PageID, evicted bool) {
 // also folds the session's staged access counters, making Wrapper.Stats
 // exact for this session.
 func (s *Session) Flush() {
-	w := s.w
 	s.fold()
-	if w.shared != nil {
-		if w.shared.pending() == 0 {
-			return
-		}
-		s.prefetch(nil, page.InvalidPageID)
-		w.lock.Lock()
-		w.shared.drainAndUnlock(s)
-		return
+	if s.Pending() > 0 {
+		s.round(cannotWait, page.InvalidPageID)
 	}
-	if w.fc != nil {
-		s.fcFlush()
-		return
-	}
-	if len(s.queue) == 0 {
-		return
-	}
-	s.commit(true)
 }
 
 // Pending returns the number of uncommitted accesses in this session's
 // queue (including, under flat combining, a published batch not yet
 // drained by a combiner); used by tests and diagnostics.
 func (s *Session) Pending() int {
-	if s.w.shared != nil {
-		return s.w.shared.pending()
-	}
 	n := len(s.queue)
 	if s.slot != nil && s.slot.pub.Load() != nil {
 		// The batch still sitting in the slot is the one this session last
@@ -877,64 +745,145 @@ func (s *Session) Pending() int {
 	return n
 }
 
-// commit applies the session's queued entries under the lock. When force
-// is false it follows the paper's protocol: TryLock at the threshold,
-// falling back to a blocking Lock only if the queue is full.
-func (s *Session) commit(force bool) {
+// reason is why a session asks for the policy lock. It decides how the
+// round acquires the lock, what it does to the policy besides applying
+// hits, and which counters and spans the acquisition earns.
+type reason uint8
+
+const (
+	// perAccess: the unbatched hit. Lock; every access does, so the wait
+	// is no event and no slow phase.
+	perAccess reason = iota
+	// tryOnce: a batch reached the threshold. TryLock; a busy lock ends
+	// the round with nothing applied and the scheduler decides what next.
+	tryOnce
+	// cannotWait: a batch with nowhere left to wait (queue full) or asked
+	// not to (Flush). Lock, counted in ForcedLocks.
+	cannotWait
+	// missAdmit, missMakeRoom: Miss and MissBegin. Lock — the wait is
+	// negligible next to the I/O a miss implies — then admit id, or evict
+	// only if the policy is at capacity.
+	missAdmit
+	missMakeRoom
+)
+
+// round is the one lock-holding period of the framework, and the only
+// place hits reach the policy: prefetch gate, acquire (try or block), the
+// session's published batch, its queue, the miss's admit or make-room,
+// every other session's published batch (flat combining), unlock, account.
+//
+// Per-session access order (the property Section III-A's private queues
+// exist to preserve) holds because a session's unapplied accesses live in
+// at most two places, always applied oldest first under one lock hold: the
+// slot (published only into an empty slot, so at most one batch, older than
+// anything recorded since) and then the queue, both ahead of the miss that
+// follows them. Whoever else drains the slot does so under the same lock.
+//
+// held is false only for a tryOnce that found the lock busy.
+func (s *Session) round(why reason, id page.PageID) (victim page.PageID, evicted, held bool) {
 	w := s.w
-	defer s.fold()
-	walked := s.prefetch(s.queue, page.InvalidPageID)
-	sched.Yield(sched.CoreCommitTry)
-	if force {
-		t0 := s.trace.Now()
-		w.lock.Lock()
-		// A forced Lock is a slow phase: the wait arms tail-keep, so a
-		// request stalled behind a long lock-holding period is traceable
-		// even when head sampling skipped it.
-		s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, s.trace.Now()-t0, uint64(len(s.queue)), 0)
-		w.cc.forcedLocks.Add(1)
-		w.events.Record(obs.EvForcedLock, uint64(len(s.queue)), 0)
-	} else if w.lock.TryLock() {
-		w.cc.tryCommits.Add(1)
-		w.events.Record(obs.EvCommit, uint64(len(s.queue)), 0)
-		if len(s.queue) == s.Threshold() {
-			// First-attempt success: the lock has headroom.
-			s.adaptUp()
-		}
+	s.prefetch(s.queue, id)
+	own := len(s.queue) // what this round takes out of the recording queue
+	// Flat combining publishes the batch before its one try, so that a busy
+	// lock's holder can take it along. The cases name the torture harness's
+	// interleaving points on the way to the lock.
+	publish := why == tryOnce && w.fc != nil
+	switch {
+	case publish:
+		s.publish()
+		sched.Yield(sched.CoreFCPublish)
+	case why >= missAdmit:
+		sched.Yield(sched.CoreMissLock)
+	default:
+		sched.Yield(sched.CoreCommitTry)
+	}
+
+	// A wait the session had no choice about — a miss, which implies device
+	// I/O, or a batch that cannot wait — is a slow phase: it is stamped with
+	// Slow, which arms tail-keep, so a request stalled behind a long
+	// lock-holding period is traceable even when head sampling skipped it.
+	slow := why >= cannotWait
+	stamp := slow || s.trace.Sampled()
+	var t0, t1 int64
+	if why == tryOnce {
+		held = w.lock.TryLock()
 	} else {
-		if len(s.queue) < w.cfg.QueueSize {
-			// Lock busy and queue not yet full: keep accumulating.
-			w.events.Record(obs.EvTryFail, uint64(len(s.queue)), 0)
-			return
+		if stamp {
+			t0 = s.trace.Now()
 		}
-		if !walked {
-			// The lock is held this instant, which the failed TryLock has
-			// counted: the gate is open.
-			s.prefetch(s.queue, page.InvalidPageID)
-		}
-		t0 := s.trace.Now()
 		w.lock.Lock()
-		s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, s.trace.Now()-t0, uint64(len(s.queue)), 0)
+		held = true
+	}
+
+	// Published batches drained in this round and the entries they held —
+	// the session's own, then other sessions' — and all hit entries applied.
+	var mine, mineN, others, othersN, applied int
+	if held {
+		if stamp {
+			t1 = s.trace.Now()
+		}
+		sched.Yield(sched.CoreCommitApply)
+		if w.fc != nil {
+			slot := [1]*pubSlot{s.slot}
+			mine, mineN = w.drain(s, slot[:])
+		}
+		w.applyBatch(s.queue)
+		applied = mineN + len(s.queue)
+		if why >= missAdmit {
+			pol := w.box.Load().policy
+			switch {
+			case why == missAdmit:
+				victim, evicted = pol.Admit(id)
+			case pol.Len() >= pol.Cap():
+				victim, evicted = pol.Evict()
+			}
+		}
+		if w.fc != nil {
+			others, othersN = w.drain(s, *w.fc.slots.Load())
+			applied += othersN
+		}
+		w.lock.Unlock()
+		s.queue = s.queue[:0]
+	}
+
+	// The one accounting site, after the unlock.
+	switch {
+	case !held:
+		w.events.Record(obs.EvTryFail, uint64(own), 0)
+	case why == tryOnce:
+		w.cc.tryCommits.Add(1)
+		w.events.Record(obs.EvCommit, uint64(own), 0)
+	case why == cannotWait:
 		w.cc.forcedLocks.Add(1)
-		w.events.Record(obs.EvForcedLock, uint64(len(s.queue)), 0)
-		// The queue filled before any TryLock succeeded: start trying
-		// earlier next time.
-		s.adaptDown()
+		w.events.Record(obs.EvForcedLock, uint64(own), 0)
 	}
-	sched.Yield(sched.CoreCommitApply)
-	tracing := s.trace.Sampled()
-	var tApply int64
-	if tracing {
-		tApply = s.trace.Now()
+	if applied > 0 {
+		w.cc.commits.Add(1)
 	}
-	w.applyBatch(s.queue)
-	w.lock.Unlock()
-	if tracing {
-		s.trace.Span(reqtrace.PhasePolicyOp, -1, tApply, s.trace.Now()-tApply, uint64(len(s.queue)), 0)
+	if own > 0 && why != perAccess && (held || publish) {
+		// A batch's size is observed once, when it leaves the recording
+		// queue: applied here, or published for someone else to apply.
+		w.batchSizes.Observe(own)
 	}
-	w.cc.commits.Add(1)
-	w.batchSizes.Observe(len(s.queue))
-	s.queue = s.queue[:0]
+	if mine+others > 0 {
+		w.combineRuns.Observe(mine + others)
+		w.events.Record(obs.EvCombine, uint64(mine+others), uint64(mineN+othersN))
+	}
+	if others > 0 {
+		w.fcc.combinedBatches.Add(int64(others))
+		w.fcc.combinedEntries.Add(int64(othersN))
+	}
+	if held && stamp {
+		t2 := s.trace.Now()
+		switch {
+		case slow:
+			s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
+		case why == perAccess:
+			s.trace.Span(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
+		}
+		s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, t2-t1, uint64(own), uint64(id))
+	}
+	return victim, evicted, held
 }
 
 // applyBatch validates queued entries and delivers them to the policy in
@@ -962,27 +911,26 @@ func (w *Wrapper) applyBatch(batch []Entry) {
 
 // prefetch is the pre-lock walk of Section III-B: a lock-free read of the
 // policy metadata the coming critical section will touch — the pages of
-// entries (of the shared queue under SharedQueue) and extra, the page about
-// to be admitted — so that the lock is held for less time. A shorter hold
-// only pays while someone is queued behind the lock, and the walk is not
-// free, so it runs only if a request for the lock has found it held (a
-// blocked Lock or a failed TryLock, this session's or another's) since this
-// session last looked. It reports whether it walked.
-func (s *Session) prefetch(entries []Entry, extra page.PageID) bool {
+// entries and extra, the page about to be admitted — so that the lock is
+// held for less time. A shorter hold only pays while someone is queued
+// behind the lock, and the walk is not free, so it runs only if a request
+// for the lock has found it held (a blocked Lock or a failed TryLock, this
+// session's or another's) since this session last looked. A tryOnce that
+// fails on a full queue therefore walks again on its way to the blocking
+// Lock even if the gate was closed when the commit began: the failed
+// TryLock has counted.
+func (s *Session) prefetch(entries []Entry, extra page.PageID) {
 	w := s.w
 	pf := w.box.Load().prefetcher
 	if pf == nil {
-		return false
+		return
 	}
 	waited := w.lock.Waited()
 	if waited == s.lockWaited {
-		return false
+		return
 	}
 	s.lockWaited = waited
 	ids := s.pf[:0]
-	if w.shared != nil {
-		ids = w.shared.appendIDs(ids)
-	}
 	for _, e := range entries {
 		ids = append(ids, e.ID)
 	}
@@ -992,126 +940,4 @@ func (s *Session) prefetch(entries []Entry, extra page.PageID) bool {
 	pf.Prefetch(ids)
 	s.pf = ids // keep the (possibly grown) scratch: later walks do not allocate
 	w.cc.prefetchWalks.Add(1)
-	return true
-}
-
-// sqTraceCtx is the publisher trace context carried with a shared-queue
-// batch: which traced request recorded into the batch, when, and from
-// which session. The shared queue interleaves all sessions' accesses, so
-// the context is the LAST traced recorder — a best-effort attribution
-// matching the design's own ambiguity (the paper rejects this queue
-// partly because per-thread ordering is lost).
-type sqTraceCtx struct {
-	id   uint64 // trace ID (0: no traced recorder in this batch)
-	at   int64  // when the traced access was recorded
-	sess uint64 // recording session's ID
-}
-
-// emitSharedHandoff emits the cross-thread handoff span for a stolen
-// shared-queue batch, attributing the enqueue→apply wait to the last
-// traced recorder's trace.
-func (w *Wrapper) emitSharedHandoff(tc sqTraceCtx, applier *Session) {
-	if w.tracer == nil || tc.id == 0 {
-		return
-	}
-	w.tracer.Emit(reqtrace.Span{
-		Trace: tc.id, Phase: reqtrace.PhaseEnqueue, Shard: -1,
-		Flags: reqtrace.FlagCross,
-		Start: tc.at, Dur: w.tracer.Now() - tc.at,
-		Arg1: w.combineRunIDs.Add(1), Arg2: reqtrace.PackHandoff(tc.sess, applier.id),
-	})
-}
-
-// sharedQueue is the rejected alternative design of Section III-A: one
-// FIFO queue shared by all sessions, with its own mutex. Implemented only
-// for the ablation experiment.
-//
-// Entries leave the queue only while the policy lock is held (drain), so
-// batches are applied in the order they were recorded. A session that has
-// to wait for the lock therefore leaves its batch queued, where every other
-// session can still append one entry before it too reaches the full queue
-// and waits: the queue holds at most QueueSize + sessions entries.
-type sharedQueue struct {
-	mu      sync.Mutex
-	entries []Entry
-	tc      sqTraceCtx // trace context of the accumulating batch
-
-	// spare is the buffer the last drain emptied; the next drain swaps it
-	// back in, so steady-state commits do not allocate. Guarded by the
-	// policy lock, not mu.
-	spare []Entry
-}
-
-// record appends an entry; when the wrapper's threshold is reached the
-// caller attempts a commit following the same TryLock protocol.
-func (q *sharedQueue) record(s *Session, e Entry) {
-	w := s.w
-	q.mu.Lock()
-	q.entries = append(q.entries, e)
-	if tid := s.trace.ID(); tid != 0 {
-		q.tc = sqTraceCtx{id: tid, at: s.trace.Now(), sess: s.id}
-	}
-	n := len(q.entries)
-	q.mu.Unlock()
-	if n < w.cfg.BatchThreshold {
-		return
-	}
-	s.prefetch(nil, page.InvalidPageID)
-	if n >= w.cfg.QueueSize {
-		w.lock.Lock()
-		w.cc.forcedLocks.Add(1)
-		w.events.Record(obs.EvForcedLock, uint64(n), 0)
-	} else if w.lock.TryLock() {
-		w.cc.tryCommits.Add(1)
-		w.events.Record(obs.EvCommit, uint64(n), 0)
-	} else {
-		// Lock busy: keep accumulating.
-		w.events.Record(obs.EvTryFail, uint64(n), 0)
-		return
-	}
-	q.drainAndUnlock(s)
-}
-
-// drainAndUnlock drains the queue as one commit round and releases the
-// policy lock, which the caller holds.
-func (q *sharedQueue) drainAndUnlock(s *Session) {
-	w := s.w
-	n, tc := q.drain(w)
-	w.lock.Unlock()
-	if n == 0 {
-		return // drained by another session while this one waited for the lock
-	}
-	w.emitSharedHandoff(tc, s)
-	w.cc.commits.Add(1)
-	w.batchSizes.Observe(n)
-}
-
-// drain applies everything queued and returns how much that was, with the
-// batch's trace context. Callers must hold the policy lock.
-func (q *sharedQueue) drain(w *Wrapper) (int, sqTraceCtx) {
-	q.mu.Lock()
-	batch, tc := q.entries, q.tc
-	q.entries, q.tc = q.spare[:0], sqTraceCtx{}
-	q.mu.Unlock()
-	w.applyBatch(batch)
-	q.spare = batch
-	return len(batch), tc
-}
-
-// appendIDs appends the queued page ids to ids: the prefetch walk's view of
-// a batch it cannot take out of the queue yet.
-func (q *sharedQueue) appendIDs(ids []page.PageID) []page.PageID {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, e := range q.entries {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
-// pending returns the current queue length.
-func (q *sharedQueue) pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.entries)
 }

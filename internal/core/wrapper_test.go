@@ -269,30 +269,6 @@ func TestLockFreeHitBypassesLock(t *testing.T) {
 	}
 }
 
-func TestSharedQueueCommits(t *testing.T) {
-	rec := newRecording(32)
-	w := New(rec, Config{Batching: true, SharedQueue: true, QueueSize: 8, BatchThreshold: 4})
-	s1 := w.NewSession()
-	s2 := w.NewSession()
-	s1.Miss(pid(1), page.BufferTag{})
-	s1.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s2.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s1.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	if len(rec.ops) != 1 {
-		t.Fatalf("shared queue committed early: %v", rec.ops)
-	}
-	s2.Hit(pid(1), page.BufferTag{Page: pid(1)}) // 4th queued entry → commit
-	if len(rec.ops) != 5 {
-		t.Fatalf("shared queue did not commit at threshold: %v", rec.ops)
-	}
-	// A miss from either session steals the shared queue.
-	s1.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s2.Miss(pid(2), page.BufferTag{})
-	if len(rec.ops) != 7 {
-		t.Fatalf("miss did not flush shared queue: %v", rec.ops)
-	}
-}
-
 func TestConcurrentSessionsSerializePolicy(t *testing.T) {
 	rec := newRecording(512)
 	w := New(rec, Config{Batching: true, QueueSize: 16, BatchThreshold: 8})
@@ -378,76 +354,6 @@ func TestPrefetchingConfig(t *testing.T) {
 	}
 }
 
-func TestAdaptiveThresholdMovesDown(t *testing.T) {
-	rec := newRecording(64)
-	w := New(rec, Config{Batching: true, AdaptiveThreshold: true, QueueSize: 32, BatchThreshold: 16})
-	s := w.NewSession()
-	if s.Threshold() != 16 {
-		t.Fatalf("initial threshold %d", s.Threshold())
-	}
-	// Hold the lock so every TryLock fails and the queue fills, forcing a
-	// blocking commit — the adaptation must lower the threshold.
-	release := make(chan struct{})
-	held := make(chan struct{})
-	go func() {
-		w.Locked(func(replacer.Policy) {
-			close(held)
-			<-release
-		})
-	}()
-	<-held
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 32; i++ {
-			s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-		}
-		close(done)
-	}()
-	time.Sleep(30 * time.Millisecond)
-	close(release)
-	<-done
-	if s.Threshold() >= 16 {
-		t.Fatalf("threshold %d did not move down after a forced commit", s.Threshold())
-	}
-	if s.Threshold() < 32/8 {
-		t.Fatalf("threshold %d fell below the floor", s.Threshold())
-	}
-}
-
-func TestAdaptiveThresholdMovesUp(t *testing.T) {
-	rec := newRecording(64)
-	w := New(rec, Config{Batching: true, AdaptiveThreshold: true, QueueSize: 32, BatchThreshold: 8})
-	s := w.NewSession()
-	// Uncontended lock: every threshold crossing succeeds on the first
-	// TryLock; after 8 such commits the threshold creeps up by one.
-	for round := 0; round < 8*9; round++ {
-		for i := 0; i < s.Threshold(); i++ {
-			s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-		}
-	}
-	if s.Threshold() <= 8 {
-		t.Fatalf("threshold %d did not move up under an uncontended lock", s.Threshold())
-	}
-	if s.Threshold() > 3*32/4 {
-		t.Fatalf("threshold %d exceeded the ceiling", s.Threshold())
-	}
-}
-
-func TestAdaptiveThresholdBounded(t *testing.T) {
-	// Long mixed run: the threshold must stay within its documented band.
-	rec := newRecording(64)
-	w := New(rec, Config{Batching: true, AdaptiveThreshold: true, QueueSize: 64})
-	s := w.NewSession()
-	for i := 0; i < 50000; i++ {
-		s.Hit(pid(uint64(i%3)), page.BufferTag{Page: pid(uint64(i % 3))})
-		thr := s.Threshold()
-		if thr < 64/8 || thr > 3*64/4 {
-			t.Fatalf("threshold %d escaped [8, 48] at step %d", thr, i)
-		}
-	}
-	s.Flush()
-}
-
 func TestMissBeginMissAdmitProtocol(t *testing.T) {
 	rec := newRecording(2)
 	w := New(rec, Config{Batching: true, QueueSize: 8, BatchThreshold: 8})
@@ -517,114 +423,5 @@ func TestMissAdmitEvictsWhenSlotStolen(t *testing.T) {
 	}
 	if !pol.Contains(pid(3)) {
 		t.Fatal("page not admitted")
-	}
-}
-
-func TestMissBeginFlushesSharedQueue(t *testing.T) {
-	rec := newRecording(8)
-	w := New(rec, Config{Batching: true, SharedQueue: true, QueueSize: 16, BatchThreshold: 16})
-	s1 := w.NewSession()
-	s2 := w.NewSession()
-	s1.MissBegin(pid(1), page.BufferTag{})
-	s1.MissAdmit(pid(1))
-	s1.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s2.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	if len(rec.ops) != 1 {
-		t.Fatalf("premature commit: %v", rec.ops)
-	}
-	s2.MissBegin(pid(2), page.BufferTag{})
-	if len(rec.ops) != 3 { // miss1 + two committed hits
-		t.Fatalf("MissBegin did not flush the shared queue: %v", rec.ops)
-	}
-	s2.MissAdmit(pid(2))
-}
-
-func TestSharedQueueFlushAndPending(t *testing.T) {
-	rec := newRecording(8)
-	w := New(rec, Config{Batching: true, SharedQueue: true, QueueSize: 32, BatchThreshold: 32})
-	s1 := w.NewSession()
-	s2 := w.NewSession()
-	s1.MissBegin(pid(1), page.BufferTag{})
-	s1.MissAdmit(pid(1))
-	s1.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s2.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	// Pending reflects the one shared queue from either session.
-	if s1.Pending() != 2 || s2.Pending() != 2 {
-		t.Fatalf("pending %d/%d, want 2/2", s1.Pending(), s2.Pending())
-	}
-	// Flush from either session drains the shared queue.
-	s2.Flush()
-	if s1.Pending() != 0 {
-		t.Fatalf("pending %d after shared flush", s1.Pending())
-	}
-	if len(rec.ops) != 3 {
-		t.Fatalf("ops=%v", rec.ops)
-	}
-	// Empty shared flush is a no-op.
-	s1.Flush()
-	if len(rec.ops) != 3 {
-		t.Fatalf("empty flush changed state: %v", rec.ops)
-	}
-}
-
-func TestSharedQueueFlushWithPrefetch(t *testing.T) {
-	pol := replacer.NewTwoQ(16)
-	w := New(pol, Config{Batching: true, SharedQueue: true, Prefetching: true, QueueSize: 32, BatchThreshold: 32})
-	s := w.NewSession()
-	s.MissBegin(pid(1), page.BufferTag{})
-	s.MissAdmit(pid(1))
-	s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s.Flush()
-	if got := w.Stats().Committed; got != 1 {
-		t.Fatalf("committed=%d", got)
-	}
-}
-
-func TestSharedQueueFullForcesCommit(t *testing.T) {
-	rec := newRecording(8)
-	w := New(rec, Config{Batching: true, SharedQueue: true, QueueSize: 4, BatchThreshold: 4})
-	s := w.NewSession()
-	s.MissBegin(pid(1), page.BufferTag{})
-	s.MissAdmit(pid(1))
-	// Hold the lock so the threshold TryLock fails; the shared queue puts
-	// the batch back until it is full, then blocks.
-	release := make(chan struct{})
-	held := make(chan struct{})
-	go func() {
-		w.Locked(func(replacer.Policy) {
-			close(held)
-			<-release
-		})
-	}()
-	<-held
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 4; i++ {
-			s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-		}
-		close(done)
-	}()
-	time.Sleep(30 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("full shared queue did not block on the held lock")
-	default:
-	}
-	close(release)
-	<-done
-	if got := w.Stats().Committed; got != 4 {
-		t.Fatalf("committed=%d, want 4", got)
-	}
-}
-
-func TestAdaptDownFloor(t *testing.T) {
-	w := New(replacer.NewLRU(4), Config{Batching: true, AdaptiveThreshold: true, QueueSize: 4, BatchThreshold: 1})
-	s := w.NewSession()
-	// QueueSize/8 == 0 → floor must clamp to 1 and never go below.
-	for i := 0; i < 10; i++ {
-		s.adaptDown()
-	}
-	if s.Threshold() != 1 {
-		t.Fatalf("threshold %d, want floor 1", s.Threshold())
 	}
 }

@@ -175,11 +175,12 @@ type Config struct {
 	QueueSize      int
 	BatchThreshold int
 
-	// SharedQueue switches to the rejected single-shared-queue design for
-	// the ablation experiment.
+	// SharedQueue switches to the single shared queue Section III-A rejects.
+	// This model is the implementation of record for the E7 ablation: the
+	// production wrapper (internal/core) has private queues only.
 	SharedQueue bool
 
-	// FlatCombining models the flat-combining commit path (see
+	// FlatCombining models the flat-combining scheduler (see
 	// core/combine.go): at the batch threshold a worker publishes its batch
 	// in a per-worker slot and tries the lock once — the winner applies
 	// every published batch; losers swap to a spare buffer and continue
@@ -187,9 +188,15 @@ type Config struct {
 	FlatCombining bool
 
 	// AdaptiveThreshold enables the per-worker self-tuning batch threshold
-	// (see core.Config.AdaptiveThreshold): down on forced commits, up
-	// after sustained first-attempt TryLock successes, bounded to
-	// [QueueSize/8, 3·QueueSize/4].
+	// — an extension of the paper's Table III analysis, which shows the
+	// best threshold sits strictly between "tiny batches" (premature
+	// commits) and "threshold = queue size" (no TryLock attempts left):
+	// down on forced commits (it should have started trying earlier), up
+	// after sustained first-attempt TryLock successes (it can afford bigger
+	// batches), bounded to [QueueSize/8, 3·QueueSize/4]. This model is the
+	// implementation of record for E11: the production wrapper's threshold
+	// is steered wrapper-wide by the controller (Wrapper.SetBatchThreshold)
+	// and has no per-session tuner.
 	AdaptiveThreshold bool
 
 	// LockPartitions, when > 1, switches to the distributed-lock design of
@@ -292,8 +299,9 @@ func runInternal(cfg Config) (Result, *machine, error) {
 		cfg.BatchThreshold = cfg.QueueSize
 	}
 	if !cfg.Batching || cfg.SharedQueue {
-		// Same normalization as core.Config: flat combining is a batching
-		// commit protocol and the shared queue has no per-worker slots.
+		// Flat combining is a batching commit protocol (core.Config
+		// normalizes it the same way) and the shared queue has no
+		// per-worker slots.
 		cfg.FlatCombining = false
 	}
 	if cfg.Frames <= 0 {

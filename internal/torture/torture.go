@@ -9,13 +9,11 @@
 //     to the policy exactly once;
 //  3. the policy's view lags each session by at most its queue length
 //     (twice that under flat combining, where a published batch and a full
-//     recording queue can coexist; queue length plus one entry per session
-//     for the shared queue, which empties only under the policy lock).
+//     recording queue can coexist).
 //
 // The harness runs the same seeded multi-session trace through every
 // commit path — direct locking (no batching), the paper's batched
-// TryLock-or-block protocol, the shared-queue ablation, and the
-// flat-combining extension — against a *checker policy* that records the
+// TryLock-or-block protocol, and the flat-combining extension — against a *checker policy* that records the
 // exact sequence of accesses it is shown, then replays the log against a
 // sequential oracle. Every failure message carries the trace seed, and in
 // deterministic mode (one driving goroutine, seeded round-robin schedule)
@@ -190,12 +188,11 @@ type Path string
 const (
 	PathDirect Path = "direct" // Batching off: one lock acquisition per access
 	PathBatch  Path = "batch"  // the paper's TryLock-at-threshold protocol
-	PathShared Path = "shared" // the rejected shared-queue ablation
 	PathFC     Path = "fc"     // flat-combining commit path
 )
 
 // Paths lists every commit path the differential runs compare.
-func Paths() []Path { return []Path{PathDirect, PathBatch, PathShared, PathFC} }
+func Paths() []Path { return []Path{PathDirect, PathBatch, PathFC} }
 
 // configFor maps a path to its wrapper configuration. Small queues keep
 // the batching machinery busy on short traces.
@@ -205,9 +202,6 @@ func configFor(p Path, queueSize int) core.Config {
 	case PathDirect:
 	case PathBatch:
 		cfg.Batching = true
-	case PathShared:
-		cfg.Batching = true
-		cfg.SharedQueue = true
 	case PathFC:
 		cfg.Batching = true
 		cfg.FlatCombining = true
@@ -217,9 +211,8 @@ func configFor(p Path, queueSize int) core.Config {
 	return cfg
 }
 
-// lagBound returns invariant (3)'s bound on Session.Pending for a path run
-// by the given number of sessions.
-func lagBound(p Path, cfg core.Config, sessions int) int {
+// lagBound returns invariant (3)'s bound on Session.Pending for a path.
+func lagBound(p Path, cfg core.Config) int {
 	q := cfg.QueueSize
 	if q <= 0 {
 		q = core.DefaultQueueSize
@@ -230,11 +223,6 @@ func lagBound(p Path, cfg core.Config, sessions int) int {
 	case PathFC:
 		// A published batch (≤ queue size) plus a full recording queue.
 		return 2 * q
-	case PathShared:
-		// A batch stays in the shared queue until its committer holds the
-		// policy lock; while it waits, every session can append one entry
-		// before it reaches the full queue and waits too.
-		return q + sessions
 	default:
 		return q
 	}
@@ -272,7 +260,7 @@ func RunDeterministic(t *Trace, p Path, queueSize int) (*Result, error) {
 		return true
 	}
 	w := core.New(pol, cfg)
-	bound := lagBound(p, w.Config(), len(t.Sessions))
+	bound := lagBound(p, w.Config())
 
 	sessions := make([]*core.Session, len(t.Sessions))
 	next := make([]int, len(t.Sessions))
@@ -339,7 +327,7 @@ func RunConcurrent(t *Trace, p Path, queueSize int, yieldFrac float64) (*Result,
 		return true
 	}
 	w := core.New(pol, cfg)
-	bound := lagBound(p, w.Config(), len(t.Sessions))
+	bound := lagBound(p, w.Config())
 
 	restore := sched.SetHook(NewYielder(t.Seed, yieldFrac).Hook())
 	defer restore()
