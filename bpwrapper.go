@@ -182,7 +182,7 @@ const (
 // is the paper's single-policy configuration. Sharding trades the
 // replacement algorithm's unified access history (the paper's Section V-A
 // objection to distributed locks) for contention relief; the bpbench
-// "shard" experiment (E14) measures both sides.
+// "shard" experiment (E14) measures what the split history costs.
 type Pool = buffer.Pool
 
 // PoolConfig assembles a Pool. Set Shards and PolicyFactory together to
@@ -313,7 +313,7 @@ func RetryableError(err error) bool { return storage.Retryable(err) }
 
 // FaultDevice injects deterministic, seedable storage faults (transient or
 // permanent errors, latency spikes, page corruption) for testing and the
-// bpbench faults experiment.
+// bpbench chaos experiment (E16).
 type FaultDevice = storage.FaultDevice
 
 // FaultConfig tunes a FaultDevice's probabilistic injection.

@@ -1,5 +1,5 @@
-// Command bpstat polls a running pool's observability endpoint (bpload or
-// bpbench started with -obs) and renders a per-shard live table — the
+// Command bpstat polls a running pool's observability endpoint (bpserver
+// or bpload started with -obs) and renders a per-shard live table — the
 // iostat of the BP-Wrapper stack. Rates are deltas between polls; the
 // first sample prints totals, and an online reshard between polls rebases
 // the rates (new-topology counters restart at zero).

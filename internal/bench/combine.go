@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"bpwrapper/internal/sim"
-	"bpwrapper/internal/txn"
 	"bpwrapper/internal/workload"
 )
 
@@ -67,67 +65,23 @@ func CombineExperiment(procsList []int, o Options) ([]CombineRow, error) {
 	return rows, nil
 }
 
-// combinePoint measures one combination. It bypasses runPoint because the
-// combining activity counters are not part of the generic Point.
+// combinePoint measures one combination; beyond the generic figures it
+// keeps the simulator's combining-activity counters.
 func combinePoint(sys System, wl workload.Workload, procs int, o Options) (CombineRow, error) {
-	row := CombineRow{Workload: wl.Name(), System: sys.Name, Procs: procs}
-	if o.Mode == ModeReal {
-		pool, err := buildPoolObs(sys, wl.DataPages(), sys.WrapperConfig(CombineQueueSize, CombineThreshold), o)
-		if err != nil {
-			return CombineRow{}, err
-		}
-		if err := pool.Prewarm(wl.Pages()); err != nil {
-			return CombineRow{}, err
-		}
-		cfg := txn.Config{
-			Pool:          pool,
-			Workload:      wl,
-			Workers:       o.WorkersPerProc * procs,
-			Procs:         procs,
-			Seed:          o.Seed,
-			TouchBytes:    true,
-			Duration:      o.Duration,
-			TxnsPerWorker: o.TxnsPerWorker,
-		}
-		if o.TxnsPerWorker > 0 {
-			cfg.Duration = 0
-		}
-		res, err := txn.Run(cfg)
-		if err != nil {
-			return CombineRow{}, err
-		}
-		row.ThroughputTPS = res.ThroughputTPS
-		row.ContentionPerM = res.ContentionPerM
-		row.HandoffSaved = res.Wrapper.HandoffSaved
-		row.CombinedBatches = res.Wrapper.CombinedBatches
-		row.CombinedEntries = res.Wrapper.CombinedEntries
-		return row, nil
-	}
-	params := o.simParamsFor(wl)
-	res, err := sim.Run(sim.Config{
-		Procs:          procs,
-		Workers:        o.WorkersPerProc * procs,
-		Policy:         sys.Policy,
-		Batching:       sys.Batching,
-		Prefetching:    sys.Prefetching,
-		FlatCombining:  sys.FlatCombining,
-		QueueSize:      CombineQueueSize,
-		BatchThreshold: CombineThreshold,
-		Workload:       wl,
-		Prewarm:        true,
-		Duration:       sim.Time(o.Duration),
-		Seed:           o.Seed,
-		Params:         &params,
-	})
+	res, err := runPoint(sys, wl, procs, CombineQueueSize, CombineThreshold, o)
 	if err != nil {
 		return CombineRow{}, err
 	}
-	row.ThroughputTPS = res.ThroughputTPS
-	row.ContentionPerM = res.ContentionPerM
-	row.HandoffSaved = res.HandoffSaved
-	row.CombinedBatches = res.CombinedBatches
-	row.CombinedEntries = res.CombinedEntries
-	return row, nil
+	return CombineRow{
+		Workload:        wl.Name(),
+		System:          sys.Name,
+		Procs:           procs,
+		ThroughputTPS:   res.ThroughputTPS,
+		ContentionPerM:  res.ContentionPerM,
+		HandoffSaved:    res.HandoffSaved,
+		CombinedBatches: res.CombinedBatches,
+		CombinedEntries: res.CombinedEntries,
+	}, nil
 }
 
 // CombineReport is the JSON shape committed as results/BENCH_combine.json —
@@ -147,7 +101,7 @@ func JSONCombine(w io.Writer, o Options, rows []CombineRow) error {
 	o = o.withDefaults()
 	rep := CombineReport{
 		Experiment:     "combine",
-		Mode:           string(o.Mode),
+		Mode:           modeSim,
 		Seed:           o.Seed,
 		DurationMS:     o.Duration.Milliseconds(),
 		QueueSize:      CombineQueueSize,

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"bpwrapper/internal/sim"
-	"bpwrapper/internal/txn"
 	"bpwrapper/internal/workload"
 )
 
@@ -33,8 +31,7 @@ const (
 
 // ContentionRow is one (workload, system, procs) point of the sweep. The
 // per-million figures are normalized by page accesses, the paper's
-// reporting unit; the per-access times are in nanoseconds (virtual
-// nanoseconds in sim mode).
+// reporting unit; the per-access times are in virtual nanoseconds.
 type ContentionRow struct {
 	Workload string `json:"workload"`
 	System   string `json:"system"` // pg2Q, pgBat, pgBatFC
@@ -87,71 +84,24 @@ func perAccess(nanos, accesses int64) float64 {
 	return float64(nanos) / float64(accesses)
 }
 
-// contentionPoint measures one combination. Like combinePoint it bypasses
-// runPoint: the generic Point carries only the blended contention figure,
-// not the full lock anatomy.
+// contentionPoint measures one combination and normalizes the simulator's
+// full lock anatomy by accesses.
 func contentionPoint(sys System, wl workload.Workload, procs int, o Options) (ContentionRow, error) {
-	row := ContentionRow{Workload: wl.Name(), System: sys.Name, Procs: procs}
-	if o.Mode == ModeReal {
-		pool, err := buildPoolObs(sys, wl.DataPages(), sys.WrapperConfig(ContentionQueueSize, ContentionThreshold), o)
-		if err != nil {
-			return ContentionRow{}, err
-		}
-		if err := pool.Prewarm(wl.Pages()); err != nil {
-			return ContentionRow{}, err
-		}
-		cfg := txn.Config{
-			Pool:          pool,
-			Workload:      wl,
-			Workers:       o.WorkersPerProc * procs,
-			Procs:         procs,
-			Seed:          o.Seed,
-			TouchBytes:    true,
-			Duration:      o.Duration,
-			TxnsPerWorker: o.TxnsPerWorker,
-		}
-		if o.TxnsPerWorker > 0 {
-			cfg.Duration = 0
-		}
-		res, err := txn.Run(cfg)
-		if err != nil {
-			return ContentionRow{}, err
-		}
-		acc := res.Wrapper.Accesses
-		row.ThroughputTPS = res.ThroughputTPS
-		row.AcquisitionsPerM = perMillion(res.Wrapper.Lock.Acquisitions, acc)
-		row.ContentionPerM = res.ContentionPerM
-		row.TryFailuresPerM = perMillion(res.Wrapper.Lock.TryFailures, acc)
-		row.WaitNSPerAccess = perAccess(res.Wrapper.Lock.WaitTime.Nanoseconds(), acc)
-		row.HoldNSPerAccess = perAccess(res.Wrapper.Lock.HoldTime.Nanoseconds(), acc)
-		return row, nil
-	}
-	params := o.simParamsFor(wl)
-	res, err := sim.Run(sim.Config{
-		Procs:          procs,
-		Workers:        o.WorkersPerProc * procs,
-		Policy:         sys.Policy,
-		Batching:       sys.Batching,
-		Prefetching:    sys.Prefetching,
-		FlatCombining:  sys.FlatCombining,
-		QueueSize:      ContentionQueueSize,
-		BatchThreshold: ContentionThreshold,
-		Workload:       wl,
-		Prewarm:        true,
-		Duration:       sim.Time(o.Duration),
-		Seed:           o.Seed,
-		Params:         &params,
-	})
+	res, err := runPoint(sys, wl, procs, ContentionQueueSize, ContentionThreshold, o)
 	if err != nil {
 		return ContentionRow{}, err
 	}
-	row.ThroughputTPS = res.ThroughputTPS
-	row.AcquisitionsPerM = perMillion(res.Lock.Acquisitions, res.Accesses)
-	row.ContentionPerM = res.ContentionPerM
-	row.TryFailuresPerM = perMillion(res.Lock.TryFailures, res.Accesses)
-	row.WaitNSPerAccess = perAccess(int64(res.Lock.WaitTime), res.Accesses)
-	row.HoldNSPerAccess = perAccess(int64(res.Lock.HoldTime), res.Accesses)
-	return row, nil
+	return ContentionRow{
+		Workload:         wl.Name(),
+		System:           sys.Name,
+		Procs:            procs,
+		ThroughputTPS:    res.ThroughputTPS,
+		AcquisitionsPerM: perMillion(res.Lock.Acquisitions, res.Accesses),
+		ContentionPerM:   res.ContentionPerM,
+		TryFailuresPerM:  perMillion(res.Lock.TryFailures, res.Accesses),
+		WaitNSPerAccess:  perAccess(int64(res.Lock.WaitTime), res.Accesses),
+		HoldNSPerAccess:  perAccess(int64(res.Lock.HoldTime), res.Accesses),
+	}, nil
 }
 
 // ContentionReport is the JSON shape committed as
@@ -171,7 +121,7 @@ func JSONContention(w io.Writer, o Options, rows []ContentionRow) error {
 	o = o.withDefaults()
 	rep := ContentionReport{
 		Experiment:     "contention",
-		Mode:           string(o.Mode),
+		Mode:           modeSim,
 		Seed:           o.Seed,
 		DurationMS:     o.Duration.Milliseconds(),
 		QueueSize:      ContentionQueueSize,

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"bpwrapper/internal/workload"
 )
 
 func TestContentionExperimentShape(t *testing.T) {
@@ -104,29 +102,6 @@ func TestContentionCSVAndJSON(t *testing.T) {
 	for _, want := range []string{"pg2Q", "tpcw", "block/M", "hold ns/a"} {
 		if !strings.Contains(table.String(), want) {
 			t.Fatalf("table output missing %q:\n%s", want, table.String())
-		}
-	}
-}
-
-func TestContentionRealModeSmoke(t *testing.T) {
-	o := Options{
-		Mode:          ModeReal,
-		TxnsPerWorker: 40,
-		Seed:          7,
-		Workloads: []workload.Workload{
-			workload.NewTableScan(workload.TableScanConfig{}),
-		},
-	}
-	rows, err := ContentionExperiment([]int{2}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows=%d, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.AcquisitionsPerM <= 0 {
-			t.Fatalf("row %s/p=%d recorded no acquisitions: %+v", r.System, r.Procs, r)
 		}
 	}
 }

@@ -1,49 +1,28 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"bpwrapper/internal/obs"
 	"bpwrapper/internal/sim"
-	"bpwrapper/internal/storage"
-	"bpwrapper/internal/txn"
 	"bpwrapper/internal/workload"
 )
 
-// Mode selects how a measured point is executed.
-type Mode string
-
-const (
-	// ModeSim runs the point on the discrete-event multiprocessor
-	// simulator (internal/sim). This is the default: it reproduces the
-	// paper's contention mechanics deterministically regardless of how
-	// many cores the build host has (see DESIGN.md's hardware
-	// substitution).
-	ModeSim Mode = "sim"
-
-	// ModeReal runs the point on real goroutines against the real buffer
-	// pool (internal/txn). Shapes depend on the host's true core count;
-	// on a single-core host the contention the paper studies cannot
-	// appear.
-	ModeReal Mode = "real"
-)
+// modeSim is the "mode" field of every committed JSON ledger. Each
+// experiment runs on the discrete-event multiprocessor simulator
+// (internal/sim) or as a single-goroutine replay through the real pool:
+// deterministic regardless of how many cores the build host has (see
+// DESIGN.md's hardware substitution). Wall-clock measurement lives in
+// benchmark/, not here.
+const modeSim = "sim"
 
 // Options controls how long each measured point runs and how workloads are
 // scaled. The zero value gives quick-but-meaningful defaults; the CLI
 // raises them for publication-shaped curves.
 type Options struct {
-	// Mode selects simulator or real execution. Empty means ModeSim.
-	Mode Mode
-
-	// Duration is the measured time per point: virtual time in ModeSim,
-	// wall time in ModeReal. Zero means 200ms (sim) / 1s (real).
+	// Duration is the simulated (virtual) time per point. Zero means
+	// 200ms.
 	Duration time.Duration
-
-	// TxnsPerWorker, if positive, replaces Duration as the stop condition
-	// in ModeReal (used by deterministic tests). Ignored in ModeSim.
-	TxnsPerWorker int64
 
 	// WorkersPerProc overcommits the system as the paper does. Zero
 	// means 2.
@@ -56,27 +35,13 @@ type Options struct {
 	// tablescan) for experiments that sweep workloads.
 	Workloads []workload.Workload
 
-	// Params overrides the simulator's cost constants (ModeSim only).
+	// Params overrides the simulator's cost constants.
 	Params *sim.Params
-
-	// Obs, when set, exposes each real-mode pool live: the registry is
-	// cleared and the freshly built pool registered before the point
-	// runs, so an HTTP listener serving this registry (bpbench -obs)
-	// always shows the measurement in progress. Ignored in ModeSim, which
-	// builds no pools.
-	Obs *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
-	if o.Mode == "" {
-		o.Mode = ModeSim
-	}
 	if o.Duration <= 0 {
-		if o.Mode == ModeSim {
-			o.Duration = 200 * time.Millisecond
-		} else {
-			o.Duration = time.Second
-		}
+		o.Duration = 200 * time.Millisecond
 	}
 	if o.WorkersPerProc <= 0 {
 		o.WorkersPerProc = 2
@@ -105,22 +70,10 @@ func (o Options) simParamsFor(wl workload.Workload) sim.Params {
 	return p
 }
 
-// Point is one measured (system, workload, procs) sample in either mode.
-type Point struct {
-	ThroughputTPS     float64
-	AvgResponse       time.Duration
-	ContentionPerM    float64
-	LockTimePerAccess time.Duration
-	HitRatio          float64
-}
-
 // runPoint measures one combination with the working set fully cached and
 // pre-warmed — the paper's scalability methodology, which makes every
 // access a hit so that differences are pure lock-scalability differences.
-func runPoint(sys System, wl workload.Workload, procs int, queueSize, threshold int, o Options) (Point, error) {
-	if o.Mode == ModeReal {
-		return runPointReal(sys, wl, procs, queueSize, threshold, o)
-	}
+func runPoint(sys System, wl workload.Workload, procs int, queueSize, threshold int, o Options) (sim.Result, error) {
 	return runPointSim(sys, wl, procs, queueSize, threshold, 0, true, o)
 }
 
@@ -128,13 +81,13 @@ func runPoint(sys System, wl workload.Workload, procs int, queueSize, threshold 
 // that are not pre-warmed (the Figure 8 I/O-bound sweeps) get a warm-up
 // phase of twice the measured duration so cold-start misses do not pollute
 // the steady-state hit ratio.
-func runPointSim(sys System, wl workload.Workload, procs, queueSize, threshold, frames int, prewarm bool, o Options) (Point, error) {
+func runPointSim(sys System, wl workload.Workload, procs, queueSize, threshold, frames int, prewarm bool, o Options) (sim.Result, error) {
 	params := o.simParamsFor(wl)
 	var warmup sim.Time
 	if !prewarm {
 		warmup = sim.Time(2 * o.Duration)
 	}
-	res, err := sim.Run(sim.Config{
+	return sim.Run(sim.Config{
 		Procs:          procs,
 		Workers:        o.WorkersPerProc * procs,
 		Policy:         sys.Policy,
@@ -151,51 +104,6 @@ func runPointSim(sys System, wl workload.Workload, procs, queueSize, threshold, 
 		Seed:           o.Seed,
 		Params:         &params,
 	})
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{
-		ThroughputTPS:     res.ThroughputTPS,
-		AvgResponse:       res.AvgResponse,
-		ContentionPerM:    res.ContentionPerM,
-		LockTimePerAccess: res.LockTimePerAccess,
-		HitRatio:          res.HitRatio,
-	}, nil
-}
-
-// runPointReal executes a point on real goroutines.
-func runPointReal(sys System, wl workload.Workload, procs, queueSize, threshold int, o Options) (Point, error) {
-	pool, err := buildPoolObs(sys, wl.DataPages(), sys.WrapperConfig(queueSize, threshold), o)
-	if err != nil {
-		return Point{}, err
-	}
-	if err := pool.Prewarm(wl.Pages()); err != nil {
-		return Point{}, fmt.Errorf("prewarm %s: %w", wl.Name(), err)
-	}
-	cfg := txn.Config{
-		Pool:          pool,
-		Workload:      wl,
-		Workers:       o.WorkersPerProc * procs,
-		Procs:         procs,
-		Seed:          o.Seed,
-		TouchBytes:    true,
-		Duration:      o.Duration,
-		TxnsPerWorker: o.TxnsPerWorker,
-	}
-	if o.TxnsPerWorker > 0 {
-		cfg.Duration = 0
-	}
-	res, err := txn.Run(cfg)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{
-		ThroughputTPS:     res.ThroughputTPS,
-		AvgResponse:       res.Response.Mean,
-		ContentionPerM:    res.ContentionPerM,
-		LockTimePerAccess: res.LockTimePerAccess,
-		HitRatio:          res.HitRatio,
-	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -376,9 +284,8 @@ type OverallRow struct {
 
 // Fig8Overall reproduces Figure 8: pgClock, pg2Q and pgBatPre at the given
 // processor count with the buffer size swept as fractions of the database
-// size. No pre-warm: misses are the point. In ModeSim the disk is the
-// simulator's; in ModeReal a storage.SimDisk is used.
-func Fig8Overall(procs int, fractions []float64, disk storage.SimDiskConfig, o Options) ([]OverallRow, error) {
+// size. No pre-warm: misses are the point. The disk is the simulator's.
+func Fig8Overall(procs int, fractions []float64, o Options) ([]OverallRow, error) {
 	o = o.withDefaults()
 	if len(fractions) == 0 {
 		fractions = []float64{1.0 / 64, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1}
@@ -392,17 +299,11 @@ func Fig8Overall(procs int, fractions []float64, disk storage.SimDiskConfig, o O
 				frames = 64
 			}
 			for _, sys := range systems {
-				var pt Point
-				var err error
-				if o.Mode == ModeReal {
-					pt, err = fig8Real(sys, wl, procs, frames, disk, o)
-				} else {
-					// A buffer that holds the whole database reaches its
-					// steady state the moment it is loaded, so pre-warm it
-					// directly; smaller buffers warm up with live traffic.
-					prewarm := frames >= wl.DataPages()
-					pt, err = runPointSim(sys, wl, procs, 0, 0, frames, prewarm, o)
-				}
+				// A buffer that holds the whole database reaches its
+				// steady state the moment it is loaded, so pre-warm it
+				// directly; smaller buffers warm up with live traffic.
+				prewarm := frames >= wl.DataPages()
+				pt, err := runPointSim(sys, wl, procs, 0, 0, frames, prewarm, o)
 				if err != nil {
 					return nil, err
 				}
@@ -418,38 +319,6 @@ func Fig8Overall(procs int, fractions []float64, disk storage.SimDiskConfig, o O
 		}
 	}
 	return rows, nil
-}
-
-// fig8Real is the real-goroutine variant of one Figure 8 point.
-func fig8Real(sys System, wl workload.Workload, procs, frames int, disk storage.SimDiskConfig, o Options) (Point, error) {
-	dev := storage.NewSimDisk(storage.NewMemDevice(), disk)
-	pool, err := sys.NewPool(frames, dev, 0, 0)
-	if err != nil {
-		return Point{}, err
-	}
-	cfg := txn.Config{
-		Pool:          pool,
-		Workload:      wl,
-		Workers:       o.WorkersPerProc * procs,
-		Procs:         procs,
-		Seed:          o.Seed,
-		TouchBytes:    true,
-		Duration:      o.Duration,
-		TxnsPerWorker: o.TxnsPerWorker,
-	}
-	if o.TxnsPerWorker > 0 {
-		cfg.Duration = 0
-	}
-	res, err := txn.Run(cfg)
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{
-		ThroughputTPS:  res.ThroughputTPS,
-		AvgResponse:    res.Response.Mean,
-		ContentionPerM: res.ContentionPerM,
-		HitRatio:       res.HitRatio,
-	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -471,9 +340,6 @@ type SharedQueueRow struct {
 // cannot make.
 func AblationSharedQueue(procs int, o Options) ([]SharedQueueRow, error) {
 	o = o.withDefaults()
-	if o.Mode == ModeReal {
-		return nil, errors.New("ablation-queue is simulator only (the shared queue is internal/sim's model); drop -mode real")
-	}
 	var rows []SharedQueueRow
 	for _, wl := range o.Workloads {
 		for _, shared := range []bool{false, true} {
@@ -497,9 +363,9 @@ func AblationSharedQueue(procs int, o Options) ([]SharedQueueRow, error) {
 	return rows, nil
 }
 
-func sharedQueuePoint(wl workload.Workload, procs int, shared bool, o Options) (Point, error) {
+func sharedQueuePoint(wl workload.Workload, procs int, shared bool, o Options) (sim.Result, error) {
 	params := o.simParamsFor(wl)
-	res, err := sim.Run(sim.Config{
+	return sim.Run(sim.Config{
 		Procs:       procs,
 		Workers:     o.WorkersPerProc * procs,
 		Policy:      "2q",
@@ -511,10 +377,6 @@ func sharedQueuePoint(wl workload.Workload, procs int, shared bool, o Options) (
 		Seed:        o.Seed,
 		Params:      &params,
 	})
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{ThroughputTPS: res.ThroughputTPS, ContentionPerM: res.ContentionPerM}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"bpwrapper/internal/storage"
 	"bpwrapper/internal/workload"
 )
 
@@ -172,7 +171,7 @@ func TestFig8OverallShape(t *testing.T) {
 	o.Workloads = []workload.Workload{
 		workload.NewZipf(workload.SyntheticConfig{Pages: 4000, TxnLen: 10}),
 	}
-	rows, err := Fig8Overall(8, []float64{0.05, 1}, storage.SimDiskConfig{}, o)
+	rows, err := Fig8Overall(8, []float64{0.05, 1}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,72 +259,6 @@ func TestAblationPoliciesShape(t *testing.T) {
 			t.Errorf("%s: wrapped %.0f tps not well above plain %.0f",
 				pol, m["bpwrapper"].ThroughputTPS, m["plain"].ThroughputTPS)
 		}
-	}
-}
-
-func TestRealModeSmoke(t *testing.T) {
-	// The real-goroutine mode must run end to end; on arbitrary hosts we
-	// assert only sanity, not contention shapes (see DESIGN.md).
-	o := tinyOptions()
-	o.Mode = ModeReal
-	o.TxnsPerWorker = 100
-	rows, err := Scalability([]System{System2Q, SystemBatPre}, []int{2}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.ThroughputTPS <= 0 {
-			t.Fatalf("%s: zero throughput in real mode", r.System)
-		}
-		if r.AvgResponse <= 0 {
-			t.Fatalf("%s: zero response time in real mode", r.System)
-		}
-	}
-	frows, err := Fig2BatchSize(2, []int{8}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frows) != 1 || frows[0].LockTimePerAccess <= 0 {
-		t.Fatalf("real-mode fig2 rows: %+v", frows)
-	}
-}
-
-func TestRealModeFig8Smoke(t *testing.T) {
-	o := tinyOptions()
-	o.Mode = ModeReal
-	o.TxnsPerWorker = 40
-	o.Workloads = []workload.Workload{
-		workload.NewZipf(workload.SyntheticConfig{Pages: 2000, TxnLen: 8}),
-	}
-	rows, err := Fig8Overall(2, []float64{0.1}, storage.SimDiskConfig{ReadLatency: 50 * time.Microsecond}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, r := range rows {
-		if r.HitRatio <= 0 || r.HitRatio >= 1 {
-			t.Errorf("%s: hit ratio %.3f out of (0,1)", r.System, r.HitRatio)
-		}
-	}
-}
-
-func TestRealModeAblations(t *testing.T) {
-	o := tinyOptions()
-	o.Mode = ModeReal
-	o.TxnsPerWorker = 60
-	// The shared queue is the simulator's model; asking for it on real
-	// goroutines must fail, not silently run the model.
-	if rows, err := AblationSharedQueue(2, o); err == nil || !strings.Contains(err.Error(), "simulator only") {
-		t.Fatalf("real-mode shared-queue ablation: rows=%v err=%v, want a simulator-only error", rows, err)
-	}
-	prows, err := AblationPolicies(2, []string{"lirs"}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prows) != 2 {
-		t.Fatalf("policy rows=%d", len(prows))
 	}
 }
 

@@ -12,12 +12,9 @@ import (
 // zero lock acquisitions, the locked path pays a bucket lock per access
 // (at least), and both arms see the identical fully-resident workload.
 func TestHitpathCounters(t *testing.T) {
-	rep, err := HitpathExperiment(1, Options{Seed: 42})
+	rep, err := HitpathExperiment(Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(rep.ScaleRows) != 0 {
-		t.Fatalf("sim mode produced %d scale rows, want none", len(rep.ScaleRows))
 	}
 	if len(rep.CounterRows) != 4 {
 		t.Fatalf("got %d counter rows, want 4", len(rep.CounterRows))
@@ -52,7 +49,7 @@ func TestHitpathCounters(t *testing.T) {
 	}
 
 	// The committed document is byte-stable: a second run must be equal.
-	again, err := HitpathExperiment(1, Options{Seed: 42})
+	again, err := HitpathExperiment(Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

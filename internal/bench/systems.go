@@ -14,7 +14,6 @@ import (
 	"bpwrapper/internal/buffer"
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/replacer"
-	"bpwrapper/internal/storage"
 )
 
 // System is one tested configuration from Table I of the paper.
@@ -98,59 +97,14 @@ func (s System) WrapperConfig(queueSize, batchThreshold int) core.Config {
 	}
 }
 
-// NewPool builds a buffer pool of the given frame count for this system.
-// queueSize/batchThreshold of zero mean the paper's defaults.
-func (s System) NewPool(frames int, device storage.Device, queueSize, batchThreshold int) (*buffer.Pool, error) {
-	pol, ok := replacer.New(s.Policy, frames)
+// newPool builds a real pool running the named policy, one instance per
+// shard (a zero cfg.Shards is the single-shard pool). The deterministic
+// real-pool sweeps (E14, E17, E18, E20) build their pools here.
+func newPool(policy string, cfg buffer.Config) (*buffer.Pool, error) {
+	f, ok := replacer.Factories()[policy]
 	if !ok {
-		return nil, fmt.Errorf("bench: system %s uses unknown policy %q", s.Name, s.Policy)
+		return nil, fmt.Errorf("bench: unknown policy %q", policy)
 	}
-	return buffer.New(buffer.Config{
-		Frames:  frames,
-		Policy:  pol,
-		Wrapper: s.WrapperConfig(queueSize, batchThreshold),
-		Device:  device,
-	}), nil
-}
-
-// buildPool constructs a pool with an explicit wrapper configuration (used
-// by ablations that tweak fields beyond queue tuning).
-func buildPool(s System, frames int, wcfg core.Config) (*buffer.Pool, error) {
-	pol, ok := replacer.New(s.Policy, frames)
-	if !ok {
-		return nil, fmt.Errorf("bench: system %s uses unknown policy %q", s.Name, s.Policy)
-	}
-	return buffer.New(buffer.Config{
-		Frames:  frames,
-		Policy:  pol,
-		Wrapper: wcfg,
-		Device:  storage.NewNullDevice(),
-	}), nil
-}
-
-// buildPoolObs is buildPool plus live observability: when o.Obs is set the
-// pool gets per-shard flight recorders and takes over the registry (the
-// previous point's collectors are cleared), so a `bpbench -obs` listener
-// always serves the pool of the point currently running. With o.Obs nil it
-// is buildPool exactly — no recorder, no registration, no overhead.
-func buildPoolObs(s System, frames int, wcfg core.Config, o Options) (*buffer.Pool, error) {
-	pol, ok := replacer.New(s.Policy, frames)
-	if !ok {
-		return nil, fmt.Errorf("bench: system %s uses unknown policy %q", s.Name, s.Policy)
-	}
-	cfg := buffer.Config{
-		Frames:  frames,
-		Policy:  pol,
-		Wrapper: wcfg,
-		Device:  storage.NewNullDevice(),
-	}
-	if o.Obs != nil {
-		cfg.RecorderSize = 4096
-	}
-	pool := buffer.New(cfg)
-	if o.Obs != nil {
-		o.Obs.Clear()
-		pool.RegisterObs(o.Obs)
-	}
-	return pool, nil
+	cfg.PolicyFactory = f
+	return buffer.New(cfg), nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"bpwrapper/internal/buffer"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/reqtrace"
 	"bpwrapper/internal/storage"
 )
@@ -117,14 +116,9 @@ func TracingExperiment(o Options) (*TracingReport, error) {
 
 // tracingPoint drives one arm and decomposes its spans.
 func tracingPoint(sys System, seed int64) (TracingArmRow, []TracingPhaseRow, error) {
-	pol, ok := replacer.New(sys.Policy, TracingFrames)
-	if !ok {
-		return TracingArmRow{}, nil, fmt.Errorf("unknown policy %q", sys.Policy)
-	}
 	var tick int64
-	pool := buffer.New(buffer.Config{
+	pool, err := newPool(sys.Policy, buffer.Config{
 		Frames:  TracingFrames,
-		Policy:  pol,
 		Wrapper: sys.WrapperConfig(0, 0),
 		Device:  storage.NewNullDevice(),
 		Trace: reqtrace.Config{
@@ -135,6 +129,9 @@ func tracingPoint(sys System, seed int64) (TracingArmRow, []TracingPhaseRow, err
 			Clock:       func() int64 { tick++; return tick },
 		},
 	})
+	if err != nil {
+		return TracingArmRow{}, nil, err
+	}
 	s := pool.NewSession()
 	r := uint64(seed)*0x9e3779b97f4a7c15 + 1
 	var pg page.Page

@@ -100,8 +100,8 @@ type TunerReport struct {
 	Swap       TunerSwapPhase    `json:"swap"`
 }
 
-// TunerExperiment runs E19. Both phases are deterministic regardless of
-// Options.Mode; only the seed is consulted.
+// TunerExperiment runs E19. Both phases are deterministic; only the seed
+// is consulted.
 func TunerExperiment(o Options) (*TunerReport, error) {
 	o = o.withDefaults()
 	rep := &TunerReport{
@@ -159,11 +159,11 @@ func tunerReshardPhase(seed int64) (TunerReshardPhase, error) {
 	f := replacer.Factories()[policy]
 
 	// Static baselines: the same replay on fixed 1- and 4-shard pools.
-	base1, err := shardHitPoint(policy, f, 1, tr)
+	base1, err := shardHitPoint(policy, 1, tr)
 	if err != nil {
 		return TunerReshardPhase{}, err
 	}
-	baseN, err := shardHitPoint(policy, f, startShards, tr)
+	baseN, err := shardHitPoint(policy, startShards, tr)
 	if err != nil {
 		return TunerReshardPhase{}, err
 	}

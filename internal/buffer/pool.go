@@ -94,13 +94,6 @@ type Config struct {
 	// defaults; set Health.Disable to turn shedding off.
 	Health HealthConfig
 
-	// CloseTimeout bounds how long Close may spend flushing and backing
-	// off before giving up with an error. Zero keeps the legacy behavior
-	// (the full 8-attempt exponential ladder, ~130ms of sleeps plus
-	// flush time). Close never loses data either way — unflushed pages
-	// stay dirty or quarantined.
-	CloseTimeout time.Duration
-
 	// QuarantineCap bounds the dirty-quarantine list that parks pages a
 	// frame no longer vouches for: victims whose eviction write-back failed
 	// (reclaim), and flushed resident pages across their write window
@@ -152,9 +145,8 @@ type Config struct {
 // is remembered from Config so new shard sets can be constructed at any
 // count.
 type Pool struct {
-	cur          atomic.Pointer[shardSet]
-	device       storage.Device
-	closeTimeout time.Duration
+	cur    atomic.Pointer[shardSet]
+	device storage.Device
 
 	// tracer is the pool-wide request tracer (nil when Config.Trace is
 	// disabled); shared across shards and reshard topologies, since spans
@@ -352,7 +344,6 @@ func New(cfg Config) *Pool {
 
 	p := &Pool{
 		device:        cfg.Device,
-		closeTimeout:  cfg.CloseTimeout,
 		frames:        cfg.Frames,
 		tracer:        reqtrace.New(cfg.Trace),
 		wrapperCfg:    cfg.Wrapper,
@@ -718,11 +709,12 @@ func (p *Pool) FlushDirty() (int, error) {
 // every shard are written back with bounded retries and exponential
 // backoff, so transient device trouble at shutdown does not lose data. It
 // returns an error if pages remain non-durable (still failing, or pinned
-// dirty) after the retry budget — or after Config.CloseTimeout, if set.
+// dirty) after the retry budget: the full 8-attempt exponential ladder,
+// ~130ms of sleeps plus flush time (CloseWithin bounds it instead).
 // Close does not stop a BackgroundWriter — the caller owns that — and the
 // pool remains usable afterwards.
 func (p *Pool) Close() error {
-	return p.CloseWithin(p.closeTimeout)
+	return p.CloseWithin(0)
 }
 
 // CloseWithin is Close with an explicit time budget: the flush-retry

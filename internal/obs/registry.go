@@ -73,18 +73,6 @@ func (g *Registry) RegisterRecorder(label string, r *Recorder) {
 	g.recorders = append(g.recorders, recorderEntry{label: label, rec: r})
 }
 
-// Clear drops every registered collector and recorder. Long-lived servers
-// use it to hand the registry from one pool to the next (the bench harness
-// builds a fresh pool per measured point) without accumulating collectors
-// for pools that are no longer interesting.
-func (g *Registry) Clear() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.collectors = nil
-	g.recorders = nil
-	g.tracers = nil
-}
-
 // Gather runs every collector and returns the combined samples.
 func (g *Registry) Gather() []Metric {
 	g.mu.Lock()

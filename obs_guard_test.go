@@ -50,7 +50,7 @@ func obsHitLoop(b *testing.B, rec *bpwrapper.Recorder) {
 // obsGuardPool builds the fully cached batched pool the guard loops
 // over: observability off entirely, on (per-shard flight recorders plus
 // a registered exposition registry, exactly what `-obs` enables in
-// bpbench/bpload), or on with request tracing armed at the production
+// bpserver/bpload), or on with request tracing armed at the production
 // default sampling rate.
 func obsGuardPool(tb testing.TB, obsOn, traceOn bool) (*bpwrapper.Pool, *bpwrapper.PoolSession, []bpwrapper.PageID) {
 	policy, ok := bpwrapper.NewPolicy("2q", 1024)
@@ -135,21 +135,21 @@ func TestObsOverheadGuard(t *testing.T) {
 
 	// Best-of-N per variant to shed scheduler and frequency-scaling
 	// noise: the minimum is the cleanest estimate of the true cost of a
-	// tight uncontended loop.
+	// tight uncontended loop. Each round measures all three variants back
+	// to back, so a change of host regime (a noisy neighbour, a frequency
+	// step) lands on all three minima and not on one side of the ratio.
 	const rounds = 7
-	best := func(obsOn, traceOn bool) float64 {
-		min := math.MaxFloat64
-		for r := 0; r < rounds; r++ {
-			res := testing.Benchmark(func(b *testing.B) { obsGetLoop(b, obsOn, traceOn) })
-			if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns < min {
-				min = ns
+	variants := [3]struct{ obsOn, traceOn bool }{{false, false}, {true, false}, {true, true}}
+	best := [3]float64{math.MaxFloat64, math.MaxFloat64, math.MaxFloat64}
+	for r := 0; r < rounds; r++ {
+		for i, v := range variants {
+			res := testing.Benchmark(func(b *testing.B) { obsGetLoop(b, v.obsOn, v.traceOn) })
+			if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns < best[i] {
+				best[i] = ns
 			}
 		}
-		return min
 	}
-	off := best(false, false)
-	on := best(true, false)
-	traced := best(true, true)
+	off, on, traced := best[0], best[1], best[2]
 
 	overhead := (on - off) / off * 100
 	t.Logf("pool.Get: obs-off %.2f ns/op, obs-on %.2f ns/op, overhead %.2f%% (budget %.1f%%)", off, on, overhead, pct)

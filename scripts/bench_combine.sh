@@ -2,7 +2,7 @@
 # Regenerates results/BENCH_combine.json, the committed benchmark baseline
 # for the commit-path comparison (baseline vs batched vs flat-combined).
 #
-# The run is fully deterministic: sim mode, fixed seed, fixed virtual
+# The run is fully deterministic: the simulator, fixed seed, fixed virtual
 # duration. Re-running on any machine reproduces the committed file
 # byte-for-byte; a diff after a change to internal/core or internal/sim is
 # a real behavioural difference, not noise.

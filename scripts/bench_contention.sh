@@ -4,7 +4,7 @@
 # acquisitions, failed TryLocks, wait/hold time per access for pg2Q vs
 # pgBat vs pgBatFC at 1..16 processors).
 #
-# The run is fully deterministic: sim mode, fixed seed, fixed virtual
+# The run is fully deterministic: the simulator, fixed seed, fixed virtual
 # duration. Re-running on any machine reproduces the committed file
 # byte-for-byte; a diff after a change to internal/core, internal/sim, or
 # the lock instrumentation is a real behavioural difference, not noise.

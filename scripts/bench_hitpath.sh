@@ -8,9 +8,7 @@
 # counters — accesses, hits, fast hits, retries, fallbacks, bucket/frame
 # lock acquisitions — are exact and reproduce byte-for-byte on any
 # machine. The committed numbers ARE the acceptance claim: the optimistic
-# rows must show fast == hits and zero lock acquisitions. (The scaling
-# half of E17 needs -mode real and is inherently machine-dependent, so it
-# is never committed.)
+# rows must show fast == hits and zero lock acquisitions.
 set -eu
 cd "$(dirname "$0")/.."
 

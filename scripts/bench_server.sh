@@ -9,9 +9,9 @@
 # STATS JSON is the one variable-length frame). The committed numbers
 # pin the wire format's byte accounting — request/response taxonomy,
 # bytes in/out, the pool's hit/miss split, and the malformed-frame
-# containment count — and reproduce byte-for-byte on any machine. (The
-# fleet-scaling half of E18 needs -mode real and is inherently
-# machine-dependent, so it is never committed.)
+# containment count — and reproduce byte-for-byte on any machine. A diff
+# means the wire format's byte accounting or request taxonomy changed: a
+# compatibility event, not noise.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -9,8 +9,6 @@
 # output. Re-running on any machine reproduces the committed file
 # byte-for-byte; a diff after a change to internal/buffer or
 # internal/replacer is a real behavioural difference, not noise.
-# (The throughput half of E14 needs -mode real and is inherently
-# machine-dependent, so it is never committed.)
 set -eu
 cd "$(dirname "$0")/.."
 

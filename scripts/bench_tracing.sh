@@ -1,8 +1,11 @@
 #!/bin/sh
 # Regenerate the committed E20 tracing-decomposition baseline.
-# The experiment is deterministic (virtual tick clock, seeded stream), so
-# the output must reproduce byte-for-byte; CI diffs it against the
-# committed results/BENCH_tracing.json.
+# The experiment is deterministic (virtual tick clock, seeded
+# single-goroutine stream), so the output must reproduce byte-for-byte;
+# CI diffs it against the committed results/BENCH_tracing.json. The
+# committed numbers ARE the acceptance claim: one retained trace per access
+# with zero ring drops, device-read phases only under misses, and no
+# lock-wait/policy-op phases on the batched arms' hit traces.
 set -eu
 cd "$(dirname "$0")/.."
 mkdir -p results

@@ -14,7 +14,10 @@
 # rather than on a wall-clock ticker. Re-running on any machine
 # reproduces the committed file byte-for-byte; a diff after a change to
 # internal/control, internal/buffer or internal/replacer is a real
-# behavioural difference, not noise.
+# behavioural difference, not noise. The committed numbers ARE the
+# acceptance claim: the reshard phase recovers at least half of the
+# sharding-induced hit-ratio loss, and the swap phase abandons the
+# misconfigured policy.
 set -eu
 cd "$(dirname "$0")/.."
 
