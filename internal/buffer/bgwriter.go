@@ -32,6 +32,11 @@ type BackgroundWriter struct {
 	mu    sync.Mutex
 	stats BackgroundWriterStats
 
+	// spent is the shard the last round ran out of budget in — the next
+	// one starts after it — or nil when it covered every shard. Only the
+	// writer's goroutine touches it.
+	spent *shard
+
 	// lastPanic holds the most recent contained round panic (message,
 	// stack, and a FlightDump of the pool at the moment of recovery).
 	lastPanic atomic.Pointer[string]
@@ -195,29 +200,43 @@ func (w *BackgroundWriter) LastPanic() string {
 // clean while its write-back is still in flight). Draining first frees
 // quarantine capacity for the frame sweep's transient parking. The
 // maxPages budget is global across shards, so the per-round device burst
-// stays bounded regardless of shard count (for a single shard this is the
-// old monolithic round verbatim). It reports pages made durable and
-// failed attempts.
+// stays bounded regardless of shard count. Nothing restarts where the last
+// round started: a shard's sweep resumes at the frame its last one stopped
+// at (PostgreSQL's next_to_clean), and a round begins with the shard after
+// the one that used up the last round's budget — so frames that are dirtied
+// again as fast as they are cleaned cannot keep the writer from the rest.
+// It reports pages made durable and failed attempts.
 func (w *BackgroundWriter) round() (written, failed int64) {
 	maxPages := w.maxPages.Load()
-	for _, sh := range w.pool.liveShards() {
+	shards := w.pool.liveShards()
+	first := 0
+	for i, sh := range shards {
+		if sh == w.spent {
+			first = i + 1
+		}
+	}
+	w.spent = nil
+	for k := range shards {
+		sh := shards[(first+k)%len(shards)]
 		qn, qfailed, _ := sh.drainQuarantine()
 		written += int64(qn)
 		failed += int64(qfailed)
-		for i := range sh.frames {
-			if written+failed >= maxPages {
-				break
-			}
-			wrote, err := sh.flushFrame(&sh.frames[i])
+		n := len(sh.frames)
+		at := int(sh.nextToClean.Load())
+		for left := n; left > 0 && written+failed < maxPages; left-- {
+			wrote, err := sh.flushFrame(&sh.frames[at])
 			if err != nil {
 				failed++
-				continue
-			}
-			if wrote {
+			} else if wrote {
 				written++
 			}
+			if at++; at == n {
+				at = 0
+			}
 		}
+		sh.nextToClean.Store(int64(at))
 		if written+failed >= maxPages {
+			w.spent = sh
 			break
 		}
 	}

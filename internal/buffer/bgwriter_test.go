@@ -134,3 +134,82 @@ func TestBackgroundWriterConcurrentWithTraffic(t *testing.T) {
 		t.Fatal("background writer wrote nothing under write traffic")
 	}
 }
+
+// dirtyAll loads pages 1..n for writing and leaves every one dirty.
+func dirtyAll(t *testing.T, p *Pool, s *Session, n int) {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		redirty(t, p, s, pid(uint64(i)))
+	}
+}
+
+func redirty(t *testing.T, p *Pool, s *Session, id page.PageID) {
+	t.Helper()
+	r, err := p.GetWrite(s, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MarkDirty()
+	r.Release()
+}
+
+// TestBackgroundWriterSweepResumes re-dirties the first 64 frames between
+// rounds — what any writing workload does to whichever frames come first —
+// and requires a dirty frame further on to be cleaned all the same, within
+// one lap of the pool at 64 pages a round. A sweep that restarts at frame 0
+// spends every round's budget on those 64 and never gets there.
+func TestBackgroundWriterSweepResumes(t *testing.T) {
+	const frames, budget, far = 256, 64, 100
+	p := newTestPool(frames, core.Config{})
+	s := p.NewSession()
+	dirtyAll(t, p, s, frames)
+	sh := p.liveShards()[0]
+	w := &BackgroundWriter{pool: p}
+	w.maxPages.Store(budget)
+
+	for round := 1; round <= frames/budget+1; round++ {
+		if written, failed := w.round(); written != budget || failed != 0 {
+			t.Fatalf("round %d: written=%d failed=%d, want %d/0", round, written, failed, budget)
+		}
+		if sh.frames[far].state.Load()&frameDirty == 0 {
+			return
+		}
+		for i := 0; i < budget; i++ {
+			redirty(t, p, s, page.PageID(sh.frames[i].tagPage.Load()))
+		}
+	}
+	t.Fatalf("dirty frame %d still unwritten after %d rounds of %d pages over %d frames",
+		far, frames/budget+1, budget, frames)
+}
+
+// TestBackgroundWriterRotatesShards is the same property one level up: a
+// shard that can use a whole round's budget every round does not keep the
+// writer from the other shard.
+func TestBackgroundWriterRotatesShards(t *testing.T) {
+	const frames, budget = 256, 64
+	p := New(Config{
+		Frames:        frames,
+		Shards:        2,
+		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
+		Device:        storage.NewMemDevice(),
+	})
+	s := p.NewSession()
+	// Each shard has room for 128 pages; 160 are spread over the two by
+	// hash, so nothing is evicted and each holds more than one round's worth.
+	dirtyAll(t, p, s, 160)
+	w := &BackgroundWriter{pool: p}
+	w.maxPages.Store(budget)
+
+	shards := p.liveShards()
+	before := [2]int{shards[0].dirtyCount(), shards[1].dirtyCount()}
+	if before[0] < budget || before[1] < budget {
+		t.Fatalf("dirty pages per shard %v: the test needs at least %d in each", before, budget)
+	}
+	w.round()
+	w.round()
+	for i, sh := range shards {
+		if got := sh.dirtyCount(); got != before[i]-budget {
+			t.Fatalf("shard %d: %d dirty pages after two rounds, want %d (one round's budget each)", i, got, before[i]-budget)
+		}
+	}
+}

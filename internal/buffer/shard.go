@@ -75,6 +75,11 @@ type shard struct {
 	freeMu   sync.Mutex
 	freeList []*Frame
 
+	// nextToClean is the frame index at which the background writer's next
+	// sweep of this shard starts (BackgroundWriter.round); atomic because
+	// nothing stops a pool from having two writers.
+	nextToClean atomic.Int64
+
 	// quarantine parks copies of dirty pages whose frame no longer vouches
 	// for them: flush paths park before clearing the dirty bit of a
 	// still-resident frame, until the write-back is confirmed durable, and

@@ -96,6 +96,21 @@ func (h *Histogram) Record(d time.Duration) {
 	h.RecordTraced(d, 0)
 }
 
+// RecordBatch adds every observation in ds under one acquisition of the
+// histogram's lock: what a recorder that staged a burst's timings privately
+// calls once per burst. The result is that of len(ds) Records in order.
+func (h *Histogram) RecordBatch(ds []time.Duration) {
+	if len(ds) == 0 {
+		return
+	}
+	h.mu.Lock()
+	for _, d := range ds {
+		ns := float64(d.Nanoseconds())
+		h.observe(h.bucketIndex(ns), ns)
+	}
+	h.mu.Unlock()
+}
+
 // RecordTraced adds one observation and, when traceID is non-zero, stores
 // it as the exemplar of its bucket — so a scrape of the histogram can link
 // the bucket to a concrete request trace. A zero traceID is a plain Record.
@@ -103,6 +118,18 @@ func (h *Histogram) RecordTraced(d time.Duration, traceID uint64) {
 	ns := float64(d.Nanoseconds())
 	idx := h.bucketIndex(ns)
 	h.mu.Lock()
+	h.observe(idx, ns)
+	if traceID != 0 {
+		if h.exemplars == nil {
+			h.exemplars = make(map[int]Exemplar)
+		}
+		h.exemplars[idx] = Exemplar{Value: d, TraceID: traceID, At: time.Now()}
+	}
+	h.mu.Unlock()
+}
+
+// observe counts one binned observation; the caller holds h.mu.
+func (h *Histogram) observe(idx int, ns float64) {
 	h.buckets[idx]++
 	h.count++
 	h.sum += ns
@@ -112,13 +139,6 @@ func (h *Histogram) RecordTraced(d time.Duration, traceID uint64) {
 	if ns < h.minSeen {
 		h.minSeen = ns
 	}
-	if traceID != 0 {
-		if h.exemplars == nil {
-			h.exemplars = make(map[int]Exemplar)
-		}
-		h.exemplars[idx] = Exemplar{Value: d, TraceID: traceID, At: time.Now()}
-	}
-	h.mu.Unlock()
 }
 
 // Count returns the number of recorded observations.

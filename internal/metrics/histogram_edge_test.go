@@ -283,3 +283,47 @@ func TestBucketIndexMatchesPowReference(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramRecordBatch: a batch of N durations, handed over in pieces
+// (an empty one among them), leaves the histogram exactly as N single
+// Records do — buckets, count, sum, extremes, and so every quantile.
+func TestHistogramRecordBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	ds := make([]time.Duration, 5000)
+	for i := range ds {
+		// Log-uniform over and beyond the histogram's range, so both edge
+		// buckets and exact bounds are hit.
+		ds[i] = time.Duration(math.Exp(rng.Float64() * math.Log(500e9)))
+	}
+	single, batch := NewLatencyHistogram(), NewLatencyHistogram()
+	for _, d := range ds {
+		single.Record(d)
+	}
+	batch.RecordBatch(nil)
+	for lo := 0; lo < len(ds); {
+		hi := lo + rng.Intn(40)
+		if hi > len(ds) {
+			hi = len(ds)
+		}
+		batch.RecordBatch(ds[lo:hi])
+		lo = hi
+	}
+	s, b := single.Snapshot(), batch.Snapshot()
+	if s.Count != b.Count || s.Sum != b.Sum || len(s.Counts) != len(b.Counts) {
+		t.Fatalf("count/sum/buckets: single %d/%v/%d, batch %d/%v/%d", s.Count, s.Sum, len(s.Counts), b.Count, b.Sum, len(b.Counts))
+	}
+	for i := range s.Counts {
+		if s.Counts[i] != b.Counts[i] {
+			t.Fatalf("bucket %d: single %d, batch %d", i, s.Counts[i], b.Counts[i])
+		}
+	}
+	if single.Min() != batch.Min() || single.Max() != batch.Max() || single.Mean() != batch.Mean() {
+		t.Fatalf("min/max/mean: single %v/%v/%v, batch %v/%v/%v",
+			single.Min(), single.Max(), single.Mean(), batch.Min(), batch.Max(), batch.Mean())
+	}
+	for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.99, 0.999, 1} {
+		if single.Quantile(q) != batch.Quantile(q) {
+			t.Fatalf("Quantile(%v): single %v, batch %v", q, single.Quantile(q), batch.Quantile(q))
+		}
+	}
+}

@@ -93,6 +93,12 @@ func TestChaosClientVanishMidPipeline(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool {
 		return srv.c.reqs[OpPut].Load() == 8 && srv.c.active.Load() == 0
 	})
+	// What the handler served it also counted, although its last socket
+	// write — where a connection's counts are folded into the server's —
+	// may never have happened.
+	if st := srv.Stats(); st.Responses["ok"] != 8 || st.Inflight != 0 {
+		t.Fatalf("after the vanish: responses %v, %d in flight; want 8 OK and none", st.Responses, st.Inflight)
+	}
 	if got := srv.Pool().DirtyCount(); got < 1 {
 		t.Fatalf("pool dirty count %d after applied PUTs, want ≥ 1", got)
 	}
@@ -126,7 +132,7 @@ func TestChaosClientVanishMidPipeline(t *testing.T) {
 // counted, and other clients are unaffected.
 func TestChaosSlowReaderBackpressure(t *testing.T) {
 	srv, _, done := newTestServer(t, 32, 1, Config{
-		WriteBufSize: 4 << 10, // fills after a handful of 8 KB pages
+		WriteBufSize: 4 << 10, // below one page response: every page is its own socket write
 		WriteTimeout: 200 * time.Millisecond,
 	})
 	defer done()
@@ -147,7 +153,8 @@ func TestChaosSlowReaderBackpressure(t *testing.T) {
 		t.Fatalf("write burst: %v", err)
 	}
 	// Never read. The server's write path must hit the deadline: 500
-	// pages ≈ 4 MB swamps the socket buffer and the 4 KB bufio.
+	// pages ≈ 4 MB swamps the socket buffer, and a 4 KB ceiling on the
+	// response buffer means a socket write per page.
 	waitFor(t, 5*time.Second, func() bool { return srv.c.writeTimeouts.Load() >= 1 })
 	waitFor(t, 2*time.Second, func() bool { return srv.c.active.Load() == 0 })
 

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,66 +14,126 @@ import (
 )
 
 // conn is one served connection: a socket, its receive buffer and
-// buffered writer, and the buffer.Session that makes this client a
+// response buffer, and the buffer.Session that makes this client a
 // first-class BP-Wrapper backend — its accesses batch through the
 // session's per-shard queues exactly like an in-process worker's.
 type conn struct {
 	srv    *Server
 	nc     net.Conn
+	cr     countingReader
 	fr     *frameReader
 	cw     countingWriter
-	bw     *bufio.Writer
 	sess   *buffer.Session
 	tracer *reqtrace.Tracer // the pool's request tracer; nil when disabled
 
-	hdr [4 + frameHeaderLen]byte // response header scratch
+	// out holds the responses not yet handed to the socket. It starts
+	// empty, grows by append to fit the burst being served and is never
+	// shrunk — the mirror of the client's receive buffer — so a burst
+	// leaves in one socket write, and a connection holds the memory of its
+	// largest burst (at most Config.WriteBufSize, past which a burst is
+	// flushed in parts).
+	out []byte
+
+	// inflight counts this connection's requests decoded but not yet
+	// answered; Stats and RegisterObs sum it over the live connections.
+	inflight atomic.Int64
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
 		srv:    s,
 		nc:     nc,
-		fr:     newFrameReader(&countingReader{nc: nc, n: &s.c.bytesIn}, false),
-		cw:     countingWriter{nc: nc, n: &s.c.bytesOut, timeout: s.cfg.WriteTimeout},
+		cr:     countingReader{nc: nc, n: &s.c.bytesIn},
+		cw:     countingWriter{nc: nc, srv: &s.c, timeout: s.cfg.WriteTimeout},
 		sess:   s.pool.NewSession(),
 		tracer: s.pool.Tracer(),
 	}
-	c.bw = bufio.NewWriterSize(&c.cw, s.cfg.WriteBufSize)
+	c.fr = newFrameReader(&c.cr, false)
 	return c
 }
 
-// countingReader/countingWriter fold socket byte counts into the server
-// counters without another wrapper layer in the hot loop.
+// countingReader folds socket byte counts into the server counters
+// without another wrapper layer in the hot loop. A Read is also the only
+// place the handler waits for a peer's bytes, so it leaves a mark (woke)
+// for serve, which then knows its last clock reading is stale.
 type countingReader struct {
-	nc net.Conn
-	n  *atomic.Int64
+	nc   net.Conn
+	n    *atomic.Int64
+	woke bool
 }
 
 func (r *countingReader) Read(p []byte) (int, error) {
 	n, err := r.nc.Read(p)
+	r.woke = true
 	r.n.Add(int64(n))
 	return n, err
 }
 
-// countingWriter is also where the write deadline is armed: a socket
-// write is the only thing on the response path that can block, so each
-// one — the batch flush and the implicit ones when bufio fills alike —
-// gets a fresh timeout, and responses that only land in the buffer cost
-// no timer.
+// countingWriter is the connection's one way to the socket, and what a
+// socket write amortises hangs off it. The write deadline is armed here:
+// a socket write is the only thing on the response path that can block,
+// so each one gets a fresh timeout and responses that only land in the
+// buffer cost no timer. And the connection's request, response and
+// latency counts are staged here, in memory no other connection touches,
+// and folded into the server's shared counters once per socket write —
+// buffer.Session.stageHit/foldHits one layer up: the batch, not the
+// operation, is what reaches the shared words.
 type countingWriter struct {
 	nc      net.Conn
-	n       *atomic.Int64
+	srv     *counters
 	timeout time.Duration
+	err     error // the first failed write; sticky, nothing is written after it
+
+	// Staged since the last fold.
+	reqs  [opMax]int64
+	resps [statusMax]int64
+	lat   [opMax][]time.Duration
 }
 
+// fold publishes the staged counts. Write calls it before the bytes
+// leave, so that a peer that has seen a response never reads a counter
+// that lacks it; the exit path calls it for what was served and never
+// written.
+func (w *countingWriter) fold() {
+	for op := range w.reqs {
+		if n := w.reqs[op]; n != 0 {
+			w.srv.reqs[op].Add(n)
+			w.reqs[op] = 0
+		}
+		if len(w.lat[op]) != 0 {
+			w.srv.lat[op].RecordBatch(w.lat[op])
+			w.lat[op] = w.lat[op][:0]
+		}
+	}
+	for st := range w.resps {
+		if n := w.resps[st]; n != 0 {
+			w.srv.resps[st].Add(n)
+			w.resps[st] = 0
+		}
+	}
+}
+
+// Write folds the staged counters and hands p to the socket under a fresh
+// deadline. After one failure it writes nothing more: the stream has a
+// hole in it and the connection is retiring.
 func (w *countingWriter) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	w.fold()
 	w.nc.SetWriteDeadline(time.Now().Add(w.timeout)) //nolint:errcheck
-	// Counted before the write and corrected after a short one, so that a
-	// peer that has seen a response never reads a counter that lacks it.
-	w.n.Add(int64(len(p)))
+	// Counted before the write and corrected after a short one, for the
+	// same reason the fold comes first.
+	w.srv.bytesOut.Add(int64(len(p)))
 	n, err := w.nc.Write(p)
 	if n < len(p) {
-		w.n.Add(int64(n - len(p)))
+		w.srv.bytesOut.Add(int64(n - len(p)))
+	}
+	if err != nil {
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			w.srv.writeTimeouts.Add(1)
+		}
+		w.err = err
 	}
 	return n, err
 }
@@ -82,7 +142,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // and answer every request already buffered before flushing responses or
 // blocking for more bytes, so a pipelined burst that arrived in one
 // kernel read is served as one batch through one session — and produces
-// one response flush.
+// one socket write and one fold of the shared counters.
 func (c *conn) serve() {
 	s := c.srv
 	defer func() {
@@ -94,6 +154,11 @@ func (c *conn) serve() {
 		s.unregister(c)
 		s.wg.Done()
 	}()
+	// One clock reading per op boundary: while a batch lasts, an op starts
+	// where the one before it ended, so its time includes decoding its own
+	// frame. Only a wait for the peer's bytes makes the reading stale.
+	epoch := time.Now()
+	var at time.Duration
 	for {
 		code, reqID, payload, err := c.fr.next()
 		if err != nil {
@@ -108,6 +173,10 @@ func (c *conn) serve() {
 				s.c.drainedConns.Add(1)
 			}
 			return
+		}
+		if c.cr.woke {
+			c.cr.woke = false
+			at = time.Since(epoch)
 		}
 		// Strip the trace-context extension: the flagged payload starts
 		// with the client's 8-byte trace ID, adopted below so the pool's
@@ -126,16 +195,23 @@ func (c *conn) serve() {
 			tid = be.Uint64(payload)
 			payload = payload[8:]
 		}
-		s.c.inflight.Add(1)
+		c.inflight.Add(1)
 		var t0 int64
 		if tid != 0 && c.tracer != nil {
 			t0 = c.tracer.Now()
 		}
-		start := time.Now()
 		ok := c.handle(op, reqID, payload, tid)
-		if op > 0 && op < opMax && s.c.lat[op] != nil {
-			s.c.lat[op].RecordTraced(time.Since(start), tid)
+		end := time.Since(epoch)
+		if op > 0 && op < opMax {
+			if tid != 0 {
+				// A traced op is its bucket's exemplar, which a batch
+				// record cannot carry.
+				s.c.lat[op].RecordTraced(end-at, tid)
+			} else {
+				c.cw.lat[op] = append(c.cw.lat[op], end-at)
+			}
 		}
+		at = end
 		if tid != 0 && c.tracer != nil {
 			// The server-op span covers decode-to-response for the whole
 			// request, bracketing the pool spans the adopted trace emitted.
@@ -146,19 +222,19 @@ func (c *conn) serve() {
 				Arg1: uint64(op), Arg2: reqID,
 			})
 		}
-		s.c.inflight.Add(-1)
-		if !ok {
-			return // unknown opcode after BadRequest response: resync is impossible
+		c.inflight.Add(-1)
+		if !ok || c.cw.err != nil {
+			// Unknown opcode after its BadRequest response (resync is
+			// impossible), or a socket write failed.
+			return
 		}
-		if c.fr.buffered() == 0 {
-			if !c.flush() {
-				return
-			}
+		if c.fr.buffered() == 0 && !c.flush() {
+			return
 		}
 	}
 }
 
-// handle dispatches one request and writes its response into the write
+// handle dispatches one request and appends its response to the response
 // buffer. It returns false when the connection cannot continue (the
 // opcode was unknown, so frame alignment is unprovable, or the peer has
 // stopped reading). tid, when
@@ -167,7 +243,7 @@ func (c *conn) serve() {
 func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool {
 	s := c.srv
 	if code > 0 && code < opMax {
-		s.c.reqs[code].Add(1)
+		c.cw.reqs[code]++
 	}
 	// Past the drain grace nothing is applied: buffered requests get a
 	// typed DRAINING answer so pipelining clients can tell "refused" from
@@ -187,7 +263,7 @@ func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool 
 		// Make room for the response before the page is pinned, not while:
 		// a reader's pin is what a writer of that page spins on, so it
 		// must not be held across a socket write to a possibly slow peer.
-		if c.bw.Available() < len(c.hdr)+page.Size && !c.flush() {
+		if !c.room(pageRespLen) {
 			return false
 		}
 		if tid != 0 {
@@ -253,13 +329,30 @@ func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool 
 	return true
 }
 
-// respond appends one response frame to the write buffer.
+// pageRespLen is the size of a successful GET's response frame.
+const pageRespLen = 4 + frameHeaderLen + page.Size
+
+// room makes the response buffer able to take n more bytes, which means a
+// flush first when they would carry it past the WriteBufSize ceiling. It
+// reports false when that flush failed.
+func (c *conn) room(n int) bool {
+	if len(c.out)+n > c.srv.cfg.WriteBufSize && !c.flush() {
+		return false
+	}
+	c.out = slices.Grow(c.out, n)
+	return true
+}
+
+// respond appends one response frame to the response buffer. A frame the
+// peer can no longer be sent is dropped: the write error is sticky and
+// serve retires the connection on it.
 func (c *conn) respond(status byte, reqID uint64, payload []byte) {
 	if status < statusMax {
-		c.srv.c.resps[status].Add(1)
+		c.cw.resps[status]++
 	}
-	c.bw.Write(appendFrameHeader(c.hdr[:0], status, reqID, len(payload))) //nolint:errcheck // bufio errors are sticky; flush reports them
-	c.bw.Write(payload)                                                   //nolint:errcheck
+	if c.room(4 + frameHeaderLen + len(payload)) {
+		c.out = appendFrame(c.out, status, reqID, payload)
+	}
 }
 
 func (c *conn) respondErr(reqID uint64, err error) {
@@ -271,25 +364,25 @@ func (c *conn) respondBad(reqID uint64, msg string) {
 	c.respond(StatusBadRequest, reqID, []byte(msg))
 }
 
-// flush pushes buffered responses to the socket. It reports false — and
-// retires the connection — when the client is not draining its receive
-// window fast enough for a write to finish within WriteTimeout.
+// flush hands the buffered responses to the socket in one write. It
+// reports false — and retires the connection — when a write has failed,
+// most often because the client is not draining its receive window fast
+// enough for one to finish within WriteTimeout.
 func (c *conn) flush() bool {
-	if err := c.bw.Flush(); err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			c.srv.c.writeTimeouts.Add(1)
-		}
-		return false
+	if len(c.out) > 0 {
+		c.cw.Write(c.out) //nolint:errcheck // sticky: read back below
+		c.out = c.out[:0]
 	}
-	return true
+	return c.cw.err == nil
 }
 
 // flushBestEffort is the deferred exit flush: bounded by a short
 // deadline so a vanished client cannot hold the handler in its exit
-// path.
+// path. What was served but never written is still counted.
 func (c *conn) flushBestEffort() {
 	c.cw.timeout = 100 * time.Millisecond
-	c.bw.Flush() //nolint:errcheck
+	c.flush()
+	c.cw.fold()
 }
 
 // isFrameError reports whether a read-loop error indicates a framing

@@ -18,7 +18,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		counter("bpw_server_conns_accepted_total", "Connections accepted", s.c.accepted.Load())
 		counter("bpw_server_conns_rejected_total", "Connections refused by the MaxConns limit", s.c.rejected.Load())
 		gauge("bpw_server_conns_active", "Connections currently served", s.c.active.Load())
-		gauge("bpw_server_inflight", "Requests decoded but not yet answered", s.c.inflight.Load())
+		gauge("bpw_server_inflight", "Requests decoded but not yet answered", s.inflight())
 		counter("bpw_server_bytes_in_total", "Bytes read from client sockets", s.c.bytesIn.Load())
 		counter("bpw_server_bytes_out_total", "Bytes written to client sockets", s.c.bytesOut.Load())
 		counter("bpw_server_bad_frames_total", "Malformed frames and unknown opcodes", s.c.badFrames.Load())
@@ -50,7 +50,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 				snap := h.Snapshot()
 				emit(obs.Metric{
 					Name:   "bpw_server_op_seconds",
-					Help:   "Request handle latency, by operation",
+					Help:   "Request latency by operation, from the previous request's end (or the read that delivered this one) to its response buffered: includes decoding its frame",
 					Type:   obs.Histogram,
 					Labels: [][2]string{{"op", opName(op)}},
 					Hist:   &snap,

@@ -34,9 +34,14 @@ type Config struct {
 	// from parking a handler goroutine forever. Zero means 10s.
 	WriteTimeout time.Duration
 
-	// WriteBufSize sizes the per-connection response buffer: a batch's
-	// responses collect there and go out under one flush. Zero means
-	// 64 KB. (The receive buffer is not a knob: it has one size.)
+	// WriteBufSize is the ceiling of the per-connection response buffer.
+	// The buffer starts empty, grows to fit the burst being served and is
+	// never shrunk, so a burst's responses go out in one socket write and
+	// a connection holds the memory of its largest burst; a burst whose
+	// responses exceed WriteBufSize is flushed in parts of at most that
+	// size. Zero means 256 KB; anything below one page response (8,205
+	// bytes) means one page response, which flushes every page. (The
+	// receive buffer is not a knob: it has one size.)
 	WriteBufSize int
 
 	// DrainGrace is how long Drain keeps serving after lowering the
@@ -55,12 +60,13 @@ const (
 )
 
 // counters is the server's operational counter block, exported through
-// RegisterObs. All fields are atomics: handlers update them lock-free.
+// RegisterObs. All fields are atomics: handlers update them lock-free —
+// reqs, resps and lat once per socket write, from what each connection
+// staged since its last one (countingWriter.fold).
 type counters struct {
 	accepted      atomic.Int64
 	rejected      atomic.Int64 // accepts refused by MaxConns
 	active        atomic.Int64 // currently served connections
-	inflight      atomic.Int64 // requests decoded but not yet answered
 	bytesIn       atomic.Int64
 	bytesOut      atomic.Int64
 	badFrames     atomic.Int64 // malformed frames / unknown opcodes
@@ -70,7 +76,7 @@ type counters struct {
 
 	reqs  [opMax]atomic.Int64
 	resps [statusMax]atomic.Int64
-	lat   [opMax]*metrics.Histogram // per-op handle latency
+	lat   [opMax]*metrics.Histogram // per-op latency, frame decode to response buffered
 }
 
 func (c *counters) init() {
@@ -105,7 +111,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.WriteTimeout = 10 * time.Second
 	}
 	if cfg.WriteBufSize <= 0 {
-		cfg.WriteBufSize = 64 << 10
+		cfg.WriteBufSize = 256 << 10
+	}
+	if cfg.WriteBufSize < pageRespLen {
+		cfg.WriteBufSize = pageRespLen
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 50 * time.Millisecond
@@ -169,6 +178,18 @@ func (s *Server) unregister(c *conn) {
 	delete(s.conns, c)
 	s.mu.Unlock()
 	s.c.active.Add(-1)
+}
+
+// inflight sums the live connections' requests decoded but not yet
+// answered: the gauge is kept where it is written, one word per connection.
+func (s *Server) inflight() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for c := range s.conns {
+		n += c.inflight.Load()
+	}
+	return n
 }
 
 // Drain retires the server gracefully within budget:
@@ -317,7 +338,7 @@ func (s *Server) Stats() Stats {
 		Accepted:      s.c.accepted.Load(),
 		Rejected:      s.c.rejected.Load(),
 		Active:        s.c.active.Load(),
-		Inflight:      s.c.inflight.Load(),
+		Inflight:      s.inflight(),
 		BytesIn:       s.c.bytesIn.Load(),
 		BytesOut:      s.c.bytesOut.Load(),
 		BadFrames:     s.c.badFrames.Load(),

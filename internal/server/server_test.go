@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -415,16 +416,20 @@ type scriptConn struct {
 	out      bytes.Buffer
 	wrote    []*byte // first byte of each Write's argument
 	arms     int
-	onWrite  func() // called at the start of each Write, when set
+	onWrite  func(p []byte) // called at the start of each Write, when set
+	failFrom int            // Write number failFrom (from 1) and every later one fail; 0: none does
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) { return c.in.Read(p) }
 func (c *scriptConn) Close() error               { return nil }
 func (c *scriptConn) Write(p []byte) (int, error) {
 	if c.onWrite != nil {
-		c.onWrite()
+		c.onWrite(p)
 	}
 	c.wrote = append(c.wrote, &p[0])
+	if c.failFrom != 0 && len(c.wrote) >= c.failFrom {
+		return 0, errors.New("scriptConn: peer gone")
+	}
 	return c.out.Write(p)
 }
 func (c *scriptConn) SetWriteDeadline(time.Time) error {
@@ -486,44 +491,176 @@ func TestClientRequestEncoding(t *testing.T) {
 	}
 }
 
-// TestServerArmsDeadlinePerSocketWrite verifies the write deadline is
-// armed where a write can block — once per socket write — and not once
-// per response: a 16-GET burst produces 16 responses and three socket
-// writes (two when the 64 KB buffer has no room for another page, one
-// flush). None of them happens with a page pinned.
-func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
-	srv, _, done := newTestServer(t, 32, 1, Config{})
-	defer done()
-
+// getScript encodes n GET requests, IDs 0..n-1, for pages 0..n-1 mod span.
+func getScript(n, span uint64) []byte {
 	var raw []byte
-	for i := uint64(0); i < 16; i++ {
-		raw = appendFrame(raw, OpGet, i, be.AppendUint64(nil, uint64(testPage(i))))
+	for i := uint64(0); i < n; i++ {
+		raw = appendFrame(raw, OpGet, i, be.AppendUint64(nil, uint64(testPage(i%span))))
 	}
-	nc := &scriptConn{in: bytes.NewReader(raw)}
-	nc.onWrite = func() {
-		if n := srv.Pool().PinnedFrames(); n != 0 {
-			t.Errorf("socket write %d with %d page(s) pinned", len(nc.wrote), n)
-		}
-	}
+	return raw
+}
+
+// serveScript serves nc's script on a connection of srv, on this
+// goroutine; it returns when serve does.
+func serveScript(srv *Server, nc *scriptConn) {
 	c := newConn(srv, nc)
 	srv.wg.Add(1)
 	srv.c.active.Add(1)
-	c.serve() // returns on the script's EOF
+	c.serve()
+}
 
-	if got := srv.c.resps[StatusOK].Load(); got != 16 {
-		t.Fatalf("%d OK responses, want 16", got)
+// TestServerArmsDeadlinePerSocketWrite verifies that a burst leaves as a
+// burst, with the write deadline armed where a write can block — once per
+// socket write — and not once per response. The 16-GET burst the benchmark
+// sends and the 8-GET burst of bpload -pipeline 8 (one page more than a
+// 64 KB buffer held) each reach the socket in exactly one write. A 500-GET
+// burst is cut by the WriteBufSize ceiling — the default, one below a page
+// response (which means "flush every page") and one that holds two pages —
+// into writes that never carry more than the ceiling. No write happens
+// with a page pinned, and however the stream was cut it is byte for byte
+// appendFrame's encoding of the same responses.
+func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
+	const span = 8
+	for _, tc := range []struct {
+		gets           uint64
+		bufSize, wrote int
+	}{
+		{16, 0, 1},
+		{8, 0, 1},
+		{500, 0, 17}, // 31 pages fit 256 KB
+		{500, 4 << 10, 500},
+		{500, 20000, 250},
+	} {
+		srv, _, done := newTestServer(t, 32, 1, Config{WriteBufSize: tc.bufSize})
+		ceiling := srv.cfg.WriteBufSize
+		nc := &scriptConn{in: bytes.NewReader(getScript(tc.gets, span))}
+		nc.onWrite = func(p []byte) {
+			if len(p) > ceiling {
+				t.Errorf("%d GETs, WriteBufSize %d: a socket write of %d bytes", tc.gets, tc.bufSize, len(p))
+			}
+			if n := srv.Pool().PinnedFrames(); n != 0 {
+				t.Errorf("%d GETs, WriteBufSize %d: socket write %d with %d page(s) pinned", tc.gets, tc.bufSize, len(nc.wrote), n)
+			}
+		}
+		serveScript(srv, nc) // returns on the script's EOF
+
+		var want []byte
+		for i := uint64(0); i < tc.gets; i++ {
+			var pg page.Page
+			pg.Stamp(testPage(i % span))
+			want = appendFrame(want, StatusOK, i, pg.Data[:])
+		}
+		if !bytes.Equal(nc.out.Bytes(), want) {
+			t.Fatalf("%d GETs, WriteBufSize %d: response stream differs from appendFrame's encoding", tc.gets, tc.bufSize)
+		}
+		if got := srv.Stats().Responses["ok"]; got != int64(tc.gets) {
+			t.Fatalf("%d GETs, WriteBufSize %d: %d OK responses counted", tc.gets, tc.bufSize, got)
+		}
+		// The exit path's best-effort flush has nothing left to write, so
+		// it arms nothing either.
+		if len(nc.wrote) != tc.wrote || nc.arms != tc.wrote {
+			t.Fatalf("%d GETs, WriteBufSize %d: %d socket writes, deadline armed %d times; want %d of each",
+				tc.gets, tc.bufSize, len(nc.wrote), nc.arms, tc.wrote)
+		}
+		done()
 	}
-	if nc.out.Len() != 16*(4+frameHeaderLen+page.Size) {
-		t.Fatalf("%d response bytes written", nc.out.Len())
+}
+
+// TestServerBurstStickyWriteError fails the second socket write of a burst
+// that is flushed page by page: the handler retires without offering the
+// socket anything more, and what it served up to there is still counted.
+func TestServerBurstStickyWriteError(t *testing.T) {
+	srv, _, done := newTestServer(t, 32, 1, Config{WriteBufSize: pageRespLen})
+	defer done()
+	nc := &scriptConn{in: bytes.NewReader(getScript(10, 8)), failFrom: 2}
+	serveScript(srv, nc) // must return, the script's other eight GETs unread
+
+	if len(nc.wrote) != 2 || nc.out.Len() != pageRespLen {
+		t.Fatalf("%d socket writes, %d bytes delivered; want 2 (the second failing) and one response", len(nc.wrote), nc.out.Len())
 	}
-	writes := len(nc.wrote)
-	if writes == 0 || writes > 4 {
-		t.Fatalf("%d socket writes for a 16-GET burst, want 1–4", writes)
+	// The second page waited in the buffer while the third GET asked for
+	// room: three requests were decoded, two answered, one refused room.
+	st := srv.Stats()
+	if st.Requests["get"] != 3 || st.Responses["ok"] != 2 || st.WriteTimeouts != 0 {
+		t.Fatalf("after a failed write: %+v; want 3 GETs, 2 OK, no timeout", st)
 	}
-	// The exit path's best-effort flush has nothing left to write, so it
-	// arms nothing either.
-	if nc.arms != writes {
-		t.Fatalf("write deadline armed %d times for %d socket writes", nc.arms, writes)
+	if st.BytesOut != pageRespLen {
+		t.Fatalf("BytesOut %d after one delivered response, want %d", st.BytesOut, pageRespLen)
+	}
+}
+
+// TestServerFoldVisibleBeforeResponse pins the ordering of the counter
+// fold: a connection's staged counts reach the shared counters before the
+// socket write that carries the responses, so a client that has a burst's
+// results in hand already finds every op of it in Stats. Four clients,
+// each the only sender of its opcode, check that exactly after every Do;
+// at quiescence the totals are exact.
+func TestServerFoldVisibleBeforeResponse(t *testing.T) {
+	srv, _, done := newTestServer(t, 64, 2, Config{})
+	defer done()
+
+	const bursts, perBurst = 200, 8
+	var pg page.Page
+	codes := []byte{OpGet, OpPut, OpInvalidate, OpFlush}
+	var wg sync.WaitGroup
+	for _, code := range codes {
+		wg.Add(1)
+		go func(code byte) {
+			defer wg.Done()
+			c, err := Dial(srv.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			ops := make([]Op, perBurst)
+			for b := 1; b <= bursts; b++ {
+				for i := range ops {
+					// Pages of its own: an INVALIDATE of a page another client
+					// has pinned is refused, and this test wants only OKs.
+					ops[i] = Op{Code: code, Page: testPage(uint64(code)<<20 + uint64(b*perBurst+i)), Data: pg.Data[:]}
+				}
+				res, err := c.Do(ops)
+				if err != nil {
+					t.Errorf("%s: Do: %v", opName(code), err)
+					return
+				}
+				for i, r := range res {
+					if r.Err != nil {
+						t.Errorf("%s: op %d: %v", opName(code), i, r.Err)
+						return
+					}
+				}
+				st := srv.Stats()
+				if got, want := st.Requests[opName(code)], int64(b*perBurst); got != want {
+					t.Errorf("%s: after burst %d Stats counts %d requests, want %d", opName(code), b, got, want)
+					return
+				}
+				if got, min := st.Responses["ok"], int64(b*perBurst); got < min {
+					t.Errorf("%s: after burst %d Stats counts %d OK responses, want at least this client's %d", opName(code), b, got, min)
+					return
+				}
+			}
+		}(code)
+	}
+	wg.Wait()
+
+	st := srv.Stats()
+	for _, code := range codes {
+		if got := st.Requests[opName(code)]; got != bursts*perBurst {
+			t.Errorf("%s: %d requests at quiescence, want %d", opName(code), got, bursts*perBurst)
+		}
+	}
+	if got, want := st.Responses["ok"], int64(len(codes)*bursts*perBurst); got != want || len(st.Responses) != 1 {
+		t.Errorf("responses at quiescence %v, want %d OK and nothing else", st.Responses, want)
+	}
+	if st.Inflight != 0 {
+		t.Errorf("Inflight %d at quiescence", st.Inflight)
+	}
+	for _, code := range codes {
+		if got := srv.c.lat[code].Count(); got != bursts*perBurst {
+			t.Errorf("%s: latency histogram holds %d observations, want %d", opName(code), got, bursts*perBurst)
+		}
 	}
 }
 
