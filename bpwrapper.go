@@ -84,8 +84,8 @@ import (
 type PageID = page.PageID
 
 // BufferTag identifies one cached copy of a page (page id + frame
-// generation); BP-Wrapper's deferred hit records carry it so stale records
-// can be discarded at commit time.
+// generation, plus the slot of the frame holding it); BP-Wrapper's deferred
+// hit records carry it so stale records can be discarded at commit time.
 type BufferTag = page.BufferTag
 
 // Page is an 8 KB page image.

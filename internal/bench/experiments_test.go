@@ -48,12 +48,6 @@ func TestSystemsTableI(t *testing.T) {
 			t.Fatalf("%s uses %q", s.Name, s.Policy)
 		}
 	}
-	if _, err := SystemByName("pgBat"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SystemByName("nope"); err == nil {
-		t.Fatal("unknown system accepted")
-	}
 }
 
 func TestFig2BatchingReducesLockTime(t *testing.T) {

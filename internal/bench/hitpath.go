@@ -21,8 +21,9 @@ import (
 // through both paths. Every access is a hit, so the hit-path anatomy
 // counters are exact and byte-identical on every run: the optimistic path
 // must serve every hit fast (Fast == Hits) with zero bucket/frame lock
-// acquisitions, while the locked path pays a bucket lock per lookup (plus
-// one per commit validation). Committed as results/BENCH_hitpath.json and
+// acquisitions, while the locked path pays a bucket lock per lookup (and
+// none at commit: validation goes by frame slot, not through the table).
+// Committed as results/BENCH_hitpath.json and
 // drift-checked by CI; what the resident Get costs on the clock is
 // benchmark/'s buffer.get_hit_ns.
 

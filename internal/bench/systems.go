@@ -66,25 +66,6 @@ func Systems() []System {
 	return []System{SystemClock, System2Q, SystemBat, SystemPre, SystemBatPre}
 }
 
-// SystemByName resolves a system by its Table I name.
-func SystemByName(name string) (System, error) {
-	for _, s := range Systems() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return System{}, fmt.Errorf("bench: unknown system %q", name)
-}
-
-// WithPolicy returns a copy of the system using a different replacement
-// algorithm; used by the policy-independence ablation (the paper reports
-// repeating its experiments with LIRS and MQ in place of 2Q).
-func (s System) WithPolicy(policy string) System {
-	s.Policy = policy
-	s.Name = s.Name + "/" + policy
-	return s
-}
-
 // WrapperConfig materialises the system's core.Config with the paper's
 // queue tuning (size 64, threshold 32) unless overridden by the caller.
 func (s System) WrapperConfig(queueSize, batchThreshold int) core.Config {

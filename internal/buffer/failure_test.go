@@ -266,6 +266,84 @@ func TestQuarantineBoundRefusesDirtyEvictions(t *testing.T) {
 	}
 }
 
+// TestQuarantineGateSeesParkUnderWaitingMiss covers both sides of answering
+// "anything parked?" from a count instead of under quarMu. With nothing
+// parked, misses — clean and dirty evictions included — go through while
+// the test itself holds quarMu. And the count can be trusted when it
+// matters: a miss that was already waiting on a page's eviction while the
+// quarantine was still empty, and whose write then fails and parks, finds
+// the count raised by the time the op lets it through, and adopts the
+// parked copy rather than the device's stale one.
+func TestQuarantineGateSeesParkUnderWaitingMiss(t *testing.T) {
+	r := newEvictRig(t, Config{})
+	sh := shard0(r.p)
+
+	sh.quarMu.Lock()
+	idle := make(chan error, 1)
+	go func() {
+		// Eight misses over four frames: the fourth pushes dirty page 1
+		// out (a write the healthy device takes), the rest evict clean.
+		s := r.p.NewSession()
+		for i := uint64(20); i < 28; i++ {
+			ref, err := r.p.Get(s, pid(i))
+			if err != nil {
+				idle <- err
+				return
+			}
+			ref.Release()
+		}
+		idle <- nil
+	}()
+	select {
+	case err := <-idle:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a miss with nothing to adopt waited for the quarantine mutex")
+	}
+	sh.quarMu.Unlock()
+	if st := r.p.Stats(); st.EvictWritebacks != 1 || st.Quarantined != 0 {
+		t.Fatalf("stats %+v: want page 1 written back by its eviction, nothing parked", st)
+	}
+
+	// Version 2 into the frame; the device holds version 1.
+	ref, err := r.p.GetWrite(r.s, pid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 page.Page
+	v2.Stamp(pid(1) + 2*stampShift)
+	copy(ref.Data(), v2.Data[:])
+	ref.MarkDirty()
+	ref.Release()
+	r.log.ops = nil
+	entered, release := r.gate.armFail(pid(1), errGate)
+	evicted := r.evict(t)
+	<-entered
+	got := r.read(t)
+	waitUntil(t, "the miss to wait on the eviction", func() bool { return sh.evictWaits.Load() == 1 })
+	if n := sh.quarantineLen(); n != 0 {
+		t.Fatalf("%d pages parked while the write is still at the gate, want 0", n)
+	}
+	close(release)
+	pg := <-got
+	<-evicted
+	if !pg.VerifyStamp(pid(1) + 2*stampShift) {
+		t.Fatal("the waiting miss did not get the bytes parked under it")
+	}
+	if ops := r.log.seen(); len(ops) != 0 {
+		t.Fatalf("device saw %v for the page; the miss must adopt the parked copy, not read", ops)
+	}
+	if st := r.p.Stats(); st.WriteBackFailures != 1 || st.Quarantined != 0 || st.Dirty != 1 {
+		t.Fatalf("stats %+v: want one failed write-back, its copy adopted as the one dirty page", st)
+	}
+	if err := r.p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r.deviceHolds(t, 2)
+}
+
 // TestFlushDirtyAggregatesErrors checks a failing flush reports every
 // failed page, keeps flushing the rest, and loses nothing.
 func TestFlushDirtyAggregatesErrors(t *testing.T) {

@@ -60,11 +60,15 @@ const (
 // The state word and the tag live alone on the leading cache line (and the
 // struct is padded to a multiple of the line size), so pin CAS traffic on
 // one frame never invalidates a neighbour frame's hot line through false
-// sharing.
+// sharing. slot shares that line because it is written once, before the
+// frame is reachable, and read exactly where state is; ovNext because it is
+// written only when a bucket overflows, one miss in thousands.
 type Frame struct {
 	state   atomic.Uint64
 	tagPage atomic.Uint64 // page.PageID of the cached copy; InvalidPageID when not resident
-	_       [48]byte      // state+tag own the first cache line
+	slot    uint32        // index in the owning shard's frames; every tag this frame issues carries it
+	ovNext  uint32        // next frame (slot+1) in its bucket's overflow chain; guarded by the bucket mutex
+	_       [40]byte      // state+tag own the first cache line
 
 	// wmu serializes writers (GetWrite) on this frame. Writers acquire it
 	// WITHOUT holding a pin — a pinned waiter would deadlock the current
@@ -96,7 +100,7 @@ func (f *Frame) TagSnapshot() (page.BufferTag, bool) {
 	if (s1|s2)&frameRecycling != 0 || stateGen(s1) != stateGen(s2) {
 		return page.BufferTag{}, false
 	}
-	return page.BufferTag{Page: p, Gen: stateGen(s1)}, true
+	return page.BufferTag{Page: p, Gen: stateGen(s1), Slot: f.slot}, true
 }
 
 // Tag returns the frame's current buffer tag, lock-free: a seq-validated
@@ -130,7 +134,7 @@ func (f *Frame) tryPin(id page.PageID) (page.BufferTag, pinStatus) {
 			return page.BufferTag{}, pinRecycled
 		}
 		if f.state.CompareAndSwap(s, s+1) {
-			return page.BufferTag{Page: id, Gen: stateGen(s)}, pinOK
+			return page.BufferTag{Page: id, Gen: stateGen(s), Slot: f.slot}, pinOK
 		}
 	}
 }
@@ -182,7 +186,7 @@ func (f *Frame) install(dirty, wlock bool) page.BufferTag {
 		s |= frameWLock
 	}
 	f.state.Store(s)
-	return page.BufferTag{Page: page.PageID(f.tagPage.Load()), Gen: gen}
+	return page.BufferTag{Page: page.PageID(f.tagPage.Load()), Gen: gen, Slot: f.slot}
 }
 
 // toFree parks an exclusively owned (claimed) frame in the free state:

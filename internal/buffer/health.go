@@ -130,9 +130,9 @@ func (sh *shard) wireHealth(cfg HealthConfig) {
 
 // evalHealth recomputes the shard's health from its two inputs and
 // latches the result, recording a flight-recorder event on change. It
-// is called on the miss path (where its cost — one quarantine-length
-// mutex hop and an atomic breaker load — is noise next to the device
-// read it gates) and at metrics scrapes.
+// is called on the miss path (where its cost — two atomic loads, the
+// quarantine's length and the breaker's state — is noise next to the
+// device read it gates) and at metrics scrapes.
 func (sh *shard) evalHealth() HealthState {
 	if sh.forced.Load() {
 		return sh.latchHealth(ReadOnly)

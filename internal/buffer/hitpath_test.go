@@ -13,7 +13,8 @@ import (
 // TestHotStructPadding pins the cache-line layout the lock-free hit path
 // depends on: the frame's state word and tag own the leading line, the
 // whole Frame is a multiple of the line size (so frames in the shard's
-// slice never share a line), and the bucket is exactly three lines.
+// slice never share a line), and the reader side of a bucket is exactly
+// one line with nothing of the writer side on it.
 func TestHotStructPadding(t *testing.T) {
 	if s := unsafe.Sizeof(Frame{}); s%64 != 0 {
 		t.Errorf("Frame size %d is not a cache-line multiple", s)
@@ -21,8 +22,11 @@ func TestHotStructPadding(t *testing.T) {
 	if off := unsafe.Offsetof(Frame{}.wmu); off != 64 {
 		t.Errorf("Frame.wmu at offset %d, want 64: state+tag must own the first line", off)
 	}
-	if s := unsafe.Sizeof(bucket{}); s != 192 {
-		t.Errorf("bucket size %d, want 192 (three cache lines)", s)
+	if s := unsafe.Sizeof(bucket{}); s != 64 {
+		t.Errorf("bucket size %d, want 64 (the one line a probe reads)", s)
+	}
+	if s := unsafe.Sizeof(bucketW{}); s != 24 {
+		t.Errorf("bucketW size %d, want 24 (mutex, op chain, overflow chain)", s)
 	}
 }
 
@@ -165,9 +169,8 @@ func TestFramePinEvictRace(t *testing.T) {
 // the process-wide sched hook, so it must not run in parallel with other
 // hook users.
 func TestBucketTornRead(t *testing.T) {
-	var b bucket
-	var f Frame
-	f.initFree()
+	sh, b := bareTable(8)
+	const slot = 7
 
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
@@ -185,9 +188,9 @@ func TestBucketTornRead(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.mu.Lock()
-		b.insertLocked(42, &f)
-		b.mu.Unlock()
+		b.w.mu.Lock()
+		sh.insertLocked(b, 42, &sh.frames[slot])
+		b.w.mu.Unlock()
 	}()
 
 	<-inWindow // writer holds the seqlock odd, paused mid-mutation
@@ -200,30 +203,39 @@ func TestBucketTornRead(t *testing.T) {
 	<-done
 
 	got, stable := b.lookupOptimistic(42)
-	if !stable || got != &f {
-		t.Fatalf("post-write lookupOptimistic = (%p, %v), want (%p, true)", got, stable, &f)
+	if !stable || got != slot {
+		t.Fatalf("post-write lookupOptimistic = (%d, %v), want (%d, true)", got, stable, slot)
 	}
 	if _, stable := b.lookupOptimistic(99); !stable {
 		t.Fatalf("definitive miss reported unstable with no writer active")
 	}
 }
 
+// bareTable is a shard of n frames, each tagged with page slot+1 as a mapped
+// frame would be, and nothing else — enough to drive its first bucket.
+func bareTable(n int) (*shard, bucketRef) {
+	sh := &shard{frames: make([]Frame, n), buckets: make([]bucket, 1), bucketWs: make([]bucketW, 1)}
+	for i := range sh.frames {
+		sh.frames[i].slot = uint32(i)
+		sh.frames[i].tagPage.Store(uint64(i + 1))
+	}
+	return sh, sh.bucketAt(0)
+}
+
 // TestBucketOverflowFallback checks that an optimistic probe refuses to
-// report a definitive miss while entries live in the overflow map — the
+// report a definitive miss while entries live in the overflow chain — the
 // page might be resident there, invisible to the lock-free slot scan.
 func TestBucketOverflowFallback(t *testing.T) {
-	var b bucket
-	frames := make([]Frame, bucketSlots+1)
-	b.mu.Lock()
-	for i := 0; i <= bucketSlots; i++ {
-		frames[i].initFree()
-		b.insertLocked(page.PageID(i+1), &frames[i])
+	sh, b := bareTable(bucketSlots + 1)
+	b.w.mu.Lock()
+	for i := range sh.frames {
+		sh.insertLocked(b, page.PageID(i+1), &sh.frames[i])
 	}
-	b.mu.Unlock()
+	b.w.mu.Unlock()
 
 	// The spilled entry is findable under the lock but not optimistically.
 	spilled := page.PageID(bucketSlots + 1)
-	if got := b.lookupLocked(spilled); got != &frames[bucketSlots] {
+	if got := sh.lookupLocked(b, spilled); got != &sh.frames[bucketSlots] {
 		t.Fatalf("lookupLocked lost the overflow entry")
 	}
 	if _, stable := b.lookupOptimistic(spilled); stable {
@@ -235,9 +247,9 @@ func TestBucketOverflowFallback(t *testing.T) {
 		t.Fatalf("optimistic miss reported stable while overflow is nonempty")
 	}
 	// Draining the overflow restores lock-free definitive misses.
-	b.mu.Lock()
-	b.removeLocked(spilled)
-	b.mu.Unlock()
+	b.w.mu.Lock()
+	sh.removeLocked(b, spilled)
+	b.w.mu.Unlock()
 	if _, stable := b.lookupOptimistic(page.PageID(999)); !stable {
 		t.Fatalf("optimistic miss still unstable after overflow drained")
 	}

@@ -84,11 +84,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 	g("bpw_resharding", "1 while a previous topology is still draining", nil, resharding)
 	c("bpw_reshards_total", "completed online reshards", nil, float64(p.reshards.Load()))
 	migrated := int64(0)
-	_, _, retired := p.topologySnapshot()
-	for _, sh := range p.liveShards() {
-		migrated += sh.migratedOut.Load()
-	}
-	for _, sh := range retired {
+	for _, sh := range p.everyShard() {
 		migrated += sh.migratedOut.Load()
 	}
 	c("bpw_pages_migrated_total", "pages carried across topologies by reshards", nil, float64(migrated))

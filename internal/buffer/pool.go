@@ -514,15 +514,8 @@ func (p *Pool) Wrapper() *core.Wrapper { return p.cur.Load().shards[0].wrapper }
 // accesses — see core.Wrapper.Stats), and sums of consistent snapshots
 // preserve that bound.
 func (p *Pool) WrapperStats() core.Stats {
-	cur, prev, retired := p.topologySnapshot()
 	var ws core.Stats
-	for _, sh := range cur.shards {
-		ws = ws.Plus(sh.wrapper.Stats())
-	}
-	for _, sh := range prevShards(prev) {
-		ws = ws.Plus(sh.wrapper.Stats())
-	}
-	for _, sh := range retired {
+	for _, sh := range p.everyShard() {
 		ws = ws.Plus(sh.wrapper.Stats())
 	}
 	return ws
@@ -537,40 +530,34 @@ func (p *Pool) WrapperStats() core.Stats {
 // exact only once the sessions have called Flush; mid-run they can lag by
 // up to hitFoldInterval hits per live session.
 func (p *Pool) AccessStats() metrics.AccessSnapshot {
-	cur, prev, retired := p.topologySnapshot()
 	var a metrics.AccessSnapshot
-	for _, sh := range cur.shards {
-		a = a.Plus(sh.counters.Snapshot())
-	}
-	for _, sh := range prevShards(prev) {
-		a = a.Plus(sh.counters.Snapshot())
-	}
-	for _, sh := range retired {
+	for _, sh := range p.everyShard() {
 		a = a.Plus(sh.counters.Snapshot())
 	}
 	return a
 }
 
-// topologySnapshot reads the current set, the draining previous set, and
-// the retired-shard list as one exactly-once snapshot: retireMu orders it
-// against Reshard's finalize step (which appends to retired and clears
-// prev under the same mutex), so an old shard is never observed both as
-// "draining" and as "retired", and never missed.
-func (p *Pool) topologySnapshot() (cur, prev *shardSet, retired []*shard) {
+// topologySnapshot reads the current set and the shards of every earlier
+// one — the draining previous set's, if there is one, then the retired — as
+// one exactly-once snapshot: retireMu orders it against Reshard's finalize
+// step (which appends to retired and clears prev under the same mutex), so
+// an old shard is never observed both as "draining" and as "retired", and
+// never missed.
+func (p *Pool) topologySnapshot() (cur *shardSet, old []*shard, draining bool) {
 	p.retireMu.Lock()
+	defer p.retireMu.Unlock()
 	cur = p.cur.Load()
-	prev = cur.prev.Load()
-	retired = append([]*shard(nil), p.retired...)
-	p.retireMu.Unlock()
-	return cur, prev, retired
+	if prev := cur.prev.Load(); prev != nil {
+		old, draining = append(old, prev.shards...), true
+	}
+	return cur, append(old, p.retired...), draining
 }
 
-// prevShards unwraps an optional draining set into its shard list.
-func prevShards(prev *shardSet) []*shard {
-	if prev == nil {
-		return nil
-	}
-	return prev.shards
+// everyShard lists the shards of every topology the pool has had, from one
+// such snapshot: what a pool-wide total sums.
+func (p *Pool) everyShard() []*shard {
+	cur, old, _ := p.topologySnapshot()
+	return append(old, cur.shards...)
 }
 
 // Device returns the backing device.
@@ -791,21 +778,11 @@ func (p *Pool) Prewarm(ids []page.PageID) error {
 // between warm-up and measurement phases. Like counters.Reset it is
 // quiescent-only — sessions must have flushed their staged hits first.
 func (p *Pool) ResetStats() {
-	cur, prev, retired := p.topologySnapshot()
-	reset := func(sh *shard) {
+	for _, sh := range p.everyShard() {
 		sh.counters.Reset()
 		sh.hp.reset()
 		sh.wrapper.ResetStats()
 		sh.migratedOut.Store(0)
-	}
-	for _, sh := range cur.shards {
-		reset(sh)
-	}
-	for _, sh := range prevShards(prev) {
-		reset(sh)
-	}
-	for _, sh := range retired {
-		reset(sh)
 	}
 }
 
@@ -1011,68 +988,45 @@ func shardStatsOf(sh *shard) (ShardStats, metrics.AccessSnapshot) {
 // ordered read of current/draining/retired), so a concurrent reshard can
 // neither double-count a shard nor skip one.
 func (p *Pool) Stats() Stats {
-	cur, prev, retired := p.topologySnapshot()
+	cur, old, draining := p.topologySnapshot()
 	s := Stats{
 		Shards:        len(cur.shards),
 		Epoch:         cur.epoch,
-		Resharding:    prev != nil,
+		Resharding:    draining,
 		Reshards:      p.reshards.Load(),
 		QuarantineCap: p.quarCap,
 		PerShard:      make([]ShardStats, len(cur.shards)),
 		Device:        p.device.Stats(),
 	}
+	// One pass over every shard: the current topology's fill PerShard and
+	// sum into live; previous-topology shards (still draining, or retired)
+	// into Retired — their hits and misses happened to THIS pool, and
+	// mid-migration their dirty and quarantined pages are real pages the
+	// flush paths still see.
 	var acc metrics.AccessSnapshot
-	for i, sh := range cur.shards {
+	var live ShardStats
+	for i, sh := range append(old, cur.shards...) {
 		ss, a := shardStatsOf(sh)
-		s.PerShard[i] = ss
-		s.Frames += ss.Frames
-		s.Free += ss.Free
-		s.Dirty += ss.Dirty
-		s.Resident += ss.Resident
-		s.Quarantined += ss.Quarantined
-		s.WriteBackFailures += ss.WriteBackFailures
-		s.EvictWritebacks += ss.EvictWritebacks
-		s.MissWaitsLoad += ss.MissWaitsLoad
-		s.MissWaitsEvict += ss.MissWaitsEvict
-		s.Shed += ss.Shed
-		s.HitpathFast += ss.HitpathFast
-		s.HitpathRetries += ss.HitpathRetries
-		s.HitpathFallbacks += ss.HitpathFallbacks
-		s.BucketLockAcqs += ss.BucketLockAcqs
-		s.FrameLockAcqs += ss.FrameLockAcqs
-		if ss.Health > s.Health {
-			s.Health = ss.Health
+		if i < len(old) {
+			s.Retired.add(ss)
+		} else {
+			s.PerShard[i-len(old)] = ss
+			live.add(ss)
 		}
 		s.PagesMigrated += sh.migratedOut.Load()
 		acc = acc.Plus(a)
 		s.Wrapper = s.Wrapper.Plus(sh.wrapper.Stats())
 	}
-	// Previous-topology shards (still draining) and retired shards fold
-	// into the Retired aggregate and the pool counter totals: their hits
-	// and misses happened to THIS pool, and mid-migration their dirty and
-	// quarantined pages are real pages the flush paths still see. Frames/
-	// Free/Resident stay current-topology-only (the frame budget would
-	// double-count during the drain window).
-	old := append(append([]*shard(nil), prevShards(prev)...), retired...)
-	for _, sh := range old {
-		ss, a := shardStatsOf(sh)
-		s.Retired.add(ss)
-		s.Dirty += ss.Dirty
-		s.Quarantined += ss.Quarantined
-		s.WriteBackFailures += ss.WriteBackFailures
-		s.EvictWritebacks += ss.EvictWritebacks
-		s.MissWaitsLoad += ss.MissWaitsLoad
-		s.MissWaitsEvict += ss.MissWaitsEvict
-		s.Shed += ss.Shed
-		s.HitpathFast += ss.HitpathFast
-		s.HitpathRetries += ss.HitpathRetries
-		s.HitpathFallbacks += ss.HitpathFallbacks
-		s.BucketLockAcqs += ss.BucketLockAcqs
-		s.FrameLockAcqs += ss.FrameLockAcqs
-		s.PagesMigrated += sh.migratedOut.Load()
-		acc = acc.Plus(a)
-		s.Wrapper = s.Wrapper.Plus(sh.wrapper.Stats())
-	}
+	// Frames/Free/Resident and Health describe the current topology only
+	// (the frame budget would double-count during the drain window); every
+	// other total folds Retired in.
+	s.Frames, s.Free, s.Resident, s.Health = live.Frames, live.Free, live.Resident, live.Health
+	live.add(s.Retired)
+	s.Dirty, s.Quarantined, s.Shed = live.Dirty, live.Quarantined, live.Shed
+	s.WriteBackFailures, s.EvictWritebacks = live.WriteBackFailures, live.EvictWritebacks
+	s.MissWaitsLoad, s.MissWaitsEvict = live.MissWaitsLoad, live.MissWaitsEvict
+	s.HitpathFast, s.HitpathRetries, s.HitpathFallbacks = live.HitpathFast, live.HitpathRetries, live.HitpathFallbacks
+	s.BucketLockAcqs, s.FrameLockAcqs = live.BucketLockAcqs, live.FrameLockAcqs
 	s.Hits = acc.Hits
 	s.Misses = acc.Misses
 	s.HitRatio = acc.HitRatio()
@@ -1106,12 +1060,11 @@ func (p *Pool) PinnedFrames() int {
 // transitions — a claimed frame between table removal and the free list, a
 // flush window's sanctioned resident+quarantined overlap — as violations.
 func (p *Pool) CheckInvariants() error {
-	cur, prev, retired := p.topologySnapshot()
-	if prev != nil {
+	cur, retired, draining := p.topologySnapshot()
+	if draining {
 		return errors.New("buffer: reshard migration in flight (caller not quiescent)")
 	}
 	for i, sh := range cur.shards {
-		i := i
 		owns := func(id page.PageID) bool { return cur.indexFor(id) == i }
 		if err := sh.checkInvariants(owns); err != nil {
 			return fmt.Errorf("shard %d/%d: %w", i, len(cur.shards), err)

@@ -232,16 +232,16 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 	b := sh.bucketFor(id)
 	spins, recycled := 0, 0
 	for {
-		b.mu.Lock()
-		if op := b.opLocked(id); op != nil {
+		b.w.mu.Lock()
+		if op := b.w.opLocked(id); op != nil {
 			// A pre-seal load is still in flight, or an eviction is still
 			// writing the page out: wait for it to install, fail, land or
 			// park, then re-probe.
 			_ = sh.awaitOp(b, op)
 			continue
 		}
-		f := b.lookupLocked(id)
-		b.mu.Unlock()
+		f := sh.lookupLocked(b, id)
+		b.w.mu.Unlock()
 		if f == nil {
 			break
 		}
@@ -265,14 +265,11 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		}
 		dirty = s&frameDirty != 0
 		*dst = f.data
-		b.mu.Lock()
-		b.removeLocked(id)
-		b.mu.Unlock()
+		b.w.mu.Lock()
+		sh.removeLocked(b, id)
+		b.w.mu.Unlock()
 		sh.wrapper.Locked(func(pol replacer.Policy) { pol.Remove(id) })
-		f.toFree()
-		sh.freeMu.Lock()
-		sh.freeList = append(sh.freeList, f)
-		sh.freeMu.Unlock()
+		sh.freeFrame(f)
 		// A parked flush copy of this page (the sanctioned
 		// resident+quarantined overlap) is superseded by the frame bytes
 		// we just took — but its write-back was not confirmed, so the page
@@ -305,17 +302,10 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 }
 
 // residentIDs snapshots the ids currently mapped by the shard's page
-// table. Taken bucket by bucket under the bucket mutex (a migration sweep,
-// not an access path — it deliberately bypasses the hit-path lock
-// accounting).
+// table.
 func (sh *shard) residentIDs() []page.PageID {
 	var ids []page.PageID
-	for i := range sh.buckets {
-		b := &sh.buckets[i]
-		b.mu.Lock()
-		b.forEachLocked(func(id page.PageID, _ *Frame) { ids = append(ids, id) })
-		b.mu.Unlock()
-	}
+	sh.walkTable(func(id page.PageID, _ *Frame) { ids = append(ids, id) })
 	return ids
 }
 
@@ -346,9 +336,9 @@ func (sh *shard) handOverQuarantine(id page.PageID, dst *shard) {
 	l.Lock()
 	defer l.Unlock()
 	b := sh.bucketFor(id)
-	b.mu.Lock()
-	live := b.lookupLocked(id) != nil || b.opLocked(id) != nil
-	b.mu.Unlock()
+	b.w.mu.Lock()
+	live := sh.lookupLocked(b, id) != nil || b.w.opLocked(id) != nil
+	b.w.mu.Unlock()
 	if live {
 		return
 	}
@@ -356,7 +346,7 @@ func (sh *shard) handOverQuarantine(id page.PageID, dst *shard) {
 	c := sh.quarantine[id]
 	delete(sh.quarantine, id)
 	delete(sh.quarTrace, id)
-	sh.quarMu.Unlock()
+	sh.quarUnlock()
 	if c != nil {
 		// The destination cap is a soft bound (same as concurrent
 		// evictions): durability wins over the bound during a handover.
@@ -372,22 +362,10 @@ func (sh *shard) drained() bool {
 	sh.freeMu.Lock()
 	free := len(sh.freeList)
 	sh.freeMu.Unlock()
-	if free != len(sh.frames) {
+	if free != len(sh.frames) || sh.quarantineLen() != 0 {
 		return false
 	}
-	if sh.quarantineLen() != 0 {
-		return false
-	}
-	for i := range sh.buckets {
-		b := &sh.buckets[i]
-		b.mu.Lock()
-		n := 0
-		b.forEachLocked(func(page.PageID, *Frame) { n++ })
-		inflight := b.ops != nil
-		b.mu.Unlock()
-		if n != 0 || inflight {
-			return false
-		}
-	}
-	return true
+	n := 0
+	inflight := sh.walkTable(func(page.PageID, *Frame) { n++ })
+	return n == 0 && !inflight
 }

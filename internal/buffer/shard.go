@@ -42,16 +42,17 @@ type quarCtx struct {
 //
 // Since the lock-free hit-path rewrite (DESIGN.md §12), a resident-page
 // read acquires no mutex at all: the table lookup is a seqlock-validated
-// probe of open-addressed bucket slots, and the pin is one CAS on the
-// frame's packed state word. The bucket mutex is writer-only (miss
-// install, eviction, invalidation), and the per-frame wmu is taken only
-// by GetWrite.
+// probe of one bucket's open-addressed slots — one cache line — and the pin
+// is one CAS on the frame's packed state word. The bucket mutex is
+// writer-only (miss install, eviction, invalidation) and lives, with the
+// rest of what only writers need, in bucketWs; the per-frame wmu is taken
+// only by GetWrite.
 type shard struct {
-	frames  []Frame
-	buckets []bucket
-	mask    uint64
-	wrapper *core.Wrapper
-	device  storage.Device
+	frames   []Frame
+	buckets  []bucket  // reader lines, bucketsPerFrame per frame
+	bucketWs []bucketW // writer side of buckets[i]
+	wrapper  *core.Wrapper
+	device   storage.Device
 
 	// set points back at the topology this shard belongs to; the miss
 	// path follows set.prev during a reshard to steal still-resident
@@ -91,6 +92,12 @@ type shard struct {
 	quarMu     sync.Mutex
 	quarantine map[page.PageID]*page.Page
 	quarCap    int
+
+	// quarN mirrors len(quarantine), stored by whoever changed the map
+	// before it releases quarMu (quarUnlock), so a path that only asks
+	// whether, or how much, is parked takes no shard-wide lock — a miss on
+	// a healthy pool above all (quarantineTake).
+	quarN atomic.Int32
 
 	// quarTrace remembers, per parked page, which traced request did the
 	// parking (DESIGN.md §15): when the background writer or a flush sweep
@@ -160,132 +167,186 @@ func (hp *hitpathCounters) reset() {
 // wbStripes is the number of per-page write-back serialization stripes.
 const wbStripes = 64
 
-// bucketSlots is the open-addressed capacity of one bucket. The table is
-// sized at four buckets per frame, so the expected occupancy is 0.25
-// entries per bucket and the overflow map is essentially never used.
-const bucketSlots = 8
+// The page table is two four-slot buckets per frame: at full residency one
+// bucket in 5,800 holds more than four pages and 0.04 % of the pages live
+// in an overflow chain, for a table of 2 × (64 + 24) = 176 bytes per frame
+// (DESIGN.md §12 has the arithmetic).
+const (
+	bucketSlots     = 4
+	bucketsPerFrame = 2
+)
+
+// tableBuckets sizes a shard's table: exactly bucketsPerFrame per frame — no
+// rounding up to a power of two, no ceiling short of what bucketIndex can
+// address — so occupancy and bytes per frame hold at every shard size.
+func tableBuckets(frames int) int {
+	if frames > 1<<31/bucketsPerFrame {
+		panic(fmt.Sprintf("buffer: a shard of %d frames is more than its page table can index", frames))
+	}
+	return bucketsPerFrame * frames
+}
+
+// bucketIndex scales the low half of id's mixed hash onto n buckets (the
+// high half routes shards, see mix64); unlike a mask it serves any n.
+func bucketIndex(id page.PageID, n int) int {
+	return int(uint64(uint32(mix64(uint64(id)))) * uint64(n) >> 32)
+}
 
 // maxOptimisticRetries bounds how often a torn optimistic probe is retried
 // before the lookup falls back to the bucket mutex.
 const maxOptimisticRetries = 4
 
-// bucket is one hash-table partition, readable without locks: a seqlock
-// (the same even/odd protocol as the obs recorder) over a small
-// open-addressed array of page-id → frame slots. Readers snapshot seq,
-// probe the slots with atomic loads, and re-validate seq; an odd or
-// changed seq means a writer was mutating and the probe result is torn.
-// Writers — miss install, eviction, invalidation — mutate only under mu,
-// bumping seq to odd before the first store and back to even after the
-// last, so mu is writer-only and never appears on the hit path.
+// bucket is the reader side of one hash-table partition, and exactly one
+// cache line — all of the table a probe touches: a seqlock (the same
+// even/odd protocol as the obs recorder) over a small open-addressed array
+// of page id → frame, the frame named by its index in the shard's frames.
+// Readers snapshot seq, probe the slots with atomic loads, and re-validate
+// seq; an odd or changed seq means a writer was mutating and the probe
+// result is torn.
 //
-// The rare overflow beyond bucketSlots spills into a map that readers
+// The rare overflow beyond bucketSlots spills into a chain that readers
 // cannot probe lock-free; overflowN is read inside the seq window so an
 // optimistic probe knows to fall back to the mutex rather than report a
-// (false) definitive miss. The struct is padded to a multiple of the
-// cache-line size so writers on one bucket never invalidate a neighbor
-// bucket's slots under a reader.
+// (false) definitive miss.
 type bucket struct {
 	seq       atomic.Uint64
 	ids       [bucketSlots]atomic.Uint64
-	frames    [bucketSlots]atomic.Pointer[Frame]
+	slots     [bucketSlots]atomic.Uint32
 	overflowN atomic.Int32
-	_         [4]byte
+	_         [4]byte // 64 bytes: writers on one bucket never invalidate a neighbour under a reader
+}
 
-	mu       sync.Mutex
-	overflow map[page.PageID]*Frame // lazily allocated; guarded by mu
-	ops      *loadOp                // in-flight ops on this bucket's pages, chained; guarded by mu
-	_        [24]byte               // pad to 192 bytes: 3 cache lines, no straddling neighbor
+// bucketW is what only a bucket's writers touch — miss install, eviction,
+// invalidation — in an array of its own, off the line readers probe. They
+// mutate the reader line only under mu, bumping seq to odd before the first
+// store and back to even after the last, so mu is never on the hit path.
+// Both chains are intrusive, so neither registering an op nor overflowing
+// allocates: ops through the sessions' loadOps, the overflow through the
+// frames themselves (Frame.ovNext), each keyed by the page its tag names —
+// a mapped frame's tagPage is its table key from before the insert until
+// after the remove.
+type bucketW struct {
+	mu  sync.Mutex
+	ops *loadOp // in-flight ops on this bucket's pages, chained; guarded by mu
+	ov  uint32  // overflow chain: slot+1 of its first frame, 0 for none; guarded by mu
+}
+
+// bucketRef is one bucket, both sides of it.
+type bucketRef struct {
+	*bucket
+	w *bucketW
 }
 
 // lookupOptimistic probes the bucket without any lock. stable is false
 // when the probe raced a writer (torn seq) or the page might live in the
-// overflow map — in both cases the caller must retry or fall back to the
-// mutex. With stable true, f is the frame caching id, or nil for a
+// overflow chain — in both cases the caller must retry or fall back to the
+// mutex. With stable true, slot is the frame caching id, or -1 for a
 // definitive miss.
-func (b *bucket) lookupOptimistic(id page.PageID) (f *Frame, stable bool) {
+func (b *bucket) lookupOptimistic(id page.PageID) (slot int, stable bool) {
 	s1 := b.seq.Load()
 	if s1&1 != 0 {
-		return nil, false
+		return -1, false
 	}
+	slot = -1
 	for i := 0; i < bucketSlots; i++ {
 		if page.PageID(b.ids[i].Load()) == id {
-			f = b.frames[i].Load()
+			slot = int(b.slots[i].Load())
 			break
 		}
 	}
 	ov := b.overflowN.Load()
 	if b.seq.Load() != s1 {
-		return nil, false
+		return -1, false
 	}
-	if f == nil && ov != 0 {
-		return nil, false
+	if slot < 0 && ov != 0 {
+		return -1, false
 	}
-	return f, true
+	return slot, true
 }
 
-// lookupLocked probes the bucket under mu (or at quiescence).
-func (b *bucket) lookupLocked(id page.PageID) *Frame {
+// lookupLocked probes b under its mutex (or at quiescence) and returns the
+// frame caching id, or nil.
+func (sh *shard) lookupLocked(b bucketRef, id page.PageID) *Frame {
 	for i := 0; i < bucketSlots; i++ {
 		if page.PageID(b.ids[i].Load()) == id {
-			return b.frames[i].Load()
+			return &sh.frames[b.slots[i].Load()]
 		}
 	}
-	if b.overflow != nil {
-		return b.overflow[id]
+	for s := b.w.ov; s != 0; s = sh.frames[s-1].ovNext {
+		if f := &sh.frames[s-1]; page.PageID(f.tagPage.Load()) == id {
+			return f
+		}
 	}
 	return nil
 }
 
-// insertLocked maps id → f. Caller holds mu; the seq bump makes any
-// overlapping optimistic probe retry.
-func (b *bucket) insertLocked(id page.PageID, f *Frame) {
+// insertLocked maps id → f, which is tagged id already. Caller holds b's
+// mutex; the seq bump makes any overlapping optimistic probe retry.
+func (sh *shard) insertLocked(b bucketRef, id page.PageID, f *Frame) {
 	b.seq.Add(1)
 	sched.Yield(sched.BufBucketWrite)
 	defer b.seq.Add(1)
 	for i := 0; i < bucketSlots; i++ {
 		if b.ids[i].Load() == 0 {
-			b.frames[i].Store(f)
+			b.slots[i].Store(f.slot)
 			b.ids[i].Store(uint64(id))
 			return
 		}
 	}
-	if b.overflow == nil {
-		b.overflow = make(map[page.PageID]*Frame)
-	}
-	b.overflow[id] = f
+	f.ovNext, b.w.ov = b.w.ov, f.slot+1
 	b.overflowN.Add(1)
 }
 
-// removeLocked unmaps id. Caller holds mu.
-func (b *bucket) removeLocked(id page.PageID) {
+// removeLocked unmaps id. Caller holds b's mutex. A slot it empties is
+// refilled from the overflow, so a page is out of the lock-free probe's
+// reach only while its bucket really holds more than bucketSlots; a pool
+// that churns would otherwise keep every page that once arrived fifth there.
+func (sh *shard) removeLocked(b bucketRef, id page.PageID) {
 	b.seq.Add(1)
 	sched.Yield(sched.BufBucketWrite)
 	defer b.seq.Add(1)
 	for i := 0; i < bucketSlots; i++ {
 		if page.PageID(b.ids[i].Load()) == id {
 			b.ids[i].Store(0)
-			b.frames[i].Store(nil)
+			if s := b.w.ov; s != 0 {
+				f := &sh.frames[s-1]
+				b.w.ov = f.ovNext
+				b.overflowN.Add(-1)
+				b.slots[i].Store(f.slot)
+				b.ids[i].Store(f.tagPage.Load())
+			}
 			return
 		}
 	}
-	if b.overflow != nil {
-		if _, ok := b.overflow[id]; ok {
-			delete(b.overflow, id)
+	for pp := &b.w.ov; *pp != 0; pp = &sh.frames[*pp-1].ovNext {
+		if f := &sh.frames[*pp-1]; page.PageID(f.tagPage.Load()) == id {
+			*pp = f.ovNext
 			b.overflowN.Add(-1)
+			return
 		}
 	}
 }
 
-// forEachLocked visits every mapping. Caller holds mu (or is quiescent).
-func (b *bucket) forEachLocked(fn func(page.PageID, *Frame)) {
-	for i := 0; i < bucketSlots; i++ {
-		if id := page.PageID(b.ids[i].Load()); id.Valid() {
-			fn(id, b.frames[i].Load())
+// walkTable visits every mapping of the shard's table, one bucket mutex at
+// a time, and reports whether any bucket had an op in flight. A sweep for
+// migration and invariant checks, not an access path: it bypasses the
+// hit-path lock accounting.
+func (sh *shard) walkTable(fn func(id page.PageID, f *Frame)) (inflight bool) {
+	for i := range sh.buckets {
+		b := sh.bucketAt(i)
+		b.w.mu.Lock()
+		for j := 0; j < bucketSlots; j++ {
+			if id := page.PageID(b.ids[j].Load()); id.Valid() {
+				fn(id, &sh.frames[b.slots[j].Load()])
+			}
 		}
+		for s := b.w.ov; s != 0; s = sh.frames[s-1].ovNext {
+			fn(page.PageID(sh.frames[s-1].tagPage.Load()), &sh.frames[s-1])
+		}
+		inflight = inflight || b.w.ops != nil
+		b.w.mu.Unlock()
 	}
-	for id, f := range b.overflow {
-		fn(id, f)
-	}
+	return inflight
 }
 
 // loadOp marks a page as in flight between the table and the device: a
@@ -324,7 +385,7 @@ func nextOp(slot **loadOp, id page.PageID, evict bool) *loadOp {
 }
 
 // opLocked returns the in-flight op for id, if any. Caller holds mu.
-func (b *bucket) opLocked(id page.PageID) *loadOp {
+func (b *bucketW) opLocked(id page.PageID) *loadOp {
 	for op := b.ops; op != nil; op = op.next {
 		if op.id == id {
 			return op
@@ -334,13 +395,13 @@ func (b *bucket) opLocked(id page.PageID) *loadOp {
 }
 
 // addOpLocked chains op on the bucket. Caller holds mu.
-func (b *bucket) addOpLocked(op *loadOp) {
+func (b *bucketW) addOpLocked(op *loadOp) {
 	op.next = b.ops
 	b.ops = op
 }
 
 // removeOpLocked unchains op. Caller holds mu.
-func (b *bucket) removeOpLocked(op *loadOp) {
+func (b *bucketW) removeOpLocked(op *loadOp) {
 	for pp := &b.ops; *pp != nil; pp = &(*pp).next {
 		if *pp == op {
 			*pp = op.next
@@ -353,12 +414,12 @@ func (b *bucket) removeOpLocked(op *loadOp) {
 // awaitOp waits for another goroutine's in-flight op on one of b's pages
 // and returns its outcome; the caller then looks the page up again. Called
 // with b.mu held, which it releases.
-func (sh *shard) awaitOp(b *bucket, op *loadOp) error {
+func (sh *shard) awaitOp(b bucketRef, op *loadOp) error {
 	if op.done == nil {
 		op.done = make(chan struct{})
 	}
 	done, evict := op.done, op.evict
-	b.mu.Unlock()
+	b.w.mu.Unlock()
 	if evict {
 		sh.evictWaits.Add(1)
 	} else {
@@ -369,12 +430,12 @@ func (sh *shard) awaitOp(b *bucket, op *loadOp) error {
 }
 
 // finishOp unregisters op and releases whoever waited on it.
-func (sh *shard) finishOp(b *bucket, op *loadOp, err error) {
+func (sh *shard) finishOp(b bucketRef, op *loadOp, err error) {
 	op.err = err
 	sh.lockBucket(b)
-	b.removeOpLocked(op)
+	b.w.removeOpLocked(op)
 	done := op.done
-	b.mu.Unlock()
+	b.w.mu.Unlock()
 	if done != nil {
 		close(done)
 	}
@@ -385,16 +446,9 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	if pol.Cap() < frames {
 		panic(fmt.Sprintf("buffer: policy capacity %d below shard frame count %d", pol.Cap(), frames))
 	}
-	nb := 1
-	for nb < 4*frames {
-		nb <<= 1
-	}
-	if nb > 1<<16 {
-		nb = 1 << 16
-	}
 	sh.frames = make([]Frame, frames)
-	sh.buckets = make([]bucket, nb)
-	sh.mask = uint64(nb - 1)
+	sh.buckets = make([]bucket, tableBuckets(frames))
+	sh.bucketWs = make([]bucketW, len(sh.buckets))
 	sh.device = device
 	sh.lockedHitPath = lockedHitPath
 	sh.quarantine = make(map[page.PageID]*page.Page)
@@ -403,6 +457,7 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	sh.tracer = wcfg.Tracer
 	sh.freeList = make([]*Frame, frames)
 	for i := range sh.frames {
+		sh.frames[i].slot = uint32(i)
 		sh.frames[i].initFree()
 		sh.freeList[i] = &sh.frames[i]
 	}
@@ -411,15 +466,26 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	sh.wrapper = core.New(pol, wcfg)
 }
 
-// bucketFor hashes a page id to its table partition within the shard.
-func (sh *shard) bucketFor(id page.PageID) *bucket {
-	return &sh.buckets[mix64(uint64(id))&sh.mask]
+// bucketFor returns the table partition of a page id within the shard.
+func (sh *shard) bucketFor(id page.PageID) bucketRef {
+	return sh.bucketAt(bucketIndex(id, len(sh.buckets)))
+}
+
+// bucketAt pairs the two sides of bucket i.
+func (sh *shard) bucketAt(i int) bucketRef { return bucketRef{&sh.buckets[i], &sh.bucketWs[i]} }
+
+// frameAt resolves a table lookup's answer: the frame in slot, nil for -1.
+func (sh *shard) frameAt(slot int) *Frame {
+	if slot < 0 {
+		return nil
+	}
+	return &sh.frames[slot]
 }
 
 // lockBucket takes a bucket's writer mutex, counting the acquisition so
 // the E17 "zero locks on the hit path" claim is measurable, not asserted.
-func (sh *shard) lockBucket(b *bucket) {
-	b.mu.Lock()
+func (sh *shard) lockBucket(b bucketRef) {
+	b.w.mu.Lock()
 	sh.hp.bucketLocks.Add(1)
 }
 
@@ -429,47 +495,47 @@ func (sh *shard) wbLock(id page.PageID) *sync.Mutex {
 }
 
 // validTag is installed as the shard wrapper's commit-time validator: a
-// queued access is applied to the policy only if the page is still cached
-// by the same frame generation it was recorded against (Section IV-B).
-// Like the hit path it reads lock-free — an optimistic bucket probe plus a
-// seq-validated tag snapshot — falling back to the bucket mutex only on a
-// torn read, so commits do not reintroduce the lookup locks the hit path
-// shed.
+// queued access is applied to the policy only if the frame it was recorded
+// against still holds the same generation of the same page — the paper's
+// comparison with the tag in the buffer header (Section IV-B). It runs
+// under the policy lock, so it probes no table: the tag names the slot,
+// and since every ownership transition of a frame bumps its generation a
+// matching header is proof enough. A session flushes into the shard it
+// recorded against, so the slot indexes the right frames; a tag this shard
+// never issued is simply not valid.
 func (sh *shard) validTag(e core.Entry) bool {
-	b := sh.bucketFor(e.ID)
-	f := sh.lookupAny(b, e.ID)
-	if f == nil {
+	if uint64(e.Tag.Slot) >= uint64(len(sh.frames)) {
 		return false
 	}
-	t, ok := f.TagSnapshot()
-	return ok && t.Matches(e.Tag)
+	t, ok := sh.frames[e.Tag.Slot].TagSnapshot()
+	return ok && t.Page == e.ID && t.Matches(e.Tag)
 }
 
 // lookupAny resolves id to its frame, optimistically when allowed and
 // stable, under the bucket mutex otherwise. Used by the non-hit paths
-// (commit validation, eviction, invalidation) that need a plain answer
-// without the hit path's retry accounting.
-func (sh *shard) lookupAny(b *bucket, id page.PageID) *Frame {
+// (eviction) that need a plain answer without the hit path's retry
+// accounting.
+func (sh *shard) lookupAny(b bucketRef, id page.PageID) *Frame {
 	if !sh.lockedHitPath {
-		if f, stable := b.lookupOptimistic(id); stable {
-			return f
+		if slot, stable := b.lookupOptimistic(id); stable {
+			return sh.frameAt(slot)
 		}
 	}
 	sh.lockBucket(b)
-	f := b.lookupLocked(id)
-	b.mu.Unlock()
+	f := sh.lookupLocked(b, id)
+	b.w.mu.Unlock()
 	return f
 }
 
 // hitLookup is the Get-path table probe: optimistic with bounded retries,
 // then the mutex. fast reports that the answer came from a zero-lock
 // stable probe.
-func (sh *shard) hitLookup(b *bucket, id page.PageID) (f *Frame, fast bool) {
+func (sh *shard) hitLookup(b bucketRef, id page.PageID) (f *Frame, fast bool) {
 	if !sh.lockedHitPath {
 		for attempt := 0; ; attempt++ {
-			f, stable := b.lookupOptimistic(id)
+			slot, stable := b.lookupOptimistic(id)
 			if stable {
-				return f, true
+				return sh.frameAt(slot), true
 			}
 			if attempt >= maxOptimisticRetries {
 				break
@@ -480,8 +546,8 @@ func (sh *shard) hitLookup(b *bucket, id page.PageID) (f *Frame, fast bool) {
 		sh.hp.fallbacks.Add(1)
 	}
 	sh.lockBucket(b)
-	f = b.lookupLocked(id)
-	b.mu.Unlock()
+	f = sh.lookupLocked(b, id)
+	b.w.mu.Unlock()
 	return f, false
 }
 
@@ -508,11 +574,7 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 		}
 		f, fast := sh.hitLookup(b, id)
 		if tracing {
-			var fastArg uint64
-			if fast {
-				fastArg = 1
-			}
-			ps.trace.Span(reqtrace.PhaseBucketProbe, idx, t0, ps.trace.Now()-t0, fastArg, uint64(id))
+			ps.trace.Span(reqtrace.PhaseBucketProbe, idx, t0, ps.trace.Now()-t0, flagArg(fast), uint64(id))
 		}
 		if f == nil {
 			ref, retry, err := sh.load(ps, idx, id, writable)
@@ -525,53 +587,39 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 			recycled = 0
 			continue
 		}
-		if writable {
-			// Writers queue on wmu WITHOUT holding a pin: a pinned waiter
-			// would deadlock the current holder's reader drain. Only after
-			// the mutex is ours do we pin and re-validate that the frame
-			// still caches id.
-			if tracing {
-				t0 = ps.trace.Now()
-			}
-			f.wmu.Lock()
-			sh.hp.frameLocks.Add(1)
-			tag, st := f.tryPin(id)
-			if st != pinOK {
-				f.wmu.Unlock()
-				if st == pinBusy {
-					backoff(spins)
-					spins++
-				} else {
-					recycled = yieldIfStillRecycled(recycled)
-				}
-				continue
-			}
-			f.lockContent()
-			if tracing {
-				ps.trace.Span(reqtrace.PhasePin, idx, t0, ps.trace.Now()-t0, 1, uint64(id))
-			}
-			ps.stageHit(idx, false)
-			sub.Hit(id, tag)
-			return newPageRef(f, id, tag, true), nil
+		// Writers queue on wmu WITHOUT holding a pin: a pinned waiter would
+		// deadlock the current holder's reader drain. Only after the mutex
+		// is ours do we pin and re-validate that the frame still caches id.
+		if !writable {
+			sched.Yield(sched.BufHitPin)
 		}
-		sched.Yield(sched.BufHitPin)
 		if tracing {
 			t0 = ps.trace.Now()
 		}
+		if writable {
+			f.wmu.Lock()
+			sh.hp.frameLocks.Add(1)
+		}
 		tag, st := f.tryPin(id)
-		switch st {
-		case pinOK:
-			if tracing {
-				ps.trace.Span(reqtrace.PhasePin, idx, t0, ps.trace.Now()-t0, 0, uint64(id))
+		if st == pinOK {
+			if writable {
+				f.lockContent()
 			}
-			ps.stageHit(idx, fast)
+			if tracing {
+				ps.trace.Span(reqtrace.PhasePin, idx, t0, ps.trace.Now()-t0, flagArg(writable), uint64(id))
+			}
+			ps.stageHit(idx, fast && !writable)
 			sub.Hit(id, tag)
-			return newPageRef(f, id, tag, false), nil
-		case pinBusy:
+			return newPageRef(f, id, tag, writable), nil
+		}
+		if writable {
+			f.wmu.Unlock()
+		}
+		if st == pinBusy {
 			// A writer holds the frame exclusively; wait it out.
 			backoff(spins)
 			spins++
-		case pinRecycled:
+		} else {
 			// Frame recycled between lookup and pin; retry the lookup.
 			recycled = yieldIfStillRecycled(recycled)
 		}
@@ -600,9 +648,9 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	sub := ps.subs[idx]
 	b := sh.bucketFor(id)
 	sh.lockBucket(b)
-	if b.lookupLocked(id) != nil {
+	if sh.lookupLocked(b, id) != nil {
 		// Installed while we were acquiring the lock.
-		b.mu.Unlock()
+		b.w.mu.Unlock()
 		return nil, true, nil
 	}
 	if sh.sealed.Load() {
@@ -611,10 +659,10 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 		// NEW load can ever register here, which is what lets a reshard's
 		// stealPage treat an op-free, frame-free bucket as definitively
 		// not holding the page. The caller retries against the new set.
-		b.mu.Unlock()
+		b.w.mu.Unlock()
 		return nil, false, errResharded
 	}
-	if other := b.opLocked(id); other != nil {
+	if other := b.w.opLocked(id); other != nil {
 		// The page is in flight — another backend is loading it, or an
 		// eviction is still writing its dirty bytes out: wait, then retry.
 		if err := sh.awaitOp(b, other); err != nil {
@@ -623,8 +671,8 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 		return nil, true, nil
 	}
 	op := nextOp(&ps.load, id, false)
-	b.addOpLocked(op)
-	b.mu.Unlock()
+	b.w.addOpLocked(op)
+	b.w.mu.Unlock()
 
 	// Fold this session's staged hits before counting the miss, so the
 	// shard counters never show a miss "ahead of" hits that actually
@@ -686,13 +734,9 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 			// when head sampling skipped it.
 			t0 := ps.trace.Now()
 			rerr := sh.device.ReadPage(id, &f.data)
-			var errArg uint64
+			ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
 			if rerr != nil {
-				errArg = 1
-			}
-			ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, errArg, uint64(id))
-			if rerr != nil {
-				sh.abandonFrame(f)
+				sh.freeFrame(f)
 				sh.finishOp(b, op, rerr)
 				return nil, false, rerr
 			}
@@ -712,8 +756,8 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 
 	sched.Yield(sched.BufLoadInstall)
 	sh.lockBucket(b)
-	b.insertLocked(id, f)
-	b.mu.Unlock()
+	sh.insertLocked(b, id, f)
+	b.w.mu.Unlock()
 
 	// Second phase of the miss protocol: the page has a frame and a table
 	// entry, so it may now become policy-resident. If a concurrent miss
@@ -732,10 +776,7 @@ func (sh *shard) recycle(ps *Session, victim page.PageID) {
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
 		if victim.Valid() {
 			if f, ok := sh.reclaim(ps, victim); ok {
-				f.toFree()
-				sh.freeMu.Lock()
-				sh.freeList = append(sh.freeList, f)
-				sh.freeMu.Unlock()
+				sh.freeFrame(f)
 				return
 			}
 		}
@@ -918,22 +959,18 @@ func (sh *shard) reclaim(ps *Session, victim page.PageID) (*Frame, bool) {
 		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
 	}
 	dirty := s&frameDirty != 0
-	var dirtyArg uint64
-	if dirty {
-		dirtyArg = 1
-	}
-	sh.events.Record(obs.EvEvict, uint64(victim), dirtyArg)
+	sh.events.Record(obs.EvEvict, uint64(victim), flagArg(dirty))
 
 	sched.Yield(sched.BufReclaimClaim)
 	sh.lockBucket(b)
-	b.removeLocked(victim)
+	sh.removeLocked(b, victim)
 	if !dirty {
-		b.mu.Unlock()
+		b.w.mu.Unlock()
 		return f, true
 	}
 	op := nextOp(&ps.evict, victim, true)
-	b.addOpLocked(op)
-	b.mu.Unlock()
+	b.w.addOpLocked(op)
+	b.w.mu.Unlock()
 
 	sched.Yield(sched.BufEvictWrite)
 	sh.writeVictim(&ps.trace, victim, f)
@@ -956,11 +993,7 @@ func (sh *shard) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
 	sh.quarantineTake(id)
 	t0 := a.Now()
 	err := sh.device.WritePage(&f.data)
-	var errArg uint64
-	if err != nil {
-		errArg = 1
-	}
-	a.Slow(reqtrace.PhaseDeviceWrite, -1, t0, a.Now()-t0, errArg, uint64(id))
+	a.Slow(reqtrace.PhaseDeviceWrite, -1, t0, a.Now()-t0, flagArg(err != nil), uint64(id))
 	if err == nil {
 		sh.evictWritebacks.Add(1)
 		return
@@ -1032,20 +1065,43 @@ func (sh *shard) quarantinePut(id page.PageID, copy *page.Page, a *reqtrace.Acti
 		delete(sh.quarTrace, id)
 	}
 	n := len(sh.quarantine)
-	sh.quarMu.Unlock()
+	sh.quarUnlock()
 	sh.events.Record(obs.EvQuarantinePark, uint64(id), uint64(n))
 }
 
+// quarUnlock releases quarMu after a change to the quarantine, publishing
+// its new size first.
+func (sh *shard) quarUnlock() {
+	sh.quarN.Store(int32(len(sh.quarantine)))
+	sh.quarMu.Unlock()
+}
+
 // quarantineTake removes and returns the quarantined copy of id, if any.
-// Used by the miss path to adopt the newest acknowledged version.
+// Used by the miss path to adopt the newest acknowledged version, and by
+// an eviction's write to drop an older one.
+//
+// An empty quarantine — the case on every miss and dirty eviction of a
+// healthy pool — is answered from quarN, without the lock. That is safe
+// because nobody who must find a page's parked copy gets here ahead of the
+// park: each parker parks before it releases what its taker then acquires.
+// An eviction parks before finishOp unchains its op under the page's bucket
+// mutex, where load and stealPage wait the op out. A flush parks before it
+// clears the frame's dirty bit and drops its pin, and a taker arrives only
+// behind an evictor whose claim CAS read that state word. A handover puts
+// under the old shard's write-back stripe, which stealPage passes through
+// before its caller looks here. Each is a happens-before edge from the
+// store of the count to this load: zero means no copy the caller is due.
 func (sh *shard) quarantineTake(id page.PageID) *page.Page {
+	if sh.quarN.Load() == 0 {
+		return nil
+	}
 	sh.quarMu.Lock()
 	q := sh.quarantine[id]
 	if q != nil {
 		delete(sh.quarantine, id)
 		delete(sh.quarTrace, id)
 	}
-	sh.quarMu.Unlock()
+	sh.quarUnlock()
 	return q
 }
 
@@ -1062,25 +1118,15 @@ func (sh *shard) quarantineResolve(id page.PageID, copy *page.Page) quarCtx {
 		tc = sh.quarTrace[id]
 		delete(sh.quarTrace, id)
 	}
-	sh.quarMu.Unlock()
+	sh.quarUnlock()
 	return tc
 }
 
-func (sh *shard) quarantineFull() bool {
-	sh.quarMu.Lock()
-	full := len(sh.quarantine) >= sh.quarCap
-	sh.quarMu.Unlock()
-	return full
-}
+func (sh *shard) quarantineFull() bool { return sh.quarantineLen() >= sh.quarCap }
 
 // quarantineLen reports the number of pages currently parked in this
 // shard's dirty quarantine.
-func (sh *shard) quarantineLen() int {
-	sh.quarMu.Lock()
-	n := len(sh.quarantine)
-	sh.quarMu.Unlock()
-	return n
-}
+func (sh *shard) quarantineLen() int { return int(sh.quarN.Load()) }
 
 // drainQuarantine retries the write-back of every quarantined page,
 // returning the number made durable, the number that failed again, and
@@ -1113,10 +1159,10 @@ func (sh *shard) drainQuarantine() (written, failed int, err error) {
 	return written, failed, errors.Join(errs...)
 }
 
-// abandonFrame returns a claimed frame to the free list after a failed
-// load. The page was never admitted to the policy (two-phase protocol), so
-// no policy rollback is needed.
-func (sh *shard) abandonFrame(f *Frame) {
+// freeFrame returns a claimed frame to the free list: after a failed load
+// (the page was never admitted to the policy — two-phase protocol — so no
+// policy rollback is needed), or once its page has been unmapped for good.
+func (sh *shard) freeFrame(f *Frame) {
 	f.toFree()
 	sh.freeMu.Lock()
 	sh.freeList = append(sh.freeList, f)
@@ -1133,7 +1179,7 @@ func (sh *shard) purgeQuarantine(id page.PageID) {
 	sh.quarMu.Lock()
 	delete(sh.quarantine, id)
 	delete(sh.quarTrace, id)
-	sh.quarMu.Unlock()
+	sh.quarUnlock()
 	l.Unlock()
 }
 
@@ -1150,14 +1196,14 @@ func (sh *shard) invalidate(id page.PageID) error {
 	var f *Frame
 	for recycled := 0; ; {
 		sh.lockBucket(b)
-		if op := b.opLocked(id); op != nil {
+		if op := b.w.opLocked(id); op != nil {
 			// The op's own outcome is the loader's business; we only need
 			// it over before looking again.
 			_ = sh.awaitOp(b, op)
 			continue
 		}
-		f = b.lookupLocked(id)
-		b.mu.Unlock()
+		f = sh.lookupLocked(b, id)
+		b.w.mu.Unlock()
 		if f == nil {
 			sh.purgeQuarantine(id)
 			return nil
@@ -1185,15 +1231,11 @@ func (sh *shard) invalidate(id page.PageID) error {
 	})
 
 	sh.lockBucket(b)
-	b.removeLocked(id)
-	b.mu.Unlock()
+	sh.removeLocked(b, id)
+	b.w.mu.Unlock()
 
 	sh.purgeQuarantine(id)
-
-	f.toFree()
-	sh.freeMu.Lock()
-	sh.freeList = append(sh.freeList, f)
-	sh.freeMu.Unlock()
+	sh.freeFrame(f)
 	return nil
 }
 
@@ -1247,7 +1289,7 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 	// The flusher parks on its own behalf, not a request's: drop any
 	// stale parker attribution a superseded entry left behind.
 	delete(sh.quarTrace, id)
-	sh.quarMu.Unlock()
+	sh.quarUnlock()
 	for {
 		cur := f.state.Load()
 		if f.state.CompareAndSwap(cur, cur&^uint64(frameDirty)) {
@@ -1340,29 +1382,19 @@ func (sh *shard) pinnedFrames() int {
 func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 	// Snapshot the table: page → frame, taking each bucket lock once.
 	mapped := make(map[page.PageID]*Frame, len(sh.frames))
+	inflight := sh.walkTable(func(id page.PageID, f *Frame) { mapped[id] = f })
+	if inflight {
+		return errors.New("buffer: load or eviction write in flight during invariant check (caller not quiescent)")
+	}
 	for i := range sh.buckets {
-		b := &sh.buckets[i]
-		b.mu.Lock()
-		if b.seq.Load()&1 != 0 {
-			b.mu.Unlock()
+		if sh.buckets[i].seq.Load()&1 != 0 {
 			return errors.New("buffer: bucket seqlock left odd (writer died mid-update)")
-		}
-		b.forEachLocked(func(id page.PageID, f *Frame) {
-			mapped[id] = f
-		})
-		inflight := b.ops != nil
-		b.mu.Unlock()
-		if inflight {
-			return errors.New("buffer: load or eviction write in flight during invariant check (caller not quiescent)")
 		}
 	}
 	byFrame := make(map[*Frame]page.PageID, len(mapped))
 	for id, f := range mapped {
 		if !owns(id) {
 			return fmt.Errorf("buffer: page %v resident in a shard that does not own it", id)
-		}
-		if f == nil {
-			return fmt.Errorf("buffer: table entry %v maps to no frame", id)
 		}
 		if prev, dup := byFrame[f]; dup {
 			return fmt.Errorf("buffer: frame mapped twice, as %v and %v", prev, id)
@@ -1409,12 +1441,7 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 	// Quarantine: disjoint from the resident set at quiescence (the one
 	// sanctioned overlap is a flush's in-flight write window), within its
 	// soft capacity bound, and owned by this shard.
-	sh.quarMu.Lock()
-	quar := make([]page.PageID, 0, len(sh.quarantine))
-	for id := range sh.quarantine {
-		quar = append(quar, id)
-	}
-	sh.quarMu.Unlock()
+	quar := sh.quarantineIDs()
 	for _, id := range quar {
 		if !owns(id) {
 			return fmt.Errorf("buffer: page %v quarantined in a shard that does not own it", id)
@@ -1447,6 +1474,14 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 		return perr
 	}
 	return sh.wrapper.CheckInvariants()
+}
+
+// flagArg renders a yes/no as a span or event argument.
+func flagArg(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // mix64 is the 64-bit finalizer of MurmurHash3: a full-avalanche mix whose

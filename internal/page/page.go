@@ -64,12 +64,21 @@ func (id PageID) String() string {
 // frame is loaded with a different page, so a stale queued access record
 // (whose tag no longer matches the frame's) can be discarded at commit time
 // instead of corrupting the replacement algorithm's bookkeeping.
+//
+// Slot says where to look, not what was seen: it is the index, within its
+// shard, of the frame the access was recorded against, so the commit-time
+// check reads that frame's header directly — the paper's comparison against
+// the tag "in the buffer header" (Section IV-B) — instead of finding the
+// frame again through the page table. Callers that have no frames (trace
+// replay, the simulator) leave it zero.
 type BufferTag struct {
 	Page PageID
 	Gen  uint64
+	Slot uint32
 }
 
-// Matches reports whether the tag still refers to the same cached copy.
+// Matches reports whether the tag still refers to the same cached copy:
+// same page, same generation. Slot is a locator and takes no part.
 func (t BufferTag) Matches(o BufferTag) bool { return t.Page == o.Page && t.Gen == o.Gen }
 
 // Page is an in-memory copy of a disk page.

@@ -80,6 +80,9 @@ func TestBufferTagMatches(t *testing.T) {
 	if a.Matches(BufferTag{Page: NewPageID(1, 3), Gen: 3}) {
 		t.Error("page mismatch matched")
 	}
+	if !a.Matches(BufferTag{Page: a.Page, Gen: 3, Slot: 9}) {
+		t.Error("the slot is a locator, not part of the identity, yet it broke the match")
+	}
 }
 
 func TestStampVerify(t *testing.T) {

@@ -73,8 +73,8 @@ type FaultConfig struct {
 // FaultDevice wraps a Device with deterministic, seedable fault injection:
 // transient or permanent read/write errors, latency spikes, and page
 // corruption. It is the library form of the ad-hoc flaky devices the
-// failure tests used to hand-roll, and the substrate of the bpbench
-// -exp faults experiment.
+// failure tests used to hand-roll, and the substrate of the torture
+// harness and of the bpbench -exp chaos experiment.
 //
 // Besides the probabilistic FaultConfig knobs, deterministic triggers are
 // available for tests: FailNextReads/FailNextWrites fail an exact number
