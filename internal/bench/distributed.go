@@ -119,7 +119,7 @@ func AblationPartitionHitRatio(policies []string, partitionCounts []int, capacit
 		res := trace.Replay(f(capacity), tr)
 		rows = append(rows, PartitionHitRow{Policy: name, Partitions: 1, HitRatio: res.HitRatio()})
 		for _, k := range partitionCounts {
-			p := replacer.NewPartitioned(capacity, k, f)
+			p := sim.NewPartitioned(capacity, k, f)
 			res := trace.Replay(p, tr)
 			rows = append(rows, PartitionHitRow{Policy: name, Partitions: k, HitRatio: res.HitRatio()})
 		}

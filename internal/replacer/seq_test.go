@@ -1,7 +1,6 @@
 package replacer
 
 import (
-	"math/rand"
 	"testing"
 
 	"bpwrapper/internal/page"
@@ -87,138 +86,5 @@ func TestSEQBrokenRunResets(t *testing.T) {
 	p.Admit(seqID(3, 10))
 	if p.ScanResident() != 0 {
 		t.Fatalf("scan pages marked without a threshold-length run: %d", p.ScanResident())
-	}
-}
-
-// TestSEQLoseDetectionWhenPartitioned is Section V-A's argument made
-// executable: hash-partitioning the buffer hides block adjacency from each
-// partition, SEQ's detector never fires, and the scan evicts the hot set.
-func TestSEQLoseDetectionWhenPartitioned(t *testing.T) {
-	run := func(p Policy) (hotSurvived int, scanMarked bool) {
-		hot := make([]PageID, 24)
-		for i := range hot {
-			hot[i] = seqID(1, uint64(i*37+5))
-			p.Admit(hot[i])
-			p.Hit(hot[i])
-			p.Hit(hot[i])
-		}
-		for b := uint64(0); b < 400; b++ {
-			if !p.Contains(seqID(2, b)) {
-				p.Admit(seqID(2, b))
-			}
-		}
-		for _, id := range hot {
-			if p.Contains(id) {
-				hotSurvived++
-			}
-		}
-		switch s := p.(type) {
-		case *SEQ:
-			scanMarked = s.ScanResident() > 0
-		case *Partitioned:
-			for _, part := range s.parts {
-				if part.(*SEQ).ScanResident() > 0 {
-					scanMarked = true
-				}
-			}
-		}
-		return hotSurvived, scanMarked
-	}
-
-	global, globalMarked := run(NewSEQ(64))
-	part, partMarked := run(NewPartitioned(64, 8, func(c int) Policy { return NewSEQ(c) }))
-
-	if !globalMarked {
-		t.Fatal("global SEQ failed to detect the scan")
-	}
-	if partMarked {
-		t.Fatal("partitioned SEQ detected the scan; partitioning should hide adjacency")
-	}
-	if global <= part {
-		t.Fatalf("global SEQ kept %d/24 hot pages, partitioned kept %d — partitioning should hurt",
-			global, part)
-	}
-	if global < 20 {
-		t.Fatalf("global SEQ kept only %d/24 hot pages through the scan", global)
-	}
-}
-
-// TestPartitionedInvariants runs the generic model-check against the
-// partitioned wrapper over several sub-policies.
-func TestPartitionedInvariants(t *testing.T) {
-	for _, sub := range []string{"lru", "2q", "lirs", "clock"} {
-		sub := sub
-		t.Run(sub, func(t *testing.T) {
-			f := Factories()[sub]
-			p := NewPartitioned(64, 8, f)
-			simulate(t, p, zipfTrace(13, 20000, 800))
-		})
-	}
-}
-
-// TestPartitionedRouting checks a page always lands in the same partition
-// and capacities split evenly.
-func TestPartitionedRouting(t *testing.T) {
-	p := NewPartitioned(10, 3, func(c int) Policy { return NewLRU(c) })
-	if p.Cap() != 10 {
-		t.Fatalf("Cap()=%d", p.Cap())
-	}
-	caps := []int{p.parts[0].Cap(), p.parts[1].Cap(), p.parts[2].Cap()}
-	if caps[0]+caps[1]+caps[2] != 10 || caps[0] < 3 || caps[0] > 4 {
-		t.Fatalf("capacity split %v", caps)
-	}
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
-		id := tid(r.Uint64() % 1000)
-		a := p.Partition(id)
-		b := p.Partition(id)
-		if a != b {
-			t.Fatal("routing not stable")
-		}
-	}
-	if p.Partitions() != 3 {
-		t.Fatalf("Partitions()=%d", p.Partitions())
-	}
-}
-
-// TestPartitionedLocalEviction checks the imbalance drawback: a partition
-// evicts even while others are empty.
-func TestPartitionedLocalEviction(t *testing.T) {
-	p := NewPartitioned(8, 4, func(c int) Policy { return NewLRU(c) })
-	// Find three pages that hash to the same partition.
-	var same []PageID
-	want := -1
-	for b := uint64(0); len(same) < 3; b++ {
-		id := tid(b)
-		if want == -1 {
-			want = p.Partition(id)
-		}
-		if p.Partition(id) == want {
-			same = append(same, id)
-		}
-	}
-	p.Admit(same[0])
-	p.Admit(same[1])
-	_, evicted := p.Admit(same[2])
-	if !evicted {
-		t.Fatal("third page in a 2-slot partition did not evict despite 6 free slots elsewhere")
-	}
-}
-
-// TestPartitionedValidation checks constructor bounds.
-func TestPartitionedValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewPartitioned(0, 1, func(c int) Policy { return NewLRU(c) }) },
-		func() { NewPartitioned(4, 0, func(c int) Policy { return NewLRU(c) }) },
-		func() { NewPartitioned(4, 5, func(c int) Policy { return NewLRU(c) }) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid config accepted")
-				}
-			}()
-			fn()
-		}()
 	}
 }

@@ -2,7 +2,24 @@ package sim
 
 // This file documents the simulation model's load-bearing choices; the
 // implementation lives in kernel.go (virtual-time executor), resources.go
-// (CPU bank, disk, lock), and model.go (the DBMS protocol and costs).
+// (CPU bank, disk, lock), model.go (the DBMS protocol and costs) and
+// partitioned.go (the hash-partitioned policy of the distributed-lock
+// design).
+//
+// # One commit round
+//
+// Accesses reach the policy in one place, simWorker.round — the model's one
+// lock-holding period, with the reasons and the apply order of
+// core.Session.round: prefetch charge, (flat combining: publish,) acquire,
+// the worker's own published batch, its queue, the miss's admit, every
+// other worker's slot, release, one accounting site. Each cost constant of
+// the lock path is charged there and nowhere else. Direct, the paper's
+// TryLock protocol, flat combining, the shared queue, the adaptive
+// threshold and distributed locks are schedulers over it: they decide which
+// lock and which batch a round gets, and what happens when its one try
+// finds the lock busy. DESIGN.md §4 ("One commit round, three schedulers")
+// has the argument; EXPERIMENTS.md lists where the model and the wrapper
+// differ on purpose.
 //
 // # Scheduling model
 //

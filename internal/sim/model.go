@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"bpwrapper/internal/page"
@@ -105,52 +106,37 @@ func DefaultParams() Params {
 	}
 }
 
-// normalize resolves zero-valued cost fields to their defaults so partial
-// Params overrides behave predictably (a zero TimeSlice, for example,
-// would let a runnable worker monopolize its processor forever).
+// normalize resolves unset cost fields to their defaults so partial Params
+// overrides behave predictably (a zero TimeSlice, for example, would let a
+// runnable worker monopolize its processor forever). A cost that is
+// meaningful at zero — it switches a mechanism off — keeps an explicit zero.
 func (p *Params) normalize() {
 	d := DefaultParams()
-	if p.UserWork < 0 {
-		p.UserWork = d.UserWork
-	}
-	if p.HashLookup <= 0 {
-		p.HashLookup = d.HashLookup
-	}
-	if p.PolicyOp <= 0 {
-		p.PolicyOp = d.PolicyOp
-	}
-	if p.LockWarmup < 0 {
-		p.LockWarmup = d.LockWarmup
-	}
-	if p.PrefetchWork < 0 {
-		p.PrefetchWork = d.PrefetchWork
-	}
-	if p.LockGrab <= 0 {
-		p.LockGrab = d.LockGrab
-	}
-	if p.TryLock <= 0 {
-		p.TryLock = d.TryLock
-	}
-	if p.CtxSwitch <= 0 {
-		p.CtxSwitch = d.CtxSwitch
-	}
-	if p.RefBit <= 0 {
-		p.RefBit = d.RefBit
-	}
-	if p.MissWork < 0 {
-		p.MissWork = d.MissWork
-	}
-	if p.IOLatency <= 0 {
-		p.IOLatency = d.IOLatency
+	for _, f := range []struct {
+		v      *Time
+		def    Time
+		zeroOK bool
+	}{
+		{&p.UserWork, d.UserWork, true},
+		{&p.HashLookup, d.HashLookup, false},
+		{&p.PolicyOp, d.PolicyOp, false},
+		{&p.LockWarmup, d.LockWarmup, true},
+		{&p.PrefetchWork, d.PrefetchWork, true},
+		{&p.LockGrab, d.LockGrab, false},
+		{&p.TryLock, d.TryLock, false},
+		{&p.CtxSwitch, d.CtxSwitch, false},
+		{&p.RefBit, d.RefBit, false},
+		{&p.MissWork, d.MissWork, true},
+		{&p.IOLatency, d.IOLatency, false},
+		{&p.TimeSlice, d.TimeSlice, false},
+		{&p.WALWork, d.WALWork, true},
+	} {
+		if *f.v < 0 || *f.v == 0 && !f.zeroOK {
+			*f.v = f.def
+		}
 	}
 	if p.IOParallelism <= 0 {
 		p.IOParallelism = d.IOParallelism
-	}
-	if p.TimeSlice <= 0 {
-		p.TimeSlice = d.TimeSlice
-	}
-	if p.WALWork < 0 {
-		p.WALWork = d.WALWork
 	}
 }
 
@@ -175,16 +161,18 @@ type Config struct {
 	QueueSize      int
 	BatchThreshold int
 
-	// SharedQueue switches to the single shared queue Section III-A rejects.
-	// This model is the implementation of record for the E7 ablation: the
+	// SharedQueue switches to the single shared queue Section III-A rejects:
+	// a scheduler that steals the queue under its own mutex and hands the
+	// batch to the same commit round as everyone else (DESIGN.md §4). This
+	// model is the implementation of record for the E7 ablation: the
 	// production wrapper (internal/core) has private queues only.
 	SharedQueue bool
 
-	// FlatCombining models the flat-combining scheduler (see
-	// core/combine.go): at the batch threshold a worker publishes its batch
-	// in a per-worker slot and tries the lock once — the winner applies
-	// every published batch; losers swap to a spare buffer and continue
-	// without blocking. Requires Batching; ignored with SharedQueue.
+	// FlatCombining selects the flat-combining scheduler, as core's does
+	// (DESIGN.md §4, §7): at the batch threshold a worker publishes its batch
+	// in a per-worker slot and tries the lock once — the winner applies every
+	// published batch; losers swap to a spare buffer and continue without
+	// blocking. Requires Batching; ignored with SharedQueue.
 	FlatCombining bool
 
 	// AdaptiveThreshold enables the per-worker self-tuning batch threshold
@@ -193,10 +181,11 @@ type Config struct {
 	// commits) and "threshold = queue size" (no TryLock attempts left):
 	// down on forced commits (it should have started trying earlier), up
 	// after sustained first-attempt TryLock successes (it can afford bigger
-	// batches), bounded to [QueueSize/8, 3·QueueSize/4]. This model is the
-	// implementation of record for E11: the production wrapper's threshold
-	// is steered wrapper-wide by the controller (Wrapper.SetBatchThreshold)
-	// and has no per-session tuner.
+	// batches), bounded to [QueueSize/8, 3·QueueSize/4]. It is steered from
+	// the commit round's one accounting site (DESIGN.md §4). This model is
+	// the implementation of record for E11: the production wrapper's
+	// threshold is steered wrapper-wide by the controller
+	// (Wrapper.SetBatchThreshold) and has no per-session tuner.
 	AdaptiveThreshold bool
 
 	// LockPartitions, when > 1, switches to the distributed-lock design of
@@ -234,7 +223,7 @@ type Config struct {
 	Params *Params
 }
 
-// Result aggregates a simulated run's measurements, mirroring txn.Result.
+// Result aggregates a simulated run's measurements.
 type Result struct {
 	Procs   int
 	Workers int
@@ -264,19 +253,24 @@ type Result struct {
 // Run executes one simulation and returns its measurements. It is
 // deterministic: the same Config yields the same Result.
 func Run(cfg Config) (Result, error) {
-	res, _, err := runInternal(cfg)
-	return res, err
+	m, err := newMachine(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.run(), nil
 }
 
-func runInternal(cfg Config) (Result, *machine, error) {
+// newMachine validates cfg, resolves its defaults and builds the machine:
+// policy, locks, processors, disk and the workers, none of them started.
+func newMachine(cfg Config) (*machine, error) {
 	if cfg.Workload == nil {
-		return Result{}, nil, errors.New("sim: Workload is required")
+		return nil, errors.New("sim: Workload is required")
 	}
 	if cfg.Procs <= 0 {
-		return Result{}, nil, errors.New("sim: Procs must be positive")
+		return nil, errors.New("sim: Procs must be positive")
 	}
 	if cfg.LockPartitions > 1 && (cfg.Batching || cfg.SharedQueue) {
-		return Result{}, nil, errors.New("sim: LockPartitions excludes Batching/SharedQueue")
+		return nil, errors.New("sim: LockPartitions excludes Batching/SharedQueue")
 	}
 	params := DefaultParams()
 	if cfg.Params != nil {
@@ -316,21 +310,16 @@ func runInternal(cfg Config) (Result, *machine, error) {
 		params: params,
 		k:      NewKernel(),
 	}
+	factory, ok := replacer.Factories()[cfg.Policy]
+	if !ok {
+		return nil, errors.New("sim: unknown policy " + cfg.Policy)
+	}
 	if cfg.LockPartitions > 1 {
-		factory, ok := replacer.Factories()[cfg.Policy]
-		if !ok {
-			return Result{}, nil, errors.New("sim: unknown policy " + cfg.Policy)
-		}
-		part := replacer.NewPartitioned(cfg.Frames, cfg.LockPartitions, factory)
-		m.policy = part
-		m.partitioned = part
+		m.partitioned = NewPartitioned(cfg.Frames, cfg.LockPartitions, factory)
+		m.policy = m.partitioned
 		m.locks = make([]*Lock, cfg.LockPartitions)
 	} else {
-		pol, ok := replacer.New(cfg.Policy, cfg.Frames)
-		if !ok {
-			return Result{}, nil, errors.New("sim: unknown policy " + cfg.Policy)
-		}
-		m.policy = pol
+		m.policy = factory(cfg.Frames)
 		m.locks = make([]*Lock, 1)
 	}
 	for i := range m.locks {
@@ -344,30 +333,31 @@ func runInternal(cfg Config) (Result, *machine, error) {
 	if params.WALWork > 0 {
 		m.wal = NewLock(m.k)
 	}
-	m.lockFreeHit = !replacer.HitNeedsLock(m.policy)
-	if m.partitioned != nil {
-		// Partitioned clock still has lock-free hits; anything else does
-		// not. HitNeedsLock on the wrapper reports conservatively, so ask
-		// the underlying algorithm instead.
-		probe, _ := replacer.New(cfg.Policy, 1)
-		m.lockFreeHit = !replacer.HitNeedsLock(probe)
-	}
+	// Partitioned clock still has lock-free hits; HitNeedsLock on the
+	// wrapper reports conservatively, so ask the underlying algorithm.
+	m.lockFreeHit = !replacer.HitNeedsLock(factory(1))
 
 	if cfg.Prewarm && cfg.Frames >= cfg.Workload.DataPages() {
 		for _, id := range cfg.Workload.Pages() {
 			m.policy.Admit(id)
 		}
 	}
-
 	for w := 0; w < cfg.Workers; w++ {
-		wk := &simWorker{
+		m.workers = append(m.workers, &simWorker{
 			m:      m,
-			id:     w,
 			stream: cfg.Workload.NewStream(w, cfg.Seed),
 			rng:    uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(w+1)*0xbf58476d1ce4e5b9,
-		}
-		m.workers = append(m.workers, wk)
-		m.k.Spawn(wk.run)
+		})
+	}
+	return m, nil
+}
+
+// run starts the workers, runs the kernel until they finish and folds the
+// counters into a Result.
+func (m *machine) run() Result {
+	cfg := m.cfg
+	for _, w := range m.workers {
+		m.k.Spawn(w.run)
 	}
 	if cfg.Warmup > 0 {
 		m.k.Spawn(func(p *Process) {
@@ -380,40 +370,28 @@ func runInternal(cfg Config) (Result, *machine, error) {
 		end = 0
 	}
 
-	var lockStats LockStats
+	res := Result{
+		Procs:           cfg.Procs,
+		Workers:         cfg.Workers,
+		Elapsed:         time.Duration(end),
+		Hits:            m.hits,
+		Misses:          m.misses,
+		Accesses:        m.hits + m.misses,
+		Txns:            m.txns,
+		Committed:       m.committed,
+		Dropped:         m.dropped,
+		CombinedBatches: m.combinedBatches,
+		CombinedEntries: m.combinedEntries,
+		HandoffSaved:    m.handoffSaved,
+	}
 	for _, l := range m.locks {
-		s := l.Stats()
-		lockStats.Acquisitions += s.Acquisitions
-		lockStats.Contentions += s.Contentions
-		lockStats.TryFailures += s.TryFailures
-		lockStats.WaitTime += s.WaitTime
-		lockStats.HoldTime += s.HoldTime
+		res.Lock.add(l.Stats())
 	}
 	if m.qlock != nil {
 		// The shared-queue design's own mutex is part of the replacement
 		// path; fold its contention into the reported lock statistics.
-		qs := m.qlock.Stats()
-		lockStats.Acquisitions += qs.Acquisitions
-		lockStats.Contentions += qs.Contentions
-		lockStats.TryFailures += qs.TryFailures
-		lockStats.WaitTime += qs.WaitTime
-		lockStats.HoldTime += qs.HoldTime
+		res.Lock.add(m.qlock.Stats())
 	}
-	res := Result{
-		Procs:    cfg.Procs,
-		Workers:  cfg.Workers,
-		Elapsed:  time.Duration(end),
-		Lock:     lockStats,
-		Hits:     m.hits,
-		Misses:   m.misses,
-		Accesses: m.hits + m.misses,
-		Txns:     m.txns,
-	}
-	res.Committed = m.committed
-	res.Dropped = m.dropped
-	res.CombinedBatches = m.combinedBatches
-	res.CombinedEntries = m.combinedEntries
-	res.HandoffSaved = m.handoffSaved
 	if res.Accesses > 0 {
 		res.HitRatio = float64(m.hits) / float64(res.Accesses)
 		res.ContentionPerM = float64(res.Lock.Contentions) * 1e6 / float64(res.Accesses)
@@ -425,7 +403,7 @@ func runInternal(cfg Config) (Result, *machine, error) {
 	if m.txns > 0 {
 		res.AvgResponse = time.Duration(m.latencySum / Time(m.txns))
 	}
-	return res, m, nil
+	return res
 }
 
 // machine is the shared simulated hardware and DBMS state.
@@ -439,8 +417,8 @@ type machine struct {
 	qlock  *Lock   // shared-queue mutex (ablation mode only)
 	wal    *Lock   // write-ahead-log lock (WALWork > 0 only)
 
-	policy      replacer.Policy       // all calls single-threaded by construction
-	partitioned *replacer.Partitioned // non-nil in distributed-lock mode
+	policy      replacer.Policy // all calls single-threaded by construction
+	partitioned *Partitioned    // non-nil in distributed-lock mode
 	lockFreeHit bool
 
 	shared []page.PageID // shared batching queue (ablation mode)
@@ -488,7 +466,6 @@ func (m *machine) resetStats() {
 // simWorker is one simulated backend thread.
 type simWorker struct {
 	m      *machine
-	id     int
 	stream workload.Stream
 	queue  []page.PageID // private batching queue
 	buf    []workload.Access
@@ -522,15 +499,9 @@ func (w *simWorker) adaptDown() {
 	if !w.m.cfg.AdaptiveThreshold {
 		return
 	}
-	min := w.m.cfg.QueueSize / 8
-	if min < 1 {
-		min = 1
-	}
+	step := w.m.cfg.QueueSize / 8
 	w.trialRuns = 0
-	w.threshold = w.curThreshold() - w.m.cfg.QueueSize/8
-	if w.threshold < min {
-		w.threshold = min
-	}
+	w.threshold = max(w.curThreshold()-step, step, 1)
 }
 
 // adaptUp raises the threshold after sustained first-attempt successes.
@@ -543,14 +514,7 @@ func (w *simWorker) adaptUp() {
 		return
 	}
 	w.trialRuns = 0
-	max := 3 * w.m.cfg.QueueSize / 4
-	if max < 1 {
-		max = 1
-	}
-	w.threshold = w.curThreshold() + 1
-	if w.threshold > max {
-		w.threshold = max
-	}
+	w.threshold = min(w.curThreshold()+1, max(3*w.m.cfg.QueueSize/4, 1))
 }
 
 // jitteredUserWork returns this access's transaction-processing cost:
@@ -700,241 +664,247 @@ func (w *simWorker) access(p *Process, id page.PageID, write bool) {
 }
 
 // hit runs replacement_for_page_hit (Figure 4 of the paper) in virtual
-// time.
+// time: the access is queued, and at the batch threshold — every access,
+// without batching — the scheduler decides how the queue reaches the policy.
 func (w *simWorker) hit(p *Process, id page.PageID) {
 	m := w.m
-	pr := m.params
-	if m.lockFreeHit {
-		// Clock family: one atomic reference-bit update, no lock.
-		w.useCPU(p, pr.RefBit)
+	switch {
+	case m.lockFreeHit:
+		// Clock family: one atomic reference-bit update, no lock, no queue.
+		w.useCPU(p, m.params.RefBit)
 		m.policy.Hit(id)
-		return
-	}
-	if !m.cfg.Batching {
-		// One lock acquisition per access (pg2Q / pgPre / distributed).
-		l := m.lockFor(id)
-		warm := pr.LockWarmup
-		var ver uint64
-		if m.cfg.Prefetching {
-			w.useCPU(p, pr.PrefetchWork)
-			ver = l.Version()
+	case m.cfg.SharedQueue:
+		w.sharedHit(p, id)
+	default:
+		w.queue = append(w.queue, id)
+		if !m.cfg.Batching || len(w.queue) >= w.curThreshold() {
+			w.atThreshold(p, m.lockFor(id))
 		}
-		w.acquireLock(p, l)
-		if m.cfg.Prefetching && l.Version() == ver+1 {
-			// No other acquisition intervened since the prefetch: the
-			// cache lines are still warm.
-			warm = 0
-		}
-		w.csApplyHits(p, pr.LockGrab+warm, []page.PageID{id})
-		l.Release(p)
-		return
 	}
-	// Batching: record in the FIFO queue; commit at the threshold with
-	// TryLock, or with a blocking Lock when the queue is full.
-	if m.cfg.SharedQueue {
-		// The rejected design of Section III-A: every append must take the
-		// shared queue's own mutex and transfer its cache lines between
-		// processors — exactly the synchronization and coherence cost the
-		// paper's private queues avoid.
-		w.acquireLock(p, m.qlock)
-		w.useCPUHeld(p, pr.LockGrab+pr.PolicyOp)
-		m.shared = append(m.shared, id)
-		commit := len(m.shared) >= m.cfg.BatchThreshold
-		force := len(m.shared) >= m.cfg.QueueSize
-		m.qlock.Release(p)
-		if commit {
-			w.commitShared(p, force)
-		}
-		return
-	}
-	w.queue = append(w.queue, id)
-	if len(w.queue) < w.curThreshold() {
-		return
-	}
-	if m.cfg.FlatCombining {
-		w.fcCommit(p)
-		return
-	}
-	w.commit(p, len(w.queue) >= m.cfg.QueueSize)
 }
 
-// commit attempts to apply the private queue under the lock, following the
-// TryLock-then-block protocol.
-func (w *simWorker) commit(p *Process, force bool) {
+// atThreshold is the scheduler, shaped as core.Session.atThreshold is: there
+// is one way to commit (round), and the configurations differ only in what a
+// worker does with a batch at the threshold when the policy lock may be busy.
+// The adaptive threshold moves where the threshold is (round's accounting
+// steers it); distributed locks choose which lock l is. DESIGN.md §4.
+func (w *simWorker) atThreshold(p *Process, l *Lock) {
+	m := w.m
+	full := len(w.queue) >= m.cfg.QueueSize
+	switch {
+	case !m.cfg.Batching:
+		// Direct (pg2Q / pgPre / distributed locks): block, on every access.
+		w.round(p, l, perAccess, page.InvalidPageID)
+	case !m.cfg.FlatCombining && !full:
+		// The paper's protocol: one try; a busy lock leaves the batch queued
+		// and the next hit tries again ...
+		w.round(p, l, tryOnce, page.InvalidPageID)
+	case !m.cfg.FlatCombining:
+		// ... until the queue is full. (The wrapper spends one more TryLock
+		// before it blocks; the model goes straight to the lock.)
+		w.round(p, l, cannotWait, page.InvalidPageID)
+	case w.pub == nil:
+		// Flat combining, previous batch drained: publish this one (round
+		// does, before its one try) and walk away — whoever holds the lock
+		// will drain the slot.
+		w.round(p, l, tryOnce, page.InvalidPageID)
+	case full:
+		// Flat combining, both buffers full: the bounded-memory fall-back.
+		w.round(p, l, cannotWait, page.InvalidPageID)
+	}
+	// Otherwise the combiner has not reached the slot yet: keep recording.
+}
+
+// sharedHit records a hit in the single shared queue, the design Section
+// III-A rejects: every append takes the queue's own mutex and transfers its
+// cache lines between processors — exactly the synchronization and coherence
+// cost the paper's private queues avoid.
+func (w *simWorker) sharedHit(p *Process, id page.PageID) {
+	m := w.m
+	w.acquireLock(p, m.qlock)
+	w.useCPUHeld(p, m.params.LockGrab+m.params.PolicyOp)
+	m.shared = append(m.shared, id)
+	n := len(m.shared)
+	m.qlock.Release(p)
+	switch {
+	case n >= m.cfg.QueueSize:
+		w.sharedRound(p, cannotWait, page.InvalidPageID)
+	case n >= m.cfg.BatchThreshold:
+		w.sharedRound(p, tryOnce, page.InvalidPageID)
+	}
+}
+
+// sharedRound is the shared queue's scheduler. It wraps the round, it does
+// not copy it: steal the whole queue into the worker's own (otherwise unused)
+// buffer under the queue mutex, run the round on that batch, and put back —
+// ahead of whatever was appended meanwhile — a batch the round did not apply.
+// The queue mutex is never held while waiting for the policy lock.
+func (w *simWorker) sharedRound(p *Process, why reason, id page.PageID) (admitted bool) {
+	m := w.m
+	w.acquireLock(p, m.qlock)
+	w.useCPUHeld(p, m.params.LockGrab)
+	w.queue = append(w.queue[:0], m.shared...)
+	m.shared = m.shared[:0]
+	m.qlock.Release(p)
+	if len(w.queue) == 0 && why != missAdmit {
+		return false // another worker stole the batch first
+	}
+	admitted = w.round(p, m.locks[0], why, id)
+	if len(w.queue) > 0 {
+		w.acquireLock(p, m.qlock)
+		w.useCPUHeld(p, m.params.LockGrab)
+		m.shared = slices.Insert(m.shared, 0, w.queue...)
+		w.queue = w.queue[:0]
+		m.qlock.Release(p)
+	}
+	return admitted
+}
+
+// reason is why a worker asks for the policy lock, named as core's are. It
+// decides how the round acquires the lock and what it does besides applying
+// hits. core's fifth reason, missMakeRoom, has no model: pages here have no
+// frames, so the miss is single-phase.
+type reason uint8
+
+const (
+	// perAccess: the unbatched hit. Lock, on every access.
+	perAccess reason = iota
+	// tryOnce: a batch reached the threshold. TryLock; a busy lock ends the
+	// round with nothing applied and the batch where the scheduler left it.
+	tryOnce
+	// cannotWait: a batch with nowhere left to wait (queue full) or no time
+	// left (the end-of-run flush). Lock.
+	cannotWait
+	// missAdmit: a miss. Lock, then admit id behind the queued hits.
+	missAdmit
+)
+
+// round is the one lock-holding period of the model and the only place
+// accesses reach the policy, in the order core.Session.round documents:
+// prefetch, (flat combining: publish,) acquire — try or block — then the
+// worker's published batch, its queue, the miss's admit, every other
+// worker's published batch, release, account. A worker's unapplied accesses
+// live in at most two places, always applied oldest first under one hold:
+// the slot (published only when empty, so older than anything recorded
+// since) and then the queue, both ahead of the miss that follows them.
+//
+// Each cost constant of the lock path is charged here and nowhere else.
+// admitted reports that a missAdmit round made id resident.
+func (w *simWorker) round(p *Process, l *Lock, why reason, id page.PageID) (admitted bool) {
 	m := w.m
 	pr := m.params
-	l := m.locks[0]
-	warm := pr.LockWarmup
+	first := len(w.queue) == w.curThreshold() // a batch on its first attempt
+
+	// Prefetching (Section III-B): the read pass runs before the lock is
+	// requested. A miss does not walk — the victim's lines are not known
+	// before the lock is held — and pays the warm-up in full.
+	prefetched := m.cfg.Prefetching && why != missAdmit
 	var ver uint64
-	if m.cfg.Prefetching {
+	if prefetched {
 		w.useCPU(p, pr.PrefetchWork)
 		ver = l.Version()
 	}
-	if force {
-		w.acquireLock(p, l)
-		w.adaptDown()
-	} else {
-		w.useCPU(p, pr.TryLock)
-		first := len(w.queue) == w.curThreshold()
-		if !l.TryAcquire(p) {
-			return // stay queued; retry at next threshold crossing
-		}
-		if first {
-			w.adaptUp()
-		}
-	}
-	if m.cfg.Prefetching && l.Version() == ver+1 {
-		warm = 0
-	}
-	w.csApplyHits(p, pr.LockGrab+warm, w.queue)
-	l.Release(p)
-	w.queue = w.queue[:0]
-}
 
-// fcCommit runs the flat-combining protocol at the batch threshold: with
-// an empty slot, publish and try the lock once — win and become the
-// combiner, or hand the batch off and keep recording in the spare buffer.
-// With the slot still occupied, block only when the queue has also filled
-// (the bounded-memory fall-back).
-func (w *simWorker) fcCommit(p *Process) {
-	m := w.m
-	pr := m.params
-	l := m.locks[0]
-	if w.pub == nil {
-		if m.cfg.Prefetching {
-			w.useCPU(p, pr.PrefetchWork)
+	publish := why == tryOnce && m.cfg.FlatCombining
+	held := true
+	if why == tryOnce {
+		try := pr.TryLock
+		if publish {
+			// One release store into the slot, then on to the spare buffer
+			// (the double-buffer rotation).
+			w.pub, w.queue, w.spare = w.queue, w.spare[:0], nil
+			try += pr.RefBit
 		}
-		ver := l.Version()
-		first := len(w.queue) == w.curThreshold()
-		// Publish: one release store into the slot, then swap to the spare
-		// buffer (the double-buffer rotation).
-		w.pub = w.queue
-		if w.spare != nil {
-			w.queue = w.spare[:0]
-			w.spare = nil
-		} else {
-			w.queue = make([]page.PageID, 0, m.cfg.QueueSize)
+		w.useCPU(p, try)
+		held = l.TryAcquire(p)
+	} else {
+		w.acquireLock(p, l)
+	}
+
+	// owed is critical-section time not yet spent: the lock grab and the
+	// cache warm-up — waived if no other acquisition intervened since the
+	// prefetch, so the lines are still warm — go with the first batch applied.
+	owed := pr.LockGrab + pr.LockWarmup
+	if prefetched && l.Version() == ver+1 {
+		owed = pr.LockGrab
+	}
+	spend := func(cs Time) {
+		w.useCPUHeld(p, owed+cs)
+		owed = 0
+	}
+	var others, othersN int64 // other workers' batches drained, and their entries
+	switch {
+	case !held:
+	case why == missAdmit && m.policy.Contains(id):
+		// Another worker loaded the page while this one was queued for a
+		// processor or the lock — the simulated analogue of the buffer
+		// manager's single-flight load. Reclassify as a hit, applied alone on
+		// warm lines: the batch stays where it is for the next round.
+		m.misses--
+		m.hits++
+		m.policy.Hit(id)
+		w.useCPUHeld(p, pr.LockGrab+pr.PolicyOp)
+	default:
+		if w.pub != nil {
+			spend(w.csApplyHits(w.pub))
+			w.spare, w.pub = w.pub[:0], nil
 		}
-		w.useCPU(p, pr.RefBit+pr.TryLock)
-		if !l.TryAcquire(p) {
-			// The current lock holder will drain the slot; nothing to wait
-			// for. This is the handoff the TryLock-or-block protocol lacks.
-			m.handoffSaved++
-			return
+		if len(w.queue) > 0 || why == missAdmit {
+			cs := w.csApplyHits(w.queue)
+			if why == missAdmit {
+				m.policy.Admit(id)
+				cs += pr.MissWork + pr.PolicyOp
+				admitted = true
+			}
+			spend(cs)
+			w.queue = w.queue[:0]
 		}
-		if first {
-			w.adaptUp()
+		if m.cfg.FlatCombining {
+			// The lock is held anyway: drain the other workers' slots.
+			// Probing an empty slot reads a line that last changed when a
+			// combiner drained it — overwhelmingly a cache hit — so only
+			// claiming a published batch (one atomic swap) is charged.
+			for _, o := range m.workers {
+				if o.pub == nil {
+					continue
+				}
+				w.useCPUHeld(p, pr.RefBit)
+				spend(w.csApplyHits(o.pub))
+				others++
+				othersN += int64(len(o.pub))
+				o.spare, o.pub = o.pub[:0], nil
+			}
 		}
-		warm := pr.LockWarmup
-		if m.cfg.Prefetching && l.Version() == ver+1 {
-			warm = 0
-		}
-		w.combine(p, pr.LockGrab+warm)
+		spend(0) // nothing left to apply: the grab is still paid
+	}
+	if held {
 		l.Release(p)
-		return
 	}
-	if len(w.queue) < m.cfg.QueueSize {
-		return // slot occupied, queue not full: keep recording
-	}
-	// Both buffers full: blocking forced commit, published (older) batch
-	// first.
-	if m.cfg.Prefetching {
-		w.useCPU(p, pr.PrefetchWork)
-	}
-	w.acquireLock(p, l)
-	w.adaptDown()
-	entry := pr.LockGrab + pr.LockWarmup
-	if w.pub != nil {
-		w.csApplyHits(p, entry, w.pub)
-		entry = 0
-		w.spare = w.pub[:0]
-		w.pub = nil
-	}
-	w.csApplyHits(p, entry, w.queue)
-	w.combineOthers(p, 0)
-	l.Release(p)
-	w.queue = w.queue[:0]
-}
 
-// combine is the combiner's critical section: apply the worker's own
-// published batch, then every other worker's. entry is the one-time
-// lock-grab + warm-up cost, charged with the first applied batch.
-func (w *simWorker) combine(p *Process, entry Time) {
-	if w.pub != nil {
-		w.csApplyHits(p, entry, w.pub)
-		entry = 0
-		w.spare = w.pub[:0]
-		w.pub = nil
-	}
-	entry = w.combineOthers(p, entry)
-	w.useCPUHeld(p, entry) // slot already drained by someone: still pay the grab
-}
-
-// combineOthers scans every other worker's publication slot (one probe
-// each) and applies any published batch, returning the drained buffer to
-// its owner's spare. It returns the unconsumed entry cost (zero once a
-// batch has been applied). Callers must hold the policy lock.
-func (w *simWorker) combineOthers(p *Process, entry Time) Time {
-	m := w.m
-	for _, other := range m.workers {
-		if other == w {
-			continue
+	// The one accounting site, after the release.
+	switch {
+	case !held:
+		if publish {
+			// The lock holder will drain the slot; nothing to wait for. This
+			// is the handoff the TryLock-or-block protocol cannot make.
+			m.handoffSaved++
 		}
-		// Probing an empty slot is a read of a line that last changed when
-		// this combiner (or a predecessor) drained it — overwhelmingly a
-		// cache hit, so only claiming a published batch is charged.
-		if other.pub == nil {
-			continue
-		}
-		w.useCPUHeld(p, m.params.RefBit) // claim: one atomic swap
-		m.combinedBatches++
-		m.combinedEntries += int64(len(other.pub))
-		w.csApplyHits(p, entry, other.pub)
-		entry = 0
-		other.spare = other.pub[:0]
-		other.pub = nil
+	case why == tryOnce && first:
+		w.adaptUp()
+	case why == cannotWait:
+		w.adaptDown()
 	}
-	return entry
+	m.combinedBatches += others
+	m.combinedEntries += othersN
+	return admitted
 }
 
-// commitShared is commit for the shared-queue ablation.
-func (w *simWorker) commitShared(p *Process, force bool) {
+// csApplyHits delivers ids to the policy — the caller holds its lock — and
+// returns the critical-section time that took: one policy operation per
+// still-resident access. The residency check is the simulated analogue of
+// the BufferTag validation.
+func (w *simWorker) csApplyHits(ids []page.PageID) (cs Time) {
 	m := w.m
-	pr := m.params
-	l := m.locks[0]
-	// Stealing the batch requires the queue mutex again.
-	w.acquireLock(p, m.qlock)
-	w.useCPUHeld(p, pr.LockGrab)
-	batch := make([]page.PageID, len(m.shared))
-	copy(batch, m.shared)
-	m.shared = m.shared[:0]
-	m.qlock.Release(p)
-	if len(batch) == 0 {
-		return
-	}
-	if force {
-		w.acquireLock(p, l)
-	} else {
-		w.useCPU(p, pr.TryLock)
-		if !l.TryAcquire(p) {
-			// Put the batch back, as the real implementation does.
-			w.acquireLock(p, m.qlock)
-			w.useCPUHeld(p, pr.LockGrab)
-			m.shared = append(batch, m.shared...)
-			m.qlock.Release(p)
-			return
-		}
-	}
-	w.csApplyHits(p, pr.LockGrab+pr.LockWarmup, batch)
-	l.Release(p)
-}
-
-// csApplyHits spends the critical section: fixed entry cost plus one
-// policy operation per still-resident queued access. The residency check
-// is the simulated analogue of the BufferTag validation.
-func (w *simWorker) csApplyHits(p *Process, entry Time, ids []page.PageID) {
-	m := w.m
-	cs := entry
 	for _, id := range ids {
 		if m.policy.Contains(id) {
 			m.policy.Hit(id)
@@ -944,110 +914,35 @@ func (w *simWorker) csApplyHits(p *Process, entry Time, ids []page.PageID) {
 			m.dropped++
 		}
 	}
-	w.useCPUHeld(p, cs)
+	return cs
 }
 
-// miss runs replacement_for_page_miss: commit the queue, admit the page,
-// then perform the disk read.
+// miss runs replacement_for_page_miss: one blocking round commits the queue
+// and admits the page, then the disk read.
 func (w *simWorker) miss(p *Process, id page.PageID) {
 	m := w.m
-	pr := m.params
-	l := m.lockFor(id)
-	w.acquireLock(p, l)
-	if m.policy.Contains(id) {
-		// Another worker loaded the page while this one was queued for a
-		// processor or the lock — the simulated analogue of the buffer
-		// manager's single-flight load. Reclassify as a hit.
-		m.misses--
-		m.hits++
-		m.policy.Hit(id)
-		w.useCPUHeld(p, pr.LockGrab+pr.PolicyOp)
-		l.Release(p)
+	var admitted bool
+	if m.cfg.SharedQueue {
+		admitted = w.sharedRound(p, missAdmit, id)
+	} else {
+		admitted = w.round(p, m.lockFor(id), missAdmit, id)
+	}
+	if !admitted {
 		return
 	}
-	if m.cfg.FlatCombining && w.pub != nil {
-		// The session's published (older) batch is applied before its
-		// private queue, preserving per-worker access order.
-		w.csApplyHits(p, 0, w.pub)
-		w.spare = w.pub[:0]
-		w.pub = nil
-	}
-	cs := pr.LockGrab + pr.LockWarmup + pr.MissWork + pr.PolicyOp
-	pending := w.queue
-	if m.cfg.SharedQueue {
-		// Steal the shared queue under its mutex (policy lock is already
-		// held; commitShared never holds the queue mutex while waiting for
-		// the policy lock, so the order is acyclic).
-		w.acquireLock(p, m.qlock)
-		pending = make([]page.PageID, len(m.shared))
-		copy(pending, m.shared)
-		m.shared = m.shared[:0]
-		m.qlock.Release(p)
-	}
-	for _, qid := range pending {
-		if m.policy.Contains(qid) {
-			m.policy.Hit(qid)
-			m.committed++
-			cs += pr.PolicyOp
-		} else {
-			m.dropped++
-		}
-	}
-	if !m.cfg.SharedQueue {
-		w.queue = w.queue[:0]
-	}
-	m.policy.Admit(id)
-	w.useCPUHeld(p, cs)
-	if m.cfg.FlatCombining {
-		// The lock is held anyway: drain the other workers' slots.
-		w.combineOthers(p, 0)
-	}
-	l.Release(p)
-
 	// The disk read happens outside the lock (as in PostgreSQL, where the
 	// buffer is pinned and I/O-locked but the replacement lock is free)
 	// and off the processor.
 	w.releaseCPU(p)
 	m.disk.Acquire(p)
-	p.Sleep(pr.IOLatency)
+	p.Sleep(m.params.IOLatency)
 	m.disk.Release(p)
 }
 
-// flush commits any leftover queued accesses at the end of the run.
+// flush commits what the worker still holds at the end of the run, its
+// published batch and its queue, as core.Session.Flush does.
 func (w *simWorker) flush(p *Process) {
-	if w.m.cfg.FlatCombining {
-		w.fcFlush(p)
-		return
+	if len(w.queue) > 0 || w.pub != nil {
+		w.round(p, w.m.locks[0], cannotWait, page.InvalidPageID)
 	}
-	if len(w.queue) > 0 {
-		w.commit(p, true)
-	}
-}
-
-// fcFlush drains the worker's published batch and private queue (in that
-// order) under a blocking lock, combining other workers' published work
-// while holding it.
-func (w *simWorker) fcFlush(p *Process) {
-	m := w.m
-	pr := m.params
-	if w.pub == nil && len(w.queue) == 0 {
-		return
-	}
-	l := m.locks[0]
-	w.acquireLock(p, l)
-	entry := pr.LockGrab + pr.LockWarmup
-	if w.pub != nil {
-		w.csApplyHits(p, entry, w.pub)
-		entry = 0
-		w.spare = w.pub[:0]
-		w.pub = nil
-	}
-	if len(w.queue) > 0 {
-		w.csApplyHits(p, entry, w.queue)
-		entry = 0
-		w.queue = w.queue[:0]
-	}
-	entry = w.combineOthers(p, entry)
-	w.useCPUHeld(p, entry)
-	l.Release(p)
 }

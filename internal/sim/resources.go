@@ -51,6 +51,15 @@ type LockStats struct {
 	HoldTime     Time // total held time
 }
 
+// add folds another lock's counters into s.
+func (s *LockStats) add(o LockStats) {
+	s.Acquisitions += o.Acquisitions
+	s.Contentions += o.Contentions
+	s.TryFailures += o.TryFailures
+	s.WaitTime += o.WaitTime
+	s.HoldTime += o.HoldTime
+}
+
 // Lock is the simulated replacement-algorithm lock: exclusive, FIFO, with
 // contention accounting and an acquisition version used to model the
 // processor-cache invalidation that limits the prefetching technique under
