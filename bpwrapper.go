@@ -468,7 +468,6 @@ type (
 	Recorder    = obs.Recorder
 	Event       = obs.Event
 	EventKind   = obs.EventKind
-	LockProfile = metrics.LockProfile
 )
 
 // NewObsRegistry returns an empty metrics registry.
@@ -571,9 +570,8 @@ func ReplayTraceBatched(p Policy, t *Trace, queueSize, threshold int) TraceResul
 // exactly as it sees in-process workers. CacheClient is its synchronous
 // client; Do pipelines a batch of CacheOps in one round trip: the server
 // answers a burst with one socket write, from a per-connection response
-// buffer that grows to the largest burst served and is never shrunk.
-// CacheServerConfig.WriteBufSize is that buffer's ceiling (256 KB by
-// default), past which a burst's responses leave in parts.
+// buffer that grows to the largest burst served and is never shrunk; its
+// ceiling is a fixed 256 KB, past which a burst's responses leave in parts.
 //
 // A page a client returns — from Get, or as CacheOpResult.Data from Do,
 // along with the result slice itself — lies in the client's receive

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -328,28 +327,6 @@ func ChaosExperiment(o Options) (*ChaosReport, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
-}
-
-// JSONChaos writes the committed-baseline shape.
-func JSONChaos(w io.Writer, rep *ChaosReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// CSVChaos writes one row per scenario.
-func CSVChaos(w io.Writer, rep *ChaosReport) error {
-	if _, err := fmt.Fprintln(w, "scenario,misses,shed,breaker_trips,breaker_rejections,probes,quarantine_refusals,peak_health,final_health,recovered,lost_pages"); err != nil {
-		return err
-	}
-	for _, r := range rep.Rows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%s,%s,%v,%d\n",
-			r.Scenario, r.Misses, r.Shed, r.BreakerTrips, r.BreakerRejections,
-			r.Probes, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.Recovered, r.LostPages); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PrintChaos renders the ledger as a table.

@@ -21,10 +21,10 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Fatalf("same-seed runs differ:\n%+v\n%+v", a, b)
 	}
 	var ba, bb bytes.Buffer
-	if err := JSONChaos(&ba, a); err != nil {
+	if err := WriteJSON(&ba, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := JSONChaos(&bb, b); err != nil {
+	if err := WriteJSON(&bb, b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {

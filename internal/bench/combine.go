@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -108,9 +107,7 @@ func JSONCombine(w io.Writer, o Options, rows []CombineRow) error {
 		BatchThreshold: CombineThreshold,
 		Rows:           rows,
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return WriteJSON(w, rep)
 }
 
 // PrintCombine renders the comparison per workload, one processor count per
@@ -150,19 +147,4 @@ func PrintCombine(w io.Writer, rows []CombineRow) {
 			k.procs, base.ThroughputTPS, bat.ThroughputTPS, fc.ThroughputTPS, ratio,
 			fc.HandoffSaved, fc.CombinedBatches)
 	}
-}
-
-// CSVCombine writes the rows in long form.
-func CSVCombine(w io.Writer, rows []CombineRow) error {
-	if _, err := fmt.Fprintln(w, "workload,system,procs,throughput_tps,contention_per_m,handoff_saved,combined_batches,combined_entries"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%.1f,%.2f,%d,%d,%d\n",
-			r.Workload, r.System, r.Procs, r.ThroughputTPS, r.ContentionPerM,
-			r.HandoffSaved, r.CombinedBatches, r.CombinedEntries); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -61,23 +61,11 @@ func TestCombineExperimentShape(t *testing.T) {
 	}
 }
 
-func TestCombineCSVAndJSON(t *testing.T) {
+func TestCombineJSONAndTable(t *testing.T) {
 	rows := []CombineRow{
 		{Workload: "tpcw", System: "pg2Q", Procs: 16, ThroughputTPS: 100.5, ContentionPerM: 3.25},
 		{Workload: "tpcw", System: "pgBatFC", Procs: 16, ThroughputTPS: 220, HandoffSaved: 7, CombinedBatches: 5, CombinedEntries: 40},
 	}
-	var csv bytes.Buffer
-	if err := CSVCombine(&csv, rows); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines=%d: %q", len(lines), csv.String())
-	}
-	if lines[2] != "tpcw,pgBatFC,16,220.0,0.00,7,5,40" {
-		t.Fatalf("csv row %q", lines[2])
-	}
-
 	var js bytes.Buffer
 	if err := JSONCombine(&js, Options{Seed: 3, Duration: 2 * time.Second}, rows); err != nil {
 		t.Fatal(err)

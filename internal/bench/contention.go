@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -128,9 +127,7 @@ func JSONContention(w io.Writer, o Options, rows []ContentionRow) error {
 		BatchThreshold: ContentionThreshold,
 		Rows:           rows,
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return WriteJSON(w, rep)
 }
 
 // PrintContention renders the sweep per workload: one line per
@@ -150,19 +147,4 @@ func PrintContention(w io.Writer, rows []ContentionRow) {
 			r.Procs, r.System, r.ThroughputTPS, r.AcquisitionsPerM, r.ContentionPerM,
 			r.TryFailuresPerM, r.WaitNSPerAccess, r.HoldNSPerAccess)
 	}
-}
-
-// CSVContention writes the rows in long form.
-func CSVContention(w io.Writer, rows []ContentionRow) error {
-	if _, err := fmt.Fprintln(w, "workload,system,procs,throughput_tps,acquisitions_per_m,contention_per_m,try_failures_per_m,wait_ns_per_access,hold_ns_per_access"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%.1f,%.1f,%.2f,%.2f,%.2f,%.2f\n",
-			r.Workload, r.System, r.Procs, r.ThroughputTPS, r.AcquisitionsPerM,
-			r.ContentionPerM, r.TryFailuresPerM, r.WaitNSPerAccess, r.HoldNSPerAccess); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -60,25 +60,13 @@ func TestContentionExperimentShape(t *testing.T) {
 	}
 }
 
-func TestContentionCSVAndJSON(t *testing.T) {
+func TestContentionJSONAndTable(t *testing.T) {
 	rows := []ContentionRow{
 		{Workload: "tpcw", System: "pg2Q", Procs: 16, ThroughputTPS: 100.5,
 			AcquisitionsPerM: 1e6, ContentionPerM: 312.5, TryFailuresPerM: 0, WaitNSPerAccess: 80.25, HoldNSPerAccess: 40.5},
 		{Workload: "tpcw", System: "pgBat", Procs: 16, ThroughputTPS: 220,
 			AcquisitionsPerM: 250000, ContentionPerM: 4, TryFailuresPerM: 12, WaitNSPerAccess: 1.5, HoldNSPerAccess: 40},
 	}
-	var csv bytes.Buffer
-	if err := CSVContention(&csv, rows); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines=%d: %q", len(lines), csv.String())
-	}
-	if lines[1] != "tpcw,pg2Q,16,100.5,1000000.0,312.50,0.00,80.25,40.50" {
-		t.Fatalf("csv row %q", lines[1])
-	}
-
 	var js bytes.Buffer
 	if err := JSONContention(&js, Options{Seed: 3, Duration: 2 * time.Second}, rows); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -156,13 +155,6 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// JSONHitpath writes the report as the committed-baseline JSON document.
-func JSONHitpath(w io.Writer, rep *HitpathReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // PrintHitpath renders the sweep.
 func PrintHitpath(w io.Writer, rep *HitpathReport) {
 	fmt.Fprintln(w, "Lock-free hit path (E17) — seqlock lookup + pin CAS vs locked lookups")
@@ -175,19 +167,4 @@ func PrintHitpath(w io.Writer, rep *HitpathReport) {
 			r.Path, r.Shards, r.Accesses, r.Hits, r.Fast, r.Retries, r.Fallbacks,
 			r.BucketLockAcqs, r.FrameLockAcqs)
 	}
-}
-
-// CSVHitpath writes the counter rows in long form.
-func CSVHitpath(w io.Writer, rep *HitpathReport) error {
-	if _, err := fmt.Fprintln(w, "path,shards,accesses,hits,fast,retries,fallbacks,bucket_lock_acqs,frame_lock_acqs"); err != nil {
-		return err
-	}
-	for _, r := range rep.CounterRows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Path, r.Shards, r.Accesses, r.Hits, r.Fast, r.Retries, r.Fallbacks,
-			r.BucketLockAcqs, r.FrameLockAcqs); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -54,10 +54,10 @@ func TestHitpathCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := JSONHitpath(&a, rep); err != nil {
+	if err := WriteJSON(&a, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := JSONHitpath(&b, again); err != nil {
+	if err := WriteJSON(&b, again); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -68,15 +68,9 @@ func TestHitpathCounters(t *testing.T) {
 	if err := json.Unmarshal(a.Bytes(), &decoded); err != nil {
 		t.Fatalf("baseline JSON does not round-trip: %v", err)
 	}
-	var txt, csv bytes.Buffer
+	var txt bytes.Buffer
 	PrintHitpath(&txt, rep)
 	if !strings.Contains(txt.String(), "Lock-free hit path (E17)") {
 		t.Fatalf("PrintHitpath missing header:\n%s", txt.String())
-	}
-	if err := CSVHitpath(&csv, rep); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(csv.String(), "\n"); got != 1+len(rep.CounterRows) {
-		t.Fatalf("CSV row count %d, want %d", got, 1+len(rep.CounterRows))
 	}
 }

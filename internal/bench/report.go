@@ -1,11 +1,20 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 )
+
+// WriteJSON writes rep in the shape of the committed results/BENCH_*.json
+// ledgers: two-space indent, trailing newline.
+func WriteJSON[T any](w io.Writer, rep T) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
+}
 
 // fmtDur renders a duration compactly for table cells.
 func fmtDur(d time.Duration) string {

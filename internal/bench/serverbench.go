@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -202,13 +201,6 @@ func serverLedgerArm(shards, pipeline int, seed int64) (ServerLedgerRow, error) 
 	return row, nil
 }
 
-// JSONServer writes the report as the committed-baseline JSON document.
-func JSONServer(w io.Writer, rep *ServerReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // PrintServer renders the ledger.
 func PrintServer(w io.Writer, rep *ServerReport) {
 	fmt.Fprintln(w, "Serving over the wire (E18) — loopback bpserver protocol ledger")
@@ -222,20 +214,4 @@ func PrintServer(w io.Writer, rep *ServerReport) {
 			r.Requests["get"], r.Requests["put"], r.Requests["invalidate"], r.Requests["flush"],
 			r.BytesIn, r.BytesOut, r.Hits, r.Misses, r.BadFrames)
 	}
-}
-
-// CSVServer writes the ledger rows in long form.
-func CSVServer(w io.Writer, rep *ServerReport) error {
-	if _, err := fmt.Fprintln(w, "shards,pipeline,gets,puts,invalidates,flushes,bytes_in,bytes_out,hits,misses,bad_frames"); err != nil {
-		return err
-	}
-	for _, r := range rep.LedgerRows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			r.Shards, r.Pipeline,
-			r.Requests["get"], r.Requests["put"], r.Requests["invalidate"], r.Requests["flush"],
-			r.BytesIn, r.BytesOut, r.Hits, r.Misses, r.BadFrames); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -135,13 +134,6 @@ func shardHitPoint(policy string, shards int, tr *trace.Trace) (ShardHitRow, err
 	}, nil
 }
 
-// JSONShard writes the report as the committed-baseline JSON document.
-func JSONShard(w io.Writer, rep *ShardReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // PrintShard renders the sweep in paper shape.
 func PrintShard(w io.Writer, rep *ShardReport) {
 	fmt.Fprintln(w, "Sharded pool (E14) — per-shard BP-Wrapper vs shard count")
@@ -150,18 +142,4 @@ func PrintShard(w io.Writer, rep *ShardReport) {
 	for _, r := range rep.HitRows {
 		fmt.Fprintf(w, "  %-8s %8d %12d %11.2f%%\n", r.Policy, r.Shards, r.Accesses, 100*r.HitRatio)
 	}
-}
-
-// CSVShard writes the hit rows in long form.
-func CSVShard(w io.Writer, rep *ShardReport) error {
-	if _, err := fmt.Fprintln(w, "policy,shards,accesses,hit_ratio"); err != nil {
-		return err
-	}
-	for _, r := range rep.HitRows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%.6f\n",
-			r.Policy, r.Shards, r.Accesses, r.HitRatio); err != nil {
-			return err
-		}
-	}
-	return nil
 }

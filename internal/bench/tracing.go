@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -262,13 +261,6 @@ func tickQuantiles(ds []int64) (p50, p99 int64) {
 	return rank(0.50), rank(0.99)
 }
 
-// JSONTracing writes the report as the committed-baseline JSON document.
-func JSONTracing(w io.Writer, rep *TracingReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // PrintTracing renders the arm summaries and the phase decomposition.
 func PrintTracing(w io.Writer, rep *TracingReport) {
 	fmt.Fprintln(w, "Request-latency decomposition (E20) — reqtrace spans on a virtual tick clock")
@@ -288,26 +280,4 @@ func PrintTracing(w io.Writer, rep *TracingReport) {
 		fmt.Fprintf(w, "  %-9s %-5s %-17s %8d %7d %7d %7d\n",
 			p.System, p.Class, p.Phase, p.Count, p.P50, p.P99, p.Max)
 	}
-}
-
-// CSVTracing writes the phase decomposition in long form, arm summaries
-// first.
-func CSVTracing(w io.Writer, rep *TracingReport) error {
-	if _, err := fmt.Fprintln(w, "kind,system,class,phase,count,p50_ticks,p99_ticks,max_ticks,accesses,hits,misses,kept,span_drops,ring_drops,hit_p50,hit_p99,miss_p50,miss_p99"); err != nil {
-		return err
-	}
-	for _, a := range rep.Arms {
-		if _, err := fmt.Fprintf(w, "arm,%s,,,,,,,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			a.System, a.Accesses, a.Hits, a.Misses, a.Kept, a.SpanDrops, a.RingDrops,
-			a.HitP50, a.HitP99, a.MissP50, a.MissP99); err != nil {
-			return err
-		}
-	}
-	for _, p := range rep.Phases {
-		if _, err := fmt.Fprintf(w, "phase,%s,%s,%s,%d,%d,%d,%d,,,,,,,,,,\n",
-			p.System, p.Class, p.Phase, p.Count, p.P50, p.P99, p.Max); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -84,7 +84,7 @@ func TestTracingExperimentDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := JSONTracing(&sb, rep); err != nil {
+		if err := WriteJSON(&sb, rep); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()
@@ -102,21 +102,20 @@ func TestTracingExperimentDeterministic(t *testing.T) {
 	}
 }
 
-// TestTracingCSV sanity-checks the long-form CSV rendering.
-func TestTracingCSV(t *testing.T) {
+// TestTracingTable sanity-checks the table rendering: one line per arm and
+// per phase under the two headings.
+func TestTracingTable(t *testing.T) {
 	rep, err := TracingExperiment(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := CSVTracing(&sb, rep); err != nil {
-		t.Fatal(err)
-	}
+	PrintTracing(&sb, rep)
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if want := 1 + len(rep.Arms) + len(rep.Phases); len(lines) != want {
-		t.Fatalf("csv has %d lines, want %d", len(lines), want)
+	if want := 7 + len(rep.Arms) + len(rep.Phases); len(lines) != want {
+		t.Fatalf("table has %d lines, want %d:\n%s", len(lines), want, sb.String())
 	}
-	if !strings.HasPrefix(lines[1], "arm,pg2Q,") {
-		t.Fatalf("first data row = %q", lines[1])
+	if !strings.HasPrefix(lines[4], "  pg2Q ") {
+		t.Fatalf("first arm row = %q", lines[4])
 	}
 }

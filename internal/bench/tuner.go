@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -324,13 +323,6 @@ func tunerSwapPhase() (TunerSwapPhase, error) {
 	return ph, nil
 }
 
-// JSONTuner writes the report as the committed-baseline JSON document.
-func JSONTuner(w io.Writer, rep *TunerReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // PrintTuner renders both phases.
 func PrintTuner(w io.Writer, rep *TunerReport) {
 	fmt.Fprintln(w, "Self-tuning pool (E19) — controller vs misconfigured topology and policy")
@@ -350,30 +342,4 @@ func PrintTuner(w io.Writer, rep *TunerReport) {
 	for _, a := range s.Actions {
 		fmt.Fprintf(w, "    pass %d: %-13s %s\n", a.Pass, a.Kind, a.Detail)
 	}
-}
-
-// CSVTuner writes both phases in long form.
-func CSVTuner(w io.Writer, rep *TunerReport) error {
-	if _, err := fmt.Fprintln(w, "phase,arm,policy,shards,hit_ratio"); err != nil {
-		return err
-	}
-	r := rep.Reshard
-	rows := []struct {
-		phase, arm, policy string
-		shards             int
-		ratio              float64
-	}{
-		{"reshard", "static", r.Policy, r.StartShards, r.BaselineStart},
-		{"reshard", "static", r.Policy, 1, r.Baseline1},
-		{"reshard", "tuned", r.Policy, r.FinalShards, r.TunedRatio},
-		{"swap", "static", rep.Swap.Configured, 1, rep.Swap.StaticRatio},
-		{"swap", "tuned", rep.Swap.FinalPolicy, 1, rep.Swap.TunedRatio},
-	}
-	for _, row := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%.6f\n",
-			row.phase, row.arm, row.policy, row.shards, row.ratio); err != nil {
-			return err
-		}
-	}
-	return nil
 }

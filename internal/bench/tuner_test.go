@@ -58,14 +58,7 @@ func TestTunerExperiment(t *testing.T) {
 		t.Fatalf("print output incomplete:\n%s", buf.String())
 	}
 	buf.Reset()
-	if err := CSVTuner(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 6 {
-		t.Fatalf("csv has %d lines, want header + 5 rows", lines)
-	}
-	buf.Reset()
-	if err := JSONTuner(&buf, rep); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"experiment": "tuner"`) {

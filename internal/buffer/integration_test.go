@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,6 +158,72 @@ func TestInvalidateUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestInvalidateRacingMisses is what a wire client can do to bpserver:
+// misses that evict (24 pages, 16 frames) racing Invalidate. The victim
+// exchange used to re-admit a page an Invalidate had just removed, or one
+// a fresh load was about to admit, and the loader's MissAdmit panicked on
+// the already-resident page.
+func TestInvalidateRacingMisses(t *testing.T) {
+	const frames, pages, calls = 16, 24, 5000
+	for _, c := range []struct {
+		policy  string
+		workers int
+	}{
+		{"lru", 4},
+		{"2q", 4},
+		// Two workers: with four, LFU's victim exchange runs out of
+		// attempts (ROADMAP item 2) and Get fails with or without an
+		// Invalidate in the mix — see shards2-lfu-fc in internal/torture.
+		{"lfu", 2},
+	} {
+		t.Run(c.policy, func(t *testing.T) {
+			pol, _ := replacer.New(c.policy, frames)
+			p := New(Config{
+				Frames:  frames,
+				Policy:  pol,
+				Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+				Device:  storage.NewMemDevice(),
+			})
+			var wg sync.WaitGroup
+			for w := 0; w < c.workers; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng, s := rand.New(rand.NewSource(seed)), p.NewSession()
+					defer s.Flush()
+					for i := 0; i < calls; i++ {
+						id := pid(uint64(rng.Intn(pages)))
+						if rng.Intn(16) == 0 {
+							// The page may be pinned right now; nothing else may fail.
+							if err := p.Invalidate(id); err != nil && err != ErrNoUnpinnedBuffers {
+								t.Errorf("Invalidate(%v): %v", id, err)
+								return
+							}
+							continue
+						}
+						ref, err := p.Get(s, id)
+						if err != nil {
+							t.Errorf("Get(%v): %v", id, err)
+							return
+						}
+						if !refStamped(ref, id) {
+							t.Errorf("Get(%v) returned another page's bytes", id)
+						}
+						ref.Release()
+					}
+				}(int64(w))
+			}
+			wg.Wait()
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if n := p.PinnedFrames(); n != 0 {
+				t.Fatalf("%d frames left pinned", n)
+			}
+		})
+	}
 }
 
 // TestPoolSessionIsolation checks that two sessions' batched queues do not

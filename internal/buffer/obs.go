@@ -224,7 +224,7 @@ func (w *BackgroundWriter) RegisterObs(reg *obs.Registry) {
 	})
 }
 
-// FlightDump renders every shard's flight recorder as text, newest last,
+// FlightDump renders every shard's flight recorder as text, newest first,
 // for failure reports (Close errors, torture-oracle dumps). It returns ""
 // when recording is disabled, so callers can append it unconditionally.
 func (p *Pool) FlightDump() string {
@@ -232,13 +232,13 @@ func (p *Pool) FlightDump() string {
 	set := p.cur.Load()
 	for i, sh := range set.shards {
 		if rec := sh.events; rec != nil {
-			sb.WriteString(rec.DumpString(recorderName(set.epoch, i)))
+			rec.Dump(&sb, recorderName(set.epoch, i), 0)
 		}
 	}
 	if prev := set.prev.Load(); prev != nil {
 		for i, sh := range prev.shards {
 			if rec := sh.events; rec != nil {
-				sb.WriteString(rec.DumpString(recorderName(prev.epoch, i) + " (draining)"))
+				rec.Dump(&sb, recorderName(prev.epoch, i)+" (draining)", 0)
 			}
 		}
 	}

@@ -231,6 +231,10 @@ type Session struct {
 	// allocates nothing (see nextOp).
 	load, evict *loadOp
 
+	// invalidated is the owning shard's count of Invalidates when the
+	// miss in progress began (shard.reclaim).
+	invalidated uint64
+
 	// stage holds per-shard hit counts not yet folded into the shard's
 	// shared counters: the zero-lock hit path must not write a shared
 	// cacheline per access, so hits accumulate here (session-local, no

@@ -18,6 +18,12 @@ import (
 // chases the head with a cursor. No generation tags: a slot overwritten
 // between claim and read simply yields the newer id, and a torn read of
 // the head can at worst re-deliver or skip a few samples.
+//
+// It is not a metrics.Ring, the record ring under the flight recorder and
+// the span rings, on purpose: a slot here is one word, which cannot tear;
+// the reader drains from a cursor where that ring's snapshots every slot;
+// and the two stamps that ring brackets a record with would triple the
+// stores observe makes on the access path.
 type sampleRing struct {
 	rate uint64 // keep ids with mix64(id) % rate == 0
 	mask uint64

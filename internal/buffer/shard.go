@@ -125,6 +125,11 @@ type shard struct {
 	loadWaits         atomic.Int64 // waits on another goroutine's in-flight load (awaitOp)
 	evictWaits        atomic.Int64 // waits on an in-flight eviction write-back
 
+	// invalidated counts Invalidates, each bumped before its page leaves
+	// the table. A miss that sees it move knows the victim the policy
+	// handed it may have been invalidated and loaded again since (reclaim).
+	invalidated atomic.Uint64
+
 	// healthState drives graceful degradation: breaker/quarantine-driven
 	// health evaluation and miss admission control (see health.go).
 	healthState
@@ -673,6 +678,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	op := nextOp(&ps.load, id, false)
 	b.w.addOpLocked(op)
 	b.w.mu.Unlock()
+	ps.invalidated = sh.invalidated.Load()
 
 	// Fold this session's staged hits before counting the miss, so the
 	// shard counters never show a miss "ahead of" hits that actually
@@ -877,7 +883,7 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 	var victim page.PageID
 	var evicted bool
 	sh.wrapper.Locked(func(pol replacer.Policy) {
-		if prev.Valid() && !pol.Contains(prev) {
+		if prev.Valid() && !pol.Contains(prev) && sh.stillCached(prev) {
 			if pol.Len() < pol.Cap() {
 				// The policy has spare capacity (two-phase misses leave a
 				// slot open while a page is in flight), so the
@@ -891,8 +897,9 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 				victim, evicted = pol.Admit(prev)
 			}
 		} else {
-			// prev was re-admitted by a concurrent loader (or there is no
-			// prev): take a fresh victim without admitting anything.
+			// prev was re-admitted by a concurrent loader, is somebody
+			// else's to admit or drop, or there is no prev: take a fresh
+			// victim without admitting anything.
 			victim, evicted = pol.Evict()
 		}
 		if evicted && protect.Valid() && victim == protect {
@@ -900,6 +907,24 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 		}
 	})
 	return victim, evicted
+}
+
+// stillCached reports whether prev, evicted from the policy but never
+// reclaimed, is still nextVictim's to put back: mapped to an unclaimed
+// frame with no op in flight. An Invalidate or a reshard steal claims the
+// frame before it removes the page from the policy, and a fresh load of the
+// page keeps its op registered until its own MissAdmit is over, so under the
+// policy lock a true answer means any such removal is still to come and
+// will undo the re-admission, and no loader is about to admit prev itself.
+func (sh *shard) stillCached(prev page.PageID) bool {
+	b := sh.bucketFor(prev)
+	b.w.mu.Lock() // not lockBucket: a reclaim-side probe, outside the hit path's lock accounting
+	defer b.w.mu.Unlock()
+	if b.w.opLocked(prev) != nil {
+		return false
+	}
+	f := sh.lookupLocked(b, prev)
+	return f != nil && f.state.Load()&frameRecycling == 0
 }
 
 // reclaim tries to take exclusive ownership of the victim's frame: it
@@ -957,6 +982,14 @@ func (sh *shard) reclaim(ps *Session, victim page.PageID) (*Frame, bool) {
 			break
 		}
 		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
+	}
+	if sh.invalidated.Load() != ps.invalidated {
+		// An Invalidate ran since this miss began. Had it been of victim,
+		// after the policy gave victim up to us, the frame we now hold may
+		// belong to a later load of the same page, which the policy tracks
+		// again. Evicting that is as good as evicting any page, once the
+		// policy hears of it.
+		sh.wrapper.Locked(func(pol replacer.Policy) { pol.Remove(victim) })
 	}
 	dirty := s&frameDirty != 0
 	sh.events.Record(obs.EvEvict, uint64(victim), flagArg(dirty))
@@ -1229,6 +1262,7 @@ func (sh *shard) invalidate(id page.PageID) error {
 	sh.wrapper.Locked(func(pol replacer.Policy) {
 		pol.Remove(id)
 	})
+	sh.invalidated.Add(1)
 
 	sh.lockBucket(b)
 	sh.removeLocked(b, id)

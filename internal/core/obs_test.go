@@ -164,11 +164,14 @@ func TestDefaultLockProfileAttached(t *testing.T) {
 	}
 }
 
-func TestConfigLockProfileOverride(t *testing.T) {
+// TestLockProfileOverride is the seam the tests that time every hold use: a
+// profile installed on the built wrapper's lock replaces the sampled one.
+func TestLockProfileOverride(t *testing.T) {
 	custom := &metrics.LockProfile{SampleEvery: 1}
-	w := New(replacer.NewLRU(16), Config{LockProfile: custom})
+	w := New(replacer.NewLRU(16), Config{})
+	w.lock.SetProfile(custom)
 	if w.LockProfile() != custom {
-		t.Fatal("Config.LockProfile not installed")
+		t.Fatal("installed profile not the one the wrapper reports")
 	}
 	s := w.NewSession()
 	id, tag := obsEntry(0)

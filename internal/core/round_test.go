@@ -207,8 +207,8 @@ func TestRoundAccounting(t *testing.T) {
 				cfg := row.cfg
 				cfg.QueueSize, cfg.BatchThreshold, cfg.Prefetching = 4, 2, true
 				cfg.Events, cfg.Tracer = events, tr
-				cfg.LockProfile = &metrics.LockProfile{SampleEvery: 1} // time every hold
 				w := New(pol, cfg)
+				w.lock.SetProfile(&metrics.LockProfile{SampleEvery: 1}) // time every hold
 				for n := uint64(1); n <= 6; n++ {
 					pol.inner.Admit(pid(n))
 				}

@@ -112,11 +112,6 @@ type Config struct {
 	// combiner-handoff spans of DESIGN.md §15. Sessions participate once
 	// a trace context is attached with Session.SetTrace.
 	Tracer *reqtrace.Tracer
-
-	// LockProfile, when non-nil, replaces the wrapper's default sampled
-	// lock profile (DefaultSampleEvery with wait/hold histograms). Use it
-	// to force always-on clocking in tests or to share histograms.
-	LockProfile *metrics.LockProfile
 }
 
 // withDefaults resolves zero fields to their documented defaults.
@@ -338,16 +333,13 @@ func New(policy replacer.Policy, cfg Config) *Wrapper {
 		combineRuns: metrics.NewCountDist(combineRunCap),
 	}
 	w.box.Store(newPolicyBox(policy, cfg))
-	profile := cfg.LockProfile
-	if profile == nil {
-		// Default profile: sampled hold times plus wait/hold histograms,
-		// so every wrapper's lock behaviour is exposable without setup.
-		profile = &metrics.LockProfile{
-			Wait: metrics.NewHistogram(100*time.Nanosecond, 10*time.Second, 60),
-			Hold: metrics.NewHistogram(100*time.Nanosecond, 10*time.Second, 60),
-		}
-	}
-	w.lock.SetProfile(profile)
+	// The one profile: hold times sampled every metrics.DefaultSampleEvery
+	// acquisitions plus wait/hold histograms, so every wrapper's lock
+	// behaviour is exposable without setup.
+	w.lock.SetProfile(&metrics.LockProfile{
+		Wait: metrics.NewHistogram(100*time.Nanosecond, 10*time.Second, 60),
+		Hold: metrics.NewHistogram(100*time.Nanosecond, 10*time.Second, 60),
+	})
 	if cfg.FlatCombining {
 		w.fc = &combiner{}
 	}
@@ -363,8 +355,7 @@ func (w *Wrapper) Policy() replacer.Policy { return w.box.Load().policy }
 // Config returns the resolved configuration.
 func (w *Wrapper) Config() Config { return w.cfg }
 
-// LockProfile returns the profile installed on the policy lock (the
-// default sampled profile unless Config.LockProfile overrode it). The
+// LockProfile returns the profile installed on the policy lock. The
 // attached histograms are live: snapshot them for exposition.
 func (w *Wrapper) LockProfile() *metrics.LockProfile { return w.lock.Profile() }
 

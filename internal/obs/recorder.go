@@ -14,6 +14,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"bpwrapper/internal/metrics"
 )
 
 // EventKind labels a flight-recorder event. The kinds cover the commit
@@ -93,8 +95,8 @@ type Event struct {
 	Seq uint64 // global claim order within the recorder
 	// Time is a coarse wall-clock timestamp: the clock is read on a
 	// 1-in-clockEvery sample of records and cached in between, so an
-	// event's stamp can be up to clockEvery-1 events stale. Seq, not
-	// Time, is the ordering authority.
+	// event's stamp can be up to clockEvery events stale. Seq, not Time,
+	// is the ordering authority.
 	Time time.Time
 	Kind EventKind
 	Arg1 uint64
@@ -108,33 +110,21 @@ type Event struct {
 // dominate the recorder's cost and break the fast-path overhead budget.
 const clockEvery = 16
 
-// slot is one ring entry. Every word is atomic so concurrent writers and
-// readers are race-free; the begin/end sequence pair brackets the payload
-// seqlock-style so readers can detect torn entries.
-type slot struct {
-	begin atomic.Uint64 // claim sequence + 1, stored before the payload
-	kind  atomic.Uint64
-	arg1  atomic.Uint64
-	arg2  atomic.Uint64
-	nanos atomic.Int64
-	end   atomic.Uint64 // claim sequence + 1, stored after the payload
-}
+// eventWords is an event's width in the ring: kind, arg1, arg2 and the
+// cached clock reading, 48-byte slots with the two stamps.
+const eventWords = 4
 
 // Recorder is a fixed-size lock-free ring buffer of commit-path events —
-// a flight recorder. Writers claim slots with one atomic increment and
-// fill them wait-free; the newest events overwrite the oldest. Readers
-// take a best-effort snapshot: entries overwritten mid-read are detected
-// via their begin/end sequence bracket and counted into Dropped rather
-// than returned corrupt.
+// a flight recorder: the event encoding and the coarse clock over a
+// metrics.Ring, which owns the slot protocol (wait-free writers, newest
+// overwrite oldest, a snapshot refuses and counts a slot it catches
+// mid-write rather than return it mixed).
 //
 // A nil *Recorder is valid and records nothing, so call sites need no
 // enabled-checks.
 type Recorder struct {
-	mask  uint64
-	seq   atomic.Uint64
-	torn  atomic.Uint64 // snapshot reads that discarded a torn slot
-	clock atomic.Int64  // cached UnixNano, refreshed every clockEvery records
-	slots []slot
+	ring  *metrics.Ring
+	clock atomic.Int64 // cached UnixNano, refreshed every clockEvery records
 }
 
 // NewRecorder returns a recorder holding the most recent size events
@@ -144,35 +134,27 @@ func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		return nil
 	}
-	n := 8
-	for n < size {
-		n <<= 1
-	}
-	return &Recorder{mask: uint64(n - 1), slots: make([]slot, n)}
+	return &Recorder{ring: metrics.NewRing(size, eventWords)}
 }
 
 // Record appends one event. Safe for concurrent use; no-op on a nil
 // recorder. An enabled record is one atomic increment plus six plain
 // atomic stores; the nanosecond clock is read only on a 1-in-clockEvery
-// sample of records (see Event.Time), keeping the recorder within the
-// commit path's observability budget.
+// sample of records (see Event.Time), after the event is in its slot,
+// keeping the recorder within the commit path's observability budget.
 func (r *Recorder) Record(kind EventKind, arg1, arg2 uint64) {
 	if r == nil {
 		return
 	}
-	i := r.seq.Add(1) - 1
 	now := r.clock.Load()
-	if i&(clockEvery-1) == 0 || now == 0 {
+	if now == 0 {
 		now = time.Now().UnixNano()
 		r.clock.Store(now)
 	}
-	s := &r.slots[i&r.mask]
-	s.begin.Store(i + 1)
-	s.kind.Store(uint64(kind))
-	s.arg1.Store(arg1)
-	s.arg2.Store(arg2)
-	s.nanos.Store(now)
-	s.end.Store(i + 1)
+	ev := [eventWords]uint64{uint64(kind), arg1, arg2, uint64(now)}
+	if i := r.ring.Put(ev[:]); (i+1)&(clockEvery-1) == 0 {
+		r.clock.Store(time.Now().UnixNano()) // for the clockEvery records after this one
+	}
 }
 
 // Seq returns the number of events ever recorded (including overwritten
@@ -181,7 +163,7 @@ func (r *Recorder) Seq() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq.Load()
+	return r.ring.Seq()
 }
 
 // Cap returns the ring capacity, 0 for a disabled recorder.
@@ -189,7 +171,7 @@ func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.ring.Cap()
 }
 
 // Dropped returns how many events have been overwritten before any reader
@@ -199,13 +181,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	n := r.seq.Load()
-	cap := uint64(len(r.slots))
-	over := uint64(0)
-	if n > cap {
-		over = n - cap
-	}
-	return over + r.torn.Load()
+	return r.ring.Dropped()
 }
 
 // Events returns a best-effort snapshot of the surviving ring contents in
@@ -215,53 +191,26 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		e := s.end.Load()
-		if e == 0 {
-			continue // never written
-		}
-		ev := Event{
-			Seq:  e - 1,
-			Time: time.Unix(0, s.nanos.Load()),
-			Kind: EventKind(s.kind.Load()),
-			Arg1: s.arg1.Load(),
-			Arg2: s.arg2.Load(),
-		}
-		if s.begin.Load() != e {
-			r.torn.Add(1)
-			continue // overwrite in progress; payload unreliable
-		}
-		out = append(out, ev)
-	}
+	out := make([]Event, 0, r.ring.Cap())
+	r.ring.Snapshot(func(seq uint64, p []uint64) {
+		out = append(out, Event{
+			Seq:  seq,
+			Time: time.Unix(0, int64(p[3])),
+			Kind: EventKind(p[0]),
+			Arg1: p[1],
+			Arg2: p[2],
+		})
+	})
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }
 
-// Dump writes a human-readable tail of the recorder to w, newest last,
-// prefixed with label. It is the format appended to torture-oracle
-// failures and Pool.Close errors. A nil or empty recorder writes a
-// one-line note so failure output stays self-explanatory.
-func (r *Recorder) Dump(w io.Writer, label string) {
-	if r == nil {
-		fmt.Fprintf(w, "%s: flight recorder disabled\n", label)
-		return
-	}
-	evs := r.Events()
-	fmt.Fprintf(w, "%s: flight recorder: %d/%d events (%d recorded, %d dropped)\n",
-		label, len(evs), len(r.slots), r.Seq(), r.Dropped())
-	for _, ev := range evs {
-		fmt.Fprintf(w, "  [%d] %s %s arg1=%d arg2=%d\n",
-			ev.Seq, ev.Time.Format("15:04:05.000000"), ev.Kind, ev.Arg1, ev.Arg2)
-	}
-}
-
-// DumpTail writes the newest n surviving events to w, newest first — the
-// order a human scanning a live endpoint wants (the most recent activity
-// on top). n <= 0 dumps everything surviving. A nil recorder writes the
-// same one-line note as Dump.
-func (r *Recorder) DumpTail(w io.Writer, label string, n int) {
+// Dump writes the newest n surviving events to w, newest first and
+// prefixed with label (n <= 0 writes every survivor). It is the rendering
+// of /debug/events, torture-oracle failures and Pool.Close errors. A nil
+// recorder writes a one-line note so failure output stays
+// self-explanatory.
+func (r *Recorder) Dump(w io.Writer, label string, n int) {
 	if r == nil {
 		fmt.Fprintf(w, "%s: flight recorder disabled\n", label)
 		return
@@ -278,18 +227,4 @@ func (r *Recorder) DumpTail(w io.Writer, label string, n int) {
 		fmt.Fprintf(w, "  [%d] %s %s arg1=%d arg2=%d\n",
 			ev.Seq, ev.Time.Format("15:04:05.000000"), ev.Kind, ev.Arg1, ev.Arg2)
 	}
-}
-
-// DumpString renders Dump into a string, for embedding in error values.
-func (r *Recorder) DumpString(label string) string {
-	var sb writerString
-	r.Dump(&sb, label)
-	return string(sb)
-}
-
-type writerString []byte
-
-func (w *writerString) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
 }

@@ -86,22 +86,6 @@ func (g *Registry) Gather() []Metric {
 	return out
 }
 
-// DumpRecorders writes every registered flight recorder to w, for the
-// events endpoint.
-func (g *Registry) DumpRecorders(w io.Writer) {
-	g.mu.Lock()
-	rs := make([]recorderEntry, len(g.recorders))
-	copy(rs, g.recorders)
-	g.mu.Unlock()
-	if len(rs) == 0 {
-		fmt.Fprintln(w, "no flight recorders registered")
-		return
-	}
-	for _, e := range rs {
-		e.rec.Dump(w, e.label)
-	}
-}
-
 // DumpRecordersTail writes every registered flight recorder's newest n
 // events, newest first — the /debug/events rendering (n <= 0 means all).
 func (g *Registry) DumpRecordersTail(w io.Writer, n int) {
@@ -114,7 +98,7 @@ func (g *Registry) DumpRecordersTail(w io.Writer, n int) {
 		return
 	}
 	for _, e := range rs {
-		e.rec.DumpTail(w, e.label, n)
+		e.rec.Dump(w, e.label, n)
 	}
 }
 

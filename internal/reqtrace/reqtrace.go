@@ -7,8 +7,8 @@
 // request paid it or who did its work. reqtrace answers that with
 // per-request trace IDs and phase-stamped spans (bucket probe, pin, lock
 // wait, combiner enqueue→apply, policy batch, device I/O, quarantine park)
-// written into lock-free seqlock span rings, the same slot protocol the
-// obs flight recorder proves.
+// written into lock-free span rings — metrics.Ring, the record ring the obs
+// flight recorder is built on too.
 //
 // Overhead discipline — the layer must fit the pool's ≤3% observability
 // budget on resident hits, so sampling is decided per request with
@@ -209,8 +209,8 @@ func (c Config) withDefaults() Config {
 // nil-safe: a nil *Tracer is the disabled configuration.
 type Tracer struct {
 	cfg   Config
-	rings []*ring
-	tail  *ring
+	rings []ring
+	tail  ring
 	ids   atomic.Uint64
 
 	started   atomic.Int64 // requests seen by Begin (folded at sample points; lags ≤ SampleEvery per session)
@@ -229,7 +229,7 @@ func New(cfg Config) *Tracer {
 	}
 	cfg = cfg.withDefaults()
 	t := &Tracer{cfg: cfg}
-	t.rings = make([]*ring, cfg.Rings)
+	t.rings = make([]ring, cfg.Rings)
 	for i := range t.rings {
 		t.rings[i] = newRing(cfg.RingSize)
 	}
@@ -338,9 +338,9 @@ func (t *Tracer) Snapshot() Stats {
 		Emitted:   t.emitted.Load(),
 	}
 	for _, r := range t.rings {
-		st.RingDrops += r.dropped()
+		st.RingDrops += int64(r.Dropped())
 	}
-	st.RingDrops += t.tail.dropped()
+	st.RingDrops += int64(t.tail.Dropped())
 	return st
 }
 

@@ -1,40 +1,20 @@
 package reqtrace
 
-import "sync/atomic"
+import "bpwrapper/internal/metrics"
 
-// ring is a lock-free span ring using the seqlock slot protocol of the
-// obs flight recorder (internal/obs/recorder.go): a writer claims a slot
-// with one atomic add, stores the payload into all-atomic words bracketed
-// by begin/end sequence stamps, and a reader snapshots slots and discards
-// any whose brackets disagree (a write raced the read). Writers never
-// wait; readers never block writers.
-type slot struct {
-	begin atomic.Uint64
-	trace atomic.Uint64
-	meta  atomic.Uint64 // phase | shard<<8 | flags<<40
-	start atomic.Int64
-	dur   atomic.Int64
-	arg1  atomic.Uint64
-	arg2  atomic.Uint64
-	end   atomic.Uint64
-}
+// spanWords is a span's width in the ring: trace, meta, start, dur, arg1,
+// arg2 — 64-byte slots with the two stamps.
+const spanWords = 6
 
-type ring struct {
-	mask  uint64
-	seq   atomic.Uint64
-	torn  atomic.Uint64
-	slots []slot
-}
+// ring is a lock-free span ring: the span encoding over a metrics.Ring,
+// which owns the slot protocol (DESIGN.md §10). Writers never wait;
+// readers never block writers and never see a span mixing two writes.
+type ring struct{ *metrics.Ring }
 
-// newRing rounds size up to a power of two, minimum 8.
-func newRing(size int) *ring {
-	n := 8
-	for n < size {
-		n <<= 1
-	}
-	return &ring{mask: uint64(n - 1), slots: make([]slot, n)}
-}
+func newRing(size int) ring { return ring{metrics.NewRing(size, spanWords)} }
 
+// packMeta folds the three small fields into one word:
+// phase | shard<<8 | flags<<40.
 func packMeta(ph Phase, shard int32, flags uint8) uint64 {
 	return uint64(ph) | uint64(uint32(shard))<<8 | uint64(flags)<<40
 }
@@ -43,50 +23,20 @@ func unpackMeta(m uint64) (Phase, int32, uint8) {
 	return Phase(m & 0xff), int32(uint32(m >> 8)), uint8(m >> 40)
 }
 
-func (r *ring) put(sp Span) {
-	i := r.seq.Add(1) - 1
-	s := &r.slots[i&r.mask]
-	s.begin.Store(i + 1)
-	s.trace.Store(sp.Trace)
-	s.meta.Store(packMeta(sp.Phase, sp.Shard, sp.Flags))
-	s.start.Store(sp.Start)
-	s.dur.Store(sp.Dur)
-	s.arg1.Store(sp.Arg1)
-	s.arg2.Store(sp.Arg2)
-	s.end.Store(i + 1)
+func (r ring) put(sp Span) {
+	w := [spanWords]uint64{
+		sp.Trace, packMeta(sp.Phase, sp.Shard, sp.Flags),
+		uint64(sp.Start), uint64(sp.Dur), sp.Arg1, sp.Arg2,
+	}
+	r.Put(w[:])
 }
 
-// snapshot appends every intact slot to out, skipping empty and torn
-// slots (brackets disagree: a writer was mid-store).
-func (r *ring) snapshot(out []Span) []Span {
-	for i := range r.slots {
-		s := &r.slots[i]
-		b := s.begin.Load()
-		if b == 0 {
-			continue
-		}
-		sp := Span{
-			Trace: s.trace.Load(),
-			Start: s.start.Load(),
-			Dur:   s.dur.Load(),
-			Arg1:  s.arg1.Load(),
-			Arg2:  s.arg2.Load(),
-		}
-		sp.Phase, sp.Shard, sp.Flags = unpackMeta(s.meta.Load())
-		if s.end.Load() != b {
-			r.torn.Add(1)
-			continue
-		}
+// snapshot appends every intact span to out.
+func (r ring) snapshot(out []Span) []Span {
+	r.Snapshot(func(_ uint64, w []uint64) {
+		sp := Span{Trace: w[0], Start: int64(w[2]), Dur: int64(w[3]), Arg1: w[4], Arg2: w[5]}
+		sp.Phase, sp.Shard, sp.Flags = unpackMeta(w[1])
 		out = append(out, sp)
-	}
+	})
 	return out
-}
-
-// dropped counts spans lost to overwrites plus torn snapshot reads.
-func (r *ring) dropped() int64 {
-	n := int64(r.seq.Load()) - int64(len(r.slots))
-	if n < 0 {
-		n = 0
-	}
-	return n + int64(r.torn.Load())
 }

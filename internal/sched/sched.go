@@ -6,14 +6,15 @@
 // over while the one that loses an access or inverts a commit order needs a
 // preemption inside a ten-instruction window. Following the methodology of
 // systematic-interleaving testing (see "Lock-Free Locks Revisited" in
-// PAPERS.md), the concurrent code in internal/core and internal/buffer is
-// instrumented with named Yield points at the boundaries where cross-thread
-// visibility changes — publish/claim handoffs, quarantine parking,
-// table-install windows. In production the hook is nil and Yield is a single
-// atomic load and a predicted-not-taken branch; the torture harness installs
-// a seeded perturber that decides pseudo-randomly, per point, whether to
-// reschedule — so a failing run's interleaving pressure is reproducible from
-// its seed.
+// PAPERS.md), the concurrent code in internal/core and internal/buffer (and
+// the reader of internal/metrics' record ring) is instrumented with named
+// Yield points at the boundaries where cross-thread visibility changes —
+// publish/claim handoffs, quarantine parking, table-install windows, the
+// window a ring snapshot can tear in. In production the hook is nil and
+// Yield is a single atomic load and a predicted-not-taken branch; the
+// torture harness installs a seeded perturber that decides pseudo-randomly,
+// per point, whether to reschedule — so a failing run's interleaving
+// pressure is reproducible from its seed.
 package sched
 
 import "sync/atomic"
@@ -24,7 +25,7 @@ import "sync/atomic"
 type Point uint8
 
 // Instrumented sites. Core (wrapper/commit) points first, then buffer-pool
-// points.
+// points, then the record ring's.
 const (
 	// CoreCommitTry: a batched session is about to TryLock for a
 	// threshold commit.
@@ -62,6 +63,11 @@ const (
 	// BufBucketWrite: a bucket writer has bumped the seqlock to odd and is
 	// about to mutate the slot array.
 	BufBucketWrite
+	// RingSnapshot: a record-ring reader (metrics.Ring.Snapshot) has loaded
+	// a slot's end stamp and is about to read its payload — the window a
+	// writer must be caught in for the read to tear. The reader is the
+	// cold side; writers carry no point.
+	RingSnapshot
 
 	// NumPoints is the number of instrumented sites.
 	NumPoints

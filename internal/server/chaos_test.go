@@ -132,7 +132,7 @@ func TestChaosClientVanishMidPipeline(t *testing.T) {
 // counted, and other clients are unaffected.
 func TestChaosSlowReaderBackpressure(t *testing.T) {
 	srv, _, done := newTestServer(t, 32, 1, Config{
-		WriteBufSize: 4 << 10, // below one page response: every page is its own socket write
+		writeBuf:     pageRespLen, // every page is its own socket write
 		WriteTimeout: 200 * time.Millisecond,
 	})
 	defer done()

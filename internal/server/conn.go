@@ -30,8 +30,8 @@ type conn struct {
 	// empty, grows by append to fit the burst being served and is never
 	// shrunk — the mirror of the client's receive buffer — so a burst
 	// leaves in one socket write, and a connection holds the memory of its
-	// largest burst (at most Config.WriteBufSize, past which a burst is
-	// flushed in parts).
+	// largest burst (at most writeBufSize, past which a burst is flushed
+	// in parts).
 	out []byte
 
 	// inflight counts this connection's requests decoded but not yet
@@ -333,10 +333,10 @@ func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool 
 const pageRespLen = 4 + frameHeaderLen + page.Size
 
 // room makes the response buffer able to take n more bytes, which means a
-// flush first when they would carry it past the WriteBufSize ceiling. It
+// flush first when they would carry it past the writeBufSize ceiling. It
 // reports false when that flush failed.
 func (c *conn) room(n int) bool {
-	if len(c.out)+n > c.srv.cfg.WriteBufSize && !c.flush() {
+	if len(c.out)+n > c.srv.cfg.writeBuf && !c.flush() {
 		return false
 	}
 	c.out = slices.Grow(c.out, n)

@@ -34,15 +34,10 @@ type Config struct {
 	// from parking a handler goroutine forever. Zero means 10s.
 	WriteTimeout time.Duration
 
-	// WriteBufSize is the ceiling of the per-connection response buffer.
-	// The buffer starts empty, grows to fit the burst being served and is
-	// never shrunk, so a burst's responses go out in one socket write and
-	// a connection holds the memory of its largest burst; a burst whose
-	// responses exceed WriteBufSize is flushed in parts of at most that
-	// size. Zero means 256 KB; anything below one page response (8,205
-	// bytes) means one page response, which flushes every page. (The
-	// receive buffer is not a knob: it has one size.)
-	WriteBufSize int
+	// writeBuf is the tests' seam for writeBufSize: a ceiling of a page or
+	// two drives the multi-part flush with a handful of GETs. Zero, which
+	// is all another package can leave it at, means writeBufSize.
+	writeBuf int
 
 	// DrainGrace is how long Drain keeps serving after lowering the
 	// pool's read-only floor, so in-flight clients finish their tails
@@ -50,6 +45,15 @@ type Config struct {
 	// means 50ms.
 	DrainGrace time.Duration
 }
+
+// writeBufSize is the ceiling of the per-connection response buffer. The
+// buffer starts empty, grows to fit the burst being served and is never
+// shrunk, so a burst's responses go out in one socket write and a
+// connection holds the memory of its largest burst; a burst whose
+// responses exceed the ceiling is flushed in parts of at most that size.
+// Not a knob, like the receive buffer: 31 page responses fit, bpserver
+// never had a flag for it, and only tests ever set it (Config.writeBuf).
+const writeBufSize = 256 << 10
 
 // Connection/server lifecycle states.
 const (
@@ -110,11 +114,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 10 * time.Second
 	}
-	if cfg.WriteBufSize <= 0 {
-		cfg.WriteBufSize = 256 << 10
-	}
-	if cfg.WriteBufSize < pageRespLen {
-		cfg.WriteBufSize = pageRespLen
+	if cfg.writeBuf <= 0 {
+		cfg.writeBuf = writeBufSize
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 50 * time.Millisecond

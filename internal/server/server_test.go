@@ -514,9 +514,9 @@ func serveScript(srv *Server, nc *scriptConn) {
 // socket write — and not once per response. The 16-GET burst the benchmark
 // sends and the 8-GET burst of bpload -pipeline 8 (one page more than a
 // 64 KB buffer held) each reach the socket in exactly one write. A 500-GET
-// burst is cut by the WriteBufSize ceiling — the default, one below a page
-// response (which means "flush every page") and one that holds two pages —
-// into writes that never carry more than the ceiling. No write happens
+// burst is cut by the writeBufSize ceiling — the constant, and through the
+// writeBuf seam one page response ("flush every page") and one that holds
+// two pages — into writes that never carry more than the ceiling. No write happens
 // with a page pinned, and however the stream was cut it is byte for byte
 // appendFrame's encoding of the same responses.
 func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
@@ -528,18 +528,18 @@ func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
 		{16, 0, 1},
 		{8, 0, 1},
 		{500, 0, 17}, // 31 pages fit 256 KB
-		{500, 4 << 10, 500},
+		{500, pageRespLen, 500},
 		{500, 20000, 250},
 	} {
-		srv, _, done := newTestServer(t, 32, 1, Config{WriteBufSize: tc.bufSize})
-		ceiling := srv.cfg.WriteBufSize
+		srv, _, done := newTestServer(t, 32, 1, Config{writeBuf: tc.bufSize})
+		ceiling := srv.cfg.writeBuf
 		nc := &scriptConn{in: bytes.NewReader(getScript(tc.gets, span))}
 		nc.onWrite = func(p []byte) {
 			if len(p) > ceiling {
-				t.Errorf("%d GETs, WriteBufSize %d: a socket write of %d bytes", tc.gets, tc.bufSize, len(p))
+				t.Errorf("%d GETs, ceiling %d: a socket write of %d bytes", tc.gets, tc.bufSize, len(p))
 			}
 			if n := srv.Pool().PinnedFrames(); n != 0 {
-				t.Errorf("%d GETs, WriteBufSize %d: socket write %d with %d page(s) pinned", tc.gets, tc.bufSize, len(nc.wrote), n)
+				t.Errorf("%d GETs, ceiling %d: socket write %d with %d page(s) pinned", tc.gets, tc.bufSize, len(nc.wrote), n)
 			}
 		}
 		serveScript(srv, nc) // returns on the script's EOF
@@ -551,15 +551,15 @@ func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
 			want = appendFrame(want, StatusOK, i, pg.Data[:])
 		}
 		if !bytes.Equal(nc.out.Bytes(), want) {
-			t.Fatalf("%d GETs, WriteBufSize %d: response stream differs from appendFrame's encoding", tc.gets, tc.bufSize)
+			t.Fatalf("%d GETs, ceiling %d: response stream differs from appendFrame's encoding", tc.gets, tc.bufSize)
 		}
 		if got := srv.Stats().Responses["ok"]; got != int64(tc.gets) {
-			t.Fatalf("%d GETs, WriteBufSize %d: %d OK responses counted", tc.gets, tc.bufSize, got)
+			t.Fatalf("%d GETs, ceiling %d: %d OK responses counted", tc.gets, tc.bufSize, got)
 		}
 		// The exit path's best-effort flush has nothing left to write, so
 		// it arms nothing either.
 		if len(nc.wrote) != tc.wrote || nc.arms != tc.wrote {
-			t.Fatalf("%d GETs, WriteBufSize %d: %d socket writes, deadline armed %d times; want %d of each",
+			t.Fatalf("%d GETs, ceiling %d: %d socket writes, deadline armed %d times; want %d of each",
 				tc.gets, tc.bufSize, len(nc.wrote), nc.arms, tc.wrote)
 		}
 		done()
@@ -570,7 +570,7 @@ func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
 // that is flushed page by page: the handler retires without offering the
 // socket anything more, and what it served up to there is still counted.
 func TestServerBurstStickyWriteError(t *testing.T) {
-	srv, _, done := newTestServer(t, 32, 1, Config{WriteBufSize: pageRespLen})
+	srv, _, done := newTestServer(t, 32, 1, Config{writeBuf: pageRespLen})
 	defer done()
 	nc := &scriptConn{in: bytes.NewReader(getScript(10, 8)), failFrom: 2}
 	serveScript(srv, nc) // must return, the script's other eight GETs unread
