@@ -44,12 +44,11 @@
 //
 // # Quick start
 //
-//	policy, _ := bpwrapper.NewPolicy("2q", 1024)
 //	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-//		Frames:  1024,
-//		Policy:  policy,
-//		Wrapper: bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
-//		Device:  bpwrapper.NewMemDevice(),
+//		Frames:        1024,
+//		PolicyFactory: bpwrapper.PolicyFactories()["2q"],
+//		Wrapper:       bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
+//		Device:        bpwrapper.NewMemDevice(),
 //	})
 //	sess := pool.NewSession() // one per worker goroutine
 //	ref, err := pool.Get(sess, bpwrapper.NewPageID(1, 0))
@@ -185,9 +184,9 @@ const (
 // "shard" experiment (E14) measures what the split history costs.
 type Pool = buffer.Pool
 
-// PoolConfig assembles a Pool. Set Shards and PolicyFactory together to
-// build a hash-partitioned pool; single-shard pools may pass a Policy
-// instance directly.
+// PoolConfig assembles a Pool. PolicyFactory names the replacement
+// algorithm; the pool builds one instance per shard, each sized to its
+// shard, at construction and at every Reshard.
 type PoolConfig = buffer.Config
 
 // PoolSession is a per-backend handle for Pool.Get/GetWrite, carrying one
@@ -196,8 +195,9 @@ type PoolConfig = buffer.Config
 type PoolSession = buffer.Session
 
 // PolicyFactory constructs a replacement-policy instance of a given
-// capacity; sharded pools call it once per shard. PolicyFactories returns
-// the named constructors.
+// capacity; a pool calls it once per shard. PolicyFactories returns the
+// named constructors; a tuned or custom policy is a closure,
+// func(c int) bpwrapper.Policy { return bpwrapper.NewTwoQT(c, ...) }.
 type PolicyFactory = replacer.Factory
 
 // PolicyFactories returns the named policy constructors ("lru", "2q",

@@ -57,7 +57,7 @@ func main() {
 	if nFrames <= 0 {
 		nFrames = wl.DataPages()
 	}
-	policy, ok := bpwrapper.NewPolicy(*policyName, nFrames)
+	factory, ok := bpwrapper.PolicyFactories()[*policyName]
 	if !ok {
 		fatal(fmt.Errorf("unknown policy %q", *policyName))
 	}
@@ -66,8 +66,8 @@ func main() {
 		device = bpwrapper.NewSimDisk(bpwrapper.NewMemDevice(), bpwrapper.SimDiskConfig{ReadLatency: *diskLat})
 	}
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames: nFrames,
-		Policy: policy,
+		Frames:        nFrames,
+		PolicyFactory: factory,
 		Wrapper: bpwrapper.WrapperConfig{
 			Batching:    *batching,
 			Prefetching: *prefetching,
@@ -128,12 +128,11 @@ func main() {
 	}()
 
 	res, err := txn.Run(txn.Config{
-		Pool:       pool,
-		Workload:   wl,
-		Workers:    *workers,
-		Duration:   *duration,
-		Seed:       *seed,
-		TouchBytes: true,
+		Pool:     pool,
+		Workload: wl,
+		Workers:  *workers,
+		Duration: *duration,
+		Seed:     *seed,
 	})
 	close(stop)
 	if err != nil {

@@ -10,12 +10,11 @@ import (
 // Example shows the minimal pool setup: an advanced replacement algorithm
 // wrapped by BP-Wrapper, a page access, and the lock statistics.
 func Example() {
-	policy, _ := bpwrapper.NewPolicy("2q", 128)
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames:  128,
-		Policy:  policy,
-		Wrapper: bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
-		Device:  bpwrapper.NewMemDevice(),
+		Frames:        128,
+		PolicyFactory: bpwrapper.PolicyFactories()["2q"],
+		Wrapper:       bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
+		Device:        bpwrapper.NewMemDevice(),
 	})
 
 	sess := pool.NewSession()

@@ -19,14 +19,14 @@ import (
 func main() {
 	const frames = 1024
 
-	policy, ok := bpwrapper.NewPolicy("2q", frames)
+	factory, ok := bpwrapper.PolicyFactories()["2q"]
 	if !ok {
 		log.Fatal("unknown policy")
 	}
 
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames: frames,
-		Policy: policy,
+		Frames:        frames,
+		PolicyFactory: factory,
 		// A small queue and threshold commit often, which is exactly the
 		// regime where the commit protocol matters (the bpbench combine
 		// experiment uses the same tuning). FlatCombining implies Batching.

@@ -26,24 +26,22 @@ func main() {
 	for _, name := range []string{"clock", "2q", "lirs"} {
 		for _, frac := range []float64{0.05, 0.25} {
 			frames := int(float64(dbPages) * frac)
-			policy, _ := bpwrapper.NewPolicy(name, frames)
 			disk := bpwrapper.NewSimDisk(bpwrapper.NewMemDevice(), bpwrapper.SimDiskConfig{
 				ReadLatency: 250 * time.Microsecond,
 				Parallelism: 8,
 			})
 			pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-				Frames:  frames,
-				Policy:  policy,
-				Wrapper: bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
-				Device:  disk,
+				Frames:        frames,
+				PolicyFactory: bpwrapper.PolicyFactories()[name],
+				Wrapper:       bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
+				Device:        disk,
 			})
 			res, err := txn.Run(txn.Config{
-				Pool:       pool,
-				Workload:   wl,
-				Workers:    8,
-				Duration:   700 * time.Millisecond,
-				Seed:       42,
-				TouchBytes: true,
+				Pool:     pool,
+				Workload: wl,
+				Workers:  8,
+				Duration: 700 * time.Millisecond,
+				Seed:     42,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -16,14 +16,14 @@ func main() {
 
 	// An advanced replacement algorithm. Its data structure needs a global
 	// lock — the contention BP-Wrapper exists to remove.
-	policy, ok := bpwrapper.NewPolicy("2q", frames)
+	factory, ok := bpwrapper.PolicyFactories()["2q"]
 	if !ok {
 		log.Fatal("unknown policy")
 	}
 
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames: frames,
-		Policy: policy,
+		Frames:        frames,
+		PolicyFactory: factory,
 		// Both BP-Wrapper techniques, with the paper's queue tuning
 		// (size 64, threshold 32).
 		Wrapper: bpwrapper.WrapperConfig{Batching: true, Prefetching: true},

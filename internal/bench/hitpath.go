@@ -12,19 +12,17 @@ import (
 
 // ---------------------------------------------------------------------------
 // Experiment E17 — the lock-free hit path: seqlock bucket lookups plus a
-// single pin CAS on the frame's packed state word (DESIGN.md §12), A/B'd
-// against buffer.Config.LockedHitPath, which forces every lookup through
-// the bucket mutex (the pre-rewrite behavior).
+// single pin CAS on the frame's packed state word (DESIGN.md §12).
 //
 // The sweep drives a seeded, single-goroutine, 100%-resident read workload
-// through both paths. Every access is a hit, so the hit-path anatomy
-// counters are exact and byte-identical on every run: the optimistic path
-// must serve every hit fast (Fast == Hits) with zero bucket/frame lock
-// acquisitions, while the locked path pays a bucket lock per lookup (and
-// none at commit: validation goes by frame slot, not through the table).
-// Committed as results/BENCH_hitpath.json and
-// drift-checked by CI; what the resident Get costs on the clock is
-// benchmark/'s buffer.get_hit_ns.
+// through the pool. Every access is a hit, so the hit-path anatomy
+// counters are exact and byte-identical on every run: every hit must be
+// served fast (Fast == Hits) with zero bucket/frame lock acquisitions.
+// Committed as results/BENCH_hitpath.json and drift-checked by CI — the
+// "zero locks on a resident read" guard; what the resident Get costs on
+// the clock is benchmark/'s buffer.get_hit_ns. The mutex lookup the probe
+// falls back to is the reference the torture-tagged differentials run it
+// against (internal/torture), not an arm here.
 
 // Hitpath-experiment tuning: enough frames that the working set shards
 // cleanly, and a working set at half occupancy so no shard's partition can
@@ -35,10 +33,10 @@ const (
 	hitpathAccesses = 1 << 16
 )
 
-// HitpathCounterRow is one (path, shards) point of the deterministic
+// HitpathCounterRow is one shard count's point of the deterministic
 // counter sweep. All fields are exact post-Flush totals.
 type HitpathCounterRow struct {
-	Path           string `json:"path"` // "optimistic" or "locked"
+	Path           string `json:"path"` // "optimistic": the one hit path
 	Shards         int    `json:"shards"`
 	Accesses       int64  `json:"accesses"`
 	Hits           int64  `json:"hits"`
@@ -59,12 +57,6 @@ type HitpathReport struct {
 	CounterRows []HitpathCounterRow `json:"counter_rows"`
 }
 
-// hitpathPaths enumerates the A/B arms.
-var hitpathPaths = []struct {
-	name   string
-	locked bool
-}{{"optimistic", false}, {"locked", true}}
-
 // HitpathExperiment runs E17's counter sweep; only the seed is consulted.
 func HitpathExperiment(o Options) (*HitpathReport, error) {
 	rep := &HitpathReport{
@@ -75,28 +67,25 @@ func HitpathExperiment(o Options) (*HitpathReport, error) {
 		Pages:      HitpathPages,
 	}
 	for _, shards := range []int{1, 4} {
-		for _, p := range hitpathPaths {
-			row, err := hitpathCounterPoint(p.name, p.locked, shards, o.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("hitpath counters %s/shards=%d: %w", p.name, shards, err)
-			}
-			rep.CounterRows = append(rep.CounterRows, row)
+		row, err := hitpathCounterPoint(shards, o.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("hitpath counters shards=%d: %w", shards, err)
 		}
+		rep.CounterRows = append(rep.CounterRows, row)
 	}
 	return rep, nil
 }
 
-// hitpathPool builds a fully resident pool for one arm: null device,
+// hitpathPool builds a fully resident pool: null device,
 // direct commits (the sweep measures the lookup+pin protocol, not the
 // commit protocol), pre-warmed with the whole working set and its counters
 // reset so every figure in the row is hit-path activity only.
-func hitpathPool(locked bool, shards int) (*buffer.Pool, []page.PageID, error) {
+func hitpathPool(shards int) (*buffer.Pool, []page.PageID, error) {
 	pool, err := newPool("lru", buffer.Config{
-		Frames:        HitpathFrames,
-		Shards:        shards,
-		Wrapper:       core.Config{},
-		Device:        storage.NewNullDevice(),
-		LockedHitPath: locked,
+		Frames:  HitpathFrames,
+		Shards:  shards,
+		Wrapper: core.Config{},
+		Device:  storage.NewNullDevice(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -112,11 +101,11 @@ func hitpathPool(locked bool, shards int) (*buffer.Pool, []page.PageID, error) {
 	return pool, ids, nil
 }
 
-// hitpathCounterPoint drives one arm single-threaded over a seeded access
+// hitpathCounterPoint drives one pool single-threaded over a seeded access
 // stream and reads the anatomy off Stats. One goroutine, every page
 // resident: the counters are exact and reproducible from the seed.
-func hitpathCounterPoint(name string, locked bool, shards int, seed int64) (HitpathCounterRow, error) {
-	pool, ids, err := hitpathPool(locked, shards)
+func hitpathCounterPoint(shards int, seed int64) (HitpathCounterRow, error) {
+	pool, ids, err := hitpathPool(shards)
 	if err != nil {
 		return HitpathCounterRow{}, err
 	}
@@ -133,7 +122,7 @@ func hitpathCounterPoint(name string, locked bool, shards int, seed int64) (Hitp
 	s.Flush()
 	st := pool.Stats()
 	return HitpathCounterRow{
-		Path:           name,
+		Path:           "optimistic",
 		Shards:         shards,
 		Accesses:       st.Hits + st.Misses,
 		Hits:           st.Hits,
@@ -157,7 +146,7 @@ func splitmix64(state *uint64) uint64 {
 
 // PrintHitpath renders the sweep.
 func PrintHitpath(w io.Writer, rep *HitpathReport) {
-	fmt.Fprintln(w, "Lock-free hit path (E17) — seqlock lookup + pin CAS vs locked lookups")
+	fmt.Fprintln(w, "Lock-free hit path (E17) — seqlock lookup + pin CAS, zero locks on a resident read")
 	fmt.Fprintf(w, "\nHit-path anatomy (%d resident pages in %d frames, %d seeded accesses, 1 goroutine)\n",
 		rep.Pages, rep.Frames, hitpathAccesses)
 	fmt.Fprintf(w, "  %-11s %7s %9s %9s %9s %8s %8s %10s %10s\n",

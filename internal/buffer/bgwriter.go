@@ -16,18 +16,17 @@ import (
 // It also drains the pool's dirty quarantine (pages whose eviction
 // write-back failed), making it the retry engine of the fault-tolerance
 // path. When a round makes no progress at all — every write failed — the
-// writer backs off exponentially up to MaxInterval instead of hammering a
-// device that is clearly down; the first successful round resets the
-// cadence.
+// writer backs off exponentially up to maxBackoff intervals instead of
+// hammering a device that is clearly down; the first successful round
+// resets the cadence.
 //
 // The cadence and burst size are retunable at runtime (SetRate): the
 // controller raises the write-back rate when quarantine depth climbs and
 // relaxes it when the pool is clean.
 type BackgroundWriter struct {
-	pool        *Pool
-	interval    atomic.Int64 // nanoseconds between rounds
-	maxInterval time.Duration
-	maxPages    atomic.Int64
+	pool     *Pool
+	interval atomic.Int64 // nanoseconds between rounds
+	maxPages atomic.Int64
 
 	mu    sync.Mutex
 	stats BackgroundWriterStats
@@ -58,15 +57,16 @@ type BackgroundWriterStats struct {
 type BackgroundWriterConfig struct {
 	// Interval between write-back rounds. Zero means 100ms.
 	Interval time.Duration
-
-	// MaxInterval caps the exponential backoff entered when a round's
-	// writes all fail. Zero means 16×Interval.
-	MaxInterval time.Duration
-
-	// MaxPagesPerRound bounds each round's write burst so the writer
-	// cannot monopolize the device. Zero means 64.
-	MaxPagesPerRound int
 }
+
+const (
+	// maxBackoff caps the exponential backoff entered when a round's
+	// writes all fail, in round intervals.
+	maxBackoff = 16
+	// pagesPerRound bounds each round's write burst, until SetRate says
+	// otherwise, so the writer cannot monopolize the device.
+	pagesPerRound = 64
+)
 
 // StartBackgroundWriter launches a write-back goroutine for the pool. Call
 // Stop to terminate it; the final round runs before Stop returns.
@@ -74,20 +74,13 @@ func (p *Pool) StartBackgroundWriter(cfg BackgroundWriterConfig) *BackgroundWrit
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	if cfg.MaxInterval <= 0 {
-		cfg.MaxInterval = 16 * cfg.Interval
-	}
-	if cfg.MaxPagesPerRound <= 0 {
-		cfg.MaxPagesPerRound = 64
-	}
 	w := &BackgroundWriter{
-		pool:        p,
-		maxInterval: cfg.MaxInterval,
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		pool: p,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	w.interval.Store(int64(cfg.Interval))
-	w.maxPages.Store(int64(cfg.MaxPagesPerRound))
+	w.maxPages.Store(pagesPerRound)
 	go w.run()
 	return w
 }
@@ -128,7 +121,7 @@ func (w *BackgroundWriter) run() {
 				}
 				backingOff = true
 				interval *= 2
-				if cap := w.backoffCap(); interval > cap {
+				if cap := maxBackoff * time.Duration(w.interval.Load()); interval > cap {
 					interval = cap
 				}
 				w.mu.Lock()
@@ -144,16 +137,6 @@ func (w *BackgroundWriter) run() {
 			return
 		}
 	}
-}
-
-// backoffCap bounds the failure backoff: the configured MaxInterval, but
-// never below the current (possibly retuned) base interval.
-func (w *BackgroundWriter) backoffCap() time.Duration {
-	cap := w.maxInterval
-	if base := time.Duration(w.interval.Load()); base > cap {
-		cap = base
-	}
-	return cap
 }
 
 // safeRound runs one round with panic containment: a panic anywhere in

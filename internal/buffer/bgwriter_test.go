@@ -13,7 +13,7 @@ import (
 
 func TestBackgroundWriterFlushesDirtyPages(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 16, Policy: replacer.NewLRU(16), Device: dev})
+	p := New(Config{Frames: 16, PolicyFactory: factoryOf("lru"), Device: dev})
 	s := p.NewSession()
 	for i := uint64(1); i <= 8; i++ {
 		r, err := p.GetWrite(s, pid(i))
@@ -76,7 +76,7 @@ func TestBackgroundWriterSkipsPinned(t *testing.T) {
 
 func TestBackgroundWriterFinalSweepOnStop(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 8, Policy: replacer.NewLRU(8), Device: dev})
+	p := New(Config{Frames: 8, PolicyFactory: factoryOf("lru"), Device: dev})
 	s := p.NewSession()
 	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Hour}) // never ticks
 	r, _ := p.GetWrite(s, pid(3))
@@ -93,12 +93,13 @@ func TestBackgroundWriterFinalSweepOnStop(t *testing.T) {
 
 func TestBackgroundWriterConcurrentWithTraffic(t *testing.T) {
 	p := New(Config{
-		Frames:  32,
-		Policy:  replacer.NewTwoQ(32),
-		Wrapper: core.Config{Batching: true},
-		Device:  storage.NewMemDevice(),
+		Frames:        32,
+		PolicyFactory: factoryOf("2q"),
+		Wrapper:       core.Config{Batching: true},
+		Device:        storage.NewMemDevice(),
 	})
-	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond, MaxPagesPerRound: 8})
+	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond})
+	w.SetRate(0, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

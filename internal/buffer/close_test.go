@@ -8,7 +8,6 @@ import (
 
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/storage"
 )
 
@@ -29,10 +28,10 @@ func TestCloseRacesConcurrentTraffic(t *testing.T) {
 	)
 	dev := storage.NewMemDevice()
 	p := New(Config{
-		Frames:  8, // smaller than the 32-page working set: constant eviction
-		Policy:  replacer.NewLRU(8),
-		Wrapper: core.Config{QueueSize: 16, BatchThreshold: 4},
-		Device:  dev,
+		Frames:        8, // smaller than the 32-page working set: constant eviction
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{QueueSize: 16, BatchThreshold: 4},
+		Device:        dev,
 	})
 	bw := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond})
 
@@ -132,7 +131,7 @@ func TestCloseRacesConcurrentTraffic(t *testing.T) {
 // pages or double-counting a clean state.
 func TestCloseConcurrentWithFlushDirty(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 16, Policy: replacer.NewLRU(16), Device: dev})
+	p := New(Config{Frames: 16, PolicyFactory: factoryOf("lru"), Device: dev})
 	s := p.NewSession()
 	for i := uint64(0); i < 16; i++ {
 		ref, err := p.GetWrite(s, page.NewPageID(1, i))
@@ -190,7 +189,7 @@ func TestCloseConcurrentWithFlushDirty(t *testing.T) {
 // must return with the pool clean.
 func TestCloseRacesBackgroundWriterStop(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 8, Policy: replacer.NewLRU(8), Device: dev})
+	p := New(Config{Frames: 8, PolicyFactory: factoryOf("lru"), Device: dev})
 	for round := 0; round < 10; round++ {
 		bw := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond})
 		s := p.NewSession()

@@ -115,7 +115,7 @@ func newEvictRig(t *testing.T, cfg Config) *evictRig {
 	cfg.Frames = 4
 	cfg.Device = r.gate
 	if cfg.PolicyFactory == nil {
-		cfg.Policy = replacer.NewLRU(4)
+		cfg.PolicyFactory = factoryOf("lru")
 	}
 	r.p = New(cfg)
 	r.s = r.p.NewSession()
@@ -441,10 +441,10 @@ func TestEvictMissAllocs(t *testing.T) {
 	const frames = 64
 	for _, dirty := range []bool{false, true} {
 		p := New(Config{
-			Frames:  frames,
-			Policy:  replacer.NewTwoQ(frames),
-			Wrapper: core.Config{Batching: true, Prefetching: true},
-			Device:  storage.NewNullDevice(),
+			Frames:        frames,
+			PolicyFactory: factoryOf("2q"),
+			Wrapper:       core.Config{Batching: true, Prefetching: true},
+			Device:        storage.NewNullDevice(),
 		})
 		s := p.NewSession()
 		next := uint64(1)
@@ -485,7 +485,7 @@ func TestEvictMissAllocs(t *testing.T) {
 // retry or two, not spin out its time slice.
 func TestGetYieldsToDescheduledEvictor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	p := New(Config{Frames: 2, Policy: replacer.NewFIFO(2), Device: storage.NewMemDevice()})
+	p := New(Config{Frames: 2, PolicyFactory: factoryOf("fifo"), Device: storage.NewMemDevice()})
 	s := p.NewSession()
 	for i := uint64(1); i <= 2; i++ {
 		ref, err := p.Get(s, pid(i))
@@ -515,7 +515,13 @@ func TestGetYieldsToDescheduledEvictor(t *testing.T) {
 					}
 					read <- err
 				}()
-				runtime.Gosched()
+				// One yield need not reach the reader — the runtime may run
+				// something else of its own first — so yield until the reader
+				// has looked the frame up once; what is recorded is how far it
+				// got before it gave the processor back.
+				for i := 0; i < 10000 && lookups.Load() == 0; i++ {
+					runtime.Gosched()
+				}
 				lookupsAtResume.Store(lookups.Load())
 				inWindow.Store(false)
 			})

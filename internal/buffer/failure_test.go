@@ -16,10 +16,10 @@ func flakyPool(frames int) (*Pool, *storage.FaultDevice, *storage.MemDevice) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
-		Frames:  frames,
-		Policy:  replacer.NewLRU(frames),
-		Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-		Device:  dev,
+		Frames:        frames,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        dev,
 	})
 	return p, dev, mem
 }
@@ -212,7 +212,7 @@ func TestQuarantineBoundRefusesDirtyEvictions(t *testing.T) {
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: factoryOf("lru"),
 		Device:        dev,
 		QuarantineCap: 2,
 		// Health admission would shed these misses before they ever reach
@@ -389,10 +389,7 @@ func TestBackgroundWriterBacksOffWhenDeviceDown(t *testing.T) {
 		dirtyPage(t, p, s, pid(i))
 	}
 	dev.SetWriteFailRate(1)
-	w := p.StartBackgroundWriter(BackgroundWriterConfig{
-		Interval:    time.Millisecond,
-		MaxInterval: 250 * time.Millisecond,
-	})
+	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond})
 	time.Sleep(120 * time.Millisecond)
 	st := w.Stats()
 	if st.WriteFailures == 0 {
@@ -401,8 +398,8 @@ func TestBackgroundWriterBacksOffWhenDeviceDown(t *testing.T) {
 	if st.BackoffRounds == 0 {
 		t.Fatal("writer never backed off while every write failed")
 	}
-	// With doubling from 1ms the writer reaches long sleeps within a few
-	// rounds; at full cadence 120ms would fit ~120 rounds.
+	// Doubling from 1ms the writer sleeps maxBackoff intervals, 16ms, from
+	// its fifth failed round on; at full cadence 120ms would fit ~120 rounds.
 	if st.Rounds > 40 {
 		t.Fatalf("%d rounds in 120ms: backoff is not slowing the writer", st.Rounds)
 	}

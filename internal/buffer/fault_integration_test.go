@@ -7,7 +7,6 @@ import (
 
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/storage"
 )
 
@@ -38,10 +37,10 @@ func TestEndToEndDurabilityUnderTransientFaults(t *testing.T) {
 		Seed:        7,
 	})
 	p := New(Config{
-		Frames:  frames,
-		Policy:  replacer.NewLRU(frames),
-		Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-		Device:  retry,
+		Frames:        frames,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        retry,
 	})
 
 	// Concurrent writers fill pages 1..pages with shifted stamps (content
@@ -125,9 +124,9 @@ func TestCorruptionDetectedThroughPool(t *testing.T) {
 	fault := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	check := storage.NewChecksumDevice(fault)
 	p := New(Config{
-		Frames: 4,
-		Policy: replacer.NewLRU(4),
-		Device: check,
+		Frames:        4,
+		PolicyFactory: factoryOf("lru"),
+		Device:        check,
 	})
 	s := p.NewSession()
 

@@ -79,23 +79,22 @@ func (h HealthState) String() string {
 
 // HealthConfig tunes the per-shard health machinery.
 type HealthConfig struct {
-	// MaxInflightMisses bounds concurrently admitted misses per shard
-	// while the shard is Degraded (Healthy shards are unbounded —
-	// backpressure there is the device's own concurrency limit). Zero
-	// means 8; negative disables the bound (Degraded sheds nothing).
-	MaxInflightMisses int
-
 	// Disable turns the health machinery off entirely: shards report
 	// Healthy forever and never shed. The quarantine cap still bounds
 	// dirty evictions as before.
 	Disable bool
 }
 
+// maxInflightMisses bounds concurrently admitted misses per shard while
+// the shard is Degraded (Healthy shards are unbounded — backpressure there
+// is the device's own concurrency limit).
+const maxInflightMisses = 8
+
 // healthState holds a shard's health machinery. Embedded in shard.
 type healthState struct {
 	health       atomic.Int32 // HealthState, latched by evalHealth
 	missInflight atomic.Int64 // admitted misses currently in flight
-	maxInflight  int          // Degraded-mode bound (0 = disabled)
+	maxInflight  int64        // Degraded-mode bound: maxInflightMisses; a field so a test can lower it
 	disabled     bool
 
 	// forced pins the shard at ReadOnly regardless of breaker or
@@ -117,13 +116,7 @@ type healthState struct {
 // applies the pool-level config. Called once from Pool.New.
 func (sh *shard) wireHealth(cfg HealthConfig) {
 	sh.disabled = cfg.Disable
-	sh.maxInflight = cfg.MaxInflightMisses
-	if sh.maxInflight == 0 {
-		sh.maxInflight = 8
-	}
-	if sh.maxInflight < 0 {
-		sh.maxInflight = 0
-	}
+	sh.maxInflight = maxInflightMisses
 	sh.breaker, _ = storage.FindBreaker(sh.device)
 	sh.deadline, _ = storage.FindDeadline(sh.device)
 }
@@ -200,7 +193,7 @@ func (sh *shard) admitMiss(id page.PageID) (counted bool, err error) {
 		sh.events.Record(obs.EvShed, uint64(id), uint64(st))
 		return false, fmt.Errorf("buffer: page %v (shard read-only): %w", id, ErrOverloaded)
 	case Degraded:
-		if sh.maxInflight > 0 && sh.missInflight.Load() >= int64(sh.maxInflight) {
+		if sh.missInflight.Load() >= sh.maxInflight {
 			sh.shed.Add(1)
 			sh.events.Record(obs.EvShed, uint64(id), uint64(st))
 			return false, fmt.Errorf("buffer: page %v (%d misses in flight): %w", id, sh.maxInflight, ErrOverloaded)

@@ -67,7 +67,7 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: factoryOf("lru"),
 		Device:        dev,
 		QuarantineCap: 2,
 	})
@@ -293,7 +293,8 @@ func TestHealthBreakerRecovery(t *testing.T) {
 }
 
 // TestHealthDegradedAdmissionBound holds one admitted miss in flight at
-// the device while the shard is Degraded with MaxInflightMisses=1: the
+// the device while the shard is Degraded and its bound lowered to one
+// (through the maxInflight seam; the product's is maxInflightMisses): the
 // next miss must be shed with ErrOverloaded, and admitted again once the
 // first resolves.
 func TestHealthDegradedAdmissionBound(t *testing.T) {
@@ -306,11 +307,11 @@ func TestHealthDegradedAdmissionBound(t *testing.T) {
 	}
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: factoryOf("lru"),
 		Device:        blk,
 		QuarantineCap: 4,
-		Health:        HealthConfig{MaxInflightMisses: 1},
 	})
+	shard0(p).maxInflight = 1
 	s := p.NewSession()
 	for i := uint64(1); i <= 4; i++ {
 		dirtyPage(t, p, s, pid(i))
@@ -369,9 +370,9 @@ func TestBackgroundWriterPanicContainment(t *testing.T) {
 	mem := storage.NewMemDevice()
 	pd := &panicDevice{Device: mem}
 	p := New(Config{
-		Frames: 4,
-		Policy: replacer.NewLRU(4),
-		Device: pd,
+		Frames:        4,
+		PolicyFactory: factoryOf("lru"),
+		Device:        pd,
 	})
 	s := p.NewSession()
 	dirtyPage(t, p, s, pid(1))
@@ -423,9 +424,9 @@ func TestCloseWithinBudget(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
-		Frames: 4,
-		Policy: replacer.NewLRU(4),
-		Device: dev,
+		Frames:        4,
+		PolicyFactory: factoryOf("lru"),
+		Device:        dev,
 	})
 	s := p.NewSession()
 	for i := uint64(1); i <= 3; i++ {
@@ -469,10 +470,10 @@ func TestCloseWithinBudget(t *testing.T) {
 func TestSetReadOnlyForcesShedding(t *testing.T) {
 	for _, disabled := range []bool{false, true} {
 		p := New(Config{
-			Frames: 4,
-			Policy: replacer.NewLRU(4),
-			Device: storage.NewMemDevice(),
-			Health: HealthConfig{Disable: disabled},
+			Frames:        4,
+			PolicyFactory: factoryOf("lru"),
+			Device:        storage.NewMemDevice(),
+			Health:        HealthConfig{Disable: disabled},
 		})
 		s := p.NewSession()
 		ref, err := p.Get(s, pid(1))

@@ -1,11 +1,15 @@
 package buffer
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
+	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/sched"
 )
@@ -220,6 +224,83 @@ func bareTable(n int) (*shard, bucketRef) {
 		sh.frames[i].tagPage.Store(uint64(i + 1))
 	}
 	return sh, sh.bucketAt(0)
+}
+
+// TestTornProbesFallBackToMutex drives a Get down the whole ladder: a miss
+// installing a second page in the resident page's bucket is held at
+// BufBucketWrite, sequence odd and mutex taken, so the reader's probe and
+// every one of its maxOptimisticRetries retries tear, and it falls back to
+// the mutex — which it gets, with the right frame, once the writer moves on.
+func TestTornProbesFallBackToMutex(t *testing.T) {
+	p := newTestPool(8, core.Config{})
+	sh := shard0(p)
+	ids := colliding(len(sh.buckets), 2)
+	resident, incoming := ids[0], ids[1]
+	s := p.NewSession()
+	ref, err := p.Get(s, resident)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Release()
+	s.Flush()
+	p.ResetStats()
+
+	inWindow, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	defer sched.SetHook(func(pt sched.Point) {
+		if pt == sched.BufBucketWrite {
+			once.Do(func() {
+				close(inWindow)
+				<-release
+			})
+		}
+	})()
+	writer := make(chan error, 1)
+	go func() {
+		ws := p.NewSession()
+		ref, err := p.Get(ws, incoming)
+		if err == nil {
+			ref.Release()
+			ws.Flush()
+		}
+		writer <- err
+	}()
+	<-inWindow
+
+	reader := make(chan error, 1)
+	go func() {
+		ref, err := p.Get(s, resident)
+		if err == nil {
+			if !refStamped(ref, resident) {
+				err = fmt.Errorf("the fallback found another page's frame for %v", resident)
+			}
+			ref.Release()
+			s.Flush()
+		}
+		reader <- err
+	}()
+	// The reader counts its fallback, then blocks on the bucket mutex the
+	// held writer owns: only then may the writer go on.
+	for deadline := time.Now().Add(10 * time.Second); sh.hp.fallbacks.Load() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never fell back to the mutex")
+		}
+	}
+	close(release)
+	if err := <-writer; err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	if err := <-reader; err != nil {
+		t.Fatalf("reader: %v", err)
+	}
+	st := p.Stats()
+	if st.HitpathRetries != maxOptimisticRetries || st.HitpathFallbacks != 1 || st.HitpathFast != 0 || st.Hits != 1 {
+		t.Fatalf("retries %d fallbacks %d fast %d hits %d, want %d/1/0/1",
+			st.HitpathRetries, st.HitpathFallbacks, st.HitpathFast, st.Hits, maxOptimisticRetries)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBucketOverflowFallback checks that an optimistic probe refuses to

@@ -20,12 +20,11 @@ func TestPoolWithEveryPolicy(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			pol, _ := replacer.New(name, 64)
 			p := New(Config{
-				Frames:  64,
-				Policy:  pol,
-				Wrapper: core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
-				Device:  storage.NewMemDevice(),
+				Frames:        64,
+				PolicyFactory: factoryOf(name),
+				Wrapper:       core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
+				Device:        storage.NewMemDevice(),
 			})
 			var wg sync.WaitGroup
 			var failed atomic.Bool
@@ -164,30 +163,36 @@ func TestInvalidateUnderLoad(t *testing.T) {
 // misses that evict (24 pages, 16 frames) racing Invalidate. The victim
 // exchange used to re-admit a page an Invalidate had just removed, or one
 // a fresh load was about to admit, and the loader's MissAdmit panicked on
-// the already-resident page.
+// the already-resident page. Every policy runs it: the exchange is the
+// pool's, but what it re-admits into is the policy's own structure.
 func TestInvalidateRacingMisses(t *testing.T) {
 	const frames, pages, calls = 16, 24, 5000
-	for _, c := range []struct {
-		policy  string
-		workers int
-	}{
-		{"lru", 4},
-		{"2q", 4},
-		// Two workers: with four, LFU's victim exchange runs out of
-		// attempts (ROADMAP item 2) and Get fails with or without an
-		// Invalidate in the mix — see shards2-lfu-fc in internal/torture.
-		{"lfu", 2},
-	} {
-		t.Run(c.policy, func(t *testing.T) {
-			pol, _ := replacer.New(c.policy, frames)
+	// Two workers where four exhaust the victim exchange's attempts (ROADMAP
+	// item 2) and Get fails with or without an Invalidate in the mix. All
+	// three rank a page they have only just met below every other, so the
+	// exchange is handed back the pages the other workers are on.
+	twoWorkers := map[string]string{
+		"lfu":  "see shards2-lfu-fc in internal/torture",
+		"lru2": "see batch-lru2-shards2 in internal/torture",
+		"mq":   "no unpinned buffers once in 540 runs with four, at GOMAXPROCS 8",
+	}
+	for _, name := range replacer.Names() {
+		workers, why := 4, twoWorkers[name]
+		if why != "" {
+			workers = 2
+		}
+		t.Run(name, func(t *testing.T) {
+			if why != "" {
+				t.Logf("two workers: %s", why)
+			}
 			p := New(Config{
-				Frames:  frames,
-				Policy:  pol,
-				Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-				Device:  storage.NewMemDevice(),
+				Frames:        frames,
+				PolicyFactory: factoryOf(name),
+				Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+				Device:        storage.NewMemDevice(),
 			})
 			var wg sync.WaitGroup
-			for w := 0; w < c.workers; w++ {
+			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()

@@ -32,10 +32,10 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
 	dev := &flakyWriteDevice{Device: storage.NewMemDevice()}
 	p := New(Config{
-		Frames:       2,
-		Policy:       replacer.NewLRU(2),
-		Device:       dev,
-		RecorderSize: 64,
+		Frames:        2,
+		PolicyFactory: factoryOf("lru"),
+		Device:        dev,
+		RecorderSize:  64,
 	})
 	s := p.NewSession()
 	// Dirty a page, then force it out while the device refuses writes: the
@@ -168,10 +168,10 @@ func TestCloseErrorCarriesFlightDump(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
-		Frames:       2,
-		Policy:       replacer.NewLRU(2),
-		Device:       dev,
-		RecorderSize: 64,
+		Frames:        2,
+		PolicyFactory: factoryOf("lru"),
+		Device:        dev,
+		RecorderSize:  64,
 	})
 	s := p.NewSession()
 	ref, err := p.GetWrite(s, pid(1))

@@ -56,16 +56,11 @@ type Config struct {
 	// *initial* topology: Reshard changes it at runtime.
 	Shards int
 
-	// Policy is the replacement algorithm instance, sized to Frames. Only
-	// valid for single-shard pools (the history of one policy instance
-	// cannot be split); the pool takes ownership. Exactly one of Policy
-	// and PolicyFactory must be set when Shards <= 1; PolicyFactory is
-	// required when Shards > 1 — and for Reshard, which must build policy
-	// instances for arbitrary shard counts.
-	Policy replacer.Policy
-
-	// PolicyFactory constructs one policy instance per shard, each sized
-	// to that shard's frame count. Required for Shards > 1.
+	// PolicyFactory constructs the replacement algorithm: the pool calls it
+	// once per shard, with that shard's frame count as the capacity, and
+	// again for every shard a Reshard builds — one instance cannot be split,
+	// its history (ghost lists, recency stacks) being a single structure.
+	// The pool owns the instances. Required.
 	PolicyFactory replacer.Factory
 
 	// Wrapper selects the BP-Wrapper techniques (batching, prefetching,
@@ -106,13 +101,6 @@ type Config struct {
 	// in-flight write-backs.
 	QuarantineCap int
 
-	// LockedHitPath forces every table lookup through the bucket mutex,
-	// disabling the optimistic seqlock hit path. The default (false) is
-	// the production configuration; the locked path exists for A/B
-	// measurement (E17) and for the torture differential that checks the
-	// two paths are oracle-identical.
-	LockedHitPath bool
-
 	// RecorderSize enables the per-shard flight recorder: each shard gets
 	// its own lock-free ring of the most recent RecorderSize commit-path
 	// events (commits, TryLock failures, forced locks, publishes, combines,
@@ -128,9 +116,10 @@ type Config struct {
 	// Trace enables the request-tracing layer (DESIGN.md §15): per-request
 	// trace IDs with phase-stamped spans (bucket probe, pin, lock wait,
 	// combiner handoff, policy op, device I/O, quarantine park), head
-	// sampling plus tail keep. The one tracer is shared by every shard and
-	// topology; access it through Pool.Tracer for export. The zero value
-	// disables tracing entirely — the access paths then pay one branch.
+	// sampling plus tail keep. The one tracer, and its two rings, are shared
+	// by every shard and topology; access it through Pool.Tracer for export.
+	// The zero value disables tracing entirely — the access paths then pay
+	// one branch.
 	Trace reqtrace.Config
 }
 
@@ -149,25 +138,21 @@ type Pool struct {
 	device storage.Device
 
 	// tracer is the pool-wide request tracer (nil when Config.Trace is
-	// disabled); shared across shards and reshard topologies, since spans
-	// route to rings by trace ID, not by shard.
+	// disabled): one head ring and one tail ring, shared across shards and
+	// reshard topologies — a span names its shard, no ring belongs to one.
 	tracer *reqtrace.Tracer
 
 	// Construction recipe for newShardSet.
-	frames        int
-	wrapperCfg    core.Config
-	wrapDevice    func(int, storage.Device) storage.Device
-	health        HealthConfig
-	quarCap       int
-	lockedHitPath bool
-	recorderSize  int
+	frames       int
+	wrapperCfg   core.Config
+	wrapDevice   func(int, storage.Device) storage.Device
+	health       HealthConfig
+	quarCap      int
+	recorderSize int
 
-	// factory builds per-shard policy instances for reshards; nil for
-	// single-shard pools constructed with a bare Policy instance (Reshard
-	// then refuses until SwapPolicy installs a factory). Guarded by
-	// policyMu because SwapPolicy replaces it at runtime.
-	policyMu sync.Mutex
-	factory  replacer.Factory
+	// factory builds every shard's policy instance. Reshard reads it and
+	// SwapPolicy replaces it, both under reshardMu.
+	factory replacer.Factory
 
 	// dynThreshold is the controller's live batch-threshold override
 	// (0 = use the configured value); applied to current shards by
@@ -231,9 +216,9 @@ type Session struct {
 	// allocates nothing (see nextOp).
 	load, evict *loadOp
 
-	// invalidated is the owning shard's count of Invalidates when the
-	// miss in progress began (shard.reclaim).
-	invalidated uint64
+	// victimEpoch is the owning shard's when the miss in progress began
+	// (shard.reclaim).
+	victimEpoch uint64
 
 	// stage holds per-shard hit counts not yet folded into the shard's
 	// shared counters: the zero-lock hit path must not write a shared
@@ -332,48 +317,33 @@ func New(cfg Config) *Pool {
 	if nshards > cfg.Frames {
 		panic(fmt.Sprintf("buffer: Shards %d exceeds Frames %d", nshards, cfg.Frames))
 	}
-	if nshards > 1 && cfg.PolicyFactory == nil {
-		// One policy instance cannot serve several shards: its access
-		// history (ghost lists, recency stacks) is a single structure and
-		// the whole point of sharding is one instance — one lock — per
-		// shard. The caller must say how to build per-shard instances.
-		panic("buffer: Shards > 1 requires PolicyFactory (a single Policy instance cannot be split)")
-	}
-	if cfg.Policy == nil && cfg.PolicyFactory == nil {
-		panic("buffer: Policy or PolicyFactory is required")
+	if cfg.PolicyFactory == nil {
+		panic("buffer: PolicyFactory is required")
 	}
 	if cfg.QuarantineCap <= 0 {
 		cfg.QuarantineCap = 64
 	}
 
 	p := &Pool{
-		device:        cfg.Device,
-		frames:        cfg.Frames,
-		tracer:        reqtrace.New(cfg.Trace),
-		wrapperCfg:    cfg.Wrapper,
-		wrapDevice:    cfg.WrapShardDevice,
-		health:        cfg.Health,
-		quarCap:       cfg.QuarantineCap,
-		lockedHitPath: cfg.LockedHitPath,
-		recorderSize:  cfg.RecorderSize,
-		factory:       cfg.PolicyFactory,
+		device:       cfg.Device,
+		frames:       cfg.Frames,
+		tracer:       reqtrace.New(cfg.Trace),
+		wrapperCfg:   cfg.Wrapper,
+		wrapDevice:   cfg.WrapShardDevice,
+		health:       cfg.Health,
+		quarCap:      cfg.QuarantineCap,
+		recorderSize: cfg.RecorderSize,
+		factory:      cfg.PolicyFactory,
 	}
-	initFactory := cfg.PolicyFactory
-	if initFactory == nil {
-		// Single-shard pool with a bare Policy instance: build epoch 0
-		// around it (nshards is 1 here, so the closure runs exactly once).
-		// p.factory stays nil, making Reshard refuse until SwapPolicy
-		// installs a real factory.
-		initFactory = func(int) replacer.Policy { return cfg.Policy }
-	}
-	p.cur.Store(p.newShardSet(nshards, 0, initFactory))
+	p.cur.Store(p.newShardSet(nshards, 0))
 	return p
 }
 
 // newShardSet builds one topology of n shards from the pool's remembered
 // construction recipe, splitting the frame and quarantine budgets the same
-// way New always has (the first Frames%n shards get one extra frame).
-func (p *Pool) newShardSet(n int, epoch uint64, factory replacer.Factory) *shardSet {
+// way New always has (the first Frames%n shards get one extra frame). The
+// caller holds reshardMu, or is New.
+func (p *Pool) newShardSet(n int, epoch uint64) *shardSet {
 	set := &shardSet{epoch: epoch, shards: make([]*shard, n)}
 	shardQuar := (p.quarCap + n - 1) / n
 	if shardQuar < 1 {
@@ -386,7 +356,7 @@ func (p *Pool) newShardSet(n int, epoch uint64, factory replacer.Factory) *shard
 		if i < extra {
 			fn++
 		}
-		pol := factory(fn)
+		pol := p.factory(fn)
 		wcfg := p.wrapperCfg
 		if wcfg.Events == nil {
 			// One ring per shard: recorders are single-writer-friendly but
@@ -404,7 +374,7 @@ func (p *Pool) newShardSet(n int, epoch uint64, factory replacer.Factory) *shard
 			}
 		}
 		sh := &shard{set: set}
-		sh.init(fn, pol, wcfg, dev, shardQuar, p.lockedHitPath)
+		sh.init(fn, pol, wcfg, dev, shardQuar)
 		sh.wireHealth(p.health)
 		if p.forcedRO.Load() {
 			sh.forced.Store(true)

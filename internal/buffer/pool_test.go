@@ -14,12 +14,15 @@ import (
 
 func pid(n uint64) page.PageID { return page.NewPageID(1, n) }
 
+// factoryOf names a replacement algorithm for a Config.PolicyFactory.
+func factoryOf(name string) replacer.Factory { return replacer.Factories()[name] }
+
 func newTestPool(frames int, wcfg core.Config) *Pool {
 	return New(Config{
-		Frames:  frames,
-		Policy:  replacer.NewLRU(frames),
-		Wrapper: wcfg,
-		Device:  storage.NewMemDevice(),
+		Frames:        frames,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       wcfg,
+		Device:        storage.NewMemDevice(),
 	})
 }
 
@@ -54,7 +57,7 @@ func TestGetLoadsAndHits(t *testing.T) {
 
 func TestEvictionWritesBackDirty(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 2, Policy: replacer.NewLRU(2), Device: dev})
+	p := New(Config{Frames: 2, PolicyFactory: factoryOf("lru"), Device: dev})
 	s := p.NewSession()
 
 	ref, err := p.GetWrite(s, pid(1))
@@ -202,7 +205,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestFlushDirty(t *testing.T) {
 	dev := storage.NewMemDevice()
-	p := New(Config{Frames: 4, Policy: replacer.NewLRU(4), Device: dev})
+	p := New(Config{Frames: 4, PolicyFactory: factoryOf("lru"), Device: dev})
 	s := p.NewSession()
 	for i := uint64(1); i <= 3; i++ {
 		r, _ := p.GetWrite(s, pid(i))
@@ -292,10 +295,10 @@ func TestConcurrentChurnIntegrity(t *testing.T) {
 	// must observe either the stamp or the last written content.
 	const frames = 32
 	p := New(Config{
-		Frames:  frames,
-		Policy:  replacer.NewTwoQ(frames),
-		Wrapper: core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
-		Device:  storage.NewMemDevice(),
+		Frames:        frames,
+		PolicyFactory: factoryOf("2q"),
+		Wrapper:       core.Config{Batching: true, Prefetching: true, QueueSize: 16, BatchThreshold: 8},
+		Device:        storage.NewMemDevice(),
 	})
 	const workers = 8
 	var wg sync.WaitGroup
@@ -355,10 +358,10 @@ func TestValidatorDropsRecycledFrames(t *testing.T) {
 	// can recycle a frame that a first session has queued hits against.
 	// The commit-time BufferTag validation (Section IV-B) must drop them.
 	p := New(Config{
-		Frames:  2,
-		Policy:  replacer.NewLRU(2),
-		Wrapper: core.Config{Batching: true, QueueSize: 32, BatchThreshold: 32},
-		Device:  storage.NewMemDevice(),
+		Frames:        2,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{Batching: true, QueueSize: 32, BatchThreshold: 32},
+		Device:        storage.NewMemDevice(),
 	})
 	s1 := p.NewSession()
 	s2 := p.NewSession()
@@ -398,10 +401,10 @@ func TestValidatorDropsRecycledFrames(t *testing.T) {
 func TestPoolConfigValidation(t *testing.T) {
 	dev := storage.NewMemDevice()
 	for _, cfg := range []Config{
-		{Frames: 0, Policy: replacer.NewLRU(4), Device: dev},
-		{Frames: 4, Policy: nil, Device: dev},
-		{Frames: 4, Policy: replacer.NewLRU(2), Device: dev}, // policy too small
-		{Frames: 4, Policy: replacer.NewLRU(4), Device: nil},
+		{Frames: 0, PolicyFactory: factoryOf("lru"), Device: dev},
+		{Frames: 4, PolicyFactory: nil, Device: dev},
+		{Frames: 4, PolicyFactory: func(int) replacer.Policy { return replacer.NewLRU(2) }, Device: dev}, // ignores the capacity it is given
+		{Frames: 4, PolicyFactory: factoryOf("lru"), Device: nil},
 	} {
 		func() {
 			defer func() {
@@ -425,10 +428,10 @@ func TestGetInvalidPage(t *testing.T) {
 func TestClockPoolLockFreeHits(t *testing.T) {
 	// The pgClock configuration: hits must not acquire the policy lock.
 	p := New(Config{
-		Frames:  16,
-		Policy:  replacer.NewClock(16),
-		Wrapper: core.Config{},
-		Device:  storage.NewMemDevice(),
+		Frames:        16,
+		PolicyFactory: factoryOf("clock"),
+		Wrapper:       core.Config{},
+		Device:        storage.NewMemDevice(),
 	})
 	ids := make([]page.PageID, 16)
 	for i := range ids {

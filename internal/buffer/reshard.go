@@ -76,11 +76,11 @@ func (ss *shardSet) shardFor(id page.PageID) *shard { return ss.shards[ss.indexF
 
 // Reshard changes the pool's shard count to n under live traffic,
 // returning once the migration is complete and the old topology fully
-// drained. It requires a PolicyFactory (per-shard policy instances must be
-// constructible at any count); pools built with a single Policy instance
-// gain one via SwapPolicy. Reshard serializes with itself and with
-// SwapPolicy; concurrent traffic keeps flowing throughout — the only waits
-// are per-page (a pinned page delays its own migration until unpinned).
+// drained; the new shards' policies come from the pool's factory
+// (Config.PolicyFactory, or the one SwapPolicy last installed). Reshard
+// serializes with itself and with SwapPolicy; concurrent traffic keeps
+// flowing throughout — the only waits are per-page (a pinned page delays
+// its own migration until unpinned).
 func (p *Pool) Reshard(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("buffer: Reshard(%d): shard count must be positive", n)
@@ -94,10 +94,6 @@ func (p *Pool) Reshard(n int) error {
 	if len(old.shards) == n {
 		return nil
 	}
-	factory := p.policyFactory()
-	if factory == nil {
-		return errors.New("buffer: resharding requires Config.PolicyFactory (or a prior SwapPolicy)")
-	}
 	if p.forcedRO.Load() {
 		// Migration loads pages through the new set's miss path, which a
 		// read-only floor sheds; resharding a drained pool is pointless
@@ -105,7 +101,7 @@ func (p *Pool) Reshard(n int) error {
 		return errors.New("buffer: cannot reshard a pool forced read-only")
 	}
 
-	next := p.newShardSet(n, old.epoch+1, factory)
+	next := p.newShardSet(n, old.epoch+1)
 	next.prev.Store(old)
 	for _, sh := range old.shards {
 		sh.sealed.Store(true)
@@ -169,9 +165,7 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 	}
 	p.reshardMu.Lock()
 	defer p.reshardMu.Unlock()
-	p.policyMu.Lock()
 	p.factory = factory
-	p.policyMu.Unlock()
 	set := p.cur.Load()
 	// recycle wants a session to own the in-flight op of a dirty residue
 	// victim; an unbound one serves (its trace context is inert).
@@ -188,14 +182,6 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 		}
 	}
 	return from, to, nil
-}
-
-// policyFactory reads the pool's current policy recipe (nil until a
-// factory exists — see Config.PolicyFactory and SwapPolicy).
-func (p *Pool) policyFactory() replacer.Factory {
-	p.policyMu.Lock()
-	defer p.policyMu.Unlock()
-	return p.factory
 }
 
 // SetBatchThreshold retunes the batch threshold of every current shard's

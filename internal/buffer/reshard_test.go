@@ -431,24 +431,6 @@ func TestPoolSwapPolicyLive(t *testing.T) {
 	}
 }
 
-// TestSwapPolicyInstallsFactoryForReshard: a single-shard pool built with a
-// bare Policy instance cannot reshard until SwapPolicy gives it a factory.
-func TestSwapPolicyInstallsFactoryForReshard(t *testing.T) {
-	p := newTestPool(8, core.Config{})
-	if err := p.Reshard(2); err == nil {
-		t.Fatal("Reshard without a factory succeeded")
-	}
-	if _, _, err := p.SwapPolicy(func(c int) replacer.Policy { return replacer.NewTwoQ(c) }); err != nil {
-		t.Fatalf("SwapPolicy: %v", err)
-	}
-	if err := p.Reshard(2); err != nil {
-		t.Fatalf("Reshard after SwapPolicy installed a factory: %v", err)
-	}
-	if got := p.Stats().PerShard[0].Policy; got != "2q" {
-		t.Fatalf("post-reshard policy %q, want 2q", got)
-	}
-}
-
 // TestSetBatchThresholdSurvivesReshard: the controller's threshold override
 // applies to live shards and is inherited by shards built afterwards.
 func TestSetBatchThresholdSurvivesReshard(t *testing.T) {
@@ -503,15 +485,16 @@ func TestReshardRefusals(t *testing.T) {
 	}
 }
 
-// TestReshardLockedHitPath: the same migration correctness holds with the
-// seqlock fast path disabled (the torture differential's locked leg).
-func TestReshardLockedHitPath(t *testing.T) {
+// TestReshardOnMutexLookup: the same migration correctness holds on the
+// mutex lookup alone — the seqlock probe's fallback, and in a torture build
+// the reference the torture differential's locked leg runs.
+func TestReshardOnMutexLookup(t *testing.T) {
+	referenceLookup(t)
 	mem := storage.NewMemDevice()
 	p := New(Config{
 		Frames:        16,
 		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
 		Device:        mem,
-		LockedHitPath: true,
 	})
 	s := p.NewSession()
 	for i := uint64(1); i <= 8; i++ {

@@ -68,11 +68,6 @@ type shard struct {
 	// during a reshard.
 	migratedOut atomic.Int64
 
-	// lockedHitPath forces every lookup through the bucket mutex (the
-	// pre-rewrite behavior), for A/B benchmarking (E17) and the torture
-	// differential that proves the optimistic path oracle-identical.
-	lockedHitPath bool
-
 	freeMu   sync.Mutex
 	freeList []*Frame
 
@@ -125,10 +120,14 @@ type shard struct {
 	loadWaits         atomic.Int64 // waits on another goroutine's in-flight load (awaitOp)
 	evictWaits        atomic.Int64 // waits on an in-flight eviction write-back
 
-	// invalidated counts Invalidates, each bumped before its page leaves
-	// the table. A miss that sees it move knows the victim the policy
-	// handed it may have been invalidated and loaded again since (reclaim).
-	invalidated atomic.Uint64
+	// victimEpoch moves whenever a page that some miss holds as its victim
+	// — out of the policy, its frame not yet claimed — may be back in the
+	// policy behind that miss's back: an Invalidate bumps it before its page
+	// leaves the table (the page can be loaded again), and nextVictim before
+	// it looks whether a victim is still its own to re-admit (stillCached).
+	// A miss that sees it move tells the policy again, once the frame is
+	// claimed (reclaim).
+	victimEpoch atomic.Uint64
 
 	// healthState drives graceful degradation: breaker/quarantine-driven
 	// health evaluation and miss admission control (see health.go).
@@ -447,7 +446,7 @@ func (sh *shard) finishOp(b bucketRef, op *loadOp, err error) {
 }
 
 // init sizes and wires one shard for frames page slots.
-func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device storage.Device, quarCap int, lockedHitPath bool) {
+func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device storage.Device, quarCap int) {
 	if pol.Cap() < frames {
 		panic(fmt.Sprintf("buffer: policy capacity %d below shard frame count %d", pol.Cap(), frames))
 	}
@@ -455,7 +454,6 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	sh.buckets = make([]bucket, tableBuckets(frames))
 	sh.bucketWs = make([]bucketW, len(sh.buckets))
 	sh.device = device
-	sh.lockedHitPath = lockedHitPath
 	sh.quarantine = make(map[page.PageID]*page.Page)
 	sh.quarTrace = make(map[page.PageID]quarCtx)
 	sh.quarCap = quarCap
@@ -516,12 +514,12 @@ func (sh *shard) validTag(e core.Entry) bool {
 	return ok && t.Page == e.ID && t.Matches(e.Tag)
 }
 
-// lookupAny resolves id to its frame, optimistically when allowed and
+// lookupAny resolves id to its frame, optimistically when the probe is
 // stable, under the bucket mutex otherwise. Used by the non-hit paths
 // (eviction) that need a plain answer without the hit path's retry
 // accounting.
 func (sh *shard) lookupAny(b bucketRef, id page.PageID) *Frame {
-	if !sh.lockedHitPath {
+	if !lockedLookup() {
 		if slot, stable := b.lookupOptimistic(id); stable {
 			return sh.frameAt(slot)
 		}
@@ -536,7 +534,7 @@ func (sh *shard) lookupAny(b bucketRef, id page.PageID) *Frame {
 // then the mutex. fast reports that the answer came from a zero-lock
 // stable probe.
 func (sh *shard) hitLookup(b bucketRef, id page.PageID) (f *Frame, fast bool) {
-	if !sh.lockedHitPath {
+	if !lockedLookup() {
 		for attempt := 0; ; attempt++ {
 			slot, stable := b.lookupOptimistic(id)
 			if stable {
@@ -678,7 +676,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	op := nextOp(&ps.load, id, false)
 	b.w.addOpLocked(op)
 	b.w.mu.Unlock()
-	ps.invalidated = sh.invalidated.Load()
+	ps.victimEpoch = sh.victimEpoch.Load()
 
 	// Fold this session's staged hits before counting the miss, so the
 	// shard counters never show a miss "ahead of" hits that actually
@@ -916,7 +914,15 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 // page keeps its op registered until its own MissAdmit is over, so under the
 // policy lock a true answer means any such removal is still to come and
 // will undo the re-admission, and no loader is about to admit prev itself.
+//
+// One more party can hold prev: a miss whose MissBegin evicted a later
+// residency of it — prev invalidated and loaded again while the caller was
+// off the processor — and which has yet to claim the frame. The two cannot
+// be told apart here, so the epoch moves before the look: a frame still
+// unclaimed now is claimed after the bump, and whoever claims it sees the
+// epoch moved and removes prev from the policy again (reclaim).
 func (sh *shard) stillCached(prev page.PageID) bool {
+	sh.victimEpoch.Add(1)
 	b := sh.bucketFor(prev)
 	b.w.mu.Lock() // not lockBucket: a reclaim-side probe, outside the hit path's lock accounting
 	defer b.w.mu.Unlock()
@@ -983,12 +989,15 @@ func (sh *shard) reclaim(ps *Session, victim page.PageID) (*Frame, bool) {
 		}
 		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
 	}
-	if sh.invalidated.Load() != ps.invalidated {
-		// An Invalidate ran since this miss began. Had it been of victim,
-		// after the policy gave victim up to us, the frame we now hold may
-		// belong to a later load of the same page, which the policy tracks
-		// again. Evicting that is as good as evicting any page, once the
-		// policy hears of it.
+	if sh.victimEpoch.Load() != ps.victimEpoch {
+		// Since this miss began an Invalidate ran, or another miss weighed
+		// re-admitting its victim. Had the Invalidate been of victim, after
+		// the policy gave victim up to us, the frame we now hold may belong
+		// to a later load of the same page, which the policy tracks again;
+		// had the other miss's victim been ours too, held from an earlier
+		// residency, it found the page as we leave it between MissBegin and
+		// the claim above and put it back. Evicting the page is right either
+		// way, once the policy hears of it.
 		sh.wrapper.Locked(func(pol replacer.Policy) { pol.Remove(victim) })
 	}
 	dirty := s&frameDirty != 0
@@ -1262,7 +1271,7 @@ func (sh *shard) invalidate(id page.PageID) error {
 	sh.wrapper.Locked(func(pol replacer.Policy) {
 		pol.Remove(id)
 	})
-	sh.invalidated.Add(1)
+	sh.victimEpoch.Add(1)
 
 	sh.lockBucket(b)
 	sh.removeLocked(b, id)

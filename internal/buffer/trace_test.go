@@ -8,7 +8,6 @@ import (
 
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/reqtrace"
 	"bpwrapper/internal/storage"
 )
@@ -43,7 +42,7 @@ func phaseSet(spans []reqtrace.Span) map[reqtrace.Phase]bool {
 // acquisition, and the device read; the hit shows probe and pin only.
 func TestPoolTraceLatencyDecomposition(t *testing.T) {
 	p := New(Config{
-		Frames: 4, Policy: replacer.NewLRU(4),
+		Frames: 4, PolicyFactory: factoryOf("lru"),
 		Device: storage.NewMemDevice(),
 		Trace: reqtrace.Config{
 			Enable: true, SampleEvery: 1, SLO: time.Hour, Clock: traceClock(),
@@ -125,7 +124,7 @@ func (d *flakyWriteDevice) WritePage(p *page.Page) error {
 func TestQuarantineCrossThreadWriteBack(t *testing.T) {
 	dev := &flakyWriteDevice{Device: storage.NewMemDevice()}
 	p := New(Config{
-		Frames: 2, Policy: replacer.NewLRU(2),
+		Frames: 2, PolicyFactory: factoryOf("lru"),
 		Device: dev,
 		Trace: reqtrace.Config{
 			Enable: true, SampleEvery: 1, SLO: time.Hour, Clock: traceClock(),

@@ -7,7 +7,6 @@ import (
 
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/storage"
 )
 
@@ -74,10 +73,10 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 	fault := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	gate := newGateDevice(fault)
 	p := New(Config{
-		Frames:  4,
-		Policy:  replacer.NewLRU(4),
-		Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-		Device:  gate,
+		Frames:        4,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        gate,
 	})
 	s := p.NewSession()
 
@@ -172,10 +171,10 @@ func TestFlushParksBeforeClearingDirty(t *testing.T) {
 	mem := storage.NewMemDevice()
 	gate := newGateDevice(mem)
 	p := New(Config{
-		Frames:  4,
-		Policy:  replacer.NewLRU(4),
-		Wrapper: core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
-		Device:  gate,
+		Frames:        4,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        gate,
 	})
 	s := p.NewSession()
 
@@ -280,7 +279,7 @@ func TestFlushRespectsQuarantineCap(t *testing.T) {
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
 		Frames:        4,
-		Policy:        replacer.NewLRU(4),
+		PolicyFactory: factoryOf("lru"),
 		Device:        dev,
 		QuarantineCap: 1,
 		// A full quarantine flips the shard read-only under health

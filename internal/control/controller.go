@@ -22,7 +22,7 @@
 //     fragmentation is costing, and lock wait per access measures what
 //     contention is costing. A fragmentation gap above GapMargin shrinks
 //     the topology (halving, floored at MinShards); lock wait above
-//     WaitPerAccess grows it (doubling, capped at MaxShards) — but only
+//     waitPerAccess grows it (doubling, capped at MaxShards) — but only
 //     when per-shard load is reasonably balanced: a skewed shard means a
 //     few hot pages, which more shards cannot spread (the hash pins a page
 //     to one shard) while fragmenting everyone's history. Reshards are
@@ -100,10 +100,6 @@ type Config struct {
 	// Default {"2q", "lirs", "clockpro"}. Unknown names are ignored.
 	Candidates []string
 
-	// GhostWindow is the scorer's decay period in sampled accesses (scores
-	// halve every window, tracking the current phase). Default 4096.
-	GhostWindow int64
-
 	// SwapMargin and SwapPatience gate policy hot-swap: a challenger must
 	// beat the incumbent's ghost score by SwapMargin on SwapPatience
 	// consecutive steps. Defaults 0.05 and 3.
@@ -121,19 +117,24 @@ type Config struct {
 	// that triggers shrinking the topology. Default 0.02.
 	GapMargin float64
 
-	// WaitPerAccess is the policy-lock wait per access that triggers
-	// growing the topology. Default 2µs.
-	WaitPerAccess time.Duration
-
-	// SkewLimit is the max-shard/mean access ratio above which growing is
-	// suppressed (hot pages, not contention breadth). Default 3.0.
-	SkewLimit float64
-
 	// MinWindow is the minimum number of pool accesses a step's window
 	// must contain before reshard/threshold decisions are made (tiny
 	// windows are noise). Default 2048.
 	MinWindow int64
 }
+
+// The decision rules' fixed thresholds.
+const (
+	// ghostWindow is the scorer's decay period in sampled accesses (scores
+	// halve every window, tracking the current phase).
+	ghostWindow = 4096
+	// waitPerAccess is the policy-lock wait per access above which the
+	// topology grows; below half of it, a fragmentation gap may shrink it.
+	waitPerAccess = 2 * time.Microsecond
+	// skewLimit is the max-shard/mean access ratio above which growing is
+	// suppressed (hot pages, not contention breadth).
+	skewLimit = 3.0
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -147,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Candidates) == 0 {
 		c.Candidates = []string{"2q", "lirs", "clockpro"}
-	}
-	if c.GhostWindow == 0 {
-		c.GhostWindow = 4096
 	}
 	if c.SwapMargin <= 0 {
 		c.SwapMargin = 0.05
@@ -171,12 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GapMargin <= 0 {
 		c.GapMargin = 0.02
-	}
-	if c.WaitPerAccess <= 0 {
-		c.WaitPerAccess = 2 * time.Microsecond
-	}
-	if c.SkewLimit <= 0 {
-		c.SkewLimit = 3.0
 	}
 	if c.MinWindow <= 0 {
 		c.MinWindow = 2048
@@ -257,7 +249,7 @@ func New(cfg Config) *Controller {
 		}
 	}
 	ghostCap := c.pool.Stats().Frames / cfg.SampleRate
-	c.scorer = replacer.NewGhostScorer(ghostCap, ghostCandidates, cfg.GhostWindow)
+	c.scorer = replacer.NewGhostScorer(ghostCap, ghostCandidates, ghostWindow)
 	c.pool.EnableSampling(cfg.SampleRate, cfg.RingSize)
 	if cfg.Writer != nil {
 		c.baseInterval, c.baseBurst = cfg.Writer.Rate()
@@ -393,7 +385,7 @@ func (c *Controller) steer(acts []Action, st buffer.Stats) []Action {
 	waitPer := dWait / time.Duration(window)
 
 	switch {
-	case shards > c.cfg.MinShards && ghost-actual > c.cfg.GapMargin && waitPer < c.cfg.WaitPerAccess/2:
+	case shards > c.cfg.MinShards && ghost-actual > c.cfg.GapMargin && waitPer < waitPerAccess/2:
 		// Fragmentation is costing hit ratio and the locks are quiet:
 		// consolidate history by halving the shard count.
 		n := max(c.cfg.MinShards, shards/2)
@@ -401,7 +393,7 @@ func (c *Controller) steer(acts []Action, st buffer.Stats) []Action {
 			acts = c.record(acts, ActReshardDown, fmt.Sprintf("%d->%d ghost=%.3f actual=%.3f", shards, n, ghost, actual))
 			c.cooldown = c.cfg.ReshardCooldown
 		}
-	case shards < c.cfg.MaxShards && waitPer > c.cfg.WaitPerAccess && c.skew(st) <= c.cfg.SkewLimit:
+	case shards < c.cfg.MaxShards && waitPer > waitPerAccess && c.skew(st) <= skewLimit:
 		// The policy locks are the bottleneck and load is spread wide
 		// enough that more shards will actually dilute it.
 		n := min(c.cfg.MaxShards, shards*2)

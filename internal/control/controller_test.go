@@ -253,9 +253,8 @@ func TestControllerWriterSteering(t *testing.T) {
 	defer p.Close()
 	// A deliberately slow writer so it cannot drain the quarantine behind
 	// the test's back.
-	w := p.StartBackgroundWriter(buffer.BackgroundWriterConfig{
-		Interval: time.Hour, MaxPagesPerRound: 2,
-	})
+	w := p.StartBackgroundWriter(buffer.BackgroundWriterConfig{Interval: time.Hour})
+	w.SetRate(0, 2)
 	defer w.Stop()
 	c := New(Config{Pool: p, Writer: w, Candidates: []string{"lru"}})
 	defer c.Stop()
@@ -344,8 +343,8 @@ func TestSkewSuppression(t *testing.T) {
 	if got := c.skew(mk([]int64{100, 100, 100, 100})); got != 1.0 {
 		t.Fatalf("balanced skew = %v, want 1.0", got)
 	}
-	if got := c.skew(mk([]int64{970, 10, 10, 10})); got < 3.5 {
-		t.Fatalf("hot-shard skew = %v, want >> SkewLimit", got)
+	if got := c.skew(mk([]int64{970, 10, 10, 10})); got <= skewLimit {
+		t.Fatalf("hot-shard skew = %v, want above skewLimit %v", got, skewLimit)
 	}
 	c = &Controller{last: mk([]int64{0})}
 	if got := c.skew(mk([]int64{1000})); got != 1.0 {

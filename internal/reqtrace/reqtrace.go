@@ -173,14 +173,10 @@ type Config struct {
 	// SLO is the tail-keep latency threshold: armed traces at least this
 	// slow are retained in the tail ring (default 1ms).
 	SLO time.Duration
-	// RingSize is the per-ring slot count, rounded up to a power of two
-	// (default 4096).
+	// RingSize is the slot count of each of the two rings — head samples
+	// and tail keeps — rounded up to a power of two (default 4096). One
+	// tracer serves the whole pool, whatever its shard count.
 	RingSize int
-	// Rings is the number of head-sample rings, one per pool shard at
-	// build time so concurrent sessions do not share a seq cacheline
-	// (default 1). Traces route by ID, so the count is free to differ
-	// from the live shard count after an online reshard.
-	Rings int
 	// Clock returns nanoseconds. Default time.Now().UnixNano(); the
 	// deterministic E20 bench and tests install a virtual tick clock.
 	Clock func() int64
@@ -196,9 +192,6 @@ func (c Config) withDefaults() Config {
 	if c.RingSize <= 0 {
 		c.RingSize = 4096
 	}
-	if c.Rings <= 0 {
-		c.Rings = 1
-	}
 	if c.Clock == nil {
 		c.Clock = func() int64 { return time.Now().UnixNano() }
 	}
@@ -208,14 +201,14 @@ func (c Config) withDefaults() Config {
 // Tracer owns the span rings and the trace-ID allocator. All methods are
 // nil-safe: a nil *Tracer is the disabled configuration.
 type Tracer struct {
-	cfg   Config
-	rings []ring
-	tail  ring
-	ids   atomic.Uint64
+	cfg  Config
+	head ring
+	tail ring
+	ids  atomic.Uint64
 
 	started   atomic.Int64 // requests seen by Begin (folded at sample points; lags ≤ SampleEvery per session)
 	sampledN  atomic.Int64 // head-sampled requests
-	keptMain  atomic.Int64 // traces flushed to the head-sample rings
+	keptMain  atomic.Int64 // traces flushed to the head-sample ring
 	keptTail  atomic.Int64 // traces flushed to the tail ring
 	discarded atomic.Int64 // armed traces dropped (under SLO, no error)
 	spanDrops atomic.Int64 // spans lost to scratch-buffer overflow
@@ -228,13 +221,7 @@ func New(cfg Config) *Tracer {
 		return nil
 	}
 	cfg = cfg.withDefaults()
-	t := &Tracer{cfg: cfg}
-	t.rings = make([]ring, cfg.Rings)
-	for i := range t.rings {
-		t.rings[i] = newRing(cfg.RingSize)
-	}
-	t.tail = newRing(cfg.RingSize)
-	return t
+	return &Tracer{cfg: cfg, head: newRing(cfg.RingSize), tail: newRing(cfg.RingSize)}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -277,7 +264,7 @@ func (t *Tracer) Emit(sp Span) {
 		t.tail.put(sp)
 		return
 	}
-	t.rings[sp.Trace%uint64(len(t.rings))].put(sp)
+	t.head.put(sp)
 }
 
 // flush writes a completed trace's spans to one ring.
@@ -287,7 +274,7 @@ func (t *Tracer) flush(spans []Span, tail bool) {
 	}
 	r := t.tail
 	if !tail {
-		r = t.rings[spans[0].Trace%uint64(len(t.rings))]
+		r = t.head
 		t.keptMain.Add(1)
 	} else {
 		t.keptTail.Add(1)
@@ -297,25 +284,21 @@ func (t *Tracer) flush(spans []Span, tail bool) {
 	}
 }
 
-// Spans snapshots every retained span — head-sample rings first, then the
+// Spans snapshots every retained span — the head-sample ring first, then the
 // tail ring — skipping torn slots. The result is unordered across rings;
 // group by Trace and sort by Start to reconstruct a trace.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	var out []Span
-	for _, r := range t.rings {
-		out = r.snapshot(out)
-	}
-	return t.tail.snapshot(out)
+	return t.tail.snapshot(t.head.snapshot(nil))
 }
 
 // Stats is a counter snapshot for the obs registry.
 type Stats struct {
 	Started   int64 // requests seen
 	Sampled   int64 // head-sampled
-	KeptMain  int64 // traces kept in head-sample rings
+	KeptMain  int64 // traces kept in the head-sample ring
 	KeptTail  int64 // traces kept in the tail ring (SLO/error)
 	Discarded int64 // armed traces under the SLO, discarded
 	SpanDrops int64 // spans lost to scratch overflow
@@ -337,10 +320,7 @@ func (t *Tracer) Snapshot() Stats {
 		SpanDrops: t.spanDrops.Load(),
 		Emitted:   t.emitted.Load(),
 	}
-	for _, r := range t.rings {
-		st.RingDrops += int64(r.Dropped())
-	}
-	st.RingDrops += int64(t.tail.Dropped())
+	st.RingDrops = int64(t.head.Dropped() + t.tail.Dropped())
 	return st
 }
 
@@ -488,7 +468,7 @@ func (a *Active) push(ph Phase, shard int, start, dur int64, arg1, arg2 uint64) 
 }
 
 // End closes the request and makes the keep decision: sampled traces
-// flush to the head-sample rings; armed traces that crossed the SLO or
+// flush to the head-sample ring; armed traces that crossed the SLO or
 // errored flush to the tail ring; everything else is discarded without a
 // shared write. pageArg tags the root span (the page requested).
 func (a *Active) End(pageArg uint64, err error) {

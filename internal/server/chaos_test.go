@@ -178,9 +178,9 @@ func TestChaosDrainRacesCloseWithin(t *testing.T) {
 	mem := storage.NewMemDevice()
 	gate := newGateDevice(mem)
 	pool := buffer.New(buffer.Config{
-		Frames: 8,
-		Policy: replacer.NewLRU(8),
-		Device: gate,
+		Frames:        8,
+		PolicyFactory: replacer.Factories()["lru"],
+		Device:        gate,
 	})
 	srv, err := New(Config{Pool: pool, Addr: "127.0.0.1:0", DrainGrace: 10 * time.Millisecond})
 	if err != nil {

@@ -23,17 +23,12 @@ import (
 func newTestServer(t *testing.T, frames, shards int, cfg Config) (*Server, *storage.MemDevice, func()) {
 	t.Helper()
 	mem := storage.NewMemDevice()
-	bcfg := buffer.Config{
-		Frames: frames,
-		Shards: shards,
-		Device: mem,
-	}
-	if shards > 1 {
-		bcfg.PolicyFactory = func(n int) replacer.Policy { return replacer.NewLRU(n) }
-	} else {
-		bcfg.Policy = replacer.NewLRU(frames)
-	}
-	pool := buffer.New(bcfg)
+	pool := buffer.New(buffer.Config{
+		Frames:        frames,
+		Shards:        shards,
+		PolicyFactory: replacer.Factories()["lru"],
+		Device:        mem,
+	})
 	cfg.Pool = pool
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"

@@ -18,7 +18,7 @@ import (
 // trace identity from the client's call site down to the device read.
 func TestTraceIDPropagatesClientToDevice(t *testing.T) {
 	pool := buffer.New(buffer.Config{
-		Frames: 8, Policy: replacer.NewLRU(8),
+		Frames: 8, PolicyFactory: replacer.Factories()["lru"],
 		Device: storage.NewMemDevice(),
 		// Head sampling effectively off: every retained trace below was
 		// adopted from the wire, not sampled locally.
@@ -97,7 +97,7 @@ func TestTraceIDPropagatesClientToDevice(t *testing.T) {
 // like any unknown opcode.
 func TestTraceFlagBackwardCompatible(t *testing.T) {
 	pool := buffer.New(buffer.Config{
-		Frames: 8, Policy: replacer.NewLRU(8),
+		Frames: 8, PolicyFactory: replacer.Factories()["lru"],
 		Device: storage.NewMemDevice(),
 	})
 	srv, err := New(Config{Pool: pool, Addr: "127.0.0.1:0"})

@@ -166,22 +166,17 @@ func (d *MemDevice) Len() int {
 // Figure 8 experiment; only the hit/miss cost ratio matters there, not
 // absolute seek times.
 type SimDisk struct {
-	backing      Device
-	readLatency  time.Duration
-	writeLatency time.Duration
-	slots        chan struct{} // limits in-flight operations
+	backing Device
+	latency time.Duration // per operation, reads and writes alike
+	slots   chan struct{} // limits in-flight operations
 	deviceCounters
 }
 
 // SimDiskConfig tunes a SimDisk.
 type SimDiskConfig struct {
-	// ReadLatency is the simulated service time per page read.
-	// Zero means 200µs, a fast disk array.
+	// ReadLatency is the simulated service time per page read; a write
+	// is served in the same time. Zero means 200µs, a fast disk array.
 	ReadLatency time.Duration
-
-	// WriteLatency is the simulated service time per page write.
-	// Zero means ReadLatency.
-	WriteLatency time.Duration
 
 	// Parallelism bounds concurrently serviced operations (the number of
 	// independent spindles). Zero means 8.
@@ -193,26 +188,22 @@ func NewSimDisk(backing Device, cfg SimDiskConfig) *SimDisk {
 	if cfg.ReadLatency <= 0 {
 		cfg.ReadLatency = 200 * time.Microsecond
 	}
-	if cfg.WriteLatency <= 0 {
-		cfg.WriteLatency = cfg.ReadLatency
-	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 8
 	}
 	return &SimDisk{
-		backing:      backing,
-		readLatency:  cfg.ReadLatency,
-		writeLatency: cfg.WriteLatency,
-		slots:        make(chan struct{}, cfg.Parallelism),
+		backing: backing,
+		latency: cfg.ReadLatency,
+		slots:   make(chan struct{}, cfg.Parallelism),
 	}
 }
 
-// ReadPage implements Device: it acquires a service slot, sleeps the read
+// ReadPage implements Device: it acquires a service slot, sleeps the
 // latency, and delegates to the backing store.
 func (d *SimDisk) ReadPage(id page.PageID, p *page.Page) error {
 	start := time.Now()
 	d.slots <- struct{}{}
-	time.Sleep(d.readLatency)
+	time.Sleep(d.latency)
 	err := d.backing.ReadPage(id, p)
 	<-d.slots
 	d.reads.Add(1)
@@ -224,7 +215,7 @@ func (d *SimDisk) ReadPage(id page.PageID, p *page.Page) error {
 func (d *SimDisk) WritePage(p *page.Page) error {
 	start := time.Now()
 	d.slots <- struct{}{}
-	time.Sleep(d.writeLatency)
+	time.Sleep(d.latency)
 	err := d.backing.WritePage(p)
 	<-d.slots
 	d.writes.Add(1)

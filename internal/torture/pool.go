@@ -39,11 +39,6 @@ type PoolRunConfig struct {
 	// topology whose retired shards must be fully drained.
 	Reshard []int
 
-	// LockedHitPath forces every pool lookup through the bucket mutex
-	// instead of the optimistic seqlock path; the hit-path differential
-	// runs the same seed both ways and compares reports.
-	LockedHitPath bool
-
 	// YieldFrac, when positive, installs the seeded yield injector for the
 	// duration of the run, perturbing every sched point — including the
 	// optimistic-retry labels (BufHitProbe, BufHitPin, BufBucketWrite).
@@ -184,26 +179,14 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("seed %d: unknown policy %q", cfg.Seed, cfg.Policy)
 	}
-	wcfg := configFor(cfg.Path, 16)
-	bcfg := buffer.Config{
+	pool := buffer.New(buffer.Config{
 		Frames:        cfg.Frames,
 		Shards:        cfg.Shards,
-		Wrapper:       wcfg,
+		PolicyFactory: factory,
+		Wrapper:       configFor(cfg.Path, 16),
 		Device:        dev,
 		RecorderSize:  cfg.RecorderSize,
-		LockedHitPath: cfg.LockedHitPath,
-	}
-	if cfg.Shards > 1 || len(cfg.Reshard) > 0 {
-		// Resharding rebuilds per-shard policies at the new capacity, so a
-		// schedule needs the factory even for a 1-shard start.
-		bcfg.PolicyFactory = factory
-	} else {
-		// Single-shard runs keep the pre-sharding construction path (one
-		// policy instance handed to the pool) so they exercise exactly the
-		// configuration the earlier differential suites pinned down.
-		bcfg.Policy = factory(cfg.Frames)
-	}
-	pool := buffer.New(bcfg)
+	})
 
 	if cfg.YieldFrac > 0 {
 		restore := sched.SetHook(NewYielder(cfg.Seed, cfg.YieldFrac).Hook())

@@ -80,10 +80,10 @@ func runWireTrace(t *testing.T, trace *Trace, path Path, pipeline int) []Record 
 	frames := trace.Total() + 64
 	pol := &checkerPolicy{}
 	pool := buffer.New(buffer.Config{
-		Frames:  frames,
-		Policy:  pol,
-		Wrapper: configFor(path, 16),
-		Device:  storage.NewMemDevice(),
+		Frames:        frames,
+		PolicyFactory: func(int) replacer.Policy { return pol },
+		Wrapper:       configFor(path, 16),
+		Device:        storage.NewMemDevice(),
 	})
 	srv, err := server.New(server.Config{Pool: pool, Addr: "127.0.0.1:0"})
 	if err != nil {

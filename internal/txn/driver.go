@@ -2,9 +2,9 @@
 // backends, reproducing the measurement methodology of the BP-Wrapper
 // paper's evaluation (Section IV): N worker goroutines (the PostgreSQL
 // back-end processes) execute workload transactions against the pool while
-// GOMAXPROCS bounds true parallelism (the CPU-affinity masks of the paper),
-// and throughput, response time, hit ratio, and lock contention are
-// collected.
+// the process's GOMAXPROCS bounds true parallelism (the CPU-affinity masks
+// of the paper), and throughput, response time, hit ratio, and lock
+// contention are collected.
 package txn
 
 import (
@@ -31,12 +31,8 @@ type Config struct {
 
 	// Workers is the number of backend goroutines. The paper keeps more
 	// active backends than processors so the system is overcommitted;
-	// zero means 2×Procs.
+	// zero means 2×GOMAXPROCS.
 	Workers int
-
-	// Procs bounds parallelism via GOMAXPROCS for the duration of the run
-	// ("the number of processors"). Zero leaves GOMAXPROCS unchanged.
-	Procs int
 
 	// Duration stops the run after this much wall time, if positive.
 	Duration time.Duration
@@ -47,16 +43,11 @@ type Config struct {
 
 	// Seed makes the workload streams deterministic.
 	Seed int64
-
-	// TouchBytes, when true, reads (and for write accesses, writes) a byte
-	// of each pinned page, making the pin hold a realistic content access.
-	TouchBytes bool
 }
 
 // Result aggregates a run's measurements.
 type Result struct {
 	Workers int
-	Procs   int
 
 	Txns     int64
 	Accesses int64
@@ -94,17 +85,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Duration <= 0 && cfg.TxnsPerWorker <= 0 {
 		return Result{}, errors.New("txn: set Duration or TxnsPerWorker")
 	}
-	if cfg.Procs > 0 {
-		prev := runtime.GOMAXPROCS(cfg.Procs)
-		defer runtime.GOMAXPROCS(prev)
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		procs := cfg.Procs
-		if procs <= 0 {
-			procs = runtime.GOMAXPROCS(0)
-		}
-		workers = 2 * procs
+		workers = 2 * runtime.GOMAXPROCS(0)
 	}
 
 	cfg.Pool.ResetStats()
@@ -145,7 +128,6 @@ func Run(cfg Config) (Result, error) {
 	ws := cfg.Pool.WrapperStats()
 	res := Result{
 		Workers:        workers,
-		Procs:          cfg.Procs,
 		Txns:           txns.Load(),
 		Accesses:       ws.Accesses,
 		Elapsed:        elapsed,
@@ -186,6 +168,8 @@ func runWorker(cfg *Config, w int, stop *atomic.Bool, txns *atomic.Int64, hist *
 }
 
 // execute performs one transaction's page accesses: pin, touch, release.
+// The touch reads (and for a write access, writes) one byte of the pinned
+// page, so the pin holds a realistic content access.
 func execute(cfg *Config, sess *buffer.Session, accesses []workload.Access) error {
 	for _, a := range accesses {
 		var ref *buffer.PageRef
@@ -198,17 +182,13 @@ func execute(cfg *Config, sess *buffer.Session, accesses []workload.Access) erro
 		if err != nil {
 			return err
 		}
-		if cfg.TouchBytes {
-			data := ref.Data()
-			b := data[int(a.Page)%len(data)]
-			if a.Write {
-				data[int(a.Page)%len(data)] = b + 1
-				ref.MarkDirty()
-			} else {
-				sink.Store(uint32(b))
-			}
-		} else if a.Write {
+		data := ref.Data()
+		b := data[int(a.Page)%len(data)]
+		if a.Write {
+			data[int(a.Page)%len(data)] = b + 1
 			ref.MarkDirty()
+		} else {
+			sink.Store(uint32(b))
 		}
 		ref.Release()
 	}

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,18 +12,18 @@ import (
 	"bpwrapper/internal/workload"
 )
 
-func testPool(frames int, policy replacer.Policy, wcfg core.Config) *buffer.Pool {
+func testPool(frames int, policy string, wcfg core.Config) *buffer.Pool {
 	return buffer.New(buffer.Config{
-		Frames:  frames,
-		Policy:  policy,
-		Wrapper: wcfg,
-		Device:  storage.NewMemDevice(),
+		Frames:        frames,
+		PolicyFactory: replacer.Factories()[policy],
+		Wrapper:       wcfg,
+		Device:        storage.NewMemDevice(),
 	})
 }
 
 func TestRunBasic(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 200, TxnLen: 10})
-	pool := testPool(200, replacer.NewTwoQ(200), core.Config{Batching: true})
+	pool := testPool(200, "2q", core.Config{Batching: true})
 	if err := pool.Prewarm(w.Pages()); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,6 @@ func TestRunBasic(t *testing.T) {
 		Workers:       4,
 		TxnsPerWorker: 100,
 		Seed:          1,
-		TouchBytes:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRunBasic(t *testing.T) {
 
 func TestRunDuration(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 100, TxnLen: 5})
-	pool := testPool(100, replacer.NewLRU(100), core.Config{})
+	pool := testPool(100, "lru", core.Config{})
 	pool.Prewarm(w.Pages())
 	start := time.Now()
 	res, err := Run(Config{
@@ -82,7 +82,7 @@ func TestRunDuration(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 10})
-	pool := testPool(10, replacer.NewLRU(10), core.Config{})
+	pool := testPool(10, "lru", core.Config{})
 	if _, err := Run(Config{Pool: pool, Workload: w}); err == nil {
 		t.Fatal("missing stop condition accepted")
 	}
@@ -98,14 +98,13 @@ func TestRunWithMisses(t *testing.T) {
 	// Buffer far smaller than data: the driver must survive constant
 	// eviction traffic and report a believable hit ratio.
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 2000, TxnLen: 10})
-	pool := testPool(100, replacer.NewTwoQ(100), core.Config{Batching: true, Prefetching: true})
+	pool := testPool(100, "2q", core.Config{Batching: true, Prefetching: true})
 	res, err := Run(Config{
 		Pool:          pool,
 		Workload:      w,
 		Workers:       4,
 		TxnsPerWorker: 200,
 		Seed:          3,
-		TouchBytes:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,13 +121,12 @@ func TestRunContentionMetrics(t *testing.T) {
 	// Unbatched 2Q under heavy concurrency must record lock contention;
 	// that is the paper's whole premise.
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 500, TxnLen: 20})
-	pool := testPool(500, replacer.NewTwoQ(500), core.Config{})
+	pool := testPool(500, "2q", core.Config{})
 	pool.Prewarm(w.Pages())
 	res, err := Run(Config{
 		Pool:          pool,
 		Workload:      w,
 		Workers:       8,
-		Procs:         4,
 		TxnsPerWorker: 500,
 		Seed:          5,
 	})
@@ -145,18 +143,17 @@ func TestRunContentionMetrics(t *testing.T) {
 
 func TestDefaultWorkers(t *testing.T) {
 	w := workload.NewZipf(workload.SyntheticConfig{Pages: 50, TxnLen: 2})
-	pool := testPool(50, replacer.NewLRU(50), core.Config{})
+	pool := testPool(50, "lru", core.Config{})
 	res, err := Run(Config{
 		Pool:          pool,
 		Workload:      w,
-		Procs:         2,
 		TxnsPerWorker: 10,
 		Seed:          1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workers != 4 {
-		t.Fatalf("workers=%d, want 2×procs=4", res.Workers)
+	if want := 2 * runtime.GOMAXPROCS(0); res.Workers != want {
+		t.Fatalf("workers=%d, want 2×GOMAXPROCS=%d", res.Workers, want)
 	}
 }

@@ -53,15 +53,11 @@ func obsHitLoop(b *testing.B, rec *bpwrapper.Recorder) {
 // bpserver/bpload), or on with request tracing armed at the production
 // default sampling rate.
 func obsGuardPool(tb testing.TB, obsOn, traceOn bool) (*bpwrapper.Pool, *bpwrapper.PoolSession, []bpwrapper.PageID) {
-	policy, ok := bpwrapper.NewPolicy("2q", 1024)
-	if !ok {
-		tb.Fatal("2q policy not registered")
-	}
 	cfg := bpwrapper.PoolConfig{
-		Frames:  1024,
-		Policy:  policy,
-		Wrapper: bpwrapper.WrapperConfig{Batching: true},
-		Device:  bpwrapper.NewMemDevice(),
+		Frames:        1024,
+		PolicyFactory: bpwrapper.PolicyFactories()["2q"],
+		Wrapper:       bpwrapper.WrapperConfig{Batching: true},
+		Device:        bpwrapper.NewMemDevice(),
 	}
 	if obsOn {
 		cfg.RecorderSize = 4096
@@ -168,15 +164,11 @@ func TestObsOverheadGuard(t *testing.T) {
 // request in the loop is selected, a resident pool.Get must not allocate.
 // Unlike the timing guard this is deterministic, so it always runs.
 func TestTraceHitPathZeroAlloc(t *testing.T) {
-	policy, ok := bpwrapper.NewPolicy("2q", 1024)
-	if !ok {
-		t.Fatal("2q policy not registered")
-	}
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames:  1024,
-		Policy:  policy,
-		Wrapper: bpwrapper.WrapperConfig{Batching: true},
-		Device:  bpwrapper.NewMemDevice(),
+		Frames:        1024,
+		PolicyFactory: bpwrapper.PolicyFactories()["2q"],
+		Wrapper:       bpwrapper.WrapperConfig{Batching: true},
+		Device:        bpwrapper.NewMemDevice(),
 		// A sampling interval far beyond the loop below: tracing is live
 		// but every one of these requests goes untraced.
 		Trace: bpwrapper.TraceConfig{Enable: true, SampleEvery: 1 << 30},
