@@ -110,6 +110,18 @@ type Policy = replacer.Policy
 // technique.
 type Prefetcher = replacer.Prefetcher
 
+// SlotPolicy is the optional slot-keyed face of a Policy: the buffer pool
+// drives a policy that has it by frame slot, with no lookup under the lock,
+// and one that has not by id. Every built-in policy implements it.
+type SlotPolicy = replacer.SlotPolicy
+
+// CheckPolicy holds a Policy to the contract the pool and the wrapper rely
+// on (and to SlotPolicy's, if it implements it); call it from a test of any
+// policy of your own with t and a factory.
+func CheckPolicy(t replacer.TB, factory func(capacity int) Policy) {
+	replacer.CheckPolicy(t, factory)
+}
+
 // NewPolicy constructs a replacement policy by name. Available names:
 // "lru", "fifo", "lfu", "lru2", "clock", "gclock", "2q", "lirs", "mq",
 // "arc", "car", "clockpro", "seq".

@@ -171,7 +171,7 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 	// victim; an unbound one serves (its trace context is inert).
 	var scratch Session
 	for _, sh := range set.shards {
-		var residue []page.PageID
+		var residue []replacer.Victim
 		from, to, residue = sh.wrapper.SwapPolicy(factory)
 		// Seeding the new policy can evict below capacity (queue-local
 		// bounds, 2Q's A1in say); those pages fell out of policy tracking
@@ -254,7 +254,7 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		b.w.mu.Lock()
 		sh.removeLocked(b, id)
 		b.w.mu.Unlock()
-		sh.wrapper.Locked(func(pol replacer.Policy) { pol.Remove(id) })
+		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
 		sh.freeFrame(f)
 		// A parked flush copy of this page (the sanctioned
 		// resident+quarantined overlap) is superseded by the frame bytes

@@ -466,7 +466,9 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	}
 	wcfg.Validate = sh.validTag
 	sh.events = wcfg.Events
-	sh.wrapper = core.New(pol, wcfg)
+	// Slotted: every tag this shard issues names its frame's slot, which
+	// addresses the policy's metadata for the page as well as the frame.
+	sh.wrapper = core.NewSlotted(pol, wcfg)
 }
 
 // bucketFor returns the table partition of a page id within the shard.
@@ -512,22 +514,6 @@ func (sh *shard) validTag(e core.Entry) bool {
 	}
 	t, ok := sh.frames[e.Tag.Slot].TagSnapshot()
 	return ok && t.Page == e.ID && t.Matches(e.Tag)
-}
-
-// lookupAny resolves id to its frame, optimistically when the probe is
-// stable, under the bucket mutex otherwise. Used by the non-hit paths
-// (eviction) that need a plain answer without the hit path's retry
-// accounting.
-func (sh *shard) lookupAny(b bucketRef, id page.PageID) *Frame {
-	if !lockedLookup() {
-		if slot, stable := b.lookupOptimistic(id); stable {
-			return sh.frameAt(slot)
-		}
-	}
-	sh.lockBucket(b)
-	f := sh.lookupLocked(b, id)
-	b.w.mu.Unlock()
-	return f
 }
 
 // hitLookup is the Get-path table probe: optimistic with bounded retries,
@@ -767,7 +753,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	// entry, so it may now become policy-resident. If a concurrent miss
 	// consumed the slot MissBegin freed, Admit evicts again and the spare
 	// victim's frame is recycled onto the free list.
-	if victim, evicted := sub.MissAdmit(id); evicted {
+	if victim, evicted := sub.MissAdmit(id, f.slot); evicted {
 		sh.recycle(ps, victim)
 	}
 	sh.finishOp(b, op, nil)
@@ -776,13 +762,11 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 
 // recycle reclaims a surplus victim's frame onto the free list, churning
 // through further candidates if the first is pinned.
-func (sh *shard) recycle(ps *Session, victim page.PageID) {
+func (sh *shard) recycle(ps *Session, victim replacer.Victim) {
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
-		if victim.Valid() {
-			if f, ok := sh.reclaim(ps, victim); ok {
-				sh.freeFrame(f)
-				return
-			}
+		if f, ok := sh.reclaim(ps, victim); ok {
+			sh.freeFrame(f)
+			return
 		}
 		runtime.Gosched()
 		v, ok := sh.nextVictim(victim, page.InvalidPageID)
@@ -808,7 +792,7 @@ func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*
 			// The policy admitted without eviction but no free frame
 			// exists — possible only after Remove/invalidate churn; fall
 			// back to evicting explicitly.
-			return sh.reclaimLoop(ps, id, page.InvalidPageID)
+			return sh.reclaimLoop(ps, id, replacer.Victim{})
 		}
 		f := sh.freeList[n-1]
 		sh.freeList = sh.freeList[:n-1]
@@ -825,7 +809,7 @@ func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*
 // or, when the dirty quarantine is saturated (so dirty victims are being
 // refused rather than pinned), ErrQuarantineFull distinguishes overload
 // from a genuinely over-pinned pool.
-func (sh *shard) reclaimLoop(ps *Session, id, victim page.PageID) (*Frame, error) {
+func (sh *shard) reclaimLoop(ps *Session, id page.PageID, victim replacer.Victim) (*Frame, error) {
 	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
 		if sh.sealed.Load() {
 			// A topology swap landed mid-load: stealPage is draining this
@@ -834,10 +818,8 @@ func (sh *shard) reclaimLoop(ps *Session, id, victim page.PageID) (*Frame, error
 			// new topology instead of reporting a phantom pin exhaustion.
 			return nil, errResharded
 		}
-		if victim.Valid() {
-			if f, ok := sh.reclaim(ps, victim); ok {
-				return f, nil
-			}
+		if f, ok := sh.reclaim(ps, victim); ok {
+			return f, nil
 		}
 		// Victim unusable (pinned, mid-load, or none yet): let the pinning
 		// goroutines run — short pins are released in microseconds, but a
@@ -877,11 +859,11 @@ func (sh *shard) reclaimFailure() error {
 // protect is the page currently being loaded: if the exchange throws it
 // out, it is immediately re-admitted so its residency survives (Admit never
 // returns the page it admits, so this terminates).
-func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
-	var victim page.PageID
+func (sh *shard) nextVictim(prev replacer.Victim, protect page.PageID) (replacer.Victim, bool) {
+	var victim replacer.Victim
 	var evicted bool
-	sh.wrapper.Locked(func(pol replacer.Policy) {
-		if prev.Valid() && !pol.Contains(prev) && sh.stillCached(prev) {
+	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
+		if prev.ID.Valid() && !pol.ContainsSlot(prev.Slot, prev.ID) && sh.stillCached(prev) {
 			if pol.Len() < pol.Cap() {
 				// The policy has spare capacity (two-phase misses leave a
 				// slot open while a page is in flight), so the
@@ -889,19 +871,19 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 				// explicitly, and take it first: a policy that ranks a
 				// page it has just met below every other (LFU, LRU-2)
 				// would hand prev straight back.
-				victim, evicted = pol.Evict()
-				pol.Admit(prev)
+				victim, evicted = pol.EvictSlot()
+				pol.AdmitSlot(prev.Slot, prev.ID)
 			} else {
-				victim, evicted = pol.Admit(prev)
+				victim, evicted = pol.AdmitSlot(prev.Slot, prev.ID)
 			}
 		} else {
 			// prev was re-admitted by a concurrent loader, is somebody
 			// else's to admit or drop, or there is no prev: take a fresh
 			// victim without admitting anything.
-			victim, evicted = pol.Evict()
+			victim, evicted = pol.EvictSlot()
 		}
-		if evicted && protect.Valid() && victim == protect {
-			victim, evicted = pol.Admit(protect)
+		if evicted && protect.Valid() && victim.ID == protect {
+			victim, evicted = pol.AdmitSlot(victim.Slot, protect)
 		}
 	})
 	return victim, evicted
@@ -921,16 +903,16 @@ func (sh *shard) nextVictim(prev, protect page.PageID) (page.PageID, bool) {
 // be told apart here, so the epoch moves before the look: a frame still
 // unclaimed now is claimed after the bump, and whoever claims it sees the
 // epoch moved and removes prev from the policy again (reclaim).
-func (sh *shard) stillCached(prev page.PageID) bool {
+func (sh *shard) stillCached(prev replacer.Victim) bool {
 	sh.victimEpoch.Add(1)
-	b := sh.bucketFor(prev)
+	b := sh.bucketFor(prev.ID)
 	b.w.mu.Lock() // not lockBucket: a reclaim-side probe, outside the hit path's lock accounting
 	defer b.w.mu.Unlock()
-	if b.w.opLocked(prev) != nil {
+	if b.w.opLocked(prev.ID) != nil {
 		return false
 	}
-	f := sh.lookupLocked(b, prev)
-	return f != nil && f.state.Load()&frameRecycling == 0
+	f := sh.lookupLocked(b, prev.ID)
+	return f != nil && f.slot == prev.Slot && f.state.Load()&frameRecycling == 0
 }
 
 // reclaim tries to take exclusive ownership of the victim's frame: it
@@ -961,14 +943,15 @@ func (sh *shard) stillCached(prev page.PageID) bool {
 // is already at capacity the eviction is refused up front — a failed write
 // would have nowhere to park — and the caller churns to another (ideally
 // clean) victim.
-func (sh *shard) reclaim(ps *Session, victim page.PageID) (*Frame, bool) {
-	b := sh.bucketFor(victim)
-	f := sh.lookupAny(b, victim)
-	if f == nil {
-		// Policy said resident but the table has no entry: the page is
-		// mid-load by another backend (its frame is claimed anyway).
-		return nil, false
+func (sh *shard) reclaim(ps *Session, v replacer.Victim) (*Frame, bool) {
+	victim := v.ID
+	if !victim.Valid() {
+		return nil, false // the caller has no victim yet
 	}
+	// The policy names the frame with the page, so there is no table probe:
+	// the frame's own header says whether it still holds the victim.
+	f := &sh.frames[v.Slot]
+	b := sh.bucketFor(victim)
 	var s uint64
 	for {
 		s = f.state.Load()
@@ -998,7 +981,7 @@ func (sh *shard) reclaim(ps *Session, victim page.PageID) (*Frame, bool) {
 		// residency, it found the page as we leave it between MissBegin and
 		// the claim above and put it back. Evicting the page is right either
 		// way, once the policy hears of it.
-		sh.wrapper.Locked(func(pol replacer.Policy) { pol.Remove(victim) })
+		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(v.Slot, victim) })
 	}
 	dirty := s&frameDirty != 0
 	sh.events.Record(obs.EvEvict, uint64(victim), flagArg(dirty))
@@ -1268,9 +1251,7 @@ func (sh *shard) invalidate(id page.PageID) error {
 	// Out of the policy before out of the table: a miss on id starts only
 	// once the table entry is gone, and its MissAdmit must not find the
 	// page still resident.
-	sh.wrapper.Locked(func(pol replacer.Policy) {
-		pol.Remove(id)
-	})
+	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
 	sh.victimEpoch.Add(1)
 
 	sh.lockBucket(b)
@@ -1501,11 +1482,11 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 	// reverse — a table entry the policy no longer tracks — is legal residue
 	// of eviction churn against pinned frames and is not flagged.
 	var perr error
-	sh.wrapper.Locked(func(pol replacer.Policy) {
+	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
 		n := pol.Len()
 		inTable := 0
-		for id := range mapped {
-			if pol.Contains(id) {
+		for id, f := range mapped {
+			if pol.ContainsSlot(f.slot, id) {
 				inTable++
 			}
 		}

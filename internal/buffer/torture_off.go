@@ -3,6 +3,6 @@
 package buffer
 
 // lockedLookup is false outside torture builds, and a constant: hitLookup
-// and lookupAny compile to the seqlock probe with the bucket mutex as its
-// fallback, and nothing selects between them.
+// compiles to the seqlock probe with the bucket mutex as its fallback, and
+// nothing selects between them.
 func lockedLookup() bool { return false }

@@ -131,9 +131,9 @@ func TestSwapPolicyReturnsResidue(t *testing.T) {
 	if len(residue) != 5 {
 		t.Fatalf("residue %v (len %d), want the 5 pages the bound pushed out", residue, len(residue))
 	}
-	for _, id := range residue {
-		if pol.Contains(id) {
-			t.Fatalf("page %v is both residue and tracked by the new policy", id)
+	for _, v := range residue {
+		if pol.Contains(v.ID) {
+			t.Fatalf("page %v is both residue and tracked by the new policy", v.ID)
 		}
 	}
 	if err := w.CheckInvariants(); err != nil {

@@ -99,7 +99,7 @@ func TestPrefetchGate(t *testing.T) {
 		{"missbegin", batched, func(s *Session) []page.PageID {
 			fresh++
 			s.MissBegin(pid(fresh), tag(pid(fresh)))
-			s.MissAdmit(pid(fresh))
+			s.MissAdmit(pid(fresh), 0)
 			return []page.PageID{pid(fresh)}
 		}},
 		{"unbatched hit", Config{Prefetching: true}, func(s *Session) []page.PageID {

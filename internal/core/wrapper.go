@@ -261,6 +261,11 @@ type Wrapper struct {
 
 	cfg Config
 
+	// slotted says the wrapper was built by a caller that owns the frames
+	// (NewSlotted): every tag its sessions record names the frame slot the
+	// page occupies, so the policy is driven by slot.
+	slotted bool
+
 	fc *combiner // non-nil iff cfg.FlatCombining
 
 	events *obs.Recorder    // nil-safe flight recorder (cfg.Events)
@@ -304,35 +309,54 @@ const combineRunCap = 32
 // versa) mid-swap.
 type policyBox struct {
 	policy      replacer.Policy
-	prefetcher  replacer.Prefetcher // nil if unsupported or disabled
-	lockFreeHit bool                // policy.Hit needs no lock (clock family)
+	slots       replacer.SlotPolicy     // the policy by slot (replacer.BySlot); nil unless the wrapper is slotted
+	prefetcher  replacer.Prefetcher     // nil if unsupported or disabled
+	slotWalk    replacer.SlotPrefetcher // the walk by slot; nil unless the wrapper is slotted and the policy has one
+	lockFreeHit bool                    // policy.Hit needs no lock (clock family)
 }
 
-// newPolicyBox derives the hot-path view for a policy under cfg.
-func newPolicyBox(policy replacer.Policy, cfg Config) *policyBox {
+// newPolicyBox derives the hot-path view for a policy.
+func (w *Wrapper) newPolicyBox(policy replacer.Policy) *policyBox {
 	b := &policyBox{
 		policy:      policy,
 		lockFreeHit: !replacer.HitNeedsLock(policy),
 	}
-	if cfg.Prefetching {
-		if pf, ok := policy.(replacer.Prefetcher); ok {
-			b.prefetcher = pf
+	if w.slotted {
+		b.slots = replacer.BySlot(policy)
+	}
+	if w.cfg.Prefetching {
+		b.prefetcher, _ = policy.(replacer.Prefetcher)
+		if w.slotted {
+			b.slotWalk, _ = policy.(replacer.SlotPrefetcher)
 		}
 	}
 	return b
 }
 
-// New returns a Wrapper around policy configured by cfg.
-func New(policy replacer.Policy, cfg Config) *Wrapper {
+// New returns a Wrapper around policy configured by cfg, for a caller with
+// no frames: the policy is driven by page id.
+func New(policy replacer.Policy, cfg Config) *Wrapper { return newWrapper(policy, cfg, false) }
+
+// NewSlotted is New for the caller that owns the frames — the buffer pool.
+// Every tag its sessions pass to Hit must carry the slot of the frame the
+// page occupies (BufferTag.Slot), and MissAdmit is told the slot the page
+// was loaded into; in return a policy that implements replacer.SlotPolicy is
+// reached by slot, with no lookup under the lock. A policy that does not is
+// still driven by id. Session.Miss, the frameless protocol, is not for such
+// a wrapper.
+func NewSlotted(policy replacer.Policy, cfg Config) *Wrapper { return newWrapper(policy, cfg, true) }
+
+func newWrapper(policy replacer.Policy, cfg Config, slotted bool) *Wrapper {
 	cfg = cfg.withDefaults()
 	w := &Wrapper{
 		cfg:         cfg,
+		slotted:     slotted,
 		events:      cfg.Events,
 		tracer:      cfg.Tracer,
 		batchSizes:  metrics.NewCountDist(cfg.QueueSize),
 		combineRuns: metrics.NewCountDist(combineRunCap),
 	}
-	w.box.Store(newPolicyBox(policy, cfg))
+	w.box.Store(w.newPolicyBox(policy))
 	// The one profile: hold times sampled every metrics.DefaultSampleEvery
 	// acquisitions plus wait/hold histograms, so every wrapper's lock
 	// behaviour is exposable without setup.
@@ -433,6 +457,14 @@ func (w *Wrapper) Locked(fn func(replacer.Policy)) {
 	fn(w.box.Load().policy)
 }
 
+// LockedSlots is Locked for the caller of NewSlotted: fn gets the policy's
+// slot-keyed face.
+func (w *Wrapper) LockedSlots(fn func(replacer.SlotPolicy)) {
+	w.lock.Lock()
+	defer w.lock.Unlock()
+	fn(w.box.Load().slots)
+}
+
 // SetBatchThreshold installs a wrapper-wide batch-threshold override that
 // takes effect on each session's next threshold check (no session
 // coordination needed: sessions re-read it per access). Values are clamped
@@ -476,22 +508,24 @@ func (w *Wrapper) BatchThreshold() int {
 // retired policy object (harmless: it is garbage afterwards) or batch into
 // queues applied later to the new policy (tag validation still applies).
 // Both are the same advisory staleness batching already accepts.
-func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, residue []page.PageID) {
+func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, residue []replacer.Victim) {
 	w.lock.Lock()
 	defer w.lock.Unlock()
 	old := w.box.Load()
-	next := factory(old.policy.Cap())
-	from, to = old.policy.Name(), next.Name()
+	next := w.newPolicyBox(factory(old.policy.Cap()))
+	from, to = old.policy.Name(), next.policy.Name()
 	for {
-		id, ok := old.policy.Evict()
+		v, ok := old.evict()
 		if !ok {
 			break
 		}
-		if v, ev := next.Admit(id); ev {
+		// Each page keeps its frame, so it goes into the new policy at the
+		// slot it left the old one from.
+		if v, evicted := next.admit(v.ID, v.Slot); evicted {
 			residue = append(residue, v)
 		}
 	}
-	w.box.Store(newPolicyBox(next, w.cfg))
+	w.box.Store(next)
 	return from, to, residue
 }
 
@@ -557,7 +591,8 @@ type Session struct {
 	misses    int64
 	sinceFold int
 
-	pf []page.PageID // prefetch id scratch, reused across commits
+	pf      []page.PageID // prefetch scratch, reused across commits: the ids to walk,
+	pfSlots []uint32      // or, in a slotted wrapper, the slots
 
 	// lockWaited is the policy lock's Waited count when this session last
 	// looked: the prefetch gate (see prefetch).
@@ -620,7 +655,7 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		// and needs neither lock nor queue. This is the pgClock baseline.
 		// A SwapPolicy racing this delivers the bit to the retired policy
 		// object — lost advice, not corruption.
-		b.policy.Hit(id)
+		b.hit(id, tag.Slot)
 		if s.sinceFold >= foldInterval {
 			s.fold()
 		}
@@ -672,26 +707,28 @@ func (s *Session) atThreshold() {
 // and then the policy admits the page, returning the eviction victim.
 // This is replacement_for_page_miss in Figure 4.
 func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
-	return s.miss(missAdmit, id)
+	v, evicted := s.miss(missAdmit, id)
+	return v.ID, evicted
 }
 
 // MissBegin is the first half of the two-phase miss protocol the buffer
 // manager uses: it records the miss, commits any queued hits (preserving
 // access order, as in Figure 4), and — when the policy is at capacity —
 // evicts a victim to make room, WITHOUT admitting the missing page. The
-// caller loads the page and then calls MissAdmit.
+// caller loads the page and then calls MissAdmit. The victim's Slot is
+// meaningful only from a wrapper built with NewSlotted.
 //
 // Keeping the in-flight page out of the policy until its frame exists means
 // concurrent loaders can never choose each other's unfinished pages as
 // victims — the frameless-resident deadlock a single-phase protocol allows.
 // Single-phase Miss remains available for standalone (simulation, trace
 // replay) use, where pages have no frames at all.
-func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
+func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim replacer.Victim, evicted bool) {
 	return s.miss(missMakeRoom, id)
 }
 
 // miss is Miss (admit) and MissBegin (make room only).
-func (s *Session) miss(why reason, id page.PageID) (victim page.PageID, evicted bool) {
+func (s *Session) miss(why reason, id page.PageID) (victim replacer.Victim, evicted bool) {
 	s.note(false)
 	s.fold()
 	victim, evicted, _ = s.round(why, id)
@@ -699,13 +736,14 @@ func (s *Session) miss(why reason, id page.PageID) (victim page.PageID, evicted 
 }
 
 // MissAdmit is the second half of the two-phase miss protocol: the page
-// has been loaded into its frame and becomes resident in the policy. In
-// the rare case a concurrent miss consumed the slot MissBegin freed, Admit
-// evicts again and the victim is returned for the caller to reclaim.
-func (s *Session) MissAdmit(id page.PageID) (victim page.PageID, evicted bool) {
+// has been loaded into the frame at slot and becomes resident in the
+// policy. In the rare case a concurrent miss consumed the room MissBegin
+// made, Admit evicts again and the victim is returned for the caller to
+// reclaim.
+func (s *Session) MissAdmit(id page.PageID, slot uint32) (victim replacer.Victim, evicted bool) {
 	w := s.w
 	w.lock.Lock()
-	victim, evicted = w.box.Load().policy.Admit(id)
+	victim, evicted = w.box.Load().admit(id, slot)
 	w.lock.Unlock()
 	return victim, evicted
 }
@@ -771,7 +809,7 @@ const (
 // follows them. Whoever else drains the slot does so under the same lock.
 //
 // held is false only for a tryOnce that found the lock busy.
-func (s *Session) round(why reason, id page.PageID) (victim page.PageID, evicted, held bool) {
+func (s *Session) round(why reason, id page.PageID) (victim replacer.Victim, evicted, held bool) {
 	w := s.w
 	s.prefetch(s.queue, id)
 	own := len(s.queue) // what this round takes out of the recording queue
@@ -820,14 +858,10 @@ func (s *Session) round(why reason, id page.PageID) (victim page.PageID, evicted
 		}
 		w.applyBatch(s.queue)
 		applied = mineN + len(s.queue)
-		if why >= missAdmit {
-			pol := w.box.Load().policy
-			switch {
-			case why == missAdmit:
-				victim, evicted = pol.Admit(id)
-			case pol.Len() >= pol.Cap():
-				victim, evicted = pol.Evict()
-			}
+		if b := w.box.Load(); why == missAdmit {
+			victim, evicted = b.admit(id, 0) // Miss is the frameless protocol: there is no slot to name
+		} else if why == missMakeRoom && b.policy.Len() >= b.policy.Cap() {
+			victim, evicted = b.evict()
 		}
 		if w.fc != nil {
 			others, othersN = w.drain(s, *w.fc.slots.Load())
@@ -837,7 +871,9 @@ func (s *Session) round(why reason, id page.PageID) (victim page.PageID, evicted
 		s.queue = s.queue[:0]
 	}
 
-	// The one accounting site, after the unlock.
+	// The one accounting site, after the unlock. What only a traced round or
+	// a combining one does is out of line: the unbatched hit comes through
+	// here on every access and pays one branch for each.
 	switch {
 	case !held:
 		w.events.Record(obs.EvTryFail, uint64(own), 0)
@@ -857,42 +893,84 @@ func (s *Session) round(why reason, id page.PageID) (victim page.PageID, evicted
 		w.batchSizes.Observe(own)
 	}
 	if mine+others > 0 {
-		w.combineRuns.Observe(mine + others)
-		w.events.Record(obs.EvCombine, uint64(mine+others), uint64(mineN+othersN))
-	}
-	if others > 0 {
-		w.fcc.combinedBatches.Add(int64(others))
-		w.fcc.combinedEntries.Add(int64(othersN))
+		w.combinedRound(mine+others, mineN+othersN, others, othersN)
 	}
 	if held && stamp {
-		t2 := s.trace.Now()
-		switch {
-		case slow:
-			s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
-		case why == perAccess:
-			s.trace.Span(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
-		}
-		s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, t2-t1, uint64(own), uint64(id))
+		s.stampRound(why, t0, t1, own, id)
 	}
 	return victim, evicted, held
 }
 
+// combinedRound accounts for a round that drained published batches.
+//
+//go:noinline
+func (w *Wrapper) combinedRound(batches, entries, others, othersN int) {
+	w.combineRuns.Observe(batches)
+	w.events.Record(obs.EvCombine, uint64(batches), uint64(entries))
+	if others > 0 {
+		w.fcc.combinedBatches.Add(int64(others))
+		w.fcc.combinedEntries.Add(int64(othersN))
+	}
+}
+
+// stampRound emits a traced round's spans: the wait from t0 to t1, the
+// policy's time from t1 to now.
+//
+//go:noinline
+func (s *Session) stampRound(why reason, t0, t1 int64, own int, id page.PageID) {
+	t2 := s.trace.Now()
+	switch {
+	case why >= cannotWait:
+		s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
+	case why == perAccess:
+		s.trace.Span(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
+	}
+	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, t2-t1, uint64(own), uint64(id))
+}
+
+// hit, admit and evict are the policy's Hit, Admit and Evict, by slot when
+// the wrapper is slotted and by id when it is not.
+func (b *policyBox) hit(id page.PageID, slot uint32) {
+	if b.slots != nil {
+		b.slots.HitSlot(slot, id)
+	} else {
+		b.policy.Hit(id)
+	}
+}
+
+func (b *policyBox) admit(id page.PageID, slot uint32) (victim replacer.Victim, evicted bool) {
+	if b.slots != nil {
+		return b.slots.AdmitSlot(slot, id)
+	}
+	victim.ID, evicted = b.policy.Admit(id)
+	return victim, evicted
+}
+
+func (b *policyBox) evict() (victim replacer.Victim, evicted bool) {
+	if b.slots != nil {
+		return b.slots.EvictSlot()
+	}
+	victim.ID, evicted = b.policy.Evict()
+	return victim, evicted
+}
+
 // applyBatch validates queued entries and delivers them to the policy in
-// order. Callers must hold the lock, which also pins the policy box
-// (SwapPolicy republishes it only while holding the same lock) and makes
-// the caller the counters' only writer, so both are touched once a batch.
+// order, by slot when the tags carry slots. Callers must hold the lock,
+// which also pins the policy box (SwapPolicy republishes it only while
+// holding the same lock) and makes the caller the counters' only writer, so
+// both are touched once a batch.
 func (w *Wrapper) applyBatch(batch []Entry) {
 	if len(batch) == 0 {
 		return
 	}
-	pol, validate := w.box.Load().policy, w.cfg.Validate
+	b, validate := w.box.Load(), w.cfg.Validate
 	dropped := 0
 	for _, e := range batch {
 		if validate != nil && !validate(e) {
 			dropped++
 			continue
 		}
-		pol.Hit(e.ID)
+		b.hit(e.ID, e.Tag.Slot)
 	}
 	w.cc.committed.Add(int64(len(batch) - dropped))
 	if dropped > 0 {
@@ -912,8 +990,8 @@ func (w *Wrapper) applyBatch(batch []Entry) {
 // TryLock has counted.
 func (s *Session) prefetch(entries []Entry, extra page.PageID) {
 	w := s.w
-	pf := w.box.Load().prefetcher
-	if pf == nil {
+	b := w.box.Load()
+	if b.prefetcher == nil && b.slotWalk == nil {
 		return
 	}
 	waited := w.lock.Waited()
@@ -921,6 +999,19 @@ func (s *Session) prefetch(entries []Entry, extra page.PageID) {
 		return
 	}
 	s.lockWaited = waited
+	w.cc.prefetchWalks.Add(1)
+	// The scratch is kept (possibly grown) so later walks do not allocate.
+	if b.slotWalk != nil {
+		// By slot the walk is of the entries' own metadata; the page about
+		// to be admitted has none yet.
+		slots := s.pfSlots[:0]
+		for _, e := range entries {
+			slots = append(slots, e.Tag.Slot)
+		}
+		b.slotWalk.PrefetchSlots(slots)
+		s.pfSlots = slots
+		return
+	}
 	ids := s.pf[:0]
 	for _, e := range entries {
 		ids = append(ids, e.ID)
@@ -928,7 +1019,6 @@ func (s *Session) prefetch(entries []Entry, extra page.PageID) {
 	if extra.Valid() {
 		ids = append(ids, extra)
 	}
-	pf.Prefetch(ids)
-	s.pf = ids // keep the (possibly grown) scratch: later walks do not allocate
-	w.cc.prefetchWalks.Add(1)
+	b.prefetcher.Prefetch(ids)
+	s.pf = ids
 }

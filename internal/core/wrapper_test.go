@@ -363,9 +363,9 @@ func TestMissBeginMissAdmitProtocol(t *testing.T) {
 	if v, ev := s.MissBegin(pid(1), page.BufferTag{}); ev {
 		t.Fatalf("eviction on empty policy: %v", v)
 	}
-	s.MissAdmit(pid(1))
+	s.MissAdmit(pid(1), 0)
 	s.MissBegin(pid(2), page.BufferTag{})
-	s.MissAdmit(pid(2))
+	s.MissAdmit(pid(2), 0)
 
 	// Queue some hits, then a miss at capacity: MissBegin must commit the
 	// queue first (order preserved) and evict without admitting.
@@ -377,8 +377,8 @@ func TestMissBeginMissAdmitProtocol(t *testing.T) {
 	if rec.Contains(pid(3)) {
 		t.Fatal("MissBegin admitted the page")
 	}
-	if rec.Contains(v) {
-		t.Fatalf("victim %v still resident", v)
+	if rec.Contains(v.ID) {
+		t.Fatalf("victim %v still resident", v.ID)
 	}
 	// The queued hit must have been applied before the eviction.
 	want := []string{"m" + pid(1).String(), "m" + pid(2).String(), "h" + pid(1).String()}
@@ -387,7 +387,7 @@ func TestMissBeginMissAdmitProtocol(t *testing.T) {
 			t.Fatalf("op[%d]=%s want %s", i, rec.ops[i], op)
 		}
 	}
-	if v2, ev2 := s.MissAdmit(pid(3)); ev2 {
+	if v2, ev2 := s.MissAdmit(pid(3), 0); ev2 {
 		t.Fatalf("MissAdmit evicted %v with a free slot", v2)
 	}
 	if !rec.Contains(pid(3)) {
@@ -405,20 +405,20 @@ func TestMissAdmitEvictsWhenSlotStolen(t *testing.T) {
 	w := New(pol, Config{})
 	s := w.NewSession()
 	s.MissBegin(pid(1), page.BufferTag{})
-	s.MissAdmit(pid(1))
+	s.MissAdmit(pid(1), 0)
 	s.MissBegin(pid(2), page.BufferTag{})
-	s.MissAdmit(pid(2))
+	s.MissAdmit(pid(2), 0)
 	// Begin a miss (evicts pid(1)), then steal the freed slot before the
 	// admit, as a concurrent loader would.
-	if v, ev := s.MissBegin(pid(3), page.BufferTag{}); !ev || v != pid(1) {
+	if v, ev := s.MissBegin(pid(3), page.BufferTag{}); !ev || v.ID != pid(1) {
 		t.Fatalf("victim %v/%v", v, ev)
 	}
 	w.Locked(func(p replacer.Policy) { p.Admit(pid(9)) })
-	v, ev := s.MissAdmit(pid(3))
+	v, ev := s.MissAdmit(pid(3), 0)
 	if !ev {
 		t.Fatal("MissAdmit did not evict after losing the slot")
 	}
-	if v != pid(2) && v != pid(9) {
+	if v.ID != pid(2) && v.ID != pid(9) {
 		t.Fatalf("unexpected spare victim %v", v)
 	}
 	if !pol.Contains(pid(3)) {

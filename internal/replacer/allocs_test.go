@@ -2,84 +2,78 @@ package replacer
 
 import "testing"
 
-// nodeReusers are the list-based policies: they take the node an eviction
-// or a ghost trim has just dropped for the page being admitted (spareNodes
-// in list.go), so at capacity they admit without allocating. The others
-// keep per-page state of their own shape and are not held to it.
-var nodeReusers = map[string]bool{
-	"arc": true, "car": true, "fifo": true, "lfu": true,
-	"lru": true, "mq": true, "seq": true, "2q": true,
-}
-
-// TestPolicyOpsDoNotAllocate holds every policy to an allocation-free Hit,
-// and the list-based ones to an allocation-free Admit once full — the state
-// a buffer pool keeps them in. Both run under the policy lock, so an
-// allocation there is paid with everybody else waiting.
+// TestPolicyOpsDoNotAllocate holds every policy, once full — the state a
+// buffer pool keeps it in — to allocating nothing: not in any slot-keyed
+// method, which the pool calls under the policy lock with everybody else
+// waiting, and not in the id-keyed front of them either, index lookups and
+// slot hand-outs included. A policy's metadata is sized at construction;
+// the two things built later (the id index, LRU-2's heap) reach their
+// steady size during the warm-up.
 func TestPolicyOpsDoNotAllocate(t *testing.T) {
 	const capacity = 64
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			pol, _ := New(name, capacity)
 			// Warm up through twenty capacities of fresh pages with hits in
-			// between: ghost queues fill, maps and LRU-2's heap reach their
-			// steady size.
+			// between: ghost queues fill, LRU-2's heap reaches its size.
 			next := uint64(1)
-			admit := func() {
-				pol.Admit(tid(next))
-				next++
-			}
-			resident := make([]PageID, 0, capacity)
-			for i := 0; i < 20*capacity; i++ {
-				admit()
-				pol.Hit(tid(next - 1))
-			}
-			for id := next - 1; len(resident) < capacity && id > 0; id-- {
-				if pid := tid(id); pol.Contains(pid) {
-					resident = append(resident, pid)
+			fresh := func() PageID { next++; return tid(next) }
+			measure := func(what string, fn func()) {
+				t.Helper()
+				if n := testing.AllocsPerRun(50*capacity, fn); n != 0 {
+					t.Errorf("%s allocates %.2f times per call, want 0", what, n)
 				}
 			}
-			if len(resident) == 0 {
-				t.Fatal("nothing resident after warm-up")
+
+			byID, _ := New(name, capacity)
+			for i := 0; i < 20*capacity; i++ {
+				id := fresh()
+				byID.Admit(id)
+				byID.Hit(id)
 			}
-			i := 0
-			if n := testing.AllocsPerRun(50*capacity, func() {
-				pol.Hit(resident[i%len(resident)])
-				i++
-			}); n != 0 {
-				t.Errorf("Hit allocates %.2f times per call, want 0", n)
+			if byID.Len() != byID.Cap() {
+				t.Fatalf("policy holds %d of %d pages after warm-up", byID.Len(), byID.Cap())
 			}
-			if !nodeReusers[name] {
-				return
+			last := tid(next)
+			measure("Hit", func() { byID.Hit(last) })
+			measure("Contains", func() { byID.Contains(last) })
+			measure("Admit at capacity", func() { byID.Admit(fresh()) })
+			measure("Evict+Admit", func() { byID.Evict(); byID.Admit(fresh()) })
+			measure("Remove+Admit", func() {
+				id := fresh()
+				byID.Admit(id)
+				byID.Remove(id)
+			})
+			ids := []PageID{last, tid(next - 1), tid(next - 2)}
+			measure("Prefetch", func() { byID.(Prefetcher).Prefetch(ids) })
+
+			d := newSlotDrive(mustSlotPolicy(t, name, capacity))
+			for i := 0; i < 20*capacity; i++ {
+				id := fresh()
+				d.admit(id)
+				d.hit(id)
 			}
-			if pol.Len() != pol.Cap() {
-				t.Fatalf("policy holds %d of %d pages after warm-up", pol.Len(), pol.Cap())
-			}
-			if n := testing.AllocsPerRun(50*capacity, admit); n != 0 {
-				t.Errorf("Admit at capacity allocates %.2f times per call, want 0", n)
-			}
+			last = tid(next)
+			measure("HitSlot", func() { d.hit(last) })
+			measure("ContainsSlot", func() { d.p.ContainsSlot(d.table[last], last) })
+			measure("AdmitSlot at capacity", func() { d.admit(fresh()) })
+			measure("EvictSlot+AdmitSlot", func() { d.evict(); d.admit(fresh()) })
+			measure("RemoveSlot+AdmitSlot", func() {
+				id := fresh()
+				d.admit(id)
+				d.remove(id)
+			})
+			slots := []uint32{0, 1, uint32(capacity)}
+			measure("PrefetchSlots", func() { d.p.(SlotPrefetcher).PrefetchSlots(slots) })
 		})
 	}
 }
 
-// TestSpareNodesReuse pins the chain itself: a dropped node comes back
-// clean, newest first, and an empty chain falls back to a fresh node.
-func TestSpareNodesReuse(t *testing.T) {
-	var s spareNodes
-	a := &node{id: 1, count: 7, hot: true, ghost: true, ref: true, level: 3, tick: 9}
-	b := &node{id: 2}
-	s.put(a)
-	s.put(b)
-	if got := s.get(10); got != b || got.id != 10 || got.next != nil {
-		t.Fatalf("first get = %+v, want node b relabelled 10", got)
+func mustSlotPolicy(t *testing.T, name string, capacity int) SlotPolicy {
+	t.Helper()
+	p, _ := New(name, capacity)
+	sp, ok := p.(SlotPolicy)
+	if !ok {
+		t.Fatalf("%s has no slot-keyed methods", name)
 	}
-	got := s.get(11)
-	if got != a {
-		t.Fatal("second get did not return node a")
-	}
-	if *got != (node{id: 11}) {
-		t.Fatalf("reused node carries old metadata: %+v", *got)
-	}
-	if fresh := s.get(12); fresh == a || fresh == b || *fresh != (node{id: 12}) {
-		t.Fatalf("get on an empty chain = %+v, want a fresh node", fresh)
-	}
+	return sp
 }

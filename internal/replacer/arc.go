@@ -10,43 +10,30 @@ package replacer
 // whose clock approximation (CAR) loses history fidelity; both are included
 // here so the hit-ratio experiments can quantify that trade-off.
 type ARC struct {
-	prefetchIndex[node, *node]
-	capacity int
-	p        int // adaptation target: preferred size of T1
+	slab
+	p int // adaptation target: preferred size of T1
 
-	table map[PageID]*node
-	t1    *list // resident, seen once; front = MRU
-	t2    *list // resident, seen twice+; front = MRU
-	b1    *list // ghosts of t1; front = MRU
-	b2    *list // ghosts of t2; front = MRU
-	spare spareNodes
+	t1 *list // resident, seen once; front = MRU
+	t2 *list // resident, seen twice+; front = MRU
+	b1 *list // ghosts of t1; front = MRU
+	b2 *list // ghosts of t2; front = MRU
 }
-
-var (
-	_ Policy     = (*ARC)(nil)
-	_ Prefetcher = (*ARC)(nil)
-)
 
 // NewARC returns an ARC policy holding at most capacity resident pages.
 func NewARC(capacity int) *ARC {
-	checkCap("arc", capacity)
-	return &ARC{
-		prefetchIndex: newPrefetchIndex[node](capacity),
-
-		capacity: capacity,
-		table:    make(map[PageID]*node, 2*capacity),
-		t1:       newList(),
-		t2:       newList(),
-		b1:       newList(),
-		b2:       newList(),
-	}
+	p := &ARC{}
+	p.initARC(p, "arc", capacity)
+	return p
 }
 
-// Name implements Policy.
-func (p *ARC) Name() string { return "arc" }
-
-// Cap implements Policy.
-func (p *ARC) Cap() int { return p.capacity }
+// initARC sizes the slab ARC and CAR share: the directory holds at most
+// 2×capacity pages, so with nothing resident as many ghosts, and a ghost hit
+// makes its new ghost before it drops the old one.
+func (p *ARC) initARC(self slotted, name string, capacity int) {
+	p.init(self, name, capacity, 2*capacity+1, 0, 4)
+	p.t1, p.t2 = p.newList("t1", fLive), p.newList("t2", fLive|fHot)
+	p.b1, p.b2 = p.newList("b1", fLive|fGhost), p.newList("b2", fLive|fGhost|fHot)
+}
 
 // Len implements Policy.
 func (p *ARC) Len() int { return p.t1.len() + p.t2.len() }
@@ -60,156 +47,122 @@ func (p *ARC) ListLengths() (t1, t2, b1, b2 int) {
 	return p.t1.len(), p.t2.len(), p.b1.len(), p.b2.len()
 }
 
-// Contains reports whether id is resident (on T1 or T2).
-func (p *ARC) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
-}
-
-// Hit moves a resident page to the MRU end of T2 (a second access proves
-// frequency). Ghost and absent ids are ignored.
-func (p *ARC) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
-		return
-	}
-	if nd.hot {
-		p.t2.moveToFront(nd)
-		return
-	}
-	p.t1.remove(nd)
-	nd.hot = true
-	p.t2.pushFront(nd)
-}
-
-// Admit makes id resident after a miss, adapting p on ghost hits and
-// evicting per ARC's REPLACE rule when the cache is full.
-func (p *ARC) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
-	if present && !nd.ghost {
-		mustAbsent("arc", true)
-	}
+// HitSlot moves a resident page to the MRU end of T2 (a second access
+// proves frequency).
+func (p *ARC) HitSlot(slot uint32, id PageID) {
+	nd := p.resident(slot, id)
 	switch {
-	case present && !nd.hot: // ghost hit in B1: favour recency
-		delta := 1
-		if p.b1.len() > 0 && p.b2.len() > p.b1.len() {
-			delta = p.b2.len() / p.b1.len()
-		}
-		p.p = min(p.capacity, p.p+delta)
+	case nd == nil:
+	case nd.has(fHot):
+		p.t2.moveToFront(slot)
+	default:
+		p.t1.remove(slot)
+		nd.flags |= fHot
+		p.t2.pushFront(slot)
+	}
+}
+
+// adapt moves the target towards the list whose ghost was hit, by the ratio
+// of the other ghost list's length to that one's (at least 1).
+func (p *ARC) adapt(hit, other *list, sign int) {
+	delta := 1
+	if hit.len() > 0 && other.len() > hit.len() {
+		delta = other.len() / hit.len()
+	}
+	p.p = max(0, min(p.capacity, p.p+sign*delta))
+}
+
+// AdmitSlot makes id resident after a miss, adapting p on ghost hits and
+// evicting per ARC's REPLACE rule when the cache is full.
+func (p *ARC) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
+	g, present := p.ghost(id)
+	switch {
+	case present && !p.nodes[g].has(fHot): // ghost hit in B1: favour recency
+		p.adapt(p.b1, p.b2, +1)
 		victim, evicted = p.replace(false)
-		p.b1.remove(nd)
-		nd.ghost = false
-		nd.hot = true
-		p.t2.pushFront(nd)
-		p.note(id, nd)
+		p.b1.remove(g)
 	case present: // ghost hit in B2: favour frequency
-		delta := 1
-		if p.b2.len() > 0 && p.b1.len() > p.b2.len() {
-			delta = p.b1.len() / p.b2.len()
-		}
-		p.p = max(0, p.p-delta)
+		p.adapt(p.b2, p.b1, -1)
 		victim, evicted = p.replace(true)
-		p.b2.remove(nd)
-		nd.ghost = false
-		p.t2.pushFront(nd)
-		p.note(id, nd)
+		p.b2.remove(g)
 	default: // brand-new page
 		l1 := p.t1.len() + p.b1.len()
 		if l1 == p.capacity {
 			if p.t1.len() < p.capacity {
 				// Directory side L1 full but T1 has room for history churn:
 				// drop B1's oldest ghost and make space by REPLACE.
-				old := p.b1.popBack()
-				delete(p.table, old.id)
-				p.spare.put(old)
+				p.dropGhost(p.b1.popBack())
 				victim, evicted = p.replace(false)
 			} else {
 				// B1 empty and T1 full: evict T1's LRU page outright.
-				v := p.t1.popBack()
-				delete(p.table, v.id)
-				p.forget(v.id)
-				victim, evicted = v.id, true
-				p.spare.put(v)
+				victim, evicted = p.vacate(p.t1.popBack()), true
 			}
 		} else if l1 < p.capacity {
 			total := l1 + p.t2.len() + p.b2.len()
 			if total >= p.capacity {
 				if total == 2*p.capacity {
-					old := p.b2.popBack()
-					delete(p.table, old.id)
-					p.spare.put(old)
+					p.dropGhost(p.b2.popBack())
 				}
 				if p.Len() == p.capacity {
 					victim, evicted = p.replace(false)
 				}
 			}
 		}
-		nd = p.spare.get(id)
-		p.table[id] = nd
-		p.t1.pushFront(nd)
-		p.note(id, nd)
+		p.place(slot, id)
+		p.t1.pushFront(slot)
+		return victim, evicted
 	}
+	p.dropGhost(g)
+	p.place(slot, id).flags |= fHot
+	p.t2.pushFront(slot)
 	return victim, evicted
 }
 
-// Evict removes and returns one resident page following ARC's REPLACE
-// rule.
-func (p *ARC) Evict() (PageID, bool) {
-	if p.Len() == 0 {
-		return 0, false
-	}
-	return p.forceReplace(false)
-}
+// evict removes and returns one resident page following ARC's REPLACE rule.
+func (p *ARC) evict() Victim { return p.forceReplace(false) }
 
 // replace implements ARC's REPLACE(x, p) on the miss path: it evicts only
 // when the cache is full.
-func (p *ARC) replace(inB2 bool) (PageID, bool) {
+func (p *ARC) replace(inB2 bool) (Victim, bool) {
 	if p.Len() < p.capacity {
-		return 0, false
+		return Victim{}, false
 	}
-	return p.forceReplace(inB2)
+	return p.forceReplace(inB2), true
 }
 
 // forceReplace evicts T1's LRU into B1 when T1 exceeds the target (or
 // exactly meets it on a B2 ghost hit), otherwise T2's LRU into B2.
-func (p *ARC) forceReplace(inB2 bool) (PageID, bool) {
+func (p *ARC) forceReplace(inB2 bool) Victim {
 	fromT1 := p.t1.len() > 0 && (p.t1.len() > p.p || (inB2 && p.t1.len() == p.p))
-	if !fromT1 && p.t2.len() == 0 {
-		fromT1 = true
+	if fromT1 || p.t2.len() == 0 {
+		v, g := p.toGhost(p.t1.popBack())
+		p.b1.pushFront(g)
+		return v
 	}
-	var nd *node
-	if fromT1 {
-		nd = p.t1.popBack()
-		nd.ghost = true
-		p.b1.pushFront(nd)
-	} else {
-		nd = p.t2.popBack()
-		nd.ghost = true
-		nd.hot = true
-		p.b2.pushFront(nd)
-	}
-	p.forget(nd.id)
-	return nd.id, true
+	v, g := p.toGhost(p.t2.popBack())
+	p.b2.pushFront(g)
+	return v
 }
 
-// Remove deletes a page from the resident set or the ghost directory.
-func (p *ARC) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+// RemoveSlot deletes a page from the resident set or the ghost directory.
+func (p *ARC) RemoveSlot(i uint32, id PageID) {
+	nd := p.holder(i, id)
+	if nd == nil {
 		return
 	}
+	l := p.t1
 	switch {
-	case nd.ghost && nd.hot:
-		p.b2.remove(nd)
-	case nd.ghost:
-		p.b1.remove(nd)
-	case nd.hot:
-		p.t2.remove(nd)
-		p.forget(id)
-	default:
-		p.t1.remove(nd)
-		p.forget(id)
+	case nd.has(fGhost) && nd.has(fHot):
+		l = p.b2
+	case nd.has(fGhost):
+		l = p.b1
+	case nd.has(fHot):
+		l = p.t2
 	}
-	delete(p.table, id)
-	p.spare.put(nd)
+	l.remove(i)
+	if nd.has(fGhost) {
+		p.dropGhost(i)
+	} else {
+		p.vacate(i)
+	}
 }

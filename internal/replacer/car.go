@@ -11,83 +11,31 @@ package replacer
 // advanced policies here, relies on external serialization (reference bits
 // are plain fields); only the simpler Clock/GClock policies advertise
 // lock-free hits.
-type CAR struct {
-	prefetchIndex[node, *node]
-	capacity int
-	p        int // adaptation target: preferred size of T1
-
-	table map[PageID]*node
-	t1    *list // clock ring; front = hand position
-	t2    *list // clock ring; front = hand position
-	b1    *list // ghosts of t1; front = MRU, back = LRU
-	b2    *list // ghosts of t2; front = MRU, back = LRU
-	spare spareNodes
-}
-
-var (
-	_ Policy     = (*CAR)(nil)
-	_ Prefetcher = (*CAR)(nil)
-)
+type CAR struct{ ARC }
 
 // NewCAR returns a CAR policy holding at most capacity resident pages.
 func NewCAR(capacity int) *CAR {
-	checkCap("car", capacity)
-	return &CAR{
-		prefetchIndex: newPrefetchIndex[node](capacity),
-
-		capacity: capacity,
-		table:    make(map[PageID]*node, 2*capacity),
-		t1:       newList(),
-		t2:       newList(),
-		b1:       newList(),
-		b2:       newList(),
-	}
+	p := &CAR{}
+	p.initARC(p, "car", capacity)
+	return p
 }
 
-// Name implements Policy.
-func (p *CAR) Name() string { return "car" }
-
-// Cap implements Policy.
-func (p *CAR) Cap() int { return p.capacity }
-
-// Len implements Policy.
-func (p *CAR) Len() int { return p.t1.len() + p.t2.len() }
-
-// Target returns the current adaptation target; exposed for tests.
-func (p *CAR) Target() int { return p.p }
-
-// ListLengths reports (|T1|, |T2|, |B1|, |B2|); used by invariant tests.
-func (p *CAR) ListLengths() (t1, t2, b1, b2 int) {
-	return p.t1.len(), p.t2.len(), p.b1.len(), p.b2.len()
-}
-
-// Contains reports whether id is resident.
-func (p *CAR) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
-}
-
-// Hit sets the page's reference bit — the only work CAR does on a hit,
+// HitSlot sets the page's reference bit — the only work CAR does on a hit,
 // which is what makes it a clock-family algorithm.
-func (p *CAR) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
-		return
+func (p *CAR) HitSlot(slot uint32, id PageID) {
+	if nd := p.resident(slot, id); nd != nil {
+		nd.flags |= fRef
 	}
-	nd.ref = true
 }
 
-// Admit makes id resident after a miss, following CAR's published
+// AdmitSlot makes id resident after a miss, following CAR's published
 // pseudo-code: replace when full, maintain the directory bounds, and adapt
-// p on ghost hits.
-func (p *CAR) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
-	if present && !nd.ghost {
-		mustAbsent("car", true)
-	}
+// p on ghost hits. T1 and T2 are clock rings here: front = hand position,
+// back = tail.
+func (p *CAR) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
+	g, present := p.ghost(id)
 	if p.Len() == p.capacity {
-		victim = p.replace()
-		evicted = true
+		victim, evicted = p.evict(), true
 	}
 	if !present {
 		// Trim the ghost directory on every fresh miss, not only when the
@@ -98,59 +46,32 @@ func (p *CAR) Admit(id PageID) (victim PageID, evicted bool) {
 		// rather than single discards so the bounds are restored even after
 		// such churn.
 		for p.t1.len()+p.b1.len() >= p.capacity && p.b1.len() > 0 {
-			old := p.b1.popBack()
-			delete(p.table, old.id)
-			p.spare.put(old)
+			p.dropGhost(p.b1.popBack())
 		}
 		for p.t1.len()+p.t2.len()+p.b1.len()+p.b2.len() >= 2*p.capacity && p.b2.len() > 0 {
-			old := p.b2.popBack()
-			delete(p.table, old.id)
-			p.spare.put(old)
+			p.dropGhost(p.b2.popBack())
 		}
+		p.place(slot, id)
+		p.t1.pushBack(slot)
+		return victim, evicted
 	}
-	switch {
-	case !present:
-		nd = p.spare.get(id)
-		p.table[id] = nd
-		p.t1.pushBack(nd) // tail of the T1 ring
-	case !nd.hot: // ghost hit in B1
-		delta := 1
-		if p.b1.len() > 0 && p.b2.len() > p.b1.len() {
-			delta = p.b2.len() / p.b1.len()
-		}
-		p.p = min(p.capacity, p.p+delta)
-		p.b1.remove(nd)
-		nd.ghost = false
-		nd.hot = true
-		nd.ref = false
-		p.t2.pushBack(nd)
-	default: // ghost hit in B2
-		delta := 1
-		if p.b2.len() > 0 && p.b1.len() > p.b2.len() {
-			delta = p.b1.len() / p.b2.len()
-		}
-		p.p = max(0, p.p-delta)
-		p.b2.remove(nd)
-		nd.ghost = false
-		nd.ref = false
-		p.t2.pushBack(nd)
+	if p.nodes[g].has(fHot) { // ghost hit in B2
+		p.adapt(p.b2, p.b1, -1)
+		p.b2.remove(g)
+	} else { // ghost hit in B1
+		p.adapt(p.b1, p.b2, +1)
+		p.b1.remove(g)
 	}
-	p.note(id, nd)
+	p.dropGhost(g)
+	p.place(slot, id).flags |= fHot
+	p.t2.pushBack(slot)
 	return victim, evicted
 }
 
-// Evict removes and returns the page the CAR sweep selects.
-func (p *CAR) Evict() (PageID, bool) {
-	if p.Len() == 0 {
-		return 0, false
-	}
-	return p.replace(), true
-}
-
-// replace runs the CAR clock sweep until a page with a clear reference bit
+// evict runs the CAR clock sweep until a page with a clear reference bit
 // is found, demoting referenced T1 pages to T2 and recycling referenced T2
 // pages to the T2 tail.
-func (p *CAR) replace() PageID {
+func (p *CAR) evict() Victim {
 	for {
 		fromT1 := p.t1.len() >= max(1, p.p)
 		if p.t1.len() == 0 {
@@ -158,50 +79,18 @@ func (p *CAR) replace() PageID {
 		} else if p.t2.len() == 0 {
 			fromT1 = true
 		}
+		ring, ghosts := p.t2, p.b2
 		if fromT1 {
-			nd := p.t1.popFront()
-			if !nd.ref {
-				nd.ghost = true
-				p.b1.pushFront(nd)
-				p.forget(nd.id)
-				return nd.id
-			}
-			nd.ref = false
-			nd.hot = true
-			p.t2.pushBack(nd)
-			continue
+			ring, ghosts = p.t1, p.b1
 		}
-		nd := p.t2.popFront()
-		if !nd.ref {
-			nd.ghost = true
-			nd.hot = true
-			p.b2.pushFront(nd)
-			p.forget(nd.id)
-			return nd.id
+		i := ring.popFront()
+		nd := &p.nodes[i]
+		if !nd.has(fRef) {
+			v, g := p.toGhost(i)
+			ghosts.pushFront(g)
+			return v
 		}
-		nd.ref = false
-		p.t2.pushBack(nd)
+		nd.flags = nd.flags&^fRef | fHot
+		p.t2.pushBack(i)
 	}
-}
-
-// Remove deletes a page from the resident set or the ghost directory.
-func (p *CAR) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
-		return
-	}
-	switch {
-	case nd.ghost && nd.hot:
-		p.b2.remove(nd)
-	case nd.ghost:
-		p.b1.remove(nd)
-	case nd.hot:
-		p.t2.remove(nd)
-		p.forget(id)
-	default:
-		p.t1.remove(nd)
-		p.forget(id)
-	}
-	delete(p.table, id)
-	p.spare.put(nd)
 }

@@ -1,80 +1,63 @@
 package replacer
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// clockNode is a ring element for CLOCK and GCLOCK. The reference state is
-// atomic because the hit path runs without any lock, exactly like the
-// reference-bit update in PostgreSQL's clock sweep. Everything else (ring
-// links, residency) is mutated only under the policy lock.
+// clockNode is a ring element for CLOCK and GCLOCK, at the index of the
+// frame slot its page occupies. The id and the reference state are atomic
+// because the hit path reads the one and bumps the other without any lock,
+// exactly like the usage-count update in PostgreSQL's buffer descriptor.
+// The ring links are mutated only under the policy lock.
 type clockNode struct {
-	prev, next *clockNode
-	id         PageID
-	ref        atomic.Int32 // 0/1 for CLOCK; 0..maxCount for GCLOCK
+	id         atomic.Uint64
+	ref        atomic.Int32 // 0/1 for CLOCK; 0..maxCount for GCLOCK; clockFree on a free slot
+	prev, next uint32
 }
 
-// touch implements touchable for prefetching: it reads the ring links and
-// the reference state.
-func (nd *clockNode) touch() uint64 {
-	s := uint64(nd.id) ^ uint64(nd.ref.Load())
-	if p := nd.prev; p != nil {
-		s ^= uint64(p.id)
-	}
-	if n := nd.next; n != nil {
-		s ^= uint64(n.id)
-	}
-	return s
-}
+// clockFree is the reference state of a slot that holds no page: no hit
+// can bump it, whatever id the slot last held.
+const clockFree = -1
 
 // Clock is the second-chance (CLOCK) approximation of LRU used by
-// PostgreSQL since 8.1: resident pages form a circular list; a hit sets the
-// page's reference bit with a single atomic store and takes no lock; the
-// eviction hand sweeps the ring, clearing set bits and evicting the first
-// page found with a clear bit.
+// PostgreSQL since 8.1: resident pages form a circular list; a hit bumps
+// the page's reference count with one atomic operation on the slot's node
+// and takes no lock; the eviction hand sweeps the ring, clearing set bits
+// and evicting the first page found with a clear bit.
 //
-// Hit and Contains are safe for concurrent use without external locking
-// (the table is a sync.Map written only on the serialized miss path). All
-// other methods require the policy lock.
+// HitSlot, Hit and the prefetch walks are safe for concurrent use without
+// external locking. All other methods require the policy lock.
 type Clock struct {
-	capacity int
-	maxCount int32    // reference ceiling; 1 for plain CLOCK
-	name     string   // "clock" or "gclock"
-	table    sync.Map // PageID → *clockNode; lock-free reads on the hit path
-	hand     *clockNode
+	front
+	nodes    []clockNode
+	maxCount int32  // reference ceiling; 1 for plain CLOCK
+	hand     uint32 // nilIdx when the ring is empty
 	length   int
 }
 
-var (
-	_ Policy      = (*Clock)(nil)
-	_ LockFreeHit = (*Clock)(nil)
-	_ Prefetcher  = (*Clock)(nil)
-)
-
 // NewClock returns a plain CLOCK policy (single reference bit) holding at
 // most capacity pages.
-func NewClock(capacity int) *Clock {
-	checkCap("clock", capacity)
-	return &Clock{capacity: capacity, maxCount: 1, name: "clock"}
-}
+func NewClock(capacity int) *Clock { return newClock("clock", capacity, 1) }
 
 // NewGClock returns a generalized CLOCK policy whose per-page reference
 // counter saturates at maxCount and is decremented by the sweeping hand,
 // matching PostgreSQL's usage_count scheme (PostgreSQL uses maxCount 5).
 func NewGClock(capacity int, maxCount int32) *Clock {
-	checkCap("gclock", capacity)
 	if maxCount < 1 {
 		panic("replacer: gclock: maxCount must be >= 1")
 	}
-	return &Clock{capacity: capacity, maxCount: maxCount, name: "gclock"}
+	return newClock("gclock", capacity, maxCount)
 }
 
-// Name implements Policy.
-func (p *Clock) Name() string { return p.name }
-
-// Cap implements Policy.
-func (p *Clock) Cap() int { return p.capacity }
+func newClock(name string, capacity int, maxCount int32) *Clock {
+	if capacity <= 0 {
+		panic("replacer: " + name + ": capacity must be positive")
+	}
+	p := &Clock{nodes: make([]clockNode, capacity+1), maxCount: maxCount, hand: nilIdx}
+	p.self, p.name, p.capacity, p.indexed, p.lockFree = p, name, capacity, capacity+1, true
+	for i := range p.nodes {
+		p.nodes[i].ref.Store(clockFree)
+	}
+	return p
+}
 
 // Len implements Policy.
 func (p *Clock) Len() int { return p.length }
@@ -82,122 +65,146 @@ func (p *Clock) Len() int { return p.length }
 // HitIsLockFree reports that Hit requires no external lock.
 func (p *Clock) HitIsLockFree() bool { return true }
 
-// Contains reports whether id is resident. Safe without the policy lock.
-func (p *Clock) Contains(id PageID) bool {
-	_, ok := p.table.Load(id)
-	return ok
+// ContainsSlot implements SlotPolicy.
+func (p *Clock) ContainsSlot(slot uint32, id PageID) bool {
+	return int(slot) < len(p.nodes) && p.nodes[slot].ref.Load() != clockFree && p.nodes[slot].id.Load() == uint64(id)
 }
 
-// Hit saturates the page's reference counter. It takes no lock: this is the
-// scalability property that made PostgreSQL adopt the clock sweep, and the
-// yardstick the paper measures BP-Wrapper against.
-func (p *Clock) Hit(id PageID) {
-	v, ok := p.table.Load(id)
-	if !ok {
+// HitSlot saturates the reference counter of the page in slot. It takes no
+// lock: this is the scalability property that made PostgreSQL adopt the
+// clock sweep, and the yardstick the paper measures BP-Wrapper against. A
+// hit that races the slot's reuse may land on the next tenant's counter —
+// a stray second chance, not corruption.
+func (p *Clock) HitSlot(slot uint32, id PageID) {
+	if int(slot) >= len(p.nodes) {
 		return
 	}
-	nd := v.(*clockNode)
+	nd := &p.nodes[slot]
+	if nd.id.Load() != uint64(id) {
+		return
+	}
 	// Saturating increment; a CAS loop keeps the counter within
 	// [0, maxCount] under concurrency.
 	for {
 		c := nd.ref.Load()
-		if c >= p.maxCount {
-			return
-		}
-		if nd.ref.CompareAndSwap(c, c+1) {
+		if c < 0 || c >= p.maxCount || nd.ref.CompareAndSwap(c, c+1) {
 			return
 		}
 	}
 }
 
-// Admit inserts a new page just behind the hand (so it receives a full
-// sweep before being considered for eviction), evicting via the clock sweep
-// if at capacity. Must be called with the policy lock held.
-func (p *Clock) Admit(id PageID) (victim PageID, evicted bool) {
-	mustAbsent(p.name, p.Contains(id))
-	if p.length == p.capacity {
-		victim = p.sweep()
-		evicted = true
+// Hit implements Policy, lock-free: unlike front's it never scans, so a
+// page admitted by slot and never filed is not found and the hit is lost —
+// the caller that has slots hits by slot.
+func (p *Clock) Hit(id PageID) {
+	if ix := p.ix.Load(); ix != nil {
+		if slot, ok := ix.lookup(id); ok {
+			p.HitSlot(slot, id)
+		}
 	}
-	nd := &clockNode{id: id}
-	if p.hand == nil {
-		nd.prev, nd.next = nd, nd
-		p.hand = nd
+}
+
+// AdmitSlot inserts a new page just behind the hand (so it receives a full
+// sweep before being considered for eviction), evicting via the clock sweep
+// if at capacity.
+func (p *Clock) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
+	if int(slot) >= len(p.nodes) {
+		panic("replacer: " + p.name + ": Admit into a slot beyond the policy's capacity")
+	}
+	nd := &p.nodes[slot]
+	if nd.ref.Load() != clockFree {
+		panic("replacer: " + p.name + ": Admit into an occupied slot")
+	}
+	if p.length == p.capacity {
+		victim, evicted = p.evict(), true
+	}
+	if p.hand == nilIdx {
+		nd.prev, nd.next = slot, slot
+		p.hand = slot
 	} else {
 		// Insert immediately behind the hand: the hand will visit every
 		// other page before reaching the newcomer.
-		at := p.hand.prev
+		at := p.nodes[p.hand].prev
 		nd.prev, nd.next = at, p.hand
-		at.next = nd
-		p.hand.prev = nd
+		p.nodes[at].next = slot
+		p.nodes[p.hand].prev = slot
 	}
-	p.table.Store(id, nd)
+	nd.id.Store(uint64(id))
+	nd.ref.Store(0)
 	p.length++
+	p.admitted(slot, id)
 	return victim, evicted
 }
 
-// sweep advances the hand, decrementing reference counters, until it finds
+// evict advances the hand, decrementing reference counters, until it finds
 // a page with a zero counter; that page is unlinked and returned.
-func (p *Clock) sweep() PageID {
+func (p *Clock) evict() Victim {
 	for {
-		nd := p.hand
+		nd := &p.nodes[p.hand]
 		if nd.ref.Load() > 0 {
 			nd.ref.Add(-1)
 			p.hand = nd.next
 			continue
 		}
-		p.unlink(nd)
-		return nd.id
+		return p.unlink(p.hand)
 	}
 }
 
-// unlink removes nd from the ring and the table. Caller holds the lock.
-func (p *Clock) unlink(nd *clockNode) {
-	if nd.next == nd {
-		p.hand = nil
+// unlink removes the page in slot from the ring and frees the slot.
+func (p *Clock) unlink(slot uint32) Victim {
+	nd := &p.nodes[slot]
+	if nd.next == slot {
+		p.hand = nilIdx
 	} else {
-		nd.prev.next = nd.next
-		nd.next.prev = nd.prev
-		if p.hand == nd {
+		p.nodes[nd.prev].next = nd.next
+		p.nodes[nd.next].prev = nd.prev
+		if p.hand == slot {
 			p.hand = nd.next
 		}
 	}
-	nd.prev, nd.next = nil, nil
-	p.table.Delete(nd.id)
+	nd.ref.Store(clockFree)
 	p.length--
+	v := Victim{ID: PageID(nd.id.Load()), Slot: slot}
+	p.vacated(slot, v.ID)
+	return v
 }
 
-// Evict removes and returns the page the clock sweep selects. Must be
-// called with the policy lock held.
-func (p *Clock) Evict() (PageID, bool) {
-	if p.length == 0 {
-		return 0, false
+// RemoveSlot deletes a page from the resident set.
+func (p *Clock) RemoveSlot(slot uint32, id PageID) {
+	if p.ContainsSlot(slot, id) {
+		p.unlink(slot)
 	}
-	return p.sweep(), true
 }
 
-// Remove deletes a page from the resident set. Must be called with the
-// policy lock held.
-func (p *Clock) Remove(id PageID) {
-	v, ok := p.table.Load(id)
-	if !ok {
-		return
-	}
-	p.unlink(v.(*clockNode))
-}
-
-// Prefetch walks the ring nodes for ids read-only; see Prefetcher. For the
-// clock policies the table is already lock-free, so no side index is
-// needed.
-func (p *Clock) Prefetch(ids []PageID) {
-	if raceEnabled {
-		return
-	}
-	var sink uint64
-	for _, id := range ids {
-		if v, ok := p.table.Load(id); ok {
-			sink ^= v.(*clockNode).touch()
+// eachResident implements slotted.
+func (p *Clock) eachResident(fn func(slot uint32, id PageID)) {
+	for i := range p.nodes {
+		if nd := &p.nodes[i]; nd.ref.Load() != clockFree {
+			fn(uint32(i), PageID(nd.id.Load()))
 		}
 	}
-	prefetchSink = sink
+}
+
+// PrefetchSlots implements SlotPrefetcher. All a clock hit touches is the
+// slot's own reference count, and loading it atomically is walk enough: the
+// compiler keeps an atomic load whose result nobody uses.
+func (p *Clock) PrefetchSlots(slots []uint32) {
+	for _, slot := range slots {
+		if int(slot) < len(p.nodes) {
+			p.nodes[slot].ref.Load()
+		}
+	}
+}
+
+// Prefetch implements Prefetcher for a caller that has ids.
+func (p *Clock) Prefetch(ids []PageID) {
+	ix := p.ix.Load()
+	if ix == nil {
+		return
+	}
+	for _, id := range ids {
+		if slot, ok := ix.lookup(id); ok {
+			p.nodes[slot].ref.Load()
+		}
+	}
 }

@@ -4,11 +4,11 @@ import "testing"
 
 func clockRef(t *testing.T, p *Clock, id PageID) int32 {
 	t.Helper()
-	v, ok := p.table.Load(id)
+	slot, ok := p.find(id)
 	if !ok {
 		t.Fatalf("page %v not resident", id)
 	}
-	return v.(*clockNode).ref.Load()
+	return p.nodes[slot].ref.Load()
 }
 
 // TestGClockWeightDecay verifies the generalized clock's usage-count

@@ -20,76 +20,28 @@ package replacer
 // up history fidelity for lock avoidance; this implementation exists so the
 // hit-ratio experiments can compare it against real LIRS.
 type ClockPro struct {
-	prefetchIndex[cpEntry, *cpEntry]
-	capacity   int
+	slab
 	coldTarget int // adaptive allocation for resident cold pages, in [1, capacity]
 
-	table    map[PageID]*cpEntry
-	handHot  *cpEntry
-	handCold *cpEntry
-	handTest *cpEntry
+	// The hands are ring positions, nilIdx while the ring is empty. A
+	// page's node says what it is: hot (fHot), resident cold, or
+	// non-resident cold (fGhost); in its test period (fTest); referenced
+	// since the hand last passed (fRef).
+	handHot  uint32
+	handCold uint32
+	handTest uint32
 	nHot     int
 	nColdRes int
 	nNR      int // non-resident pages in their test period
 }
 
-// cpEntry is a CLOCK-Pro ring element.
-type cpEntry struct {
-	prev, next *cpEntry
-	id         PageID
-	hot        bool
-	resident   bool
-	test       bool // cold page currently in its test period
-	ref        bool
-}
-
-// touch implements touchable for prefetching.
-func (e *cpEntry) touch() uint64 {
-	s := uint64(e.id)
-	if e.hot {
-		s ^= 1
-	}
-	if e.resident {
-		s ^= 2
-	}
-	if e.test {
-		s ^= 4
-	}
-	if e.ref {
-		s ^= 8
-	}
-	if p := e.prev; p != nil {
-		s ^= uint64(p.id)
-	}
-	if n := e.next; n != nil {
-		s ^= uint64(n.id)
-	}
-	return s
-}
-
-var (
-	_ Policy     = (*ClockPro)(nil)
-	_ Prefetcher = (*ClockPro)(nil)
-)
-
 // NewClockPro returns a CLOCK-Pro policy holding at most capacity resident
 // pages, with the cold allocation target initialised to capacity/2.
 func NewClockPro(capacity int) *ClockPro {
-	checkCap("clockpro", capacity)
-	return &ClockPro{
-		prefetchIndex: newPrefetchIndex[cpEntry](capacity),
-
-		capacity:   capacity,
-		coldTarget: max(1, capacity/2),
-		table:      make(map[PageID]*cpEntry, 2*capacity),
-	}
+	p := &ClockPro{coldTarget: max(1, capacity/2), handHot: nilIdx, handCold: nilIdx, handTest: nilIdx}
+	p.init(p, "clockpro", capacity, capacity+1, 0, 0) // capacity+1 non-resident pages between an eviction and handTest's answer to it
+	return p
 }
-
-// Name implements Policy.
-func (p *ClockPro) Name() string { return "clockpro" }
-
-// Cap implements Policy.
-func (p *ClockPro) Cap() int { return p.capacity }
 
 // Len implements Policy.
 func (p *ClockPro) Len() int { return p.nHot + p.nColdRes }
@@ -100,131 +52,117 @@ func (p *ClockPro) Counts() (hot, coldRes, nonResident int) {
 	return p.nHot, p.nColdRes, p.nNR
 }
 
-// Contains reports whether id is resident.
-func (p *ClockPro) Contains(id PageID) bool {
-	e, ok := p.table[id]
-	return ok && e.resident
-}
-
-// Hit sets the page's reference bit, the clock-family hit operation.
-func (p *ClockPro) Hit(id PageID) {
-	e, ok := p.table[id]
-	if !ok || !e.resident {
-		return
+// HitSlot sets the page's reference bit, the clock-family hit operation.
+func (p *ClockPro) HitSlot(slot uint32, id PageID) {
+	if nd := p.resident(slot, id); nd != nil {
+		nd.flags |= fRef
 	}
-	e.ref = true
 }
 
-// insertHead links e into the ring at the "list head" position (just
+// insertHead links node i into the ring at the "list head" position (just
 // behind handHot, as in the paper). If the ring is empty all hands start
-// at e.
-func (p *ClockPro) insertHead(e *cpEntry) {
-	if p.handHot == nil {
-		e.prev, e.next = e, e
-		p.handHot, p.handCold, p.handTest = e, e, e
+// at i.
+func (p *ClockPro) insertHead(i uint32) {
+	nd := &p.nodes[i]
+	if p.handHot == nilIdx {
+		nd.prev, nd.next = i, i
+		p.handHot, p.handCold, p.handTest = i, i, i
 		return
 	}
-	at := p.handHot.prev
-	e.prev, e.next = at, p.handHot
-	at.next = e
-	p.handHot.prev = e
+	at := p.nodes[p.handHot].prev
+	nd.prev, nd.next = at, p.handHot
+	p.nodes[at].next = i
+	p.nodes[p.handHot].prev = i
 }
 
-// unlink removes e from the ring, advancing any hand that points at it.
-func (p *ClockPro) unlink(e *cpEntry) {
-	if e.next == e {
-		p.handHot, p.handCold, p.handTest = nil, nil, nil
+// retarget moves every hand that points at node from to node to.
+func (p *ClockPro) retarget(from, to uint32) {
+	for _, hand := range []*uint32{&p.handHot, &p.handCold, &p.handTest} {
+		if *hand == from {
+			*hand = to
+		}
+	}
+}
+
+// unlink removes node i from the ring, advancing any hand that points at
+// it.
+func (p *ClockPro) unlink(i uint32) {
+	nd := &p.nodes[i]
+	if nd.next == i {
+		p.handHot, p.handCold, p.handTest = nilIdx, nilIdx, nilIdx
 	} else {
-		if p.handHot == e {
-			p.handHot = e.next
-		}
-		if p.handCold == e {
-			p.handCold = e.next
-		}
-		if p.handTest == e {
-			p.handTest = e.next
-		}
-		e.prev.next = e.next
-		e.next.prev = e.prev
+		p.retarget(i, nd.next)
+		p.nodes[nd.prev].next = nd.next
+		p.nodes[nd.next].prev = nd.prev
 	}
-	e.prev, e.next = nil, nil
+	nd.prev, nd.next = nilIdx, nilIdx
 }
 
-// Admit makes id resident after a miss. A non-resident (test-period) hit
-// promotes the page to hot and grows the cold allocation; a plain miss
+// hotOverTarget reports whether the hot set exceeds what the cold
+// allocation leaves it.
+func (p *ClockPro) hotOverTarget() bool {
+	return p.nHot > p.capacity-min(p.coldTarget, p.capacity-1)
+}
+
+// AdmitSlot makes id resident after a miss. A non-resident (test-period)
+// hit promotes the page to hot and grows the cold allocation; a plain miss
 // admits the page as a cold page in its test period.
-func (p *ClockPro) Admit(id PageID) (victim PageID, evicted bool) {
-	e, present := p.table[id]
-	if present && e.resident {
-		mustAbsent("clockpro", true)
-	}
+func (p *ClockPro) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
+	g, present := p.ghost(id)
 	if present {
 		// Ghost hit during test period: the page has a small reuse
 		// distance. Grow the cold allocation and re-admit as hot.
 		p.coldTarget = min(p.coldTarget+1, p.capacity)
-		p.unlink(e)
-		delete(p.table, id)
+		p.unlink(g)
+		p.dropGhost(g)
 		p.nNR--
 	}
 	if p.Len() == p.capacity {
-		victim = p.runHandCold()
-		evicted = true
+		victim, evicted = p.evict(), true
 	}
-	ne := &cpEntry{id: id, resident: true}
+	nd := p.place(slot, id)
+	p.insertHead(slot)
 	if present {
-		ne.hot = true
-		p.insertHead(ne)
-		p.table[id] = ne
+		nd.flags |= fHot
 		p.nHot++
-		for p.nHot > p.capacity-min(p.coldTarget, p.capacity-1) {
+		for p.hotOverTarget() {
 			p.runHandHot()
 		}
 	} else {
-		ne.test = true
-		p.insertHead(ne)
-		p.table[id] = ne
+		nd.flags |= fTest
 		p.nColdRes++
 		for p.nNR > p.capacity {
 			p.runHandTest()
 		}
 	}
-	p.note(id, ne)
 	return victim, evicted
 }
 
-// Evict removes and returns the page handCold selects.
-func (p *ClockPro) Evict() (PageID, bool) {
-	if p.Len() == 0 {
-		return 0, false
-	}
-	return p.runHandCold(), true
-}
-
-// runHandCold sweeps handCold until it evicts one resident cold page,
-// returning its id. Referenced cold pages in their test period are promoted
-// to hot on the way; referenced cold pages out of test get a renewed test
-// period at the head.
-func (p *ClockPro) runHandCold() PageID {
+// evict sweeps handCold until it evicts one resident cold page, returning
+// it. Referenced cold pages in their test period are promoted to hot on the
+// way; referenced cold pages out of test get a renewed test period at the
+// head.
+func (p *ClockPro) evict() Victim {
 	if p.nColdRes == 0 {
 		// All resident pages are hot; demote one to produce a cold victim
 		// candidate.
 		p.runHandHot()
 	}
 	for {
-		e := p.handCold
-		p.handCold = e.next
-		if !e.resident || e.hot {
+		i := p.handCold
+		nd := &p.nodes[i]
+		p.handCold = nd.next
+		if nd.has(fGhost | fHot) {
 			continue
 		}
-		if e.ref {
-			e.ref = false
-			if e.test {
+		if nd.has(fRef) {
+			nd.flags &^= fRef
+			if nd.has(fTest) {
 				// Re-accessed within its test period: promote to hot.
-				e.hot = true
-				e.test = false
+				nd.flags = nd.flags&^fTest | fHot
 				p.nColdRes--
 				p.nHot++
-				for p.nHot > p.capacity-min(p.coldTarget, p.capacity-1) {
+				for p.hotOverTarget() {
 					p.runHandHot()
 				}
 				if p.nColdRes == 0 {
@@ -233,27 +171,27 @@ func (p *ClockPro) runHandCold() PageID {
 			} else {
 				// Re-accessed but out of test: give it a fresh test period
 				// at the head.
-				p.unlink(e)
-				e.test = true
-				p.insertHead(e)
+				p.unlink(i)
+				nd.flags |= fTest
+				p.insertHead(i)
 			}
 			continue
 		}
 		// Unreferenced resident cold page: evict it.
-		e.resident = false
-		p.forget(e.id)
 		p.nColdRes--
-		if e.test {
-			// Keep as a non-resident page for the rest of its test period.
-			p.nNR++
-			for p.nNR > p.capacity {
-				p.runHandTest()
-			}
-		} else {
-			p.unlink(e)
-			delete(p.table, e.id)
+		if !nd.has(fTest) {
+			p.unlink(i)
+			return p.vacate(i)
 		}
-		return e.id
+		// Keep it where it is, as a non-resident page, for the rest of its
+		// test period.
+		v, g := p.toGhost(i)
+		p.retarget(i, g)
+		p.nNR++
+		for p.nNR > p.capacity {
+			p.runHandTest()
+		}
+		return v
 	}
 }
 
@@ -264,17 +202,16 @@ func (p *ClockPro) runHandHot() {
 		return
 	}
 	for {
-		e := p.handHot
-		p.handHot = e.next
-		if !e.hot {
+		nd := &p.nodes[p.handHot]
+		p.handHot = nd.next
+		if !nd.has(fHot) {
 			continue
 		}
-		if e.ref {
-			e.ref = false
+		if nd.has(fRef) {
+			nd.flags &^= fRef
 			continue
 		}
-		e.hot = false
-		e.test = false
+		nd.flags &^= fHot | fTest
 		p.nHot--
 		p.nColdRes++
 		return
@@ -289,42 +226,44 @@ func (p *ClockPro) runHandTest() {
 		return
 	}
 	for {
-		e := p.handTest
-		p.handTest = e.next
-		if e.hot {
+		i := p.handTest
+		nd := &p.nodes[i]
+		p.handTest = nd.next
+		if nd.has(fHot) {
 			continue
 		}
-		if !e.resident {
-			p.unlink(e)
-			delete(p.table, e.id)
+		if nd.has(fGhost) {
+			p.unlink(i)
+			p.dropGhost(i)
 			p.nNR--
 			return
 		}
-		if e.test {
+		if nd.has(fTest) {
 			// A resident cold page whose test period expires unused:
 			// shrink the cold allocation.
-			e.test = false
+			nd.flags &^= fTest
 			p.coldTarget = max(1, p.coldTarget-1)
 		}
 	}
 }
 
-// Remove deletes a page from the resident set or the test-period history.
-func (p *ClockPro) Remove(id PageID) {
-	e, ok := p.table[id]
-	if !ok {
+// RemoveSlot deletes a page from the resident set or the test-period
+// history.
+func (p *ClockPro) RemoveSlot(i uint32, id PageID) {
+	nd := p.holder(i, id)
+	if nd == nil {
 		return
 	}
+	p.unlink(i)
 	switch {
-	case e.hot:
-		p.nHot--
-		p.forget(id)
-	case e.resident:
-		p.nColdRes--
-		p.forget(id)
-	default:
+	case nd.has(fGhost):
 		p.nNR--
+		p.dropGhost(i)
+		return
+	case nd.has(fHot):
+		p.nHot--
+	default:
+		p.nColdRes--
 	}
-	p.unlink(e)
-	delete(p.table, id)
+	p.vacate(i)
 }

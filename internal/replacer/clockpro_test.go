@@ -34,9 +34,9 @@ func TestClockProColdPromotionOnHandRotation(t *testing.T) {
 	if !p.Contains(tid(1)) {
 		t.Fatal("referenced cold page was evicted instead of promoted")
 	}
-	e := p.table[tid(1)]
-	if !e.hot || e.test {
-		t.Fatalf("page 1 after promotion: hot=%v test=%v, want hot, out of test", e.hot, e.test)
+	e := p.nodeOf(tid(1))
+	if !e.has(fHot) || e.has(fTest) {
+		t.Fatalf("page 1 after promotion: hot=%v test=%v, want hot, out of test", e.has(fHot), e.has(fTest))
 	}
 	hot, _, nr := p.Counts()
 	if hot == 0 {
@@ -47,7 +47,7 @@ func TestClockProColdPromotionOnHandRotation(t *testing.T) {
 	if nr != 1 {
 		t.Fatalf("non-resident count = %d, want 1 (victim keeps its test-period ghost)", nr)
 	}
-	if ge, ok := p.table[tid(2)]; !ok || ge.resident || !ge.test {
+	if ge := p.nodeOf(tid(2)); ge == nil || !ge.has(fGhost) || !ge.has(fTest) {
 		t.Fatal("victim's test-period ghost entry missing or malformed")
 	}
 }
@@ -71,8 +71,8 @@ func TestClockProGhostHitGrowsColdTarget(t *testing.T) {
 	if p.coldTarget != before+1 {
 		t.Fatalf("coldTarget = %d after ghost hit, want %d", p.coldTarget, before+1)
 	}
-	e := p.table[tid(1)]
-	if e == nil || !e.hot || !e.resident {
+	e := p.nodeOf(tid(1))
+	if e == nil || !e.has(fHot) || e.has(fGhost) {
 		t.Fatal("ghost hit did not re-admit the page as hot")
 	}
 	// Page 1's ghost was consumed by the promotion, but the cache was full,
@@ -84,7 +84,7 @@ func TestClockProGhostHitGrowsColdTarget(t *testing.T) {
 	if _, _, nr := p.Counts(); nr != 1 {
 		t.Fatalf("non-resident count = %d, want 1 (old ghost consumed, new victim's ghost created)", nr)
 	}
-	if ge := p.table[victim2]; ge == nil || ge.resident || !ge.test {
+	if ge := p.nodeOf(victim2); ge == nil || !ge.has(fGhost) || !ge.has(fTest) {
 		t.Fatal("new victim's test-period ghost missing or malformed")
 	}
 }
@@ -133,13 +133,13 @@ func TestClockProExpiryShrinksColdTarget(t *testing.T) {
 	// Park handTest on resident cold page 3 (still in test). The sweep must
 	// pass 3 and 4 — expiring both test periods, shrinking coldTarget from
 	// 2 to its floor of 1 — before terminating ghost 1's test period.
-	p.handTest = p.table[tid(3)]
+	p.handTest, _ = p.find(tid(3))
 	p.runHandTest()
 	cpCheck(t, p)
 	if p.coldTarget != 1 {
 		t.Fatalf("coldTarget = %d after two unused expiries, want floor 1", p.coldTarget)
 	}
-	if e := p.table[tid(3)]; e.test {
+	if e := p.nodeOf(tid(3)); e.has(fTest) {
 		t.Fatal("resident cold page 3 still in test after the hand passed it")
 	}
 	if _, _, nr := p.Counts(); nr != 1 {
@@ -157,8 +157,8 @@ func TestClockProRenewedTestPeriod(t *testing.T) {
 		p.Admit(tid(i))
 	}
 	// Expire page 1's test period by hand.
-	e := p.table[tid(1)]
-	e.test = false
+	e := p.nodeOf(tid(1))
+	e.flags &^= fTest
 	p.Hit(tid(1))
 	// The hand must skip (and re-test) page 1, evicting page 2.
 	victim, _ := p.Admit(tid(5))
@@ -166,8 +166,8 @@ func TestClockProRenewedTestPeriod(t *testing.T) {
 	if victim != tid(2) {
 		t.Fatalf("victim = %v, want %v", victim, tid(2))
 	}
-	if !e.test || e.hot {
-		t.Fatalf("re-referenced out-of-test page: test=%v hot=%v, want renewed test period, still cold", e.test, e.hot)
+	if !e.has(fTest) || e.has(fHot) {
+		t.Fatalf("re-referenced out-of-test page: test=%v hot=%v, want renewed test period, still cold", e.has(fTest), e.has(fHot))
 	}
 }
 

@@ -1,0 +1,219 @@
+package replacer
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+)
+
+// TB is the part of *testing.T CheckPolicy reports through.
+type TB interface {
+	Helper()
+	Errorf(format string, args ...any)
+	Fatalf(format string, args ...any)
+}
+
+// drive is a policy as a buffer manager drives it: the four calls that
+// change its state, keyed by id or by slot. The conformance run keeps the
+// resident set itself, as a page table does, so that both drives take the
+// same decisions from the same trace.
+type drive interface {
+	hit(id PageID)
+	admit(id PageID) (victim PageID, evicted bool)
+	evict() (PageID, bool)
+	remove(id PageID)
+}
+
+// idDrive is the portable contract: Hit(id), Admit(id), Evict(), Remove(id).
+type idDrive struct{ p Policy }
+
+func (d idDrive) hit(id PageID)                  { d.p.Hit(id) }
+func (d idDrive) admit(id PageID) (PageID, bool) { return d.p.Admit(id) }
+func (d idDrive) evict() (PageID, bool)          { return d.p.Evict() }
+func (d idDrive) remove(id PageID)               { d.p.Remove(id) }
+
+// slotDrive is the buffer pool's: every call names the frame slot the page
+// occupies, and the slots come from a toy frame allocator — a free list in
+// scrambled order, so that a policy whose decisions depended on which slot a
+// page got would show it. It has one frame more than the policy's capacity,
+// as the slot contract allows, so a full policy is handed the slot to admit
+// into and picks its victim itself, as it does by id.
+type slotDrive struct {
+	p     SlotPolicy
+	table map[PageID]uint32
+	free  []uint32
+}
+
+func newSlotDrive(p SlotPolicy) *slotDrive {
+	d := &slotDrive{p: p, table: make(map[PageID]uint32)}
+	for s := 0; s <= p.Cap(); s++ {
+		d.free = append(d.free, uint32(s))
+	}
+	rand.New(rand.NewSource(19)).Shuffle(len(d.free), func(i, j int) { d.free[i], d.free[j] = d.free[j], d.free[i] })
+	return d
+}
+
+func (d *slotDrive) gaveUp(v Victim, ok bool) (PageID, bool) {
+	if ok {
+		if slot, resident := d.table[v.ID]; resident && slot != v.Slot {
+			panic(fmt.Sprintf("replacer: %s gave up %v in slot %d, the page is in slot %d", d.p.Name(), v.ID, v.Slot, slot))
+		}
+		delete(d.table, v.ID)
+		d.free = append(d.free, v.Slot)
+	}
+	return v.ID, ok
+}
+
+func (d *slotDrive) hit(id PageID) { d.p.HitSlot(d.table[id], id) }
+
+func (d *slotDrive) admit(id PageID) (PageID, bool) {
+	slot := d.free[len(d.free)-1]
+	d.free = d.free[:len(d.free)-1]
+	d.table[id] = slot
+	return d.gaveUp(d.p.AdmitSlot(slot, id))
+}
+
+func (d *slotDrive) evict() (PageID, bool) { return d.gaveUp(d.p.EvictSlot()) }
+
+func (d *slotDrive) remove(id PageID) {
+	slot := d.table[id]
+	d.p.RemoveSlot(slot, id)
+	delete(d.table, id)
+	d.free = append(d.free, slot)
+}
+
+// conform replays one seeded stream of accesses through p, an Evict three
+// steps in a hundred and a Remove of a recent page another three, holding p
+// to the contract at every step, and returns every page p gave up, in order,
+// followed by what a final drain by Evict yields. With noise the run also
+// makes the calls that must change nothing — Prefetch, a Hit, Remove and
+// slot-keyed ContainsSlot of pages that are not resident, a HitSlot and a
+// RemoveSlot through the wrong slot — so that a policy is held to that by
+// comparing runs.
+func conform(t TB, p Policy, bySlot, noise bool, capacity int, seed int64) []PageID {
+	t.Helper()
+	var d drive = idDrive{p}
+	sp, _ := p.(SlotPolicy)
+	if bySlot {
+		d = newSlotDrive(sp)
+	}
+	if v, ok := d.evict(); ok {
+		t.Fatalf("%s: Evict on an empty policy returned %v", p.Name(), v)
+	}
+	resident := make(map[PageID]bool, capacity)
+	var gaveUp, recent []PageID
+	out := func(v PageID, admitted PageID) {
+		if !resident[v] || v == admitted {
+			t.Fatalf("%s: gave up %v, which is not resident (admitting %v)", p.Name(), v, admitted)
+		}
+		delete(resident, v)
+		gaveUp = append(gaveUp, v)
+	}
+	r, nr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed+1))
+	for step := 0; step < 400*capacity && step < 20000; step++ {
+		id := conformPage(r, 0, 4*capacity)
+		if noise {
+			absent := conformPage(nr, 8*capacity, capacity)
+			p.Hit(absent)
+			p.Remove(absent)
+			if pf, ok := p.(Prefetcher); ok {
+				pf.Prefetch([]PageID{id, absent})
+			}
+			if sd, ok := d.(*slotDrive); ok {
+				wrong := sd.table[id] + 1
+				sp.HitSlot(wrong, id)
+				sp.RemoveSlot(wrong, id)
+				if sp.ContainsSlot(wrong, id) {
+					t.Fatalf("%s: ContainsSlot finds %v in a slot it is not in", p.Name(), id)
+				}
+			}
+		}
+		if p.Contains(id) != resident[id] {
+			t.Fatalf("%s: step %d: Contains(%v) = %v", p.Name(), step, id, !resident[id])
+		}
+		if resident[id] {
+			d.hit(id)
+		} else {
+			if v, ok := d.admit(id); ok {
+				out(v, id)
+			}
+			resident[id] = true
+			recent = append(recent, id)
+		}
+		switch k := r.Intn(100); {
+		case k < 3:
+			if v, ok := d.evict(); ok {
+				out(v, 0)
+			} else if len(resident) != 0 {
+				t.Fatalf("%s: step %d: Evict found nothing with %d pages resident", p.Name(), step, len(resident))
+			}
+		case k < 6:
+			if old := recent[r.Intn(len(recent))]; resident[old] {
+				d.remove(old)
+				delete(resident, old)
+			}
+		}
+		if p.Len() != len(resident) || p.Len() > p.Cap() {
+			t.Fatalf("%s: step %d: Len %d with %d pages resident, Cap %d", p.Name(), step, p.Len(), len(resident), p.Cap())
+		}
+	}
+	for range resident {
+		v, ok := d.evict()
+		if !ok {
+			t.Fatalf("%s: Evict found nothing with pages resident", p.Name())
+		}
+		gaveUp = append(gaveUp, v)
+	}
+	return gaveUp
+}
+
+// conformPage draws one of n pages, from the from'th of a table, from r.
+func conformPage(r *rand.Rand, from, n int) PageID {
+	return PageID(1<<44 | (uint64(from) + r.Uint64()%uint64(n)))
+}
+
+// CheckPolicy holds a replacement algorithm to the Policy contract — and to
+// SlotPolicy's, if it implements it — at several capacities: Len never
+// exceeds Cap and always agrees with what was admitted and given up; victims
+// are resident and never the page being admitted; Evict on an empty policy
+// is (_, false); admitting a resident page panics; a Hit or Remove of a page
+// that is not resident changes nothing, nor does Prefetch, nor a slot-keyed
+// call through a slot that holds another page (the stale tag); a page
+// removed and admitted again is treated as one never seen; and the policy
+// gives up the same pages in the same order whether it is driven by id or
+// by slot. "Changes nothing" and "the same" are checked by comparing whole
+// runs, so the algorithm must be deterministic.
+func CheckPolicy(t TB, factory Factory) {
+	t.Helper()
+	for _, capacity := range []int{1, 3, 16, 64} {
+		seed := int64(capacity)
+		plain := conform(t, factory(capacity), false, false, capacity, seed)
+		compare := func(what string, got []PageID) {
+			t.Helper()
+			if !slices.Equal(plain, got) {
+				t.Errorf("%s at capacity %d: gives up different pages %s", factory(capacity).Name(), capacity, what)
+			}
+		}
+		compare("once calls that should change nothing are made", conform(t, factory(capacity), false, true, capacity, seed))
+
+		// The page the stream admits first, so that a policy that watches
+		// for sequences of misses sees the same ones in both runs.
+		again, stranger := factory(capacity), conformPage(rand.New(rand.NewSource(seed)), 0, 4*capacity)
+		again.Admit(stranger)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Admit of a resident page did not panic", again.Name())
+				}
+			}()
+			again.Admit(stranger)
+		}()
+		again.Remove(stranger)
+		compare("after a page was admitted and removed", conform(t, again, false, false, capacity, seed))
+
+		if _, ok := again.(SlotPolicy); ok {
+			compare("when driven by slot", conform(t, factory(capacity), true, false, capacity, seed))
+			compare("when driven by slot, with stale slots", conform(t, factory(capacity), true, true, capacity, seed))
+		}
+	}
+}

@@ -19,25 +19,6 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/victims.golden f
 // goldenOps is how many trace accesses each golden case replays.
 const goldenOps = 12000
 
-// goldenDrive is the policy as the golden test drives it: the four calls
-// that change a policy's state, keyed whichever way the drive keys them.
-// The test keeps the resident set itself, as a buffer manager's page table
-// does, so that every drive takes the same decisions from the same trace.
-type goldenDrive interface {
-	hit(id PageID)
-	admit(id PageID) (victim PageID, evicted bool)
-	evict() (PageID, bool)
-	remove(id PageID)
-}
-
-// idDrive is the portable contract: Hit(id), Admit(id), Evict(), Remove(id).
-type idDrive struct{ p Policy }
-
-func (d idDrive) hit(id PageID)                  { d.p.Hit(id) }
-func (d idDrive) admit(id PageID) (PageID, bool) { return d.p.Admit(id) }
-func (d idDrive) evict() (PageID, bool)          { return d.p.Evict() }
-func (d idDrive) remove(id PageID)               { d.p.Remove(id) }
-
 // goldenTraces builds the access streams for one capacity: seeded uniform,
 // Zipf 1.1, a scan followed by a loop a quarter larger than the buffer, and
 // the three built-in workloads E8 and E9 run.
@@ -86,7 +67,7 @@ func goldenTraces(t *testing.T, capacity int) map[string][]PageID {
 // little earlier another three — and returns the case's ledger line: how
 // many pages the policy gave up, an FNV-64 of which and in what order, and
 // an FNV-64 of the sorted resident set it ends with.
-func goldenRun(t *testing.T, d goldenDrive, capacity int, trace []PageID) string {
+func goldenRun(t *testing.T, d drive, capacity int, trace []PageID) string {
 	t.Helper()
 	resident := make(map[PageID]bool, capacity)
 	victims := fnv.New64a()
@@ -145,10 +126,20 @@ func goldenRun(t *testing.T, d goldenDrive, capacity int, trace []PageID) string
 
 // TestVictimSequenceGolden pins what every policy evicts, and when: each
 // algorithm over six traces at three capacities, every victim in order and
-// the resident set at the end, against testdata/victims.golden. A rewrite of
-// a policy's insides must leave the file byte-identical; regenerate it with
-// -update only when an algorithm is meant to decide differently.
+// the resident set at the end, against testdata/victims.golden — once driven
+// by id and once by slot (the drives are conformance.go's). A rewrite of a policy's insides must leave the
+// file byte-identical under both; regenerate it with -update only when an
+// algorithm is meant to decide differently.
 func TestVictimSequenceGolden(t *testing.T) {
+	t.Run("by-id", func(t *testing.T) {
+		compareGolden(t, func(p Policy) drive { return idDrive{p} })
+	})
+	t.Run("by-slot", func(t *testing.T) {
+		compareGolden(t, func(p Policy) drive { return newSlotDrive(p.(SlotPolicy)) })
+	})
+}
+
+func compareGolden(t *testing.T, driven func(Policy) drive) {
 	var out bytes.Buffer
 	for _, capacity := range []int{7, 64, 512} {
 		traces := goldenTraces(t, capacity)
@@ -160,7 +151,7 @@ func TestVictimSequenceGolden(t *testing.T) {
 		for _, pol := range Names() {
 			for _, tr := range names {
 				p, _ := New(pol, capacity)
-				line := goldenRun(t, idDrive{p}, capacity, traces[tr])
+				line := goldenRun(t, driven(p), capacity, traces[tr])
 				fmt.Fprintf(&out, "%s/%s/cap=%d %s\n", pol, tr, capacity, line)
 			}
 		}

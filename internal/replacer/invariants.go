@@ -2,10 +2,11 @@ package replacer
 
 import "fmt"
 
-// This file gives every policy a CheckInvariants method: the cheap O(1)
+// This file gives every policy its invariant check: the cheap O(1)
 // structural identities each algorithm promises (count bookkeeping, list
-// length identities, adaptation targets within range) plus deep O(n) walks
-// (link integrity, flag consistency, table/list agreement) that are only
+// length identities, adaptation targets within range) plus a deep O(n) audit
+// of the slab — every list's links and flags, every node free or on exactly
+// one list, the id index filing exactly what it should — that is only
 // enabled in builds with the `torture` tag — see torture_on.go — or when
 // forced via CheckDeep. The torture harness calls these between operations
 // and at quiescent points, so the checks must never mutate policy state.
@@ -28,531 +29,359 @@ func Check(p Policy) error {
 
 // deepChecker is the unexported two-level hook behind Checker.
 type deepChecker interface {
-	checkInvariants(deep bool) error
+	check(deep bool) error
 }
 
 // CheckDeep runs p's invariant checker with the deep O(n) walks forced on,
 // regardless of build tags. Callers must hold the policy lock.
 func CheckDeep(p Policy) error {
 	if c, ok := p.(deepChecker); ok {
-		return c.checkInvariants(true)
+		return c.check(true)
 	}
 	return Check(p)
 }
 
-// walkList verifies a list's link integrity and node flags, returning the
-// walked length. fn (optional) is applied to every node. The walk is
-// bounded by the recorded length so a cyclic corruption cannot hang it.
-func walkList(policy, name string, l *list, fn func(*node) error) (int, error) {
+// audit is one deep check's ledger of a slab: how many times the lists
+// walked so far have reached each node.
+type audit struct {
+	s    *slab
+	seen []uint8
+}
+
+func (s *slab) errorf(format string, args ...any) error {
+	return fmt.Errorf("replacer: "+s.name+": "+format, args...)
+}
+
+// auditFn is a policy's own check of one list node.
+type auditFn func(a *audit, l *list, i uint32, nd *node) error
+
+// linked reports whether node i's neighbours exist and point back at it.
+func linked(nodes []node, i uint32) bool {
+	nd := &nodes[i]
+	return int(nd.next) < len(nodes) && int(nd.prev) < len(nodes) && nodes[nd.next].prev == i && nodes[nd.prev].next == i
+}
+
+// walk verifies a list's link integrity, recorded length and node flags,
+// applying fn (optional) to every node. The walk is bounded by the recorded
+// length so a cyclic corruption cannot hang it.
+func (a *audit) walk(l *list, fn auditFn) error {
 	n := 0
-	for nd := l.root.next; nd != &l.root; nd = nd.next {
-		if nd.next.prev != nd || nd.prev.next != nd {
-			return n, fmt.Errorf("replacer: %s: %s: broken links at %v", policy, name, nd.id)
+	for i := l.nodes[l.root].next; i != l.root; i = l.nodes[i].next {
+		nd := &l.nodes[i]
+		if !linked(l.nodes, i) {
+			return a.s.errorf("%s: broken links at %v", l.name, nd.id)
 		}
-		n++
-		if n > l.n {
-			return n, fmt.Errorf("replacer: %s: %s: walk exceeds recorded length %d", policy, name, l.n)
+		if n++; n > l.n {
+			return a.s.errorf("%s: walk exceeds recorded length %d", l.name, l.n)
+		}
+		a.seen[i]++
+		if nd.flags&l.mask != l.want {
+			return a.s.errorf("%s: node %v has flags %#x", l.name, nd.id, nd.flags)
 		}
 		if fn != nil {
-			if err := fn(nd); err != nil {
-				return n, err
+			if err := fn(a, l, i, nd); err != nil {
+				return err
 			}
 		}
 	}
 	if n != l.n {
-		return n, fmt.Errorf("replacer: %s: %s: walked %d nodes, recorded length %d", policy, name, n, l.n)
-	}
-	return n, nil
-}
-
-// inTable checks that a walked node is the table's entry for its id.
-func inTable(policy, name string, table map[PageID]*node, nd *node) error {
-	if got, ok := table[nd.id]; !ok || got != nd {
-		return fmt.Errorf("replacer: %s: %s node %v not backed by table entry", policy, name, nd.id)
+		return a.s.errorf("%s: walked %d nodes, recorded length %d", l.name, n, l.n)
 	}
 	return nil
 }
 
-// ---- LRU ----
-
-func (p *LRU) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *LRU) checkInvariants(deep bool) error {
-	if p.lst.len() != len(p.table) {
-		return fmt.Errorf("replacer: lru: list %d != table %d", p.lst.len(), len(p.table))
-	}
-	if p.Len() > p.capacity {
-		return fmt.Errorf("replacer: lru: Len %d > cap %d", p.Len(), p.capacity)
-	}
-	if !deep {
-		return nil
-	}
-	_, err := walkList("lru", "list", p.lst, func(nd *node) error {
-		return inTable("lru", "list", p.table, nd)
-	})
-	return err
-}
-
-// ---- FIFO ----
-
-func (p *FIFO) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *FIFO) checkInvariants(deep bool) error {
-	if p.lst.len() != len(p.table) {
-		return fmt.Errorf("replacer: fifo: list %d != table %d", p.lst.len(), len(p.table))
-	}
-	if p.Len() > p.capacity {
-		return fmt.Errorf("replacer: fifo: Len %d > cap %d", p.Len(), p.capacity)
-	}
-	if !deep {
-		return nil
-	}
-	_, err := walkList("fifo", "list", p.lst, func(nd *node) error {
-		return inTable("fifo", "list", p.table, nd)
-	})
-	return err
-}
-
-// ---- LFU ----
-
-func (p *LFU) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *LFU) checkInvariants(deep bool) error {
-	if p.length != len(p.table) {
-		return fmt.Errorf("replacer: lfu: length %d != table %d", p.length, len(p.table))
-	}
-	if p.length > p.capacity {
-		return fmt.Errorf("replacer: lfu: length %d > cap %d", p.length, p.capacity)
-	}
-	sum := 0
-	for freq, b := range p.buckets {
-		if b.len() == 0 {
-			return fmt.Errorf("replacer: lfu: empty bucket retained at freq %d", freq)
-		}
-		sum += b.len()
-	}
-	if sum != p.length {
-		return fmt.Errorf("replacer: lfu: bucket sum %d != length %d", sum, p.length)
-	}
-	if !deep {
-		return nil
-	}
-	for freq, b := range p.buckets {
-		_, err := walkList("lfu", fmt.Sprintf("bucket[%d]", freq), b, func(nd *node) error {
-			if nd.count != freq {
-				return fmt.Errorf("replacer: lfu: node %v has freq %d in bucket %d", nd.id, nd.count, freq)
+// done closes the audit once every list has been walked: each slot is free
+// or a resident page on exactly one list, each history entry is free or in
+// use on exactly one list, the id index files exactly the history entries
+// (and, once the policy hands out its own slots, the resident pages), and
+// as many pages are resident as the policy says.
+func (a *audit) done() error {
+	s := a.s
+	live, filed := 0, 0
+	for i := 0; i < s.indexed; i++ {
+		nd := &s.nodes[i]
+		switch {
+		case nd.flags == 0:
+			if a.seen[i] != 0 {
+				return s.errorf("free node %d is on a list", i)
 			}
-			return inTable("lfu", "bucket", p.table, nd)
-		})
-		if err != nil {
+			continue
+		case a.seen[i] != 1:
+			return s.errorf("node %d (%v) is on %d lists", i, nd.id, a.seen[i])
+		case nd.has(fGhost|fHeader) != (i > s.capacity):
+			return s.errorf("node %d (%v) with flags %#x on the wrong side of the slots", i, nd.id, nd.flags)
+		}
+		if !nd.has(fGhost | fHeader) {
+			live++
+		}
+		if nd.has(fGhost) || (s.byID && !nd.has(fHeader)) {
+			filed++
+			if j, ok := s.ix.Load().lookup(nd.id); !ok || int(j) != i {
+				return s.errorf("node %d (%v) not filed in the id index", i, nd.id)
+			}
+		}
+	}
+	if live != s.self.Len() {
+		return s.errorf("%d resident nodes, Len %d", live, s.self.Len())
+	}
+	if ix := s.ix.Load(); ix != nil {
+		n := 0
+		for _, j := range ix.heads {
+			for ; j != 0 && n <= filed; j = ix.next[j-1] {
+				n++
+			}
+		}
+		if n != filed {
+			return s.errorf("id index files %d entries, %d nodes should be filed", n, filed)
+		}
+	}
+	return nil
+}
+
+// checkLists is the check of a policy whose every page is on one of its
+// lists — and the whole check of LRU, FIFO and SEQ: Len within capacity,
+// and deep, the audit above with fn (optional) applied to every list node.
+func (s *slab) checkLists(deep bool, fn auditFn) error {
+	if n := s.self.Len(); n < 0 || n > s.capacity {
+		return s.errorf("Len %d outside [0, cap %d]", n, s.capacity)
+	}
+	if !deep {
+		return nil
+	}
+	a := &audit{s: s, seen: make([]uint8, len(s.nodes))}
+	for i := range s.lists {
+		if err := a.walk(&s.lists[i], fn); err != nil {
 			return err
 		}
 	}
-	return nil
+	return a.done()
+}
+
+func (s *slab) check(deep bool) error { return s.checkLists(deep, nil) }
+
+// ---- LFU ----
+
+func (p *LFU) check(deep bool) error {
+	header, above := nilIdx, int32(0) // the run being walked, and its frequency
+	err := p.checkLists(deep, func(_ *audit, _ *list, i uint32, nd *node) error {
+		switch {
+		case nd.has(fHeader):
+			if header != nilIdx && (above <= nd.count || nd.prev == header) {
+				return p.errorf("run of frequency %d follows run of %d", nd.count, above)
+			}
+			header, above = i, nd.count
+		case header == nilIdx || uint32(nd.tick) != header || nd.count != above:
+			return p.errorf("page %v (freq %d, header %d) in the run of header %d (freq %d)", nd.id, nd.count, nd.tick, header, above)
+		}
+		return nil
+	})
+	if err == nil && header != nilIdx && p.lst.back() == header {
+		err = p.errorf("empty run of frequency %d at the back", above)
+	}
+	return err
 }
 
 // ---- LRU-K ----
 
-func (p *LRUK) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *LRUK) checkInvariants(deep bool) error {
-	if p.Len() > p.capacity {
-		return fmt.Errorf("replacer: %s: Len %d > cap %d", p.Name(), p.Len(), p.capacity)
-	}
+func (p *LRUK) check(deep bool) error {
 	if !deep {
-		return nil
+		return p.checkLists(false, nil)
 	}
-	for id, e := range p.table {
-		if e.id != id {
-			return fmt.Errorf("replacer: %s: table[%v] holds entry for %v", p.Name(), id, e.id)
+	// LRU-K keeps no list: the heap finds its pages by slot.
+	a := &audit{s: &p.slab, seen: make([]uint8, len(p.nodes))}
+	for i := range p.slots {
+		nd := &p.slots[i]
+		if nd.flags == 0 {
+			continue
 		}
-		if len(e.hist) != p.k {
-			return fmt.Errorf("replacer: %s: entry %v history length %d != k %d", p.Name(), id, len(e.hist), p.k)
-		}
-		if e.n < 1 || e.n > p.k {
-			return fmt.Errorf("replacer: %s: entry %v has %d recorded references, want [1, %d]", p.Name(), id, e.n, p.k)
+		a.seen[i]++
+		if nd.count < 1 || int(nd.count) > p.k || nd.tick != p.hist[i*p.k] {
+			return p.errorf("entry %v: %d references recorded (k = %d), last at %d, history says %d",
+				nd.id, nd.count, p.k, nd.tick, p.hist[i*p.k])
 		}
 	}
-	return nil
+	return a.done()
 }
 
 // ---- 2Q ----
 
-func (p *TwoQ) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *TwoQ) checkInvariants(deep bool) error {
-	if p.Len() > p.capacity {
-		return fmt.Errorf("replacer: 2q: Len %d > cap %d", p.Len(), p.capacity)
-	}
-	if got, want := len(p.table), p.a1in.len()+p.am.len()+p.a1out.len(); got != want {
-		return fmt.Errorf("replacer: 2q: table %d != a1in+am+a1out %d", got, want)
-	}
+func (p *TwoQ) check(deep bool) error {
 	if p.a1out.len() > p.kout {
-		return fmt.Errorf("replacer: 2q: a1out %d > kout %d", p.a1out.len(), p.kout)
+		return p.errorf("a1out %d > kout %d", p.a1out.len(), p.kout)
 	}
-	if !deep {
-		return nil
-	}
-	checks := []struct {
-		name  string
-		l     *list
-		ghost bool
-		hot   bool
-	}{
-		{"a1in", p.a1in, false, false},
-		{"am", p.am, false, true},
-		{"a1out", p.a1out, true, false},
-	}
-	for _, c := range checks {
-		_, err := walkList("2q", c.name, c.l, func(nd *node) error {
-			if nd.ghost != c.ghost || nd.hot != c.hot {
-				return fmt.Errorf("replacer: 2q: %s node %v has ghost=%v hot=%v", c.name, nd.id, nd.ghost, nd.hot)
-			}
-			return inTable("2q", c.name, p.table, nd)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.checkLists(deep, nil)
 }
 
 // ---- LIRS ----
 
-func (p *LIRS) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *LIRS) checkInvariants(deep bool) error {
-	if p.nResident > p.capacity {
-		return fmt.Errorf("replacer: lirs: resident %d > cap %d", p.nResident, p.capacity)
+func (p *LIRS) check(deep bool) error {
+	switch {
+	case p.nLIR > p.llirs:
+		return p.errorf("LIR count %d > target %d", p.nLIR, p.llirs)
+	case p.q.len() != p.nResident-p.nLIR:
+		return p.errorf("Q holds %d, want resident-LIR = %d", p.q.len(), p.nResident-p.nLIR)
+	case p.ghostAge.len() > p.ghostCap:
+		return p.errorf("%d ghosts > cap %d", p.ghostAge.len(), p.ghostCap)
 	}
-	if p.nLIR > p.llirs {
-		return fmt.Errorf("replacer: lirs: LIR count %d > target %d", p.nLIR, p.llirs)
-	}
-	if got, want := p.q.Len(), p.nResident-p.nLIR; got != want {
-		return fmt.Errorf("replacer: lirs: Q holds %d, want resident-LIR = %d", got, want)
-	}
-	if p.ghostAge.Len() > p.ghostCap {
-		return fmt.Errorf("replacer: lirs: %d ghosts > cap %d", p.ghostAge.Len(), p.ghostCap)
-	}
-	if !deep {
-		return nil
-	}
-	var lir, hir, ghost int
-	for id, e := range p.table {
-		if e.id != id {
-			return fmt.Errorf("replacer: lirs: table[%v] holds entry for %v", id, e.id)
-		}
-		switch e.state {
-		case lirsLIR:
+	// Every page is on the stack, on one of the twins' lists, or both: a
+	// LIR page on S alone, a resident HIR page on Q, a ghost on the age
+	// FIFO. The audit counts a page once: by S if it is LIR, else by the
+	// list its twin is on.
+	lir := 0
+	err := p.checkLists(deep, func(a *audit, l *list, i uint32, nd *node) error {
+		switch e := i - p.qoff; {
+		case l == p.s && nd.has(fHot):
 			lir++
-			if e.sElem == nil {
-				return fmt.Errorf("replacer: lirs: LIR page %v off the recency stack", id)
-			}
-			if e.qElem != nil {
-				return fmt.Errorf("replacer: lirs: LIR page %v on the HIR queue", id)
-			}
-		case lirsHIR:
-			hir++
-			if e.qElem == nil {
-				return fmt.Errorf("replacer: lirs: resident HIR page %v off the queue", id)
-			}
-		case lirsHIRGhost:
-			ghost++
-			if e.gElem == nil {
-				return fmt.Errorf("replacer: lirs: ghost %v off the age FIFO", id)
-			}
-			if e.qElem != nil {
-				return fmt.Errorf("replacer: lirs: ghost %v on the resident queue", id)
-			}
+		case l == p.s:
+			a.seen[i]--
+		case int(e) >= p.indexed || p.nodes[e].flags&(fLive|fHot) != fLive || p.nodes[e].has(fGhost) != (l == p.ghostAge):
+			return p.errorf("%s: twin %d of a node that does not belong there", l.name, i)
 		default:
-			return fmt.Errorf("replacer: lirs: entry %v has impossible state %d", id, e.state)
+			a.seen[e]++
 		}
-	}
-	if lir != p.nLIR {
-		return fmt.Errorf("replacer: lirs: counted %d LIR pages, recorded %d", lir, p.nLIR)
-	}
-	if lir+hir != p.nResident {
-		return fmt.Errorf("replacer: lirs: counted %d residents, recorded %d", lir+hir, p.nResident)
-	}
-	if ghost != p.ghostAge.Len() {
-		return fmt.Errorf("replacer: lirs: counted %d ghosts, age FIFO holds %d", ghost, p.ghostAge.Len())
-	}
-	return nil
-}
-
-// ---- SEQ ----
-
-func (p *SEQ) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *SEQ) checkInvariants(deep bool) error {
-	if p.Len() > p.capacity {
-		return fmt.Errorf("replacer: seq: Len %d > cap %d", p.Len(), p.capacity)
-	}
-	if got, want := len(p.table), p.main.len()+p.scan.len(); got != want {
-		return fmt.Errorf("replacer: seq: table %d != main+scan %d", got, want)
-	}
-	if !deep {
 		return nil
+	})
+	if err == nil && deep && lir != p.nLIR {
+		err = p.errorf("%d LIR pages on the stack, recorded %d", lir, p.nLIR)
 	}
-	for _, lc := range []struct {
-		name string
-		l    *list
-	}{{"main", p.main}, {"scan", p.scan}} {
-		_, err := walkList("seq", lc.name, lc.l, func(nd *node) error {
-			return inTable("seq", lc.name, p.table, nd)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // ---- ARC / CAR ----
 
-// checkARCShape verifies the list-length identities ARC and CAR share: the
+// check verifies the list-length identities ARC and CAR share — the
 // directory invariants of the ARC paper (|T1|+|T2| ≤ c, |T1|+|B1| ≤ c,
-// total ≤ 2c) plus the adaptation target's range.
-func checkARCShape(name string, capacity, target int, table map[PageID]*node, t1, t2, b1, b2 *list) error {
-	if t1.len()+t2.len() > capacity {
-		return fmt.Errorf("replacer: %s: T1+T2 = %d > cap %d", name, t1.len()+t2.len(), capacity)
+// total ≤ 2c) and the adaptation target's range — and, deep, the ghost/hot
+// flag pattern both maintain: T1 fresh, T2 proven, B1/B2 their ghosts.
+func (p *ARC) check(deep bool) error {
+	c := p.capacity
+	t1, t2, b1, b2 := p.ListLengths()
+	switch {
+	case t1+b1 > c:
+		return p.errorf("T1+B1 = %d > cap %d", t1+b1, c)
+	case t1+t2+b1+b2 > 2*c:
+		return p.errorf("directory %d > 2×cap %d", t1+t2+b1+b2, 2*c)
+	case p.p < 0 || p.p > c:
+		return p.errorf("target p=%d outside [0, %d]", p.p, c)
 	}
-	if t1.len()+b1.len() > capacity {
-		return fmt.Errorf("replacer: %s: T1+B1 = %d > cap %d", name, t1.len()+b1.len(), capacity)
-	}
-	total := t1.len() + t2.len() + b1.len() + b2.len()
-	if total > 2*capacity {
-		return fmt.Errorf("replacer: %s: directory %d > 2×cap %d", name, total, 2*capacity)
-	}
-	if len(table) != total {
-		return fmt.Errorf("replacer: %s: table %d != directory %d", name, len(table), total)
-	}
-	if target < 0 || target > capacity {
-		return fmt.Errorf("replacer: %s: target p=%d outside [0, %d]", name, target, capacity)
-	}
-	return nil
-}
-
-// checkARCFlags deep-walks the four lists verifying the ghost/hot flag
-// pattern both ARC and CAR maintain: T1 fresh, T2 proven, B1/B2 their
-// ghosts.
-func checkARCFlags(name string, table map[PageID]*node, t1, t2, b1, b2 *list) error {
-	checks := []struct {
-		lname string
-		l     *list
-		ghost bool
-		hot   bool
-	}{
-		{"t1", t1, false, false},
-		{"t2", t2, false, true},
-		{"b1", b1, true, false},
-		{"b2", b2, true, true},
-	}
-	for _, c := range checks {
-		_, err := walkList(name, c.lname, c.l, func(nd *node) error {
-			if nd.ghost != c.ghost || nd.hot != c.hot {
-				return fmt.Errorf("replacer: %s: %s node %v has ghost=%v hot=%v", name, c.lname, nd.id, nd.ghost, nd.hot)
-			}
-			return inTable(name, c.lname, table, nd)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *ARC) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *ARC) checkInvariants(deep bool) error {
-	if err := checkARCShape("arc", p.capacity, p.p, p.table, p.t1, p.t2, p.b1, p.b2); err != nil {
-		return err
-	}
-	if !deep {
-		return nil
-	}
-	return checkARCFlags("arc", p.table, p.t1, p.t2, p.b1, p.b2)
-}
-
-func (p *CAR) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *CAR) checkInvariants(deep bool) error {
-	if err := checkARCShape("car", p.capacity, p.p, p.table, p.t1, p.t2, p.b1, p.b2); err != nil {
-		return err
-	}
-	if !deep {
-		return nil
-	}
-	return checkARCFlags("car", p.table, p.t1, p.t2, p.b1, p.b2)
+	return p.checkLists(deep, nil)
 }
 
 // ---- CLOCK / GCLOCK ----
 
-func (p *Clock) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *Clock) checkInvariants(deep bool) error {
+func (p *Clock) check(deep bool) error {
 	if p.length > p.capacity {
 		return fmt.Errorf("replacer: %s: length %d > cap %d", p.name, p.length, p.capacity)
 	}
-	if (p.hand == nil) != (p.length == 0) {
-		return fmt.Errorf("replacer: %s: hand nil=%v with length %d", p.name, p.hand == nil, p.length)
+	if (p.hand == nilIdx) != (p.length == 0) {
+		return fmt.Errorf("replacer: %s: hand nil=%v with length %d", p.name, p.hand == nilIdx, p.length)
 	}
 	if !deep {
 		return nil
 	}
-	tabled := 0
-	p.table.Range(func(_, _ any) bool { tabled++; return true })
-	if tabled != p.length {
-		return fmt.Errorf("replacer: %s: table %d != length %d", p.name, tabled, p.length)
-	}
-	if p.hand == nil {
-		return nil
+	resident := 0
+	p.eachResident(func(uint32, PageID) { resident++ })
+	if resident != p.length {
+		return fmt.Errorf("replacer: %s: %d slots hold pages, length %d", p.name, resident, p.length)
 	}
 	n := 0
-	for nd := p.hand; ; nd = nd.next {
-		if nd.next.prev != nd || nd.prev.next != nd {
-			return fmt.Errorf("replacer: %s: broken ring links at %v", p.name, nd.id)
+	for i := p.hand; n < p.length; i = p.nodes[i].next {
+		nd := &p.nodes[i]
+		if int(nd.next) >= len(p.nodes) || int(nd.prev) >= len(p.nodes) || p.nodes[nd.next].prev != i || p.nodes[nd.prev].next != i {
+			return fmt.Errorf("replacer: %s: broken ring links at slot %d", p.name, i)
 		}
 		if ref := nd.ref.Load(); ref < 0 || ref > p.maxCount {
-			return fmt.Errorf("replacer: %s: page %v reference count %d outside [0, %d]", p.name, nd.id, ref, p.maxCount)
+			return fmt.Errorf("replacer: %s: page %v reference count %d outside [0, %d]", p.name, PageID(nd.id.Load()), ref, p.maxCount)
 		}
-		if v, ok := p.table.Load(nd.id); !ok || v.(*clockNode) != nd {
-			return fmt.Errorf("replacer: %s: ring node %v not backed by table entry", p.name, nd.id)
+		if p.byID {
+			if j, ok := p.ix.Load().lookup(PageID(nd.id.Load())); !ok || j != i {
+				return fmt.Errorf("replacer: %s: ring node %v not filed in the id index", p.name, PageID(nd.id.Load()))
+			}
 		}
 		n++
-		if n > p.length {
-			return fmt.Errorf("replacer: %s: ring walk exceeds length %d", p.name, p.length)
-		}
-		if nd.next == p.hand {
-			break
-		}
 	}
-	if n != p.length {
-		return fmt.Errorf("replacer: %s: ring holds %d nodes, length %d", p.name, n, p.length)
+	if n > 0 && p.nodes[p.nodes[p.hand].prev].next != p.hand {
+		return fmt.Errorf("replacer: %s: ring does not close on the hand", p.name)
 	}
 	return nil
 }
 
 // ---- CLOCK-Pro ----
 
-func (p *ClockPro) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *ClockPro) checkInvariants(deep bool) error {
-	if p.Len() > p.capacity {
-		return fmt.Errorf("replacer: clockpro: Len %d > cap %d", p.Len(), p.capacity)
+func (p *ClockPro) check(deep bool) error {
+	total := p.nHot + p.nColdRes + p.nNR
+	switch {
+	case p.Len() > p.capacity:
+		return p.errorf("Len %d > cap %d", p.Len(), p.capacity)
+	case p.nNR > p.capacity:
+		return p.errorf("%d non-resident pages > cap %d", p.nNR, p.capacity)
+	case p.coldTarget < 1 || p.coldTarget > p.capacity:
+		return p.errorf("cold target %d outside [1, %d]", p.coldTarget, p.capacity)
+	case (p.handHot == nilIdx) != (total == 0):
+		return p.errorf("hands nil=%v with %d entries", p.handHot == nilIdx, total)
 	}
-	if p.nNR > p.capacity {
-		return fmt.Errorf("replacer: clockpro: %d non-resident pages > cap %d", p.nNR, p.capacity)
-	}
-	if p.coldTarget < 1 || p.coldTarget > p.capacity {
-		return fmt.Errorf("replacer: clockpro: cold target %d outside [1, %d]", p.coldTarget, p.capacity)
-	}
-	if got, want := len(p.table), p.nHot+p.nColdRes+p.nNR; got != want {
-		return fmt.Errorf("replacer: clockpro: table %d != hot+cold+nonres %d", got, want)
-	}
-	if (p.handHot == nil) != (len(p.table) == 0) {
-		return fmt.Errorf("replacer: clockpro: hands nil=%v with %d entries", p.handHot == nil, len(p.table))
-	}
-	if !deep {
+	if !deep || total == 0 {
 		return nil
 	}
-	if p.handHot == nil {
-		return nil
-	}
+	a := &audit{s: &p.slab, seen: make([]uint8, len(p.nodes))}
 	var hot, coldRes, nonRes, n int
-	for e := p.handHot; ; e = e.next {
-		if e.next.prev != e || e.prev.next != e {
-			return fmt.Errorf("replacer: clockpro: broken ring links at %v", e.id)
+	for i := p.handHot; ; {
+		nd := &p.nodes[i]
+		if !linked(p.nodes, i) {
+			return p.errorf("broken ring links at %v", nd.id)
 		}
+		a.seen[i]++
 		switch {
-		case e.hot:
+		case !nd.has(fLive):
+			return p.errorf("free node %d on the ring", i)
+		case nd.has(fHot):
 			hot++
-			if !e.resident {
-				return fmt.Errorf("replacer: clockpro: hot page %v not resident", e.id)
+			if nd.has(fGhost | fTest) {
+				return p.errorf("hot page %v has flags %#x", nd.id, nd.flags)
 			}
-			if e.test {
-				return fmt.Errorf("replacer: clockpro: hot page %v in a test period", e.id)
-			}
-		case e.resident:
+		case !nd.has(fGhost):
 			coldRes++
 		default:
 			nonRes++
-			if !e.test {
-				return fmt.Errorf("replacer: clockpro: non-resident page %v outside its test period", e.id)
+			if !nd.has(fTest) {
+				return p.errorf("non-resident page %v outside its test period", nd.id)
 			}
 		}
-		if got, ok := p.table[e.id]; !ok || got != e {
-			return fmt.Errorf("replacer: clockpro: ring node %v not backed by table entry", e.id)
+		if n++; n > total {
+			return p.errorf("ring walk exceeds %d entries", total)
 		}
-		n++
-		if n > len(p.table) {
-			return fmt.Errorf("replacer: clockpro: ring walk exceeds table size %d", len(p.table))
-		}
-		if e.next == p.handHot {
+		if i = nd.next; i == p.handHot {
 			break
 		}
 	}
 	if hot != p.nHot || coldRes != p.nColdRes || nonRes != p.nNR {
-		return fmt.Errorf("replacer: clockpro: counted hot/cold/nonres %d/%d/%d, recorded %d/%d/%d",
-			hot, coldRes, nonRes, p.nHot, p.nColdRes, p.nNR)
+		return p.errorf("counted hot/cold/nonres %d/%d/%d, recorded %d/%d/%d", hot, coldRes, nonRes, p.nHot, p.nColdRes, p.nNR)
 	}
-	for _, hand := range []*cpEntry{p.handCold, p.handTest} {
-		if hand == nil {
-			return fmt.Errorf("replacer: clockpro: a hand is nil while the ring holds %d entries", n)
-		}
+	if p.handCold == nilIdx || p.handTest == nilIdx || a.seen[p.handCold] == 0 || a.seen[p.handTest] == 0 {
+		return p.errorf("a hand is off the ring while it holds %d entries", n)
 	}
-	return nil
+	return a.done()
 }
 
 // ---- MQ ----
 
-func (p *MQ) CheckInvariants() error { return p.checkInvariants(deepInvariants) }
-
-func (p *MQ) checkInvariants(deep bool) error {
-	if p.length > p.capacity {
-		return fmt.Errorf("replacer: mq: length %d > cap %d", p.length, p.capacity)
-	}
+func (p *MQ) check(deep bool) error {
 	sum := 0
 	for _, q := range p.queues {
 		sum += q.len()
 	}
 	if sum != p.length {
-		return fmt.Errorf("replacer: mq: queue sum %d != length %d", sum, p.length)
-	}
-	if got, want := len(p.table), p.length+p.qout.len(); got != want {
-		return fmt.Errorf("replacer: mq: table %d != resident+ghosts %d", got, want)
+		return p.errorf("queue sum %d != length %d", sum, p.length)
 	}
 	if p.qout.len() > p.qoutCap {
-		return fmt.Errorf("replacer: mq: qout %d > cap %d", p.qout.len(), p.qoutCap)
+		return p.errorf("qout %d > cap %d", p.qout.len(), p.qoutCap)
 	}
-	if !deep {
+	return p.checkLists(deep, func(_ *audit, l *list, _ uint32, nd *node) error {
+		// A node may sit BELOW its frequency's natural queue after expiry
+		// demotion, never above it.
+		if l != p.qout && (int(nd.level) >= p.numQ || l != p.queues[nd.level] || nd.level > p.queueFor(nd.count)) {
+			return p.errorf("node %v (freq %d, level %d) on %s, natural queue %d", nd.id, nd.count, nd.level, l.name, p.queueFor(nd.count))
+		}
 		return nil
-	}
-	for k, q := range p.queues {
-		_, err := walkList("mq", fmt.Sprintf("queue[%d]", k), q, func(nd *node) error {
-			if nd.ghost {
-				return fmt.Errorf("replacer: mq: ghost %v on frequency queue %d", nd.id, k)
-			}
-			if nd.level != k {
-				return fmt.Errorf("replacer: mq: node %v has level %d on queue %d", nd.id, nd.level, k)
-			}
-			if nd.level != p.queueFor(nd.count) && nd.level >= p.queueFor(nd.count) {
-				// A node may sit BELOW its frequency's natural queue after
-				// expiry demotion, never above it.
-				return fmt.Errorf("replacer: mq: node %v (freq %d) above its natural queue %d",
-					nd.id, nd.count, p.queueFor(nd.count))
-			}
-			return inTable("mq", "queue", p.table, nd)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	_, err := walkList("mq", "qout", p.qout, func(nd *node) error {
-		if !nd.ghost {
-			return fmt.Errorf("replacer: mq: resident page %v on the ghost queue", nd.id)
-		}
-		return inTable("mq", "qout", p.table, nd)
 	})
-	return err
 }

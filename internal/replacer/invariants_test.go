@@ -79,8 +79,10 @@ func TestInvariantCheckDetectsCorruption(t *testing.T) {
 		for i := uint64(0); i < 8; i++ {
 			p.Admit(tid(i))
 		}
-		// Desynchronize table from list the way a lost-update bug would.
-		delete(p.table, tid(3))
+		// Free a slot without taking its page off the list, the way a
+		// lost-update bug would.
+		slot, _ := p.find(tid(3))
+		p.nodes[slot].flags = 0
 		err := CheckDeep(p)
 		if err == nil {
 			t.Fatal("corrupted LRU passed CheckDeep")
@@ -104,8 +106,8 @@ func TestInvariantCheckDetectsCorruption(t *testing.T) {
 		pol, _ := New("gclock", 4)
 		p := pol.(*Clock)
 		p.Admit(tid(0))
-		v, _ := p.table.Load(tid(0))
-		v.(*clockNode).ref.Store(int32(p.maxCount + 1))
+		slot, _ := p.find(tid(0))
+		p.nodes[slot].ref.Store(p.maxCount + 1)
 		if err := CheckDeep(p); err == nil {
 			t.Fatal("over-limit GCLOCK reference count passed CheckDeep")
 		}
@@ -119,7 +121,7 @@ func TestInvariantCheckDetectsCorruption(t *testing.T) {
 		// Flag a resident node as a ghost without moving it.
 		for _, q := range p.queues {
 			if q.len() > 0 {
-				q.root.next.ghost = true
+				p.nodes[q.front()].flags |= fGhost
 				break
 			}
 		}

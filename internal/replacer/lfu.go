@@ -1,148 +1,101 @@
 package replacer
 
 // LFU evicts the resident page with the smallest access frequency, breaking
-// ties by least-recent arrival among pages of equal frequency. It is
-// implemented with the standard frequency-bucket list structure (O(1) per
-// operation): buckets ordered by ascending frequency, each holding its
-// pages in arrival order.
+// ties by least-recent arrival among pages of equal frequency. All pages
+// sit on one list, highest frequency first and, within a frequency, newest
+// first, so the victim is always the back. Each run of equal frequency opens
+// with a header node (fHeader, count = the frequency) that its pages name in
+// tick, which makes every operation O(1): a hit moves the page to just
+// behind the header of the next frequency, which if it exists is the header
+// of the run in front.
 type LFU struct {
-	prefetchIndex[node, *node]
-	capacity int
-	table    map[PageID]*node
-	buckets  map[int]*list // frequency → pages at that frequency (front = newest)
-	minFreq  int
-	length   int
-	spare    spareNodes
-	idle     *list // the last bucket list that emptied, for the next bucket that opens
+	slab
+	lst    *list
+	length int
 }
-
-var _ Policy = (*LFU)(nil)
-var _ Prefetcher = (*LFU)(nil)
 
 // NewLFU returns an LFU policy holding at most capacity pages.
 func NewLFU(capacity int) *LFU {
-	checkCap("lfu", capacity)
-	return &LFU{
-		prefetchIndex: newPrefetchIndex[node](capacity),
-
-		capacity: capacity,
-		table:    make(map[PageID]*node, capacity),
-		buckets:  make(map[int]*list),
-	}
+	p := &LFU{}
+	p.init(p, "lfu", capacity, capacity+1, 0, 1) // a header per page, and a hit opens a run before it closes one
+	p.lst = p.newList("list", fLive)
+	return p
 }
-
-// Name implements Policy.
-func (p *LFU) Name() string { return "lfu" }
-
-// Cap implements Policy.
-func (p *LFU) Cap() int { return p.capacity }
 
 // Len implements Policy.
 func (p *LFU) Len() int { return p.length }
 
-// Contains implements Policy.
-func (p *LFU) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
-}
-
-func (p *LFU) bucket(freq int) *list {
-	b, ok := p.buckets[freq]
-	if !ok {
-		if b = p.idle; b != nil {
-			p.idle = nil
-		} else {
-			b = newList()
-		}
-		p.buckets[freq] = b
+// join puts page i at the front of the run of frequency freq. before is the
+// node the run's header sits behind, or would: the back of the run in front,
+// a page if there is such a run and the list's sentinel otherwise.
+func (p *LFU) join(i uint32, freq int32, before uint32) {
+	h := uint32(p.nodes[before].tick)
+	if before == p.lst.root || p.nodes[h].count != freq {
+		h = p.alloc()
+		p.nodes[h].count, p.nodes[h].flags = freq, fLive|fHeader
+		p.lst.insertAfter(h, before)
 	}
-	return b
+	nd := &p.nodes[i]
+	nd.count, nd.tick = freq, int64(h)
+	p.lst.insertAfter(i, h)
 }
 
-// closeBucket drops the emptied bucket of freq, keeping its list: a hit
-// that empties one bucket usually opens the next, so the list moves along
-// with the page instead of being reallocated.
-func (p *LFU) closeBucket(freq int, b *list) {
-	delete(p.buckets, freq)
-	p.idle = b
+// leave takes page i off the list, and its run's header with it if the run
+// is now empty.
+func (p *LFU) leave(i uint32) {
+	h := uint32(p.nodes[i].tick)
+	p.lst.remove(i)
+	p.closeIfEmpty(h)
 }
 
-// Hit increments the page's frequency, moving it to the next bucket.
-func (p *LFU) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+func (p *LFU) closeIfEmpty(h uint32) {
+	if n := p.nodes[h].next; n == p.lst.root || p.nodes[n].has(fHeader) {
+		p.lst.remove(h)
+		p.release(h)
+	}
+}
+
+// HitSlot increments the page's frequency, moving it to the next run.
+func (p *LFU) HitSlot(slot uint32, id PageID) {
+	nd := p.resident(slot, id)
+	if nd == nil {
 		return
 	}
-	old := p.buckets[nd.count]
-	old.remove(nd)
-	if old.len() == 0 {
-		p.closeBucket(nd.count, old)
-		if p.minFreq == nd.count {
-			p.minFreq = nd.count + 1
-		}
-	}
-	nd.count++
-	p.bucket(nd.count).pushFront(nd)
+	h := uint32(nd.tick)
+	// The new run's header goes in before the old one can go out, so that
+	// the place it belongs — in front of the old header — still exists.
+	before := p.nodes[h].prev
+	p.lst.remove(slot)
+	p.join(slot, nd.count+1, before)
+	p.closeIfEmpty(h)
 }
 
-// Admit inserts a new page with frequency 1, evicting the least-frequently-
-// used page (oldest within the lowest-frequency bucket) if at capacity.
-func (p *LFU) Admit(id PageID) (victim PageID, evicted bool) {
-	mustAbsent("lfu", p.Contains(id))
+// AdmitSlot inserts a new page with frequency 1, evicting the least-
+// frequently-used page (oldest within the lowest frequency) if at capacity.
+func (p *LFU) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	if p.length == p.capacity {
-		victim, evicted = p.Evict()
+		victim, evicted = p.evict(), true
 	}
-	nd := p.spare.get(id)
-	nd.count = 1
-	p.table[id] = nd
-	p.bucket(1).pushFront(nd)
-	p.minFreq = 1
+	p.place(slot, id)
+	p.join(slot, 1, p.nodes[p.lst.root].prev)
 	p.length++
-	p.note(id, nd)
 	return victim, evicted
 }
 
-// Evict removes and returns the least-frequently-used page (oldest within
-// the lowest-frequency bucket).
-func (p *LFU) Evict() (PageID, bool) {
-	if p.length == 0 {
-		return 0, false
-	}
-	b, ok := p.buckets[p.minFreq]
-	for !ok || b.len() == 0 {
-		// minFreq can be stale after removals; advance to the next
-		// populated bucket. Bounded by the max frequency seen.
-		p.minFreq++
-		b, ok = p.buckets[p.minFreq]
-	}
-	nd := b.popBack()
-	if b.len() == 0 {
-		p.closeBucket(p.minFreq, b)
-	}
-	id := nd.id
-	delete(p.table, id)
-	p.forget(id)
-	p.spare.put(nd)
+// evict removes and returns the least-frequently-used page (oldest within
+// the lowest frequency): the back of the list.
+func (p *LFU) evict() Victim {
+	i := p.lst.back()
+	p.leave(i)
 	p.length--
-	return id, true
+	return p.vacate(i)
 }
 
-// Remove deletes a page from the resident set.
-func (p *LFU) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
-		return
-	}
-	b := p.buckets[nd.count]
-	b.remove(nd)
-	if b.len() == 0 {
-		p.closeBucket(nd.count, b)
-	}
-	delete(p.table, id)
-	p.forget(id)
-	p.spare.put(nd)
-	p.length--
-	if p.length == 0 {
-		p.minFreq = 0
+// RemoveSlot deletes a page from the resident set.
+func (p *LFU) RemoveSlot(slot uint32, id PageID) {
+	if p.resident(slot, id) != nil {
+		p.leave(slot)
+		p.length--
+		p.vacate(slot)
 	}
 }

@@ -1,43 +1,5 @@
 package replacer
 
-import stdlist "container/list"
-
-// lirsState enumerates the three roles a page can play in LIRS.
-type lirsState uint8
-
-const (
-	lirsLIR      lirsState = iota // low inter-reference recency, resident
-	lirsHIR                       // high inter-reference recency, resident
-	lirsHIRGhost                  // high IRR, non-resident (history only)
-)
-
-// lirsEntry is the per-page metadata for LIRS. A page can be on the
-// recency stack S and the resident-HIR queue Q simultaneously, so it
-// carries an element pointer per list (plus one for the ghost-age FIFO that
-// bounds history size).
-type lirsEntry struct {
-	id    PageID
-	state lirsState
-	sElem *stdlist.Element // position on S, nil if absent
-	qElem *stdlist.Element // position on Q, nil if absent
-	gElem *stdlist.Element // position on the ghost-age FIFO, nil if not ghost
-}
-
-// touch implements touchable for prefetching: it reads the fields a commit
-// would access — the entry's state and its stack neighbours.
-func (e *lirsEntry) touch() uint64 {
-	s := uint64(e.id) ^ uint64(e.state)
-	if se := e.sElem; se != nil {
-		if p := se.Prev(); p != nil {
-			s ^= uint64(p.Value.(*lirsEntry).id)
-		}
-		if n := se.Next(); n != nil {
-			s ^= uint64(n.Value.(*lirsEntry).id)
-		}
-	}
-	return s
-}
-
 // LIRS is the Low Inter-reference Recency Set replacement algorithm (Jiang
 // & Zhang, SIGMETRICS 2002) — one of the advanced algorithms the BP-Wrapper
 // paper reports wrapping in place of 2Q with indistinguishable scalability
@@ -49,24 +11,25 @@ func (e *lirsEntry) touch() uint64 {
 // taken in FIFO order (queue Q). The recency stack S orders recently seen
 // pages — LIR, resident HIR, and a bounded number of non-resident HIR
 // ghosts — and drives promotion/demotion between the sets.
+//
+// A page's node carries its role — LIR (fHot), resident HIR, or non-resident
+// HIR (fGhost) — and its links on S. A page can be on S and on Q at once, so
+// every node has a twin, qoff further up the slab, that carries its links on
+// Q while it is resident and on the ghost-age FIFO (which bounds the
+// history) once it is not. A hit on a LIR page, the common case, touches
+// the one node.
 type LIRS struct {
-	prefetchIndex[lirsEntry, *lirsEntry]
-	capacity  int
-	llirs     int // target LIR set size
-	lhirs     int // target resident-HIR set size (= capacity - llirs)
-	ghostCap  int // max non-resident HIR entries retained
-	table     map[PageID]*lirsEntry
-	s         *stdlist.List // recency stack; Front = most recent
-	q         *stdlist.List // resident HIR queue; Front = oldest (victim end)
-	ghostAge  *stdlist.List // ghosts in creation order; Front = oldest
+	slab
+	llirs     int    // target LIR set size
+	lhirs     int    // target resident-HIR set size (= capacity - llirs)
+	ghostCap  int    // max non-resident HIR entries retained
+	qoff      uint32 // node i's twin is node i+qoff
+	s         *list  // recency stack; front = most recent
+	q         *list  // resident HIR queue, of twins; front = oldest (victim end)
+	ghostAge  *list  // ghosts in creation order, of twins; front = oldest
 	nLIR      int
 	nResident int
 }
-
-var (
-	_ Policy     = (*LIRS)(nil)
-	_ Prefetcher = (*LIRS)(nil)
-)
 
 // NewLIRS returns a LIRS policy with the paper-recommended 1% HIR
 // allocation and a ghost history bounded at 2× capacity.
@@ -77,8 +40,7 @@ func NewLIRS(capacity int) *LIRS {
 // NewLIRSTuned returns a LIRS policy with an explicit resident-HIR
 // allocation (lhirs, in pages) and ghost-history bound.
 func NewLIRSTuned(capacity, lhirs, ghostCap int) *LIRS {
-	checkCap("lirs", capacity)
-	if lhirs < 1 || lhirs >= capacity {
+	if capacity > 0 && (lhirs < 1 || lhirs >= capacity) {
 		// lhirs == capacity would leave no LIR pages at all; LIRS
 		// degenerates. Require at least one page on each side.
 		if capacity == 1 {
@@ -90,74 +52,55 @@ func NewLIRSTuned(capacity, lhirs, ghostCap int) *LIRS {
 	if ghostCap < 0 {
 		panic("replacer: lirs: ghostCap must be >= 0")
 	}
-	return &LIRS{
-		prefetchIndex: newPrefetchIndex[lirsEntry](capacity),
-
-		capacity: capacity,
-		llirs:    capacity - lhirs,
-		lhirs:    lhirs,
-		ghostCap: ghostCap,
-		table:    make(map[PageID]*lirsEntry, capacity+ghostCap),
-		s:        stdlist.New(),
-		q:        stdlist.New(),
-		ghostAge: stdlist.New(),
-	}
+	p := &LIRS{llirs: capacity - lhirs, lhirs: lhirs, ghostCap: ghostCap}
+	entries := capacity + 1 + ghostCap + 1 // the ghost FIFO holds ghostCap+1 between a push and its trim
+	p.init(p, "lirs", capacity, ghostCap+1, entries, 3)
+	p.qoff = uint32(entries)
+	p.s, p.q, p.ghostAge = p.newList("S", fLive), p.newList("Q", 0), p.newList("ghost FIFO", 0)
+	p.s.mask, p.q.mask, p.ghostAge.mask = fLive, 0xff, 0xff // S holds pages in every role, the others twins
+	return p
 }
-
-// Name implements Policy.
-func (p *LIRS) Name() string { return "lirs" }
-
-// Cap implements Policy.
-func (p *LIRS) Cap() int { return p.capacity }
 
 // Len implements Policy.
 func (p *LIRS) Len() int { return p.nResident }
-
-// Contains reports whether id is resident (LIR or resident HIR).
-func (p *LIRS) Contains(id PageID) bool {
-	e, ok := p.table[id]
-	return ok && e.state != lirsHIRGhost
-}
 
 // LIRCount returns the current number of LIR pages; used by invariant tests.
 func (p *LIRS) LIRCount() int { return p.nLIR }
 
 // GhostCount returns the current number of non-resident history entries.
-func (p *LIRS) GhostCount() int { return p.ghostAge.Len() }
+func (p *LIRS) GhostCount() int { return p.ghostAge.len() }
 
-// Hit records an access to a resident page.
-func (p *LIRS) Hit(id PageID) {
-	e, ok := p.table[id]
-	if !ok || e.state == lirsHIRGhost {
-		return
-	}
-	switch e.state {
-	case lirsLIR:
-		wasBottom := p.s.Back() == e.sElem
-		p.s.MoveToFront(e.sElem)
+// onS reports whether entry i is on the recency stack.
+func (p *LIRS) onS(i uint32) bool { return p.nodes[i].next != nilIdx }
+
+// HitSlot records an access to a resident page.
+func (p *LIRS) HitSlot(slot uint32, id PageID) {
+	nd := p.resident(slot, id)
+	switch {
+	case nd == nil:
+	case nd.has(fHot):
+		wasBottom := p.s.back() == slot
+		p.s.moveToFront(slot)
 		if wasBottom {
 			p.prune()
 		}
-	case lirsHIR:
-		if e.sElem != nil {
-			// Resident HIR with stack presence: its new inter-reference
-			// recency is small, so it becomes LIR; the stack-bottom LIR
-			// page is demoted to keep the LIR set size on target.
-			p.s.MoveToFront(e.sElem)
-			e.state = lirsLIR
-			p.q.Remove(e.qElem)
-			e.qElem = nil
-			p.nLIR++
-			if p.nLIR > p.llirs {
-				p.demoteBottom()
-			}
-			p.prune()
-		} else {
-			// Resident HIR not on the stack: status unchanged; refresh its
-			// recency on S and its position in Q.
-			e.sElem = p.s.PushFront(e)
-			p.q.MoveToBack(e.qElem)
+	case p.onS(slot):
+		// Resident HIR with stack presence: its new inter-reference
+		// recency is small, so it becomes LIR; the stack-bottom LIR
+		// page is demoted to keep the LIR set size on target.
+		p.s.moveToFront(slot)
+		nd.flags |= fHot
+		p.q.remove(slot + p.qoff)
+		p.nLIR++
+		if p.nLIR > p.llirs {
+			p.demoteBottom()
 		}
+		p.prune()
+	default:
+		// Resident HIR not on the stack: status unchanged; refresh its
+		// recency on S and its position in Q.
+		p.s.pushFront(slot)
+		p.q.moveToBack(slot + p.qoff)
 	}
 }
 
@@ -165,28 +108,19 @@ func (p *LIRS) Hit(id PageID) {
 // page at the tail of Q. The pruning invariant guarantees the bottom entry
 // is LIR whenever nLIR > 0.
 func (p *LIRS) demoteBottom() {
-	bottom := p.s.Back()
-	if bottom == nil {
-		return
-	}
-	e := bottom.Value.(*lirsEntry)
-	if e.state != lirsLIR {
+	bottom := p.s.back()
+	if bottom != nilIdx && !p.nodes[bottom].has(fHot) {
 		// Should be unreachable given the pruning invariant; tolerate by
 		// pruning and retrying once.
 		p.prune()
-		bottom = p.s.Back()
-		if bottom == nil {
-			return
-		}
-		e = bottom.Value.(*lirsEntry)
-		if e.state != lirsLIR {
-			return
-		}
+		bottom = p.s.back()
 	}
-	p.s.Remove(bottom)
-	e.sElem = nil
-	e.state = lirsHIR
-	e.qElem = p.q.PushBack(e)
+	if bottom == nilIdx || !p.nodes[bottom].has(fHot) {
+		return
+	}
+	p.s.remove(bottom)
+	p.nodes[bottom].flags &^= fHot
+	p.q.pushBack(bottom + p.qoff)
 	p.nLIR--
 }
 
@@ -195,59 +129,52 @@ func (p *LIRS) demoteBottom() {
 // stack; ghosts are dropped entirely.
 func (p *LIRS) prune() {
 	for {
-		bottom := p.s.Back()
-		if bottom == nil {
+		bottom := p.s.back()
+		if bottom == nilIdx || p.nodes[bottom].has(fHot) {
 			return
 		}
-		e := bottom.Value.(*lirsEntry)
-		if e.state == lirsLIR {
-			return
-		}
-		p.s.Remove(bottom)
-		e.sElem = nil
-		if e.state == lirsHIRGhost {
-			p.ghostAge.Remove(e.gElem)
-			delete(p.table, e.id)
+		p.s.remove(bottom)
+		if p.nodes[bottom].has(fGhost) {
+			p.ghostAge.remove(bottom + p.qoff)
+			p.dropGhost(bottom)
 		}
 	}
 }
 
-// Admit makes id resident after a miss, evicting the oldest resident HIR
-// page if the buffer is full.
-func (p *LIRS) Admit(id PageID) (victim PageID, evicted bool) {
-	e, present := p.table[id]
-	if present && e.state != lirsHIRGhost {
-		mustAbsent("lirs", true)
+// forget drops ghost g from the stack, if it is on it, and from the history.
+// It must already be off the ghost-age FIFO.
+func (p *LIRS) forget(g uint32) {
+	if p.onS(g) {
+		p.s.remove(g)
 	}
+	p.dropGhost(g)
+}
+
+// AdmitSlot makes id resident after a miss, evicting the oldest resident
+// HIR page if the buffer is full.
+func (p *LIRS) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
+	g, present := p.ghost(id)
 	if present {
-		// Ghost hit: fully detach the history entry now, so that the
-		// eviction below (ghost trimming, pruning) cannot free the entry
-		// we are about to promote.
-		p.ghostAge.Remove(e.gElem)
-		e.gElem = nil
-		if e.sElem != nil {
-			p.s.Remove(e.sElem)
-			e.sElem = nil
-		}
-		delete(p.table, id)
+		// Ghost hit: drop the history entry now, so that the eviction
+		// below (ghost trimming, pruning) cannot free the entry we are
+		// about to promote.
+		p.ghostAge.remove(g + p.qoff)
+		p.forget(g)
 	}
 	if p.nResident == p.capacity {
-		victim = p.evictHIR()
-		evicted = true
+		victim, evicted = p.evict(), true
 	}
+	nd := p.place(slot, id)
+	p.s.pushFront(slot)
 	switch {
 	case p.nLIR < p.llirs && !present:
 		// Warm-up (or post-Remove refill): fill the LIR set first.
-		e = &lirsEntry{id: id, state: lirsLIR}
-		e.sElem = p.s.PushFront(e)
-		p.table[id] = e
+		nd.flags |= fHot
 		p.nLIR++
 	case present:
 		// Ghost hit: small reuse distance, so the page enters as LIR and
 		// the stack-bottom LIR page is demoted.
-		e.state = lirsLIR
-		e.sElem = p.s.PushFront(e)
-		p.table[id] = e
+		nd.flags |= fHot
 		p.nLIR++
 		if p.nLIR > p.llirs {
 			p.demoteBottom()
@@ -255,85 +182,60 @@ func (p *LIRS) Admit(id PageID) (victim PageID, evicted bool) {
 		p.prune()
 	default:
 		// Cold miss with a full LIR set: enter as resident HIR.
-		e = &lirsEntry{id: id, state: lirsHIR}
-		e.sElem = p.s.PushFront(e)
-		e.qElem = p.q.PushBack(e)
-		p.table[id] = e
+		p.q.pushBack(slot + p.qoff)
 	}
 	p.nResident++
-	p.note(id, e)
 	return victim, evicted
 }
 
-// Evict removes and returns one resident page following LIRS's rule (the
-// oldest resident HIR page).
-func (p *LIRS) Evict() (PageID, bool) {
-	if p.nResident == 0 {
-		return 0, false
-	}
-	return p.evictHIR(), true
-}
-
-// evictHIR evicts the page at the front of Q. If Q is empty (possible after
-// explicit Removes), a LIR page is demoted first to produce a victim.
-func (p *LIRS) evictHIR() PageID {
-	if p.q.Len() == 0 {
+// evict follows LIRS's rule: the victim is the oldest resident HIR page, at
+// the front of Q. If Q is empty (possible after explicit Removes), a LIR
+// page is demoted first to produce a victim.
+func (p *LIRS) evict() Victim {
+	if p.q.len() == 0 {
 		p.demoteBottom()
 	}
-	front := p.q.Front()
-	e := front.Value.(*lirsEntry)
-	p.q.Remove(front)
-	e.qElem = nil
+	i := p.q.popFront() - p.qoff
 	p.nResident--
-	p.forget(e.id)
-	if e.sElem != nil && p.ghostCap > 0 {
-		// Still on the stack: keep it as a ghost so a prompt re-reference
-		// is recognised as low-IRR.
-		e.state = lirsHIRGhost
-		e.gElem = p.ghostAge.PushBack(e)
-		if p.ghostAge.Len() > p.ghostCap {
-			oldest := p.ghostAge.Front()
-			g := oldest.Value.(*lirsEntry)
-			p.ghostAge.Remove(oldest)
-			if g.sElem != nil {
-				p.s.Remove(g.sElem)
-			}
-			delete(p.table, g.id)
+	if !p.onS(i) || p.ghostCap == 0 {
+		if p.onS(i) {
+			p.s.remove(i)
 		}
-	} else {
-		if e.sElem != nil {
-			p.s.Remove(e.sElem)
-			e.sElem = nil
-		}
-		delete(p.table, e.id)
+		return p.vacate(i)
 	}
-	return e.id
+	// Still on the stack: keep it there as a ghost so a prompt re-reference
+	// is recognised as low-IRR.
+	v, g := p.toGhost(i)
+	p.ghostAge.pushBack(g + p.qoff)
+	if p.ghostAge.len() > p.ghostCap {
+		p.forget(p.ghostAge.popFront() - p.qoff)
+	}
+	return v
 }
 
-// Remove deletes a page from the resident set (and its history entry).
-func (p *LIRS) Remove(id PageID) {
-	e, ok := p.table[id]
-	if !ok {
+// RemoveSlot deletes a page from the resident set, or drops its history
+// entry.
+func (p *LIRS) RemoveSlot(i uint32, id PageID) {
+	nd := p.holder(i, id)
+	if nd == nil {
 		return
 	}
-	if e.sElem != nil {
-		p.s.Remove(e.sElem)
-		e.sElem = nil
+	if nd.has(fGhost) {
+		p.ghostAge.remove(i + p.qoff)
+		p.forget(i)
+		return
 	}
-	switch e.state {
-	case lirsLIR:
+	if p.onS(i) {
+		p.s.remove(i)
+	}
+	lir := nd.has(fHot)
+	if !lir {
+		p.q.remove(i + p.qoff)
+	}
+	p.nResident--
+	p.vacate(i)
+	if lir {
 		p.nLIR--
-		p.nResident--
-		p.forget(id)
 		p.prune()
-	case lirsHIR:
-		p.q.Remove(e.qElem)
-		e.qElem = nil
-		p.nResident--
-		p.forget(id)
-	case lirsHIRGhost:
-		p.ghostAge.Remove(e.gElem)
-		e.gElem = nil
 	}
-	delete(p.table, id)
 }

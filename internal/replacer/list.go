@@ -1,154 +1,123 @@
 package replacer
 
-// node is an intrusive doubly-linked list element carrying a page id plus
-// the small per-page metadata the various algorithms need. Using one shared
-// node type (rather than container/list's interface{} elements) avoids
-// boxing on the hot path and lets Prefetch walk real pointers, which is the
-// whole point of the prefetching technique.
+// node is one entry of a policy's slab (slab.go): a page id, the links of
+// the intrusive list it is on, and the small per-page metadata the various
+// algorithms need, in 32 bytes. Keeping all of it in the node (as
+// PostgreSQL keeps it in the buffer descriptor) is what makes the prefetch
+// walk meaningful: committing a batched hit touches exactly these fields.
+// Links are slab indexes, so a node names its neighbours in four bytes each
+// and the whole structure is one allocation the collector never scans.
 type node struct {
-	prev, next *node
 	id         PageID
-
-	// Per-algorithm metadata. Keeping these in the node (as PostgreSQL
-	// keeps them in the buffer descriptor) is what makes the prefetch walk
-	// meaningful: committing a batched hit touches exactly these fields.
-	ref   bool  // CLOCK/CAR/CLOCK-Pro reference bit
-	count int   // GCLOCK counter, LFU frequency, MQ frequency
-	hot   bool  // LIRS: LIR page; CLOCK-Pro: hot page; 2Q: in Am
-	ghost bool  // entry is history-only (non-resident)
-	level int   // MQ queue index
-	tick  int64 // MQ expiry time / LIRS recency aid
+	prev, next uint32 // neighbours on the node's list, nilIdx off every list
+	tick       int64  // MQ expiry time; LRU-K time of last reference; LFU index of the run's header
+	count      int32  // GCLOCK counter, LFU frequency, MQ frequency, LRU-K references recorded
+	level      uint8  // MQ queue index
+	flags      uint8
 }
 
-// list is a sentinel-based circular doubly-linked list of nodes.
-// The zero value is not usable; call init first (newList does).
+// nilIdx is the link of a node that is on no list.
+const nilIdx = ^uint32(0)
+
+// Node flags. A node is free (zero flags), a resident page (fLive), a
+// history entry for a page that is not resident (fLive|fGhost), or a list's
+// own furniture (a sentinel, zero flags; an LFU run header, fLive|fHeader).
+const (
+	fLive   uint8 = 1 << iota // the node holds a page, resident or remembered
+	fGhost                    // history only: 2Q A1out, ARC/CAR B1/B2, LIRS non-resident HIR, MQ Qout, CLOCK-Pro test page
+	fHot                      // 2Q: in Am; ARC/CAR: T2 or B2; LIRS: LIR; CLOCK-Pro: hot
+	fRef                      // CAR/CLOCK-Pro reference bit
+	fTest                     // CLOCK-Pro: in its test period
+	fScan                     // SEQ: admitted while its table was mid-scan
+	fHeader                   // LFU: opens a run of equal frequency; holds no page
+)
+
+func (nd *node) has(f uint8) bool { return nd.flags&f != 0 }
+
+// list is a sentinel-based circular doubly-linked list threaded through a
+// slab's nodes by index. The zero value is not usable; slab.newList makes
+// them.
 type list struct {
-	root node
-	n    int
-}
-
-func newList() *list {
-	l := &list{}
-	l.root.prev = &l.root
-	l.root.next = &l.root
-	return l
+	nodes []node
+	root  uint32 // the sentinel's index
+	n     int
+	name  string // for the invariant check, as are mask and want:
+	mask  uint8  // every node on the list has flags&mask == want
+	want  uint8
 }
 
 func (l *list) len() int { return l.n }
 
-// front returns the first element or nil if the list is empty.
-func (l *list) front() *node {
+// front returns the first element, or nilIdx if the list is empty.
+func (l *list) front() uint32 {
 	if l.n == 0 {
-		return nil
+		return nilIdx
 	}
-	return l.root.next
+	return l.nodes[l.root].next
 }
 
-// back returns the last element or nil if the list is empty.
-func (l *list) back() *node {
+// back returns the last element, or nilIdx if the list is empty.
+func (l *list) back() uint32 {
 	if l.n == 0 {
-		return nil
+		return nilIdx
 	}
-	return l.root.prev
+	return l.nodes[l.root].prev
 }
 
-// pushFront inserts nd at the front of the list.
-func (l *list) pushFront(nd *node) {
-	l.insertAfter(nd, &l.root)
-}
+// pushFront inserts node i at the front of the list.
+func (l *list) pushFront(i uint32) { l.insertAfter(i, l.root) }
 
-// pushBack inserts nd at the back of the list.
-func (l *list) pushBack(nd *node) {
-	l.insertAfter(nd, l.root.prev)
-}
+// pushBack inserts node i at the back of the list.
+func (l *list) pushBack(i uint32) { l.insertAfter(i, l.nodes[l.root].prev) }
 
-// insertAfter links nd immediately after at.
-func (l *list) insertAfter(nd, at *node) {
-	nd.prev = at
-	nd.next = at.next
-	at.next.prev = nd
-	at.next = nd
+// insertAfter links node i immediately after at.
+func (l *list) insertAfter(i, at uint32) {
+	nd, a := &l.nodes[i], &l.nodes[at]
+	nd.prev, nd.next = at, a.next
+	l.nodes[a.next].prev = i
+	a.next = i
 	l.n++
 }
 
-// remove unlinks nd from the list. nd must be an element of l.
-func (l *list) remove(nd *node) {
-	nd.prev.next = nd.next
-	nd.next.prev = nd.prev
-	nd.prev = nil
-	nd.next = nil
+// remove unlinks node i, which must be an element of l.
+func (l *list) remove(i uint32) {
+	nd := &l.nodes[i]
+	l.nodes[nd.prev].next = nd.next
+	l.nodes[nd.next].prev = nd.prev
+	nd.prev, nd.next = nilIdx, nilIdx
 	l.n--
 }
 
 // moveToFront moves an element of l to the front.
-func (l *list) moveToFront(nd *node) {
-	if l.root.next == nd {
-		return
+func (l *list) moveToFront(i uint32) {
+	if l.nodes[l.root].next != i {
+		l.remove(i)
+		l.pushFront(i)
 	}
-	l.remove(nd)
-	l.pushFront(nd)
 }
 
 // moveToBack moves an element of l to the back.
-func (l *list) moveToBack(nd *node) {
-	if l.root.prev == nd {
-		return
-	}
-	l.remove(nd)
-	l.pushBack(nd)
-}
-
-// popFront removes and returns the first element, or nil if empty.
-func (l *list) popFront() *node {
-	nd := l.front()
-	if nd != nil {
-		l.remove(nd)
-	}
-	return nd
-}
-
-// popBack removes and returns the last element, or nil if empty.
-func (l *list) popBack() *node {
-	nd := l.back()
-	if nd != nil {
-		l.remove(nd)
-	}
-	return nd
-}
-
-// each calls fn for every element from front to back. fn must not mutate
-// the list.
-func (l *list) each(fn func(*node)) {
-	for nd := l.root.next; nd != &l.root; nd = nd.next {
-		fn(nd)
+func (l *list) moveToBack(i uint32) {
+	if l.nodes[l.root].prev != i {
+		l.remove(i)
+		l.pushBack(i)
 	}
 }
 
-// spareNodes is a policy's chain of nodes it has dropped — a victim that
-// leaves no ghost, a ghost trimmed off its queue, a removed page — kept for
-// the next Admit, so that a policy at capacity, which drops one node for
-// every one it admits, admits without allocating. The chain never holds
-// more nodes than the policy once had live, so it needs no bound.
-type spareNodes struct {
-	head *node // linked through next
-}
-
-// put takes a node that is off every list and out of the table. Its
-// metadata is cleared here, so a caller reads what it needs first.
-func (s *spareNodes) put(nd *node) {
-	*nd = node{next: s.head}
-	s.head = nd
-}
-
-// get returns a node for id with zero metadata, linked nowhere: a dropped
-// one when there is one.
-func (s *spareNodes) get(id PageID) *node {
-	nd := s.head
-	if nd == nil {
-		return &node{id: id}
+// popFront removes and returns the first element, or nilIdx if empty.
+func (l *list) popFront() uint32 {
+	i := l.front()
+	if i != nilIdx {
+		l.remove(i)
 	}
-	s.head = nd.next
-	nd.next = nil
-	nd.id = id
-	return nd
+	return i
+}
+
+// popBack removes and returns the last element, or nilIdx if empty.
+func (l *list) popBack() uint32 {
+	i := l.back()
+	if i != nilIdx {
+		l.remove(i)
+	}
+	return i
 }

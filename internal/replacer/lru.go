@@ -6,83 +6,50 @@ package replacer
 // (CLOCK) stock PostgreSQL adopted for scalability, and the canonical
 // example used throughout the BP-Wrapper paper.
 type LRU struct {
-	prefetchIndex[node, *node]
-	capacity int
-	table    map[PageID]*node
-	lst      *list // front = MRU, back = LRU
-	spare    spareNodes
+	slab
+	lst *list // front = MRU, back = LRU
 }
-
-var _ Policy = (*LRU)(nil)
-var _ Prefetcher = (*LRU)(nil)
 
 // NewLRU returns an LRU policy holding at most capacity pages.
 func NewLRU(capacity int) *LRU {
-	checkCap("lru", capacity)
-	return &LRU{
-		prefetchIndex: newPrefetchIndex[node](capacity),
-
-		capacity: capacity,
-		table:    make(map[PageID]*node, capacity),
-		lst:      newList(),
-	}
+	p := &LRU{}
+	p.initLRU(p, "lru", capacity)
+	return p
 }
 
-// Name implements Policy.
-func (p *LRU) Name() string { return "lru" }
-
-// Cap implements Policy.
-func (p *LRU) Cap() int { return p.capacity }
+func (p *LRU) initLRU(self slotted, name string, capacity int) {
+	p.init(self, name, capacity, 0, 0, 1)
+	p.lst = p.newList("list", fLive)
+}
 
 // Len implements Policy.
 func (p *LRU) Len() int { return p.lst.len() }
 
-// Contains implements Policy.
-func (p *LRU) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
-}
-
-// Hit moves the page to the MRU position. Non-resident ids are ignored.
-func (p *LRU) Hit(id PageID) {
-	if nd, ok := p.table[id]; ok {
-		p.lst.moveToFront(nd)
+// HitSlot moves the page to the MRU position.
+func (p *LRU) HitSlot(slot uint32, id PageID) {
+	if p.resident(slot, id) != nil {
+		p.lst.moveToFront(slot)
 	}
 }
 
-// Admit inserts a new page at the MRU position, evicting the LRU page if
-// the policy is at capacity.
-func (p *LRU) Admit(id PageID) (victim PageID, evicted bool) {
-	mustAbsent("lru", p.Contains(id))
+// AdmitSlot inserts a new page at the MRU position, evicting the LRU page
+// if the policy is at capacity.
+func (p *LRU) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	if p.Len() == p.capacity {
-		victim, evicted = p.Evict()
+		victim, evicted = p.evict(), true
 	}
-	nd := p.spare.get(id)
-	p.table[id] = nd
-	p.lst.pushFront(nd)
-	p.note(id, nd)
+	p.place(slot, id)
+	p.lst.pushFront(slot)
 	return victim, evicted
 }
 
-// Evict removes and returns the page at the LRU position.
-func (p *LRU) Evict() (PageID, bool) {
-	nd := p.lst.popBack()
-	if nd == nil {
-		return 0, false
-	}
-	id := nd.id
-	delete(p.table, id)
-	p.forget(id)
-	p.spare.put(nd)
-	return id, true
-}
+// evict removes and returns the page at the LRU position.
+func (p *LRU) evict() Victim { return p.vacate(p.lst.popBack()) }
 
-// Remove deletes a page from the resident set.
-func (p *LRU) Remove(id PageID) {
-	if nd, ok := p.table[id]; ok {
-		p.lst.remove(nd)
-		delete(p.table, id)
-		p.forget(id)
-		p.spare.put(nd)
+// RemoveSlot deletes a page from the resident set.
+func (p *LRU) RemoveSlot(slot uint32, id PageID) {
+	if p.resident(slot, id) != nil {
+		p.lst.remove(slot)
+		p.vacate(slot)
 	}
 }

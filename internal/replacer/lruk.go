@@ -17,50 +17,28 @@ package replacer
 // stale heap entries (for pages re-referenced or evicted since the entry
 // was pushed) are skipped on pop, keeping Hit at O(log n) amortized.
 type LRUK struct {
-	prefetchIndex[lrukEntry, *lrukEntry]
-	capacity int
-	k        int
-	clock    int64
-
-	table map[PageID]*lrukEntry
-	heap  lrukHeap
+	slab
+	k      int
+	clock  int64   // one tick per recorded reference, so no two are alike
+	hist   []int64 // k reference times per slot, newest first
+	heap   lrukHeap
+	length int
 }
 
-// lrukEntry is the per-page reference history: a circular buffer of the
-// last K reference times.
-type lrukEntry struct {
-	id      PageID
-	hist    []int64 // hist[i]: i-th most recent is maintained via rotation
-	n       int     // references recorded (capped at k)
-	version uint64  // bumped on every update; stale heap items are skipped
-}
+// A page's node keeps how many references it has recorded (count, capped at
+// k) and the time of the last (tick), which doubles as the version stale
+// heap snapshots are told by: every record moves it to a time no snapshot
+// has seen.
 
-// touch implements touchable for prefetching.
-func (e *lrukEntry) touch() uint64 {
-	s := uint64(e.id) ^ uint64(e.n) ^ e.version
-	for _, h := range e.hist {
-		s ^= uint64(h)
-	}
-	return s
-}
-
-// kDistanceKey returns the eviction key: the K-th most recent reference
-// time, or a value that sorts before every real time when the page has
-// fewer than K references (infinite backward distance). Ties among
-// <K-reference pages break by their most recent reference (LRU).
-func (e *lrukEntry) kDistanceKey(k int) (int64, int64) {
-	if e.n < k {
-		return -1, e.hist[0] // infinite distance; LRU tie-break
-	}
-	return e.hist[k-1], e.hist[0]
-}
-
-// lrukItem is a heap entry snapshot.
+// lrukItem is a heap entry: one page's eviction key as of one reference.
+// The key is the K-th most recent reference time, or a value that sorts
+// before every real time when the page has fewer than K references (infinite
+// backward distance); ties among those break by the most recent reference
+// (LRU).
 type lrukItem struct {
-	entry   *lrukEntry
-	version uint64
-	kth     int64
-	recent  int64
+	slot   uint32
+	kth    int64
+	recent int64
 }
 
 // lrukHeap is a binary min-heap of snapshots, oldest K-th reference first.
@@ -127,58 +105,48 @@ func (h lrukHeap) down(i, n int) {
 	}
 }
 
-var (
-	_ Policy     = (*LRUK)(nil)
-	_ Prefetcher = (*LRUK)(nil)
-)
-
 // NewLRU2 returns an LRU-2 policy, the classic configuration.
 func NewLRU2(capacity int) *LRUK { return NewLRUK(capacity, 2) }
 
 // NewLRUK returns an LRU-K policy with explicit K >= 1 (K=1 degenerates to
 // plain LRU).
 func NewLRUK(capacity, k int) *LRUK {
-	checkCap("lru2", capacity)
 	if k < 1 {
 		panic("replacer: lruk: k must be >= 1")
 	}
-	return &LRUK{
-		prefetchIndex: newPrefetchIndex[lrukEntry](capacity),
-
-		capacity: capacity,
-		k:        k,
-		table:    make(map[PageID]*lrukEntry, capacity),
-	}
+	p := &LRUK{k: k}
+	p.init(p, "lru2", capacity, 0, 0, 0)
+	p.hist = make([]int64, (capacity+1)*k)
+	return p
 }
-
-// Name implements Policy.
-func (p *LRUK) Name() string { return "lru2" }
-
-// Cap implements Policy.
-func (p *LRUK) Cap() int { return p.capacity }
 
 // Len implements Policy.
-func (p *LRUK) Len() int { return len(p.table) }
+func (p *LRUK) Len() int { return p.length }
 
-// Contains implements Policy.
-func (p *LRUK) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
+// snapshot returns the heap entry for the page in slot as it stands.
+func (p *LRUK) snapshot(slot uint32) lrukItem {
+	hist := p.hist[int(slot)*p.k:][:p.k]
+	it := lrukItem{slot: slot, kth: -1, recent: hist[0]}
+	if int(p.nodes[slot].count) == p.k {
+		it.kth = hist[p.k-1]
+	}
+	return it
 }
 
-// record registers a reference: rotate the history and repush the heap
+// record registers a reference: rotate the history and push a fresh heap
 // snapshot.
-func (p *LRUK) record(e *lrukEntry) {
+func (p *LRUK) record(slot uint32) {
 	p.clock++
+	nd := &p.nodes[slot]
 	// Shift history: newest at [0].
-	copy(e.hist[1:], e.hist[:len(e.hist)-1])
-	e.hist[0] = p.clock
-	if e.n < p.k {
-		e.n++
+	hist := p.hist[int(slot)*p.k:][:p.k]
+	copy(hist[1:], hist)
+	hist[0] = p.clock
+	if int(nd.count) < p.k {
+		nd.count++
 	}
-	e.version++
-	kth, recent := e.kDistanceKey(p.k)
-	p.heap.push(lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
+	nd.tick = p.clock
+	p.heap.push(p.snapshot(slot))
 	if len(p.heap) > 8*p.capacity {
 		p.compact()
 	}
@@ -188,54 +156,48 @@ func (p *LRUK) record(e *lrukEntry) {
 // snapshots; amortized O(1) per operation by the 8× growth trigger.
 func (p *LRUK) compact() {
 	p.heap = p.heap[:0]
-	for _, e := range p.table {
-		kth, recent := e.kDistanceKey(p.k)
-		p.heap = append(p.heap, lrukItem{entry: e, version: e.version, kth: kth, recent: recent})
-	}
+	p.eachResident(func(slot uint32, _ PageID) { p.heap = append(p.heap, p.snapshot(slot)) })
 	p.heap.init()
 }
 
-// Hit implements Policy.
-func (p *LRUK) Hit(id PageID) {
-	if e, ok := p.table[id]; ok {
-		p.record(e)
+// HitSlot implements SlotPolicy.
+func (p *LRUK) HitSlot(slot uint32, id PageID) {
+	if p.resident(slot, id) != nil {
+		p.record(slot)
 	}
 }
 
-// Admit implements Policy.
-func (p *LRUK) Admit(id PageID) (victim PageID, evicted bool) {
-	mustAbsent("lru2", p.Contains(id))
-	if len(p.table) == p.capacity {
-		victim, evicted = p.Evict()
+// AdmitSlot implements SlotPolicy.
+func (p *LRUK) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
+	if p.length == p.capacity {
+		victim, evicted = p.evict(), true
 	}
-	e := &lrukEntry{id: id, hist: make([]int64, p.k)}
-	p.table[id] = e
-	p.record(e)
-	p.note(id, e)
+	p.place(slot, id)
+	clear(p.hist[int(slot)*p.k:][:p.k])
+	p.length++
+	p.record(slot)
 	return victim, evicted
 }
 
-// Evict implements Policy: pop heap items until one matches a live,
-// current entry; that page has the maximal backward K-distance.
-func (p *LRUK) Evict() (PageID, bool) {
-	for len(p.heap) > 0 {
+// evict pops heap items until one is the current snapshot of a resident
+// page, which every resident page has; that page has the maximal backward
+// K-distance.
+func (p *LRUK) evict() Victim {
+	for {
 		it := p.heap.pop()
-		e := it.entry
-		if cur, ok := p.table[e.id]; !ok || cur != e || e.version != it.version {
+		if nd := &p.nodes[it.slot]; nd.flags == 0 || nd.tick != it.recent {
 			continue // stale snapshot
 		}
-		delete(p.table, e.id)
-		p.forget(e.id)
-		return e.id, true
+		p.length--
+		return p.vacate(it.slot)
 	}
-	return 0, false
 }
 
-// Remove implements Policy. The heap entries become stale and are skipped
-// lazily.
-func (p *LRUK) Remove(id PageID) {
-	if _, ok := p.table[id]; ok {
-		delete(p.table, id)
-		p.forget(id)
+// RemoveSlot implements SlotPolicy. The heap entries become stale and are
+// skipped lazily.
+func (p *LRUK) RemoveSlot(slot uint32, id PageID) {
+	if p.resident(slot, id) != nil {
+		p.length--
+		p.vacate(slot)
 	}
 }

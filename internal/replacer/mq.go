@@ -1,5 +1,7 @@
 package replacer
 
+import "fmt"
+
 // MQ is the Multi-Queue replacement algorithm (Zhou, Philbin & Li, USENIX
 // 2001), designed for second-level buffer caches and one of the algorithms
 // the BP-Wrapper paper wraps in place of 2Q with equivalent scalability
@@ -8,24 +10,16 @@ package replacer
 // that stop being accessed; evicted pages leave a frequency-remembering
 // ghost entry in Qout.
 type MQ struct {
-	prefetchIndex[node, *node]
-	capacity int
+	slab
 	numQ     int   // number of frequency queues (m)
 	lifeTime int64 // accesses a page may sit in a queue before demotion
 	qoutCap  int   // ghost capacity
 
-	table  map[PageID]*node
 	queues []*list // queues[k]: front = LRU end, back = MRU end
 	qout   *list   // ghosts; front = oldest
 	now    int64   // logical clock, one tick per access
 	length int
-	spare  spareNodes
 }
-
-var (
-	_ Policy     = (*MQ)(nil)
-	_ Prefetcher = (*MQ)(nil)
-)
 
 // NewMQ returns an MQ policy with the paper's defaults: 8 queues, ghost
 // directory of capacity entries, and a lifetime of 4× capacity accesses.
@@ -36,9 +30,8 @@ func NewMQ(capacity int) *MQ {
 // NewMQTuned returns an MQ policy with explicit queue count, lifetime
 // (in accesses), and ghost capacity.
 func NewMQTuned(capacity, numQ int, lifeTime int64, qoutCap int) *MQ {
-	checkCap("mq", capacity)
-	if numQ < 1 {
-		panic("replacer: mq: numQ must be >= 1")
+	if numQ < 1 || numQ > 256 {
+		panic("replacer: mq: numQ out of range [1, 256]")
 	}
 	if lifeTime < 1 {
 		panic("replacer: mq: lifeTime must be >= 1")
@@ -46,161 +39,116 @@ func NewMQTuned(capacity, numQ int, lifeTime int64, qoutCap int) *MQ {
 	if qoutCap < 0 {
 		panic("replacer: mq: qoutCap must be >= 0")
 	}
-	qs := make([]*list, numQ)
-	for i := range qs {
-		qs[i] = newList()
+	p := &MQ{numQ: numQ, lifeTime: lifeTime, qoutCap: qoutCap, queues: make([]*list, numQ)}
+	p.init(p, "mq", capacity, qoutCap+1, 0, numQ+1) // Qout holds qoutCap+1 between a push and its trim
+	for i := range p.queues {
+		p.queues[i] = p.newList(fmt.Sprintf("queue[%d]", i), fLive)
 	}
-	return &MQ{
-		prefetchIndex: newPrefetchIndex[node](capacity),
-
-		capacity: capacity,
-		numQ:     numQ,
-		lifeTime: lifeTime,
-		qoutCap:  qoutCap,
-		table:    make(map[PageID]*node, capacity+qoutCap),
-		queues:   qs,
-		qout:     newList(),
-	}
+	p.qout = p.newList("qout", fLive|fGhost)
+	return p
 }
-
-// Name implements Policy.
-func (p *MQ) Name() string { return "mq" }
-
-// Cap implements Policy.
-func (p *MQ) Cap() int { return p.capacity }
 
 // Len implements Policy.
 func (p *MQ) Len() int { return p.length }
 
-// Contains reports whether id is resident.
-func (p *MQ) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
-}
-
 // queueFor maps an access frequency to its queue index: ⌊log2(f)⌋ capped.
-func (p *MQ) queueFor(freq int) int {
+func (p *MQ) queueFor(freq int32) uint8 {
 	k := 0
 	for f := freq; f > 1 && k < p.numQ-1; f >>= 1 {
 		k++
 	}
-	return k
+	return uint8(k)
 }
 
 // adjust demotes at most one expired queue-head per level, as MQ does on
 // every access ("Adjust" in the original pseudo-code).
 func (p *MQ) adjust() {
 	for k := 1; k < p.numQ; k++ {
-		head := p.queues[k].front()
-		if head != nil && head.tick < p.now {
-			p.queues[k].remove(head)
-			head.level = k - 1
-			head.tick = p.now + p.lifeTime
-			p.queues[k-1].pushBack(head)
+		if i := p.queues[k].front(); i != nilIdx && p.nodes[i].tick < p.now {
+			p.queues[k].remove(i)
+			p.enqueue(i, uint8(k-1))
 		}
 	}
 }
 
-// Hit records an access: the page's frequency is incremented, it moves to
-// the MRU end of its (possibly higher) frequency queue, and its expiry is
-// renewed.
-func (p *MQ) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
+// enqueue puts node i at the MRU end of queue level with a fresh expiry.
+func (p *MQ) enqueue(i uint32, level uint8) {
+	nd := &p.nodes[i]
+	nd.level, nd.tick = level, p.now+p.lifeTime
+	p.queues[level].pushBack(i)
+}
+
+// HitSlot records an access: the page's frequency is incremented, it moves
+// to the MRU end of its (possibly higher) frequency queue, and its expiry
+// is renewed.
+func (p *MQ) HitSlot(slot uint32, id PageID) {
+	nd := p.resident(slot, id)
+	if nd == nil {
 		return
 	}
 	p.now++
-	p.queues[nd.level].remove(nd)
+	p.queues[nd.level].remove(slot)
 	nd.count++
-	nd.level = p.queueFor(nd.count)
-	nd.tick = p.now + p.lifeTime
-	p.queues[nd.level].pushBack(nd)
+	p.enqueue(slot, p.queueFor(nd.count))
 	p.adjust()
 }
 
-// Admit makes id resident after a miss, restoring its remembered frequency
-// if a ghost entry exists, and evicting the LRU page of the lowest
-// non-empty queue if at capacity.
-func (p *MQ) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
-	if present && !nd.ghost {
-		mustAbsent("mq", true)
-	}
+// AdmitSlot makes id resident after a miss, restoring its remembered
+// frequency if a ghost entry exists, and evicting the LRU page of the
+// lowest non-empty queue if at capacity.
+func (p *MQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	p.now++
-	freq := 1
-	if present {
-		// Ghost hit: detach before eviction can trim it, and restore the
+	freq := int32(1)
+	if g, present := p.ghost(id); present {
+		// Ghost hit: drop it before eviction can trim it, and restore the
 		// remembered frequency.
-		p.qout.remove(nd)
-		delete(p.table, id)
-		freq = nd.count + 1
-		p.spare.put(nd)
+		freq = p.nodes[g].count + 1
+		p.qout.remove(g)
+		p.dropGhost(g)
 	}
 	if p.length == p.capacity {
-		victim = p.evict()
-		evicted = true
+		victim, evicted = p.evict(), true
 	}
-	nd = p.spare.get(id)
-	nd.count = freq
-	nd.level = p.queueFor(freq)
-	nd.tick = p.now + p.lifeTime
-	p.table[id] = nd
-	p.queues[nd.level].pushBack(nd)
+	p.place(slot, id).count = freq
+	p.enqueue(slot, p.queueFor(freq))
 	p.length++
-	p.note(id, nd)
 	p.adjust()
 	return victim, evicted
 }
 
-// Evict removes and returns the LRU page of the lowest non-empty queue.
-func (p *MQ) Evict() (PageID, bool) {
-	if p.length == 0 {
-		return 0, false
-	}
-	return p.evict(), true
-}
-
 // evict removes the LRU page of the lowest non-empty queue, remembering its
 // frequency in Qout.
-func (p *MQ) evict() PageID {
-	for k := 0; k < p.numQ; k++ {
-		nd := p.queues[k].popFront()
-		if nd == nil {
+func (p *MQ) evict() Victim {
+	for k := range p.queues {
+		i := p.queues[k].popFront()
+		if i == nilIdx {
 			continue
 		}
 		p.length--
-		p.forget(nd.id)
-		if p.qoutCap > 0 {
-			nd.ghost = true
-			p.qout.pushBack(nd)
-			if p.qout.len() > p.qoutCap {
-				old := p.qout.popFront()
-				delete(p.table, old.id)
-				p.spare.put(old)
-			}
-			return nd.id
+		if p.qoutCap == 0 {
+			return p.vacate(i)
 		}
-		id := nd.id
-		delete(p.table, id)
-		p.spare.put(nd)
-		return id
+		v, g := p.toGhost(i)
+		p.qout.pushBack(g)
+		if p.qout.len() > p.qoutCap {
+			p.dropGhost(p.qout.popFront())
+		}
+		return v
 	}
 	panic("replacer: mq: evict on empty policy")
 }
 
-// Remove deletes a page from the resident set (and any ghost entry).
-func (p *MQ) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
-		return
-	}
-	if nd.ghost {
-		p.qout.remove(nd)
-	} else {
-		p.queues[nd.level].remove(nd)
+// RemoveSlot deletes a page from the resident set, or drops its ghost.
+func (p *MQ) RemoveSlot(i uint32, id PageID) {
+	nd := p.holder(i, id)
+	switch {
+	case nd == nil:
+	case nd.has(fGhost):
+		p.qout.remove(i)
+		p.dropGhost(i)
+	default:
+		p.queues[nd.level].remove(i)
 		p.length--
-		p.forget(id)
+		p.vacate(i)
 	}
-	delete(p.table, id)
-	p.spare.put(nd)
 }

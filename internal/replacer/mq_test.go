@@ -18,7 +18,7 @@ func TestMQQueueDemotionOnExpiry(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		p.Hit(tid(1)) // freq 8 → queue 3
 	}
-	nd := p.table[tid(1)]
+	nd := p.nodeOf(tid(1))
 	if nd.level != 3 {
 		t.Fatalf("page 1 on queue %d after 8 accesses, want 3", nd.level)
 	}
@@ -48,7 +48,7 @@ func TestMQDemotionRenewsExpiry(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		p.Hit(tid(1))
 	}
-	nd := p.table[tid(1)]
+	nd := p.nodeOf(tid(1))
 	p.Admit(tid(2))
 	// Age page 1 past its expiry, then access once.
 	p.now += 200
@@ -77,14 +77,14 @@ func TestMQGhostRestoresFrequency(t *testing.T) {
 	p.Admit(tid(2))
 	p.Admit(tid(3)) // evicts page 1 (lowest queue head is page 2? both on their queues)
 	// Whichever got evicted, push the other out too so page 1 is a ghost.
-	for !p.table[tid(1)].ghost {
+	for !p.nodeOf(tid(1)).has(fGhost) {
 		p.Evict()
 		mqCheck(t, p)
 	}
 	p.Admit(tid(1))
 	mqCheck(t, p)
-	nd := p.table[tid(1)]
-	if nd.ghost {
+	nd := p.nodeOf(tid(1))
+	if nd.has(fGhost) {
 		t.Fatal("re-admitted page still flagged as ghost")
 	}
 	if nd.count != 8 {

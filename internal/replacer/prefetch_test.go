@@ -7,87 +7,107 @@ import (
 	"testing"
 )
 
-// probe is an index entry that counts its walks.
-type probe struct{ touched int }
-
-func (p *probe) touch() uint64 { p.touched++; return 0 }
-
+// TestPrefetchIndexSizedFromCapacity pins when the id index exists and how
+// big it is: a policy driven by slot with no history to remember never
+// builds one, the first Admit by id or the first ghost does, and its table
+// follows the policy's capacity, not a constant.
 func TestPrefetchIndexSizedFromCapacity(t *testing.T) {
-	for _, c := range []int{1, 2, 3, 100, 2048, 2049, 1 << 16} {
-		px := newPrefetchIndex[node](c)
-		n := len(px.slots)
-		if n&(n-1) != 0 || n < 2*c || n >= 4*c {
-			t.Errorf("capacity %d: %d slots, want a power of two in [%d, %d)", c, n, 2*c, 4*c)
+	for _, n := range []int{1, 2, 3, 100, 2048, 2049, 1 << 16} {
+		ix := newIDIndex(n, false)
+		if h := len(ix.heads); h&(h-1) != 0 || h < n || h >= 2*n && n > 1 {
+			t.Errorf("%d slab indexes: %d buckets, want a power of two in [%d, %d)", n, h, n, 2*n)
+		}
+		if len(ix.next) != n || len(ix.ids) != n {
+			t.Errorf("%d slab indexes: chains over %d, ids over %d", n, len(ix.next), len(ix.ids))
 		}
 	}
-	// A real policy's table follows its capacity, not a constant.
-	if small, big := len(NewTwoQ(8).slots), len(NewTwoQ(8192).slots); small != 16 || big != 16384 {
-		t.Errorf("2q tables: %d slots at capacity 8, %d at 8192", small, big)
+	bySlot := NewLRU(8)
+	for s := uint32(0); s < 8; s++ {
+		bySlot.AdmitSlot(s, tid(uint64(s)))
+	}
+	bySlot.HitSlot(3, tid(3))
+	bySlot.EvictSlot()
+	if !bySlot.Contains(tid(3)) || bySlot.ix.Load() != nil {
+		t.Error("LRU driven by slot: Contains must answer by scanning, without building the id index")
+	}
+	small, big := NewTwoQ(8), NewTwoQ(8192)
+	small.Admit(tid(1))
+	big.Admit(tid(1))
+	if s, b := len(small.ix.Load().heads), len(big.ix.Load().heads); s != 16 || b != 16384 {
+		t.Errorf("2q indexes: %d buckets at capacity 8, %d at 8192", s, b)
+	}
+	ghosts := NewTwoQ(4)
+	for s := uint32(0); s < 4; s++ {
+		ghosts.AdmitSlot(s, tid(uint64(s)))
+	}
+	if ghosts.ix.Load() != nil {
+		t.Error("2q driven by slot built its index before it had a ghost to file")
+	}
+	if v, ok := ghosts.EvictSlot(); !ok || ghosts.ix.Load() == nil {
+		t.Error("2q's first ghost did not build the index")
+	} else if _, remembered := ghosts.ghost(v.ID); !remembered || ghosts.byID {
+		t.Error("2q driven by slot must file its ghost, and only its ghost")
 	}
 }
 
-// TestPrefetchIndexLossy pins the table's semantics: one slot per hash, the
-// last note wins it, and forget clears a slot only for the page that holds it.
-func TestPrefetchIndexLossy(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the field walk this test counts is compiled out under -race")
-	}
-	px := newPrefetchIndex[probe](64)
+// TestPrefetchIndexExact pins the index's semantics: ids that share a
+// bucket are all found, each at its own slab index, and remove unfiles only
+// the entry it names.
+func TestPrefetchIndexExact(t *testing.T) {
+	ix := newIDIndex(64, false)
 	a := tid(1)
 	b := tid(2)
-	for px.slot(b) != px.slot(a) {
+	for ix.bucket(b) != ix.bucket(a) {
 		b++
 	}
-	c := tid(3)
-	for px.slot(c) == px.slot(a) {
+	c := b + 1
+	for ix.bucket(c) != ix.bucket(a) {
 		c++
 	}
-	var ea, eb, ec probe
-	walk := func(ids ...PageID) [3]int {
-		ea, eb, ec = probe{}, probe{}, probe{}
-		px.Prefetch(ids)
-		return [3]int{ea.touched, eb.touched, ec.touched}
-	}
-	expect := func(when string, got, want [3]int) {
+	expect := func(when string, want map[PageID]uint32) {
 		t.Helper()
-		if got != want {
-			t.Fatalf("%s: entries a, b, c walked %v times, want %v", when, got, want)
+		for _, id := range []PageID{a, b, c} {
+			i, ok := ix.lookup(id)
+			if w, filed := want[id]; ok != filed || ok && i != w {
+				t.Fatalf("%s: lookup(%v) = %d, %v; want %d, %v", when, id, i, ok, w, filed)
+			}
 		}
 	}
-
-	expect("empty table", walk(a, b, c), [3]int{})
-	px.note(a, &ea)
-	px.note(c, &ec)
-	expect("a and c noted", walk(a, b, c, a), [3]int{2, 0, 1})
-	px.note(b, &eb)
-	expect("b displaced a", walk(a, b, c), [3]int{0, 1, 1})
-	px.forget(a)
-	expect("forgetting the displaced a leaves b", walk(a, b, c), [3]int{0, 1, 1})
-	px.note(a, &ea)
-	px.forget(a)
-	expect("forgetting a, noted last, empties the slot", walk(a, b, c), [3]int{0, 0, 1})
-	px.forget(c)
-	expect("all forgotten", walk(a, b, c), [3]int{})
+	expect("empty index", nil)
+	ix.insert(a, 5)
+	ix.insert(b, 9)
+	ix.insert(c, 0)
+	expect("three ids in one bucket", map[PageID]uint32{a: 5, b: 9, c: 0})
+	ix.remove(b, 9)
+	expect("the middle of the chain removed", map[PageID]uint32{a: 5, c: 0})
+	ix.remove(a, 5)
+	ix.insert(b, 5) // a slab index is filed under one id at a time
+	expect("an index refiled under another id", map[PageID]uint32{b: 5, c: 0})
+	ix.remove(c, 0)
+	ix.remove(b, 5)
+	expect("all removed", nil)
 }
 
 func TestPrefetchIndexDoesNotAllocate(t *testing.T) {
-	px := newPrefetchIndex[node](256)
-	nodes := make([]node, 64)
-	ids := make([]PageID, len(nodes))
-	for i := range nodes {
+	ix := newIDIndex(256, true)
+	ids := make([]PageID, 64)
+	for i := range ids {
 		ids[i] = tid(uint64(i))
-		nodes[i].id = ids[i]
 	}
 	for name, fn := range map[string]func(){
-		"note": func() {
-			for i := range nodes {
-				px.note(ids[i], &nodes[i])
+		"insert": func() {
+			for i, id := range ids {
+				ix.insert(id, uint32(i))
 			}
 		},
-		"Prefetch": func() { px.Prefetch(ids) },
-		"forget": func() {
+		"lookup": func() {
 			for _, id := range ids {
-				px.forget(id)
+				ix.lookup(id)
+			}
+		},
+		"remove": func() {
+			for i, id := range ids {
+				ix.remove(id, uint32(i))
 			}
 		},
 	} {
@@ -97,57 +117,66 @@ func TestPrefetchIndexDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestPrefetchIndexConcurrent hammers the table the way a policy does —
-// note and forget serialized by a lock, Prefetch outside it — so that -race
-// checks every word the walk's lookup shares with the writers.
+// TestPrefetchIndexConcurrent hammers a policy's index the way the wrapper
+// does — Admit, Evict and Remove serialized by a lock, Prefetch outside it —
+// so that -race checks every word the walk's lookup shares with the writers.
 func TestPrefetchIndexConcurrent(t *testing.T) {
-	px := newPrefetchIndex[node](32) // small: most notes collide
-	nodes := make([]node, 512)
-	ids := make([]PageID, len(nodes))
-	for i := range nodes {
-		ids[i] = tid(uint64(i))
-		nodes[i].id = ids[i]
-	}
-	var (
-		mu      sync.Mutex
-		writers sync.WaitGroup
-		readers sync.WaitGroup
-	)
-	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					px.Prefetch(ids)
+	for _, name := range []string{"2q", "clock", "lirs"} {
+		pol, _ := New(name, 32)
+		ids := make([]PageID, 512)
+		for i := range ids {
+			ids[i] = tid(uint64(i))
+		}
+		var (
+			mu      sync.Mutex
+			writers sync.WaitGroup
+			readers sync.WaitGroup
+		)
+		stop := make(chan struct{})
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						pol.(Prefetcher).Prefetch(ids)
+						if !HitNeedsLock(pol) {
+							pol.Hit(ids[7])
+						}
+					}
 				}
-			}
-		}()
-	}
-	for w := 0; w < 2; w++ {
-		writers.Add(1)
-		go func(seed int64) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for n := 0; n < 20000; n++ {
-				i := rng.Intn(len(ids))
-				mu.Lock()
-				if rng.Intn(2) == 0 {
-					px.note(ids[i], &nodes[i])
-				} else {
-					px.forget(ids[i])
+			}()
+		}
+		for w := 0; w < 2; w++ {
+			writers.Add(1)
+			go func(seed int64) {
+				defer writers.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for n := 0; n < 20000; n++ {
+					id := ids[rng.Intn(len(ids))]
+					mu.Lock()
+					switch {
+					case !pol.Contains(id):
+						pol.Admit(id)
+					case rng.Intn(2) == 0:
+						pol.Remove(id)
+					default:
+						pol.Evict()
+					}
+					mu.Unlock()
 				}
-				mu.Unlock()
-			}
-		}(int64(w))
+			}(int64(w))
+		}
+		writers.Wait()
+		close(stop)
+		readers.Wait()
+		if err := CheckDeep(pol); err != nil {
+			t.Fatal(err)
+		}
 	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
 }
 
 // TestPrefetchNeverChangesVictims is the differential that keeps hit ratios

@@ -82,6 +82,109 @@ type Policy interface {
 	Remove(id PageID)
 }
 
+// Victim is a page a policy gave up through a slot-keyed call, and the frame
+// slot it occupied.
+type Victim struct {
+	ID   PageID
+	Slot uint32
+}
+
+// SlotPolicy is the optional slot-keyed face of a Policy, for a caller that
+// owns the frames — the buffer pool, which probes for it as it probes for
+// Prefetcher. Such a caller names each resident page by the index of the
+// frame it occupies as well as by id, and the policy keeps the page's
+// metadata at that index (as PostgreSQL keeps it in the buffer descriptor),
+// so no call has to look anything up. Slots range over [0, Cap()]; a slot
+// holds at most one resident page and a resident page exactly one slot.
+//
+// Every policy in this package implements it, and implements the id-keyed
+// Policy methods as a lookup in front of these. A policy that does not is
+// driven by id (BySlot), at the price of that lookup under the lock.
+type SlotPolicy interface {
+	Policy
+
+	// ContainsSlot reports whether id is resident in slot.
+	ContainsSlot(slot uint32, id PageID) bool
+
+	// HitSlot is Hit for the page in slot. If the slot is free or holds
+	// another page — the record is older than the frame's present tenant —
+	// it changes nothing.
+	HitSlot(slot uint32, id PageID)
+
+	// AdmitSlot is Admit into a free slot. Admitting into an occupied slot
+	// panics, as admitting a resident page does.
+	AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool)
+
+	// EvictSlot is Evict, naming the slot the victim leaves free.
+	EvictSlot() (Victim, bool)
+
+	// RemoveSlot is Remove for the page in slot; like HitSlot it ignores a
+	// slot that does not hold id.
+	RemoveSlot(slot uint32, id PageID)
+}
+
+// BySlot returns p's slot-keyed face: p itself when it has one, otherwise
+// an adapter that drives p by id and remembers which slot each resident
+// page was admitted into.
+func BySlot(p Policy) SlotPolicy {
+	if sp, ok := p.(SlotPolicy); ok {
+		return sp
+	}
+	return &bySlot{Policy: p, slots: make(map[PageID]uint32)}
+}
+
+// bySlot keeps the pairing both ways: by id, to name the slot a victim
+// leaves, and by slot, so that a hit — every committed access — is checked
+// against its slot's tenant with an array index rather than a map lookup.
+type bySlot struct {
+	Policy
+	slots map[PageID]uint32
+	ids   []PageID // by slot; grown to the highest slot admitted into
+}
+
+func (a *bySlot) ContainsSlot(slot uint32, id PageID) bool {
+	s, ok := a.slots[id]
+	return ok && s == slot
+}
+
+func (a *bySlot) HitSlot(slot uint32, id PageID) {
+	if int(slot) < len(a.ids) && a.ids[slot] == id {
+		a.Hit(id)
+	}
+}
+
+func (a *bySlot) AdmitSlot(slot uint32, id PageID) (Victim, bool) {
+	v, evicted := a.Admit(id)
+	for int(slot) >= len(a.ids) {
+		a.ids = append(a.ids, 0)
+	}
+	a.slots[id], a.ids[slot] = slot, id
+	return a.gaveUp(v, evicted), evicted
+}
+
+func (a *bySlot) EvictSlot() (Victim, bool) {
+	v, ok := a.Evict()
+	return a.gaveUp(v, ok), ok
+}
+
+func (a *bySlot) RemoveSlot(slot uint32, id PageID) {
+	if a.ContainsSlot(slot, id) {
+		a.Remove(id)
+		a.gaveUp(id, true)
+	}
+}
+
+// gaveUp forgets the pairing of a page that is no longer resident.
+func (a *bySlot) gaveUp(id PageID, ok bool) Victim {
+	if !ok {
+		return Victim{}
+	}
+	v := Victim{ID: id, Slot: a.slots[id]}
+	delete(a.slots, id)
+	a.ids[v.Slot] = 0
+	return v
+}
+
 // Prefetcher is implemented by policies that support BP-Wrapper's
 // prefetching technique (Section III-B): Prefetch performs a read-only walk
 // of the metadata entries for the given pages so the data lands in the
@@ -90,6 +193,12 @@ type Policy interface {
 // are harmless.
 type Prefetcher interface {
 	Prefetch(ids []PageID)
+}
+
+// SlotPrefetcher is Prefetcher for a caller that drives the policy by slot:
+// the walk reads the metadata at the given slots.
+type SlotPrefetcher interface {
+	PrefetchSlots(slots []uint32)
 }
 
 // LockFreeHit is implemented by policies whose Hit method is safe to call
@@ -146,18 +255,4 @@ func New(name string, capacity int) (Policy, bool) {
 		return nil, false
 	}
 	return f(capacity), true
-}
-
-// mustAbsent panics when an Admit would duplicate a resident page.
-func mustAbsent(name string, resident bool) {
-	if resident {
-		panic("replacer: " + name + ": Admit of already-resident page")
-	}
-}
-
-// checkCap panics on a non-positive capacity; all constructors share it.
-func checkCap(name string, capacity int) {
-	if capacity <= 0 {
-		panic("replacer: " + name + ": capacity must be positive")
-	}
 }

@@ -323,3 +323,12 @@ func TestLockFreeHitMarkers(t *testing.T) {
 		}
 	}
 }
+
+// nodeOf returns the node that holds id, resident or remembered, for tests
+// that look at a page's metadata.
+func (s *slab) nodeOf(id PageID) *node {
+	if i, ok := s.find(id); ok {
+		return &s.nodes[i]
+	}
+	return nil
+}

@@ -21,22 +21,20 @@ package replacer
 // fires, the scans pollute the buffer, and the hit ratio collapses. See
 // the "distributed" experiment in internal/bench.
 type SEQ struct {
-	prefetchIndex[node, *node]
-	capacity  int
+	slab
 	threshold int
-	table     map[PageID]*node
 	main      *list // front = MRU
-	scan      *list // scan-marked pages; front = MRU, evicted from back first
+	scan      *list // scan-marked pages (fScan); front = MRU, evicted from back first
 
-	lastMiss map[uint32]uint64 // per-table: last missed block number
-	runLen   map[uint32]int    // per-table: current consecutive-miss run
-	spare    spareNodes
+	runs map[uint32]seqRun // per table: the miss run in progress
 }
 
-var (
-	_ Policy     = (*SEQ)(nil)
-	_ Prefetcher = (*SEQ)(nil)
-)
+// seqRun is one table's sequence detector: the last block that missed and
+// how many consecutive blocks have missed up to it.
+type seqRun struct {
+	last uint64
+	n    int
+}
 
 // DefaultSEQThreshold is the consecutive-miss run length that flags a
 // sequential scan.
@@ -48,116 +46,84 @@ func NewSEQ(capacity int) *SEQ { return NewSEQTuned(capacity, DefaultSEQThreshol
 // NewSEQTuned returns a SEQ policy with an explicit detection threshold
 // (the number of consecutive-block misses that marks a table as mid-scan).
 func NewSEQTuned(capacity, threshold int) *SEQ {
-	checkCap("seq", capacity)
 	if threshold < 2 {
 		panic("replacer: seq: threshold must be >= 2")
 	}
-	return &SEQ{
-		prefetchIndex: newPrefetchIndex[node](capacity),
-
-		capacity:  capacity,
-		threshold: threshold,
-		table:     make(map[PageID]*node, capacity),
-		main:      newList(),
-		scan:      newList(),
-		lastMiss:  make(map[uint32]uint64),
-		runLen:    make(map[uint32]int),
-	}
+	p := &SEQ{threshold: threshold, runs: make(map[uint32]seqRun)}
+	p.init(p, "seq", capacity, 0, 0, 2)
+	p.main, p.scan = p.newList("main", fLive), p.newList("scan", fLive|fScan)
+	return p
 }
-
-// Name implements Policy.
-func (p *SEQ) Name() string { return "seq" }
-
-// Cap implements Policy.
-func (p *SEQ) Cap() int { return p.capacity }
 
 // Len implements Policy.
 func (p *SEQ) Len() int { return p.main.len() + p.scan.len() }
-
-// Contains implements Policy.
-func (p *SEQ) Contains(id PageID) bool {
-	_, ok := p.table[id]
-	return ok
-}
 
 // ScanResident reports how many resident pages are currently scan-marked;
 // used by tests and diagnostics.
 func (p *SEQ) ScanResident() int { return p.scan.len() }
 
-// Hit refreshes the page's recency; a re-referenced scan page has proven
-// reuse and is promoted to the main list.
-func (p *SEQ) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
-		return
+// HitSlot refreshes the page's recency; a re-referenced scan page has
+// proven reuse and is promoted to the main list.
+func (p *SEQ) HitSlot(slot uint32, id PageID) {
+	nd := p.resident(slot, id)
+	switch {
+	case nd == nil:
+	case nd.has(fScan):
+		p.scan.remove(slot)
+		nd.flags &^= fScan
+		p.main.pushFront(slot)
+	default:
+		p.main.moveToFront(slot)
 	}
-	if nd.ghost { // ghost flag doubles as the scan marker here
-		p.scan.remove(nd)
-		nd.ghost = false
-		p.main.pushFront(nd)
-		return
-	}
-	p.main.moveToFront(nd)
 }
 
-// Admit records the miss in the per-table sequence detector and admits the
-// page, marking it as a scan page when its table is mid-scan. Scan pages
-// are evicted before any main-list page.
-func (p *SEQ) Admit(id PageID) (victim PageID, evicted bool) {
-	mustAbsent("seq", p.Contains(id))
+// AdmitSlot records the miss in the per-table sequence detector and admits
+// the page, marking it as a scan page when its table is mid-scan. Scan
+// pages are evicted before any main-list page.
+func (p *SEQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	tab, block := id.Table(), id.Block()
-	if last, ok := p.lastMiss[tab]; ok && block == last+1 {
-		p.runLen[tab]++
+	run, seen := p.runs[tab]
+	if seen && block == run.last+1 {
+		run.n++
 	} else {
-		p.runLen[tab] = 1
+		run.n = 1
 	}
-	p.lastMiss[tab] = block
-	inScan := p.runLen[tab] >= p.threshold
+	run.last = block
+	p.runs[tab] = run
 
 	if p.Len() == p.capacity {
-		victim, evicted = p.Evict()
+		victim, evicted = p.evict(), true
 	}
-	nd := p.spare.get(id)
-	nd.ghost = inScan
-	p.table[id] = nd
-	if inScan {
-		p.scan.pushFront(nd)
+	nd := p.place(slot, id)
+	if run.n >= p.threshold {
+		nd.flags |= fScan
+		p.scan.pushFront(slot)
 	} else {
-		p.main.pushFront(nd)
+		p.main.pushFront(slot)
 	}
-	p.note(id, nd)
 	return victim, evicted
 }
 
-// Evict removes the oldest scan page if any exist, otherwise the main
+// evict removes the oldest scan page if any exist, otherwise the main
 // list's LRU page.
-func (p *SEQ) Evict() (PageID, bool) {
-	nd := p.scan.popBack()
-	if nd == nil {
-		nd = p.main.popBack()
+func (p *SEQ) evict() Victim {
+	i := p.scan.popBack()
+	if i == nilIdx {
+		i = p.main.popBack()
 	}
-	if nd == nil {
-		return 0, false
-	}
-	id := nd.id
-	delete(p.table, id)
-	p.forget(id)
-	p.spare.put(nd)
-	return id, true
+	return p.vacate(i)
 }
 
-// Remove deletes a page from the resident set.
-func (p *SEQ) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
+// RemoveSlot deletes a page from the resident set.
+func (p *SEQ) RemoveSlot(slot uint32, id PageID) {
+	nd := p.resident(slot, id)
+	switch {
+	case nd == nil:
 		return
+	case nd.has(fScan):
+		p.scan.remove(slot)
+	default:
+		p.main.remove(slot)
 	}
-	if nd.ghost {
-		p.scan.remove(nd)
-	} else {
-		p.main.remove(nd)
-	}
-	delete(p.table, id)
-	p.forget(id)
-	p.spare.put(nd)
+	p.vacate(slot)
 }

@@ -12,22 +12,14 @@ package replacer
 // the "full" 2Q's correlated-reference filter); hits on Am pages move them
 // to the MRU end — the operation the paper's batching defers.
 type TwoQ struct {
-	prefetchIndex[node, *node]
-	capacity int
-	kin      int // max length of A1in
-	kout     int // max length of A1out (ghosts)
+	slab
+	kin  int // max length of A1in
+	kout int // max length of A1out (ghosts)
 
-	table map[PageID]*node // resident and ghost entries
-	a1in  *list            // front = newest
-	a1out *list            // ghosts; front = newest
-	am    *list            // front = MRU
-	spare spareNodes
+	a1in  *list // front = newest
+	a1out *list // ghosts; front = newest
+	am    *list // front = MRU
 }
-
-var (
-	_ Policy     = (*TwoQ)(nil)
-	_ Prefetcher = (*TwoQ)(nil)
-)
 
 // NewTwoQ returns a 2Q policy with the paper-recommended tuning:
 // Kin = capacity/4 and Kout = capacity/2 (each at least 1).
@@ -38,141 +30,84 @@ func NewTwoQ(capacity int) *TwoQ {
 // NewTwoQTuned returns a 2Q policy with explicit Kin (A1in capacity) and
 // Kout (A1out ghost capacity) parameters.
 func NewTwoQTuned(capacity, kin, kout int) *TwoQ {
-	checkCap("2q", capacity)
-	if kin < 1 || kin > capacity {
+	if capacity > 0 && (kin < 1 || kin > capacity) {
 		panic("replacer: 2q: kin out of range [1, capacity]")
 	}
 	if kout < 1 {
 		panic("replacer: 2q: kout must be >= 1")
 	}
-	return &TwoQ{
-		prefetchIndex: newPrefetchIndex[node](capacity),
-
-		capacity: capacity,
-		kin:      kin,
-		kout:     kout,
-		table:    make(map[PageID]*node, capacity+kout),
-		a1in:     newList(),
-		a1out:    newList(),
-		am:       newList(),
-	}
+	p := &TwoQ{kin: kin, kout: kout}
+	p.init(p, "2q", capacity, kout+1, 0, 3) // A1out holds kout+1 between a push and its trim
+	p.a1in, p.am, p.a1out = p.newList("a1in", fLive), p.newList("am", fLive|fHot), p.newList("a1out", fLive|fGhost)
+	return p
 }
-
-// Name implements Policy.
-func (p *TwoQ) Name() string { return "2q" }
-
-// Cap implements Policy.
-func (p *TwoQ) Cap() int { return p.capacity }
 
 // Len implements Policy.
 func (p *TwoQ) Len() int { return p.a1in.len() + p.am.len() }
 
-// Contains reports whether id is resident (on A1in or Am; ghosts on A1out
-// are not resident).
-func (p *TwoQ) Contains(id PageID) bool {
-	nd, ok := p.table[id]
-	return ok && !nd.ghost
+// HitSlot records an access to a resident page: Am pages move to the MRU
+// end; A1in pages deliberately stay put (2Q's correlated-reference filter).
+func (p *TwoQ) HitSlot(slot uint32, id PageID) {
+	if nd := p.resident(slot, id); nd != nil && nd.has(fHot) {
+		p.am.moveToFront(slot)
+	}
 }
 
-// Hit records an access to a resident page: Am pages move to the MRU end;
-// A1in pages deliberately stay put (2Q's correlated-reference filter).
-// Ghost or absent ids are ignored.
-func (p *TwoQ) Hit(id PageID) {
-	nd, ok := p.table[id]
-	if !ok || nd.ghost {
-		return
-	}
-	if nd.hot { // on Am
-		p.am.moveToFront(nd)
-	}
-	// On A1in: no action, by design.
-}
-
-// Admit makes id resident after a miss. A ghost hit on A1out promotes the
-// page straight into Am; otherwise it enters A1in. If the buffer is full a
-// victim is reclaimed first, preferring A1in once it exceeds Kin.
-func (p *TwoQ) Admit(id PageID) (victim PageID, evicted bool) {
-	nd, present := p.table[id]
-	if present && !nd.ghost {
-		mustAbsent("2q", true)
-	}
+// AdmitSlot makes id resident after a miss. A ghost hit on A1out promotes
+// the page straight into Am; otherwise it enters A1in. If the buffer is full
+// a victim is reclaimed first, preferring A1in once it exceeds Kin.
+func (p *TwoQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
+	g, present := p.ghost(id)
 	if present {
-		// Ghost hit: detach the ghost now so that reclaim's A1out trimming
+		// Ghost hit: drop the ghost now so that evict's A1out trimming
 		// cannot free the very entry we are promoting.
-		p.a1out.remove(nd)
-		delete(p.table, id)
+		p.a1out.remove(g)
+		p.dropGhost(g)
 	}
 	if p.Len() == p.capacity {
-		victim = p.reclaim()
-		evicted = true
+		victim, evicted = p.evict(), true
 	}
+	nd := p.place(slot, id)
 	if present {
 		// The page has proven re-reference; admit straight into Am.
-		nd.ghost = false
-		nd.hot = true
-		p.table[id] = nd
-		p.am.pushFront(nd)
+		nd.flags |= fHot
+		p.am.pushFront(slot)
 	} else {
-		nd = p.spare.get(id)
-		p.table[id] = nd
-		p.a1in.pushFront(nd)
+		p.a1in.pushFront(slot)
 	}
-	p.note(id, nd)
 	return victim, evicted
 }
 
-// reclaim frees one resident slot following 2Q's rule: if A1in holds more
+// evict frees one resident slot following 2Q's rule: if A1in holds more
 // than Kin pages (or Am is empty), evict A1in's oldest page and remember it
 // on A1out; otherwise evict Am's LRU page with no ghost.
-func (p *TwoQ) reclaim() PageID {
+func (p *TwoQ) evict() Victim {
 	if p.a1in.len() > 0 && (p.a1in.len() >= p.kin || p.am.len() == 0) {
-		nd := p.a1in.popBack()
-		p.forget(nd.id)
-		// Keep the entry as a ghost on A1out.
-		nd.ghost = true
-		p.a1out.pushFront(nd)
+		v, g := p.toGhost(p.a1in.popBack())
+		p.a1out.pushFront(g)
 		if p.a1out.len() > p.kout {
-			old := p.a1out.popBack()
-			delete(p.table, old.id)
-			p.spare.put(old)
+			p.dropGhost(p.a1out.popBack())
 		}
-		return nd.id
+		return v
 	}
-	nd := p.am.popBack()
-	id := nd.id
-	delete(p.table, id)
-	p.forget(id)
-	p.spare.put(nd)
-	return id
+	return p.vacate(p.am.popBack())
 }
 
-// Evict removes and returns one resident page following the 2Q reclaim
-// rule.
-func (p *TwoQ) Evict() (PageID, bool) {
-	if p.Len() == 0 {
-		return 0, false
-	}
-	return p.reclaim(), true
-}
-
-// Remove deletes a page from the resident set (and drops any ghost entry).
-func (p *TwoQ) Remove(id PageID) {
-	nd, ok := p.table[id]
-	if !ok {
-		return
-	}
+// RemoveSlot deletes a page from the resident set, or drops its ghost.
+func (p *TwoQ) RemoveSlot(i uint32, id PageID) {
+	nd := p.holder(i, id)
 	switch {
-	case nd.ghost:
-		p.a1out.remove(nd)
-	case nd.hot:
-		p.am.remove(nd)
-		p.forget(id)
+	case nd == nil:
+	case nd.has(fGhost):
+		p.a1out.remove(i)
+		p.dropGhost(i)
+	case nd.has(fHot):
+		p.am.remove(i)
+		p.vacate(i)
 	default:
-		p.a1in.remove(nd)
-		p.forget(id)
+		p.a1in.remove(i)
+		p.vacate(i)
 	}
-	delete(p.table, id)
-	p.spare.put(nd)
 }
 
 // QueueLengths reports the current (A1in, A1out, Am) list lengths; used by

@@ -355,3 +355,11 @@ func TestPartitionedValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestPartitionedConformsToPolicyContract holds the partitioned wrapper to
+// the contract every replacer.Policy is held to.
+func TestPartitionedConformsToPolicyContract(t *testing.T) {
+	replacer.CheckPolicy(t, func(c int) replacer.Policy {
+		return NewPartitioned(c, min(c, 2), replacer.Factories()["2q"])
+	})
+}
