@@ -103,20 +103,6 @@ func (f *Frame) TagSnapshot() (page.BufferTag, bool) {
 	return page.BufferTag{Page: p, Gen: stateGen(s1), Slot: f.slot}, true
 }
 
-// Tag returns the frame's current buffer tag, lock-free: a seq-validated
-// read of the state word and tag (see TagSnapshot). While the caller holds
-// a pin the answer is stable — a pinned frame cannot be recycled. Without
-// a pin the frame may be mid-transition, in which case the zero tag is
-// returned after a few snapshot attempts.
-func (f *Frame) Tag() page.BufferTag {
-	for attempt := 0; attempt < 4; attempt++ {
-		if t, ok := f.TagSnapshot(); ok {
-			return t
-		}
-	}
-	return page.BufferTag{}
-}
-
 // tryPin attempts to take a pin on the frame, atomically verifying that it
 // still caches page id. The CAS doubles as the validation: any reclaim of
 // the frame bumps the generation, so a successful CAS against the loaded
@@ -269,10 +255,14 @@ type PageRef struct {
 // refPool recycles PageRefs so a resident Get stays allocation-free.
 var refPool = sync.Pool{New: func() any { return new(PageRef) }}
 
-// newPageRef issues a recycled (or fresh) reference.
+// newPageRef issues a recycled (or fresh) reference. It assigns field by
+// field on purpose: `*r = PageRef{…}` builds the literal on the stack with
+// 8-byte stores and copies it out with 16-byte loads, which the CPU cannot
+// forward from those stores: a store-forwarding stall on every resident
+// Get.
 func newPageRef(f *Frame, id page.PageID, tag page.BufferTag, writable bool) *PageRef {
 	r := refPool.Get().(*PageRef)
-	*r = PageRef{frame: f, id: id, tag: tag, writable: writable}
+	r.frame, r.id, r.tag, r.writable, r.released = f, id, tag, writable, false
 	return r
 }
 

@@ -65,7 +65,7 @@ func TestFrameTagStableWhilePinned(t *testing.T) {
 		}
 		r.Release()
 	}
-	if got := ref.Frame().Tag(); !got.Matches(tag) {
+	if got, ok := ref.Frame().TagSnapshot(); !ok || !got.Matches(tag) {
 		t.Fatalf("pinned frame's tag changed: %+v -> %+v", tag, got)
 	}
 	ref.Release()

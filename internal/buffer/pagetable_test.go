@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -188,7 +189,9 @@ func (p *hitSpy) Hit(id page.PageID) {
 // product's seqlock lookup, none), and it drops exactly what the probe
 // dropped — an entry whose frame has since been given to another
 // page, or to a later residency of the same page — plus anything carrying a
-// slot the shard has no frame for.
+// slot the shard has no frame for. The last case is the validator's table:
+// one batch of every kind of entry, of which exactly the live ones reach the
+// policy, in order and in one batch.
 func TestCommitValidatesBySlot(t *testing.T) {
 	batching := core.Config{Batching: true, QueueSize: 64, BatchThreshold: 32}
 
@@ -288,6 +291,93 @@ func TestCommitValidatesBySlot(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	t.Run("one batch, every kind of entry", func(t *testing.T) {
+		const frames = 4
+		spy := &batchSpy{LRU: replacer.NewLRU(frames)}
+		p := New(Config{Frames: frames, PolicyFactory: func(int) replacer.Policy { return spy }, Wrapper: batching, Device: storage.NewMemDevice()})
+		sh, s := shard0(p), p.NewSession()
+		tagOf := func(id page.PageID) page.BufferTag {
+			t.Helper()
+			ref, err := p.Get(s, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Release()
+			return ref.Tag()
+		}
+		a, b, c := pid(1), pid(2), pid(3)
+		ta, tb := tagOf(a), tagOf(b)
+		s.Flush()
+		free := uint32(0)
+		for free == ta.Slot || free == tb.Slot {
+			free++
+		}
+		stale, wrongSlot := tb, ta
+		stale.Gen--
+		wrongSlot.Slot = frames
+		cases := []struct {
+			what string
+			e    core.Entry
+			live bool
+		}{
+			{"live", core.Entry{ID: a, Tag: ta}, true},
+			{"stale generation", core.Entry{ID: b, Tag: stale}, false},
+			{"another page in the same slot", core.Entry{ID: c, Tag: page.BufferTag{Page: c, Gen: ta.Gen, Slot: ta.Slot}}, false},
+			{"live, second page", core.Entry{ID: b, Tag: tb}, true},
+			{"slot out of range", core.Entry{ID: a, Tag: wrongSlot}, false},
+			{"free frame", core.Entry{ID: c, Tag: page.BufferTag{Page: c, Slot: free}}, false},
+			{"live, first page again", core.Entry{ID: a, Tag: ta}, true},
+		}
+		var batch, want []core.Entry
+		for _, tc := range cases {
+			batch = append(batch, tc.e)
+			if tc.live {
+				want = append(want, tc.e)
+			}
+		}
+
+		// The validator alone: the live entries, in order, in place.
+		in := slices.Clone(batch)
+		if got := sh.validTags(in); !slices.Equal(got, want) || (len(got) > 0 && &got[0] != &in[0]) {
+			t.Fatalf("validTags kept %+v, want %+v in place", got, want)
+		}
+		for i, tc := range cases {
+			if got := sh.validTags([]core.Entry{tc.e}); (len(got) == 1) != tc.live {
+				t.Errorf("entry %d (%s): kept %v, want %v", i, tc.what, len(got) == 1, tc.live)
+			}
+		}
+
+		// Through a commit: one batch reaches the policy, holding exactly
+		// the live entries in order, and the rest are counted as dropped.
+		sub := sh.wrapper.NewSession()
+		for _, e := range batch {
+			sub.Hit(e.ID, e.Tag)
+		}
+		before := p.Stats().Wrapper
+		sub.Flush()
+		after := p.Stats().Wrapper
+		if len(spy.batches) != 1 || !slices.Equal(spy.batches[0], want) {
+			t.Fatalf("the policy was handed %+v, want one batch %+v", spy.batches, want)
+		}
+		if n, d := after.Committed-before.Committed, after.Dropped-before.Dropped; n != int64(len(want)) || d != int64(len(batch)-len(want)) {
+			t.Fatalf("committed %d dropped %d, want %d/%d", n, d, len(want), len(batch)-len(want))
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// batchSpy records every batch of hits handed to the LRU it wraps.
+type batchSpy struct {
+	*replacer.LRU
+	batches [][]core.Entry
+}
+
+func (p *batchSpy) HitSlots(batch []replacer.Access) {
+	p.batches = append(p.batches, slices.Clone(batch))
+	p.LRU.HitSlots(batch)
 }
 
 // TestPageTableOverflowChurn keeps a pool's whole working set in two

@@ -464,7 +464,7 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 		sh.frames[i].initFree()
 		sh.freeList[i] = &sh.frames[i]
 	}
-	wcfg.Validate = sh.validTag
+	wcfg.Validate = sh.validTags
 	sh.events = wcfg.Events
 	// Slotted: every tag this shard issues names its frame's slot, which
 	// addresses the policy's metadata for the page as well as the frame.
@@ -499,21 +499,26 @@ func (sh *shard) wbLock(id page.PageID) *sync.Mutex {
 	return &sh.wbLocks[mix64(uint64(id))%wbStripes]
 }
 
-// validTag is installed as the shard wrapper's commit-time validator: a
-// queued access is applied to the policy only if the frame it was recorded
-// against still holds the same generation of the same page — the paper's
-// comparison with the tag in the buffer header (Section IV-B). It runs
-// under the policy lock, so it probes no table: the tag names the slot,
-// and since every ownership transition of a frame bumps its generation a
-// matching header is proof enough. A session flushes into the shard it
-// recorded against, so the slot indexes the right frames; a tag this shard
-// never issued is simply not valid.
-func (sh *shard) validTag(e core.Entry) bool {
-	if uint64(e.Tag.Slot) >= uint64(len(sh.frames)) {
-		return false
+// validTags is installed as the shard wrapper's commit-time validator: it
+// keeps, in order and in place, the queued accesses whose frame still holds
+// the same generation of the same page — the paper's comparison with the
+// tag in the buffer header (Section IV-B). It runs under the policy lock,
+// so it probes no table: the tag names the slot, and since every ownership
+// transition of a frame bumps its generation a matching header is proof
+// enough. A session flushes into the shard it recorded against, so the slot
+// indexes the right frames; a tag this shard never issued is simply not
+// valid.
+func (sh *shard) validTags(batch []core.Entry) []core.Entry {
+	live, frames := batch[:0], sh.frames
+	for _, e := range batch {
+		if uint64(e.Tag.Slot) >= uint64(len(frames)) {
+			continue
+		}
+		if t, ok := frames[e.Tag.Slot].TagSnapshot(); ok && t.Page == e.ID && t.Matches(e.Tag) {
+			live = append(live, e)
+		}
 	}
-	t, ok := sh.frames[e.Tag.Slot].TagSnapshot()
-	return ok && t.Page == e.ID && t.Matches(e.Tag)
+	return live
 }
 
 // hitLookup is the Get-path table probe: optimistic with bounded retries,

@@ -92,14 +92,14 @@ type Config struct {
 	// recording queue are full. Ignored unless Batching is set.
 	FlatCombining bool
 
-	// Validate, when non-nil, is consulted at commit time for each queued
-	// entry; entries for which it returns false are dropped. The buffer
-	// manager uses it to discard accesses whose frame was re-used for a
-	// different page since the access was queued (the BufferTag check of
-	// Section IV-B). With FlatCombining enabled the callback may be
-	// invoked from any session's goroutine (the combiner applies other
-	// sessions' batches), so it must be safe for concurrent use.
-	Validate func(Entry) bool
+	// Validate, when non-nil, is called once a committed batch, under the
+	// policy lock, and returns the entries to apply in order (batch filtered
+	// in place, typically); the rest are dropped. The buffer manager uses it
+	// to discard accesses whose frame was re-used for a different page since
+	// they were queued (the BufferTag check of Section IV-B). With
+	// FlatCombining a combiner calls it on other sessions' batches, from its
+	// own goroutine, so it must be safe for concurrent use.
+	Validate func(batch []Entry) []Entry
 
 	// Events, when non-nil, receives flight-recorder events from the
 	// commit path: commits, TryLock failures, blocking fallbacks, flat-
@@ -134,12 +134,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Entry is one recorded page access: the page identity plus the buffer-tag
-// snapshot used for commit-time validation.
-type Entry struct {
-	ID  page.PageID
-	Tag page.BufferTag
-}
+// Entry is one recorded page access, as Validate and a policy's batch hit
+// (replacer.SlotBatcher) take it: the page and its buffer-tag snapshot.
+type Entry = replacer.Access
 
 // Stats aggregates the Wrapper's activity counters.
 //
@@ -310,6 +307,7 @@ const combineRunCap = 32
 type policyBox struct {
 	policy      replacer.Policy
 	slots       replacer.SlotPolicy     // the policy by slot (replacer.BySlot); nil unless the wrapper is slotted
+	batch       replacer.SlotBatcher    // slots' batch hit; nil unless slots has one
 	prefetcher  replacer.Prefetcher     // nil if unsupported or disabled
 	slotWalk    replacer.SlotPrefetcher // the walk by slot; nil unless the wrapper is slotted and the policy has one
 	lockFreeHit bool                    // policy.Hit needs no lock (clock family)
@@ -323,6 +321,7 @@ func (w *Wrapper) newPolicyBox(policy replacer.Policy) *policyBox {
 	}
 	if w.slotted {
 		b.slots = replacer.BySlot(policy)
+		b.batch, _ = b.slots.(replacer.SlotBatcher)
 	}
 	if w.cfg.Prefetching {
 		b.prefetcher, _ = policy.(replacer.Prefetcher)
@@ -856,7 +855,9 @@ func (s *Session) round(why reason, id page.PageID) (victim replacer.Victim, evi
 			slot := [1]*pubSlot{s.slot}
 			mine, mineN = w.drain(s, slot[:])
 		}
-		w.applyBatch(s.queue)
+		if len(s.queue) > 0 { // a miss's or a flush's round may have none
+			w.applyBatch(s.queue)
+		}
 		applied = mineN + len(s.queue)
 		if b := w.box.Load(); why == missAdmit {
 			victim, evicted = b.admit(id, 0) // Miss is the frameless protocol: there is no slot to name
@@ -954,26 +955,25 @@ func (b *policyBox) evict() (victim replacer.Victim, evicted bool) {
 	return victim, evicted
 }
 
-// applyBatch validates queued entries and delivers them to the policy in
-// order, by slot when the tags carry slots. Callers must hold the lock,
-// which also pins the policy box (SwapPolicy republishes it only while
-// holding the same lock) and makes the caller the counters' only writer, so
-// both are touched once a batch.
+// applyBatch validates a non-empty batch with one call and hands the live
+// entries to the policy in order, with one call too if it takes batches by
+// slot. Callers must hold the lock, which also pins the policy box
+// (SwapPolicy republishes it only under the same lock) and makes the caller
+// the counters' only writer, so both are touched once a batch.
 func (w *Wrapper) applyBatch(batch []Entry) {
-	if len(batch) == 0 {
-		return
+	b, live := w.box.Load(), batch
+	if w.cfg.Validate != nil {
+		live = w.cfg.Validate(batch)
 	}
-	b, validate := w.box.Load(), w.cfg.Validate
-	dropped := 0
-	for _, e := range batch {
-		if validate != nil && !validate(e) {
-			dropped++
-			continue
+	if b.batch != nil {
+		b.batch.HitSlots(live)
+	} else {
+		for _, e := range live {
+			b.hit(e.ID, e.Tag.Slot)
 		}
-		b.hit(e.ID, e.Tag.Slot)
 	}
-	w.cc.committed.Add(int64(len(batch) - dropped))
-	if dropped > 0 {
+	w.cc.committed.Add(int64(len(live)))
+	if dropped := len(batch) - len(live); dropped > 0 {
 		w.cc.dropped.Add(int64(dropped))
 	}
 }

@@ -231,7 +231,15 @@ func TestValidateDropsStaleEntries(t *testing.T) {
 	w := New(rec, Config{
 		Batching:  true,
 		QueueSize: 8,
-		Validate:  func(e Entry) bool { return e.Tag == goodTag },
+		Validate: func(batch []Entry) []Entry {
+			live := batch[:0]
+			for _, e := range batch {
+				if e.Tag == goodTag {
+					live = append(live, e)
+				}
+			}
+			return live
+		},
 	})
 	s := w.NewSession()
 	s.Miss(pid(1), page.BufferTag{})

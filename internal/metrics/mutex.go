@@ -67,7 +67,8 @@ func (p *LockProfile) every() int64 {
 // Hold time is sampled: the nanosecond clock is read on a seeded
 // 1-in-SampleEvery subset of acquisitions and the measured holds are
 // extrapolated into HoldTime, so the uncontended fast path performs no
-// clock reads — just the acquisition counter and one word store.
+// clock reads — just the acquisition counter and two plain stores (the
+// sampler and the hold's start) under the lock.
 //
 // The zero value is an unlocked mutex ready for use, profiling at
 // DefaultSampleEvery with no histograms attached.
@@ -81,18 +82,14 @@ type ContentionMutex struct {
 	holdNanos    atomic.Int64 // extrapolated total hold time (sampled)
 	holdSamples  atomic.Int64 // acquisitions whose hold was clocked
 
-	// lockedAt is written only by the lock holder (between acquisition and
-	// Unlock), so a plain field would be unsynchronized with the *next*
-	// holder; an atomic keeps the race detector quiet at negligible cost.
-	// Zero means the current hold is not being clocked.
-	lockedAt atomic.Int64
-
-	// sampler is the xorshift64 state deciding which acquisitions get a
-	// hold-time clock read. It is advanced only while the mutex is held,
-	// so the lock's own happens-before edge orders successive holders and
-	// a plain field is race-free. SetProfile reseeds it and must only be
-	// called at quiescence.
-	sampler uint64
+	// lockedAt and sampler are read and written only while the mutex is
+	// held, so the lock's own happens-before edge orders successive holders
+	// and plain fields are race-free. lockedAt is when the current hold
+	// began, or zero if it is not being clocked; sampler is the xorshift64
+	// state deciding which acquisitions get a hold-time clock read.
+	// SetProfile reseeds the sampler and must only be called at quiescence.
+	lockedAt int64
+	sampler  uint64
 
 	profile atomic.Pointer[LockProfile]
 }
@@ -133,13 +130,13 @@ func (m *ContentionMutex) sampleNext(every int64) bool {
 // Called with the mutex held.
 func (m *ContentionMutex) beginHold(p *LockProfile, now int64) {
 	if every := p.every(); every > 1 && !m.sampleNext(every) {
-		m.lockedAt.Store(0)
+		m.lockedAt = 0
 		return
 	}
 	if now == 0 {
 		now = time.Now().UnixNano()
 	}
-	m.lockedAt.Store(now)
+	m.lockedAt = now
 }
 
 // Lock acquires the mutex, recording a contention event if the lock was not
@@ -181,7 +178,7 @@ func (m *ContentionMutex) TryLock() bool {
 // Unlock releases the mutex. If this hold was sampled, the measured hold
 // time is recorded and extrapolated into the HoldTime estimate.
 func (m *ContentionMutex) Unlock() {
-	if at := m.lockedAt.Load(); at != 0 {
+	if at := m.lockedAt; at != 0 {
 		hold := time.Now().UnixNano() - at
 		if hold < 0 {
 			hold = 0

@@ -9,7 +9,11 @@
 // described in Section IV-B of the BP-Wrapper paper.
 package page
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+)
 
 // Size is the size of a database page in bytes. PostgreSQL uses 8 KB pages;
 // we follow suit. The value only matters for the simulated storage device
@@ -87,41 +91,45 @@ type Page struct {
 	Data [Size]byte
 }
 
-// Checksum computes a cheap FNV-1a checksum over the page contents. The
-// storage device and buffer-pool tests use it to verify data integrity
-// across eviction/reload cycles.
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the SSE4.2
+// instruction where the CPU has one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum computes a CRC-32C over the page contents. The storage device and
+// buffer-pool tests use it to verify data integrity across eviction/reload
+// cycles.
 func (p *Page) Checksum() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range p.Data {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
+	return uint64(crc32.Checksum(p.Data[:], castagnoli))
 }
 
 // Stamp fills the page with a deterministic pattern derived from the PageID,
 // so tests and the simulated device can verify that the right bytes came
-// back without storing golden copies.
+// back without storing golden copies: one xorshift64 step per 8-byte word.
 func (p *Page) Stamp(id PageID) {
 	p.ID = id
-	x := uint64(id)*2654435761 + 0x9e3779b97f4a7c15
-	for i := range p.Data {
-		// xorshift64 keeps the pattern cheap but non-trivial.
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		p.Data[i] = byte(x)
+	for i, x := 0, stampSeed(id); i < Size; i += 8 {
+		x = xorshift(x)
+		binary.LittleEndian.PutUint64(p.Data[i:], x)
 	}
 }
 
 // VerifyStamp reports whether the page holds exactly the pattern Stamp
 // writes for the given id.
 func (p *Page) VerifyStamp(id PageID) bool {
-	var want Page
-	want.Stamp(id)
-	return p.Data == want.Data
+	for i, x := 0, stampSeed(id); i < Size; i += 8 {
+		if x = xorshift(x); binary.LittleEndian.Uint64(p.Data[i:]) != x {
+			return false
+		}
+	}
+	return true
+}
+
+// stampSeed is the xorshift64 state the id starts Stamp's pattern from.
+func stampSeed(id PageID) uint64 { return uint64(id)*2654435761 + 0x9e3779b97f4a7c15 }
+
+// xorshift is one step of xorshift64.
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	return x ^ x<<17
 }

@@ -1,6 +1,10 @@
 package replacer
 
-import "testing"
+import (
+	"testing"
+
+	"bpwrapper/internal/page"
+)
 
 // TestPolicyOpsDoNotAllocate holds every policy, once full — the state a
 // buffer pool keeps it in — to allocating nothing: not in any slot-keyed
@@ -46,7 +50,7 @@ func TestPolicyOpsDoNotAllocate(t *testing.T) {
 			ids := []PageID{last, tid(next - 1), tid(next - 2)}
 			measure("Prefetch", func() { byID.(Prefetcher).Prefetch(ids) })
 
-			d := newSlotDrive(mustSlotPolicy(t, name, capacity))
+			d := newSlotDrive(mustSlotPolicy(t, name, capacity), nil)
 			for i := 0; i < 20*capacity; i++ {
 				id := fresh()
 				d.admit(id)
@@ -54,6 +58,11 @@ func TestPolicyOpsDoNotAllocate(t *testing.T) {
 			}
 			last = tid(next)
 			measure("HitSlot", func() { d.hit(last) })
+			var batch []Access
+			for _, id := range []PageID{last, tid(next - 1), tid(next - 2)} {
+				batch = append(batch, Access{ID: id, Tag: page.BufferTag{Page: id, Slot: d.table[id]}})
+			}
+			measure("HitSlots", func() { d.p.(SlotBatcher).HitSlots(batch) })
 			measure("ContainsSlot", func() { d.p.ContainsSlot(d.table[last], last) })
 			measure("AdmitSlot at capacity", func() { d.admit(fresh()) })
 			measure("EvictSlot+AdmitSlot", func() { d.evict(); d.admit(fresh()) })

@@ -62,6 +62,13 @@ func (p *ARC) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher.
+func (p *ARC) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // adapt moves the target towards the list whose ghost was hit, by the ratio
 // of the other ghost list's length to that one's (at least 1).
 func (p *ARC) adapt(hit, other *list, sign int) {

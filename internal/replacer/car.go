@@ -28,6 +28,13 @@ func (p *CAR) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher, over CAR's HitSlot rather than ARC's.
+func (p *CAR) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // AdmitSlot makes id resident after a miss, following CAR's published
 // pseudo-code: replace when full, maintain the directory bounds, and adapt
 // p on ghost hits. T1 and T2 are clock rings here: front = hand position,

@@ -93,6 +93,13 @@ func (p *Clock) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher, lock-free like HitSlot.
+func (p *Clock) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // Hit implements Policy, lock-free: unlike front's it never scans, so a
 // page admitted by slot and never filed is not found and the hit is lost —
 // the caller that has slots hits by slot.

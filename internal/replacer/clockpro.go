@@ -59,6 +59,13 @@ func (p *ClockPro) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher.
+func (p *ClockPro) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // insertHead links node i into the ring at the "list head" position (just
 // behind handHot, as in the paper). If the ring is empty all hands start
 // at i.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+
+	"bpwrapper/internal/page"
 )
 
 // TB is the part of *testing.T CheckPolicy reports through.
@@ -37,15 +39,19 @@ func (d idDrive) remove(id PageID)               { d.p.Remove(id) }
 // scrambled order, so that a policy whose decisions depended on which slot a
 // page got would show it. It has one frame more than the policy's capacity,
 // as the slot contract allows, so a full policy is handed the slot to admit
-// into and picks its victim itself, as it does by id.
+// into and picks its victim itself, as it does by id. With a batcher it hands
+// hits over as the BP-Wrapper core commits them: queued, then one HitSlots
+// ahead of the next call that changes what is resident.
 type slotDrive struct {
-	p     SlotPolicy
-	table map[PageID]uint32
-	free  []uint32
+	p       SlotPolicy
+	table   map[PageID]uint32
+	free    []uint32
+	batcher SlotBatcher // nil: one HitSlot a hit, at once
+	queued  []Access
 }
 
-func newSlotDrive(p SlotPolicy) *slotDrive {
-	d := &slotDrive{p: p, table: make(map[PageID]uint32)}
+func newSlotDrive(p SlotPolicy, batcher SlotBatcher) *slotDrive {
+	d := &slotDrive{p: p, table: make(map[PageID]uint32), batcher: batcher}
 	for s := 0; s <= p.Cap(); s++ {
 		d.free = append(d.free, uint32(s))
 	}
@@ -64,39 +70,63 @@ func (d *slotDrive) gaveUp(v Victim, ok bool) (PageID, bool) {
 	return v.ID, ok
 }
 
-func (d *slotDrive) hit(id PageID) { d.p.HitSlot(d.table[id], id) }
+func (d *slotDrive) hit(id PageID) { d.hitSlot(d.table[id], id) }
+
+// hitSlot is a hit on id recorded against slot.
+func (d *slotDrive) hitSlot(slot uint32, id PageID) {
+	if d.batcher == nil {
+		d.p.HitSlot(slot, id)
+		return
+	}
+	d.queued = append(d.queued, Access{ID: id, Tag: page.BufferTag{Page: id, Slot: slot}})
+}
+
+// commit hands the queued hits over.
+func (d *slotDrive) commit() {
+	if len(d.queued) > 0 {
+		d.batcher.HitSlots(d.queued)
+		d.queued = d.queued[:0]
+	}
+}
 
 func (d *slotDrive) admit(id PageID) (PageID, bool) {
+	d.commit()
 	slot := d.free[len(d.free)-1]
 	d.free = d.free[:len(d.free)-1]
 	d.table[id] = slot
 	return d.gaveUp(d.p.AdmitSlot(slot, id))
 }
 
-func (d *slotDrive) evict() (PageID, bool) { return d.gaveUp(d.p.EvictSlot()) }
+func (d *slotDrive) evict() (PageID, bool) {
+	d.commit()
+	return d.gaveUp(d.p.EvictSlot())
+}
 
 func (d *slotDrive) remove(id PageID) {
+	d.commit()
 	slot := d.table[id]
 	d.p.RemoveSlot(slot, id)
 	delete(d.table, id)
 	d.free = append(d.free, slot)
 }
 
+// The drives a conformance run can take a policy through.
+func idDriven(p Policy) drive    { return idDrive{p} }
+func slotDriven(p Policy) drive  { return newSlotDrive(p.(SlotPolicy), nil) }
+func batchDriven(p Policy) drive { return newSlotDrive(p.(SlotPolicy), p.(SlotBatcher)) }
+
 // conform replays one seeded stream of accesses through p, an Evict three
 // steps in a hundred and a Remove of a recent page another three, holding p
 // to the contract at every step, and returns every page p gave up, in order,
 // followed by what a final drain by Evict yields. With noise the run also
 // makes the calls that must change nothing — Prefetch, a Hit, Remove and
-// slot-keyed ContainsSlot of pages that are not resident, a HitSlot and a
+// slot-keyed ContainsSlot of pages that are not resident, a hit and a
 // RemoveSlot through the wrong slot — so that a policy is held to that by
 // comparing runs.
-func conform(t TB, p Policy, bySlot, noise bool, capacity int, seed int64) []PageID {
+func conform(t TB, p Policy, driven func(Policy) drive, noise bool, capacity int, seed int64) []PageID {
 	t.Helper()
-	var d drive = idDrive{p}
+	d := driven(p)
 	sp, _ := p.(SlotPolicy)
-	if bySlot {
-		d = newSlotDrive(sp)
-	}
 	if v, ok := d.evict(); ok {
 		t.Fatalf("%s: Evict on an empty policy returned %v", p.Name(), v)
 	}
@@ -121,7 +151,7 @@ func conform(t TB, p Policy, bySlot, noise bool, capacity int, seed int64) []Pag
 			}
 			if sd, ok := d.(*slotDrive); ok {
 				wrong := sd.table[id] + 1
-				sp.HitSlot(wrong, id)
+				sd.hitSlot(wrong, id)
 				sp.RemoveSlot(wrong, id)
 				if sp.ContainsSlot(wrong, id) {
 					t.Fatalf("%s: ContainsSlot finds %v in a slot it is not in", p.Name(), id)
@@ -180,21 +210,22 @@ func conformPage(r *rand.Rand, from, n int) PageID {
 // that is not resident changes nothing, nor does Prefetch, nor a slot-keyed
 // call through a slot that holds another page (the stale tag); a page
 // removed and admitted again is treated as one never seen; and the policy
-// gives up the same pages in the same order whether it is driven by id or
-// by slot. "Changes nothing" and "the same" are checked by comparing whole
-// runs, so the algorithm must be deterministic.
+// gives up the same pages in the same order whether it is driven by id, by
+// slot, or — if it implements SlotBatcher — by slot with its hits handed
+// over in batches. "Changes nothing" and "the same" are checked by comparing
+// whole runs, so the algorithm must be deterministic.
 func CheckPolicy(t TB, factory Factory) {
 	t.Helper()
 	for _, capacity := range []int{1, 3, 16, 64} {
 		seed := int64(capacity)
-		plain := conform(t, factory(capacity), false, false, capacity, seed)
+		plain := conform(t, factory(capacity), idDriven, false, capacity, seed)
 		compare := func(what string, got []PageID) {
 			t.Helper()
 			if !slices.Equal(plain, got) {
 				t.Errorf("%s at capacity %d: gives up different pages %s", factory(capacity).Name(), capacity, what)
 			}
 		}
-		compare("once calls that should change nothing are made", conform(t, factory(capacity), false, true, capacity, seed))
+		compare("once calls that should change nothing are made", conform(t, factory(capacity), idDriven, true, capacity, seed))
 
 		// The page the stream admits first, so that a policy that watches
 		// for sequences of misses sees the same ones in both runs.
@@ -209,11 +240,14 @@ func CheckPolicy(t TB, factory Factory) {
 			again.Admit(stranger)
 		}()
 		again.Remove(stranger)
-		compare("after a page was admitted and removed", conform(t, again, false, false, capacity, seed))
+		compare("after a page was admitted and removed", conform(t, again, idDriven, false, capacity, seed))
 
 		if _, ok := again.(SlotPolicy); ok {
-			compare("when driven by slot", conform(t, factory(capacity), true, false, capacity, seed))
-			compare("when driven by slot, with stale slots", conform(t, factory(capacity), true, true, capacity, seed))
+			compare("when driven by slot", conform(t, factory(capacity), slotDriven, false, capacity, seed))
+			compare("when driven by slot, with stale slots", conform(t, factory(capacity), slotDriven, true, capacity, seed))
+			if _, ok := again.(SlotBatcher); ok {
+				compare("when its hits come in batches", conform(t, factory(capacity), batchDriven, true, capacity, seed))
+			}
 		}
 	}
 }

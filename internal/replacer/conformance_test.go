@@ -39,10 +39,16 @@ func (f *failures) Fatalf(format string, args ...any) { f.Errorf(format, args...
 type brokenLRU struct {
 	*LRU
 	phantomHits, staleSlots, rememberRemoved bool
-	removed                                  map[PageID]bool
+	// fifo ignores hits, as FIFO does, but overrides only Hit and HitSlot:
+	// the batch form is LRU's, inherited.
+	fifo    bool
+	removed map[PageID]bool
 }
 
 func (p *brokenLRU) Hit(id PageID) {
+	if p.fifo {
+		return
+	}
 	if p.phantomHits && !p.Contains(id) && p.Len() > 0 {
 		p.lst.moveToFront(p.lst.back()) // a hit on a page that is not there moves one that is
 	}
@@ -50,6 +56,9 @@ func (p *brokenLRU) Hit(id PageID) {
 }
 
 func (p *brokenLRU) HitSlot(slot uint32, id PageID) {
+	if p.fifo {
+		return
+	}
 	if p.staleSlots && int(slot) < len(p.slots) && p.slots[slot].flags == fLive {
 		id = p.slots[slot].id // believes the slot, not the id
 	}
@@ -79,6 +88,7 @@ func TestCheckPolicyCatches(t *testing.T) {
 		"calls that should change nothing":  func(p *brokenLRU) { p.phantomHits = true },
 		"with stale slots":                  func(p *brokenLRU) { p.staleSlots = true },
 		"after a page was admitted and rem": func(p *brokenLRU) { p.rememberRemoved = true },
+		"when its hits come in batches":     func(p *brokenLRU) { p.fifo = true },
 	} {
 		var f failures
 		func() {

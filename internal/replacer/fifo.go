@@ -16,5 +16,9 @@ func NewFIFO(capacity int) *FIFO {
 // HitSlot is a no-op for FIFO (arrival order is unaffected by accesses).
 func (p *FIFO) HitSlot(uint32, PageID) {}
 
+// HitSlots implements SlotBatcher: no-op, and declared so that LRU's is not
+// inherited.
+func (p *FIFO) HitSlots([]Access) {}
+
 // Hit implements Policy: nothing to look up.
 func (p *FIFO) Hit(PageID) {}

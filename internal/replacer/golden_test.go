@@ -126,16 +126,21 @@ func goldenRun(t *testing.T, d drive, capacity int, trace []PageID) string {
 
 // TestVictimSequenceGolden pins what every policy evicts, and when: each
 // algorithm over six traces at three capacities, every victim in order and
-// the resident set at the end, against testdata/victims.golden — once driven
-// by id and once by slot (the drives are conformance.go's). A rewrite of a policy's insides must leave the
-// file byte-identical under both; regenerate it with -update only when an
-// algorithm is meant to decide differently.
+// the resident set at the end, against testdata/victims.golden — driven by
+// id, by slot, and by slot with the hits handed over in batches, as the
+// pool's commits do (the drives are conformance.go's). A rewrite of a
+// policy's insides must leave the file byte-identical under all three;
+// regenerate it with -update only when an algorithm is meant to decide
+// differently.
 func TestVictimSequenceGolden(t *testing.T) {
 	t.Run("by-id", func(t *testing.T) {
-		compareGolden(t, func(p Policy) drive { return idDrive{p} })
+		compareGolden(t, idDriven)
 	})
 	t.Run("by-slot", func(t *testing.T) {
-		compareGolden(t, func(p Policy) drive { return newSlotDrive(p.(SlotPolicy)) })
+		compareGolden(t, slotDriven)
+	})
+	t.Run("by-batch", func(t *testing.T) {
+		compareGolden(t, batchDriven)
 	})
 }
 

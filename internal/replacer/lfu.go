@@ -70,6 +70,13 @@ func (p *LFU) HitSlot(slot uint32, id PageID) {
 	p.closeIfEmpty(h)
 }
 
+// HitSlots implements SlotBatcher.
+func (p *LFU) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // AdmitSlot inserts a new page with frequency 1, evicting the least-
 // frequently-used page (oldest within the lowest frequency) if at capacity.
 func (p *LFU) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {

@@ -104,6 +104,13 @@ func (p *LIRS) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher.
+func (p *LIRS) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // demoteBottom turns the LIR page at the stack bottom into a resident HIR
 // page at the tail of Q. The pruning invariant guarantees the bottom entry
 // is LIR whenever nLIR > 0.

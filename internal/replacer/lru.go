@@ -32,6 +32,13 @@ func (p *LRU) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher.
+func (p *LRU) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // AdmitSlot inserts a new page at the MRU position, evicting the LRU page
 // if the policy is at capacity.
 func (p *LRU) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {

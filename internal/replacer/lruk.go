@@ -167,6 +167,13 @@ func (p *LRUK) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher.
+func (p *LRUK) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // AdmitSlot implements SlotPolicy.
 func (p *LRUK) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	if p.length == p.capacity {

@@ -93,6 +93,13 @@ func (p *MQ) HitSlot(slot uint32, id PageID) {
 	p.adjust()
 }
 
+// HitSlots implements SlotBatcher.
+func (p *MQ) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // AdmitSlot makes id resident after a miss, restoring its remembered
 // frequency if a ghost entry exists, and evicting the LRU page of the
 // lowest non-empty queue if at capacity.

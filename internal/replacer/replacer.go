@@ -123,6 +123,23 @@ type SlotPolicy interface {
 	RemoveSlot(slot uint32, id PageID)
 }
 
+// Access is one recorded page access: the page, and the buffer tag of the
+// frame it was recorded against, whose Slot names the frame.
+type Access struct {
+	ID  PageID
+	Tag page.BufferTag
+}
+
+// SlotBatcher is the optional batch form of SlotPolicy.HitSlot, probed for
+// as SlotPrefetcher is: HitSlots is HitSlot(a.Tag.Slot, a.ID) for each access
+// of batch, in order. Every policy here implements it as a loop over its own
+// HitSlot, so the call is static. A type that embeds a policy and overrides
+// HitSlot must override HitSlots too, or it inherits a loop over the
+// embedded HitSlot; CheckPolicy catches that.
+type SlotBatcher interface {
+	HitSlots(batch []Access)
+}
+
 // BySlot returns p's slot-keyed face: p itself when it has one, otherwise
 // an adapter that drives p by id and remembers which slot each resident
 // page was admitted into.

@@ -77,6 +77,13 @@ func (p *SEQ) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher.
+func (p *SEQ) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // AdmitSlot records the miss in the per-table sequence detector and admits
 // the page, marking it as a scan page when its table is mid-scan. Scan
 // pages are evicted before any main-list page.

@@ -53,6 +53,13 @@ func (p *TwoQ) HitSlot(slot uint32, id PageID) {
 	}
 }
 
+// HitSlots implements SlotBatcher.
+func (p *TwoQ) HitSlots(batch []Access) {
+	for _, a := range batch {
+		p.HitSlot(a.Tag.Slot, a.ID)
+	}
+}
+
 // AdmitSlot makes id resident after a miss. A ghost hit on A1out promotes
 // the page straight into Am; otherwise it enters A1in. If the buffer is full
 // a victim is reclaimed first, preferring A1in once it exceeds Kin.

@@ -120,7 +120,15 @@ func TestSimRoundMatchesCore(t *testing.T) {
 						Batching: sched.batching, FlatCombining: sched.fc,
 						QueueSize: q[0], BatchThreshold: q[1],
 						// The model's residency check at commit, as a validator.
-						Validate: func(e core.Entry) bool { return wrapper.Contains(e.ID) },
+						Validate: func(batch []core.Entry) []core.Entry {
+							live := batch[:0]
+							for _, e := range batch {
+								if wrapper.Contains(e.ID) {
+									live = append(live, e)
+								}
+							}
+							return live
+						},
 					})
 					s := cw.NewSession()
 					stream := wl.NewStream(0, cfg.Seed)

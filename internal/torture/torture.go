@@ -242,6 +242,20 @@ type Result struct {
 // through every queue, slot swap, and combiner handoff.
 func tagGen(id page.PageID) uint64 { return uint64(id) ^ 0xbadc0ffee0ddf00d }
 
+// checkTags is that callback: it keeps every entry and reports the first
+// whose tag was corrupted in transit into tagErr.
+func checkTags(seed int64, tagErr *atomic.Pointer[string]) func([]core.Entry) []core.Entry {
+	return func(batch []core.Entry) []core.Entry {
+		for _, e := range batch {
+			if e.Tag.Page != e.ID || e.Tag.Gen != tagGen(e.ID) {
+				msg := fmt.Sprintf("seed %d: entry %v carries tag %+v (corrupted in transit)", seed, e.ID, e.Tag)
+				tagErr.CompareAndSwap(nil, &msg)
+			}
+		}
+		return batch
+	}
+}
+
 // RunDeterministic replays the trace on a single goroutine, interleaving
 // sessions in a seeded round-robin. With one goroutine there is no lock
 // contention, so TryLock always succeeds, the flat-combining slot is
@@ -252,13 +266,7 @@ func RunDeterministic(t *Trace, p Path, queueSize int) (*Result, error) {
 	cfg := configFor(p, queueSize)
 	pol := &checkerPolicy{}
 	var tagErr atomic.Pointer[string]
-	cfg.Validate = func(e core.Entry) bool {
-		if e.Tag.Page != e.ID || e.Tag.Gen != tagGen(e.ID) {
-			msg := fmt.Sprintf("seed %d: entry %v carries tag %+v (corrupted in transit)", t.Seed, e.ID, e.Tag)
-			tagErr.CompareAndSwap(nil, &msg)
-		}
-		return true
-	}
+	cfg.Validate = checkTags(t.Seed, &tagErr)
 	w := core.New(pol, cfg)
 	bound := lagBound(p, w.Config())
 
@@ -319,13 +327,7 @@ func RunConcurrent(t *Trace, p Path, queueSize int, yieldFrac float64) (*Result,
 	cfg := configFor(p, queueSize)
 	pol := &checkerPolicy{}
 	var tagErr atomic.Pointer[string]
-	cfg.Validate = func(e core.Entry) bool {
-		if e.Tag.Page != e.ID || e.Tag.Gen != tagGen(e.ID) {
-			msg := fmt.Sprintf("seed %d: entry %v carries tag %+v (corrupted in transit)", t.Seed, e.ID, e.Tag)
-			tagErr.CompareAndSwap(nil, &msg)
-		}
-		return true
-	}
+	cfg.Validate = checkTags(t.Seed, &tagErr)
 	w := core.New(pol, cfg)
 	bound := lagBound(p, w.Config())
 
