@@ -133,18 +133,18 @@ func (f *Frame) unpin() {
 }
 
 // tryClaim CASes the frame from the loaded state s — which must carry zero
-// pins, no writer, and be resident (dirty is allowed: the claim clears it
-// and the now-exclusive caller copies the bytes out for write-back) — into the
-// recycling state: one claim pin, generation bumped. A successful claim
-// grants exclusive ownership (tryPin refuses recycling frames and the gen
-// bump invalidates every stale snapshot), so the caller may then touch
-// data and tagPage with plain accesses published later by install or
-// toFree.
+// pins, no writer, and be resident (dirty is allowed: the bit stays set in
+// the claimed state, telling the now-exclusive caller the bytes still need
+// a write-back) — into the recycling state: one claim pin, generation
+// bumped. A successful claim grants exclusive ownership (tryPin refuses
+// recycling frames and the gen bump invalidates every stale snapshot), so
+// the caller may then touch data and tagPage with plain accesses published
+// later by install or toFree, which both overwrite the dirty bit.
 func (f *Frame) tryClaim(s uint64) bool {
 	if s&(framePinMask|frameRecycling|frameWLock) != 0 {
 		panic("buffer: tryClaim of a pinned or non-resident state")
 	}
-	return f.state.CompareAndSwap(s, (stateGen(s)+1)<<frameGenShift|frameRecycling|1)
+	return f.state.CompareAndSwap(s, (stateGen(s)+1)<<frameGenShift|frameRecycling|s&frameDirty|1)
 }
 
 // claimFree takes ownership of a frame popped off the free list: the claim

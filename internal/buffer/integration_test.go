@@ -160,31 +160,15 @@ func TestInvalidateUnderLoad(t *testing.T) {
 }
 
 // TestInvalidateRacingMisses is what a wire client can do to bpserver:
-// misses that evict (24 pages, 16 frames) racing Invalidate. The victim
-// exchange used to re-admit a page an Invalidate had just removed, or one
-// a fresh load was about to admit, and the loader's MissAdmit panicked on
-// the already-resident page. Every policy runs it: the exchange is the
-// pool's, but what it re-admits into is the policy's own structure.
+// four workers' misses that evict (24 pages, 16 frames) racing Invalidate,
+// under every policy. An eviction and an Invalidate each take a page out of
+// the policy in the hold that claims its frame, so neither can find the
+// other's page half gone, and with at most four frames pinned no miss may
+// fail.
 func TestInvalidateRacingMisses(t *testing.T) {
-	const frames, pages, calls = 16, 24, 5000
-	// Two workers where four exhaust the victim exchange's attempts (ROADMAP
-	// item 2) and Get fails with or without an Invalidate in the mix. All
-	// three rank a page they have only just met below every other, so the
-	// exchange is handed back the pages the other workers are on.
-	twoWorkers := map[string]string{
-		"lfu":  "see shards2-lfu-fc in internal/torture",
-		"lru2": "see batch-lru2-shards2 in internal/torture",
-		"mq":   "no unpinned buffers once in 540 runs with four, at GOMAXPROCS 8",
-	}
+	const frames, pages, calls, workers = 16, 24, 5000, 4
 	for _, name := range replacer.Names() {
-		workers, why := 4, twoWorkers[name]
-		if why != "" {
-			workers = 2
-		}
 		t.Run(name, func(t *testing.T) {
-			if why != "" {
-				t.Logf("two workers: %s", why)
-			}
 			p := New(Config{
 				Frames:        frames,
 				PolicyFactory: factoryOf(name),

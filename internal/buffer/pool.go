@@ -91,12 +91,12 @@ type Config struct {
 
 	// QuarantineCap bounds the dirty-quarantine list that parks pages a
 	// frame no longer vouches for: victims whose eviction write-back failed
-	// (reclaim), and flushed resident pages across their write window
+	// (evictClaimed), and flushed resident pages across their write window
 	// (flushFrame). Zero means 64. The cap is divided across shards
 	// (rounded up, minimum one per shard). When a shard's quarantine is
-	// full, dirty evictions fail and flush rounds leave frames dirty
-	// instead of parking more pages, so memory stays bounded and no data
-	// is lost either way. The bound is soft under concurrency:
+	// full, eviction passes dirty pages over and flush rounds leave frames
+	// dirty instead of parking more pages, so memory stays bounded and no
+	// data is lost either way. The bound is soft under concurrency:
 	// simultaneous evictions may briefly overshoot it by the number of
 	// in-flight write-backs.
 	QuarantineCap int
@@ -215,10 +215,6 @@ type Session struct {
 	// so the two are reused from miss to miss and registering one
 	// allocates nothing (see nextOp).
 	load, evict *loadOp
-
-	// victimEpoch is the owning shard's when the miss in progress began
-	// (shard.reclaim).
-	victimEpoch uint64
 
 	// stage holds per-shard hit counts not yet folded into the shard's
 	// shared counters: the zero-lock hit path must not write a shared

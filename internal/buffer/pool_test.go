@@ -127,6 +127,85 @@ func TestPinnedPageNotEvicted(t *testing.T) {
 	pinned.Release()
 }
 
+// TestMissSkipsPinnedVictim pins the page every policy ranks lowest in a
+// full pool — for LFU and LRU-2 the one admitted last — and misses. The miss
+// must succeed and leave the pinned page resident, and, for a policy whose
+// order is a list or a heap rather than a clock hand, where it stood: once
+// unpinned it is the next miss's victim. The pin is taken through a session
+// whose queued hit is never committed, so only the pin is in the way.
+func TestMissSkipsPinnedVictim(t *testing.T) {
+	const frames = 4
+	hand := map[string]bool{"clock": true, "gclock": true, "car": true, "clockpro": true}
+	get := func(p *Pool, s *Session, id page.PageID) *PageRef {
+		t.Helper()
+		ref, err := p.Get(s, id)
+		if err != nil {
+			t.Fatalf("Get(%v): %v", id, err)
+		}
+		return ref
+	}
+	// fill reads page i frames+1-i times: the page admitted last is read least.
+	fill := func(name string) (*Pool, *Session) {
+		p := New(Config{
+			Frames:        frames,
+			PolicyFactory: factoryOf(name),
+			Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 8},
+			Device:        storage.NewMemDevice(),
+		})
+		s := p.NewSession()
+		for i := uint64(1); i <= frames; i++ {
+			for n := i; n <= frames; n++ {
+				get(p, s, pid(i)).Release()
+			}
+		}
+		return p, s
+	}
+	// miss loads id and names the page of 1..frames it evicted.
+	resident := func(p *Pool) (ids map[page.PageID]bool) {
+		ids = make(map[page.PageID]bool)
+		p.Wrapper().Locked(func(pol replacer.Policy) {
+			for i := uint64(1); i <= frames; i++ {
+				ids[pid(i)] = pol.Contains(pid(i))
+			}
+		})
+		return ids
+	}
+	miss := func(p *Pool, s *Session, id page.PageID) (victim page.PageID) {
+		t.Helper()
+		before := resident(p)
+		get(p, s, id).Release()
+		for id, in := range resident(p) {
+			if before[id] && !in {
+				victim = id
+			}
+		}
+		return victim
+	}
+	for _, name := range replacer.Names() {
+		t.Run(name, func(t *testing.T) {
+			p, s := fill(name)
+			lowest := miss(p, s, pid(101))
+
+			p, s = fill(name)
+			pinned := get(p, p.NewSession(), lowest)
+			if v := miss(p, s, pid(101)); v == lowest || !v.Valid() {
+				t.Fatalf("the miss evicted %v with %v pinned", v, lowest)
+			}
+			if !refStamped(pinned, lowest) {
+				t.Fatal("pinned page's bytes changed")
+			}
+			pinned.Release()
+			if v := miss(p, s, pid(102)); !hand[name] && v != lowest {
+				t.Errorf("unpinned, %v is not the next victim (%v is): it lost its rank", lowest, v)
+			}
+			s.Flush()
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestAllPinnedFails(t *testing.T) {
 	p := newTestPool(2, core.Config{})
 	s := p.NewSession()

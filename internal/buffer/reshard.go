@@ -167,21 +167,47 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 	defer p.reshardMu.Unlock()
 	p.factory = factory
 	set := p.cur.Load()
-	// recycle wants a session to own the in-flight op of a dirty residue
-	// victim; an unbound one serves (its trace context is inert).
+	// evictClaimed wants a session to own the in-flight op of a dirty
+	// residue page; an unbound one serves (its trace context is inert).
 	var scratch Session
 	for _, sh := range set.shards {
 		var residue []replacer.Victim
 		from, to, residue = sh.wrapper.SwapPolicy(factory)
-		// Seeding the new policy can evict below capacity (queue-local
-		// bounds, 2Q's A1in say); those pages fell out of policy tracking
-		// while their frames stayed resident. Reclaim them through the
-		// shard's normal victim path so no frame is stranded unevictable.
 		for _, v := range residue {
-			sh.recycle(&scratch, v)
+			sh.dropResidue(&scratch, v)
 		}
 	}
 	return from, to, nil
+}
+
+// dropResidue evicts a page SwapPolicy could not seat in a new policy with
+// less room than the old: its frame is mapped but in no policy, so no
+// eviction would ever take it. Like stealPage it waits out pins, and a full
+// quarantine does not stop it (the cap is soft; durability wins). The claim
+// is made under the policy lock, where a page seen back in the policy —
+// invalidated and loaded again meanwhile — is no longer residue.
+func (sh *shard) dropResidue(ps *Session, v replacer.Victim) {
+	f := &sh.frames[v.Slot]
+	for spins := 0; ; spins++ {
+		gone, claimed := false, false
+		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
+			s := f.state.Load()
+			switch {
+			case pol.ContainsSlot(v.Slot, v.ID) || s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != v.ID:
+				gone = true
+			case s&(framePinMask|frameWLock) == 0:
+				claimed = f.tryClaim(s)
+			}
+		})
+		switch {
+		case gone:
+			return
+		case claimed:
+			sh.freeFrame(sh.evictClaimed(ps, v))
+			return
+		}
+		backoff(spins)
+	}
 }
 
 // SetBatchThreshold retunes the batch threshold of every current shard's
@@ -246,7 +272,7 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 			spins++
 			continue
 		}
-		if !f.tryClaim(s) {
+		if !sh.claimOut(f, s, id) {
 			continue
 		}
 		dirty = s&frameDirty != 0
@@ -254,7 +280,6 @@ func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
 		b.w.mu.Lock()
 		sh.removeLocked(b, id)
 		b.w.mu.Unlock()
-		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
 		sh.freeFrame(f)
 		// A parked flush copy of this page (the sanctioned
 		// resident+quarantined overlap) is superseded by the frame bytes

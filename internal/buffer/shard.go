@@ -80,7 +80,7 @@ type shard struct {
 	// for them: flush paths park before clearing the dirty bit of a
 	// still-resident frame, until the write-back is confirmed durable, and
 	// eviction — which writes out of the claimed frame, behind an
-	// in-flight op (reclaim) — parks only when that write fails. Entries
+	// in-flight op (evictClaimed) — parks only when that write fails. Entries
 	// linger while the device refuses them, so an acknowledged write is
 	// never dropped; loads adopt a quarantined copy instead of reading a
 	// stale version from the device.
@@ -120,14 +120,9 @@ type shard struct {
 	loadWaits         atomic.Int64 // waits on another goroutine's in-flight load (awaitOp)
 	evictWaits        atomic.Int64 // waits on an in-flight eviction write-back
 
-	// victimEpoch moves whenever a page that some miss holds as its victim
-	// — out of the policy, its frame not yet claimed — may be back in the
-	// policy behind that miss's back: an Invalidate bumps it before its page
-	// leaves the table (the page can be loaded again), and nextVictim before
-	// it looks whether a victim is still its own to re-admit (stillCached).
-	// A miss that sees it move tells the policy again, once the frame is
-	// claimed (reclaim).
-	victimEpoch atomic.Uint64
+	// claim is claimVictim, built once so that a miss hands it to the
+	// policy (core.Session.MissBegin) without allocating.
+	claim func(replacer.Victim) bool
 
 	// healthState drives graceful degradation: breaker/quarantine-driven
 	// health evaluation and miss admission control (see health.go).
@@ -465,6 +460,7 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 		sh.freeList[i] = &sh.frames[i]
 	}
 	wcfg.Validate = sh.validTags
+	sh.claim = sh.claimVictim
 	sh.events = wcfg.Events
 	// Slotted: every tag this shard issues names its frame's slot, which
 	// addresses the policy's metadata for the page as well as the frame.
@@ -667,7 +663,6 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	op := nextOp(&ps.load, id, false)
 	b.w.addOpLocked(op)
 	b.w.mu.Unlock()
-	ps.victimEpoch = sh.victimEpoch.Load()
 
 	// Fold this session's staged hits before counting the miss, so the
 	// shard counters never show a miss "ahead of" hits that actually
@@ -755,183 +750,88 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	b.w.mu.Unlock()
 
 	// Second phase of the miss protocol: the page has a frame and a table
-	// entry, so it may now become policy-resident. If a concurrent miss
-	// consumed the slot MissBegin freed, Admit evicts again and the spare
-	// victim's frame is recycled onto the free list.
-	if victim, evicted := sub.MissAdmit(id, f.slot); evicted {
-		sh.recycle(ps, victim)
-	}
+	// entry, so it may now become policy-resident. MissAdmit evicts nothing:
+	// every page in the policy has a frame of its own, which this one is not.
+	sub.MissAdmit(id, f.slot)
 	sh.finishOp(b, op, nil)
 	return newPageRef(f, id, tag, writable), false, nil
 }
 
-// recycle reclaims a surplus victim's frame onto the free list, churning
-// through further candidates if the first is pinned.
-func (sh *shard) recycle(ps *Session, victim replacer.Victim) {
-	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
-		if f, ok := sh.reclaim(ps, victim); ok {
-			sh.freeFrame(f)
-			return
-		}
-		runtime.Gosched()
-		v, ok := sh.nextVictim(victim, page.InvalidPageID)
-		if !ok {
-			return // nothing evictable; the shard is simply over-admitted by pins
-		}
-		victim = v
-	}
-}
-
-// acquireFrame produces an empty, once-claimed frame for page id: from the
-// free list during warm-up, otherwise by evicting the policy's victim. The
-// access is recorded as a miss through the session (taking the policy lock
-// and committing any batched hits, per Figure 4 of the paper); the page
-// itself is admitted later by MissAdmit, once loaded.
+// acquireFrame produces an empty, once-claimed frame for page id. The access
+// is recorded as a miss through the session, taking the policy lock and
+// committing any batched hits (Figure 4 of the paper); at capacity the same
+// hold evicts the first page of the policy's order whose frame claimVictim
+// takes. Below capacity the frame comes off the free list, or, while other
+// misses hold the frames the list is short of, from an eviction of its own.
+// The page itself is admitted later by MissAdmit, once loaded.
+//
+// When no frame can be claimed the walk is repeated, letting the pinning
+// goroutines run in between (short pins are released in microseconds, but a
+// tight loop can spend its attempts before the scheduler lets an unpin
+// happen), up to twice the shard size. A saturated quarantine then means
+// dirty victims were refused for durability's sake, not that all are pinned.
 func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*Frame, error) {
-	victim, evicted := sub.MissBegin(id, page.BufferTag{})
-	if !evicted {
+	victim, evicted := sub.MissBegin(id, sh.claim)
+	for attempt := 0; !evicted; attempt++ {
 		sh.freeMu.Lock()
-		n := len(sh.freeList)
-		if n == 0 {
+		if n := len(sh.freeList); n > 0 {
+			f := sh.freeList[n-1]
+			sh.freeList = sh.freeList[:n-1]
 			sh.freeMu.Unlock()
-			// The policy admitted without eviction but no free frame
-			// exists — possible only after Remove/invalidate churn; fall
-			// back to evicting explicitly.
-			return sh.reclaimLoop(ps, id, replacer.Victim{})
+			f.claimFree()
+			return f, nil
 		}
-		f := sh.freeList[n-1]
-		sh.freeList = sh.freeList[:n-1]
 		sh.freeMu.Unlock()
-		f.claimFree()
-		return f, nil
-	}
-	return sh.reclaimLoop(ps, id, victim)
-}
-
-// reclaimLoop turns an eviction victim into a reusable frame, retrying
-// through the policy when the victim is pinned or mid-load. Bounded by
-// twice the shard size, after which every buffer is presumed pinned —
-// or, when the dirty quarantine is saturated (so dirty victims are being
-// refused rather than pinned), ErrQuarantineFull distinguishes overload
-// from a genuinely over-pinned pool.
-func (sh *shard) reclaimLoop(ps *Session, id page.PageID, victim replacer.Victim) (*Frame, error) {
-	for attempt := 0; attempt <= 2*len(sh.frames); attempt++ {
-		if sh.sealed.Load() {
+		switch {
+		case sh.sealed.Load():
 			// A topology swap landed mid-load: stealPage is draining this
 			// shard's frames (and policy entries) out from under us, so a
 			// victim may never materialize here. Bounce the caller to the
 			// new topology instead of reporting a phantom pin exhaustion.
 			return nil, errResharded
+		case attempt > 2*len(sh.frames) && sh.quarantineFull():
+			return nil, ErrQuarantineFull
+		case attempt > 2*len(sh.frames):
+			return nil, ErrNoUnpinnedBuffers
+		case attempt > 0:
+			runtime.Gosched()
 		}
-		if f, ok := sh.reclaim(ps, victim); ok {
-			return f, nil
-		}
-		// Victim unusable (pinned, mid-load, or none yet): let the pinning
-		// goroutines run — short pins are released in microseconds, but a
-		// tight retry loop can exhaust its attempts before the scheduler
-		// ever lets an unpin happen — then exchange the victim for a
-		// different candidate under the policy lock.
-		runtime.Gosched()
-		v, ok := sh.nextVictim(victim, id)
-		if !ok {
-			return nil, sh.reclaimFailure()
-		}
-		victim = v
+		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { victim, evicted = pol.EvictSlot(sh.claim) })
 	}
-	return nil, sh.reclaimFailure()
+	return sh.evictClaimed(ps, victim), nil
 }
 
-// reclaimFailure picks the error for an exhausted reclaim. A shard sealed
-// by a reshard is checked first — the migration's stealPage drains frames
-// and policy entries concurrently, so "no victim found" on a sealed shard
-// means the pages moved, not that they are pinned; the caller retries
-// against the new topology. Otherwise a saturated quarantine means dirty
-// evictions were refused for durability-bound reasons, not that every
-// buffer is pinned.
-func (sh *shard) reclaimFailure() error {
-	if sh.sealed.Load() {
-		return errResharded
-	}
-	if sh.quarantineFull() {
-		return ErrQuarantineFull
-	}
-	return ErrNoUnpinnedBuffers
-}
-
-// nextVictim re-admits a wrongly evicted page prev (its frame turned out to
-// be pinned) and returns the replacement victim the policy chose instead;
-// with an invalid prev it simply asks the policy to evict one more page.
-// protect is the page currently being loaded: if the exchange throws it
-// out, it is immediately re-admitted so its residency survives (Admit never
-// returns the page it admits, so this terminates).
-func (sh *shard) nextVictim(prev replacer.Victim, protect page.PageID) (replacer.Victim, bool) {
-	var victim replacer.Victim
-	var evicted bool
-	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
-		if prev.ID.Valid() && !pol.ContainsSlot(prev.Slot, prev.ID) && sh.stillCached(prev) {
-			if pol.Len() < pol.Cap() {
-				// The policy has spare capacity (two-phase misses leave a
-				// slot open while a page is in flight), so the
-				// re-admission will displace nothing; take a fresh victim
-				// explicitly, and take it first: a policy that ranks a
-				// page it has just met below every other (LFU, LRU-2)
-				// would hand prev straight back.
-				victim, evicted = pol.EvictSlot()
-				pol.AdmitSlot(prev.Slot, prev.ID)
-			} else {
-				victim, evicted = pol.AdmitSlot(prev.Slot, prev.ID)
-			}
-		} else {
-			// prev was re-admitted by a concurrent loader, is somebody
-			// else's to admit or drop, or there is no prev: take a fresh
-			// victim without admitting anything.
-			victim, evicted = pol.EvictSlot()
+// claimVictim is the claim a policy's eviction walk offers each candidate to
+// (replacer.SlotPolicy.EvictSlot), under the policy lock: one CAS, tryClaim,
+// takes the frame exclusively unless it is pinned or writer-held — or dirty
+// while the quarantine is full, as a failed write would have nowhere to
+// park. The policy names the frame, so there is no table probe: a page the
+// policy holds is in its frame, as nothing claims that frame without taking
+// the page out of the policy in the same hold. The generation bump fails the
+// pin CAS of any reader that probed the table before us (DESIGN.md §12).
+func (sh *shard) claimVictim(v replacer.Victim) bool {
+	f := &sh.frames[v.Slot]
+	for {
+		s := f.state.Load()
+		if s&(framePinMask|frameRecycling|frameWLock) != 0 {
+			return false
 		}
-		if evicted && protect.Valid() && victim.ID == protect {
-			victim, evicted = pol.AdmitSlot(victim.Slot, protect)
+		if s&frameDirty != 0 && sh.quarantineFull() {
+			sh.quarRefusals.Add(1)
+			return false
 		}
-	})
-	return victim, evicted
-}
-
-// stillCached reports whether prev, evicted from the policy but never
-// reclaimed, is still nextVictim's to put back: mapped to an unclaimed
-// frame with no op in flight. An Invalidate or a reshard steal claims the
-// frame before it removes the page from the policy, and a fresh load of the
-// page keeps its op registered until its own MissAdmit is over, so under the
-// policy lock a true answer means any such removal is still to come and
-// will undo the re-admission, and no loader is about to admit prev itself.
-//
-// One more party can hold prev: a miss whose MissBegin evicted a later
-// residency of it — prev invalidated and loaded again while the caller was
-// off the processor — and which has yet to claim the frame. The two cannot
-// be told apart here, so the epoch moves before the look: a frame still
-// unclaimed now is claimed after the bump, and whoever claims it sees the
-// epoch moved and removes prev from the policy again (reclaim).
-func (sh *shard) stillCached(prev replacer.Victim) bool {
-	sh.victimEpoch.Add(1)
-	b := sh.bucketFor(prev.ID)
-	b.w.mu.Lock() // not lockBucket: a reclaim-side probe, outside the hit path's lock accounting
-	defer b.w.mu.Unlock()
-	if b.w.opLocked(prev.ID) != nil {
-		return false
+		if f.tryClaim(s) {
+			return true
+		}
+		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
 	}
-	f := sh.lookupLocked(b, prev.ID)
-	return f != nil && f.slot == prev.Slot && f.state.Load()&frameRecycling == 0
 }
 
-// reclaim tries to take exclusive ownership of the victim's frame: it
-// succeeds only if the frame is unpinned, writing back dirty contents and
-// removing the table entry. On success the frame is returned claimed
-// (recycling, one claim pin, generation bumped) with its old tag still in
-// tagPage — harmless, since the recycling bit makes every tryPin refuse it
-// until install or toFree overwrites the identity.
-//
-// The claim itself is one CAS (tryClaim): it can only succeed against a
-// state with zero pins and no writer, and the generation bump means any
-// reader that probed the table before us and pins after us must fail its
-// pin CAS — the lookup→pin race is settled by the state word alone, no
-// frame mutex (DESIGN.md §12).
+// evictClaimed unmaps the victim whose frame claimVictim took, writes its
+// bytes back if they are dirty, and returns the frame — claimed (recycling,
+// one claim pin, generation bumped) with its old tag still in tagPage,
+// harmless since the recycling bit makes every tryPin refuse it until
+// install or toFree overwrites the identity.
 //
 // Dirty victims are evicted losslessly and without a copy: in the bucket
 // critical section that unmaps the page an in-flight op is registered for
@@ -944,73 +844,33 @@ func (sh *shard) stillCached(prev replacer.Victim) bool {
 // at every instant mapped, covered by an op, durable or parked. An older
 // parked copy of the page (a flush whose write failed while the frame was
 // being claimed) is dropped under the stripe before the write, so it can
-// neither be adopted nor drained over the newer bytes. When the quarantine
-// is already at capacity the eviction is refused up front — a failed write
-// would have nowhere to park — and the caller churns to another (ideally
-// clean) victim.
-func (sh *shard) reclaim(ps *Session, v replacer.Victim) (*Frame, bool) {
-	victim := v.ID
-	if !victim.Valid() {
-		return nil, false // the caller has no victim yet
-	}
-	// The policy names the frame with the page, so there is no table probe:
-	// the frame's own header says whether it still holds the victim.
+// neither be adopted nor drained over the newer bytes.
+func (sh *shard) evictClaimed(ps *Session, v replacer.Victim) *Frame {
 	f := &sh.frames[v.Slot]
-	b := sh.bucketFor(victim)
-	var s uint64
-	for {
-		s = f.state.Load()
-		if s&(frameRecycling|frameWLock) != 0 || s&framePinMask != 0 {
-			return nil, false
-		}
-		if page.PageID(f.tagPage.Load()) != victim {
-			return nil, false
-		}
-		if s&frameDirty != 0 && sh.quarantineFull() {
-			// No room to guarantee durability for another dirty page; leave
-			// this frame untouched and let the caller try a different victim.
-			sh.quarRefusals.Add(1)
-			return nil, false
-		}
-		if f.tryClaim(s) {
-			break
-		}
-		// Lost a race (a reader pinned, a writer dirtied…); re-evaluate.
-	}
-	if sh.victimEpoch.Load() != ps.victimEpoch {
-		// Since this miss began an Invalidate ran, or another miss weighed
-		// re-admitting its victim. Had the Invalidate been of victim, after
-		// the policy gave victim up to us, the frame we now hold may belong
-		// to a later load of the same page, which the policy tracks again;
-		// had the other miss's victim been ours too, held from an earlier
-		// residency, it found the page as we leave it between MissBegin and
-		// the claim above and put it back. Evicting the page is right either
-		// way, once the policy hears of it.
-		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(v.Slot, victim) })
-	}
-	dirty := s&frameDirty != 0
-	sh.events.Record(obs.EvEvict, uint64(victim), flagArg(dirty))
+	dirty := f.state.Load()&frameDirty != 0
+	sh.events.Record(obs.EvEvict, uint64(v.ID), flagArg(dirty))
 
 	sched.Yield(sched.BufReclaimClaim)
+	b := sh.bucketFor(v.ID)
 	sh.lockBucket(b)
-	sh.removeLocked(b, victim)
+	sh.removeLocked(b, v.ID)
 	if !dirty {
 		b.w.mu.Unlock()
-		return f, true
+		return f
 	}
-	op := nextOp(&ps.evict, victim, true)
+	op := nextOp(&ps.evict, v.ID, true)
 	b.w.addOpLocked(op)
 	b.w.mu.Unlock()
 
 	sched.Yield(sched.BufEvictWrite)
-	sh.writeVictim(&ps.trace, victim, f)
+	sh.writeVictim(&ps.trace, v.ID, f)
 	sh.finishOp(b, op, nil)
-	return f, true
+	return f
 }
 
 // writeVictim makes the dirty bytes of a claimed, unmapped frame durable,
 // or parks them. The claim made the frame exclusively ours and the op
-// registered by reclaim keeps everybody else off the page, so the device
+// registered by evictClaimed keeps everybody else off the page, so the device
 // reads stable bytes straight out of the frame for as long as WritePage
 // runs — which is all the storage.Device contract lets it do. The write is
 // a slow phase: it lazily arms the trace, because the request is paying
@@ -1248,16 +1108,13 @@ func (sh *shard) invalidate(id page.PageID) error {
 		if s&(framePinMask|frameWLock) != 0 {
 			return ErrNoUnpinnedBuffers
 		}
-		if f.tryClaim(s) {
+		// Claimed and out of the policy in one hold, as in an eviction, and
+		// before the page leaves the table: a miss on id starts only once the
+		// table entry is gone, and its MissAdmit must not find it resident.
+		if sh.claimOut(f, s, id) {
 			break
 		}
 	}
-
-	// Out of the policy before out of the table: a miss on id starts only
-	// once the table entry is gone, and its MissAdmit must not find the
-	// page still resident.
-	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
-	sh.victimEpoch.Add(1)
 
 	sh.lockBucket(b)
 	sh.removeLocked(b, id)
@@ -1266,6 +1123,18 @@ func (sh *shard) invalidate(id page.PageID) error {
 	sh.purgeQuarantine(id)
 	sh.freeFrame(f)
 	return nil
+}
+
+// claimOut claims f from state s and takes its page id out of the policy,
+// in one policy-lock hold, for an Invalidate or a reshard steal; it reports
+// whether the claim CAS won.
+func (sh *shard) claimOut(f *Frame, s uint64, id page.PageID) (claimed bool) {
+	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
+		if claimed = f.tryClaim(s); claimed {
+			pol.RemoveSlot(f.slot, id)
+		}
+	})
+	return claimed
 }
 
 // flushFrame writes one dirty, unpinned frame back to the device while it
@@ -1482,21 +1351,21 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 	if len(quar) > sh.quarCap+len(sh.frames) {
 		return fmt.Errorf("buffer: quarantine %d far beyond cap %d", len(quar), sh.quarCap)
 	}
-	// Policy agreement: every policy-resident page must have a table entry
-	// (a frameless resident would be unevictable and unservable). The
-	// reverse — a table entry the policy no longer tracks — is legal residue
-	// of eviction churn against pinned frames and is not flagged.
+	// Policy agreement: a page leaves the policy only with its frame and
+	// enters it only once installed in one, so at quiescence the policy
+	// tracks exactly the mapped pages, each in its frame's slot. A resident
+	// without a table entry would be unservable, and a mapped page the
+	// policy does not track unevictable.
 	var perr error
 	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
-		n := pol.Len()
-		inTable := 0
 		for id, f := range mapped {
-			if pol.ContainsSlot(f.slot, id) {
-				inTable++
+			if !pol.ContainsSlot(f.slot, id) {
+				perr = fmt.Errorf("buffer: page %v is mapped to frame %d, where the policy does not track it", id, f.slot)
+				return
 			}
 		}
-		if n != inTable {
-			perr = fmt.Errorf("buffer: policy tracks %d residents but only %d have table entries", n, inTable)
+		if n := pol.Len(); n != len(mapped) {
+			perr = fmt.Errorf("buffer: policy tracks %d residents, %d pages are mapped", n, len(mapped))
 		}
 	})
 	if perr != nil {

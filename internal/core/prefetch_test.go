@@ -98,7 +98,7 @@ func TestPrefetchGate(t *testing.T) {
 		}},
 		{"missbegin", batched, func(s *Session) []page.PageID {
 			fresh++
-			s.MissBegin(pid(fresh), tag(pid(fresh)))
+			s.MissBegin(pid(fresh), nil)
 			s.MissAdmit(pid(fresh), 0)
 			return []page.PageID{pid(fresh)}
 		}},

@@ -177,17 +177,17 @@ func TestRoundAccounting(t *testing.T) {
 		// The two-phase miss. Under flat combining the session has nothing
 		// of its own at all: the hits it applies are another session's.
 		{name: "direct/missbegin", cfg: direct,
-			op: func(e *env) { e.s.MissBegin(pid(9), page.BufferTag{}); e.s.MissAdmit(pid(9), 0) },
+			op: func(e *env) { e.s.MissBegin(pid(9), nil); e.s.MissAdmit(pid(9), 0) },
 			want: roundWant{ops: "e1 m9", acquisitions: 2, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
 		{name: "batch/missbegin", cfg: batch,
 			setup: func(e *env) { hit(e.s, 1) },
-			op:    func(e *env) { e.s.MissBegin(pid(9), page.BufferTag{}); e.s.MissAdmit(pid(9), 0) },
+			op:    func(e *env) { e.s.MissBegin(pid(9), nil); e.s.MissAdmit(pid(9), 0) },
 			want: roundWant{ops: "h1 e2 m9", acquisitions: 2, commits: 1, batchSizes: 1, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
 		{name: "fc/missbegin", cfg: fc,
 			setup: func(e *env) { published(e, false) },
-			op:    func(e *env) { e.s.MissBegin(pid(9), page.BufferTag{}); e.s.MissAdmit(pid(9), 0) },
+			op:    func(e *env) { e.s.MissBegin(pid(9), nil); e.s.MissAdmit(pid(9), 0) },
 			want: roundWant{ops: "e1 h4 h5 m9", acquisitions: 2, commits: 1, walks: 1, combined: 1, slow: true,
 				events: []obs.EventKind{obs.EvCombine}, spans: []reqtrace.Phase{lw, po}}},
 	}

@@ -497,11 +497,11 @@ func (w *Wrapper) BatchThreshold() int {
 // happens under the policy lock, then the hot-path view is republished
 // atomically.
 //
-// Admitting into a policy with queue-local bounds (2Q's A1in, say) can
-// evict even below total capacity; such pages fall out of the new policy's
-// tracking while their frames stay resident. They are returned as residue
-// for the caller (the buffer shard) to reclaim through its normal victim
-// path — dropping them silently would strand unevictable frames.
+// A new policy with less capacity than the old one's residents evicts as it
+// is seeded; such pages fall out of the new policy's tracking while their
+// frames stay resident. They are returned as residue for the caller (the
+// buffer shard) to evict — dropping them silently would strand frames no
+// policy would ever give up.
 //
 // Lock-free hits racing the swap may deliver a reference-bit update to the
 // retired policy object (harmless: it is garbage afterwards) or batch into
@@ -514,7 +514,7 @@ func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, residue
 	next := w.newPolicyBox(factory(old.policy.Cap()))
 	from, to = old.policy.Name(), next.policy.Name()
 	for {
-		v, ok := old.evict()
+		v, ok := old.evict(nil)
 		if !ok {
 			break
 		}
@@ -676,12 +676,12 @@ func (s *Session) atThreshold() {
 	switch {
 	case !w.cfg.Batching:
 		// Direct (pg2Q / pgPre): block, on every access.
-		s.round(perAccess, page.InvalidPageID)
+		s.round(perAccess, page.InvalidPageID, nil)
 	case w.fc == nil:
 		// The paper's protocol: keep recording and try again on the next
 		// hit; block only when the queue is completely full.
-		if _, _, held := s.round(tryOnce, page.InvalidPageID); !held && len(s.queue) >= w.cfg.QueueSize {
-			s.round(cannotWait, page.InvalidPageID)
+		if _, _, held := s.round(tryOnce, page.InvalidPageID, nil); !held && len(s.queue) >= w.cfg.QueueSize {
+			s.round(cannotWait, page.InvalidPageID, nil)
 		}
 	case s.slot.pub.Load() == nil:
 		// Flat combining, previous batch drained: publish this one (round
@@ -690,12 +690,12 @@ func (s *Session) atThreshold() {
 		// protocol could not make. Only the owner stores into pub, so the
 		// emptiness check cannot race with another publisher; a combiner
 		// only ever transitions pub to nil.
-		if _, _, held := s.round(tryOnce, page.InvalidPageID); !held {
+		if _, _, held := s.round(tryOnce, page.InvalidPageID, nil); !held {
 			w.fcc.handoffSaved.Add(1)
 		}
 	case len(s.queue) >= w.cfg.QueueSize:
 		// Flat combining, both buffers full: the bounded-memory fall-back.
-		s.round(cannotWait, page.InvalidPageID)
+		s.round(cannotWait, page.InvalidPageID, nil)
 	}
 	// Otherwise the combiner has not reached the slot yet; keep recording.
 }
@@ -706,7 +706,7 @@ func (s *Session) atThreshold() {
 // and then the policy admits the page, returning the eviction victim.
 // This is replacement_for_page_miss in Figure 4.
 func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
-	v, evicted := s.miss(missAdmit, id)
+	v, evicted := s.miss(missAdmit, id, nil)
 	return v.ID, evicted
 }
 
@@ -714,37 +714,40 @@ func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, 
 // manager uses: it records the miss, commits any queued hits (preserving
 // access order, as in Figure 4), and — when the policy is at capacity —
 // evicts a victim to make room, WITHOUT admitting the missing page. The
-// caller loads the page and then calls MissAdmit. The victim's Slot is
-// meaningful only from a wrapper built with NewSlotted.
+// caller loads the page and then calls MissAdmit. From a wrapper built with
+// NewSlotted the victim is the first page in the policy's eviction order
+// that claim takes (replacer.SlotPolicy.EvictSlot; nil takes any), and claim
+// runs under the policy lock; by id, claim is not consulted.
 //
 // Keeping the in-flight page out of the policy until its frame exists means
 // concurrent loaders can never choose each other's unfinished pages as
 // victims — the frameless-resident deadlock a single-phase protocol allows.
 // Single-phase Miss remains available for standalone (simulation, trace
 // replay) use, where pages have no frames at all.
-func (s *Session) MissBegin(id page.PageID, tag page.BufferTag) (victim replacer.Victim, evicted bool) {
-	return s.miss(missMakeRoom, id)
+func (s *Session) MissBegin(id page.PageID, claim func(replacer.Victim) bool) (victim replacer.Victim, evicted bool) {
+	return s.miss(missMakeRoom, id, claim)
 }
 
 // miss is Miss (admit) and MissBegin (make room only).
-func (s *Session) miss(why reason, id page.PageID) (victim replacer.Victim, evicted bool) {
+func (s *Session) miss(why reason, id page.PageID, claim func(replacer.Victim) bool) (victim replacer.Victim, evicted bool) {
 	s.note(false)
 	s.fold()
-	victim, evicted, _ = s.round(why, id)
+	victim, evicted, _ = s.round(why, id, claim)
 	return victim, evicted
 }
 
 // MissAdmit is the second half of the two-phase miss protocol: the page
 // has been loaded into the frame at slot and becomes resident in the
-// policy. In the rare case a concurrent miss consumed the room MissBegin
-// made, Admit evicts again and the victim is returned for the caller to
-// reclaim.
-func (s *Session) MissAdmit(id page.PageID, slot uint32) (victim replacer.Victim, evicted bool) {
+// policy. It evicts nothing: in the buffer pool each page the policy holds
+// has a frame of its own, none of them slot's, so the policy is not full.
+func (s *Session) MissAdmit(id page.PageID, slot uint32) {
 	w := s.w
 	w.lock.Lock()
-	victim, evicted = w.box.Load().admit(id, slot)
+	victim, evicted := w.box.Load().admit(id, slot)
 	w.lock.Unlock()
-	return victim, evicted
+	if evicted {
+		panic(fmt.Sprintf("core: MissAdmit of %v evicted %v, but a pool's policy always has room for it", id, victim.ID))
+	}
 }
 
 // Flush commits any queued hit records with a blocking lock acquisition.
@@ -754,7 +757,7 @@ func (s *Session) MissAdmit(id page.PageID, slot uint32) (victim replacer.Victim
 func (s *Session) Flush() {
 	s.fold()
 	if s.Pending() > 0 {
-		s.round(cannotWait, page.InvalidPageID)
+		s.round(cannotWait, page.InvalidPageID, nil)
 	}
 }
 
@@ -808,7 +811,7 @@ const (
 // follows them. Whoever else drains the slot does so under the same lock.
 //
 // held is false only for a tryOnce that found the lock busy.
-func (s *Session) round(why reason, id page.PageID) (victim replacer.Victim, evicted, held bool) {
+func (s *Session) round(why reason, id page.PageID, claim func(replacer.Victim) bool) (victim replacer.Victim, evicted, held bool) {
 	w := s.w
 	s.prefetch(s.queue, id)
 	own := len(s.queue) // what this round takes out of the recording queue
@@ -862,7 +865,7 @@ func (s *Session) round(why reason, id page.PageID) (victim replacer.Victim, evi
 		if b := w.box.Load(); why == missAdmit {
 			victim, evicted = b.admit(id, 0) // Miss is the frameless protocol: there is no slot to name
 		} else if why == missMakeRoom && b.policy.Len() >= b.policy.Cap() {
-			victim, evicted = b.evict()
+			victim, evicted = b.evict(claim)
 		}
 		if w.fc != nil {
 			others, othersN = w.drain(s, *w.fc.slots.Load())
@@ -930,7 +933,8 @@ func (s *Session) stampRound(why reason, t0, t1 int64, own int, id page.PageID) 
 }
 
 // hit, admit and evict are the policy's Hit, Admit and Evict, by slot when
-// the wrapper is slotted and by id when it is not.
+// the wrapper is slotted and by id when it is not; by id there is no
+// EvictSlot to hand evict's claim to.
 func (b *policyBox) hit(id page.PageID, slot uint32) {
 	if b.slots != nil {
 		b.slots.HitSlot(slot, id)
@@ -947,9 +951,9 @@ func (b *policyBox) admit(id page.PageID, slot uint32) (victim replacer.Victim, 
 	return victim, evicted
 }
 
-func (b *policyBox) evict() (victim replacer.Victim, evicted bool) {
+func (b *policyBox) evict(claim func(replacer.Victim) bool) (victim replacer.Victim, evicted bool) {
 	if b.slots != nil {
-		return b.slots.EvictSlot()
+		return b.slots.EvictSlot(claim)
 	}
 	victim.ID, evicted = b.policy.Evict()
 	return victim, evicted

@@ -368,17 +368,17 @@ func TestMissBeginMissAdmitProtocol(t *testing.T) {
 	s := w.NewSession()
 
 	// Fill via the two-phase path.
-	if v, ev := s.MissBegin(pid(1), page.BufferTag{}); ev {
+	if v, ev := s.MissBegin(pid(1), nil); ev {
 		t.Fatalf("eviction on empty policy: %v", v)
 	}
 	s.MissAdmit(pid(1), 0)
-	s.MissBegin(pid(2), page.BufferTag{})
+	s.MissBegin(pid(2), nil)
 	s.MissAdmit(pid(2), 0)
 
 	// Queue some hits, then a miss at capacity: MissBegin must commit the
 	// queue first (order preserved) and evict without admitting.
 	s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	v, ev := s.MissBegin(pid(3), page.BufferTag{})
+	v, ev := s.MissBegin(pid(3), nil)
 	if !ev {
 		t.Fatal("no eviction at capacity")
 	}
@@ -395,9 +395,7 @@ func TestMissBeginMissAdmitProtocol(t *testing.T) {
 			t.Fatalf("op[%d]=%s want %s", i, rec.ops[i], op)
 		}
 	}
-	if v2, ev2 := s.MissAdmit(pid(3), 0); ev2 {
-		t.Fatalf("MissAdmit evicted %v with a free slot", v2)
-	}
+	s.MissAdmit(pid(3), 0)
 	if !rec.Contains(pid(3)) {
 		t.Fatal("MissAdmit did not admit")
 	}
@@ -408,28 +406,28 @@ func TestMissBeginMissAdmitProtocol(t *testing.T) {
 	}
 }
 
-func TestMissAdmitEvictsWhenSlotStolen(t *testing.T) {
+// TestMissAdmitPanicsWhenSlotStolen drives the two-phase miss by slot: the
+// claim MissBegin is handed decides which page leaves (here not the LRU
+// page, which it refuses), and MissAdmit, which a pool always leaves room
+// for, refuses to evict when the room was taken.
+func TestMissAdmitPanicsWhenSlotStolen(t *testing.T) {
 	pol := replacer.NewLRU(2)
-	w := New(pol, Config{})
+	w := NewSlotted(pol, Config{})
 	s := w.NewSession()
-	s.MissBegin(pid(1), page.BufferTag{})
+	s.MissBegin(pid(1), nil)
 	s.MissAdmit(pid(1), 0)
-	s.MissBegin(pid(2), page.BufferTag{})
-	s.MissAdmit(pid(2), 0)
-	// Begin a miss (evicts pid(1)), then steal the freed slot before the
-	// admit, as a concurrent loader would.
-	if v, ev := s.MissBegin(pid(3), page.BufferTag{}); !ev || v.ID != pid(1) {
-		t.Fatalf("victim %v/%v", v, ev)
+	s.MissBegin(pid(2), nil)
+	s.MissAdmit(pid(2), 1)
+	spare := func(v replacer.Victim) bool { return v.ID != pid(1) }
+	if v, ev := s.MissBegin(pid(3), spare); !ev || v != (replacer.Victim{ID: pid(2), Slot: 1}) {
+		t.Fatalf("victim %v/%v, want page 2 from slot 1", v, ev)
 	}
-	w.Locked(func(p replacer.Policy) { p.Admit(pid(9)) })
-	v, ev := s.MissAdmit(pid(3), 0)
-	if !ev {
-		t.Fatal("MissAdmit did not evict after losing the slot")
-	}
-	if v.ID != pid(2) && v.ID != pid(9) {
-		t.Fatalf("unexpected spare victim %v", v)
-	}
-	if !pol.Contains(pid(3)) {
-		t.Fatal("page not admitted")
-	}
+	// Take the room before the admit, as only a broken caller could.
+	w.LockedSlots(func(p replacer.SlotPolicy) { p.AdmitSlot(2, pid(9)) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MissAdmit evicted instead of panicking")
+		}
+	}()
+	s.MissAdmit(pid(3), 1)
 }

@@ -66,6 +66,12 @@ func TestPolicyOpsDoNotAllocate(t *testing.T) {
 			measure("ContainsSlot", func() { d.p.ContainsSlot(d.table[last], last) })
 			measure("AdmitSlot at capacity", func() { d.admit(fresh()) })
 			measure("EvictSlot+AdmitSlot", func() { d.evict(); d.admit(fresh()) })
+			offers := 0
+			d.claim = func(Victim) bool { offers++; return offers%2 == 0 }
+			measure("EvictSlot past a refusal+AdmitSlot", func() { offers = 0; d.evict(); d.admit(fresh()) })
+			d.claim = func(Victim) bool { return false }
+			measure("EvictSlot refusing every page", func() { d.evict() })
+			d.claim = nil
 			measure("RemoveSlot+AdmitSlot", func() {
 				id := fresh()
 				d.admit(id)

@@ -126,7 +126,7 @@ func (p *ARC) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 }
 
 // evict removes and returns one resident page following ARC's REPLACE rule.
-func (p *ARC) evict() Victim { return p.forceReplace(false) }
+func (p *ARC) evict(claim func(Victim) bool) (Victim, bool) { return p.forceReplace(false, claim) }
 
 // replace implements ARC's REPLACE(x, p) on the miss path: it evicts only
 // when the cache is full.
@@ -134,21 +134,30 @@ func (p *ARC) replace(inB2 bool) (Victim, bool) {
 	if p.Len() < p.capacity {
 		return Victim{}, false
 	}
-	return p.forceReplace(inB2), true
+	return p.forceReplace(inB2, nil)
 }
 
 // forceReplace evicts T1's LRU into B1 when T1 exceeds the target (or
-// exactly meets it on a B2 ghost hit), otherwise T2's LRU into B2.
-func (p *ARC) forceReplace(inB2 bool) Victim {
-	fromT1 := p.t1.len() > 0 && (p.t1.len() > p.p || (inB2 && p.t1.len() == p.p))
-	if fromT1 || p.t2.len() == 0 {
-		v, g := p.toGhost(p.t1.popBack())
-		p.b1.pushFront(g)
-		return v
+// exactly meets it on a B2 ghost hit), otherwise T2's LRU into B2. Refused
+// pages count towards |T1|; the other list is walked only when claim takes
+// nothing from the one the target picked.
+func (p *ARC) forceReplace(inB2 bool, claim func(Victim) bool) (Victim, bool) {
+	first, second := p.t2, p.t1
+	if p.t2.len() == 0 || p.t1.len() > 0 && (p.t1.len() > p.p || (inB2 && p.t1.len() == p.p)) {
+		first, second = second, first
 	}
-	v, g := p.toGhost(p.t2.popBack())
-	p.b2.pushFront(g)
-	return v
+	l, i := p.claimIn(claim, false, first, second)
+	if l == nil {
+		return Victim{}, false
+	}
+	l.remove(i)
+	v, g := p.toGhost(i)
+	if l == p.t1 {
+		p.b1.pushFront(g)
+	} else {
+		p.b2.pushFront(g)
+	}
+	return v, true
 }
 
 // RemoveSlot deletes a page from the resident set or the ghost directory.

@@ -42,7 +42,7 @@ func (p *CAR) HitSlots(batch []Access) {
 func (p *CAR) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	g, present := p.ghost(id)
 	if p.Len() == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	if !present {
 		// Trim the ghost directory on every fresh miss, not only when the
@@ -76,28 +76,37 @@ func (p *CAR) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 }
 
 // evict runs the CAR clock sweep until a page with a clear reference bit
-// is found, demoting referenced T1 pages to T2 and recycling referenced T2
-// pages to the T2 tail.
-func (p *CAR) evict() Victim {
+// that claim takes is found, demoting referenced T1 pages to T2 and
+// recycling referenced T2 pages to the T2 tail. The hand passes a refused
+// page (its ring's front moves to the back); a ring whose every page was
+// refused since the sweep last changed anything yields to the other.
+func (p *CAR) evict(claim func(Victim) bool) (Victim, bool) {
+	skip1, skip2 := 0, 0 // refusals on each ring since the sweep last changed anything
 	for {
-		fromT1 := p.t1.len() >= max(1, p.p)
-		if p.t1.len() == 0 {
-			fromT1 = false
-		} else if p.t2.len() == 0 {
-			fromT1 = true
+		left1, left2 := p.t1.len()-skip1, p.t2.len()-skip2
+		if left1+left2 == 0 {
+			return Victim{}, false
 		}
-		ring, ghosts := p.t2, p.b2
-		if fromT1 {
-			ring, ghosts = p.t1, p.b1
+		ring, ghosts, skip := p.t2, p.b2, &skip2
+		if left2 == 0 || left1 > 0 && p.t1.len() >= max(1, p.p) {
+			ring, ghosts, skip = p.t1, p.b1, &skip1
 		}
-		i := ring.popFront()
+		i := ring.front()
 		nd := &p.nodes[i]
-		if !nd.has(fRef) {
+		switch {
+		case nd.has(fRef):
+			nd.flags = nd.flags&^fRef | fHot
+			ring.remove(i)
+			p.t2.pushBack(i)
+			skip1, skip2 = 0, 0
+		case p.offer(claim, i):
+			ring.remove(i)
 			v, g := p.toGhost(i)
 			ghosts.pushFront(g)
-			return v
+			return v, true
+		default:
+			ring.moveToBack(i)
+			*skip++
 		}
-		nd.flags = nd.flags&^fRef | fHot
-		p.t2.pushBack(i)
 	}
 }

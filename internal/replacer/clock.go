@@ -123,7 +123,7 @@ func (p *Clock) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) 
 		panic("replacer: " + p.name + ": Admit into an occupied slot")
 	}
 	if p.length == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	if p.hand == nilIdx {
 		nd.prev, nd.next = slot, slot
@@ -144,17 +144,25 @@ func (p *Clock) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) 
 }
 
 // evict advances the hand, decrementing reference counters, until it finds
-// a page with a zero counter; that page is unlinked and returned.
-func (p *Clock) evict() Victim {
-	for {
+// a page with a zero counter that claim takes; that page is unlinked and
+// returned. As PostgreSQL's sweep passes a pinned buffer, the hand passes a
+// refused page, and tries, reset like its trycounter whenever a counter
+// comes down, ends the walk after a lap of refusals.
+func (p *Clock) evict(claim func(Victim) bool) (Victim, bool) {
+	for tries := p.length; tries > 0; {
 		nd := &p.nodes[p.hand]
-		if nd.ref.Load() > 0 {
+		switch {
+		case nd.ref.Load() > 0:
 			nd.ref.Add(-1)
-			p.hand = nd.next
-			continue
+			tries = p.length
+		case claim == nil || claim(Victim{ID: PageID(nd.id.Load()), Slot: p.hand}):
+			return p.unlink(p.hand), true
+		default:
+			tries--
 		}
-		return p.unlink(p.hand)
+		p.hand = nd.next
 	}
+	return Victim{}, false
 }
 
 // unlink removes the page in slot from the ring and frees the slot.

@@ -125,7 +125,7 @@ func (p *ClockPro) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted boo
 		p.nNR--
 	}
 	if p.Len() == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	nd := p.place(slot, id)
 	p.insertHead(slot)
@@ -145,24 +145,31 @@ func (p *ClockPro) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted boo
 	return victim, evicted
 }
 
-// evict sweeps handCold until it evicts one resident cold page, returning
-// it. Referenced cold pages in their test period are promoted to hot on the
-// way; referenced cold pages out of test get a renewed test period at the
-// head.
-func (p *ClockPro) evict() Victim {
+// evict sweeps handCold until it evicts one resident cold page that claim
+// takes, returning it. Referenced cold pages in their test period are
+// promoted to hot on the way; referenced cold pages out of test get a
+// renewed test period at the head. Once handCold has passed every cold page
+// refusing it, with nothing changed, the victim is the first hot page from
+// handHot claim takes, which leaves with no test period.
+func (p *ClockPro) evict(claim func(Victim) bool) (Victim, bool) {
 	if p.nColdRes == 0 {
 		// All resident pages are hot; demote one to produce a cold victim
 		// candidate.
 		p.runHandHot()
 	}
-	for {
+	for refused := 0; refused < p.nColdRes; {
 		i := p.handCold
 		nd := &p.nodes[i]
 		p.handCold = nd.next
 		if nd.has(fGhost | fHot) {
 			continue
 		}
+		if !nd.has(fRef) && !p.offer(claim, i) {
+			refused++
+			continue
+		}
 		if nd.has(fRef) {
+			refused = 0
 			nd.flags &^= fRef
 			if nd.has(fTest) {
 				// Re-accessed within its test period: promote to hot.
@@ -184,11 +191,11 @@ func (p *ClockPro) evict() Victim {
 			}
 			continue
 		}
-		// Unreferenced resident cold page: evict it.
+		// Unreferenced resident cold page, claimed: evict it.
 		p.nColdRes--
 		if !nd.has(fTest) {
 			p.unlink(i)
-			return p.vacate(i)
+			return p.vacate(i), true
 		}
 		// Keep it where it is, as a non-resident page, for the rest of its
 		// test period.
@@ -198,8 +205,19 @@ func (p *ClockPro) evict() Victim {
 		for p.nNR > p.capacity {
 			p.runHandTest()
 		}
-		return v
+		return v, true
 	}
+	for i, left := p.handHot, p.nHot; left > 0; i = p.nodes[i].next {
+		if !p.nodes[i].has(fHot) {
+			continue
+		}
+		if left--; p.offer(claim, i) {
+			p.unlink(i)
+			p.nHot--
+			return p.vacate(i), true
+		}
+	}
+	return Victim{}, false
 }
 
 // runHandHot demotes one hot page to cold-resident status, clearing

@@ -41,13 +41,15 @@ func (d idDrive) remove(id PageID)               { d.p.Remove(id) }
 // as the slot contract allows, so a full policy is handed the slot to admit
 // into and picks its victim itself, as it does by id. With a batcher it hands
 // hits over as the BP-Wrapper core commits them: queued, then one HitSlots
-// ahead of the next call that changes what is resident.
+// ahead of the next call that changes what is resident. Its evictions go
+// through EvictSlot with claim, nil unless a run sets one.
 type slotDrive struct {
 	p       SlotPolicy
 	table   map[PageID]uint32
 	free    []uint32
 	batcher SlotBatcher // nil: one HitSlot a hit, at once
 	queued  []Access
+	claim   func(Victim) bool
 }
 
 func newSlotDrive(p SlotPolicy, batcher SlotBatcher) *slotDrive {
@@ -99,7 +101,7 @@ func (d *slotDrive) admit(id PageID) (PageID, bool) {
 
 func (d *slotDrive) evict() (PageID, bool) {
 	d.commit()
-	return d.gaveUp(d.p.EvictSlot())
+	return d.gaveUp(d.p.EvictSlot(d.claim))
 }
 
 func (d *slotDrive) remove(id PageID) {
@@ -110,10 +112,17 @@ func (d *slotDrive) remove(id PageID) {
 	d.free = append(d.free, slot)
 }
 
-// The drives a conformance run can take a policy through.
+// The drives a conformance run can take a policy through. claimDriven's
+// claim takes every candidate it is offered, so the policy must give up what
+// EvictSlot(nil) does.
 func idDriven(p Policy) drive    { return idDrive{p} }
 func slotDriven(p Policy) drive  { return newSlotDrive(p.(SlotPolicy), nil) }
 func batchDriven(p Policy) drive { return newSlotDrive(p.(SlotPolicy), p.(SlotBatcher)) }
+func claimDriven(p Policy) drive {
+	d := newSlotDrive(p.(SlotPolicy), nil)
+	d.claim = func(Victim) bool { return true }
+	return d
+}
 
 // conform replays one seeded stream of accesses through p, an Evict three
 // steps in a hundred and a Remove of a recent page another three, holding p
@@ -202,6 +211,54 @@ func conformPage(r *rand.Rand, from, n int) PageID {
 	return PageID(1<<44 | (uint64(from) + r.Uint64()%uint64(n)))
 }
 
+// conformClaim holds EvictSlot to its claim. A seeded stream drives p by
+// slot, and every tenth step asks for a victim while claim refuses about a
+// quarter of the resident pages, or one time in eight all of them. Every
+// candidate offered must be resident in its slot, the victim one claim took,
+// and every other page must stay resident in its slot: with nothing
+// claimable, the answer is (Victim{}, false) and Len does not move.
+func conformClaim(t TB, p SlotPolicy, capacity int, seed int64) {
+	t.Helper()
+	d, r := newSlotDrive(p, nil), rand.New(rand.NewSource(seed))
+	var salt uint64 // 0: claim refuses every page
+	var taken PageID
+	refuses := func(id PageID) bool { return salt == 0 || (uint64(id)*0x9e3779b97f4a7c15+salt)>>62 == 0 }
+	d.claim = func(v Victim) bool {
+		if slot, ok := d.table[v.ID]; !ok || slot != v.Slot || !p.ContainsSlot(v.Slot, v.ID) {
+			t.Fatalf("%s: EvictSlot offered %v, which is not resident in slot %d", p.Name(), v.ID, v.Slot)
+		}
+		taken = v.ID
+		return !refuses(v.ID)
+	}
+	for step := 0; step < 100*capacity && step < 5000; step++ {
+		if id := conformPage(r, 0, 4*capacity); p.ContainsSlot(d.table[id], id) {
+			d.hit(id)
+		} else {
+			d.admit(id)
+		}
+		if r.Intn(10) != 0 {
+			continue
+		}
+		if salt = r.Uint64(); r.Intn(8) == 0 {
+			salt = 0
+		}
+		claimable := 0
+		for id := range d.table {
+			if !refuses(id) {
+				claimable++
+			}
+		}
+		if v, ok := d.evict(); ok != (claimable > 0) || ok && (v != taken || refuses(v)) || p.Len() != len(d.table) {
+			t.Fatalf("%s: step %d: EvictSlot gave up %v (%v) with %d pages claimable, and left %d of %d", p.Name(), step, v, ok, claimable, p.Len(), len(d.table))
+		}
+		for id, slot := range d.table {
+			if !p.ContainsSlot(slot, id) {
+				t.Fatalf("%s: step %d: %v, refused, is no longer resident in slot %d", p.Name(), step, id, slot)
+			}
+		}
+	}
+}
+
 // CheckPolicy holds a replacement algorithm to the Policy contract — and to
 // SlotPolicy's, if it implements it — at several capacities: Len never
 // exceeds Cap and always agrees with what was admitted and given up; victims
@@ -209,11 +266,12 @@ func conformPage(r *rand.Rand, from, n int) PageID {
 // is (_, false); admitting a resident page panics; a Hit or Remove of a page
 // that is not resident changes nothing, nor does Prefetch, nor a slot-keyed
 // call through a slot that holds another page (the stale tag); a page
-// removed and admitted again is treated as one never seen; and the policy
-// gives up the same pages in the same order whether it is driven by id, by
-// slot, or — if it implements SlotBatcher — by slot with its hits handed
-// over in batches. "Changes nothing" and "the same" are checked by comparing
-// whole runs, so the algorithm must be deterministic.
+// removed and admitted again is treated as one never seen; the policy gives
+// up the same pages in the same order whether it is driven by id, by slot,
+// by slot through a claim that takes every candidate, or — if it implements
+// SlotBatcher — by slot with its hits handed over in batches; and EvictSlot
+// keeps to its claim (conformClaim). "Changes nothing" and "the same" are
+// checked by comparing whole runs, so the algorithm must be deterministic.
 func CheckPolicy(t TB, factory Factory) {
 	t.Helper()
 	for _, capacity := range []int{1, 3, 16, 64} {
@@ -245,9 +303,11 @@ func CheckPolicy(t TB, factory Factory) {
 		if _, ok := again.(SlotPolicy); ok {
 			compare("when driven by slot", conform(t, factory(capacity), slotDriven, false, capacity, seed))
 			compare("when driven by slot, with stale slots", conform(t, factory(capacity), slotDriven, true, capacity, seed))
+			compare("when a claim takes every candidate", conform(t, factory(capacity), claimDriven, false, capacity, seed))
 			if _, ok := again.(SlotBatcher); ok {
 				compare("when its hits come in batches", conform(t, factory(capacity), batchDriven, true, capacity, seed))
 			}
+			conformClaim(t, factory(capacity).(SlotPolicy), capacity, seed)
 		}
 	}
 }

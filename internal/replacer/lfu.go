@@ -81,7 +81,7 @@ func (p *LFU) HitSlots(batch []Access) {
 // frequently-used page (oldest within the lowest frequency) if at capacity.
 func (p *LFU) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	if p.length == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	p.place(slot, id)
 	p.join(slot, 1, p.nodes[p.lst.root].prev)
@@ -90,12 +90,14 @@ func (p *LFU) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 }
 
 // evict removes and returns the least-frequently-used page (oldest within
-// the lowest frequency): the back of the list.
-func (p *LFU) evict() Victim {
-	i := p.lst.back()
-	p.leave(i)
-	p.length--
-	return p.vacate(i)
+// the lowest frequency) that claim takes: the list from its back.
+func (p *LFU) evict(claim func(Victim) bool) (Victim, bool) {
+	if l, i := p.claimIn(claim, false, p.lst); l != nil {
+		p.leave(i)
+		p.length--
+		return p.vacate(i), true
+	}
+	return Victim{}, false
 }
 
 // RemoveSlot deletes a page from the resident set.

@@ -169,7 +169,7 @@ func (p *LIRS) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 		p.forget(g)
 	}
 	if p.nResident == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	nd := p.place(slot, id)
 	p.s.pushFront(slot)
@@ -195,14 +195,33 @@ func (p *LIRS) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	return victim, evicted
 }
 
-// evict follows LIRS's rule: the victim is the oldest resident HIR page, at
-// the front of Q. If Q is empty (possible after explicit Removes), a LIR
-// page is demoted first to produce a victim.
-func (p *LIRS) evict() Victim {
-	if p.q.len() == 0 {
-		p.demoteBottom()
+// evict follows LIRS's rule: the victim is the oldest resident HIR page
+// claim takes, from the front of Q. If there is none (Q can be empty after
+// explicit Removes), it is the LIR page nearest the stack bottom that claim
+// takes, demoted and evicted at once.
+func (p *LIRS) evict(claim func(Victim) bool) (Victim, bool) {
+	for t := p.nodes[p.q.root].next; t != p.q.root; t = p.nodes[t].next {
+		if i := t - p.qoff; p.offer(claim, i) {
+			p.q.remove(t)
+			return p.evictHIR(i), true
+		}
 	}
-	i := p.q.popFront() - p.qoff
+	if p.q.len() == 0 {
+		p.prune() // as demoteBottom would
+	}
+	for i := p.nodes[p.s.root].prev; i != p.s.root; i = p.nodes[i].prev {
+		if p.nodes[i].has(fHot) && p.offer(claim, i) {
+			p.s.remove(i)
+			p.nLIR--
+			p.nResident--
+			return p.vacate(i), true
+		}
+	}
+	return Victim{}, false
+}
+
+// evictHIR evicts the resident HIR page i, which is off Q.
+func (p *LIRS) evictHIR(i uint32) Victim {
 	p.nResident--
 	if !p.onS(i) || p.ghostCap == 0 {
 		if p.onS(i) {

@@ -43,15 +43,22 @@ func (p *LRU) HitSlots(batch []Access) {
 // if the policy is at capacity.
 func (p *LRU) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	if p.Len() == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	p.place(slot, id)
 	p.lst.pushFront(slot)
 	return victim, evicted
 }
 
-// evict removes and returns the page at the LRU position.
-func (p *LRU) evict() Victim { return p.vacate(p.lst.popBack()) }
+// evict removes and returns the page nearest the LRU position that claim
+// takes.
+func (p *LRU) evict(claim func(Victim) bool) (Victim, bool) {
+	if l, i := p.claimIn(claim, false, p.lst); l != nil {
+		l.remove(i)
+		return p.vacate(i), true
+	}
+	return Victim{}, false
+}
 
 // RemoveSlot deletes a page from the resident set.
 func (p *LRU) RemoveSlot(slot uint32, id PageID) {

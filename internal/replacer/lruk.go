@@ -18,11 +18,12 @@ package replacer
 // was pushed) are skipped on pop, keeping Hit at O(log n) amortized.
 type LRUK struct {
 	slab
-	k      int
-	clock  int64   // one tick per recorded reference, so no two are alike
-	hist   []int64 // k reference times per slot, newest first
-	heap   lrukHeap
-	length int
+	k       int
+	clock   int64   // one tick per recorded reference, so no two are alike
+	hist    []int64 // k reference times per slot, newest first
+	heap    lrukHeap
+	refused lrukHeap // evict's scratch: the snapshots claim refused
+	length  int
 }
 
 // A page's node keeps how many references it has recorded (count, capped at
@@ -177,7 +178,7 @@ func (p *LRUK) HitSlots(batch []Access) {
 // AdmitSlot implements SlotPolicy.
 func (p *LRUK) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	if p.length == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	p.place(slot, id)
 	clear(p.hist[int(slot)*p.k:][:p.k])
@@ -187,17 +188,27 @@ func (p *LRUK) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 }
 
 // evict pops heap items until one is the current snapshot of a resident
-// page, which every resident page has; that page has the maximal backward
-// K-distance.
-func (p *LRUK) evict() Victim {
-	for {
+// page that claim takes; every resident page has one, and the first has the
+// maximal backward K-distance. Refused snapshots go back on the heap, where
+// their keys, unique, sort them as before.
+func (p *LRUK) evict(claim func(Victim) bool) (v Victim, ok bool) {
+	for len(p.heap) > 0 && !ok {
 		it := p.heap.pop()
-		if nd := &p.nodes[it.slot]; nd.flags == 0 || nd.tick != it.recent {
-			continue // stale snapshot
+		nd := &p.nodes[it.slot]
+		switch {
+		case nd.flags == 0 || nd.tick != it.recent: // stale snapshot
+		case p.offer(claim, it.slot):
+			p.length--
+			v, ok = p.vacate(it.slot), true
+		default:
+			p.refused = append(p.refused, it)
 		}
-		p.length--
-		return p.vacate(it.slot)
 	}
+	for _, it := range p.refused {
+		p.heap.push(it)
+	}
+	p.refused = p.refused[:0]
+	return v, ok
 }
 
 // RemoveSlot implements SlotPolicy. The heap entries become stale and are

@@ -114,7 +114,7 @@ func (p *MQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 		p.dropGhost(g)
 	}
 	if p.length == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	p.place(slot, id).count = freq
 	p.enqueue(slot, p.queueFor(freq))
@@ -123,26 +123,24 @@ func (p *MQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	return victim, evicted
 }
 
-// evict removes the LRU page of the lowest non-empty queue, remembering its
-// frequency in Qout.
-func (p *MQ) evict() Victim {
-	for k := range p.queues {
-		i := p.queues[k].popFront()
-		if i == nilIdx {
-			continue
-		}
-		p.length--
-		if p.qoutCap == 0 {
-			return p.vacate(i)
-		}
-		v, g := p.toGhost(i)
-		p.qout.pushBack(g)
-		if p.qout.len() > p.qoutCap {
-			p.dropGhost(p.qout.popFront())
-		}
-		return v
+// evict removes the LRU page claim takes of the lowest queue that has one,
+// remembering its frequency in Qout.
+func (p *MQ) evict(claim func(Victim) bool) (Victim, bool) {
+	q, i := p.claimIn(claim, true, p.queues...)
+	if q == nil {
+		return Victim{}, false
 	}
-	panic("replacer: mq: evict on empty policy")
+	q.remove(i)
+	p.length--
+	if p.qoutCap == 0 {
+		return p.vacate(i), true
+	}
+	v, g := p.toGhost(i)
+	p.qout.pushBack(g)
+	if p.qout.len() > p.qoutCap {
+		p.dropGhost(p.qout.popFront())
+	}
+	return v, true
 }
 
 // RemoveSlot deletes a page from the resident set, or drops its ghost.

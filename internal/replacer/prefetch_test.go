@@ -26,7 +26,7 @@ func TestPrefetchIndexSizedFromCapacity(t *testing.T) {
 		bySlot.AdmitSlot(s, tid(uint64(s)))
 	}
 	bySlot.HitSlot(3, tid(3))
-	bySlot.EvictSlot()
+	bySlot.EvictSlot(nil)
 	if !bySlot.Contains(tid(3)) || bySlot.ix.Load() != nil {
 		t.Error("LRU driven by slot: Contains must answer by scanning, without building the id index")
 	}
@@ -43,7 +43,7 @@ func TestPrefetchIndexSizedFromCapacity(t *testing.T) {
 	if ghosts.ix.Load() != nil {
 		t.Error("2q driven by slot built its index before it had a ghost to file")
 	}
-	if v, ok := ghosts.EvictSlot(); !ok || ghosts.ix.Load() == nil {
+	if v, ok := ghosts.EvictSlot(nil); !ok || ghosts.ix.Load() == nil {
 		t.Error("2q's first ghost did not build the index")
 	} else if _, remembered := ghosts.ghost(v.ID); !remembered || ghosts.byID {
 		t.Error("2q driven by slot must file its ghost, and only its ghost")

@@ -73,8 +73,8 @@ type Policy interface {
 
 	// Evict removes and returns one resident page following the policy's
 	// replacement rule, without admitting anything. The boolean is false
-	// iff nothing is resident. The buffer manager uses it when an Admit
-	// victim turns out to be pinned and a different victim is needed.
+	// iff nothing is resident. A caller that must pass pinned pages over
+	// evicts through SlotPolicy.EvictSlot instead.
 	Evict() (PageID, bool)
 
 	// Remove deletes id from the resident set (and any history the policy
@@ -115,8 +115,14 @@ type SlotPolicy interface {
 	// panics, as admitting a resident page does.
 	AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool)
 
-	// EvictSlot is Evict, naming the slot the victim leaves free.
-	EvictSlot() (Victim, bool)
+	// EvictSlot walks the policy's eviction order, offering each candidate
+	// to claim, and evicts the first one claim takes, naming the slot it
+	// leaves free. A refused candidate is skipped where it stands: its rank,
+	// list position, reference bit and frequency stay as they were. After a
+	// full pass finds nothing claimable it returns (Victim{}, false), every
+	// page still resident. A nil claim takes every candidate: EvictSlot(nil)
+	// is Evict. claim must not call back into the policy.
+	EvictSlot(claim func(Victim) bool) (Victim, bool)
 
 	// RemoveSlot is Remove for the page in slot; like HitSlot it ignores a
 	// slot that does not hold id.
@@ -179,9 +185,26 @@ func (a *bySlot) AdmitSlot(slot uint32, id PageID) (Victim, bool) {
 	return a.gaveUp(v, evicted), evicted
 }
 
-func (a *bySlot) EvictSlot() (Victim, bool) {
-	v, ok := a.Evict()
-	return a.gaveUp(v, ok), ok
+// EvictSlot cannot walk a policy it sees only by id, so it exchanges: while
+// claim refuses the victim it evicts the next one, then admits the refused
+// page again (in that order: LFU and LRU-2 rank a page just met lowest),
+// which resets its rank. It gives up after as many offers as there were
+// pages. The slot pairing goes only with a page claim took.
+func (a *bySlot) EvictSlot(claim func(Victim) bool) (Victim, bool) {
+	id, ok := a.Evict()
+	for tries := a.Len(); ok; tries-- {
+		refused := id
+		if claim == nil || claim(Victim{ID: id, Slot: a.slots[id]}) {
+			return a.gaveUp(id, true), true
+		}
+		if tries > 0 {
+			id, ok = a.Evict()
+		} else {
+			ok = false
+		}
+		a.Admit(refused)
+	}
+	return Victim{}, false
 }
 
 func (a *bySlot) RemoveSlot(slot uint32, id PageID) {

@@ -99,7 +99,7 @@ func (p *SEQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	p.runs[tab] = run
 
 	if p.Len() == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	nd := p.place(slot, id)
 	if run.n >= p.threshold {
@@ -111,14 +111,14 @@ func (p *SEQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 	return victim, evicted
 }
 
-// evict removes the oldest scan page if any exist, otherwise the main
-// list's LRU page.
-func (p *SEQ) evict() Victim {
-	i := p.scan.popBack()
-	if i == nilIdx {
-		i = p.main.popBack()
+// evict removes the oldest scan page claim takes if any exist, otherwise
+// the main list's page nearest its LRU end that claim takes.
+func (p *SEQ) evict(claim func(Victim) bool) (Victim, bool) {
+	if l, i := p.claimIn(claim, false, p.scan, p.main); l != nil {
+		l.remove(i)
+		return p.vacate(i), true
 	}
-	return p.vacate(i)
+	return Victim{}, false
 }
 
 // RemoveSlot deletes a page from the resident set.

@@ -113,7 +113,7 @@ func (ix *idIndex) remove(id PageID, i uint32) {
 type slotted interface {
 	SlotPolicy
 	eachResident(fn func(slot uint32, id PageID))
-	evict() Victim
+	evict(claim func(Victim) bool) (Victim, bool)
 	check(deep bool) error
 }
 
@@ -253,16 +253,16 @@ func (f *front) Admit(id PageID) (victim PageID, evicted bool) {
 
 // EvictSlot implements SlotPolicy: the policy's replacement rule, unless
 // nothing is resident.
-func (f *front) EvictSlot() (Victim, bool) {
+func (f *front) EvictSlot(claim func(Victim) bool) (Victim, bool) {
 	if f.self.Len() == 0 {
 		return Victim{}, false
 	}
-	return f.self.evict(), true
+	return f.self.evict(claim)
 }
 
 // Evict implements Policy.
 func (f *front) Evict() (PageID, bool) {
-	v, ok := f.EvictSlot()
+	v, ok := f.EvictSlot(nil)
 	return v.ID, ok
 }
 
@@ -392,6 +392,33 @@ func (s *slab) vacate(slot uint32) Victim {
 	s.slots[slot] = node{prev: nilIdx, next: nilIdx}
 	s.vacated(slot, id)
 	return Victim{ID: id, Slot: slot}
+}
+
+// offer hands the resident page in slot i to EvictSlot's claim; nil takes it.
+func (s *slab) offer(claim func(Victim) bool, i uint32) bool {
+	return claim == nil || claim(Victim{ID: s.nodes[i].id, Slot: i})
+}
+
+// claimIn offers the pages of lists to claim, list by list, each from its
+// back (its front, fromFront), and returns the first taken and its list, nil
+// if none is. LFU's run headers hold no page and are passed over.
+func (s *slab) claimIn(claim func(Victim) bool, fromFront bool, lists ...*list) (*list, uint32) {
+	for _, l := range lists {
+		for i := l.root; ; {
+			if fromFront {
+				i = s.nodes[i].next
+			} else {
+				i = s.nodes[i].prev
+			}
+			if i == l.root {
+				break
+			}
+			if !s.nodes[i].has(fHeader) && s.offer(claim, i) {
+				return l, i
+			}
+		}
+	}
+	return nil, nilIdx
 }
 
 // ghost returns the history entry for id, if the policy remembers one.

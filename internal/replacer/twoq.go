@@ -72,7 +72,7 @@ func (p *TwoQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 		p.dropGhost(g)
 	}
 	if p.Len() == p.capacity {
-		victim, evicted = p.evict(), true
+		victim, evicted = p.evict(nil)
 	}
 	nd := p.place(slot, id)
 	if present {
@@ -87,17 +87,29 @@ func (p *TwoQ) AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool) {
 
 // evict frees one resident slot following 2Q's rule: if A1in holds more
 // than Kin pages (or Am is empty), evict A1in's oldest page and remember it
-// on A1out; otherwise evict Am's LRU page with no ghost.
-func (p *TwoQ) evict() Victim {
+// on A1out; otherwise evict Am's LRU page with no ghost. Refused pages count
+// towards Kin; the other queue is walked only when claim takes nothing from
+// the one the rule picked.
+func (p *TwoQ) evict(claim func(Victim) bool) (Victim, bool) {
+	first, second := p.am, p.a1in
 	if p.a1in.len() > 0 && (p.a1in.len() >= p.kin || p.am.len() == 0) {
-		v, g := p.toGhost(p.a1in.popBack())
-		p.a1out.pushFront(g)
-		if p.a1out.len() > p.kout {
-			p.dropGhost(p.a1out.popBack())
-		}
-		return v
+		first, second = second, first
 	}
-	return p.vacate(p.am.popBack())
+	l, i := p.claimIn(claim, false, first, second)
+	switch {
+	case l == nil:
+		return Victim{}, false
+	case l == p.am:
+		p.am.remove(i)
+		return p.vacate(i), true
+	}
+	p.a1in.remove(i)
+	v, g := p.toGhost(i)
+	p.a1out.pushFront(g)
+	if p.a1out.len() > p.kout {
+		p.dropGhost(p.a1out.popBack())
+	}
+	return v, true
 }
 
 // RemoveSlot deletes a page from the resident set, or drops its ghost.

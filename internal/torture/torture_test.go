@@ -268,14 +268,7 @@ func TestPoolTortureSharded(t *testing.T) {
 	cases := []cse{
 		{"shards4-lru-batch-faults", PoolRunConfig{Seed: seed, Path: PathBatch, Policy: "lru", Shards: 4, Faults: true}},
 		{"shards4-2q-fc-faults-bg", PoolRunConfig{Seed: seed + 1, Path: PathFC, Policy: "2q", Shards: 4, Faults: true, BGWriter: true}},
-		// Two workers, not four: LFU and LRU-2 rank a page they have just
-		// re-met below every other, so the shard's evict → re-admit → evict
-		// exchange (ROADMAP item 2, still open) alternates between two
-		// victims, and with three other workers able to hold both it can
-		// spend all its attempts: four workers fail with "no unpinned
-		// buffers" once in ~60 runs here at GOMAXPROCS 2 and one run in
-		// seven at 8, at this commit and its parent alike.
-		{"shards2-lfu-fc", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "lfu", Shards: 2, Workers: 2}},
+		{"shards2-lfu-fc", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "lfu", Shards: 2}},
 	}
 	if LongMode() {
 		for i, pol := range []string{"lru", "2q", "lirs", "arc", "clockpro", "lfu", "lru2"} {
@@ -404,8 +397,7 @@ func TestPoolTortureHitPath(t *testing.T) {
 		{"direct-lru", PoolRunConfig{Seed: seed, Path: PathDirect, Policy: "lru"}},
 		{"batch-2q-shards4", PoolRunConfig{Seed: seed + 1, Path: PathBatch, Policy: "2q", Shards: 4}},
 		{"fc-clockpro-bg", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "clockpro", BGWriter: true}},
-		// Two workers: see shards2-lfu-fc in TestPoolTortureSharded.
-		{"batch-lru2-shards2", PoolRunConfig{Seed: seed + 3, Path: PathBatch, Policy: "lru2", Shards: 2, Workers: 2}},
+		{"batch-lru2-shards2", PoolRunConfig{Seed: seed + 3, Path: PathBatch, Policy: "lru2", Shards: 2}},
 	}
 	if LongMode() {
 		for j, path := range Paths() {
