@@ -178,10 +178,8 @@ func (w *BackgroundWriter) LastPanic() string {
 // round walks the live shards — the current topology plus, during a
 // reshard, the draining one, so a dirty page is retried whichever side of
 // the migration holds it: for each shard it retries the quarantine, then
-// writes back dirty, unpinned frames through shard.flushFrame (park in
-// quarantine, clear the dirty bit, write, resolve — so no frame ever looks
-// clean while its write-back is still in flight). Draining first frees
-// quarantine capacity for the frame sweep's transient parking. The
+// writes back dirty, unpinned frames through shard.flushFrame (pin, write
+// from the frame, clear the dirty bit only once the write is durable). The
 // maxPages budget is global across shards, so the per-round device burst
 // stays bounded regardless of shard count. Nothing restarts where the last
 // round started: a shard's sweep resumes at the frame its last one stopped

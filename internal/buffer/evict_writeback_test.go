@@ -388,11 +388,11 @@ func TestReshardDuringEvictWrite(t *testing.T) {
 	}
 }
 
-// (v) An older parked copy of the victim — a flush of version 1 whose write
-// fails only after the frame, by then holding version 2, was claimed — is
-// superseded by the eviction's write from the frame: it is neither drained
-// over the newer bytes nor left behind.
-func TestEvictWriteSupersedesStaleParkedCopy(t *testing.T) {
+// (v) A flush whose write of version 1 fails leaves the frame dirty and
+// parks nothing: the GetWrite that waited on the flush's pin is granted a
+// dirty frame with the quarantine empty, and the eviction then writes its
+// version 2 — the page's one write.
+func TestFailedFlushLeavesFrameDirty(t *testing.T) {
 	r := newEvictRig(t, Config{})
 	flushWrite, releaseFlush := r.gate.armFail(pid(1), errGate)
 	flushed := make(chan error, 1)
@@ -400,33 +400,25 @@ func TestEvictWriteSupersedesStaleParkedCopy(t *testing.T) {
 		_, err := r.p.FlushDirty()
 		flushed <- err
 	}()
-	<-flushWrite // version 1 is parked, the frame clean, the flush holds the stripe
+	<-flushWrite
 
-	ref, err := r.p.GetWrite(r.s, pid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 page.Page
-	v2.Stamp(pid(1) + 2*stampShift)
-	copy(ref.Data(), v2.Data[:])
-	ref.MarkDirty()
-	ref.Release()
-
-	claimed, proceed := holdAt(t, sched.BufEvictWrite)
-	close(proceed) // signal only: the evictor goes on to queue behind the flush's stripe
-	evicted := r.evict(t)
-	<-claimed
-
+	granted, written := writeVersion(t, r.p, pid(1), 2)
+	awaitWriterOnPin(t, r.p, pid(1), granted)
 	close(releaseFlush)
 	if err := <-flushed; !errors.Is(err, errGate) {
 		t.Fatalf("FlushDirty = %v, want the gated failure", err)
 	}
-	<-evicted
-	if q := r.p.QuarantineLen(); q != 0 {
-		t.Fatalf("%d pages parked after the eviction's own write succeeded; the stale copy was not dropped", q)
+	if s := <-granted; s&frameDirty == 0 {
+		t.Fatal("the failed flush left the frame clean")
 	}
-	if _, _, err := r.p.drainQuarantine(); err != nil {
-		t.Fatal(err)
+	if q := r.p.QuarantineLen(); q != 0 {
+		t.Fatalf("%d pages parked by a failed flush", q)
+	}
+
+	<-written
+	<-r.evict(t)
+	if q := r.p.QuarantineLen(); q != 0 {
+		t.Fatalf("%d pages parked after the eviction's write succeeded", q)
 	}
 	r.deviceHolds(t, 2)
 	if ops := r.log.seen(); !reflect.DeepEqual(ops, []string{"write"}) {

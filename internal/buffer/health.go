@@ -109,7 +109,7 @@ type healthState struct {
 
 	shed              atomic.Int64 // misses refused with ErrOverloaded
 	healthTransitions atomic.Int64
-	quarRefusals      atomic.Int64 // dirty evictions/flushes refused by the cap
+	quarRefusals      atomic.Int64 // dirty victims passed over by an eviction walk because the quarantine was full
 }
 
 // wireHealth probes the shard's device stack for resilience layers and

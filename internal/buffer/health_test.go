@@ -364,8 +364,9 @@ func TestHealthDegradedAdmissionBound(t *testing.T) {
 
 // TestBackgroundWriterPanicContainment arms a device wrapper that panics
 // on write and checks the writer goroutine survives: the panic is
-// counted, captured with a flight dump, the round's parked page stays
-// lossless in quarantine, and after disarming, the writer drains it.
+// counted, captured with a flight dump, the page whose write panicked stays
+// dirty in its frame (unpinned, its write-back stripe free), and after
+// disarming, the writer flushes it.
 func TestBackgroundWriterPanicContainment(t *testing.T) {
 	mem := storage.NewMemDevice()
 	pd := &panicDevice{Device: mem}

@@ -153,7 +153,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		sh.freeMu.Unlock()
 		g("bpw_free_frames", "slots on the free list", l, float64(free))
 		g("bpw_dirty_pages", "dirty resident pages", l, float64(sh.dirtyCount()))
-		g("bpw_quarantined_pages", "pages parked because their write-back failed, or by a flush whose write is in flight (an eviction whose write succeeds never parks)", l, float64(sh.quarantineLen()))
+		g("bpw_quarantined_pages", "evicted pages parked because their write-back failed", l, float64(sh.quarantineLen()))
 		resident := 0
 		sh.wrapper.Locked(func(pol replacer.Policy) { resident = pol.Len() })
 		g("bpw_resident_pages", "pages tracked by the replacement policy", l, float64(resident))
@@ -169,7 +169,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		g("bpw_health_state", "shard health: 0 healthy, 1 degraded, 2 read-only", l, float64(sh.evalHealth()))
 		c("bpw_shed_total", "misses refused by admission control", l, float64(sh.shed.Load()))
 		c("bpw_health_transitions_total", "health state changes", l, float64(sh.healthTransitions.Load()))
-		c("bpw_quarantine_refusals_total", "dirty write-backs refused by the quarantine cap", l, float64(sh.quarRefusals.Load()))
+		c("bpw_quarantine_refusals_total", "dirty victims an eviction passed over because the quarantine was full", l, float64(sh.quarRefusals.Load()))
 		g("bpw_miss_inflight", "admitted misses currently in flight", l, float64(sh.missInflight.Load()))
 		if sh.breaker != nil {
 			bst := sh.breaker.BreakerStats()

@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -382,10 +383,9 @@ func (p *batchSpy) HitSlots(batch []replacer.Access) {
 
 // TestPageTableOverflowChurn keeps a pool's whole working set in two
 // buckets, so that most mapped pages sit in the overflow chains while four
-// backends miss, hit and evict through them; every page must read back as
-// itself, and the table must come out consistent and then empty. (Invalidate
-// runs after the backends have joined: racing it against misses trips the
-// MissAdmit hazard ROADMAP item 5 records, at the parent commit too.)
+// backends miss, hit, write and evict through them and a fifth invalidates
+// and flushes pages under them; every page must read back as itself, and
+// the table must come out consistent and then empty.
 func TestPageTableOverflowChurn(t *testing.T) {
 	const frames, workers, rounds = 16, 4, 3000
 	p := newTestPool(frames, core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4})
@@ -404,7 +404,14 @@ func TestPageTableOverflowChurn(t *testing.T) {
 			rng, s := rand.New(rand.NewSource(seed)), p.NewSession()
 			for i := 0; i < rounds; i++ {
 				id := ids[rng.Intn(len(ids))]
-				ref, err := p.Get(s, id)
+				write := rng.Intn(8) == 0
+				var ref *PageRef
+				var err error
+				if write {
+					ref, err = p.GetWrite(s, id)
+				} else {
+					ref, err = p.Get(s, id)
+				}
 				if err != nil {
 					t.Errorf("Get(%v): %v", id, err)
 					return
@@ -412,12 +419,40 @@ func TestPageTableOverflowChurn(t *testing.T) {
 				if !refStamped(ref, id) {
 					t.Errorf("Get(%v) returned another page's bytes", id)
 				}
+				if write {
+					ref.MarkDirty()
+				}
 				ref.Release()
 			}
 			s.Flush()
 		}(int64(w))
 	}
+	stop, raced := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(raced)
+		rng := rand.New(rand.NewSource(workers))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := p.Invalidate(ids[rng.Intn(len(ids))]); err != nil && !errors.Is(err, ErrNoUnpinnedBuffers) {
+				t.Errorf("Invalidate: %v", err)
+				return
+			}
+			if i%8 == 0 {
+				if _, err := p.FlushDirty(); err != nil {
+					t.Errorf("FlushDirty: %v", err)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-raced
 	if st := p.Stats(); st.HitpathFallbacks == 0 {
 		t.Error("no lookup ever fell back to the mutex: the overflow chains were not exercised")
 	}

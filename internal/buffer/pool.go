@@ -89,16 +89,14 @@ type Config struct {
 	// defaults; set Health.Disable to turn shedding off.
 	Health HealthConfig
 
-	// QuarantineCap bounds the dirty-quarantine list that parks pages a
-	// frame no longer vouches for: victims whose eviction write-back failed
-	// (evictClaimed), and flushed resident pages across their write window
-	// (flushFrame). Zero means 64. The cap is divided across shards
-	// (rounded up, minimum one per shard). When a shard's quarantine is
-	// full, eviction passes dirty pages over and flush rounds leave frames
-	// dirty instead of parking more pages, so memory stays bounded and no
-	// data is lost either way. The bound is soft under concurrency:
-	// simultaneous evictions may briefly overshoot it by the number of
-	// in-flight write-backs.
+	// QuarantineCap bounds the dirty-quarantine list that parks victims
+	// whose eviction write-back failed (evictClaimed); a flush writes from
+	// its pinned frame and parks nothing. Zero means 64. The cap is divided
+	// across shards (rounded up, minimum one per shard). When a shard's
+	// quarantine is full, eviction passes dirty pages over instead of
+	// parking more, so memory stays bounded and no data is lost. The bound
+	// is soft under concurrency: simultaneous evictions may briefly
+	// overshoot it by the number of in-flight write-backs.
 	QuarantineCap int
 
 	// RecorderSize enables the per-shard flight recorder: each shard gets
@@ -641,14 +639,15 @@ func (p *Pool) drainQuarantine() (written, failed int, err error) {
 
 // FlushDirty writes every dirty, unpinned page back to the device — and
 // retries every quarantined page — returning the number made durable.
-// Pinned dirty pages are skipped. A write failure does not abort the
-// sweep: the page stays dirty (or quarantined), the remaining pages and
+// Pinned dirty pages are skipped. Each page is written from its frame
+// under a pin, so for the length of that one device write a GetWrite of
+// the page waits and an Invalidate of it fails with ErrNoUnpinnedBuffers;
+// readers and other pages are unaffected. A write failure does not abort
+// the sweep: the page stays dirty (or quarantined), the remaining pages and
 // shards are still flushed, and the failures are returned joined so the
-// caller sees every page that is not yet durable. Each shard drains its
-// quarantine before its frame sweep so the sweep's transient parking has
-// capacity to work with. During a reshard the draining topology is swept
-// too — a dirty page is never invisible to flush, whichever side of the
-// migration it is on.
+// caller sees every page that is not yet durable. During a reshard the
+// draining topology is swept too — a dirty page is never invisible to
+// flush, whichever side of the migration it is on.
 func (p *Pool) FlushDirty() (int, error) {
 	n := 0
 	var errs []error
@@ -762,7 +761,7 @@ type ShardStats struct {
 	Free              int   // slots on the shard's free list
 	Dirty             int   // dirty resident pages
 	Resident          int   // pages tracked by the shard's policy
-	Quarantined       int   // pages parked by a failed write-back, or by a flush whose write is in flight
+	Quarantined       int   // evicted pages parked by a failed write-back
 	Hits              int64 // buffer hits since the last reset
 	Misses            int64 // buffer misses since the last reset
 	WriteBackFailures int64 // failed write-back attempts
@@ -797,7 +796,7 @@ type ShardStats struct {
 
 	Health             HealthState // degradation state at snapshot time
 	Shed               int64       // misses refused with ErrOverloaded
-	QuarantineRefusals int64       // dirty evictions/flushes refused by the cap
+	QuarantineRefusals int64       // dirty victims an eviction passed over because the quarantine was full
 	BreakerState       string      // "" when the shard's stack has no breaker
 	BreakerTrips       int64
 	BreakerRejections  int64
@@ -861,13 +860,13 @@ type Stats struct {
 	Reshards      int64
 	PagesMigrated int64
 
-	// Quarantined is the number of dirty pages parked because a write-back
-	// failed, or because a flush of a resident frame has its write in
-	// flight (including a draining topology's) — an eviction whose write
-	// succeeds never parks; WriteBackFailures counts failed write-back
-	// attempts (eviction, flush, and quarantine-drain retries) and
-	// EvictWritebacks the dirty victims written straight from their frame.
-	// QuarantineCap is the configured pool-wide bound.
+	// Quarantined is the number of evicted dirty pages parked because their
+	// write-back failed (including a draining topology's): a flush never
+	// parks, and neither does an eviction whose write succeeds.
+	// WriteBackFailures counts failed write-back attempts (eviction, flush,
+	// and quarantine-drain retries) and EvictWritebacks the dirty victims
+	// written straight from their frame. QuarantineCap is the configured
+	// pool-wide bound.
 	Quarantined       int
 	QuarantineCap     int
 	WriteBackFailures int64
@@ -1016,7 +1015,7 @@ func (p *Pool) PinnedFrames() int {
 
 // CheckInvariants verifies the pool's structural invariants shard by
 // shard: pin-count sanity, frame/hash-table consistency, free-list
-// integrity, the resident-xor-quarantined steady state, policy/table
+// integrity, a page resident or quarantined but never both, policy/table
 // agreement, and — across shards — that every resident or quarantined
 // page lives in the shard its hash routes to. Retired topologies must be
 // fully drained (empty tables, empty quarantines, all frames free). It is
@@ -1027,8 +1026,8 @@ func (p *Pool) PinnedFrames() int {
 // Close) — which includes reshards: an in-progress migration is reported
 // as a violation rather than checked around. Called concurrently it cannot
 // corrupt anything, but it may report perfectly legal in-flight
-// transitions — a claimed frame between table removal and the free list, a
-// flush window's sanctioned resident+quarantined overlap — as violations.
+// transitions — a claimed frame between table removal and the free list —
+// as violations.
 func (p *Pool) CheckInvariants() error {
 	cur, retired, draining := p.topologySnapshot()
 	if draining {

@@ -241,63 +241,18 @@ func (p *Pool) Epoch() (epoch uint64, resharding bool) {
 // write of this page, so a later write from the new topology can never be
 // overtaken (and silently reverted) by an old one.
 func (sh *shard) stealPage(id page.PageID, dst *page.Page) (dirty, found bool) {
-	b := sh.bucketFor(id)
-	spins, recycled := 0, 0
-	for {
-		b.w.mu.Lock()
-		if op := b.w.opLocked(id); op != nil {
-			// A pre-seal load is still in flight, or an eviction is still
-			// writing the page out: wait for it to install, fail, land or
-			// park, then re-probe.
-			_ = sh.awaitOp(b, op)
-			continue
-		}
-		f := sh.lookupLocked(b, id)
-		b.w.mu.Unlock()
-		if f == nil {
-			break
-		}
-		s := f.state.Load()
-		if s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != id {
-			// Recycled under us; re-probe the table once the claimant has
-			// had the processor to unmap it.
-			recycled = yieldIfStillRecycled(recycled)
-			continue
-		}
-		recycled = 0
-		if s&(framePinMask|frameWLock) != 0 {
-			// Pinned or writer-held: wait it out. Only this page's
-			// migration stalls; the reshard keeps draining other pages.
-			backoff(spins)
-			spins++
-			continue
-		}
-		if !sh.claimOut(f, s, id) {
-			continue
-		}
-		dirty = s&frameDirty != 0
+	// A pinned or writer-held frame is waited out: only this page's
+	// migration stalls; the reshard keeps draining other pages.
+	f, s, _ := sh.claimMapped(id, func(spins int) error { backoff(spins); return nil })
+	if f != nil {
 		*dst = f.data
-		b.w.mu.Lock()
-		sh.removeLocked(b, id)
-		b.w.mu.Unlock()
 		sh.freeFrame(f)
-		// A parked flush copy of this page (the sanctioned
-		// resident+quarantined overlap) is superseded by the frame bytes
-		// we just took — but its write-back was not confirmed, so the page
-		// must leave here dirty even if the frame looked clean.
-		if q := sh.quarantineTake(id); q != nil {
-			dirty = true
-		}
-		found = true
-		break
-	}
-	if !found {
+		dirty, found = s&frameDirty != 0, true
+	} else if q := sh.quarantineTake(id); q != nil {
 		// Not resident: an evicted-dirty page may still be parked in the
 		// quarantine with its write-back unconfirmed. Adopt it as dirty.
-		if q := sh.quarantineTake(id); q != nil {
-			*dst = *q
-			dirty, found = true, true
-		}
+		*dst = *q
+		dirty, found = true, true
 	}
 	// Serialize with any in-flight old write-back of this page: after this
 	// lock/unlock, no old write of id is still in the air, so the new
@@ -335,13 +290,12 @@ func (sh *shard) quarantineIDs() []page.PageID {
 // shard into dst's quarantine, losslessly: the old write-back stripe is
 // held across the whole handover, so an in-flight old write either
 // completes first (resolving the entry — nothing to move) or, arriving
-// later, revalidates against the now-empty map and skips. Pages that still
-// have a resident frame are skipped — the frame is the newer copy and
-// stealPage migrates it (withdrawing the parked copy) instead — and so are
-// pages with an op in flight: an eviction queued behind this stripe holds
-// newer bytes in its frame and will drop the parked copy itself, and a
-// pre-seal load is about to adopt it. On a sealed shard a page with neither
-// frame nor op can gain neither, so what is moved is the only copy.
+// later, revalidates against the now-empty map and skips. A page with a
+// frame or an op in flight is left alone: a pre-seal load is about to adopt
+// the copy, or has (the id was snapshotted before), and stealPage migrates
+// the frame; an eviction whose write failed is parking its bytes, which a
+// later pass moves. On a sealed shard a page with neither frame nor op can
+// gain neither, so what is moved is the only copy.
 func (sh *shard) handOverQuarantine(id page.PageID, dst *shard) {
 	l := sh.wbLock(id)
 	l.Lock()

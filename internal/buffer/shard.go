@@ -76,11 +76,9 @@ type shard struct {
 	// nothing stops a pool from having two writers.
 	nextToClean atomic.Int64
 
-	// quarantine parks copies of dirty pages whose frame no longer vouches
-	// for them: flush paths park before clearing the dirty bit of a
-	// still-resident frame, until the write-back is confirmed durable, and
-	// eviction — which writes out of the claimed frame, behind an
-	// in-flight op (evictClaimed) — parks only when that write fails. Entries
+	// quarantine parks copies of dirty pages that no longer have a frame:
+	// an eviction writes out of the claimed frame, behind an in-flight op
+	// (evictClaimed), and parks the bytes only when that write fails. Entries
 	// linger while the device refuses them, so an acknowledged write is
 	// never dropped; loads adopt a quarantined copy instead of reading a
 	// stale version from the device.
@@ -104,10 +102,10 @@ type shard struct {
 	quarTrace map[page.PageID]quarCtx
 
 	// wbLocks serializes device write-backs per page (striped by page id,
-	// held across the WritePage call in writeQuarantined). Without it, a
-	// slow in-flight write of an old copy could land *after* a newer copy
-	// of the same page was written and resolved, silently reverting the
-	// device.
+	// held across the WritePage call in writeFrame and writeQuarantined).
+	// Without it, a slow in-flight write of an old copy could land *after* a
+	// newer copy of the same page was written and resolved, silently
+	// reverting the device.
 	wbLocks [wbStripes]sync.Mutex
 
 	// tracer is the pool-wide request tracer (via the wrapper config; nil
@@ -743,6 +741,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 		sh.hp.frameLocks.Add(1)
 	}
 	tag := f.install(adopted, writable)
+	assertNotParked(sh, id)
 
 	sched.Yield(sched.BufLoadInstall)
 	sh.lockBucket(b)
@@ -841,10 +840,7 @@ func (sh *shard) claimVictim(v replacer.Victim) bool {
 // finds the page on the device — or, when the write failed, in the
 // quarantine, where the bytes are copied only then, to be drained later by
 // the background writer, FlushDirty or Close. So an acknowledged write is
-// at every instant mapped, covered by an op, durable or parked. An older
-// parked copy of the page (a flush whose write failed while the frame was
-// being claimed) is dropped under the stripe before the write, so it can
-// neither be adopted nor drained over the newer bytes.
+// at every instant mapped, covered by an op, durable or parked.
 func (sh *shard) evictClaimed(ps *Session, v replacer.Victim) *Frame {
 	f := &sh.frames[v.Slot]
 	dirty := f.state.Load()&frameDirty != 0
@@ -870,31 +866,38 @@ func (sh *shard) evictClaimed(ps *Session, v replacer.Victim) *Frame {
 
 // writeVictim makes the dirty bytes of a claimed, unmapped frame durable,
 // or parks them. The claim made the frame exclusively ours and the op
-// registered by evictClaimed keeps everybody else off the page, so the device
-// reads stable bytes straight out of the frame for as long as WritePage
-// runs — which is all the storage.Device contract lets it do. The write is
-// a slow phase: it lazily arms the trace, because the request is paying
-// for another page's write-back — exactly the latency a decomposition must
-// surface.
+// registered by evictClaimed keeps everybody else off the page, so
+// writeFrame can hand the device the frame itself.
 func (sh *shard) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
-	l := sh.wbLock(id)
-	l.Lock()
-	defer l.Unlock()
-	sh.quarantineTake(id)
-	t0 := a.Now()
-	err := sh.device.WritePage(&f.data)
-	a.Slow(reqtrace.PhaseDeviceWrite, -1, t0, a.Now()-t0, flagArg(err != nil), uint64(id))
-	if err == nil {
+	if sh.writeFrame(a, id, f) == nil {
 		sh.evictWritebacks.Add(1)
 		return
 	}
 	// Park the bytes: the page is safe and the failure observable via
 	// Stats. The frame itself is still reusable.
 	sh.writeBackFailures.Add(1)
-	t0 = a.Now()
+	t0 := a.Now()
 	c := f.data
 	sh.quarantinePut(id, &c, a)
 	a.Slow(reqtrace.PhaseQuarantine, -1, t0, a.Now()-t0, 1, uint64(id))
+}
+
+// writeFrame writes f's bytes of page id to the device under the page's
+// write-back stripe, straight out of the frame: the caller keeps the bytes
+// stable for as long as WritePage runs — which is all the storage.Device
+// contract lets it do — an eviction by its claim and op, a flush by its
+// pin. The stripe is released by defer, so a device that panics leaves it
+// free. The write is a slow phase: it lazily arms the trace, because an
+// evicting request is paying for another page's write-back — exactly the
+// latency a decomposition must surface.
+func (sh *shard) writeFrame(a *reqtrace.Active, id page.PageID, f *Frame) error {
+	l := sh.wbLock(id)
+	l.Lock()
+	defer l.Unlock()
+	t0 := a.Now()
+	err := sh.device.WritePage(&f.data)
+	a.Slow(reqtrace.PhaseDeviceWrite, -1, t0, a.Now()-t0, flagArg(err != nil), uint64(id))
+	return err
 }
 
 // writeQuarantined makes the quarantined copy of id durable and resolves
@@ -903,8 +906,8 @@ func (sh *shard) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
 // page are serialized — an old copy's slow write finishes before a newer
 // copy's write starts, and can therefore never land after (and silently
 // revert) it. Under the stripe lock the entry is re-validated first: a
-// copy that was adopted by a miss, dropped by a newer eviction, or
-// purged by Invalidate is skipped rather than written, returning
+// copy that was adopted by a miss (and perhaps parked again, as a new
+// entry) or purged by Invalidate is skipped rather than written, returning
 // (false, nil). On write failure the entry stays quarantined.
 //
 // self is the caller's trace ID (0 for the background writer and flush
@@ -938,11 +941,9 @@ func (sh *shard) writeQuarantined(id page.PageID, copy *page.Page, self uint64) 
 }
 
 // quarantinePut parks a page copy under its id. At most one entry per page
-// can exist. In steady state a page is either shard-resident or
-// quarantined, never both; the one sanctioned overlap is a flush of a
-// still-resident frame (flushFrame), which parks the copy *before*
-// clearing the dirty bit — while that entry exists it is byte-identical
-// to the frame, so an eviction in the write window stays lossless.
+// can exist, and a page is mapped or parked, never both: only a page with
+// no frame is parked — by an eviction whose write failed, behind its op, or
+// by a reshard's handover (a torture build checks this at every install).
 // a, when non-nil and traced, attributes the park so a later write-back by
 // another thread can be stitched onto the parking request's trace.
 func (sh *shard) quarantinePut(id page.PageID, copy *page.Page, a *reqtrace.Active) {
@@ -967,20 +968,18 @@ func (sh *shard) quarUnlock() {
 }
 
 // quarantineTake removes and returns the quarantined copy of id, if any.
-// Used by the miss path to adopt the newest acknowledged version, and by
-// an eviction's write to drop an older one.
+// Used by the miss path, and by a reshard steal, to adopt the newest
+// acknowledged version.
 //
-// An empty quarantine — the case on every miss and dirty eviction of a
-// healthy pool — is answered from quarN, without the lock. That is safe
-// because nobody who must find a page's parked copy gets here ahead of the
-// park: each parker parks before it releases what its taker then acquires.
-// An eviction parks before finishOp unchains its op under the page's bucket
-// mutex, where load and stealPage wait the op out. A flush parks before it
-// clears the frame's dirty bit and drops its pin, and a taker arrives only
-// behind an evictor whose claim CAS read that state word. A handover puts
-// under the old shard's write-back stripe, which stealPage passes through
-// before its caller looks here. Each is a happens-before edge from the
-// store of the count to this load: zero means no copy the caller is due.
+// An empty quarantine — the case on every miss of a healthy pool — is
+// answered from quarN, without the lock. That is safe because nobody who
+// must find a page's parked copy gets here ahead of the park: each parker
+// parks before it releases what its taker then acquires. An eviction parks
+// before finishOp unchains its op under the page's bucket mutex, where load
+// and stealPage wait the op out. A handover puts under the old shard's
+// write-back stripe, which stealPage passes through before its caller looks
+// here. Each is a happens-before edge from the store of the count to this
+// load: zero means no copy the caller is due.
 func (sh *shard) quarantineTake(id page.PageID) *page.Page {
 	if sh.quarN.Load() == 0 {
 		return nil
@@ -1082,152 +1081,109 @@ func (sh *shard) purgeQuarantine(id page.PageID) {
 // invalidate returns — nothing of the page reaches the device afterwards.
 // It fails with ErrNoUnpinnedBuffers if the page is pinned.
 func (sh *shard) invalidate(id page.PageID) error {
+	f, _, err := sh.claimMapped(id, func(int) error { return ErrNoUnpinnedBuffers })
+	if err != nil {
+		return err
+	}
+	sh.purgeQuarantine(id)
+	if f != nil {
+		sh.freeFrame(f)
+	}
+	return nil
+}
+
+// claimMapped takes page id's frame out of the shard, for an Invalidate or
+// a reshard steal, and returns it claimed, with the state it was claimed
+// from; f is nil when the page has no frame. An op in flight on the page
+// is waited out — its outcome is its owner's business — and the page looked
+// up again, as it is when its frame was claimed by someone else and is about
+// to be unmapped. busy decides what a pinned or writer-held frame means: an
+// error to return, or nil to look again; spins counts how often it has
+// been asked. The frame is claimed and its page taken out of the policy in
+// one hold, as in an eviction, and before the page leaves the table: a miss
+// on id starts only once the table entry is gone, and its MissAdmit must
+// not find it resident.
+func (sh *shard) claimMapped(id page.PageID, busy func(spins int) error) (f *Frame, s uint64, err error) {
 	b := sh.bucketFor(id)
-	var f *Frame
-	for recycled := 0; ; {
+	for spins, recycled := 0, 0; ; {
 		sh.lockBucket(b)
 		if op := b.w.opLocked(id); op != nil {
-			// The op's own outcome is the loader's business; we only need
-			// it over before looking again.
 			_ = sh.awaitOp(b, op)
 			continue
 		}
 		f = sh.lookupLocked(b, id)
 		b.w.mu.Unlock()
 		if f == nil {
-			sh.purgeQuarantine(id)
-			return nil
+			return nil, 0, nil
 		}
-		s := f.state.Load()
+		s = f.state.Load()
 		if s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != id {
-			// Claimed under us and about to be unmapped: look again, to
-			// find the page gone or its eviction write in flight.
 			recycled = yieldIfStillRecycled(recycled)
 			continue
 		}
+		recycled = 0
 		if s&(framePinMask|frameWLock) != 0 {
-			return ErrNoUnpinnedBuffers
+			if err = busy(spins); err != nil {
+				return nil, 0, err
+			}
+			spins++
+			continue
 		}
-		// Claimed and out of the policy in one hold, as in an eviction, and
-		// before the page leaves the table: a miss on id starts only once the
-		// table entry is gone, and its MissAdmit must not find it resident.
-		if sh.claimOut(f, s, id) {
-			break
+		claimed := false
+		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
+			if claimed = f.tryClaim(s); claimed {
+				pol.RemoveSlot(f.slot, id)
+			}
+		})
+		if claimed {
+			sh.lockBucket(b)
+			sh.removeLocked(b, id)
+			b.w.mu.Unlock()
+			return f, s, nil
 		}
 	}
-
-	sh.lockBucket(b)
-	sh.removeLocked(b, id)
-	b.w.mu.Unlock()
-
-	sh.purgeQuarantine(id)
-	sh.freeFrame(f)
-	return nil
 }
 
-// claimOut claims f from state s and takes its page id out of the policy,
-// in one policy-lock hold, for an Invalidate or a reshard steal; it reports
-// whether the claim CAS won.
-func (sh *shard) claimOut(f *Frame, s uint64, id page.PageID) (claimed bool) {
-	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
-		if claimed = f.tryClaim(s); claimed {
-			pol.RemoveSlot(f.slot, id)
-		}
-	})
-	return claimed
-}
-
-// flushFrame writes one dirty, unpinned frame back to the device while it
-// stays resident: park a copy in the quarantine first, then clear the
-// dirty bit, then write, and resolve the entry only once the write is
-// durable. Parking before the bit clears closes the window where the
-// frame looks clean while its write is still in flight — an eviction in
-// that window would otherwise drop the page with no write-back and no
-// quarantine entry, and a subsequent miss would re-read a stale version
-// from the device.
-//
-// Pinning replaces the old frame mutex for copy stability: the flusher
-// CASes a pin onto a zero-pin dirty frame, which excludes eviction (needs
-// pins == 0) and stalls any writer's reader-drain until the copy is taken
-// and the pin dropped. A frame with readers is skipped, preserving the old
-// skip-if-pinned semantics. It returns (false, nil) when the frame needs
-// no flush, the quarantine is at capacity (the frame stays dirty for a
-// later round), or the parked copy was adopted/superseded before the
-// write.
+// flushFrame writes one dirty frame back to the device from the frame
+// itself, as PostgreSQL's FlushBuffer does and as an eviction does
+// (writeFrame). A pin, CASed onto a dirty frame with no pins and no writer,
+// keeps the bytes stable for the write: eviction and Invalidate pass a
+// pinned frame over, and a GetWrite waits in its reader drain until the
+// pin drops. The dirty bit clears only after the write has succeeded, under
+// the pin, so the page never looks clean before it is durable; a failed
+// write leaves the frame dirty for a later round. A frame with readers is
+// skipped. It reports whether it wrote the page.
 func (sh *shard) flushFrame(f *Frame) (bool, error) {
-	var s uint64
 	var id page.PageID
 	for {
-		s = f.state.Load()
-		if s&(frameRecycling|frameWLock) != 0 || s&frameDirty == 0 || s&framePinMask != 0 {
+		s := f.state.Load()
+		if s&(frameRecycling|frameWLock|framePinMask) != 0 || s&frameDirty == 0 {
 			return false, nil
 		}
 		id = page.PageID(f.tagPage.Load())
-		if !id.Valid() {
-			return false, nil
-		}
 		if f.state.CompareAndSwap(s, s+1) {
 			// The CAS doubles as validation: any recycle since the loads
 			// above would have bumped the generation and failed it.
 			break
 		}
 	}
-	wb := f.data
-	sh.quarMu.Lock()
-	if len(sh.quarantine) >= sh.quarCap {
-		// No room to guarantee durability across the write window; keep
-		// the frame dirty and let a later round (with the quarantine
-		// drained) retry, so the cap bounds every insertion path.
-		sh.quarMu.Unlock()
-		f.unpin()
-		sh.quarRefusals.Add(1)
-		return false, nil
+	defer f.unpin()
+	sched.Yield(sched.BufFlushWrite)
+	if err := sh.writeFrame(nil, id, f); err != nil {
+		sh.writeBackFailures.Add(1)
+		return false, fmt.Errorf("page %v: %w", id, err)
 	}
-	sh.quarantine[id] = &wb
-	// The flusher parks on its own behalf, not a request's: drop any
-	// stale parker attribution a superseded entry left behind.
-	delete(sh.quarTrace, id)
-	sh.quarUnlock()
 	for {
-		cur := f.state.Load()
-		if f.state.CompareAndSwap(cur, cur&^uint64(frameDirty)) {
-			break
+		s := f.state.Load()
+		if f.state.CompareAndSwap(s, s&^uint64(frameDirty)) {
+			return true, nil
 		}
 	}
-	f.unpin()
-
-	sched.Yield(sched.BufFlushClear)
-	wrote, err := sh.writeQuarantined(id, &wb, 0)
-	if err == nil {
-		return wrote, nil
-	}
-	sh.writeBackFailures.Add(1)
-	// Re-dirty the frame if it is still this page (same generation), so the
-	// failed bytes are flushed again from the frame later. Setting the bit
-	// BEFORE withdrawing the parked copy means there is no instant where
-	// the frame is clean with no quarantine entry — an eviction in that gap
-	// would silently drop the page. If the re-dirty lands and an eviction
-	// immediately parks its own (byte-identical) copy, our withdrawal
-	// compares pointers and no-ops; if the frame was recycled, the copy
-	// stays quarantined (or was adopted by a re-load) and the bytes remain
-	// safe either way.
-	for {
-		cur := f.state.Load()
-		if stateGen(cur) != stateGen(s) || cur&frameRecycling != 0 {
-			break // recycled while the write was in flight
-		}
-		if f.state.CompareAndSwap(cur, cur|frameDirty) {
-			sh.quarantineResolve(id, &wb)
-			break
-		}
-	}
-	return false, fmt.Errorf("page %v: %w", id, err)
 }
 
 // flushDirty writes every dirty, unpinned page of this shard back to the
 // device — and retries every quarantined page — returning the number made
-// durable. The quarantine is drained first so the frame sweep's transient
-// parking has capacity to work with.
+// durable.
 func (sh *shard) flushDirty() (int, error) {
 	var errs []error
 	qn, _, qerr := sh.drainQuarantine()
@@ -1336,16 +1292,15 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 		return fmt.Errorf("buffer: %d mapped + %d free != %d frames (frame leaked or in flight)",
 			len(mapped), len(free), len(sh.frames))
 	}
-	// Quarantine: disjoint from the resident set at quiescence (the one
-	// sanctioned overlap is a flush's in-flight write window), within its
-	// soft capacity bound, and owned by this shard.
+	// Quarantine: disjoint from the resident set, within its soft capacity
+	// bound, and owned by this shard.
 	quar := sh.quarantineIDs()
 	for _, id := range quar {
 		if !owns(id) {
 			return fmt.Errorf("buffer: page %v quarantined in a shard that does not own it", id)
 		}
 		if _, resident := mapped[id]; resident {
-			return fmt.Errorf("buffer: page %v both resident and quarantined at quiescence", id)
+			return fmt.Errorf("buffer: page %v both resident and quarantined", id)
 		}
 	}
 	if len(quar) > sh.quarCap+len(sh.frames) {

@@ -162,12 +162,55 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 	}
 }
 
-// TestFlushParksBeforeClearingDirty checks the flush write window: while a
-// flush's write is in flight the frame no longer looks dirty, so an
-// eviction in that window must find the page parked in the quarantine and
-// a subsequent miss must adopt those bytes — not re-read a stale version
-// from the device.
-func TestFlushParksBeforeClearingDirty(t *testing.T) {
+// frameOf returns the frame page id is mapped to, or nil.
+func frameOf(p *Pool, id page.PageID) *Frame {
+	sh := p.cur.Load().shardFor(id)
+	f, _ := sh.hitLookup(sh.bucketFor(id), id)
+	return f
+}
+
+// writeVersion starts a backend that GetWrites page id and stamps it at
+// version v; granted receives the frame's state word as the write was
+// granted, and done closes once the reference is released.
+func writeVersion(t *testing.T, p *Pool, id page.PageID, v uint64) (granted chan uint64, done chan struct{}) {
+	granted, done = make(chan uint64, 1), make(chan struct{})
+	go func() {
+		defer close(done)
+		ref, err := p.GetWrite(p.NewSession(), id)
+		if err != nil {
+			t.Errorf("GetWrite(%v): %v", id, err)
+			close(granted)
+			return
+		}
+		granted <- ref.Frame().state.Load()
+		var pg page.Page
+		pg.Stamp(id + page.PageID(v*stampShift))
+		copy(ref.Data(), pg.Data[:])
+		ref.MarkDirty()
+		ref.Release()
+	}()
+	return granted, done
+}
+
+// awaitWriterOnPin waits until a GetWrite of page id has raised the wlock
+// bit of its frame and is draining a pin somebody else holds.
+func awaitWriterOnPin(t *testing.T, p *Pool, id page.PageID, granted chan uint64) {
+	t.Helper()
+	f := frameOf(p, id)
+	waitUntil(t, "the GetWrite to wait on the flush's pin", func() bool {
+		if len(granted) != 0 {
+			t.Fatal("the GetWrite returned while the page's flush write was in flight")
+		}
+		return f.state.Load()&frameWLock != 0
+	})
+}
+
+// TestFlushWritesFromPinnedFrame checks the flush write window: the flush
+// writes the page straight from its frame under a pin, so while the write
+// is in the device nothing is parked and the frame is still dirty, misses
+// evict the other frames around it, and a GetWrite of the page waits until
+// the write is over. The newer version it writes then reaches the device.
+func TestFlushWritesFromPinnedFrame(t *testing.T) {
 	mem := storage.NewMemDevice()
 	gate := newGateDevice(mem)
 	p := New(Config{
@@ -180,48 +223,36 @@ func TestFlushParksBeforeClearingDirty(t *testing.T) {
 
 	dirtyPage(t, p, s, pid(1))
 	entered, release := gate.arm(pid(1))
-	var flushErr error
-	flushDone := make(chan struct{})
+	flushed := make(chan error, 1)
 	go func() {
-		defer close(flushDone)
-		_, flushErr = p.FlushDirty()
+		_, err := p.FlushDirty()
+		flushed <- err
 	}()
 	<-entered
 
-	// The write is in flight: the frame is clean but the copy must be
-	// parked so the page cannot be silently dropped by an eviction.
-	if q := p.QuarantineLen(); q != 1 {
-		t.Fatalf("quarantined=%d during in-flight flush write, want 1", q)
+	if q := p.QuarantineLen(); q != 0 {
+		t.Fatalf("quarantined=%d during in-flight flush write, want 0", q)
 	}
-	if d := p.DirtyCount(); d != 0 {
-		t.Fatalf("dirty=%d during in-flight flush write, want 0", d)
+	if d := p.DirtyCount(); d != 1 {
+		t.Fatalf("dirty=%d during in-flight flush write, want 1", d)
 	}
-
-	// Evict the now-clean page 1, then miss on it: adoption must serve
-	// the flushed bytes, not the device's (stale) synthesized content.
-	for i := uint64(10); i < 14; i++ {
+	// Page 1 is the LRU page, but its frame is pinned: every miss evicts
+	// one of the other three.
+	for i := uint64(10); i < 20; i++ {
 		ref, err := p.Get(s, pid(i))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("miss during in-flight flush write: %v", err)
 		}
 		ref.Release()
 	}
-	ref, err := p.Get(s, pid(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got page.Page
-	copy(got.Data[:], ref.Data())
-	ref.Release()
-	if !got.VerifyStamp(pid(1) + stampShift) {
-		t.Fatal("miss during in-flight flush write read stale device data")
-	}
+	granted, written := writeVersion(t, p, pid(1), 2)
+	awaitWriterOnPin(t, p, pid(1), granted)
 
 	close(release)
-	<-flushDone
-	if flushErr != nil {
-		t.Fatalf("FlushDirty: %v", flushErr)
+	if err := <-flushed; err != nil {
+		t.Fatalf("FlushDirty: %v", err)
 	}
+	<-written
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -229,8 +260,85 @@ func TestFlushParksBeforeClearingDirty(t *testing.T) {
 	if err := mem.ReadPage(pid(1), &back); err != nil {
 		t.Fatal(err)
 	}
-	if !back.VerifyStamp(pid(1) + stampShift) {
-		t.Fatal("page contents never reached storage")
+	if !back.VerifyStamp(pid(1) + 2*stampShift) {
+		t.Fatal("the device does not hold the version written after the flush")
+	}
+}
+
+// TestFlushInFlightKeepsShardHealthy holds one flush write in the device
+// and misses on the same shard meanwhile: a healthy write in flight parks
+// nothing, so the health ladder, which reads the quarantine as failed
+// write-backs, must not shed a miss. Both cells put a one-entry quarantine
+// cap on the shard — explicitly, and as the default cap split 64 ways.
+func TestFlushInFlightKeepsShardHealthy(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		shards, capQ int
+	}{
+		{"cap1-shards1", 1, 1},
+		{"default-cap-shards64", 64, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := newGateDevice(storage.NewMemDevice())
+			p := New(Config{
+				Frames:        4 * tc.shards,
+				Shards:        tc.shards,
+				QuarantineCap: tc.capQ,
+				PolicyFactory: factoryOf("lru"),
+				Device:        gate,
+			})
+			s := p.NewSession()
+			dirtyPage(t, p, s, pid(1))
+			entered, release := gate.arm(pid(1))
+			flushed := make(chan error, 1)
+			go func() {
+				_, err := p.FlushDirty()
+				flushed <- err
+			}()
+			<-entered
+
+			set := p.cur.Load()
+			sh := set.shardFor(pid(1))
+			for i, n := uint64(2), 0; n < 20; i++ {
+				if set.shardFor(pid(i)) != sh {
+					continue
+				}
+				n++
+				ref, err := p.Get(s, pid(i))
+				if err != nil {
+					t.Fatalf("miss %d on the shard whose flush write is in flight: %v", n, err)
+				}
+				ref.Release()
+			}
+			if h := sh.evalHealth(); h != Healthy {
+				t.Fatalf("shard health %v with a flush write in flight, want healthy", h)
+			}
+			close(release)
+			if err := <-flushed; err != nil {
+				t.Fatalf("FlushDirty: %v", err)
+			}
+			if st := p.Stats(); st.Shed != 0 || st.Quarantined != 0 {
+				t.Fatalf("shed=%d quarantined=%d, want 0 and 0", st.Shed, st.Quarantined)
+			}
+		})
+	}
+}
+
+// TestFlushAllocs: a flush writes the page from its frame, so making a
+// dirty page durable allocates nothing — there is no copy to park.
+func TestFlushAllocs(t *testing.T) {
+	p := New(Config{Frames: 4, PolicyFactory: factoryOf("lru"), Device: storage.NewNullDevice()})
+	s := p.NewSession()
+	dirtyPage(t, p, s, pid(1))
+	sh, f := shard0(p), frameOf(p, pid(1))
+	flush := func() {
+		f.setDirty()
+		if wrote, err := sh.flushFrame(f); !wrote || err != nil {
+			t.Fatalf("flushFrame = %v, %v; want a write", wrote, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, flush); n != 0 {
+		t.Errorf("a flushed page allocates %.0f times, want 0", n)
 	}
 }
 
@@ -270,10 +378,10 @@ func TestInvalidateDiscardsQuarantinedCopy(t *testing.T) {
 	}
 }
 
-// TestFlushRespectsQuarantineCap checks the cap bounds every insertion
-// path: with the quarantine full of failed entries, flushes leave frames
-// dirty instead of parking past the cap — and recovery still drains
-// everything to storage.
+// TestFlushRespectsQuarantineCap checks that a failing flush never grows
+// the quarantine: with it full of a failed eviction's entry, a flush whose
+// write fails leaves its frame dirty and parks nothing — and recovery still
+// drains everything to storage.
 func TestFlushRespectsQuarantineCap(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
@@ -283,7 +391,7 @@ func TestFlushRespectsQuarantineCap(t *testing.T) {
 		Device:        dev,
 		QuarantineCap: 1,
 		// A full quarantine flips the shard read-only under health
-		// admission; disable it so the flush-cap path itself is exercised.
+		// admission; disable it so the misses after the park are served.
 		Health: HealthConfig{Disable: true},
 	})
 	s := p.NewSession()
@@ -306,8 +414,8 @@ func TestFlushRespectsQuarantineCap(t *testing.T) {
 		t.Fatalf("dirty=%d, want page 2 still resident dirty", p.DirtyCount())
 	}
 
-	// A flush with the quarantine at capacity must not park past the cap;
-	// page 2 stays dirty for a later round rather than risking loss.
+	// The flush's write of page 2 fails: the page stays dirty in its frame
+	// for a later round, and the quarantine stays at its cap.
 	if _, err := p.FlushDirty(); err == nil {
 		t.Fatal("flush with a dead device and full quarantine returned nil error")
 	}

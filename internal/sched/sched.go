@@ -51,9 +51,9 @@ const (
 	// its in-flight op, and is about to take the page's write-back stripe
 	// and write the frame out.
 	BufEvictWrite
-	// BufFlushClear: flushFrame has parked its copy and is about to clear
-	// the dirty bit.
-	BufFlushClear
+	// BufFlushWrite: flushFrame has pinned a dirty frame and is about to
+	// take the page's write-back stripe and write the frame out.
+	BufFlushWrite
 	// BufHitProbe: an optimistic bucket probe observed a torn seqlock read
 	// and is about to retry.
 	BufHitProbe

@@ -221,6 +221,16 @@ func TestPoolTorture(t *testing.T) {
 		{"clockpro-fc-faults-bg", PoolRunConfig{Seed: seed + 1, Path: PathFC, Policy: "clockpro", Faults: true, BGWriter: true}},
 		{"gclock-direct", PoolRunConfig{Seed: seed + 2, Path: PathDirect, Policy: "gclock"}},
 	}
+	// One cell for each policy of replacer.Names() that no other tier-1
+	// TestPoolTorture* cell names, each with a background writer, so every
+	// policy's eviction walk meets flushes pinning its candidates.
+	for i, pol := range []string{"fifo", "clock", "arc", "car", "lirs", "mq", "seq"} {
+		path := Paths()[i%len(Paths())]
+		cases = append(cases, cse{
+			pol + "-" + string(path) + "-bg",
+			PoolRunConfig{Seed: seed + int64(3+i), Path: path, Policy: pol, BGWriter: true},
+		})
+	}
 	if LongMode() {
 		for i, pol := range []string{"lru", "2q", "lirs", "mq", "arc", "car", "clockpro", "seq", "lfu", "lru2"} {
 			for j, path := range Paths() {

@@ -3,7 +3,8 @@
 # resident Get, a miss, a device write, and a page served over the wire
 # (one GET round trip; one op of a 16-op Do burst). Wall-clock figures
 # from the benchmark vary run to run and only warn; these counts repeat
-# exactly (ROADMAP item 2), so a regression here is a real one — an op, a
+# exactly (ROADMAP: "counts resolve where the clock does not"), so a
+# regression here is a real one — an op, a
 # channel or a closure back on the miss path, a copy of the victim, a policy
 # node per admit, a copy of a page into a buffer of its own on either side of
 # the socket.
