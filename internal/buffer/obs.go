@@ -156,7 +156,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		g("bpw_quarantined_pages", "evicted pages parked because their write-back failed", l, float64(sh.quarantineLen()))
 		resident := 0
 		sh.wrapper.Locked(func(pol replacer.Policy) { resident = pol.Len() })
-		g("bpw_resident_pages", "pages tracked by the replacement policy", l, float64(resident))
+		g("bpw_resident_pages", "pages tracked by the replacement policy, loads in flight included", l, float64(resident))
 		c("bpw_writeback_failures_total", "failed write-back attempts", l, float64(sh.writeBackFailures.Load()))
 		c("bpw_evict_writebacks_total", "dirty victims written to the device straight from their frame", l, float64(sh.evictWritebacks.Load()))
 		const waitsHelp = "waits (by misses, reshard steals and invalidations) on a page another goroutine had in flight: on=load a device read, on=evict an eviction's write-back"

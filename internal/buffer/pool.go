@@ -760,7 +760,7 @@ type ShardStats struct {
 	Frames            int   // page slots owned by this shard
 	Free              int   // slots on the shard's free list
 	Dirty             int   // dirty resident pages
-	Resident          int   // pages tracked by the shard's policy
+	Resident          int   // pages tracked by the shard's policy, loads in flight included
 	Quarantined       int   // evicted pages parked by a failed write-back
 	Hits              int64 // buffer hits since the last reset
 	Misses            int64 // buffer misses since the last reset
@@ -846,7 +846,7 @@ type Stats struct {
 	Shards   int     // number of hash partitions in the current topology
 	Free     int     // slots on the current topology's free lists
 	Dirty    int     // dirty resident pages (including a draining topology's)
-	Resident int     // pages tracked by the current replacement policies
+	Resident int     // pages tracked by the current replacement policies, loads in flight included
 	Hits     int64   // buffer hits since the last reset (all topologies)
 	Misses   int64   // buffer misses since the last reset (all topologies)
 	HitRatio float64 // hits / (hits + misses), from one consistent snapshot

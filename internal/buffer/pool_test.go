@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -199,6 +200,107 @@ func TestMissSkipsPinnedVictim(t *testing.T) {
 				t.Errorf("unpinned, %v is not the next victim (%v is): it lost its rank", lowest, v)
 			}
 			s.Flush()
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMissIsOneLockHold: a miss takes the policy lock once, as
+// replacement_for_page_miss does in the paper's Figure 4, whether it finds a
+// free frame or evicts, and however many sessions miss at once. The stream is
+// misses only, so no session queues a hit and its Flush takes no lock.
+func TestMissIsOneLockHold(t *testing.T) {
+	for _, sessions := range []int{1, 4} {
+		t.Run(fmt.Sprintf("sessions=%d", sessions), func(t *testing.T) {
+			const perSession = 200
+			p := newTestPool(16, core.Config{Batching: true})
+			var wg sync.WaitGroup
+			for g := 0; g < sessions; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					s := p.NewSession()
+					defer s.Flush()
+					for i := 0; i < perSession; i++ {
+						ref, err := p.Get(s, pid(uint64(1+i*sessions+g)))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						ref.Release()
+					}
+				}(g)
+			}
+			wg.Wait()
+			st := p.Wrapper().Stats()
+			if st.Misses != int64(sessions*perSession) || st.Hits != 0 {
+				t.Fatalf("%d misses and %d hits, want %d misses only", st.Misses, st.Hits, sessions*perSession)
+			}
+			if st.Lock.Acquisitions != st.Misses {
+				t.Fatalf("%d policy-lock holds for %d misses (%.2f a miss), want one each",
+					st.Lock.Acquisitions, st.Misses, float64(st.Lock.Acquisitions)/float64(st.Misses))
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLoadingPageIsNeverAVictim: a page is in the policy from the hold that
+// claims its frame, for the whole load. With one load held at the device
+// while its page ranks lowest (LFU and LRU-2 rank a page just admitted
+// lowest), another session's miss must pass it over, its frame being
+// claimed, and evict a resident page; let go, the load completes and both
+// pages are resident.
+func TestLoadingPageIsNeverAVictim(t *testing.T) {
+	const frames = 4
+	for _, name := range replacer.Names() {
+		t.Run(name, func(t *testing.T) {
+			gate := newGateDevice(storage.NewMemDevice())
+			p := New(Config{
+				Frames:        frames,
+				PolicyFactory: factoryOf(name),
+				Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 8},
+				Device:        gate,
+			})
+			s := p.NewSession()
+			get := func(s *Session, id page.PageID) error {
+				ref, err := p.Get(s, id)
+				if err == nil {
+					ref.Release()
+				}
+				return err
+			}
+			// Page i is read frames+1-i times: the page admitted last is read least.
+			for i := uint64(1); i <= frames; i++ {
+				for n := i; n <= frames; n++ {
+					if err := get(s, pid(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			entered, release := gate.armRead(pid(101))
+			loaded := make(chan error, 1)
+			go func() { loaded <- get(p.NewSession(), pid(101)) }()
+			<-entered
+			if err := get(s, pid(102)); err != nil {
+				t.Fatalf("a miss with another page loading: %v", err)
+			}
+			close(release)
+			if err := <-loaded; err != nil {
+				t.Fatalf("the held load: %v", err)
+			}
+			s.Flush()
+			p.Wrapper().Locked(func(pol replacer.Policy) {
+				for _, id := range []page.PageID{pid(101), pid(102)} {
+					if !pol.Contains(id) {
+						t.Errorf("%v is not resident", id)
+					}
+				}
+			})
 			if err := p.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}

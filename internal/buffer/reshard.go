@@ -159,55 +159,23 @@ func (p *Pool) Reshard(n int) error {
 // most are the ones the new policy saw admitted last). The factory also
 // becomes the pool's policy recipe: later reshards build the new policy.
 // It serializes with Reshard, so a swap never races a topology change.
+//
+// A factory whose policy has less capacity than a shard's present one is
+// refused (core.Wrapper.SwapPolicy): the shards before that one keep the new
+// policy, the rest their old ones, and the recipe stays as it was.
 func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error) {
 	if factory == nil {
 		return "", "", errors.New("buffer: SwapPolicy requires a factory")
 	}
 	p.reshardMu.Lock()
 	defer p.reshardMu.Unlock()
+	for _, sh := range p.cur.Load().shards {
+		if from, to, err = sh.wrapper.SwapPolicy(factory); err != nil {
+			return from, to, err
+		}
+	}
 	p.factory = factory
-	set := p.cur.Load()
-	// evictClaimed wants a session to own the in-flight op of a dirty
-	// residue page; an unbound one serves (its trace context is inert).
-	var scratch Session
-	for _, sh := range set.shards {
-		var residue []replacer.Victim
-		from, to, residue = sh.wrapper.SwapPolicy(factory)
-		for _, v := range residue {
-			sh.dropResidue(&scratch, v)
-		}
-	}
 	return from, to, nil
-}
-
-// dropResidue evicts a page SwapPolicy could not seat in a new policy with
-// less room than the old: its frame is mapped but in no policy, so no
-// eviction would ever take it. Like stealPage it waits out pins, and a full
-// quarantine does not stop it (the cap is soft; durability wins). The claim
-// is made under the policy lock, where a page seen back in the policy —
-// invalidated and loaded again meanwhile — is no longer residue.
-func (sh *shard) dropResidue(ps *Session, v replacer.Victim) {
-	f := &sh.frames[v.Slot]
-	for spins := 0; ; spins++ {
-		gone, claimed := false, false
-		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
-			s := f.state.Load()
-			switch {
-			case pol.ContainsSlot(v.Slot, v.ID) || s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != v.ID:
-				gone = true
-			case s&(framePinMask|frameWLock) == 0:
-				claimed = f.tryClaim(s)
-			}
-		})
-		switch {
-		case gone:
-			return
-		case claimed:
-			sh.freeFrame(sh.evictClaimed(ps, v))
-			return
-		}
-		backoff(spins)
-	}
 }
 
 // SetBatchThreshold retunes the batch threshold of every current shard's

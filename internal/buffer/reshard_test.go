@@ -431,6 +431,44 @@ func TestPoolSwapPolicyLive(t *testing.T) {
 	}
 }
 
+// TestPoolSwapPolicyRefusesSmallerPolicy: a factory whose policies have less
+// room than the shards' present ones is refused, since every page a policy
+// holds has a frame, or is loading into one, and must stay tracked. The pool
+// keeps its policies and its recipe, and keeps serving.
+func TestPoolSwapPolicyRefusesSmallerPolicy(t *testing.T) {
+	p, _ := reshardablePool(16, 2, core.Config{Batching: true})
+	s := p.NewSession()
+	get := func(from, to uint64) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			ref, err := p.GetWrite(s, pid(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.MarkDirty()
+			ref.Release()
+		}
+	}
+	get(1, 24)
+	if _, _, err := p.SwapPolicy(func(int) replacer.Policy { return replacer.NewLIRS(4) }); err == nil {
+		t.Fatal("a swap to policies of capacity 4 in shards of 8 frames succeeded")
+	}
+	get(25, 60)
+	if err := p.Reshard(4); err != nil {
+		t.Fatalf("Reshard after a refused swap: %v", err)
+	}
+	for i, ss := range p.Stats().PerShard {
+		if ss.Policy != "lru" {
+			t.Fatalf("shard %d policy %q, want lru: the refused factory became the recipe", i, ss.Policy)
+		}
+	}
+	get(1, 30)
+	s.Flush()
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
 // TestSetBatchThresholdSurvivesReshard: the controller's threshold override
 // applies to live shards and is inherited by shards built afterwards.
 func TestSetBatchThresholdSurvivesReshard(t *testing.T) {

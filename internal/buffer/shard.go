@@ -119,7 +119,7 @@ type shard struct {
 	evictWaits        atomic.Int64 // waits on an in-flight eviction write-back
 
 	// claim is claimVictim, built once so that a miss hands it to the
-	// policy (core.Session.MissBegin) without allocating.
+	// policy (core.Session.MissSlot) without allocating.
 	claim func(replacer.Victim) bool
 
 	// healthState drives graceful degradation: breaker/quarantine-driven
@@ -633,7 +633,6 @@ func yieldIfStillRecycled(seen int) int {
 // frame in the table. retry is true when the caller lost the race and
 // should restart its lookup.
 func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref *PageRef, retry bool, err error) {
-	sub := ps.subs[idx]
 	b := sh.bucketFor(id)
 	sh.lockBucket(b)
 	if sh.lookupLocked(b, id) != nil {
@@ -680,13 +679,14 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	if counted {
 		defer sh.missInflight.Add(-1)
 	}
-	f, err := sh.acquireFrame(ps, sub, id)
+	f, err := sh.acquireFrame(ps, ps.subs[idx], id)
 	if err != nil {
 		sh.finishOp(b, op, err)
 		return nil, false, err
 	}
 	// The frame is exclusively ours — claimed: recycling bit up, gen
-	// bumped, one claim pin — so the fill below can use plain stores.
+	// bumped, one claim pin — so the fill below can use plain stores; the
+	// page is in the policy already, at its slot, where the claim guards it.
 	// Source precedence, newest copy first:
 	//
 	//  1. During a reshard, the draining topology: stealPage carries the
@@ -724,6 +724,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 			rerr := sh.device.ReadPage(id, &f.data)
 			ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
 			if rerr != nil {
+				sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
 				sh.freeFrame(f)
 				sh.finishOp(b, op, rerr)
 				return nil, false, rerr
@@ -747,40 +748,24 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	sh.lockBucket(b)
 	sh.insertLocked(b, id, f)
 	b.w.mu.Unlock()
-
-	// Second phase of the miss protocol: the page has a frame and a table
-	// entry, so it may now become policy-resident. MissAdmit evicts nothing:
-	// every page in the policy has a frame of its own, which this one is not.
-	sub.MissAdmit(id, f.slot)
 	sh.finishOp(b, op, nil)
 	return newPageRef(f, id, tag, writable), false, nil
 }
 
-// acquireFrame produces an empty, once-claimed frame for page id. The access
-// is recorded as a miss through the session, taking the policy lock and
-// committing any batched hits (Figure 4 of the paper); at capacity the same
-// hold evicts the first page of the policy's order whose frame claimVictim
-// takes. Below capacity the frame comes off the free list, or, while other
-// misses hold the frames the list is short of, from an eviction of its own.
-// The page itself is admitted later by MissAdmit, once loaded.
-//
-// When no frame can be claimed the walk is repeated, letting the pinning
-// goroutines run in between (short pins are released in microseconds, but a
-// tight loop can spend its attempts before the scheduler lets an unpin
-// happen), up to twice the shard size. A saturated quarantine then means
-// dirty victims were refused for durability's sake, not that all are pinned.
+// acquireFrame produces an empty, once-claimed frame for page id and files
+// the page in the policy at its slot, in the one policy-lock hold of a miss
+// (Figure 4 of the paper), which commits any batched hits first: a frame off
+// the free list or, the list empty, the first in the policy's order that
+// claimVictim takes. When none can be claimed the policy step alone is
+// repeated, letting the pinning goroutines run in between (short pins are
+// released in microseconds, but a tight loop can spend its attempts before
+// the scheduler lets an unpin happen), up to twice the shard size. A saturated
+// quarantine then means dirty victims were refused for durability's sake, not
+// that all are pinned.
 func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*Frame, error) {
-	victim, evicted := sub.MissBegin(id, sh.claim)
-	for attempt := 0; !evicted; attempt++ {
-		sh.freeMu.Lock()
-		if n := len(sh.freeList); n > 0 {
-			f := sh.freeList[n-1]
-			sh.freeList = sh.freeList[:n-1]
-			sh.freeMu.Unlock()
-			f.claimFree()
-			return f, nil
-		}
-		sh.freeMu.Unlock()
+	f, slot := sh.popFree()
+	victim, admitted := sub.MissSlot(id, slot, sh.claim)
+	for attempt := 0; !admitted; attempt++ {
 		switch {
 		case sh.sealed.Load():
 			// A topology swap landed mid-load: stealPage is draining this
@@ -795,9 +780,28 @@ func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*
 		case attempt > 0:
 			runtime.Gosched()
 		}
-		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { victim, evicted = pol.EvictSlot(sh.claim) })
+		f, slot = sh.popFree()
+		victim, admitted = sh.wrapper.Seat(id, slot, sh.claim)
+	}
+	if f != nil {
+		return f, nil
 	}
 	return sh.evictClaimed(ps, victim), nil
+}
+
+// popFree takes a frame off the free list and claims it, naming its slot; it
+// returns (nil, core.NoSlot) when the list is empty.
+func (sh *shard) popFree() (*Frame, uint32) {
+	sh.freeMu.Lock()
+	defer sh.freeMu.Unlock()
+	n := len(sh.freeList)
+	if n == 0 {
+		return nil, core.NoSlot
+	}
+	f := sh.freeList[n-1]
+	sh.freeList = sh.freeList[:n-1]
+	f.claimFree()
+	return f, f.slot
 }
 
 // claimVictim is the claim a policy's eviction walk offers each candidate to
@@ -805,9 +809,9 @@ func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*
 // takes the frame exclusively unless it is pinned or writer-held — or dirty
 // while the quarantine is full, as a failed write would have nowhere to
 // park. The policy names the frame, so there is no table probe: a page the
-// policy holds is in its frame, as nothing claims that frame without taking
-// the page out of the policy in the same hold. The generation bump fails the
-// pin CAS of any reader that probed the table before us (DESIGN.md §12).
+// policy holds is in its frame, or loading into it (claimed: refused), as no
+// claim of a mapped frame leaves its page in the policy. The generation bump
+// fails the pin CAS of any reader that probed the table first (DESIGN.md §12).
 func (sh *shard) claimVictim(v replacer.Victim) bool {
 	f := &sh.frames[v.Slot]
 	for {
@@ -1048,9 +1052,9 @@ func (sh *shard) drainQuarantine() (written, failed int, err error) {
 	return written, failed, errors.Join(errs...)
 }
 
-// freeFrame returns a claimed frame to the free list: after a failed load
-// (the page was never admitted to the policy — two-phase protocol — so no
-// policy rollback is needed), or once its page has been unmapped for good.
+// freeFrame returns a claimed frame to the free list, once its page is out
+// of the policy: after a failed load has removed it, or once its page has
+// been unmapped for good.
 func (sh *shard) freeFrame(f *Frame) {
 	f.toFree()
 	sh.freeMu.Lock()
@@ -1101,7 +1105,7 @@ func (sh *shard) invalidate(id page.PageID) error {
 // error to return, or nil to look again; spins counts how often it has
 // been asked. The frame is claimed and its page taken out of the policy in
 // one hold, as in an eviction, and before the page leaves the table: a miss
-// on id starts only once the table entry is gone, and its MissAdmit must
+// on id starts only once the table entry is gone, and its admission must
 // not find it resident.
 func (sh *shard) claimMapped(id page.PageID, busy func(spins int) error) (f *Frame, s uint64, err error) {
 	b := sh.bucketFor(id)
@@ -1232,7 +1236,7 @@ func (sh *shard) pinnedFrames() int {
 // checkInvariants verifies the shard's structural invariants (see
 // Pool.CheckInvariants for the contract). owns reports whether a page id
 // routes to this shard; a mapped or quarantined page owned by a different
-// shard is a routing bug, not eviction residue.
+// shard is a routing bug.
 func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 	// Snapshot the table: page → frame, taking each bucket lock once.
 	mapped := make(map[page.PageID]*Frame, len(sh.frames))
@@ -1306,11 +1310,11 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 	if len(quar) > sh.quarCap+len(sh.frames) {
 		return fmt.Errorf("buffer: quarantine %d far beyond cap %d", len(quar), sh.quarCap)
 	}
-	// Policy agreement: a page leaves the policy only with its frame and
-	// enters it only once installed in one, so at quiescence the policy
-	// tracks exactly the mapped pages, each in its frame's slot. A resident
-	// without a table entry would be unservable, and a mapped page the
-	// policy does not track unevictable.
+	// Policy agreement: a page enters the policy in the hold that claims its
+	// frame and leaves it only with that frame, so at quiescence — no load in
+	// flight — the policy tracks exactly the mapped pages, each in its
+	// frame's slot. A resident without a table entry would be unservable, and
+	// a mapped page the policy does not track unevictable.
 	var perr error
 	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
 		for id, f := range mapped {

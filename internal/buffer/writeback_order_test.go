@@ -10,16 +10,18 @@ import (
 	"bpwrapper/internal/storage"
 )
 
-// gateDevice holds one armed page's next write at the device boundary so
-// tests can open a write-in-flight window deterministically: the entered
-// channel closes when the held write has been issued, and the write
-// completes only after release is closed — reaching the device, or, armed
-// with armFail, failing short of it. All other I/O passes through.
+// gateDevice holds one armed page's next write — or, armed with armRead,
+// its next read — at the device boundary so tests can open an I/O-in-flight
+// window deterministically: the entered channel closes when the held I/O has
+// been issued, and it completes only after release is closed — reaching the
+// device, or, armed with armFail, failing short of it. All other I/O passes
+// through.
 type gateDevice struct {
 	storage.Device
 	mu      sync.Mutex
 	target  page.PageID
 	armed   bool
+	read    bool // the armed I/O is a read
 	fail    error
 	entered chan struct{}
 	release chan struct{}
@@ -31,20 +33,30 @@ func (d *gateDevice) arm(id page.PageID) (entered, release chan struct{}) {
 	return d.armFail(id, nil)
 }
 
+func (d *gateDevice) armRead(id page.PageID) (entered, release chan struct{}) {
+	return d.armIO(id, true, nil)
+}
+
 // armFail is arm with the held write's outcome chosen: a non-nil err is
 // returned for it once released, and the bytes never reach the device.
 func (d *gateDevice) armFail(id page.PageID, err error) (entered, release chan struct{}) {
+	return d.armIO(id, false, err)
+}
+
+func (d *gateDevice) armIO(id page.PageID, read bool, err error) (entered, release chan struct{}) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.target, d.armed, d.fail = id, true, err
+	d.target, d.armed, d.read, d.fail = id, true, read, err
 	d.entered = make(chan struct{})
 	d.release = make(chan struct{})
 	return d.entered, d.release
 }
 
-func (d *gateDevice) WritePage(p *page.Page) error {
+// hold holds the armed I/O, if this is it, until it is released, and returns
+// the outcome it was armed with.
+func (d *gateDevice) hold(id page.PageID, read bool) error {
 	d.mu.Lock()
-	hold := d.armed && p.ID == d.target
+	hold := d.armed && d.read == read && id == d.target
 	var entered, release chan struct{}
 	var fail error
 	if hold {
@@ -55,11 +67,22 @@ func (d *gateDevice) WritePage(p *page.Page) error {
 	if hold {
 		close(entered)
 		<-release
-		if fail != nil {
-			return fail
-		}
+	}
+	return fail
+}
+
+func (d *gateDevice) WritePage(p *page.Page) error {
+	if err := d.hold(p.ID, false); err != nil {
+		return err
 	}
 	return d.Device.WritePage(p)
+}
+
+func (d *gateDevice) ReadPage(id page.PageID, p *page.Page) error {
+	if err := d.hold(id, true); err != nil {
+		return err
+	}
+	return d.Device.ReadPage(id, p)
 }
 
 // TestStaleWriteBackCannotRevertNewerWrite pins down the lost-update

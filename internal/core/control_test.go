@@ -43,12 +43,9 @@ func TestSwapPolicyPreservesResidentsAndOrder(t *testing.T) {
 	}
 	w.Policy().Hit(pid(2)) // eviction order now 1, 3, 4, 2
 
-	from, to, residue := w.SwapPolicy(func(c int) replacer.Policy { return replacer.NewLRU(c) })
-	if from != "lru" || to != "lru" {
-		t.Fatalf("swap reported %q -> %q, want lru -> lru", from, to)
-	}
-	if len(residue) != 0 {
-		t.Fatalf("LRU->LRU swap produced residue %v, want none", residue)
+	from, to, err := w.SwapPolicy(func(c int) replacer.Policy { return replacer.NewLRU(c) })
+	if from != "lru" || to != "lru" || err != nil {
+		t.Fatalf("swap reported %q -> %q, %v; want lru -> lru", from, to, err)
 	}
 	pol := w.Policy()
 	if pol.Len() != 4 {
@@ -62,82 +59,23 @@ func TestSwapPolicyPreservesResidentsAndOrder(t *testing.T) {
 	}
 }
 
-// boundedStub is a Policy whose Admit enforces a queue-local bound tighter
-// than its reported capacity (think 2Q's A1in): it evicts its oldest page
-// whenever more than `bound` pages are resident, even though Cap is larger.
-// None of the stock policies evict below total capacity during seeding, so
-// this double is what exercises SwapPolicy's residue path.
-type boundedStub struct {
-	cap, bound int
-	fifo       []replacer.PageID
-}
-
-func (p *boundedStub) Name() string { return "bounded-stub" }
-func (p *boundedStub) Cap() int     { return p.cap }
-func (p *boundedStub) Len() int     { return len(p.fifo) }
-func (p *boundedStub) Contains(id replacer.PageID) bool {
-	for _, v := range p.fifo {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-func (p *boundedStub) Hit(replacer.PageID) {}
-func (p *boundedStub) Admit(id replacer.PageID) (victim replacer.PageID, evicted bool) {
-	if len(p.fifo) >= p.bound {
-		victim, evicted = p.fifo[0], true
-		p.fifo = p.fifo[1:]
-	}
-	p.fifo = append(p.fifo, id)
-	return victim, evicted
-}
-func (p *boundedStub) Evict() (replacer.PageID, bool) {
-	if len(p.fifo) == 0 {
-		return 0, false
-	}
-	v := p.fifo[0]
-	p.fifo = p.fifo[1:]
-	return v, true
-}
-func (p *boundedStub) Remove(id replacer.PageID) {
-	for i, v := range p.fifo {
-		if v == id {
-			p.fifo = append(p.fifo[:i], p.fifo[i+1:]...)
-			return
-		}
-	}
-}
-
-// TestSwapPolicyReturnsResidue: when the new policy's Admit evicts below
-// total capacity (a queue-local bound), the evicted pages must come back as
-// residue — their frames are still resident and the caller has to reclaim
-// them through its normal victim path.
-func TestSwapPolicyReturnsResidue(t *testing.T) {
+// TestSwapPolicyRefusesSmallerPolicy: a factory whose policy has less room
+// than the old one's is refused, and the old policy stays, residents and all:
+// each of them may be a page in a frame, which no policy would then track.
+func TestSwapPolicyRefusesSmallerPolicy(t *testing.T) {
 	w := New(replacer.NewLRU(8), Config{})
 	for i := uint64(1); i <= 8; i++ {
 		w.Policy().Admit(pid(i))
 	}
-	_, to, residue := w.SwapPolicy(func(c int) replacer.Policy {
-		return &boundedStub{cap: c, bound: 3}
-	})
-	if to != "bounded-stub" {
-		t.Fatalf("swap target %q, want bounded-stub", to)
+	old := w.Policy()
+	if _, to, err := w.SwapPolicy(func(int) replacer.Policy { return replacer.NewLRU(4) }); err == nil || to != "lru" {
+		t.Fatalf("swap to a smaller policy: %q, %v; want refused", to, err)
 	}
-	pol := w.Policy()
-	if got := pol.Len() + len(residue); got != 8 {
-		t.Fatalf("tracked (%d) + residue (%d) = %d pages, want 8 (none lost)", pol.Len(), len(residue), got)
-	}
-	if len(residue) != 5 {
-		t.Fatalf("residue %v (len %d), want the 5 pages the bound pushed out", residue, len(residue))
-	}
-	for _, v := range residue {
-		if pol.Contains(v.ID) {
-			t.Fatalf("page %v is both residue and tracked by the new policy", v.ID)
-		}
+	if w.Policy() != old || old.Len() != 8 {
+		t.Fatalf("a refused swap changed the policy: %s with %d residents", w.Policy().Name(), w.Policy().Len())
 	}
 	if err := w.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after swap: %v", err)
+		t.Fatalf("invariants after a refused swap: %v", err)
 	}
 }
 

@@ -96,10 +96,9 @@ func TestPrefetchGate(t *testing.T) {
 			s.Miss(pid(fresh), tag(pid(fresh)))
 			return []page.PageID{pid(2), pid(fresh)}
 		}},
-		{"missbegin", batched, func(s *Session) []page.PageID {
+		{"missslot", batched, func(s *Session) []page.PageID {
 			fresh++
-			s.MissBegin(pid(fresh), nil)
-			s.MissAdmit(pid(fresh), 0)
+			s.MissSlot(pid(fresh), 0, nil) // by id, the slot is not consulted
 			return []page.PageID{pid(fresh)}
 		}},
 		{"unbatched hit", Config{Prefetching: true}, func(s *Session) []page.PageID {

@@ -37,7 +37,7 @@ func (p *roundPolicy) Prefetch([]page.PageID) { p.walks++ }
 // roundWant is what one operation must have delivered and accounted for.
 type roundWant struct {
 	ops                         string // policy ops in order: h<n> hit, m<n> admit, e<n> evict, of page n
-	acquisitions                int64  // lock-holding periods (MissAdmit's included)
+	acquisitions                int64  // lock-holding periods
 	commits, try, forced, walks int64
 	batchSizes                  int64 // BatchSizes observations
 	combined                    int64 // Stats.CombinedBatches: other sessions' batches
@@ -174,21 +174,23 @@ func TestRoundAccounting(t *testing.T) {
 			want: roundWant{ops: "h1 h2 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, combined: 1, slow: true,
 				events: []obs.EventKind{obs.EvCombine}, spans: []reqtrace.Phase{lw, po}}},
 
-		// The two-phase miss. Under flat combining the session has nothing
-		// of its own at all: the hits it applies are another session's.
-		{name: "direct/missbegin", cfg: direct,
-			op: func(e *env) { e.s.MissBegin(pid(9), nil); e.s.MissAdmit(pid(9), 0) },
-			want: roundWant{ops: "e1 m9", acquisitions: 2, slow: true,
+		// The slotted miss, handed no free slot: the eviction and the admit
+		// in the one hold, as the frameless miss's admit is. Under flat
+		// combining the session has nothing of its own at all: the hits it
+		// applies are another session's.
+		{name: "direct/missslot", cfg: direct,
+			op: func(e *env) { e.s.MissSlot(pid(9), NoSlot, nil) },
+			want: roundWant{ops: "e1 m9", acquisitions: 1, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
-		{name: "batch/missbegin", cfg: batch,
+		{name: "batch/missslot", cfg: batch,
 			setup: func(e *env) { hit(e.s, 1) },
-			op:    func(e *env) { e.s.MissBegin(pid(9), nil); e.s.MissAdmit(pid(9), 0) },
-			want: roundWant{ops: "h1 e2 m9", acquisitions: 2, commits: 1, batchSizes: 1, slow: true,
+			op:    func(e *env) { e.s.MissSlot(pid(9), NoSlot, nil) },
+			want: roundWant{ops: "h1 e2 m9", acquisitions: 1, commits: 1, batchSizes: 1, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
-		{name: "fc/missbegin", cfg: fc,
+		{name: "fc/missslot", cfg: fc,
 			setup: func(e *env) { published(e, false) },
-			op:    func(e *env) { e.s.MissBegin(pid(9), nil); e.s.MissAdmit(pid(9), 0) },
-			want: roundWant{ops: "e1 h4 h5 m9", acquisitions: 2, commits: 1, walks: 1, combined: 1, slow: true,
+			op:    func(e *env) { e.s.MissSlot(pid(9), NoSlot, nil) },
+			want: roundWant{ops: "e1 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, combined: 1, slow: true,
 				events: []obs.EventKind{obs.EvCombine}, spans: []reqtrace.Phase{lw, po}}},
 	}
 

@@ -21,8 +21,8 @@
 // Both techniques are independent of the wrapped algorithm, which is used
 // unmodified — the framework property the paper's title claims.
 //
-// There is one way to commit: Session.round, the single lock-holding
-// period in which hits (and a miss's admission) reach the policy. The
+// There is one way to commit: Session.round, the single lock-holding period
+// in which hits (and a miss's eviction and admission) reach the policy. The
 // configurations are three schedulers over it (Session.atThreshold) that
 // differ only in what a session does at the threshold when the lock is
 // busy: block (no batching), keep recording until the queue is full (the
@@ -338,8 +338,8 @@ func New(policy replacer.Policy, cfg Config) *Wrapper { return newWrapper(policy
 
 // NewSlotted is New for the caller that owns the frames — the buffer pool.
 // Every tag its sessions pass to Hit must carry the slot of the frame the
-// page occupies (BufferTag.Slot), and MissAdmit is told the slot the page
-// was loaded into; in return a policy that implements replacer.SlotPolicy is
+// page occupies (BufferTag.Slot), and MissSlot is told the slot the page
+// is loaded into; in return a policy that implements replacer.SlotPolicy is
 // reached by slot, with no lookup under the lock. A policy that does not is
 // still driven by id. Session.Miss, the frameless protocol, is not for such
 // a wrapper.
@@ -497,22 +497,24 @@ func (w *Wrapper) BatchThreshold() int {
 // happens under the policy lock, then the hot-path view is republished
 // atomically.
 //
-// A new policy with less capacity than the old one's residents evicts as it
-// is seeded; such pages fall out of the new policy's tracking while their
-// frames stay resident. They are returned as residue for the caller (the
-// buffer shard) to evict — dropping them silently would strand frames no
-// policy would ever give up.
+// A factory whose policy has less capacity than the old one is refused with
+// an error and nothing changes: every page the old policy holds has a frame,
+// or is loading into one, and must stay in the policy. So seeding never
+// evicts; a policy that does breaks AdmitSlot's contract, and the swap panics.
 //
 // Lock-free hits racing the swap may deliver a reference-bit update to the
 // retired policy object (harmless: it is garbage afterwards) or batch into
 // queues applied later to the new policy (tag validation still applies).
 // Both are the same advisory staleness batching already accepts.
-func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, residue []replacer.Victim) {
+func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, err error) {
 	w.lock.Lock()
 	defer w.lock.Unlock()
 	old := w.box.Load()
 	next := w.newPolicyBox(factory(old.policy.Cap()))
 	from, to = old.policy.Name(), next.policy.Name()
+	if c := next.policy.Cap(); c < old.policy.Cap() {
+		return from, to, fmt.Errorf("core: policy %s has capacity %d, below the %d of %s", to, c, old.policy.Cap(), from)
+	}
 	for {
 		v, ok := old.evict(nil)
 		if !ok {
@@ -520,12 +522,10 @@ func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, residue
 		}
 		// Each page keeps its frame, so it goes into the new policy at the
 		// slot it left the old one from.
-		if v, evicted := next.admit(v.ID, v.Slot); evicted {
-			residue = append(residue, v)
-		}
+		next.seat(v.ID, v.Slot, nil)
 	}
 	w.box.Store(next)
-	return from, to, residue
+	return from, to, nil
 }
 
 // CheckInvariants verifies the wrapper's cheap structural invariants under
@@ -676,12 +676,12 @@ func (s *Session) atThreshold() {
 	switch {
 	case !w.cfg.Batching:
 		// Direct (pg2Q / pgPre): block, on every access.
-		s.round(perAccess, page.InvalidPageID, nil)
+		s.round(perAccess, page.InvalidPageID, 0, nil)
 	case w.fc == nil:
 		// The paper's protocol: keep recording and try again on the next
 		// hit; block only when the queue is completely full.
-		if _, _, held := s.round(tryOnce, page.InvalidPageID, nil); !held && len(s.queue) >= w.cfg.QueueSize {
-			s.round(cannotWait, page.InvalidPageID, nil)
+		if _, _, held := s.round(tryOnce, page.InvalidPageID, 0, nil); !held && len(s.queue) >= w.cfg.QueueSize {
+			s.round(cannotWait, page.InvalidPageID, 0, nil)
 		}
 	case s.slot.pub.Load() == nil:
 		// Flat combining, previous batch drained: publish this one (round
@@ -690,12 +690,12 @@ func (s *Session) atThreshold() {
 		// protocol could not make. Only the owner stores into pub, so the
 		// emptiness check cannot race with another publisher; a combiner
 		// only ever transitions pub to nil.
-		if _, _, held := s.round(tryOnce, page.InvalidPageID, nil); !held {
+		if _, _, held := s.round(tryOnce, page.InvalidPageID, 0, nil); !held {
 			w.fcc.handoffSaved.Add(1)
 		}
 	case len(s.queue) >= w.cfg.QueueSize:
 		// Flat combining, both buffers full: the bounded-memory fall-back.
-		s.round(cannotWait, page.InvalidPageID, nil)
+		s.round(cannotWait, page.InvalidPageID, 0, nil)
 	}
 	// Otherwise the combiner has not reached the slot yet; keep recording.
 }
@@ -706,48 +706,30 @@ func (s *Session) atThreshold() {
 // and then the policy admits the page, returning the eviction victim.
 // This is replacement_for_page_miss in Figure 4.
 func (s *Session) Miss(id page.PageID, tag page.BufferTag) (victim page.PageID, evicted bool) {
-	v, evicted := s.miss(missAdmit, id, nil)
+	v, evicted, _ := s.round(missAdmit, id, 0, nil) // frameless: there is no slot to name
 	return v.ID, evicted
 }
 
-// MissBegin is the first half of the two-phase miss protocol the buffer
-// manager uses: it records the miss, commits any queued hits (preserving
-// access order, as in Figure 4), and — when the policy is at capacity —
-// evicts a victim to make room, WITHOUT admitting the missing page. The
-// caller loads the page and then calls MissAdmit. From a wrapper built with
-// NewSlotted the victim is the first page in the policy's eviction order
-// that claim takes (replacer.SlotPolicy.EvictSlot; nil takes any), and claim
-// runs under the policy lock; by id, claim is not consulted.
-//
-// Keeping the in-flight page out of the policy until its frame exists means
-// concurrent loaders can never choose each other's unfinished pages as
-// victims — the frameless-resident deadlock a single-phase protocol allows.
-// Single-phase Miss remains available for standalone (simulation, trace
-// replay) use, where pages have no frames at all.
-func (s *Session) MissBegin(id page.PageID, claim func(replacer.Victim) bool) (victim replacer.Victim, evicted bool) {
-	return s.miss(missMakeRoom, id, claim)
+// NoSlot is the slot a miss names when the caller has no free frame for it.
+const NoSlot = ^uint32(0)
+
+// MissSlot is Miss for the caller of NewSlotted, in the same one hold: after
+// the queued hits it admits id into slot, a free frame the caller claimed, or,
+// for NoSlot, into the slot of the victim, the first page of the eviction order
+// that claim takes (replacer.SlotPolicy.EvictSlot; nil takes any). admitted is
+// false only when claim took nothing; Seat tries again. The page is in the
+// policy while the caller loads it into its claimed frame, which claim refuses.
+func (s *Session) MissSlot(id page.PageID, slot uint32, claim func(replacer.Victim) bool) (victim replacer.Victim, admitted bool) {
+	victim, admitted, _ = s.round(missSlot, id, slot, claim)
+	return victim, admitted
 }
 
-// miss is Miss (admit) and MissBegin (make room only).
-func (s *Session) miss(why reason, id page.PageID, claim func(replacer.Victim) bool) (victim replacer.Victim, evicted bool) {
-	s.note(false)
-	s.fold()
-	victim, evicted, _ = s.round(why, id, claim)
-	return victim, evicted
-}
-
-// MissAdmit is the second half of the two-phase miss protocol: the page
-// has been loaded into the frame at slot and becomes resident in the
-// policy. It evicts nothing: in the buffer pool each page the policy holds
-// has a frame of its own, none of them slot's, so the policy is not full.
-func (s *Session) MissAdmit(id page.PageID, slot uint32) {
-	w := s.w
+// Seat is MissSlot's policy step alone, in a hold of its own, for a miss whose
+// walk claimed nothing: it counts no second miss and commits no hits.
+func (w *Wrapper) Seat(id page.PageID, slot uint32, claim func(replacer.Victim) bool) (victim replacer.Victim, admitted bool) {
 	w.lock.Lock()
-	victim, evicted := w.box.Load().admit(id, slot)
-	w.lock.Unlock()
-	if evicted {
-		panic(fmt.Sprintf("core: MissAdmit of %v evicted %v, but a pool's policy always has room for it", id, victim.ID))
-	}
+	defer w.lock.Unlock()
+	return w.box.Load().seat(id, slot, claim)
 }
 
 // Flush commits any queued hit records with a blocking lock acquisition.
@@ -757,7 +739,7 @@ func (s *Session) MissAdmit(id page.PageID, slot uint32) {
 func (s *Session) Flush() {
 	s.fold()
 	if s.Pending() > 0 {
-		s.round(cannotWait, page.InvalidPageID, nil)
+		s.round(cannotWait, page.InvalidPageID, 0, nil)
 	}
 }
 
@@ -791,16 +773,15 @@ const (
 	// cannotWait: a batch with nowhere left to wait (queue full) or asked
 	// not to (Flush). Lock, counted in ForcedLocks.
 	cannotWait
-	// missAdmit, missMakeRoom: Miss and MissBegin. Lock — the wait is
-	// negligible next to the I/O a miss implies — then admit id, or evict
-	// only if the policy is at capacity.
+	// missAdmit, missSlot: Miss and MissSlot. Lock — the wait is negligible
+	// next to a miss's I/O — then admit id, which may evict, or seat it.
 	missAdmit
-	missMakeRoom
+	missSlot
 )
 
 // round is the one lock-holding period of the framework, and the only
-// place hits reach the policy: prefetch gate, acquire (try or block), the
-// session's published batch, its queue, the miss's admit or make-room,
+// place hits reach the policy: prefetch gate, a miss's count, acquire (try or
+// block), the session's published batch, its queue, the miss's admit or seat,
 // every other session's published batch (flat combining), unlock, account.
 //
 // Per-session access order (the property Section III-A's private queues
@@ -810,8 +791,9 @@ const (
 // anything recorded since) and then the queue, both ahead of the miss that
 // follows them. Whoever else drains the slot does so under the same lock.
 //
+// ok is the miss's answer: evicted for missAdmit, admitted for missSlot.
 // held is false only for a tryOnce that found the lock busy.
-func (s *Session) round(why reason, id page.PageID, claim func(replacer.Victim) bool) (victim replacer.Victim, evicted, held bool) {
+func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(replacer.Victim) bool) (victim replacer.Victim, ok, held bool) {
 	w := s.w
 	s.prefetch(s.queue, id)
 	own := len(s.queue) // what this round takes out of the recording queue
@@ -824,6 +806,8 @@ func (s *Session) round(why reason, id page.PageID, claim func(replacer.Victim) 
 		s.publish()
 		sched.Yield(sched.CoreFCPublish)
 	case why >= missAdmit:
+		s.note(false)
+		s.fold()
 		sched.Yield(sched.CoreMissLock)
 	default:
 		sched.Yield(sched.CoreCommitTry)
@@ -855,17 +839,17 @@ func (s *Session) round(why reason, id page.PageID, claim func(replacer.Victim) 
 		}
 		sched.Yield(sched.CoreCommitApply)
 		if w.fc != nil {
-			slot := [1]*pubSlot{s.slot}
-			mine, mineN = w.drain(s, slot[:])
+			pub := [1]*pubSlot{s.slot}
+			mine, mineN = w.drain(s, pub[:])
 		}
 		if len(s.queue) > 0 { // a miss's or a flush's round may have none
 			w.applyBatch(s.queue)
 		}
 		applied = mineN + len(s.queue)
 		if b := w.box.Load(); why == missAdmit {
-			victim, evicted = b.admit(id, 0) // Miss is the frameless protocol: there is no slot to name
-		} else if why == missMakeRoom && b.policy.Len() >= b.policy.Cap() {
-			victim, evicted = b.evict(claim)
+			victim, ok = b.admit(id, slot)
+		} else if why == missSlot {
+			victim, ok = b.seat(id, slot, claim)
 		}
 		if w.fc != nil {
 			others, othersN = w.drain(s, *w.fc.slots.Load())
@@ -902,7 +886,7 @@ func (s *Session) round(why reason, id page.PageID, claim func(replacer.Victim) 
 	if held && stamp {
 		s.stampRound(why, t0, t1, own, id)
 	}
-	return victim, evicted, held
+	return victim, ok, held
 }
 
 // combinedRound accounts for a round that drained published batches.
@@ -957,6 +941,21 @@ func (b *policyBox) evict(claim func(replacer.Victim) bool) (victim replacer.Vic
 	}
 	victim.ID, evicted = b.policy.Evict()
 	return victim, evicted
+}
+
+// seat admits id into slot, or, for NoSlot, into the slot of the first page
+// claim takes. The slot is free: an admission that evicts there panics.
+func (b *policyBox) seat(id page.PageID, slot uint32, claim func(replacer.Victim) bool) (victim replacer.Victim, admitted bool) {
+	if slot == NoSlot {
+		if victim, admitted = b.evict(claim); !admitted {
+			return victim, false
+		}
+		slot = victim.Slot
+	}
+	if v, evicted := b.admit(id, slot); evicted {
+		panic(fmt.Sprintf("core: %s: admitting %v into free slot %d evicted %v", b.policy.Name(), id, slot, v.ID))
+	}
+	return victim, true
 }
 
 // applyBatch validates a non-empty batch with one call and hands the live

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -362,72 +363,59 @@ func TestPrefetchingConfig(t *testing.T) {
 	}
 }
 
-func TestMissBeginMissAdmitProtocol(t *testing.T) {
+// TestMissSlotProtocol: a slotted miss is one hold. It admits into the free
+// slot it is handed, or, handed none, commits the queued hits, evicts and
+// admits into the victim's slot, in that order.
+func TestMissSlotProtocol(t *testing.T) {
 	rec := newRecording(2)
-	w := New(rec, Config{Batching: true, QueueSize: 8, BatchThreshold: 8})
+	w := NewSlotted(rec, Config{Batching: true, QueueSize: 8, BatchThreshold: 8})
 	s := w.NewSession()
 
-	// Fill via the two-phase path.
-	if v, ev := s.MissBegin(pid(1), nil); ev {
-		t.Fatalf("eviction on empty policy: %v", v)
+	// Fill through free slots.
+	if v, ok := s.MissSlot(pid(1), 0, nil); !ok || v != (replacer.Victim{}) {
+		t.Fatalf("miss into a free slot: victim %v, admitted %v", v, ok)
 	}
-	s.MissAdmit(pid(1), 0)
-	s.MissBegin(pid(2), nil)
-	s.MissAdmit(pid(2), 0)
+	s.MissSlot(pid(2), 1, nil)
 
-	// Queue some hits, then a miss at capacity: MissBegin must commit the
-	// queue first (order preserved) and evict without admitting.
-	s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	v, ev := s.MissBegin(pid(3), nil)
-	if !ev {
-		t.Fatal("no eviction at capacity")
+	// Queue a hit, then a miss with no free slot: the hit goes in first, and
+	// the page takes the victim's slot.
+	s.Hit(pid(1), page.BufferTag{Page: pid(1), Slot: 0})
+	v, ok := s.MissSlot(pid(3), NoSlot, nil)
+	if !ok || v != (replacer.Victim{ID: pid(2), Slot: 1}) {
+		t.Fatalf("victim %v, admitted %v; want page 2 from slot 1", v, ok)
 	}
-	if rec.Contains(pid(3)) {
-		t.Fatal("MissBegin admitted the page")
+	if !rec.Contains(pid(3)) || rec.Contains(pid(2)) {
+		t.Fatal("the miss did not replace page 2 with page 3")
 	}
-	if rec.Contains(v.ID) {
-		t.Fatalf("victim %v still resident", v.ID)
+	want := []string{"m" + pid(1).String(), "m" + pid(2).String(), "h" + pid(1).String(), "m" + pid(3).String()}
+	if !slices.Equal(rec.ops, want) {
+		t.Fatalf("policy saw %v, want %v", rec.ops, want)
 	}
-	// The queued hit must have been applied before the eviction.
-	want := []string{"m" + pid(1).String(), "m" + pid(2).String(), "h" + pid(1).String()}
-	for i, op := range want {
-		if rec.ops[i] != op {
-			t.Fatalf("op[%d]=%s want %s", i, rec.ops[i], op)
-		}
-	}
-	s.MissAdmit(pid(3), 0)
-	if !rec.Contains(pid(3)) {
-		t.Fatal("MissAdmit did not admit")
-	}
-
-	st := w.Stats()
-	if st.Misses != 3 {
-		t.Fatalf("misses=%d, want 3", st.Misses)
+	if st := w.Stats(); st.Misses != 3 || st.Lock.Acquisitions != 3 {
+		t.Fatalf("misses=%d, lock holds=%d; want 3 and 3", st.Misses, st.Lock.Acquisitions)
 	}
 }
 
-// TestMissAdmitPanicsWhenSlotStolen drives the two-phase miss by slot: the
-// claim MissBegin is handed decides which page leaves (here not the LRU
-// page, which it refuses), and MissAdmit, which a pool always leaves room
-// for, refuses to evict when the room was taken.
-func TestMissAdmitPanicsWhenSlotStolen(t *testing.T) {
-	pol := replacer.NewLRU(2)
-	w := NewSlotted(pol, Config{})
+// TestMissSlotPanicsWhenAdmitEvicts: the claim decides which page leaves
+// (here not the LRU page, which it refuses); and a slot handed over as free
+// while the policy is full, as only a broken caller could, panics rather than
+// evict a page whose frame nobody reclaims.
+func TestMissSlotPanicsWhenAdmitEvicts(t *testing.T) {
+	w := NewSlotted(replacer.NewLRU(2), Config{})
 	s := w.NewSession()
-	s.MissBegin(pid(1), nil)
-	s.MissAdmit(pid(1), 0)
-	s.MissBegin(pid(2), nil)
-	s.MissAdmit(pid(2), 1)
+	s.MissSlot(pid(1), 0, nil)
+	s.MissSlot(pid(2), 1, nil)
 	spare := func(v replacer.Victim) bool { return v.ID != pid(1) }
-	if v, ev := s.MissBegin(pid(3), spare); !ev || v != (replacer.Victim{ID: pid(2), Slot: 1}) {
-		t.Fatalf("victim %v/%v, want page 2 from slot 1", v, ev)
+	if v, ok := s.MissSlot(pid(3), NoSlot, spare); !ok || v != (replacer.Victim{ID: pid(2), Slot: 1}) {
+		t.Fatalf("victim %v/%v, want page 2 from slot 1", v, ok)
 	}
-	// Take the room before the admit, as only a broken caller could.
-	w.LockedSlots(func(p replacer.SlotPolicy) { p.AdmitSlot(2, pid(9)) })
+	if v, ok := s.MissSlot(pid(4), NoSlot, func(replacer.Victim) bool { return false }); ok {
+		t.Fatalf("a claim that takes nothing gave up %v", v)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MissAdmit evicted instead of panicking")
+			t.Fatal("admitting into a full policy evicted instead of panicking")
 		}
 	}()
-	s.MissAdmit(pid(3), 1)
+	s.MissSlot(pid(4), 2, nil)
 }

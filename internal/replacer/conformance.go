@@ -174,6 +174,9 @@ func conform(t TB, p Policy, driven func(Policy) drive, noise bool, capacity int
 			d.hit(id)
 		} else {
 			if v, ok := d.admit(id); ok {
+				if _, bySlot := d.(*slotDrive); bySlot && len(resident) < capacity {
+					t.Fatalf("%s: step %d: Admit of %v evicted %v below capacity, with %d of %d pages resident", p.Name(), step, id, v, len(resident), capacity)
+				}
 				out(v, id)
 			}
 			resident[id] = true
@@ -260,18 +263,19 @@ func conformClaim(t TB, p SlotPolicy, capacity int, seed int64) {
 }
 
 // CheckPolicy holds a replacement algorithm to the Policy contract — and to
-// SlotPolicy's, if it implements it — at several capacities: Len never
-// exceeds Cap and always agrees with what was admitted and given up; victims
-// are resident and never the page being admitted; Evict on an empty policy
-// is (_, false); admitting a resident page panics; a Hit or Remove of a page
-// that is not resident changes nothing, nor does Prefetch, nor a slot-keyed
-// call through a slot that holds another page (the stale tag); a page
-// removed and admitted again is treated as one never seen; the policy gives
-// up the same pages in the same order whether it is driven by id, by slot,
-// by slot through a claim that takes every candidate, or — if it implements
-// SlotBatcher — by slot with its hits handed over in batches; and EvictSlot
-// keeps to its claim (conformClaim). "Changes nothing" and "the same" are
-// checked by comparing whole runs, so the algorithm must be deterministic.
+// SlotPolicy's, if it implements it — at several capacities: Len never exceeds
+// Cap and always agrees with what was admitted and given up; victims are
+// resident, never the page admitted, and AdmitSlot gives up none below
+// capacity; Evict on an empty policy is (_, false); admitting a resident page
+// panics; a Hit or Remove of a page that is not resident changes nothing, nor
+// does Prefetch, nor a slot-keyed call through a slot that holds another page
+// (the stale tag); a page removed and admitted again is treated as one never
+// seen; the policy gives up the same pages in the same order whether it is
+// driven by id, by slot, by slot through a claim that takes every candidate, or
+// — if it implements SlotBatcher — by slot with its hits handed over in
+// batches; and EvictSlot keeps to its claim (conformClaim). "Changes nothing"
+// and "the same" are checked by comparing whole runs, so the algorithm must be
+// deterministic.
 func CheckPolicy(t TB, factory Factory) {
 	t.Helper()
 	for _, capacity := range []int{1, 3, 16, 64} {

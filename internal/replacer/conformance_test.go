@@ -2,6 +2,7 @@ package replacer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -81,14 +82,62 @@ func (p *brokenLRU) Admit(id PageID) (PageID, bool) {
 	return v, ok
 }
 
+// boundedStub is a policy whose Admit enforces a bound tighter than the
+// capacity it reports (think 2Q's A1in): it gives up its oldest page whenever
+// bound pages are resident. A buffer pool, which drives it by slot through
+// BySlot, admits into a free frame and expects no victim, so CheckPolicy must
+// reject it.
+type boundedStub struct {
+	cap, bound int
+	fifo       []PageID
+}
+
+func (p *boundedStub) Name() string            { return "bounded-stub" }
+func (p *boundedStub) Cap() int                { return p.cap }
+func (p *boundedStub) Len() int                { return len(p.fifo) }
+func (p *boundedStub) Contains(id PageID) bool { return slices.Contains(p.fifo, id) }
+func (p *boundedStub) Hit(PageID)              {}
+func (p *boundedStub) Admit(id PageID) (victim PageID, evicted bool) {
+	if p.Contains(id) {
+		panic("bounded-stub: Admit of a resident page")
+	}
+	if len(p.fifo) >= p.bound {
+		victim, evicted = p.fifo[0], true
+		p.fifo = p.fifo[1:]
+	}
+	p.fifo = append(p.fifo, id)
+	return victim, evicted
+}
+func (p *boundedStub) Evict() (PageID, bool) {
+	if len(p.fifo) == 0 {
+		return 0, false
+	}
+	v := p.fifo[0]
+	p.fifo = p.fifo[1:]
+	return v, true
+}
+func (p *boundedStub) Remove(id PageID) {
+	if i := slices.Index(p.fifo, id); i >= 0 {
+		p.fifo = slices.Delete(p.fifo, i, i+1)
+	}
+}
+
 // TestCheckPolicyCatches shows the kit's teeth: each way of breaking the
 // contract is reported, in the terms the contract is stated in.
 func TestCheckPolicyCatches(t *testing.T) {
-	for want, broken := range map[string]func(*brokenLRU){
-		"calls that should change nothing":  func(p *brokenLRU) { p.phantomHits = true },
-		"with stale slots":                  func(p *brokenLRU) { p.staleSlots = true },
-		"after a page was admitted and rem": func(p *brokenLRU) { p.rememberRemoved = true },
-		"when its hits come in batches":     func(p *brokenLRU) { p.fifo = true },
+	broken := func(breaks func(*brokenLRU)) Factory {
+		return func(c int) Policy {
+			p := &brokenLRU{LRU: NewLRU(c), removed: map[PageID]bool{}}
+			breaks(p)
+			return p
+		}
+	}
+	for want, factory := range map[string]Factory{
+		"calls that should change nothing":  broken(func(p *brokenLRU) { p.phantomHits = true }),
+		"with stale slots":                  broken(func(p *brokenLRU) { p.staleSlots = true }),
+		"after a page was admitted and rem": broken(func(p *brokenLRU) { p.rememberRemoved = true }),
+		"when its hits come in batches":     broken(func(p *brokenLRU) { p.fifo = true }),
+		"below capacity":                    func(c int) Policy { return BySlot(&boundedStub{cap: c, bound: (c + 1) / 2}) },
 	} {
 		var f failures
 		func() {
@@ -97,14 +146,10 @@ func TestCheckPolicyCatches(t *testing.T) {
 					panic(r)
 				}
 			}()
-			CheckPolicy(&f, func(c int) Policy {
-				p := &brokenLRU{LRU: NewLRU(c), removed: map[PageID]bool{}}
-				broken(p)
-				return p
-			})
+			CheckPolicy(&f, factory)
 		}()
 		if got := strings.Join(f.msgs, "\n"); !strings.Contains(got, want) {
-			t.Errorf("a policy broken so that it gives up different pages %q...: CheckPolicy reported\n%s", want, got)
+			t.Errorf("CheckPolicy missed a policy that fails %q; it reported\n%s", want, got)
 		}
 	}
 }

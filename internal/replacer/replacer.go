@@ -111,8 +111,8 @@ type SlotPolicy interface {
 	// it changes nothing.
 	HitSlot(slot uint32, id PageID)
 
-	// AdmitSlot is Admit into a free slot. Admitting into an occupied slot
-	// panics, as admitting a resident page does.
+	// AdmitSlot is Admit into a free slot, giving up no page below capacity.
+	// Admitting into an occupied slot panics, as admitting a resident page does.
 	AdmitSlot(slot uint32, id PageID) (victim Victim, evicted bool)
 
 	// EvictSlot walks the policy's eviction order, offering each candidate

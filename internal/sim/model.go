@@ -762,8 +762,8 @@ func (w *simWorker) sharedRound(p *Process, why reason, id page.PageID) (admitte
 
 // reason is why a worker asks for the policy lock, named as core's are. It
 // decides how the round acquires the lock and what it does besides applying
-// hits. core's fifth reason, missMakeRoom, has no model: pages here have no
-// frames, so the miss is single-phase.
+// hits. core's fifth reason, missSlot, is missAdmit with the frame named: the
+// same one hold, in the same order, so the model needs no other.
 type reason uint8
 
 const (
