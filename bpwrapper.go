@@ -253,9 +253,8 @@ func NewPool(cfg PoolConfig) *Pool { return buffer.New(cfg) }
 
 // Controller closes the observation→actuation loop over a Pool: a
 // background goroutine consumes the pool's sampled access stream and
-// windowed stats deltas, and actuates batch-threshold retuning,
-// background write-back rate, replacement-policy hot-swap (scored by
-// shadow ghost caches), and online resharding. See DESIGN.md §14 and the
+// windowed stats deltas, and actuates replacement-policy hot-swap (scored
+// by shadow ghost caches) and online resharding. See DESIGN.md §14 and the
 // bpbench "tuner" experiment (E19).
 type Controller = control.Controller
 
@@ -441,11 +440,6 @@ const (
 	ShardDegraded = buffer.Degraded
 	ShardReadOnly = buffer.ReadOnly
 )
-
-// HealthConfig tunes a pool's degradation behaviour
-// (PoolConfig.Health): the Degraded-state miss admission bound, or
-// Disable to opt a pool out of shedding entirely.
-type HealthConfig = buffer.HealthConfig
 
 // FindBreaker walks a shard's device chain (Pool.ShardDevice) to its
 // breaker, if one is present.

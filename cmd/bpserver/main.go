@@ -50,7 +50,7 @@ func main() {
 		drainBudget = flag.Duration("drain-budget", 30*time.Second, "total graceful-drain budget (incl. dirty flush)")
 		obsAddr     = flag.String("obs", "", "serve /metrics, /debug/vars and pprof on this address (e.g. :6060)")
 		recorder    = flag.Int("recorder", 4096, "per-shard flight-recorder ring size (0 disables)")
-		controller  = flag.Bool("controller", false, "run the self-tuning controller (policy hot-swap, resharding, threshold and bgwriter steering)")
+		controller  = flag.Bool("controller", false, "run the self-tuning controller (policy hot-swap and resharding)")
 		reshard     = flag.String("reshard", "", "comma-separated shard-count schedule applied online under live traffic (e.g. 4,2)")
 		reshardIvl  = flag.Duration("reshard-interval", 2*time.Second, "delay before each -reshard step")
 		traceOn     = flag.Bool("trace", false, "arm request tracing (head-sampled spans + tail-kept slow requests, served at /debug/traces)")
@@ -95,7 +95,7 @@ func main() {
 
 	var ctl *bpwrapper.Controller
 	if *controller {
-		ctl = bpwrapper.NewController(bpwrapper.ControllerConfig{Pool: pool, Writer: bw})
+		ctl = bpwrapper.NewController(bpwrapper.ControllerConfig{Pool: pool})
 		ctl.Start()
 		fmt.Println("bpserver: self-tuning controller running")
 	}

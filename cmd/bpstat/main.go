@@ -5,9 +5,8 @@
 // the rates (new-topology counters restart at zero).
 //
 // Against a bpserver running the self-tuning controller (-controller) an
-// extra panel renders the bpw_control_* series: steps, actuations, the
-// batch-threshold override, reshard state, ghost scores per candidate
-// policy, and the last action taken.
+// extra panel renders the bpw_control_* series: steps, actuations, reshard
+// state, ghost scores per candidate policy, and the last action taken.
 //
 // Against a bpserver an additional latency panel prints each operation's
 // p50/p99/p999 handle latency (bpw_server_op_seconds), and when request
@@ -344,9 +343,8 @@ func renderControl(t tree) {
 	if scoreStr == "" {
 		scoreStr = "  (no samples yet)"
 	}
-	fmt.Printf("control steps %.0f  acts %.0f  threshold %.0f  %s  last: %s\n",
-		t.val("bpw_control_steps_total"), t.sum("bpw_control_actions_total"),
-		t.val("bpw_control_batch_threshold"), topo, last)
+	fmt.Printf("control steps %.0f  acts %.0f  %s  last: %s\n",
+		t.val("bpw_control_steps_total"), t.sum("bpw_control_actions_total"), topo, last)
 	fmt.Printf("ghost scores%s\n", scoreStr)
 }
 

@@ -29,14 +29,12 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 		t.Fatalf("found %d bpw_* literals in main.go, want the forty-odd it polls: the scan is broken", len(read))
 	}
 
-	dev := bpwrapper.NewFaultDevice(bpwrapper.NewMemDevice(), bpwrapper.FaultConfig{})
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
 		Frames:        8,
 		Shards:        2,
 		PolicyFactory: bpwrapper.PolicyFactories()["lru"],
 		Wrapper:       bpwrapper.WrapperConfig{Batching: true},
-		Device:        dev,
-		QuarantineCap: 1,
+		Device:        bpwrapper.NewMemDevice(),
 		RecorderSize:  64,
 		Trace:         bpwrapper.TraceConfig{Enable: true},
 		WrapShardDevice: func(_ int, base bpwrapper.Device) bpwrapper.Device {
@@ -47,7 +45,7 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 	defer pool.Close()
 	bw := pool.StartBackgroundWriter(bpwrapper.BackgroundWriterConfig{})
 	defer bw.Stop()
-	ctl := bpwrapper.NewController(bpwrapper.ControllerConfig{Pool: pool, Writer: bw})
+	ctl := bpwrapper.NewController(bpwrapper.ControllerConfig{Pool: pool, SampleRate: 1, MinWindow: 64, SwapPatience: 1})
 	srv, err := server.New(server.Config{Pool: pool, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -67,26 +65,21 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 
 	// Three series appear with their first sample: per-op latency wants a
 	// request served, the ghost scores a controller pass, and the last
-	// action an actuation — the cheapest to stage is the writer speed-up,
-	// which one dirty page whose eviction write fails earns at this
-	// quarantine cap.
+	// action an actuation — the cheapest to stage is a policy swap: the lru
+	// incumbent is no candidate, so it has no ghost score, and the first
+	// step past MinWindow sampled accesses swaps in the best candidate.
 	c, err := server.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	dev.SetWriteFailRate(1)
-	defer dev.SetWriteFailRate(0) // before Close, which writes the page out
-	if err := c.Put(bpwrapper.NewPageID(1, 0), make([]byte, bpwrapper.PageSize)); err != nil {
-		t.Fatal(err)
-	}
-	for n := uint64(1); pool.Stats().Quarantined == 0; n++ { // four frames a shard: page 0 is soon evicted, and parks
-		if _, err := c.Get(bpwrapper.NewPageID(1, n)); err != nil || n > 64 {
-			t.Fatalf("Get of page %d with page 0 not parked yet: %v", n, err)
+	for n := uint64(0); n < 256; n++ {
+		if _, err := c.Get(bpwrapper.NewPageID(1, n%4)); err != nil {
+			t.Fatalf("Get of page %d: %v", n%4, err)
 		}
 	}
 	if acts := ctl.Step(); len(acts) == 0 {
-		t.Fatalf("the controller took no action with %d page(s) quarantined", pool.Stats().Quarantined)
+		t.Fatalf("the controller took no action after 256 sampled accesses; scores %v", ctl.Scores())
 	}
 
 	tr, err := fetch(osrv.Addr())

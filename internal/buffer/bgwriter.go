@@ -18,15 +18,12 @@ import (
 // path. When a round makes no progress at all — every write failed — the
 // writer backs off exponentially up to maxBackoff intervals instead of
 // hammering a device that is clearly down; the first successful round
-// resets the cadence.
-//
-// The cadence and burst size are retunable at runtime (SetRate): the
-// controller raises the write-back rate when quarantine depth climbs and
-// relaxes it when the pool is clean.
+// resets the cadence. The cadence is the configured Interval and a round
+// writes at most pagesPerRound pages; nothing retunes either while the
+// writer runs.
 type BackgroundWriter struct {
 	pool     *Pool
-	interval atomic.Int64 // nanoseconds between rounds
-	maxPages atomic.Int64
+	interval time.Duration // between rounds, before any backoff
 
 	mu    sync.Mutex
 	stats BackgroundWriterStats
@@ -63,8 +60,8 @@ const (
 	// maxBackoff caps the exponential backoff entered when a round's
 	// writes all fail, in round intervals.
 	maxBackoff = 16
-	// pagesPerRound bounds each round's write burst, until SetRate says
-	// otherwise, so the writer cannot monopolize the device.
+	// pagesPerRound bounds each round's write burst so the writer cannot
+	// monopolize the device.
 	pagesPerRound = 64
 )
 
@@ -75,40 +72,20 @@ func (p *Pool) StartBackgroundWriter(cfg BackgroundWriterConfig) *BackgroundWrit
 		cfg.Interval = 100 * time.Millisecond
 	}
 	w := &BackgroundWriter{
-		pool: p,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		pool:     p,
+		interval: cfg.Interval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	w.interval.Store(int64(cfg.Interval))
-	w.maxPages.Store(pagesPerRound)
 	go w.run()
 	return w
 }
 
-// SetRate retunes the writer live: interval is the new round cadence,
-// maxPages the new per-round burst bound. Non-positive values leave the
-// respective knob unchanged. The new cadence takes effect after the round
-// currently being awaited (at most one old interval of lag).
-func (w *BackgroundWriter) SetRate(interval time.Duration, maxPages int) {
-	if interval > 0 {
-		w.interval.Store(int64(interval))
-	}
-	if maxPages > 0 {
-		w.maxPages.Store(int64(maxPages))
-	}
-}
-
-// Rate reports the writer's current cadence and burst bound.
-func (w *BackgroundWriter) Rate() (time.Duration, int) {
-	return time.Duration(w.interval.Load()), int(w.maxPages.Load())
-}
-
 func (w *BackgroundWriter) run() {
 	defer close(w.done)
-	interval := time.Duration(w.interval.Load())
-	timer := time.NewTimer(interval)
+	wait := w.interval
+	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	backingOff := false
 	for {
 		select {
 		case <-timer.C:
@@ -116,22 +93,14 @@ func (w *BackgroundWriter) run() {
 			if failed > 0 && written == 0 {
 				// The device refused everything: retrying at full cadence
 				// only adds load to a struggling device. Back off.
-				if !backingOff {
-					interval = time.Duration(w.interval.Load())
-				}
-				backingOff = true
-				interval *= 2
-				if cap := maxBackoff * time.Duration(w.interval.Load()); interval > cap {
-					interval = cap
-				}
+				wait = min(2*wait, maxBackoff*w.interval)
 				w.mu.Lock()
 				w.stats.BackoffRounds++
 				w.mu.Unlock()
 			} else {
-				backingOff = false
-				interval = time.Duration(w.interval.Load())
+				wait = w.interval
 			}
-			timer.Reset(interval)
+			timer.Reset(wait)
 		case <-w.stop:
 			w.safeRound() // final sweep so Stop leaves the pool clean-ish
 			return
@@ -180,7 +149,7 @@ func (w *BackgroundWriter) LastPanic() string {
 // the migration holds it: for each shard it retries the quarantine, then
 // writes back dirty, unpinned frames through shard.flushFrame (pin, write
 // from the frame, clear the dirty bit only once the write is durable). The
-// maxPages budget is global across shards, so the per-round device burst
+// pagesPerRound budget is global across shards, so the per-round device burst
 // stays bounded regardless of shard count. Nothing restarts where the last
 // round started: a shard's sweep resumes at the frame its last one stopped
 // at (PostgreSQL's next_to_clean), and a round begins with the shard after
@@ -188,7 +157,6 @@ func (w *BackgroundWriter) LastPanic() string {
 // again as fast as they are cleaned cannot keep the writer from the rest.
 // It reports pages made durable and failed attempts.
 func (w *BackgroundWriter) round() (written, failed int64) {
-	maxPages := w.maxPages.Load()
 	shards := w.pool.liveShards()
 	first := 0
 	for i, sh := range shards {
@@ -204,7 +172,7 @@ func (w *BackgroundWriter) round() (written, failed int64) {
 		failed += int64(qfailed)
 		n := len(sh.frames)
 		at := int(sh.nextToClean.Load())
-		for left := n; left > 0 && written+failed < maxPages; left-- {
+		for left := n; left > 0 && written+failed < pagesPerRound; left-- {
 			wrote, err := sh.flushFrame(&sh.frames[at])
 			if err != nil {
 				failed++
@@ -216,7 +184,7 @@ func (w *BackgroundWriter) round() (written, failed int64) {
 			}
 		}
 		sh.nextToClean.Store(int64(at))
-		if written+failed >= maxPages {
+		if written+failed >= pagesPerRound {
 			w.spent = sh
 			break
 		}

@@ -99,7 +99,6 @@ func TestBackgroundWriterConcurrentWithTraffic(t *testing.T) {
 		Device:        storage.NewMemDevice(),
 	})
 	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond})
-	w.SetRate(0, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -160,13 +159,12 @@ func redirty(t *testing.T, p *Pool, s *Session, id page.PageID) {
 // one lap of the pool at 64 pages a round. A sweep that restarts at frame 0
 // spends every round's budget on those 64 and never gets there.
 func TestBackgroundWriterSweepResumes(t *testing.T) {
-	const frames, budget, far = 256, 64, 100
+	const frames, budget, far = 256, pagesPerRound, 100
 	p := newTestPool(frames, core.Config{})
 	s := p.NewSession()
 	dirtyAll(t, p, s, frames)
 	sh := p.liveShards()[0]
 	w := &BackgroundWriter{pool: p}
-	w.maxPages.Store(budget)
 
 	for round := 1; round <= frames/budget+1; round++ {
 		if written, failed := w.round(); written != budget || failed != 0 {
@@ -187,7 +185,7 @@ func TestBackgroundWriterSweepResumes(t *testing.T) {
 // shard that can use a whole round's budget every round does not keep the
 // writer from the other shard.
 func TestBackgroundWriterRotatesShards(t *testing.T) {
-	const frames, budget = 256, 64
+	const frames, budget = 256, pagesPerRound
 	p := New(Config{
 		Frames:        frames,
 		Shards:        2,
@@ -199,7 +197,6 @@ func TestBackgroundWriterRotatesShards(t *testing.T) {
 	// hash, so nothing is evicted and each holds more than one round's worth.
 	dirtyAll(t, p, s, 160)
 	w := &BackgroundWriter{pool: p}
-	w.maxPages.Store(budget)
 
 	shards := p.liveShards()
 	before := [2]int{shards[0].dirtyCount(), shards[1].dirtyCount()}

@@ -210,15 +210,14 @@ func TestEvictionWriteBackFailureIsLossless(t *testing.T) {
 func TestQuarantineBoundRefusesDirtyEvictions(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
-	p := New(Config{
+	// Health admission would shed these misses before they ever reach the
+	// eviction path; this test targets the cap mechanics beneath it.
+	p := disableShedding(New(Config{
 		Frames:        4,
 		PolicyFactory: factoryOf("lru"),
 		Device:        dev,
 		QuarantineCap: 2,
-		// Health admission would shed these misses before they ever reach
-		// the eviction path; this test targets the cap mechanics beneath it.
-		Health: HealthConfig{Disable: true},
-	})
+	}))
 	s := p.NewSession()
 	for i := uint64(1); i <= 4; i++ {
 		dirtyPage(t, p, s, pid(i))

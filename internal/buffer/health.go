@@ -77,14 +77,6 @@ func (h HealthState) String() string {
 	}
 }
 
-// HealthConfig tunes the per-shard health machinery.
-type HealthConfig struct {
-	// Disable turns the health machinery off entirely: shards report
-	// Healthy forever and never shed. The quarantine cap still bounds
-	// dirty evictions as before.
-	Disable bool
-}
-
 // maxInflightMisses bounds concurrently admitted misses per shard while
 // the shard is Degraded (Healthy shards are unbounded — backpressure there
 // is the device's own concurrency limit).
@@ -95,13 +87,17 @@ type healthState struct {
 	health       atomic.Int32 // HealthState, latched by evalHealth
 	missInflight atomic.Int64 // admitted misses currently in flight
 	maxInflight  int64        // Degraded-mode bound: maxInflightMisses; a field so a test can lower it
-	disabled     bool
+
+	// disabled switches the ladder off (Pool.noShed): the shard reports
+	// Healthy and never sheds. The quarantine cap still bounds dirty
+	// evictions.
+	disabled bool
 
 	// forced pins the shard at ReadOnly regardless of breaker or
 	// quarantine state (Pool.SetReadOnly): the graceful-drain floor a
 	// network front-end lowers before flushing, so misses shed with
 	// ErrOverloaded while resident pages keep serving. An operator
-	// action, not a health verdict — it overrides Disable too.
+	// action, not a health verdict — it overrides disabled too.
 	forced atomic.Bool
 
 	breaker  *storage.BreakerDevice  // nil when the shard's stack has none
@@ -112,10 +108,9 @@ type healthState struct {
 	quarRefusals      atomic.Int64 // dirty victims passed over by an eviction walk because the quarantine was full
 }
 
-// wireHealth probes the shard's device stack for resilience layers and
-// applies the pool-level config. Called once from Pool.New.
-func (sh *shard) wireHealth(cfg HealthConfig) {
-	sh.disabled = cfg.Disable
+// wireHealth probes the shard's device stack for resilience layers. Called
+// once per shard from newShardSet.
+func (sh *shard) wireHealth() {
 	sh.maxInflight = maxInflightMisses
 	sh.breaker, _ = storage.FindBreaker(sh.device)
 	sh.deadline, _ = storage.FindDeadline(sh.device)

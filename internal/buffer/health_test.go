@@ -466,7 +466,7 @@ func TestCloseWithinBudget(t *testing.T) {
 // TestSetReadOnlyForcesShedding pins the pool at the forced ReadOnly
 // floor: misses shed with ErrOverloaded immediately, resident pages keep
 // serving (reads and writes), and releasing the floor re-admits misses.
-// The forced floor must also override HealthConfig.Disable — it is the
+// The forced floor must also override a switched-off ladder — it is the
 // drain hook, not a health verdict.
 func TestSetReadOnlyForcesShedding(t *testing.T) {
 	for _, disabled := range []bool{false, true} {
@@ -474,8 +474,10 @@ func TestSetReadOnlyForcesShedding(t *testing.T) {
 			Frames:        4,
 			PolicyFactory: factoryOf("lru"),
 			Device:        storage.NewMemDevice(),
-			Health:        HealthConfig{Disable: disabled},
 		})
+		if disabled {
+			disableShedding(p)
+		}
 		s := p.NewSession()
 		ref, err := p.Get(s, pid(1))
 		if err != nil {
@@ -518,4 +520,15 @@ func TestSetReadOnlyForcesShedding(t *testing.T) {
 			t.Fatalf("disabled=%v: Close: %v", disabled, err)
 		}
 	}
+}
+
+// disableShedding switches p's health ladder off (Pool.noShed) for a test
+// that fills the quarantine past the point where admission would refuse
+// the misses that fill it. Call it before any traffic.
+func disableShedding(p *Pool) *Pool {
+	p.noShed = true
+	for _, sh := range p.liveShards() {
+		sh.disabled = true
+	}
+	return p
 }

@@ -84,11 +84,6 @@ type Config struct {
 	// called again with the indices of the new topology.
 	WrapShardDevice func(shard int, base storage.Device) storage.Device
 
-	// Health tunes the per-shard health state machine and miss admission
-	// control (see HealthConfig). The zero value enables it with
-	// defaults; set Health.Disable to turn shedding off.
-	Health HealthConfig
-
 	// QuarantineCap bounds the dirty-quarantine list that parks victims
 	// whose eviction write-back failed (evictClaimed); a flush writes from
 	// its pinned frame and parks nothing. Zero means 64. The cap is divided
@@ -128,7 +123,7 @@ type Config struct {
 // The shard topology is one atomic pointer load away (cur); Reshard swaps
 // it wholesale and migrates pages from the old topology to the new one
 // under live traffic. Everything needed to *build* a topology — the frame
-// budget, policy factory, wrapper config, device wrapping, health tuning —
+// budget, policy factory, wrapper config, device wrapping —
 // is remembered from Config so new shard sets can be constructed at any
 // count.
 type Pool struct {
@@ -144,7 +139,6 @@ type Pool struct {
 	frames       int
 	wrapperCfg   core.Config
 	wrapDevice   func(int, storage.Device) storage.Device
-	health       HealthConfig
 	quarCap      int
 	recorderSize int
 
@@ -152,14 +146,13 @@ type Pool struct {
 	// SwapPolicy replaces it, both under reshardMu.
 	factory replacer.Factory
 
-	// dynThreshold is the controller's live batch-threshold override
-	// (0 = use the configured value); applied to current shards by
-	// SetBatchThreshold and inherited by shards built later.
-	dynThreshold atomic.Int32
-
 	// forcedRO mirrors SetReadOnly so shards built by a reshard inherit
 	// the operator's read-only floor.
 	forcedRO atomic.Bool
+
+	// noShed is copied into every shard's disabled (health ladder off);
+	// only tests set it, and shards built by a reshard inherit it.
+	noShed bool
 
 	// reshardMu serializes topology and policy swaps; reshards counts
 	// completed topology changes.
@@ -324,7 +317,6 @@ func New(cfg Config) *Pool {
 		tracer:       reqtrace.New(cfg.Trace),
 		wrapperCfg:   cfg.Wrapper,
 		wrapDevice:   cfg.WrapShardDevice,
-		health:       cfg.Health,
 		quarCap:      cfg.QuarantineCap,
 		recorderSize: cfg.RecorderSize,
 		factory:      cfg.PolicyFactory,
@@ -369,13 +361,11 @@ func (p *Pool) newShardSet(n int, epoch uint64) *shardSet {
 		}
 		sh := &shard{set: set}
 		sh.init(fn, pol, wcfg, dev, shardQuar)
-		sh.wireHealth(p.health)
+		sh.wireHealth()
+		sh.disabled = p.noShed
 		if p.forcedRO.Load() {
 			sh.forced.Store(true)
 			sh.evalHealth()
-		}
-		if t := p.dynThreshold.Load(); t > 0 {
-			sh.wrapper.SetBatchThreshold(int(t))
 		}
 		set.shards[i] = sh
 	}
@@ -454,9 +444,10 @@ func (p *Pool) ShardHealth(i int) HealthState { return p.cur.Load().shards[i].la
 // losslessly. It is the graceful-drain hook for network front-ends: lower
 // the floor, let in-flight clients finish against resident pages, then
 // CloseWithin flushes what is dirty. Unlike the health machinery it also
-// applies when HealthConfig.Disable is set — it is an operator action, not
-// a health verdict. Releasing returns shards to their evaluated state.
-// Shards built by a later Reshard inherit the current setting.
+// applies where the health ladder is switched off — it is an operator
+// action, not a health verdict. Releasing returns shards to their
+// evaluated state. Shards built by a later Reshard inherit the current
+// setting.
 func (p *Pool) SetReadOnly(on bool) {
 	p.forcedRO.Store(on)
 	for _, sh := range p.liveShards() {

@@ -178,17 +178,6 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 	return from, to, nil
 }
 
-// SetBatchThreshold retunes the batch threshold of every current shard's
-// wrapper live (see core.Wrapper.SetBatchThreshold), and remembers the
-// value so shards built by later reshards inherit it. Zero restores the
-// configured threshold.
-func (p *Pool) SetBatchThreshold(t int) {
-	p.dynThreshold.Store(int32(t))
-	for _, sh := range p.cur.Load().shards {
-		sh.wrapper.SetBatchThreshold(t)
-	}
-}
-
 // Epoch reports the current topology's epoch (0 until the first reshard)
 // and whether a migration out of the previous topology is still draining.
 func (p *Pool) Epoch() (epoch uint64, resharding bool) {

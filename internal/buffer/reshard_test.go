@@ -260,12 +260,11 @@ func TestPinAcrossReshard(t *testing.T) {
 func TestQuarantineHandedOverAcrossReshard(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
-	p := New(Config{
+	p := disableShedding(New(Config{
 		Frames:        4,
 		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
 		Device:        dev,
-		Health:        HealthConfig{Disable: true},
-	})
+	}))
 	s := p.NewSession()
 	for i := uint64(1); i <= 4; i++ {
 		dirtyPage(t, p, s, pid(i))
@@ -466,32 +465,6 @@ func TestPoolSwapPolicyRefusesSmallerPolicy(t *testing.T) {
 	s.Flush()
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
-	}
-}
-
-// TestSetBatchThresholdSurvivesReshard: the controller's threshold override
-// applies to live shards and is inherited by shards built afterwards.
-func TestSetBatchThresholdSurvivesReshard(t *testing.T) {
-	p, _ := reshardablePool(16, 2, core.Config{Batching: true, QueueSize: 16, BatchThreshold: 8})
-	p.SetBatchThreshold(3)
-	for i, sh := range p.cur.Load().shards {
-		if got := sh.wrapper.BatchThreshold(); got != 3 {
-			t.Fatalf("shard %d threshold %d, want 3", i, got)
-		}
-	}
-	if err := p.Reshard(4); err != nil {
-		t.Fatalf("Reshard: %v", err)
-	}
-	for i, sh := range p.cur.Load().shards {
-		if got := sh.wrapper.BatchThreshold(); got != 3 {
-			t.Fatalf("post-reshard shard %d threshold %d, want 3 (not inherited)", i, got)
-		}
-	}
-	p.SetBatchThreshold(0)
-	for i, sh := range p.cur.Load().shards {
-		if got := sh.wrapper.BatchThreshold(); got != 8 {
-			t.Fatalf("shard %d threshold %d after clear, want configured 8", i, got)
-		}
 	}
 }
 

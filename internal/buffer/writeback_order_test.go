@@ -408,15 +408,14 @@ func TestInvalidateDiscardsQuarantinedCopy(t *testing.T) {
 func TestFlushRespectsQuarantineCap(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
-	p := New(Config{
+	// A full quarantine flips the shard read-only under health admission;
+	// switch it off so the misses after the park are served.
+	p := disableShedding(New(Config{
 		Frames:        4,
 		PolicyFactory: factoryOf("lru"),
 		Device:        dev,
 		QuarantineCap: 1,
-		// A full quarantine flips the shard read-only under health
-		// admission; disable it so the misses after the park are served.
-		Health: HealthConfig{Disable: true},
-	})
+	}))
 	s := p.NewSession()
 	dirtyPage(t, p, s, pid(1))
 	dirtyPage(t, p, s, pid(2))

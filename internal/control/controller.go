@@ -1,8 +1,8 @@
 // Package control closes the observation→actuation loop over a buffer
 // pool: a controller goroutine consumes the pool's own telemetry (sampled
-// access stream, windowed stats deltas, quarantine depth) and actuates the
-// pool's runtime knobs — batch-threshold retuning, background write-back
-// rate, replacement-policy hot-swap, and online resharding.
+// access stream, windowed stats deltas) and actuates the two pool changes
+// experiment E19 measures: replacement-policy hot-swap and online
+// resharding.
 //
 // Every decision is made in Step, which is deterministic given the pool's
 // state: the goroutine merely calls Step on a ticker. Tests drive Step
@@ -28,13 +28,6 @@
 //     to one shard) while fragmenting everyone's history. Reshards are
 //     separated by ReshardCooldown steps so each new topology's window is
 //     measured before the next move.
-//   - Batch threshold: forced (blocking) commits mean sessions fill their
-//     queues before any TryLock lands — the threshold drops by a quarter
-//     to start trying earlier. Windows with no forced commits let it climb
-//     back toward the configured value.
-//   - Write-back rate: quarantine depth above half the cap speeds the
-//     background writer (quarter interval, quadruple burst) until the
-//     quarantine drains, then restores the configured cadence.
 package control
 
 import (
@@ -53,20 +46,13 @@ import (
 type ActionKind string
 
 const (
-	ActSwapPolicy   ActionKind = "swap-policy"
-	ActReshardUp    ActionKind = "reshard-up"
-	ActReshardDown  ActionKind = "reshard-down"
-	ActThresholdCut ActionKind = "threshold-cut"
-	ActThresholdUp  ActionKind = "threshold-raise"
-	ActWriterFast   ActionKind = "bgwriter-fast"
-	ActWriterRelax  ActionKind = "bgwriter-relax"
+	ActSwapPolicy  ActionKind = "swap-policy"
+	ActReshardUp   ActionKind = "reshard-up"
+	ActReshardDown ActionKind = "reshard-down"
 )
 
 // actionKinds lists every kind, for zero-filled counter exposition.
-var actionKinds = []ActionKind{
-	ActSwapPolicy, ActReshardUp, ActReshardDown,
-	ActThresholdCut, ActThresholdUp, ActWriterFast, ActWriterRelax,
-}
+var actionKinds = []ActionKind{ActSwapPolicy, ActReshardUp, ActReshardDown}
 
 // Action is one actuation taken by a Step, for logs and tests.
 type Action struct {
@@ -79,10 +65,6 @@ type Action struct {
 type Config struct {
 	// Pool is the controlled pool. Required.
 	Pool *buffer.Pool
-
-	// Writer, when non-nil, lets the controller retune the background
-	// write-back rate from quarantine depth.
-	Writer *buffer.BackgroundWriter
 
 	// Interval between Steps when running via Start. Default 500ms.
 	Interval time.Duration
@@ -118,7 +100,7 @@ type Config struct {
 	GapMargin float64
 
 	// MinWindow is the minimum number of pool accesses a step's window
-	// must contain before reshard/threshold decisions are made (tiny
+	// must contain before reshard decisions are made (tiny
 	// windows are noise). Default 2048.
 	MinWindow int64
 }
@@ -191,16 +173,6 @@ type Controller struct {
 	hasLast  bool
 	cooldown int
 
-	// Background-writer base rate, remembered for relaxing after a fast
-	// spell; fast tracks which mode the controller last commanded.
-	baseInterval time.Duration
-	baseBurst    int
-	fast         bool
-
-	// threshold is the controller's current override (0 = configured);
-	// atomic because the obs collector reads it from scrape goroutines.
-	threshold atomic.Int32
-
 	// Exposition state (read by the obs collector from any goroutine).
 	steps      atomic.Int64
 	actions    map[ActionKind]*atomic.Int64
@@ -251,9 +223,6 @@ func New(cfg Config) *Controller {
 	ghostCap := c.pool.Stats().Frames / cfg.SampleRate
 	c.scorer = replacer.NewGhostScorer(ghostCap, ghostCandidates, ghostWindow)
 	c.pool.EnableSampling(cfg.SampleRate, cfg.RingSize)
-	if cfg.Writer != nil {
-		c.baseInterval, c.baseBurst = cfg.Writer.Rate()
-	}
 	return c
 }
 
@@ -327,50 +296,16 @@ func (c *Controller) Step() []Action {
 		c.hasLast = true
 	}
 	c.last = st
-
-	// Write-back rate from quarantine depth (topology-independent).
-	acts = c.steerWriter(acts, st)
 	return acts
 }
 
-// steer makes the windowed decisions: resharding and batch threshold.
+// steer makes the windowed decision: resharding.
 func (c *Controller) steer(acts []Action, st buffer.Stats) []Action {
 	dHits := st.Hits - c.last.Hits
 	dMisses := st.Misses - c.last.Misses
 	window := dHits + dMisses
 	if window < c.cfg.MinWindow {
 		return acts
-	}
-
-	// Batch threshold: forced commits in the window mean queues filled
-	// before TryLock landed — drop the threshold a quarter to start
-	// earlier. Clean windows raise it back toward the configured value.
-	wcfg := c.pool.Wrapper().Config()
-	if wcfg.Batching {
-		base := wcfg.BatchThreshold
-		cur := int(c.threshold.Load())
-		if cur == 0 {
-			cur = base
-		}
-		dForced := st.Wrapper.ForcedLocks - c.last.Wrapper.ForcedLocks
-		dCommits := st.Wrapper.Commits - c.last.Wrapper.Commits
-		if dCommits > 0 && dForced*4 > dCommits && cur > 1 {
-			next := max(1, cur*3/4)
-			c.threshold.Store(int32(next))
-			c.pool.SetBatchThreshold(next)
-			acts = c.record(acts, ActThresholdCut, fmt.Sprintf("%d->%d", cur, next))
-		} else if over := int(c.threshold.Load()); dForced == 0 && over != 0 && over < base {
-			next := over + max(1, base/8)
-			if next >= base {
-				c.threshold.Store(0)
-				c.pool.SetBatchThreshold(0)
-				acts = c.record(acts, ActThresholdUp, fmt.Sprintf("%d->configured(%d)", cur, base))
-			} else {
-				c.threshold.Store(int32(next))
-				c.pool.SetBatchThreshold(next)
-				acts = c.record(acts, ActThresholdUp, fmt.Sprintf("%d->%d", cur, next))
-			}
-		}
 	}
 
 	// Resharding, under cooldown.
@@ -426,31 +361,6 @@ func (c *Controller) skew(st buffer.Stats) float64 {
 	}
 	mean := float64(total) / float64(n)
 	return float64(maxShard) / mean
-}
-
-// steerWriter speeds up the background writer while the quarantine is
-// deep and restores the configured cadence once it drains.
-func (c *Controller) steerWriter(acts []Action, st buffer.Stats) []Action {
-	w := c.cfg.Writer
-	if w == nil || st.QuarantineCap <= 0 {
-		return acts
-	}
-	deep := st.Quarantined*2 > st.QuarantineCap
-	switch {
-	case deep && !c.fast:
-		iv := c.baseInterval / 4
-		if iv < time.Millisecond {
-			iv = time.Millisecond
-		}
-		w.SetRate(iv, c.baseBurst*4)
-		c.fast = true
-		acts = c.record(acts, ActWriterFast, fmt.Sprintf("quarantined=%d/%d", st.Quarantined, st.QuarantineCap))
-	case !deep && st.Quarantined == 0 && c.fast:
-		w.SetRate(c.baseInterval, c.baseBurst)
-		c.fast = false
-		acts = c.record(acts, ActWriterRelax, "quarantine drained")
-	}
-	return acts
 }
 
 // drainSamples feeds everything the pool sampled since the last step to
@@ -515,9 +425,8 @@ func (c *Controller) Scores() map[string]float64 {
 }
 
 // RegisterObs exposes the controller under bpw_control_*: step and
-// per-kind action counters, the live ghost score per candidate policy, the
-// current batch-threshold override, and the last action as a labeled info
-// gauge (bpstat renders it verbatim).
+// per-kind action counters, the live ghost score per candidate policy, and
+// the last action as a labeled info gauge (bpstat renders it verbatim).
 func (c *Controller) RegisterObs(reg *obs.Registry) {
 	reg.Register(func(emit func(obs.Metric)) {
 		emit(obs.Metric{
@@ -550,11 +459,6 @@ func (c *Controller) RegisterObs(reg *obs.Registry) {
 				})
 			}
 		}
-		emit(obs.Metric{
-			Name: "bpw_control_batch_threshold", Type: obs.Gauge,
-			Help:  "controller batch-threshold override (0 = configured value)",
-			Value: float64(c.thresholdNow()),
-		})
 		if last.Kind != "" {
 			emit(obs.Metric{
 				Name: "bpw_control_last_action", Type: obs.Gauge,
@@ -565,6 +469,3 @@ func (c *Controller) RegisterObs(reg *obs.Registry) {
 		}
 	})
 }
-
-// thresholdNow reads the current override for exposition.
-func (c *Controller) thresholdNow() int { return int(c.threshold.Load()) }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bpwrapper/internal/buffer"
-	"bpwrapper/internal/core"
 	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
@@ -168,166 +167,6 @@ func TestControllerReshardsDownOnFragmentationGap(t *testing.T) {
 	}
 }
 
-// TestControllerThresholdCutAndRestore: a window dominated by forced
-// (queue-full, blocking) commits must cut the batch threshold by a
-// quarter; clean windows must walk it back and eventually restore the
-// configured value.
-func TestControllerThresholdCutAndRestore(t *testing.T) {
-	p := buffer.New(buffer.Config{
-		Frames:        32,
-		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
-		Wrapper:       core.Config{Batching: true, QueueSize: 4, BatchThreshold: 4},
-		Device:        storage.NewMemDevice(),
-	})
-	defer p.Close()
-	c := New(Config{
-		Pool:       p,
-		Candidates: []string{"lru"},
-		MinWindow:  8,
-		MaxShards:  1, // the blocked window spikes lock wait; pin the topology
-	})
-	defer c.Stop()
-
-	// Flush on a non-empty queue is itself a forced (blocking) commit, so
-	// every "clean" window below drives an exact multiple of the current
-	// threshold: the queue is empty when drive flushes.
-	s := p.NewSession()
-	drive(t, p, s, 16, 64) // make pages resident and take the baseline step
-	c.Step()
-
-	// Hold the shard's policy lock so the session's hit queue fills to
-	// QueueSize and the overflow commit is forced to block.
-	w := p.Wrapper()
-	held := make(chan struct{})
-	release := make(chan struct{})
-	go w.Locked(func(replacer.Policy) { close(held); <-release })
-	<-held
-	blocked := make(chan struct{})
-	go func() {
-		drive(t, p, s, 4, 8) // hits only; the 5th enqueue forces a blocking commit
-		close(blocked)
-	}()
-	select {
-	case <-blocked:
-		t.Fatal("driver never blocked on a forced commit — no contention generated")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	<-blocked
-	s.Flush()
-
-	acts := c.Step()
-	if countKind(acts, ActThresholdCut) != 1 {
-		t.Fatalf("forced-heavy window did not cut the threshold: %v (wrapper stats %+v)", acts, p.WrapperStats())
-	}
-	if got := w.BatchThreshold(); got != 3 {
-		t.Fatalf("threshold %d after cut, want 3 (= 4*3/4)", got)
-	}
-
-	// A clean window restores the configured threshold (3 + max(1, 4/8)
-	// reaches the base, clearing the override). 63 accesses = 21 exact
-	// batches of the cut threshold 3, so the flush is a no-op.
-	drive(t, p, s, 16, 63)
-	acts = c.Step()
-	if countKind(acts, ActThresholdUp) != 1 {
-		t.Fatalf("clean window did not raise the threshold: %v", acts)
-	}
-	if got := w.BatchThreshold(); got != 4 {
-		t.Fatalf("threshold %d after restore, want configured 4", got)
-	}
-}
-
-// TestControllerWriterSteering: a quarantine deeper than half its cap must
-// switch the background writer to fast mode (quarter interval, quadruple
-// burst); a drained quarantine must restore the configured rate.
-func TestControllerWriterSteering(t *testing.T) {
-	mem := storage.NewMemDevice()
-	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
-	p := buffer.New(buffer.Config{
-		Frames:        8,
-		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
-		Device:        dev,
-		QuarantineCap: 8,
-		Health:        buffer.HealthConfig{Disable: true},
-	})
-	defer p.Close()
-	// A deliberately slow writer so it cannot drain the quarantine behind
-	// the test's back.
-	w := p.StartBackgroundWriter(buffer.BackgroundWriterConfig{Interval: time.Hour})
-	w.SetRate(0, 2)
-	defer w.Stop()
-	c := New(Config{Pool: p, Writer: w, Candidates: []string{"lru"}})
-	defer c.Stop()
-
-	s := p.NewSession()
-	// pushOut dirties five pages starting at first, then evicts them all
-	// by reading eight others.
-	pushOut := func(first, others uint64) {
-		t.Helper()
-		for i := first; i < first+5; i++ {
-			ref, err := p.GetWrite(s, pid(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.MarkDirty()
-			ref.Release()
-		}
-		for i := others; i < others+8; i++ {
-			ref, err := p.Get(s, pid(i))
-			if err != nil {
-				t.Fatalf("evicting read %d: %v", i, err)
-			}
-			ref.Release()
-		}
-	}
-	// The rule reads backlog, and backlog is failures only: on a healthy
-	// device the same five dirty evictions are written straight from their
-	// frames, park nothing, and must leave the writer alone.
-	pushOut(1, 10)
-	if st := p.Stats(); st.EvictWritebacks != 5 || st.Quarantined != 0 {
-		t.Fatalf("healthy evictions: %d written direct, %d parked, want 5 and 0", st.EvictWritebacks, st.Quarantined)
-	}
-	if acts := c.Step(); countKind(acts, ActWriterFast) != 0 {
-		t.Fatalf("writer sped up with nothing parked: %v", acts)
-	}
-	// Now park 5 dirty pages (> cap/2 = 4): evict with the device failing.
-	dev.FailNextWrites(1 << 20)
-	pushOut(21, 30)
-	if q := p.QuarantineLen(); q <= 4 {
-		t.Fatalf("setup: quarantine %d, need > 4", q)
-	}
-
-	acts := c.Step()
-	if countKind(acts, ActWriterFast) != 1 {
-		t.Fatalf("deep quarantine did not speed the writer: %v", acts)
-	}
-	iv, burst := w.Rate()
-	if iv != time.Hour/4 || burst != 8 {
-		t.Fatalf("fast rate = (%v, %d), want (%v, 8)", iv, burst, time.Hour/4)
-	}
-	// Already fast: no repeated action.
-	if acts := c.Step(); countKind(acts, ActWriterFast) != 0 {
-		t.Fatalf("writer-fast re-issued while already fast: %v", acts)
-	}
-
-	// Heal the device and drain; the controller must relax the writer.
-	dev.FailNextWrites(0)
-	if _, err := p.FlushDirty(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if q := p.QuarantineLen(); q != 0 {
-		t.Fatalf("quarantine %d after heal+flush, want 0", q)
-	}
-	acts = c.Step()
-	if countKind(acts, ActWriterRelax) != 1 {
-		t.Fatalf("drained quarantine did not relax the writer: %v", acts)
-	}
-	iv, burst = w.Rate()
-	if iv != time.Hour || burst != 2 {
-		t.Fatalf("relaxed rate = (%v, %d), want configured (%v, 2)", iv, burst, time.Hour)
-	}
-}
-
 // TestSkewSuppression: the skew measure that gates reshard-up — a window
 // where one shard absorbs most of the traffic must read far above 1.0, and
 // a balanced window must read ~1.0.
@@ -392,7 +231,6 @@ func TestControllerObsExposition(t *testing.T) {
 		`bpw_control_actions_total{kind="reshard-down"}`,
 		`bpw_control_policy_score{policy="2q"}`,
 		`bpw_control_policy_score{policy="lirs"}`,
-		"bpw_control_batch_threshold",
 		`bpw_control_last_action{kind="swap-policy"`,
 	} {
 		if !strings.Contains(text, want) {

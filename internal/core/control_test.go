@@ -7,31 +7,7 @@ import (
 	"bpwrapper/internal/replacer"
 )
 
-// Tests for the control-loop hooks on the wrapper: the dynamic batch
-// threshold override and online policy hot-swap.
-
-func TestSetBatchThresholdOverride(t *testing.T) {
-	w := New(replacer.NewLRU(8), Config{Batching: true, QueueSize: 16, BatchThreshold: 8})
-	s := w.NewSession()
-	if got := s.Threshold(); got != 8 {
-		t.Fatalf("configured threshold=%d, want 8", got)
-	}
-	w.SetBatchThreshold(4)
-	if got := s.Threshold(); got != 4 {
-		t.Fatalf("threshold=%d after SetBatchThreshold(4), want 4", got)
-	}
-	if got := w.BatchThreshold(); got != 4 {
-		t.Fatalf("BatchThreshold()=%d, want 4", got)
-	}
-	w.SetBatchThreshold(99) // clamps to QueueSize
-	if got := s.Threshold(); got != 16 {
-		t.Fatalf("threshold=%d after over-large override, want clamp to 16", got)
-	}
-	w.SetBatchThreshold(0) // clears the override
-	if got := s.Threshold(); got != 8 {
-		t.Fatalf("threshold=%d after clearing override, want configured 8", got)
-	}
-}
+// Tests for the control-loop hook on the wrapper: online policy hot-swap.
 
 // TestSwapPolicyPreservesResidentsAndOrder: swapping LRU→LRU must carry the
 // whole resident set over and keep the eviction order, because pages are

@@ -251,11 +251,6 @@ type Wrapper struct {
 	// any lock holder sees a stable view.
 	box atomic.Pointer[policyBox]
 
-	// dynThreshold is a wrapper-wide batch-threshold override installed at
-	// run time (SetBatchThreshold, driven by the control loop); 0 means
-	// "use cfg.BatchThreshold".
-	dynThreshold atomic.Int32
-
 	cfg Config
 
 	// slotted says the wrapper was built by a caller that owns the frames
@@ -464,31 +459,6 @@ func (w *Wrapper) LockedSlots(fn func(replacer.SlotPolicy)) {
 	fn(w.box.Load().slots)
 }
 
-// SetBatchThreshold installs a wrapper-wide batch-threshold override that
-// takes effect on each session's next threshold check (no session
-// coordination needed: sessions re-read it per access). Values are clamped
-// to [1, QueueSize]; t <= 0 removes the override, restoring the configured
-// threshold.
-func (w *Wrapper) SetBatchThreshold(t int) {
-	if t <= 0 {
-		w.dynThreshold.Store(0)
-		return
-	}
-	if t > w.cfg.QueueSize {
-		t = w.cfg.QueueSize
-	}
-	w.dynThreshold.Store(int32(t))
-}
-
-// BatchThreshold reports the effective wrapper-wide batch threshold (the
-// dynamic override if set, else the configured value).
-func (w *Wrapper) BatchThreshold() int {
-	if t := int(w.dynThreshold.Load()); t > 0 {
-		return t
-	}
-	return w.cfg.BatchThreshold
-}
-
 // SwapPolicy replaces the wrapped policy with one built by factory at the
 // same capacity, migrating the resident set: the old policy is drained in
 // eviction order (least valuable first) and re-admitted into the new one in
@@ -637,10 +607,6 @@ func (s *Session) fold() {
 	s.accesses, s.hits, s.misses, s.sinceFold = 0, 0, 0, 0
 }
 
-// Threshold reports the session's current batch threshold: the wrapper's
-// dynamic override (SetBatchThreshold) if set, else the configured value.
-func (s *Session) Threshold() int { return s.w.BatchThreshold() }
-
 // Hit records a buffer hit on id, following the paper's
 // replacement_for_page_hit pseudo-code (Figure 4): the access is queued,
 // and at the batch threshold — every access, without batching — the
@@ -661,7 +627,7 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		return
 	}
 	s.queue = append(s.queue, Entry{ID: id, Tag: tag})
-	if w.cfg.Batching && len(s.queue) < s.Threshold() {
+	if w.cfg.Batching && len(s.queue) < w.cfg.BatchThreshold {
 		return
 	}
 	s.atThreshold()

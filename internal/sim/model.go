@@ -184,8 +184,8 @@ type Config struct {
 	// batches), bounded to [QueueSize/8, 3·QueueSize/4]. It is steered from
 	// the commit round's one accounting site (DESIGN.md §4). This model is
 	// the implementation of record for E11: the production wrapper's
-	// threshold is steered wrapper-wide by the controller
-	// (Wrapper.SetBatchThreshold) and has no per-session tuner.
+	// threshold is the configured core.Config.BatchThreshold, which E11's
+	// rows match, and nothing retunes it at run time.
 	AdaptiveThreshold bool
 
 	// LockPartitions, when > 1, switches to the distributed-lock design of

@@ -1,4 +1,4 @@
-// The knob guard: an exported field of one of the nine config structs is an
+// The knob guard: an exported field of one of the eight config structs is an
 // option every test and benchmark configuration multiplies by, so it must
 // have a caller. A field that no product code outside its own package sets —
 // no cmd, no example, nothing under benchmark/ or internal/ — is a constant
@@ -22,7 +22,6 @@ import (
 // "<declaring directory>.<type>".
 var knobStructs = []string{
 	"internal/buffer.Config",
-	"internal/buffer.HealthConfig",
 	"internal/buffer.BackgroundWriterConfig",
 	"internal/core.Config",
 	"internal/server.Config",
@@ -35,10 +34,8 @@ var knobStructs = []string{
 // knobsWithoutCaller are the exported fields allowed to have no product
 // setter, each with the reason it stays a field.
 var knobsWithoutCaller = map[string]string{
-	"internal/buffer.Config.Health":        "the one route to HealthConfig.Disable, below",
-	"internal/buffer.HealthConfig.Disable": "tests in buffer, control and torture switch shedding off to fill the quarantine past the point where the ladder would refuse the misses that fill it",
-	"internal/control.Config.Interval":     "the controller's tests run the loop at 1 ms; bpserver takes the 500 ms default and has no flag for it",
-	"internal/txn.Config.TxnsPerWorker":    "the driver's tests bound a run by work so that it is repeatable; bpload and examples/oltp bound theirs by Duration",
+	"internal/control.Config.Interval":  "the controller's tests run the loop at 1 ms; bpserver takes the 500 ms default and has no flag for it",
+	"internal/txn.Config.TxnsPerWorker": "the driver's tests bound a run by work so that it is repeatable; bpload and examples/oltp bound theirs by Duration",
 }
 
 // knobSetterRoots are where a product setter may live.

@@ -1,0 +1,67 @@
+#!/bin/sh
+# Fails when the docs name what the tree does not have. Two checks:
+#
+#  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
+#     EXPERIMENTS.md, and every bpw_* name in the doc comments and help text
+#     of cmd/*, must occur in a non-test Go file outside cmd/ (the packages
+#     that emit the series; a command's own text cannot vouch for itself).
+#     `bpw_x_*` is a prefix; `bpw_x_a/b/c` names bpw_x_a, bpw_x_b, bpw_x_c.
+#  2. Every "ROADMAP item N" in Go code, scripts and workflows must name an
+#     item of ROADMAP.md's open list (a line "N. **...").
+#
+# A name or reference that is only history goes on the allow-list below,
+# one per line, with no reason needed beyond the history it records.
+set -eu
+cd "$(dirname "$0")/.."
+
+allow='
+'
+
+allowed() { printf '%s\n' "$allow" | grep -qxF "$1"; }
+
+fail=0
+
+# The emitters: non-test Go files outside cmd/ and the benchmark's build.
+src="$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/*' ! -path './.bench_build/*' ! -path './benchmark/out/*')"
+
+# Back-quoted spans of the three docs, then the bpw_* names inside them.
+doc_names="$(grep -hoE '`[^`]+`' README.md DESIGN.md EXPERIMENTS.md | grep -oE 'bpw_[a-z0-9_]+(/[a-z0-9_]+)*\*?' || true)"
+# The commands' doc comments and flag help, which is all the prose they have.
+cmd_names="$(find cmd -name '*.go' ! -name '*_test.go' -exec grep -hE '^[[:space:]]*//|flag\.[A-Za-z0-9]+\(' {} + |
+    grep -oE 'bpw_[a-z0-9_]+(/[a-z0-9_]+)*\*?' || true)"
+
+for tok in $(printf '%s\n%s\n' "$doc_names" "$cmd_names" | sort -u); do
+    allowed "$tok" && continue
+    first="${tok%%/*}"
+    names="$first"
+    if [ "$tok" != "$first" ]; then
+        prefix="${first%_*}_"
+        for rest in $(printf '%s\n' "${tok#*/}" | tr '/' ' '); do
+            names="$names $prefix$rest"
+        done
+    fi
+    for name in $names; do
+        name="${name%\*}"
+        # shellcheck disable=SC2086 # $src is a list of paths without spaces
+        if ! grep -qF "$name" $src; then
+            echo "check_docs: $tok (in the docs or cmd help): $name occurs in no non-test Go file outside cmd/" >&2
+            fail=1
+        fi
+    done
+done
+
+items="$(grep -oE '^[0-9]+\. \*\*' ROADMAP.md | sed 's/\..*//' | sort -u)"
+for f in $(find . \( -name '*.go' -o -name '*.sh' -o -name '*.yml' -o -name '*.yaml' \) \
+    ! -path './.bench_build/*' ! -path './.git/*'); do
+    # Comment markers dropped and lines joined, so a reference wrapped
+    # across two comment lines is still one reference.
+    for n in $(sed -E 's,^[[:space:]]*(//|#)[[:space:]]?,,' "$f" | tr '\n' ' ' |
+        grep -oE 'ROADMAP(\.md)?[[:space:]]+item[[:space:]]+[0-9]+' | grep -oE '[0-9]+$' | sort -u); do
+        allowed "ROADMAP item $n" && continue
+        if ! printf '%s\n' "$items" | grep -qx "$n"; then
+            echo "check_docs: $f cites ROADMAP item $n, which ROADMAP.md does not have" >&2
+            fail=1
+        fi
+    done
+done
+exit $fail
