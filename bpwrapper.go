@@ -465,15 +465,12 @@ func FindDeadline(d Device) (*DeadlineDevice, bool) { return storage.FindDeadlin
 //	srv, _ := bpwrapper.NewObsServer(":6060", reg)
 //	defer srv.Close()
 
-// Observability types: the scrape registry, its HTTP server, the
-// lock-free flight recorder, and recorded events.
+// Observability types: the scrape registry, its HTTP server, and one
+// exposed metric.
 type (
 	ObsRegistry = obs.Registry
 	ObsServer   = obs.Server
 	ObsMetric   = obs.Metric
-	Recorder    = obs.Recorder
-	Event       = obs.Event
-	EventKind   = obs.EventKind
 )
 
 // NewObsRegistry returns an empty metrics registry.
@@ -484,9 +481,6 @@ func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 func NewObsServer(addr string, reg *ObsRegistry) (*ObsServer, error) {
 	return obs.NewServer(addr, reg)
 }
-
-// NewRecorder returns a flight recorder holding the newest size events.
-func NewRecorder(size int) *Recorder { return obs.NewRecorder(size) }
 
 // Request tracing (reqtrace): always-on span capture for the request
 // path, enabled with PoolConfig.Trace. A traced request decomposes into

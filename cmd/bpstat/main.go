@@ -190,13 +190,12 @@ func render(t, prev tree, dt time.Duration) {
 	fmt.Printf("%-5s  %-*s  %10s  %6s  %6s  %7s  %7s  %9s  %9s  %9s  %8s  %8s  %7s  %6s  %6s  %11s  %7s  %-9s  %6s\n",
 		"shard", polW, "policy", rateHdr, "hit%", "fast%", "retries", "fallbk", "lock acq", "blocked", "tryfail", "waitp99", "batchavg", "combavg", "dirty", "quar", "mwait ld/ev", "fldrop", "health", "shed")
 	for _, sh := range shards {
-		accesses := t.shardVal("bpw_accesses_total", sh)
-		rate := accesses
-		if prev != nil && dt > 0 {
-			rate = (accesses - prev.shardVal("bpw_accesses_total", sh)) / dt.Seconds()
-		}
 		hits := t.shardVal("bpw_hits_total", sh)
 		misses := t.shardVal("bpw_misses_total", sh)
+		rate := hits + misses
+		if prev != nil && dt > 0 {
+			rate = (rate - prev.shardVal("bpw_hits_total", sh) - prev.shardVal("bpw_misses_total", sh)) / dt.Seconds()
+		}
 		hitPct := 0.0
 		if hits+misses > 0 {
 			hitPct = 100 * hits / (hits + misses)

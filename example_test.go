@@ -26,8 +26,8 @@ func Example() {
 	ref.Release()
 	sess.Flush()
 
-	st := pool.Wrapper().Stats()
-	fmt.Println("accesses:", st.Accesses, "misses:", st.Misses)
+	st := pool.Stats()
+	fmt.Println("accesses:", st.Hits+st.Misses, "misses:", st.Misses)
 	// Output:
 	// page bytes: 8192
 	// accesses: 1 misses: 1
@@ -53,10 +53,10 @@ func ExampleNewWrapper() {
 	sess.Flush()
 
 	st := w.Stats()
-	fmt.Println("accesses:", st.Accesses)
+	fmt.Println("committed hits:", st.Committed)
 	fmt.Println("lock acquisitions:", st.Lock.Acquisitions)
 	// Output:
-	// accesses: 96
+	// committed hits: 95
 	// lock acquisitions: 7
 }
 

@@ -53,11 +53,11 @@ func main() {
 	}
 	wg.Wait()
 
-	st := pool.Wrapper().Stats()
-	fmt.Printf("accesses:          %d (%.1f%% hits)\n",
-		st.Accesses, 100*float64(st.Hits)/float64(st.Accesses))
+	ps := pool.Stats()
+	st, accesses := ps.Wrapper, ps.Hits+ps.Misses
+	fmt.Printf("accesses:          %d (%.1f%% hits)\n", accesses, 100*ps.HitRatio)
 	fmt.Printf("lock acquisitions: %d (%.1f accesses per acquisition)\n",
-		st.Lock.Acquisitions, float64(st.Accesses)/float64(st.Lock.Acquisitions))
+		st.Lock.Acquisitions, float64(accesses)/float64(st.Lock.Acquisitions))
 	fmt.Printf("blocking waits:    %d\n", st.Lock.Contentions)
 	fmt.Printf("batched commits:   %d via TryLock, %d forced\n", st.TryCommits, st.ForcedLocks)
 	fmt.Printf("stale records dropped by tag validation: %d\n", st.Dropped)
@@ -65,5 +65,5 @@ func main() {
 	// Without batching every one of those accesses would have been a lock
 	// acquisition; print the reduction factor BP-Wrapper achieved.
 	fmt.Printf("lock-acquisition reduction: %.0fx\n",
-		float64(st.Accesses)/float64(st.Lock.Acquisitions))
+		float64(accesses)/float64(st.Lock.Acquisitions))
 }

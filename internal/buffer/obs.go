@@ -117,7 +117,6 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		}
 
 		// Commit-protocol activity (Sections III-A/III-B of the paper).
-		c("bpw_accesses_total", "page accesses recorded through the wrapper", l, float64(ws.Accesses))
 		c("bpw_commits_total", "commit rounds (lock-holding periods for hits)", l, float64(ws.Commits))
 		c("bpw_committed_entries_total", "batched hit entries applied to the policy", l, float64(ws.Committed))
 		c("bpw_dropped_entries_total", "hit entries dropped by commit-time validation", l, float64(ws.Dropped))

@@ -1,11 +1,13 @@
 package buffer
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/obs"
+	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/storage"
 )
@@ -75,6 +77,80 @@ func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)
 		}
+	}
+}
+
+// TestHitsLeaveNoFlightRecord: the flight recorder keeps the buffer
+// manager's transitions, not the wrapper's commits, which core.Stats
+// counts. Two sessions over an all-resident batched pool commit through a
+// failed TryLock, a TryLock that wins and a queue-full forced Lock, and
+// the ring stays empty; one eviction then records exactly one event.
+func TestHitsLeaveNoFlightRecord(t *testing.T) {
+	const frames = 8
+	p := New(Config{
+		Frames:        frames,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{Batching: true, QueueSize: 4, BatchThreshold: 2},
+		Device:        storage.NewMemDevice(),
+		RecorderSize:  64,
+	})
+	ids := make([]page.PageID, frames)
+	for i := range ids {
+		ids[i] = pid(uint64(i + 1))
+	}
+	if err := p.Prewarm(ids); err != nil {
+		t.Fatal(err)
+	}
+	get := func(s *Session, id page.PageID) {
+		ref, err := p.Get(s, id)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ref.Release()
+	}
+	s1, s2 := p.NewSession(), p.NewSession()
+	w := p.Wrapper()
+	forced := make(chan struct{})
+	w.Locked(func(replacer.Policy) {
+		// With the lock held, s1 fills its queue to one short of full:
+		// every try at the threshold fails.
+		for i := 0; i < 3; i++ {
+			get(s1, ids[i])
+		}
+		// s2 fills its queue and blocks in the forced Lock.
+		go func() {
+			defer close(forced)
+			for i := 0; i < 4; i++ {
+				get(s2, ids[i])
+			}
+		}()
+		for w.Stats().Lock.Contentions == 0 {
+			runtime.Gosched()
+		}
+	})
+	<-forced
+	get(s1, ids[3]) // the lock is free: s1's try wins
+	s1.Flush()
+	s2.Flush()
+
+	ws := p.WrapperStats()
+	if ws.Lock.TryFailures == 0 || ws.TryCommits == 0 || ws.ForcedLocks == 0 {
+		t.Fatalf("try failures %d, try commits %d, forced locks %d: want each path taken",
+			ws.Lock.TryFailures, ws.TryCommits, ws.ForcedLocks)
+	}
+	if ws.Committed != 8 {
+		t.Fatalf("committed %d hits, want 8", ws.Committed)
+	}
+	rec := shard0(p).events
+	if n := rec.Seq(); n != 0 {
+		t.Fatalf("%d events recorded for hits and their commits, want 0: %v", n, rec.Events())
+	}
+
+	get(s1, pid(frames+1)) // a miss on a full pool evicts one clean page
+	s1.Flush()
+	if evs := rec.Events(); rec.Seq() != 1 || len(evs) != 1 || evs[0].Kind != obs.EvEvict {
+		t.Fatalf("after one eviction the ring holds %v (%d recorded), want one evict", evs, rec.Seq())
 	}
 }
 

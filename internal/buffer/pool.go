@@ -95,15 +95,12 @@ type Config struct {
 	QuarantineCap int
 
 	// RecorderSize enables the per-shard flight recorder: each shard gets
-	// its own lock-free ring of the most recent RecorderSize commit-path
-	// events (commits, TryLock failures, forced locks, publishes, combines,
-	// evictions, quarantine parks/flushes), rounded up to a power of two.
-	// Zero disables recording entirely — the hot paths then pay only a
-	// nil check. Dumps are appended to Close errors and are available
-	// through FlightDump and the /debug/events endpoint.
-	//
-	// If Wrapper.Events is set it is shared by every shard and RecorderSize
-	// is ignored; normally leave Wrapper.Events nil and set RecorderSize.
+	// its own lock-free ring of its most recent RecorderSize buffer-manager
+	// events (evictions, quarantine parks/flushes, health changes, sheds,
+	// background-writer panics), rounded up to a power of two. Zero
+	// disables recording entirely — the record sites then pay only a nil
+	// check. Dumps are appended to Close errors and are available through
+	// FlightDump and the /debug/events endpoint.
 	RecorderSize int
 
 	// Trace enables the request-tracing layer (DESIGN.md §15): per-request
@@ -344,12 +341,6 @@ func (p *Pool) newShardSet(n int, epoch uint64) *shardSet {
 		}
 		pol := p.factory(fn)
 		wcfg := p.wrapperCfg
-		if wcfg.Events == nil {
-			// One ring per shard: recorders are single-writer-friendly but
-			// fully concurrent, and per-shard rings keep a hot shard from
-			// scrolling a quiet shard's history out of the ring.
-			wcfg.Events = obs.NewRecorder(p.recorderSize)
-		}
 		if wcfg.Tracer == nil {
 			wcfg.Tracer = p.tracer
 		}
@@ -359,7 +350,9 @@ func (p *Pool) newShardSet(n int, epoch uint64) *shardSet {
 				panic("buffer: WrapShardDevice returned nil")
 			}
 		}
-		sh := &shard{set: set}
+		// One ring per shard keeps a hot shard from scrolling a quiet
+		// shard's history out of the ring.
+		sh := &shard{set: set, events: obs.NewRecorder(p.recorderSize)}
 		sh.init(fn, pol, wcfg, dev, shardQuar)
 		sh.wireHealth()
 		sh.disabled = p.noShed
@@ -469,9 +462,6 @@ func (p *Pool) Wrapper() *core.Wrapper { return p.cur.Load().shards[0].wrapper }
 // WrapperStats returns the BP-Wrapper statistics summed over every
 // shard's wrapper — including retired topologies, whose wrappers keep
 // receiving late flushes from sessions that re-bound after a reshard.
-// Each shard snapshot is internally consistent (hits+misses never exceed
-// accesses — see core.Wrapper.Stats), and sums of consistent snapshots
-// preserve that bound.
 func (p *Pool) WrapperStats() core.Stats {
 	var ws core.Stats
 	for _, sh := range p.everyShard() {

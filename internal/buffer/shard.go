@@ -134,10 +134,9 @@ type shard struct {
 	// are built from.
 	hp hitpathCounters
 
-	// events is the shard's flight recorder (nil when disabled). The same
-	// ring the shard's wrapper traces its commit protocol into also receives
-	// the buffer-layer events — eviction, quarantine park/flush — so a dump
-	// shows one interleaved history of the shard's recent protocol activity.
+	// events is the shard's flight recorder (nil when disabled): its
+	// evictions, quarantine parks and flushes, health changes, sheds and
+	// background-writer panics, in one history.
 	events *obs.Recorder
 }
 
@@ -459,7 +458,6 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	}
 	wcfg.Validate = sh.validTags
 	sh.claim = sh.claimVictim
-	sh.events = wcfg.Events
 	// Slotted: every tag this shard issues names its frame's slot, which
 	// addresses the policy's metadata for the page as well as the frame.
 	sh.wrapper = core.NewSlotted(pol, wcfg)

@@ -39,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bpwrapper/internal/obs"
 	"bpwrapper/internal/reqtrace"
 	"bpwrapper/internal/sched"
 )
@@ -130,7 +129,6 @@ func (w *Wrapper) drain(s *Session, slots []*pubSlot) (batches, entries int) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.fcc.combinerPanics.Add(1)
-			w.events.Record(obs.EvPanic, 2, 0)
 		}
 	}()
 	// Annotate combiner drains in runtime/trace output (go test -trace,
@@ -197,5 +195,4 @@ func (s *Session) publish() {
 		}
 	}
 	s.slot.pub.Store(box)
-	w.events.Record(obs.EvPublish, uint64(s.pubLen), 0)
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"bpwrapper/internal/metrics"
-	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
 )
@@ -13,112 +11,6 @@ import (
 func obsEntry(i int) (page.PageID, page.BufferTag) {
 	id := page.NewPageID(1, uint64(i))
 	return id, page.BufferTag{}
-}
-
-func countKinds(evs []obs.Event) map[obs.EventKind]int {
-	m := map[obs.EventKind]int{}
-	for _, ev := range evs {
-		m[ev.Kind]++
-	}
-	return m
-}
-
-func TestCommitPathEmitsFlightEvents(t *testing.T) {
-	rec := obs.NewRecorder(256)
-	w := New(replacer.NewLRU(64), Config{
-		Batching:       true,
-		QueueSize:      8,
-		BatchThreshold: 4,
-		Events:         rec,
-	})
-	s := w.NewSession()
-	for i := 0; i < 64; i++ {
-		id, tag := obsEntry(i % 16)
-		s.Hit(id, tag)
-	}
-	s.Flush()
-	kinds := countKinds(rec.Events())
-	if kinds[obs.EvCommit] == 0 {
-		t.Fatalf("no commit events recorded: %v", kinds)
-	}
-	for _, ev := range rec.Events() {
-		if ev.Kind == obs.EvCommit && (ev.Arg1 == 0 || ev.Arg1 > 8) {
-			t.Fatalf("commit batch length %d outside (0, queue]", ev.Arg1)
-		}
-	}
-}
-
-func TestCommitPathTryFailAndForcedEvents(t *testing.T) {
-	rec := obs.NewRecorder(256)
-	w := New(replacer.NewLRU(64), Config{
-		Batching:       true,
-		QueueSize:      4,
-		BatchThreshold: 2,
-		Events:         rec,
-	})
-	s := w.NewSession()
-	// Hold the lock so the session's TryLock fails at the threshold and a
-	// blocking commit fires when the queue fills.
-	w.lock.Lock()
-	for i := 0; i < 3; i++ {
-		id, tag := obsEntry(i)
-		s.Hit(id, tag)
-	}
-	kinds := countKinds(rec.Events())
-	if kinds[obs.EvTryFail] == 0 {
-		t.Fatalf("no trylock-fail events while lock held: %v", kinds)
-	}
-	if kinds[obs.EvForcedLock] != 0 {
-		t.Fatalf("forced lock before the queue filled: %v", kinds)
-	}
-	done := make(chan struct{})
-	go func() {
-		id, tag := obsEntry(3)
-		s.Hit(id, tag) // queue full → blocking commit
-		close(done)
-	}()
-	// Release only once the committer is provably blocked in Lock, so the
-	// forced-lock path is taken deterministically.
-	for w.Stats().Lock.Contentions == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	w.lock.Unlock()
-	<-done
-	kinds = countKinds(rec.Events())
-	if kinds[obs.EvForcedLock] != 1 {
-		t.Fatalf("forced-lock events = %d, want 1: %v", kinds[obs.EvForcedLock], kinds)
-	}
-}
-
-func TestFlatCombiningEmitsPublishAndCombine(t *testing.T) {
-	rec := obs.NewRecorder(256)
-	w := New(replacer.NewLRU(64), Config{
-		Batching:       true,
-		FlatCombining:  true,
-		QueueSize:      8,
-		BatchThreshold: 2,
-		Events:         rec,
-	})
-	s := w.NewSession()
-	for i := 0; i < 8; i++ {
-		id, tag := obsEntry(i)
-		s.Hit(id, tag)
-	}
-	s.Flush()
-	kinds := countKinds(rec.Events())
-	if kinds[obs.EvPublish] == 0 {
-		t.Fatalf("no publish events: %v", kinds)
-	}
-	if kinds[obs.EvCombine] == 0 {
-		t.Fatalf("no combine events: %v", kinds)
-	}
-	cr := w.CombineRuns()
-	if cr.Count == 0 {
-		t.Fatal("combiner run-length distribution empty")
-	}
-	if cr.Max < 1 {
-		t.Fatalf("combine run max = %d", cr.Max)
-	}
 }
 
 func TestBatchSizeDistribution(t *testing.T) {
@@ -195,23 +87,5 @@ func TestResetStatsClearsDistributions(t *testing.T) {
 	w.ResetStats()
 	if w.BatchSizes().Count != 0 || w.CombineRuns().Count != 0 {
 		t.Fatal("ResetStats left distribution observations")
-	}
-}
-
-func TestNilRecorderCommitPath(t *testing.T) {
-	// Events disabled: the entire protocol must run with zero recorder
-	// overhead paths taken (nil-safe Record).
-	w := New(replacer.NewLRU(64), Config{Batching: true, FlatCombining: true, QueueSize: 4, BatchThreshold: 2})
-	if w.Events() != nil {
-		t.Fatal("recorder unexpectedly enabled")
-	}
-	s := w.NewSession()
-	for i := 0; i < 16; i++ {
-		id, tag := obsEntry(i % 8)
-		s.Hit(id, tag)
-	}
-	s.Flush()
-	if w.Stats().Accesses != 16 {
-		t.Fatalf("accesses = %d", w.Stats().Accesses)
 	}
 }

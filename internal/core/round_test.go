@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bpwrapper/internal/metrics"
-	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/reqtrace"
 )
@@ -39,9 +38,11 @@ type roundWant struct {
 	ops                         string // policy ops in order: h<n> hit, m<n> admit, e<n> evict, of page n
 	acquisitions                int64  // lock-holding periods
 	commits, try, forced, walks int64
-	batchSizes                  int64 // BatchSizes observations
-	combined                    int64 // Stats.CombinedBatches: other sessions' batches
-	events                      []obs.EventKind
+	tryFails                    int64            // Lock.TryFailures
+	handoffs                    int64            // Stats.HandoffSaved: publishes whose try failed
+	batchSizes                  int64            // BatchSizes observations
+	runs                        int64            // CombineRuns observations: rounds that drained a published batch
+	combined                    int64            // Stats.CombinedBatches: other sessions' batches
 	spans                       []reqtrace.Phase // of a head-sampled request
 	slow                        bool             // an unsampled request is tail-armed by the wait
 	blocks                      bool             // the op blocks until the held lock is released
@@ -55,8 +56,8 @@ const (
 
 // TestRoundAccounting is the accounting contract of the commit round, one
 // row per {scheduler} × {way into the round}: the exact op order the policy
-// saw, every counter the round owns, the batch-size observations, the
-// flight-recorder events and the spans. Each row runs twice, head-sampled
+// saw, every counter the round owns, the batch-size and combiner-run
+// observations and the spans. Each row runs twice, head-sampled
 // (every span) and unsampled (only a slow wait arms the trace).
 //
 // Queue 4, threshold 2, six resident pages in an LRU of six; page 9 is the
@@ -100,11 +101,11 @@ func TestRoundAccounting(t *testing.T) {
 		{name: "batch/threshold", cfg: batch,
 			op: func(e *env) { hit(e.s, 1, 2) },
 			want: roundWant{ops: "h1 h2", acquisitions: 1, commits: 1, try: 1, batchSizes: 1,
-				events: []obs.EventKind{obs.EvCommit}, spans: []reqtrace.Phase{po}}},
+				spans: []reqtrace.Phase{po}}},
 		{name: "fc/threshold", cfg: fc,
 			op: func(e *env) { hit(e.s, 1, 2) },
-			want: roundWant{ops: "h1 h2", acquisitions: 1, commits: 1, try: 1, batchSizes: 1,
-				events: []obs.EventKind{obs.EvPublish, obs.EvCommit, obs.EvCombine}, spans: []reqtrace.Phase{po}}},
+			want: roundWant{ops: "h1 h2", acquisitions: 1, commits: 1, try: 1, batchSizes: 1, runs: 1,
+				spans: []reqtrace.Phase{po}}},
 
 		// The threshold, lock held: block / keep recording / publish and
 		// walk away.
@@ -114,11 +115,10 @@ func TestRoundAccounting(t *testing.T) {
 				spans: []reqtrace.Phase{lw, po}}},
 		{name: "batch/threshold-held", cfg: batch, held: true,
 			op:   func(e *env) { hit(e.s, 1, 2) },
-			want: roundWant{pending: 2, events: []obs.EventKind{obs.EvTryFail}}},
+			want: roundWant{pending: 2, tryFails: 1}},
 		{name: "fc/threshold-held", cfg: fc, held: true,
-			op: func(e *env) { hit(e.s, 1, 2) },
-			want: roundWant{pending: 2, batchSizes: 1,
-				events: []obs.EventKind{obs.EvPublish, obs.EvTryFail}}},
+			op:   func(e *env) { hit(e.s, 1, 2) },
+			want: roundWant{pending: 2, tryFails: 1, handoffs: 1, batchSizes: 1}},
 
 		// Nowhere left to record, lock held (a queue of one is full at once):
 		// everyone blocks, and the walk runs first because the failed tries
@@ -130,15 +130,13 @@ func TestRoundAccounting(t *testing.T) {
 		{name: "batch/full-held", cfg: batch, held: true,
 			op: func(e *env) { hit(e.s, 1, 2, 3, 4) },
 			want: roundWant{ops: "h1 h2 h3 h4", acquisitions: 1, commits: 1, forced: 1, walks: 3,
-				batchSizes: 1, blocks: true, slow: true,
-				events: []obs.EventKind{obs.EvTryFail, obs.EvTryFail, obs.EvTryFail, obs.EvForcedLock},
-				spans:  []reqtrace.Phase{lw, po}}},
+				tryFails: 3, batchSizes: 1, blocks: true, slow: true,
+				spans: []reqtrace.Phase{lw, po}}},
 		{name: "fc/full-held", cfg: fc, held: true,
 			op: func(e *env) { hit(e.s, 1, 2, 3, 4, 5, 6) },
 			want: roundWant{ops: "h1 h2 h3 h4 h5 h6", acquisitions: 1, commits: 1, forced: 1, walks: 1,
-				batchSizes: 2, blocks: true, slow: true,
-				events: []obs.EventKind{obs.EvPublish, obs.EvTryFail, obs.EvForcedLock, obs.EvCombine},
-				spans:  []reqtrace.Phase{lw, po}}},
+				tryFails: 1, handoffs: 1, batchSizes: 2, runs: 1, blocks: true, slow: true,
+				spans: []reqtrace.Phase{lw, po}}},
 
 		// Flush. Under flat combining: a published batch, one more hit
 		// behind it, and another session's batch to take along.
@@ -149,13 +147,13 @@ func TestRoundAccounting(t *testing.T) {
 			setup: func(e *env) { hit(e.s, 1) },
 			op:    func(e *env) { e.s.Flush() },
 			want: roundWant{ops: "h1", acquisitions: 1, commits: 1, forced: 1, batchSizes: 1, slow: true,
-				events: []obs.EventKind{obs.EvForcedLock}, spans: []reqtrace.Phase{lw, po}}},
+				spans: []reqtrace.Phase{lw, po}}},
 		{name: "fc/flush", cfg: fc,
 			setup: func(e *env) { published(e, true); hit(e.s, 3) },
 			op:    func(e *env) { e.s.Flush() },
 			want: roundWant{ops: "h1 h2 h3 h4 h5", acquisitions: 1, commits: 1, forced: 1, walks: 1,
-				batchSizes: 1, combined: 1, slow: true,
-				events: []obs.EventKind{obs.EvForcedLock, obs.EvCombine}, spans: []reqtrace.Phase{lw, po}}},
+				batchSizes: 1, runs: 1, combined: 1, slow: true,
+				spans: []reqtrace.Phase{lw, po}}},
 
 		// Miss. Under flat combining the session's own queue is empty: what
 		// it applies is its published batch and the other session's.
@@ -171,8 +169,8 @@ func TestRoundAccounting(t *testing.T) {
 		{name: "fc/miss", cfg: fc,
 			setup: func(e *env) { published(e, true) },
 			op:    func(e *env) { e.s.Miss(pid(9), page.BufferTag{}) },
-			want: roundWant{ops: "h1 h2 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, combined: 1, slow: true,
-				events: []obs.EventKind{obs.EvCombine}, spans: []reqtrace.Phase{lw, po}}},
+			want: roundWant{ops: "h1 h2 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, runs: 1, combined: 1, slow: true,
+				spans: []reqtrace.Phase{lw, po}}},
 
 		// The slotted miss, handed no free slot: the eviction and the admit
 		// in the one hold, as the frameless miss's admit is. Under flat
@@ -190,8 +188,8 @@ func TestRoundAccounting(t *testing.T) {
 		{name: "fc/missslot", cfg: fc,
 			setup: func(e *env) { published(e, false) },
 			op:    func(e *env) { e.s.MissSlot(pid(9), NoSlot, nil) },
-			want: roundWant{ops: "e1 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, combined: 1, slow: true,
-				events: []obs.EventKind{obs.EvCombine}, spans: []reqtrace.Phase{lw, po}}},
+			want: roundWant{ops: "e1 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, runs: 1, combined: 1, slow: true,
+				spans: []reqtrace.Phase{lw, po}}},
 	}
 
 	for _, row := range rows {
@@ -204,11 +202,10 @@ func TestRoundAccounting(t *testing.T) {
 				// An SLO of one tick: every armed trace is kept, so a kept
 				// unsampled trace means exactly "a slow phase armed it".
 				tr := reqtrace.New(reqtrace.Config{Enable: true, SampleEvery: sampleEvery, SLO: time.Nanosecond, Clock: testClock()})
-				events := obs.NewRecorder(64)
 				pol := &roundPolicy{recordingPolicy: newRecording(6)}
 				cfg := row.cfg
 				cfg.QueueSize, cfg.BatchThreshold, cfg.Prefetching = 4, 2, true
-				cfg.Events, cfg.Tracer = events, tr
+				cfg.Tracer = tr
 				w := New(pol, cfg)
 				w.lock.SetProfile(&metrics.LockProfile{SampleEvery: 1}) // time every hold
 				for n := uint64(1); n <= 6; n++ {
@@ -223,7 +220,7 @@ func TestRoundAccounting(t *testing.T) {
 				}
 
 				before, ops0, walks0 := w.Stats(), len(pol.ops), pol.walks
-				sizes0, events0 := w.BatchSizes().Count, len(events.Events())
+				sizes0, runs0 := w.BatchSizes().Count, w.CombineRuns().Count
 				a.Begin()
 				tid := a.ID()
 				if row.held {
@@ -272,19 +269,14 @@ func TestRoundAccounting(t *testing.T) {
 				check("Commits", st.Commits-before.Commits, want.commits)
 				check("TryCommits", st.TryCommits-before.TryCommits, want.try)
 				check("ForcedLocks", st.ForcedLocks-before.ForcedLocks, want.forced)
+				check("Lock.TryFailures", st.Lock.TryFailures-before.Lock.TryFailures, want.tryFails)
+				check("HandoffSaved", st.HandoffSaved-before.HandoffSaved, want.handoffs)
 				check("PrefetchWalks", st.PrefetchWalks-before.PrefetchWalks, want.walks)
 				check("policy walks", pol.walks-walks0, want.walks)
 				check("BatchSizes.Count", w.BatchSizes().Count-sizes0, want.batchSizes)
+				check("CombineRuns.Count", w.CombineRuns().Count-runs0, want.runs)
 				check("CombinedBatches", st.CombinedBatches-before.CombinedBatches, want.combined)
 				check("Pending", int64(e.s.Pending()), int64(want.pending))
-
-				var kinds []obs.EventKind
-				for _, ev := range events.Events()[events0:] {
-					kinds = append(kinds, ev.Kind)
-				}
-				if !slices.Equal(kinds, want.events) {
-					t.Errorf("events %v, want %v", kinds, want.events)
-				}
 
 				var spans []reqtrace.Span
 				for _, sp := range tr.Spans() {

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"bpwrapper/internal/metrics"
-	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/reqtrace"
@@ -101,12 +100,6 @@ type Config struct {
 	// own goroutine, so it must be safe for concurrent use.
 	Validate func(batch []Entry) []Entry
 
-	// Events, when non-nil, receives flight-recorder events from the
-	// commit path: commits, TryLock failures, blocking fallbacks, flat-
-	// combining publishes and combiner drains. A nil recorder costs one
-	// predictable branch per event site.
-	Events *obs.Recorder
-
 	// Tracer, when non-nil, receives request-trace spans from the commit
 	// path (lock wait, policy batch apply) and the cross-thread
 	// combiner-handoff spans of DESIGN.md §15. Sessions participate once
@@ -138,18 +131,9 @@ func (c Config) withDefaults() Config {
 // (replacer.SlotBatcher) take it: the page and its buffer-tag snapshot.
 type Entry = replacer.Access
 
-// Stats aggregates the Wrapper's activity counters.
-//
-// The per-access counters (Accesses, Hits, Misses) are staged in
-// session-private memory and folded into the shared aggregates at commit
-// boundaries (commit, miss, flush, and every foldInterval accesses on the
-// lock-free hit path), so a snapshot taken while sessions are mid-batch
-// may lag by at most one queue's worth per session. Call Session.Flush
-// for exact point-in-time numbers.
+// Stats aggregates the Wrapper's commit-path counters. It counts no
+// accesses: the caller that records them (the buffer pool) keeps that count.
 type Stats struct {
-	Accesses int64 // hits + misses recorded through the wrapper
-	Hits     int64
-	Misses   int64
 	// Commits counts lock-holding periods that applied at least one hit
 	// entry — the session's own or, under flat combining, anyone's — on
 	// every path: threshold commit, forced commit, Flush, miss, unbatched
@@ -178,13 +162,8 @@ type Stats struct {
 
 // Plus returns the field-wise sum of two snapshots. The sharded pool folds
 // its per-shard wrapper snapshots through this one helper so every
-// aggregate is produced the same way; summing internally consistent
-// snapshots (Hits+Misses ≤ Accesses, see Wrapper.Stats) preserves that
-// bound in the total.
+// aggregate is produced the same way.
 func (s Stats) Plus(o Stats) Stats {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
 	s.Commits += o.Commits
 	s.Committed += o.Committed
 	s.Dropped += o.Dropped
@@ -200,28 +179,17 @@ func (s Stats) Plus(o Stats) Stats {
 }
 
 // cacheLineSize separates counter groups with different writer populations
-// so a store to one group does not invalidate another group's line (the
-// false-sharing fix: before, eight adjacent atomics were bumped on every
-// access from every thread).
+// so a store to one group does not invalidate another group's line.
 const cacheLineSize = 64
 
 // cachePad is inserted between independent writer groups in Wrapper.
 type cachePad [cacheLineSize]byte
 
-// aggCounters are the folded per-access aggregates. They are written only
-// when a session folds its private counts (at most once per batch), never
-// on the per-access fast path.
-type aggCounters struct {
-	accesses atomic.Int64
-	hits     atomic.Int64
-	misses   atomic.Int64
-}
-
 // commitCounters are written by whichever session is committing — at most
 // one batch-commit writer at a time (they are bumped while or immediately
 // after holding the policy lock), so they share a line group distinct from
-// the lock word and the fold aggregates. prefetchWalks is bumped on the way
-// to the lock instead, but only by sessions that saw the lock contended.
+// the lock word. prefetchWalks is bumped on the way to the lock instead, but
+// only by sessions that saw the lock contended.
 type commitCounters struct {
 	commits       atomic.Int64
 	committed     atomic.Int64
@@ -260,7 +228,6 @@ type Wrapper struct {
 
 	fc *combiner // non-nil iff cfg.FlatCombining
 
-	events *obs.Recorder    // nil-safe flight recorder (cfg.Events)
 	tracer *reqtrace.Tracer // nil-safe request tracer (cfg.Tracer)
 
 	// sessionIDs allocates the per-wrapper session identities the
@@ -281,8 +248,6 @@ type Wrapper struct {
 
 	_    cachePad
 	lock metrics.ContentionMutex
-	_    cachePad
-	agg  aggCounters
 	_    cachePad
 	cc   commitCounters
 	_    cachePad
@@ -345,7 +310,6 @@ func newWrapper(policy replacer.Policy, cfg Config, slotted bool) *Wrapper {
 	w := &Wrapper{
 		cfg:         cfg,
 		slotted:     slotted,
-		events:      cfg.Events,
 		tracer:      cfg.Tracer,
 		batchSizes:  metrics.NewCountDist(cfg.QueueSize),
 		combineRuns: metrics.NewCountDist(combineRunCap),
@@ -386,27 +350,9 @@ func (w *Wrapper) BatchSizes() metrics.CountDistSnapshot { return w.batchSizes.S
 // only for periods that drained at least one).
 func (w *Wrapper) CombineRuns() metrics.CountDistSnapshot { return w.combineRuns.Snapshot() }
 
-// Events returns the wrapper's flight recorder, nil when disabled.
-func (w *Wrapper) Events() *obs.Recorder { return w.events }
-
-// Stats returns a snapshot of the wrapper's counters. See the Stats type
-// for the staleness bound on the per-access aggregates.
-//
-// The snapshot is internally consistent in one direction: Hits + Misses
-// never exceed Accesses. Sessions fold their private counts in the order
-// accesses, hits, misses (see Session.fold), so this reader loads hits and
-// misses FIRST and accesses LAST — any hit or miss it observes comes from
-// a fold whose accesses addition is already visible by the time accesses
-// is read (Go atomics are sequentially consistent). Reading accesses first
-// had the opposite skew: a fold landing between the loads made hits+misses
-// transiently exceed accesses, which aggregation-over-shards then amplified.
+// Stats returns a snapshot of the wrapper's counters.
 func (w *Wrapper) Stats() Stats {
-	hits := w.agg.hits.Load()
-	misses := w.agg.misses.Load()
 	return Stats{
-		Accesses:        w.agg.accesses.Load(),
-		Hits:            hits,
-		Misses:          misses,
 		Commits:         w.cc.commits.Load(),
 		Committed:       w.cc.committed.Load(),
 		Dropped:         w.cc.dropped.Load(),
@@ -424,9 +370,6 @@ func (w *Wrapper) Stats() Stats {
 // ResetStats zeroes the wrapper's counters (including the lock's). It must
 // not be called while the lock is held.
 func (w *Wrapper) ResetStats() {
-	w.agg.accesses.Store(0)
-	w.agg.hits.Store(0)
-	w.agg.misses.Store(0)
 	w.cc.commits.Store(0)
 	w.cc.committed.Store(0)
 	w.cc.dropped.Store(0)
@@ -502,9 +445,9 @@ func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, err err
 // the policy lock: the policy's resident count within [0, Cap], and — when
 // the policy implements replacer.Checker — the policy's own internal
 // consistency (deep O(n) checks only in builds with the torture tag). It is
-// safe to call concurrently with sessions; the stats identities (accesses =
-// hits + misses, committed + dropped = hits) hold only at quiescence and
-// are checked by the torture harness instead.
+// safe to call concurrently with sessions; the stats identity (committed +
+// dropped = hits recorded) holds only at quiescence, so the callers that
+// know how many hits they recorded check it.
 func (w *Wrapper) CheckInvariants() error {
 	w.lock.Lock()
 	defer w.lock.Unlock()
@@ -533,11 +476,6 @@ func (w *Wrapper) NewSession() *Session {
 	return s
 }
 
-// foldInterval bounds the staleness of the folded aggregates on the
-// lock-free hit path (clock family), which has no commit boundary to fold
-// at.
-const foldInterval = 1024
-
 // Session is the per-thread side of the framework: a private FIFO queue of
 // uncommitted hit records (Figure 3 of the paper). Not safe for concurrent
 // use.
@@ -550,15 +488,6 @@ type Session struct {
 	// session (SetTrace); nil disables span stamping. All Active methods
 	// are nil-safe, so the untraced cost is one branch per site.
 	trace *reqtrace.Active
-
-	// Per-session access counters: plain ints bumped only by the owning
-	// goroutine on the per-access fast path and folded into the wrapper's
-	// shared aggregates at commit boundaries. This keeps the hot path free
-	// of shared-cache-line traffic (the false-sharing fix).
-	accesses  int64
-	hits      int64
-	misses    int64
-	sinceFold int
 
 	pf      []page.PageID // prefetch scratch, reused across commits: the ids to walk,
 	pfSlots []uint32      // or, in a slotted wrapper, the slots
@@ -582,38 +511,12 @@ func (s *Session) SetTrace(a *reqtrace.Active) { s.trace = a }
 // cross-thread handoff spans.
 func (s *Session) ID() uint64 { return s.id }
 
-// note stages one access in the session-private counters.
-func (s *Session) note(hit bool) {
-	s.accesses++
-	if hit {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	s.sinceFold++
-}
-
-// fold flushes the session-private counters into the wrapper's shared
-// aggregates. Called at commit boundaries, where the session is already
-// paying for shared-state traffic.
-func (s *Session) fold() {
-	if s.accesses == 0 {
-		return
-	}
-	w := s.w
-	w.agg.accesses.Add(s.accesses)
-	w.agg.hits.Add(s.hits)
-	w.agg.misses.Add(s.misses)
-	s.accesses, s.hits, s.misses, s.sinceFold = 0, 0, 0, 0
-}
-
 // Hit records a buffer hit on id, following the paper's
 // replacement_for_page_hit pseudo-code (Figure 4): the access is queued,
 // and at the batch threshold — every access, without batching — the
 // scheduler decides how the queue reaches the policy.
 func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 	w := s.w
-	s.note(true)
 	b := w.box.Load()
 	if b.lockFreeHit {
 		// Clock-family policy: the hit is an atomic reference-bit update
@@ -621,9 +524,6 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		// A SwapPolicy racing this delivers the bit to the retired policy
 		// object — lost advice, not corruption.
 		b.hit(id, tag.Slot)
-		if s.sinceFold >= foldInterval {
-			s.fold()
-		}
 		return
 	}
 	s.queue = append(s.queue, Entry{ID: id, Tag: tag})
@@ -631,7 +531,6 @@ func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 		return
 	}
 	s.atThreshold()
-	s.fold()
 }
 
 // atThreshold is the scheduler. There is one way to commit (round); the
@@ -691,7 +590,7 @@ func (s *Session) MissSlot(id page.PageID, slot uint32, claim func(replacer.Vict
 }
 
 // Seat is MissSlot's policy step alone, in a hold of its own, for a miss whose
-// walk claimed nothing: it counts no second miss and commits no hits.
+// walk claimed nothing: it commits no hits.
 func (w *Wrapper) Seat(id page.PageID, slot uint32, claim func(replacer.Victim) bool) (victim replacer.Victim, admitted bool) {
 	w.lock.Lock()
 	defer w.lock.Unlock()
@@ -699,11 +598,8 @@ func (w *Wrapper) Seat(id page.PageID, slot uint32, claim func(replacer.Victim) 
 }
 
 // Flush commits any queued hit records with a blocking lock acquisition.
-// Backends call it when going idle so their history is not stranded. It
-// also folds the session's staged access counters, making Wrapper.Stats
-// exact for this session.
+// Backends call it when going idle so their history is not stranded.
 func (s *Session) Flush() {
-	s.fold()
 	if s.Pending() > 0 {
 		s.round(cannotWait, page.InvalidPageID, 0, nil)
 	}
@@ -746,9 +642,9 @@ const (
 )
 
 // round is the one lock-holding period of the framework, and the only
-// place hits reach the policy: prefetch gate, a miss's count, acquire (try or
-// block), the session's published batch, its queue, the miss's admit or seat,
-// every other session's published batch (flat combining), unlock, account.
+// place hits reach the policy: prefetch gate, acquire (try or block), the
+// session's published batch, its queue, the miss's admit or seat, every
+// other session's published batch (flat combining), unlock, account.
 //
 // Per-session access order (the property Section III-A's private queues
 // exist to preserve) holds because a session's unapplied accesses live in
@@ -772,8 +668,6 @@ func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(repl
 		s.publish()
 		sched.Yield(sched.CoreFCPublish)
 	case why >= missAdmit:
-		s.note(false)
-		s.fold()
 		sched.Yield(sched.CoreMissLock)
 	default:
 		sched.Yield(sched.CoreCommitTry)
@@ -829,14 +723,10 @@ func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(repl
 	// a combining one does is out of line: the unbatched hit comes through
 	// here on every access and pays one branch for each.
 	switch {
-	case !held:
-		w.events.Record(obs.EvTryFail, uint64(own), 0)
-	case why == tryOnce:
+	case why == tryOnce && held:
 		w.cc.tryCommits.Add(1)
-		w.events.Record(obs.EvCommit, uint64(own), 0)
 	case why == cannotWait:
 		w.cc.forcedLocks.Add(1)
-		w.events.Record(obs.EvForcedLock, uint64(own), 0)
 	}
 	if applied > 0 {
 		w.cc.commits.Add(1)
@@ -847,7 +737,7 @@ func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(repl
 		w.batchSizes.Observe(own)
 	}
 	if mine+others > 0 {
-		w.combinedRound(mine+others, mineN+othersN, others, othersN)
+		w.combinedRound(mine+others, others, othersN)
 	}
 	if held && stamp {
 		s.stampRound(why, t0, t1, own, id)
@@ -858,9 +748,8 @@ func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(repl
 // combinedRound accounts for a round that drained published batches.
 //
 //go:noinline
-func (w *Wrapper) combinedRound(batches, entries, others, othersN int) {
+func (w *Wrapper) combinedRound(batches, others, othersN int) {
 	w.combineRuns.Observe(batches)
-	w.events.Record(obs.EvCombine, uint64(batches), uint64(entries))
 	if others > 0 {
 		w.fcc.combinedBatches.Add(int64(others))
 		w.fcc.combinedEntries.Add(int64(othersN))

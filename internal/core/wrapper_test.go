@@ -69,8 +69,8 @@ func TestUnbatchedAppliesImmediately(t *testing.T) {
 		t.Fatalf("pending=%d in unbatched mode", s.Pending())
 	}
 	st := w.Stats()
-	if st.Accesses != 2 || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats %+v", st)
+	if st.Committed != 1 || st.Commits != 1 || st.Lock.Acquisitions != 2 {
+		t.Fatalf("stats %+v, want the hit committed alone and one lock hold per access", st)
 	}
 }
 
@@ -265,13 +265,13 @@ func TestLockFreeHitBypassesLock(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Hit(pid(1), page.BufferTag{Page: pid(1)})
 	}
-	s.Flush() // fold the staged per-session counters; must not take the lock
+	s.Flush() // nothing is queued, so this must not take the lock
 	st := w.Stats()
 	if st.Lock.Acquisitions != before {
 		t.Fatalf("clock hits acquired the lock %d times", st.Lock.Acquisitions-before)
 	}
-	if st.Hits != 100 {
-		t.Fatalf("hits=%d", st.Hits)
+	if st.Commits != 0 || st.Committed != 0 {
+		t.Fatalf("clock hits went through the commit path: %d commits of %d entries", st.Commits, st.Committed)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("clock hits were queued (pending=%d)", s.Pending())
@@ -303,13 +303,13 @@ func TestConcurrentSessionsSerializePolicy(t *testing.T) {
 	}
 	wg.Wait()
 	st := w.Stats()
-	if st.Hits != workers*perWorker {
-		t.Fatalf("hits=%d want %d", st.Hits, workers*perWorker)
+	if st.Committed != workers*perWorker {
+		t.Fatalf("committed=%d want %d", st.Committed, workers*perWorker)
 	}
 	// The recording policy's unguarded counter equals the op count only if
 	// every policy call happened under the lock. The 256 preload Admits
 	// went through Locked, which bypasses the wrapper's stats.
-	if rec.calls != len(rec.ops) || int64(rec.calls) != st.Committed+st.Misses+256 {
+	if rec.calls != len(rec.ops) || int64(rec.calls) != st.Committed+256 {
 		t.Fatalf("calls=%d ops=%d committed=%d: policy access not serialized",
 			rec.calls, len(rec.ops), st.Committed)
 	}
@@ -338,7 +338,7 @@ func TestResetStats(t *testing.T) {
 	s.Flush()
 	w.ResetStats()
 	st := w.Stats()
-	if st.Accesses != 0 || st.Commits != 0 || st.Lock.Acquisitions != 0 {
+	if st.Committed != 0 || st.Commits != 0 || st.Lock.Acquisitions != 0 {
 		t.Fatalf("stats after reset: %+v", st)
 	}
 }
@@ -348,18 +348,20 @@ func TestPrefetchingConfig(t *testing.T) {
 	rec := replacer.NewTwoQ(32)
 	w := New(rec, Config{Batching: true, Prefetching: true, QueueSize: 8, BatchThreshold: 4})
 	s := w.NewSession()
+	var hits int64
 	for i := uint64(0); i < 100; i++ {
 		id := pid(i % 20)
 		if rec.Contains(id) {
 			s.Hit(id, page.BufferTag{Page: id})
+			hits++
 		} else {
 			s.Miss(id, page.BufferTag{})
 		}
 	}
 	s.Flush()
 	st := w.Stats()
-	if st.Accesses != 100 {
-		t.Fatalf("accesses=%d", st.Accesses)
+	if st.Committed != hits {
+		t.Fatalf("committed=%d of %d hits", st.Committed, hits)
 	}
 }
 
@@ -391,8 +393,8 @@ func TestMissSlotProtocol(t *testing.T) {
 	if !slices.Equal(rec.ops, want) {
 		t.Fatalf("policy saw %v, want %v", rec.ops, want)
 	}
-	if st := w.Stats(); st.Misses != 3 || st.Lock.Acquisitions != 3 {
-		t.Fatalf("misses=%d, lock holds=%d; want 3 and 3", st.Misses, st.Lock.Acquisitions)
+	if st := w.Stats(); st.Committed != 1 || st.Lock.Acquisitions != 3 {
+		t.Fatalf("committed=%d, lock holds=%d for three misses; want 1 and 3", st.Committed, st.Lock.Acquisitions)
 	}
 }
 

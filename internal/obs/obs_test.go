@@ -14,7 +14,7 @@ import (
 
 func TestRecorderNilIsSafe(t *testing.T) {
 	var r *Recorder
-	r.Record(EvCommit, 1, 2)
+	r.Record(EvShed, 1, 2)
 	if r.Events() != nil || r.Seq() != 0 || r.Dropped() != 0 || r.Cap() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
@@ -31,14 +31,14 @@ func TestRecorderNilIsSafe(t *testing.T) {
 func TestRecorderRoundTrip(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		r.Record(EvCommit, uint64(i), uint64(i*10))
+		r.Record(EvShed, uint64(i), uint64(i*10))
 	}
 	evs := r.Events()
 	if len(evs) != 5 {
 		t.Fatalf("got %d events", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i) || ev.Kind != EvCommit || ev.Arg1 != uint64(i) || ev.Arg2 != uint64(i*10) {
+		if ev.Seq != uint64(i) || ev.Kind != EvShed || ev.Arg1 != uint64(i) || ev.Arg2 != uint64(i*10) {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
 	}
@@ -89,7 +89,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20000; i++ {
-				r.Record(EvCommit, uint64(g), uint64(i))
+				r.Record(EvShed, uint64(g), uint64(i))
 			}
 		}(g)
 	}
@@ -104,7 +104,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			default:
 			}
 			for _, ev := range r.Events() {
-				if ev.Kind != EvCommit || ev.Arg1 > 3 {
+				if ev.Kind != EvShed || ev.Arg1 > 3 {
 					t.Errorf("event no writer stored: %+v", ev)
 				}
 			}
@@ -126,7 +126,7 @@ func TestRecorderTornReadAccounting(t *testing.T) {
 	// holds the recorder to surfacing the ring's count.
 	r := NewRecorder(8)
 	for i := 0; i < 8; i++ {
-		r.Record(EvCommit, uint64(i), 0)
+		r.Record(EvShed, uint64(i), 0)
 	}
 	// Inside the snapshot's read of the first slot, lap it.
 	lapped := false
@@ -185,7 +185,7 @@ func TestRecorderDumpTail(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvCommit, EvTryFail, EvForcedLock, EvPublish, EvCombine, EvEvict, EvQuarantinePark, EvQuarantineFlush}
+	kinds := []EventKind{EvEvict, EvQuarantinePark, EvQuarantineFlush, EvHealthChange, EvShed, EvPanic}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()
@@ -276,7 +276,7 @@ func TestJSONTree(t *testing.T) {
 func TestServerEndpoints(t *testing.T) {
 	reg := testRegistry()
 	rec := NewRecorder(8)
-	rec.Record(EvForcedLock, 9, 0)
+	rec.Record(EvHealthChange, 9, 0)
 	reg.RegisterRecorder("shard 0", rec)
 	srv, err := NewServer("127.0.0.1:0", reg)
 	if err != nil {
@@ -309,7 +309,7 @@ func TestServerEndpoints(t *testing.T) {
 			t.Fatalf("/debug/vars missing %q", want)
 		}
 	}
-	if out := get("/debug/events"); !strings.Contains(out, "forced-lock") {
+	if out := get("/debug/events"); !strings.Contains(out, "health-change") {
 		t.Fatalf("/debug/events missing recorded event:\n%s", out)
 	}
 	if out := get("/debug/pprof/cmdline"); out == "" {

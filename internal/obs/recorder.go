@@ -1,11 +1,11 @@
 // Package obs is the observability layer of the BP-Wrapper reproduction:
-// a lock-free flight recorder for commit-path events, a metrics registry
-// that walks the pool's stats tree, and an HTTP server exposing both as
-// Prometheus text and expvar-style JSON.
+// a lock-free flight recorder for the buffer manager's transitions, a
+// metrics registry that walks the pool's stats tree, and an HTTP server
+// exposing both as Prometheus text and expvar-style JSON.
 //
-// The package sits below core and buffer in the import graph (it depends
-// only on metrics, reqtrace and the standard library) so the hot layers
-// can emit events without cycles.
+// The package sits below buffer in the import graph (it depends only on
+// metrics, reqtrace and the standard library) so the pool can record
+// events without cycles.
 package obs
 
 import (
@@ -18,29 +18,14 @@ import (
 	"bpwrapper/internal/metrics"
 )
 
-// EventKind labels a flight-recorder event. The kinds cover the commit
-// protocol (what the paper's Section III batches and defers) plus the
-// buffer-manager transitions that interact with it.
+// EventKind labels a flight-recorder event: one of the buffer manager's
+// transitions. The wrapper's commits are counted (core.Stats), not
+// recorded.
 type EventKind uint8
 
 const (
-	// EvCommit: a batch was applied after an immediate TryLock success.
-	// Arg1 = batch length.
-	EvCommit EventKind = iota + 1
-	// EvTryFail: the commit TryLock failed; accesses stay queued.
-	// Arg1 = pending queue length.
-	EvTryFail
-	// EvForcedLock: the queue filled, forcing a blocking Lock — the
-	// paper's contention event. Arg1 = batch length.
-	EvForcedLock
-	// EvPublish: a flat-combining session published its batch.
-	// Arg1 = batch length.
-	EvPublish
-	// EvCombine: a combiner drained published batches.
-	// Arg1 = batches drained, Arg2 = entries applied.
-	EvCombine
 	// EvEvict: a frame was evicted. Arg1 = page id.
-	EvEvict
+	EvEvict EventKind = iota + 1
 	// EvQuarantinePark: a dirty page parked in the write-back quarantine.
 	// Arg1 = page id.
 	EvQuarantinePark
@@ -53,9 +38,7 @@ const (
 	// EvShed: a miss was shed by admission control.
 	// Arg1 = page id, Arg2 = health state at shed time.
 	EvShed
-	// EvPanic: a contained panic in a background goroutine (bgwriter
-	// round or flat-combining drain). Arg1 = site (1 = bgwriter,
-	// 2 = combiner).
+	// EvPanic: a contained panic in a background-writer round. Arg1 = 1.
 	EvPanic
 )
 
@@ -63,16 +46,6 @@ const (
 // endpoint.
 func (k EventKind) String() string {
 	switch k {
-	case EvCommit:
-		return "commit"
-	case EvTryFail:
-		return "trylock-fail"
-	case EvForcedLock:
-		return "forced-lock"
-	case EvPublish:
-		return "publish"
-	case EvCombine:
-		return "combine"
 	case EvEvict:
 		return "evict"
 	case EvQuarantinePark:
@@ -105,17 +78,17 @@ type Event struct {
 
 // clockEvery is the timestamp sampling period: Record reads the
 // nanosecond clock on one in clockEvery events (must be a power of two)
-// and reuses the cached reading otherwise. Commit-path callers record an
-// event every few dozen page accesses, so an always-on clock read would
-// dominate the recorder's cost and break the fast-path overhead budget.
+// and reuses the cached reading otherwise. The miss path records an
+// eviction per miss, so an always-on clock read would dominate the
+// recorder's cost there.
 const clockEvery = 16
 
 // eventWords is an event's width in the ring: kind, arg1, arg2 and the
 // cached clock reading, 48-byte slots with the two stamps.
 const eventWords = 4
 
-// Recorder is a fixed-size lock-free ring buffer of commit-path events —
-// a flight recorder: the event encoding and the coarse clock over a
+// Recorder is a fixed-size lock-free ring buffer of buffer-manager
+// events — a flight recorder: the event encoding and the coarse clock over a
 // metrics.Ring, which owns the slot protocol (wait-free writers, newest
 // overwrite oldest, a snapshot refuses and counts a slot it catches
 // mid-write rather than return it mixed).
@@ -140,8 +113,7 @@ func NewRecorder(size int) *Recorder {
 // Record appends one event. Safe for concurrent use; no-op on a nil
 // recorder. An enabled record is one atomic increment plus six plain
 // atomic stores; the nanosecond clock is read only on a 1-in-clockEvery
-// sample of records (see Event.Time), after the event is in its slot,
-// keeping the recorder within the commit path's observability budget.
+// sample of records (see Event.Time), after the event is in its slot.
 func (r *Recorder) Record(kind EventKind, arg1, arg2 uint64) {
 	if r == nil {
 		return

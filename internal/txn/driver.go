@@ -125,20 +125,20 @@ func Run(cfg Config) (Result, error) {
 	for _, h := range hists {
 		resp.Merge(h)
 	}
-	ws := cfg.Pool.WrapperStats()
+	acc, ws := cfg.Pool.AccessStats(), cfg.Pool.WrapperStats()
 	res := Result{
 		Workers:        workers,
 		Txns:           txns.Load(),
-		Accesses:       ws.Accesses,
+		Accesses:       acc.Accesses(),
 		Elapsed:        elapsed,
 		ThroughputTPS:  metrics.Throughput(txns.Load(), elapsed),
 		Response:       resp.Summarize(),
-		HitRatio:       cfg.Pool.AccessStats().HitRatio(),
+		HitRatio:       acc.HitRatio(),
 		Wrapper:        ws,
-		ContentionPerM: metrics.ContentionPerMillion(ws.Lock.Contentions, ws.Accesses),
+		ContentionPerM: metrics.ContentionPerMillion(ws.Lock.Contentions, acc.Accesses()),
 	}
-	if ws.Accesses > 0 {
-		res.LockTimePerAccess = (ws.Lock.WaitTime + ws.Lock.HoldTime) / time.Duration(ws.Accesses)
+	if res.Accesses > 0 {
+		res.LockTimePerAccess = (ws.Lock.WaitTime + ws.Lock.HoldTime) / time.Duration(res.Accesses)
 	}
 	return res, nil
 }

@@ -112,7 +112,7 @@ func TestRunWithMisses(t *testing.T) {
 	if res.HitRatio <= 0 || res.HitRatio >= 1 {
 		t.Fatalf("hit ratio %v, want in (0,1)", res.HitRatio)
 	}
-	if res.Wrapper.Misses == 0 {
+	if pool.AccessStats().Misses == 0 {
 		t.Fatal("no misses recorded")
 	}
 }

@@ -1,10 +1,8 @@
 // The observability overhead guard: the flight recorder, lock profiling,
 // and commit-shape distributions must stay off the per-access critical
-// path. BenchmarkWrapperHitObs isolates the recorder's tax on the bare
-// wrapper loop; TestObsOverheadGuard enforces the ≤3% budget on the
-// system fast path (pool.Get) when explicitly asked to — timing
-// assertions are opt-in so ordinary `go test ./...` stays
-// machine-independent.
+// path. TestObsOverheadGuard enforces the ≤3% budget on the system fast
+// path (pool.Get) when explicitly asked to — timing assertions are
+// opt-in so ordinary `go test ./...` stays machine-independent.
 package bpwrapper_test
 
 import (
@@ -16,35 +14,13 @@ import (
 	"bpwrapper"
 )
 
-// obsGuardIDs is the hot set both guard variants cycle through.
+// obsGuardIDs is the hot set the guard variants cycle through.
 func obsGuardIDs() []bpwrapper.PageID {
 	ids := make([]bpwrapper.PageID, 1024)
 	for i := range ids {
 		ids[i] = bpwrapper.NewPageID(1, uint64(i))
 	}
 	return ids
-}
-
-// obsHitLoop drives the bare batched wrapper hit path — the narrowest
-// loop the recorder sits on — with an optional flight recorder.
-func obsHitLoop(b *testing.B, rec *bpwrapper.Recorder) {
-	p, ok := bpwrapper.NewPolicy("2q", 1024)
-	if !ok {
-		b.Fatal("2q policy not registered")
-	}
-	w := bpwrapper.NewWrapper(p, bpwrapper.WrapperConfig{Batching: true, Events: rec})
-	ids := obsGuardIDs()
-	for _, id := range ids {
-		p.Admit(id)
-	}
-	s := w.NewSession()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := ids[i%1024]
-		s.Hit(id, bpwrapper.BufferTag{Page: id})
-	}
-	b.StopTimer()
-	s.Flush()
 }
 
 // obsGuardPool builds the fully cached batched pool the guard loops
@@ -92,19 +68,10 @@ func obsGetLoop(b *testing.B, obsOn, traceOn bool) {
 	s.Flush()
 }
 
-// BenchmarkWrapperHitObs measures the recorder's tax on the bare batched
-// hit path: flight recorder attached vs detached. Lock profiling and the
-// batch-size distribution are on in both cases — they are the production
-// default — so the delta isolates the recorder's ring writes.
-func BenchmarkWrapperHitObs(b *testing.B) {
-	b.Run("recorder-off", func(b *testing.B) { obsHitLoop(b, nil) })
-	b.Run("recorder-on", func(b *testing.B) { obsHitLoop(b, bpwrapper.NewRecorder(4096)) })
-}
-
-// BenchmarkPoolGetObs measures the same comparison on the system fast
-// path, the quantity the guard below enforces — plus the tracing-armed
-// variant, whose untraced iterations pay only a sampling-counter
-// decrement.
+// BenchmarkPoolGetObs measures the system fast path, the quantity the
+// guard below enforces, with observability off, on (flight recorders plus
+// a registered registry), and on with tracing armed, whose untraced
+// iterations pay only a sampling-counter decrement.
 func BenchmarkPoolGetObs(b *testing.B) {
 	b.Run("obs-off", func(b *testing.B) { obsGetLoop(b, false, false) })
 	b.Run("obs-on", func(b *testing.B) { obsGetLoop(b, true, false) })

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Two checks:
+# Fails when the docs name what the tree does not have. Three checks:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
 #     EXPERIMENTS.md, and every bpw_* name in the doc comments and help text
@@ -8,6 +8,10 @@
 #     `bpw_x_*` is a prefix; `bpw_x_a/b/c` names bpw_x_a, bpw_x_b, bpw_x_c.
 #  2. Every "ROADMAP item N" in Go code, scripts and workflows must name an
 #     item of ROADMAP.md's open list (a line "N. **...").
+#  3. Every back-quoted span of README.md, DESIGN.md and EXPERIMENTS.md that
+#     is a Test…, Benchmark…, Example… or Fuzz… name (a /subtest suffix is
+#     stripped) must be a func in some _test.go. An allow-list entry for
+#     such a name is "DOC NAME": it excuses that one doc only.
 #
 # A name or reference that is only history goes on the allow-list below,
 # one per line, with no reason needed beyond the history it records.
@@ -15,6 +19,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 allow='
+# E22 is a row of timings of the bare wrapper hit with the flight recorder
+# on and off; the benchmark left when the wrapper stopped recording commits.
+EXPERIMENTS.md BenchmarkWrapperHitObs
 '
 
 allowed() { printf '%s\n' "$allow" | grep -qxF "$1"; }
@@ -60,6 +67,18 @@ for f in $(find . \( -name '*.go' -o -name '*.sh' -o -name '*.yml' -o -name '*.y
         allowed "ROADMAP item $n" && continue
         if ! printf '%s\n' "$items" | grep -qx "$n"; then
             echo "check_docs: $f cites ROADMAP item $n, which ROADMAP.md does not have" >&2
+            fail=1
+        fi
+    done
+done
+
+funcs="$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Example|Fuzz)[A-Za-z0-9_]*' . | sed 's/^func //' | sort -u)"
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for name in $(grep -oE '`[^`]+`' "$doc" | tr -d '`' |
+        grep -E '^(Test|Benchmark|Example|Fuzz)[A-Za-z0-9_]*(/[^[:space:]]*)?$' | sed 's,/.*,,' | sort -u); do
+        allowed "$doc $name" && continue
+        if ! printf '%s\n' "$funcs" | grep -qxF "$name"; then
+            echo "check_docs: $doc names $name, which is no func in a _test.go" >&2
             fail=1
         fi
     done
