@@ -614,10 +614,10 @@ func DialCache(addr string) (*CacheClient, error) { return server.Dial(addr) }
 // DialCacheTimeout is DialCache with a connect timeout.
 var DialCacheTimeout = server.DialTimeout
 
-// Remote fleet driving (bpload -remote): RunFleet runs workers of a
-// Workload against a CacheServer and folds exact per-worker counters
-// after every worker joins; FleetLive is the lagging live view for
-// progress tickers.
+// Fleet driving (bpload, examples/oltp): RunFleet runs workers of a
+// Workload against a CacheServer (FleetConfig.Addr) or an in-process Pool
+// (FleetConfig.Pool) and folds exact per-worker counters after every
+// worker joins; FleetLive is the lagging live view for progress tickers.
 type (
 	FleetConfig   = server.FleetConfig
 	FleetCounters = server.FleetCounters
@@ -625,5 +625,5 @@ type (
 	FleetLive     = server.FleetLive
 )
 
-// RunFleet drives a remote CacheServer with a fleet of client workers.
+// RunFleet drives a CacheServer or a Pool with a fleet of workers.
 var RunFleet = server.RunFleet

@@ -1,7 +1,9 @@
-// Command bpload drives the real (goroutine-based) buffer pool with a
-// chosen workload and prints live statistics — the operational companion
-// to the experiment harnesses, useful for eyeballing behaviour on the
-// machine at hand.
+// Command bpload drives a buffer pool with a chosen workload and prints
+// live statistics — the operational companion to the experiment harnesses,
+// useful for eyeballing behaviour on the machine at hand. The pool is an
+// in-process one bpload builds, or a bpserver it reaches over the wire
+// (-remote); both run on bpwrapper.RunFleet, one worker loop with a local
+// and a remote transport.
 //
 // Examples:
 //
@@ -19,8 +21,6 @@ import (
 	"time"
 
 	"bpwrapper"
-	"bpwrapper/internal/server"
-	"bpwrapper/internal/txn"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 		obsAddr     = flag.String("obs", "", "serve /metrics, /debug/vars, /debug/events and pprof on this address (e.g. :6060)")
 		recorder    = flag.Int("recorder", 4096, "per-shard flight-recorder ring size (0 disables)")
 		remote      = flag.String("remote", "", "drive a bpserver at this address instead of an in-process pool")
-		txns        = flag.Int("txns", 0, "with -remote: stop after this many txns per worker (0 = run out -duration)")
+		txns        = flag.Int("txns", 0, "stop after this many txns per worker (0 = run out -duration)")
 		pipeline    = flag.Int("pipeline", 8, "with -remote: page accesses pipelined per burst")
 		traceEvery  = flag.Int("trace", 0, "arm request tracing: locally, head-sample every Nth request (1 = all); with -remote, stamp a trace ID on every Nth burst so the server traces it end to end (0 disables)")
 	)
@@ -49,152 +49,111 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	live := &bpwrapper.FleetLive{}
+	cfg := bpwrapper.FleetConfig{
+		Workload:      wl,
+		Workers:       *workers,
+		Duration:      *duration,
+		TxnsPerWorker: *txns,
+		Seed:          *seed,
+		Live:          live,
+	}
+	var pool *bpwrapper.Pool
 	if *remote != "" {
-		runRemote(wl, *remote, *workers, *duration, *txns, *seed, *pipeline, *statsEvery, *traceEvery)
-		return
-	}
-	nFrames := *frames
-	if nFrames <= 0 {
-		nFrames = wl.DataPages()
-	}
-	factory, ok := bpwrapper.PolicyFactories()[*policyName]
-	if !ok {
-		fatal(fmt.Errorf("unknown policy %q", *policyName))
-	}
-	var device bpwrapper.Device = bpwrapper.NewMemDevice()
-	if *diskLat > 0 {
-		device = bpwrapper.NewSimDisk(bpwrapper.NewMemDevice(), bpwrapper.SimDiskConfig{ReadLatency: *diskLat})
-	}
-	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
-		Frames:        nFrames,
-		PolicyFactory: factory,
-		Wrapper: bpwrapper.WrapperConfig{
-			Batching:    *batching,
-			Prefetching: *prefetching,
-		},
-		Device:       device,
-		RecorderSize: *recorder,
-		Trace: bpwrapper.TraceConfig{
-			Enable:      *traceEvery > 0,
-			SampleEvery: *traceEvery,
-		},
-	})
-	var bw *bpwrapper.BackgroundWriter
-	if *bgwriter {
-		bw = pool.StartBackgroundWriter(bpwrapper.BackgroundWriterConfig{})
-		defer bw.Stop()
-	}
-	if *obsAddr != "" {
-		reg := bpwrapper.NewObsRegistry()
-		pool.RegisterObs(reg)
-		if bw != nil {
-			bw.RegisterObs(reg)
+		cfg.Addr = *remote
+		cfg.PipelineDepth = *pipeline
+		cfg.TraceEvery = *traceEvery
+		fmt.Printf("bpload: %s against bpserver %s, %d workers, pipeline %d\n",
+			wl.Name(), *remote, *workers, *pipeline)
+	} else {
+		nFrames := *frames
+		if nFrames <= 0 {
+			nFrames = wl.DataPages()
 		}
-		srv, err := bpwrapper.NewObsServer(*obsAddr, reg)
-		if err != nil {
-			fatal(err)
+		factory, ok := bpwrapper.PolicyFactories()[*policyName]
+		if !ok {
+			fatal(fmt.Errorf("unknown policy %q", *policyName))
 		}
-		defer srv.Close()
-		fmt.Printf("obs: serving metrics on http://%s/metrics\n", srv.Addr())
+		var device bpwrapper.Device = bpwrapper.NewMemDevice()
+		if *diskLat > 0 {
+			device = bpwrapper.NewSimDisk(bpwrapper.NewMemDevice(), bpwrapper.SimDiskConfig{ReadLatency: *diskLat})
+		}
+		pool = bpwrapper.NewPool(bpwrapper.PoolConfig{
+			Frames:        nFrames,
+			PolicyFactory: factory,
+			Wrapper: bpwrapper.WrapperConfig{
+				Batching:    *batching,
+				Prefetching: *prefetching,
+			},
+			Device:       device,
+			RecorderSize: *recorder,
+			Trace: bpwrapper.TraceConfig{
+				Enable:      *traceEvery > 0,
+				SampleEvery: *traceEvery,
+			},
+		})
+		cfg.Pool = pool
+		var bw *bpwrapper.BackgroundWriter
+		if *bgwriter {
+			bw = pool.StartBackgroundWriter(bpwrapper.BackgroundWriterConfig{})
+			defer bw.Stop()
+		}
+		if *obsAddr != "" {
+			reg := bpwrapper.NewObsRegistry()
+			pool.RegisterObs(reg)
+			if bw != nil {
+				bw.RegisterObs(reg)
+			}
+			srv, err := bpwrapper.NewObsServer(*obsAddr, reg)
+			if err != nil {
+				fatal(err)
+			}
+			defer srv.Close()
+			fmt.Printf("obs: serving metrics on http://%s/metrics\n", srv.Addr())
+		}
+		fmt.Printf("bpload: %s over %d frames (%s, batching=%v prefetching=%v), %d workers, %v\n",
+			wl.Name(), nFrames, *policyName, *batching, *prefetching, *workers, *duration)
 	}
 
-	fmt.Printf("bpload: %s over %d frames (%s, batching=%v prefetching=%v), %d workers, %v\n",
-		wl.Name(), nFrames, *policyName, *batching, *prefetching, *workers, *duration)
-
+	// The ticker reads the lagging FleetLive view (and the pool bpload
+	// owns); the summary comes from FleetResult's post-join fold, which is
+	// exact however the run ended (clock, -txns, or a server drain).
 	stop := make(chan struct{})
 	go func() {
 		ticker := time.NewTicker(*statsEvery)
 		defer ticker.Stop()
-		var lastHits, lastMisses int64
+		var lastTxns, lastReads, lastWrites, lastHits, lastMisses int64
 		for {
 			select {
 			case <-ticker.C:
-				st := pool.Stats()
-				dh, dm := st.Hits-lastHits, st.Misses-lastMisses
-				lastHits, lastMisses = st.Hits, st.Misses
-				hr := 0.0
-				if dh+dm > 0 {
-					hr = float64(dh) / float64(dh+dm)
-				}
-				// Rate from the elapsed interval, not time.Second/interval:
+				// Rates from the elapsed interval, not time.Second/interval:
 				// that integer division is 0 for any interval over a second.
-				fmt.Printf("  %8.0f acc/s  hit %5.1f%%  dirty %4d  free %4d  lock acq %d  contended %d\n",
-					float64(dh+dm)/statsEvery.Seconds(), 100*hr,
-					st.Dirty, st.Free, st.Wrapper.Lock.Acquisitions, st.Wrapper.Lock.Contentions)
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	res, err := txn.Run(txn.Config{
-		Pool:     pool,
-		Workload: wl,
-		Workers:  *workers,
-		Duration: *duration,
-		Seed:     *seed,
-	})
-	close(stop)
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("\ncompleted %d txns in %v (%.0f tps)\n", res.Txns, res.Elapsed.Round(time.Millisecond), res.ThroughputTPS)
-	fmt.Printf("accesses    %d (hit ratio %.2f%%)\n", res.Accesses, 100*res.HitRatio)
-	fmt.Printf("response    mean %v  p50 %v  p99 %v\n",
-		res.Response.Mean.Round(time.Microsecond),
-		res.Response.P50.Round(time.Microsecond),
-		res.Response.P99.Round(time.Microsecond))
-	fmt.Printf("lock        %d acquisitions, %d contended, %d TryLock failures\n",
-		res.Wrapper.Lock.Acquisitions, res.Wrapper.Lock.Contentions, res.Wrapper.Lock.TryFailures)
-	fmt.Printf("batching    %d commits (%d TryLock, %d forced), %d stale dropped\n",
-		res.Wrapper.Commits, res.Wrapper.TryCommits, res.Wrapper.ForcedLocks, res.Wrapper.Dropped)
-	if n, err := pool.FlushDirty(); err == nil && n > 0 {
-		fmt.Printf("flushed     %d dirty pages on shutdown\n", n)
-	}
-}
-
-// runRemote drives a bpserver with a fleet of remote clients. The live
-// ticker reads the lagging FleetLive view; the final summary comes from
-// FleetResult's post-join fold, which is exact regardless of how the run
-// ended (clock, -txns, or a server drain cutting the fleet off).
-func runRemote(wl bpwrapper.Workload, addr string, workers int, duration time.Duration, txnsPerWorker int, seed int64, pipeline int, statsEvery time.Duration, traceEvery int) {
-	fmt.Printf("bpload: %s against bpserver %s, %d workers, pipeline %d\n",
-		wl.Name(), addr, workers, pipeline)
-
-	live := &server.FleetLive{}
-	stop := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(statsEvery)
-		defer ticker.Stop()
-		var lastTxns, lastReads, lastWrites int64
-		for {
-			select {
-			case <-ticker.C:
 				t, r, w := live.Txns.Load(), live.Reads.Load(), live.Writes.Load()
-				fmt.Printf("  %8.0f txn/s  %8.0f reads/s  %8.0f writes/s  shed %d  errors %d\n",
+				line := fmt.Sprintf("  %8.0f txn/s  %8.0f reads/s  %8.0f writes/s  shed %d  errors %d",
 					float64(t-lastTxns)/statsEvery.Seconds(),
 					float64(r-lastReads)/statsEvery.Seconds(),
 					float64(w-lastWrites)/statsEvery.Seconds(),
 					live.Overloaded.Load(), live.Errors.Load())
 				lastTxns, lastReads, lastWrites = t, r, w
+				if pool != nil {
+					st := pool.Stats()
+					dh, dm := st.Hits-lastHits, st.Misses-lastMisses
+					lastHits, lastMisses = st.Hits, st.Misses
+					hr := 0.0
+					if dh+dm > 0 {
+						hr = float64(dh) / float64(dh+dm)
+					}
+					line += fmt.Sprintf("  hit %5.1f%%  dirty %4d  free %4d  lock acq %d  contended %d",
+						100*hr, st.Dirty, st.Free, st.Wrapper.Lock.Acquisitions, st.Wrapper.Lock.Contentions)
+				}
+				fmt.Println(line)
 			case <-stop:
 				return
 			}
 		}
 	}()
 
-	res, err := server.RunFleet(server.FleetConfig{
-		Addr:          addr,
-		Workload:      wl,
-		Workers:       workers,
-		Duration:      duration,
-		TxnsPerWorker: txnsPerWorker,
-		Seed:          seed,
-		PipelineDepth: pipeline,
-		TraceEvery:    traceEvery,
-		Live:          live,
-	})
+	res, err := bpwrapper.RunFleet(cfg)
 	close(stop)
 	if err != nil {
 		fatal(err)
@@ -210,10 +169,22 @@ func runRemote(wl bpwrapper.Workload, addr string, workers int, duration time.Du
 	fmt.Printf("refusals    %d overloaded (shed), %d draining\n", c.Overloaded, c.Draining)
 	fmt.Printf("errors      %d\n", c.Errors)
 	if res.Latency.Count() > 0 {
-		fmt.Printf("burst rtt   mean %v  p50 %v  p99 %v\n",
+		fmt.Printf("txn latency mean %v  p50 %v  p99 %v\n",
 			res.Latency.Mean().Round(time.Microsecond),
 			res.Latency.Quantile(0.50).Round(time.Microsecond),
 			res.Latency.Quantile(0.99).Round(time.Microsecond))
+	}
+	if pool != nil {
+		// Exact: every worker's session was flushed before RunFleet returned.
+		st := pool.Stats()
+		fmt.Printf("accesses    %d (hit ratio %.2f%%)\n", st.Hits+st.Misses, 100*st.HitRatio)
+		fmt.Printf("lock        %d acquisitions, %d contended, %d TryLock failures\n",
+			st.Wrapper.Lock.Acquisitions, st.Wrapper.Lock.Contentions, st.Wrapper.Lock.TryFailures)
+		fmt.Printf("batching    %d commits (%d TryLock, %d forced), %d stale dropped\n",
+			st.Wrapper.Commits, st.Wrapper.TryCommits, st.Wrapper.ForcedLocks, st.Wrapper.Dropped)
+		if n, err := pool.FlushDirty(); err == nil && n > 0 {
+			fmt.Printf("flushed     %d dirty pages on shutdown\n", n)
+		}
 	}
 	if c.Errors > 0 {
 		os.Exit(1)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"bpwrapper"
-	"bpwrapper/internal/txn"
 )
 
 func main() {
@@ -36,7 +35,7 @@ func main() {
 				Wrapper:       bpwrapper.WrapperConfig{Batching: true, Prefetching: true},
 				Device:        disk,
 			})
-			res, err := txn.Run(txn.Config{
+			res, err := bpwrapper.RunFleet(bpwrapper.FleetConfig{
 				Pool:     pool,
 				Workload: wl,
 				Workers:  8,
@@ -46,13 +45,16 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			if n := res.Counters.Errors; n > 0 {
+				log.Fatalf("%s: %d failed accesses", name, n)
+			}
 			// Flush remaining dirty pages, as a checkpoint would.
 			if _, err := pool.FlushDirty(); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-8s %9.0f%% %11.1f%% %12.0f %12s %10d\n",
-				name, 100*frac, 100*res.HitRatio, res.ThroughputTPS,
-				res.Response.P99.Round(10*time.Microsecond), disk.Stats().Writes)
+				name, 100*frac, 100*pool.Stats().HitRatio, float64(res.Counters.Txns)/res.Elapsed.Seconds(),
+				res.Latency.Quantile(0.99).Round(10*time.Microsecond), disk.Stats().Writes)
 		}
 	}
 	fmt.Println("\nSmall buffers are I/O bound: the advanced algorithms' higher hit")

@@ -66,9 +66,6 @@ type Config struct {
 	// Pool is the controlled pool. Required.
 	Pool *buffer.Pool
 
-	// Interval between Steps when running via Start. Default 500ms.
-	Interval time.Duration
-
 	// SampleRate is the spatial access-sampling rate fed to
 	// Pool.EnableSampling: 1/SampleRate of the page-id space is shadowed.
 	// Default 8. The ghost caches are sized Frames/SampleRate so they
@@ -105,8 +102,10 @@ type Config struct {
 	MinWindow int64
 }
 
-// The decision rules' fixed thresholds.
+// The loop's cadence and the decision rules' fixed thresholds.
 const (
+	// stepInterval is the time between Steps when running via Start.
+	stepInterval = 500 * time.Millisecond
 	// ghostWindow is the scorer's decay period in sampled accesses (scores
 	// halve every window, tracking the current phase).
 	ghostWindow = 4096
@@ -119,9 +118,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 500 * time.Millisecond
-	}
 	if c.SampleRate <= 0 {
 		c.SampleRate = 8
 	}
@@ -226,7 +222,7 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Start launches the control goroutine at the configured interval. Stop
+// Start launches the control goroutine, one Step every stepInterval. Stop
 // terminates it.
 func (c *Controller) Start() {
 	if c.started.Swap(true) {
@@ -234,7 +230,7 @@ func (c *Controller) Start() {
 	}
 	go func() {
 		defer c.closeDone()
-		t := time.NewTicker(c.cfg.Interval)
+		t := time.NewTicker(stepInterval)
 		defer t.Stop()
 		for {
 			select {

@@ -251,7 +251,7 @@ func TestControllerStartStop(t *testing.T) {
 		Device:        storage.NewMemDevice(),
 	})
 	defer p.Close()
-	c := New(Config{Pool: p, Interval: time.Millisecond, Candidates: []string{"lru"}})
+	c := New(Config{Pool: p, Candidates: []string{"lru"}})
 	c.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for c.Steps() == 0 && time.Now().Before(deadline) {

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // AccessCounters aggregates the buffer-access statistics every experiment
 // reports: hits, misses, and (derived) hit ratio. All methods are safe for
@@ -71,8 +68,8 @@ func (c *AccessCounters) HitRatio() float64 {
 // concurrent Snapshot (or Hit/Miss) can observe pre-Reset hits with
 // post-Reset misses — an inconsistent pair that undercounts accesses and
 // skews the hit ratio. Callers must ensure no sessions are recording and
-// no scraper is snapshotting while Reset runs; every in-tree caller
-// (txn.Run setup, Pool.ResetStats) does so at a quiescent point. Builds
+// no scraper is snapshotting while Reset runs; the in-tree caller,
+// Pool.ResetStats, does so at a quiescent point. Builds
 // with -tags torture enforce the contract with a panic.
 func (c *AccessCounters) Reset() {
 	if tortureChecks {
@@ -126,13 +123,4 @@ func (a AccessSnapshot) Plus(o AccessSnapshot) AccessSnapshot {
 	a.Hits += o.Hits
 	a.Misses += o.Misses
 	return a
-}
-
-// Throughput converts a completed-operation count over an elapsed wall-clock
-// interval into operations per second.
-func Throughput(ops int64, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(ops) / elapsed.Seconds()
 }

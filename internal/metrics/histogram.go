@@ -338,25 +338,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Summary describes a distribution compactly for reports.
-type Summary struct {
-	Count          int64
-	Mean, P50, P99 time.Duration
-	MinVal, MaxVal time.Duration
-}
-
-// Summarize returns a Summary of the histogram's current contents.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count:  h.Count(),
-		Mean:   h.Mean(),
-		P50:    h.Quantile(0.50),
-		P99:    h.Quantile(0.99),
-		MinVal: h.Min(),
-		MaxVal: h.Max(),
-	}
-}
-
 // SortDurations sorts a slice of durations ascending; a small helper for
 // exact-percentile computations in tests and tools.
 func SortDurations(ds []time.Duration) {

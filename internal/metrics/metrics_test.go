@@ -103,18 +103,6 @@ func TestContentionMutexReset(t *testing.T) {
 	}
 }
 
-func TestContentionPerMillion(t *testing.T) {
-	if got := ContentionPerMillion(0, 0); got != 0 {
-		t.Errorf("0/0 → %v", got)
-	}
-	if got := ContentionPerMillion(5, 1_000_000); got != 5 {
-		t.Errorf("5 per million → %v", got)
-	}
-	if got := ContentionPerMillion(1, 2_000_000); got != 0.5 {
-		t.Errorf("1 per 2M → %v", got)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewLatencyHistogram()
 	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
@@ -246,32 +234,6 @@ func TestAccessCounters(t *testing.T) {
 	c.Reset()
 	if c.Accesses() != 0 {
 		t.Error("reset did not clear")
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	if got := Throughput(100, time.Second); got != 100 {
-		t.Errorf("100/1s = %v", got)
-	}
-	if got := Throughput(100, 0); got != 0 {
-		t.Errorf("zero elapsed → %v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	h := NewLatencyHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
-	}
-	s := h.Summarize()
-	if s.Count != 100 {
-		t.Errorf("count %d", s.Count)
-	}
-	if s.Mean < 50*time.Millisecond || s.Mean > 51*time.Millisecond {
-		t.Errorf("mean %v", s.Mean)
-	}
-	if s.MaxVal != 100*time.Millisecond {
-		t.Errorf("max %v", s.MaxVal)
 	}
 }
 

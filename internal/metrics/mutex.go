@@ -254,12 +254,3 @@ func (m *ContentionMutex) Reset() {
 		}
 	}
 }
-
-// ContentionPerMillion converts raw contention and access counts into the
-// paper's reporting unit: lock contentions per million page accesses.
-func ContentionPerMillion(contentions, accesses int64) float64 {
-	if accesses == 0 {
-		return 0
-	}
-	return float64(contentions) * 1e6 / float64(accesses)
-}

@@ -13,12 +13,19 @@ import (
 	"bpwrapper/internal/workload"
 )
 
-// FleetConfig drives a fleet of remote clients against one bpserver:
-// Workers connections, each replaying its deterministic workload stream
-// (the same generators the in-process drivers use), optionally batching
-// accesses into pipelined frames.
+// FleetConfig drives a fleet of workers against one buffer pool, each
+// replaying its deterministic workload stream, optionally batching
+// accesses into pipelined frames. The transport is the wire (Addr) or
+// the process (Pool); exactly one must be set.
 type FleetConfig struct {
-	Addr     string
+	// Addr is a bpserver address: each worker dials its own connection.
+	Addr string
+
+	// Pool is an in-process pool: each worker opens its own session,
+	// flushed when the worker exits, and runs each access as pin, touch
+	// one byte (a write adds 1 to it and marks the page dirty), release.
+	Pool *buffer.Pool
+
 	Workload workload.Workload
 	Workers  int
 
@@ -31,14 +38,16 @@ type FleetConfig struct {
 
 	// PipelineDepth batches up to this many page accesses into one
 	// pipelined Do burst (one write, one flush, one response batch).
-	// Zero or one means synchronous request/response.
+	// Zero or one means synchronous request/response. In process a burst
+	// is only a run of accesses, so the depth changes nothing.
 	PipelineDepth int
 
 	// TraceEvery, when positive, attaches a deterministic trace ID (via
 	// the protocol's trace-context extension) to every TraceEvery-th
 	// burst each worker sends — client-side head sampling, so a fleet run
 	// seeds the server's tracer with end-to-end traces without flooding
-	// it. Zero disables wire tracing.
+	// it. Zero disables wire tracing. Ignored with Pool, which samples
+	// through its own trace configuration.
 	TraceEvery int
 
 	// Live, when non-nil, receives periodic counter publications for a
@@ -56,11 +65,11 @@ const livePublishEvery = 32
 // ints: each instance is owned by one goroutine until the final fold.
 type FleetCounters struct {
 	Txns       int64
-	Reads      int64 // GETs answered OK
-	Writes     int64 // PUTs answered OK
+	Reads      int64 // reads served
+	Writes     int64 // writes applied
 	Overloaded int64 // shed by admission control (typed OVERLOADED)
 	Draining   int64 // refused past the drain grace
-	Errors     int64 // transport or unexpected server errors
+	Errors     int64 // transport or unexpected errors
 }
 
 // add folds o into c.
@@ -71,6 +80,21 @@ func (c *FleetCounters) add(o FleetCounters) {
 	c.Overloaded += o.Overloaded
 	c.Draining += o.Draining
 	c.Errors += o.Errors
+}
+
+// count tallies one access's outcome: a read or a write served, the typed
+// shed, or any other error.
+func (c *FleetCounters) count(write bool, err error) {
+	switch {
+	case err == nil && write:
+		c.Writes++
+	case err == nil:
+		c.Reads++
+	case errors.Is(err, buffer.ErrOverloaded):
+		c.Overloaded++
+	default:
+		c.Errors++
+	}
 }
 
 // FleetLive is the shared live view workers publish into for progress
@@ -100,19 +124,22 @@ type FleetResult struct {
 	Counters  FleetCounters
 	PerWorker []FleetCounters
 	Elapsed   time.Duration
-	Latency   *metrics.Histogram // per-burst round-trip latency, merged
+	Latency   *metrics.Histogram // per-transaction latency, merged
 }
 
 // RunFleet executes the fleet and blocks until every worker has joined
-// and its counters are folded. Workers stop early — without error — when
-// the server sheds into DRAINING or hangs up mid-run (that is the drain
-// contract working); transport errors before any response are counted,
-// not fatal, so a mid-run server drain never turns into a test failure
+// and its counters are folded. Per-access errors are counted, not fatal.
+// Over the wire, workers stop early — without error — when the server
+// sheds into DRAINING or hangs up mid-run (that is the drain contract
+// working), so a mid-run server drain never turns into a test failure
 // here. The returned error is reserved for setup problems (bad config,
 // nobody could connect).
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.Workload == nil {
 		return nil, errors.New("fleet: Workload is required")
+	}
+	if (cfg.Addr == "") == (cfg.Pool == nil) {
+		return nil, errors.New("fleet: set exactly one of Addr and Pool")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -127,16 +154,21 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 	// Connect everybody up front so a dead address fails fast instead of
 	// producing a zero-work "success".
-	clients := make([]*Client, cfg.Workers)
-	for w := range clients {
+	links := make([]fleetLink, cfg.Workers)
+	for w := range links {
+		if cfg.Pool != nil {
+			links[w] = &poolLink{pool: cfg.Pool, sess: cfg.Pool.NewSession()}
+			continue
+		}
 		c, err := Dial(cfg.Addr)
 		if err != nil {
-			for _, cc := range clients[:w] {
-				cc.Close()
+			for _, l := range links[:w] {
+				l.close()
 			}
 			return nil, fmt.Errorf("fleet: worker %d: %w", w, err)
 		}
-		clients[w] = c
+		links[w] = &wireLink{c: c, worker: w, traceEvery: cfg.TraceEvery,
+			ops: make([]Op, 0, depth), pages: make([]page.Page, depth)}
 	}
 
 	var (
@@ -154,9 +186,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer clients[w].Close()
+			defer links[w].close()
 			hists[w] = metrics.NewLatencyHistogram()
-			runFleetWorker(cfg, clients[w], w, depth, stop, &perWorker[w], hists[w])
+			runFleetWorker(cfg, links[w], w, depth, stop, &perWorker[w], hists[w])
 		}(w)
 	}
 	wg.Wait()
@@ -176,18 +208,13 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	return res, nil
 }
 
-// runFleetWorker replays worker w's stream until its transaction budget,
-// the duration stop, or the server's drain ends it.
-func runFleetWorker(cfg FleetConfig, c *Client, w, depth int, stop <-chan struct{}, out *FleetCounters, lat *metrics.Histogram) {
+// runFleetWorker replays worker w's stream, depth accesses a burst, until
+// its transaction budget, the duration stop, or its link ends it.
+func runFleetWorker(cfg FleetConfig, l fleetLink, w, depth int, stop <-chan struct{}, out *FleetCounters, lat *metrics.Histogram) {
 	stream := cfg.Workload.NewStream(w, cfg.Seed)
 	var (
 		cur, last FleetCounters
 		accBuf    []workload.Access
-		ops       = make([]Op, 0, depth)
-		// One page image per pipeline slot: every PUT queued in a batch
-		// owns its bytes until the batch is encoded (a single shared
-		// buffer would make all PUTs in one burst carry the last stamp).
-		pages = make([]page.Page, depth)
 	)
 	defer func() {
 		// Publish-then-own: the final counters land in *out regardless of
@@ -197,50 +224,6 @@ func runFleetWorker(cfg FleetConfig, c *Client, w, depth int, stop <-chan struct
 		}
 		*out = cur
 	}()
-	var burst uint64
-	flushOps := func() bool {
-		if len(ops) == 0 {
-			return true
-		}
-		burst++
-		if cfg.TraceEvery > 0 && burst%uint64(cfg.TraceEvery) == 0 {
-			// Deterministic per-worker trace IDs: reruns produce the same
-			// identities, so bench ledgers can be compared across runs.
-			c.SetTraceID(uint64(w+1)<<32 | burst)
-		} else {
-			c.SetTraceID(0)
-		}
-		t0 := time.Now()
-		results, err := c.Do(ops)
-		lat.Record(time.Since(t0))
-		ops = ops[:0]
-		if err != nil {
-			// Transport cut: a drain poke or vanished server. Count it
-			// once and end the worker; the fold still sees everything
-			// acknowledged before the cut.
-			cur.Errors++
-			return false
-		}
-		for i := range results {
-			r := &results[i]
-			switch {
-			case r.Err == nil:
-				if r.Data != nil {
-					cur.Reads++
-				} else {
-					cur.Writes++
-				}
-			case errors.Is(r.Err, ErrDraining):
-				cur.Draining++
-			case isOverloaded(r.Err):
-				cur.Overloaded++
-			default:
-				cur.Errors++
-			}
-		}
-		// A drained server refuses everything from here on; stop cleanly.
-		return cur.Draining == 0
-	}
 	for txn := 0; cfg.TxnsPerWorker <= 0 || txn < cfg.TxnsPerWorker; txn++ {
 		select {
 		case <-stop:
@@ -248,23 +231,15 @@ func runFleetWorker(cfg FleetConfig, c *Client, w, depth int, stop <-chan struct
 		default:
 		}
 		accBuf = stream.NextTxn(accBuf[:0])
-		for _, a := range accBuf {
-			op := Op{Code: OpGet, Page: a.Page}
-			if a.Write {
-				pg := &pages[len(ops)]
-				pg.Stamp(a.Page)
-				op = Op{Code: OpPut, Page: a.Page, Data: pg.Data[:]}
+		t0 := time.Now()
+		for rest := accBuf; len(rest) > 0; {
+			n := min(depth, len(rest))
+			if !l.do(rest[:n], &cur) {
+				return
 			}
-			ops = append(ops, op)
-			if len(ops) >= depth {
-				if !flushOps() {
-					return
-				}
-			}
+			rest = rest[n:]
 		}
-		if !flushOps() {
-			return
-		}
+		lat.Record(time.Since(t0))
 		cur.Txns++
 		if cfg.Live != nil && cur.Txns%livePublishEvery == 0 {
 			cfg.Live.publish(cur, last)
@@ -273,7 +248,106 @@ func runFleetWorker(cfg FleetConfig, c *Client, w, depth int, stop <-chan struct
 	}
 }
 
-// isOverloaded reports whether a per-op error is the typed shed.
-func isOverloaded(err error) bool {
-	return err != nil && errors.Is(err, buffer.ErrOverloaded)
+// fleetLink is one worker's transport.
+type fleetLink interface {
+	// do runs one burst of accesses and counts each into cur. It reports
+	// false when the worker must stop.
+	do(accs []workload.Access, cur *FleetCounters) bool
+	close()
 }
+
+// wireLink is the remote transport: one client connection to a bpserver.
+type wireLink struct {
+	c          *Client
+	worker     int
+	traceEvery int
+	burst      uint64
+	ops        []Op
+	// One page image per pipeline slot: every PUT queued in a batch
+	// owns its bytes until the batch is encoded (a single shared
+	// buffer would make all PUTs in one burst carry the last stamp).
+	pages []page.Page
+}
+
+func (l *wireLink) do(accs []workload.Access, cur *FleetCounters) bool {
+	l.burst++
+	if l.traceEvery > 0 && l.burst%uint64(l.traceEvery) == 0 {
+		// Deterministic per-worker trace IDs: reruns produce the same
+		// identities, so bench ledgers can be compared across runs.
+		l.c.SetTraceID(uint64(l.worker+1)<<32 | l.burst)
+	} else {
+		l.c.SetTraceID(0)
+	}
+	l.ops = l.ops[:0]
+	for i, a := range accs {
+		op := Op{Code: OpGet, Page: a.Page}
+		if a.Write {
+			pg := &l.pages[i]
+			pg.Stamp(a.Page)
+			op = Op{Code: OpPut, Page: a.Page, Data: pg.Data[:]}
+		}
+		l.ops = append(l.ops, op)
+	}
+	results, err := l.c.Do(l.ops)
+	if err != nil {
+		// Transport cut: a drain poke or vanished server. Count it once
+		// and end the worker; the fold still sees everything acknowledged
+		// before the cut.
+		cur.Errors++
+		return false
+	}
+	for i := range results {
+		if errors.Is(results[i].Err, ErrDraining) {
+			cur.Draining++
+		} else {
+			cur.count(accs[i].Write, results[i].Err)
+		}
+	}
+	// A drained server refuses everything from here on; stop cleanly.
+	return cur.Draining == 0
+}
+
+func (l *wireLink) close() { l.c.Close() }
+
+// poolLink is the in-process transport: one session of the pool.
+type poolLink struct {
+	pool *buffer.Pool
+	sess *buffer.Session
+}
+
+func (l *poolLink) do(accs []workload.Access, cur *FleetCounters) bool {
+	for _, a := range accs {
+		cur.count(a.Write, l.access(a))
+	}
+	return true
+}
+
+// access pins the page, touches one byte of it — a write adds 1 and marks
+// the page dirty — and releases it, so the pin holds a real content access.
+func (l *poolLink) access(a workload.Access) error {
+	var ref *buffer.PageRef
+	var err error
+	if a.Write {
+		ref, err = l.pool.GetWrite(l.sess, a.Page)
+	} else {
+		ref, err = l.pool.Get(l.sess, a.Page)
+	}
+	if err != nil {
+		return err
+	}
+	data := ref.Data()
+	i := int(a.Page) % len(data)
+	if a.Write {
+		data[i]++
+		ref.MarkDirty()
+	} else {
+		touchSink.Store(uint32(data[i]))
+	}
+	ref.Release()
+	return nil
+}
+
+func (l *poolLink) close() { l.sess.Flush() }
+
+// touchSink swallows touched bytes so the compiler keeps the reads.
+var touchSink atomic.Uint32

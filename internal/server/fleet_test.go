@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"bpwrapper/internal/buffer"
+	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
+	"bpwrapper/internal/replacer"
+	"bpwrapper/internal/storage"
 	"bpwrapper/internal/workload"
 )
 
@@ -143,5 +147,139 @@ func TestFleetAgainstDrain(t *testing.T) {
 	}
 	if res.Elapsed >= 5*time.Second {
 		t.Fatalf("fleet ran out the clock (%v); the drain should have ended it", res.Elapsed)
+	}
+}
+
+// testFleetPool is an in-process pool for the local transport's tests.
+func testFleetPool(frames int) *buffer.Pool {
+	return buffer.New(buffer.Config{
+		Frames:        frames,
+		PolicyFactory: replacer.Factories()["2q"],
+		Wrapper:       core.Config{Batching: true, Prefetching: true},
+		Device:        storage.NewMemDevice(),
+	})
+}
+
+// TestFleetLocalBudget: on the in-process transport a work-bounded run
+// executes exactly Workers × TxnsPerWorker transactions of the workload's
+// length, every access reaches the pool, and a prewarmed pool that holds
+// the whole table serves every one of them as a hit.
+func TestFleetLocalBudget(t *testing.T) {
+	const (
+		workers = 4
+		txns    = 100
+		txnLen  = 10
+	)
+	wl := countingWorkload{txnLen: txnLen}
+	pool := testFleetPool(wl.DataPages())
+	defer pool.Close()
+	if err := pool.Prewarm(wl.Pages()); err != nil {
+		t.Fatal(err)
+	}
+	pool.ResetStats()
+	res, err := RunFleet(FleetConfig{
+		Pool:          pool,
+		Workload:      wl,
+		Workers:       workers,
+		TxnsPerWorker: txns,
+		Seed:          1,
+	})
+	if err != nil {
+		t.Fatalf("RunFleet: %v", err)
+	}
+	c := res.Counters
+	if c.Txns != workers*txns {
+		t.Fatalf("txns=%d, want %d", c.Txns, workers*txns)
+	}
+	if c.Reads+c.Writes != workers*txns*txnLen || c.Writes != workers*txns {
+		t.Fatalf("reads=%d writes=%d, want %d accesses, one write a txn", c.Reads, c.Writes, workers*txns*txnLen)
+	}
+	if c.Errors != 0 || c.Overloaded != 0 || c.Draining != 0 {
+		t.Fatalf("unexpected failures in counters: %+v", c)
+	}
+	if got := res.Latency.Count(); got != workers*txns {
+		t.Fatalf("latency samples=%d, want one a txn (%d)", got, workers*txns)
+	}
+	// The workers' sessions are flushed at exit, so the pool's counters
+	// are exact here.
+	acc := pool.AccessStats()
+	if acc.Accesses() != workers*txns*txnLen {
+		t.Fatalf("pool saw %d accesses, want %d", acc.Accesses(), workers*txns*txnLen)
+	}
+	if acc.HitRatio() != 1 {
+		t.Fatalf("hit ratio %v after prewarm", acc.HitRatio())
+	}
+	if st := pool.Stats(); st.Dirty == 0 {
+		t.Fatal("writes left no dirty page")
+	}
+}
+
+// TestFleetLocalDuration: a time-bounded in-process run stops on the clock.
+func TestFleetLocalDuration(t *testing.T) {
+	wl := workload.NewZipf(workload.SyntheticConfig{Pages: 100, TxnLen: 5})
+	pool := testFleetPool(100)
+	defer pool.Close()
+	start := time.Now()
+	res, err := RunFleet(FleetConfig{
+		Pool:     pool,
+		Workload: wl,
+		Workers:  2,
+		Duration: 100 * time.Millisecond,
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatalf("RunFleet: %v", err)
+	}
+	if e := time.Since(start); e < 100*time.Millisecond || e > 3*time.Second {
+		t.Fatalf("run took %v for a 100ms budget", e)
+	}
+	if res.Counters.Txns == 0 {
+		t.Fatal("no transactions completed")
+	}
+}
+
+// TestFleetLocalMisses: a pool far smaller than the table keeps evicting,
+// and the fleet runs through it without an error.
+func TestFleetLocalMisses(t *testing.T) {
+	wl := workload.NewZipf(workload.SyntheticConfig{Pages: 2000, TxnLen: 10})
+	pool := testFleetPool(100)
+	defer pool.Close()
+	res, err := RunFleet(FleetConfig{
+		Pool:          pool,
+		Workload:      wl,
+		Workers:       4,
+		TxnsPerWorker: 200,
+		Seed:          3,
+	})
+	if err != nil {
+		t.Fatalf("RunFleet: %v", err)
+	}
+	if c := res.Counters; c.Txns != 800 || c.Errors != 0 || c.Overloaded != 0 {
+		t.Fatalf("counters %+v, want 800 txns and no failures", c)
+	}
+	acc := pool.AccessStats()
+	if acc.Misses == 0 {
+		t.Fatal("no misses recorded")
+	}
+	if hr := acc.HitRatio(); hr <= 0 || hr >= 1 {
+		t.Fatalf("hit ratio %v, want in (0,1)", hr)
+	}
+}
+
+// TestFleetConfigValidation: a run needs a workload, a stop rule and
+// exactly one transport.
+func TestFleetConfigValidation(t *testing.T) {
+	wl := countingWorkload{txnLen: 1}
+	pool := testFleetPool(8)
+	defer pool.Close()
+	for name, cfg := range map[string]FleetConfig{
+		"no workload":     {Pool: pool, Duration: time.Millisecond},
+		"no stop rule":    {Pool: pool, Workload: wl},
+		"no transport":    {Workload: wl, Duration: time.Millisecond},
+		"both transports": {Addr: "127.0.0.1:1", Pool: pool, Workload: wl, Duration: time.Millisecond},
+	} {
+		if _, err := RunFleet(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

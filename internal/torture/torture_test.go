@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"bpwrapper/internal/replacer"
 )
 
 // failSeed fails the test with the error and the replay hint, persisting
@@ -202,8 +204,8 @@ func TestOracleCatchesInjectedBugs(t *testing.T) {
 }
 
 // TestPoolTorture drives the full wrapper × pool × faulty-device stack.
-// The tier-1 matrix is small; long mode expands policies, paths, and op
-// counts for nightly CI.
+// The tier-1 matrix is small; long mode runs every policy of
+// replacer.Names() on every path, with more ops, for nightly CI.
 func TestPoolTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-layer torture run skipped in -short")
@@ -229,7 +231,7 @@ func TestPoolTorture(t *testing.T) {
 		})
 	}
 	if LongMode() {
-		for i, pol := range []string{"lru", "2q", "lirs", "mq", "arc", "car", "clockpro", "seq", "lfu", "lru2"} {
+		for i, pol := range replacer.Names() {
 			for j, path := range Paths() {
 				cases = append(cases, cse{
 					"long-" + pol + "-" + string(path),
@@ -262,7 +264,9 @@ func TestPoolTorture(t *testing.T) {
 // (versions are per page, and each page lives in exactly one shard), so
 // the zero-lost-dirty-pages and content-integrity oracles carry over
 // unchanged while CheckInvariants additionally verifies shard routing.
-// The nightly workflow runs this target by name under -race -tags torture.
+// Long mode runs every policy of replacer.Names() on every path at 2, 4
+// and 8 shards. The nightly workflow runs this target by name under -race
+// -tags torture.
 func TestPoolTortureSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-layer torture run skipped in -short")
@@ -278,7 +282,7 @@ func TestPoolTortureSharded(t *testing.T) {
 		{"shards2-lfu-fc", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "lfu", Shards: 2}},
 	}
 	if LongMode() {
-		for i, pol := range []string{"lru", "2q", "lirs", "arc", "clockpro", "lfu", "lru2"} {
+		for i, pol := range replacer.Names() {
 			for j, path := range Paths() {
 				for _, shards := range []int{2, 4, 8} {
 					cases = append(cases, cse{
@@ -318,8 +322,9 @@ func TestPoolTortureSharded(t *testing.T) {
 // drained), stats consistency including the retired fold, and zero lost
 // dirty pages at Close even for pages that crossed shards while dirty or
 // quarantined. The matrix covers two commit paths, a background writer and
-// a fault-injected run where migrations race transient write failures. The
-// nightly workflow runs this target by name under -race -tags torture.
+// a fault-injected run where migrations race transient write failures; long
+// mode runs every policy of replacer.Names() on every path. The nightly
+// workflow runs this target by name under -race -tags torture.
 func TestPoolTortureReshard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-layer torture run skipped in -short")
@@ -345,7 +350,7 @@ func TestPoolTortureReshard(t *testing.T) {
 		}},
 	}
 	if LongMode() {
-		for i, pol := range []string{"lru", "2q", "lirs", "clockpro", "lfu", "lru2"} {
+		for i, pol := range replacer.Names() {
 			for j, path := range Paths() {
 				cases = append(cases, cse{
 					fmt.Sprintf("long-%s-%s", pol, path),

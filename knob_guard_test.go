@@ -28,15 +28,12 @@ var knobStructs = []string{
 	"internal/reqtrace.Config",
 	"internal/control.Config",
 	"internal/storage.SimDiskConfig",
-	"internal/txn.Config",
+	"internal/server.FleetConfig",
 }
 
 // knobsWithoutCaller are the exported fields allowed to have no product
 // setter, each with the reason it stays a field.
-var knobsWithoutCaller = map[string]string{
-	"internal/control.Config.Interval":  "the controller's tests run the loop at 1 ms; bpserver takes the 500 ms default and has no flag for it",
-	"internal/txn.Config.TxnsPerWorker": "the driver's tests bound a run by work so that it is repeatable; bpload and examples/oltp bound theirs by Duration",
-}
+var knobsWithoutCaller = map[string]string{}
 
 // knobSetterRoots are where a product setter may live.
 var knobSetterRoots = []string{"cmd", "examples", "benchmark", "internal"}
