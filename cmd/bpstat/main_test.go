@@ -8,6 +8,7 @@ import (
 
 	"bpwrapper"
 	"bpwrapper/internal/server"
+	"bpwrapper/internal/storage"
 )
 
 // TestEverySeriesBpstatReadsIsEmitted holds bpstat's string literals to the
@@ -38,8 +39,8 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 		RecorderSize:  64,
 		Trace:         bpwrapper.TraceConfig{Enable: true},
 		WrapShardDevice: func(_ int, base bpwrapper.Device) bpwrapper.Device {
-			bounded := bpwrapper.NewDeadlineDevice(base, bpwrapper.DeadlineConfig{})
-			return bpwrapper.NewBreakerDevice(bounded, bpwrapper.BreakerConfig{})
+			bounded := storage.NewDeadlineDevice(base, storage.DeadlineConfig{})
+			return storage.NewBreakerDevice(bounded, storage.BreakerConfig{})
 		},
 	})
 	defer pool.Close()

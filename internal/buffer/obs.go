@@ -83,8 +83,9 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 	}
 	g("bpw_resharding", "1 while a previous topology is still draining", nil, resharding)
 	c("bpw_reshards_total", "completed online reshards", nil, float64(p.reshards.Load()))
-	migrated := int64(0)
-	for _, sh := range p.everyShard() {
+	_, draining, retired := p.topologySnapshot()
+	migrated := retired.migrated
+	for _, sh := range append(draining, set.shards...) {
 		migrated += sh.migratedOut.Load()
 	}
 	c("bpw_pages_migrated_total", "pages carried across topologies by reshards", nil, float64(migrated))

@@ -156,13 +156,14 @@ type Pool struct {
 	reshardMu sync.Mutex
 	reshards  atomic.Int64
 
-	// retired holds the shards of fully-drained previous topologies:
-	// their frames are empty, but their counters still receive late folds
-	// from sessions that stayed idle across the migration, so Stats keeps
-	// reading them. retireMu orders the retire-append/prev-clear pair
-	// against Stats snapshots (exactly-once counting; see Stats).
+	// retired is what the fully-drained previous topologies counted: a
+	// reshard's finalize folds the old shards in and drops them, so the GC
+	// reclaims their frames once the last session rebinds. retireMu orders
+	// the fold/prev-clear pair against Stats snapshots (exactly-once
+	// counting; see Stats) and against sessions folding late into a stale
+	// topology (Session.Flush).
 	retireMu sync.Mutex
-	retired  []*shard
+	retired  retiredTotals
 
 	// obsRegs remembers every registry handed to RegisterObs so the
 	// flight recorders of shards built by later reshards can be
@@ -180,11 +181,10 @@ type Pool struct {
 // one wrapper). Sessions must not be shared between goroutines.
 //
 // A session is bound to one shardSet; when the pool resharded since the
-// session's last access, the access path re-binds it: staged hits are
-// folded and queued accesses flushed into the old topology's wrappers
-// (whose counters remain reachable after retirement), then fresh
-// sub-sessions are built for the new topology. Callers never see any of
-// this — pins taken before a reshard stay valid (PageRef holds the frame,
+// session's last access, the access path re-binds it: staged hits and
+// queued accesses are flushed into the old topology (see Flush), then
+// fresh sub-sessions are built for the new topology. Callers never see any
+// of this — pins taken before a reshard stay valid (PageRef holds the frame,
 // not a route) and the typed errResharded retry is internal.
 type Session struct {
 	pool *Pool
@@ -250,13 +250,11 @@ func (s *Session) foldHits(idx int) {
 }
 
 // rebind moves the session onto set: staged hits and queued accesses are
-// folded into the topology they were recorded against (late folds into
-// retired shards are safe — their wrappers and tables stay alive), then
-// per-shard sub-sessions are rebuilt for the new topology.
+// flushed into the topology they were recorded against, then per-shard
+// sub-sessions are rebuilt for the new topology.
 func (s *Session) rebind(set *shardSet) {
-	for i, sub := range s.subs {
-		s.foldHits(i)
-		sub.Flush()
+	if s.set != nil {
+		s.Flush()
 	}
 	s.set = set
 	s.subs = make([]*core.Session, len(set.shards))
@@ -268,10 +266,28 @@ func (s *Session) rebind(set *shardSet) {
 }
 
 // Flush commits every shard queue's batched accesses to its policy and
-// folds the session's staged hit counts into the shard counters.
+// folds the session's staged hit counts into the shard counters. A stale
+// topology may be finalized by a reshard at any moment, so flushing into
+// one holds retireMu: before the finalize the counts land in its shards,
+// which the finalize folds into the pool's retired totals; after it, the
+// staged hits go straight into those totals, and the queued accesses into
+// the dead wrappers, whose counters nothing reads any more.
 func (s *Session) Flush() {
+	p := s.pool
+	stale := s.set != p.cur.Load()
+	if stale {
+		p.retireMu.Lock()
+		defer p.retireMu.Unlock()
+	}
 	for i, sub := range s.subs {
-		s.foldHits(i)
+		if stale && s.set.retired {
+			st := &s.stage[i]
+			p.retired.shards.Hits += st.hits
+			p.retired.shards.HitpathFast += st.fast
+			*st = hitStage{}
+		} else {
+			s.foldHits(i)
+		}
 		sub.Flush()
 	}
 }
@@ -460,53 +476,58 @@ func (p *Pool) ShardDevice(i int) storage.Device { return p.cur.Load().shards[i]
 func (p *Pool) Wrapper() *core.Wrapper { return p.cur.Load().shards[0].wrapper }
 
 // WrapperStats returns the BP-Wrapper statistics summed over every
-// shard's wrapper — including retired topologies, whose wrappers keep
-// receiving late flushes from sessions that re-bound after a reshard.
+// shard's wrapper, plus the retired topologies' totals.
 func (p *Pool) WrapperStats() core.Stats {
-	var ws core.Stats
-	for _, sh := range p.everyShard() {
+	cur, draining, retired := p.topologySnapshot()
+	ws := retired.wrapper
+	for _, sh := range append(draining, cur.shards...) {
 		ws = ws.Plus(sh.wrapper.Stats())
 	}
 	return ws
 }
 
 // AccessStats returns the pool's hit/miss counters summed over all shards
-// — current, draining, and retired — as one consistent snapshot: within
-// each shard hits are read before misses (matching the increment order
-// hit-then-miss is impossible — a counted access increments exactly one of
-// them), so the derived ratio never observes a torn pair. Sessions stage
+// — current and draining — plus the retired topologies' totals, as one
+// consistent snapshot: within each shard hits are read before misses
+// (matching the increment order hit-then-miss is impossible — a counted
+// access increments exactly one of them), so the derived ratio never
+// observes a torn pair. Sessions stage
 // hits locally and fold them in batches (see Session), so the figures are
 // exact only once the sessions have called Flush; mid-run they can lag by
 // up to hitFoldInterval hits per live session.
 func (p *Pool) AccessStats() metrics.AccessSnapshot {
-	var a metrics.AccessSnapshot
-	for _, sh := range p.everyShard() {
+	cur, draining, retired := p.topologySnapshot()
+	a := metrics.AccessSnapshot{Hits: retired.shards.Hits, Misses: retired.shards.Misses}
+	for _, sh := range append(draining, cur.shards...) {
 		a = a.Plus(sh.counters.Snapshot())
 	}
 	return a
 }
 
-// topologySnapshot reads the current set and the shards of every earlier
-// one — the draining previous set's, if there is one, then the retired — as
-// one exactly-once snapshot: retireMu orders it against Reshard's finalize
-// step (which appends to retired and clears prev under the same mutex), so
-// an old shard is never observed both as "draining" and as "retired", and
-// never missed.
-func (p *Pool) topologySnapshot() (cur *shardSet, old []*shard, draining bool) {
+// retiredTotals is what the pool's fully-drained previous topologies
+// counted: their shards' snapshots, wrapper statistics and migrated pages
+// as the reshard's finalize folded them, plus the hits sessions staged
+// against them and settled later.
+type retiredTotals struct {
+	shards   ShardStats
+	wrapper  core.Stats
+	migrated int64
+}
+
+// topologySnapshot reads the current set, the shards of the draining
+// previous set, if there is one, and the retired totals as one
+// exactly-once snapshot: retireMu orders it against Reshard's finalize
+// step (which folds the old set into the totals and clears prev under the
+// same mutex), so an old shard is never counted both as draining and as
+// retired, and never missed.
+func (p *Pool) topologySnapshot() (cur *shardSet, draining []*shard, retired retiredTotals) {
 	p.retireMu.Lock()
 	defer p.retireMu.Unlock()
 	cur = p.cur.Load()
 	if prev := cur.prev.Load(); prev != nil {
-		old, draining = append(old, prev.shards...), true
+		draining = append(draining, prev.shards...)
 	}
-	return cur, append(old, p.retired...), draining
-}
-
-// everyShard lists the shards of every topology the pool has had, from one
-// such snapshot: what a pool-wide total sums.
-func (p *Pool) everyShard() []*shard {
-	cur, old, _ := p.topologySnapshot()
-	return append(old, cur.shards...)
+	return cur, draining, p.retired
 }
 
 // Device returns the backing device.
@@ -723,12 +744,15 @@ func (p *Pool) Prewarm(ids []page.PageID) error {
 }
 
 // ResetStats zeroes every shard's access counters, hit-path counters, and
-// wrapper lock and batching statistics — including draining and retired
-// shards, so post-reset totals don't resurrect pre-reset history; used
-// between warm-up and measurement phases. Like counters.Reset it is
+// wrapper lock and batching statistics — including draining shards and the
+// retired totals, so post-reset totals don't resurrect pre-reset history;
+// used between warm-up and measurement phases. Like counters.Reset it is
 // quiescent-only — sessions must have flushed their staged hits first.
 func (p *Pool) ResetStats() {
-	for _, sh := range p.everyShard() {
+	p.retireMu.Lock()
+	defer p.retireMu.Unlock()
+	p.retired = retiredTotals{}
+	for _, sh := range p.liveShards() {
 		sh.counters.Reset()
 		sh.hp.reset()
 		sh.wrapper.ResetStats()
@@ -874,12 +898,12 @@ type Stats struct {
 
 	// Wrapper is the BP-Wrapper statistics summed over all shards;
 	// PerShard carries the per-shard breakdown of the pool-level figures
-	// for the CURRENT topology only. Retired aggregates every shard of
-	// previous topologies (draining or fully retired): their counters
-	// still grow (late session folds), and mid-migration their frames
-	// still hold real dirty pages, so the pool totals above fold Retired
-	// in — except Frames/Free/Resident, which describe the current
-	// topology.
+	// for the CURRENT topology only. Retired aggregates previous
+	// topologies: the totals each finished reshard folded in (plus hits
+	// sessions staged against them and settled later), and the shards of
+	// one still draining, whose frames still hold real dirty pages. The
+	// pool totals above fold Retired in — except Frames/Free/Resident,
+	// which describe the current topology.
 	Wrapper  core.Stats
 	PerShard []ShardStats
 	Retired  ShardStats
@@ -938,22 +962,23 @@ func shardStatsOf(sh *shard) (ShardStats, metrics.AccessSnapshot) {
 // ordered read of current/draining/retired), so a concurrent reshard can
 // neither double-count a shard nor skip one.
 func (p *Pool) Stats() Stats {
-	cur, old, draining := p.topologySnapshot()
+	cur, old, retired := p.topologySnapshot()
 	s := Stats{
 		Shards:        len(cur.shards),
 		Epoch:         cur.epoch,
-		Resharding:    draining,
+		Resharding:    old != nil,
 		Reshards:      p.reshards.Load(),
 		QuarantineCap: p.quarCap,
 		PerShard:      make([]ShardStats, len(cur.shards)),
 		Device:        p.device.Stats(),
 	}
 	// One pass over every shard: the current topology's fill PerShard and
-	// sum into live; previous-topology shards (still draining, or retired)
-	// into Retired — their hits and misses happened to THIS pool, and
+	// sum into live; a draining topology's, into Retired beside the retired
+	// totals — their hits and misses happened to THIS pool, and
 	// mid-migration their dirty and quarantined pages are real pages the
 	// flush paths still see.
-	var acc metrics.AccessSnapshot
+	s.Retired, s.Wrapper, s.PagesMigrated = retired.shards, retired.wrapper, retired.migrated
+	acc := metrics.AccessSnapshot{Hits: retired.shards.Hits, Misses: retired.shards.Misses}
 	var live ShardStats
 	for i, sh := range append(old, cur.shards...) {
 		ss, a := shardStatsOf(sh)
@@ -998,9 +1023,8 @@ func (p *Pool) PinnedFrames() int {
 // shard: pin-count sanity, frame/hash-table consistency, free-list
 // integrity, a page resident or quarantined but never both, policy/table
 // agreement, and — across shards — that every resident or quarantined
-// page lives in the shard its hash routes to. Retired topologies must be
-// fully drained (empty tables, empty quarantines, all frames free). It is
-// O(frames + buckets) and takes each lock briefly.
+// page lives in the shard its hash routes to. It is O(frames + buckets) and
+// takes each lock briefly.
 //
 // The contract is quiescence: callers must ensure no pool operations are in
 // flight (the torture harness calls it after workers join and again after
@@ -1010,19 +1034,14 @@ func (p *Pool) PinnedFrames() int {
 // transitions — a claimed frame between table removal and the free list —
 // as violations.
 func (p *Pool) CheckInvariants() error {
-	cur, retired, draining := p.topologySnapshot()
-	if draining {
+	cur := p.cur.Load()
+	if cur.prev.Load() != nil {
 		return errors.New("buffer: reshard migration in flight (caller not quiescent)")
 	}
 	for i, sh := range cur.shards {
 		owns := func(id page.PageID) bool { return cur.indexFor(id) == i }
 		if err := sh.checkInvariants(owns); err != nil {
 			return fmt.Errorf("shard %d/%d: %w", i, len(cur.shards), err)
-		}
-	}
-	for i, sh := range retired {
-		if !sh.drained() {
-			return fmt.Errorf("buffer: retired shard %d not drained (page or frame leaked by migration)", i)
 		}
 	}
 	return nil

@@ -22,11 +22,12 @@
 //     map-to-map under the old write-back stripe, which also serializes
 //     against any in-flight write of the same page.
 //  5. Finalize: once the old set holds no residents, no quarantined copies,
-//     and every frame is back on its free list, the prev pointer is
-//     cleared. The old shard structs are retired — kept reachable so
-//     counters staged by sessions that were idle across the whole
-//     migration still fold into totals (Stats folds retired shards into
-//     its Retired aggregate).
+//     and every frame is back on its free list, its counters are folded
+//     into the pool's retired totals (Stats.Retired), it is marked retired
+//     and the prev pointer is cleared. The pool keeps no reference to it:
+//     the GC reclaims it, frame slab included, once the last session bound
+//     to it rebinds, and hits such a session staged there fold straight
+//     into the totals (Session.Flush).
 //
 // Pinned pages never block traffic, only the migration of that one page:
 // stealPage waits for the pin to drain while every other page moves on.
@@ -48,11 +49,15 @@ import (
 var errResharded = errors.New("buffer: shard sealed by reshard, retry against the new topology")
 
 // shardSet is one immutable shard topology: the epoch stamps it, shards is
-// fixed at construction, and only prev mutates (cleared exactly once when
-// the migration out of the previous topology completes).
+// fixed at construction, and only prev (cleared exactly once when the
+// migration out of the previous topology completes) and retired mutate.
 type shardSet struct {
 	epoch  uint64
 	shards []*shard
+
+	// retired is set, under the pool's retireMu, when the finalize step
+	// folds this drained set into the pool's retired totals.
+	retired bool
 
 	// prev points at the still-draining previous topology while a
 	// migration is in flight, nil otherwise. The miss path consults it for
@@ -141,12 +146,18 @@ func (p *Pool) Reshard(n int) error {
 	}
 	ms.Flush()
 
-	// Finalize: retire the old shards (their counters stay reachable for
-	// Stats — late hit folds from long-idle sessions still land) and close
-	// the double-lookup window. Both under retireMu so a Stats snapshot
-	// can never count an old shard both as "draining" and as "retired".
+	// Finalize: fold the old shards into the retired totals and close the
+	// double-lookup window. Both under retireMu so a Stats snapshot can
+	// never count an old shard both as draining and as retired, and a
+	// late Flush lands either before the fold or in the totals.
 	p.retireMu.Lock()
-	p.retired = append(p.retired, old.shards...)
+	for _, sh := range old.shards {
+		ss, _ := shardStatsOf(sh)
+		p.retired.shards.add(ss)
+		p.retired.wrapper = p.retired.wrapper.Plus(sh.wrapper.Stats())
+		p.retired.migrated += sh.migratedOut.Load()
+	}
+	old.retired = true
 	next.prev.Store(nil)
 	p.retireMu.Unlock()
 	p.reshards.Add(1)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -372,6 +373,120 @@ func TestStatsConsistentDuringReshard(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestReshardReleasesOldTopology: a finished reshard keeps nothing of the
+// old topology reachable from the pool, so its frame slab is reclaimed once
+// the last session bound to it rebinds. Four reshards of a 4096-frame pool
+// (32 MiB of frames) must not stack up four old slabs.
+func TestReshardReleasesOldTopology(t *testing.T) {
+	const frames = 4096
+	p := New(Config{Frames: frames, PolicyFactory: replacer.Factories()["2q"], Device: storage.NewMemDevice()})
+	s := p.NewSession()
+	get := func(i uint64) {
+		t.Helper()
+		ref, err := p.Get(s, pid(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Release()
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := uint64(1); i <= frames; i++ {
+		get(i)
+	}
+	filled := heap()
+	for _, n := range []int{2, 1, 4, 1} {
+		if err := p.Reshard(n); err != nil {
+			t.Fatalf("Reshard(%d): %v", n, err)
+		}
+		get(1) // the session rebinds off the old topology
+		got := heap()
+		if float64(got) > 1.5*float64(filled) {
+			t.Fatalf("after Reshard(%d): HeapAlloc %.1f MB, %.2fx the %.1f MB after the fill: an old topology is still reachable",
+				n, float64(got)/1e6, float64(got)/float64(filled), float64(filled)/1e6)
+		}
+		t.Logf("after Reshard(%d): HeapAlloc %.1f MB (%.2fx the fill's)", n, float64(got)/1e6, float64(got)/float64(filled))
+	}
+	s.Flush()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIdleSessionHitsSurviveReshard: hits a session staged against a
+// topology, and settles only after a whole reshard has retired it, still
+// count in Stats — whether the session settles them by Flush or by
+// rebinding on its next access.
+func TestIdleSessionHitsSurviveReshard(t *testing.T) {
+	p, _ := reshardablePool(64, 2, core.Config{Batching: true})
+	const pages, rounds = 32, 4
+	flusher, getter := p.NewSession(), p.NewSession()
+	for _, s := range []*Session{flusher, getter} {
+		for r := 0; r <= rounds; r++ {
+			for i := uint64(1); i <= pages; i++ {
+				ref, err := p.Get(s, pid(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Release()
+			}
+		}
+	}
+	// The first session's first round missed; every other access hit and
+	// sits staged in its session (fewer than hitFoldInterval per shard).
+	const staged = 2*rounds*pages + pages
+	if got := p.Stats().Hits; got >= staged {
+		t.Fatalf("Hits=%d before the reshard: the test needs hits still staged", got)
+	}
+	if err := p.Reshard(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, resharding := p.Epoch(); resharding {
+		t.Fatal("the old topology is still draining after Reshard returned")
+	}
+	// Both settle at once, beside a Stats reader.
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		flusher.Flush()
+	}()
+	go func() {
+		defer wg.Done()
+		ref, err := p.Get(getter, pid(1)) // rebinds: settles the staged hits
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ref.Release()
+		getter.Flush()
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+			p.Stats()
+		}
+	}
+	if got, want := p.Stats().Hits, int64(staged+1); got != want {
+		t.Fatalf("Hits=%d after both idle sessions settled, want %d: staged hits were lost with the old topology", got, want)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -97,15 +97,6 @@ func (p *Pool) EnableSampling(rate, ringSize int) {
 	p.sampler.Store(newSampleRing(rate, ringSize))
 }
 
-// SampleRate reports the active sampling rate (0 when disabled).
-func (p *Pool) SampleRate() int {
-	r := p.sampler.Load()
-	if r == nil {
-		return 0
-	}
-	return int(r.rate)
-}
-
 // Samples drains sampled page ids recorded since cursor into out,
 // returning how many were written and the cursor to pass next time. Start
 // with cursor 0. Single consumer assumed (the controller).

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -258,15 +257,4 @@ func (g *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(g.JSONTree())
-}
-
-// SortMetrics orders samples by name then label string — handy for tests
-// that want deterministic comparisons of Gather output.
-func SortMetrics(ms []Metric) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Name != ms[j].Name {
-			return ms[i].Name < ms[j].Name
-		}
-		return labelString(ms[i].Labels) < labelString(ms[j].Labels)
-	})
 }

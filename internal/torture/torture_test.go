@@ -394,7 +394,8 @@ func TestPoolTortureReshard(t *testing.T) {
 // has no reference to switch to and runs the product path against RunPool's
 // own oracles. A first batch of runs turns on the seeded yield injector so
 // the optimistic-retry labels (BufHitProbe, BufHitPin, BufBucketWrite) get
-// adversarial interleaving pressure. CI's hitpath-smoke and the nightly
+// adversarial interleaving pressure. Long mode adds one longer cell for
+// every policy of replacer.Names(). CI's hitpath-smoke and the nightly
 // workflow run this target by name under -race -tags torture.
 func TestPoolTortureHitPath(t *testing.T) {
 	if testing.Short() {
@@ -412,17 +413,19 @@ func TestPoolTortureHitPath(t *testing.T) {
 		{"batch-lru2-shards2", PoolRunConfig{Seed: seed + 3, Path: PathBatch, Policy: "lru2", Shards: 2}},
 	}
 	if LongMode() {
-		for j, path := range Paths() {
-			for _, shards := range []int{1, 4} {
-				cases = append(cases, cse{
-					fmt.Sprintf("long-shards%d-%s", shards, path),
-					PoolRunConfig{
-						Seed: seed + int64(100+j*10+shards), Path: path, Policy: "lru",
-						Shards: shards, BGWriter: j%2 == 0,
-						Ops: 1500, Phases: 4, Workers: 8, Frames: 64,
-					},
-				})
-			}
+		// One cell per policy of replacer.Names(), cycling through the
+		// three paths and one or four shards.
+		for i, pol := range replacer.Names() {
+			j := i % len(Paths())
+			shards := []int{1, 4}[i/len(Paths())%2]
+			cases = append(cases, cse{
+				fmt.Sprintf("long-%s-shards%d-%s", pol, shards, Paths()[j]),
+				PoolRunConfig{
+					Seed: seed + int64(100+i), Path: Paths()[j], Policy: pol,
+					Shards: shards, BGWriter: j%2 == 0,
+					Ops: 1500, Phases: 4, Workers: 8, Frames: 64,
+				},
+			})
 		}
 	}
 	// The yield-injected subtest installs the process-wide sched hook, so

@@ -4,6 +4,9 @@
 // no cmd, no example, nothing under benchmark/ or internal/ — is a constant
 // with extra steps, and this test fails until it becomes one or earns a
 // line on the allow-list below.
+//
+// The facade guard holds bpwrapper.go to the same rule: a name it exports
+// is one some caller writes as bpwrapper.<Name>.
 package bpwrapper_test
 
 import (
@@ -333,4 +336,126 @@ func TestEveryKnobHasACaller(t *testing.T) {
 		}
 	}
 	t.Logf("%d settable values in %d structs", total, len(knobStructs))
+}
+
+// facadeWithoutCaller are the facade names allowed no caller, each with the
+// reason it stays exported.
+var facadeWithoutCaller = map[string]string{
+	"ErrNoUnpinnedBuffers": "Pool.Get returns it when every candidate victim is pinned",
+	"ErrOverloaded":        "Pool.Get returns it when a degraded or read-only shard sheds a miss",
+	"ErrQuarantineFull":    "Pool.Get returns it when the dirty quarantine is at capacity",
+	"ErrTransient":         "NewFaultDevice's injected errors wrap it, and README classifies them with it",
+	"ErrPermanent":         "NewFaultDevice's injected dead-sector errors wrap it",
+	"ErrCorruptPage":       "NewChecksumDevice's reads return it for a page that fails its checksum",
+	"ErrInvalidPage":       "devices and CacheClient return it for the invalid PageID",
+	"ErrBreakerOpen":       "NewBreakerDevice's operations return it while the breaker is open",
+	"ErrDeadlineExceeded":  "NewDeadlineDevice's operations return it when they are abandoned",
+	"ErrDeviceCanceled":    "NewDeadlineDevice's operations return it when the device stops mid-wait",
+	"SlotPolicy":           "the custom-policy contract README documents: the pool drives a policy by frame slot through it",
+	"CheckPolicy":          "the custom-policy contract README documents: a policy's own test calls it",
+}
+
+// facadeCallers lists the files whose bpwrapper.<Name> selectors count as
+// callers: non-test files under cmd/ and examples/, every file under
+// benchmark/, and the root package's tests.
+func facadeCallers(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	for _, root := range []string{"cmd", "examples", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
+				(root != "benchmark" && strings.HasSuffix(path, "_test.go")) {
+				return err
+			}
+			files = append(files, path)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(files, tests...)
+}
+
+// TestEveryFacadeNameHasACaller is the facade guard: every name bpwrapper.go
+// exports is written as bpwrapper.<Name> by a caller facadeCallers lists, or
+// is on facadeWithoutCaller with a reason.
+func TestEveryFacadeNameHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+
+	exported := map[string]bool{}
+	for _, file := range parseKnobDir(t, fset, ".") {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					exported[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() {
+							exported[spec.Name.Name] = true
+						}
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							if name.IsExported() {
+								exported[name.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	callers := map[string][]string{} // name → "file:line" of each use
+	for _, path := range facadeCallers(t) {
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imports := knobImports(file)
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && imports[pkg.Name] == "." {
+					pos := fset.Position(sel.Pos())
+					callers[sel.Sel.Name] = append(callers[sel.Sel.Name], fmt.Sprintf("%s:%d", pos.Filename, pos.Line))
+				}
+			}
+			return true
+		})
+	}
+
+	var names []string
+	for name := range exported {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		reason, allowed := facadeWithoutCaller[name]
+		switch at := callers[name]; {
+		case len(at) == 0 && !allowed:
+			t.Errorf("bpwrapper.%s: no cmd, example, benchmark file or root test uses it: unexport or delete it, or say in facadeWithoutCaller why it stays", name)
+		case allowed && len(at) > 0:
+			t.Errorf("bpwrapper.%s is on the allow-list but %s uses it: drop the entry", name, at[0])
+		case allowed && strings.TrimSpace(reason) == "":
+			t.Errorf("bpwrapper.%s: its allow-list entry gives no reason", name)
+		case allowed:
+			t.Logf("%-24s allowed: %s", name, reason)
+		default:
+			t.Logf("%-24s %d uses, first %s", name, len(at), at[0])
+		}
+	}
+	for name := range facadeWithoutCaller {
+		if !exported[name] {
+			t.Errorf("allow-list entry %s names nothing bpwrapper.go exports", name)
+		}
+	}
+	t.Logf("%d exported names, %d on the allow-list", len(names), len(facadeWithoutCaller))
 }

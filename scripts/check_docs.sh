@@ -1,5 +1,5 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Three checks:
+# Fails when the docs name what the tree does not have. Four checks:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
 #     EXPERIMENTS.md, and every bpw_* name in the doc comments and help text
@@ -12,6 +12,10 @@
 #     is a Test…, Benchmark…, Example… or Fuzz… name (a /subtest suffix is
 #     stripped) must be a func in some _test.go. An allow-list entry for
 #     such a name is "DOC NAME": it excuses that one doc only.
+#  4. Every bpwrapper.<Name> token (an exported name after the package
+#     qualifier) anywhere in README.md, DESIGN.md and EXPERIMENTS.md, code
+#     blocks included, must be declared in bpwrapper.go. An allow-list
+#     entry is "DOC bpwrapper.Name", as for check 3.
 #
 # A name or reference that is only history goes on the allow-list below,
 # one per line, with no reason needed beyond the history it records.
@@ -79,6 +83,20 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         allowed "$doc $name" && continue
         if ! printf '%s\n' "$funcs" | grep -qxF "$name"; then
             echo "check_docs: $doc names $name, which is no func in a _test.go" >&2
+            fail=1
+        fi
+    done
+done
+
+# The facade's names: top-level declarations, and the names of grouped
+# type/var/const blocks (a tab, the name, then "=").
+facade="$(grep -oE '^(func|type|var|const) [A-Z][A-Za-z0-9_]*|^	[A-Z][A-Za-z0-9_]*[[:space:]]+=' bpwrapper.go |
+    sed -E 's/^(func|type|var|const) //; s/^	//; s/[[:space:]]*=$//' | sort -u)"
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for tok in $(grep -oE 'bpwrapper\.[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
+        allowed "$doc $tok" && continue
+        if ! printf '%s\n' "$facade" | grep -qxF "${tok#bpwrapper.}"; then
+            echo "check_docs: $doc names $tok, which bpwrapper.go does not declare" >&2
             fail=1
         fi
     done
