@@ -158,9 +158,10 @@ type PoolSession = buffer.Session
 // func(c int) bpwrapper.Policy { return myPolicy(c) }.
 func PolicyFactories() map[string]replacer.Factory { return replacer.Factories() }
 
-// PoolStats is an operational snapshot of a Pool (see Pool.Stats). With a
-// sharded pool the top-level counters are consistent aggregates over
-// PerShard.
+// PoolStats is an operational snapshot of a Pool (see Pool.Stats), the one
+// read of its counters that /metrics renders too. Its top-level counters
+// are the embedded sum of the per-shard snapshots in PerShard and Retired,
+// Wrapper (the BP-Wrapper statistics) included.
 type PoolStats = buffer.Stats
 
 // BackgroundWriter periodically writes dirty pages back to the device and

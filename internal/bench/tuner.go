@@ -194,7 +194,7 @@ func tunerReshardPhase(seed int64) (TunerReshardPhase, error) {
 		Actions:       []TunerAction{},
 	}
 	s := pool.NewSession()
-	for pass := 0; pass < tunerMaxPasses && pool.Shards() > 1; pass++ {
+	for pass := 0; pass < tunerMaxPasses && pool.Stats().Shards > 1; pass++ {
 		p := pass
 		err := replayPass(pool, s, tr, func() {
 			for _, a := range ctl.Step() {
@@ -205,7 +205,7 @@ func tunerReshardPhase(seed int64) (TunerReshardPhase, error) {
 			return TunerReshardPhase{}, err
 		}
 	}
-	ph.FinalShards = pool.Shards()
+	ph.FinalShards = pool.Stats().Shards
 
 	// Measurement pass against the settled topology, no controller Steps.
 	before := pool.AccessStats()

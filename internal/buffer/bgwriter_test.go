@@ -24,16 +24,16 @@ func TestBackgroundWriterFlushesDirtyPages(t *testing.T) {
 		r.MarkDirty()
 		r.Release()
 	}
-	if d := p.DirtyCount(); d != 8 {
+	if d := p.dirtyCount(); d != 8 {
 		t.Fatalf("dirty count %d, want 8", d)
 	}
 	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: 5 * time.Millisecond})
 	deadline := time.Now().Add(2 * time.Second)
-	for p.DirtyCount() > 0 && time.Now().Before(deadline) {
+	for p.dirtyCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	w.Stop()
-	if d := p.DirtyCount(); d != 0 {
+	if d := p.dirtyCount(); d != 0 {
 		t.Fatalf("dirty count %d after background writer", d)
 	}
 	st := w.Stats()
@@ -60,16 +60,16 @@ func TestBackgroundWriterSkipsPinned(t *testing.T) {
 	// Pinned: the writer must leave it alone.
 	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: 2 * time.Millisecond})
 	time.Sleep(20 * time.Millisecond)
-	if d := p.DirtyCount(); d != 1 {
+	if d := p.dirtyCount(); d != 1 {
 		t.Fatalf("pinned dirty page count %d, want 1", d)
 	}
 	r.Release()
 	deadline := time.Now().Add(2 * time.Second)
-	for p.DirtyCount() > 0 && time.Now().Before(deadline) {
+	for p.dirtyCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	w.Stop()
-	if d := p.DirtyCount(); d != 0 {
+	if d := p.dirtyCount(); d != 0 {
 		t.Fatalf("dirty count %d after unpin", d)
 	}
 }

@@ -100,7 +100,7 @@ func TestCloseRacesConcurrentTraffic(t *testing.T) {
 	if n := p.PinnedFrames(); n != 0 {
 		t.Fatalf("%d frames still pinned after all sessions released", n)
 	}
-	if n := p.QuarantineLen(); n != 0 {
+	if n := p.quarantineLen(); n != 0 {
 		t.Fatalf("%d pages still quarantined after clean Close", n)
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -166,7 +166,7 @@ func TestCloseConcurrentWithFlushDirty(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if d := p.DirtyCount(); d != 0 {
+	if d := p.dirtyCount(); d != 0 {
 		t.Fatalf("%d dirty pages after Close+FlushDirty", d)
 	}
 	for i := uint64(0); i < 16; i++ {
@@ -209,7 +209,7 @@ func TestCloseRacesBackgroundWriterStop(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if d := p.DirtyCount(); d != 0 {
+	if d := p.dirtyCount(); d != 0 {
 		t.Fatalf("%d dirty pages after final round", d)
 	}
 }

@@ -326,7 +326,7 @@ func TestInvalidateWaitsForEvictWrite(t *testing.T) {
 			if ops := r.log.seen(); !reflect.DeepEqual(ops, want) {
 				t.Fatalf("device had seen %v of the page when Invalidate returned, want %v", ops, want)
 			}
-			if q := r.p.QuarantineLen(); q != 0 {
+			if q := r.p.quarantineLen(); q != 0 {
 				t.Fatalf("%d pages parked after Invalidate", q)
 			}
 			<-evicted
@@ -358,7 +358,7 @@ func TestReshardDuringEvictWrite(t *testing.T) {
 
 			resharded := make(chan error, 1)
 			go func() { resharded <- r.p.Reshard(2) }()
-			waitUntil(t, "the new topology", func() bool { e, _ := r.p.Epoch(); return e == 1 })
+			waitUntil(t, "the new topology", func() bool { return r.p.cur.Load().epoch == 1 })
 			got := r.read(t)
 			waitUntil(t, "the steal to wait on the old shard's eviction", func() bool {
 				if len(got) != 0 {
@@ -411,13 +411,13 @@ func TestFailedFlushLeavesFrameDirty(t *testing.T) {
 	if s := <-granted; s&frameDirty == 0 {
 		t.Fatal("the failed flush left the frame clean")
 	}
-	if q := r.p.QuarantineLen(); q != 0 {
+	if q := r.p.quarantineLen(); q != 0 {
 		t.Fatalf("%d pages parked by a failed flush", q)
 	}
 
 	<-written
 	<-r.evict(t)
-	if q := r.p.QuarantineLen(); q != 0 {
+	if q := r.p.quarantineLen(); q != 0 {
 		t.Fatalf("%d pages parked after the eviction's write succeeded", q)
 	}
 	r.deviceHolds(t, 2)

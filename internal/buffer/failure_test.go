@@ -198,8 +198,8 @@ func TestEvictionWriteBackFailureIsLossless(t *testing.T) {
 	if !back.VerifyStamp(pid(1) + stampShift) {
 		t.Fatal("page contents never reached storage after device restore")
 	}
-	if p.QuarantineLen() != 0 {
-		t.Fatalf("%d pages still quarantined after Close", p.QuarantineLen())
+	if p.quarantineLen() != 0 {
+		t.Fatalf("%d pages still quarantined after Close", p.quarantineLen())
 	}
 }
 
@@ -246,7 +246,7 @@ func TestQuarantineBoundRefusesDirtyEvictions(t *testing.T) {
 	if !errors.Is(lastErr, ErrQuarantineFull) {
 		t.Fatalf("full quarantine + dead device: err=%v, want ErrQuarantineFull", lastErr)
 	}
-	if q := p.QuarantineLen(); q > 2 {
+	if q := p.quarantineLen(); q > 2 {
 		t.Fatalf("quarantine grew to %d entries past its cap of 2", q)
 	}
 
@@ -362,7 +362,7 @@ func TestFlushDirtyAggregatesErrors(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("flushed %d pages, want 2 (the other 2 fail)", n)
 	}
-	if d := p.DirtyCount(); d != 2 {
+	if d := p.dirtyCount(); d != 2 {
 		t.Fatalf("dirty count %d after partial flush, want 2 restored", d)
 	}
 	// Second flush completes.
@@ -405,11 +405,11 @@ func TestBackgroundWriterBacksOffWhenDeviceDown(t *testing.T) {
 
 	dev.SetWriteFailRate(0)
 	deadline := time.Now().Add(5 * time.Second)
-	for (p.DirtyCount() > 0 || p.QuarantineLen() > 0) && time.Now().Before(deadline) {
+	for (p.dirtyCount() > 0 || p.quarantineLen() > 0) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	w.Stop()
-	if d, q := p.DirtyCount(), p.QuarantineLen(); d != 0 || q != 0 {
+	if d, q := p.dirtyCount(), p.quarantineLen(); d != 0 || q != 0 {
 		t.Fatalf("dirty=%d quarantined=%d after recovery", d, q)
 	}
 	for i := uint64(1); i <= 4; i++ {

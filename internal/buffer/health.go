@@ -164,13 +164,6 @@ func (sh *shard) latchHealth(st HealthState) HealthState {
 	return st
 }
 
-// lastHealth returns the most recently latched health state without
-// recomputing it; evalHealth keeps it fresh from the miss path and
-// metric scrapes.
-func (sh *shard) lastHealth() HealthState {
-	return HealthState(sh.health.Load())
-}
-
 // admitMiss is the admission check a miss passes after winning the
 // single-flight race and before any frame is claimed or device I/O
 // issued. It returns the shed error, or whether the miss was counted in

@@ -50,7 +50,7 @@ func (d *panicDevice) Backing() storage.Device { return d.Device }
 // shardBreaker fetches the breaker from a shard's device stack.
 func shardBreaker(t *testing.T, p *Pool, i int) *storage.BreakerDevice {
 	t.Helper()
-	b, ok := storage.FindBreaker(p.ShardDevice(i))
+	b, ok := storage.FindBreaker(p.cur.Load().shards[i].device)
 	if !ok {
 		t.Fatalf("shard %d has no breaker in its device stack", i)
 	}
@@ -209,7 +209,7 @@ func TestHealthBreakerIsolatesSickShard(t *testing.T) {
 	if _, err := p.Get(s, idsInShard(p, 0, 6, 1)[5]); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("miss on breaker-open shard: err=%v, want ErrOverloaded", err)
 	}
-	if h := p.ShardHealth(0); h != ReadOnly {
+	if h := p.Stats().PerShard[0].Health; h != ReadOnly {
 		t.Fatalf("sick shard health=%v, want ReadOnly", h)
 	}
 
@@ -228,18 +228,18 @@ func TestHealthBreakerIsolatesSickShard(t *testing.T) {
 		}
 		ref.Release()
 	}
-	if h := p.ShardHealth(1); h != Healthy {
+	if h := p.Stats().PerShard[1].Health; h != Healthy {
 		t.Fatalf("healthy shard health=%v, want Healthy", h)
 	}
 	st := p.Stats()
-	if st.PerShard[0].BreakerState != "open" {
-		t.Fatalf("ShardStats breaker state=%q, want open", st.PerShard[0].BreakerState)
+	if st.PerShard[0].BreakerState != storage.BreakerOpen {
+		t.Fatalf("ShardStats breaker state=%v, want open", st.PerShard[0].BreakerState)
 	}
 	if st.PerShard[0].BreakerTrips == 0 {
 		t.Fatal("ShardStats did not report the breaker trip")
 	}
-	if st.PerShard[1].BreakerState != "closed" {
-		t.Fatalf("healthy shard breaker state=%q, want closed", st.PerShard[1].BreakerState)
+	if !st.PerShard[1].HasBreaker || st.PerShard[1].BreakerState != storage.BreakerClosed {
+		t.Fatalf("healthy shard breaker state=%v (has breaker %v), want closed", st.PerShard[1].BreakerState, st.PerShard[1].HasBreaker)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestHealthBreakerRecovery(t *testing.T) {
 		t.Fatalf("miss after recovery: %v", err)
 	}
 	ref.Release()
-	if h := p.ShardHealth(0); h != Healthy {
+	if h := p.Stats().PerShard[0].Health; h != Healthy {
 		t.Fatalf("shard health=%v after recovery, want Healthy", h)
 	}
 }
@@ -398,10 +398,10 @@ func TestBackgroundWriterPanicContainment(t *testing.T) {
 	// The writer survived; disarm and it must still drain everything.
 	pd.panicWrites.Store(false)
 	deadline = time.Now().Add(5 * time.Second)
-	for p.DirtyCount() > 0 || p.QuarantineLen() > 0 {
+	for p.dirtyCount() > 0 || p.quarantineLen() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("writer did not drain after disarm: dirty=%d quarantined=%d",
-				p.DirtyCount(), p.QuarantineLen())
+				p.dirtyCount(), p.quarantineLen())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -486,7 +486,7 @@ func TestSetReadOnlyForcesShedding(t *testing.T) {
 		ref.Release()
 
 		p.SetReadOnly(true)
-		if st := p.ShardHealth(0); st != ReadOnly {
+		if st := p.Stats().PerShard[0].Health; st != ReadOnly {
 			t.Fatalf("disabled=%v: health=%v after SetReadOnly, want ReadOnly", disabled, st)
 		}
 		if _, err := p.Get(s, pid(2)); !errors.Is(err, ErrOverloaded) {

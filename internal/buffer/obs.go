@@ -12,14 +12,12 @@ import (
 	"strings"
 
 	"bpwrapper/internal/obs"
-	"bpwrapper/internal/replacer"
 )
 
 // RegisterObs registers the pool's collectors and per-shard flight
-// recorders with reg. Collection happens at scrape time and reads only
-// lock-free snapshots, except the resident-page gauge (a brief policy-lock
-// acquisition per shard, same as Stats) and the free-list gauge (the
-// free-list mutex) — fine at scrape cadence, not meant for hot paths.
+// recorders with reg. A scrape renders one Stats snapshot, so it costs
+// what Stats does (a brief policy-lock hold and a free-list lock per
+// shard) — fine at scrape cadence, not meant for hot paths.
 func (p *Pool) RegisterObs(reg *obs.Registry) {
 	reg.Register(p.collect)
 	// The request tracer (nil when tracing is off — RegisterTracer ignores
@@ -64,8 +62,10 @@ func (p *Pool) registerRecorders(set *shardSet) {
 	}
 }
 
-// collect emits the full metric tree. Series are labelled {shard="i"};
-// pool-level series (shard count, device counters) carry no labels.
+// collect renders one Stats snapshot as the full metric tree, beside each
+// shard's lock histograms, batch and combine-run distributions and
+// flight-recorder counts. Series are labelled {shard="i"}; pool-level
+// series (shard count, device counters) carry no labels.
 func (p *Pool) collect(emit func(obs.Metric)) {
 	c := func(name, help string, labels [][2]string, v float64) {
 		emit(obs.Metric{Name: name, Help: help, Type: obs.Counter, Labels: labels, Value: v})
@@ -74,29 +74,23 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		emit(obs.Metric{Name: name, Help: help, Type: obs.Gauge, Labels: labels, Value: v})
 	}
 
-	set := p.cur.Load()
-	g("bpw_shards", "hash partitions in the pool", nil, float64(len(set.shards)))
-	g("bpw_pool_epoch", "current shard-topology epoch (bumped by each reshard)", nil, float64(set.epoch))
+	st, set := p.stats()
+	g("bpw_shards", "hash partitions in the pool", nil, float64(st.Shards))
+	g("bpw_pool_epoch", "current shard-topology epoch (bumped by each reshard)", nil, float64(st.Epoch))
 	resharding := 0.0
-	if set.prev.Load() != nil {
+	if st.Resharding {
 		resharding = 1
 	}
 	g("bpw_resharding", "1 while a previous topology is still draining", nil, resharding)
-	c("bpw_reshards_total", "completed online reshards", nil, float64(p.reshards.Load()))
-	_, draining, retired := p.topologySnapshot()
-	migrated := retired.migrated
-	for _, sh := range append(draining, set.shards...) {
-		migrated += sh.migratedOut.Load()
-	}
-	c("bpw_pages_migrated_total", "pages carried across topologies by reshards", nil, float64(migrated))
+	c("bpw_reshards_total", "completed online reshards", nil, float64(st.Reshards))
+	c("bpw_pages_migrated_total", "pages carried across topologies by reshards", nil, float64(st.PagesMigrated))
 
-	for i, sh := range set.shards {
+	for i, ss := range st.PerShard {
+		sh := set.shards[i]
 		l := [][2]string{{"shard", strconv.Itoa(i)}}
-		sh.wrapper.Locked(func(pol replacer.Policy) {
-			g("bpw_policy_in_use", "replacement policy installed in the shard (value always 1)",
-				append(l[:1:1], [2]string{"policy", pol.Name()}), 1)
-		})
-		ws := sh.wrapper.Stats()
+		g("bpw_policy_in_use", "replacement policy installed in the shard (value always 1)",
+			append(l[:1:1], [2]string{"policy", ss.Policy}), 1)
+		ws := ss.Wrapper
 
 		// Lock contention: scalar totals plus the sampled distributions.
 		c("bpw_lock_acquisitions_total", "policy-lock acquisitions", l, float64(ws.Lock.Acquisitions))
@@ -135,53 +129,46 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 			Type: obs.Histogram, Labels: l, Dist: &cr})
 
 		// Buffer-manager state.
-		a := sh.counters.Snapshot()
-		c("bpw_hits_total", "buffer hits", l, float64(a.Hits))
-		c("bpw_misses_total", "buffer misses", l, float64(a.Misses))
+		c("bpw_hits_total", "buffer hits", l, float64(ss.Hits))
+		c("bpw_misses_total", "buffer misses", l, float64(ss.Misses))
 
 		// Hit-path anatomy (DESIGN.md §12): a retry storm or a rising
 		// fallback rate means the optimistic seqlock path is degrading
 		// into the locked path, visible live here and in bpstat.
-		c("bpw_hitpath_fast_total", "hits served with zero mutex acquisitions", l, float64(sh.hp.fast.Load()))
-		c("bpw_hitpath_retries_total", "optimistic probes retried after a torn seqlock read", l, float64(sh.hp.retries.Load()))
-		c("bpw_hitpath_fallbacks_total", "lookups that fell back to the bucket mutex", l, float64(sh.hp.fallbacks.Load()))
-		c("bpw_bucket_lock_acquisitions_total", "bucket-mutex acquisitions on access paths", l, float64(sh.hp.bucketLocks.Load()))
-		c("bpw_frame_lock_acquisitions_total", "frame write-mutex acquisitions", l, float64(sh.hp.frameLocks.Load()))
-		g("bpw_frames", "page slots owned by the shard", l, float64(len(sh.frames)))
-		sh.freeMu.Lock()
-		free := len(sh.freeList)
-		sh.freeMu.Unlock()
-		g("bpw_free_frames", "slots on the free list", l, float64(free))
-		g("bpw_dirty_pages", "dirty resident pages", l, float64(sh.dirtyCount()))
-		g("bpw_quarantined_pages", "evicted pages parked because their write-back failed", l, float64(sh.quarantineLen()))
-		resident := 0
-		sh.wrapper.Locked(func(pol replacer.Policy) { resident = pol.Len() })
-		g("bpw_resident_pages", "pages tracked by the replacement policy, loads in flight included", l, float64(resident))
-		c("bpw_writeback_failures_total", "failed write-back attempts", l, float64(sh.writeBackFailures.Load()))
-		c("bpw_evict_writebacks_total", "dirty victims written to the device straight from their frame", l, float64(sh.evictWritebacks.Load()))
+		c("bpw_hitpath_fast_total", "hits served with zero mutex acquisitions", l, float64(ss.HitpathFast))
+		c("bpw_hitpath_retries_total", "optimistic probes retried after a torn seqlock read", l, float64(ss.HitpathRetries))
+		c("bpw_hitpath_fallbacks_total", "lookups that fell back to the bucket mutex", l, float64(ss.HitpathFallbacks))
+		c("bpw_bucket_lock_acquisitions_total", "bucket-mutex acquisitions on access paths", l, float64(ss.BucketLockAcqs))
+		c("bpw_frame_lock_acquisitions_total", "frame write-mutex acquisitions", l, float64(ss.FrameLockAcqs))
+		g("bpw_frames", "page slots owned by the shard", l, float64(ss.Frames))
+		g("bpw_free_frames", "slots on the free list", l, float64(ss.Free))
+		g("bpw_dirty_pages", "dirty resident pages", l, float64(ss.Dirty))
+		g("bpw_quarantined_pages", "evicted pages parked because their write-back failed", l, float64(ss.Quarantined))
+		g("bpw_resident_pages", "pages tracked by the replacement policy, loads in flight included", l, float64(ss.Resident))
+		c("bpw_writeback_failures_total", "failed write-back attempts", l, float64(ss.WriteBackFailures))
+		c("bpw_evict_writebacks_total", "dirty victims written to the device straight from their frame", l, float64(ss.EvictWritebacks))
 		const waitsHelp = "waits (by misses, reshard steals and invalidations) on a page another goroutine had in flight: on=load a device read, on=evict an eviction's write-back"
-		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "load"}), float64(sh.loadWaits.Load()))
-		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "evict"}), float64(sh.evictWaits.Load()))
+		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "load"}), float64(ss.MissWaitsLoad))
+		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "evict"}), float64(ss.MissWaitsEvict))
 
-		// Health and graceful degradation. The gauge re-evaluates at
-		// scrape time so a dashboard sees transitions even on an idle
-		// shard (a miss would otherwise have to arrive first).
-		g("bpw_health_state", "shard health: 0 healthy, 1 degraded, 2 read-only", l, float64(sh.evalHealth()))
-		c("bpw_shed_total", "misses refused by admission control", l, float64(sh.shed.Load()))
-		c("bpw_health_transitions_total", "health state changes", l, float64(sh.healthTransitions.Load()))
-		c("bpw_quarantine_refusals_total", "dirty victims an eviction passed over because the quarantine was full", l, float64(sh.quarRefusals.Load()))
-		g("bpw_miss_inflight", "admitted misses currently in flight", l, float64(sh.missInflight.Load()))
-		if sh.breaker != nil {
-			bst := sh.breaker.BreakerStats()
-			g("bpw_breaker_state", "circuit breaker: 0 closed, 1 open, 2 half-open", l, float64(bst.State))
-			c("bpw_breaker_trips_total", "circuit-breaker trips", l, float64(bst.Trips))
-			c("bpw_breaker_rejections_total", "operations rejected while open", l, float64(bst.Rejections))
-			c("bpw_breaker_probes_total", "half-open probe operations", l, float64(bst.Probes))
-			c("bpw_breaker_probe_failures_total", "probes that reopened the circuit", l, float64(bst.ProbeFails))
+		// Health and graceful degradation. The snapshot re-evaluates
+		// health, so a dashboard sees transitions even on an idle shard (a
+		// miss would otherwise have to arrive first).
+		g("bpw_health_state", "shard health: 0 healthy, 1 degraded, 2 read-only", l, float64(ss.Health))
+		c("bpw_shed_total", "misses refused by admission control", l, float64(ss.Shed))
+		c("bpw_health_transitions_total", "health state changes", l, float64(ss.HealthTransitions))
+		c("bpw_quarantine_refusals_total", "dirty victims an eviction passed over because the quarantine was full", l, float64(ss.QuarantineRefusals))
+		g("bpw_miss_inflight", "admitted misses currently in flight", l, float64(ss.MissInflight))
+		if ss.HasBreaker {
+			g("bpw_breaker_state", "circuit breaker: 0 closed, 1 open, 2 half-open", l, float64(ss.BreakerState))
+			c("bpw_breaker_trips_total", "circuit-breaker trips", l, float64(ss.BreakerTrips))
+			c("bpw_breaker_rejections_total", "operations rejected while open", l, float64(ss.BreakerRejections))
+			c("bpw_breaker_probes_total", "half-open probe operations", l, float64(ss.BreakerProbes))
+			c("bpw_breaker_probe_failures_total", "probes that reopened the circuit", l, float64(ss.BreakerProbeFails))
 		}
-		if sh.deadline != nil {
-			c("bpw_deadline_timeouts_total", "device operations abandoned at their deadline", l, float64(sh.deadline.Timeouts()))
-			c("bpw_deadline_canceled_total", "device operations canceled by stop", l, float64(sh.deadline.Canceled()))
+		if ss.HasDeadline {
+			c("bpw_deadline_timeouts_total", "device operations abandoned at their deadline", l, float64(ss.DeadlineTimeouts))
+			c("bpw_deadline_canceled_total", "device operations canceled by stop", l, float64(ss.DeadlineCanceled))
 		}
 		c("bpw_combiner_panics_total", "panics contained inside combiner drains", l, float64(ws.CombinerPanics))
 
@@ -193,7 +180,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		}
 	}
 
-	ds := p.device.Stats()
+	ds := st.Device
 	c("bpw_device_reads_total", "page reads issued to the device", nil, float64(ds.Reads))
 	c("bpw_device_writes_total", "page writes issued to the device", nil, float64(ds.Writes))
 	c("bpw_device_read_seconds_total", "wall time in ReadPage", nil, ds.ReadTime.Seconds())

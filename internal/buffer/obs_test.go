@@ -134,7 +134,7 @@ func TestHitsLeaveNoFlightRecord(t *testing.T) {
 	s1.Flush()
 	s2.Flush()
 
-	ws := p.WrapperStats()
+	ws := p.Stats().Wrapper
 	if ws.Lock.TryFailures == 0 || ws.TryCommits == 0 || ws.ForcedLocks == 0 {
 		t.Fatalf("try failures %d, try commits %d, forced locks %d: want each path taken",
 			ws.Lock.TryFailures, ws.TryCommits, ws.ForcedLocks)

@@ -144,15 +144,15 @@ type Pool struct {
 	factory replacer.Factory
 
 	// forcedRO mirrors SetReadOnly so shards built by a reshard inherit
-	// the operator's read-only floor.
+	// the operator's read-only floor. Written under reshardMu.
 	forcedRO atomic.Bool
 
 	// noShed is copied into every shard's disabled (health ladder off);
 	// only tests set it, and shards built by a reshard inherit it.
 	noShed bool
 
-	// reshardMu serializes topology and policy swaps; reshards counts
-	// completed topology changes.
+	// reshardMu serializes topology and policy swaps and the read-only
+	// floor; reshards counts completed topology changes.
 	reshardMu sync.Mutex
 	reshards  atomic.Int64
 
@@ -160,10 +160,10 @@ type Pool struct {
 	// reshard's finalize folds the old shards in and drops them, so the GC
 	// reclaims their frames once the last session rebinds. retireMu orders
 	// the fold/prev-clear pair against Stats snapshots (exactly-once
-	// counting; see Stats) and against sessions folding late into a stale
+	// counting; see stats) and against sessions folding late into a stale
 	// topology (Session.Flush).
 	retireMu sync.Mutex
-	retired  retiredTotals
+	retired  ShardStats
 
 	// obsRegs remembers every registry handed to RegisterObs so the
 	// flight recorders of shards built by later reshards can be
@@ -282,8 +282,8 @@ func (s *Session) Flush() {
 	for i, sub := range s.subs {
 		if stale && s.set.retired {
 			st := &s.stage[i]
-			p.retired.shards.Hits += st.hits
-			p.retired.shards.HitpathFast += st.fast
+			p.retired.Hits += st.hits
+			p.retired.HitpathFast += st.fast
 			*st = hitStage{}
 		} else {
 			s.foldHits(i)
@@ -435,16 +435,9 @@ func (s *Session) TraceID() uint64 { return s.trace.ID() }
 // nil when Config.Trace left tracing disabled.
 func (p *Pool) Tracer() *reqtrace.Tracer { return p.tracer }
 
-// Shards reports the number of hash partitions in the current topology.
-func (p *Pool) Shards() int { return len(p.cur.Load().shards) }
-
 // ShardOf reports which shard owns page id; useful for tests, chaos
 // harnesses, and diagnostics that need to target one shard's traffic.
 func (p *Pool) ShardOf(id page.PageID) int { return p.shardIndexFor(id) }
-
-// ShardHealth reports the most recently evaluated health state of one
-// shard (the miss path and metric scrapes keep it fresh).
-func (p *Pool) ShardHealth(i int) HealthState { return p.cur.Load().shards[i].lastHealth() }
 
 // SetReadOnly pins (or releases) every shard at the ReadOnly floor of the
 // health ladder, independent of breaker and quarantine state. While set,
@@ -456,8 +449,12 @@ func (p *Pool) ShardHealth(i int) HealthState { return p.cur.Load().shards[i].la
 // applies where the health ladder is switched off — it is an operator
 // action, not a health verdict. Releasing returns shards to their
 // evaluated state. Shards built by a later Reshard inherit the current
-// setting.
+// setting. It serializes with Reshard, as SwapPolicy does, so it never
+// floors part of a shard set still being built: a call made during a
+// migration waits for the migration to finish.
 func (p *Pool) SetReadOnly(on bool) {
+	p.reshardMu.Lock()
+	defer p.reshardMu.Unlock()
 	p.forcedRO.Store(on)
 	for _, sh := range p.liveShards() {
 		sh.forced.Store(on)
@@ -465,26 +462,10 @@ func (p *Pool) SetReadOnly(on bool) {
 	}
 }
 
-// ShardDevice returns the device stack shard i issues its I/O through
-// (the shared Device unless Config.WrapShardDevice built a per-shard
-// stack).
-func (p *Pool) ShardDevice(i int) storage.Device { return p.cur.Load().shards[i].device }
-
 // Wrapper exposes the BP-Wrapper core of shard 0. It is a diagnostic
 // accessor for single-shard pools (where shard 0 IS the pool); with
-// Shards > 1 use WrapperStats for aggregated figures.
+// Shards > 1 read Stats().Wrapper for the sum over every shard.
 func (p *Pool) Wrapper() *core.Wrapper { return p.cur.Load().shards[0].wrapper }
-
-// WrapperStats returns the BP-Wrapper statistics summed over every
-// shard's wrapper, plus the retired topologies' totals.
-func (p *Pool) WrapperStats() core.Stats {
-	cur, draining, retired := p.topologySnapshot()
-	ws := retired.wrapper
-	for _, sh := range append(draining, cur.shards...) {
-		ws = ws.Plus(sh.wrapper.Stats())
-	}
-	return ws
-}
 
 // AccessStats returns the pool's hit/miss counters summed over all shards
 // — current and draining — plus the retired topologies' totals, as one
@@ -495,39 +476,17 @@ func (p *Pool) WrapperStats() core.Stats {
 // hits locally and fold them in batches (see Session), so the figures are
 // exact only once the sessions have called Flush; mid-run they can lag by
 // up to hitFoldInterval hits per live session.
+//
+// It takes no policy lock, only retireMu, which orders it against a
+// reshard's finalize so that an old shard is counted once.
 func (p *Pool) AccessStats() metrics.AccessSnapshot {
-	cur, draining, retired := p.topologySnapshot()
-	a := metrics.AccessSnapshot{Hits: retired.shards.Hits, Misses: retired.shards.Misses}
-	for _, sh := range append(draining, cur.shards...) {
+	p.retireMu.Lock()
+	defer p.retireMu.Unlock()
+	a := metrics.AccessSnapshot{Hits: p.retired.Hits, Misses: p.retired.Misses}
+	for _, sh := range p.liveShards() {
 		a = a.Plus(sh.counters.Snapshot())
 	}
 	return a
-}
-
-// retiredTotals is what the pool's fully-drained previous topologies
-// counted: their shards' snapshots, wrapper statistics and migrated pages
-// as the reshard's finalize folded them, plus the hits sessions staged
-// against them and settled later.
-type retiredTotals struct {
-	shards   ShardStats
-	wrapper  core.Stats
-	migrated int64
-}
-
-// topologySnapshot reads the current set, the shards of the draining
-// previous set, if there is one, and the retired totals as one
-// exactly-once snapshot: retireMu orders it against Reshard's finalize
-// step (which folds the old set into the totals and clears prev under the
-// same mutex), so an old shard is never counted both as draining and as
-// retired, and never missed.
-func (p *Pool) topologySnapshot() (cur *shardSet, draining []*shard, retired retiredTotals) {
-	p.retireMu.Lock()
-	defer p.retireMu.Unlock()
-	cur = p.cur.Load()
-	if prev := cur.prev.Load(); prev != nil {
-		draining = append(draining, prev.shards...)
-	}
-	return cur, draining, p.retired
 }
 
 // Device returns the backing device.
@@ -604,9 +563,9 @@ func (p *Pool) Invalidate(id page.PageID) error {
 	}
 }
 
-// QuarantineLen reports the number of pages currently parked in the dirty
+// quarantineLen reports the number of pages currently parked in the dirty
 // quarantines of all live shards.
-func (p *Pool) QuarantineLen() int {
+func (p *Pool) quarantineLen() int {
 	n := 0
 	for _, sh := range p.liveShards() {
 		n += sh.quarantineLen()
@@ -614,9 +573,9 @@ func (p *Pool) QuarantineLen() int {
 	return n
 }
 
-// DirtyCount reports the number of dirty resident pages across all live
+// dirtyCount reports the number of dirty resident pages across all live
 // shards right now; the figure is advisory under concurrency.
-func (p *Pool) DirtyCount() int {
+func (p *Pool) dirtyCount() int {
 	n := 0
 	for _, sh := range p.liveShards() {
 		n += sh.dirtyCount()
@@ -694,8 +653,8 @@ func (p *Pool) CloseWithin(budget time.Duration) error {
 	for i := 0; i < attempts; i++ {
 		_, err := p.FlushDirty()
 		lastErr = err
-		if err == nil && p.QuarantineLen() == 0 {
-			if d := p.DirtyCount(); d > 0 {
+		if err == nil && p.quarantineLen() == 0 {
+			if d := p.dirtyCount(); d > 0 {
 				lastErr = fmt.Errorf("buffer: %d dirty pages still pinned", d)
 			} else {
 				return nil
@@ -751,7 +710,7 @@ func (p *Pool) Prewarm(ids []page.PageID) error {
 func (p *Pool) ResetStats() {
 	p.retireMu.Lock()
 	defer p.retireMu.Unlock()
-	p.retired = retiredTotals{}
+	p.retired = ShardStats{}
 	for _, sh := range p.liveShards() {
 		sh.counters.Reset()
 		sh.hp.reset()
@@ -760,7 +719,9 @@ func (p *Pool) ResetStats() {
 	}
 }
 
-// ShardStats is the per-shard slice of a Stats snapshot.
+// ShardStats is everything one shard reports. Folded by add it is also what
+// a topology, the retired topologies and the whole pool report: Stats sums
+// these snapshots and reads no shard counter of its own.
 type ShardStats struct {
 	Frames            int   // page slots owned by this shard
 	Free              int   // slots on the shard's free list
@@ -769,8 +730,9 @@ type ShardStats struct {
 	Quarantined       int   // evicted pages parked by a failed write-back
 	Hits              int64 // buffer hits since the last reset
 	Misses            int64 // buffer misses since the last reset
-	WriteBackFailures int64 // failed write-back attempts
+	WriteBackFailures int64 // failed write-back attempts (eviction, flush and quarantine-drain retries)
 	EvictWritebacks   int64 // dirty victims written to the device straight from their frame
+	PagesMigrated     int64 // pages a reshard carried out of this shard
 
 	// MissWaitsLoad and MissWaitsEvict count waits on a page somebody
 	// else had in flight — by a miss, a reshard steal or an Invalidate —
@@ -784,6 +746,10 @@ type ShardStats struct {
 	// shard's wrapper — live information once SwapPolicy can change it at
 	// runtime.
 	Policy string
+
+	// Wrapper is the shard's BP-Wrapper statistics: policy-lock
+	// acquisitions and contentions, commits and batches.
+	Wrapper core.Stats
 
 	// Hit-path anatomy (see DESIGN.md §12): how resident lookups were
 	// served. HitpathFast counts hits that touched no mutex at all;
@@ -800,16 +766,28 @@ type ShardStats struct {
 	FrameLockAcqs    int64
 
 	Health             HealthState // degradation state at snapshot time
+	HealthTransitions  int64       // health state changes
+	MissInflight       int64       // admitted misses in flight at snapshot time
 	Shed               int64       // misses refused with ErrOverloaded
 	QuarantineRefusals int64       // dirty victims an eviction passed over because the quarantine was full
-	BreakerState       string      // "" when the shard's stack has no breaker
-	BreakerTrips       int64
-	BreakerRejections  int64
-	DeadlineTimeouts   int64 // 0 when the shard's stack has no deadline layer
+
+	// The resilience layers of the shard's device stack. A layer's fields
+	// are zero, and its Has flag false, when the stack has no such layer.
+	HasBreaker        bool
+	BreakerState      storage.BreakerState
+	BreakerTrips      int64
+	BreakerRejections int64
+	BreakerProbes     int64 // half-open probe operations
+	BreakerProbeFails int64 // probes that reopened the circuit
+	HasDeadline       bool
+	DeadlineTimeouts  int64 // device operations abandoned at their deadline
+	DeadlineCanceled  int64 // device operations canceled by stop
 }
 
-// add folds another shard's snapshot into this one (used for the Retired
-// aggregate; gauge-like fields sum, Health takes the worst).
+// add folds another snapshot into this one: the one fold behind the pool
+// total, a draining topology and a reshard's retired totals. Counters and
+// gauges sum and Health takes the worst; Policy and the Has flags and
+// BreakerState describe one shard and are not folded.
 func (ss *ShardStats) add(o ShardStats) {
 	ss.Frames += o.Frames
 	ss.Free += o.Free
@@ -820,21 +798,28 @@ func (ss *ShardStats) add(o ShardStats) {
 	ss.Misses += o.Misses
 	ss.WriteBackFailures += o.WriteBackFailures
 	ss.EvictWritebacks += o.EvictWritebacks
+	ss.PagesMigrated += o.PagesMigrated
 	ss.MissWaitsLoad += o.MissWaitsLoad
 	ss.MissWaitsEvict += o.MissWaitsEvict
+	ss.Wrapper = ss.Wrapper.Plus(o.Wrapper)
 	ss.HitpathFast += o.HitpathFast
 	ss.HitpathRetries += o.HitpathRetries
 	ss.HitpathFallbacks += o.HitpathFallbacks
 	ss.BucketLockAcqs += o.BucketLockAcqs
 	ss.FrameLockAcqs += o.FrameLockAcqs
+	if o.Health > ss.Health {
+		ss.Health = o.Health
+	}
+	ss.HealthTransitions += o.HealthTransitions
+	ss.MissInflight += o.MissInflight
 	ss.Shed += o.Shed
 	ss.QuarantineRefusals += o.QuarantineRefusals
 	ss.BreakerTrips += o.BreakerTrips
 	ss.BreakerRejections += o.BreakerRejections
+	ss.BreakerProbes += o.BreakerProbes
+	ss.BreakerProbeFails += o.BreakerProbeFails
 	ss.DeadlineTimeouts += o.DeadlineTimeouts
-	if o.Health > ss.Health {
-		ss.Health = o.Health
-	}
+	ss.DeadlineCanceled += o.DeadlineCanceled
 }
 
 // Stats is a point-in-time operational snapshot of the pool.
@@ -847,72 +832,36 @@ func (ss *ShardStats) add(o ShardStats) {
 // (e.g. Misses vs Device.Reads) can be off by in-flight operations.
 // Collect at quiescence for exact figures.
 type Stats struct {
-	Frames   int     // page slots in the current topology, summed over shards
-	Shards   int     // number of hash partitions in the current topology
-	Free     int     // slots on the current topology's free lists
-	Dirty    int     // dirty resident pages (including a draining topology's)
-	Resident int     // pages tracked by the current replacement policies, loads in flight included
-	Hits     int64   // buffer hits since the last reset (all topologies)
-	Misses   int64   // buffer misses since the last reset (all topologies)
-	HitRatio float64 // hits / (hits + misses), from one consistent snapshot
+	// ShardStats is the sum of PerShard and Retired, except Frames, Free,
+	// Resident and Health, which describe the current topology only (the
+	// frame budget would double-count during a drain). Quarantined is
+	// bounded by QuarantineCap, the configured pool-wide cap.
+	ShardStats
+
+	Shards        int     // number of hash partitions in the current topology
+	HitRatio      float64 // hits / (hits + misses), from the summed pair
+	QuarantineCap int
 
 	// Epoch stamps the current topology (0 until the first reshard);
 	// Resharding is true while a previous topology is still draining;
-	// Reshards counts completed topology changes; PagesMigrated counts
-	// pages carried old→new across all reshards since the last reset.
-	Epoch         uint64
-	Resharding    bool
-	Reshards      int64
-	PagesMigrated int64
+	// Reshards counts completed topology changes.
+	Epoch      uint64
+	Resharding bool
+	Reshards   int64
 
-	// Quarantined is the number of evicted dirty pages parked because their
-	// write-back failed (including a draining topology's): a flush never
-	// parks, and neither does an eviction whose write succeeds.
-	// WriteBackFailures counts failed write-back attempts (eviction, flush,
-	// and quarantine-drain retries) and EvictWritebacks the dirty victims
-	// written straight from their frame. QuarantineCap is the configured
-	// pool-wide bound.
-	Quarantined       int
-	QuarantineCap     int
-	WriteBackFailures int64
-	EvictWritebacks   int64
-
-	// MissWaitsLoad and MissWaitsEvict: see ShardStats.
-	MissWaitsLoad  int64
-	MissWaitsEvict int64
-
-	// Hit-path anatomy, summed over shards (per-shard breakdown in
-	// PerShard; field meanings on ShardStats).
-	HitpathFast      int64
-	HitpathRetries   int64
-	HitpathFallbacks int64
-	BucketLockAcqs   int64
-	FrameLockAcqs    int64
-
-	// Shed counts misses refused with ErrOverloaded by degraded or
-	// read-only shards; Health is the worst shard health at snapshot
-	// time (Healthy unless some current shard is degraded — retired
-	// shards' health is reported only inside Retired).
-	Shed   int64
-	Health HealthState
-
-	// Wrapper is the BP-Wrapper statistics summed over all shards;
-	// PerShard carries the per-shard breakdown of the pool-level figures
-	// for the CURRENT topology only. Retired aggregates previous
-	// topologies: the totals each finished reshard folded in (plus hits
-	// sessions staged against them and settled later), and the shards of
-	// one still draining, whose frames still hold real dirty pages. The
-	// pool totals above fold Retired in — except Frames/Free/Resident,
-	// which describe the current topology.
-	Wrapper  core.Stats
+	// PerShard is the current topology's shards, by index. Retired folds
+	// previous topologies: the totals each finished reshard folded in
+	// (plus hits sessions staged against them and settled later), and the
+	// shards of one still draining, whose frames still hold real dirty
+	// pages.
 	PerShard []ShardStats
 	Retired  ShardStats
 	Device   storage.DeviceStats
 }
 
-// shardStatsOf snapshots one shard. acc receives the shard's
-// hits-before-misses consistent access snapshot.
-func shardStatsOf(sh *shard) (ShardStats, metrics.AccessSnapshot) {
+// shardStatsOf snapshots one shard. Its hits are read before its misses,
+// and its health is evaluated before its transitions are counted.
+func shardStatsOf(sh *shard) ShardStats {
 	a := sh.counters.Snapshot()
 	ss := ShardStats{
 		Frames:             len(sh.frames),
@@ -922,25 +871,30 @@ func shardStatsOf(sh *shard) (ShardStats, metrics.AccessSnapshot) {
 		Misses:             a.Misses,
 		WriteBackFailures:  sh.writeBackFailures.Load(),
 		EvictWritebacks:    sh.evictWritebacks.Load(),
+		PagesMigrated:      sh.migratedOut.Load(),
 		MissWaitsLoad:      sh.loadWaits.Load(),
 		MissWaitsEvict:     sh.evictWaits.Load(),
-		Health:             sh.evalHealth(),
-		Shed:               sh.shed.Load(),
-		QuarantineRefusals: sh.quarRefusals.Load(),
+		Wrapper:            sh.wrapper.Stats(),
 		HitpathFast:        sh.hp.fast.Load(),
 		HitpathRetries:     sh.hp.retries.Load(),
 		HitpathFallbacks:   sh.hp.fallbacks.Load(),
 		BucketLockAcqs:     sh.hp.bucketLocks.Load(),
 		FrameLockAcqs:      sh.hp.frameLocks.Load(),
+		Health:             sh.evalHealth(),
+		HealthTransitions:  sh.healthTransitions.Load(),
+		MissInflight:       sh.missInflight.Load(),
+		Shed:               sh.shed.Load(),
+		QuarantineRefusals: sh.quarRefusals.Load(),
 	}
 	if sh.breaker != nil {
-		bst := sh.breaker.BreakerStats()
-		ss.BreakerState = bst.State.String()
-		ss.BreakerTrips = bst.Trips
-		ss.BreakerRejections = bst.Rejections
+		b := sh.breaker.BreakerStats()
+		ss.HasBreaker, ss.BreakerState = true, b.State
+		ss.BreakerTrips, ss.BreakerRejections = b.Trips, b.Rejections
+		ss.BreakerProbes, ss.BreakerProbeFails = b.Probes, b.ProbeFails
 	}
 	if sh.deadline != nil {
-		ss.DeadlineTimeouts = sh.deadline.Timeouts()
+		ss.HasDeadline = true
+		ss.DeadlineTimeouts, ss.DeadlineCanceled = sh.deadline.Timeouts(), sh.deadline.Canceled()
 	}
 	sh.freeMu.Lock()
 	ss.Free = len(sh.freeList)
@@ -949,63 +903,49 @@ func shardStatsOf(sh *shard) (ShardStats, metrics.AccessSnapshot) {
 		ss.Resident = pol.Len()
 		ss.Policy = pol.Name()
 	})
-	return ss, a
+	return ss
 }
 
-// Stats returns an operational snapshot. It takes each shard's policy lock
+// Stats returns an operational snapshot: the pool's one read path for its
+// counters, which /metrics renders too. It takes each shard's policy lock
 // briefly (for the resident count) and scans each frame's state word (for
-// the dirty count); intended for monitoring, not hot paths. All pool-level
-// counters are folded from the per-shard snapshots by one aggregation
-// pass, so the totals and PerShard + Retired always agree and HitRatio
-// derives from the same hits/misses pair the snapshot reports. The
-// topology is snapshotted through the shard-set epoch (one retireMu-
-// ordered read of current/draining/retired), so a concurrent reshard can
-// neither double-count a shard nor skip one.
+// the dirty count); intended for monitoring, not hot paths.
 func (p *Pool) Stats() Stats {
-	cur, old, retired := p.topologySnapshot()
-	s := Stats{
-		Shards:        len(cur.shards),
-		Epoch:         cur.epoch,
-		Resharding:    old != nil,
-		Reshards:      p.reshards.Load(),
-		QuarantineCap: p.quarCap,
-		PerShard:      make([]ShardStats, len(cur.shards)),
-		Device:        p.device.Stats(),
-	}
-	// One pass over every shard: the current topology's fill PerShard and
-	// sum into live; a draining topology's, into Retired beside the retired
-	// totals — their hits and misses happened to THIS pool, and
-	// mid-migration their dirty and quarantined pages are real pages the
-	// flush paths still see.
-	s.Retired, s.Wrapper, s.PagesMigrated = retired.shards, retired.wrapper, retired.migrated
-	acc := metrics.AccessSnapshot{Hits: retired.shards.Hits, Misses: retired.shards.Misses}
-	var live ShardStats
-	for i, sh := range append(old, cur.shards...) {
-		ss, a := shardStatsOf(sh)
-		if i < len(old) {
-			s.Retired.add(ss)
-		} else {
-			s.PerShard[i-len(old)] = ss
-			live.add(ss)
-		}
-		s.PagesMigrated += sh.migratedOut.Load()
-		acc = acc.Plus(a)
-		s.Wrapper = s.Wrapper.Plus(sh.wrapper.Stats())
-	}
-	// Frames/Free/Resident and Health describe the current topology only
-	// (the frame budget would double-count during the drain window); every
-	// other total folds Retired in.
-	s.Frames, s.Free, s.Resident, s.Health = live.Frames, live.Free, live.Resident, live.Health
-	live.add(s.Retired)
-	s.Dirty, s.Quarantined, s.Shed = live.Dirty, live.Quarantined, live.Shed
-	s.WriteBackFailures, s.EvictWritebacks = live.WriteBackFailures, live.EvictWritebacks
-	s.MissWaitsLoad, s.MissWaitsEvict = live.MissWaitsLoad, live.MissWaitsEvict
-	s.HitpathFast, s.HitpathRetries, s.HitpathFallbacks = live.HitpathFast, live.HitpathRetries, live.HitpathFallbacks
-	s.BucketLockAcqs, s.FrameLockAcqs = live.BucketLockAcqs, live.FrameLockAcqs
-	s.Hits = acc.Hits
-	s.Misses = acc.Misses
-	s.HitRatio = acc.HitRatio()
+	s, _ := p.stats()
 	return s
+}
+
+// stats is Stats plus the topology PerShard was read from, so that collect
+// renders each shard's distributions beside the same snapshot. The
+// topology is read under retireMu, which orders it against Reshard's
+// finalize (that folds the old set into the retired totals and clears
+// prev under the same mutex): an old shard is counted once, as draining
+// or as retired.
+func (p *Pool) stats() (Stats, *shardSet) {
+	p.retireMu.Lock()
+	set := p.cur.Load()
+	var draining []*shard
+	if prev := set.prev.Load(); prev != nil {
+		draining = prev.shards
+	}
+	s := Stats{Retired: p.retired}
+	p.retireMu.Unlock()
+
+	s.Shards, s.QuarantineCap, s.Device = len(set.shards), p.quarCap, p.device.Stats()
+	s.Epoch, s.Resharding, s.Reshards = set.epoch, draining != nil, p.reshards.Load()
+	for _, sh := range draining {
+		s.Retired.add(shardStatsOf(sh))
+	}
+	s.PerShard = make([]ShardStats, len(set.shards))
+	for i, sh := range set.shards {
+		s.PerShard[i] = shardStatsOf(sh)
+		s.ShardStats.add(s.PerShard[i])
+	}
+	current := s.ShardStats
+	s.ShardStats.add(s.Retired)
+	s.Frames, s.Free, s.Resident, s.Health = current.Frames, current.Free, current.Resident, current.Health
+	s.HitRatio = metrics.AccessSnapshot{Hits: s.Hits, Misses: s.Misses}.HitRatio()
+	return s, set
 }
 
 // PinnedFrames reports the number of frames currently holding at least one

@@ -234,8 +234,9 @@ func TestMissIsOneLockHold(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			// Pool.Stats would take the policy lock for Resident.
-			st, holds := p.AccessStats(), p.WrapperStats().Lock.Acquisitions
+			// Stats takes each shard's policy lock for Resident, but
+			// only after it has read that shard's wrapper counters.
+			st, holds := p.AccessStats(), p.Stats().Wrapper.Lock.Acquisitions
 			if st.Misses != int64(sessions*perSession) || st.Hits != 0 {
 				t.Fatalf("%d misses and %d hits, want %d misses only", st.Misses, st.Hits, sessions*perSession)
 			}

@@ -22,8 +22,8 @@
 //     map-to-map under the old write-back stripe, which also serializes
 //     against any in-flight write of the same page.
 //  5. Finalize: once the old set holds no residents, no quarantined copies,
-//     and every frame is back on its free list, its counters are folded
-//     into the pool's retired totals (Stats.Retired), it is marked retired
+//     and every frame is back on its free list, its shards' ShardStats are
+//     added into the pool's retired totals (Stats.Retired), it is marked retired
 //     and the prev pointer is cleared. The pool keeps no reference to it:
 //     the GC reclaims it, frame slab included, once the last session bound
 //     to it rebinds, and hits such a session staged there fold straight
@@ -83,9 +83,10 @@ func (ss *shardSet) shardFor(id page.PageID) *shard { return ss.shards[ss.indexF
 // returning once the migration is complete and the old topology fully
 // drained; the new shards' policies come from the pool's factory
 // (Config.PolicyFactory, or the one SwapPolicy last installed). Reshard
-// serializes with itself and with SwapPolicy; concurrent traffic keeps
-// flowing throughout — the only waits are per-page (a pinned page delays
-// its own migration until unpinned).
+// serializes with itself, with SwapPolicy and with SetReadOnly, so a
+// drain that lowers the read-only floor waits out an in-flight reshard;
+// concurrent traffic keeps flowing throughout — the only waits are
+// per-page (a pinned page delays its own migration until unpinned).
 func (p *Pool) Reshard(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("buffer: Reshard(%d): shard count must be positive", n)
@@ -152,10 +153,7 @@ func (p *Pool) Reshard(n int) error {
 	// late Flush lands either before the fold or in the totals.
 	p.retireMu.Lock()
 	for _, sh := range old.shards {
-		ss, _ := shardStatsOf(sh)
-		p.retired.shards.add(ss)
-		p.retired.wrapper = p.retired.wrapper.Plus(sh.wrapper.Stats())
-		p.retired.migrated += sh.migratedOut.Load()
+		p.retired.add(shardStatsOf(sh))
 	}
 	old.retired = true
 	next.prev.Store(nil)
@@ -187,13 +185,6 @@ func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error)
 	}
 	p.factory = factory
 	return from, to, nil
-}
-
-// Epoch reports the current topology's epoch (0 until the first reshard)
-// and whether a migration out of the previous topology is still draining.
-func (p *Pool) Epoch() (epoch uint64, resharding bool) {
-	set := p.cur.Load()
-	return set.epoch, set.prev.Load() != nil
 }
 
 // ---------------------------------------------------------------------------

@@ -49,11 +49,9 @@ func TestReshardCarriesDirtyPages(t *testing.T) {
 	if err := p.Reshard(4); err != nil {
 		t.Fatalf("Reshard(4): %v", err)
 	}
-	if got := p.Shards(); got != 4 {
-		t.Fatalf("Shards()=%d after Reshard(4), want 4", got)
-	}
-	if epoch, resharding := p.Epoch(); epoch != 1 || resharding {
-		t.Fatalf("Epoch()=(%d,%v) after completed reshard, want (1,false)", epoch, resharding)
+	if st := p.Stats(); st.Shards != 4 || st.Epoch != 1 || st.Resharding {
+		t.Fatalf("Shards=%d, Epoch=%d, Resharding=%v after Reshard(4), want 4, 1, false",
+			st.Shards, st.Epoch, st.Resharding)
 	}
 	if err := p.Reshard(2); err != nil {
 		t.Fatalf("Reshard(2): %v", err)
@@ -210,7 +208,7 @@ func TestPinAcrossReshard(t *testing.T) {
 		t.Fatalf("Reshard completed despite a pinned page (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if _, resharding := p.Epoch(); !resharding {
+	if !p.Stats().Resharding {
 		t.Fatal("migration reported complete while a page is still pinned")
 	}
 
@@ -235,8 +233,8 @@ func TestPinAcrossReshard(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Reshard after release: %v", err)
 	}
-	if epoch, resharding := p.Epoch(); epoch != 1 || resharding {
-		t.Fatalf("Epoch()=(%d,%v), want (1,false)", epoch, resharding)
+	if st := p.Stats(); st.Epoch != 1 || st.Resharding {
+		t.Fatalf("Epoch=%d, Resharding=%v, want 1, false", st.Epoch, st.Resharding)
 	}
 
 	// The write performed while pinned-across-the-reshard must be visible.
@@ -280,15 +278,15 @@ func TestQuarantineHandedOverAcrossReshard(t *testing.T) {
 		}
 		ref.Release()
 	}
-	if q := p.QuarantineLen(); q == 0 {
+	if q := p.quarantineLen(); q == 0 {
 		t.Fatal("setup failed: nothing quarantined")
 	}
-	before := p.QuarantineLen()
+	before := p.quarantineLen()
 
 	if err := p.Reshard(2); err != nil {
 		t.Fatalf("Reshard with quarantined pages: %v", err)
 	}
-	if q := p.QuarantineLen(); q != before {
+	if q := p.quarantineLen(); q != before {
 		t.Fatalf("quarantine len %d after reshard, want %d (lossless handover)", q, before)
 	}
 
@@ -449,7 +447,7 @@ func TestIdleSessionHitsSurviveReshard(t *testing.T) {
 	if err := p.Reshard(4); err != nil {
 		t.Fatal(err)
 	}
-	if _, resharding := p.Epoch(); resharding {
+	if p.Stats().Resharding {
 		t.Fatal("the old topology is still draining after Reshard returned")
 	}
 	// Both settle at once, beside a Stats reader.
@@ -608,6 +606,63 @@ func TestReshardRefusals(t *testing.T) {
 	}
 	if _, _, err := p.SwapPolicy(nil); !errors.Is(err, err) || err == nil {
 		t.Fatal("SwapPolicy(nil) succeeded")
+	}
+}
+
+// TestSetReadOnlyDuringReshardBuild lowers the read-only floor while
+// Reshard is still building its new shards, as a drain can during a
+// migration. A floor that reached only the shards built after it would
+// shed the migration's loads into those shards, and Reshard would spin
+// forever; SetReadOnly instead waits the reshard out, then floors every
+// shard of the new topology.
+func TestSetReadOnlyDuringReshardBuild(t *testing.T) {
+	var (
+		p       *Pool
+		armed   atomic.Bool
+		floored = make(chan struct{})
+	)
+	p = New(Config{
+		Frames:        16,
+		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
+		Device:        storage.NewMemDevice(),
+		WrapShardDevice: func(shard int, base storage.Device) storage.Device {
+			if shard == 1 && armed.CompareAndSwap(true, false) {
+				go func() { p.SetReadOnly(true); close(floored) }()
+				// Give the floor the chance to land mid-build.
+				for start := time.Now(); !p.forcedRO.Load() && time.Since(start) < 100*time.Millisecond; {
+					runtime.Gosched()
+				}
+			}
+			return base
+		},
+	})
+	s := p.NewSession()
+	for i := uint64(1); i <= 12; i++ {
+		ref, err := p.Get(s, pid(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Release()
+	}
+	s.Flush()
+
+	armed.Store(true)
+	resharded := make(chan error, 1)
+	go func() { resharded <- p.Reshard(2) }()
+	select {
+	case err := <-resharded:
+		if err != nil {
+			t.Fatalf("Reshard(2): %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		go p.SetReadOnly(false) // let the migration drain before failing
+		t.Fatal("Reshard wedged: the read-only floor reached only part of the new topology")
+	}
+	<-floored
+	for i := 0; i < 2; i++ {
+		if _, err := p.Get(s, idsInShard(p, i, 1, 1000)[0]); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("miss on shard %d under the read-only floor: err=%v, want ErrOverloaded", i, err)
+		}
 	}
 }
 

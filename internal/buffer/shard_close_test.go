@@ -70,7 +70,7 @@ func TestCloseRacingBGWriterRoundOnAnotherShard(t *testing.T) {
 		}
 		ref.Release()
 	}
-	if q := p.QuarantineLen(); q != 1 {
+	if q := p.quarantineLen(); q != 1 {
 		t.Fatalf("quarantined=%d after failed eviction on shard 0, want 1", q)
 	}
 	fault.SetWriteFailRate(0)
@@ -120,10 +120,10 @@ func TestCloseRacingBGWriterRoundOnAnotherShard(t *testing.T) {
 	// Nothing lost anywhere: the in-flight copy of idA landed exactly once
 	// (Close's duplicate snapshot write was skipped by re-validation), and
 	// every page of both shards is durable at its last written version.
-	if q := p.QuarantineLen(); q != 0 {
+	if q := p.quarantineLen(); q != 0 {
 		t.Fatalf("%d entries left quarantined after Close", q)
 	}
-	if d := p.DirtyCount(); d != 0 {
+	if d := p.dirtyCount(); d != 0 {
 		t.Fatalf("%d dirty pages left after Close", d)
 	}
 	if !mustRead(t, mem, idA).VerifyStamp(idA + stampShift) {

@@ -150,8 +150,8 @@ func TestQuarantineCrossThreadWriteBack(t *testing.T) {
 		}
 		r.Release()
 	}
-	if p.QuarantineLen() != 1 {
-		t.Fatalf("quarantine holds %d pages, want 1", p.QuarantineLen())
+	if p.quarantineLen() != 1 {
+		t.Fatalf("quarantine holds %d pages, want 1", p.quarantineLen())
 	}
 
 	// The evicting request's trace is the one carrying the quarantine-park
@@ -171,7 +171,7 @@ func TestQuarantineCrossThreadWriteBack(t *testing.T) {
 	if _, err := p.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if p.QuarantineLen() != 0 {
+	if p.quarantineLen() != 0 {
 		t.Fatal("quarantine not drained")
 	}
 

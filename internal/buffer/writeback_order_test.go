@@ -113,8 +113,8 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 		}
 		ref.Release()
 	}
-	if p.QuarantineLen() != 1 {
-		t.Fatalf("quarantined=%d after failed eviction, want 1", p.QuarantineLen())
+	if p.quarantineLen() != 1 {
+		t.Fatalf("quarantined=%d after failed eviction, want 1", p.quarantineLen())
 	}
 	fault.SetWriteFailRate(0)
 
@@ -180,8 +180,8 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 	if !back.VerifyStamp(pid(1) + 2*stampShift) {
 		t.Fatal("stale in-flight write reverted the device to v1 after v2 was written")
 	}
-	if p.QuarantineLen() != 0 {
-		t.Fatalf("%d entries left quarantined", p.QuarantineLen())
+	if p.quarantineLen() != 0 {
+		t.Fatalf("%d entries left quarantined", p.quarantineLen())
 	}
 }
 
@@ -253,10 +253,10 @@ func TestFlushWritesFromPinnedFrame(t *testing.T) {
 	}()
 	<-entered
 
-	if q := p.QuarantineLen(); q != 0 {
+	if q := p.quarantineLen(); q != 0 {
 		t.Fatalf("quarantined=%d during in-flight flush write, want 0", q)
 	}
-	if d := p.DirtyCount(); d != 1 {
+	if d := p.dirtyCount(); d != 1 {
 		t.Fatalf("dirty=%d during in-flight flush write, want 1", d)
 	}
 	// Page 1 is the LRU page, but its frame is pinned: every miss evicts
@@ -382,15 +382,15 @@ func TestInvalidateDiscardsQuarantinedCopy(t *testing.T) {
 		}
 		ref.Release()
 	}
-	if p.QuarantineLen() != 1 {
-		t.Fatalf("quarantined=%d after failed eviction, want 1", p.QuarantineLen())
+	if p.quarantineLen() != 1 {
+		t.Fatalf("quarantined=%d after failed eviction, want 1", p.quarantineLen())
 	}
 	dev.SetWriteFailRate(0)
 
 	if err := p.Invalidate(pid(1)); err != nil {
 		t.Fatalf("Invalidate: %v", err)
 	}
-	if q := p.QuarantineLen(); q != 0 {
+	if q := p.quarantineLen(); q != 0 {
 		t.Fatalf("quarantined=%d after Invalidate, want 0", q)
 	}
 	if _, err := p.FlushDirty(); err != nil {
@@ -429,11 +429,11 @@ func TestFlushRespectsQuarantineCap(t *testing.T) {
 		}
 		ref.Release()
 	}
-	if p.QuarantineLen() != 1 {
-		t.Fatalf("quarantined=%d, want 1 (cap)", p.QuarantineLen())
+	if p.quarantineLen() != 1 {
+		t.Fatalf("quarantined=%d, want 1 (cap)", p.quarantineLen())
 	}
-	if p.DirtyCount() != 1 {
-		t.Fatalf("dirty=%d, want page 2 still resident dirty", p.DirtyCount())
+	if p.dirtyCount() != 1 {
+		t.Fatalf("dirty=%d, want page 2 still resident dirty", p.dirtyCount())
 	}
 
 	// The flush's write of page 2 fails: the page stays dirty in its frame
@@ -441,11 +441,11 @@ func TestFlushRespectsQuarantineCap(t *testing.T) {
 	if _, err := p.FlushDirty(); err == nil {
 		t.Fatal("flush with a dead device and full quarantine returned nil error")
 	}
-	if q := p.QuarantineLen(); q > 1 {
+	if q := p.quarantineLen(); q > 1 {
 		t.Fatalf("quarantine grew to %d entries past its cap of 1", q)
 	}
-	if p.DirtyCount() != 1 {
-		t.Fatalf("dirty=%d after capped flush, want 1", p.DirtyCount())
+	if p.dirtyCount() != 1 {
+		t.Fatalf("dirty=%d after capped flush, want 1", p.dirtyCount())
 	}
 
 	dev.SetWriteFailRate(0)

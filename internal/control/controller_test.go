@@ -146,10 +146,10 @@ func TestControllerReshardsDownOnFragmentationGap(t *testing.T) {
 		reshards += countKind(c.Step(), ActReshardDown)
 	}
 	if reshards == 0 {
-		t.Fatalf("controller never resharded down; shards=%d scores=%v", p.Shards(), c.Scores())
+		t.Fatalf("controller never resharded down; shards=%d scores=%v", p.Stats().Shards, c.Scores())
 	}
-	if got := p.Shards(); got != 2 {
-		t.Fatalf("Shards()=%d after reshard-down, want 2", got)
+	if got := p.Stats().Shards; got != 2 {
+		t.Fatalf("Shards=%d after reshard-down, want 2", got)
 	}
 	if la := c.LastAction(); la.Kind != ActReshardDown {
 		t.Fatalf("LastAction=%+v, want reshard-down", la)

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -336,10 +335,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		}
 	}
 	return s
-}
-
-// SortDurations sorts a slice of durations ascending; a small helper for
-// exact-percentile computations in tests and tools.
-func SortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

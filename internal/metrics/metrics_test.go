@@ -236,11 +236,3 @@ func TestAccessCounters(t *testing.T) {
 		t.Error("reset did not clear")
 	}
 }
-
-func TestSortDurations(t *testing.T) {
-	ds := []time.Duration{3, 1, 2}
-	SortDurations(ds)
-	if ds[0] != 1 || ds[1] != 2 || ds[2] != 3 {
-		t.Errorf("sorted: %v", ds)
-	}
-}

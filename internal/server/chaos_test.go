@@ -99,7 +99,7 @@ func TestChaosClientVanishMidPipeline(t *testing.T) {
 	if st := srv.Stats(); st.Responses["ok"] != 8 || st.Inflight != 0 {
 		t.Fatalf("after the vanish: responses %v, %d in flight; want 8 OK and none", st.Responses, st.Inflight)
 	}
-	if got := srv.Pool().DirtyCount(); got < 1 {
+	if got := srv.Pool().Stats().Dirty; got < 1 {
 		t.Fatalf("pool dirty count %d after applied PUTs, want ≥ 1", got)
 	}
 
@@ -228,8 +228,8 @@ func TestChaosDrainRacesCloseWithin(t *testing.T) {
 	if !onDisk.VerifyStamp(testPage(4242)) {
 		t.Fatal("device does not hold the acknowledged write after the racing closes")
 	}
-	if pool.DirtyCount() != 0 || pool.QuarantineLen() != 0 {
-		t.Fatalf("pool not clean: dirty=%d quarantined=%d", pool.DirtyCount(), pool.QuarantineLen())
+	if st := pool.Stats(); st.Dirty != 0 || st.Quarantined != 0 {
+		t.Fatalf("pool not clean: dirty=%d quarantined=%d", st.Dirty, st.Quarantined)
 	}
 }
 

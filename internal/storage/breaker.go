@@ -470,19 +470,3 @@ func FindDeadline(d Device) (*DeadlineDevice, bool) {
 	}
 	return nil, false
 }
-
-// FindFault walks a wrapper stack looking for a FaultDevice; chaos
-// harnesses use it to reach the injector inside an assembled stack.
-func FindFault(d Device) (*FaultDevice, bool) {
-	for d != nil {
-		if f, ok := d.(*FaultDevice); ok {
-			return f, true
-		}
-		w, ok := d.(backer)
-		if !ok {
-			return nil, false
-		}
-		d = w.Backing()
-	}
-	return nil, false
-}

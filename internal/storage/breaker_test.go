@@ -261,9 +261,6 @@ func TestFindStackWalkers(t *testing.T) {
 	if got, ok := FindDeadline(bd); !ok || got != dd {
 		t.Fatal("FindDeadline failed on full stack")
 	}
-	if got, ok := FindFault(bd); !ok || got != fd {
-		t.Fatal("FindFault failed on full stack")
-	}
 	if _, ok := FindBreaker(mem); ok {
 		t.Fatal("FindBreaker found a breaker on a bare MemDevice")
 	}

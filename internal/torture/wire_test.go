@@ -198,15 +198,25 @@ func TestWireTortureOrderOracle(t *testing.T) {
 //     is a complete stamp of its last acknowledged version — or one
 //     newer (an applied write whose ack died with the connection), never
 //     older and never torn.
+//
+// Tier-1 runs lru; long mode runs every policy of replacer.Names().
 func TestWireTortureDrainDifferential(t *testing.T) {
 	seed := SeedFromEnv(0x77171)
-	workers, pages, frames := 4, 96, 32
-	runFor := 60 * time.Millisecond
-	if LongMode() {
-		workers, pages, frames = 8, 512, 128
-		runFor = 1500 * time.Millisecond
+	if !LongMode() {
+		wireDrainDifferential(t, seed, "lru", 4, 96, 32, 60*time.Millisecond)
+		return
 	}
+	for _, pol := range replacer.Names() {
+		t.Run(pol, func(t *testing.T) {
+			wireDrainDifferential(t, seed, pol, 8, 512, 128, 1500*time.Millisecond)
+		})
+	}
+}
 
+// wireDrainDifferential is one run of TestWireTortureDrainDifferential:
+// workers clients over pages blocks of a frames-frame pool under policy,
+// drained after runFor.
+func wireDrainDifferential(t *testing.T, seed int64, policy string, workers, pages, frames int, runFor time.Duration) {
 	mem := storage.NewMemDevice()
 	for b := 0; b < pages; b++ {
 		var pg page.Page
@@ -219,7 +229,7 @@ func TestWireTortureDrainDifferential(t *testing.T) {
 	pool := buffer.New(buffer.Config{
 		Frames:        frames,
 		Shards:        2,
-		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
+		PolicyFactory: replacer.Factories()[policy],
 		Wrapper:       configFor(PathBatch, 16),
 		Device:        mem,
 	})
@@ -334,8 +344,8 @@ func TestWireTortureDrainDifferential(t *testing.T) {
 				seed, b, v, v+1, ReportSeed(seed))
 		}
 	}
-	if d, q := pool.DirtyCount(), pool.QuarantineLen(); d != 0 || q != 0 {
-		t.Fatalf("seed %d: pool not clean after drain: dirty=%d quarantined=%d", seed, d, q)
+	if st := pool.Stats(); st.Dirty != 0 || st.Quarantined != 0 {
+		t.Fatalf("seed %d: pool not clean after drain: dirty=%d quarantined=%d", seed, st.Dirty, st.Quarantined)
 	}
 	if err := pool.CheckInvariants(); err != nil {
 		t.Fatalf("seed %d: post-drain invariants: %v", seed, err)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Four checks:
+# Fails when the docs name what the tree does not have. Five checks:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
 #     EXPERIMENTS.md, and every bpw_* name in the doc comments and help text
@@ -16,6 +16,10 @@
 #     qualifier) anywhere in README.md, DESIGN.md and EXPERIMENTS.md, code
 #     blocks included, must be declared in bpwrapper.go. An allow-list
 #     entry is "DOC bpwrapper.Name", as for check 3.
+#  5. Every Pool.<Name> token (an exported name after "Pool.", not part of
+#     a longer identifier) in those three docs must be a method declared on
+#     *Pool in a non-test file under internal/buffer. An allow-list entry
+#     is "DOC Pool.Name".
 #
 # A name or reference that is only history goes on the allow-list below,
 # one per line, with no reason needed beyond the history it records.
@@ -97,6 +101,18 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         allowed "$doc $tok" && continue
         if ! printf '%s\n' "$facade" | grep -qxF "${tok#bpwrapper.}"; then
             echo "check_docs: $doc names $tok, which bpwrapper.go does not declare" >&2
+            fail=1
+        fi
+    done
+done
+# The pool's methods, as declared on *Pool.
+methods="$(find internal/buffer -name '*.go' ! -name '*_test.go' -exec grep -ohE '^func \([a-z]+ \*Pool\) [A-Z][A-Za-z0-9_]*' {} + |
+    sed -E 's/.* //' | sort -u)"
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for tok in $(grep -oE '(^|[^A-Za-z0-9_])Pool\.[A-Z][A-Za-z0-9_]*' "$doc" | sed -E 's/^[^P]*//' | sort -u); do
+        allowed "$doc $tok" && continue
+        if ! printf '%s\n' "$methods" | grep -qxF "${tok#Pool.}"; then
+            echo "check_docs: $doc names $tok, which is no method of *Pool in internal/buffer" >&2
             fail=1
         fi
     done
