@@ -18,6 +18,7 @@ import (
 // through the pool. Every access is a hit, so the hit-path anatomy
 // counters are exact and byte-identical on every run: every hit must be
 // served fast (Fast == Hits) with zero bucket/frame lock acquisitions.
+// Each row is the difference of two Stats snapshots around the stream.
 // Committed as results/BENCH_hitpath.json and drift-checked by CI — the
 // "zero locks on a resident read" guard; what the resident Get costs on
 // the clock is benchmark/'s buffer.get_hit_ns. The mutex lookup the probe
@@ -76,11 +77,12 @@ func HitpathExperiment(o Options) (*HitpathReport, error) {
 	return rep, nil
 }
 
-// hitpathPool builds a fully resident pool: null device,
-// direct commits (the sweep measures the lookup+pin protocol, not the
-// commit protocol), pre-warmed with the whole working set and its counters
-// reset so every figure in the row is hit-path activity only.
-func hitpathPool(shards int) (*buffer.Pool, []page.PageID, error) {
+// hitpathCounterPoint drives one fully resident pool (null device, direct
+// commits: the sweep measures the lookup+pin protocol, not the commit
+// protocol) single-threaded over a seeded access stream and reads the
+// anatomy off the difference of two Stats snapshots around it. One
+// goroutine, every page resident: the counters are exact and reproducible.
+func hitpathCounterPoint(shards int, seed int64) (HitpathCounterRow, error) {
 	pool, err := newPool("lru", buffer.Config{
 		Frames:  HitpathFrames,
 		Shards:  shards,
@@ -88,27 +90,16 @@ func hitpathPool(shards int) (*buffer.Pool, []page.PageID, error) {
 		Device:  storage.NewNullDevice(),
 	})
 	if err != nil {
-		return nil, nil, err
+		return HitpathCounterRow{}, err
 	}
 	ids := make([]page.PageID, HitpathPages)
 	for i := range ids {
 		ids[i] = page.PageID(i + 1)
 	}
 	if err := pool.Prewarm(ids); err != nil {
-		return nil, nil, err
-	}
-	pool.ResetStats()
-	return pool, ids, nil
-}
-
-// hitpathCounterPoint drives one pool single-threaded over a seeded access
-// stream and reads the anatomy off Stats. One goroutine, every page
-// resident: the counters are exact and reproducible from the seed.
-func hitpathCounterPoint(shards int, seed int64) (HitpathCounterRow, error) {
-	pool, ids, err := hitpathPool(shards)
-	if err != nil {
 		return HitpathCounterRow{}, err
 	}
+	before := pool.Stats()
 	s := pool.NewSession()
 	r := uint64(seed)*0x9e3779b97f4a7c15 + 1
 	for i := 0; i < hitpathAccesses; i++ {
@@ -121,16 +112,17 @@ func hitpathCounterPoint(shards int, seed int64) (HitpathCounterRow, error) {
 	}
 	s.Flush()
 	st := pool.Stats()
+	hits := st.Hits - before.Hits
 	return HitpathCounterRow{
 		Path:           "optimistic",
 		Shards:         shards,
-		Accesses:       st.Hits + st.Misses,
-		Hits:           st.Hits,
-		Fast:           st.HitpathFast,
-		Retries:        st.HitpathRetries,
-		Fallbacks:      st.HitpathFallbacks,
-		BucketLockAcqs: st.BucketLockAcqs,
-		FrameLockAcqs:  st.FrameLockAcqs,
+		Accesses:       hits + st.Misses - before.Misses,
+		Hits:           hits,
+		Fast:           st.HitpathFast - before.HitpathFast,
+		Retries:        st.HitpathRetries - before.HitpathRetries,
+		Fallbacks:      st.HitpathFallbacks - before.HitpathFallbacks,
+		BucketLockAcqs: st.BucketLockAcqs - before.BucketLockAcqs,
+		FrameLockAcqs:  st.FrameLockAcqs - before.FrameLockAcqs,
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"bpwrapper/internal/buffer"
 	"bpwrapper/internal/control"
 	"bpwrapper/internal/core"
+	"bpwrapper/internal/metrics"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/storage"
@@ -212,17 +213,18 @@ func tunerReshardPhase(seed int64) (TunerReshardPhase, error) {
 	if err := replayPass(pool, s, tr, nil); err != nil {
 		return TunerReshardPhase{}, err
 	}
-	after := pool.AccessStats()
-	dHits := after.Hits - before.Hits
-	dAcc := after.Accesses() - before.Accesses()
-	ph.MeasuredAccess = dAcc
-	if dAcc > 0 {
-		ph.TunedRatio = float64(dHits) / float64(dAcc)
-	}
+	ph.TunedRatio, ph.MeasuredAccess = windowHitRatio(before, pool.AccessStats())
 	if gap := ph.Baseline1 - ph.BaselineStart; gap > 0 {
 		ph.RecoveredFrac = (ph.TunedRatio - ph.BaselineStart) / gap
 	}
 	return ph, nil
+}
+
+// windowHitRatio returns the hit ratio and the number of the accesses
+// between two snapshots of a pool's only-growing access counters.
+func windowHitRatio(before, after metrics.AccessSnapshot) (float64, int64) {
+	w := metrics.AccessSnapshot{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+	return w.HitRatio(), w.Accesses()
 }
 
 // loopPass drives one cyclic pass over the phase B loop.
@@ -263,10 +265,7 @@ func tunerSwapPhase() (TunerSwapPhase, error) {
 			static.Close()
 			return TunerSwapPhase{}, err
 		}
-		after := static.AccessStats()
-		if d := after.Accesses() - before.Accesses(); d > 0 {
-			staticRatio = float64(after.Hits-before.Hits) / float64(d)
-		}
+		staticRatio, _ = windowHitRatio(before, static.AccessStats())
 	}
 	static.Close()
 
@@ -314,11 +313,7 @@ func tunerSwapPhase() (TunerSwapPhase, error) {
 	if err := loopPass(tuned, ts, nil); err != nil {
 		return TunerSwapPhase{}, err
 	}
-	after := tuned.AccessStats()
-	if d := after.Accesses() - before.Accesses(); d > 0 {
-		ph.TunedRatio = float64(after.Hits-before.Hits) / float64(d)
-		ph.MeasuredAccess = d
-	}
+	ph.TunedRatio, ph.MeasuredAccess = windowHitRatio(before, tuned.AccessStats())
 	ph.FinalPolicy = tuned.Stats().PerShard[0].Policy
 	return ph, nil
 }

@@ -243,7 +243,7 @@ func TestTornProbesFallBackToMutex(t *testing.T) {
 	}
 	ref.Release()
 	s.Flush()
-	p.ResetStats()
+	before := p.Stats()
 
 	inWindow, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -281,7 +281,7 @@ func TestTornProbesFallBackToMutex(t *testing.T) {
 	}()
 	// The reader counts its fallback, then blocks on the bucket mutex the
 	// held writer owns: only then may the writer go on.
-	for deadline := time.Now().Add(10 * time.Second); sh.hp.fallbacks.Load() == 0; runtime.Gosched() {
+	for deadline := time.Now().Add(10 * time.Second); sh.hp.fallbacks.Load() == before.HitpathFallbacks; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatal("the reader never fell back to the mutex")
 		}
@@ -294,9 +294,11 @@ func TestTornProbesFallBackToMutex(t *testing.T) {
 		t.Fatalf("reader: %v", err)
 	}
 	st := p.Stats()
-	if st.HitpathRetries != maxOptimisticRetries || st.HitpathFallbacks != 1 || st.HitpathFast != 0 || st.Hits != 1 {
+	retries, fallbacks := st.HitpathRetries-before.HitpathRetries, st.HitpathFallbacks-before.HitpathFallbacks
+	fast, hits := st.HitpathFast-before.HitpathFast, st.Hits-before.Hits
+	if retries != maxOptimisticRetries || fallbacks != 1 || fast != 0 || hits != 1 {
 		t.Fatalf("retries %d fallbacks %d fast %d hits %d, want %d/1/0/1",
-			st.HitpathRetries, st.HitpathFallbacks, st.HitpathFast, st.Hits, maxOptimisticRetries)
+			retries, fallbacks, fast, hits, maxOptimisticRetries)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -213,7 +213,7 @@ func TestCommitValidatesBySlot(t *testing.T) {
 			ref.Release()
 		}
 		s.Flush()
-		p.ResetStats()
+		before := p.Stats()
 		for i := uint64(0); i < accesses; i++ {
 			ref, err := p.Get(s, pid(i%pages))
 			if err != nil {
@@ -223,12 +223,14 @@ func TestCommitValidatesBySlot(t *testing.T) {
 		}
 		s.Flush()
 		st := p.Stats()
-		if st.Hits != accesses || st.Wrapper.Committed != accesses || st.Wrapper.Dropped != 0 {
-			t.Fatalf("hits %d committed %d dropped %d, want %d/%d/0", st.Hits, st.Wrapper.Committed, st.Wrapper.Dropped, accesses, accesses)
+		hits, committed := st.Hits-before.Hits, st.Wrapper.Committed-before.Wrapper.Committed
+		dropped, bucketLocks := st.Wrapper.Dropped-before.Wrapper.Dropped, st.BucketLockAcqs-before.BucketLockAcqs
+		if hits != accesses || committed != accesses || dropped != 0 {
+			t.Fatalf("hits %d committed %d dropped %d, want %d/%d/0", hits, committed, dropped, accesses, accesses)
 		}
-		if st.BucketLockAcqs != want {
+		if bucketLocks != want {
 			t.Fatalf("%d bucket locks for %d resident accesses, want %d: the commit must not probe",
-				st.BucketLockAcqs, accesses, want)
+				bucketLocks, accesses, want)
 		}
 	})
 

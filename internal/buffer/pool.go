@@ -244,7 +244,7 @@ func (s *Session) foldHits(idx int) {
 		return
 	}
 	sh := s.set.shards[idx]
-	sh.counters.AddHits(st.hits)
+	sh.hits.Add(st.hits)
 	sh.hp.fast.Add(st.fast)
 	st.hits, st.fast = 0, 0
 }
@@ -468,14 +468,13 @@ func (p *Pool) SetReadOnly(on bool) {
 func (p *Pool) Wrapper() *core.Wrapper { return p.cur.Load().shards[0].wrapper }
 
 // AccessStats returns the pool's hit/miss counters summed over all shards
-// — current and draining — plus the retired topologies' totals, as one
-// consistent snapshot: within each shard hits are read before misses
-// (matching the increment order hit-then-miss is impossible — a counted
-// access increments exactly one of them), so the derived ratio never
-// observes a torn pair. Sessions stage
-// hits locally and fold them in batches (see Session), so the figures are
-// exact only once the sessions have called Flush; mid-run they can lag by
-// up to hitFoldInterval hits per live session.
+// — current and draining — plus the retired topologies' totals. Within a
+// shard hits are read before misses, and an access increments exactly one
+// of them, so the derived ratio never sees a torn pair. Both only grow: a
+// window is the difference of two snapshots. Sessions stage hits locally
+// and fold them in batches (see Session), so the figures are exact only
+// once the sessions have called Flush; mid-run they can lag by up to
+// hitFoldInterval hits per live session.
 //
 // It takes no policy lock, only retireMu, which orders it against a
 // reshard's finalize so that an old shard is counted once.
@@ -484,7 +483,7 @@ func (p *Pool) AccessStats() metrics.AccessSnapshot {
 	defer p.retireMu.Unlock()
 	a := metrics.AccessSnapshot{Hits: p.retired.Hits, Misses: p.retired.Misses}
 	for _, sh := range p.liveShards() {
-		a = a.Plus(sh.counters.Snapshot())
+		a = a.Plus(metrics.AccessSnapshot{Hits: sh.hits.Load(), Misses: sh.misses.Load()})
 	}
 	return a
 }
@@ -702,23 +701,6 @@ func (p *Pool) Prewarm(ids []page.PageID) error {
 	return nil
 }
 
-// ResetStats zeroes every shard's access counters, hit-path counters, and
-// wrapper lock and batching statistics — including draining shards and the
-// retired totals, so post-reset totals don't resurrect pre-reset history;
-// used between warm-up and measurement phases. Like counters.Reset it is
-// quiescent-only — sessions must have flushed their staged hits first.
-func (p *Pool) ResetStats() {
-	p.retireMu.Lock()
-	defer p.retireMu.Unlock()
-	p.retired = ShardStats{}
-	for _, sh := range p.liveShards() {
-		sh.counters.Reset()
-		sh.hp.reset()
-		sh.wrapper.ResetStats()
-		sh.migratedOut.Store(0)
-	}
-}
-
 // ShardStats is everything one shard reports. Folded by add it is also what
 // a topology, the retired topologies and the whole pool report: Stats sums
 // these snapshots and reads no shard counter of its own.
@@ -728,8 +710,8 @@ type ShardStats struct {
 	Dirty             int   // dirty resident pages
 	Resident          int   // pages tracked by the shard's policy, loads in flight included
 	Quarantined       int   // evicted pages parked by a failed write-back
-	Hits              int64 // buffer hits since the last reset
-	Misses            int64 // buffer misses since the last reset
+	Hits              int64 // buffer hits since the shard was built
+	Misses            int64 // buffer misses since the shard was built
 	WriteBackFailures int64 // failed write-back attempts (eviction, flush and quarantine-drain retries)
 	EvictWritebacks   int64 // dirty victims written to the device straight from their frame
 	PagesMigrated     int64 // pages a reshard carried out of this shard
@@ -859,16 +841,16 @@ type Stats struct {
 	Device   storage.DeviceStats
 }
 
-// shardStatsOf snapshots one shard. Its hits are read before its misses,
-// and its health is evaluated before its transitions are counted.
+// shardStatsOf snapshots one shard. Its hits are read before its misses
+// (a literal's calls run left to right), and its health is evaluated
+// before its transitions are counted.
 func shardStatsOf(sh *shard) ShardStats {
-	a := sh.counters.Snapshot()
 	ss := ShardStats{
 		Frames:             len(sh.frames),
 		Dirty:              sh.dirtyCount(),
 		Quarantined:        sh.quarantineLen(),
-		Hits:               a.Hits,
-		Misses:             a.Misses,
+		Hits:               sh.hits.Load(),
+		Misses:             sh.misses.Load(),
 		WriteBackFailures:  sh.writeBackFailures.Load(),
 		EvictWritebacks:    sh.evictWritebacks.Load(),
 		PagesMigrated:      sh.migratedOut.Load(),
@@ -916,21 +898,20 @@ func (p *Pool) Stats() Stats {
 }
 
 // stats is Stats plus the topology PerShard was read from, so that collect
-// renders each shard's distributions beside the same snapshot. The
-// topology is read under retireMu, which orders it against Reshard's
-// finalize (that folds the old set into the retired totals and clears
-// prev under the same mutex): an old shard is counted once, as draining
-// or as retired.
+// renders each shard's distributions beside the same snapshot. The whole
+// read holds retireMu, as Reshard's finalize does when it folds the old
+// shards into the retired totals: an old shard is counted once, as
+// draining or as retired, and is never read after the fold, so every
+// cumulative total only grows. Lock order: retireMu, then a policy lock.
 func (p *Pool) stats() (Stats, *shardSet) {
 	p.retireMu.Lock()
+	defer p.retireMu.Unlock()
 	set := p.cur.Load()
 	var draining []*shard
 	if prev := set.prev.Load(); prev != nil {
 		draining = prev.shards
 	}
 	s := Stats{Retired: p.retired}
-	p.retireMu.Unlock()
-
 	s.Shards, s.QuarantineCap, s.Device = len(set.shards), p.quarCap, p.device.Stats()
 	s.Epoch, s.Resharding, s.Reshards = set.epoch, draining != nil, p.reshards.Load()
 	for _, sh := range draining {

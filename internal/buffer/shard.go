@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"bpwrapper/internal/core"
-	"bpwrapper/internal/metrics"
 	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
@@ -126,7 +125,8 @@ type shard struct {
 	// health evaluation and miss admission control (see health.go).
 	healthState
 
-	counters metrics.AccessCounters
+	hits   atomic.Int64 // folded in from per-session staging (see Session.stageHit)
+	misses atomic.Int64
 
 	// hp counts hit-path outcomes: fast (zero-lock) hits, torn-read
 	// retries, locked fallbacks, and every bucket/frame mutex acquisition
@@ -150,14 +150,6 @@ type hitpathCounters struct {
 	fallbacks   atomic.Int64 // lookups that gave up and took the bucket mutex
 	bucketLocks atomic.Int64 // bucket mutex acquisitions (all access paths)
 	frameLocks  atomic.Int64 // frame wmu acquisitions (writer paths)
-}
-
-func (hp *hitpathCounters) reset() {
-	hp.fast.Store(0)
-	hp.retries.Store(0)
-	hp.fallbacks.Store(0)
-	hp.bucketLocks.Store(0)
-	hp.frameLocks.Store(0)
 }
 
 // wbStripes is the number of per-page write-back serialization stripes.
@@ -663,7 +655,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	// shard counters never show a miss "ahead of" hits that actually
 	// preceded it.
 	ps.foldHits(idx)
-	sh.counters.Miss()
+	sh.misses.Add(1)
 	// Admission control: a degraded shard bounds in-flight misses and a
 	// read-only shard sheds them all, before any frame is claimed or
 	// device I/O issued. Followers waiting on the op receive the same

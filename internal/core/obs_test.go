@@ -72,20 +72,3 @@ func TestLockProfileOverride(t *testing.T) {
 		t.Fatalf("always-sample profile recorded %d hold samples", got)
 	}
 }
-
-func TestResetStatsClearsDistributions(t *testing.T) {
-	w := New(replacer.NewLRU(64), Config{Batching: true, QueueSize: 4, BatchThreshold: 2})
-	s := w.NewSession()
-	for i := 0; i < 8; i++ {
-		id, tag := obsEntry(i)
-		s.Hit(id, tag)
-	}
-	s.Flush()
-	if w.BatchSizes().Count == 0 {
-		t.Fatal("no batches before reset")
-	}
-	w.ResetStats()
-	if w.BatchSizes().Count != 0 || w.CombineRuns().Count != 0 {
-		t.Fatal("ResetStats left distribution observations")
-	}
-}

@@ -367,24 +367,6 @@ func (w *Wrapper) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the wrapper's counters (including the lock's). It must
-// not be called while the lock is held.
-func (w *Wrapper) ResetStats() {
-	w.cc.commits.Store(0)
-	w.cc.committed.Store(0)
-	w.cc.dropped.Store(0)
-	w.cc.forcedLocks.Store(0)
-	w.cc.tryCommits.Store(0)
-	w.cc.prefetchWalks.Store(0)
-	w.fcc.combinedBatches.Store(0)
-	w.fcc.combinedEntries.Store(0)
-	w.fcc.handoffSaved.Store(0)
-	w.fcc.combinerPanics.Store(0)
-	w.batchSizes.Reset()
-	w.combineRuns.Reset()
-	w.lock.Reset()
-}
-
 // Locked runs fn with the policy lock held. It is the escape hatch the
 // buffer manager uses for operations outside the hit/miss protocol
 // (invalidation, warm-up preloading).

@@ -330,19 +330,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	w := New(replacer.NewLRU(4), Config{Batching: true, QueueSize: 4, BatchThreshold: 2})
-	s := w.NewSession()
-	s.Miss(pid(1), page.BufferTag{})
-	s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s.Flush()
-	w.ResetStats()
-	st := w.Stats()
-	if st.Committed != 0 || st.Commits != 0 || st.Lock.Acquisitions != 0 {
-		t.Fatalf("stats after reset: %+v", st)
-	}
-}
-
 func TestPrefetchingConfig(t *testing.T) {
 	// Prefetching with a supporting policy must not change behaviour.
 	rec := replacer.NewTwoQ(32)

@@ -45,17 +45,6 @@ func (d *CountDist) Observe(v int) {
 	}
 }
 
-// Reset zeroes the distribution. Like the other metrics resets it is
-// quiescent-only: concurrent Observe calls can be partially lost.
-func (d *CountDist) Reset() {
-	for i := range d.buckets {
-		d.buckets[i].Store(0)
-	}
-	d.count.Store(0)
-	d.sum.Store(0)
-	d.max.Store(0)
-}
-
 // CountDistSnapshot is a point-in-time copy of a CountDist. Buckets[i]
 // counts observations of value i; the final element counts overflow
 // (values ≥ len(Buckets)-1).

@@ -99,16 +99,6 @@ func TestCountDistConcurrent(t *testing.T) {
 	}
 }
 
-func TestCountDistReset(t *testing.T) {
-	d := NewCountDist(4)
-	d.Observe(3)
-	d.Reset()
-	s := d.Snapshot()
-	if s.Count != 0 || s.Sum != 0 || s.Max != 0 {
-		t.Fatalf("reset left %+v", s)
-	}
-}
-
 func TestCountDistValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -249,20 +249,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.maxSeen = 0
-	h.minSeen = math.Inf(1)
-	h.exemplars = nil
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's buckets,
 // shaped for exposition: Bounds[i] is the inclusive upper bound of
 // Counts[i], and Sum is the total of all observations.

@@ -93,16 +93,6 @@ func TestContentionMutexMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestContentionMutexReset(t *testing.T) {
-	var m ContentionMutex
-	m.Lock()
-	m.Unlock()
-	m.Reset()
-	if s := m.Stats(); s != (LockStats{}) {
-		t.Errorf("stats after reset: %+v", s)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewLatencyHistogram()
 	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
@@ -213,26 +203,5 @@ func TestHistogramValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestAccessCounters(t *testing.T) {
-	var c AccessCounters
-	if c.HitRatio() != 0 {
-		t.Error("empty hit ratio nonzero")
-	}
-	for i := 0; i < 3; i++ {
-		c.Hit()
-	}
-	c.Miss()
-	if c.Hits() != 3 || c.Misses() != 1 || c.Accesses() != 4 {
-		t.Errorf("counters %d/%d/%d", c.Hits(), c.Misses(), c.Accesses())
-	}
-	if c.HitRatio() != 0.75 {
-		t.Errorf("hit ratio %v, want 0.75", c.HitRatio())
-	}
-	c.Reset()
-	if c.Accesses() != 0 {
-		t.Error("reset did not clear")
 	}
 }

@@ -229,28 +229,9 @@ func (m *ContentionMutex) Stats() LockStats {
 }
 
 // Waited returns how many lock requests so far found the mutex held:
-// Contentions + TryFailures. It only grows (until Reset), so a caller that
+// Contentions + TryFailures. It only grows, so a caller that
 // remembers the last value it saw learns from one comparison whether anyone
 // has had to wait, or declined to, since it last looked.
 func (m *ContentionMutex) Waited() int64 {
 	return m.contentions.Load() + m.tryFailures.Load()
-}
-
-// Reset zeroes all counters and any attached profile histograms. It must
-// not be called while the mutex is held or being acquired.
-func (m *ContentionMutex) Reset() {
-	m.acquisitions.Store(0)
-	m.contentions.Store(0)
-	m.tryFailures.Store(0)
-	m.waitNanos.Store(0)
-	m.holdNanos.Store(0)
-	m.holdSamples.Store(0)
-	if p := m.profile.Load(); p != nil {
-		if p.Wait != nil {
-			p.Wait.Reset()
-		}
-		if p.Hold != nil {
-			p.Hold.Reset()
-		}
-	}
 }

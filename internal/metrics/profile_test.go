@@ -152,27 +152,6 @@ func TestLockProfileConcurrentSampling(t *testing.T) {
 	}
 }
 
-func TestLockProfileResetClearsHistograms(t *testing.T) {
-	var m ContentionMutex
-	p := &LockProfile{
-		SampleEvery: 1,
-		Hold:        NewHistogram(time.Nanosecond, time.Second, 40),
-	}
-	m.SetProfile(p)
-	m.Lock()
-	m.Unlock()
-	if p.Hold.Count() == 0 {
-		t.Fatal("hold histogram empty before reset")
-	}
-	m.Reset()
-	if s := m.Stats(); s != (LockStats{}) {
-		t.Fatalf("stats after reset: %+v", s)
-	}
-	if p.Hold.Count() != 0 {
-		t.Fatal("Reset left observations in the profile histogram")
-	}
-}
-
 func TestLockStatsPlusAggregation(t *testing.T) {
 	a := LockStats{Acquisitions: 1, Contentions: 2, TryFailures: 3, WaitTime: 4, HoldTime: 5, HoldSamples: 6}
 	b := LockStats{Acquisitions: 10, Contentions: 20, TryFailures: 30, WaitTime: 40, HoldTime: 50, HoldSamples: 60}
@@ -219,10 +198,21 @@ func TestAccessSnapshotPlusLargeValues(t *testing.T) {
 	}
 }
 
+// TestAccessSnapshotHitRatioEmpty: the empty snapshot reads zero, and a
+// non-empty one derives both figures from its own pair.
 func TestAccessSnapshotHitRatioEmpty(t *testing.T) {
-	var a AccessSnapshot
-	if a.HitRatio() != 0 || a.Accesses() != 0 {
-		t.Fatalf("zero snapshot not zero: %+v", a)
+	for _, c := range []struct {
+		a        AccessSnapshot
+		ratio    float64
+		accesses int64
+	}{
+		{AccessSnapshot{}, 0, 0},
+		{AccessSnapshot{Hits: 3, Misses: 1}, 0.75, 4},
+	} {
+		if c.a.HitRatio() != c.ratio || c.a.Accesses() != c.accesses {
+			t.Fatalf("%+v: hit ratio %v, accesses %d; want %v, %d",
+				c.a, c.a.HitRatio(), c.a.Accesses(), c.ratio, c.accesses)
+		}
 	}
 }
 

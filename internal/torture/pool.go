@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,6 +111,29 @@ func checkStatsConsistency(pool *buffer.Pool) error {
 	return nil
 }
 
+// statsGauges are the integer fields of buffer.Stats that describe the
+// moment; every other integer field is a cumulative total.
+var statsGauges = map[string]bool{"Frames": true, "Free": true, "Dirty": true, "Resident": true, "Quarantined": true,
+	"MissInflight": true, "Health": true, "BreakerState": true, "Shards": true, "QuarantineCap": true}
+
+// decreasedTotal names the first cumulative total of cur below prev's, or
+// returns "" when none is.
+func decreasedTotal(prev, cur reflect.Value, path string) string {
+	for i := 0; i < cur.NumField(); i++ {
+		field, c, p := cur.Type().Field(i).Name, cur.Field(i), prev.Field(i)
+		switch {
+		case statsGauges[field]:
+		case c.Kind() == reflect.Struct:
+			if d := decreasedTotal(p, c, path+field+"."); d != "" {
+				return d
+			}
+		case c.CanInt() && c.Int() < p.Int(), c.CanUint() && c.Uint() < p.Uint():
+			return fmt.Sprintf("%s%s: %v -> %v", path, field, p, c)
+		}
+	}
+	return ""
+}
+
 // RunPool executes the cross-layer torture run and verifies:
 //
 //   - content integrity: every page read is a complete stamp of a version
@@ -121,6 +145,8 @@ func checkStatsConsistency(pool *buffer.Pool) error {
 //     every shard and checking shard-routing ownership) passes at every
 //     quiescent point, and the aggregated statistics balance exactly
 //     (checkStatsConsistency);
+//   - counters only grow: no cumulative total of Stats is below the
+//     previous phase's (decreasedTotal);
 //   - zero lost dirty pages: after Close, the device holds the LAST version
 //     written to every page, fault injection notwithstanding.
 //
@@ -304,6 +330,7 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 		s.Flush()
 	}
 
+	var last buffer.Stats // the previous phase's snapshot
 	for phase := 0; phase < cfg.Phases; phase++ {
 		startBG()
 		errs := make([]error, cfg.Workers)
@@ -358,6 +385,11 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 		if err := checkStatsConsistency(pool); err != nil {
 			return nil, oracleFail(fmt.Errorf("seed %d: phase %d: %w", cfg.Seed, phase, err))
 		}
+		st := pool.Stats()
+		if d := decreasedTotal(reflect.ValueOf(last), reflect.ValueOf(st), ""); d != "" {
+			return nil, oracleFail(fmt.Errorf("seed %d: phase %d: a Stats total went backwards: %s", cfg.Seed, phase, d))
+		}
+		last = st
 		rep.Invariantified++
 	}
 

@@ -1,0 +1,90 @@
+package torture
+
+import (
+	"math/rand"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"bpwrapper/internal/buffer"
+	"bpwrapper/internal/core"
+	"bpwrapper/internal/page"
+	"bpwrapper/internal/replacer"
+	"bpwrapper/internal/storage"
+)
+
+// TestStatsTotalsNeverDecrease: every cumulative total of Pool.Stats only
+// grows, across reshards too. Stale sessions flush into a draining topology
+// while reshards finalize back to back, and Stats is read in a loop; a read
+// that counts a draining shard after the finalize folded it into the
+// retired totals shows up as a later read going backwards. Long mode runs
+// it for 20 s instead of one.
+func TestStatsTotalsNeverDecrease(t *testing.T) {
+	runFor := time.Second
+	if LongMode() {
+		runFor = 20 * time.Second
+	}
+	p := buffer.New(buffer.Config{
+		Frames:        64,
+		Shards:        2,
+		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
+		Wrapper:       core.Config{Batching: true, QueueSize: 64, BatchThreshold: 32},
+		Device:        storage.NewMemDevice(),
+	})
+	const pages = 48
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			s := p.NewSession()
+			for !stop.Load() {
+				for i := 0; i < 40; i++ {
+					if ref, err := p.Get(s, page.NewPageID(tortureTable, uint64(rng.Intn(pages))+1)); err == nil {
+						ref.Release()
+					}
+				}
+				time.Sleep(time.Microsecond)
+			}
+			s.Flush()
+		}(w)
+	}
+	reshardErr := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 1; !stop.Load(); n = n%3 + 1 {
+			if err := p.Reshard(n); err != nil {
+				reshardErr <- err
+				return
+			}
+		}
+	}()
+
+	prev := p.Stats()
+	reads := 0
+	for deadline := time.Now().Add(runFor); time.Now().Before(deadline); reads++ {
+		st := p.Stats()
+		if d := decreasedTotal(reflect.ValueOf(prev), reflect.ValueOf(st), ""); d != "" {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("Stats went backwards after %d reads: %s", reads, d)
+		}
+		prev = st
+	}
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case err := <-reshardErr:
+		t.Fatalf("Reshard: %v", err)
+	default:
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Five checks:
+# Fails when the docs name what the tree does not have. Six checks:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
 #     EXPERIMENTS.md, and every bpw_* name in the doc comments and help text
@@ -20,7 +20,14 @@
 #     a longer identifier) in those three docs must be a method declared on
 #     *Pool in a non-test file under internal/buffer. An allow-list entry
 #     is "DOC Pool.Name".
+#  6. Every back-quoted span of those three docs that starts with a command
+#     (bpserver, bpload, bpbench, bpsim, bpstat, bptrace) may name only
+#     flags (-x or --x, up to the first |, ; or &) that cmd/<command>/main.go
+#     declares through flag.* or fs.*, or the flag package's own -h. An
+#     allow-list entry is "DOC command -flag".
 #
+# Checks 3 to 6 read a back-quoted span only when it opens and closes on
+# one line.
 # A name or reference that is only history goes on the allow-list below,
 # one per line, with no reason needed beyond the history it records.
 set -eu
@@ -30,6 +37,10 @@ allow='
 # E22 is a row of timings of the bare wrapper hit with the flight recorder
 # on and off; the benchmark left when the wrapper stopped recording commits.
 EXPERIMENTS.md BenchmarkWrapperHitObs
+# bpbench -mode real ran the wall-clock arms of the experiments until the
+# benchmark/ module replaced them.
+DESIGN.md bpbench -mode
+EXPERIMENTS.md bpbench -mode
 '
 
 allowed() { printf '%s\n' "$allow" | grep -qxF "$1"; }
@@ -113,6 +124,24 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         allowed "$doc $tok" && continue
         if ! printf '%s\n' "$methods" | grep -qxF "${tok#Pool.}"; then
             echo "check_docs: $doc names $tok, which is no method of *Pool in internal/buffer" >&2
+            fail=1
+        fi
+    done
+done
+# The commands' flags, as "command:-flag" tokens of the spans that name
+# them; each is checked against the flag.* and fs.* calls of its main.go.
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for tok in $(grep -oE '`[^`]+`' "$doc" | tr -d '`' | sed 's/[|;&].*//' |
+        awk '$1 ~ /^(bpserver|bpload|bpbench|bpsim|bpstat|bptrace)$/ {
+            for (i = 2; i <= NF; i++) if ($i ~ /^--?[A-Za-z]/) {
+                f = $i; sub(/^--/, "-", f); sub(/=.*/, "", f); print $1 ":" f
+            }
+        }' | sort -u); do
+        cmd="${tok%%:*}" flag="${tok#*:}"
+        { [ "$flag" = -h ] || allowed "$doc $cmd $flag"; } && continue
+        if ! grep -oE '(flag|fs)\.[A-Z][A-Za-z0-9]*\([^"]*"[^"]*"' "cmd/$cmd/main.go" |
+            sed -E 's/.*"([^"]*)"$/-\1/' | grep -qxF -- "$flag"; then
+            echo "check_docs: $doc names \`$cmd $flag\`, a flag cmd/$cmd/main.go does not declare" >&2
             fail=1
         fi
     done
