@@ -10,17 +10,18 @@ import (
 	"bpwrapper/internal/obs"
 )
 
-// BackgroundWriter periodically writes dirty, unpinned pages back to the
-// device, the way PostgreSQL's bgwriter does, so that evictions mostly
-// find clean victims and the miss path is not stalled by write-back I/O.
-// It also drains the pool's dirty quarantine (pages whose eviction
-// write-back failed), making it the retry engine of the fault-tolerance
-// path. When a round makes no progress at all — every write failed — the
-// writer backs off exponentially up to maxBackoff intervals instead of
-// hammering a device that is clearly down; the first successful round
-// resets the cadence. The cadence is the configured Interval and a round
-// writes at most pagesPerRound pages; nothing retunes either while the
-// writer runs.
+// BackgroundWriter is the retry engine of the fault-tolerance path: each
+// round drains the pool's dirty quarantine (pages whose eviction
+// write-back failed), then spends what is left of a bounded budget
+// (pagesPerRound, 64 pages a round, every 100ms by default) sweeping dirty,
+// unpinned frames to the device, the way PostgreSQL's bgwriter does. It is
+// not a latency aid: a writing workload dirties pages far faster than 640 a
+// second, so evictions write back nearly every dirty victim themselves
+// (EvictWritebacks). When a round makes no progress at all — every write
+// failed — the writer backs off exponentially up to maxBackoff intervals
+// instead of hammering a device that is clearly down; the first successful
+// round resets the cadence. Nothing retunes the interval or the budget
+// while the writer runs.
 type BackgroundWriter struct {
 	pool     *Pool
 	interval time.Duration // between rounds, before any backoff

@@ -251,6 +251,37 @@ func TestMissIsOneLockHold(t *testing.T) {
 	}
 }
 
+// TestMissBucketHolds counts the bucket-mutex holds of one miss: one to
+// register its load and one to map the page and unchain the load in the
+// same hold, plus one to unmap a victim and one more to unchain a dirty
+// victim's write-back.
+func TestMissBucketHolds(t *testing.T) {
+	p := newTestPool(2, core.Config{})
+	s := p.NewSession()
+	holds := func(what string, want int64, get func(*Session, page.PageID) (*PageRef, error), id page.PageID, dirty bool) {
+		t.Helper()
+		before := p.Stats().BucketLockAcqs
+		ref, err := get(s, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Stats().BucketLockAcqs - before; got != want {
+			t.Errorf("a miss %s took %d bucket holds, want %d", what, got, want)
+		}
+		if dirty {
+			ref.MarkDirty()
+		}
+		ref.Release()
+	}
+	holds("into a free frame", 2, p.Get, pid(1), false)
+	holds("into a free frame, writable", 2, p.GetWrite, pid(2), true)
+	holds("with a clean victim", 3, p.Get, pid(3), false) // evicts 1
+	holds("with a dirty victim", 4, p.Get, pid(4), false) // evicts 2
+	if ev := p.Stats().EvictWritebacks; ev != 1 {
+		t.Fatalf("%d eviction write-backs, want the dirty victim's one", ev)
+	}
+}
+
 // TestLoadingPageIsNeverAVictim: a page is in the policy from the hold that
 // claims its frame, for the whole load. With one load held at the device
 // while its page ranks lowest (LFU and LRU-2 rank a page just admitted

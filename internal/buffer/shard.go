@@ -388,14 +388,25 @@ func (b *bucketW) addOpLocked(op *loadOp) {
 	b.ops = op
 }
 
-// removeOpLocked unchains op. Caller holds mu.
-func (b *bucketW) removeOpLocked(op *loadOp) {
+// endOpLocked unchains op with its outcome and returns the channel its
+// waiters sleep on, for wake once the caller has released mu. Caller
+// holds mu.
+func (b *bucketW) endOpLocked(op *loadOp, err error) chan struct{} {
+	op.err = err
 	for pp := &b.ops; *pp != nil; pp = &(*pp).next {
 		if *pp == op {
 			*pp = op.next
 			op.next = nil
-			return
+			break
 		}
+	}
+	return op.done
+}
+
+// wake releases the waiters of an op endOpLocked ended, if it had any.
+func wake(done chan struct{}) {
+	if done != nil {
+		close(done)
 	}
 }
 
@@ -419,14 +430,10 @@ func (sh *shard) awaitOp(b bucketRef, op *loadOp) error {
 
 // finishOp unregisters op and releases whoever waited on it.
 func (sh *shard) finishOp(b bucketRef, op *loadOp, err error) {
-	op.err = err
 	sh.lockBucket(b)
-	b.w.removeOpLocked(op)
-	done := op.done
+	done := b.w.endOpLocked(op, err)
 	b.w.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
+	wake(done)
 }
 
 // init sizes and wires one shard for frames page slots.
@@ -734,11 +741,14 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	tag := f.install(adopted, writable)
 	assertNotParked(sh, id)
 
+	// Publish in one bucket hold: the page is mapped in the instant its op
+	// is unchained, so whoever held the mutex meanwhile saw one or the other.
 	sched.Yield(sched.BufLoadInstall)
 	sh.lockBucket(b)
 	sh.insertLocked(b, id, f)
+	done := b.w.endOpLocked(op, nil)
 	b.w.mu.Unlock()
-	sh.finishOp(b, op, nil)
+	wake(done)
 	return newPageRef(f, id, tag, writable), false, nil
 }
 

@@ -1,7 +1,7 @@
 // Package trace records page-access traces and replays them through
 // replacement policies. It backs two parts of the reproduction:
 //
-//   - the hit-ratio fidelity experiment (E9 in DESIGN.md): the paper's
+//   - the hit-ratio fidelity experiment (E9 in EXPERIMENTS.md): the paper's
 //     Figure 8 shows the hit-ratio curves of pg2Q and pgBatPre overlapping,
 //     i.e. deferring hit records in bounded batches does not measurably
 //     change replacement decisions; Replay vs ReplayBatched quantifies that
