@@ -144,7 +144,7 @@ type Pool = buffer.Pool
 
 // PoolConfig assembles a Pool. PolicyFactory names the replacement
 // algorithm; the pool builds one instance per shard, each sized to its
-// shard, at construction and at every Reshard.
+// shard.
 type PoolConfig = buffer.Config
 
 // PoolSession is a per-backend handle for Pool.Get/GetWrite, carrying one
@@ -160,8 +160,8 @@ func PolicyFactories() map[string]replacer.Factory { return replacer.Factories()
 
 // PoolStats is an operational snapshot of a Pool (see Pool.Stats), the one
 // read of its counters that /metrics renders too. Its top-level counters
-// are the embedded sum of the per-shard snapshots in PerShard and Retired,
-// Wrapper (the BP-Wrapper statistics) included.
+// are the embedded sum of the per-shard snapshots in PerShard, Wrapper (the
+// BP-Wrapper statistics) included.
 type PoolStats = buffer.Stats
 
 // BackgroundWriter periodically writes dirty pages back to the device and
@@ -183,7 +183,7 @@ func NewPool(cfg PoolConfig) *Pool { return buffer.New(cfg) }
 // Self-tuning controller
 
 // Controller closes the observation→actuation loop over a Pool: it actuates
-// policy hot-swap (scored by shadow ghost caches) and online resharding.
+// policy hot-swap, scored by shadow ghost caches.
 // See DESIGN.md §14 and the bpbench "tuner" experiment (E19).
 // ControllerConfig tunes one; its Pool is required.
 type (

@@ -15,7 +15,6 @@
 //	bpserver -addr :7071 -frames 4096 -policy lirs
 //	bpserver -addr :7071 -obs :6060        # /metrics for bpstat
 //	bpserver -addr :7071 -controller       # self-tuning obs→control loop
-//	bpserver -addr :7071 -reshard 4,2      # online reshard under live traffic
 //	bpserver -addr :7071 -obs :6060 -trace # request tracing at /debug/traces
 //	bpload -remote 127.0.0.1:7071 -workload tpcc -workers 16
 package main
@@ -25,8 +24,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,19 +47,12 @@ func main() {
 		drainBudget = flag.Duration("drain-budget", 30*time.Second, "total graceful-drain budget (incl. dirty flush)")
 		obsAddr     = flag.String("obs", "", "serve /metrics, /debug/vars and pprof on this address (e.g. :6060)")
 		recorder    = flag.Int("recorder", 4096, "per-shard flight-recorder ring size (0 disables)")
-		controller  = flag.Bool("controller", false, "run the self-tuning controller (policy hot-swap and resharding)")
-		reshard     = flag.String("reshard", "", "comma-separated shard-count schedule applied online under live traffic (e.g. 4,2)")
-		reshardIvl  = flag.Duration("reshard-interval", 2*time.Second, "delay before each -reshard step")
+		controller  = flag.Bool("controller", false, "run the self-tuning controller (policy hot-swap)")
 		traceOn     = flag.Bool("trace", false, "arm request tracing (head-sampled spans + tail-kept slow requests, served at /debug/traces)")
 		traceSample = flag.Int("trace-sample", 0, "with -trace: head-sample every Nth request (0 = default 1024)")
 		traceSLO    = flag.Duration("trace-slo", 0, "with -trace: keep any request slower than this in the tail ring (0 = default 1ms)")
 	)
 	flag.Parse()
-
-	schedule, err := parseShardSchedule(*reshard)
-	if err != nil {
-		fatal(err)
-	}
 
 	factory, ok := bpwrapper.PolicyFactories()[*policyName]
 	if !ok {
@@ -132,23 +122,6 @@ func main() {
 	fmt.Printf("bpserver: serving %d frames (%s, %d shard(s), batching=%v) on %s\n",
 		*frames, *policyName, *shards, *batching, srv.Addr())
 
-	// Walk the -reshard schedule under whatever traffic is live: each step
-	// is a full online migration (seal, publish, migrate, finalize) with
-	// clients still being served. A refused step (degraded shard) is
-	// reported and skipped, not fatal.
-	if len(schedule) > 0 {
-		go func() {
-			for _, n := range schedule {
-				time.Sleep(*reshardIvl)
-				if err := pool.Reshard(n); err != nil {
-					fmt.Fprintf(os.Stderr, "bpserver: reshard to %d: %v\n", n, err)
-					continue
-				}
-				fmt.Printf("bpserver: resharded to %d shard(s)\n", n)
-			}
-		}()
-	}
-
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
@@ -172,24 +145,6 @@ func main() {
 		srv.Close()
 		os.Exit(1)
 	}
-}
-
-// parseShardSchedule turns "4,2" into []int{4, 2}. Empty input is an
-// empty schedule, not an error.
-func parseShardSchedule(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -reshard step %q: want a positive shard count", p)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

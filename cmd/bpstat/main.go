@@ -1,12 +1,11 @@
 // Command bpstat polls a running pool's observability endpoint (bpserver
 // or bpload started with -obs) and renders a per-shard live table — the
 // iostat of the BP-Wrapper stack. Rates are deltas between polls; the
-// first sample prints totals, and an online reshard between polls rebases
-// the rates (new-topology counters restart at zero).
+// first sample prints totals.
 //
 // Against a bpserver running the self-tuning controller (-controller) an
-// extra panel renders the bpw_control_* series: steps, actuations, reshard
-// state, ghost scores per candidate policy, and the last action taken.
+// extra panel renders the bpw_control_* series: steps, actuations, shard
+// count, ghost scores per candidate policy, and the last action taken.
 //
 // Against a bpserver an additional latency panel prints each operation's
 // p50/p99/p999 handle latency (bpw_server_op_seconds), and when request
@@ -316,16 +315,13 @@ func renderServer(t, prev tree, dt time.Duration) {
 
 // renderControl prints the self-tuning controller's panel when the
 // endpoint exposes bpw_control_* (bpserver -controller): step/actuation
-// counts, the live ghost score per candidate policy, the reshard state,
-// and the last action taken.
+// counts, the shard count, the live ghost score per candidate policy, and
+// the last action taken.
 func renderControl(t tree) {
 	if len(t["bpw_control_steps_total"]) == 0 {
 		return
 	}
-	topo := fmt.Sprintf("shards %.0f epoch %.0f", t.val("bpw_shards"), t.val("bpw_pool_epoch"))
-	if t.val("bpw_resharding") > 0 {
-		topo += " MIGRATING"
-	}
+	topo := fmt.Sprintf("shards %.0f", t.val("bpw_shards"))
 	last := "none yet"
 	for _, s := range t["bpw_control_last_action"] {
 		last = s.Labels["kind"]
@@ -362,16 +358,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bpstat:", err)
 			os.Exit(1)
-		}
-		// An online reshard restarts every per-shard counter at zero in the
-		// new topology, so deltas against the previous poll would go absurdly
-		// negative and shear the table. Rebase on any epoch or shard-count
-		// change: print totals for this poll, rates resume on the next.
-		if prev != nil && (t.val("bpw_pool_epoch") != prev.val("bpw_pool_epoch") ||
-			len(t.shards()) != len(prev.shards())) {
-			fmt.Printf("topology changed (epoch %.0f -> %.0f, %d shard(s)): rates rebased\n",
-				prev.val("bpw_pool_epoch"), t.val("bpw_pool_epoch"), len(t.shards()))
-			prev = nil
 		}
 		now := time.Now()
 		render(t, prev, now.Sub(last))

@@ -120,7 +120,7 @@ func (w *BackgroundWriter) run() {
 func (w *BackgroundWriter) safeRound() (written, failed int64) {
 	defer func() {
 		if r := recover(); r != nil {
-			for _, sh := range w.pool.liveShards() {
+			for _, sh := range w.pool.shards {
 				sh.events.Record(obs.EvPanic, 1, 0)
 			}
 			msg := fmt.Sprintf("bgwriter: recovered round panic: %v\n%s\n%s",
@@ -145,9 +145,7 @@ func (w *BackgroundWriter) LastPanic() string {
 	return ""
 }
 
-// round walks the live shards — the current topology plus, during a
-// reshard, the draining one, so a dirty page is retried whichever side of
-// the migration holds it: for each shard it retries the quarantine, then
+// round walks the shards: for each it retries the quarantine, then
 // writes back dirty, unpinned frames through shard.flushFrame (pin, write
 // from the frame, clear the dirty bit only once the write is durable). The
 // pagesPerRound budget is global across shards, so the per-round device burst
@@ -158,7 +156,7 @@ func (w *BackgroundWriter) LastPanic() string {
 // again as fast as they are cleaned cannot keep the writer from the rest.
 // It reports pages made durable and failed attempts.
 func (w *BackgroundWriter) round() (written, failed int64) {
-	shards := w.pool.liveShards()
+	shards := w.pool.shards
 	first := 0
 	for i, sh := range shards {
 		if sh == w.spent {

@@ -163,7 +163,7 @@ func TestBackgroundWriterSweepResumes(t *testing.T) {
 	p := newTestPool(frames, core.Config{})
 	s := p.NewSession()
 	dirtyAll(t, p, s, frames)
-	sh := p.liveShards()[0]
+	sh := p.shards[0]
 	w := &BackgroundWriter{pool: p}
 
 	for round := 1; round <= frames/budget+1; round++ {
@@ -198,7 +198,7 @@ func TestBackgroundWriterRotatesShards(t *testing.T) {
 	dirtyAll(t, p, s, 160)
 	w := &BackgroundWriter{pool: p}
 
-	shards := p.liveShards()
+	shards := p.shards
 	before := [2]int{shards[0].dirtyCount(), shards[1].dirtyCount()}
 	if before[0] < budget || before[1] < budget {
 		t.Fatalf("dirty pages per shard %v: the test needs at least %d in each", before, budget)

@@ -12,7 +12,6 @@ import (
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/reqtrace"
 	"bpwrapper/internal/sched"
 	"bpwrapper/internal/storage"
@@ -173,7 +172,7 @@ func (r *evictRig) deviceHolds(t *testing.T, version uint64) {
 	}
 }
 
-func shard0(p *Pool) *shard { return p.cur.Load().shards[0] }
+func shard0(p *Pool) *shard { return p.shards[0] }
 
 // evictWindows are the ways to stop page 1's eviction write-back part-way,
 // for the tests that send a dependent in meanwhile: entered closes once the
@@ -343,52 +342,7 @@ func TestInvalidateWaitsForEvictWrite(t *testing.T) {
 	}
 }
 
-// (iv) A reshard that seals a shard in the middle of an eviction
-// write-back carries the page across with its newest bytes: the new
-// topology's miss waits on the old shard's op, then finds the page on the
-// device or parked, and the migration does not finish before the write.
-func TestReshardDuringEvictWrite(t *testing.T) {
-	for _, tc := range evictWindows {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newEvictRig(t, Config{PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) }})
-			old := shard0(r.p)
-			entered, release := tc.hold(t, r)
-			evicted := r.evict(t)
-			<-entered
-
-			resharded := make(chan error, 1)
-			go func() { resharded <- r.p.Reshard(2) }()
-			waitUntil(t, "the new topology", func() bool { return r.p.cur.Load().epoch == 1 })
-			got := r.read(t)
-			waitUntil(t, "the steal to wait on the old shard's eviction", func() bool {
-				if len(got) != 0 {
-					t.Fatal("the new topology served the page while the old shard was still writing it out")
-				}
-				return old.evictWaits.Load() == 1
-			})
-			if len(resharded) != 0 {
-				t.Fatal("Reshard finished with an eviction write-back in flight on the old shard")
-			}
-			close(release)
-			if pg := <-got; !pg.VerifyStamp(pid(1) + stampShift) {
-				t.Fatal("the page crossed the reshard with stale bytes")
-			}
-			<-evicted
-			if err := <-resharded; err != nil {
-				t.Fatalf("Reshard: %v", err)
-			}
-			if err := r.p.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r.deviceHolds(t, 1)
-		})
-	}
-}
-
-// (v) A flush whose write of version 1 fails leaves the frame dirty and
+// (iv) A flush whose write of version 1 fails leaves the frame dirty and
 // parks nothing: the GetWrite that waited on the flush's pin is granted a
 // dirty frame with the quarantine empty, and the eviction then writes its
 // version 2 — the page's one write.
@@ -426,7 +380,7 @@ func TestFailedFlushLeavesFrameDirty(t *testing.T) {
 	}
 }
 
-// (vi) A miss allocates nothing once the pool is warm, clean or dirty: no
+// (v) A miss allocates nothing once the pool is warm, clean or dirty: no
 // op, channel, closure or map to register it, no copy of the victim, and
 // the policy reuses the node the eviction dropped.
 func TestEvictMissAllocs(t *testing.T) {

@@ -88,9 +88,9 @@ type healthState struct {
 	missInflight atomic.Int64 // admitted misses currently in flight
 	maxInflight  int64        // Degraded-mode bound: maxInflightMisses; a field so a test can lower it
 
-	// disabled switches the ladder off (Pool.noShed): the shard reports
-	// Healthy and never sheds. The quarantine cap still bounds dirty
-	// evictions.
+	// disabled switches the ladder off (a test's disableShedding): the
+	// shard reports Healthy and never sheds. The quarantine cap still
+	// bounds dirty evictions.
 	disabled bool
 
 	// forced pins the shard at ReadOnly regardless of breaker or
@@ -109,7 +109,7 @@ type healthState struct {
 }
 
 // wireHealth probes the shard's device stack for resilience layers. Called
-// once per shard from newShardSet.
+// once per shard from New.
 func (sh *shard) wireHealth() {
 	sh.maxInflight = maxInflightMisses
 	sh.breaker, _ = storage.FindBreaker(sh.device)

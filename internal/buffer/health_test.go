@@ -50,7 +50,7 @@ func (d *panicDevice) Backing() storage.Device { return d.Device }
 // shardBreaker fetches the breaker from a shard's device stack.
 func shardBreaker(t *testing.T, p *Pool, i int) *storage.BreakerDevice {
 	t.Helper()
-	b, ok := storage.FindBreaker(p.cur.Load().shards[i].device)
+	b, ok := storage.FindBreaker(p.shards[i].device)
 	if !ok {
 		t.Fatalf("shard %d has no breaker in its device stack", i)
 	}
@@ -522,12 +522,11 @@ func TestSetReadOnlyForcesShedding(t *testing.T) {
 	}
 }
 
-// disableShedding switches p's health ladder off (Pool.noShed) for a test
+// disableShedding switches p's health ladder off for a test
 // that fills the quarantine past the point where admission would refuse
 // the misses that fill it. Call it before any traffic.
 func disableShedding(p *Pool) *Pool {
-	p.noShed = true
-	for _, sh := range p.liveShards() {
+	for _, sh := range p.shards {
 		sh.disabled = true
 	}
 	return p

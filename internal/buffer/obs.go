@@ -23,44 +23,15 @@ func (p *Pool) RegisterObs(reg *obs.Registry) {
 	// The request tracer (nil when tracing is off — RegisterTracer ignores
 	// it) powers /debug/traces and the bpw_trace_* counters.
 	reg.RegisterTracer("pool", p.tracer)
-	set := p.cur.Load()
-	for i, sh := range set.shards {
+	for i, sh := range p.shards {
 		if rec := sh.events; rec != nil {
-			reg.RegisterRecorder(recorderName(set.epoch, i), rec)
-		}
-	}
-	// Remember the registry so shards built by later reshards get their
-	// recorders registered too (registerRecorders).
-	p.obsMu.Lock()
-	p.obsRegs = append(p.obsRegs, reg)
-	p.obsMu.Unlock()
-}
-
-// recorderName labels a shard's flight recorder. Epoch 0 keeps the
-// historical "shard N" names; later topologies are suffixed so a registry
-// that outlives a reshard exposes both histories unambiguously.
-func recorderName(epoch uint64, i int) string {
-	if epoch == 0 {
-		return fmt.Sprintf("shard %d", i)
-	}
-	return fmt.Sprintf("shard %d @e%d", i, epoch)
-}
-
-// registerRecorders wires a freshly built topology's flight recorders into
-// every registry the pool was registered with (called by Reshard after
-// publishing the new set).
-func (p *Pool) registerRecorders(set *shardSet) {
-	p.obsMu.Lock()
-	regs := append([]*obs.Registry(nil), p.obsRegs...)
-	p.obsMu.Unlock()
-	for _, reg := range regs {
-		for i, sh := range set.shards {
-			if rec := sh.events; rec != nil {
-				reg.RegisterRecorder(recorderName(set.epoch, i), rec)
-			}
+			reg.RegisterRecorder(recorderName(i), rec)
 		}
 	}
 }
+
+// recorderName labels shard i's flight recorder.
+func recorderName(i int) string { return fmt.Sprintf("shard %d", i) }
 
 // collect renders one Stats snapshot as the full metric tree, beside each
 // shard's lock histograms, batch and combine-run distributions and
@@ -74,19 +45,11 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		emit(obs.Metric{Name: name, Help: help, Type: obs.Gauge, Labels: labels, Value: v})
 	}
 
-	st, set := p.stats()
+	st := p.Stats()
 	g("bpw_shards", "hash partitions in the pool", nil, float64(st.Shards))
-	g("bpw_pool_epoch", "current shard-topology epoch (bumped by each reshard)", nil, float64(st.Epoch))
-	resharding := 0.0
-	if st.Resharding {
-		resharding = 1
-	}
-	g("bpw_resharding", "1 while a previous topology is still draining", nil, resharding)
-	c("bpw_reshards_total", "completed online reshards", nil, float64(st.Reshards))
-	c("bpw_pages_migrated_total", "pages carried across topologies by reshards", nil, float64(st.PagesMigrated))
 
 	for i, ss := range st.PerShard {
-		sh := set.shards[i]
+		sh := p.shards[i]
 		l := [][2]string{{"shard", strconv.Itoa(i)}}
 		g("bpw_policy_in_use", "replacement policy installed in the shard (value always 1)",
 			append(l[:1:1], [2]string{"policy", ss.Policy}), 1)
@@ -147,7 +110,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		g("bpw_resident_pages", "pages tracked by the replacement policy, loads in flight included", l, float64(ss.Resident))
 		c("bpw_writeback_failures_total", "failed write-back attempts", l, float64(ss.WriteBackFailures))
 		c("bpw_evict_writebacks_total", "dirty victims written to the device straight from their frame", l, float64(ss.EvictWritebacks))
-		const waitsHelp = "waits (by misses, reshard steals and invalidations) on a page another goroutine had in flight: on=load a device read, on=evict an eviction's write-back"
+		const waitsHelp = "waits (by misses and invalidations) on a page another goroutine had in flight: on=load a device read, on=evict an eviction's write-back"
 		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "load"}), float64(ss.MissWaitsLoad))
 		c("bpw_miss_waits_total", waitsHelp, append(l[:1:1], [2]string{"on", "evict"}), float64(ss.MissWaitsEvict))
 
@@ -216,17 +179,9 @@ func (w *BackgroundWriter) RegisterObs(reg *obs.Registry) {
 // when recording is disabled, so callers can append it unconditionally.
 func (p *Pool) FlightDump() string {
 	var sb strings.Builder
-	set := p.cur.Load()
-	for i, sh := range set.shards {
+	for i, sh := range p.shards {
 		if rec := sh.events; rec != nil {
-			rec.Dump(&sb, recorderName(set.epoch, i), 0)
-		}
-	}
-	if prev := set.prev.Load(); prev != nil {
-		for i, sh := range prev.shards {
-			if rec := sh.events; rec != nil {
-				rec.Dump(&sb, recorderName(prev.epoch, i)+" (draining)", 0)
-			}
+			rec.Dump(&sb, recorderName(i), 0)
 		}
 	}
 	return sb.String()

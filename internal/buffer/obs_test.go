@@ -26,7 +26,7 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 		ref.Release()
 	}
 	s.Flush()
-	if p.cur.Load().shards[0].events != nil {
+	if p.shards[0].events != nil {
 		t.Fatal("recorder allocated with RecorderSize 0")
 	}
 }
@@ -64,7 +64,7 @@ func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[obs.EventKind]int{}
-	for _, ev := range p.cur.Load().shards[0].events.Events() {
+	for _, ev := range p.shards[0].events.Events() {
 		kinds[ev.Kind]++
 	}
 	for _, k := range []obs.EventKind{obs.EvEvict, obs.EvQuarantinePark, obs.EvQuarantineFlush} {
@@ -162,11 +162,11 @@ func TestPerShardRecordersAreIndependent(t *testing.T) {
 		Device:        storage.NewMemDevice(),
 		RecorderSize:  32,
 	})
-	if p.cur.Load().shards[0].events == p.cur.Load().shards[1].events {
+	if p.shards[0].events == p.shards[1].events {
 		t.Fatal("shards share one recorder")
 	}
-	for i := range p.cur.Load().shards {
-		if p.cur.Load().shards[i].events == nil {
+	for i := range p.shards {
+		if p.shards[i].events == nil {
 			t.Fatalf("shard %d recorder missing", i)
 		}
 	}

@@ -13,13 +13,9 @@
 // that, deliberately, so experiment E14 can measure the trade: per-shard
 // policy locks dissolve contention, per-shard ghost history costs hit
 // ratio. Shards: 1 (the default) is the paper's configuration and is
-// byte-for-byte the old monolithic pool.
-//
-// Since PR 9 the shard topology is no longer fixed at construction: the
-// shards live behind an atomically-swappable shardSet and Pool.Reshard
-// grows or shrinks the count under live traffic (see reshard.go and
-// DESIGN.md §14), so shard count can follow the workload instead of a
-// config file — the E14 trade becomes a runtime decision.
+// byte-for-byte the old monolithic pool. The shards are built once, in New,
+// and a page routes to the same shard for the pool's whole life; what can
+// change under traffic is each shard's policy (Pool.SwapPolicy).
 package buffer
 
 import (
@@ -52,15 +48,13 @@ type Config struct {
 	// shard owns its own frames, page table, free list, quarantine, and —
 	// critically — its own BP-Wrapper + policy instance, so the policy
 	// lock and batching queues are per shard. Zero or one means the
-	// classic single-shard pool. Must not exceed Frames. This is only the
-	// *initial* topology: Reshard changes it at runtime.
+	// classic single-shard pool. Must not exceed Frames.
 	Shards int
 
 	// PolicyFactory constructs the replacement algorithm: the pool calls it
-	// once per shard, with that shard's frame count as the capacity, and
-	// again for every shard a Reshard builds — one instance cannot be split,
-	// its history (ghost lists, recency stacks) being a single structure.
-	// The pool owns the instances. Required.
+	// once per shard, with that shard's frame count as the capacity — one
+	// instance cannot be split, its history (ghost lists, recency stacks)
+	// being a single structure. The pool owns the instances. Required.
 	PolicyFactory replacer.Factory
 
 	// Wrapper selects the BP-Wrapper techniques (batching, prefetching,
@@ -80,8 +74,7 @@ type Config struct {
 	// another shard's breaker. The pool probes each stack with
 	// storage.FindBreaker/FindDeadline and wires what it finds into that
 	// shard's health state machine. Pool.Stats().Device still reports the
-	// shared base device's counters. After a Reshard the function is
-	// called again with the indices of the new topology.
+	// shared base device's counters.
 	WrapShardDevice func(shard int, base storage.Device) storage.Device
 
 	// QuarantineCap bounds the dirty-quarantine list that parks victims
@@ -107,7 +100,7 @@ type Config struct {
 	// trace IDs with phase-stamped spans (bucket probe, pin, lock wait,
 	// combiner handoff, policy op, device I/O, quarantine park), head
 	// sampling plus tail keep. The one tracer, and its two rings, are shared
-	// by every shard and topology; access it through Pool.Tracer for export.
+	// by every shard; access it through Pool.Tracer for export.
 	// The zero value disables tracing entirely — the access paths then pay
 	// one branch.
 	Trace reqtrace.Config
@@ -116,60 +109,20 @@ type Config struct {
 // Pool is the buffer-pool manager: a router over one or more shards, keyed
 // by a PageID hash. All methods are safe for concurrent use; per-backend
 // access records flow through Sessions obtained from NewSession.
-//
-// The shard topology is one atomic pointer load away (cur); Reshard swaps
-// it wholesale and migrates pages from the old topology to the new one
-// under live traffic. Everything needed to *build* a topology — the frame
-// budget, policy factory, wrapper config, device wrapping —
-// is remembered from Config so new shard sets can be constructed at any
-// count.
 type Pool struct {
-	cur    atomic.Pointer[shardSet]
+	shards []*shard // built by New, never replaced
 	device storage.Device
 
 	// tracer is the pool-wide request tracer (nil when Config.Trace is
-	// disabled): one head ring and one tail ring, shared across shards and
-	// reshard topologies — a span names its shard, no ring belongs to one.
+	// disabled): one head ring and one tail ring, shared across shards —
+	// a span names its shard, no ring belongs to one.
 	tracer *reqtrace.Tracer
 
-	// Construction recipe for newShardSet.
-	frames       int
-	wrapperCfg   core.Config
-	wrapDevice   func(int, storage.Device) storage.Device
-	quarCap      int
-	recorderSize int
+	quarCap int
 
-	// factory builds every shard's policy instance. Reshard reads it and
-	// SwapPolicy replaces it, both under reshardMu.
-	factory replacer.Factory
-
-	// forcedRO mirrors SetReadOnly so shards built by a reshard inherit
-	// the operator's read-only floor. Written under reshardMu.
-	forcedRO atomic.Bool
-
-	// noShed is copied into every shard's disabled (health ladder off);
-	// only tests set it, and shards built by a reshard inherit it.
-	noShed bool
-
-	// reshardMu serializes topology and policy swaps and the read-only
-	// floor; reshards counts completed topology changes.
-	reshardMu sync.Mutex
-	reshards  atomic.Int64
-
-	// retired is what the fully-drained previous topologies counted: a
-	// reshard's finalize folds the old shards in and drops them, so the GC
-	// reclaims their frames once the last session rebinds. retireMu orders
-	// the fold/prev-clear pair against Stats snapshots (exactly-once
-	// counting; see stats) and against sessions folding late into a stale
-	// topology (Session.Flush).
-	retireMu sync.Mutex
-	retired  ShardStats
-
-	// obsRegs remembers every registry handed to RegisterObs so the
-	// flight recorders of shards built by later reshards can be
-	// registered too.
-	obsMu   sync.Mutex
-	obsRegs []*obs.Registry
+	// swapMu serializes SwapPolicy and SetReadOnly, so that every shard
+	// ends up with the same policy and the same read-only floor.
+	swapMu sync.Mutex
 
 	// sampler, when enabled, spatially samples the access stream into a
 	// lock-free ring for the controller's shadow ghost caches.
@@ -179,16 +132,8 @@ type Pool struct {
 // Session is a per-backend handle carrying one core.Session per shard
 // (each shard has its own wrapper, and a batching queue belongs to exactly
 // one wrapper). Sessions must not be shared between goroutines.
-//
-// A session is bound to one shardSet; when the pool resharded since the
-// session's last access, the access path re-binds it: staged hits and
-// queued accesses are flushed into the old topology (see Flush), then
-// fresh sub-sessions are built for the new topology. Callers never see any
-// of this — pins taken before a reshard stay valid (PageRef holds the frame,
-// not a route) and the typed errResharded retry is internal.
 type Session struct {
 	pool *Pool
-	set  *shardSet
 	subs []*core.Session
 
 	// trace is the session's request-trace context: one Active shared (by
@@ -243,51 +188,17 @@ func (s *Session) foldHits(idx int) {
 	if st.hits == 0 {
 		return
 	}
-	sh := s.set.shards[idx]
+	sh := s.pool.shards[idx]
 	sh.hits.Add(st.hits)
 	sh.hp.fast.Add(st.fast)
 	st.hits, st.fast = 0, 0
 }
 
-// rebind moves the session onto set: staged hits and queued accesses are
-// flushed into the topology they were recorded against, then per-shard
-// sub-sessions are rebuilt for the new topology.
-func (s *Session) rebind(set *shardSet) {
-	if s.set != nil {
-		s.Flush()
-	}
-	s.set = set
-	s.subs = make([]*core.Session, len(set.shards))
-	s.stage = make([]hitStage, len(set.shards))
-	for i, sh := range set.shards {
-		s.subs[i] = sh.wrapper.NewSession()
-		s.subs[i].SetTrace(&s.trace)
-	}
-}
-
 // Flush commits every shard queue's batched accesses to its policy and
-// folds the session's staged hit counts into the shard counters. A stale
-// topology may be finalized by a reshard at any moment, so flushing into
-// one holds retireMu: before the finalize the counts land in its shards,
-// which the finalize folds into the pool's retired totals; after it, the
-// staged hits go straight into those totals, and the queued accesses into
-// the dead wrappers, whose counters nothing reads any more.
+// folds the session's staged hit counts into the shard counters.
 func (s *Session) Flush() {
-	p := s.pool
-	stale := s.set != p.cur.Load()
-	if stale {
-		p.retireMu.Lock()
-		defer p.retireMu.Unlock()
-	}
 	for i, sub := range s.subs {
-		if stale && s.set.retired {
-			st := &s.stage[i]
-			p.retired.Hits += st.hits
-			p.retired.HitpathFast += st.fast
-			*st = hitStage{}
-		} else {
-			s.foldHits(i)
-		}
+		s.foldHits(i)
 		sub.Flush()
 	}
 }
@@ -324,99 +235,64 @@ func New(cfg Config) *Pool {
 		cfg.QuarantineCap = 64
 	}
 
+	shardQuar := max(1, (cfg.QuarantineCap+nshards-1)/nshards)
+	wcfg := cfg.Wrapper
 	p := &Pool{
-		device:       cfg.Device,
-		frames:       cfg.Frames,
-		tracer:       reqtrace.New(cfg.Trace),
-		wrapperCfg:   cfg.Wrapper,
-		wrapDevice:   cfg.WrapShardDevice,
-		quarCap:      cfg.QuarantineCap,
-		recorderSize: cfg.RecorderSize,
-		factory:      cfg.PolicyFactory,
+		shards:  make([]*shard, nshards),
+		device:  cfg.Device,
+		tracer:  reqtrace.New(cfg.Trace),
+		quarCap: cfg.QuarantineCap,
 	}
-	p.cur.Store(p.newShardSet(nshards, 0))
-	return p
-}
-
-// newShardSet builds one topology of n shards from the pool's remembered
-// construction recipe, splitting the frame and quarantine budgets the same
-// way New always has (the first Frames%n shards get one extra frame). The
-// caller holds reshardMu, or is New.
-func (p *Pool) newShardSet(n int, epoch uint64) *shardSet {
-	set := &shardSet{epoch: epoch, shards: make([]*shard, n)}
-	shardQuar := (p.quarCap + n - 1) / n
-	if shardQuar < 1 {
-		shardQuar = 1
+	if wcfg.Tracer == nil {
+		wcfg.Tracer = p.tracer
 	}
-	base := p.frames / n
-	extra := p.frames % n
-	for i := range set.shards {
-		fn := base
-		if i < extra {
+	// The first Frames%nshards shards get one extra frame.
+	for i := range p.shards {
+		fn := cfg.Frames / nshards
+		if i < cfg.Frames%nshards {
 			fn++
 		}
-		pol := p.factory(fn)
-		wcfg := p.wrapperCfg
-		if wcfg.Tracer == nil {
-			wcfg.Tracer = p.tracer
-		}
-		dev := p.device
-		if p.wrapDevice != nil {
-			if dev = p.wrapDevice(i, p.device); dev == nil {
+		dev := cfg.Device
+		if cfg.WrapShardDevice != nil {
+			if dev = cfg.WrapShardDevice(i, cfg.Device); dev == nil {
 				panic("buffer: WrapShardDevice returned nil")
 			}
 		}
 		// One ring per shard keeps a hot shard from scrolling a quiet
 		// shard's history out of the ring.
-		sh := &shard{set: set, events: obs.NewRecorder(p.recorderSize)}
-		sh.init(fn, pol, wcfg, dev, shardQuar)
+		sh := &shard{events: obs.NewRecorder(cfg.RecorderSize)}
+		sh.init(fn, cfg.PolicyFactory(fn), wcfg, dev, shardQuar)
 		sh.wireHealth()
-		sh.disabled = p.noShed
-		if p.forcedRO.Load() {
-			sh.forced.Store(true)
-			sh.evalHealth()
-		}
-		set.shards[i] = sh
+		p.shards[i] = sh
 	}
-	return set
+	return p
 }
 
-// liveShards returns the shards of the current topology plus, while a
-// migration is draining, the previous one — the order every pool-wide
-// sweep (flush, background writer, gauges) must walk so no dirty or
-// quarantined page is invisible mid-reshard.
-func (p *Pool) liveShards() []*shard {
-	set := p.cur.Load()
-	prev := set.prev.Load()
-	if prev == nil {
-		return set.shards
-	}
-	all := make([]*shard, 0, len(set.shards)+len(prev.shards))
-	all = append(all, set.shards...)
-	return append(all, prev.shards...)
-}
-
-// shardFor routes a page id to its owning shard in the current topology.
-// The shard index comes from the HIGH bits of the mixed hash while bucket
+// ShardOf reports which shard owns page id; useful for tests, chaos
+// harnesses, and diagnostics that need to target one shard's traffic. The
+// shard index comes from the HIGH bits of the mixed hash while bucket
 // selection inside the shard uses the low bits, so the two partitionings
 // stay independent (with correlated bits, a shard's buckets would collapse
-// to 1/nshards utilization). Single-shard topologies skip the hash
-// entirely.
-func (p *Pool) shardFor(id page.PageID) *shard {
-	return p.cur.Load().shardFor(id)
+// to 1/nshards utilization). A single-shard pool skips the hash entirely.
+func (p *Pool) ShardOf(id page.PageID) int {
+	if len(p.shards) == 1 {
+		return 0
+	}
+	return int((mix64(uint64(id)) >> 32) % uint64(len(p.shards)))
 }
 
-// shardIndexFor is shardFor returning the index; used by invariant checks.
-func (p *Pool) shardIndexFor(id page.PageID) int {
-	return p.cur.Load().indexFor(id)
-}
+// shardFor returns the shard owning id.
+func (p *Pool) shardFor(id page.PageID) *shard { return p.shards[p.ShardOf(id)] }
 
 // NewSession returns a per-backend access session spanning all shards.
 // Sessions must not be shared between goroutines.
 func (p *Pool) NewSession() *Session {
-	s := &Session{pool: p}
+	s := &Session{pool: p, subs: make([]*core.Session, len(p.shards)), stage: make([]hitStage, len(p.shards))}
 	s.trace.Init(p.tracer)
-	s.rebind(p.cur.Load())
+	for i, sh := range p.shards {
+		s.subs[i] = sh.wrapper.NewSession()
+		s.subs[i].SetTrace(&s.trace)
+	}
 	return s
 }
 
@@ -435,10 +311,6 @@ func (s *Session) TraceID() uint64 { return s.trace.ID() }
 // nil when Config.Trace left tracing disabled.
 func (p *Pool) Tracer() *reqtrace.Tracer { return p.tracer }
 
-// ShardOf reports which shard owns page id; useful for tests, chaos
-// harnesses, and diagnostics that need to target one shard's traffic.
-func (p *Pool) ShardOf(id page.PageID) int { return p.shardIndexFor(id) }
-
 // SetReadOnly pins (or releases) every shard at the ReadOnly floor of the
 // health ladder, independent of breaker and quarantine state. While set,
 // misses are shed with ErrOverloaded but resident pages keep serving —
@@ -448,41 +320,53 @@ func (p *Pool) ShardOf(id page.PageID) int { return p.shardIndexFor(id) }
 // CloseWithin flushes what is dirty. Unlike the health machinery it also
 // applies where the health ladder is switched off — it is an operator
 // action, not a health verdict. Releasing returns shards to their
-// evaluated state. Shards built by a later Reshard inherit the current
-// setting. It serializes with Reshard, as SwapPolicy does, so it never
-// floors part of a shard set still being built: a call made during a
-// migration waits for the migration to finish.
+// evaluated state.
 func (p *Pool) SetReadOnly(on bool) {
-	p.reshardMu.Lock()
-	defer p.reshardMu.Unlock()
-	p.forcedRO.Store(on)
-	for _, sh := range p.liveShards() {
+	p.swapMu.Lock()
+	defer p.swapMu.Unlock()
+	for _, sh := range p.shards {
 		sh.forced.Store(on)
 		sh.evalHealth()
 	}
 }
 
+// SwapPolicy hot-swaps every shard's replacement policy to instances built
+// by factory, migrating each policy's resident set into the new instance (in
+// eviction order, so the pages the old policy valued most are the ones the
+// new policy saw admitted last).
+//
+// A factory whose policy has less capacity than a shard's present one is
+// refused (core.Wrapper.SwapPolicy): the shards before that one keep the new
+// policy, the rest their old ones.
+func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error) {
+	if factory == nil {
+		return "", "", errors.New("buffer: SwapPolicy requires a factory")
+	}
+	p.swapMu.Lock()
+	defer p.swapMu.Unlock()
+	for _, sh := range p.shards {
+		if from, to, err = sh.wrapper.SwapPolicy(factory); err != nil {
+			return from, to, err
+		}
+	}
+	return from, to, nil
+}
+
 // Wrapper exposes the BP-Wrapper core of shard 0. It is a diagnostic
 // accessor for single-shard pools (where shard 0 IS the pool); with
 // Shards > 1 read Stats().Wrapper for the sum over every shard.
-func (p *Pool) Wrapper() *core.Wrapper { return p.cur.Load().shards[0].wrapper }
+func (p *Pool) Wrapper() *core.Wrapper { return p.shards[0].wrapper }
 
-// AccessStats returns the pool's hit/miss counters summed over all shards
-// — current and draining — plus the retired topologies' totals. Within a
-// shard hits are read before misses, and an access increments exactly one
+// AccessStats returns the pool's hit/miss counters summed over all shards,
+// taking no lock. Within a shard hits are read before misses, and an access increments exactly one
 // of them, so the derived ratio never sees a torn pair. Both only grow: a
 // window is the difference of two snapshots. Sessions stage hits locally
 // and fold them in batches (see Session), so the figures are exact only
 // once the sessions have called Flush; mid-run they can lag by up to
 // hitFoldInterval hits per live session.
-//
-// It takes no policy lock, only retireMu, which orders it against a
-// reshard's finalize so that an old shard is counted once.
 func (p *Pool) AccessStats() metrics.AccessSnapshot {
-	p.retireMu.Lock()
-	defer p.retireMu.Unlock()
-	a := metrics.AccessSnapshot{Hits: p.retired.Hits, Misses: p.retired.Misses}
-	for _, sh := range p.liveShards() {
+	var a metrics.AccessSnapshot
+	for _, sh := range p.shards {
 		a = a.Plus(metrics.AccessSnapshot{Hits: sh.hits.Load(), Misses: sh.misses.Load()})
 	}
 	return a
@@ -504,89 +388,50 @@ func (p *Pool) GetWrite(s *Session, id page.PageID) (*PageRef, error) {
 	return p.access(s, id, true)
 }
 
-// access routes one page access through the current topology, re-binding
-// the session when the topology moved since its last access and absorbing
-// the one reshard race: a shard can be sealed between our cur load and the
-// shard operation (the swap is a plain pointer store, deliberately not
-// synchronized with readers), in which case the shard's miss path refuses
-// with errResharded and we retry against the freshly published set. Hits
-// on sealed shards still serve — only loads bounce — so the retry is rare
-// and bounded by the reshard rate, not the access rate.
+// access routes one page access to the shard that owns the page.
 func (p *Pool) access(s *Session, id page.PageID, writable bool) (*PageRef, error) {
 	if !id.Valid() {
 		return nil, storage.ErrInvalidPage
 	}
 	p.sampleAccess(id)
 	s.trace.Begin()
-	for spins := 0; ; spins++ {
-		set := p.cur.Load()
-		if s.set != set {
-			s.rebind(set)
-		}
-		idx := set.indexFor(id)
-		ref, err := set.shards[idx].get(s, idx, id, writable)
-		if err == errResharded {
-			backoff(spins)
-			continue
-		}
-		s.trace.End(uint64(id), err)
-		return ref, err
-	}
+	idx := p.ShardOf(id)
+	ref, err := p.shards[idx].get(s, idx, id, writable)
+	s.trace.End(uint64(id), err)
+	return ref, err
 }
 
 // Invalidate drops page id from the pool (e.g. its table was truncated),
 // discarding dirty contents — including any quarantined copy from an
 // earlier failed write-back, which must not be drained back to the device
 // later. It fails with ErrNoUnpinnedBuffers if the page is pinned.
-// During an active reshard both the draining and the current owner shard
-// are purged; a copy in mid-migration flight (claimed out of the old
-// shard, not yet installed in the new) can escape the purge, so callers
-// that invalidate during a reshard should re-invalidate after it
-// completes (CheckInvariants-grade exactness needs quiescence anyway).
-func (p *Pool) Invalidate(id page.PageID) error {
-	for {
-		set := p.cur.Load()
-		if prev := set.prev.Load(); prev != nil {
-			if err := prev.shardFor(id).invalidate(id); err != nil {
-				return err
-			}
-		}
-		if err := set.shardFor(id).invalidate(id); err != nil {
-			return err
-		}
-		if p.cur.Load() == set {
-			return nil
-		}
-		// The topology moved while we were purging; redo against the new
-		// routing so the page cannot survive in a shard we never visited.
-	}
-}
+func (p *Pool) Invalidate(id page.PageID) error { return p.shardFor(id).invalidate(id) }
 
 // quarantineLen reports the number of pages currently parked in the dirty
-// quarantines of all live shards.
+// quarantines of all shards.
 func (p *Pool) quarantineLen() int {
 	n := 0
-	for _, sh := range p.liveShards() {
+	for _, sh := range p.shards {
 		n += sh.quarantineLen()
 	}
 	return n
 }
 
-// dirtyCount reports the number of dirty resident pages across all live
-// shards right now; the figure is advisory under concurrency.
+// dirtyCount reports the number of dirty resident pages across all shards
+// right now; the figure is advisory under concurrency.
 func (p *Pool) dirtyCount() int {
 	n := 0
-	for _, sh := range p.liveShards() {
+	for _, sh := range p.shards {
 		n += sh.dirtyCount()
 	}
 	return n
 }
 
 // drainQuarantine retries the write-back of every quarantined page across
-// all live shards; see shard.drainQuarantine for the per-shard semantics.
+// all shards; see shard.drainQuarantine for the per-shard semantics.
 func (p *Pool) drainQuarantine() (written, failed int, err error) {
 	var errs []error
-	for _, sh := range p.liveShards() {
+	for _, sh := range p.shards {
 		w, f, e := sh.drainQuarantine()
 		written += w
 		failed += f
@@ -605,13 +450,11 @@ func (p *Pool) drainQuarantine() (written, failed int, err error) {
 // readers and other pages are unaffected. A write failure does not abort
 // the sweep: the page stays dirty (or quarantined), the remaining pages and
 // shards are still flushed, and the failures are returned joined so the
-// caller sees every page that is not yet durable. During a reshard the
-// draining topology is swept too — a dirty page is never invisible to
-// flush, whichever side of the migration it is on.
+// caller sees every page that is not yet durable.
 func (p *Pool) FlushDirty() (int, error) {
 	n := 0
 	var errs []error
-	for _, sh := range p.liveShards() {
+	for _, sh := range p.shards {
 		sn, err := sh.flushDirty()
 		n += sn
 		if err != nil {
@@ -702,8 +545,8 @@ func (p *Pool) Prewarm(ids []page.PageID) error {
 }
 
 // ShardStats is everything one shard reports. Folded by add it is also what
-// a topology, the retired topologies and the whole pool report: Stats sums
-// these snapshots and reads no shard counter of its own.
+// the whole pool reports: Stats sums these snapshots and reads no shard
+// counter of its own.
 type ShardStats struct {
 	Frames            int   // page slots owned by this shard
 	Free              int   // slots on the shard's free list
@@ -714,10 +557,9 @@ type ShardStats struct {
 	Misses            int64 // buffer misses since the shard was built
 	WriteBackFailures int64 // failed write-back attempts (eviction, flush and quarantine-drain retries)
 	EvictWritebacks   int64 // dirty victims written to the device straight from their frame
-	PagesMigrated     int64 // pages a reshard carried out of this shard
 
 	// MissWaitsLoad and MissWaitsEvict count waits on a page somebody
-	// else had in flight — by a miss, a reshard steal or an Invalidate —
+	// else had in flight — by a miss or an Invalidate —
 	// split by what was in flight: another miss's device read, or an
 	// eviction still writing the page's dirty bytes out (in which case
 	// the waiter then finds them on the device, or parked).
@@ -767,7 +609,7 @@ type ShardStats struct {
 }
 
 // add folds another snapshot into this one: the one fold behind the pool
-// total, a draining topology and a reshard's retired totals. Counters and
+// total. Counters and
 // gauges sum and Health takes the worst; Policy and the Has flags and
 // BreakerState describe one shard and are not folded.
 func (ss *ShardStats) add(o ShardStats) {
@@ -780,7 +622,6 @@ func (ss *ShardStats) add(o ShardStats) {
 	ss.Misses += o.Misses
 	ss.WriteBackFailures += o.WriteBackFailures
 	ss.EvictWritebacks += o.EvictWritebacks
-	ss.PagesMigrated += o.PagesMigrated
 	ss.MissWaitsLoad += o.MissWaitsLoad
 	ss.MissWaitsEvict += o.MissWaitsEvict
 	ss.Wrapper = ss.Wrapper.Plus(o.Wrapper)
@@ -814,30 +655,15 @@ func (ss *ShardStats) add(o ShardStats) {
 // (e.g. Misses vs Device.Reads) can be off by in-flight operations.
 // Collect at quiescence for exact figures.
 type Stats struct {
-	// ShardStats is the sum of PerShard and Retired, except Frames, Free,
-	// Resident and Health, which describe the current topology only (the
-	// frame budget would double-count during a drain). Quarantined is
-	// bounded by QuarantineCap, the configured pool-wide cap.
+	// ShardStats is the sum of PerShard. Quarantined is bounded by
+	// QuarantineCap, the configured pool-wide cap.
 	ShardStats
 
-	Shards        int     // number of hash partitions in the current topology
+	Shards        int     // number of hash partitions
 	HitRatio      float64 // hits / (hits + misses), from the summed pair
 	QuarantineCap int
 
-	// Epoch stamps the current topology (0 until the first reshard);
-	// Resharding is true while a previous topology is still draining;
-	// Reshards counts completed topology changes.
-	Epoch      uint64
-	Resharding bool
-	Reshards   int64
-
-	// PerShard is the current topology's shards, by index. Retired folds
-	// previous topologies: the totals each finished reshard folded in
-	// (plus hits sessions staged against them and settled later), and the
-	// shards of one still draining, whose frames still hold real dirty
-	// pages.
-	PerShard []ShardStats
-	Retired  ShardStats
+	PerShard []ShardStats // by shard index
 	Device   storage.DeviceStats
 }
 
@@ -853,7 +679,6 @@ func shardStatsOf(sh *shard) ShardStats {
 		Misses:             sh.misses.Load(),
 		WriteBackFailures:  sh.writeBackFailures.Load(),
 		EvictWritebacks:    sh.evictWritebacks.Load(),
-		PagesMigrated:      sh.migratedOut.Load(),
 		MissWaitsLoad:      sh.loadWaits.Load(),
 		MissWaitsEvict:     sh.evictWaits.Load(),
 		Wrapper:            sh.wrapper.Stats(),
@@ -893,40 +718,14 @@ func shardStatsOf(sh *shard) ShardStats {
 // briefly (for the resident count) and scans each frame's state word (for
 // the dirty count); intended for monitoring, not hot paths.
 func (p *Pool) Stats() Stats {
-	s, _ := p.stats()
-	return s
-}
-
-// stats is Stats plus the topology PerShard was read from, so that collect
-// renders each shard's distributions beside the same snapshot. The whole
-// read holds retireMu, as Reshard's finalize does when it folds the old
-// shards into the retired totals: an old shard is counted once, as
-// draining or as retired, and is never read after the fold, so every
-// cumulative total only grows. Lock order: retireMu, then a policy lock.
-func (p *Pool) stats() (Stats, *shardSet) {
-	p.retireMu.Lock()
-	defer p.retireMu.Unlock()
-	set := p.cur.Load()
-	var draining []*shard
-	if prev := set.prev.Load(); prev != nil {
-		draining = prev.shards
-	}
-	s := Stats{Retired: p.retired}
-	s.Shards, s.QuarantineCap, s.Device = len(set.shards), p.quarCap, p.device.Stats()
-	s.Epoch, s.Resharding, s.Reshards = set.epoch, draining != nil, p.reshards.Load()
-	for _, sh := range draining {
-		s.Retired.add(shardStatsOf(sh))
-	}
-	s.PerShard = make([]ShardStats, len(set.shards))
-	for i, sh := range set.shards {
+	s := Stats{Shards: len(p.shards), QuarantineCap: p.quarCap, Device: p.device.Stats()}
+	s.PerShard = make([]ShardStats, len(p.shards))
+	for i, sh := range p.shards {
 		s.PerShard[i] = shardStatsOf(sh)
 		s.ShardStats.add(s.PerShard[i])
 	}
-	current := s.ShardStats
-	s.ShardStats.add(s.Retired)
-	s.Frames, s.Free, s.Resident, s.Health = current.Frames, current.Free, current.Resident, current.Health
 	s.HitRatio = metrics.AccessSnapshot{Hits: s.Hits, Misses: s.Misses}.HitRatio()
-	return s, set
+	return s
 }
 
 // PinnedFrames reports the number of frames currently holding at least one
@@ -934,7 +733,7 @@ func (p *Pool) stats() (Stats, *shardSet) {
 // outstanding PageRefs, no in-flight operations — it must be zero).
 func (p *Pool) PinnedFrames() int {
 	n := 0
-	for _, sh := range p.liveShards() {
+	for _, sh := range p.shards {
 		n += sh.pinnedFrames()
 	}
 	return n
@@ -949,20 +748,15 @@ func (p *Pool) PinnedFrames() int {
 //
 // The contract is quiescence: callers must ensure no pool operations are in
 // flight (the torture harness calls it after workers join and again after
-// Close) — which includes reshards: an in-progress migration is reported
-// as a violation rather than checked around. Called concurrently it cannot
+// Close). Called concurrently it cannot
 // corrupt anything, but it may report perfectly legal in-flight
 // transitions — a claimed frame between table removal and the free list —
 // as violations.
 func (p *Pool) CheckInvariants() error {
-	cur := p.cur.Load()
-	if cur.prev.Load() != nil {
-		return errors.New("buffer: reshard migration in flight (caller not quiescent)")
-	}
-	for i, sh := range cur.shards {
-		owns := func(id page.PageID) bool { return cur.indexFor(id) == i }
+	for i, sh := range p.shards {
+		owns := func(id page.PageID) bool { return p.ShardOf(id) == i }
 		if err := sh.checkInvariants(owns); err != nil {
-			return fmt.Errorf("shard %d/%d: %w", i, len(cur.shards), err)
+			return fmt.Errorf("shard %d/%d: %w", i, len(p.shards), err)
 		}
 	}
 	return nil

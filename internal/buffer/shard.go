@@ -53,20 +53,6 @@ type shard struct {
 	wrapper  *core.Wrapper
 	device   storage.Device
 
-	// set points back at the topology this shard belongs to; the miss
-	// path follows set.prev during a reshard to steal still-resident
-	// pages from the draining topology (reshard.go).
-	set *shardSet
-
-	// sealed is raised by Reshard just before the new topology is
-	// published: a sealed shard refuses new loads with errResharded
-	// (resident hits keep serving) so its population can only shrink.
-	sealed atomic.Bool
-
-	// migratedOut counts pages carried out of this shard by stealPage
-	// during a reshard.
-	migratedOut atomic.Int64
-
 	freeMu   sync.Mutex
 	freeList []*Frame
 
@@ -317,8 +303,8 @@ func (sh *shard) removeLocked(b bucketRef, id page.PageID) {
 
 // walkTable visits every mapping of the shard's table, one bucket mutex at
 // a time, and reports whether any bucket had an op in flight. A sweep for
-// migration and invariant checks, not an access path: it bypasses the
-// hit-path lock accounting.
+// invariant checks, not an access path: it bypasses the hit-path lock
+// accounting.
 func (sh *shard) walkTable(fn func(id page.PageID, f *Frame)) (inflight bool) {
 	for i := range sh.buckets {
 		b := sh.bucketAt(i)
@@ -340,8 +326,8 @@ func (sh *shard) walkTable(fn func(id page.PageID, f *Frame)) (inflight bool) {
 // loadOp marks a page as in flight between the table and the device: a
 // miss reading it in, or an eviction writing its dirty bytes out of the
 // claimed frame. While the op is chained on the page's bucket the page has
-// no table entry, and anybody who needs the page — another miss, a reshard
-// steal, an Invalidate — waits for the op to finish and then looks again
+// no table entry, and anybody who needs the page — another miss or an
+// Invalidate — waits for the op to finish and then looks again
 // (awaitOp). At most one op exists per page: a load registers only when the
 // page is unmapped and op-free, and an eviction claims only an unpinned
 // mapped frame, which a loader keeps pinned until after its op is gone.
@@ -637,15 +623,6 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 		b.w.mu.Unlock()
 		return nil, true, nil
 	}
-	if sh.sealed.Load() {
-		// The topology swapped between the caller's routing decision and
-		// this load: refuse under the bucket mutex — after the seal, no
-		// NEW load can ever register here, which is what lets a reshard's
-		// stealPage treat an op-free, frame-free bucket as definitively
-		// not holding the page. The caller retries against the new set.
-		b.w.mu.Unlock()
-		return nil, false, errResharded
-	}
 	if other := b.w.opLocked(id); other != nil {
 		// The page is in flight — another backend is loading it, or an
 		// eviction is still writing its dirty bytes out: wait, then retry.
@@ -684,48 +661,25 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	// The frame is exclusively ours — claimed: recycling bit up, gen
 	// bumped, one claim pin — so the fill below can use plain stores; the
 	// page is in the policy already, at its slot, where the claim guards it.
-	// Source precedence, newest copy first:
-	//
-	//  1. During a reshard, the draining topology: stealPage carries the
-	//     bytes AND the dirty bit across from the old owner shard, so an
-	//     unflushed write migrates instead of being shadowed by a stale
-	//     device read.
-	//  2. This shard's own quarantine — a dirty page whose write-back has
-	//     not been confirmed durable takes precedence over the device.
-	//     Checked AFTER the steal so a copy handed over mid-steal
-	//     (handOverQuarantine moving a quarantined-only page while we
-	//     probed the old shard) is still found. The two sources cannot
-	//     both hold the page: a page quarantined here was already
-	//     admitted here, so the old topology gave it up long ago.
-	//  3. The device.
-	//
-	// Adopting from 1 or 2 keeps the frame dirty so the page is written
-	// back again later.
+	// The newest copy wins: a quarantined page — dirty, its write-back not
+	// yet confirmed durable — takes precedence over the device, and stays
+	// dirty so it is written back again later.
 	adopted := false
-	stolen := false
-	if prev := sh.set.prev.Load(); prev != nil {
-		var dirty bool
-		if dirty, stolen = prev.shardFor(id).stealPage(id, &f.data); stolen {
-			adopted = dirty
-		}
-	}
-	if !stolen {
-		if q := sh.quarantineTake(id); q != nil {
-			f.data = *q
-			adopted = true
-		} else {
-			// Device reads are slow phases: they lazily arm the trace, so
-			// every miss that touches the device is a tail candidate even
-			// when head sampling skipped it.
-			t0 := ps.trace.Now()
-			rerr := sh.device.ReadPage(id, &f.data)
-			ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
-			if rerr != nil {
-				sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
-				sh.freeFrame(f)
-				sh.finishOp(b, op, rerr)
-				return nil, false, rerr
-			}
+	if q := sh.quarantineTake(id); q != nil {
+		f.data = *q
+		adopted = true
+	} else {
+		// Device reads are slow phases: they lazily arm the trace, so
+		// every miss that touches the device is a tail candidate even
+		// when head sampling skipped it.
+		t0 := ps.trace.Now()
+		rerr := sh.device.ReadPage(id, &f.data)
+		ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
+		if rerr != nil {
+			sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
+			sh.freeFrame(f)
+			sh.finishOp(b, op, rerr)
+			return nil, false, rerr
 		}
 	}
 	f.tagPage.Store(uint64(id))
@@ -767,12 +721,6 @@ func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*
 	victim, admitted := sub.MissSlot(id, slot, sh.claim)
 	for attempt := 0; !admitted; attempt++ {
 		switch {
-		case sh.sealed.Load():
-			// A topology swap landed mid-load: stealPage is draining this
-			// shard's frames (and policy entries) out from under us, so a
-			// victim may never materialize here. Bounce the caller to the
-			// new topology instead of reporting a phantom pin exhaustion.
-			return nil, errResharded
 		case attempt > 2*len(sh.frames) && sh.quarantineFull():
 			return nil, ErrQuarantineFull
 		case attempt > 2*len(sh.frames):
@@ -839,8 +787,8 @@ func (sh *shard) claimVictim(v replacer.Victim) bool {
 // Dirty victims are evicted losslessly and without a copy: in the bucket
 // critical section that unmaps the page an in-flight op is registered for
 // it, and the bytes are then written to the device out of the claimed frame
-// itself, under the page's write-back stripe. A miss, a reshard steal or an
-// Invalidate that arrives meanwhile waits on the op (awaitOp) and then
+// itself, under the page's write-back stripe. A miss or an Invalidate that
+// arrives meanwhile waits on the op (awaitOp) and then
 // finds the page on the device — or, when the write failed, in the
 // quarantine, where the bytes are copied only then, to be drained later by
 // the background writer, FlushDirty or Close. So an acknowledged write is
@@ -946,8 +894,8 @@ func (sh *shard) writeQuarantined(id page.PageID, copy *page.Page, self uint64) 
 
 // quarantinePut parks a page copy under its id. At most one entry per page
 // can exist, and a page is mapped or parked, never both: only a page with
-// no frame is parked — by an eviction whose write failed, behind its op, or
-// by a reshard's handover (a torture build checks this at every install).
+// no frame is parked — by an eviction whose write failed, behind its op (a
+// torture build checks this at every install).
 // a, when non-nil and traced, attributes the park so a later write-back by
 // another thread can be stitched onto the parking request's trace.
 func (sh *shard) quarantinePut(id page.PageID, copy *page.Page, a *reqtrace.Active) {
@@ -972,18 +920,14 @@ func (sh *shard) quarUnlock() {
 }
 
 // quarantineTake removes and returns the quarantined copy of id, if any.
-// Used by the miss path, and by a reshard steal, to adopt the newest
-// acknowledged version.
+// Used by the miss path to adopt the newest acknowledged version.
 //
 // An empty quarantine — the case on every miss of a healthy pool — is
 // answered from quarN, without the lock. That is safe because nobody who
-// must find a page's parked copy gets here ahead of the park: each parker
-// parks before it releases what its taker then acquires. An eviction parks
-// before finishOp unchains its op under the page's bucket mutex, where load
-// and stealPage wait the op out. A handover puts under the old shard's
-// write-back stripe, which stealPage passes through before its caller looks
-// here. Each is a happens-before edge from the store of the count to this
-// load: zero means no copy the caller is due.
+// must find a page's parked copy gets here ahead of the park: an eviction
+// parks before finishOp unchains its op under the page's bucket mutex, where
+// load waits the op out. That is a happens-before edge from the store of the
+// count to this load: zero means no copy the caller is due.
 func (sh *shard) quarantineTake(id page.PageID) *page.Page {
 	if sh.quarN.Load() == 0 {
 		return nil
@@ -1013,6 +957,17 @@ func (sh *shard) quarantineResolve(id page.PageID, copy *page.Page) quarCtx {
 	}
 	sh.quarUnlock()
 	return tc
+}
+
+// quarantineIDs snapshots the ids currently parked in the quarantine.
+func (sh *shard) quarantineIDs() []page.PageID {
+	sh.quarMu.Lock()
+	ids := make([]page.PageID, 0, len(sh.quarantine))
+	for id := range sh.quarantine {
+		ids = append(ids, id)
+	}
+	sh.quarMu.Unlock()
+	return ids
 }
 
 func (sh *shard) quarantineFull() bool { return sh.quarantineLen() >= sh.quarCap }
@@ -1085,7 +1040,7 @@ func (sh *shard) purgeQuarantine(id page.PageID) {
 // invalidate returns — nothing of the page reaches the device afterwards.
 // It fails with ErrNoUnpinnedBuffers if the page is pinned.
 func (sh *shard) invalidate(id page.PageID) error {
-	f, _, err := sh.claimMapped(id, func(int) error { return ErrNoUnpinnedBuffers })
+	f, err := sh.claimMapped(id)
 	if err != nil {
 		return err
 	}
@@ -1096,42 +1051,36 @@ func (sh *shard) invalidate(id page.PageID) error {
 	return nil
 }
 
-// claimMapped takes page id's frame out of the shard, for an Invalidate or
-// a reshard steal, and returns it claimed, with the state it was claimed
-// from; f is nil when the page has no frame. An op in flight on the page
-// is waited out — its outcome is its owner's business — and the page looked
-// up again, as it is when its frame was claimed by someone else and is about
-// to be unmapped. busy decides what a pinned or writer-held frame means: an
-// error to return, or nil to look again; spins counts how often it has
-// been asked. The frame is claimed and its page taken out of the policy in
-// one hold, as in an eviction, and before the page leaves the table: a miss
-// on id starts only once the table entry is gone, and its admission must
-// not find it resident.
-func (sh *shard) claimMapped(id page.PageID, busy func(spins int) error) (f *Frame, s uint64, err error) {
+// claimMapped takes page id's frame out of the shard for an Invalidate and
+// returns it claimed; f is nil when the page has no frame. An op in flight
+// on the page is waited out — its outcome is its owner's business — and the
+// page looked up again, as it is when its frame was claimed by someone else
+// and is about to be unmapped. A pinned or writer-held frame fails with
+// ErrNoUnpinnedBuffers. The frame is claimed and its page taken out of the
+// policy in one hold, as in an eviction, and before the page leaves the
+// table: a miss on id starts only once the table entry is gone, and its
+// admission must not find it resident.
+func (sh *shard) claimMapped(id page.PageID) (*Frame, error) {
 	b := sh.bucketFor(id)
-	for spins, recycled := 0, 0; ; {
+	for recycled := 0; ; {
 		sh.lockBucket(b)
 		if op := b.w.opLocked(id); op != nil {
 			_ = sh.awaitOp(b, op)
 			continue
 		}
-		f = sh.lookupLocked(b, id)
+		f := sh.lookupLocked(b, id)
 		b.w.mu.Unlock()
 		if f == nil {
-			return nil, 0, nil
+			return nil, nil
 		}
-		s = f.state.Load()
+		s := f.state.Load()
 		if s&frameRecycling != 0 || page.PageID(f.tagPage.Load()) != id {
 			recycled = yieldIfStillRecycled(recycled)
 			continue
 		}
 		recycled = 0
 		if s&(framePinMask|frameWLock) != 0 {
-			if err = busy(spins); err != nil {
-				return nil, 0, err
-			}
-			spins++
-			continue
+			return nil, ErrNoUnpinnedBuffers
 		}
 		claimed := false
 		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
@@ -1143,7 +1092,7 @@ func (sh *shard) claimMapped(id page.PageID, busy func(spins int) error) (f *Fra
 			sh.lockBucket(b)
 			sh.removeLocked(b, id)
 			b.w.mu.Unlock()
-			return f, s, nil
+			return f, nil
 		}
 	}
 }

@@ -33,7 +33,7 @@ func idsInShard(p *Pool, idx, n int, start uint64) []page.PageID {
 	var out []page.PageID
 	for b := start; len(out) < n; b++ {
 		id := pid(b)
-		if p.shardIndexFor(id) == idx {
+		if p.ShardOf(id) == idx {
 			out = append(out, id)
 		}
 	}

@@ -187,7 +187,7 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 
 // frameOf returns the frame page id is mapped to, or nil.
 func frameOf(p *Pool, id page.PageID) *Frame {
-	sh := p.cur.Load().shardFor(id)
+	sh := p.shardFor(id)
 	f, _ := sh.hitLookup(sh.bucketFor(id), id)
 	return f
 }
@@ -320,10 +320,9 @@ func TestFlushInFlightKeepsShardHealthy(t *testing.T) {
 			}()
 			<-entered
 
-			set := p.cur.Load()
-			sh := set.shardFor(pid(1))
+			sh := p.shardFor(pid(1))
 			for i, n := uint64(2), 0; n < 20; i++ {
-				if set.shardFor(pid(i)) != sh {
+				if p.shardFor(pid(i)) != sh {
 					continue
 				}
 				n++

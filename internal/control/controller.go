@@ -1,33 +1,17 @@
 // Package control closes the observation→actuation loop over a buffer
-// pool: a controller goroutine consumes the pool's own telemetry (sampled
-// access stream, windowed stats deltas) and actuates the two pool changes
-// experiment E19 measures: replacement-policy hot-swap and online
-// resharding.
+// pool: a controller goroutine consumes the pool's own sampled access
+// stream and actuates the one pool change experiment E19 measures,
+// replacement-policy hot-swap.
+//
+// Shadow ghost caches (replacer.GhostScorer) replay the pool's
+// spatially-sampled access stream through every candidate policy. When a
+// challenger beats the incumbent's ghost score by SwapMargin on
+// SwapPatience consecutive steps, the pool's policy is swapped in place
+// (buffer.Pool.SwapPolicy).
 //
 // Every decision is made in Step, which is deterministic given the pool's
 // state: the goroutine merely calls Step on a ticker. Tests drive Step
 // directly.
-//
-// The decision rules, in the order Step applies them:
-//
-//   - Policy hot-swap: shadow ghost caches (replacer.GhostScorer) replay
-//     the pool's spatially-sampled access stream through every candidate
-//     policy. When a challenger beats the incumbent's ghost score by
-//     SwapMargin on SwapPatience consecutive steps, the pool's policy is
-//     swapped in place (buffer.Pool.SwapPolicy).
-//   - Resharding: sharding trades policy-lock contention against
-//     replacement-history fragmentation (experiment E14). The controller
-//     measures both sides: the incumbent's ghost score is an unsharded
-//     simulation, so ghost-minus-actual hit ratio estimates what
-//     fragmentation is costing, and lock wait per access measures what
-//     contention is costing. A fragmentation gap above GapMargin shrinks
-//     the topology (halving, floored at MinShards); lock wait above
-//     waitPerAccess grows it (doubling, capped at MaxShards) — but only
-//     when per-shard load is reasonably balanced: a skewed shard means a
-//     few hot pages, which more shards cannot spread (the hash pins a page
-//     to one shard) while fragmenting everyone's history. Reshards are
-//     separated by ReshardCooldown steps so each new topology's window is
-//     measured before the next move.
 package control
 
 import (
@@ -45,14 +29,10 @@ import (
 // ActionKind classifies one actuation.
 type ActionKind string
 
-const (
-	ActSwapPolicy  ActionKind = "swap-policy"
-	ActReshardUp   ActionKind = "reshard-up"
-	ActReshardDown ActionKind = "reshard-down"
-)
+const ActSwapPolicy ActionKind = "swap-policy"
 
 // actionKinds lists every kind, for zero-filled counter exposition.
-var actionKinds = []ActionKind{ActSwapPolicy, ActReshardUp, ActReshardDown}
+var actionKinds = []ActionKind{ActSwapPolicy}
 
 // Action is one actuation taken by a Step, for logs and tests.
 type Action struct {
@@ -85,36 +65,19 @@ type Config struct {
 	SwapMargin   float64
 	SwapPatience int
 
-	// MinShards and MaxShards bound resharding. Defaults 1 and 8.
-	MinShards, MaxShards int
-
-	// ReshardCooldown is the number of Steps after a reshard during which
-	// no further topology change is considered. Default 8.
-	ReshardCooldown int
-
-	// GapMargin is the ghost-vs-actual hit-ratio gap (fragmentation cost)
-	// that triggers shrinking the topology. Default 0.02.
-	GapMargin float64
-
-	// MinWindow is the minimum number of pool accesses a step's window
-	// must contain before reshard decisions are made (tiny
-	// windows are noise). Default 2048.
+	// MinWindow is the minimum number of sampled accesses the ghost
+	// scorer must have seen before a swap is considered (tiny windows are
+	// noise). Default 2048.
 	MinWindow int64
 }
 
-// The loop's cadence and the decision rules' fixed thresholds.
+// The loop's cadence and the scorer's memory.
 const (
 	// stepInterval is the time between Steps when running via Start.
 	stepInterval = 500 * time.Millisecond
 	// ghostWindow is the scorer's decay period in sampled accesses (scores
 	// halve every window, tracking the current phase).
 	ghostWindow = 4096
-	// waitPerAccess is the policy-lock wait per access above which the
-	// topology grows; below half of it, a fragmentation gap may shrink it.
-	waitPerAccess = 2 * time.Microsecond
-	// skewLimit is the max-shard/mean access ratio above which growing is
-	// suppressed (hot pages, not contention breadth).
-	skewLimit = 3.0
 )
 
 func (c Config) withDefaults() Config {
@@ -133,21 +96,6 @@ func (c Config) withDefaults() Config {
 	if c.SwapPatience <= 0 {
 		c.SwapPatience = 3
 	}
-	if c.MinShards <= 0 {
-		c.MinShards = 1
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 8
-	}
-	if c.MaxShards < c.MinShards {
-		c.MaxShards = c.MinShards
-	}
-	if c.ReshardCooldown <= 0 {
-		c.ReshardCooldown = 8
-	}
-	if c.GapMargin <= 0 {
-		c.GapMargin = 0.02
-	}
 	if c.MinWindow <= 0 {
 		c.MinWindow = 2048
 	}
@@ -164,10 +112,6 @@ type Controller struct {
 
 	cursor uint64
 	buf    []page.PageID
-
-	last     buffer.Stats // previous step's snapshot, for windowed deltas
-	hasLast  bool
-	cooldown int
 
 	// Exposition state (read by the obs collector from any goroutine).
 	steps      atomic.Int64
@@ -261,102 +205,27 @@ func (c *Controller) Stop() {
 func (c *Controller) Step() []Action {
 	c.steps.Add(1)
 	c.drainSamples()
-	st := c.pool.Stats()
-	var acts []Action
-
-	// Policy hot-swap, from ghost scores with hysteresis. The incumbent is
-	// whatever shard 0 runs (shards share one policy by construction).
-	incumbent := ""
-	if len(st.PerShard) > 0 {
-		incumbent = st.PerShard[0].Policy
-	}
+	// The incumbent is whatever shard 0 runs (shards share one policy by
+	// construction).
+	incumbent := c.pool.Stats().PerShard[0].Policy
 	c.publishScores()
-	if c.scorer.Seen() >= int64(c.cfg.MinWindow) && incumbent != "" {
-		if pick := c.scorer.Pick(incumbent, c.cfg.SwapMargin, c.cfg.SwapPatience); pick != incumbent {
-			if f, ok := c.factories[pick]; ok {
-				if from, to, err := c.pool.SwapPolicy(f); err == nil {
-					acts = c.record(acts, ActSwapPolicy, fmt.Sprintf("%s->%s", from, to))
-					// The old scores graded policies against the OLD
-					// incumbent's era; start the new era clean so a
-					// follow-up swap needs fresh evidence.
-					c.scorer.Reset()
-				}
-			}
-		}
+	if c.scorer.Seen() < c.cfg.MinWindow {
+		return nil
 	}
-
-	// Windowed deltas need a previous snapshot of the SAME topology.
-	if c.hasLast && st.Epoch == c.last.Epoch && len(st.PerShard) == len(c.last.PerShard) {
-		acts = c.steer(acts, st)
-	} else {
-		c.hasLast = true
+	// Hot-swap from ghost scores with hysteresis.
+	pick := c.scorer.Pick(incumbent, c.cfg.SwapMargin, c.cfg.SwapPatience)
+	f, ok := c.factories[pick]
+	if pick == incumbent || !ok {
+		return nil
 	}
-	c.last = st
-	return acts
-}
-
-// steer makes the windowed decision: resharding.
-func (c *Controller) steer(acts []Action, st buffer.Stats) []Action {
-	dHits := st.Hits - c.last.Hits
-	dMisses := st.Misses - c.last.Misses
-	window := dHits + dMisses
-	if window < c.cfg.MinWindow {
-		return acts
+	from, to, err := c.pool.SwapPolicy(f)
+	if err != nil {
+		return nil
 	}
-
-	// Resharding, under cooldown.
-	if c.cooldown > 0 {
-		c.cooldown--
-		return acts
-	}
-	shards := st.Shards
-	actual := float64(dHits) / float64(window)
-	ghost, _ := c.scorer.Score(policyOf(st))
-	dWait := st.Wrapper.Lock.WaitTime - c.last.Wrapper.Lock.WaitTime
-	waitPer := dWait / time.Duration(window)
-
-	switch {
-	case shards > c.cfg.MinShards && ghost-actual > c.cfg.GapMargin && waitPer < waitPerAccess/2:
-		// Fragmentation is costing hit ratio and the locks are quiet:
-		// consolidate history by halving the shard count.
-		n := max(c.cfg.MinShards, shards/2)
-		if err := c.pool.Reshard(n); err == nil {
-			acts = c.record(acts, ActReshardDown, fmt.Sprintf("%d->%d ghost=%.3f actual=%.3f", shards, n, ghost, actual))
-			c.cooldown = c.cfg.ReshardCooldown
-		}
-	case shards < c.cfg.MaxShards && waitPer > waitPerAccess && c.skew(st) <= skewLimit:
-		// The policy locks are the bottleneck and load is spread wide
-		// enough that more shards will actually dilute it.
-		n := min(c.cfg.MaxShards, shards*2)
-		if err := c.pool.Reshard(n); err == nil {
-			acts = c.record(acts, ActReshardUp, fmt.Sprintf("%d->%d wait/acc=%s", shards, n, waitPer))
-			c.cooldown = c.cfg.ReshardCooldown
-		}
-	}
-	return acts
-}
-
-// skew is the window's max-shard/mean access ratio (1.0 = perfectly
-// balanced). Called only when st and c.last share a topology.
-func (c *Controller) skew(st buffer.Stats) float64 {
-	n := len(st.PerShard)
-	if n <= 1 {
-		return 1
-	}
-	var total, maxShard int64
-	for i := range st.PerShard {
-		d := (st.PerShard[i].Hits + st.PerShard[i].Misses) -
-			(c.last.PerShard[i].Hits + c.last.PerShard[i].Misses)
-		total += d
-		if d > maxShard {
-			maxShard = d
-		}
-	}
-	if total <= 0 {
-		return 1
-	}
-	mean := float64(total) / float64(n)
-	return float64(maxShard) / mean
+	// The old scores graded policies against the OLD incumbent's era; start
+	// the new era clean so a follow-up swap needs fresh evidence.
+	c.scorer.Reset()
+	return c.record(ActSwapPolicy, fmt.Sprintf("%s->%s", from, to))
 }
 
 // drainSamples feeds everything the pool sampled since the last step to
@@ -374,21 +243,14 @@ func (c *Controller) drainSamples() {
 	}
 }
 
-func policyOf(st buffer.Stats) string {
-	if len(st.PerShard) == 0 {
-		return ""
-	}
-	return st.PerShard[0].Policy
-}
-
 // record counts an action and remembers it as the most recent.
-func (c *Controller) record(acts []Action, kind ActionKind, detail string) []Action {
+func (c *Controller) record(kind ActionKind, detail string) []Action {
 	a := Action{Kind: kind, Detail: detail}
 	c.actions[kind].Add(1)
 	c.mu.Lock()
 	c.lastAction = a
 	c.mu.Unlock()
-	return append(acts, a)
+	return []Action{a}
 }
 
 // publishScores snapshots the ghost scores for the obs collector.

@@ -197,9 +197,7 @@ func (s *Server) inflight() int64 {
 //
 //  1. stop accepting, lower the pool's read-only floor
 //     (Pool.SetReadOnly) — resident pages keep serving over the wire
-//     while misses shed as typed OVERLOADED responses. SetReadOnly
-//     serializes with Pool.Reshard, so a drain that lands during a
-//     reshard waits for its migration to finish first;
+//     while misses shed as typed OVERLOADED responses;
 //  2. after DrainGrace, poke every connection off its blocking read.
 //     Requests already buffered are answered with DRAINING, responses
 //     already produced are flushed, then connections close — every

@@ -31,15 +31,6 @@ type PoolRunConfig struct {
 	Faults   bool   // inject transient read/write failures and corruption
 	BGWriter bool   // run a background writer during the bursts
 
-	// Reshard, when non-empty, runs a resharder goroutine alongside every
-	// phase's workers: it walks the schedule in order, applying each shard
-	// count to the live pool (grow and shrink both exercise the full
-	// seal→migrate→handover protocol under traffic). The resharder is
-	// joined before the phase's quiescent checks, so the content, pin,
-	// structural, and statistics oracles all run against a settled
-	// topology whose retired shards must be fully drained.
-	Reshard []int
-
 	// YieldFrac, when positive, installs the seeded yield injector for the
 	// duration of the run, perturbing every sched point — including the
 	// optimistic-retry labels (BufHitProbe, BufHitPin, BufBucketWrite).
@@ -60,8 +51,7 @@ type PoolRunReport struct {
 	WriteErrors    int64
 	Shed           int64 // misses refused by admission control (ErrOverloaded)
 	Flushes        int64
-	Invariantified int   // quiescent CheckInvariants passes
-	Reshards       int64 // topology changes applied during the bursts
+	Invariantified int // quiescent CheckInvariants passes
 }
 
 // tortureTable is the table number the pool run's pages live in; distinct
@@ -91,13 +81,8 @@ func checkStatsConsistency(pool *buffer.Pool) error {
 		misses += ss.Misses
 		frames += int64(ss.Frames)
 	}
-	// Shards retired by a reshard keep their lifetime counters (their
-	// accesses happened to this pool); the totals fold them in while
-	// PerShard covers only the current topology.
-	hits += st.Retired.Hits
-	misses += st.Retired.Misses
 	if st.Hits != hits || st.Misses != misses {
-		return fmt.Errorf("pool stats disagree with per-shard + retired sums: pool %d/%d, shards %d/%d",
+		return fmt.Errorf("pool stats disagree with per-shard sums: pool %d/%d, shards %d/%d",
 			st.Hits, st.Misses, hits, misses)
 	}
 	if int64(st.Frames) != frames {
@@ -342,34 +327,8 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 				worker(w, phase, &errs[w])
 			}(w)
 		}
-		// The resharder walks the schedule while the workers hammer the
-		// pool, staggering the topology swaps so migrations overlap live
-		// traffic rather than racing each other back to back.
-		var reshardErr error
-		if len(cfg.Reshard) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, n := range cfg.Reshard {
-					time.Sleep(2 * time.Millisecond)
-					if err := pool.Reshard(n); err != nil {
-						if cfg.Faults {
-							// A degraded or read-only shard can legitimately
-							// refuse a topology change mid-chaos.
-							continue
-						}
-						reshardErr = fmt.Errorf("seed %d: phase %d: Reshard(%d): %v", cfg.Seed, phase, n, err)
-						return
-					}
-					atomic.AddInt64(&rep.Reshards, 1)
-				}
-			}()
-		}
 		wg.Wait()
 		stopBG()
-		if reshardErr != nil {
-			return nil, oracleFail(reshardErr)
-		}
 		for _, err := range errs {
 			if err != nil {
 				return nil, oracleFail(err)

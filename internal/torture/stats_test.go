@@ -16,13 +16,12 @@ import (
 )
 
 // TestStatsTotalsNeverDecrease: every cumulative total of Pool.Stats only
-// grows, across reshards too. Stale sessions flush into a draining topology
-// while reshards finalize back to back, and Stats is read in a loop; a read
-// that counts a draining shard after the finalize folded it into the
-// retired totals shows up as a later read going backwards. Long mode runs
-// it for 20 s instead of one.
+// grows while sessions on a two-shard pool hit, miss and fold their staged
+// hits, and Stats is read in a loop; a total folded or summed twice,
+// or read before a counter it depends on, shows up as a later read going
+// backwards. Long mode runs it for 20 s instead of a quarter second.
 func TestStatsTotalsNeverDecrease(t *testing.T) {
-	runFor := time.Second
+	runFor := time.Second / 4
 	if LongMode() {
 		runFor = 20 * time.Second
 	}
@@ -54,18 +53,6 @@ func TestStatsTotalsNeverDecrease(t *testing.T) {
 			s.Flush()
 		}(w)
 	}
-	reshardErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for n := 1; !stop.Load(); n = n%3 + 1 {
-			if err := p.Reshard(n); err != nil {
-				reshardErr <- err
-				return
-			}
-		}
-	}()
-
 	prev := p.Stats()
 	reads := 0
 	for deadline := time.Now().Add(runFor); time.Now().Before(deadline); reads++ {
@@ -79,11 +66,6 @@ func TestStatsTotalsNeverDecrease(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	select {
-	case err := <-reshardErr:
-		t.Fatalf("Reshard: %v", err)
-	default:
-	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

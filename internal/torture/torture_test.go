@@ -312,76 +312,6 @@ func TestPoolTortureSharded(t *testing.T) {
 	}
 }
 
-// TestPoolTortureReshard drives online resharding under full concurrent
-// load: every phase's burst runs a resharder walking a grow-and-shrink
-// schedule while the workers read, write, and flush. The standing oracles
-// do the verification — content integrity across migrations (every read is
-// a complete stamp of a live version, so a page served from the wrong
-// topology or torn by stealPage fails immediately), pin sanity and
-// CheckInvariants at each settled topology (retired shards must be fully
-// drained), stats consistency including the retired fold, and zero lost
-// dirty pages at Close even for pages that crossed shards while dirty or
-// quarantined. The matrix covers two commit paths, a background writer and
-// a fault-injected run where migrations race transient write failures; long
-// mode runs every policy of replacer.Names() on every path. The nightly
-// workflow runs this target by name under -race -tags torture.
-func TestPoolTortureReshard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-layer torture run skipped in -short")
-	}
-	seed := SeedFromEnv(67)
-	schedule := []int{4, 2, 8, 1, 3}
-	type cse struct {
-		name string
-		cfg  PoolRunConfig
-	}
-	cases := []cse{
-		{"optimistic-lru-batch", PoolRunConfig{
-			Seed: seed, Path: PathBatch, Policy: "lru",
-			Frames: 64, Reshard: schedule,
-		}},
-		{"optimistic-2q-fc-bg", PoolRunConfig{
-			Seed: seed + 1, Path: PathFC, Policy: "2q",
-			Frames: 64, Reshard: schedule, BGWriter: true,
-		}},
-		{"faults-clockpro-batch", PoolRunConfig{
-			Seed: seed + 2, Path: PathBatch, Policy: "clockpro",
-			Frames: 64, Reshard: schedule, Faults: true,
-		}},
-	}
-	if LongMode() {
-		for i, pol := range replacer.Names() {
-			for j, path := range Paths() {
-				cases = append(cases, cse{
-					fmt.Sprintf("long-%s-%s", pol, path),
-					PoolRunConfig{
-						Seed: seed + int64(100+i*10+j), Path: path, Policy: pol,
-						Frames: 64, Reshard: schedule,
-						Faults: i%2 == 0, BGWriter: j%2 == 0,
-						Ops: 1500, Phases: 4, Workers: 8,
-					},
-				})
-			}
-		}
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			t.Parallel()
-			rep, err := RunPool(c.cfg)
-			if err != nil {
-				failSeed(t, c.cfg.Seed, err)
-			}
-			if rep.Writes == 0 || rep.Reads == 0 {
-				t.Fatalf("seed %d: degenerate run: %+v", c.cfg.Seed, rep)
-			}
-			if !c.cfg.Faults && rep.Reshards == 0 {
-				t.Fatalf("seed %d: no reshard applied despite schedule: %+v", c.cfg.Seed, rep)
-			}
-		})
-	}
-}
-
 // TestPoolTortureHitPath is the lock-free hit path's differential oracle.
 // In a torture build the same seeded run executes twice, once on the
 // optimistic seqlock lookup (the product's) and once with every lookup
@@ -394,9 +324,11 @@ func TestPoolTortureReshard(t *testing.T) {
 // has no reference to switch to and runs the product path against RunPool's
 // own oracles. A first batch of runs turns on the seeded yield injector so
 // the optimistic-retry labels (BufHitProbe, BufHitPin, BufBucketWrite) get
-// adversarial interleaving pressure. Long mode adds one longer cell for
-// every policy of replacer.Names(). CI's hitpath-smoke and the nightly
-// workflow run this target by name under -race -tags torture.
+// adversarial interleaving pressure. Every policy of replacer.Names() has
+// a cell: the four named ones, then one each for the rest, cycling through
+// the commit paths and one or two shards. Long mode adds one longer cell
+// for every policy. CI's hitpath-smoke and the nightly workflow run this
+// target by name under -race -tags torture.
 func TestPoolTortureHitPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-layer torture run skipped in -short")
@@ -411,6 +343,20 @@ func TestPoolTortureHitPath(t *testing.T) {
 		{"batch-2q-shards4", PoolRunConfig{Seed: seed + 1, Path: PathBatch, Policy: "2q", Shards: 4}},
 		{"fc-clockpro-bg", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "clockpro", BGWriter: true}},
 		{"batch-lru2-shards2", PoolRunConfig{Seed: seed + 3, Path: PathBatch, Policy: "lru2", Shards: 2}},
+	}
+	named := make(map[string]bool, len(cases))
+	for _, c := range cases {
+		named[c.cfg.Policy] = true
+	}
+	for i, pol := range replacer.Names() {
+		if named[pol] {
+			continue
+		}
+		path, shards := Paths()[i%len(Paths())], 1+i%2
+		cases = append(cases, cse{
+			fmt.Sprintf("%s-%s-shards%d", path, pol, shards),
+			PoolRunConfig{Seed: seed + int64(10+i), Path: path, Policy: pol, Shards: shards},
+		})
 	}
 	if LongMode() {
 		// One cell per policy of replacer.Names(), cycling through the

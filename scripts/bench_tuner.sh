@@ -1,23 +1,18 @@
 #!/bin/sh
 # Regenerates results/BENCH_tuner.json, the committed baseline for the
 # tuner experiment (E19): the controller's observation->actuation loop
-# run end to end against two deliberately mistuned pools.
-#
-# Phase A replays E14's scan-mix trace through an over-sharded SEQ pool
-# and lets the controller reshard down; the committed figure is the
-# fraction of the sharding-induced hit-ratio loss it recovers. Phase B
-# replays a loop trace through a misconfigured 2Q pool and lets the
-# ghost scorer hot-swap the policy.
+# run end to end against a deliberately mistuned pool. It replays a loop
+# trace through a misconfigured 2Q pool and lets the ghost scorer
+# hot-swap the policy.
 #
 # The run is fully deterministic: single-goroutine replay, direct
-# commits, null device, and a controller stepped at fixed access counts
-# rather than on a wall-clock ticker. Re-running on any machine
-# reproduces the committed file byte-for-byte; a diff after a change to
+# commits, null device, and a controller stepped after every pass rather
+# than on a wall-clock ticker. Re-running on any machine reproduces the
+# committed file byte-for-byte; a diff after a change to
 # internal/control, internal/buffer or internal/replacer is a real
 # behavioural difference, not noise. The committed numbers ARE the
-# acceptance claim: the reshard phase recovers at least half of the
-# sharding-induced hit-ratio loss, and the swap phase abandons the
-# misconfigured policy.
+# acceptance claim: the controller abandons the misconfigured policy and
+# the tuned hit ratio beats the static one.
 set -eu
 cd "$(dirname "$0")/.."
 

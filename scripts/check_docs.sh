@@ -1,5 +1,5 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Eight checks and a
+# Fails when the docs name what the tree does not have. Nine checks and a
 # size cap:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
@@ -12,8 +12,9 @@
 #     an item of ROADMAP.md's open list (a line "N. **...").
 #  3. Every back-quoted span of README.md, DESIGN.md and EXPERIMENTS.md that
 #     is a Test…, Benchmark…, Example… or Fuzz… name (a /subtest suffix is
-#     stripped) must be a func in some _test.go. An allow-list entry for
-#     such a name is "DOC NAME": it excuses that one doc only.
+#     stripped) must be a func in some _test.go; such a name ending in *
+#     is a glob and must match at least one. An allow-list entry for such a
+#     name is "DOC NAME": it excuses that one doc only.
 #  4. Every bpwrapper.<Name> token (an exported name after the package
 #     qualifier) anywhere in README.md, DESIGN.md and EXPERIMENTS.md, code
 #     blocks included, must be declared in bpwrapper.go. An allow-list
@@ -35,13 +36,23 @@
 #  8. In a back-quoted span of README.md, DESIGN.md and EXPERIMENTS.md, the
 #     first exported name after an internal package's qualifier (core.X,
 #     internal/workload.X) must be declared in a non-test file of that
-#     package: a func, method, type, var, const or struct field. What
-#     follows it (Config.Field) is not checked. An allow-list entry is
-#     "DOC pkg.Name".
+#     package: a func, method, type, var, const or struct field. When that
+#     name is a struct type of the package and a .member follows it
+#     (core.Config.Batching), the member must be a field or method of the
+#     type, directly or through an embedded field. An allow-list entry is
+#     "DOC pkg.Name" or "DOC pkg.Name.member".
+#  9. Every back-quoted span of those three docs that is one lowerCamel
+#     identifier (stealPage), or Type.name with a lower-case name
+#     (Session.round), must be declared in a non-test Go file: the
+#     identifier as a func, method, type, var, const, struct field or a name
+#     of a const/var/type group; Type.name as a method or field of a type of
+#     that name, directly or through an embedded field. A span whose first
+#     part is all capitals (DESIGN.md) is a file name and is not read. An
+#     allow-list entry is "DOC name" or "DOC Type.name".
 #  And DESIGN.md must stay at or under 60,000 bytes: it describes the code
 #  as it is, and what was goes to CHANGES.md.
 #
-# Checks 3 to 6 and 8 read a back-quoted span only when it opens and
+# Checks 3 to 6, 8 and 9 read a back-quoted span only when it opens and
 # closes on one line.
 # A name or reference that is only history goes on the allow-list below,
 # one per line, with no reason needed beyond the history it records.
@@ -55,6 +66,11 @@ EXPERIMENTS.md BenchmarkWrapperHitObs
 # bpbench -mode real ran the wall-clock arms of the experiments until the
 # benchmark/ module replaced them.
 EXPERIMENTS.md bpbench -mode
+# E21 records the policy-metadata index that the slot-indexed slab replaced.
+EXPERIMENTS.md prefetchIndex
+# The buffer descriptor of PostgreSQL, whose state word the frame follows.
+README.md BufferDesc.state
+DESIGN.md BufferDesc.state
 '
 
 allowed() { printf '%s\n' "$allow" | grep -qxF "$1"; }
@@ -132,12 +148,20 @@ fi
 funcs="$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Example|Fuzz)[A-Za-z0-9_]*' . | sed 's/^func //' | sort -u)"
 for doc in README.md DESIGN.md EXPERIMENTS.md; do
     for name in $(grep -oE '`[^`]+`' "$doc" | tr -d '`' |
-        grep -E '^(Test|Benchmark|Example|Fuzz)[A-Za-z0-9_]*(/[^[:space:]]*)?$' | sed 's,/.*,,' | sort -u); do
+        grep -E '^(Test|Benchmark|Example|Fuzz)[A-Za-z0-9_]*(\*|/[^[:space:]]*)?$' | sed 's,/.*,,' | sort -u); do
         allowed "$doc $name" && continue
-        if ! printf '%s\n' "$funcs" | grep -qxF "$name"; then
-            echo "check_docs: $doc names $name, which is no func in a _test.go" >&2
-            fail=1
-        fi
+        case "$name" in
+        *\*)
+            if ! printf '%s\n' "$funcs" | grep -q "^${name%\*}"; then
+                echo "check_docs: $doc names $name, which matches no func in a _test.go" >&2
+                fail=1
+            fi ;;
+        *)
+            if ! printf '%s\n' "$funcs" | grep -qxF "$name"; then
+                echo "check_docs: $doc names $name, which is no func in a _test.go" >&2
+                fail=1
+            fi ;;
+        esac
     done
 done
 
@@ -184,22 +208,99 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         fi
     done
 done
+# Every declaration of the non-test Go files, one a line: "dir name" for a
+# func, method, type, var, const, struct field or group member; "dir
+# Type.name" for a method or field; "dir struct Type" for a struct type;
+# "dir embed Type Field" for an embedded field.
+decls="$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec awk '
+    FNR == 1 { dir = FILENAME; sub(/^\.\//, "", dir); sub(/\/[^\/]*$/, "", dir); group = ""; st = "" }
+    { line = $0; sub(/\/\/.*/, "", line) }
+    st != "" {
+        if (depth == 1 && match(line, /^[ \t]+\*?[A-Za-z_][A-Za-z0-9_.]*[ \t]*$/)) {
+            e = line; gsub(/[ \t*]/, "", e); sub(/.*\./, "", e)
+            print dir, e; print dir, st "." e; print dir, "embed", st, e
+        } else if (depth == 1 && match(line, /^[ \t]+[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[ \t]/)) {
+            n = split(substr(line, RSTART, RLENGTH), f, /[ \t,]+/)
+            for (i = 1; i <= n; i++) if (f[i] != "") { print dir, f[i]; print dir, st "." f[i] }
+        }
+        depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+        if (depth <= 0) st = ""
+        next
+    }
+    group != "" && /^\)/ { group = ""; next }
+    match(line, /^[ \t]*(type[ \t]+)?[A-Za-z_][A-Za-z0-9_]*(\[[^]]*\])?[ \t]+struct[ \t]*\{/) &&
+        (line ~ /^[ \t]*type[ \t]/ || group == "type") {
+        t = line; sub(/^[ \t]*(type[ \t]+)?/, "", t); sub(/[^A-Za-z0-9_].*/, "", t)
+        print dir, t; print dir, "struct", t
+        depth = gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+        if (depth > 0) st = t
+        next
+    }
+    group != "" && match(line, /^\t[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*/) {
+        n = split(substr(line, 2, RLENGTH - 1), f, /[ ,]+/)
+        for (i = 1; i <= n; i++) if (f[i] != "") print dir, f[i]
+        next
+    }
+    /^(const|var|type)[ \t]*\(/ { group = $1; sub(/\(.*/, "", group); next }
+    match(line, /^func[ \t]*\([^)]*\)[ \t]*[A-Za-z_][A-Za-z0-9_]*/) {
+        r = substr(line, RSTART, RLENGTH); m = r; sub(/.*[) \t]/, "", m)
+        sub(/^func[ \t]*\(/, "", r); sub(/\).*/, "", r); sub(/\[.*/, "", r); sub(/.*[ \t*]/, "", r)
+        print dir, m; print dir, r "." m
+        next
+    }
+    match(line, /^[ \t]*(func|type|var|const)[ \t]+[A-Za-z_][A-Za-z0-9_]*/) {
+        split(substr(line, RSTART, RLENGTH), f, /[ \t]+/); print dir, f[f[1] == "" ? 3 : 2]
+    }
+' {} + | sort -u)"
+# has_member TYPE NAME [DEPTH]: NAME is a method or field of a type named TYPE
+# in DIR (any directory when DIR is empty), directly or through an embedded
+# field.
+has_member() {
+    printf '%s\n' "$decls" | grep -qE "^${DIR:-[^ ]+} $1\.$2\$" && return 0
+    [ "${3:-0}" -ge 3 ] && return 1
+    for e in $(printf '%s\n' "$decls" | awk -v t="$1" '$2 == "embed" && $3 == t { print $4 }' | sort -u); do
+        has_member "$e" "$2" $((${3:-0} + 1)) && return 0
+    done
+    return 1
+}
 # Names after an internal package's qualifier, as "pkg.Name" tokens of
-# the spans; each is looked up among the declarations of the package's
-# non-test files (top level, or indented as in a group or a struct).
+# the spans, with the ".member" that follows, if any; each name is looked
+# up among the declarations of the package's non-test files.
 pkgs="$(find internal -mindepth 1 -maxdepth 1 -type d -exec basename {} \; | tr '\n' '|' | sed 's/|$//')"
 for doc in README.md DESIGN.md EXPERIMENTS.md; do
     for tok in $(grep -oE '`[^`]+`' "$doc" |
-        grep -oE "(^|[^A-Za-z0-9_./])(internal/)?($pkgs)\.[A-Z][A-Za-z0-9_]*" |
+        grep -oE "(^|[^A-Za-z0-9_./])(internal/)?($pkgs)\.[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?" |
         sed -E 's,^[^a-z]*(internal/)?,,' | sort -u); do
+        pkg="${tok%%.*}" rest="${tok#*.}"
+        name="${rest%%.*}" member="${rest#"$name"}" member="${member#.}"
+        allowed "$doc $pkg.$name" && continue
+        if ! printf '%s\n' "$decls" | grep -qxF "internal/$pkg $name"; then
+            echo "check_docs: $doc names \`$pkg.$name\`, which no non-test file of internal/$pkg declares" >&2
+            fail=1
+            continue
+        fi
+        [ -n "$member" ] || continue
+        printf '%s\n' "$decls" | grep -qxF "internal/$pkg struct $name" || continue
         allowed "$doc $tok" && continue
-        pkg="${tok%%.*}" name="${tok#*.}"
-        files="$(find "internal/$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go')"
-        # shellcheck disable=SC2086 # $files is a list of paths without spaces
-        if ! grep -qE "^(func|type|var|const) $name([^A-Za-z0-9_]|\$)|^func \([^)]*\) $name\(|^[[:space:]]+([A-Z][A-Za-z0-9_]*, )*$name([[:space:],]|\$)" $files; then
-            echo "check_docs: $doc names \`$tok\`, which no non-test file of internal/$pkg declares" >&2
+        if ! DIR="internal/$pkg" has_member "$name" "$member"; then
+            echo "check_docs: $doc names \`$tok\`, which is no field or method of internal/$pkg's $name" >&2
             fail=1
         fi
+    done
+done
+# Bare lowerCamel identifiers and Type.name spans, against every non-test
+# declaration.
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for tok in $(grep -oE '`[^`]+`' "$doc" | tr -d '`' |
+        grep -E '^[a-z][a-z0-9]*[A-Z][A-Za-z0-9]*$|^[A-Z][A-Za-z0-9_]*\.[a-z][A-Za-z0-9_]*$' |
+        grep -vE '^[A-Z0-9_]+\.' | sort -u); do
+        allowed "$doc $tok" && continue
+        case "$tok" in
+        *.*) has_member "${tok%%.*}" "${tok#*.}" && continue ;;
+        *) printf '%s\n' "$decls" | grep -qE "^[^ ]+ $tok\$" && continue ;;
+        esac
+        echo "check_docs: $doc names \`$tok\`, which no non-test Go file declares" >&2
+        fail=1
     done
 done
 exit $fail
