@@ -178,12 +178,10 @@ func (sh *shard) admitMiss(id page.PageID) (counted bool, err error) {
 	switch st {
 	case ReadOnly:
 		sh.shed.Add(1)
-		sh.events.Record(obs.EvShed, uint64(id), uint64(st))
 		return false, fmt.Errorf("buffer: page %v (shard read-only): %w", id, ErrOverloaded)
 	case Degraded:
 		if sh.missInflight.Load() >= sh.maxInflight {
 			sh.shed.Add(1)
-			sh.events.Record(obs.EvShed, uint64(id), uint64(st))
 			return false, fmt.Errorf("buffer: page %v (%d misses in flight): %w", id, sh.maxInflight, ErrOverloaded)
 		}
 	}

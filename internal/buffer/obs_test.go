@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
+func TestFlightRecorderCapturesQuarantine(t *testing.T) {
 	dev := &flakyWriteDevice{Device: storage.NewMemDevice()}
 	p := New(Config{
 		Frames:        2,
@@ -43,8 +44,8 @@ func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
 	// Dirty a page, then force it out while the device refuses writes: the
 	// eviction's write from the frame fails and parks the bytes in the
 	// quarantine; healing the device and flushing drains them — leaving
-	// all three buffer events in the ring. (An eviction whose write
-	// succeeds parks nothing.)
+	// the park and the flush in the ring. (An eviction whose write
+	// succeeds parks nothing, and no eviction is recorded.)
 	ref, err := p.GetWrite(s, pid(1))
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +68,13 @@ func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
 	for _, ev := range p.shards[0].events.Events() {
 		kinds[ev.Kind]++
 	}
-	for _, k := range []obs.EventKind{obs.EvEvict, obs.EvQuarantinePark, obs.EvQuarantineFlush} {
+	for _, k := range []obs.EventKind{obs.EvQuarantinePark, obs.EvQuarantineFlush} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %v events recorded: %v", k, kinds)
 		}
 	}
 	dump := p.FlightDump()
-	for _, want := range []string{"shard 0", "evict", "quarantine-park", "quarantine-flush"} {
+	for _, want := range []string{"shard 0", "quarantine-park", "quarantine-flush"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)
 		}
@@ -81,10 +82,12 @@ func TestFlightRecorderCapturesEvictionAndQuarantine(t *testing.T) {
 }
 
 // TestHitsLeaveNoFlightRecord: the flight recorder keeps the buffer
-// manager's transitions, not the wrapper's commits, which core.Stats
-// counts. Two sessions over an all-resident batched pool commit through a
-// failed TryLock, a TryLock that wins and a queue-full forced Lock, and
-// the ring stays empty; one eviction then records exactly one event.
+// manager's transitions, not its traffic, which the counters hold. Two
+// sessions over an all-resident batched pool commit through a failed
+// TryLock, a TryLock that wins and a queue-full forced Lock, and the ring
+// stays empty; so it does through misses that evict clean and dirty
+// victims. Misses shed once the pool is read-only add nothing either: the
+// ring ends holding the health changes alone.
 func TestHitsLeaveNoFlightRecord(t *testing.T) {
 	const frames = 8
 	p := New(Config{
@@ -147,10 +150,44 @@ func TestHitsLeaveNoFlightRecord(t *testing.T) {
 		t.Fatalf("%d events recorded for hits and their commits, want 0: %v", n, rec.Events())
 	}
 
-	get(s1, pid(frames+1)) // a miss on a full pool evicts one clean page
+	// Misses on the full pool: the first frames evict clean pages; then
+	// every resident page is dirtied and as many misses evict them all.
+	before := p.Stats()
+	for i := uint64(1); i <= frames; i++ {
+		get(s1, pid(frames+i))
+	}
+	for i := uint64(1); i <= frames; i++ {
+		ref, err := p.GetWrite(s1, pid(frames+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.MarkDirty()
+		ref.Release()
+	}
+	for i := uint64(1); i <= frames; i++ {
+		get(s1, pid(2*frames+i))
+	}
 	s1.Flush()
-	if evs := rec.Events(); rec.Seq() != 1 || len(evs) != 1 || evs[0].Kind != obs.EvEvict {
-		t.Fatalf("after one eviction the ring holds %v (%d recorded), want one evict", evs, rec.Seq())
+	st := p.Stats()
+	if m, wb := st.Misses-before.Misses, st.EvictWritebacks-before.EvictWritebacks; m != 2*frames || wb != frames {
+		t.Fatalf("misses %d, dirty evictions %d: want %d and %d", m, wb, 2*frames, frames)
+	}
+	if n := rec.Seq(); n != 0 {
+		t.Fatalf("%d events recorded for evicting misses, want 0: %v", n, rec.Events())
+	}
+
+	p.SetReadOnly(true)
+	for i := uint64(1); i <= frames; i++ {
+		if _, err := p.Get(s1, pid(3*frames+i)); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("miss on a read-only pool: %v, want ErrOverloaded", err)
+		}
+	}
+	st = p.Stats()
+	if st.Shed != frames || st.HealthTransitions == 0 {
+		t.Fatalf("shed %d misses, %d health changes: want %d and at least one", st.Shed, st.HealthTransitions, frames)
+	}
+	if n := rec.Seq(); n != uint64(st.HealthTransitions) {
+		t.Fatalf("%d events recorded, want the %d health changes alone: %v", n, st.HealthTransitions, rec.Events())
 	}
 }
 

@@ -89,8 +89,9 @@ type Config struct {
 
 	// RecorderSize enables the per-shard flight recorder: each shard gets
 	// its own lock-free ring of its most recent RecorderSize buffer-manager
-	// events (evictions, quarantine parks/flushes, health changes, sheds,
-	// background-writer panics), rounded up to a power of two. Zero
+	// transitions (quarantine parks/flushes, health changes,
+	// background-writer panics), rounded up to a power of two; evictions
+	// and sheds are counted in Stats, not recorded. Zero
 	// disables recording entirely — the record sites then pay only a nil
 	// check. Dumps are appended to Close errors and are available through
 	// FlightDump and the /debug/events endpoint.
@@ -258,8 +259,9 @@ func New(cfg Config) *Pool {
 				panic("buffer: WrapShardDevice returned nil")
 			}
 		}
-		// One ring per shard keeps a hot shard from scrolling a quiet
-		// shard's history out of the ring.
+		// One ring per shard, so a dump names its shard. The rings hold
+		// transitions only, so one shared ring would serve as well
+		// (ROADMAP 16(b) folds them with the shards).
 		sh := &shard{events: obs.NewRecorder(cfg.RecorderSize)}
 		sh.init(fn, cfg.PolicyFactory(fn), wcfg, dev, shardQuar)
 		sh.wireHealth()

@@ -796,7 +796,6 @@ func (sh *shard) claimVictim(v replacer.Victim) bool {
 func (sh *shard) evictClaimed(ps *Session, v replacer.Victim) *Frame {
 	f := &sh.frames[v.Slot]
 	dirty := f.state.Load()&frameDirty != 0
-	sh.events.Record(obs.EvEvict, uint64(v.ID), flagArg(dirty))
 
 	sched.Yield(sched.BufReclaimClaim)
 	b := sh.bucketFor(v.ID)

@@ -206,8 +206,8 @@ func (c *Controller) Step() []Action {
 	c.steps.Add(1)
 	c.drainSamples()
 	// The incumbent is whatever shard 0 runs (shards share one policy by
-	// construction).
-	incumbent := c.pool.Stats().PerShard[0].Policy
+	// construction): one load of the box SwapPolicy swaps, no lock.
+	incumbent := c.pool.Wrapper().Policy().Name()
 	c.publishScores()
 	if c.scorer.Seen() < c.cfg.MinWindow {
 		return nil

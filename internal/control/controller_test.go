@@ -141,6 +141,32 @@ func TestControllerObsExposition(t *testing.T) {
 	}
 }
 
+// TestStepTakesNoPolicyLock: a Step that swaps nothing reads the
+// incumbent without the policy lock, so it returns while a hit commit, a
+// miss or a SwapPolicy holds shard 0's lock.
+func TestStepTakesNoPolicyLock(t *testing.T) {
+	p := buffer.New(buffer.Config{
+		Frames:        8,
+		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
+		Device:        storage.NewMemDevice(),
+	})
+	defer p.Close()
+	c := New(Config{Pool: p, Candidates: []string{"lru", "lirs"}})
+	done := make(chan struct{})
+	p.Wrapper().Locked(func(replacer.Policy) {
+		go func() {
+			defer close(done)
+			c.Step()
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Error("Step still blocked on the policy lock after 2s")
+		}
+	})
+	<-done
+}
+
 // TestControllerStartStop: the ticker goroutine runs Steps and Stop is
 // idempotent (including on a never-started controller).
 func TestControllerStartStop(t *testing.T) {

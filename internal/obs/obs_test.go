@@ -14,7 +14,7 @@ import (
 
 func TestRecorderNilIsSafe(t *testing.T) {
 	var r *Recorder
-	r.Record(EvShed, 1, 2)
+	r.Record(EvHealthChange, 1, 2)
 	if r.Events() != nil || r.Seq() != 0 || r.Dropped() != 0 || r.Cap() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
@@ -31,14 +31,14 @@ func TestRecorderNilIsSafe(t *testing.T) {
 func TestRecorderRoundTrip(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		r.Record(EvShed, uint64(i), uint64(i*10))
+		r.Record(EvHealthChange, uint64(i), uint64(i*10))
 	}
 	evs := r.Events()
 	if len(evs) != 5 {
 		t.Fatalf("got %d events", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i) || ev.Kind != EvShed || ev.Arg1 != uint64(i) || ev.Arg2 != uint64(i*10) {
+		if ev.Seq != uint64(i) || ev.Kind != EvHealthChange || ev.Arg1 != uint64(i) || ev.Arg2 != uint64(i*10) {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
 	}
@@ -50,7 +50,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 func TestRecorderWrapKeepsNewest(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 20; i++ {
-		r.Record(EvEvict, uint64(i), 0)
+		r.Record(EvQuarantinePark, uint64(i), 0)
 	}
 	evs := r.Events()
 	if len(evs) != 8 {
@@ -66,6 +66,30 @@ func TestRecorderWrapKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestRecorderStampsEveryEvent: each event carries the clock reading of
+// its own Record call, so the stamp falls between clock reads taken just
+// before and just after that call.
+func TestRecorderStampsEveryEvent(t *testing.T) {
+	const n = 64
+	r := NewRecorder(n)
+	var before, after [n]time.Time
+	for i := range before {
+		before[i] = time.Now()
+		r.Record(EvHealthChange, uint64(i), 0)
+		after[i] = time.Now()
+	}
+	evs := r.Events()
+	if len(evs) != n {
+		t.Fatalf("got %d events, want %d", len(evs), n)
+	}
+	for i, ev := range evs {
+		if ev.Time.Before(before[i]) || ev.Time.After(after[i]) {
+			t.Fatalf("event %d stamped %v, outside its Record call [%v, %v]",
+				i, ev.Time.UnixNano(), before[i].UnixNano(), after[i].UnixNano())
+		}
+	}
+}
+
 func TestRecorderSizeRounding(t *testing.T) {
 	if got := NewRecorder(1).Cap(); got != 8 {
 		t.Fatalf("minimum capacity %d, want 8", got)
@@ -76,8 +100,7 @@ func TestRecorderSizeRounding(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	// Writers race each other (the ring and the cached clock) and a
-	// snapshotting reader, for -race through the typed layer. That no
+	// Writers race each other and a snapshotting reader, for -race through the typed layer. That no
 	// snapshot returns an event mixing two writes is
 	// metrics.TestRingTornReadRefused's and TestRingConcurrentNeverMixes's
 	// to show: these writers store the same kind, so a mix could not show.
@@ -89,7 +112,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20000; i++ {
-				r.Record(EvShed, uint64(g), uint64(i))
+				r.Record(EvHealthChange, uint64(g), uint64(i))
 			}
 		}(g)
 	}
@@ -104,7 +127,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			default:
 			}
 			for _, ev := range r.Events() {
-				if ev.Kind != EvShed || ev.Arg1 > 3 {
+				if ev.Kind != EvHealthChange || ev.Arg1 > 3 {
 					t.Errorf("event no writer stored: %+v", ev)
 				}
 			}
@@ -126,14 +149,14 @@ func TestRecorderTornReadAccounting(t *testing.T) {
 	// holds the recorder to surfacing the ring's count.
 	r := NewRecorder(8)
 	for i := 0; i < 8; i++ {
-		r.Record(EvShed, uint64(i), 0)
+		r.Record(EvQuarantinePark, uint64(i), 0)
 	}
 	// Inside the snapshot's read of the first slot, lap it.
 	lapped := false
 	restore := sched.SetHook(func(pt sched.Point) {
 		if pt == sched.RingSnapshot && !lapped {
 			lapped = true
-			r.Record(EvEvict, 8, 0)
+			r.Record(EvQuarantineFlush, 8, 0)
 		}
 	})
 	evs := r.Events()
@@ -151,7 +174,7 @@ func TestRecorderTornReadAccounting(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 2", got)
 	}
 	// The writer long gone, the slot reads clean and nothing more is lost.
-	if evs := r.Events(); len(evs) != 8 || evs[7].Kind != EvEvict {
+	if evs := r.Events(); len(evs) != 8 || evs[7].Kind != EvQuarantineFlush {
 		t.Fatalf("clean snapshot returned %d events, newest %+v", len(evs), evs[len(evs)-1])
 	}
 	if got := r.Dropped(); got != 2 {
@@ -162,7 +185,7 @@ func TestRecorderTornReadAccounting(t *testing.T) {
 func TestRecorderDumpTail(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		r.Record(EvEvict, uint64(i), 0)
+		r.Record(EvQuarantinePark, uint64(i), 0)
 	}
 	var sb strings.Builder
 	r.Dump(&sb, "shard 0", 2)
@@ -185,7 +208,7 @@ func TestRecorderDumpTail(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvEvict, EvQuarantinePark, EvQuarantineFlush, EvHealthChange, EvShed, EvPanic}
+	kinds := []EventKind{EvQuarantinePark, EvQuarantineFlush, EvHealthChange, EvPanic}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -12,32 +12,26 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"bpwrapper/internal/metrics"
 )
 
 // EventKind labels a flight-recorder event: one of the buffer manager's
-// transitions. The wrapper's commits are counted (core.Stats), not
-// recorded.
+// transitions. Traffic is counted, not recorded: the wrapper's commits in
+// core.Stats, evictions and shed misses in the pool's Stats.
 type EventKind uint8
 
 const (
-	// EvEvict: a frame was evicted. Arg1 = page id.
-	EvEvict EventKind = iota + 1
 	// EvQuarantinePark: a dirty page parked in the write-back quarantine.
 	// Arg1 = page id.
-	EvQuarantinePark
+	EvQuarantinePark EventKind = iota + 1
 	// EvQuarantineFlush: a quarantined page was written back.
 	// Arg1 = page id.
 	EvQuarantineFlush
 	// EvHealthChange: a shard's health state changed.
 	// Arg1 = new state, Arg2 = previous state (buffer.HealthState values).
 	EvHealthChange
-	// EvShed: a miss was shed by admission control.
-	// Arg1 = page id, Arg2 = health state at shed time.
-	EvShed
 	// EvPanic: a contained panic in a background-writer round. Arg1 = 1.
 	EvPanic
 )
@@ -46,16 +40,12 @@ const (
 // endpoint.
 func (k EventKind) String() string {
 	switch k {
-	case EvEvict:
-		return "evict"
 	case EvQuarantinePark:
 		return "quarantine-park"
 	case EvQuarantineFlush:
 		return "quarantine-flush"
 	case EvHealthChange:
 		return "health-change"
-	case EvShed:
-		return "shed"
 	case EvPanic:
 		return "panic-recovered"
 	default:
@@ -66,38 +56,29 @@ func (k EventKind) String() string {
 // Event is one decoded flight-recorder entry.
 type Event struct {
 	Seq uint64 // global claim order within the recorder
-	// Time is a coarse wall-clock timestamp: the clock is read on a
-	// 1-in-clockEvery sample of records and cached in between, so an
-	// event's stamp can be up to clockEvery events stale. Seq, not Time,
-	// is the ordering authority.
+	// Time is the wall clock read by the Record call that wrote the event.
+	// Concurrent records can claim slots in the other order from their
+	// clock reads, so Seq, not Time, is the ordering authority.
 	Time time.Time
 	Kind EventKind
 	Arg1 uint64
 	Arg2 uint64
 }
 
-// clockEvery is the timestamp sampling period: Record reads the
-// nanosecond clock on one in clockEvery events (must be a power of two)
-// and reuses the cached reading otherwise. The miss path records an
-// eviction per miss, so an always-on clock read would dominate the
-// recorder's cost there.
-const clockEvery = 16
-
 // eventWords is an event's width in the ring: kind, arg1, arg2 and the
-// cached clock reading, 48-byte slots with the two stamps.
+// clock reading, 48-byte slots with the two stamps.
 const eventWords = 4
 
 // Recorder is a fixed-size lock-free ring buffer of buffer-manager
-// events — a flight recorder: the event encoding and the coarse clock over a
-// metrics.Ring, which owns the slot protocol (wait-free writers, newest
-// overwrite oldest, a snapshot refuses and counts a slot it catches
-// mid-write rather than return it mixed).
+// events — a flight recorder: the event encoding over a metrics.Ring,
+// which owns the slot protocol (wait-free writers, newest overwrite
+// oldest, a snapshot refuses and counts a slot it catches mid-write
+// rather than return it mixed).
 //
 // A nil *Recorder is valid and records nothing, so call sites need no
 // enabled-checks.
 type Recorder struct {
-	ring  *metrics.Ring
-	clock atomic.Int64 // cached UnixNano, refreshed every clockEvery records
+	ring *metrics.Ring
 }
 
 // NewRecorder returns a recorder holding the most recent size events
@@ -110,23 +91,16 @@ func NewRecorder(size int) *Recorder {
 	return &Recorder{ring: metrics.NewRing(size, eventWords)}
 }
 
-// Record appends one event. Safe for concurrent use; no-op on a nil
-// recorder. An enabled record is one atomic increment plus six plain
-// atomic stores; the nanosecond clock is read only on a 1-in-clockEvery
-// sample of records (see Event.Time), after the event is in its slot.
+// Record appends one event stamped with the current time. Safe for
+// concurrent use; no-op on a nil recorder. An enabled record is one clock
+// read plus one Ring.Put; the record sites are transitions, never a
+// per-access or per-miss path.
 func (r *Recorder) Record(kind EventKind, arg1, arg2 uint64) {
 	if r == nil {
 		return
 	}
-	now := r.clock.Load()
-	if now == 0 {
-		now = time.Now().UnixNano()
-		r.clock.Store(now)
-	}
-	ev := [eventWords]uint64{uint64(kind), arg1, arg2, uint64(now)}
-	if i := r.ring.Put(ev[:]); (i+1)&(clockEvery-1) == 0 {
-		r.clock.Store(time.Now().UnixNano()) // for the clockEvery records after this one
-	}
+	ev := [eventWords]uint64{uint64(kind), arg1, arg2, uint64(time.Now().UnixNano())}
+	r.ring.Put(ev[:])
 }
 
 // Seq returns the number of events ever recorded (including overwritten

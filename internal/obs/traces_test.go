@@ -185,7 +185,7 @@ func TestTraceAndEventEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		rec.Record(EvEvict, uint64(i), 0)
+		rec.Record(EvQuarantinePark, uint64(i), 0)
 	}
 	reg.RegisterRecorder("shard 0", rec)
 	reg.RegisterTracer("pool", seedTracer(t))

@@ -198,9 +198,9 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 	}
 
 	// oracleFail attaches the shards' flight-recorder history to a failed
-	// oracle: the ring holds the last protocol steps (commits, evictions,
-	// quarantine traffic) leading up to the violation, which is usually
-	// exactly what a seed-replay debugging session needs first.
+	// oracle: the ring holds the last transitions (quarantine parks and
+	// flushes, health changes) leading up to the violation, which is
+	// usually exactly what a seed-replay debugging session needs first.
 	oracleFail := func(err error) error {
 		if err == nil {
 			return nil

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Nine checks and a
+# Fails when the docs name what the tree does not have. Ten checks and a
 # size cap:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
@@ -49,10 +49,17 @@
 #     that name, directly or through an embedded field. A span whose first
 #     part is all capitals (DESIGN.md) is a file name and is not read. An
 #     allow-list entry is "DOC name" or "DOC Type.name".
+# 10. Every word of a back-quoted span of those three docs that contains a
+#     "/" and names a file (ends in .go, .sh, .json, .md or .yml) or starts
+#     with a top-level directory (internal/buffer, ./cmd/bpstat) must
+#     resolve from the repo root or from internal/ (buffer/shard.go); a
+#     word with a * is a glob and must match at least one path. A word
+#     starting with "/" is a URL path (/debug/events) and is not read. An
+#     allow-list entry is "DOC path".
 #  And DESIGN.md must stay at or under 60,000 bytes: it describes the code
 #  as it is, and what was goes to CHANGES.md.
 #
-# Checks 3 to 6, 8 and 9 read a back-quoted span only when it opens and
+# Checks 3 to 6 and 8 to 10 read a back-quoted span only when it opens and
 # closes on one line.
 # A name or reference that is only history goes on the allow-list below,
 # one per line, with no reason needed beyond the history it records.
@@ -303,4 +310,28 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         fail=1
     done
 done
+# Paths: the span's words that name a file or a top-level directory, each
+# looked up from the root and from internal/ with globbing on.
+tops="$(find . -mindepth 1 -maxdepth 1 -type d \( ! -name '.*' -o -name .github \) -exec basename {} \; |
+    sed 's/\./\\./g' | tr '\n' '|' | sed 's/|$//')"
+resolves() {
+    for base in . internal; do
+        for m in $base/$1; do [ -e "$m" ] && return 0; done
+    done
+    return 1
+}
+set -f
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for tok in $(grep -oE '`[^`]+`' "$doc" | tr -d '`' | tr -s ' \t' '\n\n' | grep '/' | grep -v '^/' |
+        sed 's,^\./,,' | grep -E "\.(go|sh|json|md|yml)\$|^($tops)(/|\$)" | sort -u); do
+        allowed "$doc $tok" && continue
+        set +f
+        if ! resolves "$tok"; then
+            echo "check_docs: $doc names \`$tok\`, which resolves from neither the root nor internal/" >&2
+            fail=1
+        fi
+        set -f
+    done
+done
+set +f
 exit $fail
