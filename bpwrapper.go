@@ -259,23 +259,19 @@ func NewChecksumDevice(backing Device) *storage.ChecksumDevice {
 // ---------------------------------------------------------------------------
 // Graceful degradation
 //
-// A failing device degrades its shard, not the pool: a shard's breaker and
-// quarantine pressure move it Healthy → Degraded (misses admission-
-// controlled) → ReadOnly (misses shed with ErrOverloaded, resident pages
-// still served). PoolConfig.WrapShardDevice composes each shard's device
-// stack; DESIGN.md §11 has the full degradation contract.
+// A failing device degrades its shard, not the pool: a shard's quarantine
+// pressure moves it Healthy → Degraded (misses admission-controlled) →
+// ReadOnly (misses shed with ErrOverloaded, resident pages still served),
+// and Pool.SetReadOnly lowers every shard to ReadOnly for a drain.
+// PoolConfig.WrapShardDevice composes each shard's device stack; DESIGN.md
+// §11 has the full degradation contract.
 
-// Degradation errors, from a shard that sheds a miss or a device stack with
-// a breaker or deadlines. None of them is retryable: ErrOverloaded and
-// ErrBreakerOpen are load-shedding feedback (retrying into an open breaker
-// is how brownouts spread), and a deadline miss means the operation was
-// abandoned, not that it failed transiently.
+// Degradation errors, from a shard that sheds a miss or refuses a dirty
+// eviction. Neither is retryable: they are load-shedding feedback, and
+// retrying at once is the load the shed exists to refuse.
 var (
-	ErrBreakerOpen      = storage.ErrBreakerOpen
-	ErrDeadlineExceeded = storage.ErrDeadlineExceeded
-	ErrDeviceCanceled   = storage.ErrCanceled
-	ErrOverloaded       = buffer.ErrOverloaded
-	ErrQuarantineFull   = buffer.ErrQuarantineFull
+	ErrOverloaded     = buffer.ErrOverloaded
+	ErrQuarantineFull = buffer.ErrQuarantineFull
 )
 
 // ---------------------------------------------------------------------------

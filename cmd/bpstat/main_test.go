@@ -8,15 +8,13 @@ import (
 
 	"bpwrapper"
 	"bpwrapper/internal/server"
-	"bpwrapper/internal/storage"
 )
 
 // TestEverySeriesBpstatReadsIsEmitted holds bpstat's string literals to the
 // registry: a misspelt or retired bpw_* name renders as 0, not as an
 // error, so nothing else would notice. Every name main.go quotes must
 // come back from the /debug/vars of a process that registers what
-// bpserver -controller -trace registers, over a pool whose shard stacks
-// carry a breaker and a deadline.
+// bpserver -controller -trace registers.
 func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -38,10 +36,6 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 		Device:        bpwrapper.NewMemDevice(),
 		RecorderSize:  64,
 		Trace:         bpwrapper.TraceConfig{Enable: true},
-		WrapShardDevice: func(_ int, base bpwrapper.Device) bpwrapper.Device {
-			bounded := storage.NewDeadlineDevice(base, storage.DeadlineConfig{})
-			return storage.NewBreakerDevice(bounded, storage.BreakerConfig{})
-		},
 	})
 	defer pool.Close()
 	bw := pool.StartBackgroundWriter(bpwrapper.BackgroundWriterConfig{})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -12,15 +13,14 @@ import (
 )
 
 // The chaos experiment (E16) drives the graceful-degradation machinery —
-// per-shard circuit breakers, miss admission control, quarantine-pressure
-// health — through four scripted fault scenarios and reports the
+// quarantine-pressure health and miss admission control — through two
+// scripted fault scenarios on one shard of two and reports the
 // machinery's event counts. Unlike the torture chaos scenarios (which use
-// wall-clock deadlines and concurrency), E16 is built to be byte-for-byte
-// reproducible: a scripted tick clock replaces time.Now inside the
-// breaker, retry backoffs are no-op sleeps, fault rates are only 0 or 1,
-// and one goroutine drives every operation in a fixed order. The
-// committed results/BENCH_chaos.json is therefore a behavioural baseline:
-// a diff after a change to internal/buffer or internal/storage is a real
+// concurrency), E16 is built to be byte-for-byte reproducible: retry
+// backoffs are no-op sleeps, fault rates are only 0 or 1, and one
+// goroutine drives every operation in a fixed order. The committed
+// results/BENCH_chaos.json is therefore a behavioural baseline: a diff
+// after a change to internal/buffer or internal/storage is a real
 // protocol difference, not scheduling noise.
 
 // ChaosRow is one scenario's event ledger.
@@ -28,9 +28,6 @@ type ChaosRow struct {
 	Scenario           string `json:"scenario"`
 	Misses             int64  `json:"misses"`
 	Shed               int64  `json:"shed"`
-	BreakerTrips       int64  `json:"breaker_trips"`
-	BreakerRejections  int64  `json:"breaker_rejections"`
-	Probes             int64  `json:"probes"`
 	QuarantineRefusals int64  `json:"quarantine_refusals"`
 	PeakHealth         string `json:"peak_health"`
 	FinalHealth        string `json:"final_health"`
@@ -45,27 +42,8 @@ type ChaosReport struct {
 	Rows       []ChaosRow `json:"rows"`
 }
 
-// tickClock is a scripted clock: every reading advances a fixed step, so
-// "latency" under it is a function of the operation sequence alone. The
-// step is the scenario's brownout knob — raising it past the breaker's
-// SLO makes every operation measure slow without any wall time passing.
-type tickClock struct {
-	t    time.Time
-	step time.Duration
-}
-
-func newTickClock() *tickClock {
-	return &tickClock{t: time.Unix(1000, 0), step: 100 * time.Microsecond}
-}
-
-func (c *tickClock) Now() time.Time {
-	c.t = c.t.Add(c.step)
-	return c.t
-}
-
 const (
 	chaosTable  = 0x7e
-	chaosSLO    = time.Millisecond // tick step 100µs is fast, 2ms is a brownout
 	chaosShards = 2
 	chaosHot    = 2 // resident pages per shard
 	chaosCold   = 6 // miss-provoking pages per shard
@@ -83,24 +61,18 @@ func chaosStamp(id page.PageID, version int) page.PageID {
 type chaosRun struct {
 	pool     *buffer.Pool
 	mem      *storage.MemDevice
-	clocks   []*tickClock // one per shard: a brownout slows only its shard
 	faults   []*storage.FaultDevice
-	breakers []*storage.BreakerDevice
 	ids      [][]page.PageID // per shard: hot ids first, then cold
 	versions map[page.PageID]int
 	ses      *buffer.Session
 	row      *ChaosRow
 }
 
-// buildChaosRun assembles the per-shard resilience stacks. minSamples
-// lets the quarantine scenario park its breaker (a breaker that trips
-// would shed the misses the quarantine ladder is supposed to drive).
-func buildChaosRun(seed int64, scenario string, minSamples int) *chaosRun {
+// buildChaosRun assembles the per-shard Fault→Checksum→Retry stacks.
+func buildChaosRun(seed int64, scenario string) *chaosRun {
 	r := &chaosRun{
 		mem:      storage.NewMemDevice(),
-		clocks:   make([]*tickClock, chaosShards),
 		faults:   make([]*storage.FaultDevice, chaosShards),
-		breakers: make([]*storage.BreakerDevice, chaosShards),
 		versions: map[page.PageID]int{},
 		row:      &ChaosRow{Scenario: scenario},
 	}
@@ -112,29 +84,13 @@ func buildChaosRun(seed int64, scenario string, minSamples int) *chaosRun {
 		Device:        r.mem,
 		QuarantineCap: 2 * chaosShards,
 		WrapShardDevice: func(shard int, base storage.Device) storage.Device {
-			r.clocks[shard] = newTickClock()
 			r.faults[shard] = storage.NewFaultDevice(base, storage.FaultConfig{Seed: seed + int64(shard)})
-			retry := storage.NewRetryDevice(storage.NewChecksumDevice(r.faults[shard]), storage.RetryConfig{
+			return storage.NewRetryDevice(storage.NewChecksumDevice(r.faults[shard]), storage.RetryConfig{
 				MaxAttempts: 2,
 				Sleep:       func(time.Duration) {}, // no wall time in the ladder
 				Jitter:      -1,
 				Seed:        seed,
 			})
-			dl := storage.NewDeadlineDevice(retry, storage.DeadlineConfig{
-				ReadDeadline:  time.Hour, // present in the stack, never firing:
-				WriteDeadline: time.Hour, // deadline timing is wall-clock, not scripted
-			})
-			r.breakers[shard] = storage.NewBreakerDevice(dl, storage.BreakerConfig{
-				Window:         16,
-				MinSamples:     minSamples,
-				LatencySLO:     chaosSLO,
-				OpenTimeout:    10 * time.Millisecond, // 100 ticks at the fast step
-				ProbeProb:      1,
-				HalfOpenProbes: 2,
-				Seed:           seed,
-				Now:            r.clocks[shard].Now,
-			})
-			return r.breakers[shard]
 		},
 	})
 	// Partition ids by owning shard and seed version 0 below the stacks.
@@ -204,28 +160,17 @@ func parseHealth(s string) buffer.HealthState {
 	}
 }
 
-// finish heals, walks the breaker back closed, closes the pool, and
+// finish heals the device, drains the quarantine, closes the pool, and
 // scores the zero-lost-dirty oracle against the raw device.
 func (r *chaosRun) finish() error {
 	r.faults[0].SetReadFailRate(0)
 	r.faults[0].SetWriteFailRate(0)
-	r.clocks[0].step = 100 * time.Microsecond
-	// Walk the open timeout off the scripted clock and feed probes until
-	// the breaker re-closes (HalfOpenProbes successes; cap the walk so a
-	// regression cannot loop forever).
-	cold := r.ids[0][chaosHot:]
-	for i := 0; i < 300 && r.breakers[0].State() != storage.BreakerClosed; i++ {
-		if ref, err := r.pool.Get(r.ses, cold[i%len(cold)]); err == nil {
-			ref.Release()
-		}
-	}
-	recovered := r.breakers[0].State() == storage.BreakerClosed
 	if _, err := r.pool.FlushDirty(); err != nil { // drain parked quarantine writes
 		return fmt.Errorf("chaos %s: flush after healing: %w", r.row.Scenario, err)
 	}
 	st := r.pool.Stats()
 	r.row.FinalHealth = st.PerShard[0].Health.String()
-	r.row.Recovered = recovered && st.PerShard[0].Health == buffer.Healthy
+	r.row.Recovered = st.PerShard[0].Health == buffer.Healthy
 	if err := r.pool.Close(); err != nil {
 		return fmt.Errorf("chaos %s: close after healing: %w", r.row.Scenario, err)
 	}
@@ -238,10 +183,6 @@ func (r *chaosRun) finish() error {
 			r.row.LostPages++
 		}
 	}
-	bs := r.breakers[0].BreakerStats()
-	r.row.BreakerTrips = bs.Trips
-	r.row.BreakerRejections = bs.Rejections
-	r.row.Probes = bs.Probes
 	r.row.Misses = st.Misses
 	r.row.Shed = st.Shed
 	r.row.QuarantineRefusals = st.PerShard[0].QuarantineRefusals
@@ -250,11 +191,7 @@ func (r *chaosRun) finish() error {
 
 // chaosScenario runs one scripted campaign and returns its row.
 func chaosScenario(seed int64, scenario string) (ChaosRow, error) {
-	minSamples := 4
-	if scenario == "quarantine" {
-		minSamples = 1000 // breaker parked: quarantine depth drives health alone
-	}
-	r := buildChaosRun(seed, scenario, minSamples)
+	r := buildChaosRun(seed, scenario)
 
 	// Warm the hot set (resident + dirty) on every shard.
 	for s := 0; s < chaosShards; s++ {
@@ -267,9 +204,7 @@ func chaosScenario(seed int64, scenario string) (ChaosRow, error) {
 
 	// Inject the scenario's fault on shard 0.
 	switch scenario {
-	case "brownout":
-		r.clocks[0].step = 2 * chaosSLO // shard 0's ops now measure past the SLO
-	case "harddown", "recovery":
+	case "harddown":
 		r.faults[0].SetReadFailRate(1)
 		r.faults[0].SetWriteFailRate(1)
 	case "quarantine":
@@ -286,13 +221,25 @@ func chaosScenario(seed int64, scenario string) (ChaosRow, error) {
 	cold := func(s, i int) page.PageID { return r.ids[s][chaosHot+i%chaosCold] }
 	for i := 0; i < 24; i++ {
 		if scenario == "quarantine" {
-			if err := r.write(cold(0, i)); err == nil {
-				// dirty page loaded; the next misses will evict it into a
-				// failing write-back and park it
-				_ = err
+			// A loaded page is dirtied, and the next misses evict it into
+			// a failing write-back that parks it. A miss may be shed or
+			// find every victim refused by a full quarantine (which
+			// ErrQuarantineFull wraps); anything else is a fault.
+			err := r.write(cold(0, i))
+			if err != nil && !errors.Is(err, buffer.ErrOverloaded) && !errors.Is(err, buffer.ErrNoUnpinnedBuffers) {
+				return ChaosRow{}, fmt.Errorf("chaos %s: sick-shard write: %w", scenario, err)
 			}
-		} else if ref, err := r.pool.Get(r.ses, cold(0, i)); err == nil {
-			ref.Release()
+		} else {
+			// Every read fails, so a miss returns the device's transient
+			// error or is shed; a miss that loads is a fault.
+			ref, err := r.pool.Get(r.ses, cold(0, i))
+			if err == nil {
+				ref.Release()
+				return ChaosRow{}, fmt.Errorf("chaos %s: sick-shard miss loaded from a dead device", scenario)
+			}
+			if !errors.Is(err, buffer.ErrOverloaded) && !storage.Retryable(err) {
+				return ChaosRow{}, fmt.Errorf("chaos %s: sick-shard miss: %w", scenario, err)
+			}
 		}
 		r.observe()
 		for _, id := range r.ids[0][:chaosHot] {
@@ -319,7 +266,7 @@ func chaosScenario(seed int64, scenario string) (ChaosRow, error) {
 func ChaosExperiment(o Options) (*ChaosReport, error) {
 	o = o.withDefaults()
 	rep := &ChaosReport{Experiment: "chaos", Seed: o.Seed}
-	for _, sc := range []string{"brownout", "harddown", "quarantine", "recovery"} {
+	for _, sc := range []string{"harddown", "quarantine"} {
 		row, err := chaosScenario(o.Seed, sc)
 		if err != nil {
 			return nil, err
@@ -331,12 +278,11 @@ func ChaosExperiment(o Options) (*ChaosReport, error) {
 
 // PrintChaos renders the ledger as a table.
 func PrintChaos(w io.Writer, rep *ChaosReport) {
-	fmt.Fprintln(w, "Chaos scenarios (E16) — graceful-degradation event ledger (scripted clock, deterministic)")
-	fmt.Fprintf(w, "  %-10s %7s %6s %6s %7s %7s %8s %-10s %-10s %-9s %5s\n",
-		"scenario", "misses", "shed", "trips", "reject", "probes", "quarref", "peak", "final", "recovered", "lost")
+	fmt.Fprintln(w, "Chaos scenarios (E16) — graceful-degradation event ledger (scripted, deterministic)")
+	fmt.Fprintf(w, "  %-10s %7s %6s %8s %-10s %-10s %-9s %5s\n",
+		"scenario", "misses", "shed", "quarref", "peak", "final", "recovered", "lost")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "  %-10s %7d %6d %6d %7d %7d %8d %-10s %-10s %-9v %5d\n",
-			r.Scenario, r.Misses, r.Shed, r.BreakerTrips, r.BreakerRejections,
-			r.Probes, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.Recovered, r.LostPages)
+		fmt.Fprintf(w, "  %-10s %7d %6d %8d %-10s %-10s %-9v %5d\n",
+			r.Scenario, r.Misses, r.Shed, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.Recovered, r.LostPages)
 	}
 }

@@ -49,18 +49,13 @@ func TestChaosScenarioShapes(t *testing.T) {
 			t.Errorf("%s: shard did not return to Healthy after healing: %+v", r.Scenario, r)
 		}
 	}
-	for _, sc := range []string{"brownout", "harddown", "recovery"} {
-		if byName[sc].BreakerTrips == 0 {
-			t.Errorf("%s: breaker never tripped: %+v", sc, byName[sc])
-		}
+	// Failed reads park nothing, so a dead device with resident dirty
+	// pages never fills the quarantine and the shard sheds nothing; failed
+	// write-backs of dirty victims fill it and the shard sheds.
+	if r := byName["harddown"]; r.Shed != 0 || r.PeakHealth != "healthy" {
+		t.Errorf("harddown: shed without quarantine pressure: %+v", r)
 	}
-	if byName["harddown"].Shed == 0 {
-		t.Errorf("harddown: no miss shed while shard was down: %+v", byName["harddown"])
-	}
-	if byName["quarantine"].BreakerTrips != 0 {
-		t.Errorf("quarantine: breaker should be parked, tripped anyway: %+v", byName["quarantine"])
-	}
-	if byName["quarantine"].PeakHealth == "healthy" {
-		t.Errorf("quarantine: write-fault pressure never degraded the shard: %+v", byName["quarantine"])
+	if r := byName["quarantine"]; r.Shed == 0 || r.PeakHealth != "read-only" {
+		t.Errorf("quarantine: write-fault pressure never took the shard read-only: %+v", r)
 	}
 }

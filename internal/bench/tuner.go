@@ -58,12 +58,10 @@ type TunerSwapPhase struct {
 	MeasuredAccess int64         `json:"measured_accesses"`
 }
 
-// TunerReport is the full E19 result. HitFrames is E14's frame budget
-// (ShardHitFrames), kept so the ledger's keys stay stable.
+// TunerReport is the full E19 result.
 type TunerReport struct {
 	Experiment string         `json:"experiment"`
 	Seed       int64          `json:"seed"`
-	HitFrames  int            `json:"hit_frames"`
 	Swap       TunerSwapPhase `json:"swap"`
 }
 
@@ -74,7 +72,6 @@ func TunerExperiment(o Options) (*TunerReport, error) {
 	rep := &TunerReport{
 		Experiment: "tuner",
 		Seed:       o.Seed,
-		HitFrames:  ShardHitFrames,
 	}
 	swap, err := tunerSwapPhase()
 	if err != nil {
@@ -183,7 +180,7 @@ func tunerSwapPhase() (TunerSwapPhase, error) {
 
 // PrintTuner renders the experiment.
 func PrintTuner(w io.Writer, rep *TunerReport) {
-	fmt.Fprintln(w, "Self-tuning pool (E19) — controller vs misconfigured topology and policy")
+	fmt.Fprintln(w, "Self-tuning pool (E19) — controller vs a misconfigured policy")
 	s := rep.Swap
 	fmt.Fprintf(w, "\nPhase B — policy hot-swap (loop of %d pages over %d frames)\n", s.LoopPages, s.Frames)
 	fmt.Fprintf(w, "  static %-9s %6.2f%%\n", s.Configured, 100*s.StaticRatio)

@@ -4,21 +4,20 @@
 // extends that contract to device failures. Hits never consult health at
 // all — a resident page is served from memory regardless of how sick the
 // device is. Misses, which must touch the device, pass an admission check
-// driven by two signals the shard already has: the circuit-breaker state
-// of its device stack and the depth of its dirty quarantine. A shard
-// degrades in two steps instead of queueing unbounded work behind a dead
-// device:
+// driven by two inputs: the depth of the shard's dirty quarantine, and the
+// read-only floor an operator lowers with Pool.SetReadOnly (bpserver's
+// drain). A shard degrades in two steps instead of queueing unbounded
+// work behind a device whose writes fail:
 //
 //	Healthy   — misses flow freely.
-//	Degraded  — the breaker is probing (half-open) or the quarantine is
-//	            half full: misses are admission-controlled to a bounded
-//	            number in flight; the excess is shed with ErrOverloaded
-//	            instead of queued.
-//	ReadOnly  — the breaker is open or the quarantine is at capacity:
+//	Degraded  — the quarantine is half full: misses are admission-
+//	            controlled to a bounded number in flight; the excess is
+//	            shed with ErrOverloaded instead of queued.
+//	ReadOnly  — the quarantine is at capacity or the floor is lowered:
 //	            every miss is shed immediately. Resident pages keep
 //	            serving (including writes to them — the data is safe in
 //	            memory and the quarantine protocol keeps eviction
-//	            lossless), so one dead device degrades its shard to an
+//	            lossless), so one sick device degrades its shard to an
 //	            in-memory cache instead of an error fountain.
 //
 // Health is computed pull-style on the miss path and at metrics scrapes —
@@ -33,13 +32,13 @@ import (
 
 	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/storage"
 )
 
 // ErrOverloaded is returned when a miss is shed by admission control
-// because the owning shard is degraded or read-only. The page is not
-// cached and the device was not touched; callers should back off or
-// serve degraded results. It deliberately does not wrap ErrTransient:
+// because the owning shard is degraded (quarantine half full, too many
+// misses in flight) or read-only (quarantine full, or the SetReadOnly
+// floor lowered). The page is not cached and the device was not
+// touched; callers should back off or serve degraded results. It deliberately does not wrap ErrTransient:
 // retrying immediately is exactly the load the shed exists to refuse.
 var ErrOverloaded = errors.New("buffer: shard overloaded, miss shed by admission control")
 
@@ -93,34 +92,23 @@ type healthState struct {
 	// bounds dirty evictions.
 	disabled bool
 
-	// forced pins the shard at ReadOnly regardless of breaker or
-	// quarantine state (Pool.SetReadOnly): the graceful-drain floor a
-	// network front-end lowers before flushing, so misses shed with
-	// ErrOverloaded while resident pages keep serving. An operator
+	// forced pins the shard at ReadOnly regardless of quarantine state
+	// (Pool.SetReadOnly): the graceful-drain floor a network front-end
+	// lowers before flushing, so misses shed with ErrOverloaded while
+	// resident pages keep serving. An operator
 	// action, not a health verdict — it overrides disabled too.
 	forced atomic.Bool
-
-	breaker  *storage.BreakerDevice  // nil when the shard's stack has none
-	deadline *storage.DeadlineDevice // nil when the shard's stack has none
 
 	shed              atomic.Int64 // misses refused with ErrOverloaded
 	healthTransitions atomic.Int64
 	quarRefusals      atomic.Int64 // dirty victims passed over by an eviction walk because the quarantine was full
 }
 
-// wireHealth probes the shard's device stack for resilience layers. Called
-// once per shard from New.
-func (sh *shard) wireHealth() {
-	sh.maxInflight = maxInflightMisses
-	sh.breaker, _ = storage.FindBreaker(sh.device)
-	sh.deadline, _ = storage.FindDeadline(sh.device)
-}
-
 // evalHealth recomputes the shard's health from its two inputs and
 // latches the result, recording a flight-recorder event on change. It
-// is called on the miss path (where its cost — two atomic loads, the
-// quarantine's length and the breaker's state — is noise next to the
-// device read it gates) and at metrics scrapes.
+// is called on the miss path (where its cost — an atomic load and the
+// quarantine's length — is noise next to the device read it gates) and
+// at metrics scrapes.
 func (sh *shard) evalHealth() HealthState {
 	if sh.forced.Load() {
 		return sh.latchHealth(ReadOnly)
@@ -135,14 +123,6 @@ func (sh *shard) evalHealth() HealthState {
 		st = ReadOnly
 	case 2*q >= sh.quarCap:
 		st = Degraded
-	}
-	if sh.breaker != nil && st != ReadOnly {
-		switch sh.breaker.State() {
-		case storage.BreakerOpen:
-			st = ReadOnly
-		case storage.BreakerHalfOpen:
-			st = Degraded
-		}
 	}
 	return sh.latchHealth(st)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/storage"
 )
 
@@ -29,8 +28,6 @@ func (d *blockingReadDevice) ReadPage(id page.PageID, p *page.Page) error {
 	return d.Device.ReadPage(id, p)
 }
 
-func (d *blockingReadDevice) Backing() storage.Device { return d.Device }
-
 // panicDevice panics on writes when armed, to exercise the background
 // writer's panic containment.
 type panicDevice struct {
@@ -43,18 +40,6 @@ func (d *panicDevice) WritePage(p *page.Page) error {
 		panic("injected write panic")
 	}
 	return d.Device.WritePage(p)
-}
-
-func (d *panicDevice) Backing() storage.Device { return d.Device }
-
-// shardBreaker fetches the breaker from a shard's device stack.
-func shardBreaker(t *testing.T, p *Pool, i int) *storage.BreakerDevice {
-	t.Helper()
-	b, ok := storage.FindBreaker(p.shards[i].device)
-	if !ok {
-		t.Fatalf("shard %d has no breaker in its device stack", i)
-	}
-	return b
 }
 
 // TestHealthQuarantinePressureDegrades walks a shard down the full
@@ -151,144 +136,141 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	}
 }
 
-// breakerPool builds a two-shard pool where each shard's I/O runs through
-// its own FaultDevice+BreakerDevice stack, so one shard's faults cannot
-// trip the other's breaker.
-func breakerPool(t *testing.T, bcfg storage.BreakerConfig) (*Pool, *storage.MemDevice, []*storage.FaultDevice) {
-	t.Helper()
+// faultShardPool builds a two-shard pool where each shard issues its I/O
+// through its own FaultDevice, so one shard's faults reach only that
+// shard's quarantine. The quarantine holds two pages per shard.
+func faultShardPool() (*Pool, *storage.MemDevice, []*storage.FaultDevice) {
 	mem := storage.NewMemDevice()
 	faults := make([]*storage.FaultDevice, 2)
 	p := New(Config{
 		Frames:        8,
 		Shards:        2,
-		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
+		PolicyFactory: factoryOf("lru"),
 		Device:        mem,
+		QuarantineCap: 4,
 		WrapShardDevice: func(shard int, base storage.Device) storage.Device {
 			faults[shard] = storage.NewFaultDevice(base, storage.FaultConfig{})
-			return storage.NewBreakerDevice(faults[shard], bcfg)
+			return faults[shard]
 		},
 	})
 	return p, mem, faults
 }
 
-// TestHealthBreakerIsolatesSickShard trips one shard's breaker with read
-// faults and checks the blast radius: that shard goes ReadOnly (misses
-// shed before the device, resident pages keep serving) while the other
-// shard stays Healthy and serves misses untouched.
-func TestHealthBreakerIsolatesSickShard(t *testing.T) {
-	p, _, faults := breakerPool(t, storage.BreakerConfig{
-		Window:      8,
-		MinSamples:  4,
-		OpenTimeout: time.Hour, // stays open for the whole test
-	})
-	s := p.NewSession()
+// sickenShard0 fills shard 0's four frames with two resident pages and two
+// dirty ones, fails the shard's writes, and misses twice: each miss parks
+// a dirty victim whose write-back failed, taking the shard to Degraded at
+// one parked page and ReadOnly at two. It returns the resident pages, the
+// dirtied ones, and ids of shard 0 that were never loaded.
+func sickenShard0(t *testing.T, p *Pool, s *Session, fault *storage.FaultDevice) (resident, dirty, cold []page.PageID) {
+	t.Helper()
+	ids := idsInShard(p, 0, 8, 1)
+	resident, dirty, cold = ids[:2], ids[2:4], ids[4:]
+	get := func(id page.PageID) {
+		t.Helper()
+		ref, err := p.Get(s, id)
+		if err != nil {
+			t.Fatalf("Get(%v): %v", id, err)
+		}
+		ref.Release()
+	}
+	for _, id := range resident {
+		get(id)
+	}
+	for _, id := range dirty {
+		dirtyPage(t, p, s, id)
+	}
+	for _, id := range resident {
+		get(id) // the dirty pages are now the LRU victims
+	}
+	fault.SetWriteFailRate(1)
+	for i, want := range []HealthState{Degraded, ReadOnly} {
+		get(cold[i])
+		if st := p.Stats().PerShard[0]; st.Health != want || st.Quarantined != i+1 {
+			t.Fatalf("after %d parked write-backs: health=%v quarantined=%d, want %v", i+1, st.Health, st.Quarantined, want)
+		}
+	}
+	return resident, dirty, cold[2:]
+}
 
-	shard0 := idsInShard(p, 0, 4, 1)
-	shard1 := idsInShard(p, 1, 4, 10_000)
-	for _, id := range append(append([]page.PageID{}, shard0[:2]...), shard1[:2]...) {
+// TestHealthQuarantineIsolatesSickShard fails one shard's writes until
+// its quarantine fills and checks the blast radius: that shard goes
+// ReadOnly (misses shed before the device, resident pages keep serving)
+// while the other shard stays Healthy and serves misses untouched.
+func TestHealthQuarantineIsolatesSickShard(t *testing.T) {
+	p, _, faults := faultShardPool()
+	s := p.NewSession()
+	shard1 := idsInShard(p, 1, 6, 10_000)
+	for _, id := range shard1[:2] {
 		ref, err := p.Get(s, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref.Release()
 	}
+	resident, _, cold := sickenShard0(t, p, s, faults[0])
 
-	// Fault shard 0's reads until its breaker trips (4 failures at the
-	// default 0.5 threshold with MinSamples 4).
-	faults[0].SetReadFailRate(1)
-	for i := 2; i < len(shard0); i++ {
-		p.Get(s, shard0[i]) // errors expected; feeding the breaker window
+	if _, err := p.Get(s, cold[0]); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("miss on a shard with a full quarantine: err=%v, want ErrOverloaded", err)
 	}
-	for i := 0; shardBreaker(t, p, 0).State() != storage.BreakerOpen; i++ {
-		if i >= 16 {
-			t.Fatal("breaker never opened under a 100% read-fault rate")
+
+	// Resident pages on both shards still serve from memory.
+	for _, id := range append(append([]page.PageID{}, resident...), shard1[:2]...) {
+		ref, err := p.Get(s, id)
+		if err != nil {
+			t.Fatalf("resident read of %v (shard %d) during the fault: %v", id, p.ShardOf(id), err)
 		}
-		p.Get(s, shard0[2+i%2])
+		ref.Release()
 	}
-
-	if _, err := p.Get(s, idsInShard(p, 0, 6, 1)[5]); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("miss on breaker-open shard: err=%v, want ErrOverloaded", err)
-	}
-	if h := p.Stats().PerShard[0].Health; h != ReadOnly {
-		t.Fatalf("sick shard health=%v, want ReadOnly", h)
-	}
-
-	// Resident pages on the sick shard still serve from memory.
-	ref, err := p.Get(s, shard0[0])
-	if err != nil {
-		t.Fatalf("resident read on breaker-open shard: %v", err)
-	}
-	ref.Release()
 
 	// The healthy shard is untouched: misses flow, health stays Healthy.
-	for _, id := range shard1 {
+	for _, id := range shard1[2:] {
 		ref, err := p.Get(s, id)
 		if err != nil {
 			t.Fatalf("healthy shard miss: %v", err)
 		}
 		ref.Release()
 	}
-	if h := p.Stats().PerShard[1].Health; h != Healthy {
-		t.Fatalf("healthy shard health=%v, want Healthy", h)
-	}
 	st := p.Stats()
-	if st.PerShard[0].BreakerState != storage.BreakerOpen {
-		t.Fatalf("ShardStats breaker state=%v, want open", st.PerShard[0].BreakerState)
+	if st.PerShard[0].Health != ReadOnly {
+		t.Fatalf("sick shard health=%v, want ReadOnly", st.PerShard[0].Health)
 	}
-	if st.PerShard[0].BreakerTrips == 0 {
-		t.Fatal("ShardStats did not report the breaker trip")
-	}
-	if !st.PerShard[1].HasBreaker || st.PerShard[1].BreakerState != storage.BreakerClosed {
-		t.Fatalf("healthy shard breaker state=%v (has breaker %v), want closed", st.PerShard[1].BreakerState, st.PerShard[1].HasBreaker)
+	if h := st.PerShard[1]; h.Health != Healthy || h.Quarantined != 0 || h.Shed != 0 {
+		t.Fatalf("healthy shard health=%v quarantined=%d shed=%d, want Healthy, 0, 0", h.Health, h.Quarantined, h.Shed)
 	}
 }
 
-// TestHealthBreakerRecovery closes the recovery loop that shedding could
-// otherwise deadlock: with the shard ReadOnly no miss reaches the device,
-// so the breaker's own open-timeout must surface through State() as
-// half-open, demoting the shard to Degraded, whose admitted misses are
-// the probes that re-close the circuit.
-func TestHealthBreakerRecovery(t *testing.T) {
-	p, _, faults := breakerPool(t, storage.BreakerConfig{
-		Window:         8,
-		MinSamples:     4,
-		OpenTimeout:    30 * time.Millisecond,
-		ProbeProb:      1, // every admitted op is a probe
-		HalfOpenProbes: 1,
-	})
+// TestHealthQuarantineRecovery closes the recovery loop: with the shard
+// ReadOnly no miss reaches the device, so recovery comes from the flush
+// that drains the quarantine once the device heals. The shard must then
+// return to Healthy, admit misses again, and have lost nothing.
+func TestHealthQuarantineRecovery(t *testing.T) {
+	p, mem, faults := faultShardPool()
 	s := p.NewSession()
-	shard0 := idsInShard(p, 0, 8, 1)
-
-	faults[0].SetReadFailRate(1)
-	for i := 0; i < 8 && shardBreaker(t, p, 0).State() != storage.BreakerOpen; i++ {
-		p.Get(s, shard0[i%4])
-	}
-	if st := shardBreaker(t, p, 0).State(); st != storage.BreakerOpen {
-		t.Fatalf("breaker state=%v after fault storm, want open", st)
-	}
-	if _, err := p.Get(s, shard0[4]); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("miss while open: err=%v, want ErrOverloaded", err)
+	_, dirty, cold := sickenShard0(t, p, s, faults[0])
+	if _, err := p.Get(s, cold[0]); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("miss while read-only: err=%v, want ErrOverloaded", err)
 	}
 
-	// Heal the device and let the open timeout lapse. The next miss must
-	// be admitted (Degraded) as a probe and close the circuit.
-	faults[0].SetReadFailRate(0)
-	time.Sleep(40 * time.Millisecond)
-	ref, err := p.Get(s, shard0[5])
-	if err != nil {
-		t.Fatalf("probe miss after open timeout: %v", err)
+	faults[0].SetWriteFailRate(0)
+	if _, err := p.FlushDirty(); err != nil {
+		t.Fatalf("flush after healing: %v", err)
 	}
-	ref.Release()
-	if st := shardBreaker(t, p, 0).State(); st != storage.BreakerClosed {
-		t.Fatalf("breaker state=%v after successful probe, want closed", st)
+	if st := p.Stats().PerShard[0]; st.Health != Healthy || st.Quarantined != 0 {
+		t.Fatalf("after healing and flushing: health=%v quarantined=%d, want Healthy, 0", st.Health, st.Quarantined)
 	}
-	ref, err = p.Get(s, shard0[6])
+	ref, err := p.Get(s, cold[0])
 	if err != nil {
 		t.Fatalf("miss after recovery: %v", err)
 	}
 	ref.Release()
-	if h := p.Stats().PerShard[0].Health; h != Healthy {
-		t.Fatalf("shard health=%v after recovery, want Healthy", h)
+	for _, id := range dirty {
+		var back page.Page
+		if err := mem.ReadPage(id, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !back.VerifyStamp(id + stampShift) {
+			t.Fatalf("page %v lost across the degradation episode", id)
+		}
 	}
 }
 

@@ -122,17 +122,6 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		c("bpw_health_transitions_total", "health state changes", l, float64(ss.HealthTransitions))
 		c("bpw_quarantine_refusals_total", "dirty victims an eviction passed over because the quarantine was full", l, float64(ss.QuarantineRefusals))
 		g("bpw_miss_inflight", "admitted misses currently in flight", l, float64(ss.MissInflight))
-		if ss.HasBreaker {
-			g("bpw_breaker_state", "circuit breaker: 0 closed, 1 open, 2 half-open", l, float64(ss.BreakerState))
-			c("bpw_breaker_trips_total", "circuit-breaker trips", l, float64(ss.BreakerTrips))
-			c("bpw_breaker_rejections_total", "operations rejected while open", l, float64(ss.BreakerRejections))
-			c("bpw_breaker_probes_total", "half-open probe operations", l, float64(ss.BreakerProbes))
-			c("bpw_breaker_probe_failures_total", "probes that reopened the circuit", l, float64(ss.BreakerProbeFails))
-		}
-		if ss.HasDeadline {
-			c("bpw_deadline_timeouts_total", "device operations abandoned at their deadline", l, float64(ss.DeadlineTimeouts))
-			c("bpw_deadline_canceled_total", "device operations canceled by stop", l, float64(ss.DeadlineCanceled))
-		}
 		c("bpw_combiner_panics_total", "panics contained inside combiner drains", l, float64(ws.CombinerPanics))
 
 		// Flight-recorder pressure: how much history the ring has seen and

@@ -69,12 +69,10 @@ type Config struct {
 	// WrapShardDevice, when non-nil, builds a per-shard device stack over
 	// the shared Device: each shard issues its I/O through
 	// WrapShardDevice(shard, Device) instead of Device directly. This is
-	// how per-shard resilience layers (BreakerDevice, DeadlineDevice,
-	// RetryDevice) are attached so one shard's sick device cannot trip
-	// another shard's breaker. The pool probes each stack with
-	// storage.FindBreaker/FindDeadline and wires what it finds into that
-	// shard's health state machine. Pool.Stats().Device still reports the
-	// shared base device's counters.
+	// how per-shard layers (FaultDevice, ChecksumDevice, RetryDevice) are
+	// attached so one shard's sick device fills only that shard's
+	// quarantine and sheds only that shard's misses. Pool.Stats().Device
+	// still reports the shared base device's counters.
 	WrapShardDevice func(shard int, base storage.Device) storage.Device
 
 	// QuarantineCap bounds the dirty-quarantine list that parks victims
@@ -264,7 +262,6 @@ func New(cfg Config) *Pool {
 		// (ROADMAP 16(b) folds them with the shards).
 		sh := &shard{events: obs.NewRecorder(cfg.RecorderSize)}
 		sh.init(fn, cfg.PolicyFactory(fn), wcfg, dev, shardQuar)
-		sh.wireHealth()
 		p.shards[i] = sh
 	}
 	return p
@@ -314,8 +311,8 @@ func (s *Session) TraceID() uint64 { return s.trace.ID() }
 func (p *Pool) Tracer() *reqtrace.Tracer { return p.tracer }
 
 // SetReadOnly pins (or releases) every shard at the ReadOnly floor of the
-// health ladder, independent of breaker and quarantine state. While set,
-// misses are shed with ErrOverloaded but resident pages keep serving —
+// health ladder, independent of quarantine state. While set, misses are
+// shed with ErrOverloaded but resident pages keep serving —
 // including writes to them, which the quarantine protocol still evicts
 // losslessly. It is the graceful-drain hook for network front-ends: lower
 // the floor, let in-flight clients finish against resident pages, then
@@ -481,10 +478,10 @@ func (p *Pool) Close() error {
 // CloseWithin is Close with an explicit time budget: the flush-retry
 // ladder gives up as soon as the budget is exhausted instead of sleeping
 // out its remaining backoffs. A zero budget means unbounded (the full
-// ladder). The budget bounds the backoff sleeps between attempts; each
-// FlushDirty itself is bounded only by the device stack (a DeadlineDevice
-// in the stack is what makes the whole call promptly abortable against a
-// hung device). Giving up never loses data: unflushed pages stay dirty in
+// ladder). The budget bounds the backoff sleeps between attempts, not
+// the attempts: each FlushDirty waits on its device writes, so a device
+// that hangs blocks FlushDirty, and CloseWithin with it, until the write
+// returns. Giving up never loses data: unflushed pages stay dirty in
 // their frames or parked in the quarantine, and a later Close can retry.
 func (p *Pool) CloseWithin(budget time.Duration) error {
 	const attempts = 8
@@ -596,24 +593,12 @@ type ShardStats struct {
 	MissInflight       int64       // admitted misses in flight at snapshot time
 	Shed               int64       // misses refused with ErrOverloaded
 	QuarantineRefusals int64       // dirty victims an eviction passed over because the quarantine was full
-
-	// The resilience layers of the shard's device stack. A layer's fields
-	// are zero, and its Has flag false, when the stack has no such layer.
-	HasBreaker        bool
-	BreakerState      storage.BreakerState
-	BreakerTrips      int64
-	BreakerRejections int64
-	BreakerProbes     int64 // half-open probe operations
-	BreakerProbeFails int64 // probes that reopened the circuit
-	HasDeadline       bool
-	DeadlineTimeouts  int64 // device operations abandoned at their deadline
-	DeadlineCanceled  int64 // device operations canceled by stop
 }
 
 // add folds another snapshot into this one: the one fold behind the pool
 // total. Counters and
-// gauges sum and Health takes the worst; Policy and the Has flags and
-// BreakerState describe one shard and are not folded.
+// gauges sum and Health takes the worst; Policy describes one shard and
+// is not folded.
 func (ss *ShardStats) add(o ShardStats) {
 	ss.Frames += o.Frames
 	ss.Free += o.Free
@@ -639,12 +624,6 @@ func (ss *ShardStats) add(o ShardStats) {
 	ss.MissInflight += o.MissInflight
 	ss.Shed += o.Shed
 	ss.QuarantineRefusals += o.QuarantineRefusals
-	ss.BreakerTrips += o.BreakerTrips
-	ss.BreakerRejections += o.BreakerRejections
-	ss.BreakerProbes += o.BreakerProbes
-	ss.BreakerProbeFails += o.BreakerProbeFails
-	ss.DeadlineTimeouts += o.DeadlineTimeouts
-	ss.DeadlineCanceled += o.DeadlineCanceled
 }
 
 // Stats is a point-in-time operational snapshot of the pool.
@@ -694,16 +673,6 @@ func shardStatsOf(sh *shard) ShardStats {
 		MissInflight:       sh.missInflight.Load(),
 		Shed:               sh.shed.Load(),
 		QuarantineRefusals: sh.quarRefusals.Load(),
-	}
-	if sh.breaker != nil {
-		b := sh.breaker.BreakerStats()
-		ss.HasBreaker, ss.BreakerState = true, b.State
-		ss.BreakerTrips, ss.BreakerRejections = b.Trips, b.Rejections
-		ss.BreakerProbes, ss.BreakerProbeFails = b.Probes, b.ProbeFails
-	}
-	if sh.deadline != nil {
-		ss.HasDeadline = true
-		ss.DeadlineTimeouts, ss.DeadlineCanceled = sh.deadline.Timeouts(), sh.deadline.Canceled()
 	}
 	sh.freeMu.Lock()
 	ss.Free = len(sh.freeList)

@@ -107,7 +107,7 @@ type shard struct {
 	// policy (core.Session.MissSlot) without allocating.
 	claim func(replacer.Victim) bool
 
-	// healthState drives graceful degradation: breaker/quarantine-driven
+	// healthState drives graceful degradation: quarantine-driven
 	// health evaluation and miss admission control (see health.go).
 	healthState
 
@@ -121,8 +121,8 @@ type shard struct {
 	hp hitpathCounters
 
 	// events is the shard's flight recorder (nil when disabled): its
-	// evictions, quarantine parks and flushes, health changes, sheds and
-	// background-writer panics, in one history.
+	// quarantine parks and flushes, health changes and background-writer
+	// panics, in one history.
 	events *obs.Recorder
 }
 
@@ -434,6 +434,7 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	sh.quarantine = make(map[page.PageID]*page.Page)
 	sh.quarTrace = make(map[page.PageID]quarCtx)
 	sh.quarCap = quarCap
+	sh.maxInflight = maxInflightMisses
 	sh.tracer = wcfg.Tracer
 	sh.freeList = make([]*Frame, frames)
 	for i := range sh.frames {

@@ -47,10 +47,6 @@ func (d *ChecksumDevice) shard(id page.PageID) *sumShard {
 	return &d.shards[uint64(id)*0x9e3779b97f4a7c15>>58]
 }
 
-// Backing returns the wrapped device, letting callers walk a wrapper
-// stack.
-func (d *ChecksumDevice) Backing() Device { return d.backing }
-
 // ReadPage implements Device: it delegates and then verifies the page
 // against the checksum recorded at write time, if any.
 func (d *ChecksumDevice) ReadPage(id page.PageID, p *page.Page) error {

@@ -161,10 +161,6 @@ func (d *FaultDevice) SetSpikeWriteOnly(writeOnly bool) {
 // Spikes reports the latency spikes injected so far.
 func (d *FaultDevice) Spikes() int64 { return d.injectedSpikes.Load() }
 
-// Backing returns the wrapped device, letting callers walk a wrapper
-// stack.
-func (d *FaultDevice) Backing() Device { return d.backing }
-
 // Injected reports the faults injected so far: failed reads, failed
 // writes, and corrupted reads.
 func (d *FaultDevice) Injected() (reads, writes, corruptions int64) {

@@ -162,7 +162,7 @@ func TestFaultSpikeWriteOnly(t *testing.T) {
 }
 
 // TestFaultSetSpikeRuntime: SetSpike swaps the rate and latency at
-// runtime — the brownout chaos lever.
+// runtime.
 func TestFaultSetSpikeRuntime(t *testing.T) {
 	d := NewFaultDevice(NewMemDevice(), FaultConfig{})
 	var p page.Page

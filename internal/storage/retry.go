@@ -96,10 +96,6 @@ func (d *RetryDevice) Exhausted() int64 { return d.exhausted.Load() }
 // was cut short by Cancel closing.
 func (d *RetryDevice) CanceledBackoffs() int64 { return d.canceled.Load() }
 
-// Backing returns the wrapped device, letting callers walk a wrapper
-// stack.
-func (d *RetryDevice) Backing() Device { return d.backing }
-
 // canceled reports whether the Cancel channel has been closed.
 func (d *RetryDevice) cancelSignaled() bool {
 	if d.cfg.Cancel == nil {

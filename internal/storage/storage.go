@@ -33,8 +33,8 @@ type Device interface {
 	// writes a dirty victim straight out of the frame it has claimed —
 	// and that frame is refilled with another page the moment the call
 	// is over. An implementation that hands the write to another
-	// goroutine and may return before it finishes (DeadlineDevice) copies
-	// the page first.
+	// goroutine and may return before it finishes must copy the page
+	// first.
 	WritePage(p *page.Page) error
 
 	// Stats returns cumulative operation counters.
@@ -55,9 +55,6 @@ type DeviceStats struct {
 	WriteErrors  int64 // failed page writes (injected or real)
 	Retries      int64 // retry attempts performed by a RetryDevice
 	CorruptPages int64 // checksum mismatches detected by a ChecksumDevice
-
-	Timeouts          int64 // operations that missed a DeadlineDevice deadline
-	BreakerRejections int64 // operations fast-failed by an open BreakerDevice
 }
 
 // deviceCounters is the shared atomic implementation behind Stats.

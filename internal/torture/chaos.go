@@ -1,12 +1,13 @@
-// Chaos scenarios: targeted fault campaigns against the full resilience
-// stack — Breaker(Deadline(Retry(Checksum(Fault(mem))))) per shard — that
-// check the graceful-degradation contract end to end rather than the
-// statistical churn RunPool applies. Each scenario sickens exactly one
-// shard and asserts the blast radius: the sick shard degrades (misses
-// shed fast with buffer.ErrOverloaded, resident pages keep serving, dirty
-// data parks losslessly), every other shard stays Healthy, and after the
-// fault lifts the pool recovers and the zero-lost-dirty-page oracle holds
-// against the raw memory device.
+// Chaos scenarios: targeted fault campaigns against a per-shard
+// Retry(Checksum(Fault(mem))) stack that check the graceful-degradation
+// contract end to end rather than the statistical churn RunPool applies.
+// Each scenario sickens exactly one shard and asserts the blast radius:
+// the sick shard degrades as far as its quarantine drives it (misses shed
+// fast with buffer.ErrOverloaded exactly when the quarantine is full, and
+// fail with a device error before that), resident pages keep serving on
+// every shard, dirty data parks losslessly, every other shard stays
+// Healthy, and after the fault lifts the zero-lost-dirty-page oracle
+// holds against the raw memory device.
 package torture
 
 import (
@@ -24,23 +25,14 @@ import (
 type ChaosScenario string
 
 const (
-	// ChaosBrownout: the sick shard's device stays up but every operation
-	// takes longer than the breaker's latency SLO; the breaker must trip
-	// on slowness alone.
-	ChaosBrownout ChaosScenario = "brownout"
-
 	// ChaosHardDown: every device operation on the sick shard fails
-	// instantly; the breaker trips on error rate.
+	// instantly. A miss's dirty victim parks in the quarantine, filling
+	// it, and the shard goes ReadOnly.
 	ChaosHardDown ChaosScenario = "harddown"
 
-	// ChaosStuckWrite: writes on the sick shard hang far past the write
-	// deadline; the deadline layer abandons them, write-backs park in the
-	// quarantine, and shutdown stays prompt and lossless.
-	ChaosStuckWrite ChaosScenario = "stuckwrite"
-
-	// ChaosRecovery: a hard-down episode followed by healing; half-open
-	// probes must re-close the breaker and the shard must return to
-	// Healthy with shedding stopped.
+	// ChaosRecovery: a hard-down episode followed by healing; once the
+	// quarantine drains the shard must return to Healthy with shedding
+	// stopped.
 	ChaosRecovery ChaosScenario = "recovery"
 )
 
@@ -55,70 +47,49 @@ type ChaosConfig struct {
 
 // ChaosReport summarizes what the scenario observed.
 type ChaosReport struct {
-	Scenario         ChaosScenario
-	SickShard        int
-	PeakHealth       buffer.HealthState // worst sick-shard health observed
-	Shed             int64              // sick-shard misses refused with ErrOverloaded
-	BreakerTrips     int64
-	DeadlineTimeouts int64
-	ResidentReads    int64         // hot-set reads served during the fault window
-	HealthyMisses    int64         // cold misses served by healthy shards during the window
-	MaxShedMicros    int64         // slowest shed, µs — the "fail fast" budget check
-	CloseBounded     time.Duration // stuckwrite only: elapsed inside the bounded CloseWithin
-}
-
-// chaosStack is the per-shard resilience stack and the knobs the
-// scenarios turn.
-type chaosStack struct {
-	fault    *storage.FaultDevice
-	deadline *storage.DeadlineDevice
-	breaker  *storage.BreakerDevice
+	Scenario      ChaosScenario
+	SickShard     int
+	PeakHealth    buffer.HealthState // worst sick-shard health observed
+	Shed          int64              // sick-shard misses refused with ErrOverloaded
+	ResidentReads int64              // hot-set reads served during the fault window
+	HealthyMisses int64              // cold misses served by healthy shards during the window
+	MaxShedMicros int64              // slowest shed, µs — the "fail fast" budget check
 }
 
 const (
-	chaosSLO           = 10 * time.Millisecond
-	chaosReadDeadline  = 80 * time.Millisecond
-	chaosWriteDeadline = 25 * time.Millisecond
-	chaosOpenTimeout   = 150 * time.Millisecond
+	// chaosShedBudget bounds one shed miss: a shed touches no device, so
+	// anything near this is a miss queued where it should have failed.
+	chaosShedBudget = 80 * time.Millisecond
+	// chaosMisses is the number of never-resident ids per shard that the
+	// scenarios miss on.
+	chaosMisses = 8
+	// chaosQuarantine is each shard's quarantine capacity: one failed
+	// write-back fills the sick shard's.
+	chaosQuarantine = 1
 )
 
-// buildChaosPool assembles the sharded pool with one full resilience
-// stack per shard and preloads nothing: page content is seeded directly
-// into the raw memory device so the breaker windows start empty.
-func buildChaosPool(cfg ChaosConfig) (*buffer.Pool, *storage.MemDevice, []chaosStack) {
+// buildChaosPool assembles the sharded pool with one fault stack per
+// shard and preloads nothing: page content is seeded directly into the
+// raw memory device.
+func buildChaosPool(cfg ChaosConfig) (*buffer.Pool, *storage.MemDevice, []*storage.FaultDevice) {
 	mem := storage.NewMemDevice()
-	stacks := make([]chaosStack, cfg.Shards)
+	faults := make([]*storage.FaultDevice, cfg.Shards)
 	p := buffer.New(buffer.Config{
 		Frames:        cfg.Frames,
 		Shards:        cfg.Shards,
 		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
 		Device:        mem,
-		QuarantineCap: 2 * cfg.Shards, // small: quarantine pressure is a scenario signal
+		QuarantineCap: chaosQuarantine * cfg.Shards,
 		WrapShardDevice: func(shard int, base storage.Device) storage.Device {
-			st := &stacks[shard]
-			st.fault = storage.NewFaultDevice(base, storage.FaultConfig{Seed: cfg.Seed + int64(shard)})
-			retry := storage.NewRetryDevice(storage.NewChecksumDevice(st.fault), storage.RetryConfig{
+			faults[shard] = storage.NewFaultDevice(base, storage.FaultConfig{Seed: cfg.Seed + int64(shard)})
+			return storage.NewRetryDevice(storage.NewChecksumDevice(faults[shard]), storage.RetryConfig{
 				MaxAttempts: 2,
 				BaseBackoff: time.Millisecond,
 				Seed:        cfg.Seed,
 			})
-			st.deadline = storage.NewDeadlineDevice(retry, storage.DeadlineConfig{
-				ReadDeadline:  chaosReadDeadline,
-				WriteDeadline: chaosWriteDeadline,
-			})
-			st.breaker = storage.NewBreakerDevice(st.deadline, storage.BreakerConfig{
-				Window:         16,
-				MinSamples:     4,
-				LatencySLO:     chaosSLO,
-				OpenTimeout:    chaosOpenTimeout,
-				ProbeProb:      1, // deterministic: every half-open op probes
-				HalfOpenProbes: 2,
-				Seed:           cfg.Seed,
-			})
-			return st.breaker
 		},
 	})
-	return p, mem, stacks
+	return p, mem, faults
 }
 
 // chaosIDs partitions page ids by owning shard: ids[s] lists pages routed
@@ -150,6 +121,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Scenario == "" {
 		cfg.Scenario = ChaosHardDown
 	}
+	if cfg.Scenario != ChaosHardDown && cfg.Scenario != ChaosRecovery {
+		return nil, fmt.Errorf("chaos: unknown scenario %q", cfg.Scenario)
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
@@ -161,11 +135,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		cfg.HotSet = framesPerShard / 4
 	}
 	if cfg.HotSet >= framesPerShard {
-		return nil, fmt.Errorf("chaos seed %d: hot set %d must leave free frames in a %d-frame shard (free frames absorb failing misses without evicting)",
+		return nil, fmt.Errorf("chaos seed %d: hot set %d must leave frames to fill in a %d-frame shard",
 			cfg.Seed, cfg.HotSet, framesPerShard)
 	}
 
-	pool, mem, stacks := buildChaosPool(cfg)
+	pool, mem, faults := buildChaosPool(cfg)
 	rep := &ChaosReport{Scenario: cfg.Scenario, SickShard: 0}
 	fail := func(format string, args ...any) error {
 		err := fmt.Errorf("chaos %s seed %d: "+format, append([]any{cfg.Scenario, cfg.Seed}, args...)...)
@@ -175,12 +149,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return err
 	}
 
-	// Seed content directly into the raw device (below every wrapper) so
-	// the breaker windows start clean, then load each shard's hot set and
-	// dirty it to version 1. The shadow map tracks the last version
-	// written per page for the end oracle.
-	perShard := framesPerShard + 2 // hot set + cold ids used to provoke misses
-	ids := chaosIDs(pool, cfg.Shards, perShard)
+	// Seed content directly into the raw device (below every wrapper),
+	// then load each shard's hot set and dirty it to version 1. Per shard
+	// the ids are the hot set, the pages that fill the rest of the shard,
+	// and chaosMisses never-resident ids to miss on. The shadow map
+	// tracks the last version written per page for the end oracle.
+	ids := chaosIDs(pool, cfg.Shards, framesPerShard+chaosMisses)
 	versions := map[page.PageID]int{}
 	for _, l := range ids {
 		for _, id := range l {
@@ -214,109 +188,82 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			}
 		}
 	}
-
-	sick := &stacks[0]
-	cold := func(s, i int) page.PageID { return ids[s][cfg.HotSet+i%(perShard-cfg.HotSet)] }
-
-	// observe folds one sick-shard health sample into the report.
-	observe := func() buffer.HealthState {
-		h := pool.Stats().PerShard[0].Health
-		if h > rep.PeakHealth {
-			rep.PeakHealth = h
+	// Fill the sick shard with dirty pages, then touch its hot set again
+	// so that the fill pages are the LRU victims: every miss on the sick
+	// shard must now write a dirty victim back.
+	for _, id := range ids[0][cfg.HotSet:framesPerShard] {
+		if err := writeVersion(id, 1); err != nil {
+			return nil, fail("fill load: %v", err)
 		}
-		return h
+	}
+	for _, id := range ids[0][:cfg.HotSet] {
+		ref, err := pool.Get(ses, id)
+		if err != nil {
+			return nil, fail("hot-set touch: %v", err)
+		}
+		ref.Release()
 	}
 
-	// inject arms the scenario's fault on the sick shard.
-	switch cfg.Scenario {
-	case ChaosBrownout:
-		sick.fault.SetSpike(1, 3*chaosSLO)
-	case ChaosHardDown, ChaosRecovery:
-		sick.fault.SetReadFailRate(1)
-		sick.fault.SetWriteFailRate(1)
-	case ChaosStuckWrite:
-		sick.fault.SetSpikeWriteOnly(true)
-		sick.fault.SetSpike(1, 10*chaosWriteDeadline)
-	default:
-		return nil, fmt.Errorf("chaos: unknown scenario %q", cfg.Scenario)
-	}
-	heal := func() {
-		sick.fault.SetReadFailRate(0)
-		sick.fault.SetWriteFailRate(0)
-		sick.fault.SetSpike(0, 0)
-		sick.fault.SetSpikeWriteOnly(false)
-	}
-
-	// Phase 1 — trip: drive sick-shard misses until the breaker opens.
-	// Failing loads draw frames from the free list and return them, so
-	// the hot set's residency is never disturbed. Stuck writes trip
-	// through eviction write-backs instead: dirty the shard's free-frame
-	// pages and churn misses so dirty evictions hit the hung device.
-	if cfg.Scenario == ChaosStuckWrite {
-		// Dirty exactly the shard's free frames — no evictions, so the hot
-		// set stays resident and every hung write comes from FlushDirty.
-		for i := 0; i < framesPerShard-cfg.HotSet; i++ {
-			if err := writeVersion(cold(0, i), 1); err != nil {
-				return nil, fail("cold dirty load: %v", err)
+	miss := func(s, i int) page.PageID { return ids[s][framesPerShard+i%chaosMisses] }
+	// sickMiss issues one miss on the sick shard and holds it to the
+	// ladder: it sheds with ErrOverloaded, fast, exactly when the
+	// quarantine was full before it, and otherwise fails with the
+	// device's error.
+	sickMiss := func(i int) error {
+		st := pool.Stats().PerShard[0]
+		if st.Health > rep.PeakHealth {
+			rep.PeakHealth = st.Health
+		}
+		full := st.Quarantined >= chaosQuarantine
+		start := time.Now()
+		ref, err := pool.Get(ses, miss(0, i))
+		lat := time.Since(start)
+		switch {
+		case err == nil:
+			ref.Release()
+			return fail("sick-shard miss on %v succeeded against a dead device", miss(0, i))
+		case full && !errors.Is(err, buffer.ErrOverloaded):
+			return fail("sick-shard miss with the quarantine full returned %v, want ErrOverloaded", err)
+		case !full && errors.Is(err, buffer.ErrOverloaded):
+			return fail("sick-shard miss shed at quarantine %d/%d (health %v): %v", st.Quarantined, chaosQuarantine, st.Health, err)
+		case !full && !storage.Retryable(err):
+			return fail("sick-shard miss returned %v, want the device's transient error", err)
+		case full:
+			if us := lat.Microseconds(); us > rep.MaxShedMicros {
+				rep.MaxShedMicros = us
+			}
+			if lat > chaosShedBudget {
+				return fail("shed miss took %v, past the %v budget — sheds must not queue", lat, chaosShedBudget)
 			}
 		}
-		// FlushDirty pushes every dirty page into the hung device; the
-		// deadline abandons each write, so this returns (with an error)
-		// instead of hanging, and repeated rounds feed the breaker.
-		for i := 0; i < 6 && sick.breaker.State() == storage.BreakerClosed; i++ {
-			pool.FlushDirty() // errors expected: deadline-abandoned writes
-			observe()
+		return nil
+	}
+
+	// Phase 1 — park: kill the sick shard's device and miss until a dirty
+	// victim's failed write-back fills its quarantine.
+	faults[0].SetReadFailRate(1)
+	faults[0].SetWriteFailRate(1)
+	for i := 0; pool.Stats().PerShard[0].Quarantined < chaosQuarantine; i++ {
+		if i >= chaosMisses {
+			return nil, fail("quarantine never filled: %d/%d after %d misses", pool.Stats().PerShard[0].Quarantined, chaosQuarantine, i)
 		}
-		if sick.deadline.Timeouts() == 0 {
-			return nil, fail("no write was abandoned at its deadline against a hung device")
-		}
-	} else {
-		for i := 0; i < 4*16 && sick.breaker.State() == storage.BreakerClosed; i++ {
-			ref, err := pool.Get(ses, cold(0, i))
-			if err == nil {
-				ref.Release() // pre-trip op may still succeed (brownout: slow, not failed)
-			}
-			observe()
+		if err := sickMiss(i); err != nil {
+			return nil, err
 		}
 	}
-	if st := sick.breaker.State(); st == storage.BreakerClosed {
-		return nil, fail("breaker never left closed; trips=%d", sick.breaker.BreakerStats().Trips)
-	}
-	rep.BreakerTrips = sick.breaker.BreakerStats().Trips
-	rep.DeadlineTimeouts = sick.deadline.Timeouts()
 
 	// Phase 2 — degraded window: the contract assertions.
-	if h := observe(); h == buffer.Healthy {
-		return nil, fail("sick shard reports Healthy with its breaker tripped")
+	if h := pool.Stats().PerShard[0].Health; h != buffer.ReadOnly {
+		return nil, fail("sick shard health=%v with its quarantine full, want ReadOnly", h)
 	}
 	// (a) Sick-shard misses shed fast with ErrOverloaded.
 	shedBefore := pool.Stats().Shed
-	for i := 0; i < 8; i++ {
-		start := time.Now()
-		ref, err := pool.Get(ses, cold(0, i))
-		lat := time.Since(start)
-		if err == nil {
-			ref.Release() // Degraded admits a bounded few; only ReadOnly sheds all
-			continue
-		}
-		if !errors.Is(err, buffer.ErrOverloaded) {
-			if cfg.Scenario == ChaosStuckWrite || storage.Retryable(err) ||
-				errors.Is(err, storage.ErrDeadlineExceeded) || errors.Is(err, storage.ErrBreakerOpen) {
-				continue // half-open probe that failed; still within contract
-			}
-			return nil, fail("sick-shard miss returned %v, want ErrOverloaded or a fast device error", err)
-		}
-		if us := lat.Microseconds(); us > rep.MaxShedMicros {
-			rep.MaxShedMicros = us
-		}
-		if lat > chaosReadDeadline {
-			return nil, fail("shed miss took %v, past the %v deadline budget — sheds must not queue", lat, chaosReadDeadline)
+	for i := 0; i < chaosMisses; i++ {
+		if err := sickMiss(i); err != nil {
+			return nil, err
 		}
 	}
 	rep.Shed = pool.Stats().Shed - shedBefore
-	if cfg.Scenario != ChaosStuckWrite && rep.Shed == 0 {
-		return nil, fail("no sick-shard miss was shed while the breaker was open")
-	}
 	// (b) Resident pages keep serving on every shard, sick included.
 	for s := 0; s < cfg.Shards; s++ {
 		for _, id := range ids[s][:cfg.HotSet] {
@@ -342,8 +289,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	// (d) Healthy shards are untouched: misses flow, health stays Healthy.
 	for s := 1; s < cfg.Shards; s++ {
-		for i := 0; i < perShard-cfg.HotSet; i++ {
-			ref, err := pool.Get(ses, cold(s, i))
+		for i := 0; i < chaosMisses; i++ {
+			ref, err := pool.Get(ses, miss(s, i))
 			if err != nil {
 				return nil, fail("healthy shard %d miss failed during the fault: %v", s, err)
 			}
@@ -354,49 +301,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return nil, fail("healthy shard %d degraded to %v — blast radius leaked", s, h)
 		}
 	}
-	// (e) Stuck writes: shutdown must be promptly bounded, and give up
-	// without losing anything.
-	if cfg.Scenario == ChaosStuckWrite {
-		start := time.Now()
-		err := pool.CloseWithin(50 * time.Millisecond)
-		rep.CloseBounded = time.Since(start)
-		if err == nil {
-			return nil, fail("CloseWithin succeeded against a hung device")
-		}
-		if rep.CloseBounded > 2*time.Second {
-			return nil, fail("CloseWithin(50ms) took %v against a hung device", rep.CloseBounded)
-		}
-	}
 
-	// Phase 3 — heal and recover. The open timeout lapses, probes close
-	// the circuit, and the shard walks back to Healthy.
-	heal()
-	wait := chaosOpenTimeout + 20*time.Millisecond
-	if cfg.Scenario == ChaosStuckWrite {
-		// Abandoned writes are still sleeping out the injected spike while
-		// holding their per-page stripe locks; let them land (they carry
-		// older content, ordered before any fresh write by the stripe)
-		// before shutdown writes queue behind them under a tight deadline.
-		wait += 10 * chaosWriteDeadline
-	}
-	time.Sleep(wait)
+	// Phase 3 — heal. Recovery drains the quarantine with a flush and
+	// requires the shard to walk back to Healthy and stop shedding.
+	faults[0].SetReadFailRate(0)
+	faults[0].SetWriteFailRate(0)
 	if cfg.Scenario == ChaosRecovery {
-		deadline := time.Now().Add(5 * time.Second)
-		for sick.breaker.State() != storage.BreakerClosed {
-			if time.Now().After(deadline) {
-				return nil, fail("breaker never re-closed after healing (state %v)", sick.breaker.State())
-			}
-			if ref, err := pool.Get(ses, cold(0, int(time.Now().UnixNano())%4)); err == nil {
-				ref.Release()
-			}
+		if _, err := pool.FlushDirty(); err != nil {
+			return nil, fail("flush after healing: %v", err)
 		}
-		if h := observe(); h != buffer.Healthy {
-			return nil, fail("sick shard health=%v after breaker re-closed, want Healthy", h)
+		if h := pool.Stats().PerShard[0].Health; h != buffer.Healthy {
+			return nil, fail("sick shard health=%v after its quarantine drained, want Healthy", h)
 		}
-		// Shedding must stop once healthy.
 		shedAt := pool.Stats().Shed
-		for i := 0; i < perShard-cfg.HotSet; i++ {
-			ref, err := pool.Get(ses, cold(0, i))
+		for i := 0; i < chaosMisses; i++ {
+			ref, err := pool.Get(ses, miss(0, i))
 			if err != nil {
 				return nil, fail("post-recovery miss failed: %v", err)
 			}

@@ -99,7 +99,7 @@ func checkStatsConsistency(pool *buffer.Pool) error {
 // statsGauges are the integer fields of buffer.Stats that describe the
 // moment; every other integer field is a cumulative total.
 var statsGauges = map[string]bool{"Frames": true, "Free": true, "Dirty": true, "Resident": true, "Quarantined": true,
-	"MissInflight": true, "Health": true, "BreakerState": true, "Shards": true, "QuarantineCap": true}
+	"MissInflight": true, "Health": true, "Shards": true, "QuarantineCap": true}
 
 // decreasedTotal names the first cumulative total of cur below prev's, or
 // returns "" when none is.

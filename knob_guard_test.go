@@ -16,6 +16,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -348,12 +349,14 @@ var facadeWithoutCaller = map[string]string{
 	"ErrPermanent":         "NewFaultDevice's injected dead-sector errors wrap it",
 	"ErrCorruptPage":       "NewChecksumDevice's reads return it for a page that fails its checksum",
 	"ErrInvalidPage":       "devices and CacheClient return it for the invalid PageID",
-	"ErrBreakerOpen":       "NewBreakerDevice's operations return it while the breaker is open",
-	"ErrDeadlineExceeded":  "NewDeadlineDevice's operations return it when they are abandoned",
-	"ErrDeviceCanceled":    "NewDeadlineDevice's operations return it when the device stops mid-wait",
 	"SlotPolicy":           "the custom-policy contract README documents: the pool drives a policy by frame slot through it",
 	"CheckPolicy":          "the custom-policy contract README documents: a policy's own test calls it",
 }
+
+// facadeCtor matches a constructor a facadeWithoutCaller reason cites; the
+// guard requires the facade to export it, so a reason cannot lean on a
+// name a facade user cannot reach.
+var facadeCtor = regexp.MustCompile(`\bNew[A-Z][A-Za-z0-9]*`)
 
 // facadeCallers lists the files whose bpwrapper.<Name> selectors count as
 // callers: non-test files under cmd/ and examples/, every file under
@@ -452,9 +455,14 @@ func TestEveryFacadeNameHasACaller(t *testing.T) {
 			t.Logf("%-24s %d uses, first %s", name, len(at), at[0])
 		}
 	}
-	for name := range facadeWithoutCaller {
+	for name, reason := range facadeWithoutCaller {
 		if !exported[name] {
 			t.Errorf("allow-list entry %s names nothing bpwrapper.go exports", name)
+		}
+		for _, ctor := range facadeCtor.FindAllString(reason, -1) {
+			if !exported[ctor] {
+				t.Errorf("allow-list entry %s: its reason cites %s, which bpwrapper.go does not export", name, ctor)
+			}
 		}
 	}
 	t.Logf("%d exported names, %d on the allow-list", len(names), len(facadeWithoutCaller))

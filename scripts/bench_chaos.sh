@@ -1,17 +1,16 @@
 #!/bin/sh
 # Regenerates results/BENCH_chaos.json, the committed baseline for the
 # chaos experiment (E16): the event ledger of the graceful-degradation
-# machinery (per-shard circuit breakers, miss admission control,
-# quarantine-pressure health) under four scripted fault campaigns —
-# brownout, harddown, quarantine pressure, and recovery.
+# machinery (quarantine-pressure health and miss admission control)
+# under two scripted fault campaigns on one shard of two — harddown and
+# quarantine pressure.
 #
-# The run is fully deterministic: a scripted tick clock replaces
-# time.Now inside the breakers, retry backoffs are no-op sleeps, fault
+# The run is fully deterministic: retry backoffs are no-op sleeps, fault
 # rates are only ever 0 or 1, and a single goroutine drives every
 # operation in a fixed order. Re-running on any machine reproduces the
 # committed file byte-for-byte; a diff after a change to internal/buffer
 # or internal/storage is a real protocol difference (a shed happening
-# earlier, a breaker tripping later), not scheduling noise.
+# earlier, a page parking later), not scheduling noise.
 set -eu
 cd "$(dirname "$0")/.."
 
