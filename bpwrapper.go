@@ -57,7 +57,6 @@ package bpwrapper
 
 import (
 	"bpwrapper/internal/buffer"
-	"bpwrapper/internal/control"
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/obs"
 	"bpwrapper/internal/page"
@@ -178,22 +177,6 @@ var ErrNoUnpinnedBuffers = buffer.ErrNoUnpinnedBuffers
 
 // NewPool builds a buffer pool.
 func NewPool(cfg PoolConfig) *Pool { return buffer.New(cfg) }
-
-// ---------------------------------------------------------------------------
-// Self-tuning controller
-
-// Controller closes the observation→actuation loop over a Pool: it actuates
-// policy hot-swap, scored by shadow ghost caches.
-// See DESIGN.md §14 and the bpbench "tuner" experiment (E19).
-// ControllerConfig tunes one; its Pool is required.
-type (
-	Controller       = control.Controller
-	ControllerConfig = control.Config
-)
-
-// NewController builds a Controller over a pool; Start runs it, Stop halts
-// it, and Step drives it manually for deterministic replay.
-func NewController(cfg ControllerConfig) *Controller { return control.New(cfg) }
 
 // ---------------------------------------------------------------------------
 // Storage devices

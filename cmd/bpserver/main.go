@@ -14,7 +14,6 @@
 //
 //	bpserver -addr :7071 -frames 4096 -policy lirs
 //	bpserver -addr :7071 -obs :6060        # /metrics for bpstat
-//	bpserver -addr :7071 -controller       # self-tuning obs→control loop
 //	bpserver -addr :7071 -obs :6060 -trace # request tracing at /debug/traces
 //	bpload -remote 127.0.0.1:7071 -workload tpcc -workers 16
 package main
@@ -47,7 +46,6 @@ func main() {
 		drainBudget = flag.Duration("drain-budget", 30*time.Second, "total graceful-drain budget (incl. dirty flush)")
 		obsAddr     = flag.String("obs", "", "serve /metrics, /debug/vars and pprof on this address (e.g. :6060)")
 		recorder    = flag.Int("recorder", 4096, "per-shard flight-recorder ring size (0 disables)")
-		controller  = flag.Bool("controller", false, "run the self-tuning controller (policy hot-swap)")
 		traceOn     = flag.Bool("trace", false, "arm request tracing (head-sampled spans + tail-kept slow requests, served at /debug/traces)")
 		traceSample = flag.Int("trace-sample", 0, "with -trace: head-sample every Nth request (0 = default 1024)")
 		traceSLO    = flag.Duration("trace-slo", 0, "with -trace: keep any request slower than this in the tail ring (0 = default 1ms)")
@@ -83,13 +81,6 @@ func main() {
 		bw = pool.StartBackgroundWriter(bpwrapper.BackgroundWriterConfig{})
 	}
 
-	var ctl *bpwrapper.Controller
-	if *controller {
-		ctl = bpwrapper.NewController(bpwrapper.ControllerConfig{Pool: pool})
-		ctl.Start()
-		fmt.Println("bpserver: self-tuning controller running")
-	}
-
 	srv, err := server.New(server.Config{
 		Pool:         pool,
 		Addr:         *addr,
@@ -107,9 +98,6 @@ func main() {
 		if bw != nil {
 			bw.RegisterObs(reg)
 		}
-		if ctl != nil {
-			ctl.RegisterObs(reg)
-		}
 		srv.RegisterObs(reg)
 		osrv, err := bpwrapper.NewObsServer(*obsAddr, reg)
 		if err != nil {
@@ -126,9 +114,6 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Printf("bpserver: draining (grace %v, budget %v)\n", *drainGrace, *drainBudget)
-	if ctl != nil {
-		ctl.Stop()
-	}
 	if bw != nil {
 		bw.Stop()
 	}

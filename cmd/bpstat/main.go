@@ -3,10 +3,6 @@
 // iostat of the BP-Wrapper stack. Rates are deltas between polls; the
 // first sample prints totals.
 //
-// Against a bpserver running the self-tuning controller (-controller) an
-// extra panel renders the bpw_control_* series: steps, actuations, shard
-// count, ghost scores per candidate policy, and the last action taken.
-//
 // Against a bpserver an additional latency panel prints each operation's
 // p50/p99/p999 handle latency (bpw_server_op_seconds), and when request
 // tracing is enabled a trace panel summarizes the tracer's keep/drop
@@ -177,9 +173,9 @@ func render(t, prev tree, dt time.Duration) {
 	if prev == nil {
 		rateHdr = "accesses"
 	}
-	// The policy column sizes itself to the longest name present: a
-	// hot-swap mid-session ("2q" -> "clockpro") must widen the column, not
-	// shear every column after it out of alignment.
+	// The policy column sizes itself to the longest name present
+	// ("clockpro" is wider than its header), so no column after it shears
+	// out of alignment.
 	polW := len("policy")
 	for _, sh := range shards {
 		if n := len(t.shardPolicy(sh)); n > polW {
@@ -313,36 +309,6 @@ func renderServer(t, prev tree, dt time.Duration) {
 		t.val("bpw_server_drained_conns_total"))
 }
 
-// renderControl prints the self-tuning controller's panel when the
-// endpoint exposes bpw_control_* (bpserver -controller): step/actuation
-// counts, the shard count, the live ghost score per candidate policy, and
-// the last action taken.
-func renderControl(t tree) {
-	if len(t["bpw_control_steps_total"]) == 0 {
-		return
-	}
-	topo := fmt.Sprintf("shards %.0f", t.val("bpw_shards"))
-	last := "none yet"
-	for _, s := range t["bpw_control_last_action"] {
-		last = s.Labels["kind"]
-		if d := s.Labels["detail"]; d != "" {
-			last += " " + d
-		}
-	}
-	scores := t["bpw_control_policy_score"]
-	sort.Slice(scores, func(i, j int) bool { return scores[i].Labels["policy"] < scores[j].Labels["policy"] })
-	scoreStr := ""
-	for _, s := range scores {
-		scoreStr += fmt.Sprintf("  %s=%.3f", s.Labels["policy"], s.Value)
-	}
-	if scoreStr == "" {
-		scoreStr = "  (no samples yet)"
-	}
-	fmt.Printf("control steps %.0f  acts %.0f  %s  last: %s\n",
-		t.val("bpw_control_steps_total"), t.sum("bpw_control_actions_total"), topo, last)
-	fmt.Printf("ghost scores%s\n", scoreStr)
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:6060", "obs endpoint address (host:port)")
@@ -361,7 +327,6 @@ func main() {
 		}
 		now := time.Now()
 		render(t, prev, now.Sub(last))
-		renderControl(t)
 		renderServer(t, prev, now.Sub(last))
 		renderLatency(t)
 		renderTrace(t)

@@ -91,10 +91,8 @@ func main() {
 	var tr trace.Trace
 	switch {
 	case *replay != "":
-		f, err := os.Open(*replay)
-		check(err)
-		_, err = tr.ReadFrom(f)
-		f.Close()
+		var err error
+		tr, err = readTrace(*replay)
 		check(err)
 	default:
 		wl, err := workload.ByName(*wlName)
@@ -118,24 +116,8 @@ func main() {
 	polNames := splitList(*policies)
 
 	if *sweep || (!*compare && *record == "" && *replay != "") {
-		rows, err := trace.Sweep(&tr, polNames, capacities)
+		_, err := sweepTable(os.Stdout, &tr, polNames, capacities)
 		check(err)
-		fmt.Printf("\n%-10s", "capacity")
-		for _, p := range polNames {
-			fmt.Printf(" %9s", p)
-		}
-		fmt.Println()
-		for _, c := range capacities {
-			fmt.Printf("%-10d", c)
-			for _, p := range polNames {
-				for _, r := range rows {
-					if r.Policy == p && r.Capacity == c {
-						fmt.Printf(" %8.2f%%", 100*r.Result.HitRatio())
-					}
-				}
-			}
-			fmt.Println()
-		}
 	}
 
 	if *compare {
@@ -155,6 +137,44 @@ func main() {
 			}
 		}
 	}
+}
+
+// readTrace loads a trace file written by -record.
+func readTrace(path string) (trace.Trace, error) {
+	var tr trace.Trace
+	f, err := os.Open(path)
+	if err != nil {
+		return tr, err
+	}
+	defer f.Close()
+	_, err = tr.ReadFrom(f)
+	return tr, err
+}
+
+// sweepTable replays tr under every policy at every capacity and prints the
+// hit-ratio grid, one row a capacity.
+func sweepTable(w io.Writer, tr *trace.Trace, polNames []string, capacities []int) ([]trace.SweepRow, error) {
+	rows, err := trace.Sweep(tr, polNames, capacities)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "\n%-10s", "capacity")
+	for _, p := range polNames {
+		fmt.Fprintf(w, " %9s", p)
+	}
+	fmt.Fprintln(w)
+	for _, c := range capacities {
+		fmt.Fprintf(w, "%-10d", c)
+		for _, p := range polNames {
+			for _, r := range rows {
+				if r.Policy == p && r.Capacity == c {
+					fmt.Fprintf(w, " %8.2f%%", 100*r.Result.HitRatio())
+				}
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	return rows, nil
 }
 
 func parseCaps(s string, distinct int) []int {

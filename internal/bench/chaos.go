@@ -31,7 +31,6 @@ type ChaosRow struct {
 	QuarantineRefusals int64  `json:"quarantine_refusals"`
 	PeakHealth         string `json:"peak_health"`
 	FinalHealth        string `json:"final_health"`
-	Recovered          bool   `json:"recovered"`
 	LostPages          int    `json:"lost_pages"`
 }
 
@@ -170,7 +169,6 @@ func (r *chaosRun) finish() error {
 	}
 	st := r.pool.Stats()
 	r.row.FinalHealth = st.PerShard[0].Health.String()
-	r.row.Recovered = st.PerShard[0].Health == buffer.Healthy
 	if err := r.pool.Close(); err != nil {
 		return fmt.Errorf("chaos %s: close after healing: %w", r.row.Scenario, err)
 	}
@@ -276,13 +274,14 @@ func ChaosExperiment(o Options) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// PrintChaos renders the ledger as a table.
+// PrintChaos renders the ledger as a table; its recovered column reads the
+// final health.
 func PrintChaos(w io.Writer, rep *ChaosReport) {
 	fmt.Fprintln(w, "Chaos scenarios (E16) — graceful-degradation event ledger (scripted, deterministic)")
 	fmt.Fprintf(w, "  %-10s %7s %6s %8s %-10s %-10s %-9s %5s\n",
 		"scenario", "misses", "shed", "quarref", "peak", "final", "recovered", "lost")
 	for _, r := range rep.Rows {
 		fmt.Fprintf(w, "  %-10s %7d %6d %8d %-10s %-10s %-9v %5d\n",
-			r.Scenario, r.Misses, r.Shed, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.Recovered, r.LostPages)
+			r.Scenario, r.Misses, r.Shed, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.FinalHealth == buffer.Healthy.String(), r.LostPages)
 	}
 }

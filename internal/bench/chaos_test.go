@@ -45,7 +45,7 @@ func TestChaosScenarioShapes(t *testing.T) {
 		if r.LostPages != 0 {
 			t.Errorf("%s: lost %d dirty pages through fault+recovery", r.Scenario, r.LostPages)
 		}
-		if !r.Recovered {
+		if r.FinalHealth != "healthy" {
 			t.Errorf("%s: shard did not return to Healthy after healing: %+v", r.Scenario, r)
 		}
 	}

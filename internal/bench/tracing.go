@@ -14,7 +14,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // Experiment E20 — request-latency decomposition via the reqtrace layer
-// (DESIGN.md §15): one goroutine replays a seeded access stream through
+// (DESIGN.md §14): one goroutine replays a seeded access stream through
 // pg2Q, pgBat and pgBatFC with tracing at SampleEvery=1 on a virtual tick
 // clock, then decomposes p50/p99 request latency by phase for hits and
 // misses separately.

@@ -13,16 +13,15 @@
 // that, deliberately, so experiment E14 can measure the trade: per-shard
 // policy locks dissolve contention, per-shard ghost history costs hit
 // ratio. Shards: 1 (the default) is the paper's configuration and is
-// byte-for-byte the old monolithic pool. The shards are built once, in New,
-// and a page routes to the same shard for the pool's whole life; what can
-// change under traffic is each shard's policy (Pool.SwapPolicy).
+// byte-for-byte the old monolithic pool. The shards and their policies are
+// built once, in New, and a page routes to the same shard for the pool's
+// whole life.
 package buffer
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bpwrapper/internal/core"
@@ -95,7 +94,7 @@ type Config struct {
 	// FlightDump and the /debug/events endpoint.
 	RecorderSize int
 
-	// Trace enables the request-tracing layer (DESIGN.md §15): per-request
+	// Trace enables the request-tracing layer (DESIGN.md §14): per-request
 	// trace IDs with phase-stamped spans (bucket probe, pin, lock wait,
 	// combiner handoff, policy op, device I/O, quarantine park), head
 	// sampling plus tail keep. The one tracer, and its two rings, are shared
@@ -119,13 +118,9 @@ type Pool struct {
 
 	quarCap int
 
-	// swapMu serializes SwapPolicy and SetReadOnly, so that every shard
-	// ends up with the same policy and the same read-only floor.
-	swapMu sync.Mutex
-
-	// sampler, when enabled, spatially samples the access stream into a
-	// lock-free ring for the controller's shadow ghost caches.
-	sampler atomic.Pointer[sampleRing]
+	// readOnlyMu serializes SetReadOnly, so that every shard ends up with
+	// the same read-only floor.
+	readOnlyMu sync.Mutex
 }
 
 // Session is a per-backend handle carrying one core.Session per shard
@@ -321,34 +316,12 @@ func (p *Pool) Tracer() *reqtrace.Tracer { return p.tracer }
 // action, not a health verdict. Releasing returns shards to their
 // evaluated state.
 func (p *Pool) SetReadOnly(on bool) {
-	p.swapMu.Lock()
-	defer p.swapMu.Unlock()
+	p.readOnlyMu.Lock()
+	defer p.readOnlyMu.Unlock()
 	for _, sh := range p.shards {
 		sh.forced.Store(on)
 		sh.evalHealth()
 	}
-}
-
-// SwapPolicy hot-swaps every shard's replacement policy to instances built
-// by factory, migrating each policy's resident set into the new instance (in
-// eviction order, so the pages the old policy valued most are the ones the
-// new policy saw admitted last).
-//
-// A factory whose policy has less capacity than a shard's present one is
-// refused (core.Wrapper.SwapPolicy): the shards before that one keep the new
-// policy, the rest their old ones.
-func (p *Pool) SwapPolicy(factory replacer.Factory) (from, to string, err error) {
-	if factory == nil {
-		return "", "", errors.New("buffer: SwapPolicy requires a factory")
-	}
-	p.swapMu.Lock()
-	defer p.swapMu.Unlock()
-	for _, sh := range p.shards {
-		if from, to, err = sh.wrapper.SwapPolicy(factory); err != nil {
-			return from, to, err
-		}
-	}
-	return from, to, nil
 }
 
 // Wrapper exposes the BP-Wrapper core of shard 0. It is a diagnostic
@@ -392,7 +365,6 @@ func (p *Pool) access(s *Session, id page.PageID, writable bool) (*PageRef, erro
 	if !id.Valid() {
 		return nil, storage.ErrInvalidPage
 	}
-	p.sampleAccess(id)
 	s.trace.Begin()
 	idx := p.ShardOf(id)
 	ref, err := p.shards[idx].get(s, idx, id, writable)
@@ -565,9 +537,8 @@ type ShardStats struct {
 	MissWaitsLoad  int64
 	MissWaitsEvict int64
 
-	// Policy is the replacement algorithm currently installed in this
-	// shard's wrapper — live information once SwapPolicy can change it at
-	// runtime.
+	// Policy is the replacement algorithm installed in this shard's
+	// wrapper.
 	Policy string
 
 	// Wrapper is the shard's BP-Wrapper statistics: policy-lock

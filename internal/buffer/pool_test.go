@@ -18,6 +18,13 @@ func pid(n uint64) page.PageID { return page.NewPageID(1, n) }
 // factoryOf names a replacement algorithm for a Config.PolicyFactory.
 func factoryOf(name string) replacer.Factory { return replacer.Factories()[name] }
 
+// refStamped reports whether the pinned page carries the stamp of id.
+func refStamped(ref *PageRef, id page.PageID) bool {
+	var got page.Page
+	copy(got.Data[:], ref.Data())
+	return got.VerifyStamp(id)
+}
+
 func newTestPool(frames int, wcfg core.Config) *Pool {
 	return New(Config{
 		Frames:        frames,

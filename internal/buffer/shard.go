@@ -78,7 +78,7 @@ type shard struct {
 	quarN atomic.Int32
 
 	// quarTrace remembers, per parked page, which traced request did the
-	// parking (DESIGN.md §15): when the background writer or a flush sweep
+	// parking (DESIGN.md §14): when the background writer or a flush sweep
 	// later makes the copy durable, the park-to-durable interval is emitted
 	// as a cross-thread span on that request's trace. Best-effort — entries
 	// exist only for traced parkers and follow the quarantine entry's
@@ -535,7 +535,7 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 	// Span stamping is gated on the request being head-sampled (or wire-
 	// adopted): an untraced hit pays exactly this one branch — no clock
 	// read, no scratch write — which is what keeps tracing inside the ≤3%
-	// hit-path budget (DESIGN.md §15). Slow-phase arming happens on the
+	// hit-path budget (DESIGN.md §14). Slow-phase arming happens on the
 	// miss path (load), never here.
 	tracing := ps.trace.Sampled()
 	var t0 int64

@@ -116,7 +116,7 @@ func (d *flakyWriteDevice) WritePage(p *page.Page) error {
 }
 
 // TestQuarantineCrossThreadWriteBack proves the deferred write-back
-// attribution of DESIGN.md §15: a traced request evicts a dirty page whose
+// attribution of DESIGN.md §14: a traced request evicts a dirty page whose
 // inline write-back fails (the copy stays quarantined, tagged with the
 // request's trace), and when a later sweep — standing in for the background
 // writer — makes the copy durable, the park-to-durable interval is emitted

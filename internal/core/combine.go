@@ -53,7 +53,7 @@ type pubSlot struct {
 	pub  atomic.Pointer[[]Entry] // published batch awaiting a combiner
 	done atomic.Pointer[[]Entry] // drained buffer returned for reuse
 
-	// Publisher trace context (DESIGN.md §15): when the publishing request
+	// Publisher trace context (DESIGN.md §14): when the publishing request
 	// is traced, the owner stores its trace ID and publish timestamp here
 	// before the pub Store, and the combiner swaps them out to emit the
 	// cross-thread PhaseEnqueue span ("enqueued → waited N ns → applied by

@@ -17,7 +17,7 @@ func testClock() func() int64 {
 }
 
 // TestCombinerHandoffSpan is the deterministic cross-thread attribution
-// proof of DESIGN.md §15: session A (traced) publishes its batch while the
+// proof of DESIGN.md §14: session A (traced) publishes its batch while the
 // policy lock is held elsewhere, session B later takes the lock on a miss
 // and combines A's batch — A's trace must contain a combiner-handoff span
 // naming the publisher session, the applying session, the combiner run ID,

@@ -102,7 +102,7 @@ type Config struct {
 
 	// Tracer, when non-nil, receives request-trace spans from the commit
 	// path (lock wait, policy batch apply) and the cross-thread
-	// combiner-handoff spans of DESIGN.md §15. Sessions participate once
+	// combiner-handoff spans of DESIGN.md §14. Sessions participate once
 	// a trace context is attached with Session.SetTrace.
 	Tracer *reqtrace.Tracer
 }
@@ -212,19 +212,12 @@ type combineCounters struct {
 // BP-Wrapper techniques. All methods are safe for concurrent use; the
 // per-thread entry points live on Session.
 type Wrapper struct {
-	// box holds the atomically-swappable policy view: the policy plus the
+	// box is the policy view, set once in newWrapper: the policy plus the
 	// two facts the lock-free paths read about it (whether Hit needs the
-	// lock, and the prefetcher interface when enabled). Hot paths load it
-	// once per call; SwapPolicy republishes it under the policy lock, so
-	// any lock holder sees a stable view.
-	box atomic.Pointer[policyBox]
+	// lock, and the prefetcher interface when enabled).
+	box policyBox
 
 	cfg Config
-
-	// slotted says the wrapper was built by a caller that owns the frames
-	// (NewSlotted): every tag its sessions record names the frame slot the
-	// page occupies, so the policy is driven by slot.
-	slotted bool
 
 	fc *combiner // non-nil iff cfg.FlatCombining
 
@@ -260,10 +253,8 @@ type Wrapper struct {
 // the overflow bucket, whose exact maximum is still tracked.
 const combineRunCap = 32
 
-// policyBox is the immutable view of the wrapped policy that hot paths
-// read without the lock. It is published as a unit so a lock-free hit can
-// never pair an old policy with a new policy's lockFreeHit flag (or vice
-// versa) mid-swap.
+// policyBox is the view of the wrapped policy that hot paths read without
+// the lock. It never changes after newWrapper.
 type policyBox struct {
 	policy      replacer.Policy
 	slots       replacer.SlotPolicy     // the policy by slot (replacer.BySlot); nil unless the wrapper is slotted
@@ -271,25 +262,6 @@ type policyBox struct {
 	prefetcher  replacer.Prefetcher     // nil if unsupported or disabled
 	slotWalk    replacer.SlotPrefetcher // the walk by slot; nil unless the wrapper is slotted and the policy has one
 	lockFreeHit bool                    // policy.Hit needs no lock (clock family)
-}
-
-// newPolicyBox derives the hot-path view for a policy.
-func (w *Wrapper) newPolicyBox(policy replacer.Policy) *policyBox {
-	b := &policyBox{
-		policy:      policy,
-		lockFreeHit: !replacer.HitNeedsLock(policy),
-	}
-	if w.slotted {
-		b.slots = replacer.BySlot(policy)
-		b.batch, _ = b.slots.(replacer.SlotBatcher)
-	}
-	if w.cfg.Prefetching {
-		b.prefetcher, _ = policy.(replacer.Prefetcher)
-		if w.slotted {
-			b.slotWalk, _ = policy.(replacer.SlotPrefetcher)
-		}
-	}
-	return b
 }
 
 // New returns a Wrapper around policy configured by cfg, for a caller with
@@ -309,12 +281,21 @@ func newWrapper(policy replacer.Policy, cfg Config, slotted bool) *Wrapper {
 	cfg = cfg.withDefaults()
 	w := &Wrapper{
 		cfg:         cfg,
-		slotted:     slotted,
 		tracer:      cfg.Tracer,
 		batchSizes:  metrics.NewCountDist(cfg.QueueSize),
 		combineRuns: metrics.NewCountDist(combineRunCap),
 	}
-	w.box.Store(w.newPolicyBox(policy))
+	w.box = policyBox{policy: policy, lockFreeHit: !replacer.HitNeedsLock(policy)}
+	if slotted {
+		w.box.slots = replacer.BySlot(policy)
+		w.box.batch, _ = w.box.slots.(replacer.SlotBatcher)
+	}
+	if cfg.Prefetching {
+		w.box.prefetcher, _ = policy.(replacer.Prefetcher)
+		if slotted {
+			w.box.slotWalk, _ = policy.(replacer.SlotPrefetcher)
+		}
+	}
 	// The one profile: hold times sampled every metrics.DefaultSampleEvery
 	// acquisitions plus wait/hold histograms, so every wrapper's lock
 	// behaviour is exposable without setup.
@@ -330,9 +311,8 @@ func newWrapper(policy replacer.Policy, cfg Config, slotted bool) *Wrapper {
 
 // Policy returns the wrapped replacement policy. Callers must hold the
 // wrapper's lock (via Locked) before touching it unless they have exclusive
-// access to the wrapper; note the policy can change across lock-holding
-// periods (SwapPolicy), so do not cache the returned value across them.
-func (w *Wrapper) Policy() replacer.Policy { return w.box.Load().policy }
+// access to the wrapper.
+func (w *Wrapper) Policy() replacer.Policy { return w.box.policy }
 
 // Config returns the resolved configuration.
 func (w *Wrapper) Config() Config { return w.cfg }
@@ -373,7 +353,7 @@ func (w *Wrapper) Stats() Stats {
 func (w *Wrapper) Locked(fn func(replacer.Policy)) {
 	w.lock.Lock()
 	defer w.lock.Unlock()
-	fn(w.box.Load().policy)
+	fn(w.box.policy)
 }
 
 // LockedSlots is Locked for the caller of NewSlotted: fn gets the policy's
@@ -381,46 +361,7 @@ func (w *Wrapper) Locked(fn func(replacer.Policy)) {
 func (w *Wrapper) LockedSlots(fn func(replacer.SlotPolicy)) {
 	w.lock.Lock()
 	defer w.lock.Unlock()
-	fn(w.box.Load().slots)
-}
-
-// SwapPolicy replaces the wrapped policy with one built by factory at the
-// same capacity, migrating the resident set: the old policy is drained in
-// eviction order (least valuable first) and re-admitted into the new one in
-// that order, so the most valuable pages are admitted last and the new
-// policy's initial ranking approximates the old one's. The whole exchange
-// happens under the policy lock, then the hot-path view is republished
-// atomically.
-//
-// A factory whose policy has less capacity than the old one is refused with
-// an error and nothing changes: every page the old policy holds has a frame,
-// or is loading into one, and must stay in the policy. So seeding never
-// evicts; a policy that does breaks AdmitSlot's contract, and the swap panics.
-//
-// Lock-free hits racing the swap may deliver a reference-bit update to the
-// retired policy object (harmless: it is garbage afterwards) or batch into
-// queues applied later to the new policy (tag validation still applies).
-// Both are the same advisory staleness batching already accepts.
-func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, err error) {
-	w.lock.Lock()
-	defer w.lock.Unlock()
-	old := w.box.Load()
-	next := w.newPolicyBox(factory(old.policy.Cap()))
-	from, to = old.policy.Name(), next.policy.Name()
-	if c := next.policy.Cap(); c < old.policy.Cap() {
-		return from, to, fmt.Errorf("core: policy %s has capacity %d, below the %d of %s", to, c, old.policy.Cap(), from)
-	}
-	for {
-		v, ok := old.evict(nil)
-		if !ok {
-			break
-		}
-		// Each page keeps its frame, so it goes into the new policy at the
-		// slot it left the old one from.
-		next.seat(v.ID, v.Slot, nil)
-	}
-	w.box.Store(next)
-	return from, to, nil
+	fn(w.box.slots)
 }
 
 // CheckInvariants verifies the wrapper's cheap structural invariants under
@@ -433,7 +374,7 @@ func (w *Wrapper) SwapPolicy(factory replacer.Factory) (from, to string, err err
 func (w *Wrapper) CheckInvariants() error {
 	w.lock.Lock()
 	defer w.lock.Unlock()
-	pol := w.box.Load().policy
+	pol := w.box.policy
 	n, c := pol.Len(), pol.Cap()
 	if n < 0 || n > c {
 		return fmt.Errorf("core: policy %s: Len %d outside [0, Cap %d]", pol.Name(), n, c)
@@ -499,13 +440,10 @@ func (s *Session) ID() uint64 { return s.id }
 // scheduler decides how the queue reaches the policy.
 func (s *Session) Hit(id page.PageID, tag page.BufferTag) {
 	w := s.w
-	b := w.box.Load()
-	if b.lockFreeHit {
+	if w.box.lockFreeHit {
 		// Clock-family policy: the hit is an atomic reference-bit update
 		// and needs neither lock nor queue. This is the pgClock baseline.
-		// A SwapPolicy racing this delivers the bit to the retired policy
-		// object — lost advice, not corruption.
-		b.hit(id, tag.Slot)
+		w.box.hit(id, tag.Slot)
 		return
 	}
 	s.queue = append(s.queue, Entry{ID: id, Tag: tag})
@@ -576,7 +514,7 @@ func (s *Session) MissSlot(id page.PageID, slot uint32, claim func(replacer.Vict
 func (w *Wrapper) Seat(id page.PageID, slot uint32, claim func(replacer.Victim) bool) (victim replacer.Victim, admitted bool) {
 	w.lock.Lock()
 	defer w.lock.Unlock()
-	return w.box.Load().seat(id, slot, claim)
+	return w.box.seat(id, slot, claim)
 }
 
 // Flush commits any queued hit records with a blocking lock acquisition.
@@ -688,10 +626,10 @@ func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(repl
 			w.applyBatch(s.queue)
 		}
 		applied = mineN + len(s.queue)
-		if b := w.box.Load(); why == missAdmit {
-			victim, ok = b.admit(id, slot)
+		if why == missAdmit {
+			victim, ok = w.box.admit(id, slot)
 		} else if why == missSlot {
-			victim, ok = b.seat(id, slot, claim)
+			victim, ok = w.box.seat(id, slot, claim)
 		}
 		if w.fc != nil {
 			others, othersN = w.drain(s, *w.fc.slots.Load())
@@ -797,11 +735,10 @@ func (b *policyBox) seat(id page.PageID, slot uint32, claim func(replacer.Victim
 
 // applyBatch validates a non-empty batch with one call and hands the live
 // entries to the policy in order, with one call too if it takes batches by
-// slot. Callers must hold the lock, which also pins the policy box
-// (SwapPolicy republishes it only under the same lock) and makes the caller
-// the counters' only writer, so both are touched once a batch.
+// slot. Callers must hold the lock, which makes the caller the counters' only
+// writer, so they are touched once a batch.
 func (w *Wrapper) applyBatch(batch []Entry) {
-	b, live := w.box.Load(), batch
+	b, live := &w.box, batch
 	if w.cfg.Validate != nil {
 		live = w.cfg.Validate(batch)
 	}
@@ -830,7 +767,7 @@ func (w *Wrapper) applyBatch(batch []Entry) {
 // TryLock has counted.
 func (s *Session) prefetch(entries []Entry, extra page.PageID) {
 	w := s.w
-	b := w.box.Load()
+	b := &w.box
 	if b.prefetcher == nil && b.slotWalk == nil {
 		return
 	}

@@ -18,7 +18,7 @@ import (
 // so under the policy lock a committed hit is an array index and a list
 // splice: no map, no hash, no second index to keep in step.
 //
-// Callers without frames — the simulator, trace replay, the ghost scorer —
+// Callers without frames — the simulator, trace replay —
 // drive the same methods through the portable Policy contract: front looks
 // the id up, or hands out a slot for it, and calls the slot-keyed method.
 

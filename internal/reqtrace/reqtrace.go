@@ -1,4 +1,4 @@
-// Package reqtrace is the always-on request-tracing layer (DESIGN.md §15).
+// Package reqtrace is the always-on request-tracing layer (DESIGN.md §14).
 //
 // BP-Wrapper's whole trick is deferral: batching and flat combining move a
 // request's replacement work onto another thread's combiner run, which is

@@ -36,7 +36,7 @@
 // bit (0x80) on the code byte declares that the payload is prefixed with
 // an 8-byte big-endian trace ID, which the server strips before op
 // dispatch and adopts for the request's pool access — stitching the
-// client's trace to the server-side spans (DESIGN.md §15). The framing is
+// client's trace to the server-side spans (DESIGN.md §14). The framing is
 // unchanged (same length prefix, same header), so servers and clients
 // that never set the flag interoperate exactly as before; a server
 // predating the extension answers a flagged request with BAD_REQUEST,

@@ -12,7 +12,7 @@ import (
 )
 
 // TestTraceIDPropagatesClientToDevice is the loopback proof of DESIGN.md
-// §15's wire propagation: a trace ID set on the client flows through the
+// §14's wire propagation: a trace ID set on the client flows through the
 // protocol's trace-context extension, is adopted by the server's pool
 // session, and ends up on the spans of the pool access it caused — one
 // trace identity from the client's call site down to the device read.

@@ -32,17 +32,8 @@ type RetryConfig struct {
 	Seed int64
 
 	// Sleep replaces time.Sleep, letting tests run retries without wall
-	// time. Nil means an interruptible sleep that Cancel can abort
-	// mid-backoff. A custom Sleep is called as before, with Cancel
-	// checked only between attempts.
+	// time. Nil means time.Sleep.
 	Sleep func(time.Duration)
-
-	// Cancel, when non-nil, aborts the backoff ladder when closed: an
-	// operation sleeping out a backoff returns its last error
-	// immediately instead of finishing the ladder. This is what keeps
-	// Pool.Close from hanging for the full jittered ladder on a device
-	// that went down mid-shutdown.
-	Cancel <-chan struct{}
 }
 
 // RetryDevice wraps a Device with bounded retries: operations that fail
@@ -59,7 +50,6 @@ type RetryDevice struct {
 
 	retries   atomic.Int64 // retry attempts issued
 	exhausted atomic.Int64 // operations that failed all attempts
-	canceled  atomic.Int64 // backoff ladders cut short by Cancel
 }
 
 // NewRetryDevice wraps backing with retry/backoff per cfg.
@@ -82,6 +72,9 @@ func NewRetryDevice(backing Device, cfg RetryConfig) *RetryDevice {
 	if cfg.Jitter < 0 {
 		cfg.Jitter = 0
 	}
+	if cfg.Sleep == nil {
+		cfg.Sleep = time.Sleep
+	}
 	return &RetryDevice{
 		backing: backing,
 		cfg:     cfg,
@@ -91,48 +84,6 @@ func NewRetryDevice(backing Device, cfg RetryConfig) *RetryDevice {
 
 // Exhausted reports the number of operations that failed every attempt.
 func (d *RetryDevice) Exhausted() int64 { return d.exhausted.Load() }
-
-// CanceledBackoffs reports the number of operations whose backoff ladder
-// was cut short by Cancel closing.
-func (d *RetryDevice) CanceledBackoffs() int64 { return d.canceled.Load() }
-
-// canceled reports whether the Cancel channel has been closed.
-func (d *RetryDevice) cancelSignaled() bool {
-	if d.cfg.Cancel == nil {
-		return false
-	}
-	select {
-	case <-d.cfg.Cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// sleep waits out one backoff, returning false if Cancel fired first.
-// With a custom cfg.Sleep the sleep itself is not interruptible (tests
-// inject no-op sleeps), but Cancel is still honored before and after.
-func (d *RetryDevice) sleep(dur time.Duration) bool {
-	if d.cancelSignaled() {
-		return false
-	}
-	if d.cfg.Sleep != nil {
-		d.cfg.Sleep(dur)
-		return !d.cancelSignaled()
-	}
-	if d.cfg.Cancel == nil {
-		time.Sleep(dur)
-		return true
-	}
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-d.cfg.Cancel:
-		return false
-	}
-}
 
 // jittered perturbs a nominal backoff by ±Jitter deterministically.
 func (d *RetryDevice) jittered(backoff time.Duration) time.Duration {
@@ -160,10 +111,7 @@ func (d *RetryDevice) do(op func() error) error {
 	var err error
 	for attempt := 0; attempt < d.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if !d.sleep(d.jittered(backoff)) {
-				d.canceled.Add(1)
-				return err
-			}
+			d.cfg.Sleep(d.jittered(backoff))
 			d.retries.Add(1)
 			backoff = time.Duration(float64(backoff) * d.cfg.Multiplier)
 			if backoff > d.cfg.MaxBackoff {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -229,5 +230,28 @@ func TestNullDevice(t *testing.T) {
 	s := d.Stats()
 	if s.Reads != 1 || s.Writes != 1 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestRetryDefaultSleepRunsTheLadder: with no Sleep injected, the retry
+// device sleeps out every back-off with time.Sleep and surfaces the last
+// error once the attempts run out.
+func TestRetryDefaultSleepRunsTheLadder(t *testing.T) {
+	fd := NewFaultDevice(NewMemDevice(), FaultConfig{ReadFailProb: 1})
+	rd := NewRetryDevice(fd, RetryConfig{
+		MaxAttempts: 3,
+		BaseBackoff: time.Microsecond,
+		MaxBackoff:  time.Microsecond,
+	})
+	var p page.Page
+	if err := rd.ReadPage(pid(1), &p); !errors.Is(err, ErrTransient) {
+		t.Fatalf("got %v, want ErrTransient", err)
+	}
+	reads, _, _ := fd.Injected()
+	if reads != 3 {
+		t.Fatalf("backing saw %d attempts, want all 3", reads)
+	}
+	if rd.Exhausted() != 1 {
+		t.Fatalf("exhausted = %d, want 1", rd.Exhausted())
 	}
 }

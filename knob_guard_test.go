@@ -1,4 +1,4 @@
-// The knob guard: an exported field of one of the eight config structs is an
+// The knob guard: an exported field of one of the nine config structs is an
 // option every test and benchmark configuration multiplies by, so it must
 // have a caller. A field that no product code outside its own package sets —
 // no cmd, no example, nothing under benchmark/ or internal/ — is a constant
@@ -30,14 +30,25 @@ var knobStructs = []string{
 	"internal/core.Config",
 	"internal/server.Config",
 	"internal/reqtrace.Config",
-	"internal/control.Config",
 	"internal/storage.SimDiskConfig",
+	"internal/storage.FaultConfig",
+	"internal/storage.RetryConfig",
 	"internal/server.FleetConfig",
 }
 
 // knobsWithoutCaller are the exported fields allowed to have no product
 // setter, each with the reason it stays a field.
-var knobsWithoutCaller = map[string]string{}
+var knobsWithoutCaller = map[string]string{
+	"internal/storage.FaultConfig.ReadFailProb":   "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer and storage tests do",
+	"internal/storage.FaultConfig.WriteFailProb":  "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer tests do",
+	"internal/storage.FaultConfig.CorruptProb":    "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer tests do",
+	"internal/storage.FaultConfig.Permanent":      "the only way to inject ErrPermanent faults, which the taxonomy tests need",
+	"internal/storage.FaultConfig.SpikeProb":      "ROADMAP 18(a)'s device-latency rows",
+	"internal/storage.FaultConfig.SpikeLatency":   "ROADMAP 18(a)'s device-latency rows",
+	"internal/storage.FaultConfig.SpikeWriteOnly": "ROADMAP 18(a)'s device-latency rows",
+	"internal/storage.RetryConfig.MaxBackoff":     "bounds the back-off ladder for an embedder's device; the storage and buffer fault tests shorten it",
+	"internal/storage.RetryConfig.Multiplier":     "the back-off ladder's growth for an embedder's device, set beside MaxBackoff",
+}
 
 // knobSetterRoots are where a product setter may live.
 var knobSetterRoots = []string{"cmd", "examples", "benchmark", "internal"}

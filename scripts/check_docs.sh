@@ -1,5 +1,5 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Ten checks and a
+# Fails when the docs name what the tree does not have. Eleven checks and a
 # size cap:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
@@ -56,6 +56,14 @@
 #     word with a * is a glob and must match at least one path. A word
 #     starting with "/" is a URL path (/debug/events) and is not read. An
 #     allow-list entry is "DOC path".
+# 11. Check 6 beyond the spans: every -flag (or --flag) written after a
+#     command's name (bpserver, or a path ending in /bpserver, and so on for
+#     every directory of cmd/), on the same line and before the next | ; &
+#     # ( ) or back-quote, in README.md, DESIGN.md, EXPERIMENTS.md, scripts/
+#     and .github/workflows/, must be a flag that cmd/<command>/main.go
+#     declares, or -h. A line ending in \ goes on with the next. This
+#     script is not read: its allow-list names retired flags. One loop
+#     checks 6 and 11; an allow-list entry is "FILE command -flag".
 #  And DESIGN.md must stay at or under 60,000 bytes: it describes the code
 #  as it is, and what was goes to CHANGES.md.
 #
@@ -197,23 +205,40 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
         fi
     done
 done
-# The commands' flags, as "command:-flag" tokens of the spans that name
-# them; each is checked against the flag.* and fs.* calls of its main.go.
-for doc in README.md DESIGN.md EXPERIMENTS.md; do
-    for tok in $(grep -oE '`[^`]+`' "$doc" | tr -d '`' | sed 's/[|;&].*//' |
-        awk '$1 ~ /^(bpserver|bpload|bpbench|bpsim|bpstat|bptrace)$/ {
-            for (i = 2; i <= NF; i++) if ($i ~ /^--?[A-Za-z]/) {
-                f = $i; sub(/^--/, "-", f); sub(/=.*/, "", f); print $1 ":" f
+# The commands' flags (checks 6 and 11), as "file:command:-flag" tokens: a
+# back-quote ends a segment as | ; & # ( and ) do, so a span's flags are
+# those after the command that opens it.
+cmds="$(find cmd -mindepth 1 -maxdepth 1 -type d -exec basename {} \; | tr '\n' '|' | sed 's/|$//')"
+flagged="README.md DESIGN.md EXPERIMENTS.md $(find scripts .github/workflows -type f ! -name check_docs.sh | sort)"
+# shellcheck disable=SC2086 # $flagged is a list of paths without spaces
+for tok in $(awk -v cmds="^(.*/)?($cmds)\$" '
+    FNR == 1 { held = "" }
+    /\\$/ { held = held substr($0, 1, length($0) - 1) " "; next }
+    {
+        line = held $0; held = ""
+        gsub(/[|;&#()`]/, "\n", line)
+        n = split(line, seg, "\n")
+        for (s = 1; s <= n; s++) {
+            cmd = ""
+            m = split(seg[s], w, /[ \t]+/)
+            for (i = 1; i <= m; i++) {
+                t = w[i]; sub(/^[[\"'\'']+/, "", t); sub(/[]\"'\'',.:]+$/, "", t)
+                if (t ~ cmds) {
+                    cmd = t; sub(/.*\//, "", cmd)
+                } else if (cmd != "" && t ~ /^--?[A-Za-z]/) {
+                    sub(/^--/, "-", t); sub(/=.*/, "", t); print FILENAME ":" cmd ":" t
+                }
             }
-        }' | sort -u); do
-        cmd="${tok%%:*}" flag="${tok#*:}"
-        { [ "$flag" = -h ] || allowed "$doc $cmd $flag"; } && continue
-        if ! grep -oE '(flag|fs)\.[A-Z][A-Za-z0-9]*\([^"]*"[^"]*"' "cmd/$cmd/main.go" |
-            sed -E 's/.*"([^"]*)"$/-\1/' | grep -qxF -- "$flag"; then
-            echo "check_docs: $doc names \`$cmd $flag\`, a flag cmd/$cmd/main.go does not declare" >&2
-            fail=1
-        fi
-    done
+        }
+    }' $flagged | sort -u); do
+    doc="${tok%%:*}" rest="${tok#*:}"
+    cmd="${rest%%:*}" flag="${rest#*:}"
+    { [ "$flag" = -h ] || allowed "$doc $cmd $flag"; } && continue
+    if ! grep -oE '(flag|fs)\.[A-Z][A-Za-z0-9]*\([^"]*"[^"]*"' "cmd/$cmd/main.go" |
+        sed -E 's/.*"([^"]*)"$/-\1/' | grep -qxF -- "$flag"; then
+        echo "check_docs: $doc names \`$cmd $flag\`, a flag cmd/$cmd/main.go does not declare" >&2
+        fail=1
+    fi
 done
 # Every declaration of the non-test Go files, one a line: "dir name" for a
 # func, method, type, var, const, struct field or group member; "dir
