@@ -135,32 +135,28 @@ func NewWrapper(p Policy, cfg WrapperConfig) *core.Wrapper { return core.New(p, 
 // Buffer pool
 
 // Pool is the buffer-pool manager: fixed frames, a bucketed page table, and
-// a replacement policy reached through the BP-Wrapper core. With
-// PoolConfig.Shards above 1 it is hash-partitioned into shards, each with
-// its own frames, page table and policy; the default, 1, is the paper's
-// configuration (the bpbench "shard" experiment, E14, prices the split).
+// one replacement policy reached through the BP-Wrapper core, behind one
+// lock made cheap by batching — the paper's configuration.
 type Pool = buffer.Pool
 
 // PoolConfig assembles a Pool. PolicyFactory names the replacement
-// algorithm; the pool builds one instance per shard, each sized to its
-// shard.
+// algorithm; the pool builds one instance sized to its frames.
 type PoolConfig = buffer.Config
 
-// PoolSession is a per-backend handle for Pool.Get/GetWrite, carrying one
-// batching queue per shard; obtain one per worker goroutine with
+// PoolSession is a per-backend handle for Pool.Get/GetWrite, carrying the
+// backend's batching queue; obtain one per worker goroutine with
 // Pool.NewSession.
 type PoolSession = buffer.Session
 
 // PolicyFactories returns the named policy constructors ("lru", "2q",
 // "lirs", ...), each usable as a PoolConfig.PolicyFactory; a pool calls it
-// once per shard. A tuned or custom policy is a closure,
+// once. A tuned or custom policy is a closure,
 // func(c int) bpwrapper.Policy { return myPolicy(c) }.
 func PolicyFactories() map[string]replacer.Factory { return replacer.Factories() }
 
 // PoolStats is an operational snapshot of a Pool (see Pool.Stats), the one
-// read of its counters that /metrics renders too. Its top-level counters
-// are the embedded sum of the per-shard snapshots in PerShard, Wrapper (the
-// BP-Wrapper statistics) included.
+// read of its counters that /metrics renders too, Wrapper (the BP-Wrapper
+// statistics) included.
 type PoolStats = buffer.Stats
 
 // BackgroundWriter periodically writes dirty pages back to the device and
@@ -242,14 +238,13 @@ func NewChecksumDevice(backing Device) *storage.ChecksumDevice {
 // ---------------------------------------------------------------------------
 // Graceful degradation
 //
-// A failing device degrades its shard, not the pool: a shard's quarantine
-// pressure moves it Healthy → Degraded (misses admission-controlled) →
-// ReadOnly (misses shed with ErrOverloaded, resident pages still served),
-// and Pool.SetReadOnly lowers every shard to ReadOnly for a drain.
-// PoolConfig.WrapShardDevice composes each shard's device stack; DESIGN.md
-// §11 has the full degradation contract.
+// A failing device degrades the pool to an in-memory cache, not an error
+// fountain: quarantine pressure moves it Healthy → Degraded (misses
+// admission-controlled) → ReadOnly (misses shed with ErrOverloaded,
+// resident pages still served), and Pool.SetReadOnly lowers it to ReadOnly
+// for a drain. DESIGN.md §11 has the full degradation contract.
 
-// Degradation errors, from a shard that sheds a miss or refuses a dirty
+// Degradation errors, from a pool that sheds a miss or refuses a dirty
 // eviction. Neither is retryable: they are load-shedding feedback, and
 // retrying at once is the load the shed exists to refuse.
 var (

@@ -37,7 +37,7 @@ func main() {
 		statsEvery  = flag.Duration("stats", time.Second, "live stats interval")
 		seed        = flag.Int64("seed", 1, "workload seed")
 		obsAddr     = flag.String("obs", "", "serve /metrics, /debug/vars, /debug/events and pprof on this address (e.g. :6060)")
-		recorder    = flag.Int("recorder", 4096, "per-shard flight-recorder ring size (0 disables)")
+		recorder    = flag.Int("recorder", 4096, "flight-recorder ring size (0 disables)")
 		remote      = flag.String("remote", "", "drive a bpserver at this address instead of an in-process pool")
 		txns        = flag.Int("txns", 0, "stop after this many txns per worker (0 = run out -duration)")
 		pipeline    = flag.Int("pipeline", 8, "with -remote: page accesses pipelined per burst")

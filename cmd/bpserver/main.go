@@ -35,7 +35,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:7071", "TCP listen address")
 		policyName  = flag.String("policy", "2q", "replacement algorithm")
 		frames      = flag.Int("frames", 4096, "buffer frames")
-		shards      = flag.Int("shards", 1, "pool shards")
 		batching    = flag.Bool("batching", true, "BP-Wrapper batching")
 		prefetching = flag.Bool("prefetching", true, "BP-Wrapper prefetching")
 		diskLat     = flag.Duration("disk", 0, "simulated disk read latency (0 = instant memory device)")
@@ -45,7 +44,7 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 50*time.Millisecond, "graceful-drain serving window")
 		drainBudget = flag.Duration("drain-budget", 30*time.Second, "total graceful-drain budget (incl. dirty flush)")
 		obsAddr     = flag.String("obs", "", "serve /metrics, /debug/vars and pprof on this address (e.g. :6060)")
-		recorder    = flag.Int("recorder", 4096, "per-shard flight-recorder ring size (0 disables)")
+		recorder    = flag.Int("recorder", 4096, "flight-recorder ring size (0 disables)")
 		traceOn     = flag.Bool("trace", false, "arm request tracing (head-sampled spans + tail-kept slow requests, served at /debug/traces)")
 		traceSample = flag.Int("trace-sample", 0, "with -trace: head-sample every Nth request (0 = default 1024)")
 		traceSLO    = flag.Duration("trace-slo", 0, "with -trace: keep any request slower than this in the tail ring (0 = default 1ms)")
@@ -62,7 +61,6 @@ func main() {
 	}
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
 		Frames:        *frames,
-		Shards:        *shards,
 		PolicyFactory: factory,
 		Wrapper: bpwrapper.WrapperConfig{
 			Batching:    *batching,
@@ -107,8 +105,8 @@ func main() {
 		fmt.Printf("bpserver: obs on http://%s/metrics\n", osrv.Addr())
 	}
 
-	fmt.Printf("bpserver: serving %d frames (%s, %d shard(s), batching=%v) on %s\n",
-		*frames, *policyName, *shards, *batching, srv.Addr())
+	fmt.Printf("bpserver: serving %d frames (%s, batching=%v) on %s\n",
+		*frames, *policyName, *batching, srv.Addr())
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -1,12 +1,12 @@
 // Command bpstat polls a running pool's observability endpoint (bpserver
-// or bpload started with -obs) and renders a per-shard live table — the
-// iostat of the BP-Wrapper stack. Rates are deltas between polls; the
+// or bpload started with -obs) and renders a live pool line — the iostat
+// of the BP-Wrapper stack. Rates are deltas between polls; the
 // first sample prints totals.
 //
 // Against a bpserver an additional latency panel prints each operation's
 // p50/p99/p999 handle latency (bpw_server_op_seconds), and when request
 // tracing is enabled a trace panel summarizes the tracer's keep/drop
-// counters; the shard table's waitp99 column is the lock-wait tail from
+// counters; the pool line's waitp99 column is the lock-wait tail from
 // bpw_lock_wait_seconds.
 //
 // Usage:
@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 )
 
@@ -47,33 +46,21 @@ type series struct {
 
 type tree map[string][]series
 
-// shardVal returns the named metric's value for one shard (by label).
-func (t tree) shardVal(name, shard string) float64 {
-	for _, s := range t[name] {
-		if s.Labels["shard"] == shard {
-			return s.Value
-		}
-	}
-	return 0
-}
-
-// shardLabelled returns the value of one shard's series that also carries
+// labelled returns the value of the named metric's series that carries
 // label key=val (0 when absent) — e.g. bpw_miss_waits_total{on="evict"}.
-func (t tree) shardLabelled(name, shard, key, val string) float64 {
+func (t tree) labelled(name, key, val string) float64 {
 	for _, s := range t[name] {
-		if s.Labels["shard"] == shard && s.Labels[key] == val {
+		if s.Labels[key] == val {
 			return s.Value
 		}
 	}
 	return 0
 }
 
-// shardDist returns the named distribution's series for one shard.
-func (t tree) shardDist(name, shard string) series {
+// dist returns the named distribution's one series.
+func (t tree) dist(name string) series {
 	for _, s := range t[name] {
-		if s.Labels["shard"] == shard {
-			return s
-		}
+		return s
 	}
 	return series{}
 }
@@ -96,33 +83,11 @@ func (t tree) sum(name string) float64 {
 	return n
 }
 
-// shards lists the shard labels present, in numeric order.
-func (t tree) shards() []string {
-	seen := map[string]bool{}
-	for _, s := range t["bpw_lock_acquisitions_total"] {
-		if sh, ok := s.Labels["shard"]; ok {
-			seen[sh] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for sh := range seen {
-		out = append(out, sh)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, _ := strconv.Atoi(out[i])
-		b, _ := strconv.Atoi(out[j])
-		return a < b
-	})
-	return out
-}
-
-// shardPolicy returns the replacement policy installed in one shard, read
-// from the bpw_policy_in_use info gauge ("?" when absent).
-func (t tree) shardPolicy(shard string) string {
+// policy returns the replacement policy installed in the pool, read from
+// the bpw_policy_in_use info gauge ("?" when absent).
+func (t tree) policy() string {
 	for _, s := range t["bpw_policy_in_use"] {
-		if s.Labels["shard"] == shard {
-			return s.Labels["policy"]
-		}
+		return s.Labels["policy"]
 	}
 	return "?"
 }
@@ -160,74 +125,59 @@ func healthName(v float64) string {
 	}
 }
 
-// render prints one per-shard table. prev is the previous poll (nil on the
-// first), dt the time between them; rate columns fall back to totals when
-// prev is nil.
+// render prints the pool line. prev is the previous poll (nil on the
+// first), dt the time between them; the rate column falls back to totals
+// when prev is nil.
 func render(t, prev tree, dt time.Duration) {
-	shards := t.shards()
-	if len(shards) == 0 {
-		fmt.Println("no per-shard series yet (pool idle or not registered)")
+	if len(t["bpw_lock_acquisitions_total"]) == 0 {
+		fmt.Println("no pool series yet (pool not registered)")
 		return
 	}
-	rateHdr := "acc/s"
-	if prev == nil {
-		rateHdr = "accesses"
+	hits, misses := t.val("bpw_hits_total"), t.val("bpw_misses_total")
+	rateHdr, rate := "accesses", hits+misses
+	if prev != nil && dt > 0 {
+		rateHdr = "acc/s"
+		rate = (rate - prev.val("bpw_hits_total") - prev.val("bpw_misses_total")) / dt.Seconds()
 	}
-	// The policy column sizes itself to the longest name present
-	// ("clockpro" is wider than its header), so no column after it shears
-	// out of alignment.
-	polW := len("policy")
-	for _, sh := range shards {
-		if n := len(t.shardPolicy(sh)); n > polW {
-			polW = n
-		}
+	hitPct := 0.0
+	if hits+misses > 0 {
+		hitPct = 100 * hits / (hits + misses)
 	}
-	fmt.Printf("%-5s  %-*s  %10s  %6s  %6s  %7s  %7s  %9s  %9s  %9s  %8s  %8s  %7s  %6s  %6s  %11s  %7s  %-9s  %6s\n",
-		"shard", polW, "policy", rateHdr, "hit%", "fast%", "retries", "fallbk", "lock acq", "blocked", "tryfail", "waitp99", "batchavg", "combavg", "dirty", "quar", "mwait ld/ev", "fldrop", "health", "shed")
-	for _, sh := range shards {
-		hits := t.shardVal("bpw_hits_total", sh)
-		misses := t.shardVal("bpw_misses_total", sh)
-		rate := hits + misses
-		if prev != nil && dt > 0 {
-			rate = (rate - prev.shardVal("bpw_hits_total", sh) - prev.shardVal("bpw_misses_total", sh)) / dt.Seconds()
-		}
-		hitPct := 0.0
-		if hits+misses > 0 {
-			hitPct = 100 * hits / (hits + misses)
-		}
-		// Hit-path anatomy: share of hits served with zero locks, plus
-		// the torn-probe retries and locked fallbacks (retry storms show
-		// up here first).
-		fast := t.shardVal("bpw_hitpath_fast_total", sh)
-		fastPct := 0.0
-		if hits > 0 {
-			fastPct = 100 * fast / hits
-		}
-		batch := t.shardDist("bpw_batch_size", sh)
-		comb := t.shardDist("bpw_combine_run_length", sh)
-		// The contended-wait tail: p99 of bpw_lock_wait_seconds, the
-		// hit-path histogram the tracing layer decomposes per request.
-		wait := t.shardDist("bpw_lock_wait_seconds", sh)
-		// Waits on a page somebody else had in flight, by what was in
-		// flight: another miss's read, or an eviction's write-back.
-		waits := fmt.Sprintf("%.0f/%.0f",
-			t.shardLabelled("bpw_miss_waits_total", sh, "on", "load"),
-			t.shardLabelled("bpw_miss_waits_total", sh, "on", "evict"))
-		fmt.Printf("%-5s  %-*s  %10.0f  %5.1f%%  %5.1f%%  %7.0f  %7.0f  %9.0f  %9.0f  %9.0f  %8s  %8.2f  %7.2f  %6.0f  %6.0f  %11s  %7.0f  %-9s  %6.0f\n",
-			sh, polW, t.shardPolicy(sh), rate, hitPct, fastPct,
-			t.shardVal("bpw_hitpath_retries_total", sh),
-			t.shardVal("bpw_hitpath_fallbacks_total", sh),
-			t.shardVal("bpw_lock_acquisitions_total", sh),
-			t.shardVal("bpw_lock_contentions_total", sh),
-			t.shardVal("bpw_lock_try_failures_total", sh),
-			durCol(wait.P99Sec), batch.Mean, comb.Mean,
-			t.shardVal("bpw_dirty_pages", sh),
-			t.shardVal("bpw_quarantined_pages", sh),
-			waits,
-			t.shardVal("bpw_flight_dropped_total", sh),
-			healthName(t.shardVal("bpw_health_state", sh)),
-			t.shardVal("bpw_shed_total", sh))
+	// Hit-path anatomy: share of hits served with zero locks, plus the
+	// torn-probe retries and locked fallbacks (retry storms show up here
+	// first).
+	fastPct := 0.0
+	if hits > 0 {
+		fastPct = 100 * t.val("bpw_hitpath_fast_total") / hits
 	}
+	// The policy column sizes itself to the name ("clockpro" is wider than
+	// its header), so no column after it shears out of alignment.
+	pol := t.policy()
+	polW := max(len("policy"), len(pol))
+	// The contended-wait tail: p99 of bpw_lock_wait_seconds, the hit-path
+	// histogram the tracing layer decomposes per request.
+	wait := t.dist("bpw_lock_wait_seconds")
+	// Waits on a page somebody else had in flight, by what was in flight:
+	// another miss's read, or an eviction's write-back.
+	waits := fmt.Sprintf("%.0f/%.0f",
+		t.labelled("bpw_miss_waits_total", "on", "load"),
+		t.labelled("bpw_miss_waits_total", "on", "evict"))
+	fmt.Printf("%-*s  %10s  %6s  %6s  %7s  %7s  %9s  %9s  %9s  %8s  %8s  %7s  %6s  %6s  %11s  %7s  %-9s  %6s\n",
+		polW, "policy", rateHdr, "hit%", "fast%", "retries", "fallbk", "lock acq", "blocked", "tryfail", "waitp99", "batchavg", "combavg", "dirty", "quar", "mwait ld/ev", "fldrop", "health", "shed")
+	fmt.Printf("%-*s  %10.0f  %5.1f%%  %5.1f%%  %7.0f  %7.0f  %9.0f  %9.0f  %9.0f  %8s  %8.2f  %7.2f  %6.0f  %6.0f  %11s  %7.0f  %-9s  %6.0f\n",
+		polW, pol, rate, hitPct, fastPct,
+		t.val("bpw_hitpath_retries_total"),
+		t.val("bpw_hitpath_fallbacks_total"),
+		t.val("bpw_lock_acquisitions_total"),
+		t.val("bpw_lock_contentions_total"),
+		t.val("bpw_lock_try_failures_total"),
+		durCol(wait.P99Sec), t.dist("bpw_batch_size").Mean, t.dist("bpw_combine_run_length").Mean,
+		t.val("bpw_dirty_pages"),
+		t.val("bpw_quarantined_pages"),
+		waits,
+		t.val("bpw_flight_dropped_total"),
+		healthName(t.val("bpw_health_state")),
+		t.val("bpw_shed_total"))
 }
 
 // durCol renders a seconds figure for a fixed-width latency column,
@@ -281,7 +231,7 @@ func renderTrace(t tree) {
 
 // renderServer prints a one-line network section when the endpoint
 // belongs to a bpserver (bpw_server_* series present). Rates are deltas
-// like the shard table; totals on the first poll.
+// like the pool line's; totals on the first poll.
 func renderServer(t, prev tree, dt time.Duration) {
 	if len(t["bpw_server_conns_accepted_total"]) == 0 {
 		return

@@ -30,7 +30,6 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 
 	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
 		Frames:        8,
-		Shards:        2,
 		PolicyFactory: bpwrapper.PolicyFactories()["lru"],
 		Wrapper:       bpwrapper.WrapperConfig{Batching: true},
 		Device:        bpwrapper.NewMemDevice(),

@@ -14,8 +14,8 @@ import (
 
 // The chaos experiment (E16) drives the graceful-degradation machinery —
 // quarantine-pressure health and miss admission control — through two
-// scripted fault scenarios on one shard of two and reports the
-// machinery's event counts. Unlike the torture chaos scenarios (which use
+// scripted fault scenarios on one Fault→Checksum→Retry stack under the
+// whole pool and reports the machinery's event counts. Unlike the torture chaos scenarios (which use
 // concurrency), E16 is built to be byte-for-byte reproducible: retry
 // backoffs are no-op sleeps, fault rates are only 0 or 1, and one
 // goroutine drives every operation in a fixed order. The committed
@@ -42,10 +42,9 @@ type ChaosReport struct {
 }
 
 const (
-	chaosTable  = 0x7e
-	chaosShards = 2
-	chaosHot    = 2 // resident pages per shard
-	chaosCold   = 6 // miss-provoking pages per shard
+	chaosTable = 0x7e
+	chaosHot   = 2 // resident pages
+	chaosCold  = 6 // miss-provoking pages
 )
 
 func chaosPage(b uint64) page.PageID { return page.NewPageID(chaosTable, b) }
@@ -60,64 +59,41 @@ func chaosStamp(id page.PageID, version int) page.PageID {
 type chaosRun struct {
 	pool     *buffer.Pool
 	mem      *storage.MemDevice
-	faults   []*storage.FaultDevice
-	ids      [][]page.PageID // per shard: hot ids first, then cold
+	fault    *storage.FaultDevice
+	ids      []page.PageID // hot ids first, then cold
 	versions map[page.PageID]int
 	ses      *buffer.Session
 	row      *ChaosRow
 }
 
-// buildChaosRun assembles the per-shard Fault→Checksum→Retry stacks.
+// buildChaosRun assembles the Fault→Checksum→Retry stack under the pool.
 func buildChaosRun(seed int64, scenario string) *chaosRun {
 	r := &chaosRun{
 		mem:      storage.NewMemDevice(),
-		faults:   make([]*storage.FaultDevice, chaosShards),
 		versions: map[page.PageID]int{},
 		row:      &ChaosRow{Scenario: scenario},
 	}
-	framesPerShard := chaosHot + chaosCold/2 // cold misses overflow the shard
+	r.fault = storage.NewFaultDevice(r.mem, storage.FaultConfig{Seed: seed})
 	r.pool = buffer.New(buffer.Config{
-		Frames:        framesPerShard * chaosShards,
-		Shards:        chaosShards,
+		Frames:        chaosHot + chaosCold/2, // cold misses overflow the pool
 		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
-		Device:        r.mem,
-		QuarantineCap: 2 * chaosShards,
-		WrapShardDevice: func(shard int, base storage.Device) storage.Device {
-			r.faults[shard] = storage.NewFaultDevice(base, storage.FaultConfig{Seed: seed + int64(shard)})
-			return storage.NewRetryDevice(storage.NewChecksumDevice(r.faults[shard]), storage.RetryConfig{
-				MaxAttempts: 2,
-				Sleep:       func(time.Duration) {}, // no wall time in the ladder
-				Jitter:      -1,
-				Seed:        seed,
-			})
-		},
+		Device: storage.NewRetryDevice(storage.NewChecksumDevice(r.fault), storage.RetryConfig{
+			MaxAttempts: 2,
+			Sleep:       func(time.Duration) {}, // no wall time in the ladder
+			Jitter:      -1,
+			Seed:        seed,
+		}),
+		QuarantineCap: 2,
 	})
-	// Partition ids by owning shard and seed version 0 below the stacks.
-	r.ids = make([][]page.PageID, chaosShards)
-	for b := uint64(0); ; b++ {
+	// Seed version 0 below the stack.
+	for b := uint64(0); b < chaosHot+chaosCold; b++ {
 		id := chaosPage(b)
-		s := r.pool.ShardOf(id)
-		if len(r.ids[s]) < chaosHot+chaosCold {
-			r.ids[s] = append(r.ids[s], id)
-		}
-		full := true
-		for _, l := range r.ids {
-			if len(l) < chaosHot+chaosCold {
-				full = false
-			}
-		}
-		if full {
-			break
-		}
-	}
-	for _, l := range r.ids {
-		for _, id := range l {
-			var pg page.Page
-			pg.Stamp(chaosStamp(id, 0))
-			pg.ID = id
-			r.mem.WritePage(&pg)
-			r.versions[id] = 0
-		}
+		r.ids = append(r.ids, id)
+		var pg page.Page
+		pg.Stamp(chaosStamp(id, 0))
+		pg.ID = id
+		r.mem.WritePage(&pg)
+		r.versions[id] = 0
 	}
 	r.ses = r.pool.NewSession()
 	return r
@@ -139,9 +115,9 @@ func (r *chaosRun) write(id page.PageID) error {
 	return nil
 }
 
-// observe folds the sick shard's health into the row's peak.
+// observe folds the pool's health into the row's peak.
 func (r *chaosRun) observe() buffer.HealthState {
-	h := r.pool.Stats().PerShard[0].Health
+	h := r.pool.Stats().Health
 	if peak := h.String(); r.row.PeakHealth == "" || h > parseHealth(r.row.PeakHealth) {
 		r.row.PeakHealth = peak
 	}
@@ -162,13 +138,13 @@ func parseHealth(s string) buffer.HealthState {
 // finish heals the device, drains the quarantine, closes the pool, and
 // scores the zero-lost-dirty oracle against the raw device.
 func (r *chaosRun) finish() error {
-	r.faults[0].SetReadFailRate(0)
-	r.faults[0].SetWriteFailRate(0)
+	r.fault.SetReadFailRate(0)
+	r.fault.SetWriteFailRate(0)
 	if _, err := r.pool.FlushDirty(); err != nil { // drain parked quarantine writes
 		return fmt.Errorf("chaos %s: flush after healing: %w", r.row.Scenario, err)
 	}
 	st := r.pool.Stats()
-	r.row.FinalHealth = st.PerShard[0].Health.String()
+	r.row.FinalHealth = st.Health.String()
 	if err := r.pool.Close(); err != nil {
 		return fmt.Errorf("chaos %s: close after healing: %w", r.row.Scenario, err)
 	}
@@ -183,7 +159,7 @@ func (r *chaosRun) finish() error {
 	}
 	r.row.Misses = st.Misses
 	r.row.Shed = st.Shed
-	r.row.QuarantineRefusals = st.PerShard[0].QuarantineRefusals
+	r.row.QuarantineRefusals = st.QuarantineRefusals
 	return nil
 }
 
@@ -191,65 +167,57 @@ func (r *chaosRun) finish() error {
 func chaosScenario(seed int64, scenario string) (ChaosRow, error) {
 	r := buildChaosRun(seed, scenario)
 
-	// Warm the hot set (resident + dirty) on every shard.
-	for s := 0; s < chaosShards; s++ {
-		for _, id := range r.ids[s][:chaosHot] {
-			if err := r.write(id); err != nil {
-				return ChaosRow{}, fmt.Errorf("chaos %s: warmup: %w", scenario, err)
-			}
+	// Warm the hot set (resident + dirty).
+	for _, id := range r.ids[:chaosHot] {
+		if err := r.write(id); err != nil {
+			return ChaosRow{}, fmt.Errorf("chaos %s: warmup: %w", scenario, err)
 		}
 	}
 
-	// Inject the scenario's fault on shard 0.
+	// Inject the scenario's fault.
 	switch scenario {
 	case "harddown":
-		r.faults[0].SetReadFailRate(1)
-		r.faults[0].SetWriteFailRate(1)
+		r.fault.SetReadFailRate(1)
+		r.fault.SetWriteFailRate(1)
 	case "quarantine":
-		r.faults[0].SetWriteFailRate(1) // reads fine; dirty evictions park
+		r.fault.SetWriteFailRate(1) // reads fine; dirty evictions park
 	default:
 		return ChaosRow{}, fmt.Errorf("chaos: unknown scenario %q", scenario)
 	}
 
-	// Scripted degraded window: a fixed budget of sick-shard cold misses
-	// (errors and sheds are the measured behaviour), the quarantine
-	// ladder for the write-fault scenario (dirty cold pages so evictions
-	// must write back), and hot reads plus healthy-shard misses that must
-	// keep serving throughout.
-	cold := func(s, i int) page.PageID { return r.ids[s][chaosHot+i%chaosCold] }
+	// Scripted degraded window: a fixed budget of cold misses (errors and
+	// sheds are the measured behaviour), the quarantine ladder for the
+	// write-fault scenario (dirty cold pages so evictions must write back),
+	// and hot reads that must keep serving throughout.
+	cold := func(i int) page.PageID { return r.ids[chaosHot+i%chaosCold] }
 	for i := 0; i < 24; i++ {
 		if scenario == "quarantine" {
 			// A loaded page is dirtied, and the next misses evict it into
 			// a failing write-back that parks it. A miss may be shed or
 			// find every victim refused by a full quarantine (which
 			// ErrQuarantineFull wraps); anything else is a fault.
-			err := r.write(cold(0, i))
+			err := r.write(cold(i))
 			if err != nil && !errors.Is(err, buffer.ErrOverloaded) && !errors.Is(err, buffer.ErrNoUnpinnedBuffers) {
-				return ChaosRow{}, fmt.Errorf("chaos %s: sick-shard write: %w", scenario, err)
+				return ChaosRow{}, fmt.Errorf("chaos %s: cold write: %w", scenario, err)
 			}
 		} else {
 			// Every read fails, so a miss returns the device's transient
 			// error or is shed; a miss that loads is a fault.
-			ref, err := r.pool.Get(r.ses, cold(0, i))
+			ref, err := r.pool.Get(r.ses, cold(i))
 			if err == nil {
 				ref.Release()
-				return ChaosRow{}, fmt.Errorf("chaos %s: sick-shard miss loaded from a dead device", scenario)
+				return ChaosRow{}, fmt.Errorf("chaos %s: miss loaded from a dead device", scenario)
 			}
 			if !errors.Is(err, buffer.ErrOverloaded) && !storage.Retryable(err) {
-				return ChaosRow{}, fmt.Errorf("chaos %s: sick-shard miss: %w", scenario, err)
+				return ChaosRow{}, fmt.Errorf("chaos %s: cold miss: %w", scenario, err)
 			}
 		}
 		r.observe()
-		for _, id := range r.ids[0][:chaosHot] {
+		for _, id := range r.ids[:chaosHot] {
 			ref, err := r.pool.Get(r.ses, id)
 			if err != nil {
 				return ChaosRow{}, fmt.Errorf("chaos %s: resident read failed mid-fault: %w", scenario, err)
 			}
-			ref.Release()
-		}
-		if ref, err := r.pool.Get(r.ses, cold(1, i)); err != nil {
-			return ChaosRow{}, fmt.Errorf("chaos %s: healthy-shard miss failed mid-fault: %w", scenario, err)
-		} else {
 			ref.Release()
 		}
 	}
@@ -274,14 +242,13 @@ func ChaosExperiment(o Options) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// PrintChaos renders the ledger as a table; its recovered column reads the
-// final health.
+// PrintChaos renders the ledger as a table.
 func PrintChaos(w io.Writer, rep *ChaosReport) {
 	fmt.Fprintln(w, "Chaos scenarios (E16) — graceful-degradation event ledger (scripted, deterministic)")
-	fmt.Fprintf(w, "  %-10s %7s %6s %8s %-10s %-10s %-9s %5s\n",
-		"scenario", "misses", "shed", "quarref", "peak", "final", "recovered", "lost")
+	fmt.Fprintf(w, "  %-10s %7s %6s %8s %-10s %-10s %5s\n",
+		"scenario", "misses", "shed", "quarref", "peak", "final", "lost")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "  %-10s %7d %6d %8d %-10s %-10s %-9v %5d\n",
-			r.Scenario, r.Misses, r.Shed, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.FinalHealth == buffer.Healthy.String(), r.LostPages)
+		fmt.Fprintf(w, "  %-10s %7d %6d %8d %-10s %-10s %5d\n",
+			r.Scenario, r.Misses, r.Shed, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.LostPages)
 	}
 }

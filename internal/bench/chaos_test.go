@@ -46,16 +46,16 @@ func TestChaosScenarioShapes(t *testing.T) {
 			t.Errorf("%s: lost %d dirty pages through fault+recovery", r.Scenario, r.LostPages)
 		}
 		if r.FinalHealth != "healthy" {
-			t.Errorf("%s: shard did not return to Healthy after healing: %+v", r.Scenario, r)
+			t.Errorf("%s: pool did not return to Healthy after healing: %+v", r.Scenario, r)
 		}
 	}
 	// Failed reads park nothing, so a dead device with resident dirty
-	// pages never fills the quarantine and the shard sheds nothing; failed
-	// write-backs of dirty victims fill it and the shard sheds.
+	// pages never fills the quarantine and the pool sheds nothing; failed
+	// write-backs of dirty victims fill it and the pool sheds.
 	if r := byName["harddown"]; r.Shed != 0 || r.PeakHealth != "healthy" {
 		t.Errorf("harddown: shed without quarantine pressure: %+v", r)
 	}
 	if r := byName["quarantine"]; r.Shed == 0 || r.PeakHealth != "read-only" {
-		t.Errorf("quarantine: write-fault pressure never took the shard read-only: %+v", r)
+		t.Errorf("quarantine: write-fault pressure never took the pool read-only: %+v", r)
 	}
 }

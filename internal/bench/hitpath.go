@@ -25,20 +25,18 @@ import (
 // falls back to is the reference the torture-tagged differentials run it
 // against (internal/torture), not an arm here.
 
-// Hitpath-experiment tuning: enough frames that the working set shards
-// cleanly, and a working set at half occupancy so no shard's partition can
-// overflow its frame count (residency stays 100% even at Shards > 1).
+// Hitpath-experiment tuning: a working set at half occupancy, every page
+// resident.
 const (
 	HitpathFrames   = 512
 	HitpathPages    = HitpathFrames / 2
 	hitpathAccesses = 1 << 16
 )
 
-// HitpathCounterRow is one shard count's point of the deterministic
-// counter sweep. All fields are exact post-Flush totals.
+// HitpathCounterRow is the deterministic counter sweep's point. All fields
+// are exact post-Flush totals.
 type HitpathCounterRow struct {
 	Path           string `json:"path"` // "optimistic": the one hit path
-	Shards         int    `json:"shards"`
 	Accesses       int64  `json:"accesses"`
 	Hits           int64  `json:"hits"`
 	Fast           int64  `json:"fast"`      // hits served with zero mutex acquisitions
@@ -67,13 +65,11 @@ func HitpathExperiment(o Options) (*HitpathReport, error) {
 		Frames:     HitpathFrames,
 		Pages:      HitpathPages,
 	}
-	for _, shards := range []int{1, 4} {
-		row, err := hitpathCounterPoint(shards, o.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("hitpath counters shards=%d: %w", shards, err)
-		}
-		rep.CounterRows = append(rep.CounterRows, row)
+	row, err := hitpathCounterPoint(o.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("hitpath counters: %w", err)
 	}
+	rep.CounterRows = append(rep.CounterRows, row)
 	return rep, nil
 }
 
@@ -82,10 +78,9 @@ func HitpathExperiment(o Options) (*HitpathReport, error) {
 // protocol) single-threaded over a seeded access stream and reads the
 // anatomy off the difference of two Stats snapshots around it. One
 // goroutine, every page resident: the counters are exact and reproducible.
-func hitpathCounterPoint(shards int, seed int64) (HitpathCounterRow, error) {
+func hitpathCounterPoint(seed int64) (HitpathCounterRow, error) {
 	pool, err := newPool("lru", buffer.Config{
 		Frames:  HitpathFrames,
-		Shards:  shards,
 		Wrapper: core.Config{},
 		Device:  storage.NewNullDevice(),
 	})
@@ -115,7 +110,6 @@ func hitpathCounterPoint(shards int, seed int64) (HitpathCounterRow, error) {
 	hits := st.Hits - before.Hits
 	return HitpathCounterRow{
 		Path:           "optimistic",
-		Shards:         shards,
 		Accesses:       hits + st.Misses - before.Misses,
 		Hits:           hits,
 		Fast:           st.HitpathFast - before.HitpathFast,
@@ -141,11 +135,11 @@ func PrintHitpath(w io.Writer, rep *HitpathReport) {
 	fmt.Fprintln(w, "Lock-free hit path (E17) — seqlock lookup + pin CAS, zero locks on a resident read")
 	fmt.Fprintf(w, "\nHit-path anatomy (%d resident pages in %d frames, %d seeded accesses, 1 goroutine)\n",
 		rep.Pages, rep.Frames, hitpathAccesses)
-	fmt.Fprintf(w, "  %-11s %7s %9s %9s %9s %8s %8s %10s %10s\n",
-		"path", "shards", "accesses", "hits", "fast", "retries", "fallbk", "bucketlk", "framelk")
+	fmt.Fprintf(w, "  %-11s %9s %9s %9s %8s %8s %10s %10s\n",
+		"path", "accesses", "hits", "fast", "retries", "fallbk", "bucketlk", "framelk")
 	for _, r := range rep.CounterRows {
-		fmt.Fprintf(w, "  %-11s %7d %9d %9d %9d %8d %8d %10d %10d\n",
-			r.Path, r.Shards, r.Accesses, r.Hits, r.Fast, r.Retries, r.Fallbacks,
+		fmt.Fprintf(w, "  %-11s %9d %9d %9d %8d %8d %10d %10d\n",
+			r.Path, r.Accesses, r.Hits, r.Fast, r.Retries, r.Fallbacks,
 			r.BucketLockAcqs, r.FrameLockAcqs)
 	}
 }

@@ -9,30 +9,30 @@ import (
 
 // TestHitpathCounters runs the deterministic E17 sweep and checks the
 // acceptance shape directly: a fully-resident workload is served with
-// zero lock acquisitions, every hit fast, at every shard count.
+// zero lock acquisitions, every hit fast.
 func TestHitpathCounters(t *testing.T) {
 	rep, err := HitpathExperiment(Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.CounterRows) != 2 {
-		t.Fatalf("got %d counter rows, want 2", len(rep.CounterRows))
+	if len(rep.CounterRows) != 1 {
+		t.Fatalf("got %d counter rows, want 1", len(rep.CounterRows))
 	}
 	for _, r := range rep.CounterRows {
 		if r.Accesses != hitpathAccesses || r.Hits != hitpathAccesses {
-			t.Errorf("%s/shards=%d: accesses=%d hits=%d, want %d fully-resident hits",
-				r.Path, r.Shards, r.Accesses, r.Hits, hitpathAccesses)
+			t.Errorf("%s: accesses=%d hits=%d, want %d fully-resident hits",
+				r.Path, r.Accesses, r.Hits, hitpathAccesses)
 		}
 		if r.Fast != r.Hits {
-			t.Errorf("shards=%d: fast=%d != hits=%d", r.Shards, r.Fast, r.Hits)
+			t.Errorf("fast=%d != hits=%d", r.Fast, r.Hits)
 		}
 		if r.BucketLockAcqs != 0 || r.FrameLockAcqs != 0 {
-			t.Errorf("shards=%d: lock acquisitions bucket=%d frame=%d, want 0/0",
-				r.Shards, r.BucketLockAcqs, r.FrameLockAcqs)
+			t.Errorf("lock acquisitions bucket=%d frame=%d, want 0/0",
+				r.BucketLockAcqs, r.FrameLockAcqs)
 		}
 		if r.Retries != 0 || r.Fallbacks != 0 {
-			t.Errorf("shards=%d single-threaded: retries=%d fallbacks=%d, want 0/0",
-				r.Shards, r.Retries, r.Fallbacks)
+			t.Errorf("single-threaded: retries=%d fallbacks=%d, want 0/0",
+				r.Retries, r.Fallbacks)
 		}
 	}
 

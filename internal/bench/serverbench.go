@@ -16,7 +16,7 @@ import (
 // Experiment E18 — serving the pool over the wire (DESIGN.md §13): a
 // loopback bpserver driven through the binary protocol. One client replays
 // a seeded op stream (GET/PUT/INVALIDATE with a closing FLUSH)
-// synchronously per burst, per (shards × pipeline-depth) arm, plus one
+// synchronously per burst, per pipeline-depth arm, plus one
 // deliberately malformed frame on a second connection. Every number —
 // per-op request counts, per-status response counts, bytes in/out, the
 // pool's hit/miss split — is exact and byte-identical on any machine: the
@@ -36,10 +36,9 @@ const (
 	serverOps    = 4096
 )
 
-// ServerLedgerRow is one (shards, pipeline) arm of the deterministic
+// ServerLedgerRow is one pipeline depth's arm of the deterministic
 // ledger. All fields are exact post-quiescence totals.
 type ServerLedgerRow struct {
-	Shards    int              `json:"shards"`
 	Pipeline  int              `json:"pipeline"`
 	Ops       int64            `json:"ops"`
 	Requests  map[string]int64 `json:"requests"`  // by op name
@@ -71,27 +70,24 @@ func ServerExperiment(o Options) (*ServerReport, error) {
 		Frames:     ServerFrames,
 		Pages:      ServerPages,
 	}
-	for _, shards := range []int{1, 2} {
-		for _, pipeline := range []int{1, 16} {
-			row, err := serverLedgerArm(shards, pipeline, o.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("server ledger shards=%d pipeline=%d: %w", shards, pipeline, err)
-			}
-			rep.LedgerRows = append(rep.LedgerRows, row)
+	for _, pipeline := range []int{1, 16} {
+		row, err := serverLedgerArm(pipeline, o.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("server ledger pipeline=%d: %w", pipeline, err)
 		}
+		rep.LedgerRows = append(rep.LedgerRows, row)
 	}
 	return rep, nil
 }
 
-// serverLedgerArm drives one (shards, pipeline) arm: the seeded op
+// serverLedgerArm drives one pipeline depth's arm: the seeded op
 // stream through one client, the malformed-frame probe through another,
 // then a quiescent snapshot of the server and pool counters.
-func serverLedgerArm(shards, pipeline int, seed int64) (ServerLedgerRow, error) {
+func serverLedgerArm(pipeline int, seed int64) (ServerLedgerRow, error) {
 	// Memory device, LRU, defaults elsewhere: the arm measures the protocol
 	// layer, not the policy.
 	pool, err := newPool("lru", buffer.Config{
 		Frames: ServerFrames,
-		Shards: shards,
 		Device: storage.NewMemDevice(),
 	})
 	if err != nil {
@@ -183,7 +179,6 @@ func serverLedgerArm(shards, pipeline int, seed int64) (ServerLedgerRow, error) 
 	st := srv.Stats()
 	pst := pool.Stats()
 	row := ServerLedgerRow{
-		Shards:    shards,
 		Pipeline:  pipeline,
 		Ops:       serverOps,
 		Requests:  st.Requests,
@@ -206,11 +201,11 @@ func PrintServer(w io.Writer, rep *ServerReport) {
 	fmt.Fprintln(w, "Serving over the wire (E18) — loopback bpserver protocol ledger")
 	fmt.Fprintf(w, "\nByte/op ledger (%d seeded ops over %d pages in %d frames, 1 client)\n",
 		serverOps, rep.Pages, rep.Frames)
-	fmt.Fprintf(w, "  %6s %9s %7s %7s %7s %7s %10s %12s %8s %8s %8s\n",
-		"shards", "pipeline", "gets", "puts", "inval", "flush", "bytes_in", "bytes_out", "hits", "misses", "badfrm")
+	fmt.Fprintf(w, "  %9s %7s %7s %7s %7s %10s %12s %8s %8s %8s\n",
+		"pipeline", "gets", "puts", "inval", "flush", "bytes_in", "bytes_out", "hits", "misses", "badfrm")
 	for _, r := range rep.LedgerRows {
-		fmt.Fprintf(w, "  %6d %9d %7d %7d %7d %7d %10d %12d %8d %8d %8d\n",
-			r.Shards, r.Pipeline,
+		fmt.Fprintf(w, "  %9d %7d %7d %7d %7d %10d %12d %8d %8d %8d\n",
+			r.Pipeline,
 			r.Requests["get"], r.Requests["put"], r.Requests["invalidate"], r.Requests["flush"],
 			r.BytesIn, r.BytesOut, r.Hits, r.Misses, r.BadFrames)
 	}

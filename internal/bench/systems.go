@@ -78,9 +78,8 @@ func (s System) WrapperConfig(queueSize, batchThreshold int) core.Config {
 	}
 }
 
-// newPool builds a real pool running the named policy, one instance per
-// shard (a zero cfg.Shards is the single-shard pool). The deterministic
-// real-pool sweeps (E14, E17, E18, E20) build their pools here.
+// newPool builds a real pool running the named policy. The deterministic
+// real-pool sweeps (E17, E18, E20) build their pools here.
 func newPool(policy string, cfg buffer.Config) (*buffer.Pool, error) {
 	f, ok := replacer.Factories()[policy]
 	if !ok {

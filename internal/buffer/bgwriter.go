@@ -29,11 +29,6 @@ type BackgroundWriter struct {
 	mu    sync.Mutex
 	stats BackgroundWriterStats
 
-	// spent is the shard the last round ran out of budget in — the next
-	// one starts after it — or nil when it covered every shard. Only the
-	// writer's goroutine touches it.
-	spent *shard
-
 	// lastPanic holds the most recent contained round panic (message,
 	// stack, and a FlightDump of the pool at the moment of recovery).
 	lastPanic atomic.Pointer[string]
@@ -112,7 +107,7 @@ func (w *BackgroundWriter) run() {
 // safeRound runs one round with panic containment: a panic anywhere in
 // the sweep (a broken policy, a misbehaving device wrapper) is recovered
 // instead of killing the writer goroutine — the pool's retry engine must
-// outlive one bad round. The panic is counted, recorded in every shard's
+// outlive one bad round. The panic is counted, recorded in the pool's
 // flight ring, and preserved with its stack and a FlightDump for
 // post-mortem retrieval via LastPanic. The round's partial progress
 // stands; pages it did not reach stay dirty or quarantined for the next
@@ -120,9 +115,7 @@ func (w *BackgroundWriter) run() {
 func (w *BackgroundWriter) safeRound() (written, failed int64) {
 	defer func() {
 		if r := recover(); r != nil {
-			for _, sh := range w.pool.shards {
-				sh.events.Record(obs.EvPanic, 1, 0)
-			}
+			w.pool.sh.events.Record(obs.EvPanic, 1, 0)
 			msg := fmt.Sprintf("bgwriter: recovered round panic: %v\n%s\n%s",
 				r, debug.Stack(), w.pool.FlightDump())
 			w.lastPanic.Store(&msg)
@@ -145,49 +138,32 @@ func (w *BackgroundWriter) LastPanic() string {
 	return ""
 }
 
-// round walks the shards: for each it retries the quarantine, then
-// writes back dirty, unpinned frames through shard.flushFrame (pin, write
-// from the frame, clear the dirty bit only once the write is durable). The
-// pagesPerRound budget is global across shards, so the per-round device burst
-// stays bounded regardless of shard count. Nothing restarts where the last
-// round started: a shard's sweep resumes at the frame its last one stopped
-// at (PostgreSQL's next_to_clean), and a round begins with the shard after
-// the one that used up the last round's budget — so frames that are dirtied
-// again as fast as they are cleaned cannot keep the writer from the rest.
-// It reports pages made durable and failed attempts.
+// round retries the quarantine, then writes back dirty, unpinned frames
+// through shard.flushFrame (pin, write from the frame, clear the dirty bit
+// only once the write is durable), up to pagesPerRound pages, so the
+// per-round device burst stays bounded. A sweep resumes at the frame the
+// last one stopped at (PostgreSQL's next_to_clean), so frames that are
+// dirtied again as fast as they are cleaned cannot keep the writer from the
+// rest. It reports pages made durable and failed attempts.
 func (w *BackgroundWriter) round() (written, failed int64) {
-	shards := w.pool.shards
-	first := 0
-	for i, sh := range shards {
-		if sh == w.spent {
-			first = i + 1
+	sh := w.pool.sh
+	qn, qfailed, _ := sh.drainQuarantine()
+	written += int64(qn)
+	failed += int64(qfailed)
+	n := len(sh.frames)
+	at := int(sh.nextToClean.Load())
+	for left := n; left > 0 && written+failed < pagesPerRound; left-- {
+		wrote, err := sh.flushFrame(&sh.frames[at])
+		if err != nil {
+			failed++
+		} else if wrote {
+			written++
+		}
+		if at++; at == n {
+			at = 0
 		}
 	}
-	w.spent = nil
-	for k := range shards {
-		sh := shards[(first+k)%len(shards)]
-		qn, qfailed, _ := sh.drainQuarantine()
-		written += int64(qn)
-		failed += int64(qfailed)
-		n := len(sh.frames)
-		at := int(sh.nextToClean.Load())
-		for left := n; left > 0 && written+failed < pagesPerRound; left-- {
-			wrote, err := sh.flushFrame(&sh.frames[at])
-			if err != nil {
-				failed++
-			} else if wrote {
-				written++
-			}
-			if at++; at == n {
-				at = 0
-			}
-		}
-		sh.nextToClean.Store(int64(at))
-		if written+failed >= pagesPerRound {
-			w.spent = sh
-			break
-		}
-	}
+	sh.nextToClean.Store(int64(at))
 	w.mu.Lock()
 	w.stats.Rounds++
 	w.stats.Written += written

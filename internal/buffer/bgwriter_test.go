@@ -7,7 +7,6 @@ import (
 
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
-	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/storage"
 )
 
@@ -163,7 +162,7 @@ func TestBackgroundWriterSweepResumes(t *testing.T) {
 	p := newTestPool(frames, core.Config{})
 	s := p.NewSession()
 	dirtyAll(t, p, s, frames)
-	sh := p.shards[0]
+	sh := p.sh
 	w := &BackgroundWriter{pool: p}
 
 	for round := 1; round <= frames/budget+1; round++ {
@@ -179,35 +178,4 @@ func TestBackgroundWriterSweepResumes(t *testing.T) {
 	}
 	t.Fatalf("dirty frame %d still unwritten after %d rounds of %d pages over %d frames",
 		far, frames/budget+1, budget, frames)
-}
-
-// TestBackgroundWriterRotatesShards is the same property one level up: a
-// shard that can use a whole round's budget every round does not keep the
-// writer from the other shard.
-func TestBackgroundWriterRotatesShards(t *testing.T) {
-	const frames, budget = 256, pagesPerRound
-	p := New(Config{
-		Frames:        frames,
-		Shards:        2,
-		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
-		Device:        storage.NewMemDevice(),
-	})
-	s := p.NewSession()
-	// Each shard has room for 128 pages; 160 are spread over the two by
-	// hash, so nothing is evicted and each holds more than one round's worth.
-	dirtyAll(t, p, s, 160)
-	w := &BackgroundWriter{pool: p}
-
-	shards := p.shards
-	before := [2]int{shards[0].dirtyCount(), shards[1].dirtyCount()}
-	if before[0] < budget || before[1] < budget {
-		t.Fatalf("dirty pages per shard %v: the test needs at least %d in each", before, budget)
-	}
-	w.round()
-	w.round()
-	for i, sh := range shards {
-		if got := sh.dirtyCount(); got != before[i]-budget {
-			t.Fatalf("shard %d: %d dirty pages after two rounds, want %d (one round's budget each)", i, got, before[i]-budget)
-		}
-	}
 }

@@ -213,3 +213,110 @@ func TestCloseRacesBackgroundWriterStop(t *testing.T) {
 		t.Fatalf("%d dirty pages after final round", d)
 	}
 }
+
+// TestCloseRacingBGWriterRoundOnAnotherStripe pins down the shutdown race:
+// a background-writer round holds a quarantined page's write in flight at
+// the device while Close runs concurrently. The write-back of a dirty page
+// on another write-back stripe must proceed in that window, Close must
+// wait for — not skip — the in-flight page, and after both finish the
+// device must hold every page: neither the race nor the duplicate drain
+// may lose a quarantined copy.
+func TestCloseRacingBGWriterRoundOnAnotherStripe(t *testing.T) {
+	mem := storage.NewMemDevice()
+	fault := storage.NewFaultDevice(mem, storage.FaultConfig{})
+	gate := newGateDevice(fault)
+	p := New(Config{
+		Frames:        4,
+		PolicyFactory: factoryOf("lru"),
+		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
+		Device:        gate,
+	})
+	s := p.NewSession()
+	get := func(id page.PageID) {
+		t.Helper()
+		ref, err := p.Get(s, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Release()
+	}
+
+	idA := pid(1) // the page that will be quarantined
+	idB := pid(2) // a dirty page on another write-back stripe
+	for p.sh.wbLock(idB) == p.sh.wbLock(idA) {
+		idB++
+	}
+
+	// Park idA in the quarantine via a failed eviction write-back: four
+	// more pages overflow the four frames, LRU evicts dirty idA, and the
+	// dead device rejects the write.
+	dirtyPage(t, p, s, idA)
+	fault.SetWriteFailRate(1)
+	for i := uint64(100); i < 104; i++ {
+		get(pid(i))
+	}
+	if q := p.quarantineLen(); q != 1 {
+		t.Fatalf("quarantined=%d after a failed eviction, want 1", q)
+	}
+	fault.SetWriteFailRate(0)
+	dirtyPage(t, p, s, idB)
+
+	// Hold the quarantine retry of idA in flight: the background writer's
+	// round enters its drain and blocks inside the device write, holding
+	// idA's write-back stripe.
+	entered, release := gate.arm(idA)
+	bg := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond})
+	<-entered
+
+	// Stripe independence: while idA's write is held, evicting dirty idB
+	// must complete its write-back — nothing serializes it behind idA.
+	for i := uint64(200); i < 204; i++ {
+		get(pid(i))
+	}
+	if !mustRead(t, mem, idB).VerifyStamp(idB + stampShift) {
+		t.Fatal("idB's eviction write-back did not land during idA's in-flight write")
+	}
+
+	// Close racing the held round: its drain must queue behind the
+	// in-flight write on the stripe, not complete early and not drop the
+	// page.
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- p.Close() }()
+	select {
+	case err := <-closeErr:
+		t.Fatalf("Close returned (%v) while idA's quarantined write was still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(release)
+	if err := <-closeErr; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	bg.Stop()
+
+	// Nothing lost: the in-flight copy of idA landed exactly once (Close's
+	// duplicate snapshot write was skipped by re-validation), and both
+	// pages are durable at their last written version.
+	if q := p.quarantineLen(); q != 0 {
+		t.Fatalf("%d entries left quarantined after Close", q)
+	}
+	if d := p.dirtyCount(); d != 0 {
+		t.Fatalf("%d dirty pages left after Close", d)
+	}
+	if !mustRead(t, mem, idA).VerifyStamp(idA + stampShift) {
+		t.Fatal("the quarantined page was lost across the Close/bgwriter race")
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustRead fetches id from the raw memory device.
+func mustRead(t *testing.T, mem *storage.MemDevice, id page.PageID) *page.Page {
+	t.Helper()
+	var pg page.Page
+	if err := mem.ReadPage(id, &pg); err != nil {
+		t.Fatalf("device read of %v: %v", id, err)
+	}
+	return &pg
+}

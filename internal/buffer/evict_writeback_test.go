@@ -172,8 +172,6 @@ func (r *evictRig) deviceHolds(t *testing.T, version uint64) {
 	}
 }
 
-func shard0(p *Pool) *shard { return p.shards[0] }
-
 // evictWindows are the ways to stop page 1's eviction write-back part-way,
 // for the tests that send a dependent in meanwhile: entered closes once the
 // evictor is held, release lets it go on.
@@ -201,7 +199,7 @@ func TestEvictWriteHoldsMissUntilDurable(t *testing.T) {
 		if len(got) != 0 {
 			t.Fatal("the miss returned while the page's eviction write was in flight")
 		}
-		return shard0(r.p).evictWaits.Load() == 1
+		return r.p.sh.evictWaits.Load() == 1
 	})
 	if ops := r.log.seen(); len(ops) != 0 {
 		t.Fatalf("device saw %v for the page while its write was held", ops)
@@ -238,7 +236,7 @@ func TestEvictWriteFailureParksOnce(t *testing.T) {
 	evicted := r.evict(t)
 	<-entered
 	got := r.read(t)
-	waitUntil(t, "the miss to wait on the eviction", func() bool { return shard0(r.p).evictWaits.Load() == 1 })
+	waitUntil(t, "the miss to wait on the eviction", func() bool { return r.p.sh.evictWaits.Load() == 1 })
 	close(release)
 	pg := <-got
 	<-evicted
@@ -250,7 +248,7 @@ func TestEvictWriteFailureParksOnce(t *testing.T) {
 		t.Fatalf("device saw %v for the page; the miss must adopt the parked copy, not read", ops)
 	}
 	parks := 0
-	for _, ev := range shard0(r.p).events.Events() {
+	for _, ev := range r.p.sh.events.Events() {
 		if ev.Kind == obs.EvQuarantinePark {
 			parks++
 			if ev.Arg1 != uint64(pid(1)) || ev.Arg2 != 1 {
@@ -316,7 +314,7 @@ func TestInvalidateWaitsForEvictWrite(t *testing.T) {
 				if len(invalidated) != 0 {
 					t.Fatal("Invalidate returned while the page's eviction write-back was under way")
 				}
-				return shard0(r.p).evictWaits.Load() == 1
+				return r.p.sh.evictWaits.Load() == 1
 			})
 			close(release)
 			if err := <-invalidated; err != nil {

@@ -275,7 +275,7 @@ func TestQuarantineBoundRefusesDirtyEvictions(t *testing.T) {
 // parked copy rather than the device's stale one.
 func TestQuarantineGateSeesParkUnderWaitingMiss(t *testing.T) {
 	r := newEvictRig(t, Config{})
-	sh := shard0(r.p)
+	sh := r.p.sh
 
 	sh.quarMu.Lock()
 	idle := make(chan error, 1)

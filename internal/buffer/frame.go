@@ -66,7 +66,7 @@ const (
 type Frame struct {
 	state   atomic.Uint64
 	tagPage atomic.Uint64 // page.PageID of the cached copy; InvalidPageID when not resident
-	slot    uint32        // index in the owning shard's frames; every tag this frame issues carries it
+	slot    uint32        // index in the pool's frames; every tag this frame issues carries it
 	ovNext  uint32        // next frame (slot+1) in its bucket's overflow chain; guarded by the bucket mutex
 	_       [40]byte      // state+tag own the first cache line
 

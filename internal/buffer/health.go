@@ -1,12 +1,12 @@
-// Per-shard health state machine and miss admission control.
+// The pool's health state machine and miss admission control.
 //
 // BP-Wrapper's contract is that nothing blocks the hot path; this file
 // extends that contract to device failures. Hits never consult health at
 // all — a resident page is served from memory regardless of how sick the
 // device is. Misses, which must touch the device, pass an admission check
-// driven by two inputs: the depth of the shard's dirty quarantine, and the
+// driven by two inputs: the depth of the pool's dirty quarantine, and the
 // read-only floor an operator lowers with Pool.SetReadOnly (bpserver's
-// drain). A shard degrades in two steps instead of queueing unbounded
+// drain). The pool degrades in two steps instead of queueing unbounded
 // work behind a device whose writes fail:
 //
 //	Healthy   — misses flow freely.
@@ -17,7 +17,7 @@
 //	            every miss is shed immediately. Resident pages keep
 //	            serving (including writes to them — the data is safe in
 //	            memory and the quarantine protocol keeps eviction
-//	            lossless), so one sick device degrades its shard to an
+//	            lossless), so a sick device degrades the pool to an
 //	            in-memory cache instead of an error fountain.
 //
 // Health is computed pull-style on the miss path and at metrics scrapes —
@@ -35,12 +35,12 @@ import (
 )
 
 // ErrOverloaded is returned when a miss is shed by admission control
-// because the owning shard is degraded (quarantine half full, too many
+// because the pool is degraded (quarantine half full, too many
 // misses in flight) or read-only (quarantine full, or the SetReadOnly
 // floor lowered). The page is not cached and the device was not
 // touched; callers should back off or serve degraded results. It deliberately does not wrap ErrTransient:
 // retrying immediately is exactly the load the shed exists to refuse.
-var ErrOverloaded = errors.New("buffer: shard overloaded, miss shed by admission control")
+var ErrOverloaded = errors.New("buffer: pool overloaded, miss shed by admission control")
 
 // ErrQuarantineFull is returned when an operation fails because the
 // dirty quarantine is at capacity, so every dirty eviction would risk
@@ -50,7 +50,7 @@ var ErrOverloaded = errors.New("buffer: shard overloaded, miss shed by admission
 // genuinely over-pinned pool.
 var ErrQuarantineFull = fmt.Errorf("buffer: dirty quarantine at capacity: %w", ErrNoUnpinnedBuffers)
 
-// HealthState is a shard's position in the degradation ladder.
+// HealthState is the pool's position in the degradation ladder.
 type HealthState int32
 
 const (
@@ -76,23 +76,23 @@ func (h HealthState) String() string {
 	}
 }
 
-// maxInflightMisses bounds concurrently admitted misses per shard while
-// the shard is Degraded (Healthy shards are unbounded — backpressure there
-// is the device's own concurrency limit).
+// maxInflightMisses bounds concurrently admitted misses while the pool is
+// Degraded (a Healthy pool is unbounded — backpressure there is the
+// device's own concurrency limit).
 const maxInflightMisses = 8
 
-// healthState holds a shard's health machinery. Embedded in shard.
+// healthState holds the pool's health machinery. Embedded in shard.
 type healthState struct {
 	health       atomic.Int32 // HealthState, latched by evalHealth
 	missInflight atomic.Int64 // admitted misses currently in flight
 	maxInflight  int64        // Degraded-mode bound: maxInflightMisses; a field so a test can lower it
 
 	// disabled switches the ladder off (a test's disableShedding): the
-	// shard reports Healthy and never sheds. The quarantine cap still
+	// pool reports Healthy and never sheds. The quarantine cap still
 	// bounds dirty evictions.
 	disabled bool
 
-	// forced pins the shard at ReadOnly regardless of quarantine state
+	// forced pins the pool at ReadOnly regardless of quarantine state
 	// (Pool.SetReadOnly): the graceful-drain floor a network front-end
 	// lowers before flushing, so misses shed with ErrOverloaded while
 	// resident pages keep serving. An operator
@@ -104,7 +104,7 @@ type healthState struct {
 	quarRefusals      atomic.Int64 // dirty victims passed over by an eviction walk because the quarantine was full
 }
 
-// evalHealth recomputes the shard's health from its two inputs and
+// evalHealth recomputes the pool's health from its two inputs and
 // latches the result, recording a flight-recorder event on change. It
 // is called on the miss path (where its cost — an atomic load and the
 // quarantine's length — is noise next to the device read it gates) and
@@ -158,7 +158,7 @@ func (sh *shard) admitMiss(id page.PageID) (counted bool, err error) {
 	switch st {
 	case ReadOnly:
 		sh.shed.Add(1)
-		return false, fmt.Errorf("buffer: page %v (shard read-only): %w", id, ErrOverloaded)
+		return false, fmt.Errorf("buffer: page %v (pool read-only): %w", id, ErrOverloaded)
 	case Degraded:
 		if sh.missInflight.Load() >= sh.maxInflight {
 			sh.shed.Add(1)

@@ -107,8 +107,8 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	if st.Shed == 0 {
 		t.Fatal("Stats().Shed did not count the shed miss")
 	}
-	if st.PerShard[0].Health != ReadOnly {
-		t.Fatalf("ShardStats health=%v, want ReadOnly", st.PerShard[0].Health)
+	if st.Health != ReadOnly {
+		t.Fatalf("health=%v after the shed, want ReadOnly", st.Health)
 	}
 
 	// Recovery: drain the quarantine and the shard heals; the shed page
@@ -136,34 +136,31 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	}
 }
 
-// faultShardPool builds a two-shard pool where each shard issues its I/O
-// through its own FaultDevice, so one shard's faults reach only that
-// shard's quarantine. The quarantine holds two pages per shard.
-func faultShardPool() (*Pool, *storage.MemDevice, []*storage.FaultDevice) {
+// faultPool builds a four-frame pool over a FaultDevice whose quarantine
+// holds two pages.
+func faultPool() (*Pool, *storage.MemDevice, *storage.FaultDevice) {
 	mem := storage.NewMemDevice()
-	faults := make([]*storage.FaultDevice, 2)
+	fault := storage.NewFaultDevice(mem, storage.FaultConfig{})
 	p := New(Config{
-		Frames:        8,
-		Shards:        2,
+		Frames:        4,
 		PolicyFactory: factoryOf("lru"),
-		Device:        mem,
-		QuarantineCap: 4,
-		WrapShardDevice: func(shard int, base storage.Device) storage.Device {
-			faults[shard] = storage.NewFaultDevice(base, storage.FaultConfig{})
-			return faults[shard]
-		},
+		Device:        fault,
+		QuarantineCap: 2,
 	})
-	return p, mem, faults
+	return p, mem, fault
 }
 
-// sickenShard0 fills shard 0's four frames with two resident pages and two
-// dirty ones, fails the shard's writes, and misses twice: each miss parks
-// a dirty victim whose write-back failed, taking the shard to Degraded at
+// sickenPool fills the pool's four frames with two resident pages and two
+// dirty ones, fails the device's writes, and misses twice: each miss parks
+// a dirty victim whose write-back failed, taking the pool to Degraded at
 // one parked page and ReadOnly at two. It returns the resident pages, the
-// dirtied ones, and ids of shard 0 that were never loaded.
-func sickenShard0(t *testing.T, p *Pool, s *Session, fault *storage.FaultDevice) (resident, dirty, cold []page.PageID) {
+// dirtied ones, and ids that were never loaded.
+func sickenPool(t *testing.T, p *Pool, s *Session, fault *storage.FaultDevice) (resident, dirty, cold []page.PageID) {
 	t.Helper()
-	ids := idsInShard(p, 0, 8, 1)
+	var ids []page.PageID
+	for b := uint64(1); b <= 8; b++ {
+		ids = append(ids, pid(b))
+	}
 	resident, dirty, cold = ids[:2], ids[2:4], ids[4:]
 	get := func(id page.PageID) {
 		t.Helper()
@@ -185,77 +182,58 @@ func sickenShard0(t *testing.T, p *Pool, s *Session, fault *storage.FaultDevice)
 	fault.SetWriteFailRate(1)
 	for i, want := range []HealthState{Degraded, ReadOnly} {
 		get(cold[i])
-		if st := p.Stats().PerShard[0]; st.Health != want || st.Quarantined != i+1 {
+		if st := p.Stats(); st.Health != want || st.Quarantined != i+1 {
 			t.Fatalf("after %d parked write-backs: health=%v quarantined=%d, want %v", i+1, st.Health, st.Quarantined, want)
 		}
 	}
 	return resident, dirty, cold[2:]
 }
 
-// TestHealthQuarantineIsolatesSickShard fails one shard's writes until
-// its quarantine fills and checks the blast radius: that shard goes
-// ReadOnly (misses shed before the device, resident pages keep serving)
-// while the other shard stays Healthy and serves misses untouched.
-func TestHealthQuarantineIsolatesSickShard(t *testing.T) {
-	p, _, faults := faultShardPool()
+// TestHealthSickDeviceKeepsResidentsServing fails the device's writes
+// until the quarantine fills and checks what the pool still does: it goes
+// ReadOnly, sheds misses with ErrOverloaded before the device, and keeps
+// serving its resident pages from memory.
+func TestHealthSickDeviceKeepsResidentsServing(t *testing.T) {
+	p, mem, fault := faultPool()
 	s := p.NewSession()
-	shard1 := idsInShard(p, 1, 6, 10_000)
-	for _, id := range shard1[:2] {
-		ref, err := p.Get(s, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Release()
-	}
-	resident, _, cold := sickenShard0(t, p, s, faults[0])
+	resident, _, cold := sickenPool(t, p, s, fault)
 
+	reads := mem.Stats().Reads
 	if _, err := p.Get(s, cold[0]); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("miss on a shard with a full quarantine: err=%v, want ErrOverloaded", err)
+		t.Fatalf("miss with a full quarantine: err=%v, want ErrOverloaded", err)
 	}
-
-	// Resident pages on both shards still serve from memory.
-	for _, id := range append(append([]page.PageID{}, resident...), shard1[:2]...) {
+	if got := mem.Stats().Reads; got != reads {
+		t.Fatalf("shed miss reached the device (%d reads, was %d)", got, reads)
+	}
+	for _, id := range resident {
 		ref, err := p.Get(s, id)
 		if err != nil {
-			t.Fatalf("resident read of %v (shard %d) during the fault: %v", id, p.ShardOf(id), err)
+			t.Fatalf("resident read of %v during the fault: %v", id, err)
 		}
 		ref.Release()
 	}
-
-	// The healthy shard is untouched: misses flow, health stays Healthy.
-	for _, id := range shard1[2:] {
-		ref, err := p.Get(s, id)
-		if err != nil {
-			t.Fatalf("healthy shard miss: %v", err)
-		}
-		ref.Release()
-	}
-	st := p.Stats()
-	if st.PerShard[0].Health != ReadOnly {
-		t.Fatalf("sick shard health=%v, want ReadOnly", st.PerShard[0].Health)
-	}
-	if h := st.PerShard[1]; h.Health != Healthy || h.Quarantined != 0 || h.Shed != 0 {
-		t.Fatalf("healthy shard health=%v quarantined=%d shed=%d, want Healthy, 0, 0", h.Health, h.Quarantined, h.Shed)
+	if st := p.Stats(); st.Health != ReadOnly || st.Shed != 1 {
+		t.Fatalf("health=%v shed=%d, want ReadOnly and 1", st.Health, st.Shed)
 	}
 }
 
-// TestHealthQuarantineRecovery closes the recovery loop: with the shard
+// TestHealthQuarantineRecovery closes the recovery loop: with the pool
 // ReadOnly no miss reaches the device, so recovery comes from the flush
-// that drains the quarantine once the device heals. The shard must then
+// that drains the quarantine once the device heals. The pool must then
 // return to Healthy, admit misses again, and have lost nothing.
 func TestHealthQuarantineRecovery(t *testing.T) {
-	p, mem, faults := faultShardPool()
+	p, mem, fault := faultPool()
 	s := p.NewSession()
-	_, dirty, cold := sickenShard0(t, p, s, faults[0])
+	_, dirty, cold := sickenPool(t, p, s, fault)
 	if _, err := p.Get(s, cold[0]); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("miss while read-only: err=%v, want ErrOverloaded", err)
 	}
 
-	faults[0].SetWriteFailRate(0)
+	fault.SetWriteFailRate(0)
 	if _, err := p.FlushDirty(); err != nil {
 		t.Fatalf("flush after healing: %v", err)
 	}
-	if st := p.Stats().PerShard[0]; st.Health != Healthy || st.Quarantined != 0 {
+	if st := p.Stats(); st.Health != Healthy || st.Quarantined != 0 {
 		t.Fatalf("after healing and flushing: health=%v quarantined=%d, want Healthy, 0", st.Health, st.Quarantined)
 	}
 	ref, err := p.Get(s, cold[0])
@@ -293,7 +271,7 @@ func TestHealthDegradedAdmissionBound(t *testing.T) {
 		Device:        blk,
 		QuarantineCap: 4,
 	})
-	shard0(p).maxInflight = 1
+	p.sh.maxInflight = 1
 	s := p.NewSession()
 	for i := uint64(1); i <= 4; i++ {
 		dirtyPage(t, p, s, pid(i))
@@ -468,7 +446,7 @@ func TestSetReadOnlyForcesShedding(t *testing.T) {
 		ref.Release()
 
 		p.SetReadOnly(true)
-		if st := p.Stats().PerShard[0].Health; st != ReadOnly {
+		if st := p.Stats().Health; st != ReadOnly {
 			t.Fatalf("disabled=%v: health=%v after SetReadOnly, want ReadOnly", disabled, st)
 		}
 		if _, err := p.Get(s, pid(2)); !errors.Is(err, ErrOverloaded) {
@@ -508,8 +486,6 @@ func TestSetReadOnlyForcesShedding(t *testing.T) {
 // that fills the quarantine past the point where admission would refuse
 // the misses that fill it. Call it before any traffic.
 func disableShedding(p *Pool) *Pool {
-	for _, sh := range p.shards {
-		sh.disabled = true
-	}
+	p.sh.disabled = true
 	return p
 }

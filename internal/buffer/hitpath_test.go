@@ -16,7 +16,7 @@ import (
 
 // TestHotStructPadding pins the cache-line layout the lock-free hit path
 // depends on: the frame's state word and tag own the leading line, the
-// whole Frame is a multiple of the line size (so frames in the shard's
+// whole Frame is a multiple of the line size (so frames in the pool's
 // slice never share a line), and the reader side of a bucket is exactly
 // one line with nothing of the writer side on it.
 func TestHotStructPadding(t *testing.T) {
@@ -233,7 +233,7 @@ func bareTable(n int) (*shard, bucketRef) {
 // the mutex — which it gets, with the right frame, once the writer moves on.
 func TestTornProbesFallBackToMutex(t *testing.T) {
 	p := newTestPool(8, core.Config{})
-	sh := shard0(p)
+	sh := p.sh
 	ids := colliding(len(sh.buckets), 2)
 	resident, incoming := ids[0], ids[1]
 	s := p.NewSession()

@@ -27,7 +27,7 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 		ref.Release()
 	}
 	s.Flush()
-	if p.shards[0].events != nil {
+	if p.sh.events != nil {
 		t.Fatal("recorder allocated with RecorderSize 0")
 	}
 }
@@ -65,7 +65,7 @@ func TestFlightRecorderCapturesQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[obs.EventKind]int{}
-	for _, ev := range p.shards[0].events.Events() {
+	for _, ev := range p.sh.events.Events() {
 		kinds[ev.Kind]++
 	}
 	for _, k := range []obs.EventKind{obs.EvQuarantinePark, obs.EvQuarantineFlush} {
@@ -74,7 +74,7 @@ func TestFlightRecorderCapturesQuarantine(t *testing.T) {
 		}
 	}
 	dump := p.FlightDump()
-	for _, want := range []string{"shard 0", "quarantine-park", "quarantine-flush"} {
+	for _, want := range []string{recorderName, "quarantine-park", "quarantine-flush"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)
 		}
@@ -145,7 +145,7 @@ func TestHitsLeaveNoFlightRecord(t *testing.T) {
 	if ws.Committed != 8 {
 		t.Fatalf("committed %d hits, want 8", ws.Committed)
 	}
-	rec := shard0(p).events
+	rec := p.sh.events
 	if n := rec.Seq(); n != 0 {
 		t.Fatalf("%d events recorded for hits and their commits, want 0: %v", n, rec.Events())
 	}
@@ -191,28 +191,9 @@ func TestHitsLeaveNoFlightRecord(t *testing.T) {
 	}
 }
 
-func TestPerShardRecordersAreIndependent(t *testing.T) {
-	p := New(Config{
-		Frames:        8,
-		Shards:        2,
-		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
-		Device:        storage.NewMemDevice(),
-		RecorderSize:  32,
-	})
-	if p.shards[0].events == p.shards[1].events {
-		t.Fatal("shards share one recorder")
-	}
-	for i := range p.shards {
-		if p.shards[i].events == nil {
-			t.Fatalf("shard %d recorder missing", i)
-		}
-	}
-}
-
 func TestRegisterObsExposition(t *testing.T) {
 	p := New(Config{
 		Frames:        8,
-		Shards:        2,
 		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
 		Wrapper:       core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4},
 		Device:        storage.NewMemDevice(),
@@ -236,28 +217,30 @@ func TestRegisterObsExposition(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`bpw_lock_acquisitions_total{shard="0"}`,
-		`bpw_lock_acquisitions_total{shard="1"}`,
-		`bpw_lock_wait_seconds_bucket{shard="0",le=`,
-		`bpw_lock_hold_seconds_count{shard="0"}`,
-		`bpw_batch_size_bucket{shard="0",le=`,
-		`bpw_combine_run_length_count{shard="1"}`,
-		`bpw_hits_total{shard="0"}`,
-		`bpw_quarantined_pages{shard="1"} 0`,
-		`bpw_flight_events_total{shard="0"}`,
-		`bpw_flight_dropped_total{shard="1"}`,
-		"bpw_shards 2",
-		"bpw_device_reads_total",
+		"\nbpw_lock_acquisitions_total ",
+		"\nbpw_lock_wait_seconds_bucket{le=",
+		"\nbpw_lock_hold_seconds_count ",
+		"\nbpw_batch_size_bucket{le=",
+		"\nbpw_combine_run_length_count ",
+		"\nbpw_hits_total ",
+		"\nbpw_quarantined_pages 0",
+		"\nbpw_flight_events_total ",
+		"\nbpw_flight_dropped_total ",
+		"\nbpw_policy_in_use{policy=\"lru\"} 1",
+		"\nbpw_device_reads_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "shard") {
+		t.Fatalf("a pool series carries a shard label or name:\n%s", out)
+	}
 
 	// The JSON tree must carry the same series for bpstat/expvar use.
 	tree := reg.JSONTree()
 	acq, ok := tree["bpw_lock_acquisitions_total"].([]any)
-	if !ok || len(acq) != 2 {
+	if !ok || len(acq) != 1 {
 		t.Fatalf("acquisitions series: %#v", tree["bpw_lock_acquisitions_total"])
 	}
 }
@@ -299,7 +282,7 @@ func TestCloseErrorCarriesFlightDump(t *testing.T) {
 		t.Fatal("Close succeeded with an unwritable device")
 	}
 	msg := cerr.Error()
-	for _, want := range []string{"close did not reach a clean state", "flight recorder", "shard 0"} {
+	for _, want := range []string{"close did not reach a clean state", "flight recorder", recorderName} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("close error missing %q:\n%s", want, msg)
 		}

@@ -30,7 +30,7 @@ func TestPageTableFootprint(t *testing.T) {
 	}
 	perBucket := int(unsafe.Sizeof(bucket{}) + unsafe.Sizeof(bucketW{}))
 	for _, frames := range []int{1, 3, 512, 1000, 2048} {
-		sh := shard0(newTestPool(frames, core.Config{}))
+		sh := newTestPool(frames, core.Config{}).sh
 		if a := uintptr(unsafe.Pointer(&sh.buckets[0])); a%line != 0 {
 			t.Errorf("%d frames: reader buckets start at %#x, not on a cache line", frames, a)
 		}
@@ -93,7 +93,7 @@ func TestPageTableOverflowShare(t *testing.T) {
 	// Six pages in one four-slot bucket of a real pool: two overflow.
 	const small = 16
 	p := newTestPool(small, core.Config{})
-	sh, s := shard0(p), p.NewSession()
+	sh, s := p.sh, p.NewSession()
 	ids := colliding(len(sh.buckets), bucketSlots+2)
 	b := sh.bucketFor(ids[0])
 	get := func(id page.PageID) *PageRef {
@@ -283,7 +283,7 @@ func TestCommitValidatesBySlot(t *testing.T) {
 		// tag but for its slot, so only the bounds check can refuse it.
 		live := touch(other, a)
 		live.Slot = 1 << 31
-		sub := shard0(p).wrapper.NewSession()
+		sub := p.sh.wrapper.NewSession()
 		sub.Hit(a, live)
 		sub.Flush()
 		other.Flush()
@@ -299,7 +299,7 @@ func TestCommitValidatesBySlot(t *testing.T) {
 		const frames = 4
 		spy := &batchSpy{LRU: replacer.NewLRU(frames)}
 		p := New(Config{Frames: frames, PolicyFactory: func(int) replacer.Policy { return spy }, Wrapper: batching, Device: storage.NewMemDevice()})
-		sh, s := shard0(p), p.NewSession()
+		sh, s := p.sh, p.NewSession()
 		tagOf := func(id page.PageID) page.BufferTag {
 			t.Helper()
 			ref, err := p.Get(s, id)
@@ -391,7 +391,7 @@ func (p *batchSpy) HitSlots(batch []replacer.Access) {
 func TestPageTableOverflowChurn(t *testing.T) {
 	const frames, workers, rounds = 16, 4, 3000
 	p := newTestPool(frames, core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4})
-	nb := len(shard0(p).buckets)
+	nb := len(p.sh.buckets)
 	ids := colliding(nb, 12)
 	for i := uint64(0); len(ids) < 24; i++ { // twelve more, all in a second bucket
 		if id := page.NewPageID(3, i); bucketIndex(id, nb) == (bucketIndex(ids[0], nb)+1)%nb {

@@ -5,23 +5,16 @@
 // BP-Wrapper core so that the policy's single global lock — the system's
 // one true hot spot — can be relieved by batching and prefetching.
 //
-// The pool can additionally be hash-partitioned into shards (Config.Shards),
-// each shard a self-contained pool slice with its own frames, page table,
-// free list, dirty quarantine, and BP-Wrapper + policy instance. The paper
-// rejects distributing the *replacement algorithm* because it fragments the
-// algorithm's access history (Section V-A); sharding here does exactly
-// that, deliberately, so experiment E14 can measure the trade: per-shard
-// policy locks dissolve contention, per-shard ghost history costs hit
-// ratio. Shards: 1 (the default) is the paper's configuration and is
-// byte-for-byte the old monolithic pool. The shards and their policies are
-// built once, in New, and a page routes to the same shard for the pool's
-// whole life.
+// The pool is one partition, as the paper argues (Section V-A): one page
+// table, one policy behind one lock, one quarantine and one health ladder.
+// Splitting the pool under per-partition locks fragments the replacement
+// algorithm's history; BP-Wrapper's answer is one lock made cheap by
+// batching. internal/sim's Partitioned model keeps the comparison (E10).
 package buffer
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"bpwrapper/internal/core"
@@ -39,101 +32,74 @@ var ErrNoUnpinnedBuffers = errors.New("buffer: no unpinned buffers available")
 
 // Config assembles a Pool.
 type Config struct {
-	// Frames is the number of page slots in the pool, summed across all
-	// shards. Required.
+	// Frames is the number of page slots in the pool. Required.
 	Frames int
 
-	// Shards is the number of hash partitions the pool is split into. Each
-	// shard owns its own frames, page table, free list, quarantine, and —
-	// critically — its own BP-Wrapper + policy instance, so the policy
-	// lock and batching queues are per shard. Zero or one means the
-	// classic single-shard pool. Must not exceed Frames.
+	// Shards must be 0 or 1: the pool is one partition. New panics on any
+	// other value. The field stays only because the frozen benchmark sets
+	// it (ROADMAP 16).
 	Shards int
 
 	// PolicyFactory constructs the replacement algorithm: the pool calls it
-	// once per shard, with that shard's frame count as the capacity — one
-	// instance cannot be split, its history (ghost lists, recency stacks)
-	// being a single structure. The pool owns the instances. Required.
+	// once, with Frames as the capacity, and owns the instance. Required.
 	PolicyFactory replacer.Factory
 
 	// Wrapper selects the BP-Wrapper techniques (batching, prefetching,
-	// queue tuning), applied to every shard's wrapper. The Validate field
-	// is overwritten by the pool with its BufferTag check.
+	// queue tuning). The Validate field is overwritten by the pool with its
+	// BufferTag check.
 	Wrapper core.Config
 
-	// Device is the backing store, shared by all shards (pages are
-	// partitioned by id, so shards never write the same page). Required.
+	// Device is the backing store. Required.
 	Device storage.Device
-
-	// WrapShardDevice, when non-nil, builds a per-shard device stack over
-	// the shared Device: each shard issues its I/O through
-	// WrapShardDevice(shard, Device) instead of Device directly. This is
-	// how per-shard layers (FaultDevice, ChecksumDevice, RetryDevice) are
-	// attached so one shard's sick device fills only that shard's
-	// quarantine and sheds only that shard's misses. Pool.Stats().Device
-	// still reports the shared base device's counters.
-	WrapShardDevice func(shard int, base storage.Device) storage.Device
 
 	// QuarantineCap bounds the dirty-quarantine list that parks victims
 	// whose eviction write-back failed (evictClaimed); a flush writes from
-	// its pinned frame and parks nothing. Zero means 64. The cap is divided
-	// across shards (rounded up, minimum one per shard). When a shard's
+	// its pinned frame and parks nothing. Zero means 64. When the
 	// quarantine is full, eviction passes dirty pages over instead of
 	// parking more, so memory stays bounded and no data is lost. The bound
 	// is soft under concurrency: simultaneous evictions may briefly
 	// overshoot it by the number of in-flight write-backs.
 	QuarantineCap int
 
-	// RecorderSize enables the per-shard flight recorder: each shard gets
-	// its own lock-free ring of its most recent RecorderSize buffer-manager
-	// transitions (quarantine parks/flushes, health changes,
-	// background-writer panics), rounded up to a power of two; evictions
-	// and sheds are counted in Stats, not recorded. Zero
-	// disables recording entirely — the record sites then pay only a nil
-	// check. Dumps are appended to Close errors and are available through
-	// FlightDump and the /debug/events endpoint.
+	// RecorderSize enables the flight recorder: a lock-free ring of the
+	// pool's most recent RecorderSize buffer-manager transitions
+	// (quarantine parks/flushes, health changes, background-writer panics),
+	// rounded up to a power of two; evictions and sheds are counted in
+	// Stats, not recorded. Zero disables recording entirely — the record
+	// sites then pay only a nil check. Dumps are appended to Close errors
+	// and are available through FlightDump and the /debug/events endpoint.
 	RecorderSize int
 
 	// Trace enables the request-tracing layer (DESIGN.md §14): per-request
 	// trace IDs with phase-stamped spans (bucket probe, pin, lock wait,
 	// combiner handoff, policy op, device I/O, quarantine park), head
-	// sampling plus tail keep. The one tracer, and its two rings, are shared
-	// by every shard; access it through Pool.Tracer for export.
-	// The zero value disables tracing entirely — the access paths then pay
-	// one branch.
+	// sampling plus tail keep; access the tracer through Pool.Tracer for
+	// export. The zero value disables tracing entirely — the access paths
+	// then pay one branch.
 	Trace reqtrace.Config
 }
 
-// Pool is the buffer-pool manager: a router over one or more shards, keyed
-// by a PageID hash. All methods are safe for concurrent use; per-backend
-// access records flow through Sessions obtained from NewSession.
+// Pool is the buffer-pool manager. All methods are safe for concurrent use;
+// per-backend access records flow through Sessions obtained from
+// NewSession.
 type Pool struct {
-	shards []*shard // built by New, never replaced
-	device storage.Device
+	sh *shard // frames, page table, policy, quarantine and health; built by New
 
-	// tracer is the pool-wide request tracer (nil when Config.Trace is
-	// disabled): one head ring and one tail ring, shared across shards —
-	// a span names its shard, no ring belongs to one.
+	// tracer is the pool's request tracer (nil when Config.Trace is
+	// disabled).
 	tracer *reqtrace.Tracer
-
-	quarCap int
-
-	// readOnlyMu serializes SetReadOnly, so that every shard ends up with
-	// the same read-only floor.
-	readOnlyMu sync.Mutex
 }
 
-// Session is a per-backend handle carrying one core.Session per shard
-// (each shard has its own wrapper, and a batching queue belongs to exactly
-// one wrapper). Sessions must not be shared between goroutines.
+// Session is a per-backend handle carrying the backend's core.Session (its
+// batching queue). Sessions must not be shared between goroutines.
 type Session struct {
 	pool *Pool
-	subs []*core.Session
+	sub  *core.Session
 
-	// trace is the session's request-trace context: one Active shared (by
-	// pointer) with every per-shard core sub-session, so a request's pool-
-	// level spans and its commit-path spans land in the same trace. The
-	// zero value is inert until Init binds the pool tracer.
+	// trace is the session's request-trace context, shared (by pointer)
+	// with the core session, so a request's pool-level spans and its
+	// commit-path spans land in the same trace. The zero value is inert
+	// until Init binds the pool tracer.
 	trace reqtrace.Active
 
 	// load and evict are the session's in-flight page ops, registered on a
@@ -143,68 +109,52 @@ type Session struct {
 	// allocates nothing (see nextOp).
 	load, evict *loadOp
 
-	// stage holds per-shard hit counts not yet folded into the shard's
-	// shared counters: the zero-lock hit path must not write a shared
+	// staged and stagedFast are hits not yet folded into the pool's
+	// shared counters, and how many of them were served with zero mutex
+	// acquisitions: the zero-lock hit path must not write a shared
 	// cacheline per access, so hits accumulate here (session-local, no
-	// contention) and fold in batches of hitFoldInterval, on any miss to
-	// the shard, and on Flush. Pool.AccessStats is therefore exact only
-	// after the sessions flush.
-	stage []hitStage
+	// contention) and fold in batches of hitFoldInterval, on any miss, and
+	// on Flush. Pool.AccessStats is therefore exact only after the
+	// sessions flush.
+	staged, stagedFast int64
 }
 
-// hitStage is one shard's staged hit counts within a Session.
-type hitStage struct {
-	hits int64 // hits not yet folded into shard counters
-	fast int64 // of those, hits served with zero mutex acquisitions
-}
-
-// hitFoldInterval bounds how many hits a session stages per shard before
-// folding them into the shard counters, so live Stats lag by at most this
-// much per session.
+// hitFoldInterval bounds how many hits a session stages before folding
+// them into the pool counters, so live Stats lag by at most this much per
+// session.
 const hitFoldInterval = 1024
 
-// stageHit records one hit against shard idx in session-local memory.
-func (s *Session) stageHit(idx int, fast bool) {
-	st := &s.stage[idx]
-	st.hits++
+// stageHit records one hit in session-local memory.
+func (s *Session) stageHit(fast bool) {
+	s.staged++
 	if fast {
-		st.fast++
+		s.stagedFast++
 	}
-	if st.hits >= hitFoldInterval {
-		s.foldHits(idx)
+	if s.staged >= hitFoldInterval {
+		s.foldHits()
 	}
 }
 
-// foldHits flushes the staged hit counts of shard idx into its shared
-// counters.
-func (s *Session) foldHits(idx int) {
-	st := &s.stage[idx]
-	if st.hits == 0 {
+// foldHits flushes the staged hit counts into the pool counters.
+func (s *Session) foldHits() {
+	if s.staged == 0 {
 		return
 	}
-	sh := s.pool.shards[idx]
-	sh.hits.Add(st.hits)
-	sh.hp.fast.Add(st.fast)
-	st.hits, st.fast = 0, 0
+	sh := s.pool.sh
+	sh.hits.Add(s.staged)
+	sh.hp.fast.Add(s.stagedFast)
+	s.staged, s.stagedFast = 0, 0
 }
 
-// Flush commits every shard queue's batched accesses to its policy and
-// folds the session's staged hit counts into the shard counters.
+// Flush commits the session queue's batched accesses to the policy and
+// folds the session's staged hit counts into the pool counters.
 func (s *Session) Flush() {
-	for i, sub := range s.subs {
-		s.foldHits(i)
-		sub.Flush()
-	}
+	s.foldHits()
+	s.sub.Flush()
 }
 
-// Pending reports the number of accesses batched across all shard queues.
-func (s *Session) Pending() int {
-	n := 0
-	for _, sub := range s.subs {
-		n += sub.Pending()
-	}
-	return n
-}
+// Pending reports the number of accesses batched in the session queue.
+func (s *Session) Pending() int { return s.sub.Pending() }
 
 // New constructs a Pool from cfg. It panics on structural misconfiguration
 // (these are programming errors, not runtime conditions).
@@ -215,12 +165,8 @@ func New(cfg Config) *Pool {
 	if cfg.Device == nil {
 		panic("buffer: Device is required")
 	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = 1
-	}
-	if nshards > cfg.Frames {
-		panic(fmt.Sprintf("buffer: Shards %d exceeds Frames %d", nshards, cfg.Frames))
+	if cfg.Shards > 1 || cfg.Shards < 0 {
+		panic(fmt.Sprintf("buffer: Shards %d: the pool is one partition, so Shards must be 0 or 1 (ROADMAP 16)", cfg.Shards))
 	}
 	if cfg.PolicyFactory == nil {
 		panic("buffer: PolicyFactory is required")
@@ -229,64 +175,24 @@ func New(cfg Config) *Pool {
 		cfg.QuarantineCap = 64
 	}
 
-	shardQuar := max(1, (cfg.QuarantineCap+nshards-1)/nshards)
 	wcfg := cfg.Wrapper
 	p := &Pool{
-		shards:  make([]*shard, nshards),
-		device:  cfg.Device,
-		tracer:  reqtrace.New(cfg.Trace),
-		quarCap: cfg.QuarantineCap,
+		sh:     &shard{events: obs.NewRecorder(cfg.RecorderSize)},
+		tracer: reqtrace.New(cfg.Trace),
 	}
 	if wcfg.Tracer == nil {
 		wcfg.Tracer = p.tracer
 	}
-	// The first Frames%nshards shards get one extra frame.
-	for i := range p.shards {
-		fn := cfg.Frames / nshards
-		if i < cfg.Frames%nshards {
-			fn++
-		}
-		dev := cfg.Device
-		if cfg.WrapShardDevice != nil {
-			if dev = cfg.WrapShardDevice(i, cfg.Device); dev == nil {
-				panic("buffer: WrapShardDevice returned nil")
-			}
-		}
-		// One ring per shard, so a dump names its shard. The rings hold
-		// transitions only, so one shared ring would serve as well
-		// (ROADMAP 16(b) folds them with the shards).
-		sh := &shard{events: obs.NewRecorder(cfg.RecorderSize)}
-		sh.init(fn, cfg.PolicyFactory(fn), wcfg, dev, shardQuar)
-		p.shards[i] = sh
-	}
+	p.sh.init(cfg.Frames, cfg.PolicyFactory(cfg.Frames), wcfg, cfg.Device, cfg.QuarantineCap)
 	return p
 }
 
-// ShardOf reports which shard owns page id; useful for tests, chaos
-// harnesses, and diagnostics that need to target one shard's traffic. The
-// shard index comes from the HIGH bits of the mixed hash while bucket
-// selection inside the shard uses the low bits, so the two partitionings
-// stay independent (with correlated bits, a shard's buckets would collapse
-// to 1/nshards utilization). A single-shard pool skips the hash entirely.
-func (p *Pool) ShardOf(id page.PageID) int {
-	if len(p.shards) == 1 {
-		return 0
-	}
-	return int((mix64(uint64(id)) >> 32) % uint64(len(p.shards)))
-}
-
-// shardFor returns the shard owning id.
-func (p *Pool) shardFor(id page.PageID) *shard { return p.shards[p.ShardOf(id)] }
-
-// NewSession returns a per-backend access session spanning all shards.
-// Sessions must not be shared between goroutines.
+// NewSession returns a per-backend access session. Sessions must not be
+// shared between goroutines.
 func (p *Pool) NewSession() *Session {
-	s := &Session{pool: p, subs: make([]*core.Session, len(p.shards)), stage: make([]hitStage, len(p.shards))}
+	s := &Session{pool: p, sub: p.sh.wrapper.NewSession()}
 	s.trace.Init(p.tracer)
-	for i, sh := range p.shards {
-		s.subs[i] = sh.wrapper.NewSession()
-		s.subs[i].SetTrace(&s.trace)
-	}
+	s.sub.SetTrace(&s.trace)
 	return s
 }
 
@@ -305,7 +211,7 @@ func (s *Session) TraceID() uint64 { return s.trace.ID() }
 // nil when Config.Trace left tracing disabled.
 func (p *Pool) Tracer() *reqtrace.Tracer { return p.tracer }
 
-// SetReadOnly pins (or releases) every shard at the ReadOnly floor of the
+// SetReadOnly pins (or releases) the pool at the ReadOnly floor of the
 // health ladder, independent of quarantine state. While set, misses are
 // shed with ErrOverloaded but resident pages keep serving —
 // including writes to them, which the quarantine protocol still evicts
@@ -313,43 +219,33 @@ func (p *Pool) Tracer() *reqtrace.Tracer { return p.tracer }
 // the floor, let in-flight clients finish against resident pages, then
 // CloseWithin flushes what is dirty. Unlike the health machinery it also
 // applies where the health ladder is switched off — it is an operator
-// action, not a health verdict. Releasing returns shards to their
+// action, not a health verdict. Releasing returns the pool to its
 // evaluated state.
 func (p *Pool) SetReadOnly(on bool) {
-	p.readOnlyMu.Lock()
-	defer p.readOnlyMu.Unlock()
-	for _, sh := range p.shards {
-		sh.forced.Store(on)
-		sh.evalHealth()
-	}
+	p.sh.forced.Store(on)
+	p.sh.evalHealth()
 }
 
-// Wrapper exposes the BP-Wrapper core of shard 0. It is a diagnostic
-// accessor for single-shard pools (where shard 0 IS the pool); with
-// Shards > 1 read Stats().Wrapper for the sum over every shard.
-func (p *Pool) Wrapper() *core.Wrapper { return p.shards[0].wrapper }
+// Wrapper exposes the pool's BP-Wrapper core, a diagnostic accessor; its
+// statistics are also in Stats().Wrapper.
+func (p *Pool) Wrapper() *core.Wrapper { return p.sh.wrapper }
 
-// AccessStats returns the pool's hit/miss counters summed over all shards,
-// taking no lock. Within a shard hits are read before misses, and an access increments exactly one
-// of them, so the derived ratio never sees a torn pair. Both only grow: a
-// window is the difference of two snapshots. Sessions stage hits locally
-// and fold them in batches (see Session), so the figures are exact only
-// once the sessions have called Flush; mid-run they can lag by up to
-// hitFoldInterval hits per live session.
+// AccessStats returns the pool's hit/miss counters, taking no lock. Hits
+// are read before misses, and an access increments exactly one of them, so
+// the derived ratio never sees a torn pair. Both only grow: a window is the
+// difference of two snapshots. Sessions stage hits locally and fold them in
+// batches (see Session), so the figures are exact only once the sessions
+// have called Flush; mid-run they can lag by up to hitFoldInterval hits per
+// live session.
 func (p *Pool) AccessStats() metrics.AccessSnapshot {
-	var a metrics.AccessSnapshot
-	for _, sh := range p.shards {
-		a = a.Plus(metrics.AccessSnapshot{Hits: sh.hits.Load(), Misses: sh.misses.Load()})
-	}
-	return a
+	return metrics.AccessSnapshot{Hits: p.sh.hits.Load(), Misses: p.sh.misses.Load()}
 }
 
 // Device returns the backing device.
-func (p *Pool) Device() storage.Device { return p.device }
+func (p *Pool) Device() storage.Device { return p.sh.device }
 
 // Get pins page id for reading, loading it from the device on a miss. The
-// access is recorded through the session per the BP-Wrapper protocol,
-// against the wrapper of the shard that owns the page.
+// access is recorded through the session per the BP-Wrapper protocol.
 func (p *Pool) Get(s *Session, id page.PageID) (*PageRef, error) {
 	return p.access(s, id, false)
 }
@@ -360,14 +256,13 @@ func (p *Pool) GetWrite(s *Session, id page.PageID) (*PageRef, error) {
 	return p.access(s, id, true)
 }
 
-// access routes one page access to the shard that owns the page.
+// access serves one page access inside the session's request trace.
 func (p *Pool) access(s *Session, id page.PageID, writable bool) (*PageRef, error) {
 	if !id.Valid() {
 		return nil, storage.ErrInvalidPage
 	}
 	s.trace.Begin()
-	idx := p.ShardOf(id)
-	ref, err := p.shards[idx].get(s, idx, id, writable)
+	ref, err := p.sh.get(s, id, writable)
 	s.trace.End(uint64(id), err)
 	return ref, err
 }
@@ -376,42 +271,15 @@ func (p *Pool) access(s *Session, id page.PageID, writable bool) (*PageRef, erro
 // discarding dirty contents — including any quarantined copy from an
 // earlier failed write-back, which must not be drained back to the device
 // later. It fails with ErrNoUnpinnedBuffers if the page is pinned.
-func (p *Pool) Invalidate(id page.PageID) error { return p.shardFor(id).invalidate(id) }
+func (p *Pool) Invalidate(id page.PageID) error { return p.sh.invalidate(id) }
 
 // quarantineLen reports the number of pages currently parked in the dirty
-// quarantines of all shards.
-func (p *Pool) quarantineLen() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += sh.quarantineLen()
-	}
-	return n
-}
+// quarantine.
+func (p *Pool) quarantineLen() int { return p.sh.quarantineLen() }
 
-// dirtyCount reports the number of dirty resident pages across all shards
-// right now; the figure is advisory under concurrency.
-func (p *Pool) dirtyCount() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += sh.dirtyCount()
-	}
-	return n
-}
-
-// drainQuarantine retries the write-back of every quarantined page across
-// all shards; see shard.drainQuarantine for the per-shard semantics.
-func (p *Pool) drainQuarantine() (written, failed int, err error) {
-	var errs []error
-	for _, sh := range p.shards {
-		w, f, e := sh.drainQuarantine()
-		written += w
-		failed += f
-		if e != nil {
-			errs = append(errs, e)
-		}
-	}
-	return written, failed, errors.Join(errs...)
-}
+// dirtyCount reports the number of dirty resident pages right now; the
+// figure is advisory under concurrency.
+func (p *Pool) dirtyCount() int { return p.sh.dirtyCount() }
 
 // FlushDirty writes every dirty, unpinned page back to the device — and
 // retries every quarantined page — returning the number made durable.
@@ -419,24 +287,13 @@ func (p *Pool) drainQuarantine() (written, failed int, err error) {
 // under a pin, so for the length of that one device write a GetWrite of
 // the page waits and an Invalidate of it fails with ErrNoUnpinnedBuffers;
 // readers and other pages are unaffected. A write failure does not abort
-// the sweep: the page stays dirty (or quarantined), the remaining pages and
-// shards are still flushed, and the failures are returned joined so the
-// caller sees every page that is not yet durable.
-func (p *Pool) FlushDirty() (int, error) {
-	n := 0
-	var errs []error
-	for _, sh := range p.shards {
-		sn, err := sh.flushDirty()
-		n += sn
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return n, errors.Join(errs...)
-}
+// the sweep: the page stays dirty (or quarantined), the remaining pages are
+// still flushed, and the failures are returned joined so the caller sees
+// every page that is not yet durable.
+func (p *Pool) FlushDirty() (int, error) { return p.sh.flushDirty() }
 
-// Close flushes the pool for shutdown: dirty and quarantined pages of
-// every shard are written back with bounded retries and exponential
+// Close flushes the pool for shutdown: dirty and quarantined pages are
+// written back with bounded retries and exponential
 // backoff, so transient device trouble at shutdown does not lose data. It
 // returns an error if pages remain non-durable (still failing, or pinned
 // dirty) after the retry budget: the full 8-attempt exponential ladder,
@@ -515,19 +372,27 @@ func (p *Pool) Prewarm(ids []page.PageID) error {
 	return nil
 }
 
-// ShardStats is everything one shard reports. Folded by add it is also what
-// the whole pool reports: Stats sums these snapshots and reads no shard
-// counter of its own.
-type ShardStats struct {
-	Frames            int   // page slots owned by this shard
-	Free              int   // slots on the shard's free list
-	Dirty             int   // dirty resident pages
-	Resident          int   // pages tracked by the shard's policy, loads in flight included
-	Quarantined       int   // evicted pages parked by a failed write-back
-	Hits              int64 // buffer hits since the shard was built
-	Misses            int64 // buffer misses since the shard was built
-	WriteBackFailures int64 // failed write-back attempts (eviction, flush and quarantine-drain retries)
-	EvictWritebacks   int64 // dirty victims written to the device straight from their frame
+// Stats is a point-in-time operational snapshot of the pool.
+//
+// Snapshot semantics are relaxed: each counter group is read atomically
+// and consistently (hits before misses, so hits+misses never exceed the
+// accesses they imply), but distinct groups — access counters, dirty
+// counts, wrapper stats, device stats — are collected one after another
+// while workers may still be running, so cross-group comparisons (e.g.
+// Misses vs Device.Reads) can be off by in-flight operations. Collect at
+// quiescence for exact figures.
+type Stats struct {
+	Frames            int     // page slots
+	Free              int     // slots on the free list
+	Dirty             int     // dirty resident pages
+	Resident          int     // pages tracked by the policy, loads in flight included
+	Quarantined       int     // evicted pages parked by a failed write-back, bounded by QuarantineCap
+	QuarantineCap     int     // the configured quarantine cap
+	Hits              int64   // buffer hits since the pool was built
+	Misses            int64   // buffer misses since the pool was built
+	HitRatio          float64 // Hits / (Hits + Misses)
+	WriteBackFailures int64   // failed write-back attempts (eviction, flush and quarantine-drain retries)
+	EvictWritebacks   int64   // dirty victims written to the device straight from their frame
 
 	// MissWaitsLoad and MissWaitsEvict count waits on a page somebody
 	// else had in flight — by a miss or an Invalidate —
@@ -537,11 +402,10 @@ type ShardStats struct {
 	MissWaitsLoad  int64
 	MissWaitsEvict int64
 
-	// Policy is the replacement algorithm installed in this shard's
-	// wrapper.
+	// Policy is the replacement algorithm installed in the pool's wrapper.
 	Policy string
 
-	// Wrapper is the shard's BP-Wrapper statistics: policy-lock
+	// Wrapper is the pool's BP-Wrapper statistics: policy-lock
 	// acquisitions and contentions, commits and batches.
 	Wrapper core.Stats
 
@@ -564,69 +428,23 @@ type ShardStats struct {
 	MissInflight       int64       // admitted misses in flight at snapshot time
 	Shed               int64       // misses refused with ErrOverloaded
 	QuarantineRefusals int64       // dirty victims an eviction passed over because the quarantine was full
+
+	Device storage.DeviceStats
 }
 
-// add folds another snapshot into this one: the one fold behind the pool
-// total. Counters and
-// gauges sum and Health takes the worst; Policy describes one shard and
-// is not folded.
-func (ss *ShardStats) add(o ShardStats) {
-	ss.Frames += o.Frames
-	ss.Free += o.Free
-	ss.Dirty += o.Dirty
-	ss.Resident += o.Resident
-	ss.Quarantined += o.Quarantined
-	ss.Hits += o.Hits
-	ss.Misses += o.Misses
-	ss.WriteBackFailures += o.WriteBackFailures
-	ss.EvictWritebacks += o.EvictWritebacks
-	ss.MissWaitsLoad += o.MissWaitsLoad
-	ss.MissWaitsEvict += o.MissWaitsEvict
-	ss.Wrapper = ss.Wrapper.Plus(o.Wrapper)
-	ss.HitpathFast += o.HitpathFast
-	ss.HitpathRetries += o.HitpathRetries
-	ss.HitpathFallbacks += o.HitpathFallbacks
-	ss.BucketLockAcqs += o.BucketLockAcqs
-	ss.FrameLockAcqs += o.FrameLockAcqs
-	if o.Health > ss.Health {
-		ss.Health = o.Health
-	}
-	ss.HealthTransitions += o.HealthTransitions
-	ss.MissInflight += o.MissInflight
-	ss.Shed += o.Shed
-	ss.QuarantineRefusals += o.QuarantineRefusals
-}
-
-// Stats is a point-in-time operational snapshot of the pool.
-//
-// Snapshot semantics are relaxed: each counter group is read atomically
-// and consistently (per shard, hits before misses, so hits+misses never
-// exceed the accesses they imply), but distinct groups — access counters,
-// dirty counts, wrapper stats, device stats — are collected one after
-// another while workers may still be running, so cross-group comparisons
-// (e.g. Misses vs Device.Reads) can be off by in-flight operations.
-// Collect at quiescence for exact figures.
-type Stats struct {
-	// ShardStats is the sum of PerShard. Quarantined is bounded by
-	// QuarantineCap, the configured pool-wide cap.
-	ShardStats
-
-	Shards        int     // number of hash partitions
-	HitRatio      float64 // hits / (hits + misses), from the summed pair
-	QuarantineCap int
-
-	PerShard []ShardStats // by shard index
-	Device   storage.DeviceStats
-}
-
-// shardStatsOf snapshots one shard. Its hits are read before its misses
-// (a literal's calls run left to right), and its health is evaluated
-// before its transitions are counted.
-func shardStatsOf(sh *shard) ShardStats {
-	ss := ShardStats{
+// Stats returns an operational snapshot: the pool's one read path for its
+// counters, which /metrics renders too. It takes the policy lock briefly
+// (for the resident count) and scans each frame's state word (for the
+// dirty count); intended for monitoring, not hot paths. Hits are read
+// before misses (a literal's calls run left to right), and health is
+// evaluated before its transitions are counted.
+func (p *Pool) Stats() Stats {
+	sh := p.sh
+	s := Stats{
 		Frames:             len(sh.frames),
 		Dirty:              sh.dirtyCount(),
 		Quarantined:        sh.quarantineLen(),
+		QuarantineCap:      sh.quarCap,
 		Hits:               sh.hits.Load(),
 		Misses:             sh.misses.Load(),
 		WriteBackFailures:  sh.writeBackFailures.Load(),
@@ -644,28 +462,15 @@ func shardStatsOf(sh *shard) ShardStats {
 		MissInflight:       sh.missInflight.Load(),
 		Shed:               sh.shed.Load(),
 		QuarantineRefusals: sh.quarRefusals.Load(),
+		Device:             sh.device.Stats(),
 	}
 	sh.freeMu.Lock()
-	ss.Free = len(sh.freeList)
+	s.Free = len(sh.freeList)
 	sh.freeMu.Unlock()
 	sh.wrapper.Locked(func(pol replacer.Policy) {
-		ss.Resident = pol.Len()
-		ss.Policy = pol.Name()
+		s.Resident = pol.Len()
+		s.Policy = pol.Name()
 	})
-	return ss
-}
-
-// Stats returns an operational snapshot: the pool's one read path for its
-// counters, which /metrics renders too. It takes each shard's policy lock
-// briefly (for the resident count) and scans each frame's state word (for
-// the dirty count); intended for monitoring, not hot paths.
-func (p *Pool) Stats() Stats {
-	s := Stats{Shards: len(p.shards), QuarantineCap: p.quarCap, Device: p.device.Stats()}
-	s.PerShard = make([]ShardStats, len(p.shards))
-	for i, sh := range p.shards {
-		s.PerShard[i] = shardStatsOf(sh)
-		s.ShardStats.add(s.PerShard[i])
-	}
 	s.HitRatio = metrics.AccessSnapshot{Hits: s.Hits, Misses: s.Misses}.HitRatio()
 	return s
 }
@@ -673,20 +478,12 @@ func (p *Pool) Stats() Stats {
 // PinnedFrames reports the number of frames currently holding at least one
 // pin; used by tests and diagnostics (at a true quiescent point — no
 // outstanding PageRefs, no in-flight operations — it must be zero).
-func (p *Pool) PinnedFrames() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += sh.pinnedFrames()
-	}
-	return n
-}
+func (p *Pool) PinnedFrames() int { return p.sh.pinnedFrames() }
 
-// CheckInvariants verifies the pool's structural invariants shard by
-// shard: pin-count sanity, frame/hash-table consistency, free-list
-// integrity, a page resident or quarantined but never both, policy/table
-// agreement, and — across shards — that every resident or quarantined
-// page lives in the shard its hash routes to. It is O(frames + buckets) and
-// takes each lock briefly.
+// CheckInvariants verifies the pool's structural invariants: pin-count
+// sanity, frame/hash-table consistency, free-list integrity, a page
+// resident or quarantined but never both, and policy/table agreement. It is
+// O(frames + buckets) and takes each lock briefly.
 //
 // The contract is quiescence: callers must ensure no pool operations are in
 // flight (the torture harness calls it after workers join and again after
@@ -694,12 +491,4 @@ func (p *Pool) PinnedFrames() int {
 // corrupt anything, but it may report perfectly legal in-flight
 // transitions — a claimed frame between table removal and the free list —
 // as violations.
-func (p *Pool) CheckInvariants() error {
-	for i, sh := range p.shards {
-		owns := func(id page.PageID) bool { return p.ShardOf(id) == i }
-		if err := sh.checkInvariants(owns); err != nil {
-			return fmt.Errorf("shard %d/%d: %w", i, len(p.shards), err)
-		}
-	}
-	return nil
-}
+func (p *Pool) CheckInvariants() error { return p.sh.checkInvariants() }

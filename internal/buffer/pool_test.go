@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestGetLoadsAndHits(t *testing.T) {
 	}
 	ref.Release()
 
-	// Hits are staged session-locally; Flush folds them into the shard
+	// Hits are staged session-locally; Flush folds them into the pool
 	// counters before the exact-count assertion.
 	s.Flush()
 	if h, m := p.AccessStats().Hits, p.AccessStats().Misses; h != 1 || m != 1 {
@@ -241,8 +242,8 @@ func TestMissIsOneLockHold(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			// Stats takes each shard's policy lock for Resident, but
-			// only after it has read that shard's wrapper counters.
+			// Stats takes the policy lock for Resident, but only after
+			// it has read the wrapper counters.
 			st, holds := p.AccessStats(), p.Stats().Wrapper.Lock.Acquisitions
 			if st.Misses != int64(sessions*perSession) || st.Hits != 0 {
 				t.Fatalf("%d misses and %d hits, want %d misses only", st.Misses, st.Hits, sessions*perSession)
@@ -637,6 +638,66 @@ func TestPoolConfigValidation(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestShardsAboveOneRefused: the pool is one partition. Shards above one
+// is refused at construction, naming the roadmap item that explains why,
+// and Shards 0 and 1 build the same pool: one seeded access sequence
+// leaves them with the same Stats.
+func TestShardsAboveOneRefused(t *testing.T) {
+	for _, n := range []int{2, 4, -1} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "ROADMAP 16") {
+					t.Errorf("Shards %d: panic %q, want one naming ROADMAP 16", n, msg)
+				}
+			}()
+			New(Config{Frames: 8, Shards: n, PolicyFactory: factoryOf("2q"), Device: storage.NewMemDevice()})
+		}()
+	}
+
+	run := func(shards int) Stats {
+		p := New(Config{
+			Frames:        32,
+			Shards:        shards,
+			PolicyFactory: factoryOf("2q"),
+			Wrapper:       core.Config{Batching: true, Prefetching: true},
+			Device:        storage.NewMemDevice(),
+		})
+		s := p.NewSession()
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 5000; i++ {
+			id := pid(uint64(rng.Intn(96)) + 1)
+			write := rng.Intn(5) == 0
+			get := p.Get
+			if write {
+				get = p.GetWrite
+			}
+			ref, err := get(s, id)
+			if err != nil {
+				t.Fatalf("Shards %d: access %d: %v", shards, i, err)
+			}
+			if write {
+				ref.MarkDirty()
+			}
+			ref.Release()
+		}
+		s.Flush()
+		st := p.Stats()
+		// Clocked durations are the one part of a snapshot a seed does
+		// not fix.
+		st.Wrapper.Lock.WaitTime, st.Wrapper.Lock.HoldTime = 0, 0
+		st.Device.ReadTime, st.Device.WriteTime = 0, 0
+		return st
+	}
+	zero, one := run(0), run(1)
+	if zero != one {
+		t.Fatalf("Shards 0 and Shards 1 differ after the same accesses:\n  0: %+v\n  1: %+v", zero, one)
+	}
+	if zero.Hits == 0 || zero.Misses == 0 || zero.EvictWritebacks == 0 {
+		t.Fatalf("degenerate sequence: %+v", zero)
 	}
 }
 

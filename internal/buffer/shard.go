@@ -24,20 +24,10 @@ type quarCtx struct {
 	at    int64
 }
 
-// shard is one hash partition of the pool: a self-contained buffer manager
-// owning its slice of the frames, its own page table, free list, dirty
-// quarantine, write-back stripes, and — crucially — its own core.Wrapper
-// around its own replacement-policy instance. The policy lock, batching
-// queues, and flat-combining slots are therefore per shard: sharding the
-// pool multiplies the paper's single hot spot into Shards independent ones,
-// at the cost of splitting the replacement algorithm's access history
-// (Section V-A), which the E14 experiment quantifies.
-//
-// A shard never sees a page another shard owns: Pool routes every PageID to
-// exactly one shard, so all the single-pool invariants from PR 1 (lossless
-// dirty eviction, per-page write-back ordering, quarantine capping) hold
-// per shard unchanged. With Shards: 1 the single shard IS the old
-// monolithic pool, bit for bit.
+// shard is the pool's buffer manager: the frames, the page table, the free
+// list, the dirty quarantine, the write-back stripes, and the core.Wrapper
+// around the one replacement-policy instance — the paper's single hot spot,
+// relieved by batching rather than split (Section V-A).
 //
 // Since the lock-free hit-path rewrite (DESIGN.md §12), a resident-page
 // read acquires no mutex at all: the table lookup is a seqlock-validated
@@ -57,7 +47,7 @@ type shard struct {
 	freeList []*Frame
 
 	// nextToClean is the frame index at which the background writer's next
-	// sweep of this shard starts (BackgroundWriter.round); atomic because
+	// sweep starts (BackgroundWriter.round); atomic because
 	// nothing stops a pool from having two writers.
 	nextToClean atomic.Int64
 
@@ -73,7 +63,7 @@ type shard struct {
 
 	// quarN mirrors len(quarantine), stored by whoever changed the map
 	// before it releases quarMu (quarUnlock), so a path that only asks
-	// whether, or how much, is parked takes no shard-wide lock — a miss on
+	// whether, or how much, is parked takes no pool-wide lock — a miss on
 	// a healthy pool above all (quarantineTake).
 	quarN atomic.Int32
 
@@ -94,7 +84,7 @@ type shard struct {
 	wbLocks [wbStripes]sync.Mutex
 
 	// tracer is the pool-wide request tracer (via the wrapper config; nil
-	// when tracing is disabled). Shard code uses it only for cross-thread
+	// when tracing is disabled). The shard uses it only for cross-thread
 	// emits — request-scoped spans go through the session's Active.
 	tracer *reqtrace.Tracer
 
@@ -120,7 +110,7 @@ type shard struct {
 	// are built from.
 	hp hitpathCounters
 
-	// events is the shard's flight recorder (nil when disabled): its
+	// events is the pool's flight recorder (nil when disabled): its
 	// quarantine parks and flushes, health changes and background-writer
 	// panics, in one history.
 	events *obs.Recorder
@@ -150,18 +140,18 @@ const (
 	bucketsPerFrame = 2
 )
 
-// tableBuckets sizes a shard's table: exactly bucketsPerFrame per frame — no
+// tableBuckets sizes the page table: exactly bucketsPerFrame per frame — no
 // rounding up to a power of two, no ceiling short of what bucketIndex can
-// address — so occupancy and bytes per frame hold at every shard size.
+// address — so occupancy and bytes per frame hold at every pool size.
 func tableBuckets(frames int) int {
 	if frames > 1<<31/bucketsPerFrame {
-		panic(fmt.Sprintf("buffer: a shard of %d frames is more than its page table can index", frames))
+		panic(fmt.Sprintf("buffer: a pool of %d frames is more than its page table can index", frames))
 	}
 	return bucketsPerFrame * frames
 }
 
-// bucketIndex scales the low half of id's mixed hash onto n buckets (the
-// high half routes shards, see mix64); unlike a mask it serves any n.
+// bucketIndex scales the low half of id's mixed hash onto n buckets; unlike
+// a mask it serves any n.
 func bucketIndex(id page.PageID, n int) int {
 	return int(uint64(uint32(mix64(uint64(id)))) * uint64(n) >> 32)
 }
@@ -173,7 +163,7 @@ const maxOptimisticRetries = 4
 // bucket is the reader side of one hash-table partition, and exactly one
 // cache line — all of the table a probe touches: a seqlock (the same
 // even/odd protocol as the obs recorder) over a small open-addressed array
-// of page id → frame, the frame named by its index in the shard's frames.
+// of page id → frame, the frame named by its index in the pool's frames.
 // Readers snapshot seq, probe the slots with atomic loads, and re-validate
 // seq; an odd or changed seq means a writer was mutating and the probe
 // result is torn.
@@ -301,7 +291,7 @@ func (sh *shard) removeLocked(b bucketRef, id page.PageID) {
 	}
 }
 
-// walkTable visits every mapping of the shard's table, one bucket mutex at
+// walkTable visits every mapping of the page table, one bucket mutex at
 // a time, and reports whether any bucket had an op in flight. A sweep for
 // invariant checks, not an access path: it bypasses the hit-path lock
 // accounting.
@@ -422,10 +412,10 @@ func (sh *shard) finishOp(b bucketRef, op *loadOp, err error) {
 	wake(done)
 }
 
-// init sizes and wires one shard for frames page slots.
+// init sizes and wires the shard for frames page slots.
 func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device storage.Device, quarCap int) {
 	if pol.Cap() < frames {
-		panic(fmt.Sprintf("buffer: policy capacity %d below shard frame count %d", pol.Cap(), frames))
+		panic(fmt.Sprintf("buffer: policy capacity %d below frame count %d", pol.Cap(), frames))
 	}
 	sh.frames = make([]Frame, frames)
 	sh.buckets = make([]bucket, tableBuckets(frames))
@@ -444,12 +434,12 @@ func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device 
 	}
 	wcfg.Validate = sh.validTags
 	sh.claim = sh.claimVictim
-	// Slotted: every tag this shard issues names its frame's slot, which
+	// Slotted: every tag the pool issues names its frame's slot, which
 	// addresses the policy's metadata for the page as well as the frame.
 	sh.wrapper = core.NewSlotted(pol, wcfg)
 }
 
-// bucketFor returns the table partition of a page id within the shard.
+// bucketFor returns the table partition of a page id.
 func (sh *shard) bucketFor(id page.PageID) bucketRef {
 	return sh.bucketAt(bucketIndex(id, len(sh.buckets)))
 }
@@ -477,15 +467,13 @@ func (sh *shard) wbLock(id page.PageID) *sync.Mutex {
 	return &sh.wbLocks[mix64(uint64(id))%wbStripes]
 }
 
-// validTags is installed as the shard wrapper's commit-time validator: it
+// validTags is installed as the wrapper's commit-time validator: it
 // keeps, in order and in place, the queued accesses whose frame still holds
 // the same generation of the same page — the paper's comparison with the
 // tag in the buffer header (Section IV-B). It runs under the policy lock,
 // so it probes no table: the tag names the slot, and since every ownership
 // transition of a frame bumps its generation a matching header is proof
-// enough. A session flushes into the shard it recorded against, so the slot
-// indexes the right frames; a tag this shard never issued is simply not
-// valid.
+// enough; a slot beyond the frames is simply not valid.
 func (sh *shard) validTags(batch []core.Entry) []core.Entry {
 	live, frames := batch[:0], sh.frames
 	for _, e := range batch {
@@ -523,14 +511,12 @@ func (sh *shard) hitLookup(b bucketRef, id page.PageID) (f *Frame, fast bool) {
 	return f, false
 }
 
-// get serves one page access for session ps (whose core sub-session for
-// this shard is ps.subs[idx]). On a resident read it performs no mutex
+// get serves one page access for session ps. On a resident read it performs no mutex
 // acquisition and writes no shared cacheline except the pin CAS: seqlock
 // probe → tryPin → done, with the pin CAS itself revalidating the tag
 // generation (DESIGN.md §12). Writable accesses serialize on the frame's
 // wmu and drain readers before returning.
-func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*PageRef, error) {
-	sub := ps.subs[idx]
+func (sh *shard) get(ps *Session, id page.PageID, writable bool) (*PageRef, error) {
 	b := sh.bucketFor(id)
 	// Span stamping is gated on the request being head-sampled (or wire-
 	// adopted): an untraced hit pays exactly this one branch — no clock
@@ -546,10 +532,10 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 		}
 		f, fast := sh.hitLookup(b, id)
 		if tracing {
-			ps.trace.Span(reqtrace.PhaseBucketProbe, idx, t0, ps.trace.Now()-t0, flagArg(fast), uint64(id))
+			ps.trace.Span(reqtrace.PhaseBucketProbe, 0, t0, ps.trace.Now()-t0, flagArg(fast), uint64(id))
 		}
 		if f == nil {
-			ref, retry, err := sh.load(ps, idx, id, writable)
+			ref, retry, err := sh.load(ps, id, writable)
 			if err != nil {
 				return nil, err
 			}
@@ -578,10 +564,10 @@ func (sh *shard) get(ps *Session, idx int, id page.PageID, writable bool) (*Page
 				f.lockContent()
 			}
 			if tracing {
-				ps.trace.Span(reqtrace.PhasePin, idx, t0, ps.trace.Now()-t0, flagArg(writable), uint64(id))
+				ps.trace.Span(reqtrace.PhasePin, 0, t0, ps.trace.Now()-t0, flagArg(writable), uint64(id))
 			}
-			ps.stageHit(idx, fast && !writable)
-			sub.Hit(id, tag)
+			ps.stageHit(fast && !writable)
+			ps.sub.Hit(id, tag)
 			return newPageRef(f, id, tag, writable), nil
 		}
 		if writable {
@@ -616,7 +602,7 @@ func yieldIfStillRecycled(seen int) int {
 // page, obtains a frame (free or evicted), reads the page, and installs the
 // frame in the table. retry is true when the caller lost the race and
 // should restart its lookup.
-func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref *PageRef, retry bool, err error) {
+func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef, retry bool, err error) {
 	b := sh.bucketFor(id)
 	sh.lockBucket(b)
 	if sh.lookupLocked(b, id) != nil {
@@ -637,12 +623,12 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	b.w.mu.Unlock()
 
 	// Fold this session's staged hits before counting the miss, so the
-	// shard counters never show a miss "ahead of" hits that actually
+	// pool counters never show a miss "ahead of" hits that actually
 	// preceded it.
-	ps.foldHits(idx)
+	ps.foldHits()
 	sh.misses.Add(1)
-	// Admission control: a degraded shard bounds in-flight misses and a
-	// read-only shard sheds them all, before any frame is claimed or
+	// Admission control: a degraded pool bounds in-flight misses and a
+	// read-only pool sheds them all, before any frame is claimed or
 	// device I/O issued. Followers waiting on the op receive the same
 	// ErrOverloaded, which is correct — they were asking for the same
 	// uncached page.
@@ -654,7 +640,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 	if counted {
 		defer sh.missInflight.Add(-1)
 	}
-	f, err := sh.acquireFrame(ps, ps.subs[idx], id)
+	f, err := sh.acquireFrame(ps, id)
 	if err != nil {
 		sh.finishOp(b, op, err)
 		return nil, false, err
@@ -675,7 +661,7 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 		// when head sampling skipped it.
 		t0 := ps.trace.Now()
 		rerr := sh.device.ReadPage(id, &f.data)
-		ps.trace.Slow(reqtrace.PhaseDeviceRead, idx, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
+		ps.trace.Slow(reqtrace.PhaseDeviceRead, 0, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
 		if rerr != nil {
 			sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
 			sh.freeFrame(f)
@@ -714,12 +700,12 @@ func (sh *shard) load(ps *Session, idx int, id page.PageID, writable bool) (ref 
 // claimVictim takes. When none can be claimed the policy step alone is
 // repeated, letting the pinning goroutines run in between (short pins are
 // released in microseconds, but a tight loop can spend its attempts before
-// the scheduler lets an unpin happen), up to twice the shard size. A saturated
+// the scheduler lets an unpin happen), up to twice the pool size. A saturated
 // quarantine then means dirty victims were refused for durability's sake, not
 // that all are pinned.
-func (sh *shard) acquireFrame(ps *Session, sub *core.Session, id page.PageID) (*Frame, error) {
+func (sh *shard) acquireFrame(ps *Session, id page.PageID) (*Frame, error) {
 	f, slot := sh.popFree()
-	victim, admitted := sub.MissSlot(id, slot, sh.claim)
+	victim, admitted := ps.sub.MissSlot(id, slot, sh.claim)
 	for attempt := 0; !admitted; attempt++ {
 		switch {
 		case attempt > 2*len(sh.frames) && sh.quarantineFull():
@@ -972,8 +958,8 @@ func (sh *shard) quarantineIDs() []page.PageID {
 
 func (sh *shard) quarantineFull() bool { return sh.quarantineLen() >= sh.quarCap }
 
-// quarantineLen reports the number of pages currently parked in this
-// shard's dirty quarantine.
+// quarantineLen reports the number of pages currently parked in the dirty
+// quarantine.
 func (sh *shard) quarantineLen() int { return int(sh.quarN.Load()) }
 
 // drainQuarantine retries the write-back of every quarantined page,
@@ -1031,7 +1017,7 @@ func (sh *shard) purgeQuarantine(id page.PageID) {
 	l.Unlock()
 }
 
-// invalidate drops page id from the shard (e.g. its table was truncated),
+// invalidate drops page id from the pool (e.g. its table was truncated),
 // discarding dirty contents — including any quarantined copy from an
 // earlier failed write-back, which must not be drained back to the device
 // later. A page in flight is waited out first: a load so that the page it
@@ -1051,7 +1037,7 @@ func (sh *shard) invalidate(id page.PageID) error {
 	return nil
 }
 
-// claimMapped takes page id's frame out of the shard for an Invalidate and
+// claimMapped takes page id's frame out of the pool for an Invalidate and
 // returns it claimed; f is nil when the page has no frame. An op in flight
 // on the page is waited out — its outcome is its owner's business — and the
 // page looked up again, as it is when its frame was claimed by someone else
@@ -1134,8 +1120,7 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 	}
 }
 
-// flushDirty writes every dirty, unpinned page of this shard back to the
-// device — and retries every quarantined page — returning the number made
+// flushDirty writes every dirty, unpinned page back to the device — and retries every quarantined page — returning the number made
 // durable.
 func (sh *shard) flushDirty() (int, error) {
 	var errs []error
@@ -1157,8 +1142,7 @@ func (sh *shard) flushDirty() (int, error) {
 	return n, errors.Join(errs...)
 }
 
-// dirtyCount reports the number of dirty resident frames in the shard
-// right now.
+// dirtyCount reports the number of dirty resident frames right now.
 func (sh *shard) dirtyCount() int {
 	n := 0
 	for i := range sh.frames {
@@ -1182,11 +1166,9 @@ func (sh *shard) pinnedFrames() int {
 	return n
 }
 
-// checkInvariants verifies the shard's structural invariants (see
-// Pool.CheckInvariants for the contract). owns reports whether a page id
-// routes to this shard; a mapped or quarantined page owned by a different
-// shard is a routing bug.
-func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
+// checkInvariants verifies the structural invariants (see
+// Pool.CheckInvariants for the contract).
+func (sh *shard) checkInvariants() error {
 	// Snapshot the table: page → frame, taking each bucket lock once.
 	mapped := make(map[page.PageID]*Frame, len(sh.frames))
 	inflight := sh.walkTable(func(id page.PageID, f *Frame) { mapped[id] = f })
@@ -1200,9 +1182,6 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 	}
 	byFrame := make(map[*Frame]page.PageID, len(mapped))
 	for id, f := range mapped {
-		if !owns(id) {
-			return fmt.Errorf("buffer: page %v resident in a shard that does not own it", id)
-		}
 		if prev, dup := byFrame[f]; dup {
 			return fmt.Errorf("buffer: frame mapped twice, as %v and %v", prev, id)
 		}
@@ -1245,13 +1224,10 @@ func (sh *shard) checkInvariants(owns func(page.PageID) bool) error {
 		return fmt.Errorf("buffer: %d mapped + %d free != %d frames (frame leaked or in flight)",
 			len(mapped), len(free), len(sh.frames))
 	}
-	// Quarantine: disjoint from the resident set, within its soft capacity
-	// bound, and owned by this shard.
+	// Quarantine: disjoint from the resident set and within its soft
+	// capacity bound.
 	quar := sh.quarantineIDs()
 	for _, id := range quar {
-		if !owns(id) {
-			return fmt.Errorf("buffer: page %v quarantined in a shard that does not own it", id)
-		}
 		if _, resident := mapped[id]; resident {
 			return fmt.Errorf("buffer: page %v both resident and quarantined", id)
 		}
@@ -1290,10 +1266,8 @@ func flagArg(b bool) uint64 {
 	return 0
 }
 
-// mix64 is the 64-bit finalizer of MurmurHash3: a full-avalanche mix whose
-// output bits are all independent of one another, so the pool can route
-// shards off the high bits and buckets off the low bits of the same hash
-// without correlating the two.
+// mix64 is the 64-bit finalizer of MurmurHash3: a full-avalanche mix, so
+// buckets (off its low bits) and write-back stripes spread any id pattern.
 func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

@@ -124,7 +124,7 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 	drainDone := make(chan struct{})
 	go func() {
 		defer close(drainDone)
-		_, _, drainErr = p.drainQuarantine()
+		_, _, drainErr = p.sh.drainQuarantine()
 	}()
 	<-entered
 
@@ -187,7 +187,7 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 
 // frameOf returns the frame page id is mapped to, or nil.
 func frameOf(p *Pool, id page.PageID) *Frame {
-	sh := p.shardFor(id)
+	sh := p.sh
 	f, _ := sh.hitLookup(sh.bucketFor(id), id)
 	return f
 }
@@ -289,61 +289,46 @@ func TestFlushWritesFromPinnedFrame(t *testing.T) {
 }
 
 // TestFlushInFlightKeepsShardHealthy holds one flush write in the device
-// and misses on the same shard meanwhile: a healthy write in flight parks
-// nothing, so the health ladder, which reads the quarantine as failed
-// write-backs, must not shed a miss. Both cells put a one-entry quarantine
-// cap on the shard — explicitly, and as the default cap split 64 ways.
+// and misses meanwhile: a healthy write in flight parks nothing, so the
+// health ladder, which reads the quarantine as failed write-backs, must
+// not shed a miss even under a one-entry quarantine cap.
 func TestFlushInFlightKeepsShardHealthy(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		shards, capQ int
-	}{
-		{"cap1-shards1", 1, 1},
-		{"default-cap-shards64", 64, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			gate := newGateDevice(storage.NewMemDevice())
-			p := New(Config{
-				Frames:        4 * tc.shards,
-				Shards:        tc.shards,
-				QuarantineCap: tc.capQ,
-				PolicyFactory: factoryOf("lru"),
-				Device:        gate,
-			})
-			s := p.NewSession()
-			dirtyPage(t, p, s, pid(1))
-			entered, release := gate.arm(pid(1))
-			flushed := make(chan error, 1)
-			go func() {
-				_, err := p.FlushDirty()
-				flushed <- err
-			}()
-			<-entered
-
-			sh := p.shardFor(pid(1))
-			for i, n := uint64(2), 0; n < 20; i++ {
-				if p.shardFor(pid(i)) != sh {
-					continue
-				}
-				n++
-				ref, err := p.Get(s, pid(i))
-				if err != nil {
-					t.Fatalf("miss %d on the shard whose flush write is in flight: %v", n, err)
-				}
-				ref.Release()
-			}
-			if h := sh.evalHealth(); h != Healthy {
-				t.Fatalf("shard health %v with a flush write in flight, want healthy", h)
-			}
-			close(release)
-			if err := <-flushed; err != nil {
-				t.Fatalf("FlushDirty: %v", err)
-			}
-			if st := p.Stats(); st.Shed != 0 || st.Quarantined != 0 {
-				t.Fatalf("shed=%d quarantined=%d, want 0 and 0", st.Shed, st.Quarantined)
-			}
+	t.Run("cap1-shards1", func(t *testing.T) {
+		gate := newGateDevice(storage.NewMemDevice())
+		p := New(Config{
+			Frames:        4,
+			QuarantineCap: 1,
+			PolicyFactory: factoryOf("lru"),
+			Device:        gate,
 		})
-	}
+		s := p.NewSession()
+		dirtyPage(t, p, s, pid(1))
+		entered, release := gate.arm(pid(1))
+		flushed := make(chan error, 1)
+		go func() {
+			_, err := p.FlushDirty()
+			flushed <- err
+		}()
+		<-entered
+
+		for i := uint64(2); i < 22; i++ {
+			ref, err := p.Get(s, pid(i))
+			if err != nil {
+				t.Fatalf("miss on %v while a flush write is in flight: %v", pid(i), err)
+			}
+			ref.Release()
+		}
+		if h := p.sh.evalHealth(); h != Healthy {
+			t.Fatalf("health %v with a flush write in flight, want healthy", h)
+		}
+		close(release)
+		if err := <-flushed; err != nil {
+			t.Fatalf("FlushDirty: %v", err)
+		}
+		if st := p.Stats(); st.Shed != 0 || st.Quarantined != 0 {
+			t.Fatalf("shed=%d quarantined=%d, want 0 and 0", st.Shed, st.Quarantined)
+		}
+	})
 }
 
 // TestFlushAllocs: a flush writes the page from its frame, so making a
@@ -352,7 +337,7 @@ func TestFlushAllocs(t *testing.T) {
 	p := New(Config{Frames: 4, PolicyFactory: factoryOf("lru"), Device: storage.NewNullDevice()})
 	s := p.NewSession()
 	dirtyPage(t, p, s, pid(1))
-	sh, f := shard0(p), frameOf(p, pid(1))
+	sh, f := p.sh, frameOf(p, pid(1))
 	flush := func() {
 		f.setDirty()
 		if wrote, err := sh.flushFrame(f); !wrote || err != nil {

@@ -160,24 +160,6 @@ type Stats struct {
 	CombinerPanics int64
 }
 
-// Plus returns the field-wise sum of two snapshots. The sharded pool folds
-// its per-shard wrapper snapshots through this one helper so every
-// aggregate is produced the same way.
-func (s Stats) Plus(o Stats) Stats {
-	s.Commits += o.Commits
-	s.Committed += o.Committed
-	s.Dropped += o.Dropped
-	s.Lock = s.Lock.Plus(o.Lock)
-	s.ForcedLocks += o.ForcedLocks
-	s.TryCommits += o.TryCommits
-	s.PrefetchWalks += o.PrefetchWalks
-	s.CombinedBatches += o.CombinedBatches
-	s.CombinedEntries += o.CombinedEntries
-	s.HandoffSaved += o.HandoffSaved
-	s.CombinerPanics += o.CombinerPanics
-	return s
-}
-
 // cacheLineSize separates counter groups with different writer populations
 // so a store to one group does not invalidate another group's line.
 const cacheLineSize = 64

@@ -79,8 +79,8 @@ func (s CountDistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Plus returns the element-wise sum of two snapshots for per-shard
-// aggregation. Both must come from distributions of the same capacity.
+// Plus returns the element-wise sum of two snapshots. Both must come from
+// distributions of the same capacity.
 func (s CountDistSnapshot) Plus(o CountDistSnapshot) CountDistSnapshot {
 	if len(o.Buckets) == 0 {
 		return s

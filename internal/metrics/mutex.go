@@ -203,8 +203,7 @@ type LockStats struct {
 	HoldSamples  int64         // acquisitions whose hold was actually clocked
 }
 
-// Plus returns the field-wise sum of two snapshots, for aggregating the
-// per-shard policy locks of a sharded pool into one figure.
+// Plus returns the field-wise sum of two snapshots.
 func (s LockStats) Plus(o LockStats) LockStats {
 	s.Acquisitions += o.Acquisitions
 	s.Contentions += o.Contentions

@@ -167,9 +167,9 @@ func TestLockStatsPlusAggregation(t *testing.T) {
 }
 
 func TestLockStatsPlusLargeValues(t *testing.T) {
-	// Shard aggregation sums counters that can individually approach years
-	// of nanoseconds; check the sum survives values far beyond any real
-	// run without wrapping where it shouldn't.
+	// A sum of counters that can individually approach years of
+	// nanoseconds must survive values far beyond any real run without
+	// wrapping where it shouldn't.
 	big := int64(math.MaxInt64 / 4)
 	a := LockStats{Acquisitions: big, WaitTime: time.Duration(big), HoldTime: time.Duration(big)}
 	got := a.Plus(a).Plus(LockStats{})

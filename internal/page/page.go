@@ -69,8 +69,8 @@ func (id PageID) String() string {
 // (whose tag no longer matches the frame's) can be discarded at commit time
 // instead of corrupting the replacement algorithm's bookkeeping.
 //
-// Slot says where to look, not what was seen: it is the index, within its
-// shard, of the frame the access was recorded against, so the commit-time
+// Slot says where to look, not what was seen: it is the index, within the
+// pool's frames, of the frame the access was recorded against, so the commit-time
 // check reads that frame's header directly — the paper's comparison against
 // the tag "in the buffer header" (Section IV-B) — instead of finding the
 // frame again through the page table. Callers that have no frames (trace

@@ -61,7 +61,7 @@ func (d *gateDevice) WritePage(p *page.Page) error {
 // without panic or goroutine leak, fold the session's history into the
 // pool, and keep serving other clients.
 func TestChaosClientVanishMidPipeline(t *testing.T) {
-	srv, _, done := newTestServer(t, 32, 2, Config{})
+	srv, _, done := newTestServer(t, 32, Config{})
 	defer done()
 
 	nc, err := net.Dial("tcp", srv.Addr())
@@ -131,7 +131,7 @@ func TestChaosClientVanishMidPipeline(t *testing.T) {
 // WriteTimeout the flush times out, the connection is abandoned and
 // counted, and other clients are unaffected.
 func TestChaosSlowReaderBackpressure(t *testing.T) {
-	srv, _, done := newTestServer(t, 32, 1, Config{
+	srv, _, done := newTestServer(t, 32, Config{
 		writeBuf:     pageRespLen, // every page is its own socket write
 		WriteTimeout: 200 * time.Millisecond,
 	})
@@ -241,7 +241,6 @@ func TestChaosDrainUnderFireLosesNothing(t *testing.T) {
 	mem := storage.NewMemDevice()
 	pool := buffer.New(buffer.Config{
 		Frames:        64,
-		Shards:        2,
 		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
 		Device:        mem,
 	})

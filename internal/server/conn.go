@@ -16,7 +16,7 @@ import (
 // conn is one served connection: a socket, its receive buffer and
 // response buffer, and the buffer.Session that makes this client a
 // first-class BP-Wrapper backend — its accesses batch through the
-// session's per-shard queues exactly like an in-process worker's.
+// session's queue exactly like an in-process worker's.
 type conn struct {
 	srv    *Server
 	nc     net.Conn
@@ -146,7 +146,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 func (c *conn) serve() {
 	s := c.srv
 	defer func() {
-		// Fold the session's batched accesses into its shard queues so a
+		// Fold the session's batched accesses into the policy so a
 		// vanished client's recorded history still reaches the policy.
 		c.sess.Flush()
 		c.flushBestEffort()

@@ -55,7 +55,7 @@ func (s *countingStream) NextTxn(buf []workload.Access) []workload.Access {
 // summary comes from the post-join fold of per-worker counters, never
 // from the lagging live view a fast exit leaves partial.
 func TestFleetFoldRegression(t *testing.T) {
-	srv, _, done := newTestServer(t, 128, 1, Config{})
+	srv, _, done := newTestServer(t, 128, Config{})
 	defer done()
 
 	const (
@@ -115,7 +115,7 @@ func TestFleetFoldRegression(t *testing.T) {
 // cleanly: workers stop on DRAINING/transport cut without reporting run
 // failure, and everything acknowledged OK before the drain is counted.
 func TestFleetAgainstDrain(t *testing.T) {
-	srv, _, done := newTestServer(t, 128, 2, Config{DrainGrace: 20 * time.Millisecond})
+	srv, _, done := newTestServer(t, 128, Config{DrainGrace: 20 * time.Millisecond})
 	defer done()
 
 	fleetDone := make(chan *FleetResult, 1)

@@ -6,7 +6,7 @@
 // The protocol is deliberately minimal — five operations, pipelined by
 // request ID — because the interesting part is not the wire format but
 // what it feeds: a batched read loop decodes every request the kernel
-// delivered in one syscall and pushes them through a single shard session
+// delivered in one syscall and pushes them through a single pool session
 // before flushing responses, mirroring at the network layer the
 // batching-of-operations idea BP-Wrapper applies at the lock layer.
 //
@@ -75,7 +75,7 @@ const TraceFlag byte = 0x80
 // remote callers branch with errors.Is exactly like in-process callers.
 const (
 	StatusOK          byte = 0
-	StatusOverloaded  byte = 1 // miss shed by a degraded/read-only shard
+	StatusOverloaded  byte = 1 // miss shed by a degraded/read-only pool
 	StatusInvalidPage byte = 2
 	StatusNoBuffers   byte = 3 // every victim pinned, or quarantine full
 	StatusDraining    byte = 4 // server past its drain grace; reconnect elsewhere

@@ -296,7 +296,6 @@ func (s *Server) remoteStatsPayload() []byte {
 	st := s.pool.Stats()
 	rs := RemoteStats{
 		Frames:      st.Frames,
-		Shards:      st.Shards,
 		Hits:        st.Hits,
 		Misses:      st.Misses,
 		Shed:        st.Shed,
@@ -366,7 +365,6 @@ func (s *Server) Stats() Stats {
 // operator can act on, plus the server's own connection gauge.
 type RemoteStats struct {
 	Frames      int    `json:"frames"`
-	Shards      int    `json:"shards"`
 	Hits        int64  `json:"hits"`
 	Misses      int64  `json:"misses"`
 	Shed        int64  `json:"shed"`

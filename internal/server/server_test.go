@@ -20,12 +20,11 @@ import (
 // newTestServer builds a MemDevice-backed pool and a loopback server
 // over it. The caller owns shutdown via the returned close func (abrupt;
 // drain tests call Drain themselves first).
-func newTestServer(t *testing.T, frames, shards int, cfg Config) (*Server, *storage.MemDevice, func()) {
+func newTestServer(t *testing.T, frames int, cfg Config) (*Server, *storage.MemDevice, func()) {
 	t.Helper()
 	mem := storage.NewMemDevice()
 	pool := buffer.New(buffer.Config{
 		Frames:        frames,
-		Shards:        shards,
 		PolicyFactory: replacer.Factories()["lru"],
 		Device:        mem,
 	})
@@ -43,7 +42,7 @@ func newTestServer(t *testing.T, frames, shards int, cfg Config) (*Server, *stor
 func testPage(n uint64) page.PageID { return page.NewPageID(1, n) }
 
 func TestServerRoundTrips(t *testing.T) {
-	srv, _, done := newTestServer(t, 16, 1, Config{})
+	srv, _, done := newTestServer(t, 16, Config{})
 	defer done()
 
 	c, err := Dial(srv.Addr())
@@ -116,7 +115,7 @@ func TestServerRoundTrips(t *testing.T) {
 }
 
 func TestServerPipelinedBatch(t *testing.T) {
-	srv, _, done := newTestServer(t, 64, 2, Config{})
+	srv, _, done := newTestServer(t, 64, Config{})
 	defer done()
 
 	c, err := Dial(srv.Addr())
@@ -166,7 +165,7 @@ func TestServerPipelinedBatch(t *testing.T) {
 // client's namespace, matching is positional, so a (buggy or adversarial)
 // client reusing an ID still gets both answers, in order, echoing it.
 func TestServerDuplicateRequestIDs(t *testing.T) {
-	srv, _, done := newTestServer(t, 8, 1, Config{})
+	srv, _, done := newTestServer(t, 8, Config{})
 	defer done()
 
 	nc, err := net.Dial("tcp", srv.Addr())
@@ -198,7 +197,7 @@ func TestServerDuplicateRequestIDs(t *testing.T) {
 // answers while the connection survives, and an unknown opcode retires
 // the connection after answering (alignment is unprovable past it).
 func TestServerBadRequests(t *testing.T) {
-	srv, _, done := newTestServer(t, 8, 1, Config{})
+	srv, _, done := newTestServer(t, 8, Config{})
 	defer done()
 
 	nc, err := net.Dial("tcp", srv.Addr())
@@ -252,7 +251,7 @@ func isConnReset(err error) bool {
 }
 
 func TestServerMaxConns(t *testing.T) {
-	srv, _, done := newTestServer(t, 8, 1, Config{MaxConns: 2})
+	srv, _, done := newTestServer(t, 8, Config{MaxConns: 2})
 	defer done()
 
 	c1, err := Dial(srv.Addr())
@@ -286,7 +285,7 @@ func TestServerMaxConns(t *testing.T) {
 }
 
 func TestServerObsMetrics(t *testing.T) {
-	srv, _, done := newTestServer(t, 8, 1, Config{})
+	srv, _, done := newTestServer(t, 8, Config{})
 	defer done()
 
 	reg := obs.NewRegistry()
@@ -327,7 +326,7 @@ func TestServerObsMetrics(t *testing.T) {
 // and misses shed as typed OVERLOADED; past the grace, requests answer
 // DRAINING; acknowledged writes survive into the device.
 func TestServerDrainGraceServesResidentThenRefuses(t *testing.T) {
-	srv, mem, done := newTestServer(t, 8, 1, Config{DrainGrace: 300 * time.Millisecond})
+	srv, mem, done := newTestServer(t, 8, Config{DrainGrace: 300 * time.Millisecond})
 	defer done()
 
 	c, err := Dial(srv.Addr())
@@ -526,7 +525,7 @@ func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
 		{500, pageRespLen, 500},
 		{500, 20000, 250},
 	} {
-		srv, _, done := newTestServer(t, 32, 1, Config{writeBuf: tc.bufSize})
+		srv, _, done := newTestServer(t, 32, Config{writeBuf: tc.bufSize})
 		ceiling := srv.cfg.writeBuf
 		nc := &scriptConn{in: bytes.NewReader(getScript(tc.gets, span))}
 		nc.onWrite = func(p []byte) {
@@ -565,7 +564,7 @@ func TestServerArmsDeadlinePerSocketWrite(t *testing.T) {
 // that is flushed page by page: the handler retires without offering the
 // socket anything more, and what it served up to there is still counted.
 func TestServerBurstStickyWriteError(t *testing.T) {
-	srv, _, done := newTestServer(t, 32, 1, Config{writeBuf: pageRespLen})
+	srv, _, done := newTestServer(t, 32, Config{writeBuf: pageRespLen})
 	defer done()
 	nc := &scriptConn{in: bytes.NewReader(getScript(10, 8)), failFrom: 2}
 	serveScript(srv, nc) // must return, the script's other eight GETs unread
@@ -591,7 +590,7 @@ func TestServerBurstStickyWriteError(t *testing.T) {
 // each the only sender of its opcode, check that exactly after every Do;
 // at quiescence the totals are exact.
 func TestServerFoldVisibleBeforeResponse(t *testing.T) {
-	srv, _, done := newTestServer(t, 64, 2, Config{})
+	srv, _, done := newTestServer(t, 64, Config{})
 	defer done()
 
 	const bursts, perBurst = 200, 8
@@ -664,7 +663,7 @@ func TestServerFoldVisibleBeforeResponse(t *testing.T) {
 // when the burst outgrows the receive buffer and it is replaced mid-burst;
 // across calls the results are the client's to overwrite.
 func TestClientDoResultsAliasReceiveBuffer(t *testing.T) {
-	srv, _, done := newTestServer(t, 256, 2, Config{})
+	srv, _, done := newTestServer(t, 256, Config{})
 	defer done()
 	c, err := Dial(srv.Addr())
 	if err != nil {
@@ -771,7 +770,7 @@ func TestWirePathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	srv, _, done := newTestServer(t, 64, 1, Config{})
+	srv, _, done := newTestServer(t, 64, Config{})
 	defer done()
 	c, err := Dial(srv.Addr())
 	if err != nil {

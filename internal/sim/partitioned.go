@@ -11,8 +11,8 @@ import (
 // instance of the underlying algorithm. In a real system each partition
 // gets its own lock (Config.LockPartitions models that). It lives here, not
 // in package replacer, because nothing but the simulator and E10's
-// hit-ratio replay (internal/bench) runs it: the production pool shards
-// whole sub-pools instead (buffer.Config.Shards). The price, which the
+// hit-ratio replay (internal/bench) runs it: the production pool is one
+// partition, as the paper argues. The price, which the
 // paper emphasises, is that each partition sees only its hash slice of the
 // access history:
 //

@@ -18,24 +18,23 @@ func runChaos(t *testing.T, sc ChaosScenario) *ChaosReport {
 	return rep
 }
 
-// TestChaosHardDown: a fully dead device must fill the shard's quarantine,
-// shed the shard's misses fast, and leave resident pages (all shards)
-// serving.
+// TestChaosHardDown: a fully dead device must fill the quarantine, shed
+// misses fast, and leave resident pages serving.
 func TestChaosHardDown(t *testing.T) {
 	rep := runChaos(t, ChaosHardDown)
 	if rep.Shed == 0 {
-		t.Fatalf("no miss was shed while the shard was down: %+v", rep)
+		t.Fatalf("no miss was shed while the device was down: %+v", rep)
 	}
 	if rep.PeakHealth != buffer.ReadOnly {
 		t.Fatalf("peak health %v, want ReadOnly with the quarantine full: %+v", rep.PeakHealth, rep)
 	}
-	if rep.ResidentReads == 0 || rep.HealthyMisses == 0 {
+	if rep.ResidentReads == 0 {
 		t.Fatalf("degraded-window service assertions never ran: %+v", rep)
 	}
 }
 
 // TestChaosRecovery: after the fault lifts and the quarantine drains, the
-// shard must return to Healthy with shedding stopped (asserted inside
+// pool must return to Healthy with shedding stopped (asserted inside
 // RunChaos).
 func TestChaosRecovery(t *testing.T) {
 	rep := runChaos(t, ChaosRecovery)

@@ -27,7 +27,6 @@ type PoolRunConfig struct {
 	Phases   int    // bursts separated by quiescent invariant checks
 	Policy   string // replacer algorithm name; "" means lru
 	Path     Path   // commit path for the pool's wrapper
-	Shards   int    // hash partitions of the pool; 0 or 1 is the monolithic pool
 	Faults   bool   // inject transient read/write failures and corruption
 	BGWriter bool   // run a background writer during the bursts
 
@@ -38,9 +37,9 @@ type PoolRunConfig struct {
 	// concurrently with other hook users.
 	YieldFrac float64
 
-	// RecorderSize sizes the per-shard flight recorder whose dump is
-	// appended to every oracle failure. Zero means 512 events per shard;
-	// negative disables recording.
+	// RecorderSize sizes the pool's flight recorder, whose dump is
+	// appended to every oracle failure. Zero means 512 events; negative
+	// disables recording.
 	RecorderSize int
 }
 
@@ -68,26 +67,12 @@ func stampID(b, version int) page.PageID {
 	return page.NewPageID(uint32(0x100+version), uint64(b))
 }
 
-// checkStatsConsistency verifies the pool's aggregated snapshot at a
-// quiescent point: every session has flushed, so the pool-level counters
-// must equal the per-shard sums and AccessStats must agree with Stats.
-// Under load these are only one-sided bounds (see buffer.Stats); at
-// quiescence any imbalance is an aggregation bug.
+// checkStatsConsistency verifies the pool's snapshot at a quiescent point:
+// every session has flushed, so AccessStats must agree with Stats. Under
+// load this is only a one-sided bound (see buffer.Stats); at quiescence any
+// imbalance is a folding bug.
 func checkStatsConsistency(pool *buffer.Pool) error {
 	st := pool.Stats()
-	var hits, misses, frames int64
-	for _, ss := range st.PerShard {
-		hits += ss.Hits
-		misses += ss.Misses
-		frames += int64(ss.Frames)
-	}
-	if st.Hits != hits || st.Misses != misses {
-		return fmt.Errorf("pool stats disagree with per-shard sums: pool %d/%d, shards %d/%d",
-			st.Hits, st.Misses, hits, misses)
-	}
-	if int64(st.Frames) != frames {
-		return fmt.Errorf("pool frames %d != per-shard sum %d", st.Frames, frames)
-	}
 	a := pool.AccessStats()
 	if a.Hits != st.Hits || a.Misses != st.Misses {
 		return fmt.Errorf("AccessStats %d/%d disagrees with Stats %d/%d at quiescence",
@@ -99,7 +84,7 @@ func checkStatsConsistency(pool *buffer.Pool) error {
 // statsGauges are the integer fields of buffer.Stats that describe the
 // moment; every other integer field is a cumulative total.
 var statsGauges = map[string]bool{"Frames": true, "Free": true, "Dirty": true, "Resident": true, "Quarantined": true,
-	"MissInflight": true, "Health": true, "Shards": true, "QuarantineCap": true}
+	"MissInflight": true, "Health": true, "QuarantineCap": true}
 
 // decreasedTotal names the first cumulative total of cur below prev's, or
 // returns "" when none is.
@@ -126,9 +111,8 @@ func decreasedTotal(prev, cur reflect.Value, path string) string {
 //     -window reads through the pool);
 //   - pin sanity: after each phase and before Close no frame stays pinned;
 //   - structural consistency: Pool.CheckInvariants (frame/hash-table/free-
-//     list/quarantine agreement plus the policy's own invariants, walking
-//     every shard and checking shard-routing ownership) passes at every
-//     quiescent point, and the aggregated statistics balance exactly
+//     list/quarantine agreement plus the policy's own invariants) passes at
+//     every quiescent point, and the statistics balance exactly
 //     (checkStatsConsistency);
 //   - counters only grow: no cumulative total of Stats is below the
 //     previous phase's (decreasedTotal);
@@ -185,7 +169,6 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 	}
 	pool := buffer.New(buffer.Config{
 		Frames:        cfg.Frames,
-		Shards:        cfg.Shards,
 		PolicyFactory: factory,
 		Wrapper:       configFor(cfg.Path, 16),
 		Device:        dev,
@@ -197,7 +180,7 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 		defer restore()
 	}
 
-	// oracleFail attaches the shards' flight-recorder history to a failed
+	// oracleFail attaches the pool's flight-recorder history to a failed
 	// oracle: the ring holds the last transitions (quarantine parks and
 	// flushes, health changes) leading up to the violation, which is
 	// usually exactly what a seed-replay debugging session needs first.
@@ -249,7 +232,7 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 				ref, err := pool.Get(s, poolPage(b))
 				if err != nil {
 					if cfg.Faults && errors.Is(err, buffer.ErrOverloaded) {
-						// A degraded shard shed the miss: the load-shedding
+						// A degraded pool shed the miss: the load-shedding
 						// contract working as designed under fault pressure.
 						atomic.AddInt64(&rep.Shed, 1)
 						continue

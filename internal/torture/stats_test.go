@@ -16,7 +16,7 @@ import (
 )
 
 // TestStatsTotalsNeverDecrease: every cumulative total of Pool.Stats only
-// grows while sessions on a two-shard pool hit, miss and fold their staged
+// grows while sessions on the pool hit, miss and fold their staged
 // hits, and Stats is read in a loop; a total folded or summed twice,
 // or read before a counter it depends on, shows up as a later read going
 // backwards. Long mode runs it for 20 s instead of a quarter second.
@@ -27,7 +27,6 @@ func TestStatsTotalsNeverDecrease(t *testing.T) {
 	}
 	p := buffer.New(buffer.Config{
 		Frames:        64,
-		Shards:        2,
 		PolicyFactory: func(c int) replacer.Policy { return replacer.NewLRU(c) },
 		Wrapper:       core.Config{Batching: true, QueueSize: 64, BatchThreshold: 32},
 		Device:        storage.NewMemDevice(),

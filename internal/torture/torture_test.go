@@ -259,59 +259,6 @@ func TestPoolTorture(t *testing.T) {
 	}
 }
 
-// TestPoolTortureSharded drives the hash-partitioned pool (Shards > 1)
-// through the same cross-layer run: the shadow model is shard-agnostic
-// (versions are per page, and each page lives in exactly one shard), so
-// the zero-lost-dirty-pages and content-integrity oracles carry over
-// unchanged while CheckInvariants additionally verifies shard routing.
-// Long mode runs every policy of replacer.Names() on every path at 2, 4
-// and 8 shards. The nightly workflow runs this target by name under -race
-// -tags torture.
-func TestPoolTortureSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-layer torture run skipped in -short")
-	}
-	seed := SeedFromEnv(53)
-	type cse struct {
-		name string
-		cfg  PoolRunConfig
-	}
-	cases := []cse{
-		{"shards4-lru-batch-faults", PoolRunConfig{Seed: seed, Path: PathBatch, Policy: "lru", Shards: 4, Faults: true}},
-		{"shards4-2q-fc-faults-bg", PoolRunConfig{Seed: seed + 1, Path: PathFC, Policy: "2q", Shards: 4, Faults: true, BGWriter: true}},
-		{"shards2-lfu-fc", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "lfu", Shards: 2}},
-	}
-	if LongMode() {
-		for i, pol := range replacer.Names() {
-			for j, path := range Paths() {
-				for _, shards := range []int{2, 4, 8} {
-					cases = append(cases, cse{
-						fmt.Sprintf("long-shards%d-%s-%s", shards, pol, path),
-						PoolRunConfig{
-							Seed: seed + int64(1000+i*100+j*10+shards), Path: path, Policy: pol,
-							Shards: shards, Faults: true, BGWriter: j%2 == 1,
-							Ops: 1500, Phases: 4, Workers: 8, Frames: 64,
-						},
-					})
-				}
-			}
-		}
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			t.Parallel()
-			rep, err := RunPool(c.cfg)
-			if err != nil {
-				failSeed(t, c.cfg.Seed, err)
-			}
-			if rep.Writes == 0 || rep.Reads == 0 {
-				t.Fatalf("seed %d: degenerate run: %+v", c.cfg.Seed, rep)
-			}
-		})
-	}
-}
-
 // TestPoolTortureHitPath is the lock-free hit path's differential oracle.
 // In a torture build the same seeded run executes twice, once on the
 // optimistic seqlock lookup (the product's) and once with every lookup
@@ -326,7 +273,7 @@ func TestPoolTortureSharded(t *testing.T) {
 // the optimistic-retry labels (BufHitProbe, BufHitPin, BufBucketWrite) get
 // adversarial interleaving pressure. Every policy of replacer.Names() has
 // a cell: the four named ones, then one each for the rest, cycling through
-// the commit paths and one or two shards. Long mode adds one longer cell
+// the commit paths. Long mode adds one longer cell
 // for every policy. CI's hitpath-smoke and the nightly workflow run this
 // target by name under -race -tags torture.
 func TestPoolTortureHitPath(t *testing.T) {
@@ -340,9 +287,9 @@ func TestPoolTortureHitPath(t *testing.T) {
 	}
 	cases := []cse{
 		{"direct-lru", PoolRunConfig{Seed: seed, Path: PathDirect, Policy: "lru"}},
-		{"batch-2q-shards4", PoolRunConfig{Seed: seed + 1, Path: PathBatch, Policy: "2q", Shards: 4}},
+		{"batch-2q", PoolRunConfig{Seed: seed + 1, Path: PathBatch, Policy: "2q"}},
 		{"fc-clockpro-bg", PoolRunConfig{Seed: seed + 2, Path: PathFC, Policy: "clockpro", BGWriter: true}},
-		{"batch-lru2-shards2", PoolRunConfig{Seed: seed + 3, Path: PathBatch, Policy: "lru2", Shards: 2}},
+		{"batch-lru2", PoolRunConfig{Seed: seed + 3, Path: PathBatch, Policy: "lru2"}},
 	}
 	named := make(map[string]bool, len(cases))
 	for _, c := range cases {
@@ -352,24 +299,23 @@ func TestPoolTortureHitPath(t *testing.T) {
 		if named[pol] {
 			continue
 		}
-		path, shards := Paths()[i%len(Paths())], 1+i%2
+		path := Paths()[i%len(Paths())]
 		cases = append(cases, cse{
-			fmt.Sprintf("%s-%s-shards%d", path, pol, shards),
-			PoolRunConfig{Seed: seed + int64(10+i), Path: path, Policy: pol, Shards: shards},
+			fmt.Sprintf("%s-%s", path, pol),
+			PoolRunConfig{Seed: seed + int64(10+i), Path: path, Policy: pol},
 		})
 	}
 	if LongMode() {
 		// One cell per policy of replacer.Names(), cycling through the
-		// three paths and one or four shards.
+		// three paths.
 		for i, pol := range replacer.Names() {
 			j := i % len(Paths())
-			shards := []int{1, 4}[i/len(Paths())%2]
 			cases = append(cases, cse{
-				fmt.Sprintf("long-%s-shards%d-%s", pol, shards, Paths()[j]),
+				fmt.Sprintf("long-%s-%s", pol, Paths()[j]),
 				PoolRunConfig{
 					Seed: seed + int64(100+i), Path: Paths()[j], Policy: pol,
-					Shards: shards, BGWriter: j%2 == 0,
-					Ops: 1500, Phases: 4, Workers: 8, Frames: 64,
+					BGWriter: j%2 == 0,
+					Ops:      1500, Phases: 4, Workers: 8, Frames: 64,
 				},
 			})
 		}
@@ -385,7 +331,7 @@ func TestPoolTortureHitPath(t *testing.T) {
 		for i, path := range paths {
 			cfg := PoolRunConfig{
 				Seed: seed + int64(50+i), Path: path, Policy: "lru",
-				Shards: 2, YieldFrac: 0.2,
+				YieldFrac: 0.2,
 			}
 			rep, err := RunPool(cfg)
 			if err != nil {

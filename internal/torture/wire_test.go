@@ -228,7 +228,6 @@ func wireDrainDifferential(t *testing.T, seed int64, policy string, workers, pag
 	}
 	pool := buffer.New(buffer.Config{
 		Frames:        frames,
-		Shards:        2,
 		PolicyFactory: replacer.Factories()[policy],
 		Wrapper:       configFor(PathBatch, 16),
 		Device:        mem,

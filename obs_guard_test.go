@@ -24,7 +24,7 @@ func obsGuardIDs() []bpwrapper.PageID {
 }
 
 // obsGuardPool builds the fully cached batched pool the guard loops
-// over: observability off entirely, on (per-shard flight recorders plus
+// over: observability off entirely, on (the flight recorder plus
 // a registered exposition registry, exactly what `-obs` enables in
 // bpserver/bpload), or on with request tracing armed at the production
 // default sampling rate.

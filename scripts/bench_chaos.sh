@@ -2,8 +2,8 @@
 # Regenerates results/BENCH_chaos.json, the committed baseline for the
 # chaos experiment (E16): the event ledger of the graceful-degradation
 # machinery (quarantine-pressure health and miss admission control)
-# under two scripted fault campaigns on one shard of two — harddown and
-# quarantine pressure.
+# under two scripted fault campaigns on one Fault→Checksum→Retry stack
+# under the whole pool — harddown and quarantine pressure.
 #
 # The run is fully deterministic: retry backoffs are no-op sleeps, fault
 # rates are only ever 0 or 1, and a single goroutine drives every
