@@ -239,10 +239,10 @@ func NewChecksumDevice(backing Device) *storage.ChecksumDevice {
 // Graceful degradation
 //
 // A failing device degrades the pool to an in-memory cache, not an error
-// fountain: quarantine pressure moves it Healthy → Degraded (misses
-// admission-controlled) → ReadOnly (misses shed with ErrOverloaded,
-// resident pages still served), and Pool.SetReadOnly lowers it to ReadOnly
-// for a drain. DESIGN.md §11 has the full degradation contract.
+// fountain: a full quarantine moves it Healthy → ReadOnly (misses shed
+// with ErrOverloaded, resident pages still served), and Pool.SetReadOnly
+// lowers it to ReadOnly for a drain. DESIGN.md §11 has the full
+// degradation contract.
 
 // Degradation errors, from a pool that sheds a miss or refuses a dirty
 // eviction. Neither is retryable: they are load-shedding feedback, and

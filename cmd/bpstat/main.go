@@ -24,6 +24,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"bpwrapper/internal/buffer"
 )
 
 // series is one labelled sample of the /debug/vars "bpwrapper" tree, as
@@ -113,18 +115,6 @@ func fetch(addr string) (tree, error) {
 	return all.BPWrapper, nil
 }
 
-// healthName renders the bpw_health_state gauge for humans.
-func healthName(v float64) string {
-	switch int(v) {
-	case 1:
-		return "degraded"
-	case 2:
-		return "read-only"
-	default:
-		return "healthy"
-	}
-}
-
 // render prints the pool line. prev is the previous poll (nil on the
 // first), dt the time between them; the rate column falls back to totals
 // when prev is nil.
@@ -176,7 +166,7 @@ func render(t, prev tree, dt time.Duration) {
 		t.val("bpw_quarantined_pages"),
 		waits,
 		t.val("bpw_flight_dropped_total"),
-		healthName(t.val("bpw_health_state")),
+		buffer.HealthState(t.val("bpw_health_state")).String(),
 		t.val("bpw_shed_total"))
 }
 

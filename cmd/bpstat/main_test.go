@@ -1,9 +1,11 @@
 package main
 
 import (
+	"io"
 	"os"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 
 	"bpwrapper"
@@ -81,5 +83,46 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 	sort.Strings(missing)
 	if len(missing) > 0 {
 		t.Errorf("bpstat reads %d series, %d of them nobody emits: %v", len(read), len(missing), missing)
+	}
+}
+
+// TestRenderNamesReadOnlyHealth scrapes a pool lowered to its read-only
+// floor: the pool line's health column must name the gauge's value as the
+// pool names it.
+func TestRenderNamesReadOnlyHealth(t *testing.T) {
+	pool := bpwrapper.NewPool(bpwrapper.PoolConfig{
+		Frames:        8,
+		PolicyFactory: bpwrapper.PolicyFactories()["lru"],
+		Device:        bpwrapper.NewMemDevice(),
+	})
+	defer pool.Close()
+	pool.SetReadOnly(true)
+	reg := bpwrapper.NewObsRegistry()
+	pool.RegisterObs(reg)
+	osrv, err := bpwrapper.NewObsServer("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer osrv.Close()
+	tr, err := fetch(osrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	render(tr, nil, 0)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), " read-only ") {
+		t.Fatalf("a read-only pool's line does not say read-only:\n%s", out)
 	}
 }

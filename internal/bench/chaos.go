@@ -118,21 +118,10 @@ func (r *chaosRun) write(id page.PageID) error {
 // observe folds the pool's health into the row's peak.
 func (r *chaosRun) observe() buffer.HealthState {
 	h := r.pool.Stats().Health
-	if peak := h.String(); r.row.PeakHealth == "" || h > parseHealth(r.row.PeakHealth) {
-		r.row.PeakHealth = peak
+	if r.row.PeakHealth == "" || h == buffer.ReadOnly {
+		r.row.PeakHealth = h.String()
 	}
 	return h
-}
-
-func parseHealth(s string) buffer.HealthState {
-	switch s {
-	case "degraded":
-		return buffer.Degraded
-	case "read-only":
-		return buffer.ReadOnly
-	default:
-		return buffer.Healthy
-	}
 }
 
 // finish heals the device, drains the quarantine, closes the pool, and

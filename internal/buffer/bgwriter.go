@@ -115,7 +115,7 @@ func (w *BackgroundWriter) run() {
 func (w *BackgroundWriter) safeRound() (written, failed int64) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.pool.sh.events.Record(obs.EvPanic, 1, 0)
+			w.pool.events.Record(obs.EvPanic, 1, 0)
 			msg := fmt.Sprintf("bgwriter: recovered round panic: %v\n%s\n%s",
 				r, debug.Stack(), w.pool.FlightDump())
 			w.lastPanic.Store(&msg)
@@ -139,21 +139,21 @@ func (w *BackgroundWriter) LastPanic() string {
 }
 
 // round retries the quarantine, then writes back dirty, unpinned frames
-// through shard.flushFrame (pin, write from the frame, clear the dirty bit
+// through Pool.flushFrame (pin, write from the frame, clear the dirty bit
 // only once the write is durable), up to pagesPerRound pages, so the
 // per-round device burst stays bounded. A sweep resumes at the frame the
 // last one stopped at (PostgreSQL's next_to_clean), so frames that are
 // dirtied again as fast as they are cleaned cannot keep the writer from the
 // rest. It reports pages made durable and failed attempts.
 func (w *BackgroundWriter) round() (written, failed int64) {
-	sh := w.pool.sh
-	qn, qfailed, _ := sh.drainQuarantine()
+	p := w.pool
+	qn, qfailed, _ := p.drainQuarantine()
 	written += int64(qn)
 	failed += int64(qfailed)
-	n := len(sh.frames)
-	at := int(sh.nextToClean.Load())
+	n := len(p.frames)
+	at := int(p.nextToClean.Load())
 	for left := n; left > 0 && written+failed < pagesPerRound; left-- {
-		wrote, err := sh.flushFrame(&sh.frames[at])
+		wrote, err := p.flushFrame(&p.frames[at])
 		if err != nil {
 			failed++
 		} else if wrote {
@@ -163,7 +163,7 @@ func (w *BackgroundWriter) round() (written, failed int64) {
 			at = 0
 		}
 	}
-	sh.nextToClean.Store(int64(at))
+	p.nextToClean.Store(int64(at))
 	w.mu.Lock()
 	w.stats.Rounds++
 	w.stats.Written += written

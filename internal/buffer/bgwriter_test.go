@@ -162,18 +162,17 @@ func TestBackgroundWriterSweepResumes(t *testing.T) {
 	p := newTestPool(frames, core.Config{})
 	s := p.NewSession()
 	dirtyAll(t, p, s, frames)
-	sh := p.sh
 	w := &BackgroundWriter{pool: p}
 
 	for round := 1; round <= frames/budget+1; round++ {
 		if written, failed := w.round(); written != budget || failed != 0 {
 			t.Fatalf("round %d: written=%d failed=%d, want %d/0", round, written, failed, budget)
 		}
-		if sh.frames[far].state.Load()&frameDirty == 0 {
+		if p.frames[far].state.Load()&frameDirty == 0 {
 			return
 		}
 		for i := 0; i < budget; i++ {
-			redirty(t, p, s, page.PageID(sh.frames[i].tagPage.Load()))
+			redirty(t, p, s, page.PageID(p.frames[i].tagPage.Load()))
 		}
 	}
 	t.Fatalf("dirty frame %d still unwritten after %d rounds of %d pages over %d frames",

@@ -243,7 +243,7 @@ func TestCloseRacingBGWriterRoundOnAnotherStripe(t *testing.T) {
 
 	idA := pid(1) // the page that will be quarantined
 	idB := pid(2) // a dirty page on another write-back stripe
-	for p.sh.wbLock(idB) == p.sh.wbLock(idA) {
+	for p.wbLock(idB) == p.wbLock(idA) {
 		idB++
 	}
 

@@ -17,7 +17,7 @@ import (
 	"bpwrapper/internal/storage"
 )
 
-// These tests pin down the eviction write-back protocol of shard.reclaim: a
+// These tests pin down the eviction write-back protocol of Pool.evictClaimed: a
 // dirty victim is written to the device out of its claimed frame, behind an
 // in-flight op on the page's bucket, and everybody who wants the page
 // meanwhile waits on that op. Each opens the window deterministically —
@@ -199,7 +199,7 @@ func TestEvictWriteHoldsMissUntilDurable(t *testing.T) {
 		if len(got) != 0 {
 			t.Fatal("the miss returned while the page's eviction write was in flight")
 		}
-		return r.p.sh.evictWaits.Load() == 1
+		return r.p.evictWaits.Load() == 1
 	})
 	if ops := r.log.seen(); len(ops) != 0 {
 		t.Fatalf("device saw %v for the page while its write was held", ops)
@@ -236,7 +236,7 @@ func TestEvictWriteFailureParksOnce(t *testing.T) {
 	evicted := r.evict(t)
 	<-entered
 	got := r.read(t)
-	waitUntil(t, "the miss to wait on the eviction", func() bool { return r.p.sh.evictWaits.Load() == 1 })
+	waitUntil(t, "the miss to wait on the eviction", func() bool { return r.p.evictWaits.Load() == 1 })
 	close(release)
 	pg := <-got
 	<-evicted
@@ -248,7 +248,7 @@ func TestEvictWriteFailureParksOnce(t *testing.T) {
 		t.Fatalf("device saw %v for the page; the miss must adopt the parked copy, not read", ops)
 	}
 	parks := 0
-	for _, ev := range r.p.sh.events.Events() {
+	for _, ev := range r.p.events.Events() {
 		if ev.Kind == obs.EvQuarantinePark {
 			parks++
 			if ev.Arg1 != uint64(pid(1)) || ev.Arg2 != 1 {
@@ -314,7 +314,7 @@ func TestInvalidateWaitsForEvictWrite(t *testing.T) {
 				if len(invalidated) != 0 {
 					t.Fatal("Invalidate returned while the page's eviction write-back was under way")
 				}
-				return r.p.sh.evictWaits.Load() == 1
+				return r.p.evictWaits.Load() == 1
 			})
 			close(release)
 			if err := <-invalidated; err != nil {

@@ -275,9 +275,8 @@ func TestQuarantineBoundRefusesDirtyEvictions(t *testing.T) {
 // parked copy rather than the device's stale one.
 func TestQuarantineGateSeesParkUnderWaitingMiss(t *testing.T) {
 	r := newEvictRig(t, Config{})
-	sh := r.p.sh
 
-	sh.quarMu.Lock()
+	r.p.quarMu.Lock()
 	idle := make(chan error, 1)
 	go func() {
 		// Eight misses over four frames: the fourth pushes dirty page 1
@@ -301,7 +300,7 @@ func TestQuarantineGateSeesParkUnderWaitingMiss(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a miss with nothing to adopt waited for the quarantine mutex")
 	}
-	sh.quarMu.Unlock()
+	r.p.quarMu.Unlock()
 	if st := r.p.Stats(); st.EvictWritebacks != 1 || st.Quarantined != 0 {
 		t.Fatalf("stats %+v: want page 1 written back by its eviction, nothing parked", st)
 	}
@@ -321,8 +320,8 @@ func TestQuarantineGateSeesParkUnderWaitingMiss(t *testing.T) {
 	evicted := r.evict(t)
 	<-entered
 	got := r.read(t)
-	waitUntil(t, "the miss to wait on the eviction", func() bool { return sh.evictWaits.Load() == 1 })
-	if n := sh.quarantineLen(); n != 0 {
+	waitUntil(t, "the miss to wait on the eviction", func() bool { return r.p.evictWaits.Load() == 1 })
+	if n := r.p.quarantineLen(); n != 0 {
 		t.Fatalf("%d pages parked while the write is still at the gate, want 0", n)
 	}
 	close(release)

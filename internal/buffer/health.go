@@ -6,13 +6,10 @@
 // device is. Misses, which must touch the device, pass an admission check
 // driven by two inputs: the depth of the pool's dirty quarantine, and the
 // read-only floor an operator lowers with Pool.SetReadOnly (bpserver's
-// drain). The pool degrades in two steps instead of queueing unbounded
-// work behind a device whose writes fail:
+// drain). The pool sheds misses instead of queueing unbounded work behind
+// a device whose writes fail:
 //
 //	Healthy   — misses flow freely.
-//	Degraded  — the quarantine is half full: misses are admission-
-//	            controlled to a bounded number in flight; the excess is
-//	            shed with ErrOverloaded instead of queued.
 //	ReadOnly  — the quarantine is at capacity or the floor is lowered:
 //	            every miss is shed immediately. Resident pages keep
 //	            serving (including writes to them — the data is safe in
@@ -35,9 +32,8 @@ import (
 )
 
 // ErrOverloaded is returned when a miss is shed by admission control
-// because the pool is degraded (quarantine half full, too many
-// misses in flight) or read-only (quarantine full, or the SetReadOnly
-// floor lowered). The page is not cached and the device was not
+// because the pool is read-only (quarantine full, or the SetReadOnly floor
+// lowered). The page is not cached and the device was not
 // touched; callers should back off or serve degraded results. It deliberately does not wrap ErrTransient:
 // retrying immediately is exactly the load the shed exists to refuse.
 var ErrOverloaded = errors.New("buffer: pool overloaded, miss shed by admission control")
@@ -56,8 +52,6 @@ type HealthState int32
 const (
 	// Healthy: misses flow freely.
 	Healthy HealthState = iota
-	// Degraded: misses are bounded in flight; the excess is shed.
-	Degraded
 	// ReadOnly: every miss is shed; resident pages keep serving.
 	ReadOnly
 )
@@ -67,8 +61,6 @@ func (h HealthState) String() string {
 	switch h {
 	case Healthy:
 		return "healthy"
-	case Degraded:
-		return "degraded"
 	case ReadOnly:
 		return "read-only"
 	default:
@@ -76,16 +68,9 @@ func (h HealthState) String() string {
 	}
 }
 
-// maxInflightMisses bounds concurrently admitted misses while the pool is
-// Degraded (a Healthy pool is unbounded — backpressure there is the
-// device's own concurrency limit).
-const maxInflightMisses = 8
-
-// healthState holds the pool's health machinery. Embedded in shard.
+// healthState holds the pool's health machinery. Embedded in Pool.
 type healthState struct {
-	health       atomic.Int32 // HealthState, latched by evalHealth
-	missInflight atomic.Int64 // admitted misses currently in flight
-	maxInflight  int64        // Degraded-mode bound: maxInflightMisses; a field so a test can lower it
+	health atomic.Int32 // HealthState, latched by evalHealth
 
 	// disabled switches the ladder off (a test's disableShedding): the
 	// pool reports Healthy and never sheds. The quarantine cap still
@@ -109,35 +94,31 @@ type healthState struct {
 // is called on the miss path (where its cost — an atomic load and the
 // quarantine's length — is noise next to the device read it gates) and
 // at metrics scrapes.
-func (sh *shard) evalHealth() HealthState {
-	if sh.forced.Load() {
-		return sh.latchHealth(ReadOnly)
+func (p *Pool) evalHealth() HealthState {
+	if p.forced.Load() {
+		return p.latchHealth(ReadOnly)
 	}
-	if sh.disabled {
+	if p.disabled {
 		return Healthy
 	}
 	st := Healthy
-	q := sh.quarantineLen()
-	switch {
-	case q >= sh.quarCap:
+	if p.quarantineFull() {
 		st = ReadOnly
-	case 2*q >= sh.quarCap:
-		st = Degraded
 	}
-	return sh.latchHealth(st)
+	return p.latchHealth(st)
 }
 
 // latchHealth publishes a freshly evaluated health state, recording a
 // flight-recorder event on change.
-func (sh *shard) latchHealth(st HealthState) HealthState {
+func (p *Pool) latchHealth(st HealthState) HealthState {
 	for {
-		old := sh.health.Load()
+		old := p.health.Load()
 		if old == int32(st) {
 			break
 		}
-		if sh.health.CompareAndSwap(old, int32(st)) {
-			sh.healthTransitions.Add(1)
-			sh.events.Record(obs.EvHealthChange, uint64(st), uint64(old))
+		if p.health.CompareAndSwap(old, int32(st)) {
+			p.healthTransitions.Add(1)
+			p.events.Record(obs.EvHealthChange, uint64(st), uint64(old))
 			break
 		}
 	}
@@ -146,25 +127,11 @@ func (sh *shard) latchHealth(st HealthState) HealthState {
 
 // admitMiss is the admission check a miss passes after winning the
 // single-flight race and before any frame is claimed or device I/O
-// issued. It returns the shed error, or whether the miss was counted in
-// missInflight — the loader then decrements it when the miss resolves
-// (either way). The in-flight counter is maintained in every state so a
-// transition into Degraded sees the true load immediately.
-func (sh *shard) admitMiss(id page.PageID) (counted bool, err error) {
-	if sh.disabled && !sh.forced.Load() {
-		return false, nil
+// issued: a read-only pool sheds the miss.
+func (p *Pool) admitMiss(id page.PageID) error {
+	if p.evalHealth() == ReadOnly {
+		p.shed.Add(1)
+		return fmt.Errorf("buffer: page %v (pool read-only): %w", id, ErrOverloaded)
 	}
-	st := sh.evalHealth()
-	switch st {
-	case ReadOnly:
-		sh.shed.Add(1)
-		return false, fmt.Errorf("buffer: page %v (pool read-only): %w", id, ErrOverloaded)
-	case Degraded:
-		if sh.missInflight.Load() >= sh.maxInflight {
-			sh.shed.Add(1)
-			return false, fmt.Errorf("buffer: page %v (%d misses in flight): %w", id, sh.maxInflight, ErrOverloaded)
-		}
-	}
-	sh.missInflight.Add(1)
-	return true, nil
+	return nil
 }

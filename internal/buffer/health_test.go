@@ -11,23 +11,6 @@ import (
 	"bpwrapper/internal/storage"
 )
 
-// blockingReadDevice parks the next `block` reads on a gate so tests can
-// hold a miss in flight at the device while probing admission control.
-type blockingReadDevice struct {
-	storage.Device
-	gate    chan struct{}
-	entered chan struct{}
-	block   atomic.Int64
-}
-
-func (d *blockingReadDevice) ReadPage(id page.PageID, p *page.Page) error {
-	if d.block.Add(-1) >= 0 {
-		d.entered <- struct{}{}
-		<-d.gate
-	}
-	return d.Device.ReadPage(id, p)
-}
-
 // panicDevice panics on writes when armed, to exercise the background
 // writer's panic containment.
 type panicDevice struct {
@@ -42,10 +25,10 @@ func (d *panicDevice) WritePage(p *page.Page) error {
 	return d.Device.WritePage(p)
 }
 
-// TestHealthQuarantinePressureDegrades walks a shard down the full
-// degradation ladder on quarantine depth alone: half-full quarantine →
-// Degraded, full → ReadOnly (misses shed with ErrOverloaded, resident
-// pages — reads and writes — keep serving), and back to Healthy once the
+// TestHealthQuarantinePressureDegrades walks a pool down the ladder on
+// quarantine depth alone: a half-full quarantine leaves it Healthy, a full
+// one makes it ReadOnly (misses shed with ErrOverloaded, resident pages —
+// reads and writes — keep serving), and it is back to Healthy once the
 // device recovers and the quarantine drains, with no page lost.
 func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	mem := storage.NewMemDevice()
@@ -71,12 +54,12 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 		t.Fatalf("first miss under failing writes: %v", err)
 	}
 	ref.Release()
-	if st := p.Stats(); st.Health != Degraded {
-		t.Fatalf("health=%v at quarantine 1/2, want Degraded", st.Health)
+	if st := p.Stats(); st.Health != Healthy {
+		t.Fatalf("health=%v at quarantine 1/2, want Healthy", st.Health)
 	}
 	ref, err = p.Get(s, pid(11))
 	if err != nil {
-		t.Fatalf("second miss (Degraded admits bounded misses): %v", err)
+		t.Fatalf("second miss: %v", err)
 	}
 	ref.Release()
 	if st := p.Stats(); st.Health != ReadOnly {
@@ -86,7 +69,7 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	// Read-only: misses are shed without touching the device...
 	readsBefore := mem.Stats().Reads
 	if _, err := p.Get(s, pid(12)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("miss on read-only shard: err=%v, want ErrOverloaded", err)
+		t.Fatalf("miss on read-only pool: err=%v, want ErrOverloaded", err)
 	}
 	if got := mem.Stats().Reads; got != readsBefore {
 		t.Fatalf("shed miss still reached the device (%d reads, was %d)", got, readsBefore)
@@ -94,12 +77,12 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 	// ...but resident pages keep serving, including writes.
 	ref, err = p.Get(s, pid(10))
 	if err != nil {
-		t.Fatalf("resident read on read-only shard: %v", err)
+		t.Fatalf("resident read on read-only pool: %v", err)
 	}
 	ref.Release()
 	wref, err := p.GetWrite(s, pid(11))
 	if err != nil {
-		t.Fatalf("resident write on read-only shard: %v", err)
+		t.Fatalf("resident write on read-only pool: %v", err)
 	}
 	wref.MarkDirty()
 	wref.Release()
@@ -111,7 +94,7 @@ func TestHealthQuarantinePressureDegrades(t *testing.T) {
 		t.Fatalf("health=%v after the shed, want ReadOnly", st.Health)
 	}
 
-	// Recovery: drain the quarantine and the shard heals; the shed page
+	// Recovery: drain the quarantine and the pool heals; the shed page
 	// loads normally and nothing dirtied was lost.
 	dev.SetWriteFailRate(0)
 	if err := p.Close(); err != nil {
@@ -152,8 +135,8 @@ func faultPool() (*Pool, *storage.MemDevice, *storage.FaultDevice) {
 
 // sickenPool fills the pool's four frames with two resident pages and two
 // dirty ones, fails the device's writes, and misses twice: each miss parks
-// a dirty victim whose write-back failed, taking the pool to Degraded at
-// one parked page and ReadOnly at two. It returns the resident pages, the
+// a dirty victim whose write-back failed: the pool stays Healthy at one
+// parked page and goes ReadOnly at two. It returns the resident pages, the
 // dirtied ones, and ids that were never loaded.
 func sickenPool(t *testing.T, p *Pool, s *Session, fault *storage.FaultDevice) (resident, dirty, cold []page.PageID) {
 	t.Helper()
@@ -180,7 +163,7 @@ func sickenPool(t *testing.T, p *Pool, s *Session, fault *storage.FaultDevice) (
 		get(id) // the dirty pages are now the LRU victims
 	}
 	fault.SetWriteFailRate(1)
-	for i, want := range []HealthState{Degraded, ReadOnly} {
+	for i, want := range []HealthState{Healthy, ReadOnly} {
 		get(cold[i])
 		if st := p.Stats(); st.Health != want || st.Quarantined != i+1 {
 			t.Fatalf("after %d parked write-backs: health=%v quarantined=%d, want %v", i+1, st.Health, st.Quarantined, want)
@@ -252,76 +235,6 @@ func TestHealthQuarantineRecovery(t *testing.T) {
 	}
 }
 
-// TestHealthDegradedAdmissionBound holds one admitted miss in flight at
-// the device while the shard is Degraded and its bound lowered to one
-// (through the maxInflight seam; the product's is maxInflightMisses): the
-// next miss must be shed with ErrOverloaded, and admitted again once the
-// first resolves.
-func TestHealthDegradedAdmissionBound(t *testing.T) {
-	mem := storage.NewMemDevice()
-	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
-	blk := &blockingReadDevice{
-		Device:  dev,
-		gate:    make(chan struct{}),
-		entered: make(chan struct{}, 1),
-	}
-	p := New(Config{
-		Frames:        4,
-		PolicyFactory: factoryOf("lru"),
-		Device:        blk,
-		QuarantineCap: 4,
-	})
-	p.sh.maxInflight = 1
-	s := p.NewSession()
-	for i := uint64(1); i <= 4; i++ {
-		dirtyPage(t, p, s, pid(i))
-	}
-
-	// Park two failed write-backs to push the shard to Degraded (2/4).
-	dev.SetWriteFailRate(1)
-	for _, n := range []uint64{10, 11} {
-		ref, err := p.Get(s, pid(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Release()
-	}
-	dev.SetWriteFailRate(0)
-	if st := p.Stats(); st.Health != Degraded {
-		t.Fatalf("health=%v at quarantine 2/4, want Degraded", st.Health)
-	}
-
-	// Hold one admitted miss at the device.
-	blk.block.Store(1)
-	done := make(chan error, 1)
-	go func() {
-		ref, err := p.Get(p.NewSession(), pid(20))
-		if err == nil {
-			ref.Release()
-		}
-		done <- err
-	}()
-	<-blk.entered
-
-	if _, err := p.Get(s, pid(21)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second concurrent miss while degraded: err=%v, want ErrOverloaded", err)
-	}
-	close(blk.gate)
-	if err := <-done; err != nil {
-		t.Fatalf("admitted miss failed: %v", err)
-	}
-
-	// The in-flight slot freed: the same miss is admitted now.
-	ref, err := p.Get(s, pid(21))
-	if err != nil {
-		t.Fatalf("miss after slot freed: %v", err)
-	}
-	ref.Release()
-	if st := p.Stats(); st.Shed != 1 {
-		t.Fatalf("Shed=%d, want exactly the one bounded shed", st.Shed)
-	}
-}
-
 // TestBackgroundWriterPanicContainment arms a device wrapper that panics
 // on write and checks the writer goroutine survives: the panic is
 // counted, captured with a flight dump, the page whose write panicked stays
@@ -334,6 +247,7 @@ func TestBackgroundWriterPanicContainment(t *testing.T) {
 		Frames:        4,
 		PolicyFactory: factoryOf("lru"),
 		Device:        pd,
+		RecorderSize:  16,
 	})
 	s := p.NewSession()
 	dirtyPage(t, p, s, pid(1))
@@ -351,7 +265,7 @@ func TestBackgroundWriterPanicContainment(t *testing.T) {
 	if !strings.Contains(lp, "injected write panic") {
 		t.Fatalf("LastPanic missing the panic value:\n%s", lp)
 	}
-	if !strings.Contains(lp, "flight recorder") && !strings.Contains(lp, "shard") {
+	if !strings.Contains(lp, "flight recorder") {
 		t.Fatalf("LastPanic carries no flight dump:\n%s", lp)
 	}
 
@@ -486,6 +400,6 @@ func TestSetReadOnlyForcesShedding(t *testing.T) {
 // that fills the quarantine past the point where admission would refuse
 // the misses that fill it. Call it before any traffic.
 func disableShedding(p *Pool) *Pool {
-	p.sh.disabled = true
+	p.disabled = true
 	return p
 }

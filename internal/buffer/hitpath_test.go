@@ -168,12 +168,12 @@ func TestFramePinEvictRace(t *testing.T) {
 }
 
 // TestBucketTornRead gates a bucket writer mid-seqlock-window via the sched
-// hook and asserts the optimistic probe reports the read as torn (unstable)
+// hook and asserts the optimistic probe reports the read as torn
 // for the whole window, then resolves once the writer finishes. Installs
 // the process-wide sched hook, so it must not run in parallel with other
 // hook users.
 func TestBucketTornRead(t *testing.T) {
-	sh, b := bareTable(8)
+	p, b := bareTable(8)
 	const slot = 7
 
 	inWindow := make(chan struct{})
@@ -193,37 +193,37 @@ func TestBucketTornRead(t *testing.T) {
 	go func() {
 		defer close(done)
 		b.w.mu.Lock()
-		sh.insertLocked(b, 42, &sh.frames[slot])
+		p.insertLocked(b, 42, &p.frames[slot])
 		b.w.mu.Unlock()
 	}()
 
 	<-inWindow // writer holds the seqlock odd, paused mid-mutation
 	for i := 0; i < 3; i++ {
-		if _, stable := b.lookupOptimistic(42); stable {
-			t.Errorf("lookupOptimistic reported a stable read inside a writer's seqlock window")
+		if _, pr := b.lookupOptimistic(42); pr != probeTorn {
+			t.Errorf("lookupOptimistic reported %d, not a torn read, inside a writer's seqlock window", pr)
 		}
 	}
 	close(release)
 	<-done
 
-	got, stable := b.lookupOptimistic(42)
-	if !stable || got != slot {
-		t.Fatalf("post-write lookupOptimistic = (%d, %v), want (%d, true)", got, stable, slot)
+	got, pr := b.lookupOptimistic(42)
+	if pr != probeStable || got != slot {
+		t.Fatalf("post-write lookupOptimistic = (%d, %d), want (%d, stable)", got, pr, slot)
 	}
-	if _, stable := b.lookupOptimistic(99); !stable {
-		t.Fatalf("definitive miss reported unstable with no writer active")
+	if _, pr := b.lookupOptimistic(99); pr != probeStable {
+		t.Fatalf("definitive miss reported %d, not stable, with no writer active", pr)
 	}
 }
 
-// bareTable is a shard of n frames, each tagged with page slot+1 as a mapped
+// bareTable is a pool of n frames, each tagged with page slot+1 as a mapped
 // frame would be, and nothing else — enough to drive its first bucket.
-func bareTable(n int) (*shard, bucketRef) {
-	sh := &shard{frames: make([]Frame, n), buckets: make([]bucket, 1), bucketWs: make([]bucketW, 1)}
-	for i := range sh.frames {
-		sh.frames[i].slot = uint32(i)
-		sh.frames[i].tagPage.Store(uint64(i + 1))
+func bareTable(n int) (*Pool, bucketRef) {
+	p := &Pool{frames: make([]Frame, n), buckets: make([]bucket, 1), bucketWs: make([]bucketW, 1)}
+	for i := range p.frames {
+		p.frames[i].slot = uint32(i)
+		p.frames[i].tagPage.Store(uint64(i + 1))
 	}
-	return sh, sh.bucketAt(0)
+	return p, p.bucketAt(0)
 }
 
 // TestTornProbesFallBackToMutex drives a Get down the whole ladder: a miss
@@ -233,8 +233,7 @@ func bareTable(n int) (*shard, bucketRef) {
 // the mutex — which it gets, with the right frame, once the writer moves on.
 func TestTornProbesFallBackToMutex(t *testing.T) {
 	p := newTestPool(8, core.Config{})
-	sh := p.sh
-	ids := colliding(len(sh.buckets), 2)
+	ids := colliding(len(p.buckets), 2)
 	resident, incoming := ids[0], ids[1]
 	s := p.NewSession()
 	ref, err := p.Get(s, resident)
@@ -281,7 +280,7 @@ func TestTornProbesFallBackToMutex(t *testing.T) {
 	}()
 	// The reader counts its fallback, then blocks on the bucket mutex the
 	// held writer owns: only then may the writer go on.
-	for deadline := time.Now().Add(10 * time.Second); sh.hp.fallbacks.Load() == before.HitpathFallbacks; runtime.Gosched() {
+	for deadline := time.Now().Add(10 * time.Second); p.hp.fallbacks.Load() == before.HitpathFallbacks; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatal("the reader never fell back to the mutex")
 		}
@@ -309,31 +308,31 @@ func TestTornProbesFallBackToMutex(t *testing.T) {
 // report a definitive miss while entries live in the overflow chain — the
 // page might be resident there, invisible to the lock-free slot scan.
 func TestBucketOverflowFallback(t *testing.T) {
-	sh, b := bareTable(bucketSlots + 1)
+	p, b := bareTable(bucketSlots + 1)
 	b.w.mu.Lock()
-	for i := range sh.frames {
-		sh.insertLocked(b, page.PageID(i+1), &sh.frames[i])
+	for i := range p.frames {
+		p.insertLocked(b, page.PageID(i+1), &p.frames[i])
 	}
 	b.w.mu.Unlock()
 
 	// The spilled entry is findable under the lock but not optimistically.
 	spilled := page.PageID(bucketSlots + 1)
-	if got := sh.lookupLocked(b, spilled); got != &sh.frames[bucketSlots] {
+	if got := p.lookupLocked(b, spilled); got != &p.frames[bucketSlots] {
 		t.Fatalf("lookupLocked lost the overflow entry")
 	}
-	if _, stable := b.lookupOptimistic(spilled); stable {
-		t.Fatalf("optimistic probe claimed a definitive answer despite overflow entries")
+	if _, pr := b.lookupOptimistic(spilled); pr != probeOverflow {
+		t.Fatalf("optimistic probe of an overflowed page reported %d, not overflow", pr)
 	}
 	// Even a probe for an id in the slot array that misses must fall back:
 	// stable misses are only trustworthy with an empty overflow.
-	if _, stable := b.lookupOptimistic(page.PageID(999)); stable {
-		t.Fatalf("optimistic miss reported stable while overflow is nonempty")
+	if _, pr := b.lookupOptimistic(page.PageID(999)); pr != probeOverflow {
+		t.Fatalf("optimistic miss reported %d, not overflow, while overflow is nonempty", pr)
 	}
 	// Draining the overflow restores lock-free definitive misses.
 	b.w.mu.Lock()
-	sh.removeLocked(b, spilled)
+	p.removeLocked(b, spilled)
 	b.w.mu.Unlock()
-	if _, stable := b.lookupOptimistic(page.PageID(999)); !stable {
-		t.Fatalf("optimistic miss still unstable after overflow drained")
+	if _, pr := b.lookupOptimistic(page.PageID(999)); pr != probeStable {
+		t.Fatalf("optimistic miss still %d, not stable, after overflow drained", pr)
 	}
 }

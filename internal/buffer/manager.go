@@ -13,7 +13,6 @@ import (
 	"bpwrapper/internal/replacer"
 	"bpwrapper/internal/reqtrace"
 	"bpwrapper/internal/sched"
-	"bpwrapper/internal/storage"
 )
 
 // quarCtx is the trace context of the request that parked a quarantine
@@ -22,98 +21,6 @@ import (
 type quarCtx struct {
 	trace uint64
 	at    int64
-}
-
-// shard is the pool's buffer manager: the frames, the page table, the free
-// list, the dirty quarantine, the write-back stripes, and the core.Wrapper
-// around the one replacement-policy instance — the paper's single hot spot,
-// relieved by batching rather than split (Section V-A).
-//
-// Since the lock-free hit-path rewrite (DESIGN.md §12), a resident-page
-// read acquires no mutex at all: the table lookup is a seqlock-validated
-// probe of one bucket's open-addressed slots — one cache line — and the pin
-// is one CAS on the frame's packed state word. The bucket mutex is
-// writer-only (miss install, eviction, invalidation) and lives, with the
-// rest of what only writers need, in bucketWs; the per-frame wmu is taken
-// only by GetWrite.
-type shard struct {
-	frames   []Frame
-	buckets  []bucket  // reader lines, bucketsPerFrame per frame
-	bucketWs []bucketW // writer side of buckets[i]
-	wrapper  *core.Wrapper
-	device   storage.Device
-
-	freeMu   sync.Mutex
-	freeList []*Frame
-
-	// nextToClean is the frame index at which the background writer's next
-	// sweep starts (BackgroundWriter.round); atomic because
-	// nothing stops a pool from having two writers.
-	nextToClean atomic.Int64
-
-	// quarantine parks copies of dirty pages that no longer have a frame:
-	// an eviction writes out of the claimed frame, behind an in-flight op
-	// (evictClaimed), and parks the bytes only when that write fails. Entries
-	// linger while the device refuses them, so an acknowledged write is
-	// never dropped; loads adopt a quarantined copy instead of reading a
-	// stale version from the device.
-	quarMu     sync.Mutex
-	quarantine map[page.PageID]*page.Page
-	quarCap    int
-
-	// quarN mirrors len(quarantine), stored by whoever changed the map
-	// before it releases quarMu (quarUnlock), so a path that only asks
-	// whether, or how much, is parked takes no pool-wide lock — a miss on
-	// a healthy pool above all (quarantineTake).
-	quarN atomic.Int32
-
-	// quarTrace remembers, per parked page, which traced request did the
-	// parking (DESIGN.md §14): when the background writer or a flush sweep
-	// later makes the copy durable, the park-to-durable interval is emitted
-	// as a cross-thread span on that request's trace. Best-effort — entries
-	// exist only for traced parkers and follow the quarantine entry's
-	// lifecycle (adopted, superseded, and purged entries drop theirs).
-	// Guarded by quarMu.
-	quarTrace map[page.PageID]quarCtx
-
-	// wbLocks serializes device write-backs per page (striped by page id,
-	// held across the WritePage call in writeFrame and writeQuarantined).
-	// Without it, a slow in-flight write of an old copy could land *after* a
-	// newer copy of the same page was written and resolved, silently
-	// reverting the device.
-	wbLocks [wbStripes]sync.Mutex
-
-	// tracer is the pool-wide request tracer (via the wrapper config; nil
-	// when tracing is disabled). The shard uses it only for cross-thread
-	// emits — request-scoped spans go through the session's Active.
-	tracer *reqtrace.Tracer
-
-	writeBackFailures atomic.Int64
-	evictWritebacks   atomic.Int64 // dirty victims written straight from their frame
-	loadWaits         atomic.Int64 // waits on another goroutine's in-flight load (awaitOp)
-	evictWaits        atomic.Int64 // waits on an in-flight eviction write-back
-
-	// claim is claimVictim, built once so that a miss hands it to the
-	// policy (core.Session.MissSlot) without allocating.
-	claim func(replacer.Victim) bool
-
-	// healthState drives graceful degradation: quarantine-driven
-	// health evaluation and miss admission control (see health.go).
-	healthState
-
-	hits   atomic.Int64 // folded in from per-session staging (see Session.stageHit)
-	misses atomic.Int64
-
-	// hp counts hit-path outcomes: fast (zero-lock) hits, torn-read
-	// retries, locked fallbacks, and every bucket/frame mutex acquisition
-	// on the access paths — the numbers E17 and the bpw_hitpath_* series
-	// are built from.
-	hp hitpathCounters
-
-	// events is the pool's flight recorder (nil when disabled): its
-	// quarantine parks and flushes, health changes and background-writer
-	// panics, in one history.
-	events *obs.Recorder
 }
 
 // hitpathCounters tracks how resident-page lookups were served. fast is
@@ -201,15 +108,22 @@ type bucketRef struct {
 	w *bucketW
 }
 
-// lookupOptimistic probes the bucket without any lock. stable is false
-// when the probe raced a writer (torn seq) or the page might live in the
-// overflow chain — in both cases the caller must retry or fall back to the
-// mutex. With stable true, slot is the frame caching id, or -1 for a
-// definitive miss.
-func (b *bucket) lookupOptimistic(id page.PageID) (slot int, stable bool) {
+// probe is what a lock-free bucket probe learned.
+type probe uint8
+
+const (
+	probeStable   probe = iota // the answer holds: id's frame, or a definitive miss
+	probeTorn                  // the probe raced a writer (odd or changed seq): a retry may settle it
+	probeOverflow              // id is in no slot and the overflow chain, which only the mutex reaches, is not empty
+)
+
+// lookupOptimistic probes the bucket without any lock. With probeStable,
+// slot is the frame caching id, or -1 for a definitive miss; otherwise the
+// caller must retry (probeTorn) or take the mutex.
+func (b *bucket) lookupOptimistic(id page.PageID) (slot int, pr probe) {
 	s1 := b.seq.Load()
 	if s1&1 != 0 {
-		return -1, false
+		return -1, probeTorn
 	}
 	slot = -1
 	for i := 0; i < bucketSlots; i++ {
@@ -220,24 +134,24 @@ func (b *bucket) lookupOptimistic(id page.PageID) (slot int, stable bool) {
 	}
 	ov := b.overflowN.Load()
 	if b.seq.Load() != s1 {
-		return -1, false
+		return -1, probeTorn
 	}
 	if slot < 0 && ov != 0 {
-		return -1, false
+		return -1, probeOverflow
 	}
-	return slot, true
+	return slot, probeStable
 }
 
 // lookupLocked probes b under its mutex (or at quiescence) and returns the
 // frame caching id, or nil.
-func (sh *shard) lookupLocked(b bucketRef, id page.PageID) *Frame {
+func (p *Pool) lookupLocked(b bucketRef, id page.PageID) *Frame {
 	for i := 0; i < bucketSlots; i++ {
 		if page.PageID(b.ids[i].Load()) == id {
-			return &sh.frames[b.slots[i].Load()]
+			return &p.frames[b.slots[i].Load()]
 		}
 	}
-	for s := b.w.ov; s != 0; s = sh.frames[s-1].ovNext {
-		if f := &sh.frames[s-1]; page.PageID(f.tagPage.Load()) == id {
+	for s := b.w.ov; s != 0; s = p.frames[s-1].ovNext {
+		if f := &p.frames[s-1]; page.PageID(f.tagPage.Load()) == id {
 			return f
 		}
 	}
@@ -246,7 +160,7 @@ func (sh *shard) lookupLocked(b bucketRef, id page.PageID) *Frame {
 
 // insertLocked maps id → f, which is tagged id already. Caller holds b's
 // mutex; the seq bump makes any overlapping optimistic probe retry.
-func (sh *shard) insertLocked(b bucketRef, id page.PageID, f *Frame) {
+func (p *Pool) insertLocked(b bucketRef, id page.PageID, f *Frame) {
 	b.seq.Add(1)
 	sched.Yield(sched.BufBucketWrite)
 	defer b.seq.Add(1)
@@ -265,7 +179,7 @@ func (sh *shard) insertLocked(b bucketRef, id page.PageID, f *Frame) {
 // refilled from the overflow, so a page is out of the lock-free probe's
 // reach only while its bucket really holds more than bucketSlots; a pool
 // that churns would otherwise keep every page that once arrived fifth there.
-func (sh *shard) removeLocked(b bucketRef, id page.PageID) {
+func (p *Pool) removeLocked(b bucketRef, id page.PageID) {
 	b.seq.Add(1)
 	sched.Yield(sched.BufBucketWrite)
 	defer b.seq.Add(1)
@@ -273,7 +187,7 @@ func (sh *shard) removeLocked(b bucketRef, id page.PageID) {
 		if page.PageID(b.ids[i].Load()) == id {
 			b.ids[i].Store(0)
 			if s := b.w.ov; s != 0 {
-				f := &sh.frames[s-1]
+				f := &p.frames[s-1]
 				b.w.ov = f.ovNext
 				b.overflowN.Add(-1)
 				b.slots[i].Store(f.slot)
@@ -282,8 +196,8 @@ func (sh *shard) removeLocked(b bucketRef, id page.PageID) {
 			return
 		}
 	}
-	for pp := &b.w.ov; *pp != 0; pp = &sh.frames[*pp-1].ovNext {
-		if f := &sh.frames[*pp-1]; page.PageID(f.tagPage.Load()) == id {
+	for pp := &b.w.ov; *pp != 0; pp = &p.frames[*pp-1].ovNext {
+		if f := &p.frames[*pp-1]; page.PageID(f.tagPage.Load()) == id {
 			*pp = f.ovNext
 			b.overflowN.Add(-1)
 			return
@@ -295,17 +209,17 @@ func (sh *shard) removeLocked(b bucketRef, id page.PageID) {
 // a time, and reports whether any bucket had an op in flight. A sweep for
 // invariant checks, not an access path: it bypasses the hit-path lock
 // accounting.
-func (sh *shard) walkTable(fn func(id page.PageID, f *Frame)) (inflight bool) {
-	for i := range sh.buckets {
-		b := sh.bucketAt(i)
+func (p *Pool) walkTable(fn func(id page.PageID, f *Frame)) (inflight bool) {
+	for i := range p.buckets {
+		b := p.bucketAt(i)
 		b.w.mu.Lock()
 		for j := 0; j < bucketSlots; j++ {
 			if id := page.PageID(b.ids[j].Load()); id.Valid() {
-				fn(id, &sh.frames[b.slots[j].Load()])
+				fn(id, &p.frames[b.slots[j].Load()])
 			}
 		}
-		for s := b.w.ov; s != 0; s = sh.frames[s-1].ovNext {
-			fn(page.PageID(sh.frames[s-1].tagPage.Load()), &sh.frames[s-1])
+		for s := b.w.ov; s != 0; s = p.frames[s-1].ovNext {
+			fn(page.PageID(p.frames[s-1].tagPage.Load()), &p.frames[s-1])
 		}
 		inflight = inflight || b.w.ops != nil
 		b.w.mu.Unlock()
@@ -389,82 +303,55 @@ func wake(done chan struct{}) {
 // awaitOp waits for another goroutine's in-flight op on one of b's pages
 // and returns its outcome; the caller then looks the page up again. Called
 // with b.mu held, which it releases.
-func (sh *shard) awaitOp(b bucketRef, op *loadOp) error {
+func (p *Pool) awaitOp(b bucketRef, op *loadOp) error {
 	if op.done == nil {
 		op.done = make(chan struct{})
 	}
 	done, evict := op.done, op.evict
 	b.w.mu.Unlock()
 	if evict {
-		sh.evictWaits.Add(1)
+		p.evictWaits.Add(1)
 	} else {
-		sh.loadWaits.Add(1)
+		p.loadWaits.Add(1)
 	}
 	<-done
 	return op.err
 }
 
 // finishOp unregisters op and releases whoever waited on it.
-func (sh *shard) finishOp(b bucketRef, op *loadOp, err error) {
-	sh.lockBucket(b)
+func (p *Pool) finishOp(b bucketRef, op *loadOp, err error) {
+	p.lockBucket(b)
 	done := b.w.endOpLocked(op, err)
 	b.w.mu.Unlock()
 	wake(done)
 }
 
-// init sizes and wires the shard for frames page slots.
-func (sh *shard) init(frames int, pol replacer.Policy, wcfg core.Config, device storage.Device, quarCap int) {
-	if pol.Cap() < frames {
-		panic(fmt.Sprintf("buffer: policy capacity %d below frame count %d", pol.Cap(), frames))
-	}
-	sh.frames = make([]Frame, frames)
-	sh.buckets = make([]bucket, tableBuckets(frames))
-	sh.bucketWs = make([]bucketW, len(sh.buckets))
-	sh.device = device
-	sh.quarantine = make(map[page.PageID]*page.Page)
-	sh.quarTrace = make(map[page.PageID]quarCtx)
-	sh.quarCap = quarCap
-	sh.maxInflight = maxInflightMisses
-	sh.tracer = wcfg.Tracer
-	sh.freeList = make([]*Frame, frames)
-	for i := range sh.frames {
-		sh.frames[i].slot = uint32(i)
-		sh.frames[i].initFree()
-		sh.freeList[i] = &sh.frames[i]
-	}
-	wcfg.Validate = sh.validTags
-	sh.claim = sh.claimVictim
-	// Slotted: every tag the pool issues names its frame's slot, which
-	// addresses the policy's metadata for the page as well as the frame.
-	sh.wrapper = core.NewSlotted(pol, wcfg)
-}
-
 // bucketFor returns the table partition of a page id.
-func (sh *shard) bucketFor(id page.PageID) bucketRef {
-	return sh.bucketAt(bucketIndex(id, len(sh.buckets)))
+func (p *Pool) bucketFor(id page.PageID) bucketRef {
+	return p.bucketAt(bucketIndex(id, len(p.buckets)))
 }
 
 // bucketAt pairs the two sides of bucket i.
-func (sh *shard) bucketAt(i int) bucketRef { return bucketRef{&sh.buckets[i], &sh.bucketWs[i]} }
+func (p *Pool) bucketAt(i int) bucketRef { return bucketRef{&p.buckets[i], &p.bucketWs[i]} }
 
 // frameAt resolves a table lookup's answer: the frame in slot, nil for -1.
-func (sh *shard) frameAt(slot int) *Frame {
+func (p *Pool) frameAt(slot int) *Frame {
 	if slot < 0 {
 		return nil
 	}
-	return &sh.frames[slot]
+	return &p.frames[slot]
 }
 
 // lockBucket takes a bucket's writer mutex, counting the acquisition so
 // the E17 "zero locks on the hit path" claim is measurable, not asserted.
-func (sh *shard) lockBucket(b bucketRef) {
+func (p *Pool) lockBucket(b bucketRef) {
 	b.w.mu.Lock()
-	sh.hp.bucketLocks.Add(1)
+	p.hp.bucketLocks.Add(1)
 }
 
 // wbLock returns the write-back serialization stripe for a page id.
-func (sh *shard) wbLock(id page.PageID) *sync.Mutex {
-	return &sh.wbLocks[mix64(uint64(id))%wbStripes]
+func (p *Pool) wbLock(id page.PageID) *sync.Mutex {
+	return &p.wbLocks[mix64(uint64(id))%wbStripes]
 }
 
 // validTags is installed as the wrapper's commit-time validator: it
@@ -474,8 +361,8 @@ func (sh *shard) wbLock(id page.PageID) *sync.Mutex {
 // so it probes no table: the tag names the slot, and since every ownership
 // transition of a frame bumps its generation a matching header is proof
 // enough; a slot beyond the frames is simply not valid.
-func (sh *shard) validTags(batch []core.Entry) []core.Entry {
-	live, frames := batch[:0], sh.frames
+func (p *Pool) validTags(batch []core.Entry) []core.Entry {
+	live, frames := batch[:0], p.frames
 	for _, e := range batch {
 		if uint64(e.Tag.Slot) >= uint64(len(frames)) {
 			continue
@@ -487,26 +374,27 @@ func (sh *shard) validTags(batch []core.Entry) []core.Entry {
 	return live
 }
 
-// hitLookup is the Get-path table probe: optimistic with bounded retries,
-// then the mutex. fast reports that the answer came from a zero-lock
-// stable probe.
-func (sh *shard) hitLookup(b bucketRef, id page.PageID) (f *Frame, fast bool) {
+// hitLookup is the Get-path table probe: optimistic, with bounded retries
+// of a torn read, then the mutex — at once when the page may be in the
+// overflow chain, which no retry would reach. fast reports that the answer
+// came from a zero-lock stable probe.
+func (p *Pool) hitLookup(b bucketRef, id page.PageID) (f *Frame, fast bool) {
 	if !lockedLookup() {
 		for attempt := 0; ; attempt++ {
-			slot, stable := b.lookupOptimistic(id)
-			if stable {
-				return sh.frameAt(slot), true
+			slot, pr := b.lookupOptimistic(id)
+			if pr == probeStable {
+				return p.frameAt(slot), true
 			}
-			if attempt >= maxOptimisticRetries {
+			if pr == probeOverflow || attempt >= maxOptimisticRetries {
 				break
 			}
-			sh.hp.retries.Add(1)
+			p.hp.retries.Add(1)
 			sched.Yield(sched.BufHitProbe)
 		}
-		sh.hp.fallbacks.Add(1)
+		p.hp.fallbacks.Add(1)
 	}
-	sh.lockBucket(b)
-	f = sh.lookupLocked(b, id)
+	p.lockBucket(b)
+	f = p.lookupLocked(b, id)
 	b.w.mu.Unlock()
 	return f, false
 }
@@ -516,8 +404,8 @@ func (sh *shard) hitLookup(b bucketRef, id page.PageID) (f *Frame, fast bool) {
 // probe → tryPin → done, with the pin CAS itself revalidating the tag
 // generation (DESIGN.md §12). Writable accesses serialize on the frame's
 // wmu and drain readers before returning.
-func (sh *shard) get(ps *Session, id page.PageID, writable bool) (*PageRef, error) {
-	b := sh.bucketFor(id)
+func (p *Pool) get(ps *Session, id page.PageID, writable bool) (*PageRef, error) {
+	b := p.bucketFor(id)
 	// Span stamping is gated on the request being head-sampled (or wire-
 	// adopted): an untraced hit pays exactly this one branch — no clock
 	// read, no scratch write — which is what keeps tracing inside the ≤3%
@@ -530,12 +418,12 @@ func (sh *shard) get(ps *Session, id page.PageID, writable bool) (*PageRef, erro
 		if tracing {
 			t0 = ps.trace.Now()
 		}
-		f, fast := sh.hitLookup(b, id)
+		f, fast := p.hitLookup(b, id)
 		if tracing {
-			ps.trace.Span(reqtrace.PhaseBucketProbe, 0, t0, ps.trace.Now()-t0, flagArg(fast), uint64(id))
+			ps.trace.Span(reqtrace.PhaseBucketProbe, t0, ps.trace.Now()-t0, flagArg(fast), uint64(id))
 		}
 		if f == nil {
-			ref, retry, err := sh.load(ps, id, writable)
+			ref, retry, err := p.load(ps, id, writable)
 			if err != nil {
 				return nil, err
 			}
@@ -556,7 +444,7 @@ func (sh *shard) get(ps *Session, id page.PageID, writable bool) (*PageRef, erro
 		}
 		if writable {
 			f.wmu.Lock()
-			sh.hp.frameLocks.Add(1)
+			p.hp.frameLocks.Add(1)
 		}
 		tag, st := f.tryPin(id)
 		if st == pinOK {
@@ -564,7 +452,7 @@ func (sh *shard) get(ps *Session, id page.PageID, writable bool) (*PageRef, erro
 				f.lockContent()
 			}
 			if tracing {
-				ps.trace.Span(reqtrace.PhasePin, 0, t0, ps.trace.Now()-t0, flagArg(writable), uint64(id))
+				ps.trace.Span(reqtrace.PhasePin, t0, ps.trace.Now()-t0, flagArg(writable), uint64(id))
 			}
 			ps.stageHit(fast && !writable)
 			ps.sub.Hit(id, tag)
@@ -602,10 +490,10 @@ func yieldIfStillRecycled(seen int) int {
 // page, obtains a frame (free or evicted), reads the page, and installs the
 // frame in the table. retry is true when the caller lost the race and
 // should restart its lookup.
-func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef, retry bool, err error) {
-	b := sh.bucketFor(id)
-	sh.lockBucket(b)
-	if sh.lookupLocked(b, id) != nil {
+func (p *Pool) load(ps *Session, id page.PageID, writable bool) (ref *PageRef, retry bool, err error) {
+	b := p.bucketFor(id)
+	p.lockBucket(b)
+	if p.lookupLocked(b, id) != nil {
 		// Installed while we were acquiring the lock.
 		b.w.mu.Unlock()
 		return nil, true, nil
@@ -613,7 +501,7 @@ func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef,
 	if other := b.w.opLocked(id); other != nil {
 		// The page is in flight — another backend is loading it, or an
 		// eviction is still writing its dirty bytes out: wait, then retry.
-		if err := sh.awaitOp(b, other); err != nil {
+		if err := p.awaitOp(b, other); err != nil {
 			return nil, false, err
 		}
 		return nil, true, nil
@@ -626,23 +514,18 @@ func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef,
 	// pool counters never show a miss "ahead of" hits that actually
 	// preceded it.
 	ps.foldHits()
-	sh.misses.Add(1)
-	// Admission control: a degraded pool bounds in-flight misses and a
-	// read-only pool sheds them all, before any frame is claimed or
-	// device I/O issued. Followers waiting on the op receive the same
-	// ErrOverloaded, which is correct — they were asking for the same
-	// uncached page.
-	counted, err := sh.admitMiss(id)
-	if err != nil {
-		sh.finishOp(b, op, err)
+	p.misses.Add(1)
+	// Admission control: a read-only pool sheds every miss, before any
+	// frame is claimed or device I/O issued. Followers waiting on the op
+	// receive the same ErrOverloaded, which is correct — they were asking
+	// for the same uncached page.
+	if err := p.admitMiss(id); err != nil {
+		p.finishOp(b, op, err)
 		return nil, false, err
 	}
-	if counted {
-		defer sh.missInflight.Add(-1)
-	}
-	f, err := sh.acquireFrame(ps, id)
+	f, err := p.acquireFrame(ps, id)
 	if err != nil {
-		sh.finishOp(b, op, err)
+		p.finishOp(b, op, err)
 		return nil, false, err
 	}
 	// The frame is exclusively ours — claimed: recycling bit up, gen
@@ -652,7 +535,7 @@ func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef,
 	// yet confirmed durable — takes precedence over the device, and stays
 	// dirty so it is written back again later.
 	adopted := false
-	if q := sh.quarantineTake(id); q != nil {
+	if q := p.quarantineTake(id); q != nil {
 		f.data = *q
 		adopted = true
 	} else {
@@ -660,12 +543,12 @@ func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef,
 		// every miss that touches the device is a tail candidate even
 		// when head sampling skipped it.
 		t0 := ps.trace.Now()
-		rerr := sh.device.ReadPage(id, &f.data)
-		ps.trace.Slow(reqtrace.PhaseDeviceRead, 0, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
+		rerr := p.device.ReadPage(id, &f.data)
+		ps.trace.Slow(reqtrace.PhaseDeviceRead, t0, ps.trace.Now()-t0, flagArg(rerr != nil), uint64(id))
 		if rerr != nil {
-			sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
-			sh.freeFrame(f)
-			sh.finishOp(b, op, rerr)
+			p.wrapper.LockedSlots(func(pol replacer.SlotPolicy) { pol.RemoveSlot(f.slot, id) })
+			p.freeFrame(f)
+			p.finishOp(b, op, rerr)
 			return nil, false, rerr
 		}
 	}
@@ -677,16 +560,16 @@ func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef,
 		// a competing writer that finds the frame the instant it is
 		// published.
 		f.wmu.Lock()
-		sh.hp.frameLocks.Add(1)
+		p.hp.frameLocks.Add(1)
 	}
 	tag := f.install(adopted, writable)
-	assertNotParked(sh, id)
+	assertNotParked(p, id)
 
 	// Publish in one bucket hold: the page is mapped in the instant its op
 	// is unchained, so whoever held the mutex meanwhile saw one or the other.
 	sched.Yield(sched.BufLoadInstall)
-	sh.lockBucket(b)
-	sh.insertLocked(b, id, f)
+	p.lockBucket(b)
+	p.insertLocked(b, id, f)
 	done := b.w.endOpLocked(op, nil)
 	b.w.mu.Unlock()
 	wake(done)
@@ -703,38 +586,38 @@ func (sh *shard) load(ps *Session, id page.PageID, writable bool) (ref *PageRef,
 // the scheduler lets an unpin happen), up to twice the pool size. A saturated
 // quarantine then means dirty victims were refused for durability's sake, not
 // that all are pinned.
-func (sh *shard) acquireFrame(ps *Session, id page.PageID) (*Frame, error) {
-	f, slot := sh.popFree()
-	victim, admitted := ps.sub.MissSlot(id, slot, sh.claim)
+func (p *Pool) acquireFrame(ps *Session, id page.PageID) (*Frame, error) {
+	f, slot := p.popFree()
+	victim, admitted := ps.sub.MissSlot(id, slot, p.claim)
 	for attempt := 0; !admitted; attempt++ {
 		switch {
-		case attempt > 2*len(sh.frames) && sh.quarantineFull():
+		case attempt > 2*len(p.frames) && p.quarantineFull():
 			return nil, ErrQuarantineFull
-		case attempt > 2*len(sh.frames):
+		case attempt > 2*len(p.frames):
 			return nil, ErrNoUnpinnedBuffers
 		case attempt > 0:
 			runtime.Gosched()
 		}
-		f, slot = sh.popFree()
-		victim, admitted = sh.wrapper.Seat(id, slot, sh.claim)
+		f, slot = p.popFree()
+		victim, admitted = p.wrapper.Seat(id, slot, p.claim)
 	}
 	if f != nil {
 		return f, nil
 	}
-	return sh.evictClaimed(ps, victim), nil
+	return p.evictClaimed(ps, victim), nil
 }
 
 // popFree takes a frame off the free list and claims it, naming its slot; it
 // returns (nil, core.NoSlot) when the list is empty.
-func (sh *shard) popFree() (*Frame, uint32) {
-	sh.freeMu.Lock()
-	defer sh.freeMu.Unlock()
-	n := len(sh.freeList)
+func (p *Pool) popFree() (*Frame, uint32) {
+	p.freeMu.Lock()
+	defer p.freeMu.Unlock()
+	n := len(p.freeList)
 	if n == 0 {
 		return nil, core.NoSlot
 	}
-	f := sh.freeList[n-1]
-	sh.freeList = sh.freeList[:n-1]
+	f := p.freeList[n-1]
+	p.freeList = p.freeList[:n-1]
 	f.claimFree()
 	return f, f.slot
 }
@@ -747,15 +630,15 @@ func (sh *shard) popFree() (*Frame, uint32) {
 // policy holds is in its frame, or loading into it (claimed: refused), as no
 // claim of a mapped frame leaves its page in the policy. The generation bump
 // fails the pin CAS of any reader that probed the table first (DESIGN.md §12).
-func (sh *shard) claimVictim(v replacer.Victim) bool {
-	f := &sh.frames[v.Slot]
+func (p *Pool) claimVictim(v replacer.Victim) bool {
+	f := &p.frames[v.Slot]
 	for {
 		s := f.state.Load()
 		if s&(framePinMask|frameRecycling|frameWLock) != 0 {
 			return false
 		}
-		if s&frameDirty != 0 && sh.quarantineFull() {
-			sh.quarRefusals.Add(1)
+		if s&frameDirty != 0 && p.quarantineFull() {
+			p.quarRefusals.Add(1)
 			return false
 		}
 		if f.tryClaim(s) {
@@ -780,14 +663,14 @@ func (sh *shard) claimVictim(v replacer.Victim) bool {
 // quarantine, where the bytes are copied only then, to be drained later by
 // the background writer, FlushDirty or Close. So an acknowledged write is
 // at every instant mapped, covered by an op, durable or parked.
-func (sh *shard) evictClaimed(ps *Session, v replacer.Victim) *Frame {
-	f := &sh.frames[v.Slot]
+func (p *Pool) evictClaimed(ps *Session, v replacer.Victim) *Frame {
+	f := &p.frames[v.Slot]
 	dirty := f.state.Load()&frameDirty != 0
 
 	sched.Yield(sched.BufReclaimClaim)
-	b := sh.bucketFor(v.ID)
-	sh.lockBucket(b)
-	sh.removeLocked(b, v.ID)
+	b := p.bucketFor(v.ID)
+	p.lockBucket(b)
+	p.removeLocked(b, v.ID)
 	if !dirty {
 		b.w.mu.Unlock()
 		return f
@@ -797,8 +680,8 @@ func (sh *shard) evictClaimed(ps *Session, v replacer.Victim) *Frame {
 	b.w.mu.Unlock()
 
 	sched.Yield(sched.BufEvictWrite)
-	sh.writeVictim(&ps.trace, v.ID, f)
-	sh.finishOp(b, op, nil)
+	p.writeVictim(&ps.trace, v.ID, f)
+	p.finishOp(b, op, nil)
 	return f
 }
 
@@ -806,18 +689,18 @@ func (sh *shard) evictClaimed(ps *Session, v replacer.Victim) *Frame {
 // or parks them. The claim made the frame exclusively ours and the op
 // registered by evictClaimed keeps everybody else off the page, so
 // writeFrame can hand the device the frame itself.
-func (sh *shard) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
-	if sh.writeFrame(a, id, f) == nil {
-		sh.evictWritebacks.Add(1)
+func (p *Pool) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
+	if p.writeFrame(a, id, f) == nil {
+		p.evictWritebacks.Add(1)
 		return
 	}
 	// Park the bytes: the page is safe and the failure observable via
 	// Stats. The frame itself is still reusable.
-	sh.writeBackFailures.Add(1)
+	p.writeBackFailures.Add(1)
 	t0 := a.Now()
 	c := f.data
-	sh.quarantinePut(id, &c, a)
-	a.Slow(reqtrace.PhaseQuarantine, -1, t0, a.Now()-t0, 1, uint64(id))
+	p.quarantinePut(id, &c, a)
+	a.Slow(reqtrace.PhaseQuarantine, t0, a.Now()-t0, 1, uint64(id))
 }
 
 // writeFrame writes f's bytes of page id to the device under the page's
@@ -828,13 +711,13 @@ func (sh *shard) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
 // free. The write is a slow phase: it lazily arms the trace, because an
 // evicting request is paying for another page's write-back — exactly the
 // latency a decomposition must surface.
-func (sh *shard) writeFrame(a *reqtrace.Active, id page.PageID, f *Frame) error {
-	l := sh.wbLock(id)
+func (p *Pool) writeFrame(a *reqtrace.Active, id page.PageID, f *Frame) error {
+	l := p.wbLock(id)
 	l.Lock()
 	defer l.Unlock()
 	t0 := a.Now()
-	err := sh.device.WritePage(&f.data)
-	a.Slow(reqtrace.PhaseDeviceWrite, -1, t0, a.Now()-t0, flagArg(err != nil), uint64(id))
+	err := p.device.WritePage(&f.data)
+	a.Slow(reqtrace.PhaseDeviceWrite, t0, a.Now()-t0, flagArg(err != nil), uint64(id))
 	return err
 }
 
@@ -853,28 +736,28 @@ func (sh *shard) writeFrame(a *reqtrace.Active, id page.PageID, f *Frame) error 
 // request, its park-to-durable interval is emitted as a cross-thread span
 // on the parking request's trace — "evicted by request R, made durable
 // N ns later by another thread".
-func (sh *shard) writeQuarantined(id page.PageID, copy *page.Page, self uint64) (wrote bool, err error) {
-	l := sh.wbLock(id)
+func (p *Pool) writeQuarantined(id page.PageID, copy *page.Page, self uint64) (wrote bool, err error) {
+	l := p.wbLock(id)
 	l.Lock()
 	defer l.Unlock()
-	sh.quarMu.Lock()
-	cur := sh.quarantine[id]
-	sh.quarMu.Unlock()
+	p.quarMu.Lock()
+	cur := p.quarantine[id]
+	p.quarMu.Unlock()
 	if cur != copy {
 		return false, nil
 	}
-	if err := sh.device.WritePage(copy); err != nil {
+	if err := p.device.WritePage(copy); err != nil {
 		return false, err
 	}
-	tc := sh.quarantineResolve(id, copy)
-	if sh.tracer != nil && tc.trace != 0 && tc.trace != self {
-		sh.tracer.Emit(reqtrace.Span{
-			Trace: tc.trace, Phase: reqtrace.PhaseDeviceWrite, Shard: -1,
+	tc := p.quarantineResolve(id, copy)
+	if p.tracer != nil && tc.trace != 0 && tc.trace != self {
+		p.tracer.Emit(reqtrace.Span{
+			Trace: tc.trace, Phase: reqtrace.PhaseDeviceWrite,
 			Flags: reqtrace.FlagCross | reqtrace.FlagTail,
-			Start: tc.at, Dur: sh.tracer.Now() - tc.at, Arg2: uint64(id),
+			Start: tc.at, Dur: p.tracer.Now() - tc.at, Arg2: uint64(id),
 		})
 	}
-	sh.events.Record(obs.EvQuarantineFlush, uint64(id), 0)
+	p.events.Record(obs.EvQuarantineFlush, uint64(id), 0)
 	return true, nil
 }
 
@@ -884,25 +767,25 @@ func (sh *shard) writeQuarantined(id page.PageID, copy *page.Page, self uint64) 
 // torture build checks this at every install).
 // a, when non-nil and traced, attributes the park so a later write-back by
 // another thread can be stitched onto the parking request's trace.
-func (sh *shard) quarantinePut(id page.PageID, copy *page.Page, a *reqtrace.Active) {
+func (p *Pool) quarantinePut(id page.PageID, copy *page.Page, a *reqtrace.Active) {
 	tid := a.ID()
-	sh.quarMu.Lock()
-	sh.quarantine[id] = copy
+	p.quarMu.Lock()
+	p.quarantine[id] = copy
 	if tid != 0 {
-		sh.quarTrace[id] = quarCtx{trace: tid, at: a.Now()}
+		p.quarTrace[id] = quarCtx{trace: tid, at: a.Now()}
 	} else {
-		delete(sh.quarTrace, id)
+		delete(p.quarTrace, id)
 	}
-	n := len(sh.quarantine)
-	sh.quarUnlock()
-	sh.events.Record(obs.EvQuarantinePark, uint64(id), uint64(n))
+	n := len(p.quarantine)
+	p.quarUnlock()
+	p.events.Record(obs.EvQuarantinePark, uint64(id), uint64(n))
 }
 
 // quarUnlock releases quarMu after a change to the quarantine, publishing
 // its new size first.
-func (sh *shard) quarUnlock() {
-	sh.quarN.Store(int32(len(sh.quarantine)))
-	sh.quarMu.Unlock()
+func (p *Pool) quarUnlock() {
+	p.quarN.Store(int32(len(p.quarantine)))
+	p.quarMu.Unlock()
 }
 
 // quarantineTake removes and returns the quarantined copy of id, if any.
@@ -914,17 +797,17 @@ func (sh *shard) quarUnlock() {
 // parks before finishOp unchains its op under the page's bucket mutex, where
 // load waits the op out. That is a happens-before edge from the store of the
 // count to this load: zero means no copy the caller is due.
-func (sh *shard) quarantineTake(id page.PageID) *page.Page {
-	if sh.quarN.Load() == 0 {
+func (p *Pool) quarantineTake(id page.PageID) *page.Page {
+	if p.quarN.Load() == 0 {
 		return nil
 	}
-	sh.quarMu.Lock()
-	q := sh.quarantine[id]
+	p.quarMu.Lock()
+	q := p.quarantine[id]
 	if q != nil {
-		delete(sh.quarantine, id)
-		delete(sh.quarTrace, id)
+		delete(p.quarantine, id)
+		delete(p.quarTrace, id)
 	}
-	sh.quarUnlock()
+	p.quarUnlock()
 	return q
 }
 
@@ -933,34 +816,34 @@ func (sh *shard) quarantineTake(id page.PageID) *page.Page {
 // will write the same bytes back again later, which is merely redundant).
 // It returns the parker's trace context (zero when untraced or when the
 // entry was already gone) so the resolving write can be attributed.
-func (sh *shard) quarantineResolve(id page.PageID, copy *page.Page) quarCtx {
+func (p *Pool) quarantineResolve(id page.PageID, copy *page.Page) quarCtx {
 	var tc quarCtx
-	sh.quarMu.Lock()
-	if sh.quarantine[id] == copy {
-		delete(sh.quarantine, id)
-		tc = sh.quarTrace[id]
-		delete(sh.quarTrace, id)
+	p.quarMu.Lock()
+	if p.quarantine[id] == copy {
+		delete(p.quarantine, id)
+		tc = p.quarTrace[id]
+		delete(p.quarTrace, id)
 	}
-	sh.quarUnlock()
+	p.quarUnlock()
 	return tc
 }
 
 // quarantineIDs snapshots the ids currently parked in the quarantine.
-func (sh *shard) quarantineIDs() []page.PageID {
-	sh.quarMu.Lock()
-	ids := make([]page.PageID, 0, len(sh.quarantine))
-	for id := range sh.quarantine {
+func (p *Pool) quarantineIDs() []page.PageID {
+	p.quarMu.Lock()
+	ids := make([]page.PageID, 0, len(p.quarantine))
+	for id := range p.quarantine {
 		ids = append(ids, id)
 	}
-	sh.quarMu.Unlock()
+	p.quarMu.Unlock()
 	return ids
 }
 
-func (sh *shard) quarantineFull() bool { return sh.quarantineLen() >= sh.quarCap }
+func (p *Pool) quarantineFull() bool { return p.quarantineLen() >= p.quarCap }
 
 // quarantineLen reports the number of pages currently parked in the dirty
 // quarantine.
-func (sh *shard) quarantineLen() int { return int(sh.quarN.Load()) }
+func (p *Pool) quarantineLen() int { return int(p.quarN.Load()) }
 
 // drainQuarantine retries the write-back of every quarantined page,
 // returning the number made durable, the number that failed again, and
@@ -970,18 +853,18 @@ func (sh *shard) quarantineLen() int { return int(sh.quarN.Load()) }
 // writeQuarantined (counted neither written nor failed), and per-page
 // serialization there guarantees a stale snapshot write can never land
 // after a newer successful write of the same page.
-func (sh *shard) drainQuarantine() (written, failed int, err error) {
-	sh.quarMu.Lock()
-	snap := make(map[page.PageID]*page.Page, len(sh.quarantine))
-	for id, copy := range sh.quarantine {
+func (p *Pool) drainQuarantine() (written, failed int, err error) {
+	p.quarMu.Lock()
+	snap := make(map[page.PageID]*page.Page, len(p.quarantine))
+	for id, copy := range p.quarantine {
 		snap[id] = copy
 	}
-	sh.quarMu.Unlock()
+	p.quarMu.Unlock()
 	var errs []error
 	for id, copy := range snap {
-		wrote, werr := sh.writeQuarantined(id, copy, 0)
+		wrote, werr := p.writeQuarantined(id, copy, 0)
 		if werr != nil {
-			sh.writeBackFailures.Add(1)
+			p.writeBackFailures.Add(1)
 			failed++
 			errs = append(errs, fmt.Errorf("quarantined page %v: %w", id, werr))
 			continue
@@ -996,43 +879,43 @@ func (sh *shard) drainQuarantine() (written, failed int, err error) {
 // freeFrame returns a claimed frame to the free list, once its page is out
 // of the policy: after a failed load has removed it, or once its page has
 // been unmapped for good.
-func (sh *shard) freeFrame(f *Frame) {
+func (p *Pool) freeFrame(f *Frame) {
 	f.toFree()
-	sh.freeMu.Lock()
-	sh.freeList = append(sh.freeList, f)
-	sh.freeMu.Unlock()
+	p.freeMu.Lock()
+	p.freeList = append(p.freeList, f)
+	p.freeMu.Unlock()
 }
 
 // purgeQuarantine discards any quarantined copy of id. Taking the
 // write-back stripe first waits out an in-flight write of the page and
 // makes later snapshot writes skip (their entry is gone), so discarded
 // bytes cannot be resurrected onto the device after the purge.
-func (sh *shard) purgeQuarantine(id page.PageID) {
-	l := sh.wbLock(id)
+func (p *Pool) purgeQuarantine(id page.PageID) {
+	l := p.wbLock(id)
 	l.Lock()
-	sh.quarMu.Lock()
-	delete(sh.quarantine, id)
-	delete(sh.quarTrace, id)
-	sh.quarUnlock()
+	p.quarMu.Lock()
+	delete(p.quarantine, id)
+	delete(p.quarTrace, id)
+	p.quarUnlock()
 	l.Unlock()
 }
 
-// invalidate drops page id from the pool (e.g. its table was truncated),
+// Invalidate drops page id from the pool (e.g. its table was truncated),
 // discarding dirty contents — including any quarantined copy from an
 // earlier failed write-back, which must not be drained back to the device
 // later. A page in flight is waited out first: a load so that the page it
 // installs is dropped too, and an eviction write-back so that the write has
 // landed (or parked its bytes, which the purge then discards) before
-// invalidate returns — nothing of the page reaches the device afterwards.
+// Invalidate returns — nothing of the page reaches the device afterwards.
 // It fails with ErrNoUnpinnedBuffers if the page is pinned.
-func (sh *shard) invalidate(id page.PageID) error {
-	f, err := sh.claimMapped(id)
+func (p *Pool) Invalidate(id page.PageID) error {
+	f, err := p.claimMapped(id)
 	if err != nil {
 		return err
 	}
-	sh.purgeQuarantine(id)
+	p.purgeQuarantine(id)
 	if f != nil {
-		sh.freeFrame(f)
+		p.freeFrame(f)
 	}
 	return nil
 }
@@ -1046,15 +929,15 @@ func (sh *shard) invalidate(id page.PageID) error {
 // policy in one hold, as in an eviction, and before the page leaves the
 // table: a miss on id starts only once the table entry is gone, and its
 // admission must not find it resident.
-func (sh *shard) claimMapped(id page.PageID) (*Frame, error) {
-	b := sh.bucketFor(id)
+func (p *Pool) claimMapped(id page.PageID) (*Frame, error) {
+	b := p.bucketFor(id)
 	for recycled := 0; ; {
-		sh.lockBucket(b)
+		p.lockBucket(b)
 		if op := b.w.opLocked(id); op != nil {
-			_ = sh.awaitOp(b, op)
+			_ = p.awaitOp(b, op)
 			continue
 		}
-		f := sh.lookupLocked(b, id)
+		f := p.lookupLocked(b, id)
 		b.w.mu.Unlock()
 		if f == nil {
 			return nil, nil
@@ -1069,14 +952,14 @@ func (sh *shard) claimMapped(id page.PageID) (*Frame, error) {
 			return nil, ErrNoUnpinnedBuffers
 		}
 		claimed := false
-		sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
+		p.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
 			if claimed = f.tryClaim(s); claimed {
 				pol.RemoveSlot(f.slot, id)
 			}
 		})
 		if claimed {
-			sh.lockBucket(b)
-			sh.removeLocked(b, id)
+			p.lockBucket(b)
+			p.removeLocked(b, id)
 			b.w.mu.Unlock()
 			return f, nil
 		}
@@ -1092,7 +975,7 @@ func (sh *shard) claimMapped(id page.PageID) (*Frame, error) {
 // the pin, so the page never looks clean before it is durable; a failed
 // write leaves the frame dirty for a later round. A frame with readers is
 // skipped. It reports whether it wrote the page.
-func (sh *shard) flushFrame(f *Frame) (bool, error) {
+func (p *Pool) flushFrame(f *Frame) (bool, error) {
 	var id page.PageID
 	for {
 		s := f.state.Load()
@@ -1108,8 +991,8 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 	}
 	defer f.unpin()
 	sched.Yield(sched.BufFlushWrite)
-	if err := sh.writeFrame(nil, id, f); err != nil {
-		sh.writeBackFailures.Add(1)
+	if err := p.writeFrame(nil, id, f); err != nil {
+		p.writeBackFailures.Add(1)
 		return false, fmt.Errorf("page %v: %w", id, err)
 	}
 	for {
@@ -1120,17 +1003,24 @@ func (sh *shard) flushFrame(f *Frame) (bool, error) {
 	}
 }
 
-// flushDirty writes every dirty, unpinned page back to the device — and retries every quarantined page — returning the number made
-// durable.
-func (sh *shard) flushDirty() (int, error) {
+// FlushDirty writes every dirty, unpinned page back to the device — and
+// retries every quarantined page — returning the number made durable.
+// Pinned dirty pages are skipped. Each page is written from its frame
+// under a pin, so for the length of that one device write a GetWrite of
+// the page waits and an Invalidate of it fails with ErrNoUnpinnedBuffers;
+// readers and other pages are unaffected. A write failure does not abort
+// the sweep: the page stays dirty (or quarantined), the remaining pages are
+// still flushed, and the failures are returned joined so the caller sees
+// every page that is not yet durable.
+func (p *Pool) FlushDirty() (int, error) {
 	var errs []error
-	qn, _, qerr := sh.drainQuarantine()
+	qn, _, qerr := p.drainQuarantine()
 	n := qn
 	if qerr != nil {
 		errs = append(errs, qerr)
 	}
-	for i := range sh.frames {
-		wrote, err := sh.flushFrame(&sh.frames[i])
+	for i := range p.frames {
+		wrote, err := p.flushFrame(&p.frames[i])
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -1142,11 +1032,12 @@ func (sh *shard) flushDirty() (int, error) {
 	return n, errors.Join(errs...)
 }
 
-// dirtyCount reports the number of dirty resident frames right now.
-func (sh *shard) dirtyCount() int {
+// dirtyCount reports the number of dirty resident pages right now; the
+// figure is advisory under concurrency.
+func (p *Pool) dirtyCount() int {
 	n := 0
-	for i := range sh.frames {
-		s := sh.frames[i].state.Load()
+	for i := range p.frames {
+		s := p.frames[i].state.Load()
 		if s&frameDirty != 0 && s&frameRecycling == 0 {
 			n++
 		}
@@ -1154,29 +1045,40 @@ func (sh *shard) dirtyCount() int {
 	return n
 }
 
-// pinnedFrames reports the number of frames currently holding at least one
-// pin (including transition claim pins).
-func (sh *shard) pinnedFrames() int {
+// PinnedFrames reports the number of frames currently holding at least one
+// pin, transition claim pins included; used by tests and diagnostics (at a
+// true quiescent point — no outstanding PageRefs, no in-flight operations —
+// it must be zero).
+func (p *Pool) PinnedFrames() int {
 	n := 0
-	for i := range sh.frames {
-		if sh.frames[i].state.Load()&framePinMask != 0 {
+	for i := range p.frames {
+		if p.frames[i].state.Load()&framePinMask != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// checkInvariants verifies the structural invariants (see
-// Pool.CheckInvariants for the contract).
-func (sh *shard) checkInvariants() error {
+// CheckInvariants verifies the pool's structural invariants: pin-count
+// sanity, frame/hash-table consistency, free-list integrity, a page
+// resident or quarantined but never both, and policy/table agreement. It is
+// O(frames + buckets) and takes each lock briefly.
+//
+// The contract is quiescence: callers must ensure no pool operations are in
+// flight (the torture harness calls it after workers join and again after
+// Close). Called concurrently it cannot
+// corrupt anything, but it may report perfectly legal in-flight
+// transitions — a claimed frame between table removal and the free list —
+// as violations.
+func (p *Pool) CheckInvariants() error {
 	// Snapshot the table: page → frame, taking each bucket lock once.
-	mapped := make(map[page.PageID]*Frame, len(sh.frames))
-	inflight := sh.walkTable(func(id page.PageID, f *Frame) { mapped[id] = f })
+	mapped := make(map[page.PageID]*Frame, len(p.frames))
+	inflight := p.walkTable(func(id page.PageID, f *Frame) { mapped[id] = f })
 	if inflight {
 		return errors.New("buffer: load or eviction write in flight during invariant check (caller not quiescent)")
 	}
-	for i := range sh.buckets {
-		if sh.buckets[i].seq.Load()&1 != 0 {
+	for i := range p.buckets {
+		if p.buckets[i].seq.Load()&1 != 0 {
 			return errors.New("buffer: bucket seqlock left odd (writer died mid-update)")
 		}
 	}
@@ -1196,9 +1098,9 @@ func (sh *shard) checkInvariants() error {
 	}
 	// Free-list integrity: recycling, unpinned, untagged, unmapped, no
 	// duplicates.
-	sh.freeMu.Lock()
-	free := append([]*Frame(nil), sh.freeList...)
-	sh.freeMu.Unlock()
+	p.freeMu.Lock()
+	free := append([]*Frame(nil), p.freeList...)
+	p.freeMu.Unlock()
 	onFree := make(map[*Frame]bool, len(free))
 	for _, f := range free {
 		if onFree[f] {
@@ -1220,20 +1122,20 @@ func (sh *shard) checkInvariants() error {
 		}
 	}
 	// Every frame is accounted for exactly once: mapped or free.
-	if len(mapped)+len(free) != len(sh.frames) {
+	if len(mapped)+len(free) != len(p.frames) {
 		return fmt.Errorf("buffer: %d mapped + %d free != %d frames (frame leaked or in flight)",
-			len(mapped), len(free), len(sh.frames))
+			len(mapped), len(free), len(p.frames))
 	}
 	// Quarantine: disjoint from the resident set and within its soft
 	// capacity bound.
-	quar := sh.quarantineIDs()
+	quar := p.quarantineIDs()
 	for _, id := range quar {
 		if _, resident := mapped[id]; resident {
 			return fmt.Errorf("buffer: page %v both resident and quarantined", id)
 		}
 	}
-	if len(quar) > sh.quarCap+len(sh.frames) {
-		return fmt.Errorf("buffer: quarantine %d far beyond cap %d", len(quar), sh.quarCap)
+	if len(quar) > p.quarCap+len(p.frames) {
+		return fmt.Errorf("buffer: quarantine %d far beyond cap %d", len(quar), p.quarCap)
 	}
 	// Policy agreement: a page enters the policy in the hold that claims its
 	// frame and leaves it only with that frame, so at quiescence — no load in
@@ -1241,7 +1143,7 @@ func (sh *shard) checkInvariants() error {
 	// frame's slot. A resident without a table entry would be unservable, and
 	// a mapped page the policy does not track unevictable.
 	var perr error
-	sh.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
+	p.wrapper.LockedSlots(func(pol replacer.SlotPolicy) {
 		for id, f := range mapped {
 			if !pol.ContainsSlot(f.slot, id) {
 				perr = fmt.Errorf("buffer: page %v is mapped to frame %d, where the policy does not track it", id, f.slot)
@@ -1255,7 +1157,7 @@ func (sh *shard) checkInvariants() error {
 	if perr != nil {
 		return perr
 	}
-	return sh.wrapper.CheckInvariants()
+	return p.wrapper.CheckInvariants()
 }
 
 // flagArg renders a yes/no as a span or event argument.

@@ -7,6 +7,7 @@
 package buffer
 
 import (
+	"fmt"
 	"strings"
 
 	"bpwrapper/internal/obs"
@@ -15,6 +16,9 @@ import (
 // recorderName labels the pool's flight recorder in dumps and on
 // /debug/events.
 const recorderName = "pool"
+
+// healthHelp names each bpw_health_state value as HealthState.String does.
+var healthHelp = fmt.Sprintf("pool health: %d %v, %d %v", Healthy, Healthy, ReadOnly, ReadOnly)
 
 // RegisterObs registers the pool's collector and flight recorder with reg.
 // A scrape renders one Stats snapshot, so it costs what Stats does (a brief
@@ -25,7 +29,7 @@ func (p *Pool) RegisterObs(reg *obs.Registry) {
 	// The request tracer (nil when tracing is off — RegisterTracer ignores
 	// it) powers /debug/traces and the bpw_trace_* counters.
 	reg.RegisterTracer("pool", p.tracer)
-	if rec := p.sh.events; rec != nil {
+	if rec := p.events; rec != nil {
 		reg.RegisterRecorder(recorderName, rec)
 	}
 }
@@ -41,7 +45,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 		emit(obs.Metric{Name: name, Help: help, Type: obs.Gauge, Labels: labels, Value: v})
 	}
 
-	ss, sh := p.Stats(), p.sh
+	ss := p.Stats()
 	g("bpw_policy_in_use", "replacement policy installed in the pool (value always 1)",
 		[][2]string{{"policy", ss.Policy}}, 1)
 	ws := ss.Wrapper
@@ -52,7 +56,7 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 	c("bpw_lock_try_failures_total", "failed TryLock attempts at the batch threshold", nil, float64(ws.Lock.TryFailures))
 	c("bpw_lock_wait_seconds_total", "total time blocked on the policy lock", nil, ws.Lock.WaitTime.Seconds())
 	c("bpw_lock_hold_seconds_total", "estimated total policy-lock holding time (sampled)", nil, ws.Lock.HoldTime.Seconds())
-	if lp := sh.wrapper.LockProfile(); lp != nil {
+	if lp := p.wrapper.LockProfile(); lp != nil {
 		if lp.Wait != nil {
 			hs := lp.Wait.Snapshot()
 			emit(obs.Metric{Name: "bpw_lock_wait_seconds", Help: "contended policy-lock wait time",
@@ -75,10 +79,10 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 	c("bpw_combined_batches_total", "other sessions' batches applied by a combiner", nil, float64(ws.CombinedBatches))
 	c("bpw_combined_entries_total", "entries in combined batches", nil, float64(ws.CombinedEntries))
 	c("bpw_handoff_saved_total", "publishes handed to a combiner instead of blocking", nil, float64(ws.HandoffSaved))
-	bs := sh.wrapper.BatchSizes()
+	bs := p.wrapper.BatchSizes()
 	emit(obs.Metric{Name: "bpw_batch_size", Help: "entries per committed batch",
 		Type: obs.Histogram, Dist: &bs})
-	cr := sh.wrapper.CombineRuns()
+	cr := p.wrapper.CombineRuns()
 	emit(obs.Metric{Name: "bpw_combine_run_length", Help: "published batches drained per combiner run",
 		Type: obs.Histogram, Dist: &cr})
 
@@ -108,16 +112,15 @@ func (p *Pool) collect(emit func(obs.Metric)) {
 	// Health and graceful degradation. The snapshot re-evaluates
 	// health, so a dashboard sees transitions even on an idle pool (a
 	// miss would otherwise have to arrive first).
-	g("bpw_health_state", "pool health: 0 healthy, 1 degraded, 2 read-only", nil, float64(ss.Health))
+	g("bpw_health_state", healthHelp, nil, float64(ss.Health))
 	c("bpw_shed_total", "misses refused by admission control", nil, float64(ss.Shed))
 	c("bpw_health_transitions_total", "health state changes", nil, float64(ss.HealthTransitions))
 	c("bpw_quarantine_refusals_total", "dirty victims an eviction passed over because the quarantine was full", nil, float64(ss.QuarantineRefusals))
-	g("bpw_miss_inflight", "admitted misses currently in flight", nil, float64(ss.MissInflight))
 	c("bpw_combiner_panics_total", "panics contained inside combiner drains", nil, float64(ws.CombinerPanics))
 
 	// Flight-recorder pressure: how much history the ring has seen and
 	// how much has scrolled out (or been torn) since startup.
-	if rec := sh.events; rec != nil {
+	if rec := p.events; rec != nil {
 		c("bpw_flight_events_total", "events recorded by the flight recorder", nil, float64(rec.Seq()))
 		c("bpw_flight_dropped_total", "flight-recorder events overwritten or torn", nil, float64(rec.Dropped()))
 	}
@@ -158,7 +161,7 @@ func (w *BackgroundWriter) RegisterObs(reg *obs.Registry) {
 // recording is disabled, so callers can append it unconditionally.
 func (p *Pool) FlightDump() string {
 	var sb strings.Builder
-	if rec := p.sh.events; rec != nil {
+	if rec := p.events; rec != nil {
 		rec.Dump(&sb, recorderName, 0)
 	}
 	return sb.String()

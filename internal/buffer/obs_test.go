@@ -27,7 +27,7 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 		ref.Release()
 	}
 	s.Flush()
-	if p.sh.events != nil {
+	if p.events != nil {
 		t.Fatal("recorder allocated with RecorderSize 0")
 	}
 }
@@ -65,7 +65,7 @@ func TestFlightRecorderCapturesQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[obs.EventKind]int{}
-	for _, ev := range p.sh.events.Events() {
+	for _, ev := range p.events.Events() {
 		kinds[ev.Kind]++
 	}
 	for _, k := range []obs.EventKind{obs.EvQuarantinePark, obs.EvQuarantineFlush} {
@@ -145,7 +145,7 @@ func TestHitsLeaveNoFlightRecord(t *testing.T) {
 	if ws.Committed != 8 {
 		t.Fatalf("committed %d hits, want 8", ws.Committed)
 	}
-	rec := p.sh.events
+	rec := p.events
 	if n := rec.Seq(); n != 0 {
 		t.Fatalf("%d events recorded for hits and their commits, want 0: %v", n, rec.Events())
 	}

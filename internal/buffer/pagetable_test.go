@@ -17,8 +17,8 @@ import (
 
 // TestPageTableFootprint pins what the table costs: a probe reads one
 // 64-byte line that starts on a line boundary, and reader and writer side
-// together stay within 176 bytes a frame at every shard size — read off the
-// slices a real shard allocates where a test can afford the frames, off the
+// together stay within 176 bytes a frame at every pool size — read off the
+// slices a real pool allocates where a test can afford the frames, off the
 // sizing rule where it cannot.
 func TestPageTableFootprint(t *testing.T) {
 	const line = 64
@@ -30,14 +30,14 @@ func TestPageTableFootprint(t *testing.T) {
 	}
 	perBucket := int(unsafe.Sizeof(bucket{}) + unsafe.Sizeof(bucketW{}))
 	for _, frames := range []int{1, 3, 512, 1000, 2048} {
-		sh := newTestPool(frames, core.Config{}).sh
-		if a := uintptr(unsafe.Pointer(&sh.buckets[0])); a%line != 0 {
+		p := newTestPool(frames, core.Config{})
+		if a := uintptr(unsafe.Pointer(&p.buckets[0])); a%line != 0 {
 			t.Errorf("%d frames: reader buckets start at %#x, not on a cache line", frames, a)
 		}
-		if len(sh.bucketWs) != len(sh.buckets) {
-			t.Fatalf("%d frames: %d reader and %d writer sides", frames, len(sh.buckets), len(sh.bucketWs))
+		if len(p.bucketWs) != len(p.buckets) {
+			t.Fatalf("%d frames: %d reader and %d writer sides", frames, len(p.buckets), len(p.bucketWs))
 		}
-		if got := len(sh.buckets) * perBucket / frames; got > 176 {
+		if got := len(p.buckets) * perBucket / frames; got > 176 {
 			t.Errorf("%d frames: %d table bytes per frame, want <= 176", frames, got)
 		}
 	}
@@ -48,7 +48,7 @@ func TestPageTableFootprint(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("a shard too large for 32-bit bucket scaling was sized without complaint")
+			t.Error("a pool too large for 32-bit bucket scaling was sized without complaint")
 		}
 	}()
 	tableBuckets(1<<30 + 1)
@@ -93,9 +93,9 @@ func TestPageTableOverflowShare(t *testing.T) {
 	// Six pages in one four-slot bucket of a real pool: two overflow.
 	const small = 16
 	p := newTestPool(small, core.Config{})
-	sh, s := p.sh, p.NewSession()
-	ids := colliding(len(sh.buckets), bucketSlots+2)
-	b := sh.bucketFor(ids[0])
+	s := p.NewSession()
+	ids := colliding(len(p.buckets), bucketSlots+2)
+	b := p.bucketFor(ids[0])
 	get := func(id page.PageID) *PageRef {
 		t.Helper()
 		ref, err := p.Get(s, id)
@@ -114,17 +114,22 @@ func TestPageTableOverflowShare(t *testing.T) {
 		t.Fatalf("overflowN = %d after six pages into one bucket, want 2", n)
 	}
 	last := ids[len(ids)-1]
-	if _, stable := b.lookupOptimistic(last); stable {
-		t.Fatal("a page in the overflow chain answered a lock-free probe")
+	if _, pr := b.lookupOptimistic(last); pr != probeOverflow {
+		t.Fatalf("a page in the overflow chain probed as %d, not overflow", pr)
 	}
 
-	// Found and pinned: a hit through the mutex fallback, and the pin holds.
+	// Found and pinned: a hit through the mutex fallback, taken at once —
+	// an overflowed bucket is no torn read, so no retry — and the pin holds.
 	before := p.Stats()
 	ref := get(last)
 	s.Flush()
 	if st := p.Stats(); st.Hits != before.Hits+1 || st.HitpathFallbacks != before.HitpathFallbacks+1 {
 		t.Fatalf("overflowed page: hits %d -> %d, fallbacks %d -> %d; want one hit served by the fallback",
 			before.Hits, st.Hits, before.HitpathFallbacks, st.HitpathFallbacks)
+	}
+	if st := p.Stats(); st.HitpathRetries != before.HitpathRetries {
+		t.Fatalf("overflowed page: retries %d -> %d; want the mutex without a retry",
+			before.HitpathRetries, st.HitpathRetries)
 	}
 	if err := p.Invalidate(last); !errors.Is(err, ErrNoUnpinnedBuffers) {
 		t.Fatalf("Invalidate of a pinned overflowed page: %v, want ErrNoUnpinnedBuffers", err)
@@ -135,7 +140,7 @@ func TestPageTableOverflowShare(t *testing.T) {
 	if err := p.Invalidate(last); err != nil {
 		t.Fatal(err)
 	}
-	if f := sh.lookupLocked(b, last); f != nil || b.overflowN.Load() != 1 {
+	if f := p.lookupLocked(b, last); f != nil || b.overflowN.Load() != 1 {
 		t.Fatalf("after Invalidate: frame %p, overflowN %d; want unmapped and 1", f, b.overflowN.Load())
 	}
 
@@ -145,8 +150,8 @@ func TestPageTableOverflowShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	spilled := ids[bucketSlots]
-	if slot, stable := b.lookupOptimistic(spilled); !stable || slot < 0 || b.overflowN.Load() != 0 {
-		t.Fatalf("after a slot emptied: probe (%d, %v), overflowN %d; want the spilled page promoted", slot, stable, b.overflowN.Load())
+	if slot, pr := b.lookupOptimistic(spilled); pr != probeStable || slot < 0 || b.overflowN.Load() != 0 {
+		t.Fatalf("after a slot emptied: probe (%d, %d), overflowN %d; want the spilled page promoted", slot, pr, b.overflowN.Load())
 	}
 	get(spilled).Release()
 
@@ -160,7 +165,7 @@ func TestPageTableOverflowShare(t *testing.T) {
 		get(page.NewPageID(2, i)).Release()
 	}
 	for _, id := range ids {
-		if sh.lookupLocked(b, id) != nil {
+		if p.lookupLocked(b, id) != nil {
 			t.Fatalf("page %v still mapped after the pool turned over twice", id)
 		}
 	}
@@ -190,7 +195,7 @@ func (p *hitSpy) Hit(id page.PageID) {
 // product's seqlock lookup, none), and it drops exactly what the probe
 // dropped — an entry whose frame has since been given to another
 // page, or to a later residency of the same page — plus anything carrying a
-// slot the shard has no frame for. The last case is the validator's table:
+// slot the pool has no frame for. The last case is the validator's table:
 // one batch of every kind of entry, of which exactly the live ones reach the
 // policy, in order and in one batch.
 func TestCommitValidatesBySlot(t *testing.T) {
@@ -279,11 +284,11 @@ func TestCommitValidatesBySlot(t *testing.T) {
 			t.Fatalf("frame given back to the same page: hits %v dropped %d, want the entry dropped", spy.hits, dropped())
 		}
 
-		// A slot this shard has no frame for: dropped, not a panic. The live
+		// A slot this pool has no frame for: dropped, not a panic. The live
 		// tag but for its slot, so only the bounds check can refuse it.
 		live := touch(other, a)
 		live.Slot = 1 << 31
-		sub := p.sh.wrapper.NewSession()
+		sub := p.wrapper.NewSession()
 		sub.Hit(a, live)
 		sub.Flush()
 		other.Flush()
@@ -299,7 +304,7 @@ func TestCommitValidatesBySlot(t *testing.T) {
 		const frames = 4
 		spy := &batchSpy{LRU: replacer.NewLRU(frames)}
 		p := New(Config{Frames: frames, PolicyFactory: func(int) replacer.Policy { return spy }, Wrapper: batching, Device: storage.NewMemDevice()})
-		sh, s := p.sh, p.NewSession()
+		s := p.NewSession()
 		tagOf := func(id page.PageID) page.BufferTag {
 			t.Helper()
 			ref, err := p.Get(s, id)
@@ -342,18 +347,18 @@ func TestCommitValidatesBySlot(t *testing.T) {
 
 		// The validator alone: the live entries, in order, in place.
 		in := slices.Clone(batch)
-		if got := sh.validTags(in); !slices.Equal(got, want) || (len(got) > 0 && &got[0] != &in[0]) {
+		if got := p.validTags(in); !slices.Equal(got, want) || (len(got) > 0 && &got[0] != &in[0]) {
 			t.Fatalf("validTags kept %+v, want %+v in place", got, want)
 		}
 		for i, tc := range cases {
-			if got := sh.validTags([]core.Entry{tc.e}); (len(got) == 1) != tc.live {
+			if got := p.validTags([]core.Entry{tc.e}); (len(got) == 1) != tc.live {
 				t.Errorf("entry %d (%s): kept %v, want %v", i, tc.what, len(got) == 1, tc.live)
 			}
 		}
 
 		// Through a commit: one batch reaches the policy, holding exactly
 		// the live entries in order, and the rest are counted as dropped.
-		sub := sh.wrapper.NewSession()
+		sub := p.wrapper.NewSession()
 		for _, e := range batch {
 			sub.Hit(e.ID, e.Tag)
 		}
@@ -391,7 +396,7 @@ func (p *batchSpy) HitSlots(batch []replacer.Access) {
 func TestPageTableOverflowChurn(t *testing.T) {
 	const frames, workers, rounds = 16, 4, 3000
 	p := newTestPool(frames, core.Config{Batching: true, QueueSize: 8, BatchThreshold: 4})
-	nb := len(p.sh.buckets)
+	nb := len(p.buckets)
 	ids := colliding(nb, 12)
 	for i := uint64(0); len(ids) < 24; i++ { // twelve more, all in a second bucket
 		if id := page.NewPageID(3, i); bucketIndex(id, nb) == (bucketIndex(ids[0], nb)+1)%nb {

@@ -15,6 +15,8 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bpwrapper/internal/core"
@@ -45,8 +47,8 @@ type Config struct {
 	PolicyFactory replacer.Factory
 
 	// Wrapper selects the BP-Wrapper techniques (batching, prefetching,
-	// queue tuning). The Validate field is overwritten by the pool with its
-	// BufferTag check.
+	// queue tuning). The pool overwrites its Validate field with its
+	// BufferTag check and its Tracer field with the pool's tracer.
 	Wrapper core.Config
 
 	// Device is the backing store. Required.
@@ -79,15 +81,99 @@ type Config struct {
 	Trace reqtrace.Config
 }
 
-// Pool is the buffer-pool manager. All methods are safe for concurrent use;
-// per-backend access records flow through Sessions obtained from
-// NewSession.
+// Pool is the buffer-pool manager: the frames, the page table, the free
+// list, the dirty quarantine, the write-back stripes, and the core.Wrapper
+// around the one replacement-policy instance — the paper's single hot spot,
+// relieved by batching rather than split (Section V-A). All methods are safe
+// for concurrent use; per-backend access records flow through Sessions
+// obtained from NewSession.
+//
+// Since the lock-free hit-path rewrite (DESIGN.md §12), a resident-page
+// read acquires no mutex at all: the table lookup is a seqlock-validated
+// probe of one bucket's open-addressed slots — one cache line — and the pin
+// is one CAS on the frame's packed state word. The bucket mutex is
+// writer-only (miss install, eviction, invalidation) and lives, with the
+// rest of what only writers need, in bucketWs; the per-frame wmu is taken
+// only by GetWrite.
 type Pool struct {
-	sh *shard // frames, page table, policy, quarantine and health; built by New
+	frames   []Frame
+	buckets  []bucket  // reader lines, bucketsPerFrame per frame
+	bucketWs []bucketW // writer side of buckets[i]
+	wrapper  *core.Wrapper
+	device   storage.Device
+
+	freeMu   sync.Mutex
+	freeList []*Frame
+
+	// nextToClean is the frame index at which the background writer's next
+	// sweep starts (BackgroundWriter.round); atomic because
+	// nothing stops a pool from having two writers.
+	nextToClean atomic.Int64
+
+	// quarantine parks copies of dirty pages that no longer have a frame:
+	// an eviction writes out of the claimed frame, behind an in-flight op
+	// (evictClaimed), and parks the bytes only when that write fails. Entries
+	// linger while the device refuses them, so an acknowledged write is
+	// never dropped; loads adopt a quarantined copy instead of reading a
+	// stale version from the device.
+	quarMu     sync.Mutex
+	quarantine map[page.PageID]*page.Page
+	quarCap    int
+
+	// quarN mirrors len(quarantine), stored by whoever changed the map
+	// before it releases quarMu (quarUnlock), so a path that only asks
+	// whether, or how much, is parked takes no pool-wide lock — a miss on
+	// a healthy pool above all (quarantineTake).
+	quarN atomic.Int32
+
+	// quarTrace remembers, per parked page, which traced request did the
+	// parking (DESIGN.md §14): when the background writer or a flush sweep
+	// later makes the copy durable, the park-to-durable interval is emitted
+	// as a cross-thread span on that request's trace. Best-effort — entries
+	// exist only for traced parkers and follow the quarantine entry's
+	// lifecycle (adopted, superseded, and purged entries drop theirs).
+	// Guarded by quarMu.
+	quarTrace map[page.PageID]quarCtx
+
+	// wbLocks serializes device write-backs per page (striped by page id,
+	// held across the WritePage call in writeFrame and writeQuarantined).
+	// Without it, a slow in-flight write of an old copy could land *after* a
+	// newer copy of the same page was written and resolved, silently
+	// reverting the device.
+	wbLocks [wbStripes]sync.Mutex
 
 	// tracer is the pool's request tracer (nil when Config.Trace is
-	// disabled).
+	// disabled), the wrapper's too. The pool uses it directly only for
+	// cross-thread emits — request-scoped spans go through the session's
+	// Active.
 	tracer *reqtrace.Tracer
+
+	writeBackFailures atomic.Int64
+	evictWritebacks   atomic.Int64 // dirty victims written straight from their frame
+	loadWaits         atomic.Int64 // waits on another goroutine's in-flight load (awaitOp)
+	evictWaits        atomic.Int64 // waits on an in-flight eviction write-back
+
+	// claim is claimVictim, built once so that a miss hands it to the
+	// policy (core.Session.MissSlot) without allocating.
+	claim func(replacer.Victim) bool
+
+	// healthState drives graceful degradation: quarantine-driven
+	// health evaluation and miss admission control (see health.go).
+	healthState
+
+	hits   atomic.Int64 // folded in from per-session staging (see Session.stageHit)
+	misses atomic.Int64
+
+	// hp counts hit-path outcomes: fast (zero-lock) hits, torn-read
+	// retries, locked fallbacks, and every bucket/frame mutex acquisition
+	// on the access paths — the numbers E17 and the bpw_hitpath_* series
+	// are built from.
+	hp hitpathCounters
+
+	// events is the pool's flight recorder (nil when disabled): its
+	// quarantine parks and flushes, health changes and background-writer
+	// panics, in one history.
+	events *obs.Recorder
 }
 
 // Session is a per-backend handle carrying the backend's core.Session (its
@@ -140,9 +226,8 @@ func (s *Session) foldHits() {
 	if s.staged == 0 {
 		return
 	}
-	sh := s.pool.sh
-	sh.hits.Add(s.staged)
-	sh.hp.fast.Add(s.stagedFast)
+	s.pool.hits.Add(s.staged)
+	s.pool.hp.fast.Add(s.stagedFast)
 	s.staged, s.stagedFast = 0, 0
 }
 
@@ -175,22 +260,43 @@ func New(cfg Config) *Pool {
 		cfg.QuarantineCap = 64
 	}
 
-	wcfg := cfg.Wrapper
+	pol := cfg.PolicyFactory(cfg.Frames)
+	if pol.Cap() < cfg.Frames {
+		panic(fmt.Sprintf("buffer: policy capacity %d below frame count %d", pol.Cap(), cfg.Frames))
+	}
+
+	nb := tableBuckets(cfg.Frames)
 	p := &Pool{
-		sh:     &shard{events: obs.NewRecorder(cfg.RecorderSize)},
-		tracer: reqtrace.New(cfg.Trace),
+		frames:     make([]Frame, cfg.Frames),
+		buckets:    make([]bucket, nb),
+		bucketWs:   make([]bucketW, nb),
+		device:     cfg.Device,
+		freeList:   make([]*Frame, cfg.Frames),
+		quarantine: make(map[page.PageID]*page.Page),
+		quarTrace:  make(map[page.PageID]quarCtx),
+		quarCap:    cfg.QuarantineCap,
+		tracer:     reqtrace.New(cfg.Trace),
+		events:     obs.NewRecorder(cfg.RecorderSize),
 	}
-	if wcfg.Tracer == nil {
-		wcfg.Tracer = p.tracer
+	for i := range p.frames {
+		p.frames[i].slot = uint32(i)
+		p.frames[i].initFree()
+		p.freeList[i] = &p.frames[i]
 	}
-	p.sh.init(cfg.Frames, cfg.PolicyFactory(cfg.Frames), wcfg, cfg.Device, cfg.QuarantineCap)
+	p.claim = p.claimVictim
+	wcfg := cfg.Wrapper
+	wcfg.Validate = p.validTags
+	wcfg.Tracer = p.tracer
+	// Slotted: every tag the pool issues names its frame's slot, which
+	// addresses the policy's metadata for the page as well as the frame.
+	p.wrapper = core.NewSlotted(pol, wcfg)
 	return p
 }
 
 // NewSession returns a per-backend access session. Sessions must not be
 // shared between goroutines.
 func (p *Pool) NewSession() *Session {
-	s := &Session{pool: p, sub: p.sh.wrapper.NewSession()}
+	s := &Session{pool: p, sub: p.wrapper.NewSession()}
 	s.trace.Init(p.tracer)
 	s.sub.SetTrace(&s.trace)
 	return s
@@ -222,13 +328,13 @@ func (p *Pool) Tracer() *reqtrace.Tracer { return p.tracer }
 // action, not a health verdict. Releasing returns the pool to its
 // evaluated state.
 func (p *Pool) SetReadOnly(on bool) {
-	p.sh.forced.Store(on)
-	p.sh.evalHealth()
+	p.forced.Store(on)
+	p.evalHealth()
 }
 
 // Wrapper exposes the pool's BP-Wrapper core, a diagnostic accessor; its
 // statistics are also in Stats().Wrapper.
-func (p *Pool) Wrapper() *core.Wrapper { return p.sh.wrapper }
+func (p *Pool) Wrapper() *core.Wrapper { return p.wrapper }
 
 // AccessStats returns the pool's hit/miss counters, taking no lock. Hits
 // are read before misses, and an access increments exactly one of them, so
@@ -238,11 +344,11 @@ func (p *Pool) Wrapper() *core.Wrapper { return p.sh.wrapper }
 // have called Flush; mid-run they can lag by up to hitFoldInterval hits per
 // live session.
 func (p *Pool) AccessStats() metrics.AccessSnapshot {
-	return metrics.AccessSnapshot{Hits: p.sh.hits.Load(), Misses: p.sh.misses.Load()}
+	return metrics.AccessSnapshot{Hits: p.hits.Load(), Misses: p.misses.Load()}
 }
 
 // Device returns the backing device.
-func (p *Pool) Device() storage.Device { return p.sh.device }
+func (p *Pool) Device() storage.Device { return p.device }
 
 // Get pins page id for reading, loading it from the device on a miss. The
 // access is recorded through the session per the BP-Wrapper protocol.
@@ -262,35 +368,10 @@ func (p *Pool) access(s *Session, id page.PageID, writable bool) (*PageRef, erro
 		return nil, storage.ErrInvalidPage
 	}
 	s.trace.Begin()
-	ref, err := p.sh.get(s, id, writable)
+	ref, err := p.get(s, id, writable)
 	s.trace.End(uint64(id), err)
 	return ref, err
 }
-
-// Invalidate drops page id from the pool (e.g. its table was truncated),
-// discarding dirty contents — including any quarantined copy from an
-// earlier failed write-back, which must not be drained back to the device
-// later. It fails with ErrNoUnpinnedBuffers if the page is pinned.
-func (p *Pool) Invalidate(id page.PageID) error { return p.sh.invalidate(id) }
-
-// quarantineLen reports the number of pages currently parked in the dirty
-// quarantine.
-func (p *Pool) quarantineLen() int { return p.sh.quarantineLen() }
-
-// dirtyCount reports the number of dirty resident pages right now; the
-// figure is advisory under concurrency.
-func (p *Pool) dirtyCount() int { return p.sh.dirtyCount() }
-
-// FlushDirty writes every dirty, unpinned page back to the device — and
-// retries every quarantined page — returning the number made durable.
-// Pinned dirty pages are skipped. Each page is written from its frame
-// under a pin, so for the length of that one device write a GetWrite of
-// the page waits and an Invalidate of it fails with ErrNoUnpinnedBuffers;
-// readers and other pages are unaffected. A write failure does not abort
-// the sweep: the page stays dirty (or quarantined), the remaining pages are
-// still flushed, and the failures are returned joined so the caller sees
-// every page that is not yet durable.
-func (p *Pool) FlushDirty() (int, error) { return p.sh.flushDirty() }
 
 // Close flushes the pool for shutdown: dirty and quarantined pages are
 // written back with bounded retries and exponential
@@ -412,8 +493,9 @@ type Stats struct {
 	// Hit-path anatomy (see DESIGN.md §12): how resident lookups were
 	// served. HitpathFast counts hits that touched no mutex at all;
 	// HitpathRetries counts torn optimistic probes that retried;
-	// HitpathFallbacks counts lookups that gave up on the seqlock and took
-	// the bucket mutex. BucketLockAcqs and FrameLockAcqs count every
+	// HitpathFallbacks counts lookups that took the bucket mutex instead:
+	// once a torn probe's retries ran out, or at once for a page that may
+	// sit in its bucket's overflow chain. BucketLockAcqs and FrameLockAcqs count every
 	// bucket-mutex / frame-wmu acquisition on the access paths — the E17
 	// acceptance figure ("≈ 0 bucket/frame lock acquisitions under a 100%
 	// resident read workload") reads straight off them.
@@ -425,7 +507,6 @@ type Stats struct {
 
 	Health             HealthState // degradation state at snapshot time
 	HealthTransitions  int64       // health state changes
-	MissInflight       int64       // admitted misses in flight at snapshot time
 	Shed               int64       // misses refused with ErrOverloaded
 	QuarantineRefusals int64       // dirty victims an eviction passed over because the quarantine was full
 
@@ -439,56 +520,36 @@ type Stats struct {
 // before misses (a literal's calls run left to right), and health is
 // evaluated before its transitions are counted.
 func (p *Pool) Stats() Stats {
-	sh := p.sh
 	s := Stats{
-		Frames:             len(sh.frames),
-		Dirty:              sh.dirtyCount(),
-		Quarantined:        sh.quarantineLen(),
-		QuarantineCap:      sh.quarCap,
-		Hits:               sh.hits.Load(),
-		Misses:             sh.misses.Load(),
-		WriteBackFailures:  sh.writeBackFailures.Load(),
-		EvictWritebacks:    sh.evictWritebacks.Load(),
-		MissWaitsLoad:      sh.loadWaits.Load(),
-		MissWaitsEvict:     sh.evictWaits.Load(),
-		Wrapper:            sh.wrapper.Stats(),
-		HitpathFast:        sh.hp.fast.Load(),
-		HitpathRetries:     sh.hp.retries.Load(),
-		HitpathFallbacks:   sh.hp.fallbacks.Load(),
-		BucketLockAcqs:     sh.hp.bucketLocks.Load(),
-		FrameLockAcqs:      sh.hp.frameLocks.Load(),
-		Health:             sh.evalHealth(),
-		HealthTransitions:  sh.healthTransitions.Load(),
-		MissInflight:       sh.missInflight.Load(),
-		Shed:               sh.shed.Load(),
-		QuarantineRefusals: sh.quarRefusals.Load(),
-		Device:             sh.device.Stats(),
+		Frames:             len(p.frames),
+		Dirty:              p.dirtyCount(),
+		Quarantined:        p.quarantineLen(),
+		QuarantineCap:      p.quarCap,
+		Hits:               p.hits.Load(),
+		Misses:             p.misses.Load(),
+		WriteBackFailures:  p.writeBackFailures.Load(),
+		EvictWritebacks:    p.evictWritebacks.Load(),
+		MissWaitsLoad:      p.loadWaits.Load(),
+		MissWaitsEvict:     p.evictWaits.Load(),
+		Wrapper:            p.wrapper.Stats(),
+		HitpathFast:        p.hp.fast.Load(),
+		HitpathRetries:     p.hp.retries.Load(),
+		HitpathFallbacks:   p.hp.fallbacks.Load(),
+		BucketLockAcqs:     p.hp.bucketLocks.Load(),
+		FrameLockAcqs:      p.hp.frameLocks.Load(),
+		Health:             p.evalHealth(),
+		HealthTransitions:  p.healthTransitions.Load(),
+		Shed:               p.shed.Load(),
+		QuarantineRefusals: p.quarRefusals.Load(),
+		Device:             p.device.Stats(),
 	}
-	sh.freeMu.Lock()
-	s.Free = len(sh.freeList)
-	sh.freeMu.Unlock()
-	sh.wrapper.Locked(func(pol replacer.Policy) {
+	p.freeMu.Lock()
+	s.Free = len(p.freeList)
+	p.freeMu.Unlock()
+	p.wrapper.Locked(func(pol replacer.Policy) {
 		s.Resident = pol.Len()
 		s.Policy = pol.Name()
 	})
 	s.HitRatio = metrics.AccessSnapshot{Hits: s.Hits, Misses: s.Misses}.HitRatio()
 	return s
 }
-
-// PinnedFrames reports the number of frames currently holding at least one
-// pin; used by tests and diagnostics (at a true quiescent point — no
-// outstanding PageRefs, no in-flight operations — it must be zero).
-func (p *Pool) PinnedFrames() int { return p.sh.pinnedFrames() }
-
-// CheckInvariants verifies the pool's structural invariants: pin-count
-// sanity, frame/hash-table consistency, free-list integrity, a page
-// resident or quarantined but never both, and policy/table agreement. It is
-// O(frames + buckets) and takes each lock briefly.
-//
-// The contract is quiescence: callers must ensure no pool operations are in
-// flight (the torture harness calls it after workers join and again after
-// Close). Called concurrently it cannot
-// corrupt anything, but it may report perfectly legal in-flight
-// transitions — a claimed frame between table removal and the free list —
-// as violations.
-func (p *Pool) CheckInvariants() error { return p.sh.checkInvariants() }

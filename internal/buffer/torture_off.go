@@ -10,4 +10,4 @@ import "bpwrapper/internal/page"
 func lockedLookup() bool { return false }
 
 // assertNotParked is torture_on.go's install check, compiled out.
-func assertNotParked(*shard, page.PageID) {}
+func assertNotParked(*Pool, page.PageID) {}

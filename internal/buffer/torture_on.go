@@ -27,13 +27,13 @@ func ForceLockedLookup(on bool) (was bool) { return forceLocked.Swap(on) }
 // loader, must have no quarantine entry. An empty quarantine is read off
 // its count, as quarantineTake reads it, so a miss with nothing parked
 // still takes no quarantine lock.
-func assertNotParked(sh *shard, id page.PageID) {
-	if sh.quarantineLen() == 0 {
+func assertNotParked(p *Pool, id page.PageID) {
+	if p.quarantineLen() == 0 {
 		return
 	}
-	sh.quarMu.Lock()
-	_, parked := sh.quarantine[id]
-	sh.quarMu.Unlock()
+	p.quarMu.Lock()
+	_, parked := p.quarantine[id]
+	p.quarMu.Unlock()
 	if parked {
 		panic(fmt.Sprintf("buffer: page %v installed in a frame while parked in the quarantine", id))
 	}

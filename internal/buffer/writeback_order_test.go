@@ -124,7 +124,7 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 	drainDone := make(chan struct{})
 	go func() {
 		defer close(drainDone)
-		_, _, drainErr = p.sh.drainQuarantine()
+		_, _, drainErr = p.drainQuarantine()
 	}()
 	<-entered
 
@@ -187,8 +187,7 @@ func TestStaleWriteBackCannotRevertNewerWrite(t *testing.T) {
 
 // frameOf returns the frame page id is mapped to, or nil.
 func frameOf(p *Pool, id page.PageID) *Frame {
-	sh := p.sh
-	f, _ := sh.hitLookup(sh.bucketFor(id), id)
+	f, _ := p.hitLookup(p.bucketFor(id), id)
 	return f
 }
 
@@ -318,7 +317,7 @@ func TestFlushInFlightKeepsShardHealthy(t *testing.T) {
 			}
 			ref.Release()
 		}
-		if h := p.sh.evalHealth(); h != Healthy {
+		if h := p.evalHealth(); h != Healthy {
 			t.Fatalf("health %v with a flush write in flight, want healthy", h)
 		}
 		close(release)
@@ -337,10 +336,10 @@ func TestFlushAllocs(t *testing.T) {
 	p := New(Config{Frames: 4, PolicyFactory: factoryOf("lru"), Device: storage.NewNullDevice()})
 	s := p.NewSession()
 	dirtyPage(t, p, s, pid(1))
-	sh, f := p.sh, frameOf(p, pid(1))
+	f := frameOf(p, pid(1))
 	flush := func() {
 		f.setDirty()
-		if wrote, err := sh.flushFrame(f); !wrote || err != nil {
+		if wrote, err := p.flushFrame(f); !wrote || err != nil {
 			t.Fatalf("flushFrame = %v, %v; want a write", wrote, err)
 		}
 	}
@@ -392,7 +391,7 @@ func TestInvalidateDiscardsQuarantinedCopy(t *testing.T) {
 func TestFlushRespectsQuarantineCap(t *testing.T) {
 	mem := storage.NewMemDevice()
 	dev := storage.NewFaultDevice(mem, storage.FaultConfig{})
-	// A full quarantine flips the shard read-only under health admission;
+	// A full quarantine flips the pool read-only under health admission;
 	// switch it off so the misses after the park are served.
 	p := disableShedding(New(Config{
 		Frames:        4,

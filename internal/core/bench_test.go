@@ -10,7 +10,7 @@ import (
 
 // BenchmarkCommitBatch times the path a buffer pool's resident hits take
 // through the wrapper: a slotted 2Q wrapper whose validator checks every
-// entry against a table of frame tags, as a shard's does, committing in
+// entry against a table of frame tags, as a pool's does, committing in
 // batches of 32 — one queue append a hit, and per batch one lock
 // acquisition, one Validate call and one HitSlots call. ns/op is per hit.
 // (BenchmarkWrapperHitObs drives the id-keyed wrapper, unvalidated.)

@@ -159,7 +159,7 @@ func (w *Wrapper) drain(s *Session, slots []*pubSlot) (batches, entries int) {
 				}
 				pubAt := sl.pubTime.Load()
 				w.tracer.Emit(reqtrace.Span{
-					Trace: tid, Phase: reqtrace.PhaseEnqueue, Shard: -1,
+					Trace: tid, Phase: reqtrace.PhaseEnqueue,
 					Flags: reqtrace.FlagCross,
 					Start: pubAt, Dur: w.tracer.Now() - pubAt,
 					Arg1: runID, Arg2: reqtrace.PackHandoff(sl.owner, s.id),

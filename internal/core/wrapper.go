@@ -407,8 +407,8 @@ type Session struct {
 }
 
 // SetTrace attaches a request-trace context to the session. The buffer
-// pool shares one Active between a pool session and its per-shard core
-// sessions, so spans stamped here land in the same trace as the pool's
+// pool shares one Active between a pool session and its core session, so
+// spans stamped here land in the same trace as the pool's
 // probe/pin/device spans. A nil context (the default) disables stamping.
 func (s *Session) SetTrace(a *reqtrace.Active) { s.trace = a }
 
@@ -666,11 +666,11 @@ func (s *Session) stampRound(why reason, t0, t1 int64, own int, id page.PageID) 
 	t2 := s.trace.Now()
 	switch {
 	case why >= cannotWait:
-		s.trace.Slow(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
+		s.trace.Slow(reqtrace.PhaseLockWait, t0, t1-t0, uint64(own), 0)
 	case why == perAccess:
-		s.trace.Span(reqtrace.PhaseLockWait, -1, t0, t1-t0, uint64(own), 0)
+		s.trace.Span(reqtrace.PhaseLockWait, t0, t1-t0, uint64(own), 0)
 	}
-	s.trace.Span(reqtrace.PhasePolicyOp, -1, t1, t2-t1, uint64(own), uint64(id))
+	s.trace.Span(reqtrace.PhasePolicyOp, t1, t2-t1, uint64(own), uint64(id))
 }
 
 // hit, admit and evict are the policy's Hit, Admit and Evict, by slot when

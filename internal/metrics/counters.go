@@ -19,10 +19,3 @@ func (a AccessSnapshot) HitRatio() float64 {
 	}
 	return float64(a.Hits) / float64(a.Hits+a.Misses)
 }
-
-// Plus returns the field-wise sum of two snapshots.
-func (a AccessSnapshot) Plus(o AccessSnapshot) AccessSnapshot {
-	a.Hits += o.Hits
-	a.Misses += o.Misses
-	return a
-}

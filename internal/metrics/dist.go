@@ -78,30 +78,3 @@ func (s CountDistSnapshot) Mean() float64 {
 	}
 	return float64(s.Sum) / float64(s.Count)
 }
-
-// Plus returns the element-wise sum of two snapshots. Both must come from
-// distributions of the same capacity.
-func (s CountDistSnapshot) Plus(o CountDistSnapshot) CountDistSnapshot {
-	if len(o.Buckets) == 0 {
-		return s
-	}
-	if len(s.Buckets) == 0 {
-		return o
-	}
-	if len(s.Buckets) != len(o.Buckets) {
-		panic("metrics: Plus of CountDist snapshots with different capacity")
-	}
-	out := CountDistSnapshot{
-		Buckets: make([]int64, len(s.Buckets)),
-		Count:   s.Count + o.Count,
-		Sum:     s.Sum + o.Sum,
-		Max:     s.Max,
-	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	for i := range s.Buckets {
-		out.Buckets[i] = s.Buckets[i] + o.Buckets[i]
-	}
-	return out
-}

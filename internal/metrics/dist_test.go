@@ -35,41 +35,6 @@ func TestCountDistBasics(t *testing.T) {
 	}
 }
 
-func TestCountDistSnapshotPlus(t *testing.T) {
-	a := NewCountDist(4)
-	b := NewCountDist(4)
-	a.Observe(1)
-	a.Observe(2)
-	b.Observe(2)
-	b.Observe(9)
-	sum := a.Snapshot().Plus(b.Snapshot())
-	if sum.Count != 4 || sum.Max != 9 {
-		t.Fatalf("sum = %+v", sum)
-	}
-	if sum.Buckets[2] != 2 {
-		t.Fatalf("bucket 2 = %d", sum.Buckets[2])
-	}
-	// Plus with an empty (zero-capacity) snapshot is the identity, so
-	// aggregation loops can start from a zero value.
-	if got := (CountDistSnapshot{}).Plus(sum); got.Count != sum.Count {
-		t.Fatalf("identity Plus lost data: %+v", got)
-	}
-	if got := sum.Plus(CountDistSnapshot{}); got.Count != sum.Count {
-		t.Fatalf("identity Plus lost data: %+v", got)
-	}
-}
-
-func TestCountDistPlusCapacityMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("capacity mismatch not detected")
-		}
-	}()
-	a := NewCountDist(4).Snapshot()
-	b := NewCountDist(8).Snapshot()
-	a.Plus(b)
-}
-
 func TestCountDistConcurrent(t *testing.T) {
 	d := NewCountDist(16)
 	var wg sync.WaitGroup

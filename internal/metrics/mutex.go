@@ -203,17 +203,6 @@ type LockStats struct {
 	HoldSamples  int64         // acquisitions whose hold was actually clocked
 }
 
-// Plus returns the field-wise sum of two snapshots.
-func (s LockStats) Plus(o LockStats) LockStats {
-	s.Acquisitions += o.Acquisitions
-	s.Contentions += o.Contentions
-	s.TryFailures += o.TryFailures
-	s.WaitTime += o.WaitTime
-	s.HoldTime += o.HoldTime
-	s.HoldSamples += o.HoldSamples
-	return s
-}
-
 // Stats returns a snapshot of the mutex's counters. It may be called
 // concurrently with lock operations; the fields are individually consistent.
 func (m *ContentionMutex) Stats() LockStats {

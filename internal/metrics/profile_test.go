@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -149,52 +148,6 @@ func TestLockProfileConcurrentSampling(t *testing.T) {
 	}
 	if s.HoldSamples == 0 || s.HoldSamples >= s.Acquisitions {
 		t.Fatalf("HoldSamples = %d of %d — sampling degenerate", s.HoldSamples, s.Acquisitions)
-	}
-}
-
-func TestLockStatsPlusAggregation(t *testing.T) {
-	a := LockStats{Acquisitions: 1, Contentions: 2, TryFailures: 3, WaitTime: 4, HoldTime: 5, HoldSamples: 6}
-	b := LockStats{Acquisitions: 10, Contentions: 20, TryFailures: 30, WaitTime: 40, HoldTime: 50, HoldSamples: 60}
-	got := a.Plus(b)
-	want := LockStats{Acquisitions: 11, Contentions: 22, TryFailures: 33, WaitTime: 44, HoldTime: 55, HoldSamples: 66}
-	if got != want {
-		t.Fatalf("Plus = %+v, want %+v", got, want)
-	}
-	// Plus must not mutate its receiver (value semantics).
-	if a.Acquisitions != 1 {
-		t.Fatalf("Plus mutated receiver: %+v", a)
-	}
-}
-
-func TestLockStatsPlusLargeValues(t *testing.T) {
-	// A sum of counters that can individually approach years of
-	// nanoseconds must survive values far beyond any real run without
-	// wrapping where it shouldn't.
-	big := int64(math.MaxInt64 / 4)
-	a := LockStats{Acquisitions: big, WaitTime: time.Duration(big), HoldTime: time.Duration(big)}
-	got := a.Plus(a).Plus(LockStats{})
-	if got.Acquisitions != 2*big || got.WaitTime != time.Duration(2*big) {
-		t.Fatalf("large-value aggregation wrong: %+v", got)
-	}
-	if got.Acquisitions < 0 || got.WaitTime < 0 {
-		t.Fatalf("aggregation overflowed to negative: %+v", got)
-	}
-}
-
-func TestAccessSnapshotPlusLargeValues(t *testing.T) {
-	big := int64(math.MaxInt64 / 4)
-	a := AccessSnapshot{Hits: big, Misses: big}
-	got := a.Plus(a)
-	if got.Hits != 2*big || got.Misses != 2*big {
-		t.Fatalf("Plus = %+v", got)
-	}
-	if got.Accesses() < 0 {
-		// Accesses sums hits+misses: 4×(MaxInt64/4) stays in range; the
-		// assertion documents the headroom contract for aggregators.
-		t.Fatalf("Accesses overflowed: %d", got.Accesses())
-	}
-	if r := got.HitRatio(); r < 0.49 || r > 0.51 {
-		t.Fatalf("hit ratio of balanced large counts = %v", r)
 	}
 }
 

@@ -29,7 +29,7 @@ const (
 	// EvQuarantineFlush: a quarantined page was written back.
 	// Arg1 = page id.
 	EvQuarantineFlush
-	// EvHealthChange: a shard's health state changed.
+	// EvHealthChange: the pool's health state changed.
 	// Arg1 = new state, Arg2 = previous state (buffer.HealthState values).
 	EvHealthChange
 	// EvPanic: a contained panic in a background-writer round. Arg1 = 1.

@@ -26,7 +26,7 @@ type Metric struct {
 	Name   string
 	Help   string
 	Type   MetricType
-	Labels [][2]string // ordered label pairs, e.g. {{"shard","3"}}
+	Labels [][2]string // ordered label pairs, e.g. {{"policy","lru"}}
 	Value  float64
 	Hist   *metrics.HistogramSnapshot
 	Dist   *metrics.CountDistSnapshot
@@ -38,9 +38,9 @@ type Metric struct {
 type Collector func(emit func(Metric))
 
 // Registry is a set of collectors walked on every scrape. It is the root
-// of the exposition tree: the pool registers one collector per layer
-// (shards, wrappers, bgwriter, storage) and the server renders whatever
-// they emit.
+// of the exposition tree: each layer registers its collector (the pool,
+// its background writer, the tracers, the wire server) and the server
+// renders whatever they emit.
 type Registry struct {
 	mu         sync.Mutex
 	collectors []Collector

@@ -151,7 +151,7 @@ func flagString(f uint8) string {
 }
 
 // WriteTracesText renders the slowest n traces as indented text, one
-// block per trace, spans in start order with phase, shard, offset from
+// block per trace, spans in start order with phase, offset from
 // the trace's first span, duration, and args. n <= 0 means all.
 func (g *Registry) WriteTracesText(w io.Writer, n int) {
 	traces := g.gatherTraces()
@@ -167,8 +167,8 @@ func (g *Registry) WriteTracesText(w io.Writer, n int) {
 			tg.id, durString(tg.dur), len(tg.spans), flagString(tg.flags))
 		base := tg.spans[0].Start
 		for _, sp := range tg.spans {
-			fmt.Fprintf(w, "  +%-12s %-16s shard=%-3d dur=%-12s flags=%s arg1=%d arg2=%d\n",
-				durString(sp.Start-base), sp.PhaseName(), sp.Shard,
+			fmt.Fprintf(w, "  +%-12s %-16s dur=%-12s flags=%s arg1=%d arg2=%d\n",
+				durString(sp.Start-base), sp.PhaseName(),
 				durString(sp.Dur), flagString(sp.Flags), sp.Arg1, sp.Arg2)
 		}
 	}
@@ -216,7 +216,6 @@ func (g *Registry) WriteTracesChrome(w io.Writer) error {
 				Pid: 1, Tid: sp.Trace,
 				Args: map[string]any{
 					"trace": fmt.Sprintf("%016x", sp.Trace),
-					"shard": sp.Shard,
 					"flags": flagString(sp.Flags),
 					"arg1":  sp.Arg1,
 					"arg2":  sp.Arg2,

@@ -17,11 +17,11 @@ import (
 func seedTracer(t *testing.T) *reqtrace.Tracer {
 	t.Helper()
 	tr := reqtrace.New(reqtrace.Config{Enable: true})
-	tr.Emit(reqtrace.Span{Trace: 1, Phase: reqtrace.PhaseRequest, Shard: -1,
+	tr.Emit(reqtrace.Span{Trace: 1, Phase: reqtrace.PhaseRequest,
 		Flags: reqtrace.FlagSampled, Start: 100, Dur: 50_000, Arg1: 7})
-	tr.Emit(reqtrace.Span{Trace: 1, Phase: reqtrace.PhaseDeviceRead, Shard: 0,
+	tr.Emit(reqtrace.Span{Trace: 1, Phase: reqtrace.PhaseDeviceRead,
 		Flags: reqtrace.FlagSampled, Start: 120, Dur: 40_000, Arg2: 7})
-	tr.Emit(reqtrace.Span{Trace: 2, Phase: reqtrace.PhaseRequest, Shard: -1,
+	tr.Emit(reqtrace.Span{Trace: 2, Phase: reqtrace.PhaseRequest,
 		Flags: reqtrace.FlagSampled, Start: 100, Dur: 1_000, Arg1: 9})
 	return tr
 }
@@ -187,7 +187,7 @@ func TestTraceAndEventEndpoints(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rec.Record(EvQuarantinePark, uint64(i), 0)
 	}
-	reg.RegisterRecorder("shard 0", rec)
+	reg.RegisterRecorder("pool", rec)
 	reg.RegisterTracer("pool", seedTracer(t))
 	srv, err := NewServer("127.0.0.1:0", reg)
 	if err != nil {

@@ -137,7 +137,6 @@ const (
 type Span struct {
 	Trace uint64 `json:"trace"`
 	Phase Phase  `json:"phase"`
-	Shard int32  `json:"shard"`
 	Flags uint8  `json:"flags"`
 	Start int64  `json:"start"`
 	Dur   int64  `json:"dur"`
@@ -175,7 +174,7 @@ type Config struct {
 	SLO time.Duration
 	// RingSize is the slot count of each of the two rings — head samples
 	// and tail keeps — rounded up to a power of two (default 4096). One
-	// tracer serves the whole pool, whatever its shard count.
+	// tracer serves the whole pool.
 	RingSize int
 	// Clock returns nanoseconds. Default time.Now().UnixNano(); the
 	// deterministic E20 bench and tests install a virtual tick clock.
@@ -332,7 +331,7 @@ func (t *Tracer) Snapshot() Stats {
 const maxScratch = 12
 
 // Active is one session's request-trace state, embedded by value in the
-// pool session (and shared by pointer with its per-shard core sessions).
+// pool session (and shared by pointer with its core session).
 // It is single-goroutine, like the session that owns it: Begin and End
 // bracket each request, stamps go to a fixed scratch array, and the keep
 // decision at End flushes or discards without touching shared state for
@@ -430,18 +429,18 @@ func (a *Active) Now() int64 {
 
 // Span stamps one phase interval into the scratch buffer. Callers guard
 // with Sampled() on hot paths; Span itself tolerates untraced calls.
-func (a *Active) Span(ph Phase, shard int, start, dur int64, arg1, arg2 uint64) {
+func (a *Active) Span(ph Phase, start, dur int64, arg1, arg2 uint64) {
 	if a == nil || a.id == 0 {
 		return
 	}
-	a.push(ph, shard, start, dur, arg1, arg2)
+	a.push(ph, start, dur, arg1, arg2)
 }
 
 // Slow stamps a slow-phase interval, lazily arming the trace: an untraced
 // request gets its ID here, so SLO-crossing and failing requests are
 // traceable even when head sampling skipped them. Safe (and free) when
 // the tracer is disabled.
-func (a *Active) Slow(ph Phase, shard int, start, dur int64, arg1, arg2 uint64) {
+func (a *Active) Slow(ph Phase, start, dur int64, arg1, arg2 uint64) {
 	if a == nil || a.tr == nil {
 		return
 	}
@@ -451,17 +450,17 @@ func (a *Active) Slow(ph Phase, shard int, start, dur int64, arg1, arg2 uint64) 
 		a.flags |= FlagPartial
 	}
 	a.armed = true
-	a.push(ph, shard, start, dur, arg1, arg2)
+	a.push(ph, start, dur, arg1, arg2)
 }
 
-func (a *Active) push(ph Phase, shard int, start, dur int64, arg1, arg2 uint64) {
+func (a *Active) push(ph Phase, start, dur int64, arg1, arg2 uint64) {
 	if a.nbuf >= maxScratch {
 		a.cut = true
 		a.tr.spanDrops.Add(1)
 		return
 	}
 	a.buf[a.nbuf] = Span{
-		Trace: a.id, Phase: ph, Shard: int32(shard),
+		Trace: a.id, Phase: ph,
 		Start: start, Dur: dur, Arg1: arg1, Arg2: arg2,
 	}
 	a.nbuf++
@@ -501,7 +500,7 @@ func (a *Active) End(pageArg uint64, err error) {
 			a.tr.spanDrops.Add(1)
 		}
 		a.buf[a.nbuf] = Span{
-			Trace: a.id, Phase: PhaseRequest, Shard: -1,
+			Trace: a.id, Phase: PhaseRequest,
 			Start: a.start, Dur: dur, Arg1: pageArg, Arg2: errMark,
 		}
 		a.nbuf++

@@ -28,8 +28,8 @@ func TestNilTracerInert(t *testing.T) {
 	var a Active
 	a.Init(nil)
 	a.Begin()
-	a.Span(PhasePin, 0, 1, 2, 0, 0)
-	a.Slow(PhaseDeviceRead, 0, 1, 2, 0, 0)
+	a.Span(PhasePin, 1, 2, 0, 0)
+	a.Slow(PhaseDeviceRead, 1, 2, 0, 0)
 	a.End(0, nil)
 	if a.Sampled() || a.ID() != 0 {
 		t.Fatal("disabled Active not inert")
@@ -45,7 +45,7 @@ func TestHeadSampling(t *testing.T) {
 		a.Begin()
 		if a.Sampled() {
 			sampled++
-			a.Span(PhaseBucketProbe, 0, a.Now(), 100, 0, 0)
+			a.Span(PhaseBucketProbe, a.Now(), 100, 0, 0)
 		}
 		a.End(uint64(i), nil)
 	}
@@ -92,13 +92,13 @@ func TestTailKeepArmsOnSlowPhase(t *testing.T) {
 	}
 	t0 := tr.Now()
 	c += 5000 // the device read burns 5µs
-	a.Slow(PhaseDeviceRead, 2, t0, tr.Now()-t0, 77, 0)
+	a.Slow(PhaseDeviceRead, t0, tr.Now()-t0, 77, 0)
 	a.End(77, nil)
 
 	// Fast armed request: 100ns device read, under the SLO → discarded.
 	a.Begin()
 	t1 := tr.Now()
-	a.Slow(PhaseDeviceRead, 2, t1, 10, 78, 0)
+	a.Slow(PhaseDeviceRead, t1, 10, 78, 0)
 	a.End(78, nil)
 
 	spans := tr.Spans()
@@ -120,7 +120,7 @@ func TestTailKeepArmsOnSlowPhase(t *testing.T) {
 	if root.Flags&FlagTail == 0 || root.Flags&FlagPartial == 0 {
 		t.Fatalf("root flags %b missing tail/partial", root.Flags)
 	}
-	if dev.Shard != 2 || dev.Arg1 != 77 {
+	if dev.Arg1 != 77 {
 		t.Fatalf("device span %+v", dev)
 	}
 	st := tr.Snapshot()
@@ -134,7 +134,7 @@ func TestErrorAlwaysKept(t *testing.T) {
 	var a Active
 	a.Init(tr)
 	a.Begin()
-	a.Slow(PhaseDeviceRead, 0, tr.Now(), 100, 5, 0)
+	a.Slow(PhaseDeviceRead, tr.Now(), 100, 5, 0)
 	a.End(5, errors.New("boom"))
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -156,7 +156,7 @@ func TestAdoptedIDSpansRemote(t *testing.T) {
 	if !a.Sampled() || a.ID() != 0xdeadbeef {
 		t.Fatalf("adoption failed: sampled=%v id=%x", a.Sampled(), a.ID())
 	}
-	a.Span(PhasePin, 1, a.Now(), 50, 0, 0)
+	a.Span(PhasePin, a.Now(), 50, 0, 0)
 	a.End(9, nil)
 	// Next request reverts to head sampling.
 	a.Begin()
@@ -190,7 +190,7 @@ func TestScratchOverflowKeepsRoot(t *testing.T) {
 	a.Init(tr)
 	a.Begin()
 	for i := 0; i < maxScratch+4; i++ {
-		a.Span(PhasePin, 0, a.Now(), 10, uint64(i), 0)
+		a.Span(PhasePin, a.Now(), 10, uint64(i), 0)
 	}
 	a.End(1, nil)
 	spans := tr.Spans()
@@ -212,11 +212,11 @@ func TestScratchOverflowKeepsRoot(t *testing.T) {
 }
 
 func TestRingWrapAndConcurrency(t *testing.T) {
-	// Every field of a span, the three packed into meta included, derives
+	// Every field of a span, the two packed into meta included, derives
 	// from one value, so the survivors of a wrap prove the encoding too.
 	span := func(v uint64) Span {
 		return Span{
-			Trace: v, Phase: Phase(v%uint64(phaseMax-1) + 1), Shard: int32(v), Flags: uint8(v >> 3),
+			Trace: v, Phase: Phase(v%uint64(phaseMax-1) + 1), Flags: uint8(v >> 3),
 			Start: int64(v + 1), Dur: int64(v + 2), Arg1: v + 3, Arg2: ^v,
 		}
 	}

@@ -13,19 +13,18 @@ type ring struct{ *metrics.Ring }
 
 func newRing(size int) ring { return ring{metrics.NewRing(size, spanWords)} }
 
-// packMeta folds the three small fields into one word:
-// phase | shard<<8 | flags<<40.
-func packMeta(ph Phase, shard int32, flags uint8) uint64 {
-	return uint64(ph) | uint64(uint32(shard))<<8 | uint64(flags)<<40
+// packMeta folds the two small fields into one word: phase | flags<<8.
+func packMeta(ph Phase, flags uint8) uint64 {
+	return uint64(ph) | uint64(flags)<<8
 }
 
-func unpackMeta(m uint64) (Phase, int32, uint8) {
-	return Phase(m & 0xff), int32(uint32(m >> 8)), uint8(m >> 40)
+func unpackMeta(m uint64) (Phase, uint8) {
+	return Phase(m & 0xff), uint8(m >> 8)
 }
 
 func (r ring) put(sp Span) {
 	w := [spanWords]uint64{
-		sp.Trace, packMeta(sp.Phase, sp.Shard, sp.Flags),
+		sp.Trace, packMeta(sp.Phase, sp.Flags),
 		uint64(sp.Start), uint64(sp.Dur), sp.Arg1, sp.Arg2,
 	}
 	r.Put(w[:])
@@ -35,7 +34,7 @@ func (r ring) put(sp Span) {
 func (r ring) snapshot(out []Span) []Span {
 	r.Snapshot(func(_ uint64, w []uint64) {
 		sp := Span{Trace: w[0], Start: int64(w[2]), Dur: int64(w[3]), Arg1: w[4], Arg2: w[5]}
-		sp.Phase, sp.Shard, sp.Flags = unpackMeta(w[1])
+		sp.Phase, sp.Flags = unpackMeta(w[1])
 		out = append(out, sp)
 	})
 	return out

@@ -216,7 +216,7 @@ func (c *conn) serve() {
 			// The server-op span covers decode-to-response for the whole
 			// request, bracketing the pool spans the adopted trace emitted.
 			c.tracer.Emit(reqtrace.Span{
-				Trace: tid, Phase: reqtrace.PhaseServer, Shard: -1,
+				Trace: tid, Phase: reqtrace.PhaseServer,
 				Flags: reqtrace.FlagRemote,
 				Start: t0, Dur: c.tracer.Now() - t0,
 				Arg1: uint64(op), Arg2: reqID,

@@ -75,7 +75,7 @@ const TraceFlag byte = 0x80
 // remote callers branch with errors.Is exactly like in-process callers.
 const (
 	StatusOK          byte = 0
-	StatusOverloaded  byte = 1 // miss shed by a degraded/read-only pool
+	StatusOverloaded  byte = 1 // miss shed by a read-only pool
 	StatusInvalidPage byte = 2
 	StatusNoBuffers   byte = 3 // every victim pinned, or quarantine full
 	StatusDraining    byte = 4 // server past its drain grace; reconnect elsewhere

@@ -84,7 +84,7 @@ func checkStatsConsistency(pool *buffer.Pool) error {
 // statsGauges are the integer fields of buffer.Stats that describe the
 // moment; every other integer field is a cumulative total.
 var statsGauges = map[string]bool{"Frames": true, "Free": true, "Dirty": true, "Resident": true, "Quarantined": true,
-	"MissInflight": true, "Health": true, "QuarantineCap": true}
+	"Health": true, "QuarantineCap": true}
 
 // decreasedTotal names the first cumulative total of cur below prev's, or
 // returns "" when none is.
@@ -232,7 +232,7 @@ func RunPool(cfg PoolRunConfig) (*PoolRunReport, error) {
 				ref, err := pool.Get(s, poolPage(b))
 				if err != nil {
 					if cfg.Faults && errors.Is(err, buffer.ErrOverloaded) {
-						// A degraded pool shed the miss: the load-shedding
+						// A read-only pool shed the miss: the load-shedding
 						// contract working as designed under fault pressure.
 						atomic.AddInt64(&rep.Shed, 1)
 						continue

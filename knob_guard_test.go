@@ -354,7 +354,7 @@ func TestEveryKnobHasACaller(t *testing.T) {
 // reason it stays exported.
 var facadeWithoutCaller = map[string]string{
 	"ErrNoUnpinnedBuffers": "Pool.Get returns it when every candidate victim is pinned",
-	"ErrOverloaded":        "Pool.Get returns it when a degraded or read-only pool sheds a miss",
+	"ErrOverloaded":        "Pool.Get returns it when a read-only pool sheds a miss",
 	"ErrQuarantineFull":    "Pool.Get returns it when the dirty quarantine is at capacity",
 	"ErrTransient":         "NewFaultDevice's injected errors wrap it, and README classifies them with it",
 	"ErrPermanent":         "NewFaultDevice's injected dead-sector errors wrap it",

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerates results/BENCH_chaos.json, the committed baseline for the
-# chaos experiment (E16): the event ledger of the graceful-degradation
-# machinery (quarantine-pressure health and miss admission control)
+# chaos experiment (E16): the event ledger of the two-rung health ladder
+# (a full quarantine turns the pool read-only and sheds its misses)
 # under two scripted fault campaigns on one Fault→Checksum→Retry stack
 # under the whole pool — harddown and quarantine pressure.
 #

@@ -52,7 +52,7 @@
 # 10. Every word of a back-quoted span of those three docs that contains a
 #     "/" and names a file (ends in .go, .sh, .json, .md or .yml) or starts
 #     with a top-level directory (internal/buffer, ./cmd/bpstat) must
-#     resolve from the repo root or from internal/ (buffer/shard.go); a
+#     resolve from the repo root or from internal/ (buffer/manager.go); a
 #     word with a * is a glob and must match at least one path. A word
 #     starting with "/" is a URL path (/debug/events) and is not read. An
 #     allow-list entry is "DOC path".
