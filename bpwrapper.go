@@ -214,8 +214,7 @@ type (
 )
 
 // NewFaultDevice wraps a device with deterministic, seedable fault
-// injection (transient or permanent errors, latency spikes, page
-// corruption) for testing and the bpbench chaos experiment (E16). Compose
+// injection (transient or permanent errors, page corruption) for testing and the bpbench chaos experiment (E16). Compose
 // the production stack as NewRetryDevice(NewChecksumDevice(device), cfg).
 func NewFaultDevice(backing Device, cfg FaultConfig) *storage.FaultDevice {
 	return storage.NewFaultDevice(backing, cfg)

@@ -93,17 +93,12 @@ func main() {
 			},
 		})
 		cfg.Pool = pool
-		var bw *bpwrapper.BackgroundWriter
 		if *bgwriter {
-			bw = pool.StartBackgroundWriter(bpwrapper.BackgroundWriterConfig{})
-			defer bw.Stop()
+			defer pool.StartBackgroundWriter(bpwrapper.BackgroundWriterConfig{}).Stop()
 		}
 		if *obsAddr != "" {
 			reg := bpwrapper.NewObsRegistry()
 			pool.RegisterObs(reg)
-			if bw != nil {
-				bw.RegisterObs(reg)
-			}
 			srv, err := bpwrapper.NewObsServer(*obsAddr, reg)
 			if err != nil {
 				fatal(err)

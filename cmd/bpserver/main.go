@@ -93,9 +93,6 @@ func main() {
 	if *obsAddr != "" {
 		reg := bpwrapper.NewObsRegistry()
 		pool.RegisterObs(reg)
-		if bw != nil {
-			bw.RegisterObs(reg)
-		}
 		srv.RegisterObs(reg)
 		osrv, err := bpwrapper.NewObsServer(*obsAddr, reg)
 		if err != nil {

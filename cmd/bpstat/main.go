@@ -213,10 +213,10 @@ func renderTrace(t tree) {
 		return
 	}
 	fmt.Printf("trace  seen %.0f  sampled %.0f  kept %.0f  tail %.0f  discarded %.0f  xthread %.0f  spandrops %.0f  ringdrops %.0f\n",
-		t.sum("bpw_trace_started_total"), t.sum("bpw_trace_sampled_total"),
-		t.sum("bpw_trace_kept_total"), t.sum("bpw_trace_kept_tail_total"),
-		t.sum("bpw_trace_discarded_total"), t.sum("bpw_trace_emitted_total"),
-		t.sum("bpw_trace_span_drops_total"), t.sum("bpw_trace_ring_drops_total"))
+		t.val("bpw_trace_started_total"), t.val("bpw_trace_sampled_total"),
+		t.val("bpw_trace_kept_total"), t.val("bpw_trace_kept_tail_total"),
+		t.val("bpw_trace_discarded_total"), t.val("bpw_trace_emitted_total"),
+		t.val("bpw_trace_span_drops_total"), t.val("bpw_trace_ring_drops_total"))
 }
 
 // renderServer prints a one-line network section when the endpoint

@@ -49,7 +49,6 @@ func TestEverySeriesBpstatReadsIsEmitted(t *testing.T) {
 
 	reg := bpwrapper.NewObsRegistry()
 	pool.RegisterObs(reg)
-	bw.RegisterObs(reg)
 	srv.RegisterObs(reg)
 	osrv, err := bpwrapper.NewObsServer("127.0.0.1:0", reg)
 	if err != nil {

@@ -224,10 +224,8 @@ func TestRegisterObsExposition(t *testing.T) {
 		"\nbpw_combine_run_length_count ",
 		"\nbpw_hits_total ",
 		"\nbpw_quarantined_pages 0",
-		"\nbpw_flight_events_total ",
 		"\nbpw_flight_dropped_total ",
 		"\nbpw_policy_in_use{policy=\"lru\"} 1",
-		"\nbpw_device_reads_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
@@ -242,21 +240,6 @@ func TestRegisterObsExposition(t *testing.T) {
 	acq, ok := tree["bpw_lock_acquisitions_total"].([]any)
 	if !ok || len(acq) != 1 {
 		t.Fatalf("acquisitions series: %#v", tree["bpw_lock_acquisitions_total"])
-	}
-}
-
-func TestRegisterObsBackgroundWriter(t *testing.T) {
-	p := newTestPool(4, core.Config{})
-	w := p.StartBackgroundWriter(BackgroundWriterConfig{})
-	defer w.Stop()
-	reg := obs.NewRegistry()
-	w.RegisterObs(reg)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "bpw_bgwriter_rounds_total") {
-		t.Fatalf("bgwriter counters missing:\n%s", sb.String())
 	}
 }
 

@@ -688,8 +688,7 @@ func TestShardsAboveOneRefused(t *testing.T) {
 		st := p.Stats()
 		// Clocked durations are the one part of a snapshot a seed does
 		// not fix.
-		st.Wrapper.Lock.WaitTime, st.Wrapper.Lock.HoldTime = 0, 0
-		st.Device.ReadTime, st.Device.WriteTime = 0, 0
+		st.Wrapper.Lock.WaitTime = 0
 		return st
 	}
 	zero, one := run(0), run(1)

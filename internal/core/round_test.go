@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"bpwrapper/internal/metrics"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/reqtrace"
 )
@@ -207,7 +206,6 @@ func TestRoundAccounting(t *testing.T) {
 				cfg.QueueSize, cfg.BatchThreshold, cfg.Prefetching = 4, 2, true
 				cfg.Tracer = tr
 				w := New(pol, cfg)
-				w.lock.SetProfile(&metrics.LockProfile{SampleEvery: 1}) // time every hold
 				for n := uint64(1); n <= 6; n++ {
 					pol.inner.Admit(pid(n))
 				}
@@ -265,7 +263,6 @@ func TestRoundAccounting(t *testing.T) {
 					mine = 1
 				}
 				check("Lock.Acquisitions", st.Lock.Acquisitions-before.Lock.Acquisitions-mine, want.acquisitions)
-				check("Lock.HoldSamples", st.Lock.HoldSamples-before.Lock.HoldSamples-mine, want.acquisitions)
 				check("Commits", st.Commits-before.Commits, want.commits)
 				check("TryCommits", st.TryCommits-before.TryCommits, want.try)
 				check("ForcedLocks", st.ForcedLocks-before.ForcedLocks, want.forced)

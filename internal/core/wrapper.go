@@ -38,7 +38,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"bpwrapper/internal/metrics"
 	"bpwrapper/internal/page"
@@ -278,13 +277,6 @@ func newWrapper(policy replacer.Policy, cfg Config, slotted bool) *Wrapper {
 			w.box.slotWalk, _ = policy.(replacer.SlotPrefetcher)
 		}
 	}
-	// The one profile: hold times sampled every metrics.DefaultSampleEvery
-	// acquisitions plus wait/hold histograms, so every wrapper's lock
-	// behaviour is exposable without setup.
-	w.lock.SetProfile(&metrics.LockProfile{
-		Wait: metrics.NewHistogram(100*time.Nanosecond, 10*time.Second, 60),
-		Hold: metrics.NewHistogram(100*time.Nanosecond, 10*time.Second, 60),
-	})
 	if cfg.FlatCombining {
 		w.fc = &combiner{}
 	}
@@ -299,9 +291,11 @@ func (w *Wrapper) Policy() replacer.Policy { return w.box.policy }
 // Config returns the resolved configuration.
 func (w *Wrapper) Config() Config { return w.cfg }
 
-// LockProfile returns the profile installed on the policy lock. The
-// attached histograms are live: snapshot them for exposition.
-func (w *Wrapper) LockProfile() *metrics.LockProfile { return w.lock.Profile() }
+// LockHistograms snapshots the policy lock's contended-wait and
+// sampled-hold distributions for exposition.
+func (w *Wrapper) LockHistograms() (wait, hold metrics.HistogramSnapshot) {
+	return w.lock.Histograms()
+}
 
 // BatchSizes returns the distribution of committed/published batch
 // lengths.

@@ -43,10 +43,9 @@ func TestContentionMutexTryLock(t *testing.T) {
 }
 
 func TestContentionMutexBlockingCounts(t *testing.T) {
-	var m ContentionMutex
 	// Hold times are sampled by default; clock every acquisition so the
 	// 20ms hold below is measured rather than (maybe) skipped.
-	m.SetProfile(&LockProfile{SampleEvery: 1})
+	m := ContentionMutex{clockEveryHold: true}
 	m.Lock()
 	done := make(chan struct{})
 	go func() {
@@ -64,8 +63,8 @@ func TestContentionMutexBlockingCounts(t *testing.T) {
 	if s.WaitTime < 10*time.Millisecond {
 		t.Errorf("wait time %v implausibly small", s.WaitTime)
 	}
-	if s.HoldTime < 10*time.Millisecond {
-		t.Errorf("hold time %v implausibly small", s.HoldTime)
+	if _, hold := m.Histograms(); hold.Sum < 10*time.Millisecond {
+		t.Errorf("hold time %v implausibly small", hold.Sum)
 	}
 }
 

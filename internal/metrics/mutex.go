@@ -10,52 +10,15 @@ import (
 	"time"
 )
 
-// DefaultSampleEvery is the hold-time sampling period used when no
-// LockProfile is installed (or the profile leaves SampleEvery at 0): the
-// nanosecond clock is read on roughly 1 in 64 acquisitions and the result
-// extrapolated, so the uncontended fast path stays two atomic operations.
-const DefaultSampleEvery = 64
+// holdSampleEvery is the hold-time sampling period: the nanosecond clock
+// is read on roughly 1 in 64 acquisitions, so the uncontended fast path
+// stays two atomic operations.
+const holdSampleEvery = 64
 
-// defaultSamplerSeed seeds the xorshift sampler when no profile supplies
-// one. Any non-zero constant works; xorshift64 has a single absorbing
-// state at zero.
-const defaultSamplerSeed = 0x9e3779b97f4a7c15
-
-// LockProfile configures sampled lock profiling on a ContentionMutex.
-// Install one with SetProfile to collect wait-time and hold-time
-// distributions in addition to the always-on counters.
-//
-// Hold times are clocked only on a 1-in-SampleEvery pseudo-random sample
-// of acquisitions (seeded, so runs are reproducible); wait times are
-// recorded on every contention, where the clock has already been read to
-// maintain the exact WaitTime counter.
-type LockProfile struct {
-	// SampleEvery is the hold-time sampling period: the clock is read on
-	// roughly 1 in SampleEvery acquisitions. Values ≤ 1 clock every
-	// acquisition (exact hold times, at fast-path cost); 0 means
-	// DefaultSampleEvery.
-	SampleEvery int64
-
-	// Seed seeds the sampling PRNG so torture and benchmark runs are
-	// reproducible. Zero selects a fixed default seed.
-	Seed uint64
-
-	// Wait, if non-nil, receives every contended wait duration.
-	Wait *Histogram
-
-	// Hold, if non-nil, receives every sampled hold duration.
-	Hold *Histogram
-}
-
-func (p *LockProfile) every() int64 {
-	if p == nil || p.SampleEvery == 0 {
-		return DefaultSampleEvery
-	}
-	if p.SampleEvery < 1 {
-		return 1
-	}
-	return p.SampleEvery
-}
+// samplerSeed seeds the xorshift sampler, so which holds are clocked is
+// the same on every run. Any non-zero constant works; xorshift64 has a
+// single absorbing state at zero.
+const samplerSeed = 0x9e3779b97f4a7c15
 
 // ContentionMutex is a mutual-exclusion lock that counts how often a lock
 // request could not be satisfied immediately, which is exactly the paper's
@@ -63,15 +26,16 @@ func (p *LockProfile) every() int64 {
 // satisfied and a process context switch occurs", Section IV-D).
 //
 // Lock first attempts a non-blocking acquisition; if that fails it records
-// one contention event, blocks, and accumulates the time spent waiting.
-// Hold time is sampled: the nanosecond clock is read on a seeded
-// 1-in-SampleEvery subset of acquisitions and the measured holds are
-// extrapolated into HoldTime, so the uncontended fast path performs no
-// clock reads — just the acquisition counter and two plain stores (the
-// sampler and the hold's start) under the lock.
+// one contention event, blocks, and accumulates the time spent waiting,
+// which it also records into its wait histogram. Hold time is sampled: the
+// nanosecond clock is read on a seeded 1-in-holdSampleEvery subset of
+// acquisitions and each measured hold goes to the hold histogram, so the
+// uncontended fast path performs no clock reads — just the acquisition
+// counter and two plain stores (the sampler and the hold's start) under
+// the lock.
 //
-// The zero value is an unlocked mutex ready for use, profiling at
-// DefaultSampleEvery with no histograms attached.
+// The zero value is an unlocked mutex ready for use; its histograms are
+// allocated by their first record or read.
 type ContentionMutex struct {
 	mu sync.Mutex
 
@@ -79,57 +43,61 @@ type ContentionMutex struct {
 	contentions  atomic.Int64 // Lock calls that had to block
 	tryFailures  atomic.Int64 // TryLock calls that returned false
 	waitNanos    atomic.Int64 // total time blocked in Lock (exact)
-	holdNanos    atomic.Int64 // extrapolated total hold time (sampled)
-	holdSamples  atomic.Int64 // acquisitions whose hold was clocked
 
 	// lockedAt and sampler are read and written only while the mutex is
 	// held, so the lock's own happens-before edge orders successive holders
 	// and plain fields are race-free. lockedAt is when the current hold
 	// began, or zero if it is not being clocked; sampler is the xorshift64
-	// state deciding which acquisitions get a hold-time clock read.
-	// SetProfile reseeds the sampler and must only be called at quiescence.
+	// state deciding which acquisitions get a hold-time clock read (zero
+	// means samplerSeed).
 	lockedAt int64
 	sampler  uint64
 
-	profile atomic.Pointer[LockProfile]
+	// clockEveryHold makes every acquisition a sample. Tests that need an
+	// exact hold set it before the mutex is shared.
+	clockEveryHold bool
+
+	histOnce   sync.Once
+	wait, hold *Histogram
 }
 
-// SetProfile installs (or, with nil, removes) a sampling profile and
-// reseeds the sampler from it. It must be called at quiescence — before
-// the mutex is shared or while no goroutine is locking it — because the
-// sampler state is owned by lock holders.
-func (m *ContentionMutex) SetProfile(p *LockProfile) {
-	if p != nil && p.Seed != 0 {
-		m.sampler = p.Seed
-	} else {
-		m.sampler = defaultSamplerSeed
-	}
-	m.profile.Store(p)
+// histograms returns the wait and hold histograms, allocating them on
+// first use. Only contended waits, sampled holds and scrapes call it.
+func (m *ContentionMutex) histograms() (wait, hold *Histogram) {
+	m.histOnce.Do(func() {
+		m.wait = NewHistogram(100*time.Nanosecond, 10*time.Second, 60)
+		m.hold = NewHistogram(100*time.Nanosecond, 10*time.Second, 60)
+	})
+	return m.wait, m.hold
 }
 
-// Profile returns the currently installed profile, or nil.
-func (m *ContentionMutex) Profile() *LockProfile { return m.profile.Load() }
+// Histograms snapshots the contended-wait and sampled-hold distributions
+// for exposition.
+func (m *ContentionMutex) Histograms() (wait, hold HistogramSnapshot) {
+	w, h := m.histograms()
+	return w.Snapshot(), h.Snapshot()
+}
 
 // sampleNext advances the sampler and reports whether this acquisition's
 // hold should be clocked. Called with the mutex held.
-func (m *ContentionMutex) sampleNext(every int64) bool {
+func (m *ContentionMutex) sampleNext() bool {
 	x := m.sampler
 	if x == 0 {
-		x = defaultSamplerSeed
+		x = samplerSeed
 	}
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
 	m.sampler = x
-	return x%uint64(every) == 0
+	return x%holdSampleEvery == 0 || m.clockEveryHold
 }
 
 // beginHold starts hold-time tracking for an acquisition. now is a clock
 // reading already in hand (the contended path has one from measuring the
 // wait) or zero; the clock is read only if this acquisition is sampled.
 // Called with the mutex held.
-func (m *ContentionMutex) beginHold(p *LockProfile, now int64) {
-	if every := p.every(); every > 1 && !m.sampleNext(every) {
+func (m *ContentionMutex) beginHold(now int64) {
+	if !m.sampleNext() {
 		m.lockedAt = 0
 		return
 	}
@@ -144,7 +112,7 @@ func (m *ContentionMutex) beginHold(p *LockProfile, now int64) {
 func (m *ContentionMutex) Lock() {
 	if m.mu.TryLock() {
 		m.acquisitions.Add(1)
-		m.beginHold(m.profile.Load(), 0)
+		m.beginHold(0)
 		return
 	}
 	m.contentions.Add(1)
@@ -153,12 +121,10 @@ func (m *ContentionMutex) Lock() {
 	now := time.Now()
 	wait := now.Sub(start)
 	m.waitNanos.Add(wait.Nanoseconds())
-	p := m.profile.Load()
-	if p != nil && p.Wait != nil {
-		p.Wait.Record(wait)
-	}
+	w, _ := m.histograms()
+	w.Record(wait)
 	m.acquisitions.Add(1)
-	m.beginHold(p, now.UnixNano())
+	m.beginHold(now.UnixNano())
 }
 
 // TryLock attempts to acquire the mutex without blocking and reports whether
@@ -168,7 +134,7 @@ func (m *ContentionMutex) Lock() {
 func (m *ContentionMutex) TryLock() bool {
 	if m.mu.TryLock() {
 		m.acquisitions.Add(1)
-		m.beginHold(m.profile.Load(), 0)
+		m.beginHold(0)
 		return true
 	}
 	m.tryFailures.Add(1)
@@ -176,19 +142,11 @@ func (m *ContentionMutex) TryLock() bool {
 }
 
 // Unlock releases the mutex. If this hold was sampled, the measured hold
-// time is recorded and extrapolated into the HoldTime estimate.
+// time is recorded into the hold histogram.
 func (m *ContentionMutex) Unlock() {
 	if at := m.lockedAt; at != 0 {
-		hold := time.Now().UnixNano() - at
-		if hold < 0 {
-			hold = 0
-		}
-		p := m.profile.Load()
-		m.holdNanos.Add(hold * p.every())
-		m.holdSamples.Add(1)
-		if p != nil && p.Hold != nil {
-			p.Hold.Record(time.Duration(hold))
-		}
+		_, h := m.histograms()
+		h.Record(time.Duration(max(time.Now().UnixNano()-at, 0)))
 	}
 	m.mu.Unlock()
 }
@@ -199,8 +157,6 @@ type LockStats struct {
 	Contentions  int64         // Lock calls that blocked
 	TryFailures  int64         // TryLock calls that failed
 	WaitTime     time.Duration // total time blocked in Lock (exact)
-	HoldTime     time.Duration // estimated total hold time, extrapolated from sampled holds
-	HoldSamples  int64         // acquisitions whose hold was actually clocked
 }
 
 // Stats returns a snapshot of the mutex's counters. It may be called
@@ -211,8 +167,6 @@ func (m *ContentionMutex) Stats() LockStats {
 		Contentions:  m.contentions.Load(),
 		TryFailures:  m.tryFailures.Load(),
 		WaitTime:     time.Duration(m.waitNanos.Load()),
-		HoldTime:     time.Duration(m.holdNanos.Load()),
-		HoldSamples:  m.holdSamples.Load(),
 	}
 }
 

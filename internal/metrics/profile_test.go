@@ -6,42 +6,43 @@ import (
 	"time"
 )
 
-// drive advances a fresh sampler identical to the mutex's and returns how
-// many of n acquisitions it samples at the given period.
-func expectedSamples(seed uint64, every int64, n int) int {
-	if seed == 0 {
-		seed = defaultSamplerSeed
-	}
+// expectedSamples advances a fresh sampler identical to the mutex's and
+// returns how many of n acquisitions it samples.
+func expectedSamples(seed uint64, n int) int {
 	x := seed
 	hits := 0
 	for i := 0; i < n; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		if x%uint64(every) == 0 {
+		if x%holdSampleEvery == 0 {
 			hits++
 		}
 	}
 	return hits
 }
 
+// holdSamples is how many holds m has clocked.
+func holdSamples(m *ContentionMutex) int64 {
+	_, hold := m.Histograms()
+	return hold.Count
+}
+
 func TestLockProfileSamplerDeterminism(t *testing.T) {
 	const n = 10000
-	const every = 16
 	run := func(seed uint64) int64 {
-		var m ContentionMutex
-		m.SetProfile(&LockProfile{SampleEvery: every, Seed: seed})
+		m := &ContentionMutex{sampler: seed}
 		for i := 0; i < n; i++ {
 			m.Lock()
 			m.Unlock()
 		}
-		return m.Stats().HoldSamples
+		return holdSamples(m)
 	}
-	a, b := run(7), run(7)
+	a, b := run(0), run(0)
 	if a != b {
 		t.Fatalf("same seed sampled %d then %d holds — sampler not deterministic", a, b)
 	}
-	if want := int64(expectedSamples(7, every, n)); a != want {
+	if want := int64(expectedSamples(samplerSeed, n)); a != want {
 		t.Fatalf("sampled %d holds, reference sampler says %d", a, want)
 	}
 	// A different seed should pick a different subset (same expected rate).
@@ -52,8 +53,6 @@ func TestLockProfileSamplerDeterminism(t *testing.T) {
 
 func TestLockProfileSampledHoldEstimate(t *testing.T) {
 	var m ContentionMutex
-	hold := NewHistogram(time.Nanosecond, time.Second, 40)
-	m.SetProfile(&LockProfile{SampleEvery: 4, Seed: 3, Hold: hold})
 	const n = 4000
 	for i := 0; i < n; i++ {
 		m.Lock()
@@ -63,40 +62,17 @@ func TestLockProfileSampledHoldEstimate(t *testing.T) {
 	if s.Acquisitions != n {
 		t.Fatalf("acquisitions = %d", s.Acquisitions)
 	}
-	want := int64(expectedSamples(3, 4, n))
-	if s.HoldSamples != want {
-		t.Fatalf("HoldSamples = %d, want %d", s.HoldSamples, want)
+	_, hold := m.Histograms()
+	if want := int64(expectedSamples(samplerSeed, n)); hold.Count != want {
+		t.Fatalf("hold histogram count = %d, want %d", hold.Count, want)
 	}
-	if hold.Count() != want {
-		t.Fatalf("hold histogram count = %d, want %d", hold.Count(), want)
-	}
-	// The estimate is extrapolated: total ≈ measured × every. With real
-	// clocks we can only check structural consistency, not the value.
-	if s.HoldTime < 0 {
-		t.Fatalf("negative HoldTime estimate %v", s.HoldTime)
-	}
-	if want > 0 && hold.Count() > 0 && s.HoldTime == 0 && hold.Mean() > 0 {
-		t.Fatalf("sampled holds recorded but HoldTime estimate is zero")
-	}
-}
-
-func TestLockProfileAlwaysSampleIsExact(t *testing.T) {
-	var m ContentionMutex
-	m.SetProfile(&LockProfile{SampleEvery: 1})
-	const n = 100
-	for i := 0; i < n; i++ {
-		m.Lock()
-		m.Unlock()
-	}
-	if s := m.Stats(); s.HoldSamples != n {
-		t.Fatalf("SampleEvery=1 sampled %d of %d", s.HoldSamples, n)
+	if hold.Sum < 0 {
+		t.Fatalf("negative hold sum %v", hold.Sum)
 	}
 }
 
 func TestLockProfileWaitHistogramRecordsContentions(t *testing.T) {
 	var m ContentionMutex
-	wait := NewHistogram(time.Nanosecond, time.Second, 40)
-	m.SetProfile(&LockProfile{SampleEvery: 1, Wait: wait})
 	m.Lock()
 	done := make(chan struct{})
 	go func() {
@@ -107,24 +83,19 @@ func TestLockProfileWaitHistogramRecordsContentions(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	m.Unlock()
 	<-done
-	if wait.Count() != 1 {
-		t.Fatalf("wait histogram count = %d, want 1", wait.Count())
+	wait, _ := m.Histograms()
+	if wait.Count != 1 {
+		t.Fatalf("wait histogram count = %d, want 1", wait.Count)
 	}
-	if wait.Max() < 5*time.Millisecond {
-		t.Fatalf("recorded wait %v implausibly small", wait.Max())
+	if wait.Sum < 5*time.Millisecond {
+		t.Fatalf("recorded wait %v implausibly small", wait.Sum)
 	}
 }
 
 func TestLockProfileConcurrentSampling(t *testing.T) {
 	// Exercise the sampled path under the race detector: plain sampler
-	// state handed between holders, profile histograms shared.
+	// state handed between holders, histograms shared.
 	var m ContentionMutex
-	m.SetProfile(&LockProfile{
-		SampleEvery: 8,
-		Seed:        11,
-		Wait:        NewHistogram(time.Nanosecond, time.Second, 40),
-		Hold:        NewHistogram(time.Nanosecond, time.Second, 40),
-	})
 	var wg sync.WaitGroup
 	counter := 0
 	for g := 0; g < 8; g++ {
@@ -146,8 +117,8 @@ func TestLockProfileConcurrentSampling(t *testing.T) {
 	if s.Acquisitions != 40000 {
 		t.Fatalf("acquisitions = %d", s.Acquisitions)
 	}
-	if s.HoldSamples == 0 || s.HoldSamples >= s.Acquisitions {
-		t.Fatalf("HoldSamples = %d of %d — sampling degenerate", s.HoldSamples, s.Acquisitions)
+	if n := holdSamples(&m); n == 0 || n >= s.Acquisitions {
+		t.Fatalf("%d of %d holds sampled — sampling degenerate", n, s.Acquisitions)
 	}
 }
 
@@ -183,8 +154,7 @@ func BenchmarkContentionMutexUncontended(b *testing.B) {
 }
 
 func BenchmarkContentionMutexAlwaysClocked(b *testing.B) {
-	var m ContentionMutex
-	m.SetProfile(&LockProfile{SampleEvery: 1})
+	m := ContentionMutex{clockEveryHold: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Lock()

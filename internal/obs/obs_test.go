@@ -188,7 +188,7 @@ func TestRecorderDumpTail(t *testing.T) {
 		r.Record(EvQuarantinePark, uint64(i), 0)
 	}
 	var sb strings.Builder
-	r.Dump(&sb, "shard 0", 2)
+	r.Dump(&sb, "pool", 2)
 	out := sb.String()
 	if !strings.Contains(out, "newest 2 of 5") {
 		t.Fatalf("tail header wrong:\n%s", out)
@@ -300,7 +300,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg := testRegistry()
 	rec := NewRecorder(8)
 	rec.Record(EvHealthChange, 9, 0)
-	reg.RegisterRecorder("shard 0", rec)
+	reg.RegisterRecorder("pool", rec)
 	srv, err := NewServer("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)

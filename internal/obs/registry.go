@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"bpwrapper/internal/metrics"
+	"bpwrapper/internal/reqtrace"
 )
 
 // MetricType distinguishes how a metric is rendered in Prometheus text.
@@ -39,18 +40,14 @@ type Collector func(emit func(Metric))
 
 // Registry is a set of collectors walked on every scrape. It is the root
 // of the exposition tree: each layer registers its collector (the pool,
-// its background writer, the tracers, the wire server) and the server
-// renders whatever they emit.
+// its tracer, the wire server) and the server renders whatever they emit.
+// It holds at most one flight recorder and one request tracer: the pool's.
 type Registry struct {
 	mu         sync.Mutex
 	collectors []Collector
-	recorders  []recorderEntry
-	tracers    []tracerEntry // request tracers for /debug/traces (traces.go)
-}
-
-type recorderEntry struct {
-	label string
-	rec   *Recorder
+	recLabel   string
+	rec        *Recorder
+	tracer     *reqtrace.Tracer // for /debug/traces (traces.go)
 }
 
 // NewRegistry returns an empty registry.
@@ -63,13 +60,19 @@ func (g *Registry) Register(c Collector) {
 	g.collectors = append(g.collectors, c)
 }
 
-// RegisterRecorder adds a flight recorder under label for the events
-// endpoint and failure dumps. Nil recorders are accepted and reported as
-// disabled.
+// RegisterRecorder sets the flight recorder the events endpoint dumps
+// under label. A nil recorder (recording disabled) is ignored; a second
+// recorder panics, because a registry fronts one pool.
 func (g *Registry) RegisterRecorder(label string, r *Recorder) {
+	if r == nil {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.recorders = append(g.recorders, recorderEntry{label: label, rec: r})
+	if g.rec != nil {
+		panic("obs: a registry holds one flight recorder")
+	}
+	g.recLabel, g.rec = label, r
 }
 
 // Gather runs every collector and returns the combined samples.
@@ -85,20 +88,17 @@ func (g *Registry) Gather() []Metric {
 	return out
 }
 
-// DumpRecordersTail writes every registered flight recorder's newest n
+// DumpRecordersTail writes the registered flight recorder's newest n
 // events, newest first — the /debug/events rendering (n <= 0 means all).
 func (g *Registry) DumpRecordersTail(w io.Writer, n int) {
 	g.mu.Lock()
-	rs := make([]recorderEntry, len(g.recorders))
-	copy(rs, g.recorders)
+	label, rec := g.recLabel, g.rec
 	g.mu.Unlock()
-	if len(rs) == 0 {
-		fmt.Fprintln(w, "no flight recorders registered")
+	if rec == nil {
+		fmt.Fprintln(w, "no flight recorder registered")
 		return
 	}
-	for _, e := range rs {
-		e.rec.Dump(w, e.label, n)
-	}
+	rec.Dump(w, label, n)
 }
 
 // labelString renders {a="x",b="y"} or "" with no labels.

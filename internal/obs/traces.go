@@ -1,5 +1,5 @@
-// Trace exposition: the registry carries the pool's request tracers
-// (reqtrace.Tracer) alongside its collectors and flight recorders, and the
+// Trace exposition: the registry carries the pool's request tracer
+// (reqtrace.Tracer) alongside its collectors and flight recorder, and the
 // HTTP server renders them at /debug/traces — a slowest-N text view for
 // terminals and a Chrome trace_event JSON view (chrome://tracing,
 // Perfetto) for timelines. The registry also exports the tracer's keep/
@@ -16,25 +16,23 @@ import (
 	"bpwrapper/internal/reqtrace"
 )
 
-type tracerEntry struct {
-	label string
-	tr    *reqtrace.Tracer
-}
-
-// RegisterTracer adds a request tracer under label for the /debug/traces
-// endpoint and registers its counters as bpw_trace_* metrics. A nil
-// tracer (tracing disabled) is accepted and ignored, so pools can call
-// this unconditionally.
-func (g *Registry) RegisterTracer(label string, tr *reqtrace.Tracer) {
+// RegisterTracer sets the request tracer for the /debug/traces endpoint
+// and registers its counters as bpw_trace_* metrics. A nil tracer
+// (tracing disabled) is ignored, so pools can call this unconditionally;
+// a second tracer panics, because a registry fronts one pool.
+func (g *Registry) RegisterTracer(tr *reqtrace.Tracer) {
 	if tr == nil {
 		return
 	}
 	g.mu.Lock()
-	g.tracers = append(g.tracers, tracerEntry{label: label, tr: tr})
+	if g.tracer != nil {
+		g.mu.Unlock()
+		panic("obs: a registry holds one request tracer")
+	}
+	g.tracer = tr
 	g.mu.Unlock()
 	g.Register(func(emit func(Metric)) {
 		st := tr.Snapshot()
-		l := [][2]string{{"tracer", label}}
 		for _, m := range []struct {
 			name, help string
 			v          int64
@@ -48,16 +46,9 @@ func (g *Registry) RegisterTracer(label string, tr *reqtrace.Tracer) {
 			{"bpw_trace_emitted_total", "cross-thread spans emitted directly", st.Emitted},
 			{"bpw_trace_ring_drops_total", "ring slots overwritten or torn before a reader saw them", st.RingDrops},
 		} {
-			emit(Metric{Name: m.name, Help: m.help, Type: Counter, Labels: l, Value: float64(m.v)})
+			emit(Metric{Name: m.name, Help: m.help, Type: Counter, Value: float64(m.v)})
 		}
 	})
-}
-
-// tracerEntries snapshots the registered tracers.
-func (g *Registry) tracerEntries() []tracerEntry {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]tracerEntry(nil), g.tracers...)
 }
 
 // traceGroup is one reconstructed trace: its spans sorted by start time
@@ -69,20 +60,21 @@ type traceGroup struct {
 	flags uint8 // union of span flags
 }
 
-// gatherTraces snapshots every registered tracer's rings and groups the
+// gatherTraces snapshots the registered tracer's rings and groups the
 // spans by trace ID, slowest trace first.
 func (g *Registry) gatherTraces() []traceGroup {
+	g.mu.Lock()
+	tr := g.tracer
+	g.mu.Unlock()
 	byID := make(map[uint64]*traceGroup)
-	for _, e := range g.tracerEntries() {
-		for _, sp := range e.tr.Spans() {
-			tg := byID[sp.Trace]
-			if tg == nil {
-				tg = &traceGroup{id: sp.Trace}
-				byID[sp.Trace] = tg
-			}
-			tg.spans = append(tg.spans, sp)
-			tg.flags |= sp.Flags
+	for _, sp := range tr.Spans() {
+		tg := byID[sp.Trace]
+		if tg == nil {
+			tg = &traceGroup{id: sp.Trace}
+			byID[sp.Trace] = tg
 		}
+		tg.spans = append(tg.spans, sp)
+		tg.flags |= sp.Flags
 	}
 	out := make([]traceGroup, 0, len(byID))
 	for _, tg := range byID {

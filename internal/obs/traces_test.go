@@ -28,8 +28,8 @@ func seedTracer(t *testing.T) *reqtrace.Tracer {
 
 func TestWriteTracesText(t *testing.T) {
 	reg := NewRegistry()
-	reg.RegisterTracer("off", nil) // disabled tracers are accepted and ignored
-	reg.RegisterTracer("pool", seedTracer(t))
+	reg.RegisterTracer(nil) // a disabled tracer is accepted and ignored
+	reg.RegisterTracer(seedTracer(t))
 
 	var sb strings.Builder
 	reg.WriteTracesText(&sb, 0)
@@ -65,7 +65,7 @@ func TestWriteTracesText(t *testing.T) {
 
 func TestWriteTracesChrome(t *testing.T) {
 	reg := NewRegistry()
-	reg.RegisterTracer("pool", seedTracer(t))
+	reg.RegisterTracer(seedTracer(t))
 	var sb strings.Builder
 	if err := reg.WriteTracesChrome(&sb); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestWriteTracesChrome(t *testing.T) {
 
 func TestWriteTracesJSON(t *testing.T) {
 	reg := NewRegistry()
-	reg.RegisterTracer("pool", seedTracer(t))
+	reg.RegisterTracer(seedTracer(t))
 	var sb strings.Builder
 	if err := reg.WriteTracesJSON(&sb, 1); err != nil {
 		t.Fatal(err)
@@ -130,13 +130,13 @@ func TestWriteTracesJSON(t *testing.T) {
 
 func TestRegisterTracerMetrics(t *testing.T) {
 	reg := NewRegistry()
-	reg.RegisterTracer("pool", seedTracer(t))
+	reg.RegisterTracer(seedTracer(t))
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, `bpw_trace_emitted_total{tracer="pool"} 3`) {
+	if !strings.Contains(out, "\nbpw_trace_emitted_total 3\n") {
 		t.Fatalf("tracer counters missing:\n%s", out)
 	}
 }
@@ -188,7 +188,7 @@ func TestTraceAndEventEndpoints(t *testing.T) {
 		rec.Record(EvQuarantinePark, uint64(i), 0)
 	}
 	reg.RegisterRecorder("pool", rec)
-	reg.RegisterTracer("pool", seedTracer(t))
+	reg.RegisterTracer(seedTracer(t))
 	srv, err := NewServer("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)

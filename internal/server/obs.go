@@ -19,14 +19,12 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 			emit(obs.Metric{Name: name, Help: help, Type: obs.Gauge, Value: float64(v)})
 		}
 		counter("bpw_server_conns_accepted_total", "Connections accepted", st.Accepted)
-		counter("bpw_server_conns_rejected_total", "Connections refused by the MaxConns limit", st.Rejected)
 		gauge("bpw_server_conns_active", "Connections currently served", st.Active)
 		gauge("bpw_server_inflight", "Requests decoded but not yet answered", st.Inflight)
 		counter("bpw_server_bytes_in_total", "Bytes read from client sockets", st.BytesIn)
 		counter("bpw_server_bytes_out_total", "Bytes written to client sockets", st.BytesOut)
 		counter("bpw_server_bad_frames_total", "Malformed frames and unknown opcodes", st.BadFrames)
 		counter("bpw_server_write_timeouts_total", "Connections abandoned on write backpressure", st.WriteTimeouts)
-		counter("bpw_server_drains_total", "Graceful drains initiated", st.Drains)
 		counter("bpw_server_drained_conns_total", "Connections retired by a drain", st.DrainedConns)
 		gauge("bpw_server_draining", "1 while the server is draining or closed", boolGauge(s.state.Load() != stateRunning))
 

@@ -69,13 +69,11 @@ const (
 // staged since its last one (countingWriter.fold).
 type counters struct {
 	accepted      atomic.Int64
-	rejected      atomic.Int64 // accepts refused by MaxConns
 	active        atomic.Int64 // currently served connections
 	bytesIn       atomic.Int64
 	bytesOut      atomic.Int64
 	badFrames     atomic.Int64 // malformed frames / unknown opcodes
 	writeTimeouts atomic.Int64 // connections abandoned on write backpressure
-	drains        atomic.Int64
 	drainedConns  atomic.Int64 // connections retired by a drain poke
 
 	reqs  [opMax]atomic.Int64
@@ -152,7 +150,6 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		if s.c.active.Load() >= int64(s.cfg.MaxConns) {
-			s.c.rejected.Add(1)
 			nc.Close()
 			continue
 		}
@@ -214,7 +211,6 @@ func (s *Server) Drain(budget time.Duration) error {
 	if !s.state.CompareAndSwap(stateRunning, stateDraining) {
 		return ErrDraining
 	}
-	s.c.drains.Add(1)
 	deadline := time.Now().Add(budget)
 	s.ln.Close()
 	s.pool.SetReadOnly(true)
@@ -317,14 +313,12 @@ func (s *Server) remoteStatsPayload() []byte {
 // that need exact values (the E18 bench ledger) without scraping.
 type Stats struct {
 	Accepted      int64
-	Rejected      int64
 	Active        int64
 	Inflight      int64
 	BytesIn       int64
 	BytesOut      int64
 	BadFrames     int64
 	WriteTimeouts int64
-	Drains        int64
 	DrainedConns  int64
 	Requests      map[string]int64 // by op name ("get", "put", …)
 	Responses     map[string]int64 // by status name ("ok", "draining", …)
@@ -336,14 +330,12 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Accepted:      s.c.accepted.Load(),
-		Rejected:      s.c.rejected.Load(),
 		Active:        s.c.active.Load(),
 		Inflight:      s.inflight(),
 		BytesIn:       s.c.bytesIn.Load(),
 		BytesOut:      s.c.bytesOut.Load(),
 		BadFrames:     s.c.badFrames.Load(),
 		WriteTimeouts: s.c.writeTimeouts.Load(),
-		Drains:        s.c.drains.Load(),
 		DrainedConns:  s.c.drainedConns.Load(),
 		Requests:      make(map[string]int64),
 		Responses:     make(map[string]int64),

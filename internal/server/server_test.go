@@ -281,7 +281,6 @@ func TestServerMaxConns(t *testing.T) {
 			t.Fatal("third connection served beyond MaxConns=2")
 		}
 	}
-	waitFor(t, time.Second, func() bool { return srv.c.rejected.Load() >= 1 })
 }
 
 func TestServerObsMetrics(t *testing.T) {

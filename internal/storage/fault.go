@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bpwrapper/internal/page"
 )
@@ -51,30 +50,16 @@ type FaultConfig struct {
 	// ChecksumDevice layered above detects these as ErrCorruptPage.
 	CorruptProb float64
 
-	// SpikeProb is the probability that an operation stalls for
-	// SpikeLatency before proceeding, modelling a degraded device.
-	SpikeProb float64
-
-	// SpikeLatency is the stall duration. Zero with SpikeProb > 0 means
-	// 1ms.
-	SpikeLatency time.Duration
-
-	// SpikeWriteOnly restricts latency spikes to writes, modelling a
-	// device whose write path is wedged while reads stay healthy (the
-	// "stuck write" chaos scenario). The spike variate is still drawn
-	// for reads so the deterministic sequence does not shift.
-	SpikeWriteOnly bool
-
 	// Permanent makes injected failures wrap ErrPermanent instead of
 	// ErrTransient, modelling a dead sector rather than a flaky bus.
 	Permanent bool
 }
 
 // FaultDevice wraps a Device with deterministic, seedable fault injection:
-// transient or permanent read/write errors, latency spikes, and page
-// corruption. It is the library form of the ad-hoc flaky devices the
-// failure tests used to hand-roll, and the substrate of the torture
-// harness and of the bpbench -exp chaos experiment.
+// transient or permanent read/write errors and page corruption. It is the
+// library form of the ad-hoc flaky devices the failure tests used to
+// hand-roll, and the substrate of the torture harness and of the bpbench
+// -exp chaos experiment.
 //
 // Besides the probabilistic FaultConfig knobs, deterministic triggers are
 // available for tests: FailNextReads/FailNextWrites fail an exact number
@@ -93,14 +78,10 @@ type FaultDevice struct {
 	injectedReadFaults  atomic.Int64
 	injectedWriteFaults atomic.Int64
 	injectedCorruptions atomic.Int64
-	injectedSpikes      atomic.Int64
 }
 
 // NewFaultDevice wraps backing with fault injection per cfg.
 func NewFaultDevice(backing Device, cfg FaultConfig) *FaultDevice {
-	if cfg.SpikeLatency <= 0 {
-		cfg.SpikeLatency = time.Millisecond
-	}
 	return &FaultDevice{
 		backing: backing,
 		rng:     uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
@@ -140,27 +121,6 @@ func (d *FaultDevice) SetCorruptRate(p float64) {
 	d.mu.Unlock()
 }
 
-// SetSpike replaces the probabilistic latency-spike rate and duration.
-// A non-positive latency keeps the current one.
-func (d *FaultDevice) SetSpike(p float64, latency time.Duration) {
-	d.mu.Lock()
-	d.cfg.SpikeProb = p
-	if latency > 0 {
-		d.cfg.SpikeLatency = latency
-	}
-	d.mu.Unlock()
-}
-
-// SetSpikeWriteOnly restricts (or unrestricts) latency spikes to writes.
-func (d *FaultDevice) SetSpikeWriteOnly(writeOnly bool) {
-	d.mu.Lock()
-	d.cfg.SpikeWriteOnly = writeOnly
-	d.mu.Unlock()
-}
-
-// Spikes reports the latency spikes injected so far.
-func (d *FaultDevice) Spikes() int64 { return d.injectedSpikes.Load() }
-
 // Injected reports the faults injected so far: failed reads, failed
 // writes, and corrupted reads.
 func (d *FaultDevice) Injected() (reads, writes, corruptions int64) {
@@ -195,17 +155,12 @@ func (d *FaultDevice) rand() float64 {
 
 // decide rolls the probabilistic dice for one operation in a single locked
 // section so the variate sequence is deterministic for a given op order.
-func (d *FaultDevice) decide(read bool) (fail, corrupt bool, spike time.Duration) {
+func (d *FaultDevice) decide(read bool) (fail, corrupt bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	failProb := d.cfg.WriteFailProb
 	if read {
 		failProb = d.cfg.ReadFailProb
-	}
-	if d.cfg.SpikeProb > 0 && d.rand() < d.cfg.SpikeProb {
-		if !read || !d.cfg.SpikeWriteOnly {
-			spike = d.cfg.SpikeLatency
-		}
 	}
 	if failProb > 0 && d.rand() < failProb {
 		fail = true
@@ -213,7 +168,7 @@ func (d *FaultDevice) decide(read bool) (fail, corrupt bool, spike time.Duration
 	if read && d.cfg.CorruptProb > 0 && d.rand() < d.cfg.CorruptProb {
 		corrupt = true
 	}
-	return fail, corrupt, spike
+	return fail, corrupt
 }
 
 func (d *FaultDevice) errFor(op string, id page.PageID) error {
@@ -236,11 +191,7 @@ func (d *FaultDevice) ReadPage(id page.PageID, p *page.Page) error {
 		d.injectedReadFaults.Add(1)
 		return d.errFor("read", id)
 	}
-	fail, corrupt, spike := d.decide(true)
-	if spike > 0 {
-		d.injectedSpikes.Add(1)
-		time.Sleep(spike)
-	}
+	fail, corrupt := d.decide(true)
 	if fail {
 		d.injectedReadFaults.Add(1)
 		return d.errFor("read", id)
@@ -267,11 +218,7 @@ func (d *FaultDevice) WritePage(p *page.Page) error {
 		d.injectedWriteFaults.Add(1)
 		return d.errFor("write", p.ID)
 	}
-	fail, _, spike := d.decide(false)
-	if spike > 0 {
-		d.injectedSpikes.Add(1)
-		time.Sleep(spike)
-	}
+	fail, _ := d.decide(false)
 	if fail {
 		d.injectedWriteFaults.Add(1)
 		return d.errFor("write", p.ID)

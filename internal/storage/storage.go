@@ -46,10 +46,8 @@ type Device interface {
 // which fold their backing device's stats into their own so that the whole
 // stack's counters are visible from the outermost layer.
 type DeviceStats struct {
-	Reads     int64
-	Writes    int64
-	ReadTime  time.Duration // total wall time spent in ReadPage
-	WriteTime time.Duration // total wall time spent in WritePage
+	Reads  int64
+	Writes int64
 
 	ReadErrors   int64 // failed page reads (injected or real)
 	WriteErrors  int64 // failed page writes (injected or real)
@@ -59,17 +57,11 @@ type DeviceStats struct {
 
 // deviceCounters is the shared atomic implementation behind Stats.
 type deviceCounters struct {
-	reads, writes         atomic.Int64
-	readNanos, writeNanos atomic.Int64
+	reads, writes atomic.Int64
 }
 
 func (c *deviceCounters) snapshot() DeviceStats {
-	return DeviceStats{
-		Reads:     c.reads.Load(),
-		Writes:    c.writes.Load(),
-		ReadTime:  time.Duration(c.readNanos.Load()),
-		WriteTime: time.Duration(c.writeNanos.Load()),
-	}
+	return DeviceStats{Reads: c.reads.Load(), Writes: c.writes.Load()}
 }
 
 // MemDevice is an in-memory page store. Pages never written return a
@@ -198,25 +190,21 @@ func NewSimDisk(backing Device, cfg SimDiskConfig) *SimDisk {
 // ReadPage implements Device: it acquires a service slot, sleeps the
 // latency, and delegates to the backing store.
 func (d *SimDisk) ReadPage(id page.PageID, p *page.Page) error {
-	start := time.Now()
 	d.slots <- struct{}{}
 	time.Sleep(d.latency)
 	err := d.backing.ReadPage(id, p)
 	<-d.slots
 	d.reads.Add(1)
-	d.readNanos.Add(time.Since(start).Nanoseconds())
 	return err
 }
 
 // WritePage implements Device.
 func (d *SimDisk) WritePage(p *page.Page) error {
-	start := time.Now()
 	d.slots <- struct{}{}
 	time.Sleep(d.latency)
 	err := d.backing.WritePage(p)
 	<-d.slots
 	d.writes.Add(1)
-	d.writeNanos.Add(time.Since(start).Nanoseconds())
 	return err
 }
 

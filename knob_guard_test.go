@@ -39,15 +39,12 @@ var knobStructs = []string{
 // knobsWithoutCaller are the exported fields allowed to have no product
 // setter, each with the reason it stays a field.
 var knobsWithoutCaller = map[string]string{
-	"internal/storage.FaultConfig.ReadFailProb":   "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer and storage tests do",
-	"internal/storage.FaultConfig.WriteFailProb":  "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer tests do",
-	"internal/storage.FaultConfig.CorruptProb":    "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer tests do",
-	"internal/storage.FaultConfig.Permanent":      "the only way to inject ErrPermanent faults, which the taxonomy tests need",
-	"internal/storage.FaultConfig.SpikeProb":      "ROADMAP 18(a)'s device-latency rows",
-	"internal/storage.FaultConfig.SpikeLatency":   "ROADMAP 18(a)'s device-latency rows",
-	"internal/storage.FaultConfig.SpikeWriteOnly": "ROADMAP 18(a)'s device-latency rows",
-	"internal/storage.RetryConfig.MaxBackoff":     "bounds the back-off ladder for an embedder's device; the storage and buffer fault tests shorten it",
-	"internal/storage.RetryConfig.Multiplier":     "the back-off ladder's growth for an embedder's device, set beside MaxBackoff",
+	"internal/storage.FaultConfig.ReadFailProb":  "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer and storage tests do",
+	"internal/storage.FaultConfig.WriteFailProb": "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer tests do",
+	"internal/storage.FaultConfig.CorruptProb":   "the fault device is the facade's failure-test substrate: README's fault-injection stack sets it, and the buffer tests do",
+	"internal/storage.FaultConfig.Permanent":     "the only way to inject ErrPermanent faults, which the taxonomy tests need",
+	"internal/storage.RetryConfig.MaxBackoff":    "bounds the back-off ladder for an embedder's device; the storage and buffer fault tests shorten it",
+	"internal/storage.RetryConfig.Multiplier":    "the back-off ladder's growth for an embedder's device, set beside MaxBackoff",
 }
 
 // knobSetterRoots are where a product setter may live.
