@@ -32,8 +32,7 @@ func TestEndToEndDurabilityUnderTransientFaults(t *testing.T) {
 	check := storage.NewChecksumDevice(fault)
 	retry := storage.NewRetryDevice(check, storage.RetryConfig{
 		MaxAttempts: 12,
-		BaseBackoff: time.Microsecond,
-		MaxBackoff:  50 * time.Microsecond,
+		Sleep:       func(time.Duration) { time.Sleep(time.Microsecond) }, // a yield, not the ladder's wall time
 		Seed:        7,
 	})
 	p := New(Config{

@@ -159,6 +159,12 @@ func TestRingTornReadRefused(t *testing.T) {
 // is lapped mid-Put, the ring's one accepted limit. Without that bound a
 // preempted writer is lapped in microseconds here and the mix it leaves
 // does turn up (seen within six -race runs).
+//
+// The reader yields once per snapshot pass. Without the yield, at one P it
+// keeps the P until preemption, a time slice per turn, while the writers,
+// each waiting on the slowest, advance a few Puts per slice: over a minute
+// for the run. With it, no snapshot meets a writer mid-Put at one P;
+// TestRingTornReadRefused stages that interleaving at every GOMAXPROCS.
 func TestRingConcurrentNeverMixes(t *testing.T) {
 	const writers, window, puts = 4, 8, 20000
 	for _, width := range ringWidths {
@@ -201,6 +207,7 @@ func TestRingConcurrentNeverMixes(t *testing.T) {
 						t.Errorf("width %d: seq %d returned mixing two writes: %v", width, seq, p)
 					}
 				})
+				runtime.Gosched()
 			}
 		}()
 		wg.Wait()
@@ -210,7 +217,7 @@ func TestRingConcurrentNeverMixes(t *testing.T) {
 			t.Fatalf("width %d: %d records put, want %d", width, r.Seq(), writers*puts)
 		}
 		if r.torn.Load() == 0 {
-			t.Logf("width %d: no snapshot met a writer mid-Put; the run proved nothing about mixes", width)
+			t.Logf("width %d: no snapshot met a writer mid-Put; the run proved nothing about mixes (TestRingTornReadRefused forces one)", width)
 		}
 	}
 }

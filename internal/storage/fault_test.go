@@ -200,29 +200,26 @@ func TestRetryDeviceDoesNotRetryPermanent(t *testing.T) {
 	}
 }
 
+// TestRetryDeviceBackoffGrowsAndCaps pins the fixed ladder: sleeps of 0.5,
+// 1, 2, 4 … ms, each jittered within ±20%, the nominal sleep capped at 50ms.
 func TestRetryDeviceBackoffGrowsAndCaps(t *testing.T) {
 	fd := NewFaultDevice(NewMemDevice(), FaultConfig{})
 	var sleeps []time.Duration
 	rd := NewRetryDevice(fd, RetryConfig{
-		MaxAttempts: 6,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		Jitter:      -1, // exact values
+		MaxAttempts: 10,
 		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
 	})
 	fd.FailNextReads(10)
 	var p page.Page
 	rd.ReadPage(pid(1), &p)
-	want := []time.Duration{1, 2, 4, 4, 4}
-	for i := range want {
-		want[i] *= time.Millisecond
-	}
+	want := []time.Duration{500, 1000, 2000, 4000, 8000, 16000, 32000, 50000, 50000}
 	if len(sleeps) != len(want) {
 		t.Fatalf("slept %d times, want %d", len(sleeps), len(want))
 	}
-	for i := range want {
-		if sleeps[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v (exponential growth capped at max)", i, sleeps[i], want[i])
+	for i, w := range want {
+		w *= time.Microsecond
+		if lo, hi := w*4/5, w*6/5; sleeps[i] < lo || sleeps[i] > hi {
+			t.Fatalf("sleep %d = %v, want within [%v, %v] (exponential growth capped at 50ms, ±20%% jitter)", i, sleeps[i], lo, hi)
 		}
 	}
 }

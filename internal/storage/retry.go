@@ -8,25 +8,21 @@ import (
 	"bpwrapper/internal/page"
 )
 
-// RetryConfig tunes a RetryDevice's bounded exponential backoff.
+// The back-off ladder: the first retry sleeps 500µs, each later one twice
+// the last up to 50ms, and every sleep is jittered within ±20% by a seeded
+// generator, decorrelating concurrent retriers.
+const (
+	baseBackoff = 500 * time.Microsecond
+	maxBackoff  = 50 * time.Millisecond
+	multiplier  = 2
+	jitter      = 0.2
+)
+
+// RetryConfig shapes a RetryDevice.
 type RetryConfig struct {
 	// MaxAttempts is the total number of tries per operation (the first
 	// attempt plus retries). Zero means 4.
 	MaxAttempts int
-
-	// BaseBackoff is the sleep before the first retry. Zero means 500µs.
-	BaseBackoff time.Duration
-
-	// MaxBackoff caps the exponential growth. Zero means 50ms.
-	MaxBackoff time.Duration
-
-	// Multiplier grows the backoff between retries. Zero means 2.
-	Multiplier float64
-
-	// Jitter randomizes each sleep within ±Jitter fraction of the nominal
-	// backoff, decorrelating concurrent retriers. Zero means 0.2; negative
-	// disables jitter.
-	Jitter float64
 
 	// Seed feeds the deterministic jitter generator.
 	Seed int64
@@ -57,21 +53,6 @@ func NewRetryDevice(backing Device, cfg RetryConfig) *RetryDevice {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
 	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 500 * time.Microsecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 50 * time.Millisecond
-	}
-	if cfg.Multiplier <= 0 {
-		cfg.Multiplier = 2
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 0.2
-	}
-	if cfg.Jitter < 0 {
-		cfg.Jitter = 0
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
@@ -85,11 +66,8 @@ func NewRetryDevice(backing Device, cfg RetryConfig) *RetryDevice {
 // Exhausted reports the number of operations that failed every attempt.
 func (d *RetryDevice) Exhausted() int64 { return d.exhausted.Load() }
 
-// jittered perturbs a nominal backoff by ±Jitter deterministically.
+// jittered perturbs a nominal backoff by ±jitter deterministically.
 func (d *RetryDevice) jittered(backoff time.Duration) time.Duration {
-	if d.cfg.Jitter == 0 {
-		return backoff
-	}
 	d.mu.Lock()
 	d.rng += 0x9e3779b97f4a7c15
 	z := d.rng
@@ -98,25 +76,18 @@ func (d *RetryDevice) jittered(backoff time.Duration) time.Duration {
 	z ^= z >> 31
 	d.mu.Unlock()
 	u := float64(z>>11)/(1<<53)*2 - 1 // uniform in [-1, 1)
-	s := time.Duration(float64(backoff) * (1 + d.cfg.Jitter*u))
-	if s <= 0 {
-		s = backoff
-	}
-	return s
+	return time.Duration(float64(backoff) * (1 + jitter*u))
 }
 
 // do runs op with the retry protocol.
 func (d *RetryDevice) do(op func() error) error {
-	backoff := d.cfg.BaseBackoff
+	backoff := baseBackoff
 	var err error
 	for attempt := 0; attempt < d.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			d.cfg.Sleep(d.jittered(backoff))
 			d.retries.Add(1)
-			backoff = time.Duration(float64(backoff) * d.cfg.Multiplier)
-			if backoff > d.cfg.MaxBackoff {
-				backoff = d.cfg.MaxBackoff
-			}
+			backoff = min(backoff*multiplier, maxBackoff)
 		}
 		if err = op(); err == nil || !Retryable(err) {
 			return err

@@ -238,11 +238,7 @@ func TestNullDevice(t *testing.T) {
 // error once the attempts run out.
 func TestRetryDefaultSleepRunsTheLadder(t *testing.T) {
 	fd := NewFaultDevice(NewMemDevice(), FaultConfig{ReadFailProb: 1})
-	rd := NewRetryDevice(fd, RetryConfig{
-		MaxAttempts: 3,
-		BaseBackoff: time.Microsecond,
-		MaxBackoff:  time.Microsecond,
-	})
+	rd := NewRetryDevice(fd, RetryConfig{MaxAttempts: 3}) // about 1.5ms of sleep
 	var p page.Page
 	if err := rd.ReadPage(pid(1), &p); !errors.Is(err, ErrTransient) {
 		t.Fatalf("got %v, want ErrTransient", err)

@@ -1,12 +1,21 @@
-// Chaos scenarios: targeted fault campaigns against a
+// The chaos campaign: scripted fault scenarios against a
 // Retry(Checksum(Fault(mem))) stack under the whole pool that check the
 // graceful-degradation contract end to end rather than the statistical
-// churn RunPool applies. Each scenario sickens the device and asserts what
-// the pool still does: it degrades as far as its quarantine drives it
-// (misses shed fast with buffer.ErrOverloaded exactly when the quarantine
-// is full, and fail with a device error before that), resident pages keep
-// serving, dirty data parks losslessly, and after the fault lifts the
-// zero-lost-dirty-page oracle holds against the raw memory device.
+// churn RunPool applies. One goroutine drives every operation in a fixed
+// order, retry back-offs are no-op sleeps and fault rates are only 0 or 1,
+// so a row's counts are a function of its script alone: E16 (bpbench -exp
+// chaos, results/BENCH_chaos.json) renders them as its ledger.
+//
+// Each scenario sickens the device and steps through a fixed budget of
+// misses, asserting at every step that the pool degrades exactly as far as
+// its quarantine drives it: a miss sheds fast with buffer.ErrOverloaded
+// exactly when the quarantine was full before it, health is ReadOnly
+// exactly while it is full, the other misses fail with a read-failing
+// device's retryable error (or load, when only writes fail), and resident
+// pages keep serving the last version written. Then the device heals, a
+// flush drains the quarantine, the pool must be Healthy and load misses
+// without shedding, and after Close the raw device must hold the last
+// version of every page: zero lost dirty pages.
 package torture
 
 import (
@@ -20,34 +29,43 @@ import (
 	"bpwrapper/internal/storage"
 )
 
-// ChaosScenario names one fault campaign.
-type ChaosScenario string
-
-const (
-	// ChaosHardDown: every device operation fails instantly. A miss's
-	// dirty victim parks in the quarantine, filling it, and the pool goes
-	// ReadOnly.
-	ChaosHardDown ChaosScenario = "harddown"
-
-	// ChaosRecovery: a hard-down episode followed by healing; once the
-	// quarantine drains the pool must return to Healthy with shedding
-	// stopped.
-	ChaosRecovery ChaosScenario = "recovery"
-)
-
-// ChaosConfig shapes one scenario run.
-type ChaosConfig struct {
-	Scenario ChaosScenario
-	Seed     int64
+// chaosScenario is one row of the campaign: what fails, whether the pool
+// is full of dirty pages when it does, and how many parked pages fill the
+// quarantine.
+type chaosScenario struct {
+	name       string
+	failReads  bool // reads fail as well as writes; otherwise each miss dirties its page
+	dirtyFill  bool // the frames beside the hot set hold dirty pages before the fault
+	quarantine int
 }
 
-// ChaosReport summarizes what the scenario observed.
-type ChaosReport struct {
-	Scenario      ChaosScenario
-	PeakHealth    buffer.HealthState // worst health observed
-	Shed          int64              // misses refused with ErrOverloaded
-	ResidentReads int64              // hot-set reads served during the fault window
-	MaxShedMicros int64              // slowest shed, µs — the "fail fast" budget check
+// dirtyVictims reports whether the scenario's misses evict dirty pages,
+// whose failed write-backs park in the quarantine.
+func (sc chaosScenario) dirtyVictims() bool { return sc.dirtyFill || !sc.failReads }
+
+var chaosScenarios = []chaosScenario{
+	// A dead device under a pool with free frames: the misses' victims are
+	// clean, so nothing parks and nothing sheds.
+	{name: "harddown", failReads: true, quarantine: 2},
+	// Writes fail: each loaded miss is dirtied, the next misses evict it
+	// into a failing write-back, and it parks until the pool goes read-only.
+	{name: "quarantine", quarantine: 2},
+	// A dead device under a pool full of dirty pages: the first miss parks
+	// its victim, and from then on misses shed. Its failed read frees the
+	// frame the next miss takes, so a larger quarantine never fills.
+	{name: "harddown-dirty", failReads: true, dirtyFill: true, quarantine: 1},
+}
+
+// ChaosRow is one scenario's event ledger: the pool's counts read after
+// the healing flush, and the health seen during the fault.
+type ChaosRow struct {
+	Scenario           string `json:"scenario"`
+	Misses             int64  `json:"misses"`
+	Shed               int64  `json:"shed"`
+	QuarantineRefusals int64  `json:"quarantine_refusals"`
+	PeakHealth         string `json:"peak_health"`
+	FinalHealth        string `json:"final_health"`
+	LostPages          int    `json:"lost_pages"`
 }
 
 const (
@@ -55,78 +73,84 @@ const (
 	// anything near this is a miss queued where it should have failed.
 	chaosShedBudget = 80 * time.Millisecond
 	// chaosFrames and chaosHot size the pool and its resident hot set.
-	chaosFrames = 8
-	chaosHot    = chaosFrames / 4
-	// chaosMisses is the number of never-resident ids the scenarios miss
-	// on.
-	chaosMisses = 8
-	// chaosQuarantine is the quarantine capacity: one failed write-back
-	// fills it.
-	chaosQuarantine = 1
+	chaosFrames = 5
+	chaosHot    = 2
+	// chaosMisses is the number of never-resident ids the fault window
+	// misses on in turn, and the budget within which a scenario with
+	// dirty victims must fill the quarantine.
+	chaosMisses = 6
+	// chaosSteps is the length of the fault window, in misses.
+	chaosSteps = 24
 )
 
-// buildChaosPool assembles the pool over one fault stack and preloads
-// nothing: page content is seeded directly into the raw memory device.
-func buildChaosPool(cfg ChaosConfig) (*buffer.Pool, *storage.MemDevice, *storage.FaultDevice) {
+// RunChaos runs every scenario at seed, in table order. An oracle failure
+// names the scenario and seed and carries the pool's flight-recorder dump.
+func RunChaos(seed int64) ([]ChaosRow, error) {
+	rows := make([]ChaosRow, 0, len(chaosScenarios))
+	for _, sc := range chaosScenarios {
+		row, err := runChaosScenario(sc, seed)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+func runChaosScenario(sc chaosScenario, seed int64) (row ChaosRow, err error) {
 	mem := storage.NewMemDevice()
-	fault := storage.NewFaultDevice(mem, storage.FaultConfig{Seed: cfg.Seed})
-	p := buffer.New(buffer.Config{
+	fault := storage.NewFaultDevice(mem, storage.FaultConfig{Seed: seed})
+	pool := buffer.New(buffer.Config{
 		Frames:        chaosFrames,
 		PolicyFactory: func(n int) replacer.Policy { return replacer.NewLRU(n) },
 		Device: storage.NewRetryDevice(storage.NewChecksumDevice(fault), storage.RetryConfig{
 			MaxAttempts: 2,
-			BaseBackoff: time.Millisecond,
-			Seed:        cfg.Seed,
+			Sleep:       func(time.Duration) {}, // no wall time in the ladder
+			Seed:        seed,
 		}),
-		QuarantineCap: chaosQuarantine,
+		QuarantineCap: sc.quarantine,
 	})
-	return p, mem, fault
-}
-
-// RunChaos executes one scenario. Every oracle failure carries the seed
-// and the pool's flight-recorder dump.
-func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	if cfg.Scenario == "" {
-		cfg.Scenario = ChaosHardDown
-	}
-	if cfg.Scenario != ChaosHardDown && cfg.Scenario != ChaosRecovery {
-		return nil, fmt.Errorf("chaos: unknown scenario %q", cfg.Scenario)
-	}
-
-	pool, mem, fault := buildChaosPool(cfg)
-	rep := &ChaosReport{Scenario: cfg.Scenario}
-	fail := func(format string, args ...any) error {
-		err := fmt.Errorf("chaos %s seed %d: "+format, append([]any{cfg.Scenario, cfg.Seed}, args...)...)
-		if dump := pool.FlightDump(); dump != "" {
-			err = fmt.Errorf("%w\n%s", err, dump)
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("chaos %s seed %d: %w", sc.name, seed, err)
+			if dump := pool.FlightDump(); dump != "" {
+				err = fmt.Errorf("%w\n%s", err, dump)
+			}
 		}
-		return err
-	}
+	}()
+	row.Scenario = sc.name
 
-	// Seed content directly into the raw device (below every wrapper),
-	// then load the hot set and dirty it to version 1. The ids are the hot
-	// set, the pages that fill the rest of the pool, and chaosMisses
-	// never-resident ids to miss on. The shadow map tracks the last
-	// version written per page for the end oracle.
-	ids := make([]page.PageID, chaosFrames+chaosMisses)
+	// Seed version 0 of every page directly into the raw device, below
+	// every wrapper. The ids are the hot set, the dirty fill (if any) and
+	// chaosMisses never-resident ids; versions is the shadow model the
+	// content checks and the end oracle read.
+	n := chaosHot + chaosMisses
+	if sc.dirtyFill {
+		n += chaosFrames - chaosHot
+	}
+	ids := make([]page.PageID, n)
 	versions := map[page.PageID]int{}
 	for b := range ids {
-		id := page.NewPageID(tortureTable, uint64(b))
-		ids[b] = id
+		ids[b] = poolPage(b)
 		var pg page.Page
 		pg.Stamp(stampID(b, 0))
-		pg.ID = id
+		pg.ID = ids[b]
 		if err := mem.WritePage(&pg); err != nil {
-			return nil, fail("device preload: %v", err)
+			return row, fmt.Errorf("device preload: %w", err)
 		}
-		versions[id] = 0
+		versions[ids[b]] = 0
 	}
+	hot, misses := ids[:chaosHot], ids[n-chaosMisses:]
+	miss := func(i int) page.PageID { return misses[i%chaosMisses] }
+
 	ses := pool.NewSession()
-	writeVersion := func(id page.PageID, v int) error {
+	// write dirties id with its next version through the pool.
+	write := func(id page.PageID) error {
 		ref, err := pool.GetWrite(ses, id)
 		if err != nil {
 			return err
 		}
+		v := versions[id] + 1
 		var pg page.Page
 		pg.Stamp(stampID(int(id.Block()), v))
 		copy(ref.Data(), pg.Data[:])
@@ -135,147 +159,138 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		versions[id] = v
 		return nil
 	}
-	for _, id := range ids[:chaosHot] {
-		if err := writeVersion(id, 1); err != nil {
-			return nil, fail("hot-set load: %v", err)
-		}
-	}
-	// Fill the pool with dirty pages, then touch the hot set again so that
-	// the fill pages are the LRU victims: every miss must now write a dirty
-	// victim back.
-	for _, id := range ids[chaosHot:chaosFrames] {
-		if err := writeVersion(id, 1); err != nil {
-			return nil, fail("fill load: %v", err)
-		}
-	}
-	for _, id := range ids[:chaosHot] {
+	// read requires id to serve its last version written.
+	read := func(id page.PageID) error {
 		ref, err := pool.Get(ses, id)
 		if err != nil {
-			return nil, fail("hot-set touch: %v", err)
-		}
-		ref.Release()
-	}
-
-	miss := func(i int) page.PageID { return ids[chaosFrames+i%chaosMisses] }
-	// sickMiss issues one miss on the sick device and holds it to the
-	// ladder: it sheds with ErrOverloaded, fast, exactly when the
-	// quarantine was full before it, and otherwise fails with the
-	// device's error.
-	sickMiss := func(i int) error {
-		st := pool.Stats()
-		if st.Health > rep.PeakHealth {
-			rep.PeakHealth = st.Health
-		}
-		full := st.Quarantined >= chaosQuarantine
-		start := time.Now()
-		ref, err := pool.Get(ses, miss(i))
-		lat := time.Since(start)
-		switch {
-		case err == nil:
-			ref.Release()
-			return fail("miss on %v succeeded against a dead device", miss(i))
-		case full && !errors.Is(err, buffer.ErrOverloaded):
-			return fail("miss with the quarantine full returned %v, want ErrOverloaded", err)
-		case !full && errors.Is(err, buffer.ErrOverloaded):
-			return fail("miss shed at quarantine %d/%d (health %v): %v", st.Quarantined, chaosQuarantine, st.Health, err)
-		case !full && !storage.Retryable(err):
-			return fail("miss returned %v, want the device's transient error", err)
-		case full:
-			if us := lat.Microseconds(); us > rep.MaxShedMicros {
-				rep.MaxShedMicros = us
-			}
-			if lat > chaosShedBudget {
-				return fail("shed miss took %v, past the %v budget — sheds must not queue", lat, chaosShedBudget)
-			}
-		}
-		return nil
-	}
-
-	// Phase 1 — park: kill the device and miss until a dirty victim's
-	// failed write-back fills the quarantine.
-	fault.SetReadFailRate(1)
-	fault.SetWriteFailRate(1)
-	for i := 0; pool.Stats().Quarantined < chaosQuarantine; i++ {
-		if i >= chaosMisses {
-			return nil, fail("quarantine never filled: %d/%d after %d misses", pool.Stats().Quarantined, chaosQuarantine, i)
-		}
-		if err := sickMiss(i); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 2 — degraded window: the contract assertions.
-	if h := pool.Stats().Health; h != buffer.ReadOnly {
-		return nil, fail("health=%v with the quarantine full, want ReadOnly", h)
-	}
-	// (a) Misses shed fast with ErrOverloaded.
-	shedBefore := pool.Stats().Shed
-	for i := 0; i < chaosMisses; i++ {
-		if err := sickMiss(i); err != nil {
-			return nil, err
-		}
-	}
-	rep.Shed = pool.Stats().Shed - shedBefore
-	// (b) Resident pages keep serving.
-	for _, id := range ids[:chaosHot] {
-		ref, err := pool.Get(ses, id)
-		if err != nil {
-			return nil, fail("resident Get(%v) failed during the fault: %v", id, err)
+			return err
 		}
 		var got page.Page
 		copy(got.Data[:], ref.Data())
 		ref.Release()
 		if !got.VerifyStamp(stampID(int(id.Block()), versions[id])) {
-			return nil, fail("resident page %v served wrong content during the fault", id)
+			return fmt.Errorf("page %v served other than its version %d", id, versions[id])
 		}
-		rep.ResidentReads++
+		return nil
 	}
-	// (c) Resident writes still work (data is safe in memory; the
-	// quarantine protocol keeps eviction lossless).
-	for _, id := range ids[:chaosHot] {
-		if err := writeVersion(id, versions[id]+1); err != nil {
-			return nil, fail("resident write during the fault: %v", err)
+	readHot := func() error {
+		for _, id := range hot {
+			if err := read(id); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// Warm the hot set and the fill to version 1, then touch the hot set,
+	// so that the fill pages are the LRU victims.
+	for _, id := range ids[:n-chaosMisses] {
+		if err := write(id); err != nil {
+			return row, fmt.Errorf("warm-up: %w", err)
+		}
+	}
+	if err := readHot(); err != nil {
+		return row, fmt.Errorf("warm-up: %w", err)
+	}
+
+	fault.SetWriteFailRate(1)
+	if sc.failReads {
+		fault.SetReadFailRate(1)
+	}
+	peak := buffer.Healthy
+	for i := 0; i < chaosSteps; i++ {
+		st := pool.Stats()
+		full := st.Quarantined >= sc.quarantine
+		switch {
+		case (st.Health == buffer.ReadOnly) != full:
+			return row, fmt.Errorf("health=%v at quarantine %d/%d, want ReadOnly exactly while it is full", st.Health, st.Quarantined, sc.quarantine)
+		case !sc.dirtyVictims() && st.Quarantined > 0:
+			return row, fmt.Errorf("%d pages parked, but every victim was clean", st.Quarantined)
+		case sc.dirtyVictims() && !full && i >= chaosMisses:
+			return row, fmt.Errorf("quarantine never filled: %d/%d after %d misses", st.Quarantined, sc.quarantine, i)
+		}
+		peak = max(peak, st.Health)
+
+		id := miss(i)
+		start := time.Now()
+		if sc.failReads {
+			var ref *buffer.PageRef
+			if ref, err = pool.Get(ses, id); err == nil {
+				ref.Release()
+			}
+		} else {
+			err = write(id)
+		}
+		lat := time.Since(start)
+		switch missed := pool.Stats().Misses > st.Misses; {
+		case !missed && err != nil:
+			return row, fmt.Errorf("resident %v failed during the fault: %w", id, err)
+		case !missed:
+		case full && !errors.Is(err, buffer.ErrOverloaded):
+			return row, fmt.Errorf("miss with the quarantine full returned %v, want ErrOverloaded", err)
+		case full && lat > chaosShedBudget:
+			return row, fmt.Errorf("shed miss took %v, past the %v budget: sheds must not queue", lat, chaosShedBudget)
+		case full:
+		case errors.Is(err, buffer.ErrOverloaded):
+			return row, fmt.Errorf("miss shed at quarantine %d/%d: %w", st.Quarantined, sc.quarantine, err)
+		case sc.failReads && err == nil:
+			return row, fmt.Errorf("miss on %v loaded from a dead device", id)
+		case sc.failReads && !storage.Retryable(err):
+			return row, fmt.Errorf("miss returned %w, want the device's transient error", err)
+		case !sc.failReads && err != nil:
+			return row, fmt.Errorf("miss on a readable device failed: %w", err)
+		}
+		if err := readHot(); err != nil {
+			return row, fmt.Errorf("resident read during the fault: %w", err)
+		}
+	}
+	// Resident writes still work: the data is safe in memory, and the
+	// quarantine keeps eviction lossless.
+	for _, id := range hot {
+		if err := write(id); err != nil {
+			return row, fmt.Errorf("resident write during the fault: %w", err)
 		}
 	}
 
-	// Phase 3 — heal. Recovery drains the quarantine with a flush and
-	// requires the pool to walk back to Healthy and stop shedding.
+	// Heal, and drain the quarantine with a flush: the row's counts are
+	// read here. The pool must be Healthy again and load misses unshed.
 	fault.SetReadFailRate(0)
 	fault.SetWriteFailRate(0)
-	if cfg.Scenario == ChaosRecovery {
-		if _, err := pool.FlushDirty(); err != nil {
-			return nil, fail("flush after healing: %v", err)
+	if _, err := pool.FlushDirty(); err != nil {
+		return row, fmt.Errorf("flush after healing: %w", err)
+	}
+	st := pool.Stats()
+	row.Misses, row.Shed, row.QuarantineRefusals = st.Misses, st.Shed, st.QuarantineRefusals
+	row.PeakHealth, row.FinalHealth = peak.String(), st.Health.String()
+	if st.Health != buffer.Healthy {
+		return row, fmt.Errorf("health=%v after the quarantine drained, want Healthy", st.Health)
+	}
+	for i := 0; i < chaosMisses; i++ {
+		if err := read(miss(i)); err != nil {
+			return row, fmt.Errorf("post-recovery miss: %w", err)
 		}
-		if h := pool.Stats().Health; h != buffer.Healthy {
-			return nil, fail("health=%v after the quarantine drained, want Healthy", h)
-		}
-		shedAt := pool.Stats().Shed
-		for i := 0; i < chaosMisses; i++ {
-			ref, err := pool.Get(ses, miss(i))
-			if err != nil {
-				return nil, fail("post-recovery miss failed: %v", err)
-			}
-			ref.Release()
-		}
-		if d := pool.Stats().Shed - shedAt; d != 0 {
-			return nil, fail("%d misses shed after full recovery", d)
-		}
+	}
+	if d := pool.Stats().Shed - st.Shed; d != 0 {
+		return row, fmt.Errorf("%d misses shed after full recovery", d)
 	}
 
-	// Phase 4 — the zero-lost-dirty-page oracle: Close drains everything
-	// (frames and quarantine) and the raw device must hold the last
-	// version written to every page, fault campaign notwithstanding.
+	// The zero-lost-dirty-page oracle: Close drains the frames and the
+	// quarantine, and the raw device must hold the last version written to
+	// every page, fault campaign notwithstanding.
 	if err := pool.Close(); err != nil {
-		return nil, fail("Close after healing: %v", err)
+		return row, fmt.Errorf("close after healing: %w", err)
 	}
-	for id, v := range versions {
+	for b, id := range ids {
 		var pg page.Page
 		if err := mem.ReadPage(id, &pg); err != nil {
-			return nil, fail("post-close read of %v: %v", id, err)
+			return row, fmt.Errorf("post-close read of %v: %w", id, err)
 		}
-		if !pg.VerifyStamp(stampID(int(id.Block()), v)) {
-			return nil, fail("page %v: device does not hold last written version %d — dirty page lost", id, v)
+		if !pg.VerifyStamp(stampID(b, versions[id])) {
+			row.LostPages++
 		}
 	}
-	return rep, nil
+	if row.LostPages != 0 {
+		return row, fmt.Errorf("%d dirty pages lost: the device lacks their last version", row.LostPages)
+	}
+	return row, nil
 }

@@ -2,8 +2,10 @@
 # Regenerates results/BENCH_chaos.json, the committed baseline for the
 # chaos experiment (E16): the event ledger of the two-rung health ladder
 # (a full quarantine turns the pool read-only and sheds its misses)
-# under two scripted fault campaigns on one Fault→Checksum→Retry stack
-# under the whole pool — harddown and quarantine pressure.
+# under the three scenarios of one fault campaign on a Fault→Checksum→Retry
+# stack under the whole pool (internal/torture/chaos.go): harddown,
+# quarantine pressure, and harddown with dirty victims. Every row is held
+# to the campaign's oracles as it runs.
 #
 # The run is fully deterministic: retry backoffs are no-op sleeps, fault
 # rates are only ever 0 or 1, and a single goroutine drives every
