@@ -114,8 +114,8 @@ func ExampleNewRetryDevice() {
 	}
 	st := dev.Stats()
 	fmt.Println("intact:", back.Data == p.Data)
-	fmt.Println("write errors:", st.WriteErrors, "retries:", st.Retries, "corrupt:", st.CorruptPages)
+	fmt.Println("write errors:", st.WriteErrors, "retries:", st.Retries)
 	// Output:
 	// intact: true
-	// write errors: 2 retries: 2 corrupt: 0
+	// write errors: 2 retries: 2
 }

@@ -37,10 +37,14 @@ func ChaosExperiment(o Options) (*ChaosReport, error) {
 // PrintChaos renders the ledger as a table.
 func PrintChaos(w io.Writer, rep *ChaosReport) {
 	fmt.Fprintln(w, "Chaos scenarios (E16) — graceful-degradation event ledger (scripted, deterministic)")
-	fmt.Fprintf(w, "  %-10s %7s %6s %8s %-10s %-10s %5s\n",
-		"scenario", "misses", "shed", "quarref", "peak", "final", "lost")
+	width := len("scenario")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "  %-10s %7d %6d %8d %-10s %-10s %5d\n",
-			r.Scenario, r.Misses, r.Shed, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.LostPages)
+		width = max(width, len(r.Scenario))
+	}
+	fmt.Fprintf(w, "  %-*s %7s %6s %8s %-10s %-10s %5s\n",
+		width, "scenario", "misses", "shed", "quarref", "peak", "final", "lost")
+	for _, r := range rep.Rows {
+		fmt.Fprintf(w, "  %-*s %7d %6d %8d %-10s %-10s %5d\n",
+			width, r.Scenario, r.Misses, r.Shed, r.QuarantineRefusals, r.PeakHealth, r.FinalHealth, r.LostPages)
 	}
 }

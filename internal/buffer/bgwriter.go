@@ -1,13 +1,8 @@
 package buffer
 
 import (
-	"fmt"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"bpwrapper/internal/obs"
 )
 
 // BackgroundWriter is the retry engine of the fault-tolerance path: each
@@ -26,12 +21,7 @@ type BackgroundWriter struct {
 	pool     *Pool
 	interval time.Duration // between rounds, before any backoff
 
-	mu    sync.Mutex
-	stats BackgroundWriterStats
-
-	// lastPanic holds the most recent contained round panic (message,
-	// stack, and a FlightDump of the pool at the moment of recovery).
-	lastPanic atomic.Pointer[string]
+	written atomic.Int64 // pages made durable (frames + quarantine)
 
 	stop chan struct{}
 	done chan struct{}
@@ -39,11 +29,7 @@ type BackgroundWriter struct {
 
 // BackgroundWriterStats counts the writer's activity.
 type BackgroundWriterStats struct {
-	Rounds          int64 // completed write-back rounds
-	Written         int64 // pages made durable (frames + quarantine)
-	WriteFailures   int64 // failed write attempts
-	BackoffRounds   int64 // rounds that triggered a backoff (no progress)
-	PanicRecoveries int64 // round panics contained (see LastPanic)
+	Written int64 // pages made durable (frames + quarantine)
 }
 
 // BackgroundWriterConfig tunes a BackgroundWriter.
@@ -85,57 +71,20 @@ func (w *BackgroundWriter) run() {
 	for {
 		select {
 		case <-timer.C:
-			written, failed := w.safeRound()
+			written, failed := w.round()
 			if failed > 0 && written == 0 {
 				// The device refused everything: retrying at full cadence
 				// only adds load to a struggling device. Back off.
 				wait = min(2*wait, maxBackoff*w.interval)
-				w.mu.Lock()
-				w.stats.BackoffRounds++
-				w.mu.Unlock()
 			} else {
 				wait = w.interval
 			}
 			timer.Reset(wait)
 		case <-w.stop:
-			w.safeRound() // final sweep so Stop leaves the pool clean-ish
+			w.round() // final sweep so Stop leaves the pool clean-ish
 			return
 		}
 	}
-}
-
-// safeRound runs one round with panic containment: a panic anywhere in
-// the sweep (a broken policy, a misbehaving device wrapper) is recovered
-// instead of killing the writer goroutine — the pool's retry engine must
-// outlive one bad round. The panic is counted, recorded in the pool's
-// flight ring, and preserved with its stack and a FlightDump for
-// post-mortem retrieval via LastPanic. The round's partial progress
-// stands; pages it did not reach stay dirty or quarantined for the next
-// round.
-func (w *BackgroundWriter) safeRound() (written, failed int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.pool.events.Record(obs.EvPanic, 1, 0)
-			msg := fmt.Sprintf("bgwriter: recovered round panic: %v\n%s\n%s",
-				r, debug.Stack(), w.pool.FlightDump())
-			w.lastPanic.Store(&msg)
-			// Counted last: whoever sees the count can read the panic.
-			w.mu.Lock()
-			w.stats.PanicRecoveries++
-			w.mu.Unlock()
-			failed++
-		}
-	}()
-	return w.round()
-}
-
-// LastPanic returns the most recent contained round panic — message,
-// stack, and flight dump — or "" if none has occurred.
-func (w *BackgroundWriter) LastPanic() string {
-	if s := w.lastPanic.Load(); s != nil {
-		return *s
-	}
-	return ""
 }
 
 // round retries the quarantine, then writes back dirty, unpinned frames
@@ -164,11 +113,7 @@ func (w *BackgroundWriter) round() (written, failed int64) {
 		}
 	}
 	p.nextToClean.Store(int64(at))
-	w.mu.Lock()
-	w.stats.Rounds++
-	w.stats.Written += written
-	w.stats.WriteFailures += failed
-	w.mu.Unlock()
+	w.written.Add(written)
 	return written, failed
 }
 
@@ -180,7 +125,5 @@ func (w *BackgroundWriter) Stop() {
 
 // Stats returns a snapshot of the writer's counters.
 func (w *BackgroundWriter) Stats() BackgroundWriterStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
+	return BackgroundWriterStats{Written: w.written.Load()}
 }

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -117,7 +118,7 @@ func TestEndToEndDurabilityUnderTransientFaults(t *testing.T) {
 
 // TestCorruptionDetectedThroughPool checks a corrupted device read of a
 // previously written page surfaces as ErrCorruptPage through the pool
-// (without a retry layer to heal it) and is visible in Pool.Stats.
+// (without a retry layer to heal it).
 func TestCorruptionDetectedThroughPool(t *testing.T) {
 	mem := storage.NewMemDevice()
 	fault := storage.NewFaultDevice(mem, storage.FaultConfig{})
@@ -143,11 +144,8 @@ func TestCorruptionDetectedThroughPool(t *testing.T) {
 	}
 	fault.SetCorruptRate(1)
 	_, err := p.Get(s, pid(1))
-	if !storage.Retryable(err) || err == nil {
+	if !errors.Is(err, storage.ErrCorruptPage) || !storage.Retryable(err) {
 		t.Fatalf("corrupted load err=%v, want retryable ErrCorruptPage", err)
-	}
-	if got := p.Stats().Device.CorruptPages; got == 0 {
-		t.Fatal("CorruptPages not visible through Pool.Stats")
 	}
 	// Heal the device: the page loads again and carries the written bytes.
 	fault.SetCorruptRate(0)

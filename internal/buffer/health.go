@@ -84,9 +84,8 @@ type healthState struct {
 	// action, not a health verdict — it overrides disabled too.
 	forced atomic.Bool
 
-	shed              atomic.Int64 // misses refused with ErrOverloaded
-	healthTransitions atomic.Int64
-	quarRefusals      atomic.Int64 // dirty victims passed over by an eviction walk because the quarantine was full
+	shed         atomic.Int64 // misses refused with ErrOverloaded
+	quarRefusals atomic.Int64 // dirty victims passed over by an eviction walk because the quarantine was full
 }
 
 // evalHealth recomputes the pool's health from its two inputs and
@@ -117,7 +116,6 @@ func (p *Pool) latchHealth(st HealthState) HealthState {
 			break
 		}
 		if p.health.CompareAndSwap(old, int32(st)) {
-			p.healthTransitions.Add(1)
 			p.events.Record(obs.EvHealthChange, uint64(st), uint64(old))
 			break
 		}

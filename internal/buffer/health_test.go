@@ -3,27 +3,12 @@ package buffer
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/storage"
 )
-
-// panicDevice panics on writes when armed, to exercise the background
-// writer's panic containment.
-type panicDevice struct {
-	storage.Device
-	panicWrites atomic.Bool
-}
-
-func (d *panicDevice) WritePage(p *page.Page) error {
-	if d.panicWrites.Load() {
-		panic("injected write panic")
-	}
-	return d.Device.WritePage(p)
-}
 
 // TestHealthQuarantinePressureDegrades walks a pool down the ladder on
 // quarantine depth alone: a half-full quarantine leaves it Healthy, a full
@@ -232,63 +217,6 @@ func TestHealthQuarantineRecovery(t *testing.T) {
 		if !back.VerifyStamp(id + stampShift) {
 			t.Fatalf("page %v lost across the degradation episode", id)
 		}
-	}
-}
-
-// TestBackgroundWriterPanicContainment arms a device wrapper that panics
-// on write and checks the writer goroutine survives: the panic is
-// counted, captured with a flight dump, the page whose write panicked stays
-// dirty in its frame (unpinned, its write-back stripe free), and after
-// disarming, the writer flushes it.
-func TestBackgroundWriterPanicContainment(t *testing.T) {
-	mem := storage.NewMemDevice()
-	pd := &panicDevice{Device: mem}
-	p := New(Config{
-		Frames:        4,
-		PolicyFactory: factoryOf("lru"),
-		Device:        pd,
-		RecorderSize:  16,
-	})
-	s := p.NewSession()
-	dirtyPage(t, p, s, pid(1))
-	pd.panicWrites.Store(true)
-
-	w := p.StartBackgroundWriter(BackgroundWriterConfig{Interval: time.Millisecond})
-	deadline := time.Now().Add(5 * time.Second)
-	for w.Stats().PanicRecoveries == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background writer never recorded a panic recovery")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	lp := w.LastPanic()
-	if !strings.Contains(lp, "injected write panic") {
-		t.Fatalf("LastPanic missing the panic value:\n%s", lp)
-	}
-	if !strings.Contains(lp, "flight recorder") {
-		t.Fatalf("LastPanic carries no flight dump:\n%s", lp)
-	}
-
-	// The writer survived; disarm and it must still drain everything.
-	pd.panicWrites.Store(false)
-	deadline = time.Now().Add(5 * time.Second)
-	for p.dirtyCount() > 0 || p.quarantineLen() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("writer did not drain after disarm: dirty=%d quarantined=%d",
-				p.dirtyCount(), p.quarantineLen())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	w.Stop()
-	var back page.Page
-	if err := mem.ReadPage(pid(1), &back); err != nil {
-		t.Fatal(err)
-	}
-	if !back.VerifyStamp(pid(1) + stampShift) {
-		t.Fatal("page lost across the contained panic")
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 

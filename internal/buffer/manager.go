@@ -707,16 +707,16 @@ func (p *Pool) writeVictim(a *reqtrace.Active, id page.PageID, f *Frame) {
 // write-back stripe, straight out of the frame: the caller keeps the bytes
 // stable for as long as WritePage runs — which is all the storage.Device
 // contract lets it do — an eviction by its claim and op, a flush by its
-// pin. The stripe is released by defer, so a device that panics leaves it
-// free. The write is a slow phase: it lazily arms the trace, because an
+// pin. Nothing recovers a device's panic, so the stripe needs no defer. The
+// write is a slow phase: it lazily arms the trace, because an
 // evicting request is paying for another page's write-back — exactly the
 // latency a decomposition must surface.
 func (p *Pool) writeFrame(a *reqtrace.Active, id page.PageID, f *Frame) error {
 	l := p.wbLock(id)
 	l.Lock()
-	defer l.Unlock()
 	t0 := a.Now()
 	err := p.device.WritePage(&f.data)
+	l.Unlock()
 	a.Slow(reqtrace.PhaseDeviceWrite, t0, a.Now()-t0, flagArg(err != nil), uint64(id))
 	return err
 }

@@ -100,6 +100,7 @@ type Pool struct {
 	buckets  []bucket  // reader lines, bucketsPerFrame per frame
 	bucketWs []bucketW // writer side of buckets[i]
 	wrapper  *core.Wrapper
+	policy   string // the policy's Name, fixed at New
 	device   storage.Device
 
 	freeMu   sync.Mutex
@@ -290,6 +291,7 @@ func New(cfg Config) *Pool {
 	// Slotted: every tag the pool issues names its frame's slot, which
 	// addresses the policy's metadata for the page as well as the frame.
 	p.wrapper = core.NewSlotted(pol, wcfg)
+	p.policy = pol.Name()
 	return p
 }
 
@@ -466,7 +468,6 @@ type Stats struct {
 	Frames            int     // page slots
 	Free              int     // slots on the free list
 	Dirty             int     // dirty resident pages
-	Resident          int     // pages tracked by the policy, loads in flight included
 	Quarantined       int     // evicted pages parked by a failed write-back, bounded by QuarantineCap
 	QuarantineCap     int     // the configured quarantine cap
 	Hits              int64   // buffer hits since the pool was built
@@ -506,7 +507,6 @@ type Stats struct {
 	FrameLockAcqs    int64
 
 	Health             HealthState // degradation state at snapshot time
-	HealthTransitions  int64       // health state changes
 	Shed               int64       // misses refused with ErrOverloaded
 	QuarantineRefusals int64       // dirty victims an eviction passed over because the quarantine was full
 
@@ -514,11 +514,11 @@ type Stats struct {
 }
 
 // Stats returns an operational snapshot: the pool's one read path for its
-// counters, which /metrics renders too. It takes the policy lock briefly
-// (for the resident count) and scans each frame's state word (for the
-// dirty count); intended for monitoring, not hot paths. Hits are read
-// before misses (a literal's calls run left to right), and health is
-// evaluated before its transitions are counted.
+// counters, which /metrics renders too. It takes no policy lock, so a
+// scrape never queues behind a miss or adds to the paper's metric; it
+// scans each frame's state word (for the dirty count) and takes the free
+// list's mutex, so it is meant for monitoring, not hot paths. Hits are
+// read before misses (a literal's calls run left to right).
 func (p *Pool) Stats() Stats {
 	s := Stats{
 		Frames:             len(p.frames),
@@ -538,18 +538,14 @@ func (p *Pool) Stats() Stats {
 		BucketLockAcqs:     p.hp.bucketLocks.Load(),
 		FrameLockAcqs:      p.hp.frameLocks.Load(),
 		Health:             p.evalHealth(),
-		HealthTransitions:  p.healthTransitions.Load(),
 		Shed:               p.shed.Load(),
 		QuarantineRefusals: p.quarRefusals.Load(),
 		Device:             p.device.Stats(),
+		Policy:             p.policy,
 	}
 	p.freeMu.Lock()
 	s.Free = len(p.freeList)
 	p.freeMu.Unlock()
-	p.wrapper.Locked(func(pol replacer.Policy) {
-		s.Resident = pol.Len()
-		s.Policy = pol.Name()
-	})
 	s.HitRatio = metrics.AccessSnapshot{Hits: s.Hits, Misses: s.Misses}.HitRatio()
 	return s
 }

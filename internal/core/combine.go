@@ -118,19 +118,10 @@ func (c *combiner) register(owner uint64) *pubSlot {
 // own, ahead of its younger queue, or every session's — and reports how
 // many batches that was and how many entries they held. Callers must hold
 // the policy lock. s is the applying session: its ID is stamped as the
-// applier in cross-thread handoff spans.
+// applier in cross-thread handoff spans. A panic from the policy or the
+// validator is not recovered here, any more than on the direct or batched
+// path: it ends the process.
 func (w *Wrapper) drain(s *Session, slots []*pubSlot) (batches, entries int) {
-	// Contain panics from the policy or validator: the caller still holds
-	// the lock and will release it normally, so one poisoned entry stops
-	// this drain (already-swapped batches are lost to the policy's
-	// bookkeeping, never to the buffer manager — replacement state is
-	// advisory) instead of unwinding through an unrelated session and
-	// deadlocking everyone behind a never-released lock.
-	defer func() {
-		if r := recover(); r != nil {
-			w.fcc.combinerPanics.Add(1)
-		}
-	}()
 	// Annotate combiner drains in runtime/trace output (go test -trace,
 	// bpbench with tracing): the region spans the whole drain so trace
 	// viewers show how long combining extends the lock-holding period.

@@ -1,63 +1,63 @@
 package core
 
 import (
-	"sync/atomic"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
 )
 
-// trapPolicy panics on Hit of one armed page id, simulating a broken
-// replacement policy encountered mid-combine.
-type trapPolicy struct {
-	replacer.Policy
-	armed atomic.Uint64 // page id whose Hit panics; 0 disarmed
+// poisonedLRU is an LRU whose batch hit panics, as a policy does on misuse
+// (an Admit of a resident page, a broken invariant).
+type poisonedLRU struct{ *replacer.LRU }
+
+func (poisonedLRU) HitSlots([]replacer.Access) { panic("poisoned policy: HitSlots") }
+
+// policyPanicPath names, in a child test binary, the commit path to drive
+// into the poisoned policy.
+const policyPanicPath = "BPW_POLICY_PANIC_PATH"
+
+// policyPanicPaths are the three commit paths, by their wrapper config.
+var policyPanicPaths = map[string]Config{
+	"direct":  {},
+	"batched": {Batching: true, QueueSize: 8, BatchThreshold: 2},
+	"fc":      {Batching: true, FlatCombining: true, QueueSize: 8, BatchThreshold: 2},
 }
 
-func (p *trapPolicy) Hit(id page.PageID) {
-	if uint64(id) == p.armed.Load() {
-		panic("trap policy: poisoned hit")
-	}
-	p.Policy.Hit(id)
-}
-
-// TestCombinerPanicContained arms a policy to panic mid-drain and checks
-// the flat-combining commit survives it: the panic is recovered inside
-// combineLocked (the lock is still released — a follow-up flush would
-// deadlock otherwise), counted in Stats, and the wrapper keeps working
-// once the policy behaves again.
-func TestCombinerPanicContained(t *testing.T) {
-	trap := &trapPolicy{Policy: replacer.NewLRU(64)}
-	w := New(trap, Config{Batching: true, FlatCombining: true, QueueSize: 8, BatchThreshold: 2})
-	s := w.NewSession()
-	s.Miss(pid(1), page.BufferTag{})
-	s.Miss(pid(2), page.BufferTag{})
-
-	trap.armed.Store(uint64(pid(1)))
-	// Threshold crossing: publish + TryLock succeeds + combineLocked
-	// drains the published batch, where the poisoned hit fires.
-	s.Hit(pid(1), page.BufferTag{Page: pid(1)})
-	s.Hit(pid(2), page.BufferTag{Page: pid(2)})
-	if got := w.Stats().CombinerPanics; got != 1 {
-		t.Fatalf("CombinerPanics=%d, want 1", got)
-	}
-
-	// The lock was released and the wrapper still serves: if the recover
-	// had not run (or had kept the lock), this flush would deadlock.
-	trap.armed.Store(0)
-	s.Hit(pid(2), page.BufferTag{Page: pid(2)})
-	s.Flush()
-	w.Locked(func(pol replacer.Policy) {
-		if !pol.Contains(pid(2)) {
-			t.Fatal("policy lost residency of an untouched page")
+// TestPolicyPanicEndsTheProcess: a policy panic has one outcome on every
+// commit path. Nothing recovers it — not the direct or batched round, not a
+// combiner's drain — so no caller goes on walking a policy the panic left
+// half-mutated, behind a lock the unwinding round never released. Each path
+// runs in a child test binary, which must die of the panic.
+func TestPolicyPanicEndsTheProcess(t *testing.T) {
+	if path := os.Getenv(policyPanicPath); path != "" {
+		w := NewSlotted(poisonedLRU{replacer.NewLRU(4)}, policyPanicPaths[path])
+		s := w.NewSession()
+		s.MissSlot(pid(1), 0, nil)
+		for range 2 { // the batch threshold
+			s.Hit(pid(1), page.BufferTag{Page: pid(1), Slot: 0})
 		}
-	})
-	st := w.Stats()
-	if st.CombinerPanics != 1 {
-		t.Fatalf("CombinerPanics=%d after recovery, want still 1", st.CombinerPanics)
+		s.Flush()
+		fmt.Println("survived the poisoned policy")
+		return
 	}
-	if st.Commits == 0 {
-		t.Fatal("no commits recorded; the commit path did not survive the panic")
+	for path := range policyPanicPaths {
+		t.Run(path, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestPolicyPanicEndsTheProcess$", "-test.count=1")
+			cmd.Env = append(os.Environ(), policyPanicPath+"="+path)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("child exited with %v, want a panic's exit status 2:\n%s", err, out)
+			}
+			if !strings.Contains(string(out), "panic: poisoned policy: HitSlots") {
+				t.Fatalf("child died of something else than the policy's panic:\n%s", out)
+			}
+		})
 	}
 }

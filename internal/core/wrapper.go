@@ -152,11 +152,6 @@ type Stats struct {
 	CombinedBatches int64 // other sessions' published batches applied by a combiner
 	CombinedEntries int64 // entries in those batches
 	HandoffSaved    int64 // publishes whose TryLock failed: batches handed to the combiner instead of blocking or re-accumulating
-
-	// CombinerPanics counts panics contained inside a combiner drain (a
-	// broken policy or validator); each leaves that drain incomplete but
-	// the wrapper serviceable.
-	CombinerPanics int64
 }
 
 // cacheLineSize separates counter groups with different writer populations
@@ -186,7 +181,6 @@ type combineCounters struct {
 	combinedBatches atomic.Int64
 	combinedEntries atomic.Int64
 	handoffSaved    atomic.Int64
-	combinerPanics  atomic.Int64
 }
 
 // Wrapper couples a replacement policy with its global lock and the
@@ -319,7 +313,6 @@ func (w *Wrapper) Stats() Stats {
 		CombinedBatches: w.fcc.combinedBatches.Load(),
 		CombinedEntries: w.fcc.combinedEntries.Load(),
 		HandoffSaved:    w.fcc.handoffSaved.Load(),
-		CombinerPanics:  w.fcc.combinerPanics.Load(),
 	}
 }
 

@@ -208,7 +208,7 @@ func TestRecorderDumpTail(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvQuarantinePark, EvQuarantineFlush, EvHealthChange, EvPanic}
+	kinds := []EventKind{EvQuarantinePark, EvQuarantineFlush, EvHealthChange}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

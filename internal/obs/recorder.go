@@ -32,8 +32,6 @@ const (
 	// EvHealthChange: the pool's health state changed.
 	// Arg1 = new state, Arg2 = previous state (buffer.HealthState values).
 	EvHealthChange
-	// EvPanic: a contained panic in a background-writer round. Arg1 = 1.
-	EvPanic
 )
 
 // String returns the kind's short name, used in dumps and the events
@@ -46,8 +44,6 @@ func (k EventKind) String() string {
 		return "quarantine-flush"
 	case EvHealthChange:
 		return "health-change"
-	case EvPanic:
-		return "panic-recovered"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -298,7 +298,6 @@ func (s *Server) remoteStatsPayload() []byte {
 		Dirty:       st.Dirty,
 		Quarantined: st.Quarantined,
 		Health:      st.Health.String(),
-		Conns:       s.c.active.Load(),
 		Draining:    s.state.Load() != stateRunning,
 	}
 	b, err := json.Marshal(rs)
@@ -354,7 +353,7 @@ func (s *Server) Stats() Stats {
 }
 
 // RemoteStats is the STATS payload: the slice of Pool.Stats a remote
-// operator can act on, plus the server's own connection gauge.
+// operator can act on, plus whether the server is draining.
 type RemoteStats struct {
 	Frames      int    `json:"frames"`
 	Hits        int64  `json:"hits"`
@@ -363,7 +362,6 @@ type RemoteStats struct {
 	Dirty       int    `json:"dirty"`
 	Quarantined int    `json:"quarantined"`
 	Health      string `json:"health"`
-	Conns       int64  `json:"conns"`
 	Draining    bool   `json:"draining"`
 }
 

@@ -104,8 +104,8 @@ func TestServerRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if rs.Frames != 16 || rs.Conns != 1 || rs.Misses == 0 {
-		t.Fatalf("Stats = %+v, want frames=16 conns=1 misses>0", rs)
+	if rs.Frames != 16 || rs.Misses == 0 || rs.Draining {
+		t.Fatalf("Stats = %+v, want frames=16 misses>0, not draining", rs)
 	}
 
 	// Typed errors survive the wire.
@@ -809,4 +809,48 @@ func TestWirePathZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStatsAnswersWhileThePolicyLockIsHeld: neither the STATS op nor
+// Pool.Stats takes the policy lock. With the lock held, as a miss holds it,
+// a client's STATS is answered and Pool.Stats returns, and neither counts a
+// policy-lock acquisition.
+func TestStatsAnswersWhileThePolicyLockIsHeld(t *testing.T) {
+	srv, _, done := newTestServer(t, 16, Config{})
+	defer done()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Get(testPage(1)); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+
+	w := srv.pool.Wrapper()
+	w.LockedSlots(func(replacer.SlotPolicy) {
+		before := w.Stats().Lock.Acquisitions
+		answered := make(chan error, 1)
+		go func() {
+			rs, err := c.Stats()
+			if err == nil && (rs.Frames != 16 || rs.Misses != 1) {
+				err = errors.New("wrong counts")
+			}
+			answered <- err
+		}()
+		select {
+		case err := <-answered:
+			if err != nil {
+				t.Fatalf("STATS with the policy lock held: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("STATS got no answer while the policy lock was held")
+		}
+		if st := srv.pool.Stats(); st.Frames != 16 || st.Misses != 1 {
+			t.Fatalf("Pool.Stats with the policy lock held: frames %d, misses %d; want 16 and 1", st.Frames, st.Misses)
+		}
+		if got := w.Stats().Lock.Acquisitions; got != before {
+			t.Fatalf("policy-lock acquisitions %d -> %d across a STATS op and a Stats call, want none", before, got)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"bpwrapper/internal/page"
 )
@@ -26,7 +25,6 @@ import (
 type ChecksumDevice struct {
 	backing Device
 	shards  [64]sumShard
-	corrupt atomic.Int64
 }
 
 type sumShard struct {
@@ -58,7 +56,6 @@ func (d *ChecksumDevice) ReadPage(id page.PageID, p *page.Page) error {
 	want, ok := s.sums[id]
 	s.mu.RUnlock()
 	if ok && p.Checksum() != want {
-		d.corrupt.Add(1)
 		return fmt.Errorf("storage: page %v read back with checksum %#x, want %#x: %w",
 			id, p.Checksum(), want, ErrCorruptPage)
 	}
@@ -78,10 +75,6 @@ func (d *ChecksumDevice) WritePage(p *page.Page) error {
 	return nil
 }
 
-// Stats implements Device: the backing device's counters plus the
-// corruptions detected by this layer.
-func (d *ChecksumDevice) Stats() DeviceStats {
-	s := d.backing.Stats()
-	s.CorruptPages += d.corrupt.Load()
-	return s
-}
+// Stats implements Device: the backing device's counters. A detected
+// corruption is counted nowhere; it surfaces as the read's ErrCorruptPage.
+func (d *ChecksumDevice) Stats() DeviceStats { return d.backing.Stats() }

@@ -42,17 +42,16 @@ type Device interface {
 }
 
 // DeviceStats counts device activity. The error counters are populated by
-// the fault-tolerance wrappers (FaultDevice, RetryDevice, ChecksumDevice),
-// which fold their backing device's stats into their own so that the whole
-// stack's counters are visible from the outermost layer.
+// the fault-tolerance wrappers (FaultDevice, RetryDevice), which fold
+// their backing device's stats into their own so that the whole stack's
+// counters are visible from the outermost layer.
 type DeviceStats struct {
 	Reads  int64
 	Writes int64
 
-	ReadErrors   int64 // failed page reads (injected or real)
-	WriteErrors  int64 // failed page writes (injected or real)
-	Retries      int64 // retry attempts performed by a RetryDevice
-	CorruptPages int64 // checksum mismatches detected by a ChecksumDevice
+	ReadErrors  int64 // failed page reads (injected or real)
+	WriteErrors int64 // failed page writes (injected or real)
+	Retries     int64 // retry attempts performed by a RetryDevice
 }
 
 // deviceCounters is the shared atomic implementation behind Stats.

@@ -83,7 +83,7 @@ func checkStatsConsistency(pool *buffer.Pool) error {
 
 // statsGauges are the integer fields of buffer.Stats that describe the
 // moment; every other integer field is a cumulative total.
-var statsGauges = map[string]bool{"Frames": true, "Free": true, "Dirty": true, "Resident": true, "Quarantined": true,
+var statsGauges = map[string]bool{"Frames": true, "Free": true, "Dirty": true, "Quarantined": true,
 	"Health": true, "QuarantineCap": true}
 
 // decreasedTotal names the first cumulative total of cur below prev's, or

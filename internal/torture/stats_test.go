@@ -15,6 +15,21 @@ import (
 	"bpwrapper/internal/storage"
 )
 
+// TestStatsGaugesNameFields: every key of statsGauges is an integer field
+// of buffer.Stats. A key that names no field would be skipped by a walk
+// that never meets it, so a cut field must take its key along.
+func TestStatsGaugesNameFields(t *testing.T) {
+	typ := reflect.TypeOf(buffer.Stats{})
+	for name := range statsGauges {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Errorf("statsGauges lists %s, which is no field of buffer.Stats", name)
+		} else if k := f.Type.Kind(); k < reflect.Int || k > reflect.Uint64 {
+			t.Errorf("statsGauges lists %s, a %s: decreasedTotal only compares integers", name, f.Type)
+		}
+	}
+}
+
 // TestStatsTotalsNeverDecrease: every cumulative total of Pool.Stats only
 // grows while sessions on the pool hit, miss and fold their staged
 // hits, and Stats is read in a loop; a total folded or summed twice,

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Eleven checks and a
-# size cap:
+# Fails when the docs name what the tree does not have. Eleven checks and
+# two size caps:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
 #     EXPERIMENTS.md, and every bpw_* name in the doc comments and help text
@@ -65,7 +65,10 @@
 #     script is not read: its allow-list names retired flags. One loop
 #     checks 6 and 11; an allow-list entry is "FILE command -flag".
 #  And DESIGN.md must stay at or under 60,000 bytes: it describes the code
-#  as it is, and what was goes to CHANGES.md.
+#  as it is, and what was goes to CHANGES.md. CHANGES.md's newest entry,
+#  from its last "- PR N:" line to the end with its FOUND and MENDED lines,
+#  must stay at or under 6,144 bytes: the runs behind it go in
+#  results/prN_runs.md.
 #
 # Checks 3 to 6 and 8 to 10 read a back-quoted span only when it opens and
 # closes on one line.
@@ -157,6 +160,12 @@ done
 size="$(wc -c <DESIGN.md)"
 if [ "$size" -gt 60000 ]; then
     echo "check_docs: DESIGN.md is $size bytes, over its 60000" >&2
+    fail=1
+fi
+start="$(grep -nE '^- PR [0-9]+:' CHANGES.md | tail -n 1 | cut -d: -f1)"
+size="$(tail -n "+$start" CHANGES.md | wc -c)"
+if [ "$size" -gt 6144 ]; then
+    echo "check_docs: CHANGES.md's newest entry (line $start on) is $size bytes, over its 6144" >&2
     fail=1
 fi
 
