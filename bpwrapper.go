@@ -35,7 +35,7 @@
 // WrapperConfig.FlatCombining: publish the batch and try the lock once —
 // the winner applies every session's published batch (examples/flatcombine).
 // The designs the paper rejects (one shared queue, Section III-A) are models
-// in the simulator (bpsim -shared-queue), not options of the wrapper.
+// in the simulator (bpbench -exp ablation-queue), not options of the wrapper.
 //
 // # Quick start
 //

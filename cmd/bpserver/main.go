@@ -1,9 +1,8 @@
 // Command bpserver serves a BP-Wrapper buffer pool over TCP: a
 // standalone page-cache service speaking the length-prefixed binary
-// protocol of internal/server (GET/PUT/INVALIDATE/FLUSH/STATS,
-// pipelined). Remote clients map onto pool sessions one-to-one, so the
-// paper's batching protocol sees the same access pattern it would see
-// in-process.
+// protocol of internal/server (GET/PUT/INVALIDATE/FLUSH, pipelined).
+// Remote clients map onto pool sessions one-to-one, so the paper's
+// batching protocol sees the same access pattern it would see in-process.
 //
 // SIGINT/SIGTERM triggers a graceful drain: the listener closes, the
 // pool drops to its read-only floor, in-flight clients finish their

@@ -94,10 +94,11 @@ func ExampleNewPolicy() {
 // retries over checksummed I/O over a (here deliberately flaky) device —
 // and shows a transient write fault being healed and counted.
 func ExampleNewRetryDevice() {
+	retries := 0
 	flaky := bpwrapper.NewFaultDevice(bpwrapper.NewMemDevice(), bpwrapper.FaultConfig{})
 	dev := bpwrapper.NewRetryDevice(bpwrapper.NewChecksumDevice(flaky), bpwrapper.RetryConfig{
 		MaxAttempts: 4,
-		Sleep:       func(time.Duration) {}, // keep the example instant
+		Sleep:       func(time.Duration) { retries++ }, // keep the example instant
 	})
 
 	var p bpwrapper.Page
@@ -112,9 +113,9 @@ func ExampleNewRetryDevice() {
 	if err := dev.ReadPage(p.ID, &back); err != nil {
 		panic(err)
 	}
-	st := dev.Stats()
+	_, writeErrors, _ := flaky.Injected()
 	fmt.Println("intact:", back.Data == p.Data)
-	fmt.Println("write errors:", st.WriteErrors, "retries:", st.Retries)
+	fmt.Println("write errors:", writeErrors, "retries:", retries)
 	// Output:
 	// intact: true
 	// write errors: 2 retries: 2

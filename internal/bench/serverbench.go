@@ -21,8 +21,7 @@ import (
 // per-op request counts, per-status response counts, bytes in/out, the
 // pool's hit/miss split — is exact and byte-identical on any machine: the
 // op stream is a fixed function of the seed, frames are fixed-size, and the
-// snapshot is taken at quiescence BEFORE any STATS call (the STATS JSON
-// length is the one nondeterministic frame). This is the committed
+// snapshot is taken at quiescence. This is the committed
 // results/BENCH_server.json baseline, drift-checked by CI: it pins the wire
 // format's byte accounting, the request taxonomy, and that bad frames are
 // counted and contained. Wall-clock throughput over the wire is
@@ -173,9 +172,7 @@ func serverLedgerArm(pipeline int, seed int64) (ServerLedgerRow, error) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Quiescent snapshot, BEFORE any STATS call: the STATS response is
-	// the one frame whose length varies, and it must stay out of the
-	// committed byte ledger.
+	// Quiescent snapshot.
 	st := srv.Stats()
 	pst := pool.Stats()
 	row := ServerLedgerRow{

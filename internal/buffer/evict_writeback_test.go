@@ -3,7 +3,6 @@ package buffer
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -424,11 +423,12 @@ func TestEvictMissAllocs(t *testing.T) {
 
 // TestGetYieldsToDescheduledEvictor is the liveness regression for a reader
 // that finds its page mapped to a frame already claimed but not yet
-// unmapped, with the claimant off the processor. At GOMAXPROCS=1 nobody
-// else can unmap the frame while the reader runs: it must yield after a
-// retry or two, not spin out its time slice.
+// unmapped, with the claimant off the processor: nobody else can unmap the
+// frame while the reader runs, so it must back off after a retry or two,
+// not spin out its time slice. The turns: the evictor (thread 0) until it
+// has claimed page 1's frame, the reader (thread 1) until it backs off or
+// for at most 50 turns, then round robin.
 func TestGetYieldsToDescheduledEvictor(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := New(Config{Frames: 2, PolicyFactory: factoryOf("fifo"), Device: storage.NewMemDevice()})
 	s := p.NewSession()
 	for i := uint64(1); i <= 2; i++ {
@@ -439,52 +439,51 @@ func TestGetYieldsToDescheduledEvictor(t *testing.T) {
 		ref.Release()
 	}
 
-	var inWindow atomic.Bool
-	var lookups, lookupsAtResume atomic.Int64
-	read := make(chan error, 1)
-	var once sync.Once
-	t.Cleanup(sched.SetHook(func(pt sched.Point) {
-		switch pt {
-		case sched.BufReclaimClaim:
-			// The evictor (this test's goroutine) has claimed page 1's
-			// frame and not unmapped it. Start a reader of page 1 and go
-			// off the processor; we are back on only when the reader
-			// yields (or, spinning, is preempted some 10 ms later).
-			once.Do(func() {
-				inWindow.Store(true)
-				go func() {
-					ref, err := p.Get(p.NewSession(), pid(1))
-					if err == nil {
-						ref.Release()
-					}
-					read <- err
-				}()
-				// One yield need not reach the reader — the runtime may run
-				// something else of its own first — so yield until the reader
-				// has looked the frame up once; what is recorded is how far it
-				// got before it gave the processor back.
-				for i := 0; i < 10000 && lookups.Load() == 0; i++ {
-					runtime.Gosched()
-				}
-				lookupsAtResume.Store(lookups.Load())
-				inWindow.Store(false)
-			})
-		case sched.BufHitPin:
-			if inWindow.Load() {
-				lookups.Add(1)
+	phase, lookups, backedOff := 0, 0, false
+	schedule := scheduleFunc(func(last sched.Step, runnable []int) int {
+		if phase == 0 && last == (sched.Step{Thread: 0, Point: sched.BufReclaimClaim}) {
+			phase = 1
+		}
+		if phase == 1 && last.Thread == 1 {
+			switch last.Point {
+			case sched.BufHitPin:
+				lookups++
+			case sched.BufBackoff:
+				backedOff = true
+			}
+			if backedOff || lookups > 50 {
+				phase = 2
 			}
 		}
-	}))
-
-	ref, err := p.Get(s, pid(3)) // evicts page 1, the oldest
-	if err != nil {
-		t.Fatal(err)
+		if phase < 2 {
+			return phase
+		}
+		return runnable[0]
+	})
+	get := func(id page.PageID, errp *error) func() {
+		return func() {
+			ref, err := p.Get(p.NewSession(), id)
+			if err == nil {
+				ref.Release()
+			}
+			*errp = err
+		}
 	}
-	ref.Release()
-	if err := <-read; err != nil {
-		t.Fatalf("reader: %v", err)
+	var evictErr, readErr error
+	steps, err := sched.Run(schedule, get(pid(3), &evictErr), get(pid(1), &readErr)) // page 3 evicts page 1, the oldest
+	if err != nil || evictErr != nil || readErr != nil {
+		t.Fatalf("run: %v, evictor: %v, reader: %v", err, evictErr, readErr)
 	}
-	if n := lookupsAtResume.Load(); n == 0 || n > 3 {
-		t.Fatalf("the reader looked the claimed frame up %d times before the evictor got the processor back, want 1 to 3", n)
+	if phase == 0 {
+		t.Fatalf("the evictor never claimed a frame: %v", steps)
 	}
+	if !backedOff || lookups == 0 || lookups > 3 {
+		t.Fatalf("the reader looked the claimed frame up %d times (backed off: %v) while the evictor was off, want 1 to 3 and a back-off", lookups, backedOff)
+	}
+	t.Logf("the reader looked the claimed frame up %d times, then backed off", lookups)
 }
+
+// scheduleFunc adapts a function to sched.Schedule.
+type scheduleFunc func(last sched.Step, runnable []int) int
+
+func (f scheduleFunc) Next(last sched.Step, runnable []int) int { return f(last, runnable) }

@@ -393,7 +393,7 @@ func TestBackgroundWriterBacksOffWhenDeviceDown(t *testing.T) {
 	// Each round tries the four dirty frames once. Doubling from 1ms the
 	// writer sleeps maxBackoff intervals, 16ms, from its fifth failed round
 	// on; at full cadence 120ms would fit ~120 rounds, ~480 writes.
-	failed := dev.Stats().WriteErrors
+	_, failed, _ := dev.Injected()
 	if failed == 0 {
 		t.Fatal("the writer wrote nothing while the device was down")
 	}

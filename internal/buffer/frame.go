@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bpwrapper/internal/page"
+	"bpwrapper/internal/sched"
 )
 
 // Frame state word layout, in the style of PostgreSQL's BufferDesc.state:
@@ -230,6 +231,7 @@ func (f *Frame) unlockContentAndUnpin() {
 // burst of scheduler yields, for spin loops that may wait on another
 // goroutine's pin or lock.
 func backoff(spins int) {
+	sched.Yield(sched.BufBackoff)
 	if spins < 64 {
 		runtime.Gosched()
 	} else {

@@ -465,11 +465,9 @@ func (p *Pool) Prewarm(ids []page.PageID) error {
 // Misses vs Device.Reads) can be off by in-flight operations. Collect at
 // quiescence for exact figures.
 type Stats struct {
-	Frames            int     // page slots
 	Free              int     // slots on the free list
 	Dirty             int     // dirty resident pages
-	Quarantined       int     // evicted pages parked by a failed write-back, bounded by QuarantineCap
-	QuarantineCap     int     // the configured quarantine cap
+	Quarantined       int     // evicted pages parked by a failed write-back, bounded by Config.QuarantineCap
 	Hits              int64   // buffer hits since the pool was built
 	Misses            int64   // buffer misses since the pool was built
 	HitRatio          float64 // Hits / (Hits + Misses)
@@ -521,10 +519,8 @@ type Stats struct {
 // read before misses (a literal's calls run left to right).
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Frames:             len(p.frames),
 		Dirty:              p.dirtyCount(),
 		Quarantined:        p.quarantineLen(),
-		QuarantineCap:      p.quarCap,
 		Hits:               p.hits.Load(),
 		Misses:             p.misses.Load(),
 		WriteBackFailures:  p.writeBackFailures.Load(),

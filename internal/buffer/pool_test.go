@@ -759,9 +759,6 @@ func TestPoolStatsSnapshot(t *testing.T) {
 	s.Flush()
 
 	st := p.Stats()
-	if st.Frames != 8 {
-		t.Errorf("frames %d", st.Frames)
-	}
 	if st.Free != 4 {
 		t.Errorf("free %d, want 4", st.Free)
 	}

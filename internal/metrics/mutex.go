@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bpwrapper/internal/sched"
 )
 
 // holdSampleEvery is the hold-time sampling period: the nanosecond clock
@@ -117,7 +119,17 @@ func (m *ContentionMutex) Lock() {
 	}
 	m.contentions.Add(1)
 	start := time.Now()
-	m.mu.Lock()
+	// On sched's executor a would-block acquire parks the logical thread
+	// and retries when the thread is scheduled again.
+	for retry := false; ; retry = true {
+		if !sched.WouldBlock(m, retry) {
+			m.mu.Lock()
+			break
+		}
+		if m.mu.TryLock() {
+			break
+		}
+	}
 	now := time.Now()
 	wait := now.Sub(start)
 	m.waitNanos.Add(wait.Nanoseconds())

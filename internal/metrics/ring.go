@@ -55,6 +55,7 @@ func (r *Ring) Put(payload []uint64) uint64 {
 	body := s[1 : len(s)-1]
 	payload = payload[:len(body)]
 	s[0].Store(i + 1)
+	sched.Yield(sched.RingPut)
 	for j := range body {
 		body[j].Store(payload[j])
 	}

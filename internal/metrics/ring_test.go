@@ -2,9 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"bpwrapper/internal/sched"
@@ -69,11 +66,12 @@ func TestRingRoundTripWrapAndRounding(t *testing.T) {
 	}
 }
 
-// TestRingTornReadRefused stages, through the reader's sched point, the
-// one interleaving the slot protocol exists for: a snapshot has loaded a
-// slot's first stamp when a writer laps into the slot and gets as far as
-// its begin stamp and half its payload. The old end stamp is still in
-// place, so only a reader that checks begin last can tell.
+// TestRingTornReadRefused names the one interleaving the slot protocol
+// exists for: a snapshot has loaded slot 0's end stamp when a writer laps
+// into the slot and stops after its begin stamp (turns 0, 1, 0: the reader
+// to its first read window, the writer to RingPut, the reader on). The old
+// end stamp is still in place, so only a reader that checks begin last can
+// tell.
 func TestRingTornReadRefused(t *testing.T) {
 	for _, width := range ringWidths {
 		t.Run(fmt.Sprint("width", width), func(t *testing.T) {
@@ -81,44 +79,25 @@ func TestRingTornReadRefused(t *testing.T) {
 			for v := uint64(0); v < 8; v++ {
 				r.Put(record(width, v))
 			}
-			// The staged writer: Put's fetch-add and its first 1 + width/2
-			// stores, then descheduled; finish does the rest.
-			lap := record(width, 8)
-			var slot []uint64
-			finish := func() {}
-			windows := 0
-			restore := sched.SetHook(func(pt sched.Point) {
-				if pt != sched.RingSnapshot {
-					return
-				}
-				if windows++; windows != 1 {
-					return
-				}
-				i := r.seq.Add(1) - 1
-				s := r.words[(i&r.mask)*r.stride:][:r.stride]
-				s[0].Store(i + 1)
-				for j := 0; j < width/2; j++ {
-					s[1+j].Store(lap[j])
-				}
-				finish = func() {
-					for j := width / 2; j < width; j++ {
-						s[1+j].Store(lap[j])
-					}
-					s[len(s)-1].Store(i + 1)
-				}
-				for j := range s {
-					slot = append(slot, s[j].Load())
-				}
-			})
-			defer restore()
-
 			before := r.Dropped() // 0: eight records in eight slots
-			got := snapshot(r)
+			var got map[uint64][]uint64
+			steps, err := sched.Run(sched.Replay(0, 1, 0),
+				func() { got = snapshot(r) },
+				func() { r.Put(record(width, 8)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(steps[:2]) != fmt.Sprint([]sched.Step{{Thread: 0, Point: sched.RingSnapshot}, {Thread: 1, Point: sched.RingPut}}) {
+				t.Fatalf("the writer was not stopped inside the reader's first window: %v", steps)
+			}
+			windows := 0
+			for _, st := range steps {
+				if st.Point == sched.RingSnapshot {
+					windows++
+				}
+			}
 			if windows != 8 {
 				t.Fatalf("snapshot opened %d read windows, want 8", windows)
-			}
-			if slot[0] != 9 || slot[len(slot)-1] != 1 || intact(slot[1:len(slot)-1]) {
-				t.Fatalf("staging did not leave slot 0 mid-Put: %v", slot)
 			}
 			for seq, p := range got {
 				if !intact(p) {
@@ -136,10 +115,9 @@ func TestRingTornReadRefused(t *testing.T) {
 				t.Fatalf("torn = %d, want the refused slot counted once", r.torn.Load())
 			}
 
-			// The writer finishes: the slot reads clean again.
-			finish()
+			// The writer has finished: the slot reads clean again.
 			got = snapshot(r)
-			if p := got[8]; len(got) != 8 || !intact(p) || p[0] != lap[0] {
+			if p := got[8]; len(got) != 8 || !intact(p) || p[0] != record(width, 8)[0] {
 				t.Fatalf("after the writer finished: %d records, seq 8 = %v", len(got), p)
 			}
 			if r.torn.Load() != 1 {
@@ -149,75 +127,54 @@ func TestRingTornReadRefused(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentNeverMixes races writers against a snapshotting
-// reader. Under -race it validates the all-atomic slots; every word of a
-// record derives from one value, so a slot accepted with words of two
-// writes fails it.
-//
-// The writers keep within window Puts of each other, so the others manage
-// at most 3 × 2 × window = 48 Puts while one sits inside its own: nobody
-// is lapped mid-Put, the ring's one accepted limit. Without that bound a
-// preempted writer is lapped in microseconds here and the mix it leaves
-// does turn up (seen within six -race runs).
-//
-// The reader yields once per snapshot pass. Without the yield, at one P it
-// keeps the P until preemption, a time slice per turn, while the writers,
-// each waiting on the slowest, advance a few Puts per slice: over a minute
-// for the run. With it, no snapshot meets a writer mid-Put at one P;
-// TestRingTornReadRefused stages that interleaving at every GOMAXPROCS.
+// TestRingConcurrentNeverMixes runs four writers and a snapshotting reader
+// as logical threads, round robin: in each turn a writer finishes one Put
+// and stops inside the next, after its begin stamp, and the reader reads
+// one slot and stops inside the next. So the reader keeps meeting writers
+// mid-Put, at any GOMAXPROCS, and every record it keeps must be the one
+// whose Put returned that sequence. Nobody is lapped mid-Put (the others
+// manage three Puts while one sits inside its own), so the ring's one
+// accepted limit does not arise.
 func TestRingConcurrentNeverMixes(t *testing.T) {
-	const writers, window, puts = 4, 8, 20000
+	const writers, puts = 4, 500
 	for _, width := range ringWidths {
+		// Every slot written once, so that every slot a snapshot passes is a
+		// read window: a pass over unwritten slots reaches no point.
 		r := NewRing(64, width)
-		var done [writers]atomic.Uint64
-		ahead := func(i uint64) bool {
-			for g := range done {
-				if i >= done[g].Load()+window {
-					return true
-				}
-			}
-			return false
+		wrote := map[uint64]uint64{} // sequence → the value its Put wrote
+		for v := uint64(1 << 40); r.Seq() < 64; v++ {
+			wrote[r.Put(record(width, v))] = v
 		}
-		stop := make(chan struct{})
-		var wg, reader sync.WaitGroup
-		for g := 0; g < writers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
+		finished, kept := 0, 0
+		var bodies []func()
+		for g := uint64(0); g < writers; g++ {
+			bodies = append(bodies, func() {
 				for i := uint64(0); i < puts; i++ {
-					for ahead(i) {
-						runtime.Gosched()
-					}
-					r.Put(record(width, uint64(g)<<32|i))
-					done[g].Add(1)
+					v := g<<32 | i
+					wrote[r.Put(record(width, v))] = v
 				}
-			}(g)
+				finished++
+			})
 		}
-		reader.Add(1)
-		go func() {
-			defer reader.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+		bodies = append(bodies, func() {
+			for finished < writers {
 				r.Snapshot(func(seq uint64, p []uint64) {
-					if !intact(p) {
-						t.Errorf("width %d: seq %d returned mixing two writes: %v", width, seq, p)
+					kept++
+					if v, ok := wrote[seq]; !ok || fmt.Sprint(p) != fmt.Sprint(record(width, v)) {
+						t.Errorf("width %d: seq %d returned %v, its Put wrote %v", width, seq, p, record(width, v))
 					}
 				})
-				runtime.Gosched()
 			}
-		}()
-		wg.Wait()
-		close(stop)
-		reader.Wait()
-		if r.Seq() != writers*puts {
-			t.Fatalf("width %d: %d records put, want %d", width, r.Seq(), writers*puts)
+		})
+		if _, err := sched.Run(sched.Replay(), bodies...); err != nil {
+			t.Fatal(err)
 		}
-		if r.torn.Load() == 0 {
-			t.Logf("width %d: no snapshot met a writer mid-Put; the run proved nothing about mixes (TestRingTornReadRefused forces one)", width)
+		if r.Seq() != 64+writers*puts {
+			t.Fatalf("width %d: %d records put, want %d", width, r.Seq(), 64+writers*puts)
 		}
+		if r.torn.Load() == 0 || kept == 0 {
+			t.Fatalf("width %d: the reader kept %d records and refused %d: it never met a writer mid-Put", width, kept, r.torn.Load())
+		}
+		t.Logf("width %d: the reader kept %d records and refused %d", width, kept, r.torn.Load())
 	}
 }

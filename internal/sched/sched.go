@@ -1,103 +1,80 @@
-// Package sched provides the interleaving-injection hook used by the
-// concurrency torture harness (internal/torture).
-//
-// Rare concurrency bugs hide in interleavings the Go scheduler almost never
-// produces on its own: stress tests hammer the same few schedules over and
-// over while the one that loses an access or inverts a commit order needs a
-// preemption inside a ten-instruction window. Following the methodology of
-// systematic-interleaving testing (see "Lock-Free Locks Revisited" in
-// PAPERS.md), the concurrent code in internal/core and internal/buffer (and
-// the reader of internal/metrics' record ring) is instrumented with named
-// Yield points at the boundaries where cross-thread visibility changes —
-// publish/claim handoffs, quarantine parking, table-install windows, the
-// window a ring snapshot can tear in. In production the hook is nil and
-// Yield is a single atomic load and a predicted-not-taken branch; the
-// torture harness installs a seeded perturber that decides pseudo-randomly,
-// per point, whether to reschedule — so a failing run's interleaving
-// pressure is reproducible from its seed.
+// Package sched is the repository's one cooperative executor (Kernel) and
+// the named interleaving points (Yield) it steers. Following systematic-
+// interleaving testing ("Lock-Free Locks Revisited", PAPERS.md), the
+// concurrent code in internal/core, internal/buffer and the record ring of
+// internal/metrics yields where cross-thread visibility changes: the
+// interleavings the Go scheduler almost never produces. With no hook a
+// point is one atomic load. The torture harness installs a seeded
+// perturber (SetHook); Run installs a Kernel whose threads take turns that
+// end at the points and at would-block ContentionMutex acquires
+// (WouldBlock), a Schedule naming who takes the next.
 package sched
 
 import "sync/atomic"
 
-// Point names one instrumented interleaving site. The torture harness keys
-// its seeded yield decisions on the point, so adding a point changes the
-// decision stream of existing seeds but not their validity.
+// Point names one instrumented interleaving site. Adding one changes the
+// torture harness's decision stream for a seed, not the seed's validity.
 type Point uint8
 
-// Instrumented sites. Core (wrapper/commit) points first, then buffer-pool
-// points, then the record ring's.
+// The sites: the wrapper's, the pool's, then the record ring's.
 const (
-	// CoreCommitTry: a batched session is about to TryLock for a
-	// threshold commit.
-	CoreCommitTry Point = iota
-	// CoreCommitApply: the lock is held and a batch is about to be applied.
-	CoreCommitApply
-	// CoreMissLock: a miss has captured its pending batch and is about to
-	// take the blocking lock.
-	CoreMissLock
-	// CoreFCPublish: a flat-combining session has published its batch and
-	// is about to try the lock once.
-	CoreFCPublish
-	// CoreFCCombine: a combiner has claimed another session's published
-	// batch and is about to apply it.
-	CoreFCCombine
-	// BufLoadInstall: a miss has read the page and is about to install the
-	// frame in the hash table.
-	BufLoadInstall
-	// BufReclaimClaim: reclaim has claimed a victim frame (pins 0→1) and
-	// is about to unmap it.
-	BufReclaimClaim
-	// BufEvictWrite: reclaim has unmapped a dirty victim and registered
-	// its in-flight op, and is about to take the page's write-back stripe
-	// and write the frame out.
-	BufEvictWrite
-	// BufFlushWrite: flushFrame has pinned a dirty frame and is about to
-	// take the page's write-back stripe and write the frame out.
-	BufFlushWrite
-	// BufHitProbe: an optimistic bucket probe observed a torn seqlock read
-	// and is about to retry.
-	BufHitProbe
-	// BufHitPin: a hit-path lookup resolved a frame and is about to CAS a
-	// pin onto its state word.
-	BufHitPin
-	// BufBucketWrite: a bucket writer has bumped the seqlock to odd and is
-	// about to mutate the slot array.
-	BufBucketWrite
-	// RingSnapshot: a record-ring reader (metrics.Ring.Snapshot) has loaded
-	// a slot's end stamp and is about to read its payload — the window a
-	// writer must be caught in for the read to tear. The reader is the
-	// cold side; writers carry no point.
-	RingSnapshot
-
+	CoreCommitTry   Point = iota // a batched session is about to TryLock for a threshold commit
+	CoreCommitApply              // the policy lock is held and a batch is about to be applied
+	CoreMissLock                 // a miss has captured its pending batch and is about to Lock
+	CoreFCPublish                // a flat-combining session has published and is about to try once
+	CoreFCCombine                // a combiner has claimed another session's batch and is about to apply it
+	BufLoadInstall               // a miss has read its page and is about to install the frame
+	BufReclaimClaim              // reclaim has claimed a victim frame and is about to unmap it
+	BufEvictWrite                // a dirty victim is unmapped, its op registered; its write is next
+	BufFlushWrite                // flushFrame has pinned a dirty frame and is about to write it
+	BufHitProbe                  // an optimistic bucket probe read torn and is about to retry
+	BufHitPin                    // a lookup resolved a frame and is about to CAS a pin onto it
+	BufBucketWrite               // a bucket writer has made the seqlock odd, about to mutate
+	BufBackoff                   // a spin loop (pin, reader drain, recycled frame) is about to back off
+	RingSnapshot                 // Ring.Snapshot has loaded a slot's end stamp, about to read its payload
+	RingPut                      // Ring.Put has stored its begin stamp, about to store its payload
 	// NumPoints is the number of instrumented sites.
 	NumPoints
+	// Parked and Done end a turn of Run without a site: the thread parked
+	// on a would-block acquire, or returned.
+	Parked
+	Done
 )
 
-// Hook is the perturber the torture harness installs: called synchronously
-// at every instrumented point from whatever goroutine reaches it. It must
-// be safe for concurrent use and must not block indefinitely.
+// Hook is the torture harness's perturber, called at every point by
+// whatever goroutine reaches it: safe for concurrent use, never blocking.
 type Hook func(Point)
 
-var hook atomic.Pointer[Hook]
+// hooks is what is installed: Yield's hook and, under Run, WouldBlock's.
+type hooks struct {
+	yield Hook
+	park  func(lock any, retry bool) bool
+}
 
-// Yield invokes the installed hook, if any. The nil-hook fast path is one
-// atomic pointer load; call sites in production code pay no other cost.
+var hook atomic.Pointer[hooks]
+
+// Yield invokes the installed hook, if any: with none, one atomic load.
 func Yield(pt Point) {
 	if h := hook.Load(); h != nil {
-		(*h)(pt)
+		h.yield(pt)
 	}
 }
 
-// SetHook installs h as the process-wide perturber and returns a restore
-// function that reinstates the previous hook. Tests must call the restore
-// function when done (typically via t.Cleanup) and must not run torture
-// drivers concurrently with other hook owners — the torture harness
-// serializes installation with a package-level mutex.
-func SetHook(h Hook) (restore func()) {
-	prev := hook.Swap(&h)
-	return func() { hook.Store(prev) }
+// WouldBlock is called by a lock whose acquire would block. From one of
+// Run's threads it parks the thread until its next turn and returns true:
+// the caller retries, with retry true if that fails again. Otherwise it
+// returns false and the caller blocks as usual.
+func WouldBlock(lock any, retry bool) bool {
+	h := hook.Load()
+	return h != nil && h.park != nil && h.park(lock, retry)
 }
 
-// Enabled reports whether a hook is currently installed; used by
-// diagnostics and tests.
-func Enabled() bool { return hook.Load() != nil }
+// SetHook installs h process-wide and returns the function that restores
+// the previous hook. Hook owners must not overlap: the torture harness
+// serializes its own with a mutex.
+func SetHook(h Hook) (restore func()) { return install(&hooks{yield: h}) }
+
+func install(h *hooks) (restore func()) {
+	prev := hook.Swap(h)
+	return func() { hook.Store(prev) }
+}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestYieldNoHookIsNoop(t *testing.T) {
-	if Enabled() {
+	if hook.Load() != nil {
 		t.Fatal("hook installed at package init")
 	}
 	for pt := Point(0); pt < NumPoints; pt++ {
@@ -23,13 +23,13 @@ func TestSetHookInstallsAndRestores(t *testing.T) {
 		}
 		calls.Add(1)
 	})
-	if !Enabled() {
+	if hook.Load() == nil {
 		t.Fatal("hook not installed")
 	}
 	Yield(CoreCommitTry)
 	Yield(BufReclaimClaim)
 	restore()
-	if Enabled() {
+	if hook.Load() != nil {
 		t.Fatal("restore left hook installed")
 	}
 	Yield(CoreCommitTry)

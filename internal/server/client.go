@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -55,7 +54,7 @@ func (c *Client) send(ops []Op, base uint64) error {
 			code |= TraceFlag
 			n += 8
 		}
-		hasPage := op.Code != OpFlush && op.Code != OpStats
+		hasPage := op.Code != OpFlush
 		if hasPage {
 			n += 8
 		}
@@ -173,22 +172,6 @@ func (c *Client) Flush() (int, error) {
 		return 0, fmt.Errorf("client: FLUSH returned %d bytes, want 8", len(resp))
 	}
 	return int(be.Uint64(resp)), nil
-}
-
-// Stats fetches the server's operational snapshot.
-func (c *Client) Stats() (RemoteStats, error) {
-	var rs RemoteStats
-	status, resp, err := c.roundTrip(Op{Code: OpStats})
-	if err != nil {
-		return rs, err
-	}
-	if status != StatusOK {
-		return rs, errForStatus(status, resp)
-	}
-	if err := json.Unmarshal(resp, &rs); err != nil {
-		return rs, fmt.Errorf("client: STATS payload: %w", err)
-	}
-	return rs, nil
 }
 
 // Op is one operation in a pipelined batch.

@@ -319,8 +319,6 @@ func (c *conn) handle(code byte, reqID uint64, payload []byte, tid uint64) bool 
 		var cnt [8]byte
 		be.PutUint64(cnt[:], uint64(n))
 		c.respond(StatusOK, reqID, cnt[:])
-	case OpStats:
-		c.respond(StatusOK, reqID, s.remoteStatsPayload())
 	default:
 		c.respondBad(reqID, "unknown opcode")
 		c.flush()

@@ -24,11 +24,11 @@
 // the echoed ID is a cross-check, not a reordering mechanism.
 //
 // Request payloads: GET/INVALIDATE carry an 8-byte big-endian PageID;
-// PUT carries the PageID followed by exactly page.Size bytes; FLUSH and
-// STATS carry nothing. Response payloads: a GET that succeeds returns the
-// page bytes, FLUSH returns a uint64 count of pages made durable, STATS
-// returns a JSON document (RemoteStats); any non-OK status carries a
-// human-readable message.
+// PUT carries the PageID followed by exactly page.Size bytes; FLUSH
+// carries nothing. Response payloads: a GET that succeeds returns the page
+// bytes, FLUSH returns a uint64 count of pages made durable; any non-OK
+// status carries a human-readable message. Counters are read remotely from
+// /metrics, not over the wire protocol.
 //
 // # Trace context
 //
@@ -59,9 +59,8 @@ const (
 	OpPut        byte = 2 // overwrite one page and mark it dirty
 	OpInvalidate byte = 3 // drop one page, discarding dirty contents
 	OpFlush      byte = 4 // write every dirty page back to the device
-	OpStats      byte = 5 // operational snapshot (JSON)
 
-	opMax = 6 // one past the last opcode, for counter arrays
+	opMax = 5 // one past the last opcode, for counter arrays
 )
 
 // TraceFlag marks a request code byte as carrying the trace-context
@@ -91,7 +90,7 @@ const frameHeaderLen = 9
 
 // MaxPayload bounds a frame's payload in both directions. It admits the
 // largest legitimate frame — a PUT (8-byte PageID + one 8 KB page) — with
-// headroom for the STATS JSON, while keeping the decoder's worst-case
+// headroom, while keeping the decoder's worst-case
 // allocation fixed: a malicious length word can make it allocate at most
 // this much, never the 4 GB a raw uint32 could demand.
 const MaxPayload = 16 << 10
@@ -248,8 +247,6 @@ func opName(code byte) string {
 		return "invalidate"
 	case OpFlush:
 		return "flush"
-	case OpStats:
-		return "stats"
 	default:
 		return fmt.Sprintf("op(%d)", code)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -286,27 +285,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// remoteStatsPayload builds the STATS response: a compact JSON snapshot
-// combining pool and server counters (see client.RemoteStats).
-func (s *Server) remoteStatsPayload() []byte {
-	st := s.pool.Stats()
-	rs := RemoteStats{
-		Frames:      st.Frames,
-		Hits:        st.Hits,
-		Misses:      st.Misses,
-		Shed:        st.Shed,
-		Dirty:       st.Dirty,
-		Quarantined: st.Quarantined,
-		Health:      st.Health.String(),
-		Draining:    s.state.Load() != stateRunning,
-	}
-	b, err := json.Marshal(rs)
-	if err != nil { // structurally impossible; keep the wire coherent
-		return []byte("{}")
-	}
-	return b
-}
-
 // Stats is a point-in-time snapshot of the server's counter block —
 // the same numbers RegisterObs exports, in struct form for harnesses
 // that need exact values (the E18 bench ledger) without scraping.
@@ -350,19 +328,6 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// RemoteStats is the STATS payload: the slice of Pool.Stats a remote
-// operator can act on, plus whether the server is draining.
-type RemoteStats struct {
-	Frames      int    `json:"frames"`
-	Hits        int64  `json:"hits"`
-	Misses      int64  `json:"misses"`
-	Shed        int64  `json:"shed"`
-	Dirty       int    `json:"dirty"`
-	Quarantined int    `json:"quarantined"`
-	Health      string `json:"health"`
-	Draining    bool   `json:"draining"`
 }
 
 // validPutPayload reports whether a PUT payload carries a PageID plus

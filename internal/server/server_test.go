@@ -99,13 +99,9 @@ func TestServerRoundTrips(t *testing.T) {
 		t.Fatal("reloaded page is not the flushed content")
 	}
 
-	// STATS reflects the traffic.
-	rs, err := c.Stats()
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if rs.Frames != 16 || rs.Misses == 0 || rs.Draining {
-		t.Fatalf("Stats = %+v, want frames=16 misses>0, not draining", rs)
+	// The pool's counters reflect the traffic.
+	if st := srv.Pool().Stats(); st.Misses == 0 {
+		t.Fatalf("Pool.Stats = %+v, want misses>0", st)
 	}
 
 	// Typed errors survive the wire.
@@ -265,11 +261,11 @@ func TestServerMaxConns(t *testing.T) {
 	}
 	defer c2.Close()
 	// Ensure both are registered before the third tries.
-	if _, err := c1.Stats(); err != nil {
-		t.Fatalf("Stats: %v", err)
+	if _, err := c1.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
-	if _, err := c2.Stats(); err != nil {
-		t.Fatalf("Stats: %v", err)
+	if _, err := c2.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 
 	c3, err := Dial(srv.Addr())
@@ -277,7 +273,7 @@ func TestServerMaxConns(t *testing.T) {
 		// Accept succeeded at the TCP level; the server closes it
 		// immediately, so the first round trip must fail.
 		defer c3.Close()
-		if _, err := c3.Stats(); err == nil {
+		if _, err := c3.Get(testPage(1)); err == nil {
 			t.Fatal("third connection served beyond MaxConns=2")
 		}
 	}
@@ -443,7 +439,7 @@ func TestClientRequestEncoding(t *testing.T) {
 		{Code: OpInvalidate, Page: testPage(3)},
 		{Code: OpFlush},
 		{Code: OpPut, Page: testPage(4), Data: pg.Data[:]},
-		{Code: OpStats},
+		{Code: OpFlush},
 	}
 	for _, trace := range []uint64{0, 0x1122334455667788} {
 		nc := &scriptConn{in: bytes.NewReader(nil)}
@@ -457,7 +453,7 @@ func TestClientRequestEncoding(t *testing.T) {
 				code |= TraceFlag
 				parts = append(parts, be.AppendUint64(nil, trace))
 			}
-			if op.Code != OpFlush && op.Code != OpStats {
+			if op.Code != OpFlush {
 				parts = append(parts, be.AppendUint64(nil, uint64(op.Page)))
 			}
 			if op.Code == OpPut {
@@ -472,7 +468,7 @@ func TestClientRequestEncoding(t *testing.T) {
 			t.Fatalf("trace %#x: burst on the wire differs from appendFrame's encoding", trace)
 		}
 		// Five runs: headers up to the first page, the page, headers up
-		// to the second, the page, the STATS header.
+		// to the second, the page, the last FLUSH header.
 		if len(nc.wrote) != 5 || nc.wrote[1] != &pg.Data[0] || nc.wrote[3] != &pg.Data[0] {
 			t.Fatalf("trace %#x: burst went out as %d buffers, or its pages as copies", trace, len(nc.wrote))
 		}
@@ -811,10 +807,10 @@ func TestWirePathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStatsAnswersWhileThePolicyLockIsHeld: neither the STATS op nor
+// TestStatsAnswersWhileThePolicyLockIsHeld: neither /metrics nor
 // Pool.Stats takes the policy lock. With the lock held, as a miss holds it,
-// a client's STATS is answered and Pool.Stats returns, and neither counts a
-// policy-lock acquisition.
+// the pool's /metrics page renders and Pool.Stats returns, and neither
+// counts a policy-lock acquisition.
 func TestStatsAnswersWhileThePolicyLockIsHeld(t *testing.T) {
 	srv, _, done := newTestServer(t, 16, Config{})
 	defer done()
@@ -826,31 +822,31 @@ func TestStatsAnswersWhileThePolicyLockIsHeld(t *testing.T) {
 	if _, err := c.Get(testPage(1)); err != nil {
 		t.Fatalf("Get: %v", err)
 	}
+	reg := obs.NewRegistry()
+	srv.Pool().RegisterObs(reg)
 
 	w := srv.pool.Wrapper()
 	w.LockedSlots(func(replacer.SlotPolicy) {
 		before := w.Stats().Lock.Acquisitions
-		answered := make(chan error, 1)
+		rendered := make(chan string, 1)
 		go func() {
-			rs, err := c.Stats()
-			if err == nil && (rs.Frames != 16 || rs.Misses != 1) {
-				err = errors.New("wrong counts")
-			}
-			answered <- err
+			var sb strings.Builder
+			_ = reg.WritePrometheus(&sb)
+			rendered <- sb.String()
 		}()
 		select {
-		case err := <-answered:
-			if err != nil {
-				t.Fatalf("STATS with the policy lock held: %v", err)
+		case text := <-rendered:
+			if !strings.Contains(text, "bpw_misses_total 1\n") {
+				t.Fatalf("/metrics with the policy lock held reads no miss:\n%s", text)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("STATS got no answer while the policy lock was held")
+			t.Fatal("/metrics did not render while the policy lock was held")
 		}
-		if st := srv.pool.Stats(); st.Frames != 16 || st.Misses != 1 {
-			t.Fatalf("Pool.Stats with the policy lock held: frames %d, misses %d; want 16 and 1", st.Frames, st.Misses)
+		if st := srv.pool.Stats(); st.Misses != 1 {
+			t.Fatalf("Pool.Stats with the policy lock held: misses %d, want 1", st.Misses)
 		}
 		if got := w.Stats().Lock.Acquisitions; got != before {
-			t.Fatalf("policy-lock acquisitions %d -> %d across a STATS op and a Stats call, want none", before, got)
+			t.Fatalf("policy-lock acquisitions %d -> %d across a /metrics render and a Stats call, want none", before, got)
 		}
 	})
 }

@@ -1,8 +1,33 @@
+// Package sim is a deterministic discrete-event simulator of a symmetric
+// multiprocessor executing the DBMS buffer-manager protocol of the
+// BP-Wrapper paper.
+//
+// The paper's scalability results (Figures 2, 6, 7; Tables II, III) were
+// measured on a 16-processor SGI Altix 350 and an 8-core Dell PowerEdge
+// 1900. Reproducing parallel lock contention requires parallel hardware;
+// on a small host (this reproduction was built on a single-core machine)
+// the contention the paper studies cannot physically occur. Following the
+// substitution methodology in DESIGN.md, this package simulates the
+// hardware: virtual processors, a virtual policy lock with FIFO blocking
+// and context-switch costs, critical-section cache-warmup costs that the
+// prefetching technique removes (Figure 5 of the paper), and a bounded-
+// parallelism disk. The replacement policies and workload streams are the
+// real ones from internal/replacer and internal/workload, so hit ratios
+// and victim choices are exact; only *time* is virtual.
+//
+// The model runs on sched.Kernel, the repository's one cooperative
+// executor, driven by virtual time: each simulated thread is a
+// sched.Process, a goroutine of which exactly one runs at a time, handing
+// control back to the kernel whenever it performs a timed or blocking
+// operation. Execution is fully deterministic: the event queue breaks time
+// ties by sequence number, and all resource queues are FIFO. The same
+// kernel, driven by a sched.Schedule instead, runs the product's own code
+// in the tests that name their interleavings.
 package sim
 
 // This file documents the simulation model's load-bearing choices; the
-// implementation lives in kernel.go (virtual-time executor), resources.go
-// (CPU bank, disk, lock), model.go (the DBMS protocol and costs) and
+// implementation lives in resources.go (CPU bank, disk, lock, on
+// sched.Kernel's processes), model.go (the DBMS protocol and costs) and
 // partitioned.go (the hash-partitioned policy of the distributed-lock
 // design).
 //

@@ -7,6 +7,7 @@ import (
 
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
+	"bpwrapper/internal/sched"
 	"bpwrapper/internal/workload"
 )
 
@@ -308,7 +309,7 @@ func newMachine(cfg Config) (*machine, error) {
 	m := &machine{
 		cfg:    cfg,
 		params: params,
-		k:      NewKernel(),
+		k:      sched.NewKernel(),
 	}
 	factory, ok := replacer.Factories()[cfg.Policy]
 	if !ok {
@@ -360,7 +361,7 @@ func (m *machine) run() Result {
 		m.k.Spawn(w.run)
 	}
 	if cfg.Warmup > 0 {
-		m.k.Spawn(func(p *Process) {
+		m.k.Spawn(func(p *sched.Process) {
 			p.Sleep(cfg.Warmup)
 			m.resetStats()
 		})
@@ -410,7 +411,7 @@ func (m *machine) run() Result {
 type machine struct {
 	cfg    Config
 	params Params
-	k      *Kernel
+	k      *sched.Kernel
 	cpu    *Resource
 	disk   *Resource
 	locks  []*Lock // one, or one per partition in distributed-lock mode
@@ -539,7 +540,7 @@ func (w *simWorker) jitteredUserWork() Time {
 
 // ensureCPU puts the worker on a processor (FIFO behind other runnable
 // threads), starting a fresh scheduler quantum.
-func (w *simWorker) ensureCPU(p *Process) {
+func (w *simWorker) ensureCPU(p *sched.Process) {
 	if !w.cpuHeld {
 		w.m.cpu.Acquire(p)
 		w.cpuHeld = true
@@ -549,7 +550,7 @@ func (w *simWorker) ensureCPU(p *Process) {
 
 // releaseCPU gives the processor up (blocking on a lock or I/O, end of
 // run).
-func (w *simWorker) releaseCPU(p *Process) {
+func (w *simWorker) releaseCPU(p *sched.Process) {
 	if w.cpuHeld {
 		w.m.cpu.Release(p)
 		w.cpuHeld = false
@@ -562,7 +563,7 @@ func (w *simWorker) releaseCPU(p *Process) {
 // at one processor a thread performs thousands of accesses per slice, so
 // single-processor runs show almost no lock contention (as the paper
 // observes), while true multiprocessor parallelism does contend.
-func (w *simWorker) useCPU(p *Process, d Time) {
+func (w *simWorker) useCPU(p *sched.Process, d Time) {
 	quantum := w.m.params.TimeSlice
 	for d > 0 {
 		w.ensureCPU(p)
@@ -590,7 +591,7 @@ func (w *simWorker) useCPU(p *Process, d Time) {
 // many quanta — real schedulers avoid exactly that with wakeup priority
 // boosts, which are out of scope here. Slice usage still accrues, so the
 // worker yields at its next preemptible step.
-func (w *simWorker) useCPUHeld(p *Process, d Time) {
+func (w *simWorker) useCPUHeld(p *sched.Process, d Time) {
 	if d <= 0 {
 		return
 	}
@@ -606,7 +607,7 @@ func (w *simWorker) useCPUHeld(p *Process, d Time) {
 // before competing for the lock again. Granting the lock to a thread that
 // still has to queue for a CPU would count the scheduling delay as lock
 // hold time and manufacture convoys real systems do not have.
-func (w *simWorker) acquireLock(p *Process, l *Lock) {
+func (w *simWorker) acquireLock(p *sched.Process, l *Lock) {
 	if l.TryAcquireSilent() {
 		return
 	}
@@ -626,7 +627,7 @@ func (w *simWorker) acquireLock(p *Process, l *Lock) {
 
 // run is the backend main loop: execute transactions until the measured
 // virtual duration has elapsed.
-func (w *simWorker) run(p *Process) {
+func (w *simWorker) run(p *sched.Process) {
 	m := w.m
 	for p.Now() < m.cfg.Warmup+m.cfg.Duration {
 		start := p.Now()
@@ -645,7 +646,7 @@ func (w *simWorker) run(p *Process) {
 // Write accesses additionally append a WAL record under the (global) WAL
 // lock — a second contention source, independent of the replacement lock,
 // that bounds every system's scalability on write-heavy workloads.
-func (w *simWorker) access(p *Process, id page.PageID, write bool) {
+func (w *simWorker) access(p *sched.Process, id page.PageID, write bool) {
 	m := w.m
 	pr := m.params
 	w.useCPU(p, w.jitteredUserWork()+pr.HashLookup)
@@ -666,7 +667,7 @@ func (w *simWorker) access(p *Process, id page.PageID, write bool) {
 // hit runs replacement_for_page_hit (Figure 4 of the paper) in virtual
 // time: the access is queued, and at the batch threshold — every access,
 // without batching — the scheduler decides how the queue reaches the policy.
-func (w *simWorker) hit(p *Process, id page.PageID) {
+func (w *simWorker) hit(p *sched.Process, id page.PageID) {
 	m := w.m
 	switch {
 	case m.lockFreeHit:
@@ -688,7 +689,7 @@ func (w *simWorker) hit(p *Process, id page.PageID) {
 // worker does with a batch at the threshold when the policy lock may be busy.
 // The adaptive threshold moves where the threshold is (round's accounting
 // steers it); distributed locks choose which lock l is. DESIGN.md §4.
-func (w *simWorker) atThreshold(p *Process, l *Lock) {
+func (w *simWorker) atThreshold(p *sched.Process, l *Lock) {
 	m := w.m
 	full := len(w.queue) >= m.cfg.QueueSize
 	switch {
@@ -719,7 +720,7 @@ func (w *simWorker) atThreshold(p *Process, l *Lock) {
 // III-A rejects: every append takes the queue's own mutex and transfers its
 // cache lines between processors — exactly the synchronization and coherence
 // cost the paper's private queues avoid.
-func (w *simWorker) sharedHit(p *Process, id page.PageID) {
+func (w *simWorker) sharedHit(p *sched.Process, id page.PageID) {
 	m := w.m
 	w.acquireLock(p, m.qlock)
 	w.useCPUHeld(p, m.params.LockGrab+m.params.PolicyOp)
@@ -739,7 +740,7 @@ func (w *simWorker) sharedHit(p *Process, id page.PageID) {
 // buffer under the queue mutex, run the round on that batch, and put back —
 // ahead of whatever was appended meanwhile — a batch the round did not apply.
 // The queue mutex is never held while waiting for the policy lock.
-func (w *simWorker) sharedRound(p *Process, why reason, id page.PageID) (admitted bool) {
+func (w *simWorker) sharedRound(p *sched.Process, why reason, id page.PageID) (admitted bool) {
 	m := w.m
 	w.acquireLock(p, m.qlock)
 	w.useCPUHeld(p, m.params.LockGrab)
@@ -790,7 +791,7 @@ const (
 //
 // Each cost constant of the lock path is charged here and nowhere else.
 // admitted reports that a missAdmit round made id resident.
-func (w *simWorker) round(p *Process, l *Lock, why reason, id page.PageID) (admitted bool) {
+func (w *simWorker) round(p *sched.Process, l *Lock, why reason, id page.PageID) (admitted bool) {
 	m := w.m
 	pr := m.params
 	first := len(w.queue) == w.curThreshold() // a batch on its first attempt
@@ -919,7 +920,7 @@ func (w *simWorker) csApplyHits(ids []page.PageID) (cs Time) {
 
 // miss runs replacement_for_page_miss: one blocking round commits the queue
 // and admits the page, then the disk read.
-func (w *simWorker) miss(p *Process, id page.PageID) {
+func (w *simWorker) miss(p *sched.Process, id page.PageID) {
 	m := w.m
 	var admitted bool
 	if m.cfg.SharedQueue {
@@ -941,7 +942,7 @@ func (w *simWorker) miss(p *Process, id page.PageID) {
 
 // flush commits what the worker still holds at the end of the run, its
 // published batch and its queue, as core.Session.Flush does.
-func (w *simWorker) flush(p *Process) {
+func (w *simWorker) flush(p *sched.Process) {
 	if len(w.queue) > 0 || w.pub != nil {
 		w.round(p, w.m.locks[0], cannotWait, page.InvalidPageID)
 	}

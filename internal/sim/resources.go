@@ -1,11 +1,17 @@
 package sim
 
+import "bpwrapper/internal/sched"
+
+// Time is virtual nanoseconds since simulation start, the clock of the
+// sched.Kernel the model runs on.
+type Time = sched.Time
+
 // Resource is a multi-server FIFO resource (CPU bank, disk array): up to
 // `slots` processes hold it simultaneously; the rest queue in arrival
 // order.
 type Resource struct {
 	free    int
-	waiters []*Process
+	waiters []*sched.Process
 }
 
 // NewResource returns a resource with the given number of servers.
@@ -17,22 +23,22 @@ func NewResource(slots int) *Resource {
 }
 
 // Acquire obtains one slot, blocking in FIFO order if none is free.
-func (r *Resource) Acquire(p *Process) {
+func (r *Resource) Acquire(p *sched.Process) {
 	if r.free > 0 && len(r.waiters) == 0 {
 		r.free--
 		return
 	}
 	r.waiters = append(r.waiters, p)
-	p.block()
+	p.Block()
 }
 
 // Release returns one slot, handing it directly to the first waiter if any
 // (the waiter resumes at the current virtual time).
-func (r *Resource) Release(p *Process) {
+func (r *Resource) Release(p *sched.Process) {
 	if len(r.waiters) > 0 {
 		w := r.waiters[0]
 		r.waiters = r.waiters[1:]
-		w.unblock(0)
+		w.Unblock(0)
 		return
 	}
 	r.free++
@@ -66,16 +72,16 @@ func (s *LockStats) add(o LockStats) {
 // contention (Section IV-D's explanation of pgPre's diminishing returns).
 type Lock struct {
 	held       bool
-	waiters    []*Process
+	waiters    []*sched.Process
 	headWoken  bool // a wakeup for waiters[0] is already in flight
 	acquiredAt Time
 	version    uint64 // bumped on every acquisition
 	stats      LockStats
-	k          *Kernel
+	k          *sched.Kernel
 }
 
 // NewLock returns an unheld lock bound to the kernel's clock.
-func NewLock(k *Kernel) *Lock {
+func NewLock(k *sched.Kernel) *Lock {
 	return &Lock{k: k}
 }
 
@@ -91,7 +97,7 @@ func (l *Lock) Version() uint64 { return l.version }
 // lock ahead of parked waiters, exactly like a real trylock on a futex- or
 // spin-based mutex — the property that lets BP-Wrapper's TryLock protocol
 // break lock convoys.
-func (l *Lock) TryAcquire(p *Process) bool {
+func (l *Lock) TryAcquire(p *sched.Process) bool {
 	if !l.held {
 		l.grant()
 		return true
@@ -117,12 +123,12 @@ func (l *Lock) TryAcquireSilent() bool {
 // (sync.Mutex-style semantics); it re-parks if a TryAcquire stole the
 // lock in between. The caller is responsible for processor bookkeeping
 // (give up the CPU before calling, pay the dispatch cost after).
-func (l *Lock) AcquireBlocking(p *Process) {
+func (l *Lock) AcquireBlocking(p *sched.Process) {
 	l.stats.Contentions++
 	start := l.k.Now()
 	l.waiters = append(l.waiters, p)
 	for {
-		p.block()
+		p.Block()
 		// Woken by Release: this process is the head waiter. Take the
 		// lock unless a barger got there first.
 		l.headWoken = false
@@ -138,7 +144,7 @@ func (l *Lock) AcquireBlocking(p *Process) {
 // Acquire obtains the lock, blocking if held. ctxSwitch is the dispatch
 // latency charged to a blocked acquirer once the lock is granted (the
 // context-switch cost of Section III).
-func (l *Lock) Acquire(p *Process, ctxSwitch Time) {
+func (l *Lock) Acquire(p *sched.Process, ctxSwitch Time) {
 	if l.TryAcquireSilent() {
 		return
 	}
@@ -161,9 +167,9 @@ func (l *Lock) AddWait(d Time) { l.stats.WaitTime += d }
 // wakes it. It does NOT acquire the lock — the caller retries (and may
 // lose to a barger, in which case it calls WaitWoken again, rejoining at
 // the tail).
-func (l *Lock) WaitWoken(p *Process) {
+func (l *Lock) WaitWoken(p *sched.Process) {
 	l.waiters = append(l.waiters, p)
-	p.block()
+	p.Block()
 	l.headWoken = false
 	l.waiters = l.waiters[1:]
 }
@@ -186,7 +192,7 @@ func (l *Lock) grantBlocked() {
 
 // Release frees the lock and wakes the head waiter, if any, to re-compete
 // for it.
-func (l *Lock) Release(p *Process) {
+func (l *Lock) Release(p *sched.Process) {
 	if !l.held {
 		panic("sim: release of unheld lock")
 	}
@@ -194,7 +200,7 @@ func (l *Lock) Release(p *Process) {
 	l.held = false
 	if len(l.waiters) > 0 && !l.headWoken {
 		l.headWoken = true
-		l.waiters[0].unblock(0)
+		l.waiters[0].Unblock(0)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"bpwrapper/internal/core"
 	"bpwrapper/internal/page"
 	"bpwrapper/internal/replacer"
+	"bpwrapper/internal/sched"
 	"bpwrapper/internal/workload"
 )
 
@@ -66,21 +67,21 @@ func (l *opLog) evictionOrder() []page.PageID {
 func TestSimRoundMatchesCore(t *testing.T) {
 	const pages, frames = 256, 208
 	for _, policy := range []string{"lru", "2q"} {
-		for _, sched := range []struct {
+		for _, sc := range []struct {
 			name         string
 			batching, fc bool
 		}{{"direct", false, false}, {"batch", true, false}, {"fc", true, true}} {
 			for _, q := range [][2]int{{8, 4}, {64, 32}} {
-				if !sched.batching && q[0] != 8 {
+				if !sc.batching && q[0] != 8 {
 					continue // no queue to size
 				}
-				t.Run(fmt.Sprintf("%s/%s/%d-%d", policy, sched.name, q[0], q[1]), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%d-%d", policy, sc.name, q[0], q[1]), func(t *testing.T) {
 					wl := workload.NewZipf(workload.SyntheticConfig{Pages: pages})
 					pr := DefaultParams()
 					pr.IOLatency = 20_000 // a short disk: more accesses per virtual second
 					cfg := Config{
 						Procs: 1, Workers: 1, Policy: policy,
-						Batching: sched.batching, FlatCombining: sched.fc,
+						Batching: sc.batching, FlatCombining: sc.fc,
 						QueueSize: q[0], BatchThreshold: q[1],
 						Workload: wl, Frames: frames, Seed: 7,
 						Duration: 60_000_000, Params: &pr,
@@ -92,7 +93,7 @@ func TestSimRoundMatchesCore(t *testing.T) {
 					model := &opLog{Policy: m.policy}
 					m.policy = model
 					l := m.locks[0]
-					m.k.Spawn(func(p *Process) { // the interferer
+					m.k.Spawn(func(p *sched.Process) { // the interferer
 						for p.Now() < cfg.Duration {
 							l.Acquire(p, 0)
 							p.Sleep(150_000)
@@ -107,17 +108,17 @@ func TestSimRoundMatchesCore(t *testing.T) {
 					if res.Misses == 0 || res.Hits == 0 {
 						t.Fatalf("stream has %d hits, %d misses: no order to check", res.Hits, res.Misses)
 					}
-					if sched.batching && res.Lock.TryFailures == 0 {
+					if sc.batching && res.Lock.TryFailures == 0 {
 						t.Fatal("no try ever failed: slot and queue were never both occupied")
 					}
-					if sched.fc && res.HandoffSaved == 0 {
+					if sc.fc && res.HandoffSaved == 0 {
 						t.Fatal("no batch was ever left published")
 					}
 
 					factory := replacer.Factories()[policy]
 					wrapper := &opLog{Policy: factory(frames)}
 					cw := core.New(wrapper, core.Config{
-						Batching: sched.batching, FlatCombining: sched.fc,
+						Batching: sc.batching, FlatCombining: sc.fc,
 						QueueSize: q[0], BatchThreshold: q[1],
 						// The model's residency check at commit, as a validator.
 						Validate: func(batch []core.Entry) []core.Entry {
@@ -208,7 +209,7 @@ func TestSimRoundAccounting(t *testing.T) {
 	type env struct {
 		m     *machine
 		w, w2 *simWorker
-		p     *Process
+		p     *sched.Process
 	}
 	hit := func(e *env, w *simWorker, ns ...uint64) {
 		for _, n := range ns {
@@ -423,7 +424,7 @@ func TestSimRoundAccounting(t *testing.T) {
 			var elapsed Time
 			// The test drives both workers by hand from one process; the
 			// workers' own run loops never start.
-			m.k.Spawn(func(p *Process) {
+			m.k.Spawn(func(p *sched.Process) {
 				e.p = p
 				if row.setup != nil {
 					row.setup(e)
@@ -432,10 +433,10 @@ func TestSimRoundAccounting(t *testing.T) {
 				start := p.Now()
 				if row.held {
 					l.TryAcquireSilent()
-					m.k.Spawn(func(q *Process) { q.Sleep(holdFor); l.Release(q) })
+					m.k.Spawn(func(q *sched.Process) { q.Sleep(holdFor); l.Release(q) })
 				}
 				if row.bump > 0 {
-					m.k.Spawn(func(q *Process) { q.Sleep(row.bump); l.TryAcquireSilent(); l.Release(q) })
+					m.k.Spawn(func(q *sched.Process) { q.Sleep(row.bump); l.TryAcquireSilent(); l.Release(q) })
 				}
 				row.op(e)
 				elapsed = p.Now() - start

@@ -4,23 +4,24 @@ import (
 	"testing"
 	"time"
 
+	"bpwrapper/internal/sched"
 	"bpwrapper/internal/workload"
 )
 
 // --- kernel tests -----------------------------------------------------------
 
 func TestKernelSleepOrdering(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	var order []int
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		p.Sleep(30)
 		order = append(order, 3)
 	})
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		p.Sleep(10)
 		order = append(order, 1)
 	})
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		p.Sleep(20)
 		order = append(order, 2)
 	})
@@ -34,11 +35,11 @@ func TestKernelSleepOrdering(t *testing.T) {
 }
 
 func TestKernelFIFOTieBreak(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		k.Spawn(func(p *Process) {
+		k.Spawn(func(p *sched.Process) {
 			p.Sleep(10) // all wake at the same instant
 			order = append(order, i)
 		})
@@ -52,11 +53,11 @@ func TestKernelFIFOTieBreak(t *testing.T) {
 }
 
 func TestResourceLimitsParallelism(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	r := NewResource(2)
 	var ends []Time
 	for i := 0; i < 4; i++ {
-		k.Spawn(func(p *Process) {
+		k.Spawn(func(p *sched.Process) {
 			r.Acquire(p)
 			p.Sleep(100)
 			r.Release(p)
@@ -71,12 +72,12 @@ func TestResourceLimitsParallelism(t *testing.T) {
 }
 
 func TestLockMutualExclusionAndStats(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	l := NewLock(k)
 	holders := 0
 	maxHolders := 0
 	for i := 0; i < 3; i++ {
-		k.Spawn(func(p *Process) {
+		k.Spawn(func(p *sched.Process) {
 			for j := 0; j < 5; j++ {
 				l.Acquire(p, 7)
 				holders++
@@ -110,15 +111,15 @@ func TestLockMutualExclusionAndStats(t *testing.T) {
 }
 
 func TestTryAcquire(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	l := NewLock(k)
 	var gotWhileHeld, gotWhileFree bool
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		l.Acquire(p, 0)
 		p.Sleep(100)
 		l.Release(p)
 	})
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		p.Sleep(50)
 		gotWhileHeld = l.TryAcquire(p)
 		p.Sleep(100) // now past the holder's release
@@ -140,10 +141,10 @@ func TestTryAcquire(t *testing.T) {
 }
 
 func TestLockVersionAdvances(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	l := NewLock(k)
 	var v0, v1 uint64
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		v0 = l.Version()
 		l.Acquire(p, 0)
 		l.Release(p)
@@ -403,10 +404,10 @@ func TestSimWarmupResetsStats(t *testing.T) {
 }
 
 func TestLockBlockingAPI(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	l := NewLock(k)
 	var order []int
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		if !l.TryAcquireSilent() {
 			t.Error("silent try failed on a free lock")
 		}
@@ -414,7 +415,7 @@ func TestLockBlockingAPI(t *testing.T) {
 		order = append(order, 0)
 		l.Release(p)
 	})
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		p.Sleep(10)
 		if l.TryAcquireSilent() {
 			t.Error("silent try succeeded on a held lock")
@@ -557,9 +558,9 @@ func TestSimPartitionedPrefetch(t *testing.T) {
 }
 
 func TestKernelHorizon(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	ticks := 0
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		for i := 0; i < 100; i++ {
 			p.Sleep(10)
 			ticks++
@@ -575,11 +576,11 @@ func TestKernelHorizon(t *testing.T) {
 }
 
 func TestResourceQueueLen(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	r := NewResource(1)
 	var maxQ int
 	for i := 0; i < 3; i++ {
-		k.Spawn(func(p *Process) {
+		k.Spawn(func(p *sched.Process) {
 			r.Acquire(p)
 			if q := r.QueueLen(); q > maxQ {
 				maxQ = q
@@ -597,9 +598,9 @@ func TestResourceQueueLen(t *testing.T) {
 }
 
 func TestLockExternalAccounting(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	l := NewLock(k)
-	k.Spawn(func(p *Process) {
+	k.Spawn(func(p *sched.Process) {
 		l.NoteContention()
 		l.AddWait(123)
 	})
@@ -611,7 +612,7 @@ func TestLockExternalAccounting(t *testing.T) {
 }
 
 func TestLockReleaseUnheldPanics(t *testing.T) {
-	k := NewKernel()
+	k := sched.NewKernel()
 	l := NewLock(k)
 	defer func() {
 		if recover() == nil {

@@ -226,11 +226,6 @@ func (d *FaultDevice) WritePage(p *page.Page) error {
 	return d.backing.WritePage(p)
 }
 
-// Stats implements Device: the backing device's counters plus the faults
-// injected by this layer.
-func (d *FaultDevice) Stats() DeviceStats {
-	s := d.backing.Stats()
-	s.ReadErrors += d.injectedReadFaults.Load()
-	s.WriteErrors += d.injectedWriteFaults.Load()
-	return s
-}
+// Stats implements Device: the backing device's counters (Injected
+// counts this layer's faults).
+func (d *FaultDevice) Stats() DeviceStats { return d.backing.Stats() }

@@ -137,18 +137,19 @@ func TestFaultDeviceStatsCountInjections(t *testing.T) {
 	d.ReadPage(pid(1), &p) // succeeds
 	d.WritePage(&p)        // fails
 	d.WritePage(&p)        // succeeds
-	s := d.Stats()
-	if s.ReadErrors != 2 || s.WriteErrors != 1 {
-		t.Fatalf("ReadErrors=%d WriteErrors=%d, want 2/1", s.ReadErrors, s.WriteErrors)
+	if reads, writes, _ := d.Injected(); reads != 2 || writes != 1 {
+		t.Fatalf("injected read faults %d, write faults %d, want 2/1", reads, writes)
 	}
+	s := d.Stats()
 	if s.Reads != 1 || s.Writes != 1 {
 		t.Fatalf("backing Reads=%d Writes=%d, want 1/1", s.Reads, s.Writes)
 	}
 }
 
 func TestRetryDeviceRecoversTransient(t *testing.T) {
+	retries := 0 // one sleep per retry
 	fd := NewFaultDevice(NewMemDevice(), FaultConfig{})
-	rd := NewRetryDevice(fd, RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) {}})
+	rd := NewRetryDevice(fd, RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) { retries++ }})
 	fd.FailNextReads(3) // exactly exhaust the retries, last attempt succeeds
 	var p page.Page
 	if err := rd.ReadPage(pid(1), &p); err != nil {
@@ -157,14 +158,15 @@ func TestRetryDeviceRecoversTransient(t *testing.T) {
 	if !p.VerifyStamp(pid(1)) {
 		t.Fatal("recovered read returned wrong bytes")
 	}
-	if got := rd.Stats().Retries; got != 3 {
+	if got := retries; got != 3 {
 		t.Fatalf("Retries=%d, want 3", got)
 	}
 }
 
 func TestRetryDeviceExhaustsAndSurfaces(t *testing.T) {
+	retries := 0 // one sleep per retry
 	fd := NewFaultDevice(NewMemDevice(), FaultConfig{})
-	rd := NewRetryDevice(fd, RetryConfig{MaxAttempts: 3, Sleep: func(time.Duration) {}})
+	rd := NewRetryDevice(fd, RetryConfig{MaxAttempts: 3, Sleep: func(time.Duration) { retries++ }})
 	fd.FailNextReads(10)
 	var p page.Page
 	err := rd.ReadPage(pid(1), &p)
@@ -174,7 +176,7 @@ func TestRetryDeviceExhaustsAndSurfaces(t *testing.T) {
 	if rd.Exhausted() != 1 {
 		t.Fatalf("Exhausted=%d, want 1", rd.Exhausted())
 	}
-	if got := rd.Stats().Retries; got != 2 {
+	if got := retries; got != 2 {
 		t.Fatalf("Retries=%d, want 2 (3 attempts)", got)
 	}
 }
@@ -195,8 +197,8 @@ func TestRetryDeviceDoesNotRetryPermanent(t *testing.T) {
 	if err := rd.ReadPage(page.InvalidPageID, &p); !errors.Is(err, ErrInvalidPage) {
 		t.Fatalf("invalid page err=%v", err)
 	}
-	if got := rd.Stats().Retries; got != 0 {
-		t.Fatalf("Retries=%d, want 0", got)
+	if attempts != 0 {
+		t.Fatalf("slept %d times retrying an invalid page", attempts)
 	}
 }
 
@@ -255,10 +257,11 @@ func TestChecksumDeviceDetectsCorruption(t *testing.T) {
 // Retry(Checksum(Fault(Mem))) and proves a corrupted transfer is detected
 // and transparently healed by a retry.
 func TestFaultStackEndToEnd(t *testing.T) {
+	retries := 0 // one sleep per retry
 	mem := NewMemDevice()
 	fd := NewFaultDevice(mem, FaultConfig{})
 	cd := NewChecksumDevice(fd)
-	rd := NewRetryDevice(cd, RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) {}})
+	rd := NewRetryDevice(cd, RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) { retries++ }})
 
 	var w page.Page
 	w.Stamp(pid(5))
@@ -277,7 +280,7 @@ func TestFaultStackEndToEnd(t *testing.T) {
 	if err := rd.ReadPage(pid(5), &r); !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("persistently corrupted read through retries err=%v, want ErrCorruptPage", err)
 	}
-	if got := rd.Stats().Retries; got != 3 {
+	if got := retries; got != 3 {
 		t.Fatalf("%d retries of a persistently corrupted read, want 3 (MaxAttempts 4)", got)
 	}
 	fd.SetCorruptRate(0.5) // flaky: some reads corrupt, retries heal

@@ -44,7 +44,6 @@ type RetryDevice struct {
 	mu  sync.Mutex // guards rng
 	rng uint64
 
-	retries   atomic.Int64 // retry attempts issued
 	exhausted atomic.Int64 // operations that failed all attempts
 }
 
@@ -86,7 +85,6 @@ func (d *RetryDevice) do(op func() error) error {
 	for attempt := 0; attempt < d.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			d.cfg.Sleep(d.jittered(backoff))
-			d.retries.Add(1)
 			backoff = min(backoff*multiplier, maxBackoff)
 		}
 		if err = op(); err == nil || !Retryable(err) {
@@ -107,10 +105,5 @@ func (d *RetryDevice) WritePage(p *page.Page) error {
 	return d.do(func() error { return d.backing.WritePage(p) })
 }
 
-// Stats implements Device: the backing device's counters plus the retries
-// issued by this layer.
-func (d *RetryDevice) Stats() DeviceStats {
-	s := d.backing.Stats()
-	s.Retries += d.retries.Load()
-	return s
-}
+// Stats implements Device: the backing device's counters.
+func (d *RetryDevice) Stats() DeviceStats { return d.backing.Stats() }

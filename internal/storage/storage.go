@@ -48,10 +48,6 @@ type Device interface {
 type DeviceStats struct {
 	Reads  int64
 	Writes int64
-
-	ReadErrors  int64 // failed page reads (injected or real)
-	WriteErrors int64 // failed page writes (injected or real)
-	Retries     int64 // retry attempts performed by a RetryDevice
 }
 
 // deviceCounters is the shared atomic implementation behind Stats.

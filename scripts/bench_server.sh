@@ -5,8 +5,7 @@
 #
 # The run is fully deterministic: one client replays a seeded op stream
 # synchronously per pipelined burst, frames are fixed-length, and the
-# counter snapshot is taken at quiescence before any STATS call (the
-# STATS JSON is the one variable-length frame). The committed numbers
+# counter snapshot is taken at quiescence. The committed numbers
 # pin the wire format's byte accounting — request/response taxonomy,
 # bytes in/out, the pool's hit/miss split, and the malformed-frame
 # containment count — and reproduce byte-for-byte on any machine. A diff

@@ -24,7 +24,7 @@
 #     *Pool in a non-test file under internal/buffer. An allow-list entry
 #     is "DOC Pool.Name".
 #  6. Every back-quoted span of those three docs that starts with a command
-#     (bpserver, bpload, bpbench, bpsim, bpstat, bptrace) may name only
+#     (bpserver, bpload, bpbench, bpstat, bptrace) may name only
 #     flags (-x or --x, up to the first |, ; or &) that cmd/<command>/main.go
 #     declares through flag.* or fs.*, or the flag package's own -h. An
 #     allow-list entry is "DOC command -flag".

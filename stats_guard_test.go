@@ -8,12 +8,15 @@ package bpwrapper_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -31,22 +34,21 @@ var statsReaderSkip = map[string]bool{".git": true, ".bench_build": true, "testd
 
 // TestEveryStatHasAReader is the guard. The structs are every type named
 // *Stats declared in a non-test file under internal/. A reader is a
-// selector x.Field in a non-test Go file anywhere in the repository that
-// is not the target of an assignment or ++/-- (a package-qualified name,
-// bpwrapper.Policy, is no field read). Fields are matched by name,
-// so a name two types share can keep an unread field alive but never fail
-// a read one; -v prints each field's first reader.
+// selector x.Field in a non-test Go file anywhere in the repository (as
+// the default build sees it) that is not the target of an assignment or
+// ++/--, and that go/types resolves to that very field: a field of the same
+// name on another type reads nothing. -v prints each field's first reader.
 func TestEveryStatHasAReader(t *testing.T) {
 	fset := token.NewFileSet()
+	pkgs := statsPackages(t, fset)
 
-	fields := map[string][]string{} // field name → "<dir>.<Type>.<Field>" of each guarded field
+	fields := map[*types.Var]string{} // guarded field → "<dir>.<Type>.<Field>"
 	var all []string
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
+	for dir, pkg := range pkgs {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
 		}
-		dir := filepath.ToSlash(path)
-		for _, file := range parseKnobDir(t, fset, path) {
+		for _, file := range pkg.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
 				if !ok || !strings.HasSuffix(ts.Name.Name, "Stats") {
@@ -55,10 +57,9 @@ func TestEveryStatHasAReader(t *testing.T) {
 				if st, ok := ts.Type.(*ast.StructType); ok {
 					for _, field := range st.Fields.List {
 						for _, name := range field.Names {
-							if name.IsExported() {
-								id := dir + "." + ts.Name.Name + "." + name.Name
-								fields[name.Name] = append(fields[name.Name], id)
-								all = append(all, id)
+							if v, ok := pkg.info.Defs[name].(*types.Var); ok && name.IsExported() {
+								fields[v] = dir + "." + ts.Name.Name + "." + name.Name
+								all = append(all, fields[v])
 							}
 						}
 					}
@@ -66,75 +67,52 @@ func TestEveryStatHasAReader(t *testing.T) {
 				return false
 			})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(all) < 60 {
 		t.Fatalf("found %d Stats fields, want the seventy-odd of the pool, wrapper, device, server and tracer: the scan is broken", len(all))
 	}
 
-	readers := map[string]string{} // field name → "file:line" of its first non-test read
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if statsReaderSkip[d.Name()] {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		imports := knobImports(file)
-		written := map[*ast.SelectorExpr]bool{}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+	readers := map[string]string{} // field id → "file:line" of its first non-test read
+	for _, pkg := range pkgs {
+		for _, file := range pkg.files {
+			written := map[*ast.SelectorExpr]bool{}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							written[sel] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok {
 						written[sel] = true
 					}
 				}
-			case *ast.IncDecStmt:
-				if sel, ok := n.X.(*ast.SelectorExpr); ok {
-					written[sel] = true
-				}
-			}
-			return true
-		})
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || written[sel] || fields[sel.Sel.Name] == nil {
 				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || imports[pkg.Name] == "" {
-				if _, seen := readers[sel.Sel.Name]; !seen {
-					pos := fset.Position(sel.Sel.Pos())
-					readers[sel.Sel.Name] = fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+			})
+			ast.Inspect(file, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || written[sel] {
+					return true
 				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+				if s := pkg.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					id := fields[s.Obj().(*types.Var).Origin()]
+					if _, seen := readers[id]; id != "" && !seen {
+						pos := fset.Position(sel.Sel.Pos())
+						readers[id] = fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+					}
+				}
+				return true
+			})
+		}
 	}
 
 	sort.Strings(all)
 	var unread []string
 	for _, id := range all {
-		name := id[strings.LastIndex(id, ".")+1:]
 		e, allowed := statsWithoutReader[id]
-		switch at := readers[name]; {
+		switch at := readers[id]; {
 		case at == "" && !allowed:
 			unread = append(unread, id)
 		case at != "" && allowed:
@@ -151,11 +129,7 @@ func TestEveryStatHasAReader(t *testing.T) {
 	}
 	for id, e := range statsWithoutReader {
 		name := id[strings.LastIndex(id, ".")+1:]
-		found := false
-		for _, f := range fields[name] {
-			found = found || f == id
-		}
-		if !found {
+		if !slices.Contains(all, id) {
 			t.Errorf("statsWithoutReader lists %s, which is no field of a guarded Stats struct", id)
 			continue
 		}
@@ -173,3 +147,81 @@ func TestEveryStatHasAReader(t *testing.T) {
 	}
 	t.Logf("%d Stats fields, %d on the allow-list", len(all), len(statsWithoutReader))
 }
+
+// statsPackage is one directory's non-test files, type-checked.
+type statsPackage struct {
+	files []*ast.File
+	info  *types.Info
+}
+
+// statsPackages type-checks every package of the repository from source,
+// keyed by directory. The module's own imports resolve to these packages;
+// any other import is an empty stand-in, so an expression of a standard
+// library type goes untyped, which leaves the module's own fields, the
+// only ones the guard asks about, resolved.
+func statsPackages(t *testing.T, fset *token.FileSet) map[string]*statsPackage {
+	t.Helper()
+	pkgs := map[string]*statsPackage{}
+	byPath := map[string]*types.Package{}
+	var check func(dir string) *types.Package
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := byPath[path]; ok {
+			return p, nil
+		}
+		if dir, ok := strings.CutPrefix(path, "bpwrapper"); ok && !strings.HasPrefix(dir, "/benchmark") {
+			return check(strings.TrimPrefix(dir, "/")), nil
+		}
+		p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
+		p.MarkComplete()
+		byPath[path] = p
+		return p, nil
+	})
+	check = func(dir string) *types.Package {
+		path := strings.TrimSuffix("bpwrapper/"+dir, "/")
+		if p, ok := byPath[path]; ok {
+			return p
+		}
+		if dir == "" {
+			dir = "."
+		}
+		pkg := &statsPackage{info: &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}, Defs: map[*ast.Ident]types.Object{}}}
+		names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, name := range names {
+			if ok, _ := build.Default.MatchFile(dir, filepath.Base(name)); !ok || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkg.files = append(pkg.files, file)
+		}
+		conf := types.Config{Importer: imp, Error: func(error) {}}
+		p, _ := conf.Check(path, fset, pkg.files, pkg.info)
+		byPath[path] = p
+		pkgs[filepath.ToSlash(dir)] = pkg
+		return p
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if statsReaderSkip[d.Name()] {
+			return filepath.SkipDir
+		}
+		if path == "." {
+			path = ""
+		}
+		check(filepath.ToSlash(path))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
