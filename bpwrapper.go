@@ -7,7 +7,7 @@
 // workload generators, a load driver (RunFleet), a deterministic
 // multiprocessor simulator, and the experiment harness that regenerates
 // every table and figure of the paper. This package exports what the
-// commands, the examples and the benchmark use.
+// commands, the benchmark and its own examples (example_test.go) use.
 //
 // # The problem and the technique
 //
@@ -33,7 +33,7 @@
 // the threshold when the lock is busy: block (no batching), keep recording
 // until the queue is full (the paper), or, beyond the paper,
 // WrapperConfig.FlatCombining: publish the batch and try the lock once —
-// the winner applies every session's published batch (examples/flatcombine).
+// the winner applies every session's published batch (bpbench -exp combine).
 // The designs the paper rejects (one shared queue, Section III-A) are models
 // in the simulator (bpbench -exp ablation-queue), not options of the wrapper.
 //
@@ -51,7 +51,7 @@
 //	_ = ref.Data()
 //	ref.Release()
 //
-// See the examples directory for complete programs and DESIGN.md /
+// See example_test.go for complete runnable examples and DESIGN.md /
 // EXPERIMENTS.md for the reproduction methodology and results.
 package bpwrapper
 
@@ -281,32 +281,19 @@ type TraceConfig = reqtrace.Config
 // ---------------------------------------------------------------------------
 // Workloads and traces
 
-// Workload generates page-access streams; Access is one page touch. The
-// configurations and constructors build the generators the examples use.
-type (
-	Workload        = workload.Workload
-	Stream          = workload.Stream
-	Access          = workload.Access
-	TPCCConfig      = workload.TPCCConfig
-	TableScanConfig = workload.TableScanConfig
-	SyntheticConfig = workload.SyntheticConfig
-	YCSBConfig      = workload.YCSBConfig
-)
+// SyntheticConfig sizes the synthetic generators; NewZipf builds the
+// Zipf-skewed one.
+type SyntheticConfig = workload.SyntheticConfig
 
-var (
-	NewTPCC      = workload.NewTPCC
-	NewTableScan = workload.NewTableScan
-	NewZipf      = workload.NewZipf
-	NewYCSB      = workload.NewYCSB
-)
+var NewZipf = workload.NewZipf
 
 // WorkloadByName resolves a workload by name ("tpcw", "tpcc", "tablescan",
 // "zipf", "uniform", "hotspot", "loop", "ycsb-a".."ycsb-f") at its default scale.
-func WorkloadByName(name string) (Workload, error) { return workload.ByName(name) }
+func WorkloadByName(name string) (workload.Workload, error) { return workload.ByName(name) }
 
 // RecordTrace captures a deterministic interleaved access sequence from a
 // workload.
-func RecordTrace(wl Workload, workers, txnsPerWorker int, seed int64) *trace.Trace {
+func RecordTrace(wl workload.Workload, workers, txnsPerWorker int, seed int64) *trace.Trace {
 	return trace.Record(wl, workers, txnsPerWorker, seed)
 }
 
@@ -351,8 +338,8 @@ func NewCacheServer(cfg CacheServerConfig) (*CacheServer, error) { return server
 // deliberately not concurrency-safe, mirroring pool sessions.
 func DialCache(addr string) (*CacheClient, error) { return server.Dial(addr) }
 
-// Fleet driving (bpload, examples/oltp): RunFleet runs workers of a
-// Workload against a CacheServer (FleetConfig.Addr) or an in-process Pool
+// Fleet driving (bpload, ExampleRunFleet): RunFleet runs workers of a
+// workload against a CacheServer (FleetConfig.Addr) or an in-process Pool
 // (FleetConfig.Pool) and folds exact per-worker counters after every
 // worker joins; FleetLive is the lagging live view for progress tickers.
 type (

@@ -91,9 +91,6 @@ func experiments(e *env) []experiment {
 		exp("combine", func() ([]bench.CombineRow, error) { return bench.CombineExperiment(nil, e.opts) },
 			bench.PrintCombine, // E12: baseline vs batched vs flat-combined commits
 			func(w io.Writer, rows []bench.CombineRow) error { return bench.JSONCombine(w, e.opts, rows) }),
-		exp("contention", func() ([]bench.ContentionRow, error) { return bench.ContentionExperiment(nil, e.opts) },
-			bench.PrintContention, // E15: acquisitions/blocking/wait/hold per access
-			func(w io.Writer, rows []bench.ContentionRow) error { return bench.JSONContention(w, e.opts, rows) }),
 
 		// Seeded single-goroutine replays through the real pool.
 		exp("chaos", func() (*bench.ChaosReport, error) { return bench.ChaosExperiment(e.opts) },

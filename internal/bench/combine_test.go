@@ -51,6 +51,14 @@ func TestCombineExperimentShape(t *testing.T) {
 	if fc.ThroughputTPS < bat.ThroughputTPS {
 		t.Errorf("pgBatFC %.0f tps below pgBat %.0f at 16 procs", fc.ThroughputTPS, bat.ThroughputTPS)
 	}
+	// E12's claim: batching slashes pg2Q's blocking acquisitions, and flat
+	// combining removes most of what batching leaves.
+	if bat.ContentionPerM >= base.ContentionPerM {
+		t.Errorf("pgBat contention/M %.1f not below pg2Q %.1f at 16 procs", bat.ContentionPerM, base.ContentionPerM)
+	}
+	if fc.ContentionPerM > bat.ContentionPerM {
+		t.Errorf("pgBatFC contention/M %.1f above pgBat %.1f at 16 procs", fc.ContentionPerM, bat.ContentionPerM)
+	}
 	// The protocol must actually have run.
 	if fc.HandoffSaved == 0 || fc.CombinedBatches == 0 {
 		t.Errorf("no combining activity at 16 procs: %+v", fc)

@@ -46,8 +46,9 @@ func TestFlatCombiningNeverBlocksAtThreshold(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Hit(pid(1), page.BufferTag{Page: pid(1)})
 	}
-	if got := w.Stats().HandoffSaved; got != 1 {
-		t.Fatalf("HandoffSaved=%d, want 1 (publish with busy lock)", got)
+	if s.slot.pub.Load() == nil || w.Stats().Lock.TryFailures != 1 {
+		t.Fatalf("published=%v, TryLock failures=%d: want the batch handed off after one failed try",
+			s.slot.pub.Load() != nil, w.Stats().Lock.TryFailures)
 	}
 	// The session keeps recording into the spare buffer. Every further
 	// access up to QueueSize-1 crosses the threshold again and must return
@@ -127,9 +128,8 @@ func TestCombinerAppliesOtherSessionsBatches(t *testing.T) {
 	s2.Hit(pid(2), page.BufferTag{Page: pid(2)})
 	s2.Hit(pid(2), page.BufferTag{Page: pid(2)}) // threshold → TryLock wins → combine
 
-	st := w.Stats()
-	if st.CombinedBatches != 1 || st.CombinedEntries != 2 {
-		t.Fatalf("combined batches=%d entries=%d, want 1/2", st.CombinedBatches, st.CombinedEntries)
+	if got := w.CombineRuns(); got.Count != 1 || got.Sum != 2 {
+		t.Fatalf("combiner runs=%d draining %d batches, want 1 run of 2 (s2's own and s1's)", got.Count, got.Sum)
 	}
 	if got := len(rec.ops); got != 6 { // 2 misses + s2's 2 hits + s1's 2 hits
 		t.Fatalf("policy saw %d ops, want 6: %v", got, rec.ops)

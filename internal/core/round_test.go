@@ -37,11 +37,10 @@ type roundWant struct {
 	ops                         string // policy ops in order: h<n> hit, m<n> admit, e<n> evict, of page n
 	acquisitions                int64  // lock-holding periods
 	commits, try, forced, walks int64
-	tryFails                    int64            // Lock.TryFailures
-	handoffs                    int64            // Stats.HandoffSaved: publishes whose try failed
+	tryFails                    int64            // Lock.TryFailures (with flat combining, each a batch handed off)
 	batchSizes                  int64            // BatchSizes observations
 	runs                        int64            // CombineRuns observations: rounds that drained a published batch
-	combined                    int64            // Stats.CombinedBatches: other sessions' batches
+	drained                     int64            // CombineRuns sum: published batches those rounds applied
 	spans                       []reqtrace.Phase // of a head-sampled request
 	slow                        bool             // an unsampled request is tail-armed by the wait
 	blocks                      bool             // the op blocks until the held lock is released
@@ -103,7 +102,7 @@ func TestRoundAccounting(t *testing.T) {
 				spans: []reqtrace.Phase{po}}},
 		{name: "fc/threshold", cfg: fc,
 			op: func(e *env) { hit(e.s, 1, 2) },
-			want: roundWant{ops: "h1 h2", acquisitions: 1, commits: 1, try: 1, batchSizes: 1, runs: 1,
+			want: roundWant{ops: "h1 h2", acquisitions: 1, commits: 1, try: 1, batchSizes: 1, runs: 1, drained: 1,
 				spans: []reqtrace.Phase{po}}},
 
 		// The threshold, lock held: block / keep recording / publish and
@@ -117,7 +116,7 @@ func TestRoundAccounting(t *testing.T) {
 			want: roundWant{pending: 2, tryFails: 1}},
 		{name: "fc/threshold-held", cfg: fc, held: true,
 			op:   func(e *env) { hit(e.s, 1, 2) },
-			want: roundWant{pending: 2, tryFails: 1, handoffs: 1, batchSizes: 1}},
+			want: roundWant{pending: 2, tryFails: 1, batchSizes: 1}},
 
 		// Nowhere left to record, lock held (a queue of one is full at once):
 		// everyone blocks, and the walk runs first because the failed tries
@@ -134,7 +133,7 @@ func TestRoundAccounting(t *testing.T) {
 		{name: "fc/full-held", cfg: fc, held: true,
 			op: func(e *env) { hit(e.s, 1, 2, 3, 4, 5, 6) },
 			want: roundWant{ops: "h1 h2 h3 h4 h5 h6", acquisitions: 1, commits: 1, forced: 1, walks: 1,
-				tryFails: 1, handoffs: 1, batchSizes: 2, runs: 1, blocks: true, slow: true,
+				tryFails: 1, batchSizes: 2, runs: 1, drained: 1, blocks: true, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
 
 		// Flush. Under flat combining: a published batch, one more hit
@@ -151,7 +150,7 @@ func TestRoundAccounting(t *testing.T) {
 			setup: func(e *env) { published(e, true); hit(e.s, 3) },
 			op:    func(e *env) { e.s.Flush() },
 			want: roundWant{ops: "h1 h2 h3 h4 h5", acquisitions: 1, commits: 1, forced: 1, walks: 1,
-				batchSizes: 1, runs: 1, combined: 1, slow: true,
+				batchSizes: 1, runs: 1, drained: 2, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
 
 		// Miss. Under flat combining the session's own queue is empty: what
@@ -168,7 +167,7 @@ func TestRoundAccounting(t *testing.T) {
 		{name: "fc/miss", cfg: fc,
 			setup: func(e *env) { published(e, true) },
 			op:    func(e *env) { e.s.Miss(pid(9), page.BufferTag{}) },
-			want: roundWant{ops: "h1 h2 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, runs: 1, combined: 1, slow: true,
+			want: roundWant{ops: "h1 h2 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, runs: 1, drained: 2, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
 
 		// The slotted miss, handed no free slot: the eviction and the admit
@@ -187,7 +186,7 @@ func TestRoundAccounting(t *testing.T) {
 		{name: "fc/missslot", cfg: fc,
 			setup: func(e *env) { published(e, false) },
 			op:    func(e *env) { e.s.MissSlot(pid(9), NoSlot, nil) },
-			want: roundWant{ops: "e1 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, runs: 1, combined: 1, slow: true,
+			want: roundWant{ops: "e1 m9 h4 h5", acquisitions: 1, commits: 1, walks: 1, runs: 1, drained: 1, slow: true,
 				spans: []reqtrace.Phase{lw, po}}},
 	}
 
@@ -218,7 +217,7 @@ func TestRoundAccounting(t *testing.T) {
 				}
 
 				before, ops0, walks0 := w.Stats(), len(pol.ops), pol.walks
-				sizes0, runs0 := w.BatchSizes().Count, w.CombineRuns().Count
+				sizes0, runs0 := w.BatchSizes().Count, w.CombineRuns()
 				a.Begin()
 				tid := a.ID()
 				if row.held {
@@ -267,12 +266,11 @@ func TestRoundAccounting(t *testing.T) {
 				check("TryCommits", st.TryCommits-before.TryCommits, want.try)
 				check("ForcedLocks", st.ForcedLocks-before.ForcedLocks, want.forced)
 				check("Lock.TryFailures", st.Lock.TryFailures-before.Lock.TryFailures, want.tryFails)
-				check("HandoffSaved", st.HandoffSaved-before.HandoffSaved, want.handoffs)
 				check("PrefetchWalks", st.PrefetchWalks-before.PrefetchWalks, want.walks)
 				check("policy walks", pol.walks-walks0, want.walks)
 				check("BatchSizes.Count", w.BatchSizes().Count-sizes0, want.batchSizes)
-				check("CombineRuns.Count", w.CombineRuns().Count-runs0, want.runs)
-				check("CombinedBatches", st.CombinedBatches-before.CombinedBatches, want.combined)
+				check("CombineRuns.Count", w.CombineRuns().Count-runs0.Count, want.runs)
+				check("CombineRuns.Sum", w.CombineRuns().Sum-runs0.Sum, want.drained)
 				check("Pending", int64(e.s.Pending()), int64(want.pending))
 
 				var spans []reqtrace.Span

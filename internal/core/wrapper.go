@@ -147,11 +147,6 @@ type Stats struct {
 	// PrefetchWalks counts pre-lock metadata walks (Config.Prefetching):
 	// zero while the policy lock is uncontended.
 	PrefetchWalks int64
-
-	// Flat-combining activity (Config.FlatCombining only).
-	CombinedBatches int64 // other sessions' published batches applied by a combiner
-	CombinedEntries int64 // entries in those batches
-	HandoffSaved    int64 // publishes whose TryLock failed: batches handed to the combiner instead of blocking or re-accumulating
 }
 
 // cacheLineSize separates counter groups with different writer populations
@@ -173,14 +168,6 @@ type commitCounters struct {
 	forcedLocks   atomic.Int64
 	tryCommits    atomic.Int64
 	prefetchWalks atomic.Int64
-}
-
-// combineCounters count flat-combining activity (written by combiners and
-// by publishing sessions).
-type combineCounters struct {
-	combinedBatches atomic.Int64
-	combinedEntries atomic.Int64
-	handoffSaved    atomic.Int64
 }
 
 // Wrapper couples a replacement policy with its global lock and the
@@ -218,8 +205,6 @@ type Wrapper struct {
 	lock metrics.ContentionMutex
 	_    cachePad
 	cc   commitCounters
-	_    cachePad
-	fcc  combineCounters
 	_    cachePad
 }
 
@@ -303,16 +288,13 @@ func (w *Wrapper) CombineRuns() metrics.CountDistSnapshot { return w.combineRuns
 // Stats returns a snapshot of the wrapper's counters.
 func (w *Wrapper) Stats() Stats {
 	return Stats{
-		Commits:         w.cc.commits.Load(),
-		Committed:       w.cc.committed.Load(),
-		Dropped:         w.cc.dropped.Load(),
-		Lock:            w.lock.Stats(),
-		ForcedLocks:     w.cc.forcedLocks.Load(),
-		TryCommits:      w.cc.tryCommits.Load(),
-		PrefetchWalks:   w.cc.prefetchWalks.Load(),
-		CombinedBatches: w.fcc.combinedBatches.Load(),
-		CombinedEntries: w.fcc.combinedEntries.Load(),
-		HandoffSaved:    w.fcc.handoffSaved.Load(),
+		Commits:       w.cc.commits.Load(),
+		Committed:     w.cc.committed.Load(),
+		Dropped:       w.cc.dropped.Load(),
+		Lock:          w.lock.Stats(),
+		ForcedLocks:   w.cc.forcedLocks.Load(),
+		TryCommits:    w.cc.tryCommits.Load(),
+		PrefetchWalks: w.cc.prefetchWalks.Load(),
 	}
 }
 
@@ -444,9 +426,7 @@ func (s *Session) atThreshold() {
 		// protocol could not make. Only the owner stores into pub, so the
 		// emptiness check cannot race with another publisher; a combiner
 		// only ever transitions pub to nil.
-		if _, _, held := s.round(tryOnce, page.InvalidPageID, 0, nil); !held {
-			w.fcc.handoffSaved.Add(1)
-		}
+		s.round(tryOnce, page.InvalidPageID, 0, nil)
 	case len(s.queue) >= w.cfg.QueueSize:
 		// Flat combining, both buffers full: the bounded-memory fall-back.
 		s.round(cannotWait, page.InvalidPageID, 0, nil)
@@ -626,7 +606,7 @@ func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(repl
 		w.batchSizes.Observe(own)
 	}
 	if mine+others > 0 {
-		w.combinedRound(mine+others, others, othersN)
+		w.combinedRound(mine + others)
 	}
 	if held && stamp {
 		s.stampRound(why, t0, t1, own, id)
@@ -637,12 +617,8 @@ func (s *Session) round(why reason, id page.PageID, slot uint32, claim func(repl
 // combinedRound accounts for a round that drained published batches.
 //
 //go:noinline
-func (w *Wrapper) combinedRound(batches, others, othersN int) {
+func (w *Wrapper) combinedRound(batches int) {
 	w.combineRuns.Observe(batches)
-	if others > 0 {
-		w.fcc.combinedBatches.Add(int64(others))
-		w.fcc.combinedEntries.Add(int64(othersN))
-	}
 }
 
 // stampRound emits a traced round's spans: the wait from t0 to t1, the

@@ -173,8 +173,8 @@ func TestRetryDeviceExhaustsAndSurfaces(t *testing.T) {
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("exhausted retry lost the error: %v", err)
 	}
-	if rd.Exhausted() != 1 {
-		t.Fatalf("Exhausted=%d, want 1", rd.Exhausted())
+	if reads, _, _ := fd.Injected(); reads != 3 {
+		t.Fatalf("backing saw %d failed attempts, want all 3", reads)
 	}
 	if got := retries; got != 2 {
 		t.Fatalf("Retries=%d, want 2 (3 attempts)", got)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bpwrapper/internal/page"
@@ -43,8 +42,6 @@ type RetryDevice struct {
 
 	mu  sync.Mutex // guards rng
 	rng uint64
-
-	exhausted atomic.Int64 // operations that failed all attempts
 }
 
 // NewRetryDevice wraps backing with retry/backoff per cfg.
@@ -61,9 +58,6 @@ func NewRetryDevice(backing Device, cfg RetryConfig) *RetryDevice {
 		rng:     uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909,
 	}
 }
-
-// Exhausted reports the number of operations that failed every attempt.
-func (d *RetryDevice) Exhausted() int64 { return d.exhausted.Load() }
 
 // jittered perturbs a nominal backoff by ±jitter deterministically.
 func (d *RetryDevice) jittered(backoff time.Duration) time.Duration {
@@ -91,7 +85,6 @@ func (d *RetryDevice) do(op func() error) error {
 			return err
 		}
 	}
-	d.exhausted.Add(1)
 	return err
 }
 

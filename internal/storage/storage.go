@@ -161,24 +161,21 @@ type SimDiskConfig struct {
 	// ReadLatency is the simulated service time per page read; a write
 	// is served in the same time. Zero means 200µs, a fast disk array.
 	ReadLatency time.Duration
-
-	// Parallelism bounds concurrently serviced operations (the number of
-	// independent spindles). Zero means 8.
-	Parallelism int
 }
+
+// simDiskSpindles bounds a SimDisk's concurrently serviced operations: the
+// number of independent spindles.
+const simDiskSpindles = 8
 
 // NewSimDisk returns a latency-simulating device over backing.
 func NewSimDisk(backing Device, cfg SimDiskConfig) *SimDisk {
 	if cfg.ReadLatency <= 0 {
 		cfg.ReadLatency = 200 * time.Microsecond
 	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 8
-	}
 	return &SimDisk{
 		backing: backing,
 		latency: cfg.ReadLatency,
-		slots:   make(chan struct{}, cfg.Parallelism),
+		slots:   make(chan struct{}, simDiskSpindles),
 	}
 }
 

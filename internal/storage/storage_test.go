@@ -154,7 +154,7 @@ func TestMemDeviceRewriteInPlace(t *testing.T) {
 }
 
 func TestSimDiskLatency(t *testing.T) {
-	d := NewSimDisk(NewMemDevice(), SimDiskConfig{ReadLatency: 2 * time.Millisecond, Parallelism: 1})
+	d := NewSimDisk(NewMemDevice(), SimDiskConfig{ReadLatency: 2 * time.Millisecond})
 	var p page.Page
 	start := time.Now()
 	for i := uint64(0); i < 5; i++ {
@@ -171,11 +171,11 @@ func TestSimDiskLatency(t *testing.T) {
 }
 
 func TestSimDiskParallelism(t *testing.T) {
-	// With parallelism 4, eight 5 ms reads should take ~10 ms, not ~40 ms.
-	d := NewSimDisk(NewMemDevice(), SimDiskConfig{ReadLatency: 5 * time.Millisecond, Parallelism: 4})
+	// With 8 spindles, sixteen 5 ms reads should take ~10 ms, not ~80 ms.
+	d := NewSimDisk(NewMemDevice(), SimDiskConfig{ReadLatency: 5 * time.Millisecond})
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*simDiskSpindles; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -246,8 +246,5 @@ func TestRetryDefaultSleepRunsTheLadder(t *testing.T) {
 	reads, _, _ := fd.Injected()
 	if reads != 3 {
 		t.Fatalf("backing saw %d attempts, want all 3", reads)
-	}
-	if rd.Exhausted() != 1 {
-		t.Fatalf("exhausted = %d, want 1", rd.Exhausted())
 	}
 }

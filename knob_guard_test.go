@@ -1,7 +1,7 @@
 // The knob guard: an exported field of one of the nine config structs is an
 // option every test and benchmark configuration multiplies by, so it must
 // have a caller. A field that no product code outside its own package sets —
-// no cmd, no example, nothing under benchmark/ or internal/ — is a constant
+// no cmd, nothing under benchmark/ or internal/ — is a constant
 // with extra steps, and this test fails until it becomes one or earns a
 // line on the allow-list below.
 //
@@ -46,7 +46,7 @@ var knobsWithoutCaller = map[string]string{
 }
 
 // knobSetterRoots are where a product setter may live.
-var knobSetterRoots = []string{"cmd", "examples", "benchmark", "internal"}
+var knobSetterRoots = []string{"cmd", "benchmark", "internal"}
 
 // knobStruct is one parsed config struct: its exported fields, and for a
 // field whose type is another knob struct, which.
@@ -365,12 +365,12 @@ var facadeWithoutCaller = map[string]string{
 var facadeCtor = regexp.MustCompile(`\bNew[A-Z][A-Za-z0-9]*`)
 
 // facadeCallers lists the files whose bpwrapper.<Name> selectors count as
-// callers: non-test files under cmd/ and examples/, every file under
-// benchmark/, and the root package's tests.
+// callers: non-test files under cmd/, every file under benchmark/, and the
+// root package's tests (its examples among them).
 func facadeCallers(t *testing.T) []string {
 	t.Helper()
 	var files []string
-	for _, root := range []string{"cmd", "examples", "benchmark"} {
+	for _, root := range []string{"cmd", "benchmark"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
 				(root != "benchmark" && strings.HasSuffix(path, "_test.go")) {
@@ -450,7 +450,7 @@ func TestEveryFacadeNameHasACaller(t *testing.T) {
 		reason, allowed := facadeWithoutCaller[name]
 		switch at := callers[name]; {
 		case len(at) == 0 && !allowed:
-			t.Errorf("bpwrapper.%s: no cmd, example, benchmark file or root test uses it: unexport or delete it, or say in facadeWithoutCaller why it stays", name)
+			t.Errorf("bpwrapper.%s: no cmd, benchmark file or root test uses it: unexport or delete it, or say in facadeWithoutCaller why it stays", name)
 		case allowed && len(at) > 0:
 			t.Errorf("bpwrapper.%s is on the allow-list but %s uses it: drop the entry", name, at[0])
 		case allowed && strings.TrimSpace(reason) == "":

@@ -4,7 +4,7 @@
 # It is the drift guard of the ten exhibits that have no BENCH_*.json —
 # fig2, fig6, fig7, fig8, tab2, tab3 (the paper's own) and ablation-queue,
 # ablation-policy, distributed, adaptive — and it repeats, as tables, the
-# seven experiments the other bench_*.sh scripts keep as JSON.
+# five experiments the other bench_*.sh scripts keep as JSON.
 #
 # The run is fully deterministic: the simulator counts virtual time, the
 # pool replays run one seeded goroutine against a tick clock, and the one

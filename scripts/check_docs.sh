@@ -1,6 +1,6 @@
 #!/bin/sh
-# Fails when the docs name what the tree does not have. Eleven checks and
-# two size caps:
+# Fails when the docs name what the tree does not have, or a ledger that no
+# claim rests on. Thirteen checks and two size caps:
 #
 #  1. Every back-quoted bpw_* metric name in README.md, DESIGN.md and
 #     EXPERIMENTS.md, and every bpw_* name in the doc comments and help text
@@ -64,6 +64,22 @@
 #     declares, or -h. A line ending in \ goes on with the next. This
 #     script is not read: its allow-list names retired flags. One loop
 #     checks 6 and 11; an allow-list entry is "FILE command -flag".
+# 12. Check 10 beyond the spans, for what a reader types: in README.md,
+#     DESIGN.md, EXPERIMENTS.md and .claude/skills/verify/SKILL.md, code
+#     blocks included, every "go run ./<path>" must name a path that exists
+#     (a <placeholder> is not read); every Test…, Benchmark…, Example… or
+#     Fuzz… alternative of a "-run" expression must match a func in a
+#     _test.go (as a prefix, or exactly when it ends in "$"); and every
+#     "bpbench -exp <name>" must be an entry of cmd/bpbench's table, or all.
+# 13. Every claim rests on a ledger, and every ledger on a claim. A row of
+#     EXPERIMENTS.md's "Summary of claims" cites what it names itself and,
+#     for each E<N> id it names, the "Regenerated by" cell of that
+#     experiment's row in the "Per-experiment index". Each row must cite at
+#     least one results/BENCH_*.json, "bpbench -exp <name>" or
+#     Test…/Benchmark…/Example…/Fuzz… name, and all it cites must exist;
+#     every results/BENCH_*.json and every section of results/bpbench.txt
+#     (one per entry of cmd/bpbench's table, which -exp all runs in order)
+#     must be cited by some row.
 #  And DESIGN.md must stay at or under 60,000 bytes: it describes the code
 #  as it is, and what was goes to CHANGES.md. CHANGES.md's newest entry,
 #  from its last "- PR N:" line to the end with its FOUND and MENDED lines,
@@ -368,4 +384,80 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
     done
 done
 set +f
+# What a reader types (check 12). A -run expression is split on | and
+# stripped of ^ ( ) before each alternative is looked up.
+exps="$(grep -oE '^[[:space:]]*exp\("[^"]+"' cmd/bpbench/main.go | sed -E 's/.*"([^"]+)"/\1/')"
+for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+    for tok in $(grep -oE 'go run \./[A-Za-z0-9_./-]+' "$doc" | sed 's/^go run //' | sort -u); do
+        if [ ! -e "$tok" ]; then
+            echo "check_docs: $doc runs \`go run $tok\`, which does not exist" >&2
+            fail=1
+        fi
+    done
+    for alt in $(grep -oE "(^|[[:space:]\`])-run[= ]+('[^']*'|\"[^\"]*\"|[^[:space:]\`]+)" "$doc" |
+        sed -E "s/^[^-]*-run[= ]+//; s/['\"]//g" | tr '|' '\n' | tr -d '^()' |
+        grep -E '^(Test|Benchmark|Example|Fuzz)' | sed -E 's,[^A-Za-z0-9_$].*,,' | sort -u); do
+        case "$alt" in
+        *\$) printf '%s\n' "$funcs" | grep -qxF "${alt%\$}" && continue ;;
+        *) printf '%s\n' "$funcs" | grep -q "^$alt" && continue ;;
+        esac
+        echo "check_docs: $doc runs -run $alt, which matches no func in a _test.go" >&2
+        fail=1
+    done
+    for e in $(grep -oE 'bpbench -exp [a-z0-9-]+' "$doc" | sed 's/.* //' | sort -u); do
+        if [ "$e" != all ] && ! printf '%s\n' "$exps" | grep -qxF "$e"; then
+            echo "check_docs: $doc names \`bpbench -exp $e\`, which cmd/bpbench's table does not have" >&2
+            fail=1
+        fi
+    done
+done
+# Claims and ledgers (check 13). index: "E<N> <Regenerated by cell>", one
+# a line; rows: "<line>:<row>" for each row of the summary table. What a
+# row cites is collected as "results/BENCH_x.json", "exp:<name>" and test
+# names.
+index="$(awk -F'|' '/^## Per-experiment index/ { f = 1; next } f && /^## / { f = 0 }
+    f && /^\| E[0-9]+/ { id = $2; sub(/^ */, "", id); sub(/[^E0-9].*/, "", id); print id, $(NF - 1) }' EXPERIMENTS.md)"
+rows="$(awk '/^## Summary of claims/ { f = 1; next } f && /^## / { f = 0 }
+    f && /^\|/ && !/^\|[-| ]+\|$/ && !/^\| Paper claim/ { print NR ":" $0 }' EXPERIMENTS.md)"
+cited=""
+while IFS= read -r row; do
+    [ -n "$row" ] || continue
+    line="${row%%:*}" text="${row#*:}"
+    for id in $(printf '%s\n' "$text" | grep -oE '(^|[^A-Za-z0-9])E[0-9]+([^0-9]|$)' | grep -oE 'E[0-9]+' | sort -u); do
+        cell="$(printf '%s\n' "$index" | awk -v id="$id" '$1 == id { $1 = ""; print }')"
+        if [ -z "$cell" ]; then
+            echo "check_docs: EXPERIMENTS.md:$line cites $id, which has no row in the Per-experiment index" >&2
+            fail=1
+        fi
+        text="$text $cell"
+    done
+    names="$(printf '%s\n' "$text" |
+        grep -oE 'results/BENCH_[A-Za-z0-9_-]+\.json|bpbench -exp [a-z0-9-]+|(Test|Benchmark|Example|Fuzz)[A-Z][A-Za-z0-9_]*' |
+        sed 's/^bpbench -exp /exp:/' | sort -u)"
+    if [ -z "$names" ]; then
+        echo "check_docs: EXPERIMENTS.md:$line, a claim, cites no results/BENCH_*.json, bpbench -exp or test" >&2
+        fail=1
+    fi
+    for n in $names; do
+        case "$n" in
+        results/*) [ -e "$n" ] ;;
+        exp:*) printf '%s\n' "$exps" | grep -qxF "${n#exp:}" ;;
+        *) printf '%s\n' "$funcs" | grep -qxF "$n" ;;
+        esac && { cited="$cited $n"; continue; }
+        echo "check_docs: EXPERIMENTS.md:$line cites $n, which does not exist" >&2
+        fail=1
+    done
+done <<EOF
+$rows
+EOF
+for f in results/BENCH_*.json; do
+    case " $cited " in *" $f "*) continue ;; esac
+    echo "check_docs: $f is cited by no row of EXPERIMENTS.md's Summary of claims" >&2
+    fail=1
+done
+for e in $exps; do
+    case " $cited " in *" exp:$e "*) continue ;; esac
+    echo "check_docs: results/bpbench.txt's section for bpbench -exp $e is cited by no row of EXPERIMENTS.md's Summary of claims" >&2
+    fail=1
+done
 exit $fail

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Regenerates every committed ledger under results/ — the six
+# Regenerates every committed ledger under results/ — the five
 # BENCH_*.json files and bpbench.txt, the paper's exhibits as tables — and
 # fails if any of them moved. Each scripts/bench_<name>.sh says in its
 # header why its file is deterministic (simulator, tick clock, or a seeded
